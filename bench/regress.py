@@ -24,13 +24,13 @@ Runs the micro-benches and writes a ``BENCH_PR10.json`` regression ledger:
   +200 ms per RPC, hedged-read p99 must stay within 1.5x of the
   no-straggler p99 (the un-hedged tail is recorded alongside).
 
-* **Shared-scan batching** (PR-10) — three hard-gated bars on the batch
-  executor and the predicate-fragment cache: eight concurrent Table-1
-  queries over one Log A archive must read ≤ 40 % of the bytes and take
-  ≤ 60 % of the wall time that running them sequentially does, a warm
-  fragment-cache repeat of the selective query must be ≥ 3x faster than
-  the cold first run, and the batched per-query hit counts must equal the
-  sequential counts exactly.
+* **Shared-scan batching** (PR-10) — three hard-gated bars on the
+  multi-plan block pass and the query cache: eight concurrent Table-1
+  queries over one Log A archive in one run must read ≤ 40 % of the bytes
+  and take ≤ 60 % of the wall time that running them one by one does, a
+  warm query-cache repeat of the selective query must be ≥ 3x faster than
+  the cold first run, and the per-query hit counts of the shared run must
+  equal the one-by-one counts exactly.
 
 * **Lifecycle** (PR-9) — three hard-gated bars on the hot tail and the
   tier engine: ingest-to-queryable latency (building the in-memory tail
@@ -259,7 +259,11 @@ def bench_cluster(lines_per_spec, rounds):
     # Small blocks so the corpus shards across every node; 2 ms per store
     # request models object-store RTT (sleeps release the GIL, so shard
     # parallelism is genuine wall-clock parallelism).
-    config = LogGrepConfig(block_bytes=8 * 1024)
+    # These bars are about I/O-bound scatter: every timed repeat must
+    # re-read its blocks over the simulated store.  Worker nodes honour
+    # the Query Cache switch like any executor, and a warm node would
+    # answer the repeats from cached row sets without touching the store.
+    config = LogGrepConfig(block_bytes=8 * 1024, use_query_cache=False)
     rtt = FaultProfile(latency_s=0.002)
 
     def timed_counts(cluster, n):
@@ -483,7 +487,7 @@ def bench_lifecycle(lines_per_spec, rounds):
 def bench_batch(lines_per_spec, rounds):
     """PR-10 shared-scan bars: a batch of 8 concurrent Table-1 queries
     over one Log A archive vs running the same 8 sequentially, plus the
-    warm fragment-cache repeat of the selective incident query.
+    warm query-cache repeat of the selective incident query.
 
     Bytes are exactly reproducible (range-read counter deltas); the wall
     times are min-of-rounds with a fresh handle per round so neither side
@@ -539,8 +543,8 @@ def bench_batch(lines_per_spec, rounds):
         shared_loads = int(loads_counter.value() - loads_before)
         batch_hits = [result.count for result in results]
 
-    # Warm fragment-cache repeat: the same selective query again on the
-    # same handle resolves every block from cached fragments (COUNT never
+    # Warm query-cache repeat: the same selective query again on the
+    # same handle resolves every block from cached row sets (COUNT never
     # reopens a box), vs the cold first run on a fresh handle.
     cold_s = warm_s = float("inf")
     for _ in range(rounds):
@@ -685,7 +689,7 @@ def main(argv=None):
     )
     parser.add_argument(
         "--warm-speedup-bar", type=float, default=3.0,
-        help="min cold/warm speedup for the fragment-cache repeat of the "
+        help="min cold/warm speedup for the query-cache repeat of the "
         "selective query (default: 3.0)",
     )
     parser.add_argument(
@@ -704,7 +708,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     results = {
-        "bench": "PR10 shared-scan batching + predicate-fragment cache",
+        "bench": "PR10 shared-scan batching + generation-keyed query cache",
         "lines_per_spec": args.lines,
         "rounds": args.rounds,
         "fig7": bench_fig7(args.lines, args.rounds),
@@ -805,7 +809,7 @@ def main(argv=None):
         )
     if batch["warm_speedup"] < args.warm_speedup_bar:
         failures.append(
-            f"batch: warm fragment-cache repeat is only "
+            f"batch: warm query-cache repeat is only "
             f"{batch['warm_speedup']:.2f}x the cold run "
             f"(bar {args.warm_speedup_bar:.1f}x)"
         )

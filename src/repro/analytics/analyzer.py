@@ -22,11 +22,10 @@ ever loaded here directly.
 from __future__ import annotations
 
 import operator
-from collections import Counter
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..core.loggrep import AggregateResult, LogGrep
-from ..query.aggregate import AggregateSpec, Bucket, NumericStats, parse_number
+from ..core.loggrep import AggregateResult, AggregateShortcuts, LogGrep
+from ..query.aggregate import AggregateSpec, parse_number
 from ..query.modes import AggregateKind
 from ..query.schema import Schema, schema_of
 from ..query.stats import QueryStats
@@ -40,21 +39,25 @@ _FILTER_OPS = {
 }
 
 
-class Analyzer:
-    """Columnar aggregation over a LogGrep archive."""
+class Analyzer(AggregateShortcuts):
+    """Columnar aggregation over a LogGrep archive: the named aggregates
+    (``count_by``/``top_k``/``stats_of``/…) plus column extraction."""
 
     def __init__(self, loggrep: LogGrep):
         self.loggrep = loggrep
         #: Merged execution stats of every aggregate this analyzer ran.
         self.stats = QueryStats()
 
-    def _run(
-        self, spec: AggregateSpec, where: Optional[str]
+    def aggregate(
+        self, spec: AggregateSpec, where: Optional[str] = None
     ) -> AggregateResult:
         """One pushed-down aggregate; folds its stats into ``self.stats``."""
         result = self.loggrep.aggregate(spec, where or None)
         self.stats.merge(result.stats)
         return result
+
+    def total_lines(self) -> int:
+        return self.loggrep.total_lines()
 
     # ------------------------------------------------------------------
     # schema
@@ -90,7 +93,7 @@ class Analyzer:
         decompressed — log lines are never rebuilt.
         """
         spec = AggregateSpec(AggregateKind.VALUES, field)
-        values: List[str] = self._run(spec, where).value  # type: ignore[assignment]
+        values: List[str] = self.aggregate(spec, where).value  # type: ignore[assignment]
         yield from values
 
     def pairs(
@@ -104,35 +107,17 @@ class Analyzer:
         spec = AggregateSpec(
             AggregateKind.PAIRS, key_field, value_field=value_field
         )
-        extracted: List[Tuple[str, str]] = self._run(spec, where).value  # type: ignore[assignment]
+        extracted: List[Tuple[str, str]] = self.aggregate(spec, where).value  # type: ignore[assignment]
         yield from extracted
 
     # ------------------------------------------------------------------
     # aggregations
     # ------------------------------------------------------------------
-    def count_by(
-        self, field: str, where: Optional[str] = None
-    ) -> "Counter[str]":
-        """value → number of entries, SQL ``GROUP BY field COUNT(*)`` —
-        counted from dictionary index cells, no payload decode."""
-        spec = AggregateSpec(AggregateKind.COUNT_BY, field)
-        return self._run(spec, where).value  # type: ignore[return-value]
-
-    def top_k(
-        self, field: str, k: int = 10, where: Optional[str] = None
-    ) -> List[Tuple[str, int]]:
-        spec = AggregateSpec(AggregateKind.TOP_K, field, k=k)
-        return self._run(spec, where).value  # type: ignore[return-value]
-
-    def stats_of(self, field: str, where: Optional[str] = None) -> NumericStats:
-        """Numeric summary (count/min/max/mean/p50/p95/p99 + nulls)."""
-        spec = AggregateSpec(AggregateKind.STATS, field)
-        return self._run(spec, where).value  # type: ignore[return-value]
-
-    def count_templates(self, where: Optional[str] = None) -> "Counter[str]":
-        """Entries per static pattern — ``COUNT BY template`` (§2)."""
-        spec = AggregateSpec(AggregateKind.COUNT_BY_TEMPLATE)
-        return self._run(spec, where).value  # type: ignore[return-value]
+    #: Entries per static pattern — ``COUNT BY template`` (§2).
+    count_templates = AggregateShortcuts.count_by_template
+    #: Hit rate over logical time: when an incident started and how it
+    #: evolved, without reconstructing a single line.
+    timeline = AggregateShortcuts.timeseries
 
     def distinct(self, field: str, where: Optional[str] = None) -> List[str]:
         seen: Dict[str, None] = {}
@@ -166,16 +151,3 @@ class Analyzer:
             if number is not None and compare(number, threshold):
                 count += n
         return count
-
-    def timeline(self, where: str, buckets: int = 20) -> List[Bucket]:
-        """Hit rate over logical time: (first id, last id, hits) buckets.
-
-        Line ids are the archive's logical clock (§3's timestamp
-        substitute), so bucketing hit ids shows when an incident started
-        and how it evolved — without reconstructing a single line.
-        """
-        total = self.loggrep.total_lines()
-        if total == 0 or buckets <= 0:
-            return []
-        spec = LogGrep._timeseries_spec(total, buckets)
-        return self._run(spec, where).value  # type: ignore[return-value]

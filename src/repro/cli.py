@@ -21,6 +21,7 @@ from typing import List, Optional
 from .blockstore.store import ArchiveStore
 from .core.config import LogGrepConfig
 from .core.loggrep import LogGrep
+from .query.plan import OutputMode, build_plan
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -344,7 +345,7 @@ def _open(
 
 
 def _run_grep_batch(lg, args, from_time, to_time) -> int:
-    """``grep --batch-file``: one shared-scan pass over many queries."""
+    """``grep --batch-file``: one block pass over many queries."""
     with open(args.batch_file, "r", encoding="utf-8") as fh:
         queries = [
             line.strip()
@@ -354,30 +355,30 @@ def _run_grep_batch(lg, args, from_time, to_time) -> int:
     if not queries:
         print("loggrep: batch file holds no queries", file=sys.stderr)
         return 2
-    if args.count:
-        counts = lg.count_many(queries, ignore_case=args.ignore_case)
-        for query, count in zip(queries, counts):
-            print(f"{count}\t{query}")
-    else:
-        results = lg.grep_many(
-            queries,
-            ignore_case=args.ignore_case,
-            from_time=from_time,
-            to_time=to_time,
-        )
-        for query, result in zip(queries, results):
-            print(f"# query: {query} ({result.count} hit(s))")
-            for line in result.lines:
-                print(line)
-    if args.stats:
-        report = lg.last_batch_report
-        if report is not None:
-            print(
-                f"# batch: {report.queries} quer(ies) over {report.blocks} "
-                f"block(s) in {report.elapsed * 1000:.1f} ms; shared block "
-                f"loads: {report.shared_loads}",
-                file=sys.stderr,
+    mode = OutputMode.COUNT if args.count else OutputMode.LINES
+    results, report = lg.executor.run_plans(
+        [
+            build_plan(
+                query, mode, args.ignore_case,
+                from_time=from_time, to_time=to_time,
             )
+            for query in queries
+        ]
+    )
+    for query, result in zip(queries, results):
+        if args.count:
+            print(f"{result.count}\t{query}")
+            continue
+        print(f"# query: {query} ({result.count} hit(s))")
+        for _, line in result.entries:
+            print(line)
+    if args.stats:
+        print(
+            f"# batch: {report.queries} quer(ies) over {report.blocks} "
+            f"block(s) in {report.elapsed * 1000:.1f} ms; shared block "
+            f"loads: {report.shared_loads}",
+            file=sys.stderr,
+        )
     return 0
 
 

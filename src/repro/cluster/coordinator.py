@@ -28,7 +28,6 @@ from __future__ import annotations
 import dataclasses
 import logging
 import time
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -39,12 +38,11 @@ from ..blockstore.remote import FaultProfile, RemoteStore
 from ..blockstore.store import ArchiveStore, MemoryStore
 from ..common.errors import ReproError
 from ..core.config import LogGrepConfig
-from ..core.loggrep import AggregateResult, GrepResult, LogGrep
+from ..core.loggrep import AggregateResult, AggregateShortcuts, GrepResult
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
-from ..query.aggregate import AggregateSpec, Bucket, NumericStats, make_partial
+from ..query.aggregate import AggregateSpec, make_partial
 from ..query.executor import Entry
-from ..query.modes import AggregateKind
 from ..query.plan import OutputMode, QueryPlan, build_aggregate_plan, build_plan
 from ..query.stats import QueryStats
 from .node import WorkerNode
@@ -190,7 +188,7 @@ class ClusterQueryReport:
         return "\n".join(lines)
 
 
-class ClusterLogGrep:
+class ClusterLogGrep(AggregateShortcuts):
     """A small LogGrep cluster with replicated block placement."""
 
     def __init__(
@@ -322,6 +320,31 @@ class ClusterLogGrep:
     # ------------------------------------------------------------------
     # query
     # ------------------------------------------------------------------
+    def _scatter_plans(
+        self,
+        plans: Sequence[QueryPlan],
+        kind: str,
+        report: ClusterQueryReport,
+        parent: object,
+    ) -> List[ShardOutcome]:
+        """One multi-plan ``query_block`` RPC per block, for every query
+        shape: each replica opens its block once for all *plans*.  The
+        payload of a gathered outcome is the per-plan ``(payload, count,
+        stats)`` list the node returned."""
+        tracer = get_tracer()
+
+        def serve(nid: str, task: ShardTask):
+            with tracer.span(
+                "cluster.query_block", parent=parent, block=task.name, node=nid
+            ):
+                return self.nodes[nid].query_block(task.name, plans)
+
+        # Gathered on the coordinator thread, after the fan-out has fully
+        # drained — per-shard stats never merge concurrently.
+        outcomes = self._scatter(self._shard_tasks(), serve, kind)
+        report.add(kind, outcomes)
+        return outcomes
+
     def grep(
         self,
         command: str,
@@ -331,65 +354,15 @@ class ClusterLogGrep:
         limit: Optional[int] = None,
         analyze: bool = False,
     ) -> GrepResult:
-        """Scatter one pre-built ROWS plan, gather row-set partials, then
-        reconstruct with a final bounded fetch.
-
-        The command is parsed and planned exactly once; every replica
-        receives the same :class:`~repro.query.plan.QueryPlan`.  Shards
-        return (group → row bitmap) partials — a few bytes per matched
-        group — and only the blocks (and rows) the coordinator actually
-        keeps are rendered back into lines, preferably by the replica
-        that already served the locate (its capsules are warm).  With
-        ``limit`` the fetch stops at the block prefix covering the first
-        *limit* matches (blocks partition the line-id space in name
-        order), so a point lookup over a huge archive reconstructs a
-        handful of blocks.
-        """
-        tracer = get_tracer()
-        start = time.perf_counter()
-        stats = QueryStats()
-        report = ClusterQueryReport(command, OutputMode.ROWS.value)
-        plan = build_plan(
-            command, OutputMode.ROWS, ignore_case,
-            from_time=from_time, to_time=to_time,
+        """Distributed grep: :meth:`grep_many` of one command.  With
+        ``analyze`` the per-shard delivery table lands in
+        ``result.report``."""
+        (result,) = self.grep_many(
+            [command], ignore_case, from_time, to_time, limit
         )
-        _CLUSTER_QUERIES.inc(mode=plan.mode.value)
-        with tracer.span("cluster.query", command=command) as qspan:
-            with tracer.span("cluster.fan_out") as fan:
-                def locate(nid: str, task: ShardTask):
-                    with tracer.span(
-                        "cluster.query_block",
-                        parent=fan,
-                        block=task.name,
-                        node=nid,
-                    ):
-                        return self.nodes[nid].query_block(task.name, plan)
-
-                outcomes = self._scatter(
-                    self._shard_tasks(), locate, kind="rows"
-                )
-            # Gather on the coordinator thread, after the fan-out has
-            # fully drained — per-shard stats never merge concurrently.
-            report.add("rows", outcomes)
-            total = 0
-            for outcome in outcomes:
-                stats.merge(outcome.stats)
-                total += outcome.count
-            entries = self._fetch_entries(plan, outcomes, limit, stats, report)
-            stats.entries_matched = total
-            qspan.set("blocks", len(outcomes))
-            qspan.set("entries_matched", total)
-        elapsed = time.perf_counter() - start
-        report.elapsed_ms = elapsed * 1000.0
-        self.last_report = report
-        stats.publish(elapsed)
-        return GrepResult(
-            [text for _, text in entries],
-            [line_id for line_id, _ in entries],
-            stats,
-            elapsed,
-            report=report.render() if analyze else "",
-        )
+        if analyze and self.last_report is not None:
+            result.report = self.last_report.render()
+        return result
 
     def grep_many(
         self,
@@ -399,14 +372,21 @@ class ClusterLogGrep:
         to_time: Optional[float] = None,
         limit: Optional[int] = None,
     ) -> List[GrepResult]:
-        """Scatter one **multi-plan batch** per shard, gather per plan.
+        """Scatter pre-built ROWS plans, gather row-set partials, then
+        reconstruct with a final bounded fetch per plan.
 
-        Equivalent to ``[self.grep(c) for c in commands]``, but each
-        replica serves all the plans from a single RPC through its
-        shared-scan pass: one LoadBox per block for the whole batch, one
-        prune decision and one Match per distinct term.  Gathers stay
-        rowset-shaped; reconstruction remains a per-plan bounded fetch
-        of exactly the kept rows.
+        Every command is parsed and planned exactly once; every replica
+        receives the same :class:`~repro.query.plan.QueryPlan`s in one
+        RPC and serves them from a single block pass: one LoadBox per
+        block, one prune decision and one Match per distinct term.
+        Shards return (group → row bitmap) partials — a few bytes per
+        matched group — and only the blocks (and rows) the coordinator
+        actually keeps are rendered back into lines, preferably by the
+        replica that already served the locate (its capsules are warm).
+        With ``limit`` the fetch stops at the block prefix covering the
+        first *limit* matches (blocks partition the line-id space in
+        name order), so a point lookup over a huge archive reconstructs
+        a handful of blocks.
         """
         commands = list(commands)
         if not commands:
@@ -420,37 +400,19 @@ class ClusterLogGrep:
             )
             for command in commands
         ]
-        report = ClusterQueryReport(
-            "; ".join(commands), OutputMode.ROWS.value
-        )
-        for plan in plans:
-            _CLUSTER_QUERIES.inc(mode=plan.mode.value)
+        report = ClusterQueryReport("; ".join(commands), OutputMode.ROWS.value)
+        _CLUSTER_QUERIES.inc(len(plans), mode=OutputMode.ROWS.value)
+        results: List[GrepResult] = []
         with tracer.span(
-            "cluster.query_batch", queries=len(plans)
+            "cluster.query", command=report.command, queries=len(plans)
         ) as qspan:
             with tracer.span("cluster.fan_out") as fan:
-                def locate(nid: str, task: ShardTask):
-                    with tracer.span(
-                        "cluster.query_block_batch",
-                        parent=fan,
-                        block=task.name,
-                        node=nid,
-                    ):
-                        return self.nodes[nid].query_block_batch(
-                            task.name, plans
-                        )
-
-                outcomes = self._scatter(
-                    self._shard_tasks(), locate, kind="rows"
-                )
-            report.add("rows", outcomes)
-            results: List[Optional[GrepResult]] = [None] * len(plans)
+                outcomes = self._scatter_plans(plans, "rows", report, fan)
             for pos, plan in enumerate(plans):
-                stats = QueryStats()
-                # Split each shard's batched payload back into per-plan
+                # Split each shard's payload back into per-plan
                 # pseudo-outcomes so the bounded fetch (and its warm-
-                # replica preference) is reused verbatim.  Wire bytes
-                # stay on the batched outcome — the split carries none.
+                # replica preference) sees one plan.  Wire bytes stay on
+                # the gathered outcome — the split carries none.
                 per_plan = [
                     dataclasses.replace(
                         outcome,
@@ -461,84 +423,29 @@ class ClusterLogGrep:
                     )
                     for outcome in outcomes
                 ]
-                total = 0
+                stats = QueryStats()
                 for outcome in per_plan:
                     stats.merge(outcome.stats)
-                    total += outcome.count
                 entries = self._fetch_entries(
-                    plans[pos], per_plan, limit, stats, report
+                    plan, per_plan, limit, stats, report
                 )
-                stats.entries_matched = total
+                stats.entries_matched = sum(o.count for o in per_plan)
                 elapsed = time.perf_counter() - start
                 stats.publish(elapsed)
-                results[pos] = GrepResult(
-                    [text for _, text in entries],
-                    [line_id for line_id, _ in entries],
-                    stats,
-                    elapsed,
+                results.append(
+                    GrepResult(
+                        [text for _, text in entries],
+                        [line_id for line_id, _ in entries],
+                        stats,
+                        elapsed,
+                    )
                 )
             qspan.set("blocks", len(outcomes))
+            qspan.set(
+                "entries_matched",
+                sum(result.stats.entries_matched for result in results),
+            )
         report.elapsed_ms = (time.perf_counter() - start) * 1000.0
-        self.last_report = report
-        return [r for r in results if r is not None]
-
-    def aggregate_many(
-        self,
-        specs: Sequence[Tuple[AggregateSpec, Optional[str]]],
-        ignore_case: bool = False,
-        from_time: Optional[float] = None,
-        to_time: Optional[float] = None,
-    ) -> List[AggregateResult]:
-        """Run many ``(spec, where)`` aggregates in one scatter.
-
-        Each replica folds all the aggregate plans over one block open;
-        shards ship one list of compact partials per RPC, merged per
-        plan on the coordinator thread after the fan-out drains.
-        """
-        specs = list(specs)
-        if not specs:
-            return []
-        start = time.perf_counter()
-        plans = [
-            build_aggregate_plan(
-                spec, where, ignore_case=ignore_case,
-                from_time=from_time, to_time=to_time,
-            )
-            for spec, where in specs
-        ]
-        for spec, _ in specs:
-            _CLUSTER_AGG_QUERIES.inc(kind=spec.kind.value)
-        outcomes = self._scatter(
-            self._shard_tasks(),
-            lambda nid, task: self.nodes[nid].query_block_batch(
-                task.name, plans
-            ),
-            kind="partial",
-        )
-        report = ClusterQueryReport(
-            "; ".join(where or "<all>" for _, where in specs),
-            OutputMode.AGGREGATE.value,
-        )
-        report.add("partial", outcomes)
-        elapsed = time.perf_counter() - start
-        results: List[AggregateResult] = []
-        for pos, (spec, _where) in enumerate(specs):
-            stats = QueryStats()
-            merged = make_partial(spec)
-            matched = 0
-            for outcome in outcomes:
-                payload, count, plan_stats = outcome.payload[pos]
-                stats.merge(plan_stats)
-                matched += count
-                if payload is not None:
-                    merged.merge(payload)
-                    _CLUSTER_AGG_PARTIALS.inc()
-            stats.entries_matched = matched
-            stats.publish(elapsed)
-            results.append(
-                AggregateResult(merged.finalize(spec), matched, stats, elapsed)
-            )
-        report.elapsed_ms = elapsed * 1000.0
         self.last_report = report
         return results
 
@@ -610,13 +517,11 @@ class ClusterLogGrep:
             from_time=from_time, to_time=to_time,
         )
         _CLUSTER_QUERIES.inc(mode=plan.mode.value)
-        outcomes = self._scatter(
-            self._shard_tasks(),
-            lambda nid, task: self.nodes[nid].query_block(task.name, plan),
-            kind="count",
-        )
         report = ClusterQueryReport(command, plan.mode.value)
-        report.add("count", outcomes)
+        with get_tracer().span(
+            "cluster.query", command=command, mode=plan.mode.value
+        ) as qspan:
+            outcomes = self._scatter_plans([plan], "count", report, qspan)
         report.elapsed_ms = (time.perf_counter() - start) * 1000.0
         self.last_report = report
         return sum(outcome.count for outcome in outcomes)
@@ -633,93 +538,83 @@ class ClusterLogGrep:
         to_time: Optional[float] = None,
         analyze: bool = False,
     ) -> AggregateResult:
-        """Distributed aggregate: one plan shipped, partials merged.
+        """Distributed aggregate: :meth:`aggregate_many` of one spec.
+        With ``analyze`` the per-shard delivery table lands in
+        ``result.report``."""
+        (result,) = self.aggregate_many(
+            [(spec, where)], ignore_case, from_time, to_time
+        )
+        if analyze and self.last_report is not None:
+            result.report = self.last_report.render()
+        return result
 
-        The aggregate plan is built once and scattered like ``grep``;
-        each serving replica runs the Aggregate operator over its block
-        and returns a compact partial instead of reconstructed lines.
-        Partial merging is commutative (Counter addition / multiset
-        union), and the fold happens on the coordinator thread after the
-        fan-out drains, so the delivery schedule never changes the
-        result — the merged value is identical to a single-node run over
-        the same lines.
+    def aggregate_many(
+        self,
+        specs: Sequence[Tuple[AggregateSpec, Optional[str]]],
+        ignore_case: bool = False,
+        from_time: Optional[float] = None,
+        to_time: Optional[float] = None,
+    ) -> List[AggregateResult]:
+        """Run many ``(spec, where)`` aggregates in one scatter.
+
+        The aggregate plans are built once and scattered like ``grep``;
+        each serving replica folds all of them over one block open and
+        ships one list of compact partials (Counters / stats multisets /
+        histograms) per RPC instead of reconstructed lines.  Partial
+        merging is commutative, and the per-plan fold happens on the
+        coordinator thread after the fan-out drains, so the delivery
+        schedule never changes the result — each merged value is
+        identical to a single-node run over the same lines.
         """
+        specs = list(specs)
+        if not specs:
+            return []
         tracer = get_tracer()
         start = time.perf_counter()
-        plan = build_aggregate_plan(
-            spec, where, ignore_case=ignore_case,
-            from_time=from_time, to_time=to_time,
+        plans = [
+            build_aggregate_plan(
+                spec, where, ignore_case=ignore_case,
+                from_time=from_time, to_time=to_time,
+            )
+            for spec, where in specs
+        ]
+        for spec, _ in specs:
+            _CLUSTER_AGG_QUERIES.inc(kind=spec.kind.value)
+        report = ClusterQueryReport(
+            "; ".join(where or "<all>" for _, where in specs),
+            OutputMode.AGGREGATE.value,
         )
-        stats = QueryStats()
-        merged = make_partial(spec)
-        matched = 0
-        _CLUSTER_AGG_QUERIES.inc(kind=spec.kind.value)
-        report = ClusterQueryReport(where or "<all>", plan.mode.value)
         with tracer.span(
-            "cluster.aggregate", kind=spec.kind.value, where=where or ""
+            "cluster.aggregate", where=report.command, queries=len(plans)
         ) as qspan:
-            def fold(nid: str, task: ShardTask):
-                with tracer.span(
-                    "cluster.aggregate_block",
-                    parent=qspan,
-                    block=task.name,
-                    node=nid,
-                ):
-                    return self.nodes[nid].aggregate_block(task.name, plan)
-
-            outcomes = self._scatter(self._shard_tasks(), fold, kind="partial")
-            report.add("partial", outcomes)
-            for outcome in outcomes:
-                stats.merge(outcome.stats)
-                matched += outcome.count
-                if outcome.payload is not None:
-                    merged.merge(outcome.payload)
-                    _CLUSTER_AGG_PARTIALS.inc()
-            stats.entries_matched = matched
+            outcomes = self._scatter_plans(plans, "partial", report, qspan)
             qspan.set("blocks", len(outcomes))
-            qspan.set("entries_matched", matched)
         elapsed = time.perf_counter() - start
+        results: List[AggregateResult] = []
+        for pos, (spec, _where) in enumerate(specs):
+            stats = QueryStats()
+            merged = make_partial(spec)
+            for outcome in outcomes:
+                payload, count, plan_stats = outcome.payload[pos]
+                stats.merge(plan_stats)
+                stats.entries_matched += count
+                if payload is not None:
+                    merged.merge(payload)
+                    _CLUSTER_AGG_PARTIALS.inc()
+            stats.publish(elapsed)
+            results.append(
+                AggregateResult(
+                    merged.finalize(spec), stats.entries_matched, stats, elapsed
+                )
+            )
         report.elapsed_ms = elapsed * 1000.0
         self.last_report = report
-        stats.publish(elapsed)
-        return AggregateResult(
-            merged.finalize(spec),
-            matched,
-            stats,
-            elapsed,
-            report=report.render() if analyze else "",
-        )
+        return results
 
-    def count_by(
-        self, field: str, where: Optional[str] = None
-    ) -> "Counter[str]":
-        """Distributed ``GROUP BY field COUNT(*)`` from index cells."""
-        spec = AggregateSpec(AggregateKind.COUNT_BY, field)
-        return self.aggregate(spec, where).value  # type: ignore[return-value]
-
-    def top_k(
-        self, field: str, k: int = 10, where: Optional[str] = None
-    ) -> List[Tuple[str, int]]:
-        spec = AggregateSpec(AggregateKind.TOP_K, field, k=k)
-        return self.aggregate(spec, where).value  # type: ignore[return-value]
-
-    def stats_of(self, field: str, where: Optional[str] = None) -> NumericStats:
-        spec = AggregateSpec(AggregateKind.STATS, field)
-        return self.aggregate(spec, where).value  # type: ignore[return-value]
-
-    def timeseries(
-        self, where: Optional[str] = None, buckets: int = 20
-    ) -> List[Bucket]:
-        """Hit counts over logical time, merged across the cluster.
-
-        The coordinator assigned every global line id at ingest, so its
-        ``_next_line_id`` is the archive's logical-clock extent.
-        """
-        total = self._next_line_id
-        if total == 0 or buckets <= 0:
-            return []
-        spec = LogGrep._timeseries_spec(total, buckets)
-        return self.aggregate(spec, where).value  # type: ignore[return-value]
+    def total_lines(self) -> int:
+        """The coordinator assigned every global line id at ingest, so its
+        ``_next_line_id`` is the archive's logical-clock extent."""
+        return self._next_line_id
 
     # ------------------------------------------------------------------
     # membership

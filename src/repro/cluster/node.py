@@ -34,11 +34,8 @@ from ..common.errors import ReproError
 from ..core.compressor import compress_block
 from ..core.config import LogGrepConfig
 from ..obs.metrics import get_registry
-from ..query.aggregate import AggregatePartial
-from ..query.batch import BatchExecutor
 from ..query.engine import GroupRows
 from ..query.executor import Entry, QueryExecutor, StoreBoxSource
-from ..query.fragcache import FragmentCache
 from ..query.plan import OutputMode, QueryPlan
 from ..query.stats import QueryStats
 
@@ -77,21 +74,11 @@ class WorkerNode:
         self._slots = threading.Semaphore(max(1, serve_slots))
         # Each worker runs the same physical pipeline as a single-node
         # LogGrep over its local replica store, pruning via its own
-        # summaries (no query cache: cluster queries are scattered, so
-        # refining locality lives coordinator-side).
+        # summaries.  Its query cache is node-local and keyed at
+        # generation 0 — replica stores never rewrite a block name in
+        # place, so the token never needs to move.
         self._executor = QueryExecutor(
             StoreBoxSource(self.store, index=self.index), self.config
-        )
-        # Shared-scan service: a multi-plan RPC opens each block once for
-        # every plan in the batch.  The fragment cache is node-local and
-        # keyed at generation 0 — replica stores never rewrite a block
-        # name in place, so the token never needs to move.
-        self._batch = BatchExecutor(
-            self._executor,
-            FragmentCache(
-                getattr(self.config, "fragment_cache_entries", None)
-                or 4096
-            ),
         )
 
     # ------------------------------------------------------------------
@@ -177,53 +164,27 @@ class WorkerNode:
     # query path
     # ------------------------------------------------------------------
     def query_block(
-        self, name: str, plan: QueryPlan
-    ) -> Tuple[object, int, QueryStats]:
-        """Execute a pre-built *plan* over one local block.
-
-        The coordinator plans the command once and ships the plan; the
-        node runs the shared operator pipeline (TimePrune → BloomPrune →
-        LoadBox → Locate → Match → …) over its replica.  Returns
-        (payload, hit count, stats) where the payload depends on the
-        plan's mode: reconstructed entries (``LINES``), per-group row
-        sets (``ROWS`` — the partial-gather protocol), or ``None``
-        (``COUNT``).
-        """
-        with self._serve():
-            self.queries_served += 1
-            _NODE_QUERIES.inc(node=self.node_id)
-            stats = QueryStats()
-            outcome = self._executor.execute_block(name, plan, stats)
-            payload: object
-            if plan.mode is OutputMode.ROWS:
-                payload = outcome.rows if outcome.rows is not None else {}
-            elif plan.mode is OutputMode.COUNT:
-                payload = None
-            else:
-                payload = outcome.entries
-            return payload, outcome.count, stats
-
-    def query_block_batch(
         self, name: str, plans: Sequence[QueryPlan]
     ) -> Tuple[List[Tuple[object, int, QueryStats]], int, QueryStats]:
-        """Execute many pre-built plans over one local block in one RPC.
+        """Execute pre-built *plans* over one local block in one RPC.
 
-        The shared-scan pass (:class:`~repro.query.batch.BatchExecutor`)
-        opens the block once, prunes each distinct term once and matches
-        it once for the whole batch, so a coordinator fanning out N
-        concurrent queries costs each replica one LoadBox instead of N.
-        Returns (per-plan ``(payload, count, stats)`` triples aligned
-        with *plans*, total hit count, shared engine stats).  Payload
-        shapes follow :meth:`query_block`/:meth:`aggregate_block`:
-        gathers stay rowset/partial-shaped, never raw lines.
+        The coordinator plans each command once and ships the plans; the
+        node runs the shared block pass (TimePrune → BloomPrune → LoadBox
+        → Locate → Match → …) over its replica — one box open, one prune
+        decision and one Match per distinct term however many plans ride
+        the RPC.  Returns (per-plan ``(payload, count, stats)`` triples
+        aligned with *plans*, total hit count, shared engine stats).
+        The payload follows the plan: per-group row sets (``ROWS`` — the
+        partial-gather protocol), a compact partial (aggregates), ``None``
+        (``COUNT``) or reconstructed entries (``LINES``); gathers stay
+        rowset/partial-shaped, never raw lines.
         """
         with self._serve():
             self.queries_served += 1
             _NODE_QUERIES.inc(node=self.node_id)
-            outcomes, stats, shared = self._batch.run_block(name, plans)
+            done = self._executor.execute_block(name, plans)
             per_plan: List[Tuple[object, int, QueryStats]] = []
-            total = 0
-            for plan, outcome, plan_stats in zip(plans, outcomes, stats):
+            for plan, outcome in zip(plans, done.outcomes):
                 payload: object
                 if plan.mode is OutputMode.ROWS:
                     payload = outcome.rows if outcome.rows is not None else {}
@@ -233,9 +194,9 @@ class WorkerNode:
                     payload = None
                 else:
                     payload = outcome.entries
-                per_plan.append((payload, outcome.count, plan_stats))
-                total += outcome.count
-            return per_plan, total, shared
+                per_plan.append((payload, outcome.count, outcome.stats))
+            total = sum(count for _, count, _ in per_plan)
+            return per_plan, total, done.shared
 
     def reconstruct_rows(
         self, name: str, rows: GroupRows
@@ -248,21 +209,3 @@ class WorkerNode:
             stats = QueryStats()
             entries = self._executor.reconstruct_rows(name, rows, stats)
             return entries, len(entries), stats
-
-    def aggregate_block(
-        self, name: str, plan: QueryPlan
-    ) -> Tuple[Optional[AggregatePartial], int, QueryStats]:
-        """Execute an aggregate *plan* over one local block.
-
-        Same pipeline as :meth:`query_block` but the plan carries an
-        :class:`~repro.query.aggregate.AggregateSpec`, so Reconstruct is
-        replaced by the Aggregate operator and the node ships back a
-        compact partial (a Counter / stats multiset / histogram) instead
-        of log lines.  Partials merge commutatively coordinator-side.
-        """
-        with self._serve():
-            self.queries_served += 1
-            _NODE_QUERIES.inc(node=self.node_id)
-            stats = QueryStats()
-            outcome = self._executor.execute_block(name, plan, stats)
-            return outcome.partial, outcome.count, stats

@@ -49,15 +49,6 @@ def _default_max_decoded_values() -> Optional[int]:
     return int(raw) if raw else None
 
 
-def _default_batch_scans() -> bool:
-    """CI runs the suite once with shared-scan batching via this variable."""
-    return os.environ.get("LOGGREP_BATCH_SCANS", "0") == "1"
-
-
-def _default_fragment_cache_entries() -> int:
-    """Small values (CI) force LRU eviction on the fragment cache."""
-    return int(os.environ.get("LOGGREP_FRAGMENT_CACHE_ENTRIES", "4096"))
-
 #: Names of the five ablated versions evaluated in Fig 9.
 ABLATIONS = ("w/o real", "w/o nomi", "w/o stamp", "w/o fixed", "w/o cache")
 
@@ -144,6 +135,8 @@ class LogGrepConfig:
     # arithmetic, §5.2); "python" is the original per-position path over
     # the pluggable engines, kept as the differential-testing oracle.
     scan_kernel: str = field(default_factory=_default_scan_kernel)
+    # Bound on Query Cache entries: per-(generation, block, search string)
+    # row sets plus one shape entry per block; see repro/query/cache.py.
     cache_capacity: int = 4096
     # Bound on decoded value columns retained across queries (counted in
     # values, not entries); entries die with their Capsule, so the cache's
@@ -156,17 +149,6 @@ class LogGrepConfig:
     # "both compression and query execution can easily be parallelized";
     # the paper normalizes to one CPU, hence default 1).
     query_parallelism: int = 1
-    # Shared-scan batching: route grep/count/aggregate through the
-    # BatchExecutor (one block pass shared across concurrent plans) even
-    # for single queries, so every query warms — and benefits from — the
-    # predicate-fragment cache.  grep_many/aggregate_many batch
-    # regardless of this switch when asked to.
-    batch_scans: bool = field(default_factory=_default_batch_scans)
-    # Bound on cached predicate fragments (per-block match row sets keyed
-    # by archive generation); see repro/query/fragcache.py.
-    fragment_cache_entries: int = field(
-        default_factory=_default_fragment_cache_entries
-    )
 
     # -- per-query accounting (ledger, slow-query log, budgets) ------------
     # Any of these being set activates the QueryLedger for every query;

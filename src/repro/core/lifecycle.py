@@ -50,7 +50,7 @@ from ..capsule.box import CapsuleBox
 from ..cost.model import CostParameters
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
-from ..query.fragcache import bump_generation
+from ..query.cache import bump_generation
 from ..staticparse.cache import template_signature
 from .compressor import compress_block
 from .config import LogGrepConfig
@@ -414,8 +414,8 @@ class LifecycleManager:
                     self._rewrite_cold(names)
             # Demotion rewrites bytes behind existing block names (WARM)
             # or replaces the name sequence outright (COLD merge), so any
-            # predicate fragments cached against the old bytes are stale:
-            # advance the persisted archive generation that keys them.
+            # row sets, boxes or summaries a reader derived from the old
+            # bytes are stale: advance the persisted archive generation.
             bump_generation(self.store)
         rewrite_seconds = time.perf_counter() - start
         save_tiers(self.store, self.tiers)

@@ -48,15 +48,14 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..blockstore.block import LogBlock
-from ..blockstore.blobsource import BlobSource
-from ..blockstore.index import ArchiveIndex, BlockSummary
+from ..blockstore.index import ArchiveIndex
 from ..blockstore.store import ArchiveStore, MemoryStore
 from ..capsule.box import CapsuleBox
 from ..common.tokenizer import tokenize
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..query.executor import QueryExecutor, StoreBoxSource
-from ..query.fragcache import bump_generation
+from ..query.cache import bump_generation
 from ..staticparse.cache import TemplateCache
 from ..staticparse.parser import BlockParser, Group, ParsedBlock
 from ..staticparse.template import Template
@@ -281,8 +280,8 @@ class StreamingCompressor:
             self._parsed_pending.pop(block.block_id, None)
             self._tail_version += 1
         # The archive's block set changed: advance the persisted
-        # generation so predicate-fragment caches keyed on it (see
-        # repro/query/fragcache.py) cannot serve pre-commit row sets.
+        # generation so query caches keyed on it (see
+        # repro/query/cache.py) cannot serve pre-commit row sets.
         bump_generation(self.store)
 
     # ------------------------------------------------------------------
@@ -503,7 +502,9 @@ class StreamingCompressor:
         reader._next_line_id = self._next_line_id
         if tail:
             source = _TailBoxSource(self, reader._box_cache, self._index)
-            reader._executor = QueryExecutor(source, self.config, reader.cache)
+            reader._executor = QueryExecutor(
+                source, self.config, reader.fragments
+            )
         return reader
 
     def __enter__(self) -> "StreamingCompressor":
@@ -553,22 +554,6 @@ class _TailBoxSource(StoreBoxSource):
         if snap is not None:
             return self._stream._tail_box(snap)
         return super().cached(name)
-
-    def raw(self, name: str) -> bytes:
-        snap = self._snaps.get(name)
-        if snap is not None:
-            return self._stream._tail_box(snap).serialize()
-        return super().raw(name)
-
-    def blob(self, name: str) -> Optional[BlobSource]:
-        if name in self._snaps:
-            return None
-        return super().blob(name)
-
-    def summary(self, name: str) -> Optional[BlockSummary]:
-        if name in self._snaps:
-            return None
-        return super().summary(name)
 
     def total_lines_hint(self) -> int:
         """Logical-clock extent including unsealed lines (timeseries)."""

@@ -1,19 +1,38 @@
-"""Query Cache (paper §3, §6.3) and the decoded-value cache.
+"""Query Cache (paper §3, §6.3), the archive generation, and the
+decoded-value cache.
 
-LogGrep keeps a hashmap from query text to located rows so that the
+LogGrep keeps a map from query text to located rows so that the
 *refining mode* — an engineer growing ``ERROR`` into ``ERROR AND x`` into
 ``ERROR AND x NOT y`` over a debugging session — never re-matches a search
-string it has already located.  The cache is keyed per (block, search
-string) and stores group row sets, the exact intermediate the engine
-consumes, so cached entries compose under AND/OR/NOT for free.
+string it has already located.  :class:`QueryCache` is that map: one
+bounded LRU of per-block row sets keyed ``(archive generation, block
+name, term key)``.  Row sets are the exact intermediate the engine's
+AND/OR/NOT algebra consumes, so *overlapping* queries (``ERROR``, ``ERROR
+AND timeout``, ``ERROR OR WARN``) share work even when no two are
+textually equal, and a repeated query skips Match entirely.  Alongside
+the terms the cache memoizes each block's **shape** (per-group row
+counts) under a reserved key, so a fully warm block is evaluated purely
+in row-set algebra: a COUNT touches neither the store nor the box.
+
+The **generation** is a monotonic counter persisted as an auxiliary blob
+next to the blocks, bumped by every writer that can change the bytes
+behind an existing block name: ``compress``/streaming commit, ``lifecycle
+demote`` to WARM (block-for-block rewrite, same names) and to COLD (merge
++ shared-template-store rewrite).  The executor loads it once per run; a
+bumped generation makes every older row set unreachable by key, and
+:meth:`QueryCache.set_generation` drops them eagerly
+(``loggrep_query_cache_invalidations_total``).  Because invalidation
+rides an archive-associated token rather than in-process callbacks, a
+cache shared across LogGrep handles — or held across a demotion
+performed by a separate :class:`~repro.core.lifecycle.LifecycleManager`
+— can never serve stale rows.
 
 :class:`CapsuleValueCache` is the second cache of this module: a bounded
 LRU of *decoded* Capsule value columns.  With the bytes scan kernels,
 matching never decodes values — decoding happens only for surviving rows
 (reconstruction, wildcard verification, dictionary region reads), and
-those paths used to re-decode the same Capsule on every query.  The cache
-generalizes the ad-hoc per-reader dictionary cache that existed before:
-entries are keyed by Capsule identity, invalidated automatically when the
+those paths used to re-decode the same Capsule on every query.  Entries
+are keyed by Capsule identity, invalidated automatically when the
 Capsule is garbage-collected, so the cache's lifetime rides the existing
 BoxCache accounting — a box evicted from the BoxCache LRU drops its
 decoded columns with it.
@@ -24,7 +43,7 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict, deque
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..common.rowset import RowSet
 from ..obs import ledger as ledger_channel
@@ -39,6 +58,10 @@ _MISSES = get_registry().counter(
 _EVICTIONS = get_registry().counter(
     "loggrep_query_cache_evictions_total", "Entries evicted by the LRU bound"
 )
+_INVALIDATIONS = get_registry().counter(
+    "loggrep_query_cache_invalidations_total",
+    "Entries dropped because the archive generation advanced",
+)
 _ENTRIES = get_registry().gauge(
     "loggrep_query_cache_entries", "Entries currently cached"
 )
@@ -48,23 +71,86 @@ GroupRows = Dict[int, RowSet]
 
 DEFAULT_CAPACITY = 4096
 
+#: Aux-blob name of the per-archive generation counter.
+GENERATION_AUX_NAME = "generation.txt"
+
+#: Reserved term key for a block's shape (group -> row count).  NUL can
+#: never appear in a parsed search string, so it cannot collide.
+SHAPE_KEY = "\x00shape"
+
+
+def load_generation(store: object) -> int:
+    """The archive's current generation (0 for a never-bumped archive).
+
+    Tolerant of stores without aux-blob support and of unreadable blobs:
+    both read as generation 0, which is always *safe* — a reader that
+    cannot observe bumps simply keys every row set to one generation,
+    and such stores (e.g. cluster replica holders) never rewrite a block
+    name in place.
+    """
+    try:
+        if not store.aux_exists(GENERATION_AUX_NAME):  # type: ignore[attr-defined]
+            return 0
+        return int(store.get_aux(GENERATION_AUX_NAME).decode("ascii"))  # type: ignore[attr-defined]
+    except Exception:  # noqa: BLE001 - absence and corruption read alike
+        return 0
+
+
+def bump_generation(store: object) -> int:
+    """Advance the archive generation; returns the new value.
+
+    Called by every writer that can change bytes behind an existing
+    block name (commit, demote, shared-store merge).  Best-effort on
+    stores without aux support — see :func:`load_generation`.
+    """
+    gen = load_generation(store) + 1
+    try:
+        store.put_aux(GENERATION_AUX_NAME, str(gen).encode("ascii"))  # type: ignore[attr-defined]
+    except Exception:  # noqa: BLE001
+        pass
+    return gen
+
 
 class QueryCache:
-    """A bounded LRU of per-block search-string results."""
+    """A bounded LRU of generation-keyed per-block search-string results."""
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity <= 0:
             raise ValueError("cache capacity must be positive")
         self.capacity = capacity
-        self._entries: "OrderedDict[tuple, GroupRows]" = OrderedDict()
+        self._entries: "OrderedDict[tuple, object]" = OrderedDict()
         # Parallel query execution (query_parallelism > 1) shares the cache
         # across worker threads.
         self._lock = threading.Lock()
+        self._generation: Optional[int] = None
         self.hits = 0
         self.misses = 0
+        self.invalidations = 0
 
-    def get(self, block_name: str, search_text: str) -> Optional[GroupRows]:
-        key = (block_name, search_text)
+    def set_generation(self, generation: int) -> None:
+        """Pin the cache to one archive generation.
+
+        Called once per run with the freshly-loaded token.  Entries from
+        any other generation are unreachable by key anyway; they are
+        dropped eagerly here so a rewritten archive's stale row sets do
+        not squat in the LRU.
+        """
+        with self._lock:
+            if self._generation == generation:
+                return
+            self._generation = generation
+            stale = [key for key in self._entries if key[0] != generation]
+            for key in stale:
+                del self._entries[key]
+            if stale:
+                self.invalidations += len(stale)
+                _INVALIDATIONS.inc(len(stale))
+            _ENTRIES.set(len(self._entries))
+
+    def get(
+        self, generation: int, block_name: str, term_key: str
+    ) -> Optional[GroupRows]:
+        key = (generation, block_name, term_key)
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -76,30 +162,47 @@ class QueryCache:
             self.hits += 1
             _HITS.inc()
             ledger_channel.charge_cache("query", True)
-            return entry
+            return entry  # type: ignore[return-value]
 
-    def put(self, block_name: str, search_text: str, rows: GroupRows) -> None:
-        key = (block_name, search_text)
+    def put(
+        self, generation: int, block_name: str, term_key: str, rows: GroupRows
+    ) -> None:
+        self._put((generation, block_name, term_key), rows)
+
+    # Block shapes are cached uncounted: they are not search-string
+    # results, only the full-rows seed that lets a warm block skip LoadBox.
+    def get_shape(
+        self, generation: int, block_name: str
+    ) -> Optional[Tuple[int, ...]]:
+        key = (generation, block_name, SHAPE_KEY)
         with self._lock:
-            self._entries[key] = rows
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+            return entry  # type: ignore[return-value]
+
+    def put_shape(
+        self, generation: int, block_name: str, shape: Tuple[int, ...]
+    ) -> None:
+        self._put((generation, block_name, SHAPE_KEY), shape)
+
+    def _put(self, key: tuple, value: object) -> None:
+        with self._lock:
+            self._entries[key] = value
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 _EVICTIONS.inc()
             _ENTRIES.set(len(self._entries))
 
-    def invalidate_block(self, block_name: str) -> None:
-        """Drop all entries of one block (used when a block is rewritten)."""
-        with self._lock:
-            stale = [key for key in self._entries if key[0] == block_name]
-            for key in stale:
-                del self._entries[key]
-
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._generation = None
             self.hits = 0
             self.misses = 0
+            self.invalidations = 0
+            _ENTRIES.set(0)
 
     def __len__(self) -> int:
         return len(self._entries)

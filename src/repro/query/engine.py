@@ -17,7 +17,7 @@ operators, and finally handed to the Reconstructor.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..capsule.box import CapsuleBox, GroupBox
 from ..common.rowset import RowSet
@@ -87,30 +87,15 @@ class BlockEngine:
         is decided a single time per query.
         """
         plan = command if isinstance(command, QueryPlan) else build_plan(command)
-        resolve = resolver or self.search_string_rows
-        total: GroupRows = {}
-        for disjunct in plan.disjuncts:
-            acc = self.full_rows()
-            for term in disjunct.terms:
-                rows = resolve(term.search)
-                if term.negated:
-                    acc = _difference(acc, rows)
-                else:
-                    acc = _intersect(acc, rows)
-                if not acc:
-                    break
-            total = _union(total, acc)
-        return {g: rs for g, rs in total.items() if rs}
+        return fold_disjuncts(
+            plan, resolver or self.search_string_rows, self.full_rows
+        )
 
     def full_rows(self) -> GroupRows:
         """Every row of every non-empty group — the identity of the
         row-set algebra, and the row source for unfiltered aggregates
         (``agg count-by`` with no WHERE)."""
-        return {
-            g: RowSet.full(group.num_entries)
-            for g, group in enumerate(self.box.groups)
-            if group.num_entries
-        }
+        return shape_rows(group.num_entries for group in self.box.groups)
 
     # ------------------------------------------------------------------
     def search_string_rows(self, search: SearchString) -> GroupRows:
@@ -218,6 +203,36 @@ def _const_matches(token: str, keyword: Keyword, mode: MatchMode) -> bool:
 # ----------------------------------------------------------------------
 # group-rows algebra
 # ----------------------------------------------------------------------
+def shape_rows(shape: Iterable[int]) -> GroupRows:
+    """Full row sets for a block *shape* (per-group row counts)."""
+    return {g: RowSet.full(n) for g, n in enumerate(shape) if n}
+
+
+def fold_disjuncts(
+    plan: QueryPlan, resolve: Resolver, full: Callable[[], GroupRows]
+) -> GroupRows:
+    """The disjunct fold: OR over disjuncts of AND/NOT over ordered terms.
+
+    *resolve* maps a search string to its block-level rows and *full*
+    yields the algebra's identity (every row of every group).  Neither
+    needs an open box — on a warm query cache both are answered from
+    cached row sets and the block's cached shape.
+    """
+    total: GroupRows = {}
+    for disjunct in plan.disjuncts:
+        acc = full()
+        for term in disjunct.terms:
+            rows = resolve(term.search)
+            if term.negated:
+                acc = _difference(acc, rows)
+            else:
+                acc = _intersect(acc, rows)
+            if not acc:
+                break
+        total = _union(total, acc)
+    return {g: rs for g, rs in total.items() if rs}
+
+
 def _intersect(a: GroupRows, b: GroupRows) -> GroupRows:
     return {g: a[g] & b[g] for g in a.keys() & b.keys() if a[g] & b[g]}
 

@@ -1,39 +1,55 @@
-"""Physical operator pipeline executing a :class:`QueryPlan` over blocks.
+"""Physical operator pipeline executing :class:`QueryPlan`s over blocks.
 
 This is the single execution path behind ``LogGrep.grep``, ``count``,
-``explain``, interactive sessions and the cluster's per-node block
-queries.  Per block the pipeline is::
+``aggregate``, ``explain``/``explain_analyze``, the ``*_many`` calls,
+interactive sessions and the cluster's per-node block queries.  One
+**block pass** serves every plan of a run — a single query is a list of
+one.  Per block the pipeline is::
 
-    BloomPrune → LoadBox → Locate → Match* → Reconstruct
+    TimePrune → BloomPrune → LoadBox → Locate → Match* → Reconstruct
 
-* **BloomPrune** — drops the block when no disjunct can match.  With the
-  persistent prune index loaded (``config.use_prune_index``) the check
-  runs entirely on the in-memory :class:`BlockSummary` — bloom bits and
-  the block charset mask — costing **zero** store reads for a pruned
-  block.  Without an index entry, only the Bloom section is fetched via
-  a ranged read against the box TOC; a prune never reads the whole blob.
-* **LoadBox** — opens the CapsuleBox, or reuses a pinned box from the
-  bounded :class:`BoxCache` (interactive refining sessions).  Under lazy
-  I/O (``config.lazy_io``, the default) opening fetches only the header,
-  Bloom and metadata sections; capsule payloads are ranged-read on first
-  access, and Reconstruct batch-prefetches the hit groups' payloads with
-  coalesced reads.  With ``lazy_io=False`` the whole blob is read and
-  deserialized eagerly — the differential oracle for the lazy path.
-* **Locate** — evaluates the plan's selectivity-ordered terms with the
-  row-set algebra of :class:`~repro.query.engine.BlockEngine`.
-* **Match** — resolves one search string to per-group row sets; memoized
-  on ``(block, search.cache_key)`` in the shared
-  :class:`~repro.query.cache.QueryCache` when configured.
-* **Reconstruct** — rebuilds the original entries of the located rows;
-  elided entirely for ``COUNT`` plans, and the whole pipeline downstream
-  of LoadBox is replaced by a dry-run rendering for ``EXPLAIN`` plans.
+* **TimePrune / BloomPrune** — drop the block for a plan whose window
+  or disjuncts cannot match.  With the persistent prune index loaded
+  (``config.use_prune_index``) both run on the in-memory
+  :class:`BlockSummary` — zero store reads for a pruned block; without
+  an index entry only the Bloom section is fetched via a ranged read.
+  Decisions are memoized per ``(block, term)`` for the pass, so N plans
+  sharing a term decide it once.
+* **LoadBox** — one open per block for every surviving plan, or a
+  pinned box from the bounded :class:`BoxCache` (refining sessions).
+  Under lazy I/O (``config.lazy_io``, the default) opening fetches only
+  the header, Bloom and metadata sections; capsule payloads are
+  ranged-read on first access, and Reconstruct batch-prefetches the hit
+  groups' payloads with coalesced reads.  One :class:`BlockEngine` per
+  block shares its vector readers across plans, so a capsule
+  decompressed for one plan's match is free for another's
+  reconstruction.
+* **Locate** — the engine's disjunct fold over the plan's
+  selectivity-ordered terms.
+* **Match** — resolves one search string to per-group row sets, at most
+  once per block per pass (first requester pays), memoized across runs
+  in the generation-keyed :class:`~repro.query.cache.QueryCache` when
+  ``config.use_query_cache`` is on.  With the block's shape and every
+  needed term cached, Locate is pure row-set algebra: COUNT/ROWS plans
+  and miss-everything LINES plans never open the box.
+* **Reconstruct / Aggregate** — per plan: rebuild the located entries,
+  or fold them into a partial aggregate; elided for ``COUNT``/``ROWS``
+  plans, and replaced by a dry-run rendering for ``EXPLAIN`` plans.
 
-Blocks are independent, so the executor schedules them either serially or
-on a thread pool (``config.query_parallelism``); per-block
+**Ledger attribution.**  Shared work (planning, prune reads, LoadBox) is
+charged to one *shared ledger*; per-plan work (match, aggregate,
+reconstruct — including the capsule fetches they trigger) to that
+plan's own ledger.  A pass of one aliases the two, so its plan's bill
+is the whole query; otherwise every store read lands in exactly one
+ledger and ``sum(per-plan bytes) + shared bytes`` equals the
+``loggrep_store_range_read_bytes_total`` delta.
+
+Blocks are independent, so the executor schedules them either serially
+or on a thread pool (``config.query_parallelism``); per-block
 :class:`QueryStats` are merged in block order either way.  Obs spans sit
-on the operator boundaries — ``query → plan / block → block_filter /
-load_box / locate → match → decompress / reconstruct`` — so trace stage
-names are stable regardless of the caller.
+on the operator boundaries — ``query | batch → plan / block →
+block_filter / load_box / locate → match → decompress / reconstruct`` —
+rooted at ``query`` for one plan and ``batch`` for several.
 """
 
 from __future__ import annotations
@@ -42,10 +58,10 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..blockstore.blobsource import BlobSource, StoreBlobSource
-from ..blockstore.index import ArchiveIndex, BlockSummary
+from ..blockstore.index import ArchiveIndex, BlockSummary, load_index
 from ..capsule.box import CapsuleBox
 from ..common.errors import BudgetExceeded
 from ..obs import ledger as ledger_channel
@@ -53,8 +69,8 @@ from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .aggregate import AggregatePartial, AggregateSpec, make_partial
 from .blockfilter import command_might_match, summary_might_match
-from .cache import QueryCache
-from .engine import BlockEngine, GroupRows
+from .cache import DEFAULT_CAPACITY, QueryCache, load_generation
+from .engine import BlockEngine, GroupRows, fold_disjuncts, shape_rows
 from .language import QueryCommand, SearchString
 from .modes import AggregateKind
 from .plan import OutputMode, QueryPlan, build_plan
@@ -91,6 +107,16 @@ _AGG_DECODED_ROWS = get_registry().counter(
 _AGG_PARTIALS = get_registry().counter(
     "loggrep_agg_partials_merged_total",
     "Per-block partial aggregates merged into query results",
+)
+_PASS_QUERIES = get_registry().counter(
+    "loggrep_batch_queries_total", "Plans executed by block passes"
+)
+_PASS_RUNS = get_registry().counter(
+    "loggrep_batch_runs_total", "Block passes executed (one per run)"
+)
+_PASS_LOADS = get_registry().counter(
+    "loggrep_batch_shared_block_loads_total",
+    "Boxes opened by block passes (once per block, shared by its plans)",
 )
 
 #: One reconstructed entry: (global line id, original text).
@@ -130,13 +156,6 @@ class BoxCache:
                 self._entries.popitem(last=False)
                 _BOX_EVICTIONS.inc()
             _BOX_ENTRIES.set(len(self._entries))
-
-    def pop(self, name: str) -> Optional[CapsuleBox]:
-        """Drop one block's box (e.g. after the block is rewritten)."""
-        with self._lock:
-            box = self._entries.pop(name, None)
-            _BOX_ENTRIES.set(len(self._entries))
-            return box
 
     def clear(self) -> None:
         with self._lock:
@@ -204,13 +223,23 @@ class StoreBoxSource:
             return None
         return self.box_cache.get(name)
 
+    def invalidate(self) -> None:
+        """The archive was rewritten under this handle: drop everything
+        derived from the old bytes and keyed by block name — cached or
+        pinned boxes, and the prune index, which is re-read from the
+        sidecar the writer persisted (a missing sidecar only costs
+        pruning, never correctness)."""
+        if self.box_cache is not None:
+            self.box_cache.clear()
+        if self.index is not None:
+            self.index = load_index(self.store) or ArchiveIndex()
+
 
 @dataclass
 class BlockOutcome:
-    """What one block contributed to a query."""
+    """What one block contributed to one plan."""
 
     name: str
-    pruned: bool = False
     entries: List[Entry] = field(default_factory=list)
     count: int = 0
     rendering: Optional[str] = None  # EXPLAIN mode only
@@ -220,6 +249,22 @@ class BlockOutcome:
     #: shippable form of a grep hit — reconstruction is deferred to a
     #: later :meth:`QueryExecutor.reconstruct_rows` call.
     rows: Optional[GroupRows] = None
+    #: This plan's counters for this block.
+    stats: QueryStats = field(default_factory=QueryStats)
+
+
+@dataclass
+class BlockPass:
+    """What one pass over one block produced for every plan."""
+
+    #: Positionally aligned with the plans of the pass.
+    outcomes: List[BlockOutcome]
+    #: Engine work no single plan owns — capsules touched by
+    #: first-requester Match in a multi-plan pass.  Empty for a pass of
+    #: one, whose plan owns everything.
+    shared: QueryStats = field(default_factory=QueryStats)
+    #: Whether the pass opened the box (a warm pass may not need it).
+    loaded: bool = False
 
 
 @dataclass
@@ -250,6 +295,58 @@ class ExecutionResult:
         return "\n\n".join(self.renderings)
 
 
+@dataclass
+class BatchReport:
+    """What one run did beyond its per-plan results."""
+
+    queries: int = 0
+    blocks: int = 0
+    #: Boxes opened, once per block for the whole run.
+    shared_loads: int = 0
+    elapsed: float = 0.0
+    #: Shared-cost accounting of a multi-plan run: planning, prune and
+    #: LoadBox reads.  Per-plan ledgers on the :class:`ExecutionResult`s
+    #: carry the attributed remainder; a run of one bills its plan for
+    #: everything and leaves this the null ledger.
+    ledger: QueryLedger = NULL_LEDGER
+    #: Deep counters of shared work (see :attr:`BlockPass.shared`).
+    stats: QueryStats = field(default_factory=QueryStats)
+
+
+class _Unresolved(Exception):
+    """A cached-only evaluation needed a term the cache does not hold."""
+
+
+def _locate_cached(
+    plan: QueryPlan,
+    shape: Tuple[int, ...],
+    cached_rows: Callable[[SearchString], Optional[GroupRows]],
+) -> Optional[Tuple[GroupRows, int]]:
+    """Locate from cached row sets and the block's shape alone.
+
+    Returns ``(hits, terms resolved)``, or ``None`` when some term the
+    fold reached is not cached (the count is committed only on success,
+    so an abort never double-counts with the box-path resolver).
+    """
+    resolved = 0
+
+    def resolve(search: SearchString) -> GroupRows:
+        nonlocal resolved
+        rows = cached_rows(search)
+        if rows is None:
+            raise _Unresolved(search.cache_key)
+        resolved += 1
+        return rows
+
+    if not plan.disjuncts:  # match-all aggregate: nothing to locate
+        return shape_rows(shape), 0
+    try:
+        hits = fold_disjuncts(plan, resolve, lambda: shape_rows(shape))
+    except _Unresolved:
+        return None
+    return hits, resolved
+
+
 class QueryExecutor:
     """Runs query plans over every block of one box source."""
 
@@ -261,7 +358,28 @@ class QueryExecutor:
     ):
         self.source = source
         self.config = config
-        self.cache = cache
+        self.cache = (
+            cache
+            if cache is not None
+            else QueryCache(getattr(config, "cache_capacity", DEFAULT_CAPACITY))
+        )
+        #: The archive generation the source's derived state reflects.
+        self._generation = load_generation(source.store)
+
+    def sync_generation(self) -> int:
+        """Load the archive generation — once per run.
+
+        When a writer (possibly another process's lifecycle demote)
+        advanced it since this handle last looked, every block name may
+        now front different bytes: cached row sets become unreachable by
+        key, and the source drops its boxes and prune index.
+        """
+        generation = load_generation(self.source.store)
+        if generation != self._generation:
+            self._generation = generation
+            self.source.invalidate()
+        self.cache.set_generation(generation)
+        return generation
 
     # ------------------------------------------------------------------
     # plan-level driver
@@ -272,78 +390,140 @@ class QueryExecutor:
         mode: OutputMode = OutputMode.LINES,
         ignore_case: bool = False,
     ) -> ExecutionResult:
-        """Plan (if needed) and execute a command over every block."""
-        tracer = get_tracer()
+        """Plan (if needed) and execute one command: a run of one."""
+        return self.run_plans([command], mode, ignore_case)[0][0]
+
+    def run_plans(
+        self,
+        commands: Sequence[Union[str, QueryCommand, QueryPlan]],
+        mode: OutputMode = OutputMode.LINES,
+        ignore_case: bool = False,
+    ) -> Tuple[List[ExecutionResult], BatchReport]:
+        """Plan (where needed) and execute *commands* in one block pass.
+
+        Results are positionally aligned with *commands* and identical
+        to running each alone; prune decisions, box opens and per-term
+        matching are shared.
+        """
         start = time.perf_counter()
-        stats = QueryStats()
-        raw = command.raw if not isinstance(command, str) else command
-        effective_mode = (
-            command.mode if isinstance(command, QueryPlan) else mode
-        )
-        ledger = self._make_ledger(effective_mode)
-        attrs: Dict[str, object] = {"command": raw}
-        if effective_mode is not OutputMode.LINES:
-            attrs["mode"] = effective_mode.value
+        report = BatchReport(queries=len(commands))
+        if not commands:
+            return [], report
+        tracer = get_tracer()
+        modes = [c.mode if isinstance(c, QueryPlan) else mode for c in commands]
+        ledgers = [self._make_ledger(m) for m in modes]
+        if len(commands) == 1:
+            # Nobody to share with: the one plan's ledger (and budget)
+            # pays for the shared operators too, and the report carries
+            # no separate cost, so reconciliation never double-counts.
+            shared = ledgers[0]
+            first = commands[0]
+            attrs: Dict[str, object] = {
+                "command": first if isinstance(first, str) else first.raw
+            }
+            if modes[0] is not OutputMode.LINES:
+                attrs["mode"] = modes[0].value
+            root = tracer.span("query", **attrs)
+        else:
+            shared = report.ledger = (
+                QueryLedger()
+                if any(ledger.enabled for ledger in ledgers)
+                else NULL_LEDGER
+            )
+            root = tracer.span("batch", queries=len(commands))
         try:
-            with tracer.span("query", **attrs) as qspan:
-                with tracer.span("plan"), ledger.operator("plan"):
-                    if isinstance(command, QueryPlan):
-                        plan = command
-                    else:
-                        plan = build_plan(command, mode, ignore_case)
+            with root as rspan:
+                with tracer.span("plan"), shared.operator("plan"):
+                    plans = [
+                        c
+                        if isinstance(c, QueryPlan)
+                        else build_plan(c, mode, ignore_case)
+                        for c in commands
+                    ]
+                generation = self.sync_generation()
                 names = self.source.names()
-                outcomes = self._schedule(names, plan, stats, qspan, ledger)
-                entries: List[Entry] = []
-                renderings: List[str] = []
-                rowsets: Dict[str, GroupRows] = {}
-                merged: Optional[AggregatePartial] = None
-                total = 0
-                for outcome in outcomes:
-                    entries.extend(outcome.entries)
-                    total += outcome.count
-                    if outcome.rendering is not None:
-                        renderings.append(outcome.rendering)
-                    if outcome.rows is not None:
-                        rowsets[outcome.name] = outcome.rows
-                    if outcome.partial is not None:
-                        # Partial merge is commutative, so the block-order
-                        # fold here equals any completion-order fold.
-                        if merged is None:
-                            merged = make_partial(plan.aggregate)
-                        merged.merge(outcome.partial)
-                        _AGG_PARTIALS.inc()
-                entries.sort(key=lambda item: item[0])
-                stats.entries_matched = total
-                if (
-                    plan.aggregate is not None
-                    and plan.mode is not OutputMode.EXPLAIN
-                ):
-                    if merged is None:
-                        merged = make_partial(plan.aggregate)
-                    _AGG_QUERIES.inc(kind=plan.aggregate.kind.value)
-                    _AGG_ROWS.inc(merged.rows)
-                    qspan.set("aggregate_rows", merged.rows)
-                qspan.set("blocks", len(names))
-                qspan.set("entries_matched", stats.entries_matched)
-                qspan.set("capsules_decompressed", stats.capsules_decompressed)
-                qspan.set("bytes_decompressed", stats.bytes_decompressed)
+                report.blocks = len(names)
+                passes = self._schedule(
+                    names, plans, ledgers, shared, generation, rspan
+                )
+                for block in passes:
+                    report.stats.merge(block.shared)
+                    report.shared_loads += block.loaded
+                _PASS_LOADS.inc(report.shared_loads)
+                results = [
+                    self._fold(
+                        plan, [block.outcomes[i] for block in passes], ledgers[i]
+                    )
+                    for i, plan in enumerate(plans)
+                ]
+                rspan.set("blocks", len(names))
+                if len(plans) == 1:
+                    stats = results[0].stats
+                    rspan.set("entries_matched", stats.entries_matched)
+                    rspan.set("capsules_decompressed", stats.capsules_decompressed)
+                    rspan.set("bytes_decompressed", stats.bytes_decompressed)
+                    if results[0].aggregate is not None:
+                        rspan.set("aggregate_rows", results[0].aggregate.rows)
+                else:
+                    rspan.set("shared_loads", report.shared_loads)
         except BudgetExceeded as exc:
-            # The per-block ledgers were merged by _schedule's finally, so
-            # the exception carries the partial bill up to the caller.
-            exc.ledger = ledger
+            # _schedule's finally already folded the per-block children,
+            # so the exception carries a consistent partial bill (the
+            # tripped plan's own when it ran alone).
+            exc.ledger = shared
             raise
-        elapsed = time.perf_counter() - start
-        if plan.mode is not OutputMode.EXPLAIN:
-            stats.publish(elapsed)
-        self._maybe_log_slow(plan, stats, ledger, elapsed)
+        report.elapsed = elapsed = time.perf_counter() - start
+        for result in results:
+            result.elapsed = elapsed
+            if result.plan.mode is not OutputMode.EXPLAIN:
+                result.stats.publish(elapsed)
+            self._maybe_log_slow(
+                result.plan, result.stats, result.ledger, elapsed
+            )
+        _PASS_QUERIES.inc(len(plans))
+        _PASS_RUNS.inc()
+        return results, report
+
+    def _fold(
+        self,
+        plan: QueryPlan,
+        outcomes: List[BlockOutcome],
+        ledger: QueryLedger,
+    ) -> ExecutionResult:
+        """Merge one plan's per-block outcomes, in block order."""
+        stats = QueryStats()
+        entries: List[Entry] = []
+        renderings: List[str] = []
+        rowsets: Dict[str, GroupRows] = {}
+        merged: Optional[AggregatePartial] = None
+        explain = plan.mode is OutputMode.EXPLAIN
+        if plan.aggregate is not None and not explain:
+            merged = make_partial(plan.aggregate)
+        for outcome in outcomes:
+            stats.merge(outcome.stats)
+            entries.extend(outcome.entries)
+            stats.entries_matched += outcome.count
+            if outcome.rendering is not None:
+                renderings.append(outcome.rendering)
+            if outcome.rows is not None:
+                rowsets[outcome.name] = outcome.rows
+            if outcome.partial is not None and merged is not None:
+                # Partial merge is commutative, so the block-order fold
+                # here equals any completion-order fold.
+                merged.merge(outcome.partial)
+                _AGG_PARTIALS.inc()
+        entries.sort(key=lambda item: item[0])
+        if merged is not None:
+            _AGG_QUERIES.inc(kind=plan.aggregate.kind.value)  # type: ignore[union-attr]
+            _AGG_ROWS.inc(merged.rows)
         return ExecutionResult(
-            plan, entries, stats, elapsed, renderings, ledger, merged,
-            rowsets,
+            plan, entries, stats, 0.0, renderings, ledger, merged, rowsets
         )
 
     def _make_ledger(self, mode: OutputMode) -> QueryLedger:
-        """An active ledger when anything will consume it, else the null
-        object (which keeps the charge channel empty — zero overhead)."""
+        """An active ledger when anything will consume it (ANALYZE mode, a
+        slow-query threshold or a budget), else the null object (which
+        keeps the charge channel empty — zero overhead)."""
         max_read = getattr(self.config, "max_read_bytes", None)
         max_decoded = getattr(self.config, "max_decoded_values", None)
         slow_ms = getattr(self.config, "slow_query_ms", None)
@@ -388,198 +568,367 @@ class QueryExecutor:
     def _schedule(
         self,
         names: List[str],
-        plan: QueryPlan,
-        stats: QueryStats,
-        qspan: object,
-        ledger: QueryLedger = NULL_LEDGER,
-    ) -> List[BlockOutcome]:
-        """Run every block, serially or on a thread pool, merging stats
-        in block order either way."""
+        plans: List[QueryPlan],
+        ledgers: List[QueryLedger],
+        shared: QueryLedger,
+        generation: int,
+        root: object,
+    ) -> List[BlockPass]:
+        """Run every block, serially or on a thread pool; the passes come
+        back in block order either way."""
         tracer = get_tracer()
         parallelism = getattr(self.config, "query_parallelism", 1)
 
-        def run_one(name: str, spawn: bool = True) -> Tuple[BlockOutcome, QueryStats]:
-            block_stats = QueryStats()
+        def run_one(name: str, spawn: bool = True) -> BlockPass:
             # One child ledger per block: a block runs wholly on one
             # thread, so its charges never race; the children are folded
             # back below once the pool has drained.  Serial execution has
-            # no races to isolate, so it charges the root directly.
-            block_ledger = ledger.spawn() if spawn else ledger
-            with tracer.span("block", parent=qspan, block=name):
-                outcome = self.execute_block(
-                    name, plan, block_stats, block_ledger
+            # no races to isolate, so it charges the roots directly.
+            block_ledgers = (
+                [ledger.spawn() for ledger in ledgers] if spawn else ledgers
+            )
+            if not spawn:
+                block_shared = shared
+            elif shared is ledgers[0]:
+                block_shared = block_ledgers[0]
+            else:
+                block_shared = shared.spawn()
+            with tracer.span("block", parent=root, block=name):
+                return self.execute_block(
+                    name, plans, block_ledgers, block_shared, generation
                 )
-            return outcome, block_stats
 
         try:
             if parallelism > 1 and len(names) > 1:
                 from concurrent.futures import ThreadPoolExecutor
 
                 with ThreadPoolExecutor(parallelism) as pool:
-                    pairs = list(pool.map(run_one, names))
-            else:
-                pairs = [run_one(name, spawn=False) for name in names]
+                    return list(pool.map(run_one, names))
+            return [run_one(name, spawn=False) for name in names]
         finally:
             # Runs after the pool has exited (its with-block joins every
             # worker), so merging is race-free even when a BudgetExceeded
-            # is propagating — the partial ledger stays consistent.
-            ledger.merge_children()
-        outcomes: List[BlockOutcome] = []
-        for outcome, block_stats in pairs:
-            stats.merge(block_stats)
-            outcomes.append(outcome)
-        return outcomes
+            # is propagating — the partial ledgers stay consistent.
+            shared.merge_children()
+            for ledger in ledgers:
+                ledger.merge_children()
 
     # ------------------------------------------------------------------
-    # per-block operator pipeline
+    # the per-block operator pipeline, shared by every plan of the pass
     # ------------------------------------------------------------------
     def execute_block(
         self,
         name: str,
-        plan: QueryPlan,
-        stats: QueryStats,
-        ledger: QueryLedger = NULL_LEDGER,
-    ) -> BlockOutcome:
-        """BloomPrune → LoadBox → Locate/Match → Reconstruct for one block."""
+        plans: Sequence[QueryPlan],
+        ledgers: Optional[Sequence[QueryLedger]] = None,
+        shared: QueryLedger = NULL_LEDGER,
+        generation: Optional[int] = None,
+    ) -> BlockPass:
+        """TimePrune → BloomPrune → LoadBox → Locate/Match →
+        Reconstruct/Aggregate over one block, for every plan at once.
+
+        *ledgers* aligns with *plans*; *shared* pays for prune reads and
+        LoadBox.  Called bare — ``execute_block(name, plans)``, the unit
+        a cluster worker serves per RPC — the pass is unaccounted and
+        loads the archive generation itself.
+        """
         tracer = get_tracer()
-        stats.blocks_visited += 1
+        if ledgers is None:
+            ledgers = [NULL_LEDGER] * len(plans)
+        if generation is None:
+            generation = self.sync_generation()
+        outcomes = [BlockOutcome(name) for _ in plans]
+        for outcome in outcomes:
+            outcome.stats.blocks_visited += 1
+        done = BlockPass(outcomes)
         box = self.source.cached(name)
         if self.source.box_cache is not None:
-            ledger.charge_box_cache(box is not None)
+            shared.charge_box_cache(box is not None)
+        settings = self._settings()
+        cache = (
+            self.cache
+            if getattr(self.config, "use_query_cache", False)
+            else None
+        )
         data: Optional[bytes] = None
+        live = list(range(len(plans)))
+        if box is None:
+            live, data = self._prune(name, plans, outcomes, shared, settings)
+            if not live:
+                return done
+
+        # -- shared Match memo: term key -> row sets, resolved at most
+        # once per block per pass (query cache first, engine second).
+        term_rows: Dict[str, GroupRows] = {}
+        missing: Set[str] = set()
+
+        def cached_rows(search: SearchString) -> Optional[GroupRows]:
+            key = search.cache_key
+            rows = term_rows.get(key)
+            if rows is None and cache is not None and key not in missing:
+                rows = cache.get(generation, name, key)
+                if rows is None:
+                    missing.add(key)
+                else:
+                    term_rows[key] = rows
+            return rows
+
+        def matcher(
+            stats: QueryStats, ledger: QueryLedger
+        ) -> Callable[[SearchString], GroupRows]:
+            """The Match operator of one plan."""
+            # One reusable timer for the whole block: match runs once per
+            # (group, search) pair — the hottest operator boundary by far.
+            match_timer = ledger.operator("match")
+
+            def match(search: SearchString) -> GroupRows:
+                rows = cached_rows(search)
+                if rows is not None:
+                    stats.cache_hits += 1
+                    return rows
+                # First plan to need this term pays its Match; the memo
+                # and the query cache make it free for everyone else.
+                key = search.cache_key
+                with tracer.span("match", search=key), match_timer:
+                    rows = engine.search_string_rows(search)
+                term_rows[key] = rows
+                if cache is not None:
+                    cache.put(generation, name, key, rows)
+                return rows
+
+            return match
+
+        # -- warm fast path: with the block's shape and every needed term
+        # cached, Locate is pure row-set algebra — COUNT/ROWS plans and
+        # miss-everything LINES plans never open the box.
+        located: Dict[int, GroupRows] = {}
+        shape = (
+            cache.get_shape(generation, name)
+            if cache is not None and box is None
+            else None
+        )
+        if shape is not None:
+            need_box: List[int] = []
+            for i in live:
+                plan, outcome = plans[i], outcomes[i]
+                warm = None
+                if plan.mode is not OutputMode.EXPLAIN:
+                    with tracer.span("locate"), ledgers[i].operator("locate"):
+                        warm = _locate_cached(plan, shape, cached_rows)
+                if warm is None:
+                    need_box.append(i)
+                    continue
+                hits, resolved = warm
+                outcome.stats.cache_hits += resolved
+                if hits and plan.mode not in (OutputMode.COUNT, OutputMode.ROWS):
+                    # Hits to reconstruct or fold: the box is needed
+                    # after all, but the located rows are kept.
+                    located[i] = hits
+                    need_box.append(i)
+                else:
+                    self._finish(plan, outcome, hits, None, None, NULL_LEDGER)
+            live = need_box
+            if not live:
+                return done
+
+        # -- LoadBox: one open for every plan that needs it
+        if box is None:
+            with tracer.span("load_box") as lspan, shared.operator("load_box"):
+                box = self._open_box(name, data)
+                source = box._source
+                if isinstance(source, StoreBlobSource):
+                    lspan.set("bytes", source.bytes_read)
+            done.loaded = True
+            if cache is not None:
+                cache.put_shape(
+                    generation, name,
+                    tuple(group.num_entries for group in box.groups),
+                )
+        # Deep engine charges (capsules decompressed while matching) are
+        # per block, not per plan: a pass of one owns them, a shared pass
+        # reports them once as shared cost.
+        engine = BlockEngine(
+            box, settings,
+            outcomes[0].stats if len(plans) == 1 else done.shared,
+        )
+        for i in live:
+            plan, outcome, ledger = plans[i], outcomes[i], ledgers[i]
+            # -- EXPLAIN: dry-run the remaining operators into a rendering.
+            if plan.mode is OutputMode.EXPLAIN:
+                from .explain import explain_block
+
+                outcome.rendering = explain_block(box, plan, name).summary()
+                continue
+            hits = located.get(i)
+            if hits is None:
+                # -- Locate (calling Match per search string).  A
+                # match-all aggregate has nothing to locate: every row.
+                with tracer.span("locate") as lspan, ledger.operator("locate"):
+                    hits = (
+                        engine.execute(plan, matcher(outcome.stats, ledger))
+                        if plan.disjuncts
+                        else engine.full_rows()
+                    )
+                    lspan.set("groups_hit", len(hits))
+            self._finish(plan, outcome, hits, box, engine, ledger)
+        return done
+
+    def _prune(
+        self,
+        name: str,
+        plans: Sequence[QueryPlan],
+        outcomes: List[BlockOutcome],
+        shared: QueryLedger,
+        settings: object,
+    ) -> Tuple[List[int], Optional[bytes]]:
+        """TimePrune + BloomPrune of one uncached block for every plan.
+
+        Returns the indices of the surviving plans, and the whole blob
+        iff a store without ranged reads had to be read in full to reach
+        its Bloom section (LoadBox reuses it).
+        """
+        tracer = get_tracer()
         use_bloom = bool(getattr(self.config, "use_block_bloom", False))
+        use_stamps = getattr(settings, "use_stamps", True)
         summary = (
             self.source.summary(name)
             if getattr(self.config, "use_prune_index", True)
             else None
         )
-        # -- TimePrune: a block whose sidecar timestamp range is disjoint
-        # from the plan's wall-clock window is skipped before any Bloom or
-        # stamp check — zero store reads.  Runs even for match-all
-        # aggregates (no disjuncts needed); blocks without a known range
-        # conservatively survive.
-        if (
-            box is None
-            and summary is not None
-            and (plan.from_time is not None or plan.to_time is not None)
-            and not summary.in_time_range(plan.from_time, plan.to_time)
-        ):
-            stats.blocks_pruned += 1
-            stats.blocks_time_pruned += 1
-            rendering = (
-                f"block {name}: pruned by time window "
-                f"(block range [{summary.min_ts}, {summary.max_ts}] outside "
-                f"[{plan.from_time}, {plan.to_time}])"
-                if plan.mode is OutputMode.EXPLAIN
-                else None
-            )
-            return BlockOutcome(name, pruned=True, rendering=rendering)
-        # -- BloomPrune: with an index entry the whole check runs in
-        # memory (zero store reads); otherwise only the Bloom section is
-        # fetched via the TOC — a prune never pays a whole-blob read.
-        # A match-all aggregate (no disjuncts) can never be pruned, so
-        # the filter is skipped outright.
-        if box is None and plan.disjuncts and (use_bloom or summary is not None):
-            with tracer.span("block_filter") as fspan, ledger.operator(
-                "block_filter"
+        # One verdict per distinct term, reused by every plan.
+        memo: Dict[str, bool] = {}
+        bloom: Optional[object] = None
+        data: Optional[bytes] = None
+        bloom_read = False
+        live: List[int] = []
+        for i, plan in enumerate(plans):
+            outcome = outcomes[i]
+            explain = plan.mode is OutputMode.EXPLAIN
+            # -- TimePrune: a block whose sidecar timestamp range is
+            # disjoint from the plan's wall-clock window is skipped
+            # before any Bloom or stamp check — zero store reads.  Runs
+            # even for match-all aggregates; blocks without a known
+            # range conservatively survive.
+            if (
+                summary is not None
+                and (plan.from_time is not None or plan.to_time is not None)
+                and not summary.in_time_range(plan.from_time, plan.to_time)
             ):
-                via = "prune index"
-                if summary is not None:
-                    settings = self._settings()
-                    pruned = not summary_might_match(
-                        summary,
-                        plan.command,
-                        use_stamps=getattr(settings, "use_stamps", True),
-                        use_bloom=use_bloom,
+                outcome.stats.blocks_pruned += 1
+                outcome.stats.blocks_time_pruned += 1
+                if explain:
+                    outcome.rendering = (
+                        f"block {name}: pruned by time window "
+                        f"(block range [{summary.min_ts}, {summary.max_ts}] "
+                        f"outside [{plan.from_time}, {plan.to_time}])"
                     )
-                else:
-                    via = "block-level Bloom filter"
-                    bloom, data = self._read_bloom(name)
-                    pruned = bloom is not None and not command_might_match(
-                        bloom, plan.command
-                    )
-                fspan.set("pruned", pruned)
-            if pruned:
-                stats.blocks_pruned += 1
-                rendering = (
-                    f"block {name}: pruned by {via} "
-                    "(no disjunct survives the mask/trigram checks)"
-                    if plan.mode is OutputMode.EXPLAIN
-                    else None
-                )
-                return BlockOutcome(name, pruned=True, rendering=rendering)
-        # -- LoadBox
-        if box is None:
-            with tracer.span("load_box") as lspan, ledger.operator("load_box"):
-                box = self._open_box(name, data)
-                source = box._source
-                if isinstance(source, StoreBlobSource):
-                    lspan.set("bytes", source.bytes_read)
-        # -- EXPLAIN: dry-run the remaining operators into a rendering.
-        if plan.mode is OutputMode.EXPLAIN:
-            from .explain import explain_block
+                continue
+            # -- BloomPrune: with an index entry the whole check runs in
+            # memory (zero store reads); otherwise only the Bloom section
+            # is fetched via the TOC, once for the pass.  A match-all
+            # aggregate (no disjuncts) can never be pruned.
+            if plan.disjuncts and (use_bloom or summary is not None):
+                with tracer.span("block_filter") as fspan, shared.operator(
+                    "block_filter"
+                ):
+                    if summary is not None:
+                        via = "prune index"
+                        pruned = not summary_might_match(
+                            summary, plan.command, use_stamps, use_bloom, memo
+                        )
+                    else:
+                        via = "block-level Bloom filter"
+                        if not bloom_read:
+                            bloom, data = self._read_bloom(name)
+                            bloom_read = True
+                        pruned = bloom is not None and not command_might_match(
+                            bloom, plan.command, memo  # type: ignore[arg-type]
+                        )
+                    fspan.set("pruned", pruned)
+                if pruned:
+                    outcome.stats.blocks_pruned += 1
+                    if explain:
+                        outcome.rendering = (
+                            f"block {name}: pruned by {via} "
+                            "(no disjunct survives the mask/trigram checks)"
+                        )
+                    continue
+            live.append(i)
+        return live, data
 
-            return BlockOutcome(
-                name, rendering=explain_block(box, plan, name).summary()
-            )
-        # -- Locate (calling Match per search string).  A match-all
-        # aggregate has nothing to locate: every row of every group.
-        engine = BlockEngine(box, self._settings(), stats)
-        with tracer.span("locate") as lspan, ledger.operator("locate"):
-            if plan.disjuncts:
-                hits = engine.execute(
-                    plan, self._matcher(name, engine, stats, ledger)
-                )
-            else:
-                hits = engine.full_rows()
-            lspan.set("groups_hit", len(hits))
-        count = sum(len(rows) for rows in hits.values())
+    def _finish(
+        self,
+        plan: QueryPlan,
+        outcome: BlockOutcome,
+        hits: GroupRows,
+        box: Optional[CapsuleBox],
+        engine: Optional[BlockEngine],
+        ledger: QueryLedger,
+    ) -> None:
+        """Turn one plan's located rows into its block outcome.
+
+        *box*/*engine* are ``None`` on the warm path, which only comes
+        here when nothing has to be read: COUNT/ROWS plans, or no hits.
+        """
+        tracer = get_tracer()
+        outcome.count = sum(len(rows) for rows in hits.values())
         # -- ROWS: ship the located row sets themselves (bitmaps — a few
         # bytes per group) and let the caller defer reconstruction to a
         # bounded fetch; the cluster's grep gather path.
         if plan.mode is OutputMode.ROWS:
-            return BlockOutcome(
-                name, count=count,
-                rows={g: rows for g, rows in hits.items() if rows},
-            )
+            outcome.rows = hits
         # -- Aggregate (replaces Reconstruct for aggregate plans): fold
         # the located rows into a per-block partial without rebuilding a
-        # single line.  ANALYZE aggregates run the same operator with the
-        # ledger active.
-        if plan.aggregate is not None:
+        # single line.  ANALYZE aggregates run the same operator with
+        # the ledger active.
+        elif plan.aggregate is not None:
+            if box is None or engine is None:
+                outcome.partial = make_partial(plan.aggregate)
+                return
             with tracer.span(
                 "aggregate", kind=plan.aggregate.kind.value
             ) as aspan, ledger.operator("aggregate"):
-                partial = self._aggregate_block(
+                outcome.partial = self._aggregate_block(
                     box, engine, plan.aggregate, hits
                 )
-                aspan.set("rows", partial.rows)
-            return BlockOutcome(name, count=count, partial=partial)
+                aspan.set("rows", outcome.partial.rows)
         # -- Reconstruct (elided for COUNT plans; ANALYZE runs it in full
         # so the ledger reflects what a real LINES query would cost)
-        entries: List[Entry] = []
-        if plan.mode in (OutputMode.LINES, OutputMode.ANALYZE) and hits:
-            from ..core.reconstructor import BlockReconstructor
-
+        elif (
+            plan.mode in (OutputMode.LINES, OutputMode.ANALYZE)
+            and hits
+            and box is not None
+            and engine is not None
+        ):
             with tracer.span("reconstruct") as rspan, ledger.operator(
                 "reconstruct"
             ):
-                # Reconstruction touches every vector of each hit group;
-                # batch the still-unfetched payloads into coalesced
-                # ranged reads instead of one read per capsule.
-                prefetched = box.prefetch(hits.keys())
-                if prefetched:
-                    rspan.set("prefetched_bytes", prefetched)
-                reconstructor = BlockReconstructor(
-                    box, self._settings(), stats, readers=engine.readers
+                outcome.entries = self._reconstruct(
+                    box, hits, outcome.stats, rspan, engine.readers
                 )
-                entries = reconstructor.reconstruct(hits)
-                rspan.set("entries", len(entries))
-        return BlockOutcome(name, entries=entries, count=count)
 
-    # ------------------------------------------------------------------
-    # deferred reconstruction (the second half of a ROWS query)
-    # ------------------------------------------------------------------
+    def _reconstruct(
+        self,
+        box: CapsuleBox,
+        hits: GroupRows,
+        stats: QueryStats,
+        rspan: object,
+        readers: Optional[Dict[tuple, object]] = None,
+    ) -> List[Entry]:
+        """The Reconstruct operator body.  Reconstruction touches every
+        vector of each hit group, so the still-unfetched payloads are
+        batched into coalesced ranged reads instead of one per capsule."""
+        from ..core.reconstructor import BlockReconstructor
+
+        prefetched = box.prefetch(hits.keys())
+        if prefetched:
+            rspan.set("prefetched_bytes", prefetched)
+        entries = BlockReconstructor(
+            box, self._settings(), stats, readers=readers
+        ).reconstruct(hits)
+        rspan.set("entries", len(entries))
+        return entries
+
     def reconstruct_rows(
         self,
         name: str,
@@ -594,22 +943,13 @@ class QueryExecutor:
         the shared BoxCache/lazy-I/O path; only the hit groups' capsule
         payloads are fetched, coalesced.
         """
-        from ..core.reconstructor import BlockReconstructor
-
-        stats = stats if stats is not None else QueryStats()
         hits = {g: rows for g, rows in hits.items() if rows}
         if not hits:
             return []
-        tracer = get_tracer()
-        with tracer.span("reconstruct", block=name) as rspan:
-            box = self.load_box(name)
-            prefetched = box.prefetch(hits.keys())
-            if prefetched:
-                rspan.set("prefetched_bytes", prefetched)
-            reconstructor = BlockReconstructor(box, self._settings(), stats)
-            entries = reconstructor.reconstruct(hits)
-            rspan.set("entries", len(entries))
-        return entries
+        with get_tracer().span("reconstruct", block=name) as rspan:
+            return self._reconstruct(
+                self.load_box(name), hits, stats or QueryStats(), rspan
+            )
 
     # ------------------------------------------------------------------
     # the Aggregate operator
@@ -782,40 +1122,6 @@ class QueryExecutor:
             if pin and self.source.box_cache is not None:
                 self.source.box_cache.put(name, box)
         return box
-
-    def _matcher(
-        self,
-        name: str,
-        engine: BlockEngine,
-        stats: QueryStats,
-        ledger: QueryLedger = NULL_LEDGER,
-    ) -> Callable[[SearchString], GroupRows]:
-        """The Match operator: engine search memoized per (block, search)."""
-        tracer = get_tracer()
-        use_cache = (
-            self.cache is not None
-            and getattr(self.config, "use_query_cache", False)
-        )
-        # One reusable timer for the whole block: match runs once per
-        # (group, search) pair — the hottest operator boundary by far.
-        match_timer = ledger.operator("match")
-
-        def match(search: SearchString) -> GroupRows:
-            with tracer.span(
-                "match", search=search.cache_key
-            ) as mspan, match_timer:
-                if use_cache:
-                    cached = self.cache.get(name, search.cache_key)  # type: ignore[union-attr]
-                    if cached is not None:
-                        stats.cache_hits += 1
-                        mspan.set("cache_hit", True)
-                        return cached
-                rows = engine.search_string_rows(search)
-                if use_cache:
-                    self.cache.put(name, search.cache_key, rows)  # type: ignore[union-attr]
-                return rows
-
-        return match
 
     def _settings(self) -> object:
         return self.config.query_settings()  # type: ignore[attr-defined]

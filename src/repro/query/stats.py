@@ -228,7 +228,7 @@ class _OperatorTimer:
 
 
 #: Cache-lookup kinds the ledger distinguishes.
-CACHE_KINDS = ("box", "query", "value", "fragment")
+CACHE_KINDS = ("box", "query", "value")
 
 #: kind -> (miss attribute, hit attribute); indexed by the hit bool on the
 #: per-lookup charge path, so no f-string formatting per cache access.
@@ -261,8 +261,6 @@ class QueryLedger:
         self.query_cache_misses = 0
         self.value_cache_hits = 0
         self.value_cache_misses = 0
-        self.fragment_cache_hits = 0
-        self.fragment_cache_misses = 0
         self.decoded_values = 0
         self.budget = budget
         self._children: List["QueryLedger"] = []
@@ -304,8 +302,6 @@ class QueryLedger:
         self.query_cache_misses += other.query_cache_misses
         self.value_cache_hits += other.value_cache_hits
         self.value_cache_misses += other.value_cache_misses
-        self.fragment_cache_hits += other.fragment_cache_hits
-        self.fragment_cache_misses += other.fragment_cache_misses
         self.decoded_values += other.decoded_values
 
     # ------------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Shared-scan batch executor + predicate-fragment cache tests.
+"""Multi-plan block pass + generation-keyed query cache tests.
 
-Acceptance coverage for the multi-query layer: batched execution must be
-result-identical to sequential execution for every mode mix, the
-fragment cache must never serve stale rows across append/seal, lifecycle
-demotion and cold shared-store merges, the batch ledger must reconcile
-exactly against the store's ranged-read counter, and the admission queue
-must coalesce bursts into fewer passes.
+Acceptance coverage for the one pass: a multi-plan run must be
+result-identical to running each plan alone for every mode mix (and a
+run of one must *be* the single query — entries, stats and ledger), the
+query cache must never serve stale rows across append/seal, lifecycle
+demotion and cold shared-store merges, a handle or session held across a
+foreign rewrite must keep answering exactly, the shared ledger must
+reconcile exactly against the store's ranged-read counter, and the
+admission queue must coalesce bursts into fewer passes.
 """
 
 import threading
@@ -14,12 +16,12 @@ import pytest
 
 from repro import LogGrep, LogGrepConfig
 from repro.baselines.evalutil import grep_lines
+from repro.obs import tracing
 from repro.obs.metrics import get_registry
+from repro.query.admission import AdmissionQueue
 from repro.query.aggregate import AggregateSpec
-from repro.query.batch import AdmissionQueue, BatchExecutor
-from repro.query.fragcache import (
+from repro.query.cache import (
     GENERATION_AUX_NAME,
-    FragmentCache,
     bump_generation,
     load_generation,
 )
@@ -45,14 +47,17 @@ def corpus():
 
 def make_lg(corpus, **overrides):
     overrides.setdefault("block_bytes", 4 * 1024)
-    # Pin the fragment-cache capacity: the CI batch-scans leg shrinks
-    # LOGGREP_FRAGMENT_CACHE_ENTRIES to force eviction churn, which
-    # would invalidate the warm-path assertions (zero loads / zero
-    # bytes on repeat) that assume the working set fits.
-    overrides.setdefault("fragment_cache_entries", 4096)
     lg = LogGrep(config=LogGrepConfig(**overrides))
     lg.compress(corpus)
     return lg
+
+
+def run_counts(lg, queries):
+    """``count_many`` through the executor, keeping the run's report."""
+    results, report = lg.executor.run_plans(
+        [build_plan(q, OutputMode.COUNT) for q in queries]
+    )
+    return [result.count for result in results], report
 
 
 def counter_value(name: str) -> float:
@@ -93,30 +98,55 @@ class TestBatchEquivalence:
             assert got.value == want.value
             assert got.matched == want.matched
 
-    def test_single_plan_batch_equals_sequential(self, corpus):
-        """batch_scans=1 routes every query through a batch of one."""
-        plain = make_lg(corpus)
-        routed = LogGrep(
-            store=plain.store,
-            config=LogGrepConfig(block_bytes=4 * 1024, batch_scans=True),
-        )
+    def test_grep_is_grep_many_of_one(self, corpus):
+        """grep(q) ≡ grep_many([q])[0] on entries, stats *and* ledger."""
+        store = make_lg(corpus).store
+        config = LogGrepConfig(block_bytes=4 * 1024, slow_query_ms=1e9)
         for query in QUERIES:
-            assert routed.grep(query).lines == plain.grep(query).lines
-            assert routed.count(query) == plain.count(query)
+            # A fresh handle per side: both runs start equally cold.
+            one = LogGrep(store=store, config=config).grep(query)
+            (many,) = LogGrep(store=store, config=config).grep_many([query])
+            assert many.lines == one.lines == grep_lines(query, corpus)
+            assert many.line_ids == one.line_ids
+            assert many.stats == one.stats
+            assert one.ledger.enabled and many.ledger.enabled
+            a, b = one.ledger.as_dict(), many.ledger.as_dict()
+            for doc in (a, b):  # wall time legitimately differs
+                for op in [*doc["operators"].values(), doc["totals"]]:
+                    del op["seconds"]
+            assert a == b
 
-    def test_batch_metrics_move(self, corpus):
+    def test_analyze_of_one_reconciles_with_store_counter(self, corpus):
+        """ANALYZE is an ordinary mode of the one pass: its batch-of-one
+        ledger bills every ranged byte the query read."""
+        lg = make_lg(corpus, lazy_io=True)
+        counter = get_registry().counter("loggrep_store_range_read_bytes_total")
+        before = counter.value()
+        plan = build_plan("ERROR", OutputMode.ANALYZE)
+        (result,), report = lg.executor.run_plans([plan])
+        delta = counter.value() - before
+        assert delta > 0
+        assert result.ledger.totals().read_bytes == delta
+        assert report.ledger.totals().read_bytes == 0
+        assert [t for _, t in result.entries] == grep_lines("ERROR", corpus)
+        assert lg.explain_analyze("read").lines == grep_lines("read", corpus)
+
+    def test_run_metrics_move(self, corpus):
         lg = make_lg(corpus)
         queries_before = counter_value("loggrep_batch_queries_total")
         runs_before = counter_value("loggrep_batch_runs_total")
         loads_before = counter_value("loggrep_batch_shared_block_loads_total")
-        lg.grep_many(["ERROR", "read"])
+        plans = [build_plan(q) for q in ("ERROR", "read")]
+        _, report = lg.executor.run_plans(plans)
         assert counter_value("loggrep_batch_queries_total") == queries_before + 2
         assert counter_value("loggrep_batch_runs_total") == runs_before + 1
-        assert counter_value("loggrep_batch_shared_block_loads_total") > loads_before
-        report = lg.last_batch_report
+        assert (
+            counter_value("loggrep_batch_shared_block_loads_total")
+            == loads_before + report.shared_loads
+        )
         assert report.queries == 2
         assert report.blocks == len(lg.store.names())
-        assert report.shared_loads <= report.blocks
+        assert 0 < report.shared_loads <= report.blocks
 
     def test_parallel_batch_equals_serial_batch(self, corpus):
         serial = make_lg(corpus)
@@ -129,15 +159,45 @@ class TestBatchEquivalence:
         for g, w in zip(got, want):
             assert g.lines == w.lines
 
-    def test_explain_stays_sequential(self, corpus):
-        """EXPLAIN/ANALYZE render private-pass reports; run_batch must
-        fall back to the sequential pipeline for them."""
+    def test_explain_rides_the_shared_pass(self, corpus):
+        """EXPLAIN is an ordinary mode: alone or mixed into a multi-plan
+        run it renders the same operator walk, and its neighbours'
+        results do not change."""
         lg = make_lg(corpus)
-        plan = build_plan("ERROR", OutputMode.EXPLAIN)
-        results, report = lg.batch_executor.run_batch([plan])
-        assert len(results) == 1
-        assert results[0].renderings  # the operator walk was rendered
-        assert report.shared_loads == 0
+        explain = build_plan("ERROR", OutputMode.EXPLAIN)
+        (alone,), _ = lg.executor.run_plans([explain])
+        assert alone.renderings  # the operator walk was rendered
+        assert not alone.entries and alone.count == 0
+        mixed, report = lg.executor.run_plans(
+            [build_plan("read"), explain, build_plan("ERROR", OutputMode.COUNT)]
+        )
+        assert mixed[1].renderings == alone.renderings
+        assert [t for _, t in mixed[0].entries] == grep_lines("read", corpus)
+        assert mixed[2].count == len(grep_lines("ERROR", corpus))
+        assert report.shared_loads == report.blocks
+
+    def test_span_tree_roots_at_query_or_batch(self, corpus):
+        """One plan roots at ``query``; several root at ``batch``.  Either
+        way the operator spans hang off per-block children."""
+        lg = make_lg(corpus)
+        with tracing() as tracer:
+            lg.grep("ERROR")
+        (root,) = tracer.roots
+        assert root.name == "query"
+        assert root.attrs["command"] == "ERROR"
+        assert [c.name for c in root.children][0] == "plan"
+        assert len(root.find("block")) == len(lg.store.names())
+        lg.clear_query_cache()
+        with tracing() as tracer:
+            lg.grep_many(["ERROR", "read"])
+        (root,) = tracer.roots
+        assert root.name == "batch"
+        assert root.attrs["queries"] == 2
+        assert not root.find("query")
+        blocks = root.find("block")
+        assert len(blocks) == len(lg.store.names())
+        # One box open per block, shared by both plans.
+        assert all(len(b.find("load_box")) == 1 for b in blocks)
 
 
 # ----------------------------------------------------------------------
@@ -164,55 +224,78 @@ class TestPlanDedup:
 
 
 # ----------------------------------------------------------------------
-# fragment cache: warm path, eviction, metrics
+# query cache: warm path, eviction, metrics, the Fig-9 switch
 # ----------------------------------------------------------------------
-class TestFragmentCache:
+class TestQueryCacheWarmPath:
     def test_warm_count_skips_box_loads(self, corpus):
         lg = make_lg(corpus)
-        lg.count_many(["ERROR", "read"])
-        assert lg.last_batch_report.shared_loads > 0
-        lg.count_many(["ERROR", "read"])
-        assert lg.last_batch_report.shared_loads == 0
+        _, cold = run_counts(lg, ["ERROR", "read"])
+        assert cold.shared_loads > 0
+        _, warm = run_counts(lg, ["ERROR", "read"])
+        assert warm.shared_loads == 0
         assert lg.fragments.hits > 0
 
     def test_warm_count_reads_zero_store_bytes(self, corpus):
-        lg = make_lg(corpus, use_query_cache=False)
-        lg.count_many(["ERROR"])
+        lg = make_lg(corpus)
+        lg.count("ERROR")
         counter = get_registry().counter("loggrep_store_range_read_bytes_total")
         before = counter.value()
-        warm = lg.count_many(["ERROR"])[0]
+        warm = lg.count("ERROR")
         assert counter.value() == before  # pure row-set algebra
-        assert warm == lg.count("ERROR")
+        assert warm == len(grep_lines("ERROR", corpus))
 
-    def test_overlapping_queries_share_fragments(self, corpus):
-        lg = make_lg(corpus, use_query_cache=False)
-        lg.count_many(["ERROR"])
+    def test_overlapping_queries_share_rowsets(self, corpus):
+        lg = make_lg(corpus)
+        lg.count("ERROR")
         hits_before = lg.fragments.hits
-        # A different query over the same term reuses its fragments.
-        lg.count_many(["ERROR AND code=3"])
+        # A different query over the same term reuses its row sets.
+        lg.count("ERROR AND code=3")
         assert lg.fragments.hits > hits_before
 
-    def test_fragcache_metrics_move(self, corpus):
+    def test_single_queries_warm_the_many_path_and_back(self, corpus):
+        """One cache: rows located by grep() serve count_many() (and the
+        reverse) — there is no second lane to warm separately."""
+        lg = make_lg(corpus)
+        lg.grep("ERROR")
+        lg.grep("read")
+        _, report = run_counts(lg, ["ERROR", "read", "ERROR OR read"])
+        assert report.shared_loads == 0
+        lg.count_many(["code=3"])
+        assert lg.grep("code=3").stats.cache_hits > 0
+
+    def test_query_cache_metrics_move(self, corpus):
+        lg = make_lg(corpus)
+        misses_before = counter_value("loggrep_query_cache_misses_total")
+        hits_before = counter_value("loggrep_query_cache_hits_total")
+        lg.count_many(["ERROR"])
+        assert counter_value("loggrep_query_cache_misses_total") > misses_before
+        assert counter_value("loggrep_query_cache_hits_total") == hits_before
+        lg.count_many(["ERROR"])
+        assert counter_value("loggrep_query_cache_hits_total") > hits_before
+
+    def test_cache_switch_off_keeps_every_run_cold(self, corpus):
+        """``use_query_cache=False`` (Fig 9 "w/o cache") gates the one
+        cache: nothing is stored, nothing is consulted."""
         lg = make_lg(corpus, use_query_cache=False)
-        misses_before = counter_value("loggrep_fragcache_misses_total")
-        hits_before = counter_value("loggrep_fragcache_hits_total")
-        lg.count_many(["ERROR"])
-        assert counter_value("loggrep_fragcache_misses_total") > misses_before
-        lg.count_many(["ERROR"])
-        assert counter_value("loggrep_fragcache_hits_total") > hits_before
+        hits_before = counter_value("loggrep_query_cache_hits_total")
+        misses_before = counter_value("loggrep_query_cache_misses_total")
+        counts, first = run_counts(lg, ["ERROR", "read"])
+        again, second = run_counts(lg, ["ERROR", "read"])
+        assert counts == again
+        assert second.shared_loads == first.shared_loads > 0
+        assert len(lg.fragments) == 0
+        assert counter_value("loggrep_query_cache_hits_total") == hits_before
+        assert counter_value("loggrep_query_cache_misses_total") == misses_before
 
     def test_tiny_capacity_evicts_and_stays_correct(self, corpus):
-        evictions_before = counter_value("loggrep_fragcache_evictions_total")
-        lg = make_lg(corpus, fragment_cache_entries=4, use_query_cache=False)
-        sequential = [lg.count(q) for q in QUERIES]
+        evictions_before = counter_value("loggrep_query_cache_evictions_total")
+        lg = make_lg(corpus, cache_capacity=4)
+        want = [len(grep_lines(q, corpus)) for q in QUERIES]
         for _ in range(3):
-            assert lg.count_many(QUERIES) == sequential
+            assert lg.count_many(QUERIES) == want
+            assert [lg.count(q) for q in QUERIES] == want
         assert len(lg.fragments) <= 4
-        assert counter_value("loggrep_fragcache_evictions_total") > evictions_before
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            FragmentCache(0)
+        assert counter_value("loggrep_query_cache_evictions_total") > evictions_before
 
 
 # ----------------------------------------------------------------------
@@ -226,15 +309,15 @@ class TestInvalidation:
         lg.compress(["extra line one", "extra line two"])
         assert load_generation(lg.store) > gen
 
-    def test_append_invalidates_fragments(self, corpus):
+    def test_append_invalidates_rowsets(self, corpus):
         lg = make_lg(corpus)
         warm = lg.count_many(["ERROR"])[0]
-        inv_before = counter_value("loggrep_fragcache_invalidations_total")
+        inv_before = counter_value("loggrep_query_cache_invalidations_total")
         lg.compress(["ERROR fresh appended line"])
         assert lg.count_many(["ERROR"])[0] == warm + 1
         assert lg.count_many(["ERROR"])[0] == lg.count("ERROR")
         assert (
-            counter_value("loggrep_fragcache_invalidations_total") > inv_before
+            counter_value("loggrep_query_cache_invalidations_total") > inv_before
         )
 
     def test_streaming_seal_bumps_generation(self):
@@ -249,8 +332,8 @@ class TestInvalidation:
 
     def test_demote_warm_invalidates_shared_cache(self, corpus):
         """The demotion is performed by a *separate* LifecycleManager;
-        the handle's fragment cache must still notice via the persisted
-        generation token."""
+        a cache shared with a fresh handle must still notice via the
+        persisted generation token."""
         from repro.core.lifecycle import LifecycleManager, Tier
 
         lg = make_lg(corpus)
@@ -279,11 +362,59 @@ class TestInvalidation:
         report = manager.demote(Tier.COLD)
         assert report.blocks_after < report.blocks_before  # merged
         assert load_generation(lg.store) > gen_before
-        reader = manager.open_reader()
-        reader.fragments = lg.fragments  # carry the stale cache over
-        reader._batch = BatchExecutor(reader._executor, lg.fragments)
+        reader = LogGrep(
+            store=lg.store, config=lg.config, templates=shared,
+            fragments=lg.fragments,  # carry the stale cache over
+        )
         assert reader.count_many(["ERROR", "read"]) == warm
         assert reader.count_many(["ERROR", "read"]) == warm  # warm rerun
+
+    @pytest.mark.parametrize("held", ["handle", "session"])
+    @pytest.mark.parametrize("tier_name", ["warm", "cold"])
+    def test_reader_held_across_foreign_demote(self, corpus, held, tier_name):
+        """A plain handle or an open session held across a demote by a
+        *separate* LifecycleManager: grep ≡ a freshly opened handle ≡ the
+        raw-line oracle.  (At PR 11 the plain handle raised ``universe
+        mismatch`` from its un-keyed QueryCache, and a session across a
+        COLD merge answered from pinned pre-merge boxes.)"""
+        from repro.core.lifecycle import LifecycleManager, Tier
+
+        lg = make_lg(corpus)
+        reader = lg.open_session() if held == "session" else lg
+        for query in QUERIES:  # warm rows (and pinned boxes) pre-demote
+            reader.grep(query)
+            reader.grep(query)
+        blocks_before = len(lg.store.names())
+        LifecycleManager(lg.store, lg.config).demote(Tier(tier_name))
+        if tier_name == "cold":
+            assert len(lg.store.names()) < blocks_before  # names were merged
+        fresh = LogGrep(store=lg.store, config=lg.config)
+        for query in QUERIES:
+            want = grep_lines(query, corpus)
+            for _ in range(2):  # cold after the bump, then warm again
+                assert reader.grep(query).lines == want
+            assert reader.count(query) == len(want)
+            assert fresh.grep(query).lines == want
+        if held == "session":
+            reader.close()
+
+    def test_held_handle_rereads_prune_index_after_cold_merge(self, corpus):
+        """Merged cold blocks reuse the first original's name: a summary
+        (Bloom bits included) kept from before the merge would prune
+        lines that now live under that name."""
+        from repro.core.lifecycle import LifecycleManager, Tier
+
+        lines = list(corpus)
+        needle = "ERROR write to file: /root/usr/admin/QQneedleQQ.log failed code=3"
+        lines[600] = needle
+        lg = make_lg(lines, use_block_bloom=True)
+        assert lg.grep("QQneedleQQ").lines == [needle]
+        LifecycleManager(lg.store, lg.config).demote(Tier.COLD)
+        assert lg.grep("QQneedleQQ").lines == [needle]
+        lg.compress(["appended after the merge QQneedleQQ"])
+        assert len(lg.grep("QQneedleQQ").lines) == 2
+        fresh = LogGrep(store=lg.store, config=lg.config)
+        assert fresh.grep("QQneedleQQ").lines == lg.grep("QQneedleQQ").lines
 
     def test_missing_generation_blob_reads_as_zero(self):
         class Auxless:
@@ -304,27 +435,28 @@ class TestInvalidation:
 # ----------------------------------------------------------------------
 class TestBatchLedger:
     def test_batch_ledger_reconciles_with_store_counter(self, corpus):
-        lg = make_lg(corpus, lazy_io=True)
+        lg = make_lg(corpus, lazy_io=True, slow_query_ms=1e9)
         counter = get_registry().counter("loggrep_store_range_read_bytes_total")
         before = counter.value()
-        results = lg.grep_many(["ERROR", "read", "code=3"], ledgered=True)
+        plans = [build_plan(q) for q in ("ERROR", "read", "code=3")]
+        results, report = lg.executor.run_plans(plans)
         delta = counter.value() - before
         assert delta > 0
         per_query = sum(
             result.ledger.totals().read_bytes for result in results
         )
-        shared = lg.last_batch_report.ledger.totals().read_bytes
+        shared = report.ledger.totals().read_bytes
+        assert shared > 0
         assert per_query + shared == delta
 
-    def test_single_plan_batch_bills_the_plan(self, corpus):
-        """A batch of one charges everything to the plan's own ledger —
-        identical accounting to the sequential executor."""
-        lg = make_lg(corpus, lazy_io=True)
+    def test_single_plan_run_bills_the_plan(self, corpus):
+        """A run of one charges everything to the plan's own ledger."""
+        lg = make_lg(corpus, lazy_io=True, slow_query_ms=1e9)
         counter = get_registry().counter("loggrep_store_range_read_bytes_total")
         before = counter.value()
-        results = lg.grep_many(["ERROR"], ledgered=True)
+        results, report = lg.executor.run_plans([build_plan("ERROR")])
         delta = counter.value() - before
-        assert lg.last_batch_report.ledger.totals().read_bytes == 0
+        assert report.ledger.totals().read_bytes == 0
         assert results[0].ledger.totals().read_bytes == delta
 
     def test_budget_aborts_batched_query(self, corpus):
@@ -389,7 +521,7 @@ class TestAdmissionQueue:
     def test_max_batch_bounds_one_pass(self, corpus):
         lg = make_lg(corpus)
         queue = AdmissionQueue(
-            lg.batch_executor.run_batch, window_s=0.02, max_batch=2
+            lg.executor.run_plans, window_s=0.02, max_batch=2
         )
         try:
             futures = [

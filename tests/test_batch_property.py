@@ -1,17 +1,21 @@
-"""Property tests for the shared-scan batch executor.
+"""Property tests for the multi-plan block pass.
 
 The invariant: for ANY mix of grep/count/aggregate plans, ANY admission
-interleaving and ANY warm/cold fragment-cache state — including across a
-concurrent ``lifecycle demote`` generation bump — batched execution is
-result-identical to sequential execution.
+interleaving and ANY warm/cold/evicting query-cache state — including
+across a concurrent ``lifecycle demote`` generation bump — running the
+plans together is result-identical to running each alone on a handle
+that caches nothing.
 """
 
 import random
+from dataclasses import replace
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import LogGrep, LogGrepConfig
+from repro.baselines.evalutil import grep_lines
 from repro.query.aggregate import AggregateSpec
 from repro.query.modes import AggregateKind
 from repro.query.plan import (
@@ -75,31 +79,57 @@ def outcome(plan, result):
     return ("lines", result.entries)
 
 
+def reference(store, config, plans, lines):
+    """Each plan alone, cold: a cache-less handle over the same store,
+    itself pinned to grep over the raw lines."""
+    oracle = LogGrep(store=store, config=replace(config, use_query_cache=False))
+    want = [outcome(p, oracle.executor.run(p)) for p in plans]
+    for plan, value in zip(plans, want):
+        if value[0] == "lines":
+            assert [t for _, t in value[1]] == grep_lines(plan.raw, lines)
+        elif value[0] == "count":
+            assert value[1] == len(grep_lines(plan.raw, lines))
+    return want
+
+
 class TestBatchProperty:
+    # cache_capacity=8 is the eviction-churn case: a block's shape plus a
+    # handful of terms overflow the LRU mid-pass, so warm paths cross
+    # eviction boundaries constantly and any stale or half-evicted state
+    # shows up as a wrong answer.
+    @pytest.mark.parametrize("cache_capacity", [4096, 8])
     @settings(
         max_examples=20,
         deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
+        suppress_health_check=[
+            HealthCheck.too_slow, HealthCheck.function_scoped_fixture
+        ],
     )
-    @given(plan_mixes(), st.integers(min_value=0, max_value=10_000))
-    def test_batched_equals_sequential(self, mix, seed):
+    @given(mix=plan_mixes(), seed=st.integers(min_value=0, max_value=10_000))
+    def test_together_equals_alone(self, cache_capacity, mix, seed):
         lines = make_mixed_lines(250, seed=seed % 7)
-        lg = LogGrep(config=LogGrepConfig(block_bytes=2 * 1024))
+        config = LogGrepConfig(
+            block_bytes=2 * 1024, cache_capacity=cache_capacity
+        )
+        lg = LogGrep(config=config)
         lg.compress(lines)
         plans = [build(*entry) for entry in mix]
-        want = [outcome(p, lg._executor.run(p)) for p in plans]
-        # Any admission interleaving: batches are order-insensitive, so
-        # executing a shuffled batch and unshuffling must change nothing.
+        want = reference(lg.store, config, plans, lines)
+        # Any admission interleaving: runs are order-insensitive, so
+        # executing a shuffled list and unshuffling must change nothing.
         order = list(range(len(plans)))
         random.Random(seed).shuffle(order)
-        results, _ = lg.batch_executor.run_batch([plans[i] for i in order])
+        results, _ = lg.executor.run_plans([plans[i] for i in order])
         got = [None] * len(plans)
         for pos, i in enumerate(order):
             got[i] = outcome(plans[i], results[pos])
         assert got == want
-        # Warm rerun (fragment cache fully populated) stays identical.
-        rerun, _ = lg.batch_executor.run_batch(plans)
+        # Warm rerun (query cache as populated as its bound allows), then
+        # each plan as a run of one over the same warm cache.
+        rerun, _ = lg.executor.run_plans(plans)
         assert [outcome(p, r) for p, r in zip(plans, rerun)] == want
+        assert [outcome(p, lg.executor.run(p)) for p in plans] == want
+        assert len(lg.fragments) <= cache_capacity
 
     @settings(
         max_examples=8,
@@ -107,23 +137,25 @@ class TestBatchProperty:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(plan_mixes(), st.sampled_from(["warm", "cold"]))
-    def test_batched_equals_sequential_across_demote(self, mix, tier_name):
-        """A lifecycle demotion between two batches rewrites blocks in
-        place; the generation bump must keep the second batch exact."""
+    def test_together_equals_alone_across_demote(self, mix, tier_name):
+        """A lifecycle demotion between two runs rewrites blocks in
+        place; the generation bump must keep the second run exact — on
+        the handle that was held across it and on a fresh one sharing
+        its (now stale-keyed) cache."""
         from repro.core.lifecycle import LifecycleManager, Tier
 
         lines = make_mixed_lines(250, seed=23)
         lg = LogGrep(config=LogGrepConfig(block_bytes=2 * 1024))
         lg.compress(lines)
         plans = [build(*entry) for entry in mix]
-        # Warm the fragment cache pre-demotion.
-        lg.batch_executor.run_batch(plans)
+        # Warm the query cache pre-demotion.
+        lg.executor.run_plans(plans)
         manager = LifecycleManager(lg.store, lg.config)
         manager.demote(Tier(tier_name))
-        # Same store, same (now stale-keyed) fragment cache.
+        want = reference(lg.store, lg.config, plans, lines)
         reader = LogGrep(
             store=lg.store, config=lg.config, fragments=lg.fragments
         )
-        want = [outcome(p, reader._executor.run(p)) for p in plans]
-        results, _ = reader.batch_executor.run_batch(plans)
-        assert [outcome(p, r) for p, r in zip(plans, results)] == want
+        for handle in (lg, reader):
+            results, _ = handle.executor.run_plans(plans)
+            assert [outcome(p, r) for p, r in zip(plans, results)] == want

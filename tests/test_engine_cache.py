@@ -84,37 +84,60 @@ class TestEngine:
 class TestQueryCache:
     def test_miss_then_hit(self):
         cache = QueryCache()
-        assert cache.get("b0", "ERROR") is None
+        assert cache.get(0, "b0", "ERROR") is None
         rows = {0: RowSet.from_rows(4, [1])}
-        cache.put("b0", "ERROR", rows)
-        assert cache.get("b0", "ERROR") == rows
+        cache.put(0, "b0", "ERROR", rows)
+        assert cache.get(0, "b0", "ERROR") == rows
         assert cache.hits == 1 and cache.misses == 1
 
     def test_keyed_per_block(self):
         cache = QueryCache()
-        cache.put("b0", "q", {})
-        assert cache.get("b1", "q") is None
+        cache.put(0, "b0", "q", {})
+        assert cache.get(0, "b1", "q") is None
+
+    def test_keyed_per_generation(self):
+        cache = QueryCache()
+        cache.put(3, "b0", "q", {})
+        assert cache.get(4, "b0", "q") is None
+        assert cache.get(3, "b0", "q") is not None
 
     def test_lru_eviction(self):
         cache = QueryCache(capacity=2)
-        cache.put("b", "q1", {})
-        cache.put("b", "q2", {})
-        cache.get("b", "q1")  # refresh q1
-        cache.put("b", "q3", {})  # evicts q2
-        assert cache.get("b", "q2") is None
-        assert cache.get("b", "q1") is not None
+        cache.put(0, "b", "q1", {})
+        cache.put(0, "b", "q2", {})
+        cache.get(0, "b", "q1")  # refresh q1
+        cache.put(0, "b", "q3", {})  # evicts q2
+        assert cache.get(0, "b", "q2") is None
+        assert cache.get(0, "b", "q1") is not None
 
-    def test_invalidate_block(self):
+    def test_generation_advance_drops_stale_entries(self):
+        from repro.obs.metrics import get_registry
+
+        counter = get_registry().counter(
+            "loggrep_query_cache_invalidations_total"
+        )
+        before = counter.value()
         cache = QueryCache()
-        cache.put("b0", "q", {})
-        cache.put("b1", "q", {})
-        cache.invalidate_block("b0")
-        assert cache.get("b0", "q") is None
-        assert cache.get("b1", "q") is not None
+        cache.set_generation(1)
+        cache.put(1, "b0", "q", {})
+        cache.put_shape(1, "b0", (4, 2))
+        cache.set_generation(1)  # same token: nothing moves
+        assert len(cache) == 2
+        cache.set_generation(2)  # a block was rewritten
+        assert len(cache) == 0
+        assert cache.invalidations == 2
+        assert counter.value() == before + 2
+
+    def test_shape_lookups_are_uncounted(self):
+        cache = QueryCache()
+        assert cache.get_shape(0, "b0") is None
+        cache.put_shape(0, "b0", (3, 0, 7))
+        assert cache.get_shape(0, "b0") == (3, 0, 7)
+        assert cache.hits == 0 and cache.misses == 0
 
     def test_clear(self):
         cache = QueryCache()
-        cache.put("b", "q", {})
+        cache.put(0, "b", "q", {})
         cache.clear()
         assert len(cache) == 0
         assert cache.hits == 0

@@ -242,7 +242,7 @@ class TestTailInternals:
         snap = stream.tail_snapshot()
         # Sealed blocks + tail lines partition the appended stream.
         sealed_lines = sum(
-            stream.open_reader()._load_box(name).num_lines
+            stream.open_reader().executor.load_box(name).num_lines
             for name in snap.sealed_names
         )
         assert sealed_lines + len(snap.lines) == len(lines)

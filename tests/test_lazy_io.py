@@ -435,7 +435,7 @@ class TestPinSharesBoxCache:
         cache = lg._executor.source.box_cache
         assert len(cache) == len(store.names())
         for name in store.names():
-            assert lg._load_box(name) is cache.get(name)
+            assert lg.executor.load_box(name) is cache.get(name)
 
     def test_session_queries_hit_pin(self, tmp_path):
         lines = make_mixed_lines(500)

@@ -89,6 +89,6 @@ class TestParallelQueries:
         lg = LogGrep(config=LogGrepConfig(block_bytes=8 * 1024, query_parallelism=4))
         lg.compress(lines)
         lg.grep("ERROR")
-        assert len(lg.cache) > 0  # workers populated the shared cache
+        assert len(lg.fragments) > 0  # workers populated the shared cache
         again = lg.grep("ERROR")
         assert again.lines == grep_lines("ERROR", lines)

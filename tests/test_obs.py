@@ -23,10 +23,6 @@ from repro.obs import (
 from tests.conftest import make_mixed_lines
 
 CONFIG = LogGrepConfig(block_bytes=8 * 1024)
-#: For tests that pin the *sequential* span taxonomy (root "query" with
-#: per-operator attrs): immune to LOGGREP_BATCH_SCANS routing, which
-#: roots traces at the shared-scan "batch" lane instead.
-SEQ_CONFIG = LogGrepConfig(block_bytes=8 * 1024, batch_scans=False)
 
 
 # ----------------------------------------------------------------------
@@ -350,11 +346,9 @@ class TestChromeTraceExport:
         write_chrome_trace(str(path), tracer.roots)
         doc = json.loads(path.read_text(encoding="utf-8"))
         names = {e["name"] for e in doc["traceEvents"]}
-        # Sequential routing roots the trace at "query" (with a "plan"
-        # child); batch_scans routing (LOGGREP_BATCH_SCANS=1) roots it
-        # at the shared-scan "batch" lane. Both share the block lane.
-        assert {"block", "locate", "match"} <= names
-        assert {"query", "plan"} <= names or "batch" in names
+        # One plan roots the trace at "query" (with a "plan" child).
+        assert {"query", "plan", "block", "locate", "match"} <= names
+        assert "batch" not in names
 
 
 # ----------------------------------------------------------------------
@@ -406,7 +400,7 @@ class TestTracedQuery:
     def test_traced_grep_matches_query_stats(self):
         """The span tree and QueryStats report the same decompressions."""
         lines = make_mixed_lines(700, seed=5)
-        lg = LogGrep(store=MemoryStore(), config=SEQ_CONFIG)
+        lg = LogGrep(store=MemoryStore(), config=CONFIG)
         lg.compress(lines)
         with tracing() as tracer:
             result = lg.grep("ERROR")
@@ -421,7 +415,7 @@ class TestTracedQuery:
 
     def test_stage_times_sum_to_total(self):
         lines = make_mixed_lines(700, seed=5)
-        lg = LogGrep(store=MemoryStore(), config=SEQ_CONFIG)
+        lg = LogGrep(store=MemoryStore(), config=CONFIG)
         lg.compress(lines)
         with tracing() as tracer:
             lg.grep("ERROR")
@@ -479,9 +473,7 @@ class TestTracedQuery:
         that the work really ran off the main thread.
         """
         lines = make_mixed_lines(900, seed=31)
-        config = LogGrepConfig(
-            block_bytes=8 * 1024, query_parallelism=4, batch_scans=False
-        )
+        config = LogGrepConfig(block_bytes=8 * 1024, query_parallelism=4)
         lg = LogGrep(store=MemoryStore(), config=config)
         lg.compress(lines)
         with tracing() as tracer:
@@ -574,11 +566,7 @@ class TestBenchIntegration:
         lines = spec.generate(300)
         m = measure_system(spec, lines, system_factories()["LG"])
         assert m.stage_seconds, "LG measurement should carry a span summary"
-        # Sequential routing roots at "query" (with a "plan" stage);
-        # LOGGREP_BATCH_SCANS=1 roots at the shared-scan "batch" lane.
-        root = "query" if "query" in m.stage_seconds else "batch"
-        assert root in m.stage_seconds
-        assert m.stage_seconds["block"] <= m.stage_seconds[root]
+        assert m.stage_seconds["block"] <= m.stage_seconds["query"]
 
     def test_stage_rows_rendering(self):
         from repro.bench.report import STAGE_COLUMNS, stage_rows

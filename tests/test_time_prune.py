@@ -82,7 +82,7 @@ class TestSidecarTimestamps:
         lg.compress(timed_corpus(400))
         index = ArchiveIndex()
         for name in lg.store.names():
-            summary = lg._index.get(name)  # noqa: SLF001
+            summary = lg.executor.source.index.get(name)
             assert summary is not None
             index.add(name, summary)
         return index
