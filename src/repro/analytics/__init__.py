@@ -1,7 +1,7 @@
 """Structure-based aggregation on compressed logs (the §2 "second phase"),
 running directly on Capsule columns — no line reconstruction."""
 
-from .aggregate import (
+from ..query.aggregate import (
     NumericStats,
     count_values,
     group_count,
@@ -10,7 +10,7 @@ from .aggregate import (
     top_k,
 )
 from .analyzer import Analyzer
-from .schema import FieldRef, Schema, discover_schema
+from ..query.schema import FieldRef, Schema, discover_schema
 
 __all__ = [
     "Analyzer",

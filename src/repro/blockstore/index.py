@@ -21,7 +21,7 @@ Per block the index records:
   max value length, row count) and the block's line count, for
   diagnostics and future vector-level planning,
 * the block's **wall-clock range** (min/max leading timestamp of its raw
-  lines, v2 sidecars): blocks are written in arrival order, so a
+  lines): blocks are written in arrival order, so a
   ``from_time``/``to_time`` query window prunes whole blocks before any
   Bloom or stamp check — zero store reads for out-of-window blocks.
 
@@ -50,11 +50,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a hard cycle)
 INDEX_AUX_NAME = "index.lgix"
 
 MAGIC = b"LGIX"
-#: v1: bloom + charset mask + vector stamps; v2 adds the per-block
-#: min/max wall-clock timestamp range.  v1 sidecars still load (their
-#: time range is simply unknown, so time pruning skips those blocks).
+#: The only version read or written; a sidecar of any other version
+#: fails to parse and, being derived data, is rebuilt from the blocks.
 VERSION = 2
-_KNOWN_VERSIONS = (1, 2)
 
 #: Timestamps travel as non-negative varint milliseconds; a sentinel u8
 #: flag marks blocks with no parseable timestamps.
@@ -158,7 +156,7 @@ class BlockSummary:
             box.bloom, vectors, min_ts, max_ts,
         )
 
-    def write(self, writer: BinaryWriter, version: int = VERSION) -> None:
+    def write(self, writer: BinaryWriter) -> None:
         writer.write_varint(self.block_id)
         writer.write_varint(self.first_line_id)
         writer.write_varint(self.num_lines)
@@ -174,22 +172,21 @@ class BlockSummary:
             writer.write_u8(vector.type_mask)
             writer.write_varint(vector.max_len)
             writer.write_varint(vector.rows)
-        if version >= 2:
-            # Pre-epoch timestamps cannot ride a varint; treat them as
-            # unknown (they only cost a missed prune, never correctness).
-            if (
-                self.min_ts is not None
-                and self.max_ts is not None
-                and self.min_ts >= 0.0
-            ):
-                writer.write_u8(1)
-                writer.write_varint(int(self.min_ts * _TS_SCALE))
-                writer.write_varint(int(self.max_ts * _TS_SCALE))
-            else:
-                writer.write_u8(0)
+        # Pre-epoch timestamps cannot ride a varint; treat them as
+        # unknown (they only cost a missed prune, never correctness).
+        if (
+            self.min_ts is not None
+            and self.max_ts is not None
+            and self.min_ts >= 0.0
+        ):
+            writer.write_u8(1)
+            writer.write_varint(int(self.min_ts * _TS_SCALE))
+            writer.write_varint(int(self.max_ts * _TS_SCALE))
+        else:
+            writer.write_u8(0)
 
     @classmethod
-    def read(cls, reader: BinaryReader, version: int = VERSION) -> "BlockSummary":
+    def read(cls, reader: BinaryReader) -> "BlockSummary":
         block_id = reader.read_varint()
         first_line_id = reader.read_varint()
         num_lines = reader.read_varint()
@@ -206,7 +203,7 @@ class BlockSummary:
         ]
         min_ts: Optional[float] = None
         max_ts: Optional[float] = None
-        if version >= 2 and reader.read_u8():
+        if reader.read_u8():
             min_ts = reader.read_varint() / _TS_SCALE
             max_ts = reader.read_varint() / _TS_SCALE
         return cls(
@@ -236,26 +233,30 @@ class ArchiveIndex:
     def __contains__(self, name: str) -> bool:
         return name in self.blocks
 
-    def serialize(self, version: int = VERSION) -> bytes:
+    def serialize(self) -> bytes:
         writer = BinaryWriter()
         writer.write_varint(len(self.blocks))
         for name in sorted(self.blocks):
             writer.write_str(name)
-            self.blocks[name].write(writer, version)
-        return MAGIC + bytes([version]) + writer.getvalue()
+            self.blocks[name].write(writer)
+        return MAGIC + bytes([VERSION]) + writer.getvalue()
 
     @classmethod
     def deserialize(cls, data: bytes) -> "ArchiveIndex":
         if data[:4] != MAGIC:
             raise FormatError("not an archive index: bad magic")
-        if len(data) < 5 or data[4] not in _KNOWN_VERSIONS:
-            raise FormatError("unsupported archive index version")
-        version = data[4]
+        if len(data) < 5:
+            raise FormatError("truncated archive index")
+        if data[4] != VERSION:
+            raise FormatError(
+                f"unsupported archive index version {data[4]} "
+                f"(only version {VERSION} is supported)"
+            )
         reader = BinaryReader(data[5:])
         index = cls()
         for _ in range(reader.read_varint()):
             name = reader.read_str()
-            index.add(name, BlockSummary.read(reader, version))
+            index.add(name, BlockSummary.read(reader))
         return index
 
     @classmethod

@@ -83,7 +83,6 @@ class RemoteStore(ArchiveStore):
         self.inner = inner if inner is not None else MemoryStore()
         self.profile = profile or FaultProfile()
         self.root = f"remote({self.inner.root})"
-        self._use_mmap = False
         self._rng = random.Random(self.profile.seed)
         self._lock = threading.Lock()
         self.requests = 0
@@ -179,9 +178,3 @@ class RemoteStore(ArchiveStore):
 
     def total_bytes(self) -> int:
         return self.inner.total_bytes()
-
-    def enable_mmap(self) -> None:  # remote blobs cannot be mapped
-        pass
-
-    def disable_mmap(self) -> None:
-        pass

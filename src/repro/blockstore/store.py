@@ -8,9 +8,7 @@ Beyond whole-blob ``get``, the store serves **byte ranges**
 (:meth:`ArchiveStore.get_range`) so the query path can fetch a box header,
 its Bloom section or a single capsule payload without paying for the rest
 of the block — cloud storage charges per byte read, and ranged GETs are
-how that charge is kept proportional to query selectivity.  Ranged reads
-are seek+read by default; ``enable_mmap()`` (config ``store_mmap``) maps
-blobs instead, which wins when the same block is range-read many times.
+how that charge is kept proportional to query selectivity.
 
 **Auxiliary blobs** (:meth:`put_aux` / :meth:`get_aux`) hold derived
 sidecar data — currently the per-archive prune index.  They live next to
@@ -25,10 +23,8 @@ touch the disk.
 
 from __future__ import annotations
 
-import mmap
 import os
-import threading
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List
 
 from ..common.errors import FormatError
 from ..obs.metrics import get_registry
@@ -60,9 +56,6 @@ class ArchiveStore:
     def __init__(self, root: str):
         self.root = root
         os.makedirs(root, exist_ok=True)
-        self._use_mmap = False
-        self._mmaps: Dict[str, Tuple[object, mmap.mmap]] = {}
-        self._mmap_lock = threading.Lock()
 
     def _path(self, name: str) -> str:
         if os.sep in name or name.startswith("."):
@@ -77,7 +70,6 @@ class ArchiveStore:
     def put(self, name: str, data: bytes) -> None:
         _WRITES.inc()
         _WRITE_BYTES.inc(len(data))
-        self._drop_mmap(name)
         with open(self._path(name), "wb") as fh:
             fh.write(data)
 
@@ -99,13 +91,9 @@ class ArchiveStore:
         if offset < 0 or length < 0:
             raise ValueError(f"invalid range [{offset}, +{length})")
         _RANGE_READS.inc()
-        if self._use_mmap:
-            mapped = self._mmap_of(name)
-            data = bytes(mapped[offset : offset + length])
-        else:
-            with open(self._path(name), "rb") as fh:
-                fh.seek(offset)
-                data = fh.read(length)
+        with open(self._path(name), "rb") as fh:
+            fh.seek(offset)
+            data = fh.read(length)
         if len(data) != length:
             raise FormatError(
                 f"{name}: range [{offset}, +{length}) past end of blob"
@@ -134,7 +122,6 @@ class ArchiveStore:
         )
 
     def delete(self, name: str) -> None:
-        self._drop_mmap(name)
         os.remove(self._path(name))
 
     # ------------------------------------------------------------------
@@ -154,44 +141,6 @@ class ArchiveStore:
     def delete_aux(self, name: str) -> None:
         os.remove(self._aux_path(name))
 
-    # ------------------------------------------------------------------
-    # mmap-backed ranged reads (config.store_mmap)
-    # ------------------------------------------------------------------
-    def enable_mmap(self) -> None:
-        """Serve ranged reads from memory-mapped blobs.
-
-        Maps are created on first ranged access per blob and dropped when
-        the blob is rewritten or deleted.  Whole-blob ``get`` is
-        unaffected.
-        """
-        self._use_mmap = True
-
-    def disable_mmap(self) -> None:
-        self._use_mmap = False
-        with self._mmap_lock:
-            for fh, mapped in self._mmaps.values():
-                mapped.close()
-                fh.close()  # type: ignore[attr-defined]
-            self._mmaps.clear()
-
-    def _mmap_of(self, name: str) -> mmap.mmap:
-        with self._mmap_lock:
-            entry = self._mmaps.get(name)
-            if entry is None:
-                fh = open(self._path(name), "rb")
-                mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-                self._mmaps[name] = (fh, mapped)
-                return mapped
-            return entry[1]
-
-    def _drop_mmap(self, name: str) -> None:
-        with self._mmap_lock:
-            entry = self._mmaps.pop(name, None)
-            if entry is not None:
-                fh, mapped = entry
-                mapped.close()
-                fh.close()  # type: ignore[attr-defined]
-
 
 class MemoryStore(ArchiveStore):
     """Drop-in ArchiveStore that keeps blobs in a dict."""
@@ -200,7 +149,6 @@ class MemoryStore(ArchiveStore):
         self._blobs: Dict[str, bytes] = {}
         self._aux: Dict[str, bytes] = {}
         self.root = "<memory>"
-        self._use_mmap = False
 
     def put(self, name: str, data: bytes) -> None:
         _WRITES.inc()
@@ -252,9 +200,3 @@ class MemoryStore(ArchiveStore):
 
     def delete_aux(self, name: str) -> None:
         del self._aux[name]
-
-    def enable_mmap(self) -> None:  # memory blobs are already "mapped"
-        pass
-
-    def disable_mmap(self) -> None:
-        pass

@@ -4,7 +4,7 @@ A CapsuleBox contains every Capsule of a block plus the metadata needed to
 query and reconstruct it: static patterns (templates), per-group entry line
 ids, runtime patterns and Capsule stamps.
 
-Layout (format v2)::
+Layout::
 
     MAGIC "LGCB" | version u8 (=2) | flags u8 (=0) | header_len u16 (=32)
     | bloom_off u32 | bloom_len u32 | meta_off u32 | meta_len u32
@@ -18,10 +18,8 @@ nothing forces pulling the whole blob.  Sections are contiguous and the
 header is validated strictly (flags, lengths, contiguity, total size), so
 any single-byte header corruption is detected before bytes are trusted.
 
-Format v1 (``version u8 (=1) | bloom_len u32 | meta_len u32 | …``)
-remains fully readable: its 13-byte header pins the same three sections,
-so v1 archives get the ranged-read path too; only the explicit
-payload-length check degrades to "the rest of the blob".
+Version 2 is the only version read or written; any other version byte
+is a :class:`FormatError` naming the version found.
 
 Capsule payloads live *outside* the zlib'd metadata, referenced by
 (offset, length) relative to the payload section.  Deserialized capsules
@@ -60,10 +58,8 @@ from .stamp import CapsuleStamp
 
 MAGIC = b"LGCB"
 VERSION = 2
-#: Versions this reader understands.
-READABLE_VERSIONS = (1, 2)
 
-#: v2 flag bit 0x01: the box references cross-archive shared content —
+#: Flag bit 0x01: the box references cross-archive shared content —
 #: templates are stored as content ids and every capsule record carries a
 #: location byte (0 = inline payload exactly as today, 1 = shared payload
 #: by content id).  Reading such a box requires a
@@ -71,8 +67,7 @@ READABLE_VERSIONS = (1, 2)
 FLAG_SHARED_TEMPLATES = 0x01
 _KNOWN_FLAGS = FLAG_SHARED_TEMPLATES
 
-_V1_HEADER_LEN = 13
-_V2_HEADER_LEN = 32
+_HEADER_LEN = 32
 
 #: Payload extents closer than this are fetched as one ranged read: the
 #: per-read fixed cost (seek / object-store request) dwarfs a few hundred
@@ -84,7 +79,6 @@ PREFETCH_GAP = 256
 class BoxTOC:
     """Parsed header: the byte extent of every section of a box."""
 
-    version: int
     bloom_off: int
     bloom_len: int
     meta_off: int
@@ -104,34 +98,21 @@ class BoxTOC:
         size = source.size()
         if size < 5:
             raise FormatError("truncated CapsuleBox header")
-        head = source.read(0, min(_V1_HEADER_LEN, size))
+        head = source.read(0, min(_HEADER_LEN, size))
         if head[:4] != MAGIC:
             raise FormatError("not a CapsuleBox: bad magic")
-        version = head[4]
-        if version not in READABLE_VERSIONS:
-            raise FormatError(f"unsupported CapsuleBox version {version}")
-        if version == 1:
-            if size < _V1_HEADER_LEN:
-                raise FormatError("truncated CapsuleBox header")
-            bloom_len = int.from_bytes(head[5:9], "little")
-            meta_len = int.from_bytes(head[9:13], "little")
-            bloom_off = _V1_HEADER_LEN
-            meta_off = bloom_off + bloom_len
-            payload_off = meta_off + meta_len
-            if payload_off > size:
-                raise FormatError("truncated CapsuleBox metadata")
-            return cls(
-                1, bloom_off, bloom_len, meta_off, meta_len,
-                payload_off, size - payload_off,
+        if head[4] != VERSION:
+            raise FormatError(
+                f"unsupported CapsuleBox version {head[4]} "
+                f"(only version {VERSION} is supported)"
             )
-        if size < _V2_HEADER_LEN:
+        if size < _HEADER_LEN:
             raise FormatError("truncated CapsuleBox header")
-        head += source.read(_V1_HEADER_LEN, _V2_HEADER_LEN - _V1_HEADER_LEN)
         flags = head[5]
         header_len = int.from_bytes(head[6:8], "little")
         if flags & ~_KNOWN_FLAGS:
             raise FormatError(f"unknown CapsuleBox flags 0x{flags:02x}")
-        if header_len != _V2_HEADER_LEN:
+        if header_len != _HEADER_LEN:
             raise FormatError(f"bad CapsuleBox header length {header_len}")
         bloom_off = int.from_bytes(head[8:12], "little")
         bloom_len = int.from_bytes(head[12:16], "little")
@@ -151,7 +132,7 @@ class BoxTOC:
         if payload_off + payload_len != size:
             raise FormatError("CapsuleBox TOC: payload extent does not match blob size")
         return cls(
-            2, bloom_off, bloom_len, meta_off, meta_len, payload_off,
+            bloom_off, bloom_len, meta_off, meta_len, payload_off,
             payload_len, flags,
         )
 
@@ -190,8 +171,8 @@ class CapsuleBox:
     # ------------------------------------------------------------------
     # serialization
     # ------------------------------------------------------------------
-    def serialize(self, version: int = VERSION, shared=None) -> bytes:
-        """Serialize to *version* (2 by default; 1 for back-compat tests).
+    def serialize(self, shared=None) -> bytes:
+        """Serialize the box.
 
         With *shared* (a
         :class:`~repro.blockstore.shared.SharedTemplateStore`) the box is
@@ -200,10 +181,6 @@ class CapsuleBox:
         store — stored once globally, referenced here by id.  Without it
         the output is byte-identical to earlier versions.
         """
-        if version not in READABLE_VERSIONS:
-            raise FormatError(f"cannot serialize CapsuleBox version {version}")
-        if shared is not None and version != 2:
-            raise FormatError("shared-template boxes require format v2")
         # The Bloom filter sits uncompressed before the metadata section so
         # the bloom-only read path can prune a block without touching zlib.
         bloom_writer = BinaryWriter()
@@ -232,18 +209,11 @@ class CapsuleBox:
 
         meta = zlib.compress(writer.getvalue(), 6)
         payload = b"".join(blobs)
-        if version == 1:
-            head = BinaryWriter()
-            head.write_u32(len(bloom_bytes))
-            head.write_u32(len(meta))
-            return (
-                MAGIC + bytes([1]) + head.getvalue() + bloom_bytes + meta + payload
-            )
-        bloom_off = _V2_HEADER_LEN
+        bloom_off = _HEADER_LEN
         meta_off = bloom_off + len(bloom_bytes)
         payload_off = meta_off + len(meta)
         toc = (
-            _V2_HEADER_LEN.to_bytes(2, "little")
+            _HEADER_LEN.to_bytes(2, "little")
             + bloom_off.to_bytes(4, "little")
             + len(bloom_bytes).to_bytes(4, "little")
             + meta_off.to_bytes(4, "little")
@@ -252,7 +222,7 @@ class CapsuleBox:
             + len(payload).to_bytes(4, "little")
         )
         flags = FLAG_SHARED_TEMPLATES if shared is not None else 0
-        return MAGIC + bytes([2, flags]) + toc + bloom_bytes + meta + payload
+        return MAGIC + bytes([VERSION, flags]) + toc + bloom_bytes + meta + payload
 
     @classmethod
     def read_toc(cls, source: BlobSource) -> BoxTOC:
@@ -260,16 +230,11 @@ class CapsuleBox:
         return BoxTOC.read(source)
 
     @classmethod
-    def read_bloom(cls, data: bytes) -> Optional[BloomFilter]:
-        """Read only the block-level Bloom filter from a full blob."""
-        return cls.open_bloom(BytesBlobSource(data, "<box>"))
-
-    @classmethod
     def open_bloom(cls, source: BlobSource) -> Optional[BloomFilter]:
         """Read only the Bloom filter, via ranged reads (cheap pruning).
 
         Costs the header plus the bloom section — never the metadata or
-        any payload — on both v1 and v2 blobs.
+        any payload.
         """
         toc = BoxTOC.read(source)
         reader = BinaryReader(source.read(toc.bloom_off, toc.bloom_len))
@@ -279,7 +244,7 @@ class CapsuleBox:
 
     @classmethod
     def deserialize(cls, data: bytes, templates=None) -> "CapsuleBox":
-        """Load a box from a fully-fetched blob (v1 or v2)."""
+        """Load a box from a fully-fetched blob."""
         return cls.open(BytesBlobSource(data, "<box>"), templates)
 
     @classmethod

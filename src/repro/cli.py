@@ -100,20 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="query blocks on an N-thread pool (default: 1, serial)",
     )
     grep.add_argument(
-        "--scan-kernel", choices=("bytes", "python"), default=None,
-        help="capsule matching kernel: direct byte-level scanning (default) "
-        "or the original per-position python path",
-    )
-    grep.add_argument(
-        "--eager-io", action="store_true",
-        help="read whole block blobs instead of lazy ranged reads "
-        "(the differential oracle; equivalent to LOGGREP_LAZY_IO=0)",
-    )
-    grep.add_argument(
-        "--mmap", action="store_true",
-        help="serve ranged reads from memory-mapped blobs",
-    )
-    grep.add_argument(
         "--from", dest="from_time", metavar="TIME",
         help='start of the time window ("2024-01-01 00:00:00" or epoch '
         "seconds); blocks wholly before it are pruned without any read",
@@ -410,13 +396,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "grep":
-        overrides = {"query_parallelism": args.parallelism}
-        if args.scan_kernel is not None:
-            overrides["scan_kernel"] = args.scan_kernel
-        if args.eager_io:
-            overrides["lazy_io"] = False
-        if args.mmap:
-            overrides["store_mmap"] = True
         from .common.errors import BudgetExceeded
 
         if (args.query is None) == (args.batch_file is None):
@@ -425,7 +404,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 file=sys.stderr,
             )
             return 2
-        lg = _open(args.archive, templates=args.templates, **overrides)
+        lg = _open(
+            args.archive,
+            templates=args.templates,
+            query_parallelism=args.parallelism,
+        )
         tracing_wanted = args.trace or args.trace_out is not None
         from_time, to_time = _parse_window(args)
         if args.batch_file is not None:

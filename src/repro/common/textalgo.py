@@ -1,108 +1,9 @@
-"""Text-search algorithms used by the fixed-length matcher (paper §5.2).
-
-The paper's point is architectural: padding every value of a Capsule to a
-fixed width lets the matcher use Boyer–Moore (which skips characters and
-therefore cannot count skipped delimiters) because the hit row is simply
-``position // width``.  The variable-length ablation (``w/o fixed``) must
-fall back to KMP over delimiter-separated data and count delimiters.
-
-Three engines are provided:
-
-* ``"boyer-moore"`` — bad-character-rule Boyer–Moore (the paper's choice);
-* ``"kmp"`` — Knuth–Morris–Pratt (the ablation's choice);
-* ``"native"`` — CPython's ``str.find`` (crochemore-perrin), for users who
-  want raw speed rather than fidelity.
-
-All engines yield *every* (possibly overlapping) occurrence position.
-"""
+"""String helpers of the tree-expanding extractor (paper §4.1)."""
 
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Optional, Tuple
-
-ENGINES = ("boyer-moore", "kmp", "native")
-
-
-def find_all(haystack: str, needle: str, engine: str = "native") -> Iterator[int]:
-    """Yield every start position of *needle* in *haystack* (overlapping)."""
-    if engine == "boyer-moore":
-        return boyer_moore_all(haystack, needle)
-    if engine == "kmp":
-        return kmp_all(haystack, needle)
-    if engine == "native":
-        return native_all(haystack, needle)
-    raise ValueError(f"unknown search engine {engine!r}; pick one of {ENGINES}")
-
-
-def native_all(haystack: str, needle: str) -> Iterator[int]:
-    if not needle:
-        return
-    pos = haystack.find(needle)
-    while pos != -1:
-        yield pos
-        pos = haystack.find(needle, pos + 1)
-
-
-def boyer_moore_all(haystack: str, needle: str) -> Iterator[int]:
-    """Boyer–Moore with the bad-character rule.
-
-    The bad-character rule alone already gives the sub-linear skipping
-    behaviour the paper relies on; the good-suffix rule is omitted because it
-    never changes which positions are reported.
-    """
-    m = len(needle)
-    n = len(haystack)
-    if m == 0 or m > n:
-        return
-    # Last occurrence of each character in the needle.
-    last = {}
-    for i, ch in enumerate(needle):
-        last[ch] = i
-    last_get = last.get
-    pos = 0
-    limit = n - m
-    while pos <= limit:
-        j = m - 1
-        while j >= 0 and needle[j] == haystack[pos + j]:
-            j -= 1
-        if j < 0:
-            yield pos
-            pos += 1
-        else:
-            skip = j - last_get(haystack[pos + j], -1)
-            pos += skip if skip > 0 else 1
-
-
-def kmp_failure(needle: str) -> List[int]:
-    """The classic KMP failure function (length of longest proper
-    prefix-suffix for every prefix of *needle*)."""
-    fail = [0] * len(needle)
-    k = 0
-    for i in range(1, len(needle)):
-        while k and needle[i] != needle[k]:
-            k = fail[k - 1]
-        if needle[i] == needle[k]:
-            k += 1
-        fail[i] = k
-    return fail
-
-
-def kmp_all(haystack: str, needle: str) -> Iterator[int]:
-    """Knuth–Morris–Pratt; visits every haystack character exactly once."""
-    m = len(needle)
-    if m == 0 or m > len(haystack):
-        return
-    fail = kmp_failure(needle)
-    k = 0
-    for i, ch in enumerate(haystack):
-        while k and ch != needle[k]:
-            k = fail[k - 1]
-        if ch == needle[k]:
-            k += 1
-        if k == m:
-            yield i - m + 1
-            k = fail[k - 1]
+from typing import Optional, Tuple
 
 
 def longest_common_substring(a: str, b: str) -> str:

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..capsule.assembler import EncodingOptions
-from ..query.matcher import SCAN_KERNELS
 from ..query.vectors import QuerySettings
 
 
@@ -18,16 +17,6 @@ def _default_compress_parallelism() -> int:
 
 def _default_compress_executor() -> str:
     return os.environ.get("LOGGREP_COMPRESS_EXECUTOR", "thread")
-
-
-def _default_scan_kernel() -> str:
-    """CI runs the suite once with the legacy kernel via this variable."""
-    return os.environ.get("LOGGREP_SCAN_KERNEL", "bytes")
-
-
-def _default_lazy_io() -> bool:
-    """CI runs the suite once with eager whole-blob I/O via this variable."""
-    return os.environ.get("LOGGREP_LAZY_IO", "1") != "0"
 
 
 def _default_slow_query_ms() -> Optional[float]:
@@ -111,30 +100,12 @@ class LogGrepConfig:
     cheap_stamps: bool = False
 
     # -- archive I/O -------------------------------------------------------
-    # Lazy I/O: load boxes through ranged reads (header + bloom + metadata)
-    # and fetch capsule payloads on first access, so bytes read track query
-    # selectivity.  Off (env LOGGREP_LAZY_IO=0) restores whole-blob reads —
-    # the differential oracle CI runs the suite against.
-    lazy_io: bool = field(default_factory=_default_lazy_io)
     # Persistent prune index: maintain/load the per-archive sidecar of
     # bloom bits + stamp summaries so block-level pruning needs zero store
     # reads.  Purely derived data; disabling only disables the fast path.
     use_prune_index: bool = True
-    # Serve ranged reads from memory-mapped blobs (repeated range reads of
-    # hot blocks on local disks).
-    store_mmap: bool = False
 
     # -- query-side --------------------------------------------------------
-    # The paper's fixed-length matcher is Boyer-Moore (§5.2); it is the
-    # default so scan cost stays proportional to bytes scanned, which is
-    # what makes the filtering techniques measurable.  "native" swaps in
-    # CPython's C substring search for raw speed.
-    engine: str = "boyer-moore"
-    # Scan kernel for fixed-length matching: "bytes" matches fragments
-    # directly on Capsule payload buffers (find hops + alignment
-    # arithmetic, §5.2); "python" is the original per-position path over
-    # the pluggable engines, kept as the differential-testing oracle.
-    scan_kernel: str = field(default_factory=_default_scan_kernel)
     # Bound on Query Cache entries: per-(generation, block, search string)
     # row sets plus one shape entry per block; see repro/query/cache.py.
     cache_capacity: int = 4096
@@ -178,22 +149,7 @@ class LogGrepConfig:
         )
 
     def query_settings(self) -> QuerySettings:
-        # The paper pairs padding with Boyer-Moore and the w/o-fixed
-        # ablation with KMP; when padding is disabled and the engine was
-        # left at the paper's default, fall back the same way.
-        engine = self.engine
-        if not self.use_padding and engine == "boyer-moore":
-            engine = "kmp"
-        if self.scan_kernel not in SCAN_KERNELS:
-            raise ValueError(
-                f"unknown scan kernel {self.scan_kernel!r}; "
-                f"pick one of {SCAN_KERNELS}"
-            )
-        return QuerySettings(
-            use_stamps=self.use_stamps,
-            engine=engine,
-            scan_kernel=self.scan_kernel,
-        )
+        return QuerySettings(use_stamps=self.use_stamps)
 
 
 def ablated(name: str, base: LogGrepConfig = None) -> LogGrepConfig:
@@ -216,7 +172,7 @@ def sp_config(base: LogGrepConfig = None) -> LogGrepConfig:
     """LogGrep-SP (§2.2): static patterns only, no runtime structurization.
 
     The first attempt stored whole variable vectors with vector-level
-    summaries and no padding, scanned with KMP.
+    summaries and no padding.
     """
     base = base or LogGrepConfig()
     return replace(

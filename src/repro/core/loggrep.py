@@ -215,8 +215,6 @@ class LogGrep(AggregateShortcuts):
         # The decoded-value cache is process-wide (entries die with their
         # Capsules); the most recent instance re-bounds it.
         get_value_cache().set_capacity(self.config.value_cache_values)
-        if self.config.store_mmap and hasattr(self.store, "enable_mmap"):
-            self.store.enable_mmap()
         # One resolver per archive: the shared store (when given) plus the
         # archive's own fallback bank, with a cross-box memo cache.
         self._resolver = as_resolver(self.templates, self.store)
@@ -506,7 +504,7 @@ class LogGrep(AggregateShortcuts):
         Public so the analytics facade, the CLI and tests can route box
         loading and multi-plan runs (whose second return value is the
         run's :class:`~repro.query.executor.BatchReport`) through the
-        shared BoxCache/lazy-I/O path instead of touching the store
+        shared BoxCache/ranged-read path instead of touching the store
         directly.
         """
         return self._executor
@@ -535,7 +533,7 @@ class LogGrep(AggregateShortcuts):
         """Logical-clock extent of the archive (max line id + 1).
 
         Answered from the prune-index summaries when loaded — zero store
-        reads — falling back to box metadata (header-only under lazy I/O).
+        reads — falling back to box metadata (a header-only ranged read).
         """
         hint = getattr(self._executor.source, "total_lines_hint", None)
         if hint is not None:

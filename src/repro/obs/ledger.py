@@ -46,13 +46,6 @@ def charge_read(nbytes: int, reads: int = 1) -> None:
         entry[0].charge_read(entry[1], nbytes, reads)
 
 
-def charge_blob_read(nbytes: int) -> None:
-    """A whole-blob store read (eager I/O / ranged-read fallback)."""
-    entry = getattr(_local, "entry", None)
-    if entry is not None:
-        entry[0].charge_blob_read(entry[1], nbytes)
-
-
 def charge_capsule_fetch(nbytes: int) -> None:
     """A capsule payload materialized (lazy fetch or batched prefetch)."""
     entry = getattr(_local, "entry", None)

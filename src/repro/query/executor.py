@@ -17,8 +17,8 @@ one.  Per block the pipeline is::
   sharing a term decide it once.
 * **LoadBox** — one open per block for every surviving plan, or a
   pinned box from the bounded :class:`BoxCache` (refining sessions).
-  Under lazy I/O (``config.lazy_io``, the default) opening fetches only
-  the header, Bloom and metadata sections; capsule payloads are
+  Opening fetches only the header, Bloom and metadata sections through
+  ranged reads; capsule payloads are
   ranged-read on first access, and Reconstruct batch-prefetches the hit
   groups' payloads with coalesced reads.  One :class:`BlockEngine` per
   block shares its vector readers across plans, so a capsule
@@ -64,7 +64,6 @@ from ..blockstore.blobsource import BlobSource, StoreBlobSource
 from ..blockstore.index import ArchiveIndex, BlockSummary, load_index
 from ..capsule.box import CapsuleBox
 from ..common.errors import BudgetExceeded
-from ..obs import ledger as ledger_channel
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .aggregate import AggregatePartial, AggregateSpec, make_partial
@@ -172,13 +171,11 @@ class BoxCache:
 class StoreBoxSource:
     """Adapts an archive store (+ optional pin cache) to the executor.
 
-    The executor needs four things from storage: the block names, the raw
-    serialized bytes of one block, a possibly-pinned deserialized box,
-    and — for the lazy-I/O path — a :class:`BlobSource` over one block
-    plus the block's prune-index summary.  Anything that provides those —
-    a local store, a cluster node's replica store — can sit behind the
-    same pipeline; stores without ranged reads simply fall back to
-    whole-blob loading.
+    The executor needs four things from storage: the block names, a
+    possibly-pinned deserialized box, a :class:`BlobSource` of ranged
+    reads over one block, and the block's prune-index summary.  Anything
+    that provides those — a local store, a cluster node's replica store —
+    can sit behind the same pipeline.
     """
 
     def __init__(
@@ -194,22 +191,12 @@ class StoreBoxSource:
         #: Resolver for shared-format (flag 0x01) boxes; None for archives
         #: that are fully inline.
         self.templates = templates
-        self._ranged = hasattr(store, "get_range") and hasattr(store, "size")
 
     def names(self) -> List[str]:
         return self.store.names()  # type: ignore[attr-defined]
 
-    def raw(self, name: str) -> bytes:
-        data: bytes = self.store.get(name)  # type: ignore[attr-defined]
-        # The eager-I/O counterpart of StoreBlobSource.read's charge: every
-        # whole-blob load bills the open operator (and the read budget).
-        ledger_channel.charge_blob_read(len(data))
-        return data
-
-    def blob(self, name: str) -> Optional[BlobSource]:
-        """Ranged access to one block, when the store supports it."""
-        if not self._ranged:
-            return None
+    def blob(self, name: str) -> BlobSource:
+        """Ranged access to one block."""
         return StoreBlobSource(self.store, name)
 
     def summary(self, name: str) -> Optional[BlockSummary]:
@@ -650,10 +637,9 @@ class QueryExecutor:
             if getattr(self.config, "use_query_cache", False)
             else None
         )
-        data: Optional[bytes] = None
         live = list(range(len(plans)))
         if box is None:
-            live, data = self._prune(name, plans, outcomes, shared, settings)
+            live = self._prune(name, plans, outcomes, shared, settings)
             if not live:
                 return done
 
@@ -734,10 +720,8 @@ class QueryExecutor:
         # -- LoadBox: one open for every plan that needs it
         if box is None:
             with tracer.span("load_box") as lspan, shared.operator("load_box"):
-                box = self._open_box(name, data)
-                source = box._source
-                if isinstance(source, StoreBlobSource):
-                    lspan.set("bytes", source.bytes_read)
+                box = self._open_box(name)
+                lspan.set("bytes", box._source.bytes_read)
             done.loaded = True
             if cache is not None:
                 cache.put_shape(
@@ -780,12 +764,10 @@ class QueryExecutor:
         outcomes: List[BlockOutcome],
         shared: QueryLedger,
         settings: object,
-    ) -> Tuple[List[int], Optional[bytes]]:
+    ) -> List[int]:
         """TimePrune + BloomPrune of one uncached block for every plan.
 
-        Returns the indices of the surviving plans, and the whole blob
-        iff a store without ranged reads had to be read in full to reach
-        its Bloom section (LoadBox reuses it).
+        Returns the indices of the surviving plans.
         """
         tracer = get_tracer()
         use_bloom = bool(getattr(self.config, "use_block_bloom", False))
@@ -798,7 +780,6 @@ class QueryExecutor:
         # One verdict per distinct term, reused by every plan.
         memo: Dict[str, bool] = {}
         bloom: Optional[object] = None
-        data: Optional[bytes] = None
         bloom_read = False
         live: List[int] = []
         for i, plan in enumerate(plans):
@@ -839,7 +820,7 @@ class QueryExecutor:
                     else:
                         via = "block-level Bloom filter"
                         if not bloom_read:
-                            bloom, data = self._read_bloom(name)
+                            bloom = CapsuleBox.open_bloom(self.source.blob(name))
                             bloom_read = True
                         pruned = bloom is not None and not command_might_match(
                             bloom, plan.command, memo  # type: ignore[arg-type]
@@ -854,7 +835,7 @@ class QueryExecutor:
                         )
                     continue
             live.append(i)
-        return live, data
+        return live
 
     def _finish(
         self,
@@ -1079,34 +1060,12 @@ class QueryExecutor:
     # ------------------------------------------------------------------
     # box loading (shared by the pipeline, pinning and decompress_all)
     # ------------------------------------------------------------------
-    def _read_bloom(
-        self, name: str
-    ) -> Tuple[Optional[object], Optional[bytes]]:
-        """The block's Bloom filter, via a ranged TOC read when possible.
-
-        Returns ``(bloom, data)`` where *data* is the full blob iff the
-        store forced a whole-blob fallback (reused by LoadBox).
-        """
-        blob = self.source.blob(name)
-        if blob is not None:
-            return CapsuleBox.open_bloom(blob), None
-        data = self.source.raw(name)
-        return CapsuleBox.read_bloom(data), data
-
-    def _open_box(self, name: str, data: Optional[bytes] = None) -> CapsuleBox:
-        """Open one box: lazily through ranged reads when configured and
-        supported, else from the whole blob."""
-        templates = getattr(self.source, "templates", None)
-        if data is not None:
-            return CapsuleBox.deserialize(data, templates=templates)
-        blob = (
-            self.source.blob(name)
-            if getattr(self.config, "lazy_io", True)
-            else None
+    def _open_box(self, name: str) -> CapsuleBox:
+        """Open one box through ranged reads (payloads stay on the store)."""
+        return CapsuleBox.open(
+            self.source.blob(name),
+            templates=getattr(self.source, "templates", None),
         )
-        if blob is not None:
-            return CapsuleBox.open(blob, templates=templates)
-        return CapsuleBox.deserialize(self.source.raw(name), templates=templates)
 
     def load_box(self, name: str, pin: bool = False) -> CapsuleBox:
         """Load (or reuse) one block's box outside a query.
@@ -1152,7 +1111,6 @@ class QueryExecutor:
         scheduler = (
             f"thread-pool({parallelism})" if parallelism > 1 else "serial"
         )
-        io = "lazy (ranged reads)" if getattr(self.config, "lazy_io", True) else "eager (whole blobs)"
         index = (
             f"loaded ({len(self.source.index)} block(s))"
             if self.source.index is not None
@@ -1163,7 +1121,7 @@ class QueryExecutor:
             f"physical plan for {plan.raw!r} (mode={plan.mode.value})",
             f"  pipeline: BloomPrune({bloom}) -> LoadBox -> Locate -> "
             f"Match(query_cache={cache}) -> {tail}",
-            f"  io: {io}; prune index: {index}",
+            f"  io: lazy (ranged reads); prune index: {index}",
             f"  scheduler: {scheduler} over {len(self.source.names())} block(s)",
         ]
         for i, disjunct in enumerate(plan.disjuncts):

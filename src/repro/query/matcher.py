@@ -8,23 +8,14 @@ For the fixed layout, every value occupies ``width`` bytes, so:
 * matches never silently cross value boundaries, because values cannot
   contain the NUL pad byte (bounds are still checked explicitly).
 
-Two scan kernels implement these rules, selected by
-``QuerySettings.scan_kernel`` (config ``scan_kernel``, env
-``LOGGREP_SCAN_KERNEL``):
-
-* ``"bytes"`` (default) — the kernels of :mod:`repro.capsule.scan`:
-  ``bytes.find`` hops over the padded payload with stride-aligned resume
-  points, memoryview slice comparison, zero per-row decoding.
-* ``"python"`` — the original per-position path over the pluggable search
-  engines of :mod:`repro.common.textalgo` (Boyer–Moore, the paper's
-  choice; KMP for the ``w/o fixed`` ablation; CPython ``find``).  Kept
-  selectable for fidelity experiments and as the differential-testing
-  oracle for the bytes kernels.
+:func:`search_capsule` dispatches on the Capsule's layout to the byte
+kernels of :mod:`repro.capsule.scan`: ``bytes.find`` hops over the padded
+payload with stride-aligned resume points, memoryview slice comparison,
+zero per-row decoding.
 
 Every scan is instrumented: ``loggrep_scan_rows_total`` counts rows
-covered, ``loggrep_scan_kernel_seconds`` records per-Capsule latency
-(both labelled by kernel), and a ``scan`` span nests under the Match
-operator when tracing is on.
+covered, ``loggrep_scan_kernel_seconds`` records per-Capsule latency, and
+a ``scan`` span nests under the Match operator when tracing is on.
 
 For the variable layout (the ``w/o fixed`` ablation and LogGrep-SP),
 values are NUL-separated and rows must be recovered by counting
@@ -35,28 +26,22 @@ padding exists to remove.
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..capsule import scan
-from ..capsule.capsule import LAYOUT_FIXED, PAD, Capsule
+from ..capsule.capsule import LAYOUT_FIXED, Capsule
 from ..common.rowset import RowSet
-from ..common.textalgo import find_all
-from ..obs import ledger as ledger_channel
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
-from .modes import MatchMode, value_matches
-
-#: Selectable scan kernels.
-SCAN_KERNELS = ("bytes", "python")
+from .modes import MatchMode
 
 _SCAN_ROWS = get_registry().counter(
     "loggrep_scan_rows_total",
-    "Capsule rows covered by scan kernels, by kernel",
+    "Capsule rows covered by scan kernels",
 )
 _SCAN_SECONDS = get_registry().histogram(
     "loggrep_scan_kernel_seconds",
-    "Per-Capsule scan kernel latency, by kernel",
+    "Per-Capsule scan kernel latency",
 )
 
 
@@ -64,65 +49,20 @@ def search_capsule(
     capsule: Capsule,
     fragment: str,
     mode: MatchMode,
-    engine: str = "native",
     rows_hint: Optional[Sequence[int]] = None,
-    kernel: str = "python",
 ) -> RowSet:
     """Rows of *capsule* whose value matches *fragment* under *mode*.
 
     ``rows_hint`` (§5.2's direct checking) restricts the test to candidate
     rows found in another Capsule — only possible with the fixed layout.
-    ``kernel`` selects the bytes kernels or the original python path.
     """
-    if kernel not in SCAN_KERNELS:
-        raise ValueError(
-            f"unknown scan kernel {kernel!r}; pick one of {SCAN_KERNELS}"
-        )
-    covered = len(rows_hint) if rows_hint is not None else capsule.count
-    start = time.perf_counter()
-    with get_tracer().span(
-        "scan", kernel=kernel, mode=mode.value, rows=covered
-    ):
-        if kernel == "bytes":
-            result = _search_bytes(capsule, fragment, mode, rows_hint)
-        elif capsule.layout == LAYOUT_FIXED:
-            result = _search_fixed(capsule, fragment, mode, engine, rows_hint)
-        else:
-            result = _search_variable(capsule, fragment, mode, engine)
-    _SCAN_ROWS.inc(covered, kernel=kernel)
-    _SCAN_SECONDS.observe(time.perf_counter() - start, kernel=kernel)
-    if kernel != "bytes":
-        # The python path never enters capsule.scan, so its coverage is
-        # charged here; the bytes kernels charge inside scan_region.
-        ledger_channel.charge_rows_scanned(covered)
-    return result
-
-
-def _search_bytes(
-    capsule: Capsule,
-    fragment: str,
-    mode: MatchMode,
-    rows_hint: Optional[Sequence[int]],
-) -> RowSet:
-    """Dispatch to the byte-level kernels of :mod:`repro.capsule.scan`."""
     n = capsule.count
-    if n == 0:
-        return RowSet.empty(n)
-    needle = fragment.encode("utf-8")
-    plain = capsule.plain()
-    if capsule.layout == LAYOUT_FIXED:
-        if rows_hint is not None:
-            rows = scan.check_rows_fixed(
-                plain, capsule.width, rows_hint, needle, mode.value
-            )
-        else:
-            rows = scan.scan_fixed(
-                plain, capsule.width, n, needle, mode.value
-            )
-    else:
-        rows = scan.scan_variable(
-            plain, capsule._variable_offsets(), n, needle, mode.value
-        )
+    covered = len(rows_hint) if rows_hint is not None else n
+    start = time.perf_counter()
+    with get_tracer().span("scan", mode=mode.value, rows=covered):
+        rows = _scan(capsule, fragment.encode("utf-8"), mode.value, rows_hint)
+    _SCAN_ROWS.inc(covered)
+    _SCAN_SECONDS.observe(time.perf_counter() - start)
     # Kernel rows are already in-universe; build the bitmap without the
     # per-row bounds check of RowSet.add.
     bits = 0
@@ -131,125 +71,21 @@ def _search_bytes(
     return RowSet(n, bits)
 
 
-def _search_fixed(
+def _scan(
     capsule: Capsule,
-    fragment: str,
-    mode: MatchMode,
-    engine: str,
+    needle: bytes,
+    mode: str,
     rows_hint: Optional[Sequence[int]],
-) -> RowSet:
+) -> Sequence[int]:
+    """Dispatch on layout to the kernels of :mod:`repro.capsule.scan`."""
     n = capsule.count
-    width = capsule.width
-    result = RowSet.empty(n)
     if n == 0:
-        return result
-    frag = fragment.encode("utf-8")
-    flen = len(frag)
-
-    if width == 0:
-        # Every value is the empty string: only the empty fragment matches.
-        return RowSet.full(n) if flen == 0 else result
-    if flen > width:
-        return result
-
-    buf = capsule.plain()
-
-    if flen == 0:
-        if mode is not MatchMode.EXACT:
-            return RowSet.full(n)  # "" is a prefix/suffix/substring of all
-        for row in range(n):
-            if buf[row * width] == 0:  # value is entirely padding
-                result.add(row)
-        return result
-
+        return ()
+    plain = capsule.plain()
+    if capsule.layout != LAYOUT_FIXED:
+        return scan.scan_variable(
+            plain, capsule._variable_offsets(), n, needle, mode
+        )
     if rows_hint is not None:
-        # Direct checking of candidate rows (no scan).
-        for row in rows_hint:
-            start = row * width
-            value = buf[start : start + width]
-            if _slot_matches(value, frag, mode):
-                result.add(row)
-        return result
-
-    if mode is MatchMode.EXACT:
-        target = frag.ljust(width, PAD)
-        for pos in find_all(buf, target, engine):
-            if pos % width == 0:
-                result.add(pos // width)
-        return result
-
-    if mode is MatchMode.PREFIX:
-        for pos in find_all(buf, frag, engine):
-            if pos % width == 0:
-                result.add(pos // width)
-        return result
-
-    if mode is MatchMode.SUFFIX:
-        for pos in find_all(buf, frag, engine):
-            row = pos // width
-            end = pos + flen
-            if end > (row + 1) * width:
-                continue  # crosses a row boundary
-            if end == (row + 1) * width or buf[end] == 0:
-                result.add(row)
-        return result
-
-    # SUBSTRING: fragment contains no NUL, so a match that fits inside a
-    # row's slot lies entirely within the real (unpadded) value.
-    for pos in find_all(buf, frag, engine):
-        row = pos // width
-        if pos + flen <= (row + 1) * width:
-            result.add(row)
-    return result
-
-
-def _slot_matches(slot: bytes, frag: bytes, mode: MatchMode) -> bool:
-    value = slot.rstrip(PAD)
-    if mode is MatchMode.EXACT:
-        return value == frag
-    if mode is MatchMode.PREFIX:
-        return value.startswith(frag)
-    if mode is MatchMode.SUFFIX:
-        return value.endswith(frag)
-    return frag in value
-
-
-def _search_variable(
-    capsule: Capsule, fragment: str, mode: MatchMode, engine: str
-) -> RowSet:
-    """Variable-length layout: scan, then recover rows from separators."""
-    n = capsule.count
-    result = RowSet.empty(n)
-    if n == 0:
-        return result
-    buf = capsule.plain()
-    frag = fragment.encode("utf-8")
-
-    # Value boundaries: this offsets scan is the per-query cost that the
-    # paper's fixed-length padding eliminates.
-    offsets: List[int] = [0]
-    pos = buf.find(PAD)
-    while pos != -1:
-        offsets.append(pos + 1)
-        pos = buf.find(PAD, pos + 1)
-
-    if len(frag) == 0 and mode is not MatchMode.EXACT:
-        return RowSet.full(n)
-
-    if mode is MatchMode.SUBSTRING:
-        flen = len(frag)
-        for pos in find_all(buf, frag, engine):
-            row = bisect_right(offsets, pos) - 1
-            end = offsets[row + 1] - 1 if row + 1 < len(offsets) else len(buf)
-            if pos + flen <= end:
-                result.add(row)
-        return result
-
-    text_frag = fragment
-    for row in range(n):
-        start = offsets[row]
-        end = offsets[row + 1] - 1 if row + 1 < len(offsets) else len(buf)
-        value = buf[start:end].decode("utf-8")
-        if value_matches(value, text_frag, mode):
-            result.add(row)
-    return result
+        return scan.check_rows_fixed(plain, capsule.width, rows_hint, needle, mode)
+    return scan.scan_fixed(plain, capsule.width, n, needle, mode)

@@ -21,9 +21,9 @@ I/O no capsule payload is fetched — and is memoized per CapsuleBox
 (:func:`schema_of`) since the Aggregate operator re-discovers on every
 query while boxes live in the BoxCache.
 
-This module moved here from ``repro.analytics.schema`` so the executor's
-Aggregate operator can use it without importing ``analytics`` (which
-imports the LogGrep facade — a cycle); the old path re-exports it.
+This module lives in the query layer so the executor's Aggregate operator
+can use it without importing ``analytics`` (which imports the LogGrep
+facade — a cycle).
 """
 
 from __future__ import annotations

@@ -123,7 +123,7 @@ class OperatorStats:
     calls: int = 0
     seconds: float = 0.0
     range_reads: int = 0  # ranged store reads issued while this op was open
-    read_bytes: int = 0  # bytes off the store (ranged + whole-blob)
+    read_bytes: int = 0  # bytes off the store (ranged reads)
     capsules_fetched: int = 0  # payloads materialized (lazy or prefetch)
     capsules_decompressed: int = 0
     bytes_decompressed: int = 0
@@ -309,11 +309,6 @@ class QueryLedger:
     # ------------------------------------------------------------------
     def charge_read(self, op: OperatorStats, nbytes: int, reads: int = 1) -> None:
         op.range_reads += reads
-        op.read_bytes += nbytes
-        if self.budget is not None:
-            self.budget.charge_read(nbytes)
-
-    def charge_blob_read(self, op: OperatorStats, nbytes: int) -> None:
         op.read_bytes += nbytes
         if self.budget is not None:
             self.budget.charge_read(nbytes)

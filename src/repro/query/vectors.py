@@ -9,11 +9,11 @@ A reader answers two questions about one variable vector of one group:
 Readers translate between *capsule row space* (rows stored in a Capsule,
 excluding outliers) and *group row space* (entry rows of the group).
 
-Candidate filtering runs on payload **bytes** (``settings.scan_kernel ==
-"bytes"``, the default): the scan kernels of :mod:`repro.capsule.scan`
-match fragments directly against the padded buffers, dictionary regions
-are scanned in place with the §5.2 Σ count·width jump, and index Capsules
-are compared slot-by-slot as raw byte cells.  Only rows that survive
+Candidate filtering runs on payload **bytes**: the scan kernels of
+:mod:`repro.capsule.scan` match fragments directly against the padded
+buffers, dictionary regions are scanned in place with the §5.2
+Σ count·width jump, and index Capsules are compared slot-by-slot as raw
+byte cells.  Only rows that survive
 matching are ever decoded, and those decoded columns are retained in the
 bounded :class:`~repro.query.cache.CapsuleValueCache` so wildcard
 verification, reconstruction and dictionary reads never re-decode the
@@ -36,7 +36,6 @@ from ..capsule.assembler import (
 from ..capsule.capsule import LAYOUT_FIXED, LAYOUT_REGION, Capsule
 from ..capsule.stamp import CapsuleStamp
 from ..common.rowset import RowSet
-from ..common.textalgo import find_all
 from ..runtime.pattern import Const, RuntimePattern
 from .cache import get_value_cache
 from .locator import TOO_COMPLEX, locate
@@ -52,10 +51,6 @@ class QuerySettings:
     """Per-query execution switches (see §6.3 ablations)."""
 
     use_stamps: bool = True
-    engine: str = "native"
-    #: "bytes" = direct byte-level kernels (repro.capsule.scan);
-    #: "python" = the original per-position path over textalgo engines.
-    scan_kernel: str = "bytes"
 
 
 def _cached_values(capsule: Capsule) -> List[str]:
@@ -102,22 +97,6 @@ class RealVectorReader:
     def _num_matched(self) -> int:
         return self.num_rows - len(self.encoded.outlier_rows)
 
-    def _search_one(
-        self,
-        capsule: Capsule,
-        fragment: str,
-        mode: MatchMode,
-        rows_hint: Optional[Sequence[int]] = None,
-    ) -> RowSet:
-        return search_capsule(
-            capsule,
-            fragment,
-            mode,
-            self.settings.engine,
-            rows_hint=rows_hint,
-            kernel=self.settings.scan_kernel,
-        )
-
     # ------------------------------------------------------------------
     def search(self, fragment: str, mode: MatchMode) -> RowSet:
         result = RowSet.empty(self.num_rows)
@@ -160,7 +139,7 @@ class RealVectorReader:
                     # §5.2 direct checking: probe only candidate rows.
                     hint = current.rows()
                 touch_capsule(capsule, self.stats)
-                rows = self._search_one(capsule, frag, frag_mode, rows_hint=hint)
+                rows = search_capsule(capsule, frag, frag_mode, rows_hint=hint)
                 current = rows if current is None else current & rows
                 if not current:
                     break
@@ -174,28 +153,18 @@ class RealVectorReader:
     def _scan_matched(self, fragment: str, mode: MatchMode, result: RowSet) -> None:
         """Correct-but-slow fallback: reconstruct and test every value.
 
-        The bytes kernel renders and matches raw byte values — no UTF-8
-        decode, no string materialization beyond one ``bytes`` join per
-        row; the python kernel keeps the original string path.
+        Values are rendered and matched as raw bytes — no UTF-8 decode,
+        no string materialization beyond one ``bytes`` join per row.
         """
         encoded = self.encoded
         for capsule in encoded.subvar_capsules:
             touch_capsule(capsule, self.stats)
         mapping = self._matched_rows()
-        if self.settings.scan_kernel == "bytes":
-            columns_b = [
-                capsule.values_bytes() for capsule in encoded.subvar_capsules
-            ]
-            render_b = _byte_renderer(encoded.pattern, columns_b)
-            needle = fragment.encode("utf-8")
-            for crow in range(self._num_matched):
-                if value_matches(render_b(crow), needle, mode):
-                    result.add(mapping[crow])
-            return
-        columns = [_cached_values(capsule) for capsule in encoded.subvar_capsules]
+        columns = [capsule.values_bytes() for capsule in encoded.subvar_capsules]
+        render = _byte_renderer(encoded.pattern, columns)
+        needle = fragment.encode("utf-8")
         for crow in range(self._num_matched):
-            value = encoded.pattern.render([col[crow] for col in columns])
-            if value_matches(value, fragment, mode):
+            if value_matches(render(crow), needle, mode):
                 result.add(mapping[crow])
 
     def _search_outliers_plain(
@@ -206,16 +175,16 @@ class RealVectorReader:
             return
         # Outliers escaped the pattern, so every query must scan them.
         touch_capsule(encoded.outlier_capsule, self.stats)
-        rows = self._search_one(encoded.outlier_capsule, fragment, mode)
+        rows = search_capsule(encoded.outlier_capsule, fragment, mode)
         for orow in rows:
             result.add(encoded.outlier_rows[orow])
 
     # ------------------------------------------------------------------
     def search_wildcard(self, keyword, mode: MatchMode) -> RowSet:
         """Wildcard search: literal runs narrow the candidate rows through
-        the normal pattern/stamp machinery (byte-level under the bytes
-        kernel), then only those rows are decoded and regex-verified —
-        the structured analogue of index-assisted wildcard matching."""
+        the normal pattern/stamp machinery (byte-level), then only those
+        rows are decoded and regex-verified — the structured analogue of
+        index-assisted wildcard matching."""
         result = RowSet.empty(self.num_rows)
         encoded = self.encoded
         regex = keyword.regex_for(mode)
@@ -415,16 +384,13 @@ class NominalVectorReader:
     def matching_slots(self, fragment: str, mode: MatchMode) -> List[int]:
         """Dictionary slots whose value matches the fragment.
 
-        Under the bytes kernel, each surviving pattern's region is scanned
-        in place on the dictionary payload (§5.2 direct locating) — no
+        In a region-packed dictionary each surviving pattern's region is
+        scanned in place on the payload (§5.2 direct locating) — no
         dictionary entry is decoded at all.
         """
         encoded = self.encoded
-        use_bytes = (
-            self.settings.scan_kernel == "bytes"
-            and encoded.dict_capsule.layout == LAYOUT_REGION
-        )
-        needle = fragment.encode("utf-8") if use_bytes else b""
+        in_place = encoded.dict_capsule.layout == LAYOUT_REGION
+        needle = fragment.encode("utf-8") if in_place else b""
         slots: List[int] = []
         for pattern_idx, dp in enumerate(encoded.dict_patterns):
             candidates = locate(
@@ -438,7 +404,7 @@ class NominalVectorReader:
                 self.stats.capsules_filtered += 1
                 continue  # the pattern cannot produce the fragment
             base = self._region_slots[pattern_idx]
-            if use_bytes:
+            if in_place:
                 touch_capsule(encoded.dict_capsule, self.stats)
                 plain = encoded.dict_capsule.plain()
                 for local in scan.scan_region(
@@ -480,22 +446,16 @@ class NominalVectorReader:
         touch_capsule(encoded.index_capsule, self.stats)
         width = encoded.index_width
         capsule = encoded.index_capsule
-        use_bytes = self.settings.scan_kernel == "bytes"
         if capsule.layout == LAYOUT_FIXED and width > 0:
             buf = capsule.plain()
             if len(slots) <= 4:
                 # Selective dictionary hit: search each index number (§5.1).
                 for slot in slots:
                     target = str(slot).zfill(width).encode("utf-8")
-                    if use_bytes:
-                        for row in scan.scan_fixed(
-                            buf, width, self.num_rows, target, scan.MODE_EXACT
-                        ):
-                            result.add(row)
-                    else:
-                        for pos in find_all(buf, target, self.settings.engine):
-                            if pos % width == 0:
-                                result.add(pos // width)
+                    for row in scan.scan_fixed(
+                        buf, width, self.num_rows, target, scan.MODE_EXACT
+                    ):
+                        result.add(row)
             else:
                 # Unselective keyword: one row-wise membership pass beats
                 # a separate scan per matching dictionary entry.
@@ -505,7 +465,7 @@ class NominalVectorReader:
                 for row in range(self.num_rows):
                     if buf[row * width : (row + 1) * width] in targets:
                         result.add(row)
-        elif use_bytes:
+        else:
             # Variable-layout index (w/o-fixed ablation): compare raw byte
             # cells against the wanted (zero-filled) slot numbers, no decode.
             targets = {str(slot).zfill(width).encode("utf-8") for slot in slots}
@@ -517,11 +477,6 @@ class NominalVectorReader:
                 start = offsets[row]
                 end = offsets[row + 1] - 1 if row + 1 < n else len(buf)
                 if view[start:end] in targets:
-                    result.add(row)
-        else:
-            wanted = set(slots)
-            for row, text in enumerate(capsule.values()):
-                if int(text) in wanted:
                     result.add(row)
         return result
 
@@ -636,13 +591,7 @@ class PlainVectorReader:
             self.stats.capsules_filtered += 1
             return RowSet.empty(self.num_rows)
         touch_capsule(capsule, self.stats)
-        return search_capsule(
-            capsule,
-            fragment,
-            mode,
-            self.settings.engine,
-            kernel=self.settings.scan_kernel,
-        )
+        return search_capsule(capsule, fragment, mode)
 
     def search_wildcard(self, keyword, mode: MatchMode) -> RowSet:
         capsule = self.encoded.capsule
@@ -662,13 +611,7 @@ class PlainVectorReader:
             # Narrow with the literal runs, verify only candidate rows.
             candidates: Optional[RowSet] = None
             for run in literals:
-                rows = search_capsule(
-                    capsule,
-                    run,
-                    MatchMode.SUBSTRING,
-                    self.settings.engine,
-                    kernel=self.settings.scan_kernel,
-                )
+                rows = search_capsule(capsule, run, MatchMode.SUBSTRING)
                 candidates = rows if candidates is None else candidates & rows
                 if not candidates:
                     return result

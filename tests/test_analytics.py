@@ -16,7 +16,7 @@ from repro.analytics import (
     numeric_stats,
     top_k,
 )
-from repro.analytics.aggregate import parse_number
+from repro.query.aggregate import parse_number
 from repro.capsule.box import CapsuleBox
 from repro.workloads import spec_by_name
 
@@ -233,11 +233,10 @@ class TestPushdownExecution:
     def test_no_private_api_in_analytics(self):
         # Satellite: analytics/ must not load store blobs or CapsuleBoxes
         # directly — everything routes through the query executor.
-        import repro.analytics.aggregate as agg_mod
+        import repro.analytics as package
         import repro.analytics.analyzer as analyzer_mod
-        import repro.analytics.schema as schema_mod
 
-        for module in (analyzer_mod, agg_mod, schema_mod):
+        for module in (package, analyzer_mod):
             source = inspect.getsource(module)
             assert "_load_box" not in source
             assert "BlockEngine" not in source

@@ -119,7 +119,7 @@ class TestBatchEquivalence:
     def test_analyze_of_one_reconciles_with_store_counter(self, corpus):
         """ANALYZE is an ordinary mode of the one pass: its batch-of-one
         ledger bills every ranged byte the query read."""
-        lg = make_lg(corpus, lazy_io=True)
+        lg = make_lg(corpus)
         counter = get_registry().counter("loggrep_store_range_read_bytes_total")
         before = counter.value()
         plan = build_plan("ERROR", OutputMode.ANALYZE)
@@ -435,7 +435,7 @@ class TestInvalidation:
 # ----------------------------------------------------------------------
 class TestBatchLedger:
     def test_batch_ledger_reconciles_with_store_counter(self, corpus):
-        lg = make_lg(corpus, lazy_io=True, slow_query_ms=1e9)
+        lg = make_lg(corpus, slow_query_ms=1e9)
         counter = get_registry().counter("loggrep_store_range_read_bytes_total")
         before = counter.value()
         plans = [build_plan(q) for q in ("ERROR", "read", "code=3")]
@@ -451,7 +451,7 @@ class TestBatchLedger:
 
     def test_single_plan_run_bills_the_plan(self, corpus):
         """A run of one charges everything to the plan's own ledger."""
-        lg = make_lg(corpus, lazy_io=True, slow_query_ms=1e9)
+        lg = make_lg(corpus, slow_query_ms=1e9)
         counter = get_registry().counter("loggrep_store_range_read_bytes_total")
         before = counter.value()
         results, report = lg.executor.run_plans([build_plan("ERROR")])
@@ -462,7 +462,7 @@ class TestBatchLedger:
     def test_budget_aborts_batched_query(self, corpus):
         from repro.common.errors import BudgetExceeded
 
-        lg = make_lg(corpus, lazy_io=True, max_read_bytes=64)
+        lg = make_lg(corpus, max_read_bytes=64)
         with pytest.raises(BudgetExceeded) as excinfo:
             lg.grep_many(["ERROR"])
         assert excinfo.value.ledger is not None

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro import LogGrep, LogGrepConfig
 from repro.baselines.evalutil import grep_lines
+from repro.blockstore.blobsource import BytesBlobSource
 from repro.common.binio import BinaryReader, BinaryWriter
 from repro.common.bloom import BloomFilter, trigrams
 from repro.query.blockfilter import command_might_match
@@ -167,7 +168,7 @@ class TestBloomIntegration:
 
         name = store.store.names()[0]
         data = store.store.get(name)
-        assert CapsuleBox.read_bloom(data) is not None
+        assert CapsuleBox.open_bloom(BytesBlobSource(data)) is not None
         assert CapsuleBox.deserialize(data).bloom is not None
 
     def test_no_bloom_by_default(self, corpus):
@@ -176,7 +177,7 @@ class TestBloomIntegration:
         from repro.capsule.box import CapsuleBox
 
         data = lg.store.get(lg.store.names()[0])
-        assert CapsuleBox.read_bloom(data) is None
+        assert CapsuleBox.open_bloom(BytesBlobSource(data)) is None
         result = lg.grep("keyword_that_never_occurs")
         assert result.stats.blocks_pruned == 0
 

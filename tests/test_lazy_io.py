@@ -1,12 +1,13 @@
-"""Range-read archive I/O: box TOC v2, prune index and lazy capsules.
+"""Range-read archive I/O: box TOC, prune index and lazy capsules.
 
 Covers the four legs of the lazy-I/O work:
 
-* the v2 LGCB container (TOC header, strict validation, v1 back-compat),
-* ``BlobSource``/``get_range`` plumbing (extent coalescing, mmap, aux),
+* the LGCB container (TOC header, strict validation, old versions
+  rejected),
+* ``BlobSource``/``get_range`` plumbing (extent coalescing, aux),
 * the persistent prune index (zero store reads for pruned blocks,
   rebuild-on-open for legacy archives, corruption tolerance),
-* lazy capsule fetch (eager ≡ lazy equivalence, byte accounting,
+* lazy capsule fetch (lazy ≡ raw-line oracle, byte accounting,
   pin/session sharing one BoxCache).
 """
 
@@ -133,15 +134,6 @@ class TestStoreRanges:
         with pytest.raises(FormatError):
             store.get_range("b", 4, 10)
 
-    def test_mmap_serves_identical_bytes(self, tmp_path):
-        store = ArchiveStore(str(tmp_path))
-        store.put("b", bytes(range(200)))
-        store.enable_mmap()
-        try:
-            assert store.get_range("b", 50, 25) == bytes(range(50, 75))
-        finally:
-            store.disable_mmap()
-
     def test_aux_blobs_hidden_from_accounting(self, tmp_path):
         store = ArchiveStore(str(tmp_path))
         store.put("block-0", b"payload")
@@ -179,20 +171,11 @@ class TestBoxTOC:
     def test_v2_header_layout(self):
         blob = _one_box(self.LINES)
         toc = BoxTOC.read(BytesBlobSource(blob))
-        assert toc.version == 2
+        assert blob[:5] == b"LGCB\x02"
         assert toc.bloom_off == 32
         assert toc.meta_off == toc.bloom_off + toc.bloom_len
         assert toc.payload_off == toc.meta_off + toc.meta_len
         assert toc.payload_off + toc.payload_len == len(blob)
-
-    def test_v1_blob_read_by_v2_reader(self):
-        blob = _one_box(self.LINES)
-        box = CapsuleBox.deserialize(blob)
-        v1 = box.serialize(version=1)
-        toc = BoxTOC.read(BytesBlobSource(v1))
-        assert toc.version == 1
-        legacy = CapsuleBox.deserialize(v1)
-        assert legacy == box
 
     def test_truncated_toc_raises(self):
         blob = _one_box(self.LINES)
@@ -231,24 +214,6 @@ class TestBoxTOC:
         CapsuleBox.open_bloom(src)
         toc = BoxTOC.read(BytesBlobSource(blob))
         assert src.bytes_read <= 2 * (32 + toc.bloom_len)
-
-    @settings(
-        max_examples=15,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(corpora())
-    def test_v1_v2_round_trip_equal(self, lines):
-        """serialize(v2) → deserialize ≡ serialize(v1) → deserialize."""
-        lg = LogGrep(config=LogGrepConfig(block_bytes=2048))
-        lg.compress(lines)
-        for name in lg.store.names():
-            blob = lg.store.get(name)
-            box = CapsuleBox.deserialize(blob)
-            assert blob[:5] == b"LGCB\x02"
-            v1_box = CapsuleBox.deserialize(box.serialize(version=1))
-            assert v1_box == box
-            assert v1_box.serialize() == box.serialize()
 
 
 class TestZeroReadPruning:
@@ -348,20 +313,63 @@ class TestPruneIndex:
         assert lg.grep("ERROR").lines == grep_lines("ERROR", lines)
 
 
-class TestV1ArchiveBackCompat:
-    def test_v1_archive_fully_queryable(self, tmp_path):
-        lines = make_mixed_lines(500)
+def _as_v1(blob):
+    """The sections of a stored box re-framed in the retired v1 container
+    (``MAGIC | 1 | bloom_len u32 | meta_len u32 | bloom | meta | payload``)."""
+    toc = BoxTOC.read(BytesBlobSource(blob))
+    return (
+        b"LGCB\x01"
+        + toc.bloom_len.to_bytes(4, "little")
+        + toc.meta_len.to_bytes(4, "little")
+        + blob[toc.bloom_off :]
+    )
+
+
+class TestOldFormatsRejected:
+    """LGCB v1 is a typed error; an LGIX v1 sidecar is rebuilt as v2."""
+
+    #: 13 bytes: magic, version 1, bloom_len u32 = 0, meta_len u32 = 0.
+    V1_HEADER = b"LGCB\x01" + bytes(8)
+
+    @pytest.mark.parametrize("whole_box", [False, True])
+    def test_v1_box_raises_naming_both_versions(self, whole_box):
+        v1 = _as_v1(_one_box(make_mixed_lines(120))) if whole_box else self.V1_HEADER
+        for read in (
+            lambda: CapsuleBox.open(BytesBlobSource(v1)),
+            lambda: CapsuleBox.deserialize(v1),
+            lambda: CapsuleBox.open_bloom(BytesBlobSource(v1)),
+        ):
+            with pytest.raises(FormatError) as info:
+                read()
+            assert "version 1" in str(info.value)
+            assert "version 2" in str(info.value)
+
+    def test_verify_reports_v1_box(self, tmp_path, capsys):
+        from repro.cli import main
+
+        store = _compress_to(tmp_path, make_mixed_lines(400))
+        victim = store.names()[0]
+        store.put(victim, _as_v1(store.get(victim)))
+        assert main(["verify", "-a", store.root]) == 1
+        out = capsys.readouterr().out
+        (line,) = [ln for ln in out.splitlines() if ln.startswith(victim)]
+        assert "version 1" in line and "version 2" in line
+        assert f"{len(store.names()) - 1}/{len(store.names())}" in out
+
+    def test_v1_sidecar_rebuilt_as_v2(self, tmp_path):
+        from repro.workloads import spec_by_name
+
+        spec = spec_by_name("Log A")
+        lines = spec.generate(600)
         store = _compress_to(tmp_path, lines)
-        # Rewrite every block in the legacy v1 container and drop the
-        # sidecar: exactly what a pre-TOC archive on disk looks like.
-        for name in store.names():
-            box = CapsuleBox.deserialize(store.get(name))
-            store.put(name, box.serialize(version=1))
-        store.delete_aux(INDEX_AUX_NAME)
+        sidecar = store.get_aux(INDEX_AUX_NAME)
+        store.put_aux(INDEX_AUX_NAME, sidecar[:4] + b"\x01" + sidecar[5:])
+        with pytest.raises(FormatError, match="version 1"):
+            ArchiveIndex.deserialize(store.get_aux(INDEX_AUX_NAME))
         lg = _reopen(store)
-        for command in ("ERROR", "read", "state: ERR", "code=3"):
-            assert lg.grep(command).lines == grep_lines(command, lines)
-        assert lg.decompress_all() == lines
+        assert lg.grep(spec.query).lines == grep_lines(spec.query, lines)
+        assert store.get_aux(INDEX_AUX_NAME)[:5] == b"LGIX\x02"
+        assert sorted(load_index(store).blocks) == store.names()
 
 
 class TestLazyCapsules:
@@ -406,7 +414,7 @@ class TestLazyCapsules:
         st.sampled_from(["default", "w/o fixed", "w/o stamp", "bloom"]),
         st.booleans(),
     )
-    def test_lazy_equals_eager(self, lines, command, layout, ignore_case):
+    def test_lazy_equals_oracle(self, lines, command, layout, ignore_case):
         """Lazy ranged I/O is invisible to results, for every layout."""
         overrides = {"block_bytes": 2048}
         if layout == "w/o fixed":
@@ -415,16 +423,11 @@ class TestLazyCapsules:
             overrides["use_stamps"] = False
         elif layout == "bloom":
             overrides["use_block_bloom"] = True
-        lazy = LogGrep(config=LogGrepConfig(lazy_io=True, **overrides))
+        lazy = LogGrep(config=LogGrepConfig(**overrides))
         lazy.compress(lines)
-        eager = LogGrep(
-            store=lazy.store,
-            config=LogGrepConfig(lazy_io=False, **overrides),
-        )
         expected = grep_lines(command, lines, ignore_case=ignore_case)
         assert lazy.grep(command, ignore_case=ignore_case).lines == expected
-        assert eager.grep(command, ignore_case=ignore_case).lines == expected
-        assert lazy.count(command) == eager.count(command)
+        assert lazy.count(command) == len(grep_lines(command, lines))
 
 
 class TestPinSharesBoxCache:
@@ -447,21 +450,3 @@ class TestPinSharesBoxCache:
             assert session.grep("ERROR").lines == grep_lines("ERROR", lines)
             assert hits_counter.value() > before
         assert len(lg._executor.source.box_cache) == 0
-
-
-class TestEagerModeOracle:
-    def test_eager_io_reads_whole_blobs(self, tmp_path):
-        lines = make_mixed_lines(500)
-        store = _compress_to(tmp_path, lines)
-        lg = _reopen(store, lazy_io=False, use_prune_index=False)
-        assert lg.grep("ERROR").lines == grep_lines("ERROR", lines)
-
-    def test_describe_reports_io_mode(self, tmp_path):
-        from repro.query.plan import OutputMode, build_plan
-
-        store = _compress_to(tmp_path, make_mixed_lines(300))
-        plan = build_plan("ERROR", OutputMode.COUNT)
-        lazy = _reopen(store, lazy_io=True)
-        eager = _reopen(store, lazy_io=False)
-        assert "lazy (ranged reads)" in lazy._executor.describe(plan)
-        assert "eager (whole blobs)" in eager._executor.describe(plan)

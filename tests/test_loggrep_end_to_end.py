@@ -117,16 +117,6 @@ class TestAblations:
             ablated("w/o everything")
 
 
-class TestEngines:
-    @pytest.mark.parametrize("engine", ["boyer-moore", "kmp", "native"])
-    def test_engine_choice_does_not_change_results(self, corpus, engine):
-        lg = LogGrep(config=LogGrepConfig(engine=engine, block_bytes=16 * 1024))
-        lg.compress(corpus)
-        assert lg.grep("read AND bk.FF").lines == grep_lines(
-            "read AND bk.FF", corpus
-        )
-
-
 class TestPersistence:
     def test_filesystem_store_roundtrip(self, corpus, tmp_path):
         store = ArchiveStore(str(tmp_path / "archive"))

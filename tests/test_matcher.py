@@ -29,53 +29,49 @@ class TestValueMatches:
         assert not value_matches("hello", "lo", MatchMode.PREFIX)
 
 
-@pytest.mark.parametrize("engine", ["boyer-moore", "kmp", "native"])
 class TestFixedMatcher:
     @pytest.mark.parametrize("mode", ALL_MODES)
-    def test_basic(self, engine, mode):
+    def test_basic(self, mode):
         values = ["8F8F", "1", "F8FE", "", "8"]
         capsule = Capsule.pack_fixed(values)
-        rows = search_capsule(capsule, "8", mode, engine)
+        rows = search_capsule(capsule, "8", mode)
         assert set(rows.rows()) == naive_rows(values, "8", mode)
 
-    def test_match_cannot_cross_rows(self, engine):
+    def test_match_cannot_cross_rows(self):
         # "ab" at a row boundary must not match.
         values = ["xa", "bx"]
         capsule = Capsule.pack_fixed(values)
-        rows = search_capsule(capsule, "ab", MatchMode.SUBSTRING, engine)
+        rows = search_capsule(capsule, "ab", MatchMode.SUBSTRING)
         assert not rows
 
-    def test_full_width_values_do_not_leak(self, engine):
+    def test_full_width_values_do_not_leak(self):
         # No padding at all between rows: boundary check must still hold.
         values = ["ab", "cd"]
         capsule = Capsule.pack_fixed(values)
-        assert not search_capsule(capsule, "bc", MatchMode.SUBSTRING, engine)
+        assert not search_capsule(capsule, "bc", MatchMode.SUBSTRING)
 
-    def test_rows_hint_direct_checking(self, engine):
+    def test_rows_hint_direct_checking(self):
         values = ["8F", "1x", "8F", "zz"]
         capsule = Capsule.pack_fixed(values)
-        rows = search_capsule(
-            capsule, "8F", MatchMode.EXACT, engine, rows_hint=[0, 1, 3]
-        )
+        rows = search_capsule(capsule, "8F", MatchMode.EXACT, rows_hint=[0, 1, 3])
         assert rows.rows() == [0]
 
     @settings(max_examples=60)
     @given(values_strategy, fragment_strategy, st.sampled_from(ALL_MODES))
-    def test_matches_naive(self, engine, values, fragment, mode):
+    def test_matches_naive(self, values, fragment, mode):
         capsule = Capsule.pack_fixed(values)
-        rows = search_capsule(capsule, fragment, mode, engine)
+        rows = search_capsule(capsule, fragment, mode)
         assert set(rows.rows()) == naive_rows(values, fragment, mode)
 
 
-@pytest.mark.parametrize("engine", ["kmp", "native"])
 class TestVariableMatcher:
     @settings(max_examples=60)
     @given(values_strategy, fragment_strategy, st.sampled_from(ALL_MODES))
-    def test_matches_naive(self, engine, values, fragment, mode):
+    def test_matches_naive(self, values, fragment, mode):
         capsule = Capsule.pack_variable(values)
-        rows = search_capsule(capsule, fragment, mode, engine)
+        rows = search_capsule(capsule, fragment, mode)
         assert set(rows.rows()) == naive_rows(values, fragment, mode)
 
-    def test_empty_capsule(self, engine):
+    def test_empty_capsule(self):
         capsule = Capsule.pack_variable([])
-        assert not search_capsule(capsule, "x", MatchMode.SUBSTRING, engine)
+        assert not search_capsule(capsule, "x", MatchMode.SUBSTRING)

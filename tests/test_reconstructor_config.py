@@ -115,13 +115,6 @@ class TestConfig:
         assert not config.use_padding
         assert config.use_stamps  # §2.2 keeps vector-level summaries
 
-    def test_query_settings_engine_fallback(self):
-        # Paper pairing: no padding → KMP instead of Boyer-Moore.
-        config = ablated("w/o fixed", LogGrepConfig(engine="boyer-moore"))
-        assert config.query_settings().engine == "kmp"
-        config2 = LogGrepConfig(engine="boyer-moore")
-        assert config2.query_settings().engine == "boyer-moore"
-
     def test_encoding_options_mirror_config(self):
         config = LogGrepConfig(duplication_threshold=0.7, preset=3)
         options = config.encoding_options()

@@ -1,15 +1,15 @@
-"""Byte-level scan kernels vs the legacy python path (§5.2).
+"""Byte-level scan kernels vs naive per-value matching (§5.2).
 
-The bytes kernels must be observationally identical to the original
-per-position matcher on every layout and every mode — the python path is
-kept selectable precisely to serve as the differential-testing oracle
-here.
+The kernels must be observationally identical to ``value_matches`` applied
+to every decoded value, on every layout and every mode; end to end, grep
+must equal the raw-line oracle.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.evalutil import grep_lines
 from repro.capsule import scan
 from repro.capsule.capsule import Capsule
 from repro.core.config import LogGrepConfig
@@ -29,25 +29,21 @@ def naive_rows(values, fragment, mode):
 
 
 class TestKernelEquivalence:
-    """bytes kernel ≡ python kernel ≡ naive matching, property-checked."""
+    """scan kernels ≡ naive matching, property-checked."""
 
     @given(values_strategy, fragment_strategy, mode_strategy)
     @settings(max_examples=300)
     def test_fixed_layout(self, values, fragment, mode):
         capsule = Capsule.pack_fixed(values)
-        expected = naive_rows(values, fragment, mode)
-        py = set(search_capsule(capsule, fragment, mode, kernel="python"))
-        by = set(search_capsule(capsule, fragment, mode, kernel="bytes"))
-        assert by == py == expected
+        by = set(search_capsule(capsule, fragment, mode))
+        assert by == naive_rows(values, fragment, mode)
 
     @given(values_strategy, fragment_strategy, mode_strategy)
     @settings(max_examples=300)
     def test_variable_layout(self, values, fragment, mode):
         capsule = Capsule.pack_variable(values)
-        expected = naive_rows(values, fragment, mode)
-        py = set(search_capsule(capsule, fragment, mode, kernel="python"))
-        by = set(search_capsule(capsule, fragment, mode, kernel="bytes"))
-        assert by == py == expected
+        by = set(search_capsule(capsule, fragment, mode))
+        assert by == naive_rows(values, fragment, mode)
 
     @given(
         st.lists(
@@ -82,20 +78,11 @@ class TestKernelEquivalence:
         """check_rows_fixed over a hint equals the scan ∩ hint."""
         capsule = Capsule.pack_fixed(values)
         hint = list(range(0, len(values), 2))
-        got = set(
-            search_capsule(
-                capsule, fragment, mode, rows_hint=hint, kernel="bytes"
-            )
-        )
+        got = set(search_capsule(capsule, fragment, mode, rows_hint=hint))
         assert got == naive_rows(values, fragment, mode) & set(hint)
 
 
 class TestKernelValidation:
-    def test_unknown_kernel_rejected(self):
-        capsule = Capsule.pack_fixed(["a"])
-        with pytest.raises(ValueError, match="scan kernel"):
-            search_capsule(capsule, "a", MatchMode.EXACT, kernel="simd")
-
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="scan mode"):
             scan.scan_fixed(b"a", 1, 1, b"a", "glob")
@@ -104,28 +91,17 @@ class TestKernelValidation:
         with pytest.raises(ValueError, match="scan mode"):
             scan.check_rows_fixed(b"a", 1, [0], b"a", "glob")
 
-    def test_config_rejects_unknown_kernel(self):
-        with pytest.raises(ValueError, match="scan kernel"):
-            LogGrepConfig(scan_kernel="simd").query_settings()
-
 
 class TestZeroWidthAndEmpty:
     def test_zero_width_column(self):
         capsule = Capsule.pack_fixed(["", "", ""])
         assert capsule.width == 0
-        assert set(search_capsule(capsule, "", MatchMode.EXACT, kernel="bytes")) == {
-            0,
-            1,
-            2,
-        }
-        assert not search_capsule(capsule, "x", MatchMode.SUBSTRING, kernel="bytes")
+        assert set(search_capsule(capsule, "", MatchMode.EXACT)) == {0, 1, 2}
+        assert not search_capsule(capsule, "x", MatchMode.SUBSTRING)
 
     def test_empty_exact_matches_only_empty_values(self):
         capsule = Capsule.pack_fixed(["", "a", ""])
-        assert set(search_capsule(capsule, "", MatchMode.EXACT, kernel="bytes")) == {
-            0,
-            2,
-        }
+        assert set(search_capsule(capsule, "", MatchMode.EXACT)) == {0, 2}
 
 
 CORPUS = [
@@ -137,18 +113,13 @@ QUERIES = ["ERR", "read AND bk.03", "state: NOT SUC", "T1003", "bk.*.4"]
 
 
 class TestEndToEndEquivalence:
-    """Both kernels return identical grep results on a full archive."""
+    """grep over a full archive equals the raw-line oracle."""
 
     @pytest.mark.parametrize("query", QUERIES)
     def test_grep_identical(self, query):
-        results = {}
-        for kernel in ("bytes", "python"):
-            lg = LogGrep(
-                config=LogGrepConfig(block_bytes=4 * 1024, scan_kernel=kernel)
-            )
-            lg.compress(CORPUS)
-            results[kernel] = lg.grep(query).lines
-        assert results["bytes"] == results["python"]
+        lg = LogGrep(config=LogGrepConfig(block_bytes=4 * 1024))
+        lg.compress(CORPUS)
+        assert lg.grep(query).lines == grep_lines(query, CORPUS)
 
     def test_reconstruction_identical(self):
         lg = LogGrep(config=LogGrepConfig(block_bytes=4 * 1024))

@@ -1,83 +1,12 @@
-"""Unit + property tests for the search algorithms (§5.2)."""
+"""Unit + property tests for the tree-expanding string helpers (§4.1)."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common import textalgo
 
 
-def naive_all(haystack, needle):
-    if not needle:
-        return []
-    out = []
-    for i in range(len(haystack) - len(needle) + 1):
-        if haystack[i : i + len(needle)] == needle:
-            out.append(i)
-    return out
-
-
 small_text = st.text(alphabet="ab01F#", max_size=60)
-small_needle = st.text(alphabet="ab01F#", min_size=1, max_size=6)
-
-
-class TestEngines:
-    @pytest.mark.parametrize("engine", textalgo.ENGINES)
-    def test_basic(self, engine):
-        assert list(textalgo.find_all("abcabc", "abc", engine)) == [0, 3]
-
-    @pytest.mark.parametrize("engine", textalgo.ENGINES)
-    def test_overlapping(self, engine):
-        assert list(textalgo.find_all("aaaa", "aa", engine)) == [0, 1, 2]
-
-    @pytest.mark.parametrize("engine", textalgo.ENGINES)
-    def test_no_match(self, engine):
-        assert list(textalgo.find_all("abc", "xyz", engine)) == []
-
-    @pytest.mark.parametrize("engine", textalgo.ENGINES)
-    def test_empty_needle(self, engine):
-        assert list(textalgo.find_all("abc", "", engine)) == []
-
-    @pytest.mark.parametrize("engine", textalgo.ENGINES)
-    def test_needle_longer_than_haystack(self, engine):
-        assert list(textalgo.find_all("ab", "abc", engine)) == []
-
-    def test_unknown_engine(self):
-        with pytest.raises(ValueError):
-            list(textalgo.find_all("a", "a", "quantum"))
-
-    @given(small_text, small_needle)
-    def test_boyer_moore_matches_naive(self, haystack, needle):
-        assert list(textalgo.boyer_moore_all(haystack, needle)) == naive_all(
-            haystack, needle
-        )
-
-    @given(small_text, small_needle)
-    def test_kmp_matches_naive(self, haystack, needle):
-        assert list(textalgo.kmp_all(haystack, needle)) == naive_all(haystack, needle)
-
-    @given(small_text, small_needle)
-    def test_native_matches_naive(self, haystack, needle):
-        assert list(textalgo.native_all(haystack, needle)) == naive_all(
-            haystack, needle
-        )
-
-    @given(
-        st.binary(max_size=40),
-        st.binary(min_size=1, max_size=4),
-    )
-    def test_engines_work_on_bytes(self, haystack, needle):
-        expected = naive_all(haystack, needle)
-        assert list(textalgo.boyer_moore_all(haystack, needle)) == expected
-        assert list(textalgo.kmp_all(haystack, needle)) == expected
-
-
-class TestKMPFailure:
-    def test_classic(self):
-        assert textalgo.kmp_failure("ababaca") == [0, 0, 1, 2, 3, 0, 1]
-
-    def test_uniform(self):
-        assert textalgo.kmp_failure("aaaa") == [0, 1, 2, 3]
 
 
 class TestLCS:

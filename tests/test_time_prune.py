@@ -70,12 +70,8 @@ class TestTimestampExtraction:
 
 
 class TestSidecarTimestamps:
-    def roundtrip(self, index, version=None):
-        if version is None:
-            blob = index.serialize()
-        else:
-            blob = index.serialize(version=version)
-        return ArchiveIndex.deserialize(blob)
+    def roundtrip(self, index):
+        return ArchiveIndex.deserialize(index.serialize())
 
     def make_index(self):
         lg = LogGrep(config=CONFIG)
@@ -97,16 +93,6 @@ class TestSidecarTimestamps:
             assert copy.max_ts == original.max_ts
             assert copy.max_ts >= copy.min_ts
 
-    def test_v1_sidecars_still_load(self):
-        index = self.make_index()
-        restored = self.roundtrip(index, version=1)
-        for name in index.blocks:
-            copy = restored.get(name)
-            assert copy is not None
-            assert copy.min_ts is None and copy.max_ts is None
-            # Unknown range can never be pruned.
-            assert copy.in_time_range(0.0, 1.0)
-
     def test_in_time_range_semantics(self):
         summary = BlockSummary(
             block_id=0, first_line_id=0, num_lines=1, type_mask=0,
@@ -118,6 +104,9 @@ class TestSidecarTimestamps:
         assert summary.in_time_range(None, None)
         assert not summary.in_time_range(200.5, None)
         assert not summary.in_time_range(None, 99.5)
+        # Unknown range can never be pruned.
+        unknown = BlockSummary(block_id=0, first_line_id=0, num_lines=1, type_mask=0)
+        assert unknown.in_time_range(0.0, 1.0)
 
 
 class TestTimeWindowPruning:

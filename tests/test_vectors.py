@@ -14,10 +14,7 @@ ALL_MODES = list(MatchMode)
 
 
 def reader_for(values, stats=None, **opts):
-    settings_ = QuerySettings(
-        use_stamps=opts.pop("use_stamps", True),
-        scan_kernel=opts.pop("scan_kernel", "bytes"),
-    )
+    settings_ = QuerySettings(use_stamps=opts.pop("use_stamps", True))
     encoded = encode_vector(values, EncodingOptions(**opts))
     return make_reader(encoded, settings_, stats if stats is not None else QueryStats())
 
@@ -143,22 +140,20 @@ class TestUnpaddedReaders:
 
 
 class TestKernelParity:
-    """Both scan kernels agree on every reader kind."""
+    """The scan kernels agree with naive matching on every reader kind."""
 
     @pytest.mark.parametrize("values", [REAL_VALUES, NOMINAL_VALUES, OUTLIER_VALUES])
     @pytest.mark.parametrize("mode", ALL_MODES)
     @pytest.mark.parametrize("fragment", ["ERR", "F8", "path_1", "#", ""])
     def test_search_identical(self, values, fragment, mode):
-        by = reader_for(values, scan_kernel="bytes", sample_rate=1.0)
-        py = reader_for(values, scan_kernel="python", sample_rate=1.0)
-        assert set(by.search(fragment, mode).rows()) == set(
-            py.search(fragment, mode).rows()
-        ) == naive(values, fragment, mode)
+        reader = reader_for(values, sample_rate=1.0)
+        assert set(reader.search(fragment, mode).rows()) == naive(
+            values, fragment, mode
+        )
 
-    @pytest.mark.parametrize("kernel", ["bytes", "python"])
-    def test_unpadded_search(self, kernel):
+    def test_unpadded_search(self):
         values = ["a#1", "a#22", "bb", "c-3", ""] * 8
-        reader = reader_for(values, use_padding=False, scan_kernel=kernel)
+        reader = reader_for(values, use_padding=False)
         got = set(reader.search("a#", MatchMode.PREFIX).rows())
         assert got == naive(values, "a#", MatchMode.PREFIX)
 
@@ -166,7 +161,7 @@ class TestKernelParity:
 class TestBudgetFallback:
     """Locator explosion must fall back to a scan with correct results."""
 
-    def _exploding_reader(self, stats, scan_kernel="bytes"):
+    def _exploding_reader(self, stats):
         from repro.capsule.capsule import Capsule
         from repro.query.vectors import RealVectorReader
         from repro.capsule.assembler import RealEncodedVector
@@ -187,16 +182,15 @@ class TestBudgetFallback:
             [],
             30,
         )
-        settings_ = QuerySettings(use_stamps=False, scan_kernel=scan_kernel)
+        settings_ = QuerySettings(use_stamps=False)
         values = [
             pattern.render([column[r] for column in columns]) for r in range(30)
         ]
         return RealVectorReader(encoded, settings_, stats), values
 
-    @pytest.mark.parametrize("kernel", ["bytes", "python"])
-    def test_fallback_scan_is_correct(self, kernel):
+    def test_fallback_scan_is_correct(self):
         stats = QueryStats()
-        reader, values = self._exploding_reader(stats, kernel)
+        reader, values = self._exploding_reader(stats)
         fragment = "a-b-a-b-a-b-a-b"
         got = set(reader.search(fragment, MatchMode.SUBSTRING).rows())
         assert stats.fallback_scans >= 1
