@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
+from ..common import chartypes
 from ..runtime.classify import DEFAULT_DUPLICATION_THRESHOLD, VectorKind, classify
 from ..runtime.merge import DictPattern, NominalEncoding, extract_nominal
 from ..runtime.pattern import RuntimePattern, SubVar
@@ -50,8 +51,8 @@ class EncodingOptions:
     sample_rate: float = 0.05
     preset: int = 1
     seed: int = 0
-    #: Speed-tier codec choice (zlib when LZMA's ratio edge is small);
-    #: off by default so archives stay byte-identical to earlier versions.
+    #: Speed-tier codec margin (keep zlib unless LZMA's ratio edge
+    #: exceeds ``ZLIB_MARGIN``); see ``capsule._choose_codec``.
     codec_speed_tier: bool = False
     #: Emit permissive stamps instead of scanning every value's character
     #: classes.  Permissive stamps admit everything, so they can never
@@ -146,7 +147,7 @@ def _encode_real(values: Sequence[str], options: EncodingOptions) -> RealEncoded
     config = TreeExpandConfig(sample_rate=options.sample_rate, seed=options.seed)
     pattern = extract_real_pattern(values, config)
 
-    columns: List[List[str]] = [[] for _ in range(pattern.num_subvars)]
+    matched: List[List[str]] = []
     outlier_rows: List[int] = []
     outlier_values: List[str] = []
     for row, value in enumerate(values):
@@ -155,8 +156,12 @@ def _encode_real(values: Sequence[str], options: EncodingOptions) -> RealEncoded
             outlier_rows.append(row)
             outlier_values.append(value)
         else:
-            for column, subvalue in zip(columns, subvalues):
-                column.append(subvalue)
+            matched.append(subvalues)
+    # Rows -> columns in one transpose; with no matched row zip() yields
+    # nothing, and every sub-variable still gets its (empty) column.
+    columns: List[Sequence[str]] = list(zip(*matched)) or [
+        () for _ in range(pattern.num_subvars)
+    ]
 
     if values and len(outlier_values) > MIN_PATTERN_COVERAGE * len(values):
         # The sample misled the extractor; degrade to the trivial pattern
@@ -186,17 +191,29 @@ def _encode_nominal(
         slot += dict_pattern.count
 
     speed_tier = options.codec_speed_tier
+    dict_stamp = _cheap_stamp(options)
     if options.use_padding:
         dict_capsule = Capsule.pack_regions(
-            regions, widths, options.preset, speed_tier=speed_tier
+            regions, widths, options.preset, dict_stamp, speed_tier=speed_tier
         )
     else:
         dict_capsule = Capsule.pack_variable(
-            encoding.dict_values, options.preset, speed_tier=speed_tier
+            encoding.dict_values, options.preset, dict_stamp, speed_tier=speed_tier
         )
 
-    index_values = [str(i).zfill(encoding.index_width) for i in encoding.index]
-    index_stamp = CapsuleStamp.of_values(index_values)
+    # Every index is rendered from one table entry per dictionary slot, and
+    # the stamp is known by construction: zero-padded decimals, all of
+    # index_width characters (no value at all when the vector is empty).
+    slots = [
+        str(slot).zfill(encoding.index_width)
+        for slot in range(len(encoding.dict_values))
+    ]
+    index_values = [slots[i] for i in encoding.index]
+    index_stamp = _cheap_stamp(options) or (
+        CapsuleStamp(chartypes.DIGIT, encoding.index_width)
+        if index_values
+        else CapsuleStamp(0, 0)
+    )
     if options.use_padding:
         index_capsule = Capsule.pack_fixed(
             index_values,
@@ -220,8 +237,13 @@ def _encode_nominal(
     )
 
 
+def _cheap_stamp(options: EncodingOptions) -> Optional[CapsuleStamp]:
+    """The permissive stamp under ``cheap_stamps``, else None (= scan)."""
+    return CapsuleStamp.permissive() if options.cheap_stamps else None
+
+
 def _pack(values: Sequence[str], options: EncodingOptions) -> Capsule:
-    stamp = CapsuleStamp.permissive() if options.cheap_stamps else None
+    stamp = _cheap_stamp(options)
     if options.use_padding:
         return Capsule.pack_fixed(
             values, options.preset, stamp=stamp,

@@ -35,7 +35,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from ..blockstore.blobsource import BlobSource, BytesBlobSource, coalesce_extents
 from ..common.binio import BinaryReader, BinaryWriter
@@ -53,7 +53,7 @@ from .assembler import (
     PlainEncodedVector,
     RealEncodedVector,
 )
-from .capsule import Capsule
+from .capsule import CODEC_NAMES, Capsule
 from .stamp import CapsuleStamp
 
 MAGIC = b"LGCB"
@@ -346,22 +346,31 @@ class CapsuleBox:
     # ------------------------------------------------------------------
     # statistics
     # ------------------------------------------------------------------
-    def capsule_count(self) -> int:
-        count = 0
+    def _capsules(self) -> Iterator[Capsule]:
         for group in self.groups:
             for vector in group.vectors:
-                count += len(_capsules_of(vector))
-        return count
+                yield from _capsules_of(vector)
+
+    def capsule_count(self) -> int:
+        return sum(1 for _ in self._capsules())
 
     def payload_bytes(self) -> int:
         # compressed_bytes comes from the extent for unfetched capsules,
         # so statistics never force a payload read.
-        return sum(
-            capsule.compressed_bytes
-            for group in self.groups
-            for vector in group.vectors
-            for capsule in _capsules_of(vector)
-        )
+        return sum(capsule.compressed_bytes for capsule in self._capsules())
+
+    def codec_usage(self) -> Dict[str, Dict[str, int]]:
+        """Capsules and stored payload bytes per codec name — what the
+        size-keyed codec rule chose for this block."""
+        usage = {
+            name: {"capsules": 0, "payload_bytes": 0}
+            for name in CODEC_NAMES.values()
+        }
+        for capsule in self._capsules():
+            row = usage[CODEC_NAMES[capsule.codec]]
+            row["capsules"] += 1
+            row["payload_bytes"] += capsule.compressed_bytes
+        return usage
 
     def verify(self) -> List[str]:
         """Deep integrity check; returns a list of problems (empty = ok).

@@ -26,43 +26,107 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 from ..common.binio import BinaryReader, BinaryWriter
 from ..common.errors import CompressionError, FormatError
 from ..obs import ledger as ledger_channel
+from ..obs.metrics import get_registry
 from .stamp import CapsuleStamp
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..blockstore.blobsource import BlobSource
 
 PAD = b"\x00"
-PAD_CHAR = 0
 
 #: Payload layouts.
 LAYOUT_FIXED = 0
 LAYOUT_VARIABLE = 1
 LAYOUT_REGION = 2  # per-pattern regions of differing widths (dictionaries)
 
-#: Codecs.  RAW is chosen automatically when compression does not pay off
-#: (tiny Capsules), which both shrinks archives and speeds up queries.
-#: ZLIB is the speed-tier choice: picked (opt-in) when LZMA's ratio edge
-#: over zlib is below :data:`ZLIB_MARGIN`, trading a sliver of ratio for
-#: much faster decompression on the query path.
+#: Codecs.  The choice is made per Capsule by :func:`_choose_codec` from
+#: the buffer's length alone; ``preset`` (stored beside the codec) names
+#: the LZMA *decode* filter chain.
 CODEC_RAW = 0
 CODEC_LZMA = 1
 CODEC_ZLIB = 2
 
-#: Speed-tier threshold: choose zlib when ``len(lzma) >= ZLIB_MARGIN *
-#: len(zlib)`` — i.e. LZMA shrinks the payload less than 10% beyond zlib.
+CODEC_NAMES = {CODEC_RAW: "raw", CODEC_LZMA: "lzma", CODEC_ZLIB: "zlib"}
+
+#: Size bands of the codec rule.  Measured on the Capsule buffers of the
+#: perfbench ``ingest-encode`` corpora at 128 KiB blocks (847 buffers: 123
+#: under 32 B, median 694 B, p90 4.7 KB, max 36 KB) and on 179 more taken
+#: at the default 64 MB block size (30 000 lines of six datasets); the
+#: table is in docs/ARCHITECTURE.md:
+#:
+#: * under 32 B nothing pays for its own header — raw;
+#: * under 2 KiB zlib-6 is the smaller codec at preset 1 (526 of 554
+#:   buffers, 14 % fewer bytes) *and* at preset 6 (465 of 554, 5 % fewer),
+#:   inflates about 4x faster and needs no match-finder tables, so no
+#:   LZMA encoder is constructed;
+#: * from 2 KiB up to deflate's 32 KiB window the winner depends on the
+#:   preset (crossover near 8-16 KiB at preset 1, 2-4 KiB at preset 6),
+#:   so both run and the smaller is kept;
+#: * from 32 KiB LZMA wins (3 % at preset 1, 13 % at preset 6: it can
+#:   still reference what deflate's window has dropped), so paper-scale
+#:   Capsules keep the paper's codec and zlib is not tried.
+RAW_BELOW = 32
+ZLIB_ONLY_BELOW = 2 * 1024
+LZMA_ONLY_FROM = 32 * 1024
+
+#: Speed-tier margin: with ``speed_tier`` zlib is kept when ``len(lzma) >=
+#: ZLIB_MARGIN * len(zlib)`` — i.e. LZMA shrinks the payload less than 10%
+#: beyond zlib — instead of only when zlib is no larger.
 ZLIB_MARGIN = 0.9
 
 _LZMA_FILTERS_BY_PRESET = {
     preset: [{"id": lzma.FILTER_LZMA2, "preset": preset}] for preset in range(10)
 }
 
+#: liblzma's dictionary size per preset.  The *decoder* allocates this
+#: much (``_LZMA_FILTERS_BY_PRESET``), so it is the encoder's upper bound.
+_PRESET_DICT_SIZE = {
+    0: 1 << 18, 1: 1 << 20, 2: 1 << 21, 3: 1 << 22, 4: 1 << 22,
+    5: 1 << 23, 6: 1 << 23, 7: 1 << 24, 8: 1 << 25, 9: 1 << 26,
+}
+_MIN_DICT_SIZE = 4096  # liblzma's floor
+
+_CODEC_CAPSULES = get_registry().counter(
+    "loggrep_capsule_codec_total", "Capsules packed, by chosen codec"
+)
+_CODEC_BYTES_IN = get_registry().counter(
+    "loggrep_capsule_codec_bytes_in_total",
+    "Plain Capsule bytes handed to the codec rule, by chosen codec",
+)
+_CODEC_BYTES_OUT = get_registry().counter(
+    "loggrep_capsule_codec_bytes_out_total",
+    "Capsule payload bytes stored, by chosen codec",
+)
+
+
+def _encoder_dict_size(length: int, preset: int) -> int:
+    """Smallest power of two holding *length* bytes, within
+    [liblzma's floor, the preset's own dictionary].
+
+    The upper clamp is a correctness requirement, not tuning:
+    :meth:`Capsule.plain` decodes with the preset's filter chain, whose
+    dictionary must be at least as large as the encoder's.
+    """
+    sized = 1 << max(length - 1, 0).bit_length()
+    return min(max(sized, _MIN_DICT_SIZE), _PRESET_DICT_SIZE[preset])
+
 
 def _lzma_compress(data: bytes, preset: int) -> bytes:
     # Raw streams avoid the ~60-byte .xz container per Capsule, which
-    # matters because a CapsuleBox holds many small Capsules.
-    return lzma.compress(
-        data, format=lzma.FORMAT_RAW, filters=_LZMA_FILTERS_BY_PRESET[preset]
-    )
+    # matters because a CapsuleBox holds many small Capsules.  The
+    # dictionary is sized to the buffer: the encoder allocates and zeroes
+    # match-finder tables in proportion to it, and with the preset's own
+    # (1 MiB at preset 1, 64 MiB at preset 9) that set-up, not the
+    # compression, is what a few-KB Capsule pays for — 1.3 ms against
+    # 0.1 ms for 700 bytes at preset 1, 41 ms against 0.14 ms at preset 9.
+    filters = [
+        {
+            "id": lzma.FILTER_LZMA2,
+            "preset": preset,
+            "dict_size": _encoder_dict_size(len(data), preset),
+        }
+    ]
+    return lzma.compress(data, format=lzma.FORMAT_RAW, filters=filters)
 
 
 def _lzma_decompress(data: bytes, preset: int) -> bytes:
@@ -190,10 +254,13 @@ class Capsule:
         speed_tier: bool = False,
     ) -> "Capsule":
         """Pack *values* NUL-padded to a common width (§5.2)."""
-        encoded = [_encode(v) for v in values]
+        encoded = list(map(str.encode, values))
         if width is None:
-            width = max((len(e) for e in encoded), default=0)
-        buf = b"".join(e.ljust(width, PAD) for e in encoded)
+            width = max(map(len, encoded), default=0)
+        buf = b"".join([e.ljust(width, PAD) for e in encoded])
+        if len(buf) != width * len(encoded):
+            raise CompressionError(f"a value is longer than the width {width}")
+        _reject_nul(buf, len(buf) - sum(map(len, encoded)))
         stamp = stamp or CapsuleStamp.of_values(values)
         codec, payload = _choose_codec(buf, preset, speed_tier)
         return cls(LAYOUT_FIXED, width, len(values), stamp, codec, preset, payload)
@@ -207,8 +274,8 @@ class Capsule:
         speed_tier: bool = False,
     ) -> "Capsule":
         """Pack *values* NUL-separated (the w/o-fixed ablation layout)."""
-        encoded = [_encode(v) for v in values]
-        buf = PAD.join(encoded)
+        buf = PAD.join(map(str.encode, values))
+        _reject_nul(buf, max(len(values) - 1, 0))
         stamp = stamp or CapsuleStamp.of_values(values)
         codec, payload = _choose_codec(buf, preset, speed_tier)
         return cls(LAYOUT_VARIABLE, 0, len(values), stamp, codec, preset, payload)
@@ -219,6 +286,7 @@ class Capsule:
         regions: Sequence[Sequence[str]],
         widths: Sequence[int],
         preset: int = 1,
+        stamp: Optional[CapsuleStamp] = None,
         speed_tier: bool = False,
     ) -> "Capsule":
         """Pack a dictionary vector: concatenated per-pattern padded regions.
@@ -229,17 +297,20 @@ class Capsule:
         """
         parts: List[bytes] = []
         all_values: List[str] = []
+        value_bytes = 0
         for region, width in zip(regions, widths):
-            for value in region:
-                encoded = _encode(value)
-                if len(encoded) > width:
-                    raise CompressionError(
-                        f"value {value!r} longer than its region width {width}"
-                    )
-                parts.append(encoded.ljust(width, PAD))
-                all_values.append(value)
+            encoded = list(map(str.encode, region))
+            if max(map(len, encoded), default=0) > width:
+                value = next(v for v, e in zip(region, encoded) if len(e) > width)
+                raise CompressionError(
+                    f"value {value!r} longer than its region width {width}"
+                )
+            parts.extend([e.ljust(width, PAD) for e in encoded])
+            value_bytes += sum(map(len, encoded))
+            all_values.extend(region)
         buf = b"".join(parts)
-        stamp = CapsuleStamp.of_values(all_values)
+        _reject_nul(buf, len(buf) - value_bytes)
+        stamp = stamp or CapsuleStamp.of_values(all_values)
         codec, payload = _choose_codec(buf, preset, speed_tier)
         return cls(LAYOUT_REGION, 0, len(all_values), stamp, codec, preset, payload)
 
@@ -403,41 +474,45 @@ class Capsule:
         return cls(layout, width, count, stamp, codec, preset, payload)
 
 
-def _encode(value: str) -> bytes:
-    encoded = value.encode("utf-8")
-    if PAD_CHAR in encoded:
+def _reject_nul(buf: bytes, layout_nuls: int) -> None:
+    """Raise unless *buf* holds exactly the NULs its layout put there
+    (pad bytes or separators): any more came from inside a value."""
+    if buf.count(PAD) != layout_nuls:
         raise CompressionError("log values must not contain NUL bytes")
-    return encoded
 
 
 def _choose_codec(
     buf: bytes, preset: int, speed_tier: bool = False
 ) -> Tuple[int, bytes]:
-    """Pick a codec for *buf*: LZMA unless the payload is tiny or
-    incompressible.
+    """Pick a codec for *buf* from its length (bands above), keeping the
+    smaller payload where two codecs run and raw whenever compression
+    does not shrink the buffer.
 
-    With ``speed_tier`` (config ``codec_speed_tier``, off by default so
-    existing archives are byte-identical), zlib is preferred whenever
-    LZMA's ratio edge over it is under :data:`ZLIB_MARGIN` — zlib inflates
-    several times faster, which the query path pays on every Capsule the
-    Locator could not filter.
+    ``speed_tier`` (config ``codec_speed_tier``) follows the same rule
+    with two differences: zlib is kept unless LZMA beats it by more than
+    :data:`ZLIB_MARGIN` — zlib inflates several times faster, which the
+    query path pays on every Capsule the Locator could not filter — and
+    zlib is still tried above its window.  At preset 0 it means the
+    caller wants the bytes queryable *now* (the hot tail): zlib-1 and no
+    LZMA probe, which would roughly double the encode latency.
     """
-    if len(buf) < 32:
-        return CODEC_RAW, buf
-    if speed_tier and preset == 0:
-        # Preset 0 on the speed tier means the caller wants the bytes
-        # queryable *now* (the hot tail): paying an LZMA probe just to
-        # discard it would roughly double the encode latency.
-        payload = zlib.compress(buf, 1)
-        if len(payload) >= len(buf):
-            return CODEC_RAW, buf
-        return CODEC_ZLIB, payload
-    lzma_payload = _lzma_compress(buf, preset)
-    codec, payload = CODEC_LZMA, lzma_payload
-    if speed_tier:
-        zlib_payload = zlib.compress(buf, 6)
-        if len(lzma_payload) >= ZLIB_MARGIN * len(zlib_payload):
-            codec, payload = CODEC_ZLIB, zlib_payload
-    if len(payload) >= len(buf):
-        return CODEC_RAW, buf
+    size = len(buf)
+    codec, payload = CODEC_RAW, buf
+    if size >= RAW_BELOW:
+        hot_tail = speed_tier and preset == 0
+        if speed_tier or size < LZMA_ONLY_FROM:
+            codec, payload = CODEC_ZLIB, zlib.compress(buf, 1 if hot_tail else 6)
+        if size >= ZLIB_ONLY_BELOW and not hot_tail:
+            # The incumbent is zlib's payload, or the buffer itself where
+            # zlib was not tried (then the margin is 1.0).
+            lzma_payload = _lzma_compress(buf, preset)
+            margin = ZLIB_MARGIN if speed_tier else 1.0
+            if len(lzma_payload) < margin * len(payload):
+                codec, payload = CODEC_LZMA, lzma_payload
+        if len(payload) >= size:
+            codec, payload = CODEC_RAW, buf
+    name = CODEC_NAMES[codec]
+    _CODEC_CAPSULES.inc(codec=name)
+    _CODEC_BYTES_IN.inc(size, codec=name)
+    _CODEC_BYTES_OUT.inc(len(payload), codec=name)
     return codec, payload

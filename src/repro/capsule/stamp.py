@@ -27,7 +27,7 @@ class CapsuleStamp:
     @classmethod
     def of_values(cls, values: Sequence[str]) -> "CapsuleStamp":
         mask = chartypes.type_mask_of_values(values)
-        max_len = max((len(v) for v in values), default=0)
+        max_len = max(map(len, values), default=0)
         return cls(mask, max_len)
 
     @classmethod

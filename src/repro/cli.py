@@ -514,6 +514,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "groups": len(box.groups),
                     "capsules": box.capsule_count(),
                     "payload_bytes": box.payload_bytes(),
+                    "codecs": box.codec_usage(),
                 }
             )
         if args.json:
@@ -525,9 +526,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(json.dumps(doc, indent=2))
             return 0
         for b in blocks:
+            codecs = ", ".join(
+                f"{name} {use['capsules']}/{use['payload_bytes']} B"
+                for name, use in b["codecs"].items()
+            )
             print(
                 f"{b['name']}: {b['lines']} lines, {b['groups']} groups, "
-                f"{b['capsules']} capsules, {b['payload_bytes']} payload bytes"
+                f"{b['capsules']} capsules, {b['payload_bytes']} payload bytes "
+                f"({codecs})"
             )
         print(f"total: {total} lines, {store.total_bytes()} stored bytes")
         return 0

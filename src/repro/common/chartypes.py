@@ -65,24 +65,22 @@ def char_class(ch: str) -> int:
 
 
 def type_mask(text: str) -> int:
-    """Return the six-bit type number of *text* (0 for the empty string)."""
+    """Return the six-bit type number of *text* (0 for the empty string).
+
+    Only the *distinct* characters are classified: a column of values
+    holds a few dozen of them however long it is, so the cost is one C
+    pass to build the set plus a lookup per distinct character.
+    """
     mask = 0
-    for ch in text:
+    for ch in set(text):
         code = ord(ch)
         mask |= _CHAR_CLASS[code] if code < 256 else OTHER
-        if mask == ALL_CLASSES:
-            break
     return mask
 
 
 def type_mask_of_values(values: Iterable[str]) -> int:
     """Return the combined type number of every value in *values*."""
-    mask = 0
-    for value in values:
-        mask |= type_mask(value)
-        if mask == ALL_CLASSES:
-            break
-    return mask
+    return type_mask("".join(values))
 
 
 def mask_subsumes(capsule_mask: int, keyword_mask: int) -> bool:

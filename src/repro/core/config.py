@@ -87,10 +87,10 @@ class LogGrepConfig:
     template_drift_threshold: float = 0.3
 
     # -- codec tiering ----------------------------------------------------
-    # Opt-in: store a Capsule with zlib instead of LZMA when LZMA's ratio
-    # edge is below ZLIB_MARGIN — faster decompression on the query path
-    # at a small ratio cost.  Off by default so archives stay byte-
-    # identical to earlier versions.
+    # Opt-in: where the size-keyed codec rule compares zlib with LZMA,
+    # keep zlib unless LZMA's ratio edge exceeds ZLIB_MARGIN (default:
+    # keep the smaller) — faster decompression on the query path at a
+    # small ratio cost.
     codec_speed_tier: bool = False
     # Emit permissive Capsule stamps instead of scanning every value's
     # character classes.  Permissive stamps admit everything — they can

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blockstore.block import LogBlock
+from repro.capsule import assembler
 from repro.capsule.assembler import (
     EncodingOptions,
     NominalEncodedVector,
@@ -14,11 +15,15 @@ from repro.capsule.assembler import (
     encode_vector,
 )
 from repro.capsule.box import CapsuleBox
+from repro.capsule.stamp import CapsuleStamp
+from repro.common import chartypes
 from repro.core.compressor import compress_block
 from repro.core.config import LogGrepConfig
 from repro.core.reconstructor import BlockReconstructor
 from repro.query.stats import QueryStats
 from repro.query.vectors import QuerySettings, make_reader
+from repro.runtime.classify import VectorKind
+from repro.runtime.merge import extract_nominal
 from tests.conftest import make_mixed_lines
 
 
@@ -81,6 +86,38 @@ class TestEncodeNominal:
         values = ["x"] * 30 + ["yy"] * 30
         encoded = encode_vector(values, EncodingOptions(use_padding=False))
         assert decode_all(encoded) == values
+
+    @pytest.mark.parametrize("padded", [True, False])
+    def test_cheap_stamps_scan_no_capsule(self, monkeypatch, padded):
+        # The extractor's own sub-variable masks (over the unique values)
+        # are not Capsule stamps, so extraction runs before the patch.
+        values = ["ERR#404"] * 40 + ["SUCC"] * 50 + ["ERR#501"] * 30
+        encoding = extract_nominal(values)
+        monkeypatch.setattr(assembler, "extract_nominal", lambda _: encoding)
+
+        def no_scan(text):
+            raise AssertionError("cheap_stamps scanned character classes")
+
+        monkeypatch.setattr(chartypes, "type_mask", no_scan)
+        encoded = encode_vector(
+            values, EncodingOptions(cheap_stamps=True, use_padding=padded)
+        )
+        assert isinstance(encoded, NominalEncodedVector)
+        assert encoded.dict_capsule.stamp == CapsuleStamp.permissive()
+        assert encoded.index_capsule.stamp == CapsuleStamp.permissive()
+        assert decode_all(encoded) == values
+
+    @pytest.mark.parametrize("padded", [True, False])
+    @pytest.mark.parametrize(
+        "values", [[], ["only"] * 5, [f"v{i % 12}" for i in range(120)]]
+    )
+    def test_index_stamp_by_construction_equals_a_scan(self, values, padded):
+        encoded = encode_vector(
+            values, EncodingOptions(use_padding=padded), kind=VectorKind.NOMINAL
+        )
+        assert encoded.index_capsule.stamp == CapsuleStamp.of_values(
+            encoded.index_capsule.values()
+        )
 
 
 class TestEncodePlain:

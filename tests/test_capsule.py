@@ -1,20 +1,31 @@
 """Tests for stamps and Capsule payloads (§4.2, §4.3, §5.2)."""
 
+import lzma
+import random
+import zlib
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.capsule import capsule as capsule_module
 from repro.capsule.capsule import (
     CODEC_LZMA,
     CODEC_RAW,
     CODEC_ZLIB,
+    LZMA_ONLY_FROM,
+    ZLIB_MARGIN,
+    ZLIB_ONLY_BELOW,
     Capsule,
-    LAYOUT_FIXED,
     LAYOUT_VARIABLE,
+    _choose_codec,
+    _lzma_compress,
 )
 from repro.capsule.stamp import CapsuleStamp
+from repro.common import chartypes
 from repro.common.binio import BinaryReader, BinaryWriter
 from repro.common.errors import CompressionError, FormatError
+from repro.obs import get_registry
 
 nul_free = st.text(
     alphabet=st.characters(
@@ -47,6 +58,26 @@ class TestStamp:
     def test_permissive(self):
         stamp = CapsuleStamp.permissive()
         assert stamp.admits("anything at all ~ 123")
+
+    def test_of_empty_vector_and_empty_strings(self):
+        assert CapsuleStamp.of_values([]) == CapsuleStamp(0, 0)
+        assert CapsuleStamp.of_values(["", ""]) == CapsuleStamp(0, 0)
+
+    def test_max_len_counts_characters_width_counts_bytes(self):
+        values = ["\U0001F600\U0001F600", "é"]  # 8 and 2 bytes
+        assert CapsuleStamp.of_values(values).max_len == 2
+        assert Capsule.pack_fixed(values).width == 8
+
+    @given(st.lists(nul_free, max_size=40))
+    def test_of_values_equals_per_character_scan(self, values):
+        mask = 0
+        for value in values:
+            for ch in value:
+                mask |= chartypes.char_class(ch)
+        longest = 0
+        for value in values:
+            longest = max(longest, len(value))
+        assert CapsuleStamp.of_values(values) == CapsuleStamp(mask, longest)
 
     def test_serialization(self):
         stamp = CapsuleStamp(0b101, 42)
@@ -90,14 +121,13 @@ class TestFixedCapsule:
         with pytest.raises(CompressionError):
             Capsule.pack_fixed(["a\x00b"])
 
+    def test_value_wider_than_explicit_width_rejected(self):
+        with pytest.raises(CompressionError):
+            Capsule.pack_fixed(["1", "22222"], width=4)
+
     def test_small_payload_stays_raw(self):
         capsule = Capsule.pack_fixed(["ab"])
         assert capsule.codec == CODEC_RAW
-
-    def test_compressible_payload_uses_lzma(self):
-        capsule = Capsule.pack_fixed(["abcabcabc"] * 100)
-        assert capsule.codec == CODEC_LZMA
-        assert capsule.compressed_bytes < 9 * 100
 
     @given(st.lists(nul_free, max_size=40))
     def test_roundtrip_property(self, values):
@@ -143,6 +173,49 @@ class TestRegionCapsule:
         assert capsule.region_value(4, 4) == "c"
 
 
+    def test_multibyte_value_wider_than_region_rejected(self):
+        # Two characters, four bytes: widths are byte widths.
+        with pytest.raises(CompressionError, match="'éé'"):
+            Capsule.pack_regions([["ab", "éé"]], widths=[3])
+
+    @given(st.lists(st.lists(nul_free, max_size=8), max_size=5))
+    def test_roundtrip_property(self, regions):
+        widths = [
+            max((len(v.encode()) for v in region), default=0) for region in regions
+        ]
+        capsule = Capsule.pack_regions(regions, widths)
+        assert capsule.count == sum(map(len, regions))
+        offset = 0
+        for region, width in zip(regions, widths):
+            for value in region:
+                assert capsule.region_value(offset, width) == value
+                offset += width
+        assert len(capsule.plain()) == offset
+
+
+class TestEmbeddedNul:
+    """One NUL anywhere in a vector fails the pack, before any codec runs:
+    the whole-buffer check counts the NULs the layout itself put there."""
+
+    @pytest.mark.parametrize("position", [0, 2, 4])  # first, middle, last value
+    @pytest.mark.parametrize("nul_value", ["\x00", "\x00tail", "mid\x00dle", "head\x00"])
+    def test_every_packer_rejects_it(self, position, nul_value, monkeypatch):
+        monkeypatch.setattr(
+            capsule_module, "_choose_codec",
+            lambda *a, **k: pytest.fail("codec ran on a vector holding NUL"),
+        )
+        values = ["alpha", "", "b", "cc", "delta"]
+        values[position] = nul_value
+        with pytest.raises(CompressionError, match="NUL"):
+            Capsule.pack_fixed(values)
+        with pytest.raises(CompressionError, match="NUL"):
+            Capsule.pack_fixed(values, width=16)
+        with pytest.raises(CompressionError, match="NUL"):
+            Capsule.pack_variable(values)
+        with pytest.raises(CompressionError, match="NUL"):
+            Capsule.pack_regions([values[:2], values[2:]], widths=[9, 9])
+
+
 class TestCapsuleSerialization:
     @pytest.mark.parametrize("layout", ["fixed", "variable"])
     def test_roundtrip(self, layout):
@@ -159,21 +232,127 @@ class TestCapsuleSerialization:
         assert loaded.width == capsule.width
 
 
+def _low_redundancy(count, length=12, seed=7):
+    rng = random.Random(seed)
+    return [
+        "".join(rng.choice("abcdefghij0123456789") for _ in range(length))
+        for _ in range(count)
+    ]
+
+
+def _long_period_values():
+    # Redundancy with a period beyond zlib's 32 KB window: only LZMA can
+    # reference the earlier repetitions, so its margin is large.
+    uniques = _low_redundancy(1000, length=40, seed=3)
+    return [uniques[i % 1000] for i in range(3000)]
+
+
+class TestCodecRule:
+    """One buffer per size band of ``_choose_codec`` (thresholds in
+    ``capsule.py``): raw < 32 B <= zlib only < 2 KiB <= smaller of both
+    < 32 KiB <= LZMA only."""
+
+    def test_under_32_bytes_stays_raw(self):
+        assert _choose_codec(b"a" * 31, 1) == (CODEC_RAW, b"a" * 31)
+
+    def test_small_buffer_is_zlib_without_an_lzma_encoder(self, monkeypatch):
+        def no_lzma(*args, **kwargs):
+            raise AssertionError("LZMA encoder constructed under 2 KiB")
+
+        monkeypatch.setattr(lzma, "compress", no_lzma)
+        monkeypatch.setattr(lzma, "LZMACompressor", no_lzma)
+        for speed_tier in (False, True):
+            capsule = Capsule.pack_fixed(["abcabcabc"] * 100, speed_tier=speed_tier)
+            assert capsule.codec == CODEC_ZLIB
+            assert capsule.compressed_bytes < 9 * 100
+            assert capsule.values() == ["abcabcabc"] * 100
+
+    def test_band_keeps_the_smaller_codec(self):
+        counters = [f"{i:08d}" for i in range(3000)]  # 24 000 B, LZMA wins
+        shuffled = _low_redundancy(1000)  # 12 000 B, zlib wins
+        for values, expected in ((counters, CODEC_LZMA), (shuffled, CODEC_ZLIB)):
+            buf = "".join(values).encode()
+            assert ZLIB_ONLY_BELOW <= len(buf) < LZMA_ONLY_FROM
+            by_codec = {
+                CODEC_LZMA: len(_lzma_compress(buf, 1)),
+                CODEC_ZLIB: len(zlib.compress(buf, 6)),
+            }
+            assert min(by_codec, key=by_codec.get) == expected
+            capsule = Capsule.pack_fixed(values)
+            assert capsule.codec == expected
+            assert capsule.compressed_bytes == by_codec[expected]
+            assert capsule.values() == values
+
+    def test_band_tie_goes_to_zlib(self, monkeypatch):
+        buf = "".join(_low_redundancy(1000)).encode()
+        same_size = zlib.compress(buf, 6)
+        monkeypatch.setattr(capsule_module, "_lzma_compress", lambda b, p: same_size)
+        assert _choose_codec(buf, 1)[0] == CODEC_ZLIB
+
+    def test_from_32k_is_lzma_without_a_zlib_probe(self, monkeypatch):
+        values = _long_period_values()
+        monkeypatch.setattr(
+            zlib, "compress",
+            lambda *a, **k: pytest.fail("zlib tried at or above its window"),
+        )
+        capsule = Capsule.pack_fixed(values)
+        assert capsule.codec == CODEC_LZMA
+        assert capsule.values() == values
+
+    @pytest.mark.parametrize("size", [32, 1000, 8000, 40000])
+    @pytest.mark.parametrize("speed_tier", [False, True])
+    @pytest.mark.parametrize("preset", [0, 1])
+    def test_incompressible_is_raw_in_every_band(self, size, speed_tier, preset):
+        noise = random.Random(size).randbytes(size)
+        assert _choose_codec(noise, preset, speed_tier) == (CODEC_RAW, noise)
+
+    def test_choice_is_counted_per_codec(self):
+        registry = get_registry()
+
+        def snapshot():
+            return {
+                (metric, codec): registry.get(metric).value(codec=codec)
+                for metric in (
+                    "loggrep_capsule_codec_total",
+                    "loggrep_capsule_codec_bytes_in_total",
+                    "loggrep_capsule_codec_bytes_out_total",
+                )
+                for codec in ("raw", "zlib", "lzma")
+            }
+
+        before = snapshot()
+        small = Capsule.pack_fixed(["ab"])
+        medium = Capsule.pack_fixed(["abcabcabc"] * 100)
+        large = Capsule.pack_fixed(_long_period_values())
+        delta = {key: value - before[key] for key, value in snapshot().items()}
+        for codec, capsule in (("raw", small), ("zlib", medium), ("lzma", large)):
+            assert delta["loggrep_capsule_codec_total", codec] == 1
+            assert delta["loggrep_capsule_codec_bytes_in_total", codec] == len(
+                capsule.plain()
+            )
+            assert delta["loggrep_capsule_codec_bytes_out_total", codec] == (
+                capsule.compressed_bytes
+            )
+
+    def test_speed_tier_differs_only_by_margin(self):
+        # At preset 6 LZMA beats zlib on this buffer, but by under 10 %:
+        # the default keeps the smaller payload, the speed tier keeps
+        # zlib.  Where LZMA's edge is over the margin both agree.
+        close = "".join(_low_redundancy(1000)).encode()
+        lzma_size = len(_lzma_compress(close, 6))
+        zlib_size = len(zlib.compress(close, 6))
+        assert ZLIB_MARGIN * zlib_size <= lzma_size < zlib_size
+        assert _choose_codec(close, 6)[0] == CODEC_LZMA
+        assert _choose_codec(close, 6, speed_tier=True)[0] == CODEC_ZLIB
+        clear = "".join(f"{i:08d}" for i in range(3000)).encode()
+        assert _choose_codec(clear, 6) == _choose_codec(clear, 6, speed_tier=True)
+
+
 class TestSpeedTierCodec:
     def _zlib_wins_values(self):
         # Low-redundancy payload: LZMA's edge over zlib stays under the
         # margin, so the speed tier picks zlib.
-        import random
-
-        rng = random.Random(7)
-        return [
-            "".join(rng.choice("abcdefghij0123456789") for _ in range(12))
-            for _ in range(200)
-        ]
-
-    def test_default_never_emits_zlib(self):
-        capsule = Capsule.pack_fixed(self._zlib_wins_values())
-        assert capsule.codec != CODEC_ZLIB
+        return _low_redundancy(200)
 
     def test_speed_tier_roundtrip(self):
         values = self._zlib_wins_values()
@@ -190,17 +369,7 @@ class TestSpeedTierCodec:
         assert capsule.codec == CODEC_ZLIB
 
     def test_speed_tier_keeps_lzma_when_it_wins(self):
-        # Redundancy with a period beyond zlib's 32 KB window: only LZMA
-        # can reference the earlier repetitions, so its margin is large.
-        import random
-
-        rng = random.Random(3)
-        uniques = [
-            "".join(rng.choice("abcdefghij0123456789") for _ in range(40))
-            for _ in range(1000)
-        ]
-        values = [uniques[i % 1000] for i in range(3000)]
-        capsule = Capsule.pack_fixed(values, speed_tier=True)
+        capsule = Capsule.pack_fixed(_long_period_values(), speed_tier=True)
         assert capsule.codec == CODEC_LZMA
 
     def test_region_speed_tier_roundtrip(self):

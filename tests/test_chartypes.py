@@ -1,6 +1,5 @@
 """Unit tests for the six-bit character-class masks (§2.2, §4.3)."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -58,6 +57,48 @@ class TestTypeMask:
     def test_of_values(self):
         assert ct.type_mask_of_values(["12", "ab"]) == ct.DIGIT | ct.HEX_LOWER
         assert ct.type_mask_of_values([]) == 0
+
+
+def reference_mask(text):
+    """The per-character loop the whole-buffer pass replaced."""
+    mask = 0
+    for ch in text:
+        mask |= ct.char_class(ch)
+    return mask
+
+
+#: Text drawn from each range the classifier treats differently: ASCII
+#: (one byte, five classes + other), U+0080-U+00FF (inside the 256-entry
+#: table), beyond the table, and four-byte code points.
+any_text = st.one_of(
+    st.text(alphabet="0189afAFgzGZ .:#", max_size=12),
+    st.text(alphabet=st.characters(min_codepoint=0x80, max_codepoint=0xFF), max_size=6),
+    st.text(alphabet=st.characters(min_codepoint=0x100, max_codepoint=0xFFFF,
+                                   blacklist_categories=("Cs",)), max_size=6),
+    st.text(alphabet=st.characters(min_codepoint=0x10000), max_size=4),
+    st.text(max_size=12),
+)
+
+
+class TestAgainstPerCharacterReference:
+    @given(any_text)
+    def test_type_mask(self, text):
+        assert ct.type_mask(text) == reference_mask(text)
+
+    @given(st.lists(any_text, max_size=30))
+    def test_type_mask_of_values(self, values):
+        expected = 0
+        for value in values:
+            expected |= reference_mask(value)
+        assert ct.type_mask_of_values(values) == expected
+        assert ct.type_mask_of_values(iter(values)) == expected
+
+    def test_every_code_point_class(self):
+        for code in (*range(0x180), 0xFFFF, 0x10000, 0x1F600, 0x10FFFF):
+            expected = ct.char_class(chr(code))
+            assert ct.type_mask(chr(code) * 3) == expected
+            if code >= 128:
+                assert expected == ct.OTHER
 
 
 class TestMaskSubsumes:

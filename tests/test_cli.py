@@ -142,6 +142,31 @@ class TestStats:
         out = capsys.readouterr().out
         assert f"total: {len(lines)} lines" in out
 
+    def test_stats_splits_capsules_by_codec(self, log_file, tmp_path, capsys):
+        import json
+
+        path, _ = log_file
+        archive = tmp_path / "arch"
+        main(["compress", str(path), "-a", str(archive)])
+        capsys.readouterr()
+        assert main(["stats", "-a", str(archive), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        for block in doc["blocks"]:
+            codecs = block["codecs"]
+            assert set(codecs) == {"raw", "zlib", "lzma"}
+            assert sum(c["capsules"] for c in codecs.values()) == block["capsules"]
+            assert (
+                sum(c["payload_bytes"] for c in codecs.values())
+                == block["payload_bytes"]
+            )
+        assert main(["stats", "-a", str(archive)]) == 0
+        first = doc["blocks"][0]
+        zlib_use = first["codecs"]["zlib"]
+        assert (
+            f"zlib {zlib_use['capsules']}/{zlib_use['payload_bytes']} B"
+            in capsys.readouterr().out
+        )
+
 
 class TestArgErrors:
     def test_missing_command(self):
