@@ -12,6 +12,10 @@ from __future__ import annotations
 from typing import Iterable, Iterator, List
 
 
+#: Set bit positions of every byte value.
+_BYTE_ROWS = [tuple(bit for bit in range(8) if byte >> bit & 1) for byte in range(256)]
+
+
 class RowSet:
     """An immutable-ish set of non-negative row indices backed by a bitmap.
 
@@ -98,16 +102,21 @@ class RowSet:
         return hash((self.n, self.bits))
 
     def __iter__(self) -> Iterator[int]:
-        bits = self.bits
-        row = 0
-        while bits:
-            low = bits & -bits
-            row = low.bit_length() - 1
-            yield row
-            bits ^= low
+        return iter(self.rows())
 
     def rows(self) -> List[int]:
-        return list(self)
+        """The member rows, ascending."""
+        if self.is_full():
+            return list(range(self.n))
+        # One pass over the bitmap's bytes; peeling bit by bit would redo
+        # full-width integer arithmetic per member (quadratic when dense).
+        data = self.bits.to_bytes((self.n + 7) // 8, "little")
+        return [
+            base + bit
+            for base, byte in zip(range(0, len(data) * 8, 8), data)
+            if byte
+            for bit in _BYTE_ROWS[byte]
+        ]
 
     def is_full(self) -> bool:
         return self.n > 0 and self.bits == (1 << self.n) - 1

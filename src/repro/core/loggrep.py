@@ -613,11 +613,14 @@ class LogGrep(AggregateShortcuts):
             box = self._executor.load_box(name)
             box.prefetch()  # full rebuild touches everything: batch the reads
             reconstructor = BlockReconstructor(box, self.config.query_settings())
-            for group_idx, group in enumerate(box.groups):
-                rows = RowSet.full(group.num_entries)
-                for row in rows:
-                    entries.append(reconstructor.entry(group_idx, row))
-        entries.sort(key=lambda item: item[0])
+            entries.extend(
+                reconstructor.reconstruct(
+                    {
+                        group_idx: RowSet.full(group.num_entries)
+                        for group_idx, group in enumerate(box.groups)
+                    }
+                )
+            )
         return [text for _, text in entries]
 
 

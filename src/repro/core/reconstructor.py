@@ -1,10 +1,18 @@
 """Reconstruction of original log entries (paper §3).
 
 Given the located rows of a query, the Reconstructor decompresses the
-Capsules of each hit group, fetches the row's value from every variable
-vector (an O(1) slice thanks to fixed-length padding), fills the values
-into the static and runtime patterns, and finally merges entries from
-different groups back into their global order.
+Capsules of each hit group, fetches the rows' values from every variable
+vector (an O(1) slice per value thanks to fixed-length padding), fills
+them into the static and runtime patterns, and finally merges entries
+from different groups back into their global order.
+
+Values are handled as byte columns, never one by one: a hit group is
+flattened into *pieces* — the template's constant tokens, its ``" "``
+delimiters and the runtime patterns' constants merged into ``bytes``, and
+per variable the wanted rows' still-padded cells sliced out of the
+decoded Capsule buffers — which are joined row-wise, stripped of the pad
+byte and decoded in one pass over the whole group
+(:func:`repro.query.vectors.decode_rows`).
 
 The paper merges by timestamp; we record each entry's line id inside the
 block (plus the block's first global line id), which yields the identical
@@ -18,12 +26,17 @@ from typing import Dict, List, Optional, Tuple
 
 from ..capsule.box import CapsuleBox
 from ..common.rowset import RowSet
+from ..common.tokenizer import DELIMITER
 from ..query.stats import QueryStats
-from ..query.vectors import QuerySettings, make_reader
+from ..query.vectors import (
+    Piece,
+    QuerySettings,
+    decode_rows,
+    join_cells,
+    make_reader,
+)
 
-#: Above this many hits in one group, reconstruction decodes each Capsule
-#: once (bulk) instead of fetching values row by row.
-BULK_THRESHOLD = 16
+_DELIMITER = DELIMITER.encode("utf-8")
 
 
 class BlockReconstructor:
@@ -53,48 +66,40 @@ class BlockReconstructor:
         return reader
 
     # ------------------------------------------------------------------
-    def entry(self, group_idx: int, row: int) -> Tuple[int, str]:
-        """(global line id, original text) of one entry."""
-        group = self.box.groups[group_idx]
-        values = [
-            self._reader(group_idx, var_idx).value_at(row)
-            for var_idx in range(len(group.vectors))
-        ]
-        text = group.template.render(values)
-        line_id = self.box.first_line_id + group.line_ids[row]
-        return line_id, text
-
     def reconstruct(self, hits: Dict[int, RowSet]) -> List[Tuple[int, str]]:
         """Rebuild all hit entries, merged into global order."""
         entries: List[Tuple[int, str]] = []
+        base = self.box.first_line_id
         for group_idx, rows in hits.items():
-            group_rows = self.box.groups[group_idx].num_entries
-            # Bulk decode pays one pass over the whole group, so it only
-            # wins when a sizable fraction of the group's rows hit.
-            if len(rows) > max(BULK_THRESHOLD, group_rows // 4):
-                entries.extend(self._bulk_entries(group_idx, rows))
-            else:
-                for row in rows:
-                    entries.append(self.entry(group_idx, row))
-        entries.sort(key=lambda item: item[0])
+            if not rows:
+                continue
+            line_ids = self.box.groups[group_idx].line_ids
+            # None = every row: whole columns are taken, no row list built.
+            wanted = None if rows.is_full() else rows.rows()
+            if wanted is not None:
+                line_ids = [line_ids[row] for row in wanted]
+            texts = self._render(group_idx, wanted, len(rows))
+            entries.extend(zip([base + line_id for line_id in line_ids], texts))
+        # Line ids are unique, so the tuples order by id alone.
+        entries.sort()
         return entries
 
-    def _bulk_entries(
-        self, group_idx: int, rows: RowSet
-    ) -> List[Tuple[int, str]]:
-        """Render many rows of one group with one decode pass per Capsule."""
+    def _render(
+        self, group_idx: int, rows: Optional[List[int]], num_rows: int
+    ) -> List[str]:
+        """The original text of *rows* (every row when None) of a group."""
         group = self.box.groups[group_idx]
-        columns = [
-            self._reader(group_idx, var_idx).values_list()
-            for var_idx in range(len(group.vectors))
-        ]
-        render = group.template.render
-        base = self.box.first_line_id
-        line_ids = group.line_ids
-        return [
-            (base + line_ids[row], render([column[row] for column in columns]))
-            for row in rows
-        ]
+        pieces: List[Piece] = []
+        var_idx = 0
+        for position, token in enumerate(group.template.tokens):
+            if position:
+                pieces.append(_DELIMITER)
+            if token is None:
+                pieces.extend(self._reader(group_idx, var_idx).pieces(rows))
+                var_idx += 1
+            else:
+                pieces.append(token.encode("utf-8"))
+        return decode_rows(join_cells(pieces, num_rows))
 
     def all_lines(self) -> List[str]:
         """Decompress the entire block (used by round-trip tests)."""

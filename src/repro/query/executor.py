@@ -499,7 +499,7 @@ class QueryExecutor:
                 # here equals any completion-order fold.
                 merged.merge(outcome.partial)
                 _AGG_PARTIALS.inc()
-        entries.sort(key=lambda item: item[0])
+        entries.sort()  # by line id: ids are unique, texts never compare
         if merged is not None:
             _AGG_QUERIES.inc(kind=plan.aggregate.kind.value)  # type: ignore[union-attr]
             _AGG_ROWS.inc(merged.rows)

@@ -4,7 +4,9 @@ A reader answers two questions about one variable vector of one group:
 
 * ``search(fragment, mode)`` — which group rows could contain the
   fragment?  (Locator → stamp filter → fixed-length matching.)
-* ``value_at(row)`` — the exact original value (for reconstruction).
+* ``pieces(rows)`` — the values of those rows as still-padded byte cells
+  (for reconstruction; ``value_at``/``values_list`` decode single values
+  and whole columns for aggregates).
 
 Readers translate between *capsule row space* (rows stored in a Capsule,
 excluding outliers) and *group row space* (entry rows of the group).
@@ -15,16 +17,19 @@ buffers, dictionary regions are scanned in place with the §5.2
 Σ count·width jump, and index Capsules are compared slot-by-slot as raw
 byte cells.  Only rows that survive
 matching are ever decoded, and those decoded columns are retained in the
-bounded :class:`~repro.query.cache.CapsuleValueCache` so wildcard
-verification, reconstruction and dictionary reads never re-decode the
-same Capsule across queries.
+bounded :class:`~repro.query.cache.CapsuleValueCache` so unanchored
+wildcard verification, dictionary reads and aggregates never re-decode
+the same Capsule across queries.  Reconstruction does not go through
+it: it slices cells out of ``Capsule.plain()``, which already stays
+resident with the box.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from typing import Callable, List, Optional, Sequence, Union
+from itertools import repeat
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from ..capsule import scan
 from ..obs import ledger as ledger_channel
@@ -33,8 +38,9 @@ from ..capsule.assembler import (
     PlainEncodedVector,
     RealEncodedVector,
 )
-from ..capsule.capsule import LAYOUT_FIXED, LAYOUT_REGION, Capsule
+from ..capsule.capsule import LAYOUT_FIXED, LAYOUT_REGION, PAD, Capsule
 from ..capsule.stamp import CapsuleStamp
+from ..common.errors import FormatError
 from ..common.rowset import RowSet
 from ..runtime.pattern import Const, RuntimePattern
 from .cache import get_value_cache
@@ -61,6 +67,78 @@ def _cached_values(capsule: Capsule) -> List[str]:
 def _cached_value_at(capsule: Capsule, row: int) -> str:
     """One decoded value: cached column when present, O(1) fetch otherwise."""
     return get_value_cache().value_at(capsule, row)
+
+
+#: One rendering piece of a row group: a constant shared by every row, or
+#: one (still NUL-padded) cell per row.
+Piece = Union[bytes, List[bytes]]
+
+
+def merge_constants(pieces: Iterable[Piece]) -> List[Piece]:
+    """*pieces* with each run of adjacent constants joined into one."""
+    merged: List[Piece] = []
+    for piece in pieces:
+        last = merged[-1] if merged else None
+        if isinstance(piece, bytes) and isinstance(last, bytes):
+            merged[-1] = last + piece
+        else:
+            merged.append(piece)
+    return merged
+
+
+def _pattern_pieces(pattern: RuntimePattern, columns: List[List[bytes]]) -> List[Piece]:
+    """A runtime pattern as pieces: its constants, and for each
+    sub-variable the column of *columns* it names."""
+    return [
+        el.text.encode("utf-8") if isinstance(el, Const) else columns[el.index]
+        for el in pattern.elements
+    ]
+
+
+def join_cells(pieces: Sequence[Piece], num_rows: int) -> List[bytes]:
+    """Row-wise concatenation of *pieces*: one ``bytes`` per row, pad
+    bytes still inside."""
+    parts: List[Iterable[bytes]] = []
+    for piece in merge_constants(pieces):
+        if isinstance(piece, bytes):
+            parts.append(repeat(piece, num_rows))
+        elif len(piece) != num_rows:
+            raise FormatError(
+                f"column holds {len(piece)} cell(s), expected {num_rows}"
+            )
+        else:
+            parts.append(piece)
+    return list(map(b"".join, zip(*parts))) if parts else [b""] * num_rows
+
+
+def decode_rows(rows: List[bytes]) -> List[str]:
+    """Strip the padding of joined *rows* and decode them, all at once.
+
+    NUL is the pad byte and no stored value contains one (the packer's
+    ``_reject_nul``), so deleting every NUL of the joined buffer removes
+    exactly the padding.  The rows are split back at newlines; a value
+    that itself holds a newline makes the count disagree, and the rows
+    are then stripped and decoded one by one.
+    """
+    if not rows:
+        return []
+    blob = b"\n".join(rows).translate(None, PAD)
+    if blob.count(b"\n") == len(rows) - 1:
+        return blob.decode("utf-8").split("\n")
+    return [row.translate(None, PAD).decode("utf-8") for row in rows]
+
+
+def _take_cells(
+    capsule: Capsule, rows: Optional[Sequence[int]], stats: QueryStats
+) -> List[bytes]:
+    """Padded cells of *capsule* (all rows when None), accounted like
+    every other read: the inflate on ``stats``, the cells on the ledger."""
+    if rows is not None and not len(rows):
+        return []  # nothing wanted: leave the Capsule unopened
+    touch_capsule(capsule, stats)
+    cells = capsule.cells(rows)
+    ledger_channel.charge_decoded_values(len(cells))
+    return cells
 
 
 class RealVectorReader:
@@ -161,10 +239,12 @@ class RealVectorReader:
             touch_capsule(capsule, self.stats)
         mapping = self._matched_rows()
         columns = [capsule.values_bytes() for capsule in encoded.subvar_capsules]
-        render = _byte_renderer(encoded.pattern, columns)
         needle = fragment.encode("utf-8")
-        for crow in range(self._num_matched):
-            if value_matches(render(crow), needle, mode):
+        values = join_cells(
+            _pattern_pieces(encoded.pattern, columns), self._num_matched
+        )
+        for crow, value in enumerate(values):
+            if value_matches(value, needle, mode):
                 result.add(mapping[crow])
 
     def _search_outliers_plain(
@@ -197,8 +277,12 @@ class RealVectorReader:
                     if regex.search(value):
                         result.add(mapping[crow])
         elif candidates:
-            for row in candidates:
-                if regex.search(self.value_at(row)):
+            # One row-subset fetch: only the candidates' cells are sliced
+            # and decoded, once.
+            rows = candidates.rows()
+            values = decode_rows(join_cells(self.pieces(rows), len(rows)))
+            for row, value in zip(rows, values):
+                if regex.search(value):
                     result.add(row)
         if encoded.outlier_capsule is not None:
             touch_capsule(encoded.outlier_capsule, self.stats)
@@ -237,6 +321,49 @@ class RealVectorReader:
         if not columns:
             return [render(())] * self._num_matched
         return [render(parts) for parts in zip(*columns)]
+
+    # ------------------------------------------------------------------
+    def pieces(self, rows: Optional[Sequence[int]] = None) -> List[Piece]:
+        """The values of *rows* (ascending group rows; every row when
+        None) as rendering pieces: the pattern's constants and one padded
+        cell column per sub-variable.
+
+        With outliers no constant is common to every row, so the matched
+        rows are joined here and the outlier cells spliced in by position:
+        the result is then a single column.
+        """
+        encoded = self.encoded
+        outlier_rows = encoded.outlier_rows
+        if not outlier_rows:
+            return self._matched_pieces(rows)
+        assert encoded.outlier_capsule is not None
+        # Capsule rows of the matched rows, outlier-Capsule rows of the
+        # outliers, and where in the output each outlier belongs.
+        matched: List[int] = []
+        picked: List[int] = []
+        places: List[int] = []
+        for slot, row in enumerate(range(self.num_rows) if rows is None else rows):
+            pos = bisect_left(outlier_rows, row)
+            if pos < len(outlier_rows) and outlier_rows[pos] == row:
+                picked.append(pos)
+                places.append(slot)
+            else:
+                matched.append(row - pos)
+        column = join_cells(self._matched_pieces(matched), len(matched))
+        # Ascending places: each insert lands at its final position.
+        outliers = _take_cells(encoded.outlier_capsule, picked, self.stats)
+        for place, cell in zip(places, outliers):
+            column.insert(place, cell)
+        return [column]
+
+    def _matched_pieces(self, crows: Optional[Sequence[int]]) -> List[Piece]:
+        """Pieces of the pattern-matched rows, in capsule row space."""
+        encoded = self.encoded
+        columns = [
+            _take_cells(capsule, crows, self.stats)
+            for capsule in encoded.subvar_capsules
+        ]
+        return _pattern_pieces(encoded.pattern, columns)
 
     # ------------------------------------------------------------------
     def value_at(self, row: int) -> str:
@@ -294,24 +421,6 @@ class RealVectorReader:
         return out
 
 
-def _byte_renderer(
-    pattern: RuntimePattern, columns: List[List[bytes]]
-) -> Callable[[int], bytes]:
-    """Row → rendered raw-bytes value, constants encoded exactly once."""
-    pieces: List[Union[bytes, List[bytes]]] = [
-        el.text.encode("utf-8") if isinstance(el, Const) else columns[el.index]
-        for el in pattern.elements
-    ]
-
-    def render(crow: int) -> bytes:
-        return b"".join(
-            piece if isinstance(piece, bytes) else piece[crow]
-            for piece in pieces
-        )
-
-    return render
-
-
 class NominalVectorReader:
     """Reader over a nominal variable vector (dictionary + index)."""
 
@@ -326,6 +435,7 @@ class NominalVectorReader:
         self.stats = stats
         self.num_rows = encoded.num_rows
         self._region_slots: List[int] = []  # first slot of each pattern region
+        self._table: Optional[Dict[bytes, bytes]] = None  # see _cell_table
         slot = 0
         for dp in encoded.dict_patterns:
             self._region_slots.append(slot)
@@ -553,6 +663,39 @@ class NominalVectorReader:
         byte = encoded.region_start_byte(pattern_idx) + local * dp.width
         return encoded.dict_capsule.region_value(byte, dp.width)
 
+    def pieces(self, rows: Optional[Sequence[int]] = None) -> List[Piece]:
+        """The values of *rows* (every row when None) as one column of
+        padded dictionary cells, mapped from the raw index cells."""
+        table = self._cell_table()
+        cells = _take_cells(self.encoded.index_capsule, rows, self.stats)
+        try:
+            return [list(map(table.__getitem__, cells))]
+        except KeyError as exc:
+            raise FormatError(
+                f"index cell {exc.args[0]!r} names no dictionary slot"
+            ) from None
+
+    def _cell_table(self) -> Dict[bytes, bytes]:
+        """Raw (zero-filled) index cell → padded dictionary cell, built
+        once per vector from the dictionary payload."""
+        if self._table is None:
+            encoded = self.encoded
+            capsule = encoded.dict_capsule
+            touch_capsule(capsule, self.stats)
+            if capsule.layout == LAYOUT_REGION:
+                cells = capsule.region_cells(
+                    [(dp.count, dp.width) for dp in encoded.dict_patterns]
+                )
+            else:
+                cells = capsule.cells()
+            ledger_channel.charge_decoded_values(len(cells))
+            width = encoded.index_width
+            self._table = {
+                str(slot).zfill(width).encode("ascii"): cell
+                for slot, cell in enumerate(cells)
+            }
+        return self._table
+
     def value_at(self, row: int) -> str:
         encoded = self.encoded
         touch_capsule(encoded.index_capsule, self.stats)
@@ -623,6 +766,10 @@ class PlainVectorReader:
             if regex.search(value):
                 result.add(row)
         return result
+
+    def pieces(self, rows: Optional[Sequence[int]] = None) -> List[Piece]:
+        """The values of *rows* (every row when None): one padded column."""
+        return [_take_cells(self.encoded.capsule, rows, self.stats)]
 
     def value_at(self, row: int) -> str:
         return _cached_value_at(self.encoded.capsule, row)

@@ -31,7 +31,8 @@ class DictPattern:
     """One merged pattern of a dictionary vector plus its stamp data.
 
     ``count`` and ``width`` are recorded in the Capsule stamp (§4.3) and
-    enable the Σ count·width jump into the padded dictionary region (§5.2).
+    enable the Σ count·width jump into the padded dictionary region (§5.2);
+    ``width`` is therefore the widest value's length in UTF-8 *bytes*.
     """
 
     pattern: RuntimePattern
@@ -144,7 +145,10 @@ def _merge_group(
             subvar_idx += 1
             subvar_masks.append(chartypes.type_mask_of_values(column))
             subvar_maxlens.append(max(len(frag) for frag in column))
-    width = max((len(value) for value, _ in members), default=0)
+    # A byte stride (pack_regions pads to it, region_start_byte and
+    # scan_region jump by it), so it is measured on the UTF-8 encoding;
+    # the sub-variable maxlens above are stamp lengths, in characters.
+    width = max((len(value.encode("utf-8")) for value, _ in members), default=0)
     return DictPattern(
         RuntimePattern(elements),
         count=len(members),

@@ -53,6 +53,50 @@ class TestRoundTrip:
         assert lg.decompress_all() == corpus
 
 
+class TestNonAsciiValues:
+    """A nominal dictionary region is strided in bytes, so its width must
+    be the widest value's UTF-8 length (it used to be its character
+    count, and one accented value aborted the whole ingest)."""
+
+    LINES = [
+        # nominal (state), real (id, user) and outlier (irregular user) values
+        f"svc state={'naïve-é' if i % 3 else 'plain'} id={i} "
+        + ("user=ünïque" if i % 41 == 0 else f"user=ü{i * 7919 % 1000}ser")
+        for i in range(600)
+    ]
+
+    def test_nominal_vector_encodes(self):
+        from repro.capsule.assembler import encode_vector
+        from repro.runtime.classify import VectorKind
+
+        encoded = encode_vector(["naïve-é", "plain"] * 100, kind=VectorKind.NOMINAL)
+        assert sorted(dp.width for dp in encoded.dict_patterns) == [5, 9]
+
+    def test_compress_grep_round_trip(self, tmp_path):
+        from repro.capsule.box import CapsuleBox
+
+        archive = ArchiveStore(str(tmp_path / "arch"))
+        lg = LogGrep(store=archive, config=LogGrepConfig(block_bytes=8 * 1024))
+        lg.compress(self.LINES)
+        assert lg.decompress_all() == self.LINES
+        for command in ("naïve-é", "state=plain", "ünïque", "naïve-é AND user=ü7ser"):
+            assert lg.grep(command).lines == grep_lines(command, self.LINES)
+        assert lg.grep("naïve-è").lines == []
+        for name in archive.names():  # what `loggrep verify` checks
+            assert CapsuleBox.deserialize(archive.get(name)).verify() == []
+
+    def test_ascii_widths_unchanged(self):
+        # In ASCII the byte width is the character width it always was.
+        from repro.runtime.merge import extract_nominal
+
+        encoding = extract_nominal(["SUC#16", "ERR#4", "SUCCESS#1", "x", "a-b"] * 3)
+        slot = 0
+        for dp in encoding.patterns:
+            region = encoding.dict_values[slot : slot + dp.count]
+            slot += dp.count
+            assert dp.width == max(map(len, region))
+
+
 class TestGrep:
     @pytest.mark.parametrize("command", QUERIES)
     def test_matches_reference(self, store, corpus, command):

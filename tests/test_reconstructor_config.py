@@ -6,7 +6,7 @@ from repro.blockstore.block import LogBlock
 from repro.common.rowset import RowSet
 from repro.core.compressor import compress_block
 from repro.core.config import ABLATIONS, LogGrepConfig, ablated, sp_config
-from repro.core.reconstructor import BULK_THRESHOLD, BlockReconstructor
+from repro.core.reconstructor import BlockReconstructor
 from tests.conftest import make_mixed_lines
 
 
@@ -21,7 +21,8 @@ class TestReconstructor:
     def test_entry_uses_global_line_ids(self, box_and_lines):
         box, lines = box_and_lines
         recon = BlockReconstructor(box)
-        line_id, text = recon.entry(0, 0)
+        row = RowSet.from_rows(box.groups[0].num_entries, [0])
+        [(line_id, text)] = recon.reconstruct({0: row})
         assert line_id >= 1000  # block's first_line_id offset applies
         assert text == lines[line_id - 1000]
 
@@ -41,23 +42,28 @@ class TestReconstructor:
             assert lines[line_id - 1000] == text
 
     def test_bulk_path_matches_per_row(self, box_and_lines):
+        # One renderer serves every hit count: the whole group at once
+        # and each row on its own must agree.
         box, lines = box_and_lines
         recon = BlockReconstructor(box)
         group_idx = max(
             range(len(box.groups)), key=lambda g: box.groups[g].num_entries
         )
-        group = box.groups[group_idx]
-        assert group.num_entries > BULK_THRESHOLD
-        all_rows = RowSet.full(group.num_entries)
-        bulk = recon.reconstruct({group_idx: all_rows})
-        single = [recon.entry(group_idx, row) for row in range(group.num_entries)]
+        n = box.groups[group_idx].num_entries
+        bulk = recon.reconstruct({group_idx: RowSet.full(n)})
+        single = [
+            entry
+            for row in range(n)
+            for entry in recon.reconstruct({group_idx: RowSet.from_rows(n, [row])})
+        ]
+        assert len(bulk) == n
         assert bulk == sorted(single)
 
     def test_shared_readers_with_engine(self, box_and_lines):
         box, _ = box_and_lines
         readers = {}
         recon = BlockReconstructor(box, readers=readers)
-        recon.entry(0, 0)
+        recon.reconstruct({0: RowSet.full(box.groups[0].num_entries)})
         assert readers  # the shared cache is actually populated
 
 

@@ -94,3 +94,32 @@ class TestSetAlgebra:
     @given(rows_strategy)
     def test_len(self, a):
         assert len(RowSet.from_rows(64, a)) == len(a)
+
+
+def _peel_rows(rs):
+    """The original definition of iteration: lowest set bit first."""
+    bits, out = rs.bits, []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+class TestRowsListing:
+    @given(st.integers(0, 300), st.floats(0, 1), st.randoms(use_true_random=False))
+    def test_rows_match_bit_peeling(self, n, density, rng):
+        rs = RowSet.from_rows(n, [row for row in range(n) if rng.random() < density])
+        assert rs.rows() == _peel_rows(rs)
+        assert list(rs) == rs.rows()
+        assert len(rs.rows()) == len(rs)
+
+    @given(st.integers(0, 300))
+    def test_full_and_empty(self, n):
+        assert RowSet.full(n).rows() == list(range(n))
+        assert RowSet.empty(n).rows() == []
+
+    def test_rows_is_a_fresh_list(self):
+        rs = RowSet.full(4)
+        rs.rows().append(99)
+        assert rs.rows() == [0, 1, 2, 3]
