@@ -35,11 +35,14 @@ Runs the micro-benches and writes a ``BENCH_PR10.json`` regression ledger:
 
 * **Lifecycle** (PR-9) — three hard-gated bars on the hot tail and the
   tier engine: ingest-to-queryable latency (building the in-memory tail
-  box) must stay within 1.2x of a plain single-block parse; cold-demoting
-  several archives into one cross-archive shared template store must cost
-  ≤ 85 % of the bytes that per-archive offline rewrites cost on a
-  repeated-template workload; and a tail-inclusive grep must equal the
-  post-flush grep byte for byte (lines and line ids).
+  box) must stay within 3.6x of a plain single-block parse (1.2x until
+  PR 19 made the parse in the denominator 3.1x cheaper — 2.05 ms to
+  0.67 ms on this block — with the tail build unchanged at 1.08 ms; the
+  bar moved with the denominator so the ceiling on the build did not);
+  cold-demoting several archives into one cross-archive shared template
+  store must cost ≤ 85 % of the bytes that per-archive offline rewrites
+  cost on a repeated-template workload; and a tail-inclusive grep must
+  equal the post-flush grep byte for byte (lines and line ids).
 
 It also asserts the PR-6 acceptance bar that per-query accounting stays
 off the hot path: grep latency with the ledger enabled (slow-query
@@ -611,7 +614,7 @@ def gated_metrics(results):
     ]
     # parse_over_visible is deliberately NOT a baseline-gated ratio: both
     # sides are millisecond-scale timings, so the ±25% band flaps on a
-    # loaded runner.  The hard bar (visible ≤ 1.2x parse, checked in
+    # loaded runner.  The hard bar (visible ≤ 3.6x parse, checked in
     # main()) is the acceptance criterion and has real margin.
     out["lifecycle/offline_over_shared_bytes"] = results["lifecycle"][
         "offline_over_shared_bytes"
@@ -687,8 +690,8 @@ def main(argv=None):
         "replica (default: 1.5)",
     )
     parser.add_argument(
-        "--visible-bar", type=float, default=1.2,
-        help="max tail-build/single-block-parse latency ratio (default: 1.2)",
+        "--visible-bar", type=float, default=3.6,
+        help="max tail-build/single-block-parse latency ratio (default: 3.6)",
     )
     parser.add_argument(
         "--batch-bytes-bar", type=float, default=0.40,

@@ -27,8 +27,8 @@ ingest lock, so no line is double-counted or dropped across the seal
 race.
 
 Parsing for the tail is *incremental*: every ``append`` assigns its line
-against the templates already mined by the stream (one match-score scan
-over same-width templates), so by the time a query arrives the parse is
+against the templates already mined by the stream (the batch parser's
+``TemplateMatcher``), so by the time a query arrives the parse is
 already paid and materializing the tail block costs only the cheap
 encode (plain vectors, preset 0, speed-tier codec, permissive stamps).
 Lines no known template matches sit in a small residual that is mined
@@ -57,6 +57,7 @@ from ..obs.trace import get_tracer
 from ..query.executor import QueryExecutor, StoreBoxSource
 from ..query.cache import bump_generation
 from ..staticparse.cache import TemplateCache
+from ..staticparse.matcher import TemplateMatcher
 from ..staticparse.parser import BlockParser, Group, ParsedBlock
 from ..staticparse.template import Template
 from .compressor import encode_parsed, parse_block
@@ -69,6 +70,11 @@ _VISIBLE_SECONDS = get_registry().gauge(
     "Append-to-queryable latency: seconds to materialize the hot tail "
     "block for the first query after an append",
 )
+
+
+#: One template's share of the append buffer: the template, the
+#: buffer-local line ids assigned to it, and those lines' token rows.
+_TailRows = Tuple[Template, List[int], List[List[str]]]
 
 
 def _tail_name(version: int) -> str:
@@ -166,12 +172,11 @@ class StreamingCompressor:
             compress_parallelism=1,
         )
         # Incremental tail parse state (all under self._lock): the
-        # matcher templates (refreshed from the scheduler's cache at
-        # every seal), the buffer's accumulated groups/residual, and the
+        # matcher (rebuilt from the scheduler's cache at every seal), the
+        # buffer's accumulated per-template rows and residual, and the
         # frozen segments of blocks that sealed but have not committed.
-        self._tail_templates: List[Template] = []
-        self._tail_by_count: Dict[int, List[Template]] = {}
-        self._tail_groups: Dict[int, Group] = {}
+        self._tail_matcher = TemplateMatcher()
+        self._tail_rows: Dict[int, _TailRows] = {}
         self._tail_residual: List[Tuple[int, str]] = []
         self._parsed_pending: Dict[int, _ParsedSegment] = {}
         self._refresh_tail_matcher()
@@ -181,39 +186,33 @@ class StreamingCompressor:
         warm-start cache (called under the lock at init and after every
         seal, when the scheduler's ordered parse has just learned the
         sealed block's templates)."""
-        self._tail_templates = []
-        self._tail_by_count = {}
         cache = self._scheduler.template_cache
-        if cache is not None:
-            for i, key in enumerate(cache.snapshot()):
-                template = Template(i, list(key))
-                self._tail_templates.append(template)
-                self._tail_by_count.setdefault(
-                    template.num_tokens, []
-                ).append(template)
+        self._tail_matcher = TemplateMatcher(
+            cache.templates() if cache is not None else ()
+        )
 
     def _assign_tail_line(self, line: str, local_id: int) -> None:
-        """Incrementally parse one appended line (under the lock).
-
-        The same most-constants-win rule as the batch parser's
-        ``_best_match``; unmatched lines land in the residual, which the
-        tail build mines on demand.
-        """
+        """Incrementally parse one appended line (under the lock): the
+        batch parser's assignment rule against the cache snapshot;
+        unmatched lines land in the residual, which the tail build mines
+        on demand."""
         tokens = tokenize(line)
-        best: Optional[Template] = None
-        best_score = -1
-        for template in self._tail_by_count.get(len(tokens), ()):
-            score = template.match_score(tokens)
-            if score > best_score:
-                best, best_score = template, score
-        if best is None:
+        template = self._tail_matcher.match(tokens)
+        if template is None:
             self._tail_residual.append((local_id, line))
             return
-        group = self._tail_groups.get(best.template_id)
-        if group is None:
-            group = Group(best)
-            self._tail_groups[best.template_id] = group
-        group.append(local_id, best.extract(tokens))
+        entry = self._tail_rows.get(template.template_id)
+        if entry is None:
+            entry = self._tail_rows[template.template_id] = (template, [], [])
+        entry[1].append(local_id)
+        entry[2].append(tokens)
+
+    def _tail_groups(self) -> List[Group]:
+        """The buffer's accumulated parse as fresh (unshared) groups."""
+        return [
+            Group.from_rows(template, list(line_ids), rows)
+            for template, line_ids, rows in self._tail_rows.values()
+        ]
 
     # ------------------------------------------------------------------
     def append(self, line: str) -> None:
@@ -252,14 +251,11 @@ class StreamingCompressor:
             self._lines = []
             self._buffered_bytes = 0
             # Freeze the buffer's accumulated parse as this block's tail
-            # segment: the accumulator is reset to fresh containers, so
-            # the frozen Group objects are immutable from here on.
+            # segment; the accumulator restarts from fresh containers.
             self._parsed_pending[block.block_id] = _ParsedSegment(
-                block.num_lines,
-                list(self._tail_groups.values()),
-                self._tail_residual,
+                block.num_lines, self._tail_groups(), self._tail_residual
             )
-            self._tail_groups = {}
+            self._tail_rows = {}
             self._tail_residual = []
             # The scheduler parses in order (warm-start cache), encodes in
             # the background, and applies back-pressure at twice its
@@ -320,19 +316,12 @@ class StreamingCompressor:
                         )
                     segments.append(seg)
                 if self._lines:
-                    # The buffer still mutates under appends — freeze a
-                    # copy of its accumulated groups for this snapshot.
+                    # The buffer still mutates under appends — the
+                    # snapshot gets its own groups and residual list.
                     segments.append(
                         _ParsedSegment(
                             len(self._lines),
-                            [
-                                Group(
-                                    group.template,
-                                    list(group.line_ids),
-                                    [list(v) for v in group.variable_vectors],
-                                )
-                                for group in self._tail_groups.values()
-                            ],
+                            self._tail_groups(),
                             list(self._tail_residual),
                         )
                     )

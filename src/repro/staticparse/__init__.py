@@ -1,8 +1,9 @@
-"""Static-pattern substrate: templates, the sampling miner, the block
-parser that produces groups of variable vectors, and the cross-block
-template warm-start cache."""
+"""Static-pattern substrate: templates, the sampling miner, the matcher
+that assigns lines to templates, the block parser that produces groups of
+variable vectors, and the cross-block template warm-start cache."""
 
 from .cache import TemplateCache, TemplateKey, template_key
+from .matcher import TemplateMatcher
 from .miner import TemplateMiner, mine_templates
 from .parser import BlockParser, Group, ParsedBlock, ParseOutcome
 from .template import VAR_MARK, Template
@@ -10,6 +11,7 @@ from .template import VAR_MARK, Template
 __all__ = [
     "Template",
     "VAR_MARK",
+    "TemplateMatcher",
     "TemplateMiner",
     "mine_templates",
     "BlockParser",

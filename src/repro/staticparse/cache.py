@@ -95,6 +95,10 @@ class TemplateCache:
         with self._lock:
             return list(self._keys)
 
+    def templates(self) -> List[Template]:
+        """The cached patterns as templates, ids in snapshot order."""
+        return [Template(i, list(key)) for i, key in enumerate(self.snapshot())]
+
     def merge(self, keys: Iterable[TemplateKey]) -> int:
         """Add new templates; returns how many were actually new.
 

@@ -15,13 +15,14 @@ always covers 100% of the block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple, cast
 
 from ..common.sampling import DEFAULT_SAMPLE_RATE, sample
 from ..common.tokenizer import tokenize
 from ..obs.trace import get_tracer
-from .cache import TemplateCache, TemplateKey, template_key
+from .cache import TemplateCache, template_key
+from .matcher import TemplateMatcher
 from .miner import DEFAULT_SIMILARITY, TemplateMiner
 from .template import Template
 
@@ -40,21 +41,23 @@ class Group:
     """
 
     template: Template
-    line_ids: List[int] = field(default_factory=list)
-    variable_vectors: List[List[str]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.variable_vectors:
-            self.variable_vectors = [[] for _ in range(self.template.num_variables)]
+    line_ids: List[int]
+    variable_vectors: List[List[str]]
 
     @property
     def num_entries(self) -> int:
         return len(self.line_ids)
 
-    def append(self, line_id: int, values: Sequence[str]) -> None:
-        self.line_ids.append(line_id)
-        for vector, value in zip(self.variable_vectors, values):
-            vector.append(value)
+    @classmethod
+    def from_rows(
+        cls, template: Template, line_ids: List[int], rows: Sequence[Sequence[str]]
+    ) -> "Group":
+        """Build a group column-wise: transpose the entries' token *rows*
+        (at least one) once and keep the columns of the variable slots."""
+        columns = list(zip(*rows))
+        return cls(
+            template, line_ids, [list(columns[p]) for p in template.var_positions]
+        )
 
     def render_entry(self, row: int) -> str:
         """Rebuild the original text of the group's *row*-th entry."""
@@ -75,12 +78,6 @@ class ParsedBlock:
             if group.template.template_id == template_id:
                 return group
         raise KeyError(f"no group for template {template_id}")
-
-    def all_variable_vectors(self) -> List[List[str]]:
-        out: List[List[str]] = []
-        for group in self.groups:
-            out.extend(group.variable_vectors)
-        return out
 
 
 @dataclass
@@ -132,63 +129,54 @@ class BlockParser:
 
     def parse(self, lines: Sequence[str]) -> ParsedBlock:
         """Parse every line of a block into groups."""
-        token_lines = [tokenize(line) for line in lines]
+        return self._parse_tokens([tokenize(line) for line in lines])
 
+    def _parse_tokens(self, token_lines: List[List[str]]) -> ParsedBlock:
+        """Cold parse of an already tokenised block: mine a sample, assign
+        every line, mine what the sample missed."""
         miner = self._make_miner()
         for tokens in sample(token_lines, self.sample_rate, self.seed):
             miner.observe(tokens)
         templates = miner.templates()
+        matcher = TemplateMatcher(templates)
+        assigned = list(map(matcher.match, token_lines))
+        self._assign_rest(templates, matcher, token_lines, assigned)
 
-        by_count: Dict[int, List[Template]] = {}
-        for template in templates:
-            by_count.setdefault(template.num_tokens, []).append(template)
+        groups = _build_groups(assigned, token_lines)
+        groups.sort(key=lambda group: group.template.template_id)
+        return ParsedBlock(
+            [group.template for group in groups], groups, len(token_lines)
+        )
 
-        assignments: List[int] = [-1] * len(token_lines)
-        unmatched: List[int] = []
-        for line_id, tokens in enumerate(token_lines):
-            template = _best_match(by_count.get(len(tokens), ()), tokens)
+    def _assign_rest(
+        self,
+        templates: List[Template],
+        matcher: TemplateMatcher,
+        token_lines: List[List[str]],
+        assigned: List[Optional[Template]],
+    ) -> None:
+        """Second pass: mine the lines *matcher* left unassigned (shapes
+        the sample, or the cache, missed entirely) and assign them, so a
+        parse always covers 100% of the block.  Extends *templates* and
+        *matcher* and fills every gap in *assigned*."""
+        unmatched = [i for i, template in enumerate(assigned) if template is None]
+        if not unmatched:
+            return
+        extra_miner = self._make_miner()
+        for line_id in unmatched:
+            extra_miner.observe(token_lines[line_id])
+        for template in extra_miner.templates(first_id=len(templates)):
+            templates.append(template)
+            matcher.add(template)
+        for line_id in unmatched:
+            tokens = token_lines[line_id]
+            template = matcher.match(tokens)
             if template is None:
-                unmatched.append(line_id)
-            else:
-                assignments[line_id] = template.template_id
-
-        if unmatched:
-            # The sample missed these shapes entirely: mine them separately.
-            extra_miner = self._make_miner()
-            for line_id in unmatched:
-                extra_miner.observe(token_lines[line_id])
-            extras = extra_miner.templates(first_id=len(templates))
-            for template in extras:
-                by_count.setdefault(template.num_tokens, []).append(template)
-            templates.extend(extras)
-            still: List[int] = []
-            for line_id in unmatched:
-                tokens = token_lines[line_id]
-                template = _best_match(by_count.get(len(tokens), ()), tokens)
-                if template is None:
-                    still.append(line_id)
-                else:
-                    assignments[line_id] = template.template_id
-            for line_id in still:
-                # Last resort: an all-variable template of the right width.
-                tokens = token_lines[line_id]
-                catch_all = Template(len(templates), [None] * len(tokens))
-                templates.append(catch_all)
-                by_count.setdefault(catch_all.num_tokens, []).append(catch_all)
-                assignments[line_id] = catch_all.template_id
-
-        groups: Dict[int, Group] = {}
-        for line_id, tokens in enumerate(token_lines):
-            template = templates[assignments[line_id]]
-            group = groups.get(template.template_id)
-            if group is None:
-                group = Group(template)
-                groups[template.template_id] = group
-            group.append(line_id, template.extract(tokens))
-
-        ordered = [groups[tid] for tid in sorted(groups)]
-        used_templates = [group.template for group in ordered]
-        return ParsedBlock(used_templates, ordered, len(lines))
+                # Last resort: an all-variable template of the right width
+                # (never cached — see TemplateCache.merge).
+                template = Template(len(templates), [None] * len(tokens))
+                templates.append(template)
+            assigned[line_id] = template
 
     def parse_cached(
         self,
@@ -204,7 +192,8 @@ class BlockParser:
         drift guard distrusts the cache when the unmatched fraction
         exceeds *drift_threshold* and re-mines the whole block from
         scratch (log format changed, or the cache is cold).  Newly mined
-        templates are merged back into the cache either way.
+        templates are merged back into the cache either way.  The block
+        is tokenised once; the re-mine reuses the tokens.
 
         Determinism: the result depends only on *lines* and the cache
         contents — callers that mutate the cache in block order (the
@@ -213,96 +202,56 @@ class BlockParser:
         """
         tracer = get_tracer()
         token_lines = [tokenize(line) for line in lines]
-        snapshot = cache.snapshot()
-        templates = [Template(i, list(key)) for i, key in enumerate(snapshot)]
-        by_count: Dict[int, List[Template]] = {}
-        for template in templates:
-            by_count.setdefault(template.num_tokens, []).append(template)
+        total = len(token_lines)
+        templates = cache.templates()
+        cached = len(templates)
+        matcher = TemplateMatcher(templates)
+        with tracer.span("parse_cached", cached_templates=cached) as wspan:
+            # A cold cache (the first block of every archive) matches
+            # nothing: skip the probe pass.
+            assigned: List[Optional[Template]] = (
+                list(map(matcher.match, token_lines)) if cached else [None] * total
+            )
+            misses = assigned.count(None)
+            hits = total - misses
+            wspan.set("hits", hits).set("misses", misses)
 
-        assignments: List[int] = [-1] * len(token_lines)
-        unmatched: List[int] = []
-        with tracer.span("parse_cached", cached_templates=len(templates)) as wspan:
-            for line_id, tokens in enumerate(token_lines):
-                template = _best_match(by_count.get(len(tokens), ()), tokens)
-                if template is None:
-                    unmatched.append(line_id)
-                else:
-                    assignments[line_id] = template.template_id
-            hits = len(token_lines) - len(unmatched)
-            wspan.set("hits", hits).set("misses", len(unmatched))
-
-        if token_lines and len(unmatched) / len(token_lines) > drift_threshold:
+        if total and misses / total > drift_threshold:
             # Drift guard: the cache no longer describes this stream (or
             # is cold) — fall back to a full sample-mined parse.
-            with tracer.span("mine_fallback", lines=len(token_lines), remine=True):
-                parsed = self.parse(lines)
+            with tracer.span("mine_fallback", lines=total, remine=True):
+                parsed = self._parse_tokens(token_lines)
             added = cache.merge(template_key(t) for t in parsed.templates)
-            cache.record(0, len(token_lines), True)
-            return parsed, ParseOutcome(
-                len(token_lines), 0, len(token_lines), True, added
-            )
+            cache.record(0, total, True)
+            return parsed, ParseOutcome(total, 0, total, True, added)
 
-        new_keys: List[TemplateKey] = []
-        if unmatched:
-            # The cache missed these shapes: mine them separately (the
-            # same second pass a cold parse runs for sample misses).
-            with tracer.span("mine_fallback", lines=len(unmatched), remine=False):
-                extra_miner = self._make_miner()
-                for line_id in unmatched:
-                    extra_miner.observe(token_lines[line_id])
-                extras = extra_miner.templates(first_id=len(templates))
-                for template in extras:
-                    by_count.setdefault(template.num_tokens, []).append(template)
-                templates.extend(extras)
-                new_keys.extend(template_key(t) for t in extras)
-                still: List[int] = []
-                for line_id in unmatched:
-                    tokens = token_lines[line_id]
-                    template = _best_match(by_count.get(len(tokens), ()), tokens)
-                    if template is None:
-                        still.append(line_id)
-                    else:
-                        assignments[line_id] = template.template_id
-                for line_id in still:
-                    # Last resort: an all-variable template of the right
-                    # width (never cached — see TemplateCache.merge).
-                    tokens = token_lines[line_id]
-                    catch_all = Template(len(templates), [None] * len(tokens))
-                    templates.append(catch_all)
-                    by_count.setdefault(catch_all.num_tokens, []).append(catch_all)
-                    assignments[line_id] = catch_all.template_id
+        if misses:
+            with tracer.span("mine_fallback", lines=misses, remine=False):
+                self._assign_rest(templates, matcher, token_lines, assigned)
 
         # Renumber the used templates into block-local ids by order of
         # first appearance (cache ids are stream-global and unstable).
-        local_ids: Dict[int, int] = {}
-        local_templates: List[Template] = []
-        groups: List[Group] = []
-        for line_id, tokens in enumerate(token_lines):
-            provisional = assignments[line_id]
-            local_id = local_ids.get(provisional)
-            if local_id is None:
-                local_id = len(local_templates)
-                local_ids[provisional] = local_id
-                local = Template(local_id, list(templates[provisional].tokens))
-                local_templates.append(local)
-                groups.append(Group(local))
-            groups[local_id].append(
-                line_id, local_templates[local_id].extract(tokens)
-            )
-        added = cache.merge(new_keys)
-        cache.record(hits, len(unmatched), False)
-        parsed = ParsedBlock(local_templates, groups, len(lines))
-        return parsed, ParseOutcome(
-            len(token_lines), hits, len(unmatched), False, added
-        )
+        groups = _build_groups(assigned, token_lines)
+        for local_id, group in enumerate(groups):
+            group.template = Template(local_id, list(group.template.tokens))
+        added = cache.merge(template_key(t) for t in templates[cached:])
+        cache.record(hits, misses, False)
+        parsed = ParsedBlock([group.template for group in groups], groups, total)
+        return parsed, ParseOutcome(total, hits, misses, False, added)
 
 
-def _best_match(candidates: Sequence[Template], tokens: Sequence[str]):
-    """The matching template with the most constant tokens, if any."""
-    best = None
-    best_score = -1
-    for template in candidates:
-        score = template.match_score(tokens)
-        if score > best_score:
-            best, best_score = template, score
-    return best if best_score >= 0 else None
+def _build_groups(
+    assigned: Sequence[Optional[Template]], token_lines: Sequence[List[str]]
+) -> List[Group]:
+    """One group per template of the fully *assigned* block, in order of
+    first appearance."""
+    members: Dict[int, Tuple[Template, List[int]]] = {}
+    for line_id, template in enumerate(cast(Sequence[Template], assigned)):
+        entry = members.get(template.template_id)
+        if entry is None:
+            entry = members[template.template_id] = (template, [])
+        entry[1].append(line_id)
+    return [
+        Group.from_rows(template, line_ids, [token_lines[i] for i in line_ids])
+        for template, line_ids in members.values()
+    ]

@@ -82,12 +82,3 @@ class Template:
         for value, pos in zip(values, self.var_positions):
             out[pos] = value
         return join_tokens(out)  # type: ignore[arg-type]
-
-    def match_score(self, tokens: Sequence[str]) -> int:
-        """Number of constant tokens that agree (-1 when not a match).
-
-        Used to pick the most specific template when several match a line.
-        """
-        if not self.matches(tokens):
-            return -1
-        return sum(1 for tok in self.tokens if tok is not None)

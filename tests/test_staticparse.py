@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.staticparse import (
     BlockParser,
     Template,
+    TemplateMatcher,
     TemplateMiner,
     VAR_MARK,
     mine_templates,
@@ -37,9 +38,13 @@ class TestTemplate:
             t.render([])
 
     def test_match_score(self):
-        t = Template(0, ["a", None, "c"])
-        assert t.match_score(["a", "x", "c"]) == 2
-        assert t.match_score(["b", "x", "c"]) == -1
+        # The score itself is gone; its rule lives in TemplateMatcher.
+        loose = Template(0, ["a", None, None])
+        t = Template(1, ["a", None, "c"])
+        matcher = TemplateMatcher([loose, t])
+        assert matcher.match(["a", "x", "c"]) is t  # most constants wins
+        assert matcher.match(["a", "x", "d"]) is loose
+        assert matcher.match(["b", "x", "c"]) is None
 
     def test_all_variable_template(self):
         t = Template(0, [None, None])
