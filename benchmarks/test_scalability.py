@@ -1,13 +1,11 @@
-"""Scalability and parser-choice benchmarks (extensions).
+"""Scalability benchmark (extension).
 
-* Query latency vs archive size: selective queries should grow *sub-
-  linearly* in the raw size thanks to Capsule filtering (most added bytes
-  are never decompressed), while gzip+grep grows linearly by construction.
-* Parser families: the Drain-style miner vs the SLCT-style frequent-token
-  miner — parser choice shifts ratio/latency but never correctness.
+Query latency vs archive size: selective queries should grow *sub-
+linearly* in the raw size thanks to Capsule filtering (most added bytes
+are never decompressed), while gzip+grep grows linearly by construction.
 """
 
-from repro.baselines import GzipGrep, grep_lines
+from repro.baselines import GzipGrep
 from repro.baselines.loggrep_system import LogGrepSystem
 from repro.bench.report import format_table, print_banner
 from repro.bench.runner import BENCH_BLOCK_BYTES
@@ -50,29 +48,3 @@ def test_latency_scaling_with_archive_size(benchmark):
     # And LG stays an order of magnitude below ggrep at the largest size.
     assert lg2 * 3 < gg2
 
-
-def test_parser_families(benchmark, scale):
-    datasets = ["Log B", "Log H", "Hdfs", "Zookeeper"]
-
-    def measure():
-        rows = []
-        for dataset in datasets:
-            spec = spec_by_name(dataset)
-            lines = spec.generate(scale)
-            for parser in ("drain", "slct"):
-                system = LogGrepSystem(
-                    LogGrepConfig(block_bytes=BENCH_BLOCK_BYTES, parser=parser)
-                )
-                system.ingest(lines)
-                system.loggrep.clear_query_cache()
-                hits, seconds = system.timed_query(spec.query)
-                assert hits == grep_lines(spec.query, lines), (dataset, parser)
-                rows.append(
-                    [dataset, parser, f"{system.compression_ratio():.1f}x",
-                     f"{seconds * 1000:.1f}ms"]
-                )
-        return rows
-
-    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
-    print_banner("Parser families: Drain-style vs SLCT-style")
-    print(format_table(["dataset", "parser", "ratio", "query latency"], rows))

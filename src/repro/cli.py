@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -370,6 +371,18 @@ def _run_grep_batch(lg, args, from_time, to_time) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+
+    # Only compress creates an archive (cluster and report take none):
+    # every other subcommand reads one, and ArchiveStore would otherwise
+    # make the directory and answer from an empty archive.
+    archive = getattr(args, "archive", None)
+    if (
+        archive is not None
+        and args.command != "compress"
+        and not os.path.isdir(archive)
+    ):
+        print(f"loggrep: no such archive: {archive}", file=sys.stderr)
+        return 2
 
     if args.command == "compress":
         overrides = {"block_bytes": args.block_bytes, "preset": args.preset}

@@ -48,13 +48,10 @@ def parse_block(
             sample_rate=config.sample_rate,
             similarity=config.similarity,
             seed=config.seed ^ block.block_id,
-            miner=config.parser,
         )
         outcome: Optional[ParseOutcome] = None
         if cache is not None:
-            parsed, outcome = parser.parse_cached(
-                block.lines, cache, config.template_drift_threshold
-            )
+            parsed, outcome = parser.parse_cached(block.lines, cache)
         else:
             parsed = parser.parse(block.lines)
         pspan.set("groups", len(parsed.groups))

@@ -53,7 +53,6 @@ class LogGrepConfig:
     # -- compression-side ------------------------------------------------
     sample_rate: float = 0.05  # parser + extractor sampling (§3, §4.1)
     similarity: float = 0.6  # template miner merge threshold
-    parser: str = "drain"  # template miner: "drain" or "slct"
     duplication_threshold: float = 0.5  # real/nominal split (§4.1)
     preset: int = 1  # LZMA preset for Capsule payloads
     block_bytes: int = 64 * 1024 * 1024  # log block size (§2)
@@ -79,12 +78,6 @@ class LogGrepConfig:
     # portions, which release the GIL.
     compress_parallelism: int = field(default_factory=_default_compress_parallelism)
     compress_executor: str = field(default_factory=_default_compress_executor)
-    # Template warm-start: seed each block's parse with templates mined
-    # from earlier blocks of the same stream (consecutive blocks of one
-    # log share static patterns, §3.1); a block whose unmatched-line
-    # fraction exceeds the drift threshold is re-mined from scratch.
-    template_warm_start: bool = True
-    template_drift_threshold: float = 0.3
 
     # -- codec tiering ----------------------------------------------------
     # Opt-in: where the size-keyed codec rule compares zlib with LZMA,
@@ -98,12 +91,6 @@ class LogGrepConfig:
     # turns this on: its single in-memory block is always scanned anyway,
     # and stamp computation would sit on the append→queryable latency.
     cheap_stamps: bool = False
-
-    # -- archive I/O -------------------------------------------------------
-    # Persistent prune index: maintain/load the per-archive sidecar of
-    # bloom bits + stamp summaries so block-level pruning needs zero store
-    # reads.  Purely derived data; disabling only disables the fast path.
-    use_prune_index: bool = True
 
     # -- query-side --------------------------------------------------------
     # Bound on Query Cache entries: per-(generation, block, search string)

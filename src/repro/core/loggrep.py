@@ -208,9 +208,7 @@ class LogGrep(AggregateShortcuts):
         self.raw_bytes = 0
         self._next_block_id = 0
         self._next_line_id = 0
-        self._template_cache = (
-            TemplateCache() if self.config.template_warm_start else None
-        )
+        self._template_cache = TemplateCache()
         self._box_cache = BoxCache(self.config.box_cache_capacity)
         # The decoded-value cache is process-wide (entries die with their
         # Capsules); the most recent instance re-bounds it.
@@ -233,9 +231,7 @@ class LogGrep(AggregateShortcuts):
             self.fragments,
         )
 
-    def _load_or_build_index(self) -> "ArchiveIndex | None":
-        if not self.config.use_prune_index:
-            return None
+    def _load_or_build_index(self) -> ArchiveIndex:
         index = load_index(self.store)
         if index is not None:
             return index

@@ -129,9 +129,7 @@ class StreamingCompressor:
             raise ValueError("pipeline depth must be positive")
         self.pipeline_depth = pipeline_depth
         self.store = store if store is not None else MemoryStore()
-        self._index = (
-            ArchiveIndex() if self.config.use_prune_index else None
-        )
+        self._index = ArchiveIndex()
         # One reentrant lock serializes everything the tail snapshot
         # depends on: the append buffer, the scheduler's pending deque
         # and the store commits it performs.  Snapshots taken under it
@@ -139,12 +137,11 @@ class StreamingCompressor:
         self._lock = threading.RLock()
         self._tail_version = 0
         self._tail_boxes: Dict[int, CapsuleBox] = {}
+        self._template_cache = TemplateCache()
         self._scheduler = CompressionScheduler(
             self.store,
             self.config,
-            template_cache=(
-                TemplateCache() if self.config.template_warm_start else None
-            ),
+            template_cache=self._template_cache,
             parallelism=pipeline_depth,
             executor=self.config.compress_executor,
             always_async=True,
@@ -186,10 +183,7 @@ class StreamingCompressor:
         warm-start cache (called under the lock at init and after every
         seal, when the scheduler's ordered parse has just learned the
         sealed block's templates)."""
-        cache = self._scheduler.template_cache
-        self._tail_matcher = TemplateMatcher(
-            cache.templates() if cache is not None else ()
-        )
+        self._tail_matcher = TemplateMatcher(self._template_cache.templates())
 
     def _assign_tail_line(self, line: str, local_id: int) -> None:
         """Incrementally parse one appended line (under the lock): the
@@ -362,7 +356,6 @@ class StreamingCompressor:
                     sample_rate=self._tail_config.sample_rate,
                     similarity=self._tail_config.similarity,
                     seed=self._tail_config.seed,
-                    miner=self._tail_config.parser,
                 )
                 mined = parser.parse([line for _, line in segment.residual])
                 for group in mined.groups:
@@ -411,10 +404,8 @@ class StreamingCompressor:
                 # version's box existed then; it has since been evicted
                 # (a racing query against an old snapshot) — fall back
                 # to a full warm-started parse.
-                cache = None
-                if self._scheduler.template_cache is not None:
-                    cache = TemplateCache()
-                    cache.merge(self._scheduler.template_cache.snapshot())
+                cache = TemplateCache()
+                cache.merge(self._template_cache.snapshot())
                 parsed, _ = parse_block(block, self._tail_config, cache)
             box = encode_parsed(block, parsed, self._tail_config)
         _VISIBLE_SECONDS.set(time.perf_counter() - start)

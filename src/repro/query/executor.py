@@ -10,9 +10,9 @@ one.  Per block the pipeline is::
 
 * **TimePrune / BloomPrune** — drop the block for a plan whose window
   or disjuncts cannot match.  With the persistent prune index loaded
-  (``config.use_prune_index``) both run on the in-memory
-  :class:`BlockSummary` — zero store reads for a pruned block; without
-  an index entry only the Bloom section is fetched via a ranged read.
+  both run on the in-memory :class:`BlockSummary` — zero store reads
+  for a pruned block; without an index entry only the Bloom section is
+  fetched via a ranged read.
   Decisions are memoized per ``(block, term)`` for the pass, so N plans
   sharing a term decide it once.
 * **LoadBox** — one open per block for every surviving plan, or a
@@ -58,7 +58,17 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from ..blockstore.blobsource import BlobSource, StoreBlobSource
 from ..blockstore.index import ArchiveIndex, BlockSummary, load_index
@@ -68,14 +78,17 @@ from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .aggregate import AggregatePartial, AggregateSpec, make_partial
 from .blockfilter import command_might_match, summary_might_match
-from .cache import DEFAULT_CAPACITY, QueryCache, load_generation
+from .cache import QueryCache, load_generation
 from .engine import BlockEngine, GroupRows, fold_disjuncts, shape_rows
 from .language import QueryCommand, SearchString
 from .modes import AggregateKind
 from .plan import OutputMode, QueryPlan, build_plan
 from .schema import FieldRef, schema_of
 from .stats import NULL_LEDGER, BudgetMeter, QueryLedger, QueryStats
-from .vectors import NominalVectorReader
+from .vectors import NominalVectorReader, QuerySettings
+
+if TYPE_CHECKING:  # core.config imports query.vectors: avoid the cycle
+    from ..core.config import LogGrepConfig
 
 _BOX_HITS = get_registry().counter(
     "loggrep_box_cache_hits_total", "Box cache lookups that hit"
@@ -340,15 +353,13 @@ class QueryExecutor:
     def __init__(
         self,
         source: StoreBoxSource,
-        config: object,
+        config: "LogGrepConfig",
         cache: Optional[QueryCache] = None,
     ):
         self.source = source
         self.config = config
         self.cache = (
-            cache
-            if cache is not None
-            else QueryCache(getattr(config, "cache_capacity", DEFAULT_CAPACITY))
+            cache if cache is not None else QueryCache(config.cache_capacity)
         )
         #: The archive generation the source's derived state reflects.
         self._generation = load_generation(source.store)
@@ -511,9 +522,9 @@ class QueryExecutor:
         """An active ledger when anything will consume it (ANALYZE mode, a
         slow-query threshold or a budget), else the null object (which
         keeps the charge channel empty — zero overhead)."""
-        max_read = getattr(self.config, "max_read_bytes", None)
-        max_decoded = getattr(self.config, "max_decoded_values", None)
-        slow_ms = getattr(self.config, "slow_query_ms", None)
+        max_read = self.config.max_read_bytes
+        max_decoded = self.config.max_decoded_values
+        slow_ms = self.config.slow_query_ms
         if (
             mode is not OutputMode.ANALYZE
             and slow_ms is None
@@ -536,7 +547,7 @@ class QueryExecutor:
         elapsed: float,
     ) -> None:
         """Emit one slow-query record when the query crossed the threshold."""
-        threshold = getattr(self.config, "slow_query_ms", None)
+        threshold = self.config.slow_query_ms
         if threshold is None or elapsed * 1000.0 < threshold:
             return
         from ..obs import slowlog
@@ -550,7 +561,7 @@ class QueryExecutor:
             stats=stats.as_dict(),
             ledger=ledger.as_dict() if ledger.enabled else None,
         )
-        slowlog.emit(record, getattr(self.config, "slow_query_log_path", None))
+        slowlog.emit(record, self.config.slow_query_log_path)
 
     def _schedule(
         self,
@@ -564,7 +575,7 @@ class QueryExecutor:
         """Run every block, serially or on a thread pool; the passes come
         back in block order either way."""
         tracer = get_tracer()
-        parallelism = getattr(self.config, "query_parallelism", 1)
+        parallelism = self.config.query_parallelism
 
         def run_one(name: str, spawn: bool = True) -> BlockPass:
             # One child ledger per block: a block runs wholly on one
@@ -632,11 +643,7 @@ class QueryExecutor:
         if self.source.box_cache is not None:
             shared.charge_box_cache(box is not None)
         settings = self._settings()
-        cache = (
-            self.cache
-            if getattr(self.config, "use_query_cache", False)
-            else None
-        )
+        cache = self.cache if self.config.use_query_cache else None
         live = list(range(len(plans)))
         if box is None:
             live = self._prune(name, plans, outcomes, shared, settings)
@@ -763,20 +770,16 @@ class QueryExecutor:
         plans: Sequence[QueryPlan],
         outcomes: List[BlockOutcome],
         shared: QueryLedger,
-        settings: object,
+        settings: QuerySettings,
     ) -> List[int]:
         """TimePrune + BloomPrune of one uncached block for every plan.
 
         Returns the indices of the surviving plans.
         """
         tracer = get_tracer()
-        use_bloom = bool(getattr(self.config, "use_block_bloom", False))
-        use_stamps = getattr(settings, "use_stamps", True)
-        summary = (
-            self.source.summary(name)
-            if getattr(self.config, "use_prune_index", True)
-            else None
-        )
+        use_bloom = self.config.use_block_bloom
+        use_stamps = settings.use_stamps
+        summary = self.source.summary(name)
         # One verdict per distinct term, reused by every plan.
         memo: Dict[str, bool] = {}
         bloom: Optional[object] = None
@@ -1082,21 +1085,16 @@ class QueryExecutor:
                 self.source.box_cache.put(name, box)
         return box
 
-    def _settings(self) -> object:
-        return self.config.query_settings()  # type: ignore[attr-defined]
+    def _settings(self) -> QuerySettings:
+        return self.config.query_settings()
 
     # ------------------------------------------------------------------
     # rendering
     # ------------------------------------------------------------------
     def describe(self, plan: QueryPlan) -> str:
         """The physical plan: operators, scheduler, term order."""
-        bloom = "on" if getattr(self.config, "use_block_bloom", False) else "off"
-        cache = (
-            "on"
-            if self.cache is not None
-            and getattr(self.config, "use_query_cache", False)
-            else "off"
-        )
+        bloom = "on" if self.config.use_block_bloom else "off"
+        cache = "on" if self.config.use_query_cache else "off"
         if plan.aggregate is not None and plan.mode is not OutputMode.EXPLAIN:
             tail = f"Aggregate({plan.aggregate.describe()})"
         elif plan.mode in (OutputMode.LINES, OutputMode.ANALYZE):
@@ -1107,14 +1105,13 @@ class QueryExecutor:
             tail = "ShipRowSets -> Reconstruct(deferred)"
         else:
             tail = "Reconstruct(dry-run)"
-        parallelism = getattr(self.config, "query_parallelism", 1)
+        parallelism = self.config.query_parallelism
         scheduler = (
             f"thread-pool({parallelism})" if parallelism > 1 else "serial"
         )
         index = (
             f"loaded ({len(self.source.index)} block(s))"
             if self.source.index is not None
-            and getattr(self.config, "use_prune_index", True)
             else "off"
         )
         lines = [

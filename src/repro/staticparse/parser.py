@@ -98,33 +98,19 @@ class ParseOutcome:
 
 
 class BlockParser:
-    """Two-pass parser: sample-mined templates, then full assignment.
-
-    ``miner`` selects the template-mining family: ``"drain"`` (the
-    default, Drain-style similarity clustering — LogReducer's behaviour)
-    or ``"slct"`` (SLCT-style frequent-token mining).  Parser choice only
-    shifts compression/query performance; reconstruction stays exact.
-    """
+    """Two-pass parser: sample-mined templates, then full assignment."""
 
     def __init__(
         self,
         sample_rate: float = DEFAULT_SAMPLE_RATE,
         similarity: float = DEFAULT_SIMILARITY,
         seed: int = 0,
-        miner: str = "drain",
     ):
-        if miner not in ("drain", "slct"):
-            raise ValueError(f"unknown miner {miner!r}; pick 'drain' or 'slct'")
         self.sample_rate = sample_rate
         self.similarity = similarity
         self.seed = seed
-        self.miner = miner
 
-    def _make_miner(self):
-        if self.miner == "slct":
-            from .slct import SlctMiner
-
-            return SlctMiner()
+    def _make_miner(self) -> TemplateMiner:
         return TemplateMiner(self.similarity)
 
     def parse(self, lines: Sequence[str]) -> ParsedBlock:

@@ -177,6 +177,31 @@ class TestArgErrors:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["grep", "ERROR"],
+            ["stats"],
+            ["metrics"],
+            ["explain", "ERROR"],
+            ["verify"],
+            ["analyze", "--fields"],
+            ["agg", "count-by", "state"],
+            ["lifecycle", "status"],
+            ["lifecycle", "demote", "--tier", "warm"],
+        ],
+        ids=" ".join,
+    )
+    def test_missing_archive_is_an_error(self, argv, tmp_path, capsys):
+        """Only compress creates an archive: reading a mistyped path fails
+        instead of answering from (and leaving behind) an empty one."""
+        archive = tmp_path / "typo"
+        assert main(argv + ["-a", str(archive)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"no such archive: {archive}" in captured.err
+        assert not archive.exists()
+
 
 class TestAnalyze:
     def test_fields_and_count_by(self, log_file, tmp_path, capsys):

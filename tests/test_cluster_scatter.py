@@ -1,6 +1,8 @@
 """Tests for the scatter/gather engine: deadlines, retries, hedges,
 partial gathers and membership changes."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.baselines.evalutil import grep_lines
@@ -13,6 +15,7 @@ from repro.cluster import (
 )
 from repro.core.config import LogGrepConfig
 from repro.core.loggrep import LogGrep
+from repro.workloads import spec_by_name
 from tests.conftest import make_mixed_lines
 
 CONFIG = LogGrepConfig(block_bytes=8 * 1024)
@@ -151,17 +154,26 @@ class TestGatherProtocol:
             locate = [s for s in cluster.last_report.shards if s.phase == "rows"]
             assert len(fetch) < len(locate)
 
-    def test_partial_gather_smaller_than_line_shipping(self, corpus):
-        with make_cluster(corpus) as cluster:
-            cluster.grep("T1*")  # matches most lines
+    def test_partial_gather_smaller_than_line_shipping(self):
+        """Log A (3 000 lines, 8 KiB blocks, worker Query Caches off): a
+        count-by's partial gather ships at most 30 % of the bytes its
+        matching lines would (0.106 here) and equals the single-node
+        count."""
+        lines = spec_by_name("Log A").generate(3000)
+        config = replace(CONFIG, use_query_cache=False)
+        with make_cluster(lines, config=config) as cluster:
+            assert cluster.grep("request").count
             line_bytes = sum(
                 s.wire_bytes
                 for s in cluster.last_report.shards
                 if s.phase == "lines"
             )
-            cluster.count_by("state", where="T1*")
+            counts = cluster.count_by("state", where="request")
             partial_bytes = cluster.last_report.wire_bytes
-            assert partial_bytes < line_bytes
+        single = LogGrep(config=LogGrepConfig(block_bytes=64 * 1024))
+        single.compress(lines)
+        assert counts == single.count_by("state", where="request")
+        assert 0 < partial_bytes <= 0.30 * line_bytes
 
     def test_report_covers_every_block(self, corpus):
         with make_cluster(corpus) as cluster:

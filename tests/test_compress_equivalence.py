@@ -46,11 +46,10 @@ def compress_batch(lines, config):
     seed=st.integers(min_value=0, max_value=10_000),
     n=st.integers(min_value=40, max_value=250),
     parallelism=st.sampled_from([2, 4]),
-    warm_start=st.booleans(),
 )
-def test_parallel_and_streaming_archives_identical(seed, n, parallelism, warm_start):
+def test_parallel_and_streaming_archives_identical(seed, n, parallelism):
     lines = make_mixed_lines(n, seed=seed)
-    config = replace(BASE_CONFIG, template_warm_start=warm_start)
+    config = BASE_CONFIG
 
     serial = compress_batch(lines, config)
     reference = archive_bytes(serial.store)

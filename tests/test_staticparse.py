@@ -151,47 +151,3 @@ class TestBlockParser:
         assert parsed.group_for(first.template.template_id) is first
         with pytest.raises(KeyError):
             parsed.group_for(999999)
-
-
-class TestSlctMiner:
-    def test_frequent_tokens_are_static(self):
-        from repro.staticparse.slct import SlctMiner
-
-        miner = SlctMiner(support_fraction=0.5)
-        for i in range(40):
-            miner.observe(["job", str(i), "done"])
-        templates = miner.templates()
-        assert len(templates) == 1
-        assert templates[0].tokens == ["job", None, "done"]
-
-    def test_distinct_shapes_stay_apart(self):
-        from repro.staticparse.slct import SlctMiner
-
-        miner = SlctMiner()
-        for i in range(30):
-            miner.observe(["put", str(i), "ok"])
-            miner.observe(["get", str(i), "ok"])
-        displays = {t.display() for t in miner.templates()}
-        assert displays == {"put <*> ok", "get <*> ok"}
-
-    def test_support_validation(self):
-        from repro.staticparse.slct import SlctMiner
-
-        import pytest as _pytest
-
-        with _pytest.raises(ValueError):
-            SlctMiner(support_fraction=0.0)
-
-    def test_blockparser_slct_roundtrip(self, mixed_lines):
-        parsed = BlockParser(miner="slct").parse(mixed_lines)
-        rebuilt = {}
-        for group in parsed.groups:
-            for row, line_id in enumerate(group.line_ids):
-                rebuilt[line_id] = group.render_entry(row)
-        assert [rebuilt[i] for i in range(len(mixed_lines))] == mixed_lines
-
-    def test_unknown_miner_rejected(self):
-        import pytest as _pytest
-
-        with _pytest.raises(ValueError):
-            BlockParser(miner="magic")

@@ -271,16 +271,16 @@ def _block(name: str, n: int = 600, seed: int = 0) -> List[str]:
     return spec.generate(n)
 
 
-@pytest.mark.parametrize("name", CORPORA)
-@pytest.mark.parametrize("miner", ["drain", "slct"])
+# ids name the miner family whose parse the reference above reproduces
+@pytest.mark.parametrize("name", CORPORA, ids=[f"drain-{c}" for c in CORPORA])
 class TestParserEqualsReference:
-    def test_cold_parse(self, name, miner):
+    def test_cold_parse(self, name):
         lines = _block(name)
-        parser = BlockParser(seed=3, miner=miner)
+        parser = BlockParser(seed=3)
         assert triples_of(parser.parse(lines).groups) == ref_parse(parser, lines)
 
-    def test_parse_cached_cold_then_warm(self, name, miner):
-        parser = BlockParser(seed=5, miner=miner)
+    def test_parse_cached_cold_then_warm(self, name):
+        parser = BlockParser(seed=5)
         cache, ref_cache = TemplateCache(), TemplateCache()
         warm_hits = 0
         # Block 0 finds the cache empty; its repeat is all hits; a block
@@ -303,11 +303,11 @@ class TestParserEqualsReference:
         # all-variable, never cached, and every block is re-mined.
         assert warm_hits >= len(lines) or name == "Healthapp"
 
-    def test_parse_cached_without_drift_guard(self, name, miner):
+    def test_parse_cached_without_drift_guard(self, name):
         """Threshold 1.0 never trips: an empty cache sends every line
         through the second pass instead of the sampled re-mine."""
         lines = _block(name, n=300)
-        parser = BlockParser(seed=7, miner=miner)
+        parser = BlockParser(seed=7)
         cache, ref_cache = TemplateCache(), TemplateCache()
         parsed, outcome = parser.parse_cached(lines, cache, 1.0)
         expected, ref_outcome = ref_parse_cached(parser, lines, ref_cache, 1.0)
@@ -315,11 +315,11 @@ class TestParserEqualsReference:
         assert (0, len(lines), False, outcome.new_templates) == ref_outcome
         assert cache.snapshot() == ref_cache.snapshot()
 
-    def test_parse_cached_drift_tripped(self, name, miner):
+    def test_parse_cached_drift_tripped(self, name):
         """A warm cache from another log family: most lines miss, the
         guard trips and the block is re-mined from its own tokens."""
         other = next(c for c in CORPORA if c != name)
-        parser = BlockParser(seed=9, miner=miner)
+        parser = BlockParser(seed=9)
         cache, ref_cache = TemplateCache(), TemplateCache()
         parser.parse_cached(_block(other), cache, 0.3)
         ref_parse_cached(parser, _block(other), ref_cache, 0.3)
@@ -337,9 +337,8 @@ def test_unsampled_shapes_match_reference():
     lines[17] = "a lone   spaced line"
     lines[250] = "another lone line here now"
     lines[251] = "another lone line here too"
-    for miner in ("drain", "slct"):
-        parser = BlockParser(seed=1, miner=miner)
-        assert triples_of(parser.parse(lines).groups) == ref_parse(parser, lines)
+    parser = BlockParser(seed=1)
+    assert triples_of(parser.parse(lines).groups) == ref_parse(parser, lines)
 
 
 class _BlindMiner:
@@ -353,7 +352,7 @@ class _BlindMiner:
 
 
 def test_catch_alls_match_reference(monkeypatch):
-    """Both shipped miners cover every line they observed; a miner that
+    """The shipped miner covers every line it observed; a miner that
     does not leaves the last resort: one all-variable template per line."""
     monkeypatch.setattr(BlockParser, "_make_miner", lambda self: _BlindMiner())
     lines = ["a b", "c d", "e", "f g"]

@@ -9,6 +9,8 @@ summaries (timestamps included) and the merged-away names discarded.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from tests.conftest import make_mixed_lines
@@ -37,8 +39,6 @@ EPOCH_JAN1 = 1704067200.0
 
 def _ts_lines(n, day, seed=0):
     """Timestamped mixed lines, all within 2024-01-<day>."""
-    import random
-
     rng = random.Random(seed)
     out = []
     for i in range(n):
@@ -367,6 +367,37 @@ class TestSharedStore:
         self._cold_with_shared(lines, shared)
         # Identical content → identical content ids → zero new bytes.
         assert shared.total_bytes() == bytes_after_first
+
+    def test_shared_cold_tier_undercuts_per_archive_offline(self):
+        """Three archives of one service — the same 40 templates and 120
+        long low-cardinality values (3 000 lines, 64 KiB blocks): per-
+        archive offline rewrites store those dictionaries three times,
+        the shared store once, so cold-demoting into it costs at most
+        85 % of the offline bytes (0.794 here)."""
+        rng = random.Random(7)
+        values = ["req-%024x" % rng.getrandbits(96) for _ in range(120)]
+        lines = [
+            f"T{1000 + i % 40} handler state: {values[rng.randrange(120)]} ok"
+            for i in range(3000)
+        ]
+
+        def build():
+            lg = LogGrep(
+                store=MemoryStore(), config=LogGrepConfig(block_bytes=64 * 1024)
+            )
+            lg.compress(lines)
+            return lg
+
+        shared = SharedTemplateStore(MemoryStore())
+        offline_bytes = shared_bytes = 0
+        for _ in range(3):
+            _, report = archive_offline(build())
+            offline_bytes += report.offline_bytes
+            lg = build()
+            LifecycleManager(lg.store, lg.config, shared=shared).demote(Tier.COLD)
+            shared_bytes += lg.storage_bytes()
+        shared_bytes += shared.total_bytes()
+        assert 0 < shared_bytes <= 0.85 * offline_bytes
 
     def test_shared_archive_queries_match_plain(self):
         lines = make_mixed_lines(400, seed=11)
