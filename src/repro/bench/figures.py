@@ -76,8 +76,8 @@ def is_single_pattern(vector: Sequence[str]) -> bool:
         # A bare <*> technically covers everything but represents "no
         # pattern found"; call it single only if the values are uniform.
         return len(set(vector)) == 1
-    covered = sum(1 for value in vector if pattern.match(value) is not None)
-    return covered >= SINGLE_PATTERN_COVERAGE * len(vector)
+    _, outlier_rows, _ = pattern.split(vector)
+    return len(vector) - len(outlier_rows) >= SINGLE_PATTERN_COVERAGE * len(vector)
 
 
 def figure3(
@@ -141,12 +141,7 @@ def section23_stats(
                 vec_types.append(types)
                 vec_vars.append(variance)
                 pattern = extract_real_pattern(vector)
-                columns: List[List[str]] = [[] for _ in range(pattern.num_subvars)]
-                for value in vector:
-                    parts = pattern.match(value)
-                    if parts is not None:
-                        for column, part in zip(columns, parts):
-                            column.append(part)
+                columns, _, _ = pattern.split(vector)
                 for column in columns:
                     if len(column) >= MIN_VECTOR_VALUES:
                         types, variance = _classes_and_variance(column)

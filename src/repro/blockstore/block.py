@@ -41,7 +41,7 @@ class LogBlock:
     @property
     def raw_bytes(self) -> int:
         """Size of the block's raw text including newline separators."""
-        return sum(len(line) for line in self.lines) + len(self.lines)
+        return sum(map(len, self.lines)) + len(self.lines)
 
     @property
     def num_lines(self) -> int:

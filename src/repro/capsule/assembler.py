@@ -147,29 +147,12 @@ def _encode_real(values: Sequence[str], options: EncodingOptions) -> RealEncoded
     config = TreeExpandConfig(sample_rate=options.sample_rate, seed=options.seed)
     pattern = extract_real_pattern(values, config)
 
-    matched: List[List[str]] = []
-    outlier_rows: List[int] = []
-    outlier_values: List[str] = []
-    for row, value in enumerate(values):
-        subvalues = pattern.match(value)
-        if subvalues is None:
-            outlier_rows.append(row)
-            outlier_values.append(value)
-        else:
-            matched.append(subvalues)
-    # Rows -> columns in one transpose; with no matched row zip() yields
-    # nothing, and every sub-variable still gets its (empty) column.
-    columns: List[Sequence[str]] = list(zip(*matched)) or [
-        () for _ in range(pattern.num_subvars)
-    ]
-
+    columns, outlier_rows, outlier_values = pattern.split(values)
     if values and len(outlier_values) > MIN_PATTERN_COVERAGE * len(values):
         # The sample misled the extractor; degrade to the trivial pattern
         # rather than storing half the vector as outliers.
         pattern = RuntimePattern([SubVar(0)])
-        columns = [list(values)]
-        outlier_rows = []
-        outlier_values = []
+        columns, outlier_rows, outlier_values = pattern.split(values)
 
     subvar_capsules = [_pack(column, options) for column in columns]
     outlier_capsule = _pack(outlier_values, options) if outlier_values else None

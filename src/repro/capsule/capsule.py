@@ -25,7 +25,7 @@ import zlib
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..common.binio import BinaryReader, BinaryWriter
-from ..common.errors import CompressionError, FormatError
+from ..common.errors import NUL_IN_VALUE, CompressionError, FormatError
 from ..obs import ledger as ledger_channel
 from ..obs.metrics import get_registry
 from .stamp import CapsuleStamp
@@ -557,7 +557,7 @@ def _reject_nul(buf: bytes, layout_nuls: int) -> None:
     """Raise unless *buf* holds exactly the NULs its layout put there
     (pad bytes or separators): any more came from inside a value."""
     if buf.count(PAD) != layout_nuls:
-        raise CompressionError("log values must not contain NUL bytes")
+        raise CompressionError(NUL_IN_VALUE)
 
 
 def _choose_codec(

@@ -19,6 +19,11 @@ class CompressionError(ReproError):
     """The compression pipeline hit an unrecoverable condition."""
 
 
+#: NUL is the Capsule pad/separator byte and the row separator of the
+#: runtime-pattern splitter, so no value may hold one; both say so alike.
+NUL_IN_VALUE = "log values must not contain NUL bytes"
+
+
 class BudgetExceeded(ReproError):
     """A query overran one of its soft resource budgets.
 

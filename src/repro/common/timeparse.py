@@ -9,62 +9,72 @@ groundwork) and travels in the prune-index sidecar.
 
 Extraction is deliberately conservative: only an anchored
 ``YYYY-MM-DD[ T]HH:MM:SS[.ffffff]`` prefix (the overwhelmingly common
-cloud-log shape) is recognized.  Lines without a parseable timestamp
-contribute nothing to the block's range; a block with *no* timestamped
-lines has an unknown range and is never time-pruned.
+cloud-log shape) naming a moment the calendar has — year 0001–9999, a
+real day of that month, 00–23 : 00–59 : 00–59 — is recognized.  Lines
+without one contribute nothing to the block's range; a block with *no*
+timestamped lines has an unknown range and is never time-pruned.
+
+Validity lives in the regex so that a block's range needs no per-line
+arithmetic: among valid heads every field is fixed-width and in range,
+so ``(date, clock, fraction)`` string triples order exactly as the
+moments they name, and only the two extremes are ever converted.
 """
 
 from __future__ import annotations
 
 import calendar
 import re
-from typing import Dict, Iterable, Optional, Tuple
+from operator import methodcaller
+from typing import Iterable, Optional, Tuple
 
-_TS_RE = re.compile(
-    r"^(\d{4})-(\d{2})-(\d{2})[ T](\d{2}):(\d{2}):(\d{2})(?:[.,](\d{1,6}))?"
+#: Leap years 0004–9996: divisible by 4 and not a century, or by 400.
+_LEAP_YEAR = (
+    r"(?:\d\d(?:0[48]|[2468][048]|[13579][26])"
+    r"|(?:0[48]|[2468][048]|[13579][26])00)"
 )
+_DATE = (
+    r"(?!0000)\d{4}-(?:"
+    r"(?:0[13578]|1[02])-(?:0[1-9]|[12]\d|3[01])"
+    r"|(?:0[469]|11)-(?:0[1-9]|[12]\d|30)"
+    r"|02-(?:0[1-9]|1\d|2[0-8])"
+    rf")|{_LEAP_YEAR}-02-29"
+)
+#: Groups: date ``YYYY-MM-DD``, clock ``HH:MM:SS``, fraction digits.
+_TS_RE = re.compile(
+    rf"({_DATE})[ T]((?:[01]\d|2[0-3]):[0-5]\d:[0-5]\d)(?:[.,](\d{{1,6}}))?"
+)
+_groups = methodcaller("groups", "")
 
-#: (year, month, day) → epoch seconds at midnight UTC.  Logs repeat the
-#: same few dates millions of times; memoizing the calendar arithmetic
-#: keeps per-line extraction to one regex match plus integer math.
-_DAY_EPOCH: Dict[Tuple[int, int, int], int] = {}
+
+def _epoch(date: str, clock: str, fraction: str) -> float:
+    """Epoch seconds (UTC) of one valid ``(date, clock, fraction)`` head."""
+    seconds = calendar.timegm(
+        (
+            int(date[:4]), int(date[5:7]), int(date[8:]),
+            int(clock[:2]), int(clock[3:5]), int(clock[6:]),
+        )
+    )
+    if fraction:
+        return seconds + int(fraction) / 10 ** len(fraction)
+    return float(seconds)
 
 
 def extract_timestamp(line: str) -> Optional[float]:
     """Epoch seconds (UTC) of the line's leading timestamp, or None."""
     match = _TS_RE.match(line)
-    if match is None:
-        return None
-    year, month, day = int(match[1]), int(match[2]), int(match[3])
-    key = (year, month, day)
-    base = _DAY_EPOCH.get(key)
-    if base is None:
-        if not 1 <= month <= 12 or not 1 <= day <= 31:
-            return None
-        base = calendar.timegm((year, month, day, 0, 0, 0))
-        _DAY_EPOCH[key] = base
-    seconds = base + int(match[4]) * 3600 + int(match[5]) * 60 + int(match[6])
-    fraction = match[7]
-    if fraction:
-        return seconds + int(fraction) / 10 ** len(fraction)
-    return float(seconds)
+    return None if match is None else _epoch(*match.groups(""))
 
 
 def time_range_of(
     lines: Iterable[str],
 ) -> Tuple[Optional[float], Optional[float]]:
     """(min, max) timestamp over *lines*; (None, None) when none parse."""
-    lo: Optional[float] = None
-    hi: Optional[float] = None
-    for line in lines:
-        ts = extract_timestamp(line)
-        if ts is None:
-            continue
-        if lo is None or ts < lo:
-            lo = ts
-        if hi is None or ts > hi:
-            hi = ts
-    return lo, hi
+    heads = list(map(_groups, filter(None, map(_TS_RE.match, lines))))
+    if not heads:
+        return None, None
+    # A missing fraction is "" and sorts first, as .0 should; digit
+    # strings of unequal length order as the fractions they spell.
+    return _epoch(*min(heads)), _epoch(*max(heads))
 
 
 def parse_time_arg(text: str) -> float:

@@ -148,9 +148,10 @@ class CompressionScheduler:
             raise RuntimeError("compression scheduler is closed")
         tracer = get_tracer()
         name = block_name(block.block_id)
-        self.raw_bytes += block.raw_bytes
+        raw_bytes = block.raw_bytes  # a pass over the lines: read it once
+        self.raw_bytes += raw_bytes
         with tracer.span(
-            "compress.block", block=name, raw_bytes=block.raw_bytes
+            "compress.block", block=name, raw_bytes=raw_bytes
         ) as bspan:
             parse_start = time.perf_counter()
             parsed, _ = parse_block(block, self.config, self.template_cache)

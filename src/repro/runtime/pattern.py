@@ -7,19 +7,23 @@ constant fragments and **sub-variables**; all values of the same
 sub-variable across the vector form a *sub-variable vector*, which becomes
 its own Capsule (§4.2).
 
-:meth:`RuntimePattern.match` splits a concrete value into its sub-values,
-anchoring each constant at its first occurrence left-to-right — the same
-greedy rule the tree-expanding extractor uses, so values the extractor
-would have split are matched consistently.  Values that do not match go to
-the outlier Capsule; accuracy affects performance, never correctness.
+:meth:`RuntimePattern.split` splits a whole vector into its sub-variable
+vectors, anchoring each constant at its first occurrence left-to-right —
+the same greedy rule the tree-expanding extractor uses, so values the
+extractor would have split are matched consistently.  Values that do not
+match go to the outlier Capsule; accuracy affects performance, never
+correctness.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from itertools import compress
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ..common.binio import BinaryReader, BinaryWriter
+from ..common.errors import NUL_IN_VALUE, CompressionError
 
 
 @dataclass(frozen=True)
@@ -91,53 +95,94 @@ class RuntimePattern:
     # ------------------------------------------------------------------
     # value matching
     # ------------------------------------------------------------------
-    def match(self, value: str) -> Optional[List[str]]:
-        """Split *value* into sub-values, or None when it doesn't fit.
+    def split(
+        self, values: Sequence[str]
+    ) -> Tuple[List[Sequence[str]], List[int], List[str]]:
+        """Split a whole vector: ``(columns, outlier_rows, outlier_values)``.
+
+        ``columns[k]`` holds sub-variable *k* of every row that fits the
+        pattern, in row order; rows that do not fit are listed (sorted)
+        in ``outlier_rows`` with their values alongside.
 
         Constants anchor greedily: a leading constant must be a prefix, a
         trailing constant a suffix, and interior constants bind to their
-        first occurrence after the previous element.
+        first occurrence after the previous element.  The rule is compiled
+        into a regex (:meth:`_splitter`) and run once over the
+        NUL-joined column, so the cost per value is the regex engine's,
+        not a Python call's.
         """
-        elements = self.elements
-        n = len(elements)
-        subvalues: List[str] = []
-        pos = 0
-        pending_subvar = False  # a SubVar is waiting for its right boundary
-        for i, el in enumerate(elements):
+        if self.is_trivial:
+            return [values], [], []
+        num_subvars = self.num_subvars
+        if not num_subvars:
+            # Nothing to capture: a row fits iff it *is* the constant.
+            text = self.constant_text()
+            rows = [row for row, value in enumerate(values) if value != text]
+            return [], rows, [values[row] for row in rows]
+        joined = "\0".join([*values, ""])
+        if joined.count("\0") != len(values):
+            # A NUL inside a value would shift every later row; Capsules
+            # cannot hold one either (``capsule._reject_nul``).
+            raise CompressionError(NUL_IN_VALUE)
+        found = self._splitter().findall(joined)  # one tuple per row
+        columns: List[Sequence[str]] = list(zip(*found)) or [
+            () for _ in range(num_subvars + 1)
+        ]
+        # The last group is the whole row where the pattern did not fit —
+        # except that an outlier "" reads there like a fitting row.  A
+        # pattern holding a constant cannot fit ""; one made of
+        # sub-variables alone fits every row.
+        unfit = columns.pop()
+        if not self.constant_text() or not (any(unfit) or "" in values):
+            return columns, [], []
+        fits = [bool(value) and not whole for value, whole in zip(values, unfit)]
+        rows = [row for row, fit in enumerate(fits) if not fit]
+        columns = [list(compress(column, fits)) for column in columns]
+        return columns, rows, [values[row] for row in rows]
+
+    def match(self, value: str) -> Optional[List[str]]:
+        """Split one *value* into sub-values, or None when it doesn't fit
+        (:meth:`split` on a vector of one)."""
+        columns, outlier_rows, _ = self.split([value])
+        return None if outlier_rows else [column[0] for column in columns]
+
+    def _splitter(self) -> "re.Pattern[str]":
+        """The split rule as one regex matching exactly one row per hit.
+
+        Every class is ``[^\\x00]`` and every hit ends at the row's NUL, so
+        hits cannot straddle rows; the final ``|([^\\x00]*)`` alternative
+        fits any row, so ``findall`` yields one tuple per row.  An interior
+        constant is an *atomic* lazy group: lazy finds its first
+        occurrence, atomic forbids retrying a later one when the rest of
+        the pattern fails.  A later one cannot succeed where the first did
+        not (the sub-variable that follows would absorb the difference),
+        so without ``(?>`` a row that does not fit costs a search of every
+        combination of occurrences to reach the same answer.
+        """
+        parts: List[str] = []
+        pending = False  # a SubVar is waiting for its right boundary
+        last = len(self.elements) - 1
+        for i, el in enumerate(self.elements):
             if isinstance(el, SubVar):
-                if pending_subvar:
+                if pending:
                     # Two adjacent sub-variables cannot be disambiguated;
-                    # give the first an empty value (normalize() prevents
-                    # this arising from our own extractors).
-                    subvalues.append("")
-                pending_subvar = True
+                    # the first gets the empty value.
+                    parts.append("()")
+                pending = True
                 continue
-            text = el.text
-            if i == 0:
-                if not value.startswith(text):
-                    return None
-                pos = len(text)
-            elif i == n - 1:
-                if not value.endswith(text) or len(value) - len(text) < pos:
-                    return None
-                if pending_subvar:
-                    subvalues.append(value[pos : len(value) - len(text)])
-                    pending_subvar = False
-                pos = len(value)
+            text = re.escape(el.text)
+            if not pending:
+                parts.append(text)
+            elif i == last:
+                parts.append(rf"([^\x00]*){text}")
             else:
-                found = value.find(text, pos)
-                if found == -1:
-                    return None
-                if pending_subvar:
-                    subvalues.append(value[pos:found])
-                    pending_subvar = False
-                pos = found + len(text)
-        if pending_subvar:
-            subvalues.append(value[pos:])
-            pos = len(value)
-        if pos != len(value):
-            return None
-        return subvalues
+                parts.append(rf"(?>([^\x00]*?){text})")
+            pending = False
+        if pending:
+            parts.append(r"([^\x00]*)")
+        # Blocks of one log repeat their patterns: re's own cache holds
+        # the compiled form from one vector to the next.
+        return re.compile(rf"(?:{''.join(parts)}|([^\x00]*))\x00")
 
     def render(self, subvalues: Sequence[str]) -> str:
         """Inverse of :meth:`match`."""
