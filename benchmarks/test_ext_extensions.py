@@ -1,7 +1,5 @@
 """Extension benchmarks (beyond the paper's evaluation):
 
-* block-level trigram Bloom pruning — archive-miss queries skip every
-  CapsuleBox without decompressing anything;
 * the distributed cluster — scatter/gather queries return the single-node
   result, survive a node failure, and speed up ≥ 2x from 1 to 4 shards
   on an I/O-bound scatter;
@@ -26,46 +24,6 @@ from repro.workloads import spec_by_name
 @pytest.fixture(scope="module")
 def corpus(scale):
     return spec_by_name("Log T").generate(scale)
-
-
-def test_block_bloom_pruning(benchmark, corpus):
-    base = LogGrep(config=LogGrepConfig(block_bytes=BENCH_BLOCK_BYTES))
-    base.compress(corpus)
-    pruned = LogGrep(
-        config=LogGrepConfig(block_bytes=BENCH_BLOCK_BYTES, use_block_bloom=True)
-    )
-    pruned.compress(corpus)
-    miss = "keyword_absent_everywhere"
-
-    def run_miss():
-        pruned.clear_query_cache()
-        return pruned.grep(miss)
-
-    result = benchmark.pedantic(run_miss, rounds=5)
-    base.clear_query_cache()
-    base_result = base.grep(miss)
-    print_banner("Extension: block-level Bloom pruning (archive-miss query)")
-    print(
-        format_table(
-            ["version", "blocks pruned", "capsules decompressed", "latency"],
-            [
-                ["baseline", 0, base_result.stats.capsules_decompressed,
-                 f"{base_result.elapsed * 1000:.1f} ms"],
-                ["with bloom", result.stats.blocks_pruned,
-                 result.stats.capsules_decompressed,
-                 f"{result.elapsed * 1000:.1f} ms"],
-            ],
-        )
-    )
-    overhead = base.storage_bytes() and pruned.storage_bytes() / base.storage_bytes()
-    print(f"storage overhead of the filters: {(overhead - 1) * 100:.2f}%")
-    assert result.count == 0
-    assert result.stats.blocks_pruned == len(pruned.store.names())
-    assert result.stats.capsules_decompressed == 0
-    assert overhead < 1.10
-    # Hits must be unaffected.
-    query = spec_by_name("Log T").query
-    assert pruned.grep(query).lines == base.grep(query).lines
 
 
 def test_cluster_scatter_gather(benchmark, corpus):

@@ -5,14 +5,21 @@ suites and checks the paper's shape: LogGrep an order of magnitude below
 gzip+grep and CLP, comparable to ElasticSearch, and faster than LogGrep-SP.
 """
 
+import statistics
+
 import pytest
 
 from repro.baselines.loggrep_system import LogGrepSystem
 from repro.bench.figures import figure7_summary
 from repro.bench.report import format_table, latency_rows, print_banner
-from repro.bench.runner import BENCH_BLOCK_BYTES, SYSTEM_ORDER
+from repro.bench.runner import BENCH_BLOCK_BYTES, SYSTEM_ORDER, system_factories
 from repro.core.config import LogGrepConfig
-from repro.workloads import spec_by_name
+from repro.query.cache import get_value_cache
+from repro.workloads import production_specs, spec_by_name
+
+#: Cold rounds per (log, system) latency; one sub-millisecond sample per
+#: cell made the Log U comparison flip on an unchanged tree.
+COLD_ROUNDS = 5
 
 
 def _print_latency(measurements, title):
@@ -48,21 +55,37 @@ def test_fig7a_public_latency_shape(benchmark, public_measurements):
     assert summary["CLP"]["latency_vs_lg"] > 2.0
 
 
-def test_log_u_exception(benchmark, production_measurements):
+def _cold_seconds(system, query):
+    """One cold run of *query*: the query cache, pinned boxes and decoded
+    values are dropped first."""
+    system.loggrep.clear_query_cache()
+    system.loggrep.unpin_blocks()
+    get_value_cache().clear()
+    return system.timed_query(query)[1]
+
+
+def test_log_u_exception(benchmark, scale):
     """§6.1: Log U is the paper's noted exception — its variables have few
     runtime patterns, so full LogGrep cannot beat LogGrep-SP there the way
     it does elsewhere."""
+    factories = system_factories()
 
     def ratios():
-        per_dataset = {}
-        for m in production_measurements:
-            if m.system in ("LG", "LG-SP"):
-                per_dataset.setdefault(m.dataset, {})[m.system] = m.query_latency_s
-        return {
-            dataset: values["LG-SP"] / values["LG"]
-            for dataset, values in per_dataset.items()
-            if len(values) == 2
-        }
+        speedups = {}
+        for spec in production_specs():
+            lines = spec.generate(scale)
+            systems = {name: factories[name]() for name in ("LG", "LG-SP")}
+            for system in systems.values():
+                system.ingest(lines)
+            # Rounds alternate between the two systems, so a change in
+            # machine speed lands on both medians alike.
+            samples = {name: [] for name in systems}
+            for _ in range(COLD_ROUNDS):
+                for name, system in systems.items():
+                    samples[name].append(_cold_seconds(system, spec.query))
+            latency = {name: statistics.median(s) for name, s in samples.items()}
+            speedups[spec.name] = latency["LG-SP"] / latency["LG"]
+        return speedups
 
     speedups = benchmark.pedantic(ratios, rounds=1, iterations=1)
     log_u = speedups.pop("Log U")

@@ -7,7 +7,7 @@ because groups are relations and variable vectors are columns, a
 Since the aggregation pushdown, the Analyzer is a thin facade over the
 query planner: every call builds an aggregate :class:`~repro.query.plan.
 QueryPlan` and hands it to ``LogGrep.aggregate`` — so analytics run on
-the same operator pipeline as ``grep`` (BloomPrune, BoxCache, lazy I/O,
+the same operator pipeline as ``grep`` (BlockFilter, BoxCache, lazy I/O,
 the ``query_parallelism`` thread pool, the ledger) and per-block partial
 aggregates merge order-independently.  No store blob or CapsuleBox is
 ever loaded here directly.

@@ -4,12 +4,12 @@ The paper's stamps prove most Capsules irrelevant without decompressing
 them (§3.4) — but checking a stamp still required reading the block's
 metadata section.  This module lifts the same synopses out of the blocks
 into one tiny per-archive sidecar, written at compress/commit time and
-loaded once when the archive is opened, so block-level pruning (Bloom
-*and* charset-mask) runs with **zero** store reads for pruned blocks.
+loaded once when the archive is opened, so block-level pruning (time
+window and charset mask) runs with **zero** store reads for pruned
+blocks.
 
 Per block the index records:
 
-* the block-level trigram Bloom filter bits (when compiled in),
 * the **block charset mask**: the union of the template constant-token
   masks, every capsule stamp mask, and the runtime-pattern constant
   masks.  The engine matches keyword fragments *within* rendered tokens
@@ -23,7 +23,11 @@ Per block the index records:
 * the block's **wall-clock range** (min/max leading timestamp of its raw
   lines): blocks are written in arrival order, so a
   ``from_time``/``to_time`` query window prunes whole blocks before any
-  Bloom or stamp check — zero store reads for out-of-window blocks.
+  stamp check — zero store reads for out-of-window blocks.
+
+Each entry still carries the retired ``has_bloom`` byte: always written
+as 0, and any other value is a :class:`FormatError` (the sidecar is then
+rebuilt from the blocks like any other unreadable one).
 
 The sidecar is *derived* data: it lives outside the block namespace (an
 auxiliary blob, see :meth:`ArchiveStore.put_aux`), does not count toward
@@ -40,7 +44,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..common import chartypes
 from ..common.binio import BinaryReader, BinaryWriter
-from ..common.bloom import BloomFilter
 from ..common.errors import FormatError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a hard cycle)
@@ -79,7 +82,6 @@ class BlockSummary:
     #: Union of template-constant, capsule-stamp and pattern-constant
     #: masks: the character classes that can occur anywhere in the block.
     type_mask: int
-    bloom: Optional[BloomFilter] = None
     vectors: List[VectorSummary] = field(default_factory=list)
     #: Wall-clock range of the block's raw lines (epoch seconds); None
     #: when no line had a parseable timestamp (the block is then never
@@ -153,7 +155,7 @@ class BlockSummary:
             min_ts, max_ts = time_range_of(lines)
         return cls(
             box.block_id, box.first_line_id, box.num_lines, mask,
-            box.bloom, vectors, min_ts, max_ts,
+            vectors, min_ts, max_ts,
         )
 
     def write(self, writer: BinaryWriter) -> None:
@@ -161,11 +163,7 @@ class BlockSummary:
         writer.write_varint(self.first_line_id)
         writer.write_varint(self.num_lines)
         writer.write_u8(self.type_mask)
-        if self.bloom is not None:
-            writer.write_u8(1)
-            self.bloom.write(writer)
-        else:
-            writer.write_u8(0)
+        writer.write_u8(0)  # has_bloom: retired
         writer.write_varint(len(self.vectors))
         for vector in self.vectors:
             writer.write_varint(vector.group)
@@ -191,7 +189,8 @@ class BlockSummary:
         first_line_id = reader.read_varint()
         num_lines = reader.read_varint()
         type_mask = reader.read_u8()
-        bloom = BloomFilter.read(reader) if reader.read_u8() else None
+        if reader.read_u8():
+            raise FormatError("archive index: retired block Bloom filter")
         vectors = [
             VectorSummary(
                 reader.read_varint(),
@@ -207,7 +206,7 @@ class BlockSummary:
             min_ts = reader.read_varint() / _TS_SCALE
             max_ts = reader.read_varint() / _TS_SCALE
         return cls(
-            block_id, first_line_id, num_lines, type_mask, bloom, vectors,
+            block_id, first_line_id, num_lines, type_mask, vectors,
             min_ts, max_ts,
         )
 

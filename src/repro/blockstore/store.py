@@ -6,7 +6,7 @@ exactly what the cost model charges for: total stored bytes.
 
 Beyond whole-blob ``get``, the store serves **byte ranges**
 (:meth:`ArchiveStore.get_range`) so the query path can fetch a box header,
-its Bloom section or a single capsule payload without paying for the rest
+its metadata or a single capsule payload without paying for the rest
 of the block — cloud storage charges per byte read, and ranged GETs are
 how that charge is kept proportional to query selectivity.
 

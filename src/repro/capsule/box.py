@@ -9,14 +9,16 @@ Layout::
     MAGIC "LGCB" | version u8 (=2) | flags u8 (=0) | header_len u16 (=32)
     | bloom_off u32 | bloom_len u32 | meta_off u32 | meta_len u32
     | payload_off u32 | payload_len u32
-    | bloom section | zlib(meta) | payload blobs
+    | retired bloom section | zlib(meta) | payload blobs
 
 The fixed 32-byte header is a table of contents: it records the byte
-extent of every section, so a reader can fetch the Bloom filter, the
-metadata, or one capsule payload with an independent ranged read —
-nothing forces pulling the whole blob.  Sections are contiguous and the
-header is validated strictly (flags, lengths, contiguity, total size), so
-any single-byte header corruption is detected before bytes are trusted.
+extent of every section, so a reader can fetch the metadata or one
+capsule payload with an independent ranged read — nothing forces pulling
+the whole blob.  Sections are contiguous and the header is validated
+strictly (flags, lengths, contiguity, total size), so any single-byte
+header corruption is detected before bytes are trusted.  The bloom
+section is retired: the writer emits the one zero byte every v2 box
+holds there and the reader never fetches it.
 
 Version 2 is the only version read or written; any other version byte
 is a :class:`FormatError` naming the version found.
@@ -39,7 +41,6 @@ from typing import Dict, Iterable, Iterator, List, Optional
 
 from ..blockstore.blobsource import BlobSource, BytesBlobSource, coalesce_extents
 from ..common.binio import BinaryReader, BinaryWriter
-from ..common.bloom import BloomFilter
 from ..common.errors import FormatError
 from ..runtime.merge import DictPattern
 from ..runtime.pattern import RuntimePattern
@@ -68,6 +69,10 @@ FLAG_SHARED_TEMPLATES = 0x01
 _KNOWN_FLAGS = FLAG_SHARED_TEMPLATES
 
 _HEADER_LEN = 32
+
+#: The retired bloom section ("no filter"), written so v2 stays byte for
+#: byte what it was; container v3 drops it and its two TOC words.
+_RETIRED_BLOOM = b"\x00"
 
 #: Payload extents closer than this are fetched as one ranged read: the
 #: per-read fixed cost (seek / object-store request) dwarfs a few hundred
@@ -159,9 +164,6 @@ class CapsuleBox:
     num_lines: int
     padded: bool
     groups: List[GroupBox]
-    #: Optional block-level trigram Bloom filter (extension): lets a query
-    #: skip the whole box without decompressing its metadata.
-    bloom: Optional[BloomFilter] = None
 
     def __post_init__(self) -> None:
         # The blob source capsules were loaded from (None for boxes built
@@ -181,16 +183,6 @@ class CapsuleBox:
         store — stored once globally, referenced here by id.  Without it
         the output is byte-identical to earlier versions.
         """
-        # The Bloom filter sits uncompressed before the metadata section so
-        # the bloom-only read path can prune a block without touching zlib.
-        bloom_writer = BinaryWriter()
-        if self.bloom is not None:
-            bloom_writer.write_u8(1)
-            self.bloom.write(bloom_writer)
-        else:
-            bloom_writer.write_u8(0)
-        bloom_bytes = bloom_writer.getvalue()
-
         writer = BinaryWriter()
         blobs: List[bytes] = []
         offset = [0]
@@ -210,37 +202,24 @@ class CapsuleBox:
         meta = zlib.compress(writer.getvalue(), 6)
         payload = b"".join(blobs)
         bloom_off = _HEADER_LEN
-        meta_off = bloom_off + len(bloom_bytes)
+        meta_off = bloom_off + len(_RETIRED_BLOOM)
         payload_off = meta_off + len(meta)
         toc = (
             _HEADER_LEN.to_bytes(2, "little")
             + bloom_off.to_bytes(4, "little")
-            + len(bloom_bytes).to_bytes(4, "little")
+            + len(_RETIRED_BLOOM).to_bytes(4, "little")
             + meta_off.to_bytes(4, "little")
             + len(meta).to_bytes(4, "little")
             + payload_off.to_bytes(4, "little")
             + len(payload).to_bytes(4, "little")
         )
         flags = FLAG_SHARED_TEMPLATES if shared is not None else 0
-        return MAGIC + bytes([VERSION, flags]) + toc + bloom_bytes + meta + payload
+        return MAGIC + bytes([VERSION, flags]) + toc + _RETIRED_BLOOM + meta + payload
 
     @classmethod
     def read_toc(cls, source: BlobSource) -> BoxTOC:
         """The parsed, validated header of a stored box."""
         return BoxTOC.read(source)
-
-    @classmethod
-    def open_bloom(cls, source: BlobSource) -> Optional[BloomFilter]:
-        """Read only the Bloom filter, via ranged reads (cheap pruning).
-
-        Costs the header plus the bloom section — never the metadata or
-        any payload.
-        """
-        toc = BoxTOC.read(source)
-        reader = BinaryReader(source.read(toc.bloom_off, toc.bloom_len))
-        if reader.read_u8() == 0:
-            return None
-        return BloomFilter.read(reader)
 
     @classmethod
     def deserialize(cls, data: bytes, templates=None) -> "CapsuleBox":
@@ -249,7 +228,7 @@ class CapsuleBox:
 
     @classmethod
     def open(cls, source: BlobSource, templates=None) -> "CapsuleBox":
-        """Load a box through ranged reads: header + bloom + metadata only.
+        """Load a box through ranged reads: header + metadata only.
 
         Capsule payloads stay unfetched until first access; use
         :meth:`prefetch` to batch the ones a plan will need.  A box in
@@ -267,8 +246,6 @@ class CapsuleBox:
                     "template resolver to open"
                 )
             resolver = templates
-        bloom_reader = BinaryReader(source.read(toc.bloom_off, toc.bloom_len))
-        bloom = BloomFilter.read(bloom_reader) if bloom_reader.read_u8() else None
         try:
             meta = zlib.decompress(source.read(toc.meta_off, toc.meta_len))
         except zlib.error as exc:
@@ -288,7 +265,7 @@ class CapsuleBox:
                 for _ in range(reader.read_varint())
             ]
             groups.append(GroupBox(template, line_ids, vectors))
-        box = cls(block_id, first_line_id, num_lines, padded, groups, bloom)
+        box = cls(block_id, first_line_id, num_lines, padded, groups)
         box._source = source
         return box
 

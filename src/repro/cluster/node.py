@@ -3,7 +3,7 @@
 A worker owns the CapsuleBoxes placed on it and can execute both halves of
 the distributed protocol locally: compress a raw block into a CapsuleBox,
 and run a shipped plan over one of its blocks.  Each node keeps its own
-prune-index summaries (shipped with replicas at ingest), so Bloom *and*
+prune-index summaries (shipped with replicas at ingest), so mask *and*
 time pruning cost zero reads against its store — which may be a
 fault-injecting :class:`~repro.blockstore.remote.RemoteStore`.
 
@@ -169,7 +169,7 @@ class WorkerNode:
         """Execute pre-built *plans* over one local block in one RPC.
 
         The coordinator plans each command once and ships the plans; the
-        node runs the shared block pass (TimePrune → BloomPrune → LoadBox
+        node runs the shared block pass (TimePrune → BlockFilter → LoadBox
         → Locate → Match → …) over its replica — one box open, one prune
         decision and one Match per distinct term however many plans ride
         the RPC.  Returns (per-plan ``(payload, count, stats)`` triples

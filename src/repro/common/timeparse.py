@@ -3,7 +3,7 @@
 LogGrep's logical clock is the line id, but real queries start with a
 wall-clock window ("errors between 09:00 and 09:05").  Blocks are written
 in arrival order, so a per-block [min, max] timestamp range is enough to
-prune whole blocks before any Bloom or stamp check runs — the range is
+prune whole blocks before any stamp check runs — the range is
 computed once at compress time from the raw lines (ROADMAP item 1
 groundwork) and travels in the prune-index sidecar.
 

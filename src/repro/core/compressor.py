@@ -22,7 +22,6 @@ from typing import Optional, Tuple
 from ..blockstore.block import LogBlock
 from ..capsule.assembler import encode_vector
 from ..capsule.box import CapsuleBox, GroupBox
-from ..common.bloom import BloomFilter, trigrams
 from ..obs.trace import Span, get_tracer
 from ..runtime.classify import VectorKind, classify
 from ..staticparse.cache import TemplateCache
@@ -104,21 +103,12 @@ def encode_parsed(
                 vectors.append(encode_vector(vector, options, kind=kind))
         groups.append(GroupBox(group.template, group.line_ids, vectors))
 
-    bloom = None
-    if config.use_block_bloom:
-        with tracer.span("bloom", parent=parent):
-            grams = set()
-            for line in block.lines:
-                grams.update(trigrams(line))
-            bloom = BloomFilter.build(grams, config.bloom_bits_per_trigram)
-
     return CapsuleBox(
         block_id=block.block_id,
         first_line_id=block.first_line_id,
         num_lines=block.num_lines,
         padded=config.use_padding,
         groups=groups,
-        bloom=bloom,
     )
 
 

@@ -65,10 +65,6 @@ class LogGrepConfig:
     use_padding: bool = True  # fixed-length matching (§5.2)
     use_query_cache: bool = True  # refining-mode cache (§3)
 
-    # -- extensions beyond the paper ---------------------------------------
-    use_block_bloom: bool = False  # block-level trigram Bloom pruning
-    bloom_bits_per_trigram: int = 10
-
     # -- compression scheduler (§8 "compression speed") --------------------
     # Blocks are independent once parsed, so the scheduler fans the
     # CPU-bound encode/serialize stage out to N workers while parsing
@@ -96,10 +92,6 @@ class LogGrepConfig:
     # Bound on Query Cache entries: per-(generation, block, search string)
     # row sets plus one shape entry per block; see repro/query/cache.py.
     cache_capacity: int = 4096
-    # Bound on decoded value columns retained across queries (counted in
-    # values, not entries); entries die with their Capsule, so the cache's
-    # lifetime rides the BoxCache LRU.
-    value_cache_values: int = 1 << 16
     # Bound on pinned deserialized CapsuleBoxes (refining sessions); the
     # LRU keeps a pin of a huge archive from holding every block at once.
     box_cache_capacity: int = 64

@@ -69,14 +69,13 @@ _TIER_BLOCKS = get_registry().gauge(
 
 
 def offline_config(base: Optional[LogGrepConfig] = None) -> LogGrepConfig:
-    """The offline tier trades everything for ratio: maximum LZMA preset,
-    big merged blocks, no Bloom filters (almost no queries to speed up)."""
+    """The offline tier trades everything for ratio: maximum LZMA preset
+    and big merged blocks (almost no queries to speed up)."""
     base = base or LogGrepConfig()
     return replace(
         base,
         preset=9,
         block_bytes=max(base.block_bytes * 4, base.block_bytes),
-        use_block_bloom=False,
     )
 
 
@@ -194,8 +193,7 @@ def tier_config(tier: Tier, base: Optional[LogGrepConfig] = None) -> LogGrepConf
     * HOT — the speed-tier codec (zlib when LZMA's edge is thin): fast
       inflation for the tail of the stream that still gets queried.
     * WARM — the archive default: plain LZMA at the configured preset.
-    * COLD — :func:`offline_config`: maximum preset, 4× merged blocks,
-      no Bloom filters.
+    * COLD — :func:`offline_config`: maximum preset, 4× merged blocks.
     """
     base = base or LogGrepConfig()
     if tier is Tier.HOT:

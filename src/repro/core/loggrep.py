@@ -33,7 +33,7 @@ from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..query.admission import AdmissionQueue
 from ..query.aggregate import AggregateSpec, Bucket, NumericStats
-from ..query.cache import QueryCache, bump_generation, get_value_cache
+from ..query.cache import QueryCache, bump_generation
 from ..query.executor import (
     BoxCache,
     ExecutionResult,
@@ -210,9 +210,6 @@ class LogGrep(AggregateShortcuts):
         self._next_line_id = 0
         self._template_cache = TemplateCache()
         self._box_cache = BoxCache(self.config.box_cache_capacity)
-        # The decoded-value cache is process-wide (entries die with their
-        # Capsules); the most recent instance re-bounds it.
-        get_value_cache().set_capacity(self.config.value_cache_values)
         # One resolver per archive: the shared store (when given) plus the
         # archive's own fallback bank, with a cross-box memo cache.
         self._resolver = as_resolver(self.templates, self.store)

@@ -161,7 +161,6 @@ class StreamingCompressor:
         self._tail_config = replace(
             self.config,
             preset=0,
-            use_block_bloom=False,
             use_real_patterns=False,
             use_nominal_patterns=False,
             codec_speed_tier=True,
@@ -501,7 +500,7 @@ class _TailBoxSource(StoreBoxSource):
     takes one atomic tail snapshot: the sealed store listing plus (when
     any unsealed lines exist) a synthetic ``tail-<version>`` name.  The
     tail name answers ``cached()`` with an in-memory box, which makes
-    the plan's TimePrune/BloomPrune/LoadBox operators skip it without
+    the plan's TimePrune/BlockFilter/LoadBox operators skip it without
     any special-casing; Match/Aggregate then run over its vectors like
     any other block's.
     """

@@ -225,7 +225,8 @@ _VALUE_ENTRIES = get_registry().gauge(
     "loggrep_value_cache_entries", "Decoded Capsule columns currently cached"
 )
 _VALUE_VALUES = get_registry().gauge(
-    "loggrep_value_cache_values", "Individual decoded values currently cached"
+    "loggrep_value_cache_decoded_values",
+    "Individual decoded values currently cached",
 )
 
 #: Default bound on cached decoded values (not entries): one decoded value
@@ -358,21 +359,6 @@ class CapsuleValueCache:
         _VALUE_VALUES.set(self._weight)
 
     # ------------------------------------------------------------------
-    def set_capacity(self, capacity_values: int) -> None:
-        if capacity_values <= 0:
-            raise ValueError("value cache capacity must be positive")
-        with self._lock:
-            self._reap()
-            self.capacity_values = capacity_values
-            while self._weight > self.capacity_values and self._entries:
-                old_key, old_values = self._entries.popitem(last=False)
-                self._weight -= max(1, len(old_values))
-                finalizer = self._finalizers.pop(old_key, None)
-                if finalizer is not None:
-                    finalizer.detach()
-                _VALUE_EVICTIONS.inc()
-            self._publish_gauges()
-
     def clear(self) -> None:
         with self._lock:
             for finalizer in self._finalizers.values():
@@ -395,8 +381,8 @@ class CapsuleValueCache:
             return self._weight
 
 
-#: Process-wide decoded-value cache.  Capsule identity keys make sharing
-#: across LogGrep instances safe; LogGrep re-bounds it from its config.
+#: Process-wide decoded-value cache, bounded at DEFAULT_VALUE_CAPACITY.
+#: Capsule identity keys make sharing across LogGrep instances safe.
 _VALUE_CACHE = CapsuleValueCache()
 
 

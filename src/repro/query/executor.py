@@ -6,18 +6,17 @@ interactive sessions and the cluster's per-node block queries.  One
 **block pass** serves every plan of a run — a single query is a list of
 one.  Per block the pipeline is::
 
-    TimePrune → BloomPrune → LoadBox → Locate → Match* → Reconstruct
+    TimePrune → BlockFilter → LoadBox → Locate → Match* → Reconstruct
 
-* **TimePrune / BloomPrune** — drop the block for a plan whose window
-  or disjuncts cannot match.  With the persistent prune index loaded
-  both run on the in-memory :class:`BlockSummary` — zero store reads
-  for a pruned block; without an index entry only the Bloom section is
-  fetched via a ranged read.
+* **TimePrune / BlockFilter** — drop the block for a plan whose window
+  or charset mask cannot match.  Both run on the block's in-memory
+  :class:`BlockSummary` from the persistent prune index — zero store
+  reads; a block without an index entry is not pruned.
   Decisions are memoized per ``(block, term)`` for the pass, so N plans
   sharing a term decide it once.
 * **LoadBox** — one open per block for every surviving plan, or a
   pinned box from the bounded :class:`BoxCache` (refining sessions).
-  Opening fetches only the header, Bloom and metadata sections through
+  Opening fetches only the header and metadata sections through
   ranged reads; capsule payloads are
   ranged-read on first access, and Reconstruct batch-prefetches the hit
   groups' payloads with coalesced reads.  One :class:`BlockEngine` per
@@ -36,7 +35,7 @@ one.  Per block the pipeline is::
   or fold them into a partial aggregate; elided for ``COUNT``/``ROWS``
   plans, and replaced by a dry-run rendering for ``EXPLAIN`` plans.
 
-**Ledger attribution.**  Shared work (planning, prune reads, LoadBox) is
+**Ledger attribution.**  Shared work (planning, pruning, LoadBox) is
 charged to one *shared ledger*; per-plan work (match, aggregate,
 reconstruct — including the capsule fetches they trigger) to that
 plan's own ledger.  A pass of one aliases the two, so its plan's bill
@@ -77,7 +76,7 @@ from ..common.errors import BudgetExceeded
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .aggregate import AggregatePartial, AggregateSpec, make_partial
-from .blockfilter import command_might_match, summary_might_match
+from .blockfilter import summary_might_match
 from .cache import QueryCache, load_generation
 from .engine import BlockEngine, GroupRows, fold_disjuncts, shape_rows
 from .language import QueryCommand, SearchString
@@ -622,10 +621,10 @@ class QueryExecutor:
         shared: QueryLedger = NULL_LEDGER,
         generation: Optional[int] = None,
     ) -> BlockPass:
-        """TimePrune → BloomPrune → LoadBox → Locate/Match →
+        """TimePrune → BlockFilter → LoadBox → Locate/Match →
         Reconstruct/Aggregate over one block, for every plan at once.
 
-        *ledgers* aligns with *plans*; *shared* pays for prune reads and
+        *ledgers* aligns with *plans*; *shared* pays for pruning and
         LoadBox.  Called bare — ``execute_block(name, plans)``, the unit
         a cluster worker serves per RPC — the pass is unaccounted and
         loads the archive generation itself.
@@ -772,32 +771,32 @@ class QueryExecutor:
         shared: QueryLedger,
         settings: QuerySettings,
     ) -> List[int]:
-        """TimePrune + BloomPrune of one uncached block for every plan.
+        """TimePrune + BlockFilter of one uncached block for every plan,
+        both decided on the block's prune-index summary — zero store
+        reads.  A block without a summary (a hot-tail block, or an index
+        turned off) is never pruned.
 
         Returns the indices of the surviving plans.
         """
-        tracer = get_tracer()
-        use_bloom = self.config.use_block_bloom
-        use_stamps = settings.use_stamps
         summary = self.source.summary(name)
+        if summary is None:
+            return list(range(len(plans)))
+        tracer = get_tracer()
+        use_stamps = settings.use_stamps
         # One verdict per distinct term, reused by every plan.
         memo: Dict[str, bool] = {}
-        bloom: Optional[object] = None
-        bloom_read = False
         live: List[int] = []
         for i, plan in enumerate(plans):
             outcome = outcomes[i]
             explain = plan.mode is OutputMode.EXPLAIN
             # -- TimePrune: a block whose sidecar timestamp range is
             # disjoint from the plan's wall-clock window is skipped
-            # before any Bloom or stamp check — zero store reads.  Runs
-            # even for match-all aggregates; blocks without a known
-            # range conservatively survive.
+            # before any stamp check.  Runs even for match-all
+            # aggregates; blocks without a known range conservatively
+            # survive.
             if (
-                summary is not None
-                and (plan.from_time is not None or plan.to_time is not None)
-                and not summary.in_time_range(plan.from_time, plan.to_time)
-            ):
+                plan.from_time is not None or plan.to_time is not None
+            ) and not summary.in_time_range(plan.from_time, plan.to_time):
                 outcome.stats.blocks_pruned += 1
                 outcome.stats.blocks_time_pruned += 1
                 if explain:
@@ -807,34 +806,22 @@ class QueryExecutor:
                         f"outside [{plan.from_time}, {plan.to_time}])"
                     )
                 continue
-            # -- BloomPrune: with an index entry the whole check runs in
-            # memory (zero store reads); otherwise only the Bloom section
-            # is fetched via the TOC, once for the pass.  A match-all
-            # aggregate (no disjuncts) can never be pruned.
-            if plan.disjuncts and (use_bloom or summary is not None):
+            # -- BlockFilter: the charset-mask check on the summary.  A
+            # match-all aggregate (no disjuncts) can never be pruned.
+            if plan.disjuncts:
                 with tracer.span("block_filter") as fspan, shared.operator(
                     "block_filter"
                 ):
-                    if summary is not None:
-                        via = "prune index"
-                        pruned = not summary_might_match(
-                            summary, plan.command, use_stamps, use_bloom, memo
-                        )
-                    else:
-                        via = "block-level Bloom filter"
-                        if not bloom_read:
-                            bloom = CapsuleBox.open_bloom(self.source.blob(name))
-                            bloom_read = True
-                        pruned = bloom is not None and not command_might_match(
-                            bloom, plan.command, memo  # type: ignore[arg-type]
-                        )
+                    pruned = not summary_might_match(
+                        summary, plan.command, use_stamps, memo
+                    )
                     fspan.set("pruned", pruned)
                 if pruned:
                     outcome.stats.blocks_pruned += 1
                     if explain:
                         outcome.rendering = (
-                            f"block {name}: pruned by {via} "
-                            "(no disjunct survives the mask/trigram checks)"
+                            f"block {name}: pruned by prune index "
+                            "(no disjunct survives the charset-mask check)"
                         )
                     continue
             live.append(i)
@@ -1093,7 +1080,6 @@ class QueryExecutor:
     # ------------------------------------------------------------------
     def describe(self, plan: QueryPlan) -> str:
         """The physical plan: operators, scheduler, term order."""
-        bloom = "on" if self.config.use_block_bloom else "off"
         cache = "on" if self.config.use_query_cache else "off"
         if plan.aggregate is not None and plan.mode is not OutputMode.EXPLAIN:
             tail = f"Aggregate({plan.aggregate.describe()})"
@@ -1116,7 +1102,7 @@ class QueryExecutor:
         )
         lines = [
             f"physical plan for {plan.raw!r} (mode={plan.mode.value})",
-            f"  pipeline: BloomPrune({bloom}) -> LoadBox -> Locate -> "
+            "  pipeline: TimePrune -> BlockFilter -> LoadBox -> Locate -> "
             f"Match(query_cache={cache}) -> {tail}",
             f"  io: lazy (ranged reads); prune index: {index}",
             f"  scheduler: {scheduler} over {len(self.source.names())} block(s)",

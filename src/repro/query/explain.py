@@ -3,7 +3,7 @@
 ``LogGrep.explain(command)`` builds the same :class:`QueryPlan` that
 ``grep``/``count`` execute and hands it to the executor in ``EXPLAIN``
 mode; instead of locating rows, each block's pipeline renders *why* each
-Capsule would or would not be touched — Bloom prunes, stamp checks,
+Capsule would or would not be touched — block prunes, stamp checks,
 runtime-pattern candidates.  Invaluable for understanding a slow query
 and for teaching the §5 machinery.
 

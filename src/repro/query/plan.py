@@ -124,7 +124,7 @@ class QueryPlan:
     aggregate: Optional[AggregateSpec] = None
     #: Optional wall-clock window (epoch seconds, inclusive): blocks whose
     #: prune-index timestamp range is disjoint from it are skipped before
-    #: any Bloom/stamp check — zero store reads.  Pruning is
+    #: any stamp check — zero store reads.  Pruning is
     #: block-granular (partition pruning): in-window blocks still return
     #: all their matches.
     from_time: Optional[float] = None

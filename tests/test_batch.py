@@ -436,16 +436,27 @@ class TestInvalidation:
 
     def test_held_handle_rereads_prune_index_after_cold_merge(self, corpus):
         """Merged cold blocks reuse the first original's name: a summary
-        (Bloom bits included) kept from before the merge would prune
-        lines that now live under that name."""
+        kept from before the merge would prune lines that now live under
+        that name.  The first original block has no upper-case G-Z, so
+        its stale charset mask prunes the upper-case needle."""
+        from repro.blockstore.index import load_index
         from repro.core.lifecycle import LifecycleManager, Tier
+        from repro.query.executor import summary_might_match
+        from repro.query.language import parse_query
 
-        lines = list(corpus)
+        lines = [f"t{1000 + i} bk.{i % 256:02x}.{i % 20} read" for i in range(300)]
+        lines += corpus[300:]
         needle = "ERROR write to file: /root/usr/admin/QQneedleQQ.log failed code=3"
         lines[600] = needle
-        lg = make_lg(lines, use_block_bloom=True)
+        lg = make_lg(lines)
+        first = lg.store.names()[0]
+        stale = lg.executor.source.summary(first)
+        assert stale.first_line_id + stale.num_lines <= 600
+        assert not summary_might_match(stale, parse_query("QQneedleQQ"))
         assert lg.grep("QQneedleQQ").lines == [needle]
         LifecycleManager(lg.store, lg.config).demote(Tier.COLD)
+        merged = load_index(lg.store).get(first)
+        assert merged.first_line_id + merged.num_lines > 600
         assert lg.grep("QQneedleQQ").lines == [needle]
         lg.compress(["appended after the merge QQneedleQQ"])
         assert len(lg.grep("QQneedleQQ").lines) == 2

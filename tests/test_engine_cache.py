@@ -211,17 +211,6 @@ class TestCapsuleValueCache:
         assert len(cache) == 0
         assert cache.cached_values == 0
 
-    def test_set_capacity_shrinks(self):
-        from repro.query.cache import CapsuleValueCache
-
-        cache = CapsuleValueCache(capacity_values=100)
-        keep = [self._capsule([str(i)] * 4) for i in range(5)]
-        for capsule in keep:
-            cache.get(capsule)
-        cache.set_capacity(8)
-        assert cache.cached_values <= 8
-        assert cache.peek(keep[-1]) is not None  # most recent survives
-
     def test_capacity_validation(self):
         from repro.query.cache import CapsuleValueCache
 

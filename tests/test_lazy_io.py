@@ -30,7 +30,9 @@ from repro.blockstore.index import (
 )
 from repro.blockstore.store import ArchiveStore, MemoryStore
 from repro.capsule.box import BoxTOC, CapsuleBox, _capsules_of
+from repro.common.binio import BinaryWriter
 from repro.common.errors import FormatError
+from repro.core.reconstructor import BlockReconstructor
 from repro.obs import get_registry
 from repro.workloads import spec_by_name
 from tests.conftest import make_mixed_lines
@@ -55,14 +57,17 @@ def _all_capsules(box):
 
 
 class _OpenedStore(MemoryStore):
-    """A MemoryStore that remembers which blocks were range-read."""
+    """A MemoryStore that remembers which blocks were range-read, and
+    every (offset, length) it served."""
 
     def __init__(self):
         super().__init__()
         self.opened = set()
+        self.ranges = []
 
     def get_range(self, name, offset, length):
         self.opened.add(name)
+        self.ranges.append((offset, length))
         return super().get_range(name, offset, length)
 
 
@@ -190,6 +195,8 @@ class TestBoxTOC:
         toc = BoxTOC.read(BytesBlobSource(blob))
         assert blob[:5] == b"LGCB\x02"
         assert toc.bloom_off == 32
+        # The retired bloom section: one zero byte, never read.
+        assert blob[toc.bloom_off : toc.bloom_off + toc.bloom_len] == b"\x00"
         assert toc.meta_off == toc.bloom_off + toc.bloom_len
         assert toc.payload_off == toc.meta_off + toc.meta_len
         assert toc.payload_off + toc.payload_len == len(blob)
@@ -225,12 +232,15 @@ class TestBoxTOC:
         with pytest.raises(FormatError):
             CapsuleBox.deserialize(bytes(blob))
 
-    def test_open_bloom_reads_header_only(self):
-        blob = _one_box(self.LINES)
-        src = BytesBlobSource(blob)
-        CapsuleBox.open_bloom(src)
-        toc = BoxTOC.read(BytesBlobSource(blob))
-        assert src.bytes_read <= 2 * (32 + toc.bloom_len)
+    def test_open_reads_header_and_metadata_only(self):
+        """Two ranged reads per open: the retired bloom section is
+        never fetched."""
+        store = _OpenedStore()
+        store.put("block", _one_box(self.LINES))
+        box = CapsuleBox.open(StoreBlobSource(store, "block"))
+        toc = BoxTOC.read(BytesBlobSource(store.get("block")))
+        assert store.ranges == [(0, 32), (toc.meta_off, toc.meta_len)]
+        assert box.groups
 
 
 class TestZeroReadPruning:
@@ -249,17 +259,18 @@ class TestZeroReadPruning:
         )
 
     def test_pruned_blocks_never_account_whole_blob(self, tmp_path):
-        """Even for blocks the index has no summary of, pruning reads at
-        most bloom-sized ranges — never whole blobs (satellite a)."""
-        store = _compress_to(tmp_path, PRUNABLE_LINES, use_block_bloom=True)
-        lg = _reopen(store, prune_index=ArchiveIndex(), use_block_bloom=True)
+        """A block the index has no summary of is not pruned: it is
+        opened through ranged reads — never a whole-blob read."""
+        store = _compress_to(tmp_path, PRUNABLE_LINES)
+        lg = _reopen(store, prune_index=ArchiveIndex())
         whole_reads = get_registry().counter("loggrep_store_reads_total")
         reads_before = whole_reads.value()
         ranged_before = _RANGE_READS.value()
         result = lg.grep("ERRORWORD")
-        assert result.stats.blocks_pruned == len(store.names())
+        assert result.count == 0
+        assert result.stats.blocks_pruned == 0
         assert whole_reads.value() == reads_before, (
-            "pruning must never account a whole-blob read"
+            "opening a box must never account a whole-blob read"
         )
         assert _RANGE_READS.value() > ranged_before
 
@@ -351,7 +362,8 @@ def _as_v1(blob):
 
 
 class TestOldFormatsRejected:
-    """LGCB v1 is a typed error; an LGIX v1 sidecar is rebuilt as v2."""
+    """LGCB v1 is a typed error; an LGIX v1 sidecar is rebuilt as v2; the
+    retired bloom section and ``has_bloom`` byte are never trusted."""
 
     #: 13 bytes: magic, version 1, bloom_len u32 = 0, meta_len u32 = 0.
     V1_HEADER = b"LGCB\x01" + bytes(8)
@@ -362,7 +374,6 @@ class TestOldFormatsRejected:
         for read in (
             lambda: CapsuleBox.open(BytesBlobSource(v1)),
             lambda: CapsuleBox.deserialize(v1),
-            lambda: CapsuleBox.open_bloom(BytesBlobSource(v1)),
         ):
             with pytest.raises(FormatError) as info:
                 read()
@@ -380,6 +391,47 @@ class TestOldFormatsRejected:
         (line,) = [ln for ln in out.splitlines() if ln.startswith(victim)]
         assert "version 1" in line and "version 2" in line
         assert f"{len(store.names()) - 1}/{len(store.names())}" in out
+
+    def test_filled_bloom_section_ignored(self):
+        """A box whose bloom section holds a filter (as boxes written with
+        the retired block Bloom did) opens to the same lines."""
+        lines = make_mixed_lines(120)
+        blob = _one_box(lines)
+        toc = BoxTOC.read(BytesBlobSource(blob))
+        section = b"\x01" + bytes(range(40))
+        grow = len(section) - toc.bloom_len
+        header = bytearray(blob[:32])
+        for at, value in (
+            (12, len(section)),
+            (16, toc.meta_off + grow),
+            (24, toc.payload_off + grow),
+        ):
+            header[at : at + 4] = value.to_bytes(4, "little")
+        filled = bytes(header) + section + blob[toc.meta_off :]
+        box = CapsuleBox.deserialize(filled)
+        assert BlockReconstructor(box).all_lines() == lines
+
+    def test_bloom_sidecar_rebuilt(self, tmp_path):
+        """A sidecar entry with ``has_bloom`` set is unreadable, so the
+        archive rebuilds it from the blocks and writes ``has_bloom = 0``."""
+        lines = make_mixed_lines(400)
+        store = _compress_to(tmp_path, lines)
+        sidecar = store.get_aux(INDEX_AUX_NAME)
+        first = load_index(store).get(store.names()[0])
+        prefix = BinaryWriter()
+        prefix.write_varint(len(store.names()))
+        prefix.write_str(store.names()[0])
+        for value in (first.block_id, first.first_line_id, first.num_lines):
+            prefix.write_varint(value)
+        prefix.write_u8(first.type_mask)
+        at = 5 + len(prefix.getvalue())
+        assert sidecar[at] == 0
+        store.put_aux(INDEX_AUX_NAME, sidecar[:at] + b"\x01" + sidecar[at + 1 :])
+        with pytest.raises(FormatError, match="Bloom"):
+            ArchiveIndex.deserialize(store.get_aux(INDEX_AUX_NAME))
+        lg = _reopen(store)
+        assert lg.grep("ERROR").lines == grep_lines("ERROR", lines)
+        assert store.get_aux(INDEX_AUX_NAME) == sidecar
 
     def test_v1_sidecar_rebuilt_as_v2(self, tmp_path):
         from repro.workloads import spec_by_name
@@ -436,7 +488,7 @@ class TestLazyCapsules:
     @given(
         corpora(),
         st.sampled_from(QUERIES),
-        st.sampled_from(["default", "w/o fixed", "w/o stamp", "bloom"]),
+        st.sampled_from(["default", "w/o fixed", "w/o stamp"]),
         st.booleans(),
     )
     def test_lazy_equals_oracle(self, lines, command, layout, ignore_case):
@@ -446,8 +498,6 @@ class TestLazyCapsules:
             overrides["use_padding"] = False
         elif layout == "w/o stamp":
             overrides["use_stamps"] = False
-        elif layout == "bloom":
-            overrides["use_block_bloom"] = True
         lazy = LogGrep(config=LogGrepConfig(**overrides))
         lazy.compress(lines)
         expected = grep_lines(command, lines, ignore_case=ignore_case)

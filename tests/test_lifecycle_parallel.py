@@ -25,7 +25,6 @@ class TestOfflineArchiving:
         config = offline_config(LogGrepConfig(block_bytes=1 << 20))
         assert config.preset == 9
         assert config.block_bytes >= 4 << 20
-        assert not config.use_block_bloom
 
     def test_rewrite_preserves_data(self, nearline):
         offline, report = archive_offline(nearline)

@@ -97,7 +97,6 @@ class TestTierConfig:
         cold = tier_config(Tier.COLD, base)
         assert cold.preset == 9
         assert cold.block_bytes == 4 * base.block_bytes
-        assert cold.use_block_bloom is False
 
     def test_tier_ranks_order(self):
         assert Tier.HOT.rank < Tier.WARM.rank < Tier.COLD.rank
