@@ -57,8 +57,8 @@ class EncodingOptions:
     #: Emit permissive stamps instead of scanning every value's character
     #: classes.  Permissive stamps admit everything, so they can never
     #: cause a wrong skip — they only forgo stamp pruning.  Used by the
-    #: hot tail, whose tiny always-scanned block gains nothing from
-    #: stamps but pays their cost on the append→queryable latency path.
+    #: hot tail, whose always-scanned in-memory blocks gain nothing from
+    #: stamps but pay their cost on the append→queryable latency path.
     cheap_stamps: bool = False
 
 

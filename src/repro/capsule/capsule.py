@@ -572,16 +572,16 @@ def _choose_codec(
     :data:`ZLIB_MARGIN` — zlib inflates several times faster, which the
     query path pays on every Capsule the Locator could not filter — and
     zlib is still tried above its window.  At preset 0 it means the
-    caller wants the bytes queryable *now* (the hot tail): zlib-1 and no
-    LZMA probe, which would roughly double the encode latency.
+    caller wants the bytes queryable *now* and never stores them (the hot
+    tail): raw, so neither the encode nor the Match that follows pays for
+    a codec.
     """
     size = len(buf)
     codec, payload = CODEC_RAW, buf
-    if size >= RAW_BELOW:
-        hot_tail = speed_tier and preset == 0
+    if size >= RAW_BELOW and not (speed_tier and preset == 0):
         if speed_tier or size < LZMA_ONLY_FROM:
-            codec, payload = CODEC_ZLIB, zlib.compress(buf, 1 if hot_tail else 6)
-        if size >= ZLIB_ONLY_BELOW and not hot_tail:
+            codec, payload = CODEC_ZLIB, zlib.compress(buf, 6)
+        if size >= ZLIB_ONLY_BELOW:
             # The incumbent is zlib's payload, or the buffer itself where
             # zlib was not tried (then the margin is 1.0).
             lzma_payload = _lzma_compress(buf, preset)

@@ -84,7 +84,7 @@ class LogGrepConfig:
     # Emit permissive Capsule stamps instead of scanning every value's
     # character classes.  Permissive stamps admit everything — they can
     # never cause a wrong skip, only forgo stamp pruning.  The hot tail
-    # turns this on: its single in-memory block is always scanned anyway,
+    # turns this on: its in-memory blocks are always scanned anyway,
     # and stamp computation would sit on the append→queryable latency.
     cheap_stamps: bool = False
 

@@ -45,6 +45,7 @@ from ..blockstore.store import ArchiveStore
 from ..obs.metrics import get_registry
 from ..obs.trace import Span, get_tracer
 from ..staticparse.cache import TemplateCache
+from ..staticparse.parser import ParsedBlock
 from .compressor import encode_parsed, parse_block
 from .config import LogGrepConfig
 
@@ -87,6 +88,9 @@ class _Pending(NamedTuple):
 
     name: str
     block: LogBlock
+    #: The ordered parse, kept until commit so the streaming hot tail can
+    #: encode the pending block without parsing it again.
+    parsed: ParsedBlock
     span: Optional[Span]
     parse_seconds: float
     result: Union["Future[EncodeResult]", EncodeResult]
@@ -169,7 +173,7 @@ class CompressionScheduler:
                 result = self._ensure_pool().submit(
                     self._encode_traced, block, parsed, bspan
                 )
-        self._pending.append(_Pending(name, block, bspan, parse_seconds, result))
+        self._pending.append(_Pending(name, block, parsed, bspan, parse_seconds, result))
         if not self._async:
             self._commit_oldest()
             return
@@ -228,15 +232,16 @@ class CompressionScheduler:
         """Blocks submitted but not yet committed to the store."""
         return len(self._pending)
 
-    def pending_blocks(self) -> List[LogBlock]:
-        """The raw blocks submitted but not yet committed, oldest first.
+    def pending_blocks(self) -> List[Tuple[LogBlock, ParsedBlock]]:
+        """The blocks submitted but not yet committed, oldest first, each
+        with the parse made at submit.
 
         The hot-tail query path folds these into the tail snapshot: a
         line is in exactly one of (committed store, pending block, append
         buffer) at any instant, so the union is complete and duplicate-
         free across the seal race.
         """
-        return [pending.block for pending in self._pending]
+        return [(pending.block, pending.parsed) for pending in self._pending]
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -18,34 +18,34 @@ batch compression for the same config, any worker count.
 
 **The hot tail.**  A line is queryable the moment ``append`` returns —
 not when its block seals.  ``open_reader(tail=True)`` yields a LogGrep
-whose box source presents ``sealed ∪ tail``: the committed store blocks
-plus one *synthetic* tail block holding every not-yet-committed line
-(the scheduler's in-flight blocks and the append buffer).  At any
+whose box source presents ``sealed ∪ tail``: the committed store blocks,
+one in-memory box per *pending* block (sealed and handed to the
+scheduler, not yet committed) and one for the append buffer.  At any
 instant a line lives in exactly one of those three places, and the
 snapshot that decides block membership is taken atomically under the
 ingest lock, so no line is double-counted or dropped across the seal
 race.
 
-Parsing for the tail is *incremental*: every ``append`` assigns its line
-against the templates already mined by the stream (the batch parser's
-``TemplateMatcher``), so by the time a query arrives the parse is
-already paid and materializing the tail block costs only the cheap
-encode (plain vectors, preset 0, speed-tier codec, permissive stamps).
-Lines no known template matches sit in a small residual that is mined
-on demand at build time — cold streams degrade to exactly the old
-build-time full parse.  The built box is cached per tail version; the
-prune operators skip it automatically because the source serves it as
-an already-open box.  Line ids are assigned positionally, identical to
-what sealing will assign, so a tail-inclusive grep is byte-for-byte
-equal to the same grep after ``flush()``.
+A pending block's box is encoded once, from the parse the scheduler made
+at submit, and kept until the block commits.  Only the buffer's box is
+rebuilt, once per tail version, and its parse is *incremental*: every
+``append`` assigns its line against the templates the stream has already
+mined (the batch parser's ``TemplateMatcher``), so a build only
+transposes the assigned rows and mines the small residual no known
+template matched.  Tail boxes are scanned, never stored: plain vectors,
+raw Capsules (``preset=0`` with the speed-tier codec) and permissive
+stamps.  The prune operators skip them because the source serves them as
+already-open boxes.  Line ids start at each block's own
+``first_line_id`` — what sealing assigns — so a tail-inclusive grep is
+byte-for-byte equal to the same grep after ``flush()``.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Tuple
 
 from ..blockstore.block import LogBlock
 from ..blockstore.index import ArchiveIndex
@@ -60,15 +60,21 @@ from ..staticparse.cache import TemplateCache
 from ..staticparse.matcher import TemplateMatcher
 from ..staticparse.parser import BlockParser, Group, ParsedBlock
 from ..staticparse.template import Template
-from .compressor import encode_parsed, parse_block
+# parse_block is unused here but stays bound: perfbench/tracing.py wraps
+# it by name in this module.
+from .compressor import encode_parsed, parse_block  # noqa: F401
 from .config import LogGrepConfig
 from .loggrep import CompressionReport, LogGrep
 from .schedule import CompressionScheduler
 
 _VISIBLE_SECONDS = get_registry().gauge(
     "loggrep_ingest_visible_seconds",
-    "Append-to-queryable latency: seconds to materialize the hot tail "
-    "block for the first query after an append",
+    "Append-to-queryable latency: seconds to build the last hot-tail box "
+    "a query needed",
+)
+_TAIL_LINES = get_registry().counter(
+    "loggrep_tail_lines_encoded_total",
+    "Lines encoded into hot-tail boxes, by kind (pending block or buffer)",
 )
 
 
@@ -77,22 +83,13 @@ _VISIBLE_SECONDS = get_registry().gauge(
 _TailRows = Tuple[Template, List[int], List[List[str]]]
 
 
-def _tail_name(version: int) -> str:
-    # "tail-" sorts after "block-", so the synthetic block is always the
-    # last entry of the query plan's name order — ids stay monotonic.
-    return f"tail-{version:012d}.lgcb"
-
-
-@dataclass(frozen=True)
-class _ParsedSegment:
-    """Accumulated incremental parse of one tail segment (a pending
-    block, or the append buffer).  ``groups`` carry segment-local line
-    ids; ``residual`` holds ``(local_line_id, line)`` pairs no known
-    template matched — they are mined at tail-build time."""
-
-    num_lines: int
-    groups: List[Group] = field(default_factory=list)
-    residual: List[Tuple[int, str]] = field(default_factory=list)
+def _tail_name(block_id: int, version: Optional[int] = None) -> str:
+    # "tail-" sorts after "block-" and the padded block ids sort in line
+    # order, so tail boxes are the last entries of the query plan's name
+    # order and line ids stay monotonic.  The buffer's name also carries
+    # the tail version: its lines change with every append.
+    suffix = "" if version is None else f"-{version:012d}"
+    return f"tail-{block_id:012d}{suffix}.lgcb"
 
 
 @dataclass(frozen=True)
@@ -101,13 +98,29 @@ class TailSnapshot:
 
     version: int
     sealed_names: List[str]
+    #: Blocks sealed but not committed, oldest first, each with the
+    #: parse the scheduler made at submit.
+    pending: List[Tuple[LogBlock, ParsedBlock]]
+    #: The append buffer, and the block id and first line id it will
+    #: seal with.
     lines: List[str]
     block_id: int
     first_line_id: int
-    #: Incremental parse state of the tail, segment per pending block
-    #: plus one for the buffer.  None when the tail box for ``version``
-    #: was already built (the copy would be dead weight).
-    segments: Optional[List[_ParsedSegment]] = None
+    #: The buffer's incremental parse: rows appends assigned to known
+    #: templates, and ``(local_line_id, line)`` pairs no known template
+    #: matched — mined when the buffer's box is built.
+    rows: List[_TailRows]
+    residual: List[Tuple[int, str]]
+    #: Tail box name -> block id, in line order: one per pending block,
+    #: then the buffer's when it holds lines.
+    tail_names: Dict[str, int]
+
+    def buffer_groups(self) -> List[Group]:
+        """The buffer's template-assigned lines as groups."""
+        return [
+            Group.from_rows(template, line_ids, rows)
+            for template, line_ids, rows in self.rows
+        ]
 
 
 class StreamingCompressor:
@@ -136,7 +149,10 @@ class StreamingCompressor:
         # are atomic across the seal race.
         self._lock = threading.RLock()
         self._tail_version = 0
-        self._tail_boxes: Dict[int, CapsuleBox] = {}
+        # Built tail boxes by name: pending blocks' until they commit,
+        # and the buffer's latest version (``_buffer_name``).
+        self._tail_boxes: Dict[str, CapsuleBox] = {}
+        self._buffer_name = ""
         self._template_cache = TemplateCache()
         self._scheduler = CompressionScheduler(
             self.store,
@@ -154,10 +170,10 @@ class StreamingCompressor:
         self._next_line_id = 0
         self._start = time.perf_counter()
         self._closed = False
-        # Tail blocks are scanned, not archived: plain vectors at the
-        # cheapest presets make the parse+encode latency (the append→
-        # queryable window) a fraction of a real block compression while
-        # reconstructing the exact same lines.
+        # Tail boxes are scanned, not archived: plain vectors, raw
+        # Capsules and permissive stamps make the encode latency (the
+        # append→queryable window) a fraction of a real block compression
+        # while reconstructing the exact same lines.
         self._tail_config = replace(
             self.config,
             preset=0,
@@ -167,14 +183,12 @@ class StreamingCompressor:
             cheap_stamps=True,
             compress_parallelism=1,
         )
-        # Incremental tail parse state (all under self._lock): the
-        # matcher (rebuilt from the scheduler's cache at every seal), the
-        # buffer's accumulated per-template rows and residual, and the
-        # frozen segments of blocks that sealed but have not committed.
+        # Incremental parse of the buffer (all under self._lock): the
+        # matcher (rebuilt from the scheduler's cache at every seal) and
+        # the buffer's accumulated per-template rows and residual.
         self._tail_matcher = TemplateMatcher()
         self._tail_rows: Dict[int, _TailRows] = {}
         self._tail_residual: List[Tuple[int, str]] = []
-        self._parsed_pending: Dict[int, _ParsedSegment] = {}
         self._refresh_tail_matcher()
 
     def _refresh_tail_matcher(self) -> None:
@@ -199,13 +213,6 @@ class StreamingCompressor:
             entry = self._tail_rows[template.template_id] = (template, [], [])
         entry[1].append(local_id)
         entry[2].append(tokens)
-
-    def _tail_groups(self) -> List[Group]:
-        """The buffer's accumulated parse as fresh (unshared) groups."""
-        return [
-            Group.from_rows(template, list(line_ids), rows)
-            for template, line_ids, rows in self._tail_rows.values()
-        ]
 
     # ------------------------------------------------------------------
     def append(self, line: str) -> None:
@@ -243,13 +250,10 @@ class StreamingCompressor:
             self._next_line_id += block.num_lines
             self._lines = []
             self._buffered_bytes = 0
-            # Freeze the buffer's accumulated parse as this block's tail
-            # segment; the accumulator restarts from fresh containers.
-            self._parsed_pending[block.block_id] = _ParsedSegment(
-                block.num_lines, self._tail_groups(), self._tail_residual
-            )
             self._tail_rows = {}
             self._tail_residual = []
+            # The buffer's box is dead: its lines are a pending block now.
+            self._tail_boxes.pop(self._buffer_name, None)
             # The scheduler parses in order (warm-start cache), encodes in
             # the background, and applies back-pressure at twice its
             # configured worker depth — the producer cannot outrun
@@ -263,11 +267,9 @@ class StreamingCompressor:
             self._refresh_tail_matcher()
 
     def _on_commit(self, name: str, block: LogBlock, data: bytes) -> None:
-        # A commit moves lines from the pending deque into the store, so
-        # any cached tail box is stale even without new appends.
+        # The block's lines are in the store now: its tail box is dead.
         with self._lock:
-            self._parsed_pending.pop(block.block_id, None)
-            self._tail_version += 1
+            self._tail_boxes.pop(_tail_name(block.block_id), None)
         # The archive's block set changed: advance the persisted
         # generation so query caches keyed on it (see
         # repro/query/cache.py) cannot serve pre-commit row sets.
@@ -286,45 +288,26 @@ class StreamingCompressor:
         """
         with self._lock:
             pending = self._scheduler.pending_blocks()
-            lines: List[str] = []
-            for block in pending:
-                lines.extend(block.lines)
-            lines.extend(self._lines)
-            if pending:
-                block_id = pending[0].block_id
-                first_line_id = pending[0].first_line_id
-            else:
-                block_id = self._next_block_id
-                first_line_id = self._next_line_id
-            segments: Optional[List[_ParsedSegment]] = None
-            if lines and self._tail_version not in self._tail_boxes:
-                segments = []
-                for block in pending:
-                    seg = self._parsed_pending.get(block.block_id)
-                    if seg is None:  # defensive: mine the whole block
-                        seg = _ParsedSegment(
-                            block.num_lines,
-                            [],
-                            list(enumerate(block.lines)),
-                        )
-                    segments.append(seg)
-                if self._lines:
-                    # The buffer still mutates under appends — the
-                    # snapshot gets its own groups and residual list.
-                    segments.append(
-                        _ParsedSegment(
-                            len(self._lines),
-                            self._tail_groups(),
-                            list(self._tail_residual),
-                        )
-                    )
+            tail_names = {
+                _tail_name(block.block_id): block.block_id for block, _ in pending
+            }
+            if self._lines:
+                name = _tail_name(self._next_block_id, self._tail_version)
+                tail_names[name] = self._next_block_id
             return TailSnapshot(
                 version=self._tail_version,
                 sealed_names=list(self.store.names()),
-                lines=lines,
-                block_id=block_id,
-                first_line_id=first_line_id,
-                segments=segments,
+                pending=pending,
+                lines=list(self._lines),
+                block_id=self._next_block_id,
+                first_line_id=self._next_line_id,
+                # The buffer's containers grow under appends: copy them.
+                rows=[
+                    (template, list(line_ids), list(rows))
+                    for template, line_ids, rows in self._tail_rows.values()
+                ],
+                residual=list(self._tail_residual),
+                tail_names=tail_names,
             )
 
     def total_appended(self) -> int:
@@ -332,86 +315,81 @@ class StreamingCompressor:
         with self._lock:
             return self._next_line_id + len(self._lines)
 
-    def _compose_segments(
-        self, segments: Sequence[_ParsedSegment]
-    ) -> ParsedBlock:
-        """Stitch the per-segment incremental parses into one ParsedBlock.
-
-        Segment-local line ids are offset into the tail block's line
-        space; templates are renumbered so ids stay unique across
-        segments (the same static pattern may appear in several).
-        Residual lines — shapes no cached template matched — are mined
-        here, per segment, with the ordinary batch parser; a cold stream
-        (empty matcher) therefore degrades to exactly the old full
-        build-time parse.
+    def _parse_buffer(self, snap: TailSnapshot) -> ParsedBlock:
+        """The buffer's parse: the rows appends assigned to known
+        templates, plus the residual mined here with the ordinary batch
+        parser — a cold stream (empty matcher) mines the whole buffer.
+        Templates are renumbered so ids stay unique across the two.
         """
-        templates: List[Template] = []
-        groups: List[Group] = []
-        offset = 0
-        for segment in segments:
-            seg_groups = list(segment.groups)
-            if segment.residual:
-                parser = BlockParser(
-                    sample_rate=self._tail_config.sample_rate,
-                    similarity=self._tail_config.similarity,
-                    seed=self._tail_config.seed,
-                )
-                mined = parser.parse([line for _, line in segment.residual])
-                for group in mined.groups:
-                    seg_groups.append(
-                        Group(
-                            group.template,
-                            [
-                                segment.residual[row][0]
-                                for row in group.line_ids
-                            ],
-                            group.variable_vectors,
-                        )
-                    )
-            for group in seg_groups:
-                template = Template(len(templates), list(group.template.tokens))
-                templates.append(template)
-                groups.append(
-                    Group(
-                        template,
-                        [lid + offset for lid in group.line_ids],
-                        group.variable_vectors,
-                    )
-                )
-            offset += segment.num_lines
-        return ParsedBlock(templates, groups, offset)
+        groups = snap.buffer_groups()
+        if snap.residual:
+            parser = BlockParser(
+                sample_rate=self._tail_config.sample_rate,
+                similarity=self._tail_config.similarity,
+                seed=self._tail_config.seed,
+            )
+            mined = parser.parse([line for _, line in snap.residual])
+            for group in mined.groups:
+                line_ids = [snap.residual[row][0] for row in group.line_ids]
+                groups.append(Group(group.template, line_ids, group.variable_vectors))
+        templates = [
+            Template(i, list(group.template.tokens)) for i, group in enumerate(groups)
+        ]
+        return ParsedBlock(
+            templates,
+            [
+                Group(template, group.line_ids, group.variable_vectors)
+                for template, group in zip(templates, groups)
+            ],
+            len(snap.lines),
+        )
 
-    def _tail_box(self, snap: TailSnapshot) -> CapsuleBox:
-        """The synthetic tail block for *snap*, built once per version.
+    def _tail_box(self, snap: TailSnapshot, name: str) -> CapsuleBox:
+        """The in-memory box *name* of *snap*, cached once built.
 
-        Line ids are positional from ``snap.first_line_id`` — identical
-        to what the scheduler will assign when these lines seal, which
-        is what makes tail-inclusive grep results byte-for-byte equal to
-        post-flush results.
+        A pending block's box is encoded from the parse the scheduler
+        made at submit and kept until the block commits; the buffer's is
+        kept for its tail version, which its name carries.  Line ids
+        start at the block's own ``first_line_id`` — what sealing
+        assigns — which is what makes tail-inclusive grep results
+        byte-for-byte equal to post-flush results.
         """
         with self._lock:
-            box = self._tail_boxes.get(snap.version)
+            box = self._tail_boxes.get(name)
         if box is not None:
             return box
+        block_id = snap.tail_names[name]
+        buffer = block_id == snap.block_id
+        if buffer:
+            block = LogBlock(block_id, snap.first_line_id, snap.lines)
+        else:
+            block, parsed = next(
+                entry for entry in snap.pending if entry[0].block_id == block_id
+            )
+        kind = "buffer" if buffer else "pending"
         start = time.perf_counter()
-        with get_tracer().span("ingest.tail_build", lines=len(snap.lines)):
-            block = LogBlock(snap.block_id, snap.first_line_id, snap.lines)
-            if snap.segments is not None:
-                parsed = self._compose_segments(snap.segments)
-            else:
-                # The snapshot skipped the parse-state copy because this
-                # version's box existed then; it has since been evicted
-                # (a racing query against an old snapshot) — fall back
-                # to a full warm-started parse.
-                cache = TemplateCache()
-                cache.merge(self._template_cache.snapshot())
-                parsed, _ = parse_block(block, self._tail_config, cache)
+        with get_tracer().span(
+            "ingest.tail_build",
+            kind=kind,
+            lines=block.num_lines,
+            mined=len(snap.residual) if buffer else 0,
+        ):
+            if buffer:
+                parsed = self._parse_buffer(snap)
             box = encode_parsed(block, parsed, self._tail_config)
         _VISIBLE_SECONDS.set(time.perf_counter() - start)
+        _TAIL_LINES.inc(block.num_lines, kind=kind)
         with self._lock:
-            # Only the latest version is worth keeping; queries against
-            # older snapshots rebuild (rare — only a racing query).
-            self._tail_boxes = {snap.version: box}
+            if buffer:
+                # Only the latest version is worth keeping; a query
+                # against an older snapshot rebuilds from it.
+                self._tail_boxes.pop(self._buffer_name, None)
+                self._buffer_name = name
+                self._tail_boxes[name] = box
+            elif block_id >= self._scheduler.blocks:
+                # Still pending (commits go in block order), so
+                # _on_commit will drop it.
+                self._tail_boxes[name] = box
         return box
 
     # ------------------------------------------------------------------
@@ -497,12 +475,12 @@ class _TailBoxSource(StoreBoxSource):
     """Box source presenting ``sealed ∪ tail`` to the query executor.
 
     ``names()`` — the executor's once-per-query consistency point —
-    takes one atomic tail snapshot: the sealed store listing plus (when
-    any unsealed lines exist) a synthetic ``tail-<version>`` name.  The
-    tail name answers ``cached()`` with an in-memory box, which makes
-    the plan's TimePrune/BlockFilter/LoadBox operators skip it without
-    any special-casing; Match/Aggregate then run over its vectors like
-    any other block's.
+    takes one atomic tail snapshot: the sealed store listing plus one
+    ``tail-*`` name per pending block and one for a non-empty buffer.
+    Tail names answer ``cached()`` with an in-memory box, which makes the
+    plan's TimePrune/BlockFilter/LoadBox operators skip them without any
+    special-casing; Match/Aggregate then run over their vectors like any
+    other block's.
     """
 
     def __init__(
@@ -513,25 +491,19 @@ class _TailBoxSource(StoreBoxSource):
     ):
         super().__init__(stream.store, box_cache, index)
         self._stream = stream
-        self._snaps: Dict[str, TailSnapshot] = {}
+        # The latest few snapshots: concurrent queries may hold a few at
+        # once, but only the latest few matter.
+        self._snaps: List[TailSnapshot] = []
 
     def names(self) -> List[str]:
         snap = self._stream.tail_snapshot()
-        names = list(snap.sealed_names)
-        if snap.lines:
-            name = _tail_name(snap.version)
-            self._snaps[name] = snap
-            # Bounded: concurrent queries may hold a few snapshots at
-            # once, but only the latest few matter.
-            while len(self._snaps) > 4:
-                self._snaps.pop(next(iter(self._snaps)))
-            names.append(name)
-        return names
+        self._snaps = self._snaps[-3:] + [snap]
+        return snap.sealed_names + list(snap.tail_names)
 
     def cached(self, name: str) -> Optional[CapsuleBox]:
-        snap = self._snaps.get(name)
-        if snap is not None:
-            return self._stream._tail_box(snap)
+        for snap in reversed(self._snaps):
+            if name in snap.tail_names:
+                return self._stream._tail_box(snap, name)
         return super().cached(name)
 
     def total_lines_hint(self) -> int:

@@ -22,12 +22,12 @@ coordinator both execute the *same* plan instead of re-parsing the raw
 command per block.
 
 Plans are also agnostic to where a block's bytes live.  The streaming
-hot tail exploits this: its reader lists one **synthetic last block**
-(``tail-*.lgcb``, materialized in memory from unsealed lines) alongside
-the sealed ``block-*`` names, and the executor runs the same plan over
-it — the prune operators are skipped because the box is already cached
-(pruning exists to avoid reads the tail never performs), while
-Locate/Match/Aggregate treat it like any committed block.  Nothing in
+hot tail exploits this: its reader lists **in-memory tail blocks**
+(``tail-*.lgcb``, one per uncommitted block plus the append buffer)
+after the sealed ``block-*`` names, and the executor runs the same plan
+over them — the prune operators are skipped because the boxes are
+already cached (pruning exists to avoid reads the tail never performs),
+while Locate/Match/Aggregate treat them like any committed block.  Nothing in
 this module knows about the tail; that is the point.
 """
 

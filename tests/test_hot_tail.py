@@ -21,9 +21,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import make_mixed_lines
+from repro.baselines.evalutil import line_matches
+from repro.core import streaming as streaming_module
 from repro.core.config import LogGrepConfig
 from repro.core.streaming import StreamingCompressor
 from repro.obs.metrics import get_registry
+from repro.query.language import parse_query
+from repro.staticparse.parser import BlockParser
 
 # Every generated line contains "EV", so grep("EV") is a full-stream
 # scan whose hits must be exactly the appended prefix.
@@ -47,6 +51,20 @@ def _tiny_config(**overrides):
     # Small blocks force many seals, so the tail straddles pending
     # scheduler blocks and the append buffer constantly.
     return LogGrepConfig(block_bytes=512, **overrides)
+
+
+#: Pipeline depths the tail must be exact under: the benchmark's one
+#: encode worker (two blocks pending at most) and the streaming default.
+_PIPELINES = [
+    pytest.param(1, "thread", id="depth1"),
+    pytest.param(None, "thread", id="default"),
+]
+
+
+def _stream(depth, executor):
+    return StreamingCompressor(
+        config=_tiny_config(compress_executor=executor), pipeline_depth=depth
+    )
 
 
 class TestImmediateVisibility:
@@ -123,6 +141,7 @@ class TestSealBoundaryEquivalence:
         stream = StreamingCompressor(config=_tiny_config())
         reader = stream.open_reader(tail=True)
         stream.extend(lines)
+        assert len(stream.tail_snapshot().tail_names) >= 3  # several tail boxes
         tail_counts = reader.count_by("state")
         tail_total = reader.total_lines()
         stream.flush()
@@ -140,6 +159,7 @@ class TestSealBoundaryEquivalence:
 
 
 class TestInterleavingProperty:
+    @pytest.mark.parametrize("depth, executor", _PIPELINES)
     @settings(
         max_examples=20,
         deadline=None,
@@ -156,11 +176,11 @@ class TestInterleavingProperty:
             max_size=12,
         ),
     )
-    def test_any_interleaving_is_exact(self, seed, ops):
+    def test_any_interleaving_is_exact(self, depth, executor, seed, ops):
         """For any append/flush interleaving, the tail-inclusive view is
         exactly the appended stream, and after the final flush it equals
         the sealed-only view byte for byte."""
-        stream = StreamingCompressor(config=_tiny_config())
+        stream = _stream(depth, executor)
         reader = stream.open_reader(tail=True)
         appended = []
         counter = 0
@@ -187,12 +207,18 @@ class TestInterleavingProperty:
 
 
 class TestConcurrentAppend:
-    def test_no_duplicates_or_drops_under_concurrent_append(self):
+    # A process pool's workers encode a pickled copy of each parse while
+    # the tail encodes the submit-side one.
+    @pytest.mark.parametrize(
+        "depth, executor",
+        _PIPELINES + [pytest.param(None, "process", id="process")],
+    )
+    def test_no_duplicates_or_drops_under_concurrent_append(self, depth, executor):
         """Queries racing a writer thread must always see an exact
         prefix of the stream: contiguous ids from 0, each line intact."""
         total = 400
         lines = [f"EV {i} concurrent payload {i % 13}" for i in range(total)]
-        stream = StreamingCompressor(config=_tiny_config())
+        stream = _stream(depth, executor)
         reader = stream.open_reader(tail=True)
         errors = []
         done = threading.Event()
@@ -236,29 +262,52 @@ class TestConcurrentAppend:
 
 class TestTailInternals:
     def test_snapshot_partition_is_exact(self):
-        stream = StreamingCompressor(config=_tiny_config())
-        lines = _event_lines(80, seed=2)
+        # One encode worker keeps at most two blocks pending, so 200 lines
+        # leave some sealed, some pending and some in the buffer.
+        stream = StreamingCompressor(config=_tiny_config(), pipeline_depth=1)
+        lines = _event_lines(200, seed=2)
         stream.extend(lines)
         snap = stream.tail_snapshot()
-        # Sealed blocks + tail lines partition the appended stream.
+        assert snap.sealed_names and snap.pending and snap.lines
         sealed_lines = sum(
             stream.open_reader().executor.load_box(name).num_lines
             for name in snap.sealed_names
         )
-        assert sealed_lines + len(snap.lines) == len(lines)
-        assert snap.first_line_id == sealed_lines
+        # Sealed, pending and buffer lines partition the appended stream,
+        # in order and with contiguous line ids.
+        tail = []
+        for block, parsed in snap.pending:
+            assert block.first_line_id == sealed_lines + len(tail)
+            assert parsed.num_lines == block.num_lines
+            tail.extend(block.lines)
+        assert snap.first_line_id == sealed_lines + len(tail)
+        assert tail + snap.lines == lines[sealed_lines:]
+        assert list(snap.tail_names.values()) == [
+            block.block_id for block, _ in snap.pending
+        ] + [snap.block_id]
         stream.close()
 
     def test_tail_box_cached_per_version(self):
-        stream = StreamingCompressor(config=_tiny_config())
-        stream.append("EV 0 cache me")
+        stream = StreamingCompressor(config=_tiny_config(), pipeline_depth=1)
+        stream.extend(_event_lines(40, seed=4))
         snap = stream.tail_snapshot()
-        box1 = stream._tail_box(snap)
-        assert stream._tail_box(snap) is box1
-        stream.append("EV 1 new version")
+        assert snap.pending and snap.lines
+        pending_name, *_, buffer_name = snap.tail_names
+        pending_box = stream._tail_box(snap, pending_name)
+        assert pending_box.first_line_id == snap.pending[0][0].first_line_id
+        buffer_box = stream._tail_box(snap, buffer_name)
+        assert buffer_box.first_line_id == snap.first_line_id
+        assert stream._tail_box(snap, buffer_name) is buffer_box
+        stream.append("EV 40 new version")
         snap2 = stream.tail_snapshot()
-        assert snap2.version != snap.version
-        assert stream._tail_box(snap2) is not box1
+        assert snap2.version != snap.version and snap2.block_id == snap.block_id
+        *_, buffer_name2 = snap2.tail_names
+        assert buffer_name2 != buffer_name
+        assert stream._tail_box(snap2, buffer_name2) is not buffer_box
+        # A pending block's box outlives tail versions until it commits.
+        assert stream._tail_box(snap2, pending_name) is pending_box
+        stream.flush()
+        assert pending_name not in stream._tail_boxes
         stream.close()
 
     def test_closed_stream_rejects_append(self):
@@ -266,3 +315,62 @@ class TestTailInternals:
         stream.close()
         with pytest.raises(RuntimeError):
             stream.append("EV too late")
+
+
+class TestTailCountCost:
+    def test_counts_rebuild_only_the_buffer(self, monkeypatch):
+        """At the benchmark's pipeline depth nothing commits mid-stream,
+        so pending blocks pile up behind the buffer.  A tail count must
+        encode each pending block's box once, from the scheduler's parse
+        (no pending line is parsed again), store tail Capsules raw, and
+        still equal the count over the raw lines."""
+        encoded = []
+        encode = streaming_module.encode_parsed
+
+        def spy_encode(block, parsed, config, *args, **kwargs):
+            box = encode(block, parsed, config, *args, **kwargs)
+            encoded.append((block, box))
+            return box
+
+        parsed_lines = []
+        parse = BlockParser.parse
+
+        def spy_parse(parser, lines):
+            parsed_lines.extend(lines)
+            return parse(parser, lines)
+
+        monkeypatch.setattr(streaming_module, "encode_parsed", spy_encode)
+        monkeypatch.setattr(BlockParser, "parse", spy_parse)
+        counter = get_registry().get("loggrep_tail_lines_encoded_total")
+        before = counter.value(kind="pending")
+
+        lines = _event_lines(300, seed=9)
+        command = parse_query("ERR")
+        pending_seen = {}
+        with StreamingCompressor(config=_tiny_config(), pipeline_depth=1) as stream:
+            for appended, line in enumerate(lines, 1):
+                stream.append(line)
+                if appended % 7:
+                    continue
+                pending = [block for block, _ in stream._scheduler.pending_blocks()]
+                pending_seen.update((id(block), block) for block in pending)
+                del parsed_lines[:]
+                count = stream.open_reader(tail=True).count("ERR")
+                assert count == sum(
+                    line_matches(command, raw) for raw in lines[:appended]
+                )
+                pending_lines = {raw for block in pending for raw in block.lines}
+                assert not pending_lines.intersection(parsed_lines)
+
+        assert len(pending_seen) >= 5
+        times = {key: 0 for key in pending_seen}
+        for block, _ in encoded:
+            if id(block) in times:
+                times[id(block)] += 1
+        assert set(times.values()) == {1}
+        assert counter.value(kind="pending") - before == sum(
+            block.num_lines for block in pending_seen.values()
+        )
+        for _, box in encoded:
+            usage = box.codec_usage()
+            assert usage["zlib"]["capsules"] == usage["lzma"]["capsules"] == 0

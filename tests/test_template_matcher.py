@@ -386,8 +386,7 @@ def test_tail_assignment_equals_batch_rule(name):
             Template(i, list(key))
             for i, key in enumerate(stream._scheduler.template_cache.snapshot())
         ]
-        assert snap.segments is not None and buffer_lines
-        segment = snap.segments[-1]
+        assert snap.lines == buffer_lines and buffer_lines
 
         expected: Dict[int, GroupTriple] = {}
         residual = []
@@ -404,8 +403,7 @@ def test_tail_assignment_equals_batch_rule(name):
             triple[1].append(local_id)
             for vector, value in zip(triple[2], template.extract(tokens)):
                 vector.append(value)
-        got = triples_of(segment.groups)
+        got = triples_of(snap.buffer_groups())
         assert got == list(expected.values())
-        assert segment.residual == residual
-        assert segment.num_lines == len(buffer_lines)
+        assert snap.residual == residual
         assert got  # the warm matcher assigned something
