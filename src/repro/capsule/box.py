@@ -34,16 +34,18 @@ selective *fetching*.
 
 from __future__ import annotations
 
+import struct
 import zlib
+from array import array
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..blockstore.blobsource import BlobSource, BytesBlobSource, coalesce_extents
-from ..common.binio import BinaryReader, BinaryWriter
+from ..common.binio import BinaryWriter
 from ..common.errors import FormatError
 from ..runtime.merge import DictPattern
-from ..runtime.pattern import RuntimePattern
+from ..runtime.pattern import Const, Element, RuntimePattern, SubVar
 from ..staticparse.template import Template
 from .assembler import (
     ENC_NOMINAL,
@@ -142,17 +144,55 @@ class BoxTOC:
         )
 
 
-@dataclass
 class GroupBox:
-    """One group (static pattern + its encoded variable vectors)."""
+    """One group (static pattern + its encoded variable vectors).
 
-    template: Template
-    line_ids: List[int]
-    vectors: List[EncodedVector]
+    ``line_ids`` are the group's entry line ids within the block.  A
+    group decoded from a box keeps them as the stored u32 deltas until
+    first read: their prefix sum costs more than the rest of the
+    group's metadata, and a query needs it only for the groups it
+    reconstructs.
+    """
+
+    __slots__ = ("template", "vectors", "_line_ids", "_deltas")
+
+    def __init__(
+        self,
+        template: Template,
+        line_ids: Optional[List[int]],
+        vectors: List[EncodedVector],
+        deltas: Optional["array[int]"] = None,
+    ):
+        self.template = template
+        self.vectors = vectors
+        self._line_ids = line_ids
+        self._deltas = deltas
+
+    @property
+    def line_ids(self) -> List[int]:
+        line_ids = self._line_ids
+        if line_ids is None:
+            line_ids = self._line_ids = list(accumulate(self._deltas or ()))
+        return line_ids
 
     @property
     def num_entries(self) -> int:
-        return len(self.line_ids)
+        if self._line_ids is None:
+            return len(self._deltas or ())
+        return len(self._line_ids)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GroupBox):
+            return NotImplemented
+        return (self.template, self.line_ids, self.vectors) == (
+            other.template, other.line_ids, other.vectors,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"GroupBox(template={self.template!r}, "
+            f"entries={self.num_entries}, vectors={len(self.vectors)})"
+        )
 
 
 @dataclass
@@ -250,22 +290,14 @@ class CapsuleBox:
             meta = zlib.decompress(source.read(toc.meta_off, toc.meta_len))
         except zlib.error as exc:
             raise FormatError(f"corrupt CapsuleBox metadata: {exc}") from exc
-        reader = BinaryReader(meta)
-
-        block_id = reader.read_varint()
-        first_line_id = reader.read_varint()
-        num_lines = reader.read_varint()
-        padded = reader.read_u8() == 1
-        groups: List[GroupBox] = []
-        for _ in range(reader.read_varint()):
-            template = _read_template(reader, resolver)
-            line_ids = _read_line_ids(reader)
-            vectors = [
-                _read_vector(reader, source, toc, resolver)
-                for _ in range(reader.read_varint())
-            ]
-            groups.append(GroupBox(template, line_ids, vectors))
-        box = cls(block_id, first_line_id, num_lines, padded, groups)
+        try:
+            box = _decode_meta(meta, source, toc, resolver)
+        except (IndexError, struct.error) as exc:
+            # The decoder indexes its buffer without bounds checks: a
+            # read past the end of truncated metadata lands here.
+            raise FormatError(_TRUNCATED) from exc
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"corrupt CapsuleBox metadata: {exc}") from exc
         box._source = source
         return box
 
@@ -412,20 +444,6 @@ def _write_template(
             writer.write_str(token)
 
 
-def _read_template(reader: BinaryReader, resolver=None) -> Template:
-    template_id = reader.read_varint()
-    if resolver is not None:
-        cid = reader.read_str()
-        return Template(template_id, list(resolver.resolve_template(cid)))
-    tokens: List[Optional[str]] = []
-    for _ in range(reader.read_varint()):
-        if reader.read_u8() == 1:
-            tokens.append(None)
-        else:
-            tokens.append(reader.read_str())
-    return Template(template_id, tokens)
-
-
 def _write_line_ids(writer: BinaryWriter, line_ids: List[int]) -> None:
     # Strictly increasing within a group, so deltas are tiny and the u32
     # array's zero-heavy bytes vanish under the metadata zlib pass; parsing
@@ -437,10 +455,6 @@ def _write_line_ids(writer: BinaryWriter, line_ids: List[int]) -> None:
         deltas.append(line_id - prev)
         prev = line_id
     writer.write_u32_array(deltas)
-
-
-def _read_line_ids(reader: BinaryReader) -> List[int]:
-    return list(accumulate(reader.read_u32_array()))
 
 
 # ----------------------------------------------------------------------
@@ -479,45 +493,6 @@ def _write_capsule(
     writer.write_u32(zlib.crc32(capsule.payload))
     blobs.append(capsule.payload)
     offset[0] += len(capsule.payload)
-
-
-def _read_capsule(
-    reader: BinaryReader, source: BlobSource, toc: BoxTOC, resolver=None
-) -> Capsule:
-    layout = reader.read_u8()
-    width = reader.read_varint()
-    count = reader.read_varint()
-    stamp = CapsuleStamp.read(reader)
-    codec = reader.read_u8()
-    preset = reader.read_u8()
-    if resolver is not None and reader.read_u8() == 1:
-        cid = reader.read_str()
-        length = reader.read_varint()
-        crc = reader.read_u32()
-        payload = resolver.resolve_payload(cid)
-        if len(payload) != length:
-            raise FormatError(
-                f"shared capsule payload {cid!r}: stored length "
-                f"{len(payload)} != referenced length {length}"
-            )
-        capsule = Capsule(
-            layout, width, count, stamp, codec, preset, payload=payload
-        )
-        capsule.expected_crc = crc
-        return capsule
-    off = reader.read_varint()
-    length = reader.read_varint()
-    crc = reader.read_u32()
-    # Validate the extent against the TOC *now*: a corrupt offset must be
-    # a FormatError at load time, not a failed ranged read at first use.
-    if off + length > toc.payload_len:
-        raise FormatError("capsule payload out of range")
-    capsule = Capsule(
-        layout, width, count, stamp, codec, preset,
-        source=source, extent=(toc.payload_off + off, length),
-    )
-    capsule.expected_crc = crc
-    return capsule
 
 
 # ----------------------------------------------------------------------
@@ -568,44 +543,221 @@ def _write_vector(
         raise FormatError(f"unknown vector type {type(vector)!r}")
 
 
-def _read_vector(
-    reader: BinaryReader, source: BlobSource, toc: BoxTOC, resolver=None
-) -> EncodedVector:
-    tag = reader.read_u8()
-    if tag == ENC_REAL:
-        pattern = RuntimePattern.read(reader)
-        subvar_capsules = [
-            _read_capsule(reader, source, toc, resolver)
-            for _ in range(reader.read_varint())
-        ]
-        outlier_capsule = None
-        outlier_rows: List[int] = []
-        if reader.read_u8() == 1:
-            outlier_rows = _read_line_ids(reader)
-            outlier_capsule = _read_capsule(reader, source, toc, resolver)
-        num_rows = reader.read_varint()
-        return RealEncodedVector(
-            pattern, subvar_capsules, outlier_capsule, outlier_rows, num_rows
-        )
-    if tag == ENC_NOMINAL:
-        dict_patterns: List[DictPattern] = []
-        for _ in range(reader.read_varint()):
-            pattern = RuntimePattern.read(reader)
-            count = reader.read_varint()
-            width = reader.read_varint()
-            masks = reader.read_u32_list()
-            maxlens = reader.read_u32_list()
-            dict_patterns.append(DictPattern(pattern, count, width, masks, maxlens))
-        dict_capsule = _read_capsule(reader, source, toc, resolver)
-        index_capsule = _read_capsule(reader, source, toc, resolver)
-        index_width = reader.read_varint()
-        num_rows = reader.read_varint()
-        dict_size = reader.read_varint()
-        return NominalEncodedVector(
-            dict_patterns, dict_capsule, index_capsule, index_width, num_rows, dict_size
-        )
-    if tag == ENC_PLAIN:
-        capsule = _read_capsule(reader, source, toc, resolver)
-        num_rows = reader.read_varint()
-        return PlainEncodedVector(capsule, num_rows)
-    raise FormatError(f"unknown encoded-vector tag {tag}")
+# ----------------------------------------------------------------------
+# the decoder
+# ----------------------------------------------------------------------
+_TRUNCATED = "truncated CapsuleBox metadata: read past end of buffer"
+_U32 = struct.Struct("<I")
+
+def _decode_meta(
+    data: bytes, source: BlobSource, toc: BoxTOC, resolver=None
+) -> CapsuleBox:
+    """Build a box from its inflated LGCB v2 metadata in one pass.
+
+    The read state is a local ``(data, pos)``: a u8 is one index, a
+    varint takes :func:`_varint`'s one-byte branch, and Capsule, stamp
+    and pattern objects are built straight from the fields.  Nothing
+    here bounds-checks a single-byte read: past the end it raises
+    ``IndexError`` (``struct.error`` for a u32), which
+    :meth:`CapsuleBox.open` reports as a :class:`FormatError`.
+    """
+    stamps: Dict[Tuple[int, int], CapsuleStamp] = {}
+    block_id, pos = _varint(data, 0)
+    first_line_id, pos = _varint(data, pos)
+    num_lines, pos = _varint(data, pos)
+    padded = data[pos] == 1
+    num_groups, pos = _varint(data, pos + 1)
+    groups: List[GroupBox] = []
+    for _ in range(num_groups):
+        template_id, pos = _varint(data, pos)
+        tokens: List[Optional[str]]
+        if resolver is not None:
+            start, pos = _span(data, pos)
+            tokens = list(resolver.resolve_template(data[start:pos].decode()))
+        else:
+            num_tokens, pos = _varint(data, pos)
+            tokens = []
+            for _ in range(num_tokens):
+                pos += 1
+                if data[pos - 1] == 1:
+                    tokens.append(None)
+                else:
+                    start, pos = _span(data, pos)
+                    tokens.append(data[start:pos].decode())
+        deltas, pos = _deltas_at(data, pos)
+        num_vectors, pos = _varint(data, pos)
+        vectors: List[EncodedVector] = []
+        for _ in range(num_vectors):
+            tag = data[pos]
+            pos += 1
+            vector: EncodedVector
+            if tag == ENC_REAL:
+                pattern, pos = _pattern_at(data, pos)
+                num_capsules, pos = _varint(data, pos)
+                capsules: List[Capsule] = []
+                for _ in range(num_capsules):
+                    capsule, pos = _capsule_at(data, pos, source, toc, resolver, stamps)
+                    capsules.append(capsule)
+                outlier: Optional[Capsule] = None
+                outlier_rows: List[int] = []
+                pos += 1
+                if data[pos - 1] == 1:
+                    outlier_deltas, pos = _deltas_at(data, pos)
+                    outlier_rows = list(accumulate(outlier_deltas))
+                    outlier, pos = _capsule_at(data, pos, source, toc, resolver, stamps)
+                num_rows, pos = _varint(data, pos)
+                vector = RealEncodedVector(
+                    pattern, capsules, outlier, outlier_rows, num_rows
+                )
+            elif tag == ENC_NOMINAL:
+                num_patterns, pos = _varint(data, pos)
+                dict_patterns: List[DictPattern] = []
+                for _ in range(num_patterns):
+                    pattern, pos = _pattern_at(data, pos)
+                    count, pos = _varint(data, pos)
+                    width, pos = _varint(data, pos)
+                    masks, pos = _varints_at(data, pos)
+                    maxlens, pos = _varints_at(data, pos)
+                    dict_patterns.append(
+                        DictPattern(pattern, count, width, masks, maxlens)
+                    )
+                dict_capsule, pos = _capsule_at(data, pos, source, toc, resolver, stamps)
+                index_capsule, pos = _capsule_at(data, pos, source, toc, resolver, stamps)
+                index_width, pos = _varint(data, pos)
+                num_rows, pos = _varint(data, pos)
+                dict_size, pos = _varint(data, pos)
+                vector = NominalEncodedVector(
+                    dict_patterns, dict_capsule, index_capsule, index_width,
+                    num_rows, dict_size,
+                )
+            elif tag == ENC_PLAIN:
+                capsule, pos = _capsule_at(data, pos, source, toc, resolver, stamps)
+                num_rows, pos = _varint(data, pos)
+                vector = PlainEncodedVector(capsule, num_rows)
+            else:
+                raise FormatError(f"unknown encoded-vector tag {tag}")
+            vectors.append(vector)
+        groups.append(GroupBox(Template(template_id, tokens), None, vectors, deltas))
+    return CapsuleBox(block_id, first_line_id, num_lines, padded, groups)
+
+
+def _varint(data: bytes, pos: int) -> Tuple[int, int]:
+    """``(value, end)`` of the varint at *pos*.  Nearly every metadata
+    varint is one byte, and that case returns on the first branch."""
+    byte = data[pos]
+    if byte < 0x80:
+        return byte, pos + 1
+    value = shift = 0
+    while True:
+        byte = data[pos]
+        pos += 1
+        value |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            return value, pos
+        shift += 7
+        if shift > 63:
+            raise FormatError("varint too long")
+
+
+def _span(data: bytes, pos: int) -> Tuple[int, int]:
+    """``(start, end)`` of the length-prefixed bytes at *pos*; a slice
+    never fails on its own, so the length is checked here."""
+    length, start = _varint(data, pos)
+    end = start + length
+    if end > len(data):
+        raise FormatError(_TRUNCATED)
+    return start, end
+
+
+def _varints_at(data: bytes, pos: int) -> Tuple[List[int], int]:
+    """A count-prefixed list of varints (``BinaryWriter.write_u32_list``)."""
+    count, pos = _varint(data, pos)
+    out: List[int] = []
+    for _ in range(count):
+        value, pos = _varint(data, pos)
+        out.append(value)
+    return out, pos
+
+
+def _deltas_at(data: bytes, pos: int) -> Tuple["array[int]", int]:
+    """The u32 deltas of a line-id list (see :func:`_write_line_ids`)."""
+    start, end = _span(data, pos)
+    if (end - start) % 4:
+        raise FormatError("line-id array is not a whole number of u32s")
+    deltas = array("I")
+    deltas.frombytes(memoryview(data)[start:end])
+    return deltas, end
+
+
+def _pattern_at(data: bytes, pos: int) -> Tuple[RuntimePattern, int]:
+    """A runtime-pattern record: ``(pattern, end)``.
+
+    Elements are kept as stored, not re-normalized, so a re-serialized
+    box is byte-identical to the one read."""
+    count, pos = _varint(data, pos)
+    elements: List[Element] = []
+    for _ in range(count):
+        pos += 1
+        if data[pos - 1] == 0:
+            text_start, pos = _span(data, pos)
+            elements.append(Const(data[text_start:pos].decode()))
+        else:
+            index, pos = _varint(data, pos)
+            elements.append(SubVar(index))
+    pattern = RuntimePattern.__new__(RuntimePattern)
+    pattern.elements = elements
+    return pattern, pos
+
+
+def _capsule_at(
+    data: bytes,
+    pos: int,
+    source: BlobSource,
+    toc: BoxTOC,
+    resolver,
+    stamps: Dict[Tuple[int, int], CapsuleStamp],
+) -> Tuple[Capsule, int]:
+    """One capsule record (see :func:`_write_capsule`).  Stamps are
+    shared through *stamps*: a box repeats few distinct ones."""
+    layout = data[pos]
+    width, pos = _varint(data, pos + 1)
+    count, pos = _varint(data, pos)
+    mask = data[pos]
+    max_len, pos = _varint(data, pos + 1)
+    stamp = stamps.get((mask, max_len))
+    if stamp is None:
+        stamp = stamps[mask, max_len] = CapsuleStamp(mask, max_len)
+    codec = data[pos]
+    preset = data[pos + 1]
+    pos += 2
+    if resolver is not None:
+        pos += 1
+        if data[pos - 1] == 1:
+            start, pos = _span(data, pos)
+            cid = data[start:pos].decode()
+            length, pos = _varint(data, pos)
+            (crc,) = _U32.unpack_from(data, pos)
+            payload = resolver.resolve_payload(cid)
+            if len(payload) != length:
+                raise FormatError(
+                    f"shared capsule payload {cid!r}: stored length "
+                    f"{len(payload)} != referenced length {length}"
+                )
+            capsule = Capsule(
+                layout, width, count, stamp, codec, preset, payload=payload
+            )
+            capsule.expected_crc = crc
+            return capsule, pos + 4
+    off, pos = _varint(data, pos)
+    length, pos = _varint(data, pos)
+    (crc,) = _U32.unpack_from(data, pos)
+    # Validate the extent against the TOC *now*: a corrupt offset must be
+    # a FormatError at load time, not a failed ranged read at first use.
+    if off + length > toc.payload_len:
+        raise FormatError("capsule payload out of range")
+    capsule = Capsule(
+        layout, width, count, stamp, codec, preset,
+        source=source, extent=(toc.payload_off + off, length),
+    )
+    capsule.expected_crc = crc
+    return capsule, pos + 4

@@ -24,7 +24,6 @@ import struct
 import zlib
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from ..common.binio import BinaryReader, BinaryWriter
 from ..common.errors import NUL_IN_VALUE, CompressionError, FormatError
 from ..obs import ledger as ledger_channel
 from ..obs.metrics import get_registry
@@ -510,29 +509,6 @@ class Capsule:
         if self.expected_crc is None:
             return True
         return zlib.crc32(self.payload) == self.expected_crc
-
-    # ------------------------------------------------------------------
-    # serialization
-    # ------------------------------------------------------------------
-    def write(self, writer: BinaryWriter) -> None:
-        writer.write_u8(self.layout)
-        writer.write_varint(self.width)
-        writer.write_varint(self.count)
-        self.stamp.write(writer)
-        writer.write_u8(self.codec)
-        writer.write_u8(self.preset)
-        writer.write_bytes(self.payload)
-
-    @classmethod
-    def read(cls, reader: BinaryReader) -> "Capsule":
-        layout = reader.read_u8()
-        width = reader.read_varint()
-        count = reader.read_varint()
-        stamp = CapsuleStamp.read(reader)
-        codec = reader.read_u8()
-        preset = reader.read_u8()
-        payload = reader.read_bytes()
-        return cls(layout, width, count, stamp, codec, preset, payload)
 
 
 def _split_fixed(plain: bytes, start: int, count: int, width: int) -> List[bytes]:

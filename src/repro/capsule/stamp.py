@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..common import chartypes
-from ..common.binio import BinaryReader, BinaryWriter
+from ..common.binio import BinaryWriter
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,3 @@ class CapsuleStamp:
     def write(self, writer: BinaryWriter) -> None:
         writer.write_u8(self.type_mask)
         writer.write_varint(self.max_len)
-
-    @classmethod
-    def read(cls, reader: BinaryReader) -> "CapsuleStamp":
-        return cls(reader.read_u8(), reader.read_varint())

@@ -44,12 +44,23 @@ class RowSet:
 
     @classmethod
     def from_rows(cls, n: int, rows: Iterable[int]) -> "RowSet":
-        bits = 0
+        """The set of *rows*, in any order, duplicates allowed.
+
+        The bitmap is built in a ``bytearray`` and converted once:
+        ``bits |= 1 << row`` per row would copy the whole integer each
+        time, which is quadratic in the universe for dense hits.
+        """
+        rows = list(rows)
+        if not rows:
+            return cls(n, 0)
+        low, high = min(rows), max(rows)
+        if low < 0 or high >= n:
+            bad = low if low < 0 else high
+            raise IndexError(f"row {bad} outside universe of {n}")
+        buf = bytearray((n + 7) >> 3)
         for row in rows:
-            if not 0 <= row < n:
-                raise IndexError(f"row {row} outside universe of {n}")
-            bits |= 1 << row
-        return cls(n, bits)
+            buf[row >> 3] |= 1 << (row & 7)
+        return cls(n, int.from_bytes(buf, "little"))
 
     # ------------------------------------------------------------------
     # mutation (used while accumulating matches)
@@ -58,6 +69,11 @@ class RowSet:
         if not 0 <= row < self.n:
             raise IndexError(f"row {row} outside universe of {self.n}")
         self.bits |= 1 << row
+
+    def add_rows(self, rows: Iterable[int]) -> None:
+        """Add every row of *rows* with one bitmap build (see
+        :meth:`from_rows`), not a shift per row."""
+        self.bits |= RowSet.from_rows(self.n, rows).bits
 
     # ------------------------------------------------------------------
     # set algebra

@@ -24,7 +24,11 @@ one.  Per block the pipeline is::
   decompressed for one plan's match is free for another's
   reconstruction.
 * **Locate** — the engine's disjunct fold over the plan's
-  selectivity-ordered terms.
+  selectivity-ordered terms.  The §5.1 Locator's answers are memoized
+  for the run (:data:`~repro.query.vectors.LocateMemo`): blocks of one
+  log repeat their runtime patterns and stamps, so each distinct
+  (pattern, stamps, fragment, mode) is located once per run, not once
+  per vector.
 * **Match** — resolves one search string to per-group row sets, at most
   once per block per pass (first requester pays), memoized across runs
   in the generation-keyed :class:`~repro.query.cache.QueryCache` when
@@ -440,8 +444,10 @@ class QueryExecutor:
                 generation = self.sync_generation()
                 names = self.source.names()
                 report.blocks = len(names)
+                # One Locator memo for the whole run, dropped with it.
+                settings = self._settings()
                 passes = self._schedule(
-                    names, plans, ledgers, shared, generation, rspan
+                    names, plans, ledgers, shared, generation, settings, rspan
                 )
                 for block in passes:
                     report.stats.merge(block.shared)
@@ -569,6 +575,7 @@ class QueryExecutor:
         ledgers: List[QueryLedger],
         shared: QueryLedger,
         generation: int,
+        settings: QuerySettings,
         root: object,
     ) -> List[BlockPass]:
         """Run every block, serially or on a thread pool; the passes come
@@ -592,7 +599,8 @@ class QueryExecutor:
                 block_shared = shared.spawn()
             with tracer.span("block", parent=root, block=name):
                 return self.execute_block(
-                    name, plans, block_ledgers, block_shared, generation
+                    name, plans, block_ledgers, block_shared, generation,
+                    settings,
                 )
 
         try:
@@ -620,14 +628,16 @@ class QueryExecutor:
         ledgers: Optional[Sequence[QueryLedger]] = None,
         shared: QueryLedger = NULL_LEDGER,
         generation: Optional[int] = None,
+        settings: Optional[QuerySettings] = None,
     ) -> BlockPass:
         """TimePrune → BlockFilter → LoadBox → Locate/Match →
         Reconstruct/Aggregate over one block, for every plan at once.
 
         *ledgers* aligns with *plans*; *shared* pays for pruning and
-        LoadBox.  Called bare — ``execute_block(name, plans)``, the unit
-        a cluster worker serves per RPC — the pass is unaccounted and
-        loads the archive generation itself.
+        LoadBox; *settings* carries the run's Locator memo.  Called bare
+        — ``execute_block(name, plans)``, the unit a cluster worker
+        serves per RPC — the pass is unaccounted, loads the archive
+        generation itself and memoizes ``locate`` for this block only.
         """
         tracer = get_tracer()
         if ledgers is None:
@@ -641,7 +651,8 @@ class QueryExecutor:
         box = self.source.cached(name)
         if self.source.box_cache is not None:
             shared.charge_box_cache(box is not None)
-        settings = self._settings()
+        if settings is None:
+            settings = self._settings()
         cache = self.cache if self.config.use_query_cache else None
         live = list(range(len(plans)))
         if box is None:

@@ -48,15 +48,15 @@ class Keyword:
     _regexes: Dict[Tuple[MatchMode, bool], Pattern] = field(
         default_factory=dict, repr=False
     )
+    #: Whether the text holds a ``*`` or ``?``.
+    is_wildcard: bool = field(init=False, repr=False, compare=False)
+    #: True when token matching must go through the regex path.  Both
+    #: flags are fixed at construction: the engine asks per token.
+    needs_regex: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def is_wildcard(self) -> bool:
-        return any(ch in _WILDCARDS for ch in self.text)
-
-    @property
-    def needs_regex(self) -> bool:
-        """True when token matching must go through the regex path."""
-        return self.is_wildcard or self.ignore_case
+    def __post_init__(self) -> None:
+        self.is_wildcard = not _WILDCARDS.isdisjoint(self.text)
+        self.needs_regex = self.is_wildcard or self.ignore_case
 
     def literals(self) -> List[str]:
         """Literal runs between wildcards (all of them non-empty)."""

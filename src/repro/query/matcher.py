@@ -63,12 +63,7 @@ def search_capsule(
         rows = _scan(capsule, fragment.encode("utf-8"), mode.value, rows_hint)
     _SCAN_ROWS.inc(covered)
     _SCAN_SECONDS.observe(time.perf_counter() - start)
-    # Kernel rows are already in-universe; build the bitmap without the
-    # per-row bounds check of RowSet.add.
-    bits = 0
-    for row in rows:
-        bits |= 1 << row
-    return RowSet(n, bits)
+    return RowSet.from_rows(n, rows)
 
 
 def _scan(

@@ -28,8 +28,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..capsule import scan
 from ..obs import ledger as ledger_channel
@@ -44,19 +45,55 @@ from ..common.errors import FormatError
 from ..common.rowset import RowSet
 from ..runtime.pattern import Const, RuntimePattern
 from .cache import get_value_cache
-from .locator import TOO_COMPLEX, locate
+from .locator import TOO_COMPLEX, Candidate, locate
 from .matcher import search_capsule
 from .modes import MatchMode, value_matches
 from .stats import QueryStats, touch_capsule
 
-from dataclasses import dataclass
+
+#: One query's Locator results: ``(vector key, fragment, mode,
+#: use_stamps)`` → candidates, with :data:`TOO_COMPLEX` stored as a
+#: value like any other.  A vector's key is its pattern elements and
+#: sub-variable stamps, as tuples — everything ``locate`` reads of it.
+#:
+#: Blocks of one log repeat their runtime patterns and stamps, so a query
+#: asks ``locate`` the same question of many vectors.  Each
+#: :class:`QuerySettings` owns a fresh memo, and the executor builds one
+#: settings object per run: nothing carries over between queries.
+LocateMemo = Dict[tuple, Optional[List[Candidate]]]
+
+_MISS = object()
 
 
 @dataclass
 class QuerySettings:
-    """Per-query execution switches (see §6.3 ablations)."""
+    """Per-query execution switches (see §6.3 ablations), plus the
+    run's :data:`LocateMemo`."""
 
     use_stamps: bool = True
+    locate_memo: LocateMemo = field(default_factory=dict)
+
+
+def _locate(
+    settings: QuerySettings,
+    key: tuple,
+    pattern: RuntimePattern,
+    stamps: Sequence[CapsuleStamp],
+    fragment: str,
+    mode: MatchMode,
+) -> Optional[List[Candidate]]:
+    """``locate`` through the run's memo; *key* identifies *pattern* and
+    *stamps*.  The Locator is still called through this module's global,
+    once per distinct question."""
+    use_stamps = settings.use_stamps
+    full_key = (key, fragment, mode.value, use_stamps)
+    memo = settings.locate_memo
+    candidates = memo.get(full_key, _MISS)
+    if candidates is _MISS:
+        candidates = memo[full_key] = locate(
+            pattern, stamps, fragment, mode, use_stamps=use_stamps
+        )
+    return candidates
 
 
 def _cached_values(capsule: Capsule) -> List[str]:
@@ -157,6 +194,7 @@ class RealVectorReader:
         self._stamps: List[CapsuleStamp] = [
             capsule.stamp for capsule in encoded.subvar_capsules
         ]
+        self._locate_key = (tuple(encoded.pattern.elements), tuple(self._stamps))
         self._outlier_set = set(encoded.outlier_rows)
         self._matched_map: Optional[List[int]] = None  # capsule row → group row
 
@@ -187,12 +225,13 @@ class RealVectorReader:
         if num_matched == 0:
             return
         encoded = self.encoded
-        candidates = locate(
+        candidates = _locate(
+            self.settings,
+            self._locate_key,
             encoded.pattern,
             self._stamps,
             fragment,
             mode,
-            use_stamps=self.settings.use_stamps,
         )
         if candidates is TOO_COMPLEX:
             self.stats.fallback_scans += 1
@@ -223,10 +262,14 @@ class RealVectorReader:
                     break
             if current:
                 capsule_rows = capsule_rows | current
-        if capsule_rows:
-            mapping = self._matched_rows()
-            for crow in capsule_rows:
-                result.add(mapping[crow])
+        if not capsule_rows:
+            return
+        if not self._outlier_set:
+            # Capsule rows are group rows: OR the bitmap in as it is.
+            result.bits |= capsule_rows.bits
+            return
+        mapping = self._matched_rows()
+        result.add_rows([mapping[crow] for crow in capsule_rows.rows()])
 
     def _scan_matched(self, fragment: str, mode: MatchMode, result: RowSet) -> None:
         """Correct-but-slow fallback: reconstruct and test every value.
@@ -243,9 +286,13 @@ class RealVectorReader:
         values = join_cells(
             _pattern_pieces(encoded.pattern, columns), self._num_matched
         )
-        for crow, value in enumerate(values):
-            if value_matches(value, needle, mode):
-                result.add(mapping[crow])
+        result.add_rows(
+            [
+                mapping[crow]
+                for crow, value in enumerate(values)
+                if value_matches(value, needle, mode)
+            ]
+        )
 
     def _search_outliers_plain(
         self, fragment: str, mode: MatchMode, result: RowSet
@@ -256,8 +303,8 @@ class RealVectorReader:
         # Outliers escaped the pattern, so every query must scan them.
         touch_capsule(encoded.outlier_capsule, self.stats)
         rows = search_capsule(encoded.outlier_capsule, fragment, mode)
-        for orow in rows:
-            result.add(encoded.outlier_rows[orow])
+        outlier_rows = encoded.outlier_rows
+        result.add_rows([outlier_rows[orow] for orow in rows.rows()])
 
     # ------------------------------------------------------------------
     def search_wildcard(self, keyword, mode: MatchMode) -> RowSet:
@@ -273,22 +320,31 @@ class RealVectorReader:
             # No usable literal run: verify every matched row.
             if self._num_matched:
                 mapping = self._matched_rows()
-                for crow, value in enumerate(self._matched_values()):
-                    if regex.search(value):
-                        result.add(mapping[crow])
+                result.add_rows(
+                    [
+                        mapping[crow]
+                        for crow, value in enumerate(self._matched_values())
+                        if regex.search(value)
+                    ]
+                )
         elif candidates:
             # One row-subset fetch: only the candidates' cells are sliced
             # and decoded, once.
             rows = candidates.rows()
             values = decode_rows(join_cells(self.pieces(rows), len(rows)))
-            for row, value in zip(rows, values):
-                if regex.search(value):
-                    result.add(row)
+            result.add_rows(
+                [row for row, value in zip(rows, values) if regex.search(value)]
+            )
         if encoded.outlier_capsule is not None:
             touch_capsule(encoded.outlier_capsule, self.stats)
-            for orow, value in enumerate(_cached_values(encoded.outlier_capsule)):
-                if regex.search(value):
-                    result.add(encoded.outlier_rows[orow])
+            outliers = _cached_values(encoded.outlier_capsule)
+            result.add_rows(
+                [
+                    encoded.outlier_rows[orow]
+                    for orow, value in enumerate(outliers)
+                    if regex.search(value)
+                ]
+            )
         return result
 
     def _wildcard_candidates(self, keyword) -> Optional[RowSet]:
@@ -436,17 +492,24 @@ class NominalVectorReader:
         self.num_rows = encoded.num_rows
         self._region_slots: List[int] = []  # first slot of each pattern region
         self._table: Optional[Dict[bytes, bytes]] = None  # see _cell_table
+        self._stamps: Optional[List[Tuple[CapsuleStamp, ...]]] = None  # per pattern
         slot = 0
         for dp in encoded.dict_patterns:
             self._region_slots.append(slot)
             slot += dp.count
 
     # ------------------------------------------------------------------
-    def _pattern_stamps(self, dp) -> List[CapsuleStamp]:
-        return [
-            CapsuleStamp(mask, maxlen)
-            for mask, maxlen in zip(dp.subvar_masks, dp.subvar_maxlens)
-        ]
+    def _pattern_stamps(self) -> List[Tuple[CapsuleStamp, ...]]:
+        """Each dictionary pattern's sub-variable stamps, built once."""
+        if self._stamps is None:
+            self._stamps = [
+                tuple(
+                    CapsuleStamp(mask, maxlen)
+                    for mask, maxlen in zip(dp.subvar_masks, dp.subvar_maxlens)
+                )
+                for dp in self.encoded.dict_patterns
+            ]
+        return self._stamps
 
     def _decode_dict(self) -> List[str]:
         """Decode the whole dictionary (region metadata aware)."""
@@ -502,14 +565,11 @@ class NominalVectorReader:
         in_place = encoded.dict_capsule.layout == LAYOUT_REGION
         needle = fragment.encode("utf-8") if in_place else b""
         slots: List[int] = []
+        all_stamps = self._pattern_stamps()
         for pattern_idx, dp in enumerate(encoded.dict_patterns):
-            candidates = locate(
-                dp.pattern,
-                self._pattern_stamps(dp),
-                fragment,
-                mode,
-                use_stamps=self.settings.use_stamps,
-            )
+            stamps = all_stamps[pattern_idx]
+            key = (tuple(dp.pattern.elements), stamps)
+            candidates = _locate(self.settings, key, dp.pattern, stamps, fragment, mode)
             if candidates is not TOO_COMPLEX and not candidates:
                 self.stats.capsules_filtered += 1
                 continue  # the pattern cannot produce the fragment
@@ -556,25 +616,29 @@ class NominalVectorReader:
         touch_capsule(encoded.index_capsule, self.stats)
         width = encoded.index_width
         capsule = encoded.index_capsule
+        rows: List[int] = []
         if capsule.layout == LAYOUT_FIXED and width > 0:
             buf = capsule.plain()
             if len(slots) <= 4:
                 # Selective dictionary hit: search each index number (§5.1).
                 for slot in slots:
                     target = str(slot).zfill(width).encode("utf-8")
-                    for row in scan.scan_fixed(
-                        buf, width, self.num_rows, target, scan.MODE_EXACT
-                    ):
-                        result.add(row)
+                    rows.extend(
+                        scan.scan_fixed(
+                            buf, width, self.num_rows, target, scan.MODE_EXACT
+                        )
+                    )
             else:
                 # Unselective keyword: one row-wise membership pass beats
                 # a separate scan per matching dictionary entry.
                 targets = {
                     str(slot).zfill(width).encode("utf-8") for slot in slots
                 }
-                for row in range(self.num_rows):
-                    if buf[row * width : (row + 1) * width] in targets:
-                        result.add(row)
+                rows = [
+                    row
+                    for row in range(self.num_rows)
+                    if buf[row * width : (row + 1) * width] in targets
+                ]
         else:
             # Variable-layout index (w/o-fixed ablation): compare raw byte
             # cells against the wanted (zero-filled) slot numbers, no decode.
@@ -587,7 +651,8 @@ class NominalVectorReader:
                 start = offsets[row]
                 end = offsets[row + 1] - 1 if row + 1 < n else len(buf)
                 if view[start:end] in targets:
-                    result.add(row)
+                    rows.append(row)
+        result.add_rows(rows)
         return result
 
     # ------------------------------------------------------------------
@@ -758,13 +823,21 @@ class PlainVectorReader:
                 candidates = rows if candidates is None else candidates & rows
                 if not candidates:
                     return result
-            for row in candidates:
-                if regex.search(_cached_value_at(capsule, row)):
-                    result.add(row)
+            result.add_rows(
+                [
+                    row
+                    for row in candidates.rows()
+                    if regex.search(_cached_value_at(capsule, row))
+                ]
+            )
             return result
-        for row, value in enumerate(_cached_values(capsule)):
-            if regex.search(value):
-                result.add(row)
+        result.add_rows(
+            [
+                row
+                for row, value in enumerate(_cached_values(capsule))
+                if regex.search(value)
+            ]
+        )
         return result
 
     def pieces(self, rows: Optional[Sequence[int]] = None) -> List[Piece]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import List, Optional, Sequence, Tuple, Union
 
-from ..common.binio import BinaryReader, BinaryWriter
+from ..common.binio import BinaryWriter
 from ..common.errors import NUL_IN_VALUE, CompressionError
 
 
@@ -206,20 +206,6 @@ class RuntimePattern:
             else:
                 writer.write_u8(1)
                 writer.write_varint(el.index)
-
-    @classmethod
-    def read(cls, reader: BinaryReader) -> "RuntimePattern":
-        count = reader.read_varint()
-        elements: List[Element] = []
-        for _ in range(count):
-            kind = reader.read_u8()
-            if kind == 0:
-                elements.append(Const(reader.read_str()))
-            else:
-                elements.append(SubVar(reader.read_varint()))
-        pattern = cls.__new__(cls)
-        pattern.elements = elements
-        return pattern
 
 
 def _normalize(elements: Sequence[Element]):

@@ -21,11 +21,23 @@ from repro.capsule.capsule import (
     _choose_codec,
     _lzma_compress,
 )
+from repro.capsule.assembler import PlainEncodedVector
+from repro.capsule.box import CapsuleBox, GroupBox
 from repro.capsule.stamp import CapsuleStamp
 from repro.common import chartypes
-from repro.common.binio import BinaryReader, BinaryWriter
 from repro.common.errors import CompressionError, FormatError
 from repro.obs import get_registry
+from repro.staticparse.template import Template
+
+def _box_roundtrip(capsule):
+    """*capsule* as stored and reopened: the only serialized form of a
+    Capsule is a record inside a CapsuleBox."""
+    n = capsule.count
+    vector = PlainEncodedVector(capsule, n)
+    group = GroupBox(Template(0, [None]), list(range(n)), [vector])
+    box = CapsuleBox(0, 0, n, True, [group])
+    return CapsuleBox.deserialize(box.serialize()).groups[0].vectors[0].capsule
+
 
 nul_free = st.text(
     alphabet=st.characters(
@@ -81,9 +93,8 @@ class TestStamp:
 
     def test_serialization(self):
         stamp = CapsuleStamp(0b101, 42)
-        w = BinaryWriter()
-        stamp.write(w)
-        assert CapsuleStamp.read(BinaryReader(w.getvalue())) == stamp
+        capsule = Capsule.pack_fixed(["ab", "c"], stamp=stamp)
+        assert _box_roundtrip(capsule).stamp == stamp
 
 
 class TestFixedCapsule:
@@ -224,12 +235,9 @@ class TestCapsuleSerialization:
             capsule = Capsule.pack_fixed(values)
         else:
             capsule = Capsule.pack_variable(values)
-        w = BinaryWriter()
-        capsule.write(w)
-        loaded = Capsule.read(BinaryReader(w.getvalue()))
+        loaded = _box_roundtrip(capsule)
         assert loaded.values() == values
-        assert loaded.stamp == capsule.stamp
-        assert loaded.width == capsule.width
+        assert loaded == capsule
 
 
 def _low_redundancy(count, length=12, seed=7):
@@ -359,9 +367,7 @@ class TestSpeedTierCodec:
         for pack in (Capsule.pack_fixed, Capsule.pack_variable):
             capsule = pack(values, speed_tier=True)
             assert capsule.values() == values
-            w = BinaryWriter()
-            capsule.write(w)
-            loaded = Capsule.read(BinaryReader(w.getvalue()))
+            loaded = _box_roundtrip(capsule)
             assert loaded.values() == values
 
     def test_speed_tier_picks_zlib_when_margin_small(self):

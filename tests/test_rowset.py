@@ -123,3 +123,47 @@ class TestRowsListing:
         rs = RowSet.full(4)
         rs.rows().append(99)
         assert rs.rows() == [0, 1, 2, 3]
+
+
+def _shifted_bits(rows):
+    """The original bitmap build: one big-integer shift per row."""
+    bits = 0
+    for row in rows:
+        bits |= 1 << row
+    return bits
+
+
+class TestBulkBuild:
+    """``from_rows`` / ``add_rows`` build the bitmap in one byte pass and
+    must equal the shift-per-row build they replace."""
+
+    @pytest.mark.parametrize(
+        "n, rows",
+        [
+            (0, []),
+            (9, []),
+            (5000, list(range(5000))),  # dense
+            (100_000, [99_999, 3, 50_000]),  # sparse, unordered
+            (17, [16, 0, 8, 8, 7, 9, 16]),  # byte edges, duplicates
+        ],
+        ids=["empty-universe", "empty", "dense", "sparse", "edges"],
+    )
+    def test_from_rows_equals_per_row_shift(self, n, rows):
+        assert RowSet.from_rows(n, rows) == RowSet(n, _shifted_bits(rows))
+
+    @given(st.integers(1, 400), st.floats(0, 1), st.randoms(use_true_random=False))
+    def test_add_rows_equals_add(self, n, density, rng):
+        start = [row for row in range(n) if rng.random() < 0.1]
+        extra = [row for row in range(n) if rng.random() < density]
+        bulk, single = RowSet.from_rows(n, start), RowSet.from_rows(n, start)
+        bulk.add_rows(extra)
+        for row in extra:
+            single.add(row)
+        assert bulk == single
+
+    @pytest.mark.parametrize("row", [-1, 10])
+    def test_out_of_universe_rows_rejected(self, row):
+        with pytest.raises(IndexError):
+            RowSet.from_rows(10, [3, row])
+        with pytest.raises(IndexError):
+            RowSet.empty(10).add_rows([row])

@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.binio import BinaryReader, BinaryWriter
+from repro.capsule.assembler import RealEncodedVector
+from repro.capsule.box import CapsuleBox, GroupBox
 from repro.runtime.pattern import (
     Const,
     RuntimePattern,
     SubVar,
     pattern_from_fragments,
 )
+from repro.staticparse.template import Template
 
 
 class TestNormalization:
@@ -115,9 +117,9 @@ class TestSerialization:
     )
     def test_roundtrip(self, fragments):
         p = pattern_from_fragments(fragments)
-        w = BinaryWriter()
-        p.write(w)
-        q = RuntimePattern.read(BinaryReader(w.getvalue()))
+        vector = RealEncodedVector(p, [], None, [], 0)
+        box = CapsuleBox(0, 0, 0, True, [GroupBox(Template(0, [None]), [], [vector])])
+        q = CapsuleBox.deserialize(box.serialize()).groups[0].vectors[0].pattern
         assert p == q
         assert p.display() == q.display()
 

@@ -75,6 +75,38 @@ class TestRealReader:
         assert not reader.search_wildcard(Keyword("zz*"), MatchMode.SUBSTRING)
 
 
+#: 3 000 rows of one pattern; with outliers, every 50th row escapes it.
+WIDE_VALUES = [f"id-{i:05d}-x" for i in range(3000)]
+WIDE_OUTLIERS = [v if i % 50 else f"<{i}>" for i, v in enumerate(WIDE_VALUES)]
+
+
+class TestRowBitmaps:
+    """Hit rows reach the group bitmap in one build, not a shift per
+    row: dense, sparse and empty hits, with and without outliers (where
+    capsule rows map to group rows through the outlier list)."""
+
+    @pytest.mark.parametrize(
+        "values", [WIDE_VALUES, WIDE_OUTLIERS], ids=["no-outliers", "outliers"]
+    )
+    @pytest.mark.parametrize(
+        "fragment, mode",
+        [
+            ("-x", MatchMode.SUFFIX),  # dense: every pattern row
+            ("id-0", MatchMode.PREFIX),  # dense prefix through a sub-variable
+            ("02999", MatchMode.SUBSTRING),  # sparse: one row
+            ("<100>", MatchMode.EXACT),  # an outlier alone
+            ("zz", MatchMode.SUBSTRING),  # empty
+        ],
+    )
+    def test_matches_naive(self, values, fragment, mode):
+        reader = reader_for(values, sample_rate=1.0)
+        if values is WIDE_OUTLIERS:
+            assert reader.encoded.outlier_rows
+        got = reader.search(fragment, mode)
+        assert got.n == len(values)
+        assert set(got.rows()) == naive(values, fragment, mode)
+
+
 class TestNominalReader:
     @pytest.mark.parametrize("mode", ALL_MODES)
     @pytest.mark.parametrize("fragment", ["ERR", "#16", "SUCC", "404", "x", ""])
