@@ -4,7 +4,11 @@ scatter/gather queries, node failure and repair.
 Run with::
 
     python examples/cluster_demo.py
+
+Exits non-zero when a cluster answer differs from grep over the raw lines.
 """
+
+import sys
 
 from repro.baselines.evalutil import grep_lines
 from repro.cluster import ClusterLogGrep
@@ -12,7 +16,7 @@ from repro.core.config import LogGrepConfig
 from repro.workloads import spec_by_name
 
 
-def main() -> None:
+def main() -> int:
     spec = spec_by_name("Log H")
     lines = spec.generate(20000)
 
@@ -44,7 +48,8 @@ def main() -> None:
         created = cluster.repair()
         print(f"repair created {created} replica copies")
         print(f"total storage (all replicas): {cluster.storage_bytes():,} bytes")
+    return 0 if result.lines == expected == survived.lines else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

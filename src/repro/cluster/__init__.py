@@ -7,7 +7,6 @@ from .coordinator import (
     ClusterLogGrep,
     ClusterQueryReport,
     ClusterStats,
-    ShardReport,
 )
 from .node import NodeDownError, WorkerNode
 from .placement import primary_node, replica_nodes
@@ -17,7 +16,7 @@ from .scatter import (
     ScatterGather,
     ShardError,
     ShardOutcome,
-    ShardTask,
+    ShardReport,
 )
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "primary_node",
     "ScatterConfig",
     "ScatterGather",
-    "ShardTask",
     "ShardOutcome",
     "ShardError",
     "LatencyTracker",

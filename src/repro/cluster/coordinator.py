@@ -7,14 +7,17 @@
   node (rendezvous hashing) compresses it locally and the coordinator
   fans the archive bytes *and prune summary* out to the remaining
   replicas.  Blocks compress in parallel across nodes.
-* **query** — one pre-built plan is scattered through the
-  :class:`~repro.cluster.scatter.ScatterGather` engine (bounded fan-out,
-  per-shard deadlines, retry-with-backoff across replicas, hedged reads
-  after a latency percentile).  Gathers ship **partials**, never raw
-  lines: ``count`` ships counts, aggregates ship commutative
-  ``AggregatePartial``s, and ``grep`` ships per-group row-set bitmaps
-  with reconstruction deferred to a final bounded fetch of exactly the
-  kept rows — so gather bytes scale with matches, not corpus.
+* **query** — an ordinary :meth:`QueryExecutor.run_plans` run whose
+  per-block step is remote: each block pass is one ``query_block`` RPC
+  to a replica, driven by the
+  :class:`~repro.cluster.scatter.ScatterGather` state machine
+  (per-shard deadlines, retry-with-backoff across replicas, hedged
+  reads after a latency percentile), and the executor's own fold
+  merges the returned passes.  Gathers ship **partials**, never raw
+  lines: counts, commutative ``AggregatePartial``s, or per-group
+  row-set bitmaps whose reconstruction is deferred to a final bounded
+  fetch of exactly the kept rows — so gather bytes scale with matches,
+  not corpus.
 * **membership** — rendezvous placement is recomputed on node
   join/leave; :meth:`rebalance` moves only the replicas whose best nodes
   changed, and :meth:`repair` re-replicates after a crash.
@@ -29,8 +32,9 @@ import dataclasses
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..blockstore.block import split_lines
 from ..blockstore.index import BlockSummary
@@ -41,35 +45,27 @@ from ..core.config import LogGrepConfig
 from ..core.loggrep import AggregateResult, AggregateShortcuts, GrepResult
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
-from ..query.aggregate import AggregateSpec, make_partial
-from ..query.executor import Entry
+from ..query.aggregate import AggregateSpec
+from ..query.executor import (
+    BlockPass,
+    Entry,
+    ExecutionResult,
+    QueryExecutor,
+    StoreBoxSource,
+)
 from ..query.plan import OutputMode, QueryPlan, build_aggregate_plan, build_plan
-from ..query.stats import QueryStats
 from .node import WorkerNode
 from .placement import replica_nodes
 from .scatter import (
-    LatencyTracker,
     ScatterConfig,
     ScatterGather,
     ShardError,
     ShardOutcome,
-    ShardTask,
+    ShardReport,
 )
 
 logger = logging.getLogger(__name__)
 
-_CLUSTER_AGG_QUERIES = get_registry().counter(
-    "loggrep_cluster_agg_queries_total",
-    "Aggregate queries scattered by the coordinator",
-)
-_CLUSTER_AGG_PARTIALS = get_registry().counter(
-    "loggrep_agg_partials_merged_total",
-    "Per-block aggregate partials folded into a merged result",
-)
-_CLUSTER_QUERIES = get_registry().counter(
-    "loggrep_cluster_queries_total",
-    "Queries scattered by the coordinator, by mode",
-)
 _CLUSTER_REBALANCE_MOVES = get_registry().counter(
     "loggrep_cluster_rebalance_moves_total",
     "Replica copies created or dropped by rebalancing",
@@ -93,22 +89,6 @@ class ClusterStats:
 
 
 @dataclass
-class ShardReport:
-    """Delivery accounting of one shard of one query phase."""
-
-    block: str
-    phase: str  # "rows" | "lines" | "partial" | "count"
-    node: str
-    attempts: int
-    retries: int
-    timeouts: int
-    hedged: bool
-    hedge_won: bool
-    elapsed_ms: float
-    wire_bytes: int
-
-
-@dataclass
 class ClusterQueryReport:
     """Per-shard roll-up of one distributed query (the cluster ANALYZE)."""
 
@@ -129,23 +109,6 @@ class ClusterQueryReport:
     def retries(self) -> int:
         return sum(shard.retries for shard in self.shards)
 
-    def add(self, phase: str, outcomes: Sequence[ShardOutcome]) -> None:
-        for outcome in outcomes:
-            self.shards.append(
-                ShardReport(
-                    block=outcome.name,
-                    phase=phase,
-                    node=outcome.node_id,
-                    attempts=outcome.attempts,
-                    retries=outcome.retries,
-                    timeouts=outcome.timeouts,
-                    hedged=outcome.hedged,
-                    hedge_won=outcome.hedge_won,
-                    elapsed_ms=outcome.elapsed * 1000.0,
-                    wire_bytes=outcome.wire_bytes,
-                )
-            )
-
     def render(self) -> str:
         """The per-shard table plus gather totals, ANALYZE-style."""
         header = (
@@ -154,38 +117,72 @@ class ClusterQueryReport:
             f"{self.hedges} hedged, {self.retries} retrie(s), "
             f"{self.elapsed_ms:.1f} ms"
         )
-        columns = (
-            "block", "phase", "node", "att", "rty", "t/o", "hedge",
-            "ms", "wire B",
-        )
-        rows = [columns]
-        for shard in self.shards:
-            hedge = "-"
-            if shard.hedged:
-                hedge = "won" if shard.hedge_won else "lost"
-            rows.append(
-                (
-                    shard.block,
-                    shard.phase,
-                    shard.node,
-                    str(shard.attempts),
-                    str(shard.retries),
-                    str(shard.timeouts),
-                    hedge,
-                    f"{shard.elapsed_ms:.1f}",
-                    str(shard.wire_bytes),
-                )
+        rows = [
+            ("block", "phase", "node", "att", "rty", "t/o", "hedge", "ms",
+             "wire B"),
+        ] + [
+            (
+                shard.block, shard.phase, shard.node, str(shard.attempts),
+                str(shard.retries), str(shard.timeouts),
+                ("won" if shard.hedge_won else "lost") if shard.hedged else "-",
+                f"{shard.elapsed_ms:.1f}", str(shard.wire_bytes),
             )
-        widths = [
-            max(len(row[i]) for row in rows) for i in range(len(columns))
+            for shard in self.shards
         ]
-        lines = [header]
-        for row in rows:
-            lines.append(
-                "  "
-                + "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row))
-            )
-        return "\n".join(lines)
+        widths = [max(len(cell) for cell in column) for column in zip(*rows)]
+        return "\n".join(
+            [header]
+            + [
+                "  " + "  ".join(c.ljust(w) for c, w in zip(row, widths))
+                for row in rows
+            ]
+        )
+
+
+class _PlacementSource(StoreBoxSource):
+    """The cluster's blocks as the executor sees them: the placement's
+    names and no local store — every block pass runs on a replica."""
+
+    def __init__(self, placement: Dict[str, List[str]]):
+        super().__init__(store=None)
+        self._placement = placement
+
+    def names(self) -> List[str]:
+        return sorted(self._placement)
+
+
+class _ReplicaExecutor(QueryExecutor):
+    """``run_plans`` over the cluster: only the per-block step is remote.
+
+    Each block pass is one ``query_block`` RPC to a replica, so pruning,
+    LoadBox and Locate run where the block lives; the executor's block
+    pool bounds the fan-out and its fold merges the returned passes
+    exactly as it merges local ones.
+    """
+
+    def __init__(self, cluster: "ClusterLogGrep", report: ClusterQueryReport):
+        super().__init__(
+            _PlacementSource(cluster._placement),
+            dataclasses.replace(
+                cluster.config,
+                query_parallelism=cluster.scatter_config.fanout_concurrency,
+            ),
+        )
+        self._cluster = cluster
+        self._report = report
+
+    def execute_block(  # type: ignore[override]
+        self, name: str, plans: Sequence[QueryPlan], *_accounting: object
+    ) -> BlockPass:
+        # The replica runs a bare pass: it accounts for itself.
+        outcome = self._cluster._rpc(
+            name,
+            list(self._cluster._placement[name]),
+            self._report.mode,
+            lambda node: node.query_block(name, plans),
+        )
+        self._report.shards.append(outcome.report)
+        return outcome.response
 
 
 class ClusterLogGrep(AggregateShortcuts):
@@ -196,7 +193,6 @@ class ClusterLogGrep(AggregateShortcuts):
         num_nodes: int = 4,
         replication: int = 2,
         config: Optional[LogGrepConfig] = None,
-        parallelism: Optional[int] = None,
         scatter: Optional[ScatterConfig] = None,
         remote_profile: Optional[FaultProfile] = None,
     ):
@@ -207,7 +203,7 @@ class ClusterLogGrep(AggregateShortcuts):
         self.config = config or LogGrepConfig()
         self.replication = replication
         self.scatter_config = scatter or ScatterConfig(
-            fanout_concurrency=parallelism or max(2, num_nodes)
+            fanout_concurrency=max(2, num_nodes)
         )
         #: When set, every node's store is a fault-injecting RemoteStore
         #: (distinct deterministic seed per node).
@@ -220,15 +216,8 @@ class ClusterLogGrep(AggregateShortcuts):
         self._next_block_id = 0
         self._next_line_id = 0
         self.raw_bytes = 0
-        self.latency = LatencyTracker()
-        self._engine = ScatterGather(
-            self.scatter_config,
-            self.latency,
-            alive=self._node_alive,
-        )
-        self._pool = ThreadPoolExecutor(
-            max_workers=parallelism or max(2, num_nodes)
-        )
+        self._engine = ScatterGather(self.scatter_config, self._node_alive)
+        self._pool = ThreadPoolExecutor(max_workers=max(2, num_nodes))
         #: Per-shard roll-up of the most recent query (also returned in
         #: ``result.report`` when ``analyze=True``).
         self.last_report: Optional[ClusterQueryReport] = None
@@ -302,48 +291,51 @@ class ClusterLogGrep(AggregateShortcuts):
             list(self._pool.map(ingest_one, blocks))
 
     # ------------------------------------------------------------------
-    # scatter/gather plumbing
+    # query
     # ------------------------------------------------------------------
-    def _shard_tasks(self, request: object = None) -> List[ShardTask]:
-        return [
-            ShardTask(name, list(self._placement[name]), request)
-            for name in sorted(self._placement)
-        ]
+    def _rpc(
+        self,
+        name: str,
+        replicas: List[str],
+        phase: str,
+        call: Callable[[WorkerNode], object],
+        parent: object = None,
+    ) -> ShardOutcome:
+        """One block's RPC through the retry/hedge/deadline state machine.
+        Attempts run on scatter threads, so their spans attach to
+        *parent* — by default the caller's open span."""
+        tracer = get_tracer()
+        parent = parent or tracer.current()
 
-    def _scatter(self, tasks, action, kind: str) -> List[ShardOutcome]:
+        def attempt(nid: str) -> object:
+            with tracer.span(
+                "cluster.query_block",
+                parent=parent, block=name, node=nid, phase=phase,
+            ):
+                return call(self.nodes[nid])
+
         try:
-            return self._engine.map(tasks, action, kind)
+            return self._engine.run_shard(name, replicas, attempt, phase)
         except ShardError as exc:
             logger.warning("scatter failed: %s", exc)
             raise ClusterError(str(exc)) from exc
 
-    # ------------------------------------------------------------------
-    # query
-    # ------------------------------------------------------------------
-    def _scatter_plans(
-        self,
-        plans: Sequence[QueryPlan],
-        kind: str,
-        report: ClusterQueryReport,
-        parent: object,
-    ) -> List[ShardOutcome]:
-        """One multi-plan ``query_block`` RPC per block, for every query
-        shape: each replica opens its block once for all *plans*.  The
-        payload of a gathered outcome is the per-plan ``(payload, count,
-        stats)`` list the node returned."""
-        tracer = get_tracer()
-
-        def serve(nid: str, task: ShardTask):
-            with tracer.span(
-                "cluster.query_block", parent=parent, block=task.name, node=nid
-            ):
-                return self.nodes[nid].query_block(task.name, plans)
-
-        # Gathered on the coordinator thread, after the fan-out has fully
-        # drained — per-shard stats never merge concurrently.
-        outcomes = self._scatter(self._shard_tasks(), serve, kind)
-        report.add(kind, outcomes)
-        return outcomes
+    @contextmanager
+    def _query(
+        self, plans: List[QueryPlan], command: str
+    ) -> Iterator[Tuple[List[ExecutionResult], ClusterQueryReport]]:
+        """One distributed query: a ``run_plans`` whose block step is a
+        replica RPC, under one ``cluster.query`` span that also covers
+        what the caller does with the results.  The per-shard report
+        becomes :attr:`last_report` when the block exits."""
+        start = time.perf_counter()
+        report = ClusterQueryReport(command, plans[0].mode.value)
+        with get_tracer().span("cluster.query", command=command):
+            results, _ = _ReplicaExecutor(self, report).run_plans(plans)
+            report.shards.sort(key=lambda shard: shard.block)
+            yield results, report
+        report.elapsed_ms = (time.perf_counter() - start) * 1000.0
+        self.last_report = report
 
     def grep(
         self,
@@ -372,26 +364,22 @@ class ClusterLogGrep(AggregateShortcuts):
         to_time: Optional[float] = None,
         limit: Optional[int] = None,
     ) -> List[GrepResult]:
-        """Scatter pre-built ROWS plans, gather row-set partials, then
-        reconstruct with a final bounded fetch per plan.
+        """Run ROWS plans in one ``run_plans`` — replicas ship row-set
+        partials — then reconstruct with a bounded fetch per plan.
 
-        Every command is parsed and planned exactly once; every replica
-        receives the same :class:`~repro.query.plan.QueryPlan`s in one
-        RPC and serves them from a single block pass: one LoadBox per
-        block, one prune decision and one Match per distinct term.
-        Shards return (group → row bitmap) partials — a few bytes per
-        matched group — and only the blocks (and rows) the coordinator
-        actually keeps are rendered back into lines, preferably by the
-        replica that already served the locate (its capsules are warm).
-        With ``limit`` the fetch stops at the block prefix covering the
-        first *limit* matches (blocks partition the line-id space in
-        name order), so a point lookup over a huge archive reconstructs
-        a handful of blocks.
+        Every command is planned once and every replica receives all
+        the plans in one RPC: one LoadBox per block, one prune decision
+        and one Match per distinct term.  Only the blocks (and rows) the
+        coordinator keeps are rendered back into lines, preferably by
+        the replica that already served the block (its capsules are
+        warm).  With ``limit`` the fetch stops at the block prefix
+        covering the first *limit* matches (blocks partition the
+        line-id space in name order), so a point lookup over a huge
+        archive reconstructs a handful of blocks.
         """
         commands = list(commands)
         if not commands:
             return []
-        tracer = get_tracer()
         start = time.perf_counter()
         plans = [
             build_plan(
@@ -400,107 +388,65 @@ class ClusterLogGrep(AggregateShortcuts):
             )
             for command in commands
         ]
-        report = ClusterQueryReport("; ".join(commands), OutputMode.ROWS.value)
-        _CLUSTER_QUERIES.inc(len(plans), mode=OutputMode.ROWS.value)
-        results: List[GrepResult] = []
-        with tracer.span(
-            "cluster.query", command=report.command, queries=len(plans)
-        ) as qspan:
-            with tracer.span("cluster.fan_out") as fan:
-                outcomes = self._scatter_plans(plans, "rows", report, fan)
-            for pos, plan in enumerate(plans):
-                # Split each shard's payload back into per-plan
-                # pseudo-outcomes so the bounded fetch (and its warm-
-                # replica preference) sees one plan.  Wire bytes stay on
-                # the gathered outcome — the split carries none.
-                per_plan = [
-                    dataclasses.replace(
-                        outcome,
-                        payload=outcome.payload[pos][0],
-                        count=outcome.payload[pos][1],
-                        stats=outcome.payload[pos][2],
-                        wire_bytes=0,
-                    )
-                    for outcome in outcomes
-                ]
-                stats = QueryStats()
-                for outcome in per_plan:
-                    stats.merge(outcome.stats)
-                entries = self._fetch_entries(
-                    plan, per_plan, limit, stats, report
-                )
-                stats.entries_matched = sum(o.count for o in per_plan)
-                elapsed = time.perf_counter() - start
-                stats.publish(elapsed)
-                results.append(
+        out: List[GrepResult] = []
+        with self._query(plans, "; ".join(commands)) as (results, report):
+            for result in results:
+                entries = self._fetch_entries(result, report, limit)
+                out.append(
                     GrepResult(
                         [text for _, text in entries],
                         [line_id for line_id, _ in entries],
-                        stats,
-                        elapsed,
+                        result.stats,
+                        time.perf_counter() - start,
                     )
                 )
-            qspan.set("blocks", len(outcomes))
-            qspan.set(
-                "entries_matched",
-                sum(result.stats.entries_matched for result in results),
-            )
-        report.elapsed_ms = (time.perf_counter() - start) * 1000.0
-        self.last_report = report
-        return results
+        return out
 
     def _fetch_entries(
         self,
-        plan: QueryPlan,
-        outcomes: Sequence[ShardOutcome],
-        limit: Optional[int],
-        stats: QueryStats,
+        result: ExecutionResult,
         report: ClusterQueryReport,
+        limit: Optional[int],
     ) -> List[Entry]:
         """The bounded fetch: reconstruct only kept blocks/rows.
 
-        Blocks partition the line-id space in name order, so a ``limit``
-        is covered by the minimal prefix of matching blocks whose
-        cumulative counts reach it.
+        ``result.rowsets`` is in block-name order and blocks partition
+        the line-id space in that order, so a ``limit`` is covered by
+        the minimal prefix of matching blocks whose counts reach it.
         """
-        hit = [o for o in outcomes if o.payload]
-        if limit is not None:
-            kept: List[ShardOutcome] = []
-            covered = 0
-            for outcome in hit:  # outcomes arrive in block-name order
-                kept.append(outcome)
-                covered += outcome.count
-                if covered >= limit:
-                    break
-            hit = kept
-        if not hit:
-            return []
-        tasks = []
-        for outcome in hit:
-            # Prefer the replica that served the locate: its box (and the
-            # hit groups' capsules) are warm.
-            replicas = [outcome.node_id] + [
-                nid
-                for nid in self._placement[outcome.name]
-                if nid != outcome.node_id
+        kept: List[str] = []
+        covered = 0
+        for name, rows in result.rowsets.items():
+            hits = sum(len(group_rows) for group_rows in rows.values())
+            if not hits:
+                continue
+            kept.append(name)
+            covered += hits
+            if limit is not None and covered >= limit:
+                break
+        served = {shard.block: shard.node for shard in report.shards}
+        parent = get_tracer().current()
+
+        def fetch(name: str) -> ShardOutcome:
+            # Prefer the replica that last served the block (the locate,
+            # or an earlier plan's fetch): its box and capsules are warm.
+            replicas = [served[name]] + [
+                nid for nid in self._placement[name] if nid != served[name]
             ]
-            tasks.append(ShardTask(outcome.name, replicas, outcome.payload))
-        fetched = self._scatter(
-            tasks,
-            lambda nid, task: self.nodes[nid].reconstruct_rows(
-                task.name, task.request  # type: ignore[arg-type]
-            ),
-            kind="lines",
-        )
-        report.add("lines", fetched)
+            return self._rpc(
+                name, replicas, OutputMode.LINES.value,
+                lambda node: node.reconstruct_rows(name, result.rowsets[name]),
+                parent,
+            )
+
         entries: List[Entry] = []
-        for outcome in fetched:
-            stats.merge(outcome.stats)
-            entries.extend(outcome.payload)  # type: ignore[arg-type]
+        for outcome in self._pool.map(fetch, kept):
+            block_entries, stats = outcome.response
+            result.stats.merge(stats)
+            entries.extend(block_entries)
+            report.shards.append(outcome.report)
         entries.sort(key=lambda item: item[0])
-        if limit is not None:
-            entries = entries[:limit]
-        return entries
+        return entries if limit is None else entries[:limit]
 
     def count(
         self,
@@ -509,22 +455,14 @@ class ClusterLogGrep(AggregateShortcuts):
         from_time: Optional[float] = None,
         to_time: Optional[float] = None,
     ) -> int:
-        """Distributed count: the same plan with reconstruction elided;
-        shards ship a single integer each."""
-        start = time.perf_counter()
+        """Distributed count: the same run with reconstruction elided;
+        replicas ship their counts."""
         plan = build_plan(
             command, OutputMode.COUNT, ignore_case,
             from_time=from_time, to_time=to_time,
         )
-        _CLUSTER_QUERIES.inc(mode=plan.mode.value)
-        report = ClusterQueryReport(command, plan.mode.value)
-        with get_tracer().span(
-            "cluster.query", command=command, mode=plan.mode.value
-        ) as qspan:
-            outcomes = self._scatter_plans([plan], "count", report, qspan)
-        report.elapsed_ms = (time.perf_counter() - start) * 1000.0
-        self.last_report = report
-        return sum(outcome.count for outcome in outcomes)
+        with self._query([plan], command) as ((result,), _):
+            return result.count
 
     # ------------------------------------------------------------------
     # aggregation
@@ -555,22 +493,17 @@ class ClusterLogGrep(AggregateShortcuts):
         from_time: Optional[float] = None,
         to_time: Optional[float] = None,
     ) -> List[AggregateResult]:
-        """Run many ``(spec, where)`` aggregates in one scatter.
+        """Run many ``(spec, where)`` aggregates in one ``run_plans``.
 
-        The aggregate plans are built once and scattered like ``grep``;
-        each serving replica folds all of them over one block open and
-        ships one list of compact partials (Counters / stats multisets /
-        histograms) per RPC instead of reconstructed lines.  Partial
-        merging is commutative, and the per-plan fold happens on the
-        coordinator thread after the fan-out drains, so the delivery
-        schedule never changes the result — each merged value is
-        identical to a single-node run over the same lines.
+        Each serving replica folds every plan over one block open and
+        ships compact partials (Counters / stats multisets / histograms)
+        instead of reconstructed lines; the executor merges them, and
+        partial merging is commutative, so each value is identical to a
+        single-node run over the same lines.
         """
         specs = list(specs)
         if not specs:
             return []
-        tracer = get_tracer()
-        start = time.perf_counter()
         plans = [
             build_aggregate_plan(
                 spec, where, ignore_case=ignore_case,
@@ -578,38 +511,17 @@ class ClusterLogGrep(AggregateShortcuts):
             )
             for spec, where in specs
         ]
-        for spec, _ in specs:
-            _CLUSTER_AGG_QUERIES.inc(kind=spec.kind.value)
-        report = ClusterQueryReport(
-            "; ".join(where or "<all>" for _, where in specs),
-            OutputMode.AGGREGATE.value,
-        )
-        with tracer.span(
-            "cluster.aggregate", where=report.command, queries=len(plans)
-        ) as qspan:
-            outcomes = self._scatter_plans(plans, "partial", report, qspan)
-            qspan.set("blocks", len(outcomes))
-        elapsed = time.perf_counter() - start
-        results: List[AggregateResult] = []
-        for pos, (spec, _where) in enumerate(specs):
-            stats = QueryStats()
-            merged = make_partial(spec)
-            for outcome in outcomes:
-                payload, count, plan_stats = outcome.payload[pos]
-                stats.merge(plan_stats)
-                stats.entries_matched += count
-                if payload is not None:
-                    merged.merge(payload)
-                    _CLUSTER_AGG_PARTIALS.inc()
-            stats.publish(elapsed)
-            results.append(
+        command = "; ".join(where or "<all>" for _, where in specs)
+        with self._query(plans, command) as (results, _):
+            return [
                 AggregateResult(
-                    merged.finalize(spec), stats.entries_matched, stats, elapsed
+                    result.aggregate.finalize(spec),
+                    result.count,
+                    result.stats,
+                    result.elapsed,
                 )
-            )
-        report.elapsed_ms = elapsed * 1000.0
-        self.last_report = report
-        return results
+                for (spec, _), result in zip(specs, results)
+            ]
 
     def total_lines(self) -> int:
         """The coordinator assigned every global line id at ingest, so its

@@ -35,8 +35,8 @@ from ..core.compressor import compress_block
 from ..core.config import LogGrepConfig
 from ..obs.metrics import get_registry
 from ..query.engine import GroupRows
-from ..query.executor import Entry, QueryExecutor, StoreBoxSource
-from ..query.plan import OutputMode, QueryPlan
+from ..query.executor import BlockPass, Entry, QueryExecutor, StoreBoxSource
+from ..query.plan import QueryPlan
 from ..query.stats import QueryStats
 
 _NODE_QUERIES = get_registry().counter(
@@ -45,6 +45,9 @@ _NODE_QUERIES = get_registry().counter(
 _NODE_BLOCKS = get_registry().counter(
     "loggrep_cluster_node_blocks_compressed_total", "Blocks compressed, per node"
 )
+
+#: RPCs a node serves at once: a one-core worker.
+_SERVE_SLOTS = 1
 
 
 class NodeDownError(ReproError):
@@ -59,7 +62,6 @@ class WorkerNode:
         node_id: str,
         config: Optional[LogGrepConfig] = None,
         store: Optional[ArchiveStore] = None,
-        serve_slots: int = 1,
     ):
         self.node_id = node_id
         self.config = config or LogGrepConfig()
@@ -71,7 +73,7 @@ class WorkerNode:
         #: Simulated per-RPC service latency (slept while holding a serve
         #: slot) — the straggler injection knob.
         self.rpc_latency_s = 0.0
-        self._slots = threading.Semaphore(max(1, serve_slots))
+        self._slots = threading.Semaphore(_SERVE_SLOTS)
         # Each worker runs the same physical pipeline as a single-node
         # LogGrep over its local replica store, pruning via its own
         # summaries.  Its query cache is node-local and keyed at
@@ -163,49 +165,27 @@ class WorkerNode:
     # ------------------------------------------------------------------
     # query path
     # ------------------------------------------------------------------
-    def query_block(
-        self, name: str, plans: Sequence[QueryPlan]
-    ) -> Tuple[List[Tuple[object, int, QueryStats]], int, QueryStats]:
+    def query_block(self, name: str, plans: Sequence[QueryPlan]) -> BlockPass:
         """Execute pre-built *plans* over one local block in one RPC.
 
-        The coordinator plans each command once and ships the plans; the
-        node runs the shared block pass (TimePrune → BlockFilter → LoadBox
-        → Locate → Match → …) over its replica — one box open, one prune
-        decision and one Match per distinct term however many plans ride
-        the RPC.  Returns (per-plan ``(payload, count, stats)`` triples
-        aligned with *plans*, total hit count, shared engine stats).
-        The payload follows the plan: per-group row sets (``ROWS`` — the
-        partial-gather protocol), a compact partial (aggregates), ``None``
-        (``COUNT``) or reconstructed entries (``LINES``); gathers stay
-        rowset/partial-shaped, never raw lines.
+        This is the executor's own block pass (TimePrune → BlockFilter →
+        LoadBox → Locate → Match → …) over the replica, returned as is:
+        one box open, one prune decision and one Match per distinct term
+        however many plans ride the RPC.  ``ROWS`` plans ship row sets
+        and aggregates ship partials, so gathers stay small.
         """
         with self._serve():
             self.queries_served += 1
             _NODE_QUERIES.inc(node=self.node_id)
-            done = self._executor.execute_block(name, plans)
-            per_plan: List[Tuple[object, int, QueryStats]] = []
-            for plan, outcome in zip(plans, done.outcomes):
-                payload: object
-                if plan.mode is OutputMode.ROWS:
-                    payload = outcome.rows if outcome.rows is not None else {}
-                elif plan.aggregate is not None:
-                    payload = outcome.partial
-                elif plan.mode is OutputMode.COUNT:
-                    payload = None
-                else:
-                    payload = outcome.entries
-                per_plan.append((payload, outcome.count, outcome.stats))
-            total = sum(count for _, count, _ in per_plan)
-            return per_plan, total, done.shared
+            return self._executor.execute_block(name, plans)
 
     def reconstruct_rows(
         self, name: str, rows: GroupRows
-    ) -> Tuple[List[Entry], int, QueryStats]:
+    ) -> Tuple[List[Entry], QueryStats]:
         """The bounded-fetch half of a ROWS query: rebuild exactly the
         rows the coordinator kept after its gather."""
         with self._serve():
             self.queries_served += 1
             _NODE_QUERIES.inc(node=self.node_id)
             stats = QueryStats()
-            entries = self._executor.reconstruct_rows(name, rows, stats)
-            return entries, len(entries), stats
+            return self._executor.reconstruct_rows(name, rows, stats), stats

@@ -1,6 +1,6 @@
 """The fan-out scheduler: bounded concurrency, deadlines, retries, hedges.
 
-One query scatters one *shard task* per block.  Each task runs a small
+One query scatters one *shard* per block.  Each shard runs a small
 state machine on the coordinator:
 
 * launch the first attempt on the block's preferred replica;
@@ -14,10 +14,12 @@ state machine on the coordinator:
   on the next replica, round-robin, until ``max_attempts`` is spent —
   only then does the shard (and the query) fail.
 
-Shard tasks themselves run on a bounded fan-out pool, so a thousand-block
-archive never launches a thousand concurrent RPCs.  Results carry
-per-shard accounting (attempts, retries, hedge outcome, wire bytes) that
-the coordinator rolls into its ANALYZE report.
+:meth:`ScatterGather.run_shard` drives one shard; the caller bounds how
+many run at once (a query's block pool, sized by
+``fanout_concurrency``), so a thousand-block archive never launches a
+thousand concurrent RPCs.  Outcomes carry per-shard accounting
+(attempts, retries, hedge outcome, wire bytes) that the coordinator
+rolls into its ANALYZE report.
 """
 
 from __future__ import annotations
@@ -28,12 +30,11 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, Optional, Sequence
 
 from ..blockstore.remote import RemoteStoreError
 from ..common.errors import ReproError
 from ..obs.metrics import get_registry
-from ..query.stats import QueryStats
 from .node import NodeDownError
 
 _HEDGE_LAUNCHED = get_registry().counter(
@@ -65,9 +66,6 @@ _SHARD_SECONDS = get_registry().histogram(
     "End-to-end shard latency (including retries and hedges)",
 )
 
-#: What a node RPC returns: (payload, matched count, per-block stats).
-ShardResponse = Tuple[object, int, QueryStats]
-
 #: Exceptions that mean "this replica, this time" — retryable on another.
 RETRYABLE = (NodeDownError, RemoteStoreError)
 
@@ -84,7 +82,7 @@ class ShardError(ReproError):
 class ScatterConfig:
     """Tuning of the fan-out scheduler (all times in seconds)."""
 
-    #: Shard tasks running concurrently (bounded fan-out).
+    #: Shards in flight at once (a query's block-pool width).
     fanout_concurrency: int = 8
     #: Abandon an attempt after this long; None disables deadlines.
     shard_deadline_s: Optional[float] = 10.0
@@ -107,7 +105,7 @@ class LatencyTracker:
     """A bounded window of shard latencies with quantile lookup.
 
     Shared across queries so hedging warms up once per cluster, and
-    thread-safe because every shard task observes into it concurrently.
+    thread-safe because every shard observes into it concurrently.
     """
 
     def __init__(self, window: int = 512):
@@ -140,30 +138,28 @@ class LatencyTracker:
 
 
 @dataclass
-class ShardTask:
-    """One block's unit of scatter work."""
+class ShardReport:
+    """Delivery accounting of one shard of one query phase."""
 
-    name: str
-    replicas: List[str]
-    request: object = None
+    block: str
+    phase: str  # "rows" | "lines" | "aggregate" | "count"
+    node: str
+    attempts: int
+    retries: int
+    timeouts: int
+    hedged: bool
+    hedge_won: bool
+    elapsed_ms: float
+    wire_bytes: int
 
 
 @dataclass
 class ShardOutcome:
     """One shard's gathered result plus its delivery accounting."""
 
-    name: str
-    node_id: str
-    payload: object
-    count: int
-    stats: QueryStats
-    attempts: int = 1
-    retries: int = 0
-    timeouts: int = 0
-    hedged: bool = False
-    hedge_won: bool = False
-    elapsed: float = 0.0
-    wire_bytes: int = 0
+    #: What the winning replica's RPC returned.
+    response: object
+    report: ShardReport
 
 
 @dataclass
@@ -173,29 +169,14 @@ class _Attempt:
     hedged: bool
 
 
-def wire_size(response: ShardResponse) -> int:
-    """Serialized size of one shard response — what a real network gather
-    would put on the wire (the simulated RPCs pass objects in-process, so
-    transfer bytes are measured, not paid)."""
-    return len(pickle.dumps(response, protocol=pickle.HIGHEST_PROTOCOL))
-
-
 class ScatterGather:
-    """Runs shard tasks against replicas with deadlines, retries, hedges."""
+    """Runs shards against replicas with deadlines, retries, hedges."""
 
-    def __init__(
-        self,
-        config: ScatterConfig,
-        latency: Optional[LatencyTracker] = None,
-        alive: Optional[Callable[[str], bool]] = None,
-    ):
+    def __init__(self, config: ScatterConfig, alive: Callable[[str], bool]):
         self.config = config
-        self.latency = latency if latency is not None else LatencyTracker()
-        self._alive = alive if alive is not None else (lambda _nid: True)
-        self._fanout = ThreadPoolExecutor(
-            max_workers=max(1, config.fanout_concurrency),
-            thread_name_prefix="scatter-fanout",
-        )
+        #: Shared by every shard, so hedging warms up once per engine.
+        self.latency = LatencyTracker()
+        self._alive = alive
         # Attempts outnumber shards transiently: a hedge plus abandoned
         # stragglers still draining their simulated I/O.  Size the pool so
         # zombies do not starve fresh attempts at test/bench scale.
@@ -205,43 +186,25 @@ class ScatterGather:
         )
 
     def close(self) -> None:
-        self._fanout.shutdown(wait=True)
         self._attempts.shutdown(wait=True)
 
     # ------------------------------------------------------------------
-    def map(
+    def run_shard(
         self,
-        tasks: Sequence[ShardTask],
-        action: Callable[[str, ShardTask], ShardResponse],
-        kind: str,
-    ) -> List[ShardOutcome]:
-        """Run every task (bounded concurrency); outcomes in task order.
-
-        Raises the first :class:`ShardError` once encountered — partial
-        results are dropped, matching the all-or-nothing semantics of a
-        gather.
-        """
-        futures = [
-            self._fanout.submit(self._run_shard, task, action, kind)
-            for task in tasks
-        ]
-        return [future.result() for future in futures]
-
-    # ------------------------------------------------------------------
-    def _run_shard(
-        self,
-        task: ShardTask,
-        action: Callable[[str, ShardTask], ShardResponse],
+        name: str,
+        replicas: Sequence[str],
+        action: Callable[[str], object],
         kind: str,
     ) -> ShardOutcome:
+        """Run *action* (one RPC to block *name*, given a replica's node
+        id) until some replica answers; raises :class:`ShardError` once
+        the attempt budget is spent."""
         config = self.config
         start = time.perf_counter()
-        candidates = [nid for nid in task.replicas if self._alive(nid)]
+        candidates = [nid for nid in replicas if self._alive(nid)]
         if not candidates:
-            raise ShardError(
-                task.name, f"all replicas down ({task.replicas})"
-            )
-        inflight: Dict["Future[ShardResponse]", _Attempt] = {}
+            raise ShardError(name, f"all replicas down ({list(replicas)})")
+        inflight: Dict["Future[object]", _Attempt] = {}
         attempts = retries = timeouts = 0
         hedged = False
         backoff = config.retry_backoff_s
@@ -253,17 +216,13 @@ class ScatterGather:
             node_id = candidates[next_replica % len(candidates)]
             next_replica += 1
             attempts += 1
-            future = self._attempts.submit(action, node_id, task)
+            future = self._attempts.submit(action, node_id)
             inflight[future] = _Attempt(node_id, time.perf_counter(), is_hedge)
 
         launch(is_hedge=False)
         while True:
             now = time.perf_counter()
-            sole = (
-                next(iter(inflight.values()))
-                if len(inflight) == 1
-                else None
-            )
+            sole = next(iter(inflight.values())) if len(inflight) == 1 else None
             can_hedge = (
                 config.hedge
                 and not hedged
@@ -290,7 +249,7 @@ class ScatterGather:
             for future in done:
                 attempt = inflight.pop(future)
                 try:
-                    payload, count, stats = future.result()
+                    response = future.result()
                 except RETRYABLE as exc:
                     last_error = exc
                     retries += 1
@@ -305,21 +264,20 @@ class ScatterGather:
                     _HEDGE_WINS.inc()
                 elif hedged:
                     _HEDGE_LOSSES.inc()
-                bytes_on_wire = wire_size((payload, count, stats))
+                # What a real network gather would put on the wire: the
+                # simulated RPCs pass objects in-process, so transfer
+                # bytes are measured, not paid.
+                bytes_on_wire = len(
+                    pickle.dumps(response, protocol=pickle.HIGHEST_PROTOCOL)
+                )
                 _GATHER_BYTES.inc(bytes_on_wire, kind=kind)
                 return ShardOutcome(
-                    task.name,
-                    attempt.node_id,
-                    payload,
-                    count,
-                    stats,
-                    attempts=attempts,
-                    retries=retries,
-                    timeouts=timeouts,
-                    hedged=hedged,
-                    hedge_won=attempt.hedged,
-                    elapsed=elapsed,
-                    wire_bytes=bytes_on_wire,
+                    response,
+                    ShardReport(
+                        name, kind, attempt.node_id, attempts, retries,
+                        timeouts, hedged, attempt.hedged, elapsed * 1000.0,
+                        bytes_on_wire,
+                    ),
                 )
             if config.shard_deadline_s is not None:
                 for future, attempt in list(inflight.items()):
@@ -336,7 +294,7 @@ class ScatterGather:
             if not inflight:
                 if attempts >= config.max_attempts:
                     raise ShardError(
-                        task.name,
+                        name,
                         f"gave up after {attempts} attempt(s), "
                         f"{timeouts} timeout(s) on {candidates} "
                         f"(last error: {last_error})",
@@ -346,7 +304,6 @@ class ScatterGather:
                 launch(is_hedge=False)
             elif (
                 can_hedge
-                and sole is not None
                 and now >= sole.started + self.latency.hedge_delay(config)
                 and next(iter(inflight.values())) is sole
             ):

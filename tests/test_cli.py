@@ -330,3 +330,36 @@ class TestAgg:
         capsys.readouterr()
         assert main(["agg", "count-by", "-a", str(archive)]) == 2
         assert "requires a FIELD" in capsys.readouterr().err
+
+
+class TestClusterCommand:
+    """``loggrep cluster``: a one-shot in-memory cluster run."""
+
+    def _run(self, log_file, capsys, *extra):
+        path, lines = log_file
+        capsys.readouterr()
+        rc = main(
+            ["cluster", str(path), "ERROR", "-n", "3", "--block-bytes", "4096",
+             *extra]
+        )
+        assert rc == 0
+        return lines, capsys.readouterr()
+
+    def test_count_with_shard_table(self, log_file, capsys):
+        from repro.baselines.evalutil import grep_lines
+
+        lines, captured = self._run(log_file, capsys, "-c", "--analyze")
+        assert int(captured.out.strip()) == len(grep_lines("ERROR", lines))
+        assert "cluster query 'ERROR' (mode=count)" in captured.err
+        assert "block-" in captured.err
+
+    def test_grep_limit_with_shard_table(self, log_file, capsys):
+        from repro.baselines.evalutil import grep_lines
+
+        lines, captured = self._run(
+            log_file, capsys, "--analyze", "--limit", "3"
+        )
+        assert captured.out.splitlines() == grep_lines("ERROR", lines)[:3]
+        assert "cluster query 'ERROR' (mode=rows)" in captured.err
+        phases = {row.split()[1] for row in captured.err.splitlines()[2:]}
+        assert phases == {"rows", "lines"}

@@ -525,16 +525,27 @@ class TestClusterTracing:
             cluster.compress(lines)
             with tracing() as tracer:
                 result = cluster.grep("ERROR")
-        roots = {span.name: span for span in tracer.roots}
-        assert "cluster.query" in roots
-        query = roots["cluster.query"]
-        fan = query.find("cluster.fan_out")[0]
-        blocks = [c for c in fan.children if c.name == "cluster.query_block"]
+        # The whole query, bounded fetch included, is one tree:
+        # cluster.query → query → block → cluster.query_block → node stages.
+        assert len(tracer.roots) == 1
+        query = tracer.roots[0]
+        assert query.name == "cluster.query"
+        (run,) = [c for c in query.children if c.name == "query"]
+        blocks = [c for c in run.children if c.name == "block"]
         assert len(blocks) == len(cluster._placement)
-        for span in blocks:
-            assert span.attrs["node"] in cluster.nodes
-            # Node-side stages nest under the fan-out child of their thread.
-            assert span.find("locate")
+        for block in blocks:
+            rpcs = block.find("cluster.query_block")
+            assert rpcs  # a hedge may add a second attempt
+            assert all(span.attrs["node"] in cluster.nodes for span in rpcs)
+            # Node-side stages nest under the RPC span of their thread.
+            assert any(span.find("locate") for span in rpcs)
+        fetched = {
+            span.attrs["block"]
+            for span in query.find("cluster.query_block")
+            if span.attrs["phase"] == "lines" and span.find("reconstruct")
+        }
+        kept = {s.block for s in cluster.last_report.shards if s.phase == "lines"}
+        assert fetched == kept and kept
         assert result.count > 0
 
     def test_cluster_ingest_spans_and_node_metrics(self):

@@ -9,6 +9,7 @@ but not in the doc (or added without a doc row) fails here.
 import dataclasses
 import pathlib
 import re
+from collections import Counter
 
 from repro.query.stats import QueryStats
 
@@ -41,9 +42,8 @@ def _family_regex(name):
     )
 
 
-CODED_METRICS = _coded(
-    r'\.(?:counter|gauge|histogram)\(\s*f?"(loggrep_[^"]+)"'
-)
+METRIC_SITE = r'\.(?:counter|gauge|histogram)\(\s*f?"(loggrep_[^"]+)"'
+CODED_METRICS = _coded(METRIC_SITE)
 CODED_SPANS = _coded(r'\.span\(\s*f?"([^"]+)"')
 
 
@@ -80,6 +80,15 @@ def _uncovered(names, against):
 def test_metric_names_found():
     assert len(CODED_METRICS) > 60
     assert f"loggrep_query_{_ANY}_total" in CODED_METRICS
+
+
+def test_every_metric_has_one_registration_site():
+    """Get-or-create keeps whichever registration imports first, so a
+    second site with other help text would silently lose."""
+    sites = Counter(
+        name for text in SOURCES for name in re.findall(METRIC_SITE, text)
+    )
+    assert {name for name, n in sites.items() if n > 1} == set()
 
 
 def test_every_registered_metric_is_documented():
