@@ -3,8 +3,7 @@
 * the distributed cluster — scatter/gather queries return the single-node
   result, survive a node failure, and speed up ≥ 2x from 1 to 4 shards
   on an I/O-bound scatter;
-* streaming ingestion — pipelined block compression keeps up with batch;
-* the compression profiler — where ingest time goes (§8's observation).
+* streaming ingestion — pipelined block compression keeps up with batch.
 """
 
 import time
@@ -13,7 +12,6 @@ import pytest
 
 from repro import LogGrep, LogGrepConfig, StreamingCompressor
 from repro.baselines.evalutil import grep_lines
-from repro.bench.profile import profile_compression
 from repro.bench.report import format_table, print_banner
 from repro.bench.runner import BENCH_BLOCK_BYTES
 from repro.blockstore.remote import FaultProfile
@@ -102,15 +100,3 @@ def test_streaming_vs_batch_ingest(benchmark, corpus):
     assert report.blocks == batch_report.blocks
     # The pipeline must not be slower than batch by more than noise.
     assert report.speed_mb_s > 0.5 * batch_report.speed_mb_s
-
-
-def test_compression_profile(benchmark, corpus):
-    profile = benchmark.pedantic(
-        lambda: profile_compression(corpus[: len(corpus) // 2]), rounds=1, iterations=1
-    )
-    print_banner("§8: where compression time goes (one block)")
-    print(format_table(["stage", "time", "share"], profile.breakdown()))
-    print(f"vectors: {profile.vectors}")
-    assert profile.total_seconds > 0
-    # Parsing plus encoding dominates; serialization is cheap.
-    assert profile.serialize_seconds < 0.5 * profile.total_seconds

@@ -9,8 +9,12 @@ Run with::
     python examples/structured_analytics.py
 """
 
+from typing import Optional
+
 from repro import LogGrep, LogGrepConfig
-from repro.analytics import Analyzer, group_count
+from repro.query.aggregate import AggregateSpec, group_count
+from repro.query.modes import AggregateKind
+from repro.query.stats import QueryStats
 from repro.workloads import spec_by_name
 
 
@@ -19,34 +23,41 @@ def main() -> None:
     lines = spec.generate(20000)
     lg = LogGrep(config=LogGrepConfig(block_bytes=512 * 1024))
     lg.compress(lines)
-    analyzer = Analyzer(lg)
+    stats = QueryStats()
 
-    print("discovered fields:", ", ".join(analyzer.fields()))
+    def aggregate(spec: AggregateSpec, where: Optional[str] = None) -> object:
+        result = lg.aggregate(spec, where)
+        stats.merge(result.stats)
+        return result.value
+
+    print("discovered fields:", ", ".join(lg.fields()))
 
     # Which tenants produce the errors?  (SELECT Project, COUNT(*) ...
     # WHERE line matches 'ERROR' GROUP BY Project ORDER BY count DESC)
     print("\ntop error-producing projects:")
-    for project, count in analyzer.top_k("Project", k=5, where="ERROR"):
+    top = aggregate(AggregateSpec(AggregateKind.TOP_K, "Project", k=5), "ERROR")
+    for project, count in top:
         print(f"  Project:{project:6s} {count:5d} errors")
 
     # Latency distribution, straight off the latency column's Capsules.
-    stats = analyzer.stats_of("latency")
+    latency = aggregate(AggregateSpec(AggregateKind.STATS, "latency"))
     print(
-        f"\nlatency (us): n={stats.count} min={stats.minimum:.0f} "
-        f"p50={stats.p50:.0f} p95={stats.p95:.0f} p99={stats.p99:.0f} "
-        f"max={stats.maximum:.0f}"
+        f"\nlatency (us): n={latency.count} min={latency.minimum:.0f} "
+        f"p50={latency.p50:.0f} p95={latency.p95:.0f} p99={latency.p99:.0f} "
+        f"max={latency.maximum:.0f}"
     )
 
     # Group-by join within a template: which request ids hit per project?
     print("\nrequests per erroring project (top project only):")
-    grouped = group_count(analyzer.pairs("Project", "RequestId", where="ERROR"))
-    (top_project, _), *_ = analyzer.top_k("Project", k=1, where="ERROR")
+    pairs = AggregateSpec(AggregateKind.PAIRS, "Project", value_field="RequestId")
+    grouped = group_count(aggregate(pairs, "ERROR"))
+    (top_project, _), *_ = top
     for request_id, count in grouped[top_project].most_common(3):
         print(f"  Project:{top_project} RequestId:{request_id} x{count}")
 
     print(
         f"\ncapsules decompressed for all of the above: "
-        f"{analyzer.stats.capsules_decompressed} "
+        f"{stats.capsules_decompressed} "
         "(no log line was reconstructed)"
     )
 

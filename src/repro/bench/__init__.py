@@ -1,6 +1,5 @@
-"""Benchmark harness: runners, figure drivers and report generation."""
+"""Benchmark harness: runners, figure drivers and table rendering."""
 
-from .profile import CompressionProfile, profile_compression
 from .runner import (
     BENCH_BLOCK_BYTES,
     DEFAULT_BASE_LINES,
@@ -16,8 +15,6 @@ from .runner import (
 
 __all__ = [
     "Measurement",
-    "CompressionProfile",
-    "profile_compression",
     "SYSTEM_ORDER",
     "BENCH_BLOCK_BYTES",
     "DEFAULT_BASE_LINES",

@@ -1,12 +1,11 @@
 """Experiment drivers regenerating every table and figure of the paper.
 
 Each function returns plain data structures (and can pretty-print them),
-so the pytest benchmarks, the EXPERIMENTS.md report generator and ad-hoc
-exploration all share one implementation:
+so the pytest benchmarks and ad-hoc exploration share one
+implementation:
 
 * :func:`figure3`  — single- vs multi-pattern vectors by duplication rate
 * :func:`section23_stats` — char-type/length-variance averages of §2.2/§2.3
-* :func:`figure7_rows` — per-log latency / ratio / speed table (Fig 7a-c)
 * :func:`figure7_summary` — the cross-system ratios quoted in §6.1/§6.2
 * :func:`figure8` — Equation-1 overall cost per system (Fig 8a/b)
 * :func:`figure9` — per-technique ablations, normalized latency (Fig 9)
@@ -31,7 +30,6 @@ from ..workloads.spec import LogSpec
 from .runner import (
     BENCH_BLOCK_BYTES,
     Measurement,
-    SYSTEM_ORDER,
     by_system,
     geomean,
 )
@@ -165,30 +163,6 @@ def section23_stats(
 # ----------------------------------------------------------------------
 # Figure 7
 # ----------------------------------------------------------------------
-def figure7_rows(measurements: Sequence[Measurement]) -> List[List[str]]:
-    """Per-dataset rows: latency(s) / ratio / speed per system."""
-    datasets: Dict[str, Dict[str, Measurement]] = {}
-    for m in measurements:
-        datasets.setdefault(m.dataset, {})[m.system] = m
-    rows = []
-    for dataset in datasets:
-        row = [dataset]
-        for system in SYSTEM_ORDER:
-            m = datasets[dataset].get(system)
-            if m is None:
-                row.extend(["-", "-", "-"])
-            else:
-                row.extend(
-                    [
-                        f"{m.query_latency_s * 1000:.1f}ms",
-                        f"{m.compression_ratio:.1f}x",
-                        f"{m.compression_speed_mb_s:.2f}MB/s",
-                    ]
-                )
-        rows.append(row)
-    return rows
-
-
 def figure7_summary(
     measurements: Sequence[Measurement],
 ) -> Dict[str, Dict[str, float]]:

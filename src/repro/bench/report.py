@@ -1,20 +1,12 @@
-"""Render benchmark results as text tables and the EXPERIMENTS.md report.
-
-``python -m repro.bench.report`` runs the full suite and rewrites
-EXPERIMENTS.md with measured-vs-paper numbers for every experiment id in
-DESIGN.md's index.  ``REPRO_SCALE`` controls dataset size.
-"""
+"""Render benchmark results as the text tables the ``benchmarks/``
+suites print."""
 
 from __future__ import annotations
 
-import sys
 from typing import Dict, List, Sequence
 
 from ..cost.model import CostBreakdown
-from ..workloads.production import production_specs
-from ..workloads.public import public_specs
-from . import figures
-from .runner import Measurement, SYSTEM_ORDER, base_lines, by_system, geomean, run_suite
+from .runner import Measurement, SYSTEM_ORDER
 
 
 def print_banner(title: str) -> None:
@@ -35,14 +27,6 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
         if idx == 0:
             lines.append("  ".join("-" * width for width in widths))
     return "\n".join(lines)
-
-
-def markdown_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    out = ["| " + " | ".join(map(str, headers)) + " |"]
-    out.append("|" + "|".join("---" for _ in headers) + "|")
-    for row in rows:
-        out.append("| " + " | ".join(map(str, row)) + " |")
-    return "\n".join(out)
 
 
 def latency_rows(measurements: Sequence[Measurement]) -> List[List[str]]:
@@ -69,33 +53,6 @@ def metric_rows(measurements: Sequence[Measurement], metric: str, fmt: str) -> L
         for system in SYSTEM_ORDER:
             m = per_system.get(system)
             row.append(format(getattr(m, metric), fmt) if m else "-")
-        rows.append(row)
-    return rows
-
-
-#: Query stages surfaced in the per-stage breakdown tables (span names
-#: from docs/OBSERVABILITY.md; `locate` includes its nested `match` and
-#: `decompress` spans, so columns are independent, not additive).
-STAGE_COLUMNS = ("plan", "block_filter", "locate", "reconstruct", "decompress")
-
-
-def stage_rows(
-    measurements: Sequence[Measurement], system: str = "LG"
-) -> List[List[str]]:
-    """Per-dataset span-stage seconds (ms) for one LogGrep-backed system."""
-    rows = []
-    for m in measurements:
-        if m.system != system or not m.stage_seconds:
-            continue
-        total = m.stage_seconds.get("query", sum(m.stage_seconds.values()))
-        row = [m.dataset]
-        for stage in STAGE_COLUMNS:
-            seconds = m.stage_seconds.get(stage)
-            if seconds is None:
-                row.append("-")
-            else:
-                pct = seconds / total * 100 if total else 0.0
-                row.append(f"{seconds * 1000:.1f} ({pct:.0f}%)")
         rows.append(row)
     return rows
 
@@ -127,183 +84,3 @@ def relative_costs(costs: Dict[str, CostBreakdown]) -> Dict[str, float]:
         for system, cost in costs.items()
         if system != "LG" and cost.total > 0
     }
-
-
-def build_report(lines_per_spec: int) -> str:
-    """Run everything and produce the EXPERIMENTS.md body."""
-    prod = production_specs()
-    pub = public_specs()
-
-    sections: List[str] = []
-    sections.append(
-        "# EXPERIMENTS — paper vs. measured\n\n"
-        "Generated by `python -m repro.bench.report` "
-        f"(REPRO_SCALE={lines_per_spec} lines per size_factor unit; pure-Python\n"
-        "substrate, so absolute numbers are incomparable to the paper's C++/\n"
-        "Xeon testbed — the *relative* shape is what each section checks).\n"
-    )
-
-    # FIG3 -------------------------------------------------------------
-    buckets = figures.figure3(prod + pub, max(lines_per_spec // 2, 500))
-    rows = [
-        [f"{b.low:.1f}-{b.high:.1f}", b.single, b.multi] for b in buckets
-    ]
-    low = sum(b.single for b in buckets[:5]), sum(b.multi for b in buckets[:5])
-    sections.append(
-        "## FIG3 — single-/multi-pattern vectors vs duplication rate\n\n"
-        "Paper: vectors with low duplication rate are almost always\n"
-        "single-pattern; high-duplication vectors are mixed (bathtub).\n\n"
-        + markdown_table(["duplication rate", "single-pattern", "multi-pattern"], rows)
-        + f"\n\nMeasured: below the 0.5 threshold {low[0]} single vs {low[1]} multi "
-        "— the single-pattern assumption the real-vector extractor relies on.\n"
-    )
-
-    # §2.2/§2.3 stats ----------------------------------------------------
-    stats = figures.section23_stats(prod + pub, max(lines_per_spec // 2, 500))
-    sections.append(
-        "## §2.2/§2.3 — summary strictness statistics\n\n"
-        + markdown_table(
-            ["granularity", "char types (paper)", "char types (measured)",
-             "length variance (paper)", "length variance (measured)"],
-            [
-                ["log block", "5.8", f"{stats.block_char_types:.1f}",
-                 "198.5", f"{stats.block_length_variance:.1f}"],
-                ["variable vector", "3.1", f"{stats.vector_char_types:.1f}",
-                 "66.1", f"{stats.vector_length_variance:.1f}"],
-                ["sub-variable vector", "1.5", f"{stats.subvar_char_types:.1f}",
-                 "32.5", f"{stats.subvar_length_variance:.1f}"],
-            ],
-        )
-        + "\n\nThe ordering block ≫ vector ≫ sub-variable must hold: finer units\n"
-        "have fewer character classes and less length variance, which is why\n"
-        "Capsule stamps filter so well.\n"
-    )
-
-    # FIG7 ---------------------------------------------------------------
-    headers = ["dataset"] + list(SYSTEM_ORDER)
-    for title, specs in (("production logs (Fig 7)", prod), ("public logs (§6.2)", pub)):
-        measurements = run_suite(specs, lines_per_spec=lines_per_spec)
-        summary = figures.figure7_summary(measurements)
-        costs = figures.figure8(measurements)
-        rel = relative_costs(costs)
-        sections.append(
-            f"## FIG7 — {title}: query latency (ms)\n\n"
-            + markdown_table(headers, latency_rows(measurements))
-        )
-        stages = stage_rows(measurements)
-        if stages:
-            sections.append(
-                f"### Per-stage query breakdown — {title} (LG, ms of traced run)\n\n"
-                "Span-derived stage times from one traced query per dataset\n"
-                "(`repro.obs`; `locate` includes the nested `match`/`decompress`\n"
-                "spans, so columns overlap rather than sum).\n\n"
-                + markdown_table(["dataset"] + list(STAGE_COLUMNS), stages)
-            )
-        sections.append(
-            f"## FIG7 — {title}: compression ratio\n\n"
-            + markdown_table(headers, metric_rows(measurements, "compression_ratio", ".1f"))
-        )
-        sections.append(
-            f"## FIG7 — {title}: compression speed (MB/s)\n\n"
-            + markdown_table(headers, metric_rows(measurements, "compression_speed_mb_s", ".2f"))
-        )
-        ratio_lines = [
-            f"* vs {system}: LG query latency {s['latency_vs_lg']:.1f}x lower, "
-            f"compression ratio {s['ratio_gain']:.1f}x higher, "
-            f"LG compresses at {s['speed_gain']:.2f}x of {system}'s speed"
-            for system, s in summary.items()
-        ]
-        paper = (
-            "Paper (production): LG latency 30.6x lower than ggrep, 35.7x lower than CLP,\n"
-            "~0.5x of ES; ratio 2.57x of gzip, 2.14x of CLP, 23x of ES; speed 0.10x of\n"
-            "gzip, 0.16x of CLP, 8.3x of ES."
-            if specs is prod
-            else "Paper (public): LG latency 14.6x lower than ggrep, 13.7x lower than CLP;\n"
-            "ratio 3.99x of gzip, 2.10x of CLP, 41x of ES; speed 0.14x of gzip,\n"
-            "0.35x of CLP, 11.2x of ES."
-        )
-        sections.append(
-            f"### Summary ratios — {title}\n\n" + "\n".join(ratio_lines) + "\n\n" + paper + "\n"
-        )
-        # FIG8 for this suite
-        fig = "FIG8a" if specs is prod else "FIG8b"
-        rel_lines = [
-            f"* LG costs {value * 100:.0f}% of {system}" for system, value in rel.items()
-        ]
-        paper8 = (
-            "Paper: LG = 34% of ggrep, 36% of CLP, 7% of ES, 73% of LG-SP."
-            if specs is prod
-            else "Paper: LG = 34% of ggrep, 41% of CLP, 5% of ES, 74% of LG-SP."
-        )
-        sections.append(
-            f"## {fig} — overall cost ($/TB, Equation 1)\n\n"
-            + markdown_table(
-                ["system", "storage", "compression", "query", "total"],
-                cost_rows(costs),
-            )
-            + "\n\n" + "\n".join(rel_lines) + "\n\n" + paper8 + "\n"
-        )
-        # The hits table doubles as the Table 1 record.
-        sections.append(
-            f"## TAB1 — queries over {title}\n\n"
-            + markdown_table(
-                ["dataset", "query", "hits"],
-                [
-                    [m.dataset, f"`{m.query}`", m.hits]
-                    for m in measurements
-                    if m.system == "LG"
-                ],
-            )
-        )
-
-    # FIG9 ---------------------------------------------------------------
-    fig9 = figures.figure9(prod, max(lines_per_spec // 2, 500))
-    paper9 = {
-        "w/o real": 1.51,
-        "w/o nomi": 4.03,
-        "w/o stamp": 3.59,
-        "w/o fixed": 1.89,
-        "w/o cache": 2.08,
-    }
-    sections.append(
-        "## FIG9 — per-technique ablations (normalized query latency)\n\n"
-        + markdown_table(
-            ["version", "paper (x slower than full)", "measured"],
-            [
-                [name, f"{paper9[name]:.2f}", f"{value:.2f}"]
-                for name, value in fig9.items()
-            ],
-        )
-        + "\n\nEach ablated version must be slower than the full version (>1.0).\n"
-    )
-
-    # Padding (§6.3) ------------------------------------------------------
-    pad = figures.padding_effect(prod[:8], max(lines_per_spec // 2, 500))
-    pad_gm = geomean(list(pad.values()))
-    sections.append(
-        "## §6.3 — fixed-length padding vs compression ratio\n\n"
-        + markdown_table(
-            ["dataset", "ratio(padded)/ratio(unpadded)"],
-            [[name, f"{value:.3f}"] for name, value in pad.items()],
-        )
-        + f"\n\nGeomean {pad_gm:.3f}; paper: 0.99x-1.10x (1.04x average) — padding "
-        "is roughly free because it replaces per-value delimiters.\n"
-    )
-
-    return "\n\n".join(sections) + "\n"
-
-
-def main(argv: List[str] = None) -> int:
-    lines_per_spec = base_lines()
-    report = build_report(lines_per_spec)
-    path = "EXPERIMENTS.md"
-    if argv and len(argv) > 1:
-        path = argv[1]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report)
-    print(f"wrote {path}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    sys.exit(main(sys.argv))

@@ -11,7 +11,7 @@ runtime for fidelity; relative dataset sizes follow each spec's
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..baselines.base import LogStoreSystem
@@ -38,23 +38,11 @@ def base_lines() -> int:
     return int(os.environ.get("REPRO_SCALE", DEFAULT_BASE_LINES))
 
 
-def compress_parallelism() -> int:
-    """Worker count for the LogGrep ingest scheduler.
-
-    The paper normalizes to one CPU, so the default stays serial; export
-    ``REPRO_COMPRESS_PARALLELISM`` to let ingest throughput scale with
-    cores (archives are byte-identical either way, so the ratio and
-    query numbers are unaffected).
-    """
-    return int(os.environ.get("REPRO_COMPRESS_PARALLELISM", "1"))
-
-
 def system_factories() -> Dict[str, Callable[[], LogStoreSystem]]:
     def _lg_config() -> LogGrepConfig:
-        return LogGrepConfig(
-            block_bytes=BENCH_BLOCK_BYTES,
-            compress_parallelism=compress_parallelism(),
-        )
+        # compress_parallelism stays LogGrepConfig's own default
+        # (LOGGREP_COMPRESS_PARALLELISM, serial when unset).
+        return LogGrepConfig(block_bytes=BENCH_BLOCK_BYTES)
 
     return {
         "ggrep": lambda: GzipGrep(block_bytes=BENCH_BLOCK_BYTES),
@@ -78,9 +66,6 @@ class Measurement:
     query_latency_s: float
     hits: int
     query: str
-    #: Seconds per query stage (plan/block_filter/locate/reconstruct/...),
-    #: recorded from one traced run for systems built on LogGrep.
-    stage_seconds: Dict[str, float] = field(default_factory=dict)
 
     @property
     def query_latency_s_per_tb(self) -> float:
@@ -105,16 +90,6 @@ def measure_system(
         got, elapsed = system.timed_query(spec.query)
         hits = got
         best = min(best, elapsed)
-    # One extra traced run (outside the timed loop, so the latency numbers
-    # stay untraced) yields the per-stage breakdown for LogGrep-backed
-    # systems; the comparators have no span instrumentation.
-    stage_seconds: Dict[str, float] = {}
-    if getattr(system, "loggrep", None) is not None:
-        from ..obs.trace import stage_totals, tracing
-
-        with tracing() as tracer:
-            system.query(spec.query)
-        stage_seconds = stage_totals(tracer.last_root())
     return Measurement(
         dataset=spec.name,
         system=system.name,
@@ -125,7 +100,6 @@ def measure_system(
         query_latency_s=best,
         hits=len(hits),
         query=spec.query,
-        stage_seconds=stage_seconds,
     )
 
 

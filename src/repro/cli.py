@@ -1,4 +1,4 @@
-"""Command-line interface: ``loggrep compress/grep/stats/metrics/report``.
+"""Command-line interface: ``loggrep compress/grep/agg/stats/metrics/...``.
 
 Examples::
 
@@ -6,9 +6,10 @@ Examples::
     loggrep compress app.log -a /tmp/archive -j 4 --executor process
     loggrep grep -a /tmp/archive "ERROR AND dst:11.8.* NOT state:503"
     loggrep grep -a /tmp/archive ERROR --trace       # span tree to stderr
+    loggrep agg fields -a /tmp/archive               # discovered schema
+    loggrep agg count-by Project -a /tmp/archive -w ERROR
     loggrep stats -a /tmp/archive --json
     loggrep metrics -a /tmp/archive -q ERROR         # Prometheus text format
-    loggrep report            # regenerate EXPERIMENTS.md (slow)
 """
 
 from __future__ import annotations
@@ -139,24 +140,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "next in-process reading)",
     )
 
-    analyze = sub.add_parser(
-        "analyze", help="structure-based aggregation without reconstruction"
-    )
-    analyze.add_argument("-a", "--archive", required=True, help="archive directory")
-    analyze.add_argument("--fields", action="store_true", help="list discovered fields")
-    analyze.add_argument("--count-by", metavar="FIELD", help="value histogram of a field")
-    analyze.add_argument("--stats-of", metavar="FIELD", help="numeric summary of a field")
-    analyze.add_argument("--top", type=int, default=20, help="rows to print (default 20)")
-    analyze.add_argument("-w", "--where", help="optional query filter")
-
     agg = sub.add_parser(
         "agg",
         help="pushed-down aggregation: GROUP BY / top-k / stats / timeseries "
-        "without reconstructing lines",
+        "without reconstructing lines; 'fields' lists what FIELD can name",
     )
     agg.add_argument(
         "kind",
-        choices=("count-by", "top-k", "stats", "timeseries", "count-templates"),
+        choices=(
+            "count-by", "top-k", "stats", "timeseries", "count-templates",
+            "fields",
+        ),
         help="aggregate to run",
     )
     agg.add_argument(
@@ -288,7 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="disable hedged replica reads (observe the straggler's tail)",
     )
 
-    sub.add_parser("report", help="run the full benchmark suite and write EXPERIMENTS.md")
     return parser
 
 
@@ -372,7 +365,7 @@ def _run_grep_batch(lg, args, from_time, to_time) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
 
-    # Only compress creates an archive (cluster and report take none):
+    # Only compress creates an archive (cluster takes none):
     # every other subcommand reads one, and ArchiveStore would otherwise
     # make the directory and answer from an empty archive.
     archive = getattr(args, "archive", None)
@@ -601,32 +594,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"{len(store.names()) - bad}/{len(store.names())} block(s) healthy")
         return 1 if bad else 0
 
-    if args.command == "analyze":
-        from .analytics import Analyzer
-
-        analyzer = Analyzer(_open(args.archive))
-        did_something = False
-        if args.fields:
-            print("fields:", ", ".join(analyzer.fields()))
-            did_something = True
-        if args.count_by:
-            for value, count in analyzer.count_by(
-                args.count_by, where=args.where
-            ).most_common(args.top):
-                print(f"{count:8d}  {value}")
-            did_something = True
-        if args.stats_of:
-            stats = analyzer.stats_of(args.stats_of, where=args.where)
-            print(
-                f"count={stats.count} min={stats.minimum} max={stats.maximum} "
-                f"mean={stats.mean:.2f} p50={stats.p50} p95={stats.p95} p99={stats.p99}"
-            )
-            did_something = True
-        if not did_something:
-            print("nothing to do: pass --fields, --count-by or --stats-of")
-            return 2
-        return 0
-
     if args.command == "agg":
         from .query.aggregate import AggregateSpec, NumericStats
         from .query.modes import AggregateKind
@@ -641,6 +608,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             templates=args.templates,
             query_parallelism=args.parallelism,
         )
+        if args.kind == "fields":
+            names = lg.fields()
+            print(json.dumps(names, indent=2) if args.json else "\n".join(names))
+            return 0
         if args.kind == "timeseries":
             total = lg.total_lines()
             if total == 0 or args.buckets <= 0:
@@ -810,11 +781,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             if args.analyze:
                 print(result.report, file=sys.stderr)
         return 0
-
-    if args.command == "report":
-        from .bench.report import main as report_main
-
-        return report_main()
 
     return 2  # pragma: no cover - argparse enforces the command set
 

@@ -43,6 +43,7 @@ from ..query.executor import (
 from ..query.explain import render_analyze
 from ..query.modes import AggregateKind
 from ..query.plan import OutputMode, build_aggregate_plan, build_plan
+from ..query.schema import schema_of
 from ..query.stats import NULL_LEDGER, QueryLedger, QueryStats
 from ..staticparse.cache import TemplateCache
 from .config import LogGrepConfig
@@ -494,11 +495,10 @@ class LogGrep(AggregateShortcuts):
     def executor(self) -> QueryExecutor:
         """The physical pipeline behind every query and aggregate.
 
-        Public so the analytics facade, the CLI and tests can route box
-        loading and multi-plan runs (whose second return value is the
-        run's :class:`~repro.query.executor.BatchReport`) through the
-        shared BoxCache/ranged-read path instead of touching the store
-        directly.
+        Public so the CLI and tests can route box loading and multi-plan
+        runs (whose second return value is the run's
+        :class:`~repro.query.executor.BatchReport`) through the shared
+        BoxCache/ranged-read path instead of touching the store directly.
         """
         return self._executor
 
@@ -547,6 +547,21 @@ class LogGrep(AggregateShortcuts):
             box = self._executor.load_box(name)
             best = max(best, box.first_line_id + box.num_lines)
         return best
+
+    def fields(self) -> List[str]:
+        """Every field name an aggregate accepts, in discovery order.
+
+        Boxes load through the executor (shared BoxCache; metadata-only
+        under lazy I/O — discovery never touches capsule payloads).
+        """
+        executor = self._executor
+        return list(
+            dict.fromkeys(
+                field_name
+                for name in executor.source.names()
+                for field_name in schema_of(executor.load_box(name)).names()
+            )
+        )
 
     def explain(self, command: str, ignore_case: bool = False) -> str:
         """Human-readable plan: the physical pipeline plus, per (keyword,

@@ -28,7 +28,6 @@ from .trace import (
     get_tracer,
     render_span_tree,
     set_tracer,
-    stage_totals,
     to_chrome_trace,
     tracing,
     write_chrome_trace,
@@ -46,7 +45,6 @@ __all__ = [
     "set_tracer",
     "tracing",
     "render_span_tree",
-    "stage_totals",
     "Counter",
     "Gauge",
     "Histogram",

@@ -320,17 +320,3 @@ def write_chrome_trace(path: str, roots: Sequence[Optional[Span]]) -> int:
         json.dump(payload, handle, indent=1, default=str)
         handle.write("\n")
     return len(payload["traceEvents"])
-
-
-def stage_totals(root: Optional[Span]) -> Dict[str, float]:
-    """Total seconds per span name across a tree.
-
-    Nested stages are reported independently (``locate`` includes the
-    ``decompress`` spans under it), so compare siblings, not the sum.
-    """
-    totals: Dict[str, float] = {}
-    if root is None:
-        return totals
-    for span in root.walk():
-        totals[span.name] = totals.get(span.name, 0.0) + span.seconds
-    return totals

@@ -360,7 +360,7 @@ class ValuesPartial(AggregatePartial):
 
     Chunks are keyed by the block's first line id, so merging in any
     order and sorting at finalize reproduces the deterministic
-    block-order stream the legacy ``Analyzer.column`` produced.
+    block-order stream of the column.
     """
 
     kind = AggregateKind.VALUES

@@ -758,7 +758,9 @@ class QueryExecutor:
             if plan.mode is OutputMode.EXPLAIN:
                 from .explain import explain_block
 
-                outcome.rendering = explain_block(box, plan, name).summary()
+                outcome.rendering = explain_block(
+                    box, plan, name, settings.use_stamps
+                ).summary()
                 continue
             hits = located.get(i)
             if hits is None:

@@ -162,14 +162,18 @@ def render_analyze(
 
 
 def explain_block(
-    box: CapsuleBox, command: Union[QueryCommand, QueryPlan], name: str
+    box: CapsuleBox,
+    command: Union[QueryCommand, QueryPlan],
+    name: str,
+    use_stamps: bool = True,
 ) -> BlockPlan:
     """Render every (search string keyword, vector) decision of one block.
 
     Accepts a pre-built :class:`QueryPlan` (the executor's EXPLAIN path)
     or a raw :class:`QueryCommand`, which is planned on the spot.  The
     distinct search strings and their order come from the plan — the same
-    dedup the Match operator's memo performs.
+    dedup the Match operator's memo performs.  *use_stamps* mirrors the
+    executing config's switch, so ``w/o stamp`` renders no stamp filter.
     """
     query_plan = (
         command
@@ -194,12 +198,16 @@ def explain_block(
             for search in searches:
                 for keyword in search.keywords:
                     plan.vector_plans.append(
-                        _plan_vector(group_idx, var_idx, encoded, keyword)
+                        _plan_vector(
+                            group_idx, var_idx, encoded, keyword, use_stamps
+                        )
                     )
     return plan
 
 
-def _plan_vector(group_idx: int, var_idx: int, encoded, keyword) -> VectorPlan:
+def _plan_vector(
+    group_idx: int, var_idx: int, encoded, keyword, use_stamps: bool = True
+) -> VectorPlan:
     mode = MatchMode.SUBSTRING
     base = dict(
         group=group_idx,
@@ -215,7 +223,9 @@ def _plan_vector(group_idx: int, var_idx: int, encoded, keyword) -> VectorPlan:
         )
     if isinstance(encoded, RealEncodedVector):
         stamps = [c.stamp for c in encoded.subvar_capsules]
-        candidates = locate(encoded.pattern, stamps, keyword.text, mode)
+        candidates = locate(
+            encoded.pattern, stamps, keyword.text, mode, use_stamps=use_stamps
+        )
         if candidates is TOO_COMPLEX:
             decision, detail = "scan", "candidate enumeration exceeded budget"
         elif not candidates:
@@ -239,7 +249,9 @@ def _plan_vector(group_idx: int, var_idx: int, encoded, keyword) -> VectorPlan:
                 CapsuleStamp(m, l)
                 for m, l in zip(dp.subvar_masks, dp.subvar_maxlens)
             ]
-            result = locate(dp.pattern, stamps, keyword.text, mode)
+            result = locate(
+                dp.pattern, stamps, keyword.text, mode, use_stamps=use_stamps
+            )
             if result is TOO_COMPLEX or result:
                 alive += 1
         if alive == 0:
@@ -254,7 +266,7 @@ def _plan_vector(group_idx: int, var_idx: int, encoded, keyword) -> VectorPlan:
             **base,
         )
     if isinstance(encoded, PlainEncodedVector):
-        if not encoded.capsule.stamp.admits(keyword.text):
+        if use_stamps and not encoded.capsule.stamp.admits(keyword.text):
             return VectorPlan(
                 kind="plain", decision="filtered",
                 detail="vector-level stamp rejects the keyword",

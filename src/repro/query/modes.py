@@ -16,9 +16,8 @@ class AggregateKind(enum.Enum):
     """What an aggregate plan folds the matched rows into (§2).
 
     The first five are user-facing (``cli.py agg``); ``VALUES`` and
-    ``PAIRS`` are internal column/pair extraction kinds that let the
-    :class:`~repro.analytics.analyzer.Analyzer` route *every* data access
-    through the executor pipeline.
+    ``PAIRS`` extract a raw column or a same-template (key, value) column
+    pair through ``LogGrep.aggregate``, on the same executor pipeline.
     """
 
     COUNT_BY = "count_by"  # GROUP BY field, COUNT(*)

@@ -22,8 +22,7 @@ I/O no capsule payload is fetched — and is memoized per CapsuleBox
 query while boxes live in the BoxCache.
 
 This module lives in the query layer so the executor's Aggregate operator
-can use it without importing ``analytics`` (which imports the LogGrep
-facade — a cycle).
+and ``LogGrep.fields`` share one discovery.
 """
 
 from __future__ import annotations

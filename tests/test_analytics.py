@@ -1,6 +1,5 @@
-"""Tests for the structure-based aggregation layer (§2's second phase)."""
+"""Tests for structure-based aggregation (§2's second phase) on LogGrep."""
 
-import inspect
 import math
 import re
 from collections import Counter
@@ -8,19 +7,20 @@ from collections import Counter
 import pytest
 
 from repro import LogGrep, LogGrepConfig
-from repro.analytics import (
-    Analyzer,
-    discover_schema,
+from repro.blockstore.store import MemoryStore
+from repro.capsule.box import CapsuleBox
+from repro.obs import get_registry
+from repro.query.aggregate import (
+    AggregateSpec,
     group_count,
     histogram,
     numeric_stats,
+    parse_number,
     top_k,
 )
-from repro.blockstore.store import MemoryStore
-from repro.obs import get_registry
-from repro.query.aggregate import AggregateSpec, parse_number
 from repro.query.modes import AggregateKind
-from repro.capsule.box import CapsuleBox
+from repro.query.schema import discover_schema
+from repro.query.stats import QueryStats
 from repro.workloads import spec_by_name
 
 
@@ -48,13 +48,13 @@ def reference_counts(lines, key, where=None):
 class TestSchemaDiscovery:
     def test_key_fields_found(self, archive):
         lg, _ = archive
-        fields = Analyzer(lg).fields()
+        fields = lg.fields()
         for expected in ("Project", "RequestId", "latency", "shard"):
             assert expected in fields
 
     def test_positional_names_for_anonymous_vectors(self, archive):
         lg, _ = archive
-        fields = Analyzer(lg).fields()
+        fields = lg.fields()
         assert any(name.startswith("g") and "_v" in name for name in fields)
 
     def test_constant_pseudo_fields(self, archive):
@@ -68,30 +68,31 @@ class TestSchemaDiscovery:
 
     def test_strip_prefix(self, archive):
         lg, lines = archive
-        values = set(Analyzer(lg).column("Project"))
+        spec = AggregateSpec(AggregateKind.VALUES, "Project")
+        values = set(lg.aggregate(spec).value)
         assert all(not value.startswith("Project:") for value in values)
 
 
 class TestAggregations:
     def test_count_by_matches_reference(self, archive):
         lg, lines = archive
-        ours = Analyzer(lg).count_by("Project")
+        ours = lg.count_by("Project")
         assert dict(ours) == dict(reference_counts(lines, "Project"))
 
     def test_count_by_with_where(self, archive):
         lg, lines = archive
-        ours = Analyzer(lg).count_by("Project", where="ERROR")
+        ours = lg.count_by("Project", where="ERROR")
         assert dict(ours) == dict(reference_counts(lines, "Project", where="ERROR"))
 
     def test_top_k(self, archive):
         lg, lines = archive
-        (top_value, top_count), *_ = Analyzer(lg).top_k("RequestId", 1, where="ERROR")
+        (top_value, top_count), *_ = lg.top_k("RequestId", 1, where="ERROR")
         reference = reference_counts(lines, "RequestId", where="ERROR")
         assert reference[top_value] == top_count == max(reference.values())
 
     def test_numeric_stats(self, archive):
         lg, lines = archive
-        stats = Analyzer(lg).stats_of("latency")
+        stats = lg.stats_of("latency")
         numbers = [
             float(m.group(1))
             for m in (re.search(r"latency:(\d+)us", l) for l in lines)
@@ -104,17 +105,19 @@ class TestAggregations:
 
     def test_distinct(self, archive):
         lg, lines = archive
-        distinct = Analyzer(lg).distinct("Project")
-        assert set(distinct) == set(reference_counts(lines, "Project"))
+        values = lg.aggregate(AggregateSpec(AggregateKind.VALUES, "Project")).value
+        assert set(values) == set(reference_counts(lines, "Project"))
 
     def test_unknown_field_empty(self, archive):
         lg, _ = archive
-        assert Analyzer(lg).count_by("NoSuchField") == Counter()
+        assert lg.count_by("NoSuchField") == Counter()
 
     def test_pairs_group_by(self, archive):
         lg, lines = archive
-        analyzer = Analyzer(lg)
-        grouped = group_count(analyzer.pairs("Project", "RequestId", where="ERROR"))
+        spec = AggregateSpec(
+            AggregateKind.PAIRS, "Project", value_field="RequestId"
+        )
+        grouped = group_count(lg.aggregate(spec, "ERROR").value)
         reference = {}
         for line in lines:
             if "ERROR" not in line:
@@ -195,9 +198,8 @@ class TestNoReconstruction:
     def test_aggregation_cheaper_than_grep(self, archive):
         """count_by must open fewer Capsules than reconstructing hits."""
         lg, _ = archive
-        analyzer = Analyzer(lg)
-        analyzer.count_by("Project", where="ERROR")
-        agg_decompressed = analyzer.stats.capsules_decompressed
+        spec = AggregateSpec(AggregateKind.COUNT_BY, "Project")
+        agg_decompressed = lg.aggregate(spec, "ERROR").stats.capsules_decompressed
         lg.clear_query_cache()
         grep_stats = lg.grep("ERROR").stats
         assert agg_decompressed <= grep_stats.capsules_decompressed + 4
@@ -231,7 +233,7 @@ class TestNoReconstruction:
 class TestTimeline:
     def test_total_and_buckets(self, archive):
         lg, lines = archive
-        timeline = Analyzer(lg).timeline("ERROR", buckets=10)
+        timeline = lg.timeseries("ERROR", buckets=10)
         assert len(timeline) == 10
         expected = sum(1 for l in lines if "ERROR" in l)
         assert sum(count for _, _, count in timeline) == expected
@@ -241,7 +243,7 @@ class TestTimeline:
 
     def test_bucket_counts_match_reference(self, archive):
         lg, lines = archive
-        timeline = Analyzer(lg).timeline("ERROR", buckets=7)
+        timeline = lg.timeseries("ERROR", buckets=7)
         for low, high, count in timeline:
             expected = sum(
                 1 for i in range(low, min(high + 1, len(lines)))
@@ -251,34 +253,23 @@ class TestTimeline:
 
     def test_empty_result(self, archive):
         lg, _ = archive
-        timeline = Analyzer(lg).timeline("zz_nothing_zz", buckets=5)
+        timeline = lg.timeseries("zz_nothing_zz", buckets=5)
         assert sum(c for _, _, c in timeline) == 0
 
 
 class TestPushdownExecution:
-    """The façade rides the executor pipeline, not private block loops."""
-
-    def test_no_private_api_in_analytics(self):
-        # Satellite: analytics/ must not load store blobs or CapsuleBoxes
-        # directly — everything routes through the query executor.
-        import repro.analytics as package
-        import repro.analytics.analyzer as analyzer_mod
-
-        for module in (package, analyzer_mod):
-            source = inspect.getsource(module)
-            assert "_load_box" not in source
-            assert "BlockEngine" not in source
-            assert "deserialize" not in source
-            assert "store.get" not in source
+    """Aggregates ride the executor pipeline, not private block loops."""
 
     def test_stats_accumulate_through_facade(self, archive):
         lg, _ = archive
-        analyzer = Analyzer(lg)
-        analyzer.count_by("Project", where="ERROR")
-        assert analyzer.stats.blocks_visited > 0
-        before = analyzer.stats.blocks_visited
-        analyzer.stats_of("latency")
-        assert analyzer.stats.blocks_visited > before
+        count_by = AggregateSpec(AggregateKind.COUNT_BY, "Project")
+        numeric = AggregateSpec(AggregateKind.STATS, "latency")
+        stats = QueryStats()
+        stats.merge(lg.aggregate(count_by, "ERROR").stats)
+        assert stats.blocks_visited > 0
+        before = stats.blocks_visited
+        stats.merge(lg.aggregate(numeric).stats)
+        assert stats.blocks_visited > before
 
     def test_parallel_merge_order_independent(self, archive):
         """-j N partial merging must be commutative: any completion order
@@ -301,10 +292,20 @@ class TestPushdownExecution:
             )
 
 
+def count_numeric(lg, field, keep, where=None):
+    """Entries whose numeric *field* passes *keep*, read off the
+    per-distinct-value counts of a pushed-down count-by."""
+    return sum(
+        n
+        for value, n in lg.count_by(field, where).items()
+        if (number := parse_number(value)) is not None and keep(number)
+    )
+
+
 class TestNumericFilter:
     def test_filter_numeric(self, archive):
         lg, lines = archive
-        count = Analyzer(lg).filter_numeric("latency", ">", 50000)
+        count = count_numeric(lg, "latency", lambda x: x > 50000)
         expected = sum(
             1
             for m in (re.search(r"latency:(\d+)us", l) for l in lines)
@@ -314,7 +315,7 @@ class TestNumericFilter:
 
     def test_filter_numeric_with_where(self, archive):
         lg, lines = archive
-        count = Analyzer(lg).filter_numeric("latency", "<=", 1000, where="ERROR")
+        count = count_numeric(lg, "latency", lambda x: x <= 1000, where="ERROR")
         expected = sum(
             1
             for l in lines
@@ -323,8 +324,3 @@ class TestNumericFilter:
             if m and int(m.group(1)) <= 1000
         )
         assert count == expected
-
-    def test_invalid_operator(self, archive):
-        lg, _ = archive
-        with pytest.raises(ValueError):
-            Analyzer(lg).filter_numeric("latency", "!=", 1)

@@ -11,7 +11,7 @@ from repro.bench.figures import (
     refining_commands,
     section23_stats,
 )
-from repro.bench.report import format_table, markdown_table
+from repro.bench.report import format_table
 from repro.bench.runner import (
     Measurement,
     by_system,
@@ -59,6 +59,14 @@ class TestRunner:
 
     def test_system_factories_complete(self):
         assert set(system_factories()) == {"ggrep", "CLP", "ES", "LG-SP", "LG"}
+
+    def test_lg_factory_takes_ingest_workers_from_config_env(self, monkeypatch):
+        # The harness sets no worker count of its own, so the env var the
+        # parallel-ingest CI leg exports reaches the figure benchmarks.
+        monkeypatch.setenv("LOGGREP_COMPRESS_PARALLELISM", "3")
+        for name in ("LG", "LG-SP"):
+            system = system_factories()[name]()
+            assert system.loggrep.config.compress_parallelism == 3
 
     def test_measure_single_system(self):
         spec = spec_by_name("Log C")
@@ -119,8 +127,3 @@ class TestReportHelpers:
         lines = text.split("\n")
         assert len(lines) == 4
         assert "--" in lines[1]
-
-    def test_markdown_table(self):
-        text = markdown_table(["h"], [["v"]])
-        assert text.split("\n")[0] == "| h |"
-        assert "| v |" in text

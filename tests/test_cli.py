@@ -51,6 +51,15 @@ class TestGrep:
         out = capsys.readouterr().out.strip()
         assert int(out) == sum(1 for l in lines if "ERROR" in l)
 
+    def test_grep_ignore_case_flag(self, log_file, tmp_path, capsys):
+        path, lines = log_file
+        archive = tmp_path / "arch"
+        main(["compress", str(path), "-a", str(archive)])
+        capsys.readouterr()
+        main(["grep", "error", "-a", str(archive), "-c", "-i"])
+        out = capsys.readouterr().out.strip()
+        assert int(out) == sum(1 for l in lines if "error" in l.lower())
+
     def test_grep_stats_to_stderr(self, log_file, tmp_path, capsys):
         path, _ = log_file
         archive = tmp_path / "arch"
@@ -185,8 +194,8 @@ class TestArgErrors:
             ["metrics"],
             ["explain", "ERROR"],
             ["verify"],
-            ["analyze", "--fields"],
             ["agg", "count-by", "state"],
+            ["agg", "fields"],
             ["lifecycle", "status"],
             ["lifecycle", "demote", "--tier", "warm"],
         ],
@@ -201,47 +210,6 @@ class TestArgErrors:
         assert captured.out == ""
         assert f"no such archive: {archive}" in captured.err
         assert not archive.exists()
-
-
-class TestAnalyze:
-    def test_fields_and_count_by(self, log_file, tmp_path, capsys):
-        path, lines = log_file
-        archive = tmp_path / "arch"
-        main(["compress", str(path), "-a", str(archive)])
-        capsys.readouterr()
-        rc = main(["analyze", "-a", str(archive), "--fields"])
-        assert rc == 0
-        assert "fields:" in capsys.readouterr().out
-
-        main(["analyze", "-a", str(archive), "--count-by", "code", "-w", "ERROR"])
-        out = capsys.readouterr().out
-        total = sum(int(row.split()[0]) for row in out.strip().splitlines())
-        assert total == sum(1 for l in lines if "ERROR" in l and "code=" in l)
-
-    def test_stats_of(self, log_file, tmp_path, capsys):
-        path, _ = log_file
-        archive = tmp_path / "arch"
-        main(["compress", str(path), "-a", str(archive)])
-        capsys.readouterr()
-        rc = main(["analyze", "-a", str(archive), "--stats-of", "code"])
-        assert rc == 0
-        assert "count=" in capsys.readouterr().out
-
-    def test_no_action(self, log_file, tmp_path, capsys):
-        path, _ = log_file
-        archive = tmp_path / "arch"
-        main(["compress", str(path), "-a", str(archive)])
-        capsys.readouterr()
-        assert main(["analyze", "-a", str(archive)]) == 2
-
-    def test_grep_ignore_case_flag(self, log_file, tmp_path, capsys):
-        path, lines = log_file
-        archive = tmp_path / "arch"
-        main(["compress", str(path), "-a", str(archive)])
-        capsys.readouterr()
-        main(["grep", "error", "-a", str(archive), "-c", "-i"])
-        out = capsys.readouterr().out.strip()
-        assert int(out) == sum(1 for l in lines if "error" in l.lower())
 
 
 @pytest.fixture
@@ -324,6 +292,17 @@ class TestAgg:
         assert rc == 0
         doc = json_mod.loads(capsys.readouterr().out)
         assert sum(doc.values()) == 800
+
+    def test_fields(self, structured_archive, capsys):
+        from repro import LogGrep
+        from repro.blockstore.store import ArchiveStore
+
+        archive, _ = structured_archive
+        capsys.readouterr()
+        assert main(["agg", "fields", "-a", str(archive)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert "Project" in printed and "latency" in printed
+        assert printed == LogGrep(store=ArchiveStore(str(archive))).fields()
 
     def test_missing_field_is_an_error(self, structured_archive, capsys):
         archive, _ = structured_archive

@@ -72,3 +72,26 @@ class TestExplainBlock:
         assert keywords.count("ERROR") == len(set(
             (p.group, p.var) for p in plan2.vector_plans
         ))
+
+
+class TestExplainFollowsConfig:
+    def test_without_stamps_plain_vectors_plan_as_scan(self):
+        """EXPLAIN renders what execution does: under ``w/o stamp`` a plain
+        vector whose stamp alone rejects the keyword is scanned, not
+        filtered."""
+        from repro import LogGrep
+        from repro.core.config import ablated
+        from tests.conftest import make_mixed_lines
+
+        lines = make_mixed_lines(300, seed=95)
+        plain = ablated("w/o real")  # real vectors fall back to plain
+        decisions = {}
+        for config in (plain, ablated("w/o stamp", plain)):
+            lg = LogGrep(config=config)
+            lg.compress(lines)
+            decisions[config.use_stamps] = [
+                line for line in lg.explain("zzqq").splitlines() if "[plain]" in line
+            ]
+        assert any(": filtered" in line for line in decisions[True])
+        assert decisions[False]
+        assert all(": scan" in line for line in decisions[False])

@@ -17,7 +17,6 @@ from repro.obs import (
     get_tracer,
     render_span_tree,
     set_tracer,
-    stage_totals,
     tracing,
 )
 from tests.conftest import make_mixed_lines
@@ -89,18 +88,6 @@ class TestSpans:
         assert "100." in text  # root is 100% of itself
         assert "command='ERROR'" in text
         assert render_span_tree(None) == "(no spans recorded)"
-
-    def test_stage_totals(self):
-        tracer = Tracer()
-        with tracer.span("query"):
-            with tracer.span("block"):
-                pass
-            with tracer.span("block"):
-                pass
-        totals = stage_totals(tracer.last_root())
-        assert set(totals) == {"query", "block"}
-        assert totals["block"] <= totals["query"]
-        assert stage_totals(None) == {}
 
 
 class TestNullTracer:
@@ -566,30 +553,3 @@ class TestClusterTracing:
         assert root.name == "cluster.compress"
         assert all(c.name == "cluster.ingest_block" for c in root.children)
         assert len(root.children) == len(cluster._placement)
-
-
-class TestBenchIntegration:
-    def test_measurement_records_stage_seconds(self):
-        from repro.bench.runner import measure_system, system_factories
-        from repro.workloads import spec_by_name
-
-        spec = spec_by_name("Apache")
-        lines = spec.generate(300)
-        m = measure_system(spec, lines, system_factories()["LG"])
-        assert m.stage_seconds, "LG measurement should carry a span summary"
-        assert m.stage_seconds["block"] <= m.stage_seconds["query"]
-
-    def test_stage_rows_rendering(self):
-        from repro.bench.report import STAGE_COLUMNS, stage_rows
-        from repro.bench.runner import Measurement
-
-        m = Measurement(
-            dataset="d", system="LG", raw_bytes=1, storage_bytes=1,
-            compression_ratio=1.0, compression_speed_mb_s=1.0,
-            query_latency_s=0.1, hits=0, query="q",
-            stage_seconds={"query": 0.1, "plan": 0.01, "locate": 0.05},
-        )
-        rows = stage_rows([m])
-        assert rows[0][0] == "d"
-        assert len(rows[0]) == 1 + len(STAGE_COLUMNS)
-        assert "10.0 (10%)" in rows[0][1]

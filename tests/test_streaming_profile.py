@@ -1,10 +1,13 @@
-"""Tests for streaming ingestion and the compression profiler."""
+"""Tests for streaming ingestion and the ``w/o real`` encoding ablation."""
+
+from collections import Counter
 
 import pytest
 
+from repro import LogGrep
 from repro.baselines.evalutil import grep_lines
-from repro.bench.profile import profile_compression
 from repro.blockstore.store import MemoryStore
+from repro.capsule.box import CapsuleBox
 from repro.core.config import LogGrepConfig, ablated
 from repro.core.streaming import StreamingCompressor
 from tests.conftest import make_mixed_lines
@@ -27,8 +30,6 @@ class TestStreamingCompressor:
 
     def test_matches_batch_compression(self):
         """Streaming produces exactly the blocks batch compression would."""
-        from repro import LogGrep
-
         lines = make_mixed_lines(600, seed=9)
         batch = LogGrep(store=MemoryStore(), config=CONFIG)
         batch.compress(lines)
@@ -104,30 +105,22 @@ class TestStreamingCompressor:
         assert report.raw_bytes == 0
 
 
-class TestProfiler:
-    def test_stage_breakdown(self):
-        lines = make_mixed_lines(600, seed=7)
-        profile = profile_compression(lines)
-        assert profile.total_seconds > 0
-        assert profile.parse_seconds > 0
-        assert profile.raw_bytes == sum(len(l) + 1 for l in lines)
-        assert 0 < profile.compressed_bytes < profile.raw_bytes
-        assert sum(profile.vectors.values()) > 0
-        assert len(profile.breakdown()) == 6  # parse/classify/3×encode/serialize
+class TestAblatedEncoding:
+    def test_without_real_patterns_no_real_vectors(self):
+        """``w/o real`` stores every would-be real vector as plain."""
 
-    def test_ablation_shifts_stages(self):
-        lines = make_mixed_lines(600, seed=7)
-        full = profile_compression(lines)
-        without_real = profile_compression(lines, ablated("w/o real"))
-        # With real-vector extraction disabled those vectors become plain.
-        assert without_real.vectors["real"] == 0
-        assert without_real.vectors["plain"] >= full.vectors["plain"]
+        def vector_kinds(config):
+            lg = LogGrep(config=config)
+            lg.compress(make_mixed_lines(600, seed=7))
+            return Counter(
+                type(vector).__name__
+                for name in lg.store.names()
+                for group in CapsuleBox.deserialize(lg.store.get(name)).groups
+                for vector in group.vectors
+            )
 
-    def test_profile_size_matches_compressor(self):
-        from repro.blockstore.block import LogBlock
-        from repro.core.compressor import compress_block
-
-        lines = make_mixed_lines(300, seed=8)
-        profile = profile_compression(lines)
-        direct = compress_block(LogBlock(0, 0, lines), LogGrepConfig()).serialize()
-        assert profile.compressed_bytes == len(direct)
+        full = vector_kinds(CONFIG)
+        without_real = vector_kinds(ablated("w/o real", CONFIG))
+        assert full["RealEncodedVector"] > 0
+        assert without_real["RealEncodedVector"] == 0
+        assert without_real["PlainEncodedVector"] > full["PlainEncodedVector"]
