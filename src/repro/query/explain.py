@@ -29,6 +29,7 @@ from ..query.language import QueryCommand
 from ..query.locator import TOO_COMPLEX, locate
 from ..query.modes import MatchMode
 from ..query.plan import OutputMode, QueryPlan, build_plan
+from ..query.stats import CACHE_KINDS
 
 
 @dataclass
@@ -128,7 +129,7 @@ def render_analyze(
     caches = [
         f"{kind}={getattr(ledger, f'{kind}_cache_hits')}"
         f"/{getattr(ledger, f'{kind}_cache_hits') + getattr(ledger, f'{kind}_cache_misses')}"
-        for kind in ("box", "query", "value")
+        for kind in CACHE_KINDS
     ]
     lines.append(f"  cache hits (hit/lookups): {', '.join(caches)}")
     lines.append(f"  decoded values: {ledger.decoded_values}")

@@ -228,7 +228,7 @@ class _OperatorTimer:
 
 
 #: Cache-lookup kinds the ledger distinguishes.
-CACHE_KINDS = ("box", "query", "value")
+CACHE_KINDS = ("box", "query")
 
 #: kind -> (miss attribute, hit attribute); indexed by the hit bool on the
 #: per-lookup charge path, so no f-string formatting per cache access.
@@ -259,8 +259,6 @@ class QueryLedger:
         self.box_cache_misses = 0
         self.query_cache_hits = 0
         self.query_cache_misses = 0
-        self.value_cache_hits = 0
-        self.value_cache_misses = 0
         self.decoded_values = 0
         self.budget = budget
         self._children: List["QueryLedger"] = []
@@ -300,8 +298,6 @@ class QueryLedger:
         self.box_cache_misses += other.box_cache_misses
         self.query_cache_hits += other.query_cache_hits
         self.query_cache_misses += other.query_cache_misses
-        self.value_cache_hits += other.value_cache_hits
-        self.value_cache_misses += other.value_cache_misses
         self.decoded_values += other.decoded_values
 
     # ------------------------------------------------------------------

@@ -4,9 +4,7 @@ A reader answers two questions about one variable vector of one group:
 
 * ``search(fragment, mode)`` — which group rows could contain the
   fragment?  (Locator → stamp filter → fixed-length matching.)
-* ``pieces(rows)`` — the values of those rows as still-padded byte cells
-  (for reconstruction; ``value_at``/``values_list`` decode single values
-  and whole columns for aggregates).
+* ``pieces(rows)`` — the values of those rows as still-padded byte cells.
 
 Readers translate between *capsule row space* (rows stored in a Capsule,
 excluding outliers) and *group row space* (entry rows of the group).
@@ -15,18 +13,19 @@ Candidate filtering runs on payload **bytes**: the scan kernels of
 :mod:`repro.capsule.scan` match fragments directly against the padded
 buffers, dictionary regions are scanned in place with the §5.2
 Σ count·width jump, and index Capsules are compared slot-by-slot as raw
-byte cells.  Only rows that survive
-matching are ever decoded, and those decoded columns are retained in the
-bounded :class:`~repro.query.cache.CapsuleValueCache` so unanchored
-wildcard verification, dictionary reads and aggregates never re-decode
-the same Capsule across queries.  Reconstruction does not go through
-it: it slices cells out of ``Capsule.plain()``, which already stays
-resident with the box.
+byte cells.  Only rows that survive matching are ever decoded, and
+``pieces`` is the one way a reader turns stored bytes into strings:
+``values(rows)`` joins the pieces row-wise and strips the padding in one
+pass (:func:`join_cells`, :func:`decode_rows`), whether the caller is the
+Reconstructor, an aggregate or wildcard verification.  Every cell comes
+out of ``Capsule.cells`` (or ``region_cells``), so a payload whose shape
+disagrees with its metadata raises :class:`FormatError` on every path.
+Nothing decoded outlives the reader, which lives for one block pass.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -44,7 +43,6 @@ from ..capsule.stamp import CapsuleStamp
 from ..common.errors import FormatError
 from ..common.rowset import RowSet
 from ..runtime.pattern import Const, RuntimePattern
-from .cache import get_value_cache
 from .locator import TOO_COMPLEX, Candidate, locate
 from .matcher import search_capsule
 from .modes import MatchMode, value_matches
@@ -94,16 +92,6 @@ def _locate(
             pattern, stamps, fragment, mode, use_stamps=use_stamps
         )
     return candidates
-
-
-def _cached_values(capsule: Capsule) -> List[str]:
-    """Decoded values of *capsule* via the process-wide value cache."""
-    return get_value_cache().get(capsule)
-
-
-def _cached_value_at(capsule: Capsule, row: int) -> str:
-    """One decoded value: cached column when present, O(1) fetch otherwise."""
-    return get_value_cache().value_at(capsule, row)
 
 
 #: One rendering piece of a row group: a constant shared by every row, or
@@ -178,8 +166,63 @@ def _take_cells(
     return cells
 
 
-class RealVectorReader:
+def _row_list(rows: Optional[RowSet]) -> Optional[List[int]]:
+    """*rows* as ascending row numbers, or None when every row is wanted."""
+    return None if rows is None or rows.is_full() else rows.rows()
+
+
+def _literal_runs(keyword) -> List[str]:
+    """The keyword's non-empty literal runs; none under ``-i``, where a
+    case-sensitive byte search could miss a match."""
+    if keyword.ignore_case:
+        return []
+    return [run for run in keyword.literals() if run]
+
+
+class _VectorReader:
+    """What the three readers share: values are decoded from ``pieces``
+    and nowhere else."""
+
+    def __init__(self, encoded, settings: QuerySettings, stats: QueryStats):
+        self.encoded = encoded
+        self.settings = settings
+        self.stats = stats
+        self.num_rows = encoded.num_rows
+
+    def pieces(self, rows: Optional[Sequence[int]] = None) -> List[Piece]:
+        raise NotImplementedError
+
+    def values(self, rows: Optional[Sequence[int]] = None) -> List[str]:
+        """The decoded values of *rows* (ascending group rows; every row
+        when None), in row order."""
+        num_rows = self.num_rows if rows is None else len(rows)
+        return decode_rows(join_cells(self.pieces(rows), num_rows))
+
+    def value_counts(self, rows: Optional[RowSet] = None) -> "Counter[str]":
+        """value → occurrences among *rows* (all rows when None).
+
+        Real and plain vectors have no dictionary, so counting decodes
+        every wanted row — the documented slow path of the Aggregate
+        operator (its fast path is nominal index-cell counting).
+        """
+        return Counter(self.values(_row_list(rows)))
+
+    def _verify(self, regex, rows: Optional[Sequence[int]]) -> RowSet:
+        """The rows of *rows* (every row when None) whose decoded value
+        the wildcard *regex* finds a match in."""
+        result = RowSet.empty(self.num_rows)
+        wanted = range(self.num_rows) if rows is None else rows
+        values = self.values(rows)
+        result.add_rows(
+            [row for row, value in zip(wanted, values) if regex.search(value)]
+        )
+        return result
+
+
+class RealVectorReader(_VectorReader):
     """Reader over a real variable vector (sub-variable Capsules)."""
+
+    encoded: RealEncodedVector
 
     def __init__(
         self,
@@ -187,10 +230,7 @@ class RealVectorReader:
         settings: QuerySettings,
         stats: QueryStats,
     ):
-        self.encoded = encoded
-        self.settings = settings
-        self.stats = stats
-        self.num_rows = encoded.num_rows
+        super().__init__(encoded, settings, stats)
         self._stamps: List[CapsuleStamp] = [
             capsule.stamp for capsule in encoded.subvar_capsules
         ]
@@ -272,25 +312,16 @@ class RealVectorReader:
         result.add_rows([mapping[crow] for crow in capsule_rows.rows()])
 
     def _scan_matched(self, fragment: str, mode: MatchMode, result: RowSet) -> None:
-        """Correct-but-slow fallback: reconstruct and test every value.
-
-        Values are rendered and matched as raw bytes — no UTF-8 decode,
-        no string materialization beyond one ``bytes`` join per row.
-        """
-        encoded = self.encoded
-        for capsule in encoded.subvar_capsules:
-            touch_capsule(capsule, self.stats)
+        """Correct-but-slow fallback: decode every pattern-matched row
+        and test it."""
         mapping = self._matched_rows()
-        columns = [capsule.values_bytes() for capsule in encoded.subvar_capsules]
-        needle = fragment.encode("utf-8")
-        values = join_cells(
-            _pattern_pieces(encoded.pattern, columns), self._num_matched
-        )
+        pieces = self._matched_pieces(None)
+        values = decode_rows(join_cells(pieces, self._num_matched))
         result.add_rows(
             [
                 mapping[crow]
                 for crow, value in enumerate(values)
-                if value_matches(value, needle, mode)
+                if value_matches(value, fragment, mode)
             ]
         )
 
@@ -310,53 +341,23 @@ class RealVectorReader:
     def search_wildcard(self, keyword, mode: MatchMode) -> RowSet:
         """Wildcard search: literal runs narrow the candidate rows through
         the normal pattern/stamp machinery (byte-level), then only those
-        rows are decoded and regex-verified — the structured analogue of
-        index-assisted wildcard matching."""
-        result = RowSet.empty(self.num_rows)
-        encoded = self.encoded
-        regex = keyword.regex_for(mode)
+        rows — and every outlier, which escaped the pattern — are decoded
+        and regex-verified: the structured analogue of index-assisted
+        wildcard matching."""
         candidates = self._wildcard_candidates(keyword)
-        if candidates is None:
-            # No usable literal run: verify every matched row.
-            if self._num_matched:
-                mapping = self._matched_rows()
-                result.add_rows(
-                    [
-                        mapping[crow]
-                        for crow, value in enumerate(self._matched_values())
-                        if regex.search(value)
-                    ]
-                )
-        elif candidates:
-            # One row-subset fetch: only the candidates' cells are sliced
-            # and decoded, once.
+        rows: Optional[List[int]] = None  # no usable literal run: every row
+        if candidates is not None:
+            candidates.add_rows(self.encoded.outlier_rows)
             rows = candidates.rows()
-            values = decode_rows(join_cells(self.pieces(rows), len(rows)))
-            result.add_rows(
-                [row for row, value in zip(rows, values) if regex.search(value)]
-            )
-        if encoded.outlier_capsule is not None:
-            touch_capsule(encoded.outlier_capsule, self.stats)
-            outliers = _cached_values(encoded.outlier_capsule)
-            result.add_rows(
-                [
-                    encoded.outlier_rows[orow]
-                    for orow, value in enumerate(outliers)
-                    if regex.search(value)
-                ]
-            )
-        return result
+        return self._verify(keyword.regex_for(mode), rows)
 
     def _wildcard_candidates(self, keyword) -> Optional[RowSet]:
-        """Rows that contain every (case-sensitive) literal run of the
-        keyword; None when no run is checkable."""
-        literals = [run for run in keyword.literals() if run] if not getattr(
-            keyword, "ignore_case", False
-        ) else []
+        """Pattern-matched rows that contain every (case-sensitive)
+        literal run of the keyword; None when no run is checkable."""
+        literals = _literal_runs(keyword)
         if not literals:
             return None
         candidates: Optional[RowSet] = None
-        result_space = RowSet.empty(self.num_rows)
         for run in literals:
             rows = RowSet.empty(self.num_rows)
             self._search_matched(run, MatchMode.SUBSTRING, rows)
@@ -365,18 +366,8 @@ class RealVectorReader:
                 self.stats.capsules_filtered += len(
                     self.encoded.subvar_capsules
                 )
-                return result_space
+                break
         return candidates
-
-    def _matched_values(self) -> List[str]:
-        encoded = self.encoded
-        for capsule in encoded.subvar_capsules:
-            touch_capsule(capsule, self.stats)
-        columns = [_cached_values(capsule) for capsule in encoded.subvar_capsules]
-        render = encoded.pattern.render
-        if not columns:
-            return [render(())] * self._num_matched
-        return [render(parts) for parts in zip(*columns)]
 
     # ------------------------------------------------------------------
     def pieces(self, rows: Optional[Sequence[int]] = None) -> List[Piece]:
@@ -421,64 +412,11 @@ class RealVectorReader:
         ]
         return _pattern_pieces(encoded.pattern, columns)
 
-    # ------------------------------------------------------------------
-    def value_at(self, row: int) -> str:
-        encoded = self.encoded
-        if row in self._outlier_set:
-            pos = bisect_left(encoded.outlier_rows, row)
-            return _cached_value_at(encoded.outlier_capsule, pos)
-        crow = row - bisect_left(encoded.outlier_rows, row)
-        subvalues = [
-            _cached_value_at(capsule, crow) for capsule in encoded.subvar_capsules
-        ]
-        return encoded.pattern.render(subvalues)
 
-    def value_counts(self, rows: Optional[RowSet] = None) -> "Counter[str]":
-        """value → occurrences among *rows* (all rows when None).
-
-        Real vectors have no dictionary, so counting renders each row's
-        sub-variable parts — this is the documented slow path of the
-        Aggregate operator (its fast path is nominal index-cell
-        counting).
-        """
-        if rows is None or rows.is_full():
-            return Counter(self.values_list())
-        return Counter(self.value_at(row) for row in rows)
-
-    def values_list(self) -> List[str]:
-        """Every value of the vector, decoded in bulk.
-
-        Reconstruction of many rows amortizes one ``values()`` pass per
-        Capsule instead of per-row fetches, and the decoded columns stay
-        in the value cache for subsequent queries.
-        """
-        encoded = self.encoded
-        for capsule in encoded.subvar_capsules:
-            touch_capsule(capsule, self.stats)
-        columns = [_cached_values(capsule) for capsule in encoded.subvar_capsules]
-        render = encoded.pattern.render
-        matched = iter(zip(*columns)) if columns else iter(())
-        if not self._outlier_set:
-            if not columns:
-                constant = render(())
-                return [constant] * self.num_rows
-            return [render(parts) for parts in matched]
-        outliers = _cached_values(encoded.outlier_capsule)
-        out: List[str] = []
-        opos = 0
-        for row in range(self.num_rows):
-            if row in self._outlier_set:
-                out.append(outliers[opos])
-                opos += 1
-            elif columns:
-                out.append(render(next(matched)))
-            else:
-                out.append(render(()))
-        return out
-
-
-class NominalVectorReader:
+class NominalVectorReader(_VectorReader):
     """Reader over a nominal variable vector (dictionary + index)."""
+
+    encoded: NominalEncodedVector
 
     def __init__(
         self,
@@ -486,12 +424,10 @@ class NominalVectorReader:
         settings: QuerySettings,
         stats: QueryStats,
     ):
-        self.encoded = encoded
-        self.settings = settings
-        self.stats = stats
-        self.num_rows = encoded.num_rows
+        super().__init__(encoded, settings, stats)
         self._region_slots: List[int] = []  # first slot of each pattern region
         self._table: Optional[Dict[bytes, bytes]] = None  # see _cell_table
+        self._dictionary: Optional[List[str]] = None  # see _decoded_dictionary
         self._stamps: Optional[List[Tuple[CapsuleStamp, ...]]] = None  # per pattern
         slot = 0
         for dp in encoded.dict_patterns:
@@ -511,47 +447,12 @@ class NominalVectorReader:
             ]
         return self._stamps
 
-    def _decode_dict(self) -> List[str]:
-        """Decode the whole dictionary (region metadata aware)."""
-        encoded = self.encoded
-        if encoded.dict_capsule.layout != LAYOUT_REGION:
-            return encoded.dict_capsule.values()
-        values: List[str] = []
-        byte = 0
-        for dp in encoded.dict_patterns:
-            for _ in range(dp.count):
-                values.append(encoded.dict_capsule.region_value(byte, dp.width))
-                byte += dp.width
-        return values
-
-    def _dict_values(self) -> List[str]:
-        """The decoded dictionary, via the bounded CapsuleValueCache.
-
-        This generalizes the per-reader dictionary memo that used to live
-        here: the cache is shared across readers and queries and its
-        entries die with the Capsule (BoxCache eviction).
-        """
-        encoded = self.encoded
-        touch_capsule(encoded.dict_capsule, self.stats)
-        return get_value_cache().get(encoded.dict_capsule, self._decode_dict)
-
-    def _region_values(self, pattern_idx: int) -> List[str]:
-        """Values of one pattern's region — a direct Σ count·width jump."""
-        encoded = self.encoded
-        dp = encoded.dict_patterns[pattern_idx]
-        start = self._region_slots[pattern_idx]
-        if encoded.dict_capsule.layout != LAYOUT_REGION:
-            return self._dict_values()[start : start + dp.count]
-        cached = get_value_cache().peek(encoded.dict_capsule)
-        if cached is not None:
-            return cached[start : start + dp.count]
-        touch_capsule(encoded.dict_capsule, self.stats)
-        byte = encoded.region_start_byte(pattern_idx)
-        out = []
-        for _ in range(dp.count):
-            out.append(encoded.dict_capsule.region_value(byte, dp.width))
-            byte += dp.width
-        return out
+    def _decoded_dictionary(self) -> List[str]:
+        """Every dictionary value in slot order, decoded once per reader
+        from the cells of :meth:`_cell_table`."""
+        if self._dictionary is None:
+            self._dictionary = decode_rows(list(self._cell_table().values()))
+        return self._dictionary
 
     # ------------------------------------------------------------------
     def matching_slots(self, fragment: str, mode: MatchMode) -> List[int]:
@@ -587,7 +488,8 @@ class NominalVectorReader:
                 ):
                     slots.append(base + local)
                 continue
-            for local, value in enumerate(self._region_values(pattern_idx)):
+            region = self._decoded_dictionary()[base : base + dp.count]
+            for local, value in enumerate(region):
                 if value_matches(value, fragment, mode):
                     slots.append(base + local)
         return slots
@@ -600,7 +502,7 @@ class NominalVectorReader:
         regex = keyword.regex_for(mode)
         slots = [
             slot
-            for slot, value in enumerate(self._dict_values())
+            for slot, value in enumerate(self._decoded_dictionary())
             if regex.search(value)
         ]
         return self._rows_for_slots(slots)
@@ -661,80 +563,34 @@ class NominalVectorReader:
         on raw index cells — the §2 "dictionary is the group-by index"
         fast path.
 
-        The index Capsule is tallied cell-by-cell on its raw payload (no
-        per-row value is ever decoded), then only the dictionary slots
-        that actually occur are resolved to their values — for a region
-        dictionary via direct Σ count·width jumps, so payload decoding is
-        proportional to the number of *distinct* values, not rows.
+        The index cells are tallied as raw bytes — charged as rows
+        scanned, since no per-row value is ever decoded — then only the
+        dictionary cells of the slots that actually occur are decoded, so
+        decoding is proportional to the number of *distinct* values, not
+        rows.
         """
-        encoded = self.encoded
-        capsule = encoded.index_capsule
+        capsule = self.encoded.index_capsule
         touch_capsule(capsule, self.stats)
-        width = encoded.index_width
-        buf = capsule.plain()
-        cell_counts: "Counter[bytes]" = Counter()
-        if capsule.layout == LAYOUT_FIXED and width > 0:
-            if rows is None or rows.is_full():
-                cell_counts.update(
-                    buf[i : i + width]
-                    for i in range(0, self.num_rows * width, width)
-                )
-            else:
-                cell_counts.update(
-                    buf[row * width : (row + 1) * width] for row in rows
-                )
-        else:
-            # Variable-layout index (w/o-fixed ablation): slice raw cells
-            # at the separator offsets, still without decoding.
-            offsets = capsule._variable_offsets()
-            n = capsule.count
-
-            def cell(row: int) -> bytes:
-                end = offsets[row + 1] - 1 if row + 1 < n else len(buf)
-                return buf[offsets[row] : end]
-
-            iter_rows: Sequence[int] = (
-                range(n) if rows is None or rows.is_full() else list(rows)
-            )
-            cell_counts.update(cell(row) for row in iter_rows)
-        counted = sum(cell_counts.values())
-        ledger_channel.charge_rows_scanned(counted)
+        cells = capsule.cells(_row_list(rows))
+        ledger_channel.charge_rows_scanned(len(cells))
+        cell_counts = Counter(cells)
+        values = decode_rows(self._dictionary_cells(cell_counts))
         out: "Counter[str]" = Counter()
-        cached_dict = get_value_cache().peek(encoded.dict_capsule)
-        for cell_bytes, n in cell_counts.items():
-            slot = int(cell_bytes)
-            value = (
-                cached_dict[slot]
-                if cached_dict is not None
-                else self._slot_value(slot)
-            )
+        for value, n in zip(values, cell_counts.values()):
             out[value] += n
         return out
-
-    def _slot_value(self, slot: int) -> str:
-        """Decode one dictionary slot without decoding the whole dict.
-
-        Region dictionaries jump straight to the slot's fixed-width cell
-        (§5.2); other layouts go through the value cache.
-        """
-        encoded = self.encoded
-        if encoded.dict_capsule.layout != LAYOUT_REGION:
-            touch_capsule(encoded.dict_capsule, self.stats)
-            return _cached_value_at(encoded.dict_capsule, slot)
-        pattern_idx = bisect_right(self._region_slots, slot) - 1
-        dp = encoded.dict_patterns[pattern_idx]
-        local = slot - self._region_slots[pattern_idx]
-        touch_capsule(encoded.dict_capsule, self.stats)
-        byte = encoded.region_start_byte(pattern_idx) + local * dp.width
-        return encoded.dict_capsule.region_value(byte, dp.width)
 
     def pieces(self, rows: Optional[Sequence[int]] = None) -> List[Piece]:
         """The values of *rows* (every row when None) as one column of
         padded dictionary cells, mapped from the raw index cells."""
-        table = self._cell_table()
         cells = _take_cells(self.encoded.index_capsule, rows, self.stats)
+        return [self._dictionary_cells(cells)]
+
+    def _dictionary_cells(self, index_cells: Iterable[bytes]) -> List[bytes]:
+        """The padded dictionary cell each raw index cell names."""
+        table = self._cell_table()
         try:
-            return [list(map(table.__getitem__, cells))]
+            return list(map(table.__getitem__, index_cells))
         except KeyError as exc:
             raise FormatError(
                 f"index cell {exc.args[0]!r} names no dictionary slot"
@@ -761,36 +617,11 @@ class NominalVectorReader:
             }
         return self._table
 
-    def value_at(self, row: int) -> str:
-        encoded = self.encoded
-        touch_capsule(encoded.index_capsule, self.stats)
-        slot = int(_cached_value_at(encoded.index_capsule, row))
-        return self._dict_values()[slot]
 
-    def values_list(self) -> List[str]:
-        """Bulk decode: one dictionary pass + one index pass."""
-        encoded = self.encoded
-        touch_capsule(encoded.index_capsule, self.stats)
-        dictionary = self._dict_values()
-        return [
-            dictionary[int(text)]
-            for text in _cached_values(encoded.index_capsule)
-        ]
-
-
-class PlainVectorReader:
+class PlainVectorReader(_VectorReader):
     """Reader over a whole-vector Capsule (§2.2's first attempt)."""
 
-    def __init__(
-        self,
-        encoded: PlainEncodedVector,
-        settings: QuerySettings,
-        stats: QueryStats,
-    ):
-        self.encoded = encoded
-        self.settings = settings
-        self.stats = stats
-        self.num_rows = encoded.num_rows
+    encoded: PlainEncodedVector
 
     def search(self, fragment: str, mode: MatchMode) -> RowSet:
         capsule = self.encoded.capsule
@@ -803,63 +634,27 @@ class PlainVectorReader:
 
     def search_wildcard(self, keyword, mode: MatchMode) -> RowSet:
         capsule = self.encoded.capsule
-        regex = keyword.regex_for(mode)
-        result = RowSet.empty(self.num_rows)
-        literals = (
-            [run for run in keyword.literals() if run]
-            if not keyword.ignore_case
-            else []
-        )
+        literals = _literal_runs(keyword)
         if literals and self.settings.use_stamps:
             if any(not capsule.stamp.admits(run) for run in literals):
                 self.stats.capsules_filtered += 1
-                return result
-        touch_capsule(capsule, self.stats)
+                return RowSet.empty(self.num_rows)
+        rows: Optional[List[int]] = None  # no literal run: every row
         if literals:
             # Narrow with the literal runs, verify only candidate rows.
+            touch_capsule(capsule, self.stats)
             candidates: Optional[RowSet] = None
             for run in literals:
-                rows = search_capsule(capsule, run, MatchMode.SUBSTRING)
-                candidates = rows if candidates is None else candidates & rows
+                found = search_capsule(capsule, run, MatchMode.SUBSTRING)
+                candidates = found if candidates is None else candidates & found
                 if not candidates:
-                    return result
-            result.add_rows(
-                [
-                    row
-                    for row in candidates.rows()
-                    if regex.search(_cached_value_at(capsule, row))
-                ]
-            )
-            return result
-        result.add_rows(
-            [
-                row
-                for row, value in enumerate(_cached_values(capsule))
-                if regex.search(value)
-            ]
-        )
-        return result
+                    return candidates
+            rows = candidates.rows()
+        return self._verify(keyword.regex_for(mode), rows)
 
     def pieces(self, rows: Optional[Sequence[int]] = None) -> List[Piece]:
         """The values of *rows* (every row when None): one padded column."""
         return [_take_cells(self.encoded.capsule, rows, self.stats)]
-
-    def value_at(self, row: int) -> str:
-        return _cached_value_at(self.encoded.capsule, row)
-
-    def values_list(self) -> List[str]:
-        touch_capsule(self.encoded.capsule, self.stats)
-        return _cached_values(self.encoded.capsule)
-
-    def value_counts(self, rows: Optional[RowSet] = None) -> "Counter[str]":
-        """value → occurrences among *rows* (all rows when None).
-
-        Plain vectors store the column verbatim, so counting decodes it
-        (once, via the value cache) — no index cells to exploit.
-        """
-        if rows is None or rows.is_full():
-            return Counter(self.values_list())
-        return Counter(self.value_at(row) for row in rows)
 
 
 def make_reader(encoded, settings: QuerySettings, stats: QueryStats):

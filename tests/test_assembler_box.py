@@ -30,7 +30,7 @@ from tests.conftest import make_mixed_lines
 def decode_all(encoded):
     """Reconstruct every value of an encoded vector via a reader."""
     reader = make_reader(encoded, QuerySettings(), QueryStats())
-    return [reader.value_at(row) for row in range(encoded.num_rows)]
+    return reader.values()
 
 
 class TestEncodeReal:

@@ -17,6 +17,7 @@ from repro.capsule.capsule import (
     ZLIB_MARGIN,
     ZLIB_ONLY_BELOW,
     Capsule,
+    LAYOUT_FIXED,
     LAYOUT_VARIABLE,
     _choose_codec,
     _lzma_compress,
@@ -102,7 +103,7 @@ class TestFixedCapsule:
         values = ["1", "8", "2", "longer"]
         capsule = Capsule.pack_fixed(values)
         assert capsule.values() == values
-        assert [capsule.value_at(i) for i in range(4)] == values
+        assert capsule.cells([3, 0]) == [b"longer", b"1\x00\x00\x00\x00\x00"]
         assert capsule.width == 6
         assert capsule.count == 4
 
@@ -123,10 +124,10 @@ class TestFixedCapsule:
 
     def test_value_at_out_of_range(self):
         capsule = Capsule.pack_fixed(["a"])
-        with pytest.raises(IndexError):
-            capsule.value_at(1)
-        with pytest.raises(IndexError):
-            capsule.value_at(-1)
+        with pytest.raises(FormatError):
+            capsule.cells([1])
+        with pytest.raises(FormatError):
+            capsule.cells([-1])
 
     def test_nul_rejected(self):
         with pytest.raises(CompressionError):
@@ -152,7 +153,7 @@ class TestVariableCapsule:
         capsule = Capsule.pack_variable(values)
         assert capsule.layout == LAYOUT_VARIABLE
         assert capsule.values() == values
-        assert [capsule.value_at(i) for i in range(4)] == values
+        assert capsule.cells([1, 3]) == [b"", b"cc"]
 
     def test_empty(self):
         assert Capsule.pack_variable([]).values() == []
@@ -169,9 +170,9 @@ class TestRegionCapsule:
         capsule = Capsule.pack_regions(
             [["ERR#404", "ERR#501"], ["SUCC"]], widths=[7, 4]
         )
-        assert capsule.region_value(0, 7) == "ERR#404"
-        assert capsule.region_value(7, 7) == "ERR#501"
-        assert capsule.region_value(14, 4) == "SUCC"
+        assert capsule.region_cells([(2, 7), (1, 4)]) == [
+            b"ERR#404", b"ERR#501", b"SUCC"
+        ]
         assert capsule.count == 3
 
     def test_value_longer_than_width_rejected(self):
@@ -180,8 +181,7 @@ class TestRegionCapsule:
 
     def test_padding_within_region(self):
         capsule = Capsule.pack_regions([["ab", "c"]], widths=[4])
-        assert capsule.region_value(0, 4) == "ab"
-        assert capsule.region_value(4, 4) == "c"
+        assert capsule.region_cells([(2, 4)]) == [b"ab\x00\x00", b"c\x00\x00\x00"]
 
 
     def test_multibyte_value_wider_than_region_rejected(self):
@@ -196,12 +196,12 @@ class TestRegionCapsule:
         ]
         capsule = Capsule.pack_regions(regions, widths)
         assert capsule.count == sum(map(len, regions))
-        offset = 0
-        for region, width in zip(regions, widths):
-            for value in region:
-                assert capsule.region_value(offset, width) == value
-                offset += width
-        assert len(capsule.plain()) == offset
+        cells = capsule.region_cells(
+            [(len(region), width) for region, width in zip(regions, widths)]
+        )
+        assert [cell.rstrip(b"\x00").decode() for cell in cells] == [
+            value for region in regions for value in region
+        ]
 
 
 class TestEmbeddedNul:
@@ -381,7 +381,8 @@ class TestSpeedTierCodec:
     def test_region_speed_tier_roundtrip(self):
         values = self._zlib_wins_values()
         capsule = Capsule.pack_regions([values], widths=[12], speed_tier=True)
-        assert [capsule.region_value(i * 12, 12) for i in range(len(values))] == values
+        cells = capsule.region_cells([(len(values), 12)])
+        assert [cell.rstrip(b"\x00").decode() for cell in cells] == values
 
 
 class TestVariablePayloadValidation:
@@ -395,7 +396,7 @@ class TestVariablePayloadValidation:
         with pytest.raises(FormatError, match="expected 3"):
             truncated.values()
         with pytest.raises(FormatError, match="expected 3"):
-            truncated.values_bytes()
+            truncated.cells([0])
 
     def test_extra_separator_rejected(self):
         capsule = Capsule.pack_variable(["a", "b"])
@@ -408,5 +409,18 @@ class TestVariablePayloadValidation:
 
     def test_values_bytes_matches_values(self):
         values = ["alpha", "", "b", "cc"]
-        for capsule in (Capsule.pack_fixed(values), Capsule.pack_variable(values)):
-            assert [b.decode() for b in capsule.values_bytes()] == values
+        assert Capsule.pack_variable(values).cells() == [v.encode() for v in values]
+        assert Capsule.pack_fixed(values).cells() == [
+            v.encode().ljust(5, b"\x00") for v in values
+        ]
+
+
+class TestFixedPayloadValidation:
+    def test_long_payload_rejected(self):
+        # A payload longer than count x width must not be truncated.
+        capsule = Capsule.pack_fixed(["ab", "cd", "ef"])
+        short = Capsule(
+            LAYOUT_FIXED, capsule.width, 2, capsule.stamp, CODEC_RAW, 1, capsule.plain()
+        )
+        with pytest.raises(FormatError, match="expected 2 x 2"):
+            short.values()

@@ -145,101 +145,3 @@ class TestQueryCache:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             QueryCache(capacity=0)
-
-
-class TestCapsuleValueCache:
-    def _capsule(self, values):
-        from repro.capsule.capsule import Capsule
-
-        return Capsule.pack_fixed(values)
-
-    def test_decode_happens_once(self):
-        from repro.query.cache import CapsuleValueCache
-
-        cache = CapsuleValueCache(capacity_values=100)
-        capsule = self._capsule(["a", "bb", "ccc"])
-        calls = []
-
-        def loader():
-            calls.append(1)
-            return capsule.values()
-
-        assert cache.get(capsule, loader) == ["a", "bb", "ccc"]
-        assert cache.get(capsule, loader) == ["a", "bb", "ccc"]
-        assert len(calls) == 1
-
-    def test_value_at_uses_cached_column(self):
-        from repro.query.cache import CapsuleValueCache
-
-        cache = CapsuleValueCache(capacity_values=100)
-        capsule = self._capsule(["x", "y"])
-        assert cache.value_at(capsule, 1) == "y"  # no column cached yet
-        cache.get(capsule)
-        assert cache.value_at(capsule, 0) == "x"
-
-    def test_capacity_counts_values_not_entries(self):
-        from repro.query.cache import CapsuleValueCache
-
-        cache = CapsuleValueCache(capacity_values=5)
-        big = self._capsule(["v"] * 4)
-        small = self._capsule(["w"] * 2)
-        cache.get(big)
-        cache.get(small)  # 4 + 2 > 5 → big (LRU) must go
-        assert cache.peek(big) is None
-        assert cache.peek(small) is not None
-        assert cache.cached_values == 2
-
-    def test_oversized_column_not_cached(self):
-        from repro.query.cache import CapsuleValueCache
-
-        cache = CapsuleValueCache(capacity_values=3)
-        capsule = self._capsule(["v"] * 10)
-        assert cache.get(capsule) == ["v"] * 10
-        assert len(cache) == 0
-
-    def test_entry_dies_with_capsule(self):
-        import gc
-
-        from repro.query.cache import CapsuleValueCache
-
-        cache = CapsuleValueCache(capacity_values=100)
-        capsule = self._capsule(["a", "b"])
-        cache.get(capsule)
-        assert len(cache) == 1
-        del capsule
-        gc.collect()
-        assert len(cache) == 0
-        assert cache.cached_values == 0
-
-    def test_capacity_validation(self):
-        from repro.query.cache import CapsuleValueCache
-
-        with pytest.raises(ValueError):
-            CapsuleValueCache(capacity_values=0)
-
-    def test_discard_reentrant_while_lock_held(self):
-        """_discard is a weakref.finalize callback, so the GC can run it
-        on the SAME thread while _store holds the cache lock (any
-        allocation in the critical section may trigger a collection).
-        With a non-reentrant lock that self-deadlocks; this pins the
-        reentrant behavior without depending on GC timing."""
-        import threading
-
-        from repro.query.cache import CapsuleValueCache
-
-        cache = CapsuleValueCache(capacity_values=10)
-        capsule = self._capsule(["a", "b"])
-        cache.get(capsule)
-
-        done = threading.Event()
-
-        def reenter():
-            with cache._lock:  # what _store holds when GC fires
-                cache._discard(id(capsule))
-            done.set()
-
-        worker = threading.Thread(target=reenter, daemon=True)
-        worker.start()
-        worker.join(timeout=5)
-        assert done.is_set(), "ValueCache._discard deadlocked under its own lock"
-        assert cache.peek(capsule) is None

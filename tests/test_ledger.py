@@ -100,11 +100,14 @@ class TestQueryLedger:
         ledger = QueryLedger(BudgetMeter(max_read_bytes=100))
         with ledger.operator("locate"):
             ledger_channel.charge_read(60)
-        ledger.charge_cache("value", True)
+        ledger.charge_cache("box", True)
         doc = ledger.as_dict()
         assert doc["operators"]["locate"]["read_bytes"] == 60
         assert doc["totals"]["read_bytes"] == 60
-        assert doc["caches"]["value"] == {"hits": 1, "misses": 0}
+        assert doc["caches"] == {
+            "box": {"hits": 1, "misses": 0},
+            "query": {"hits": 0, "misses": 0},
+        }
         assert doc["budget"]["max_read_bytes"] == 100
         assert doc["budget"]["read_bytes"] == 60
         json.dumps(doc)  # must be JSON-serializable as-is

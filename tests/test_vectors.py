@@ -1,14 +1,27 @@
 """Tests for the query-time vector readers (§5.1-§5.2)."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.capsule.assembler import EncodingOptions, encode_plain, encode_vector
+from repro.capsule.assembler import (
+    EncodingOptions,
+    PlainEncodedVector,
+    RealEncodedVector,
+    encode_plain,
+    encode_vector,
+)
+from repro.capsule.capsule import CODEC_RAW, LAYOUT_VARIABLE, Capsule
+from repro.common.errors import FormatError
+from repro.common.rowset import RowSet
 from repro.query.language import Keyword
 from repro.query.modes import MatchMode, value_matches
 from repro.query.stats import QueryStats
 from repro.query.vectors import QuerySettings, make_reader
+from repro.runtime.classify import VectorKind
+from repro.runtime.pattern import Const, RuntimePattern, SubVar
 
 ALL_MODES = list(MatchMode)
 
@@ -51,8 +64,9 @@ class TestRealReader:
 
     def test_value_at_and_values_list(self):
         reader = reader_for(OUTLIER_VALUES, sample_rate=1.0)
-        assert [reader.value_at(i) for i in range(len(OUTLIER_VALUES))] == OUTLIER_VALUES
-        assert reader.values_list() == OUTLIER_VALUES
+        # One row at a time, and the whole column at once.
+        assert [reader.values([i])[0] for i in range(len(OUTLIER_VALUES))] == OUTLIER_VALUES
+        assert reader.values() == OUTLIER_VALUES
 
     def test_stamp_filtering_avoids_decompression(self):
         stats = QueryStats()
@@ -129,8 +143,9 @@ class TestNominalReader:
 
     def test_value_at_and_values_list(self):
         reader = reader_for(NOMINAL_VALUES)
-        assert [reader.value_at(i) for i in range(len(NOMINAL_VALUES))] == NOMINAL_VALUES
-        assert reader.values_list() == NOMINAL_VALUES
+        # One row at a time, and the whole column at once.
+        assert [reader.values([i])[0] for i in range(len(NOMINAL_VALUES))] == NOMINAL_VALUES
+        assert reader.values() == NOMINAL_VALUES
 
     def test_wildcard(self):
         reader = reader_for(NOMINAL_VALUES)
@@ -235,6 +250,71 @@ class TestBudgetFallback:
         got = set(reader.search("a-b", MatchMode.PREFIX).rows())
         assert stats.fallback_scans == 0
         assert got == naive(values, "a-b", MatchMode.PREFIX)
+
+
+#: ``blk_<a>_<b>``: values that do not fit it are stored as outliers.
+BLK = RuntimePattern([Const("blk_"), SubVar(0), Const("_"), SubVar(1)])
+
+
+@st.composite
+def encoded_vectors(draw):
+    """(encoded vector, its values): real with outliers, nominal (region
+    dictionary when padded, variable when not) or plain, padded or not."""
+    padded = draw(st.booleans())
+    kind = draw(st.sampled_from(["real", "nominal", "plain"]))
+    part = st.text(alphabet="ab#é0123456789", max_size=5)
+    options = EncodingOptions(use_padding=padded)
+    if kind == "nominal":
+        words = st.sampled_from(["OK", "ERR#1", "ERR#22", "a/b/c", ""])
+        values = draw(st.lists(words, max_size=40))
+        return encode_vector(values, options, kind=VectorKind.NOMINAL), values
+    if kind == "plain":
+        values = draw(st.lists(part, max_size=40))
+        return encode_plain(values, options), values
+    blk = st.builds("blk_{}_{}".format, part, part)
+    values = draw(st.lists(st.one_of(blk, part), max_size=40))
+    pack = Capsule.pack_fixed if padded else Capsule.pack_variable
+    columns, outlier_rows, outliers = BLK.split(values)
+    encoded = RealEncodedVector(
+        BLK,
+        [pack(column) for column in columns],
+        pack(outliers) if outliers else None,
+        outlier_rows,
+        len(values),
+    )
+    return encoded, values
+
+
+class TestRowSubsetDecoding:
+    """Every encoding decodes any ascending row subset to the raw values
+    at those rows, and counts them to the same multiset."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(encoded_vectors(), st.data())
+    def test_values_and_counts_of_any_subset(self, vector, data):
+        encoded, values = vector
+        indices = st.sampled_from(range(len(values))) if values else st.nothing()
+        rows = sorted(data.draw(st.sets(indices)))
+        reader = make_reader(encoded, QuerySettings(), QueryStats())
+        assert reader.values() == values
+        assert reader.values(rows) == [values[row] for row in rows]
+        assert reader.value_counts(RowSet.from_rows(len(values), rows)) == Counter(
+            values[row] for row in rows
+        )
+
+
+class TestPayloadShape:
+    def test_plain_counts_reject_a_value_behind_the_count(self):
+        # Three values under metadata that says two: the second row must
+        # not decode as the run-on 'b\x00c'.
+        packed = Capsule.pack_variable(["a", "b", "c"])
+        short = Capsule(
+            LAYOUT_VARIABLE, 0, 2, packed.stamp, CODEC_RAW, 1, packed.plain()
+        )
+        encoded = PlainEncodedVector(short, 2)
+        reader = make_reader(encoded, QuerySettings(), QueryStats())
+        with pytest.raises(FormatError, match="expected 2"):
+            reader.value_counts(RowSet.from_rows(2, [1]))
 
 
 class TestReaderFactory:
