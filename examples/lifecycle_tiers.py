@@ -1,20 +1,28 @@
-"""The log lifecycle (§1): near-line LogGrep → offline archive.
+"""The log lifecycle (§1): near-line LogGrep → offline (cold) tier.
 
 Shows the near-line/offline trade-off end-to-end: compress a dataset into
-the near-line tier, age it into the offline tier (merged blocks, maximum
-LZMA), and use Equation 1 to decide whether the rewrite pays off.
+the near-line tier, cold-demote a copy of it into the offline tier
+(merged blocks, maximum LZMA), and use Equation 1 to decide whether the
+rewrite pays off.
 
 Run with::
 
     python examples/lifecycle_tiers.py
+
+Exits non-zero when the cold archive's grep differs from grep over the
+raw lines.
 """
 
+import sys
+
 from repro import LogGrep, LogGrepConfig
-from repro.core.lifecycle import archive_offline, transition_analysis
+from repro.baselines.evalutil import grep_lines
+from repro.blockstore.store import MemoryStore
+from repro.core.lifecycle import LifecycleManager, Tier, transition_analysis
 from repro.workloads import spec_by_name
 
 
-def main() -> None:
+def main() -> int:
     spec = spec_by_name("Log H")
     lines = spec.generate(15000)
 
@@ -27,19 +35,28 @@ def main() -> None:
     result = nearline.grep(spec.query)
     print(f"  query latency: {result.elapsed * 1000:.1f} ms ({result.count} hits)")
 
-    offline, off = archive_offline(nearline)
+    # Demote a copy, so the near-line archive stays as it was.
+    store = MemoryStore()
+    for name in nearline.store.names():
+        store.put(name, nearline.store.get(name))
+    manager = LifecycleManager(store, nearline.config)
+    cold = manager.demote(Tier.COLD)
+    offline = manager.open_reader()
     print(
-        f"\noffline tier:   {off.offline_blocks} block(s) "
-        f"(merged from {off.nearline_blocks}), "
-        f"{off.ratio_gain:.2f}x smaller than near-line"
+        f"\noffline tier:   {cold.blocks_after} block(s) "
+        f"(merged from {cold.blocks_before}), "
+        f"{cold.ratio_gain:.2f}x smaller than near-line"
     )
     result = offline.grep(spec.query)
-    print(f"  query latency: {result.elapsed * 1000:.1f} ms (still queryable)")
+    expected = grep_lines(spec.query, lines)
+    print(
+        f"  query latency: {result.elapsed * 1000:.1f} ms "
+        f"(correct: {result.lines == expected})"
+    )
 
-    speed = (off.raw_bytes / 1e6) / off.recompress_seconds
-    nearline_ratio = off.raw_bytes / off.nearline_bytes
-    offline_ratio = off.raw_bytes / off.offline_bytes
-    analysis = transition_analysis(nearline_ratio, offline_ratio, speed)
+    raw = nearline.raw_bytes
+    speed = (raw / 1e6) / cold.rewrite_seconds
+    analysis = transition_analysis(raw / cold.bytes_before, raw / cold.bytes_after, speed)
     print(
         f"\nEquation 1 says: near-line storage {analysis.nearline_monthly_per_tb:.2f} "
         f"$/TB-month vs offline {analysis.offline_monthly_per_tb:.2f}; "
@@ -53,7 +70,8 @@ def main() -> None:
             f"month(s) in the offline tier"
             + (" — worth doing" if analysis.worthwhile_within else "")
         )
+    return 0 if result.lines == expected else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

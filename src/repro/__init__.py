@@ -17,7 +17,7 @@ Public entry points::
 
 from .core.catalog import CatalogEntry, LogCatalog, UnknownLogError
 from .core.config import ABLATIONS, LogGrepConfig, ablated, sp_config
-from .core.lifecycle import archive_offline, offline_config, transition_analysis
+from .core.lifecycle import transition_analysis
 from .core.loggrep import CompressionReport, GrepResult, LogGrep, LogGrepSession
 from .core.streaming import StreamingCompressor
 
@@ -33,8 +33,6 @@ __all__ = [
     "LogCatalog",
     "CatalogEntry",
     "UnknownLogError",
-    "archive_offline",
-    "offline_config",
     "transition_analysis",
     "ablated",
     "sp_config",

@@ -40,7 +40,7 @@ validated against the same masks the engine enforces exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..common import chartypes
 from ..common.binio import BinaryReader, BinaryWriter
@@ -232,6 +232,16 @@ class ArchiveIndex:
     def __contains__(self, name: str) -> bool:
         return name in self.blocks
 
+    def next_ids(self) -> Tuple[int, int]:
+        """``(block id, first line id)`` an append continues from: one
+        past the last block (``(0, 0)`` for an empty archive).  A cold
+        merge leaves gaps in the block ids, so this is not the block
+        count."""
+        if not self.blocks:
+            return 0, 0
+        last = max(self.blocks.values(), key=lambda summary: summary.block_id)
+        return last.block_id + 1, last.first_line_id + last.num_lines
+
     def serialize(self) -> bytes:
         writer = BinaryWriter()
         writer.write_varint(len(self.blocks))
@@ -259,20 +269,17 @@ class ArchiveIndex:
         return index
 
     @classmethod
-    def build(cls, store: object, templates: object = None) -> "ArchiveIndex":
+    def build(cls, store: object) -> "ArchiveIndex":
         """Rebuild the index from the blocks of *store* (legacy archives).
 
         Pays one full read per block — exactly what opening a legacy
         archive cost before; every later query then prunes for free.
-        *templates* is the resolver for shared-format (flag 0x01) boxes.
         """
         from ..capsule.box import CapsuleBox
 
         index = cls()
         for name in store.names():  # type: ignore[attr-defined]
-            box = CapsuleBox.deserialize(
-                store.get(name), templates=templates  # type: ignore[attr-defined]
-            )
+            box = CapsuleBox.deserialize(store.get(name))  # type: ignore[attr-defined]
             index.add(name, BlockSummary.from_box(box))
         return index
 
@@ -291,6 +298,21 @@ def load_index(store: object) -> Optional[ArchiveIndex]:
         # A corrupt sidecar is never fatal: it is derived data, so the
         # caller simply rebuilds it from the blocks.
         return None
+
+
+def open_index(store: object) -> ArchiveIndex:
+    """The stored sidecar of *store*; for an archive without a readable
+    one, rebuilt from the blocks (one full pass) and persisted, so every
+    later open and query prunes without touching the store."""
+    index = load_index(store)
+    if index is not None:
+        return index
+    if not store.names():  # type: ignore[attr-defined]
+        return ArchiveIndex()
+    index = ArchiveIndex.build(store)
+    if hasattr(store, "put_aux"):
+        save_index(store, index)
+    return index
 
 
 def save_index(store: object, index: ArchiveIndex) -> None:

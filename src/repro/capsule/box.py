@@ -62,14 +62,6 @@ from .stamp import CapsuleStamp
 MAGIC = b"LGCB"
 VERSION = 2
 
-#: Flag bit 0x01: the box references cross-archive shared content —
-#: templates are stored as content ids and every capsule record carries a
-#: location byte (0 = inline payload exactly as today, 1 = shared payload
-#: by content id).  Reading such a box requires a
-#: :class:`~repro.blockstore.shared.TemplateResolver`.
-FLAG_SHARED_TEMPLATES = 0x01
-_KNOWN_FLAGS = FLAG_SHARED_TEMPLATES
-
 _HEADER_LEN = 32
 
 #: The retired bloom section ("no filter"), written so v2 stays byte for
@@ -92,7 +84,6 @@ class BoxTOC:
     meta_len: int
     payload_off: int
     payload_len: int
-    flags: int = 0
 
     @classmethod
     def read(cls, source: BlobSource) -> "BoxTOC":
@@ -117,7 +108,7 @@ class BoxTOC:
             raise FormatError("truncated CapsuleBox header")
         flags = head[5]
         header_len = int.from_bytes(head[6:8], "little")
-        if flags & ~_KNOWN_FLAGS:
+        if flags:
             raise FormatError(f"unknown CapsuleBox flags 0x{flags:02x}")
         if header_len != _HEADER_LEN:
             raise FormatError(f"bad CapsuleBox header length {header_len}")
@@ -139,8 +130,7 @@ class BoxTOC:
         if payload_off + payload_len != size:
             raise FormatError("CapsuleBox TOC: payload extent does not match blob size")
         return cls(
-            bloom_off, bloom_len, meta_off, meta_len, payload_off,
-            payload_len, flags,
+            bloom_off, bloom_len, meta_off, meta_len, payload_off, payload_len
         )
 
 
@@ -213,16 +203,8 @@ class CapsuleBox:
     # ------------------------------------------------------------------
     # serialization
     # ------------------------------------------------------------------
-    def serialize(self, shared=None) -> bytes:
-        """Serialize the box.
-
-        With *shared* (a
-        :class:`~repro.blockstore.shared.SharedTemplateStore`) the box is
-        written in the flag-0x01 shared format: templates become content
-        ids, and nominal dictionary capsule payloads move into the shared
-        store — stored once globally, referenced here by id.  Without it
-        the output is byte-identical to earlier versions.
-        """
+    def serialize(self) -> bytes:
+        """Serialize the box."""
         writer = BinaryWriter()
         blobs: List[bytes] = []
         offset = [0]
@@ -233,11 +215,11 @@ class CapsuleBox:
         writer.write_u8(1 if self.padded else 0)
         writer.write_varint(len(self.groups))
         for group in self.groups:
-            _write_template(writer, group.template, shared)
+            _write_template(writer, group.template)
             _write_line_ids(writer, group.line_ids)
             writer.write_varint(len(group.vectors))
             for vector in group.vectors:
-                _write_vector(writer, vector, blobs, offset, shared)
+                _write_vector(writer, vector, blobs, offset)
 
         meta = zlib.compress(writer.getvalue(), 6)
         payload = b"".join(blobs)
@@ -253,8 +235,7 @@ class CapsuleBox:
             + payload_off.to_bytes(4, "little")
             + len(payload).to_bytes(4, "little")
         )
-        flags = FLAG_SHARED_TEMPLATES if shared is not None else 0
-        return MAGIC + bytes([VERSION, flags]) + toc + _RETIRED_BLOOM + meta + payload
+        return MAGIC + bytes([VERSION, 0]) + toc + _RETIRED_BLOOM + meta + payload
 
     @classmethod
     def read_toc(cls, source: BlobSource) -> BoxTOC:
@@ -262,36 +243,24 @@ class CapsuleBox:
         return BoxTOC.read(source)
 
     @classmethod
-    def deserialize(cls, data: bytes, templates=None) -> "CapsuleBox":
+    def deserialize(cls, data: bytes) -> "CapsuleBox":
         """Load a box from a fully-fetched blob."""
-        return cls.open(BytesBlobSource(data, "<box>"), templates)
+        return cls.open(BytesBlobSource(data, "<box>"))
 
     @classmethod
-    def open(cls, source: BlobSource, templates=None) -> "CapsuleBox":
+    def open(cls, source: BlobSource) -> "CapsuleBox":
         """Load a box through ranged reads: header + metadata only.
 
         Capsule payloads stay unfetched until first access; use
-        :meth:`prefetch` to batch the ones a plan will need.  A box in
-        the shared format (flag 0x01) needs *templates* — a
-        :class:`~repro.blockstore.shared.TemplateResolver` — to map its
-        content ids back to template tokens and shared capsule payloads;
-        without one, opening it is a :class:`FormatError`.
+        :meth:`prefetch` to batch the ones a plan will need.
         """
         toc = BoxTOC.read(source)
-        resolver = None
-        if toc.flags & FLAG_SHARED_TEMPLATES:
-            if templates is None:
-                raise FormatError(
-                    "shared-template CapsuleBox (flag 0x01) requires a "
-                    "template resolver to open"
-                )
-            resolver = templates
         try:
             meta = zlib.decompress(source.read(toc.meta_off, toc.meta_len))
         except zlib.error as exc:
             raise FormatError(f"corrupt CapsuleBox metadata: {exc}") from exc
         try:
-            box = _decode_meta(meta, source, toc, resolver)
+            box = _decode_meta(meta, source, toc)
         except (IndexError, struct.error) as exc:
             # The decoder indexes its buffer without bounds checks: a
             # read past the end of truncated metadata lands here.
@@ -425,16 +394,8 @@ def _capsules_of(vector: EncodedVector) -> List[Capsule]:
 # ----------------------------------------------------------------------
 # templates
 # ----------------------------------------------------------------------
-def _write_template(
-    writer: BinaryWriter, template: Template, shared=None
-) -> None:
+def _write_template(writer: BinaryWriter, template: Template) -> None:
     writer.write_varint(template.template_id)
-    if shared is not None:
-        # Shared format: the token list lives once in the shared store,
-        # referenced here by its content id (hash of the tokens alone —
-        # never the per-archive template_id).
-        writer.write_str(shared.add_template(template))
-        return
     writer.write_varint(len(template.tokens))
     for token in template.tokens:
         if token is None:
@@ -465,8 +426,6 @@ def _write_capsule(
     capsule: Capsule,
     blobs: List[bytes],
     offset: List[int],
-    shared=None,
-    externalize: bool = False,
 ) -> None:
     writer.write_u8(capsule.layout)
     writer.write_varint(capsule.width)
@@ -474,17 +433,6 @@ def _write_capsule(
     capsule.stamp.write(writer)
     writer.write_u8(capsule.codec)
     writer.write_u8(capsule.preset)
-    if shared is not None:
-        # Shared format: a location byte on every capsule record — 0 is
-        # the inline layout below, 1 replaces (offset, length) with the
-        # payload's content id in the shared store.
-        if externalize:
-            writer.write_u8(1)
-            writer.write_str(shared.add_payload(capsule.payload))
-            writer.write_varint(len(capsule.payload))
-            writer.write_u32(zlib.crc32(capsule.payload))
-            return
-        writer.write_u8(0)
     writer.write_varint(offset[0])
     writer.write_varint(len(capsule.payload))
     # Payloads sit outside the zlib'd (self-checking) metadata stream, so
@@ -503,18 +451,17 @@ def _write_vector(
     vector: EncodedVector,
     blobs: List[bytes],
     offset: List[int],
-    shared=None,
 ) -> None:
     writer.write_u8(vector.tag)
     if isinstance(vector, RealEncodedVector):
         vector.pattern.write(writer)
         writer.write_varint(len(vector.subvar_capsules))
         for capsule in vector.subvar_capsules:
-            _write_capsule(writer, capsule, blobs, offset, shared)
+            _write_capsule(writer, capsule, blobs, offset)
         if vector.outlier_capsule is not None:
             writer.write_u8(1)
             _write_line_ids(writer, vector.outlier_rows)
-            _write_capsule(writer, vector.outlier_capsule, blobs, offset, shared)
+            _write_capsule(writer, vector.outlier_capsule, blobs, offset)
         else:
             writer.write_u8(0)
         writer.write_varint(vector.num_rows)
@@ -526,18 +473,13 @@ def _write_vector(
             writer.write_varint(dp.width)
             writer.write_u32_list(dp.subvar_masks)
             writer.write_u32_list(dp.subvar_maxlens)
-        # Only the nominal dictionary is externalized: dictionaries hold
-        # the repeated variable *values* (cross-archive redundancy);
-        # index/REAL/PLAIN capsules are per-archive row data and stay
-        # inline where ranged reads reach them.
-        _write_capsule(writer, vector.dict_capsule, blobs, offset, shared,
-                       externalize=shared is not None)
-        _write_capsule(writer, vector.index_capsule, blobs, offset, shared)
+        _write_capsule(writer, vector.dict_capsule, blobs, offset)
+        _write_capsule(writer, vector.index_capsule, blobs, offset)
         writer.write_varint(vector.index_width)
         writer.write_varint(vector.num_rows)
         writer.write_varint(vector.dict_size)
     elif isinstance(vector, PlainEncodedVector):
-        _write_capsule(writer, vector.capsule, blobs, offset, shared)
+        _write_capsule(writer, vector.capsule, blobs, offset)
         writer.write_varint(vector.num_rows)
     else:  # pragma: no cover - exhaustive over EncodedVector
         raise FormatError(f"unknown vector type {type(vector)!r}")
@@ -549,9 +491,7 @@ def _write_vector(
 _TRUNCATED = "truncated CapsuleBox metadata: read past end of buffer"
 _U32 = struct.Struct("<I")
 
-def _decode_meta(
-    data: bytes, source: BlobSource, toc: BoxTOC, resolver=None
-) -> CapsuleBox:
+def _decode_meta(data: bytes, source: BlobSource, toc: BoxTOC) -> CapsuleBox:
     """Build a box from its inflated LGCB v2 metadata in one pass.
 
     The read state is a local ``(data, pos)``: a u8 is one index, a
@@ -570,20 +510,15 @@ def _decode_meta(
     groups: List[GroupBox] = []
     for _ in range(num_groups):
         template_id, pos = _varint(data, pos)
-        tokens: List[Optional[str]]
-        if resolver is not None:
-            start, pos = _span(data, pos)
-            tokens = list(resolver.resolve_template(data[start:pos].decode()))
-        else:
-            num_tokens, pos = _varint(data, pos)
-            tokens = []
-            for _ in range(num_tokens):
-                pos += 1
-                if data[pos - 1] == 1:
-                    tokens.append(None)
-                else:
-                    start, pos = _span(data, pos)
-                    tokens.append(data[start:pos].decode())
+        num_tokens, pos = _varint(data, pos)
+        tokens: List[Optional[str]] = []
+        for _ in range(num_tokens):
+            pos += 1
+            if data[pos - 1] == 1:
+                tokens.append(None)
+            else:
+                start, pos = _span(data, pos)
+                tokens.append(data[start:pos].decode())
         deltas, pos = _deltas_at(data, pos)
         num_vectors, pos = _varint(data, pos)
         vectors: List[EncodedVector] = []
@@ -596,7 +531,7 @@ def _decode_meta(
                 num_capsules, pos = _varint(data, pos)
                 capsules: List[Capsule] = []
                 for _ in range(num_capsules):
-                    capsule, pos = _capsule_at(data, pos, source, toc, resolver, stamps)
+                    capsule, pos = _capsule_at(data, pos, source, toc, stamps)
                     capsules.append(capsule)
                 outlier: Optional[Capsule] = None
                 outlier_rows: List[int] = []
@@ -604,7 +539,7 @@ def _decode_meta(
                 if data[pos - 1] == 1:
                     outlier_deltas, pos = _deltas_at(data, pos)
                     outlier_rows = list(accumulate(outlier_deltas))
-                    outlier, pos = _capsule_at(data, pos, source, toc, resolver, stamps)
+                    outlier, pos = _capsule_at(data, pos, source, toc, stamps)
                 num_rows, pos = _varint(data, pos)
                 vector = RealEncodedVector(
                     pattern, capsules, outlier, outlier_rows, num_rows
@@ -621,8 +556,8 @@ def _decode_meta(
                     dict_patterns.append(
                         DictPattern(pattern, count, width, masks, maxlens)
                     )
-                dict_capsule, pos = _capsule_at(data, pos, source, toc, resolver, stamps)
-                index_capsule, pos = _capsule_at(data, pos, source, toc, resolver, stamps)
+                dict_capsule, pos = _capsule_at(data, pos, source, toc, stamps)
+                index_capsule, pos = _capsule_at(data, pos, source, toc, stamps)
                 index_width, pos = _varint(data, pos)
                 num_rows, pos = _varint(data, pos)
                 dict_size, pos = _varint(data, pos)
@@ -631,7 +566,7 @@ def _decode_meta(
                     num_rows, dict_size,
                 )
             elif tag == ENC_PLAIN:
-                capsule, pos = _capsule_at(data, pos, source, toc, resolver, stamps)
+                capsule, pos = _capsule_at(data, pos, source, toc, stamps)
                 num_rows, pos = _varint(data, pos)
                 vector = PlainEncodedVector(capsule, num_rows)
             else:
@@ -714,7 +649,6 @@ def _capsule_at(
     pos: int,
     source: BlobSource,
     toc: BoxTOC,
-    resolver,
     stamps: Dict[Tuple[int, int], CapsuleStamp],
 ) -> Tuple[Capsule, int]:
     """One capsule record (see :func:`_write_capsule`).  Stamps are
@@ -730,24 +664,6 @@ def _capsule_at(
     codec = data[pos]
     preset = data[pos + 1]
     pos += 2
-    if resolver is not None:
-        pos += 1
-        if data[pos - 1] == 1:
-            start, pos = _span(data, pos)
-            cid = data[start:pos].decode()
-            length, pos = _varint(data, pos)
-            (crc,) = _U32.unpack_from(data, pos)
-            payload = resolver.resolve_payload(cid)
-            if len(payload) != length:
-                raise FormatError(
-                    f"shared capsule payload {cid!r}: stored length "
-                    f"{len(payload)} != referenced length {length}"
-                )
-            capsule = Capsule(
-                layout, width, count, stamp, codec, preset, payload=payload
-            )
-            capsule.expected_crc = crc
-            return capsule, pos + 4
     off, pos = _varint(data, pos)
     length, pos = _varint(data, pos)
     (crc,) = _U32.unpack_from(data, pos)

@@ -58,8 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compress.add_argument(
         "--tier", choices=("hot", "warm", "cold"), default=None,
         help="compress at a lifecycle tier's config: hot = speed-tier "
-        "codec, warm = archive default, cold = offline preset with 4x "
-        "merged blocks",
+        "codec, warm = archive default, cold = preset 9 with 4x blocks",
     )
 
     grep = sub.add_parser("grep", help="query a compressed archive")
@@ -109,12 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
     grep.add_argument(
         "--to", dest="to_time", metavar="TIME",
         help="end of the time window (same formats as --from)",
-    )
-    grep.add_argument(
-        "--templates", metavar="DIR",
-        help="shared template store directory (needed to read cold-tier "
-        "archives that were demoted with cross-archive dedup and not "
-        "exported self-contained)",
     )
 
     stats = sub.add_parser("stats", help="show archive statistics")
@@ -178,10 +171,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "print the per-operator table to stderr",
     )
     agg.add_argument("--json", action="store_true", help="emit the result as JSON")
-    agg.add_argument(
-        "--templates", metavar="DIR",
-        help="shared template store directory (see grep --templates)",
-    )
 
     lifecycle = sub.add_parser(
         "lifecycle",
@@ -209,16 +198,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="age cutoff: seconds or <number><s|m|h|d|w>, e.g. 30d "
         "(default 0s = everything; blocks with no parseable timestamps "
         "are treated as eligible)",
-    )
-    ldemote.add_argument(
-        "--templates", metavar="DIR",
-        help="shared template store directory: cold rewrites deduplicate "
-        "templates/dictionaries into it across archives",
-    )
-    ldemote.add_argument(
-        "--self-contained", action="store_true",
-        help="export the fallback bank after demotion so the archive "
-        "reads without the shared store",
     )
 
     explain = sub.add_parser("explain", help="show the query plan (stamp/pattern decisions)")
@@ -298,30 +277,13 @@ def _parse_window(args) -> tuple:
     return tuple(window)
 
 
-def _shared_store(path: Optional[str]):
-    if path is None:
-        return None
-    from .blockstore.shared import SharedTemplateStore
-
-    return SharedTemplateStore(ArchiveStore(path))
-
-
 def _open(
-    archive: str,
-    templates: Optional[str] = None,
-    config: Optional[LogGrepConfig] = None,
-    **config_overrides,
+    archive: str, config: Optional[LogGrepConfig] = None, **config_overrides
 ) -> LogGrep:
-    store = ArchiveStore(archive)
-    lg = LogGrep(
-        store=store,
+    return LogGrep(
+        store=ArchiveStore(archive),
         config=config or LogGrepConfig(**config_overrides),
-        templates=_shared_store(templates),
     )
-    # Resume block numbering after existing archives.
-    existing = store.names()
-    lg._next_block_id = len(existing)
-    return lg
 
 
 def _run_grep_batch(lg, args, from_time, to_time) -> int:
@@ -410,11 +372,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 file=sys.stderr,
             )
             return 2
-        lg = _open(
-            args.archive,
-            templates=args.templates,
-            query_parallelism=args.parallelism,
-        )
+        lg = _open(args.archive, query_parallelism=args.parallelism)
         tracing_wanted = args.trace or args.trace_out is not None
         from_time, to_time = _parse_window(args)
         if args.batch_file is not None:
@@ -504,14 +462,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "stats":
         store = ArchiveStore(args.archive)
-        from .blockstore.shared import as_resolver
         from .capsule.box import CapsuleBox
 
-        resolver = as_resolver(None, store)
         blocks = []
         total = 0
         for name in store.names():
-            box = CapsuleBox.deserialize(store.get(name), templates=resolver)
+            box = CapsuleBox.deserialize(store.get(name))
             total += box.num_lines
             blocks.append(
                 {
@@ -571,18 +527,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "verify":
-        from .blockstore.shared import as_resolver
         from .capsule.box import CapsuleBox
         from .common.errors import ReproError
 
         store = ArchiveStore(args.archive)
-        resolver = as_resolver(None, store)
         bad = 0
         for name in store.names():
             try:
-                problems = CapsuleBox.deserialize(
-                    store.get(name), templates=resolver
-                ).verify()
+                problems = CapsuleBox.deserialize(store.get(name)).verify()
             except ReproError as exc:
                 problems = [str(exc)]
             if problems:
@@ -603,11 +555,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"loggrep: agg {args.kind} requires a FIELD", file=sys.stderr)
             return 2
 
-        lg = _open(
-            args.archive,
-            templates=args.templates,
-            query_parallelism=args.parallelism,
-        )
+        lg = _open(args.archive, query_parallelism=args.parallelism)
         if args.kind == "fields":
             names = lg.fields()
             print(json.dumps(names, indent=2) if args.json else "\n".join(names))
@@ -705,21 +653,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         except ValueError as exc:
             print(f"loggrep: {exc}", file=sys.stderr)
             return 2
-        mgr = LifecycleManager(
-            store, LogGrepConfig(), shared=_shared_store(args.templates)
+        report = LifecycleManager(store, LogGrepConfig()).demote(
+            Tier(args.tier), older_than_seconds=age
         )
-        report = mgr.demote(Tier(args.tier), older_than_seconds=age)
         print(
             f"demoted to {report.tier.value}: "
             f"{report.blocks_before} -> {report.blocks_after} block(s), "
             f"{report.bytes_before} -> {report.bytes_after} bytes "
             f"({report.ratio_gain:.2f}x) in {report.rewrite_seconds:.2f}s"
         )
-        if report.shared_bytes:
-            print(f"shared store: {report.shared_bytes} bytes (cross-archive)")
-        if args.self_contained:
-            size = mgr.export_bank()
-            print(f"fallback bank exported: {size} bytes")
         return 0
 
     if args.command == "cluster":

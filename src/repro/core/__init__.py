@@ -4,7 +4,7 @@ from .compressor import compress_block, encode_parsed, parse_block
 from .config import ABLATIONS, LogGrepConfig, ablated, sp_config
 from .loggrep import CompressionReport, GrepResult, LogGrep, LogGrepSession
 from .catalog import CatalogEntry, LogCatalog, UnknownLogError
-from .lifecycle import archive_offline, offline_config, transition_analysis
+from .lifecycle import transition_analysis
 from .reconstructor import BlockReconstructor
 from .schedule import CompressionScheduler
 from .streaming import StreamingCompressor
@@ -24,8 +24,6 @@ __all__ = [
     "LogCatalog",
     "CatalogEntry",
     "UnknownLogError",
-    "archive_offline",
-    "offline_config",
     "transition_analysis",
     "ablated",
     "sp_config",

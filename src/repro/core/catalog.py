@@ -58,7 +58,6 @@ class LogCatalog:
         else:
             store = ArchiveStore(os.path.join(self.root, name))
         loggrep = LogGrep(store=store, config=self.config)
-        loggrep._next_block_id = len(store.names())
         self._logs[name] = loggrep
         return loggrep
 

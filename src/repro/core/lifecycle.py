@@ -5,27 +5,24 @@ The paper's taxonomy: *online* logs are queried constantly (ES territory),
 *offline* — almost never queried, kept for compliance, so only the ratio
 matters.  This module implements the transitions:
 
-* :func:`archive_offline` rewrites near-line CapsuleBoxes into offline
-  archives — several blocks merged (amortizing template/metadata overhead)
-  and recompressed at a high LZMA preset.  Offline archives remain valid
-  LogGrep archives: queries still work, just against bigger, colder blocks.
+* :class:`LifecycleManager` runs the tier state machine *in place* over
+  one archive: **hot** (speed-tier zlib codec, fresh ingest) → **warm**
+  (default LZMA) → **cold** (the offline tier: blocks merged 4× and
+  recompressed at maximum preset, amortizing template/metadata
+  overhead).  Cold archives remain valid LogGrep archives: queries still
+  work, just against bigger, colder blocks.  Demotions pick the longest
+  timestamp-eligible *prefix* of the block sequence (blocks are written
+  in arrival order; blocks with no parseable timestamps are treated as
+  eligible), rewrite it at the target tier's config, and rewrite the
+  ``.index.lgix`` sidecar — including the v2 min/max timestamp range and
+  discarding entries for merged-away names — so a pruned query against
+  the demoted archive still costs zero store reads.  To keep the
+  near-line archive, demote a copy of its store.
 * :func:`transition_analysis` uses Equation 1 to answer the operational
   question: given the residual query rate, does recompressing pay for
   itself, and how much does a TB-month cost in each tier?
-* :class:`LifecycleManager` runs the tier state machine *in place* over
-  one archive: **hot** (speed-tier zlib codec, fresh ingest) → **warm**
-  (default LZMA) → **cold** (merged blocks at maximum preset, with an
-  optional cross-archive
-  :class:`~repro.blockstore.shared.SharedTemplateStore` deduplicating
-  templates and nominal dictionaries globally).  Demotions pick the
-  longest timestamp-eligible *prefix* of the block sequence (blocks are
-  written in arrival order; blocks with no parseable timestamps are
-  treated as eligible), rewrite it at the target tier's config, and
-  rewrite the ``.index.lgix`` sidecar — including the v2 min/max
-  timestamp range and discarding entries for merged-away names — so a
-  pruned query against the demoted archive still costs zero store reads.
   :class:`TierPolicy` decides transitions from block age, residual query
-  rate and the Equation-1 break-even test.
+  rate and that break-even test.
 """
 
 from __future__ import annotations
@@ -34,24 +31,16 @@ import json
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..blockstore.block import LogBlock, block_name, split_lines
 from ..blockstore.index import ArchiveIndex, BlockSummary, load_index, save_index
-from ..blockstore.shared import (
-    SharedTemplateStore,
-    as_resolver,
-    payload_signature,
-    write_bank,
-)
-from ..blockstore.store import ArchiveStore, MemoryStore
-from ..capsule.assembler import NominalEncodedVector
+from ..blockstore.store import ArchiveStore
 from ..capsule.box import CapsuleBox
 from ..cost.model import CostParameters
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..query.cache import bump_generation
-from ..staticparse.cache import template_signature
 from .compressor import compress_block
 from .config import LogGrepConfig
 from .loggrep import LogGrep
@@ -66,66 +55,6 @@ _TIER_BYTES = get_registry().gauge(
 _TIER_BLOCKS = get_registry().gauge(
     "loggrep_tier_blocks", "Blocks currently in each lifecycle tier"
 )
-
-
-def offline_config(base: Optional[LogGrepConfig] = None) -> LogGrepConfig:
-    """The offline tier trades everything for ratio: maximum LZMA preset
-    and big merged blocks (almost no queries to speed up)."""
-    base = base or LogGrepConfig()
-    return replace(
-        base,
-        preset=9,
-        block_bytes=max(base.block_bytes * 4, base.block_bytes),
-    )
-
-
-@dataclass
-class OfflineReport:
-    """What the near-line → offline rewrite achieved."""
-
-    nearline_bytes: int
-    offline_bytes: int
-    nearline_blocks: int
-    offline_blocks: int
-    recompress_seconds: float
-    raw_bytes: int
-
-    @property
-    def ratio_gain(self) -> float:
-        """offline ratio / near-line ratio (> 1 means offline is smaller)."""
-        if self.offline_bytes == 0 or self.nearline_bytes == 0:
-            return 0.0
-        return self.nearline_bytes / self.offline_bytes
-
-
-def archive_offline(
-    nearline: LogGrep,
-    store: Optional[ArchiveStore] = None,
-    config: Optional[LogGrepConfig] = None,
-) -> "tuple[LogGrep, OfflineReport]":
-    """Rewrite a near-line archive into the offline tier.
-
-    Returns the offline LogGrep handle (still fully queryable) and the
-    accounting report.
-    """
-    config = config or offline_config(nearline.config)
-    store = store if store is not None else MemoryStore()
-    start = time.perf_counter()
-
-    lines = nearline.decompress_all()
-    offline = LogGrep(store=store, config=config)
-    offline.compress(lines)
-
-    recompress_seconds = time.perf_counter() - start
-    report = OfflineReport(
-        nearline_bytes=nearline.storage_bytes(),
-        offline_bytes=offline.storage_bytes(),
-        nearline_blocks=len(nearline.store.names()),
-        offline_blocks=len(offline.store.names()),
-        recompress_seconds=recompress_seconds,
-        raw_bytes=nearline.raw_bytes,
-    )
-    return offline, report
 
 
 @dataclass
@@ -193,14 +122,15 @@ def tier_config(tier: Tier, base: Optional[LogGrepConfig] = None) -> LogGrepConf
     * HOT — the speed-tier codec (zlib when LZMA's edge is thin): fast
       inflation for the tail of the stream that still gets queried.
     * WARM — the archive default: plain LZMA at the configured preset.
-    * COLD — :func:`offline_config`: maximum preset, 4× merged blocks.
+    * COLD — the offline tier trades everything for ratio: maximum
+      preset and 4× merged blocks (almost no queries to speed up).
     """
     base = base or LogGrepConfig()
     if tier is Tier.HOT:
         return replace(base, codec_speed_tier=True)
     if tier is Tier.WARM:
         return replace(base, codec_speed_tier=False)
-    return offline_config(base)
+    return replace(base, preset=9, block_bytes=base.block_bytes * 4)
 
 
 @dataclass
@@ -300,9 +230,6 @@ class DemotionReport:
     bytes_before: int
     bytes_after: int
     rewrite_seconds: float
-    #: Cross-archive shared-store bytes at the end of the rewrite (0 when
-    #: no shared store was attached).
-    shared_bytes: int = 0
 
     @property
     def ratio_gain(self) -> float:
@@ -312,25 +239,11 @@ class DemotionReport:
 
 
 class LifecycleManager:
-    """Runs the hot/warm/cold state machine in place over one archive.
+    """Runs the hot/warm/cold state machine in place over one archive."""
 
-    With *shared* (a :class:`SharedTemplateStore`), cold rewrites emit
-    flag-0x01 boxes: templates and nominal dictionaries move into the
-    cross-archive store, deduplicated by content hash, and the archive
-    keeps content-id references (plus an optional fallback bank for
-    portability, see :meth:`export_bank`).
-    """
-
-    def __init__(
-        self,
-        store: ArchiveStore,
-        config: Optional[LogGrepConfig] = None,
-        shared: Optional[SharedTemplateStore] = None,
-    ):
+    def __init__(self, store: ArchiveStore, config: Optional[LogGrepConfig] = None):
         self.store = store
         self.config = config or LogGrepConfig()
-        self.shared = shared
-        self._resolver = as_resolver(shared, store)
         self.tiers = load_tiers(store)
 
     # ------------------------------------------------------------------
@@ -386,8 +299,7 @@ class LifecycleManager:
 
         WARM rewrites block-for-block (same names, same ids); COLD merges
         the prefix into 4×-sized blocks (ids renumbered sequentially from
-        the first original block) and externalizes templates/dictionaries
-        into the shared store when one is attached.  Both paths rewrite
+        the first original block).  Both paths rewrite
         the sidecar index with fresh v2 summaries — min/max timestamps
         included — and discard entries for merged-away names, so pruned
         queries against the result cost zero store reads.
@@ -425,14 +337,11 @@ class LifecycleManager:
             bytes_before=bytes_before,
             bytes_after=status.total_bytes(),
             rewrite_seconds=rewrite_seconds,
-            shared_bytes=self.shared.total_bytes() if self.shared else 0,
         )
 
     # ------------------------------------------------------------------
     def _load_box(self, name: str) -> CapsuleBox:
-        return CapsuleBox.deserialize(
-            self.store.get(name), templates=self._resolver
-        )
+        return CapsuleBox.deserialize(self.store.get(name))
 
     def _index(self) -> ArchiveIndex:
         index = load_index(self.store)
@@ -478,13 +387,8 @@ class LifecycleManager:
             block_id += 1
             line_id += block.num_lines
             new_box = compress_block(block, config)
-            data = (
-                new_box.serialize(shared=self.shared)
-                if self.shared is not None
-                else new_box.serialize()
-            )
             name = block_name(block.block_id)
-            self.store.put(name, data)
+            self.store.put(name, new_box.serialize())
             index.add(name, BlockSummary.from_box(new_box, lines=block.lines))
             self.tiers[name] = Tier.COLD
             new_names.append(name)
@@ -496,31 +400,6 @@ class LifecycleManager:
             self.tiers.pop(name, None)
         save_index(self.store, index)
 
-    # ------------------------------------------------------------------
-    def export_bank(self) -> int:
-        """Write the archive's fallback bank; returns its byte size.
-
-        Collects every content id the archive's shared-format boxes
-        reference (templates and externalized dictionary payloads) and
-        stores the bytes as a ``templates.lgtb`` aux blob, making the
-        archive self-contained — copyable anywhere without the shared
-        store.
-        """
-        templates: Dict[str, Tuple[Optional[str], ...]] = {}
-        payloads: Dict[str, bytes] = {}
-        for name in self.store.names():
-            box = self._load_box(name)
-            for group in box.groups:
-                key = tuple(group.template.tokens)
-                templates[template_signature(key)] = key
-                for vector in group.vectors:
-                    if isinstance(vector, NominalEncodedVector):
-                        payload = vector.dict_capsule.payload
-                        payloads[payload_signature(payload)] = payload
-        return write_bank(self.store, templates, payloads)
-
     def open_reader(self) -> LogGrep:
-        """A LogGrep facade over the archive, shared store attached."""
-        return LogGrep(
-            store=self.store, config=self.config, templates=self._resolver
-        )
+        """A LogGrep facade over the archive."""
+        return LogGrep(store=self.store, config=self.config)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Tuple
 
 from ..blockstore.block import LogBlock, split_lines
-from ..blockstore.index import ArchiveIndex, load_index, save_index
+from ..blockstore.index import ArchiveIndex, open_index
 from ..blockstore.store import ArchiveStore, MemoryStore
 from ..common.rowset import RowSet
 from ..obs.metrics import get_registry
@@ -185,11 +185,6 @@ class LogGrep(AggregateShortcuts):
 
     store: ArchiveStore = field(default_factory=MemoryStore)
     config: LogGrepConfig = field(default_factory=LogGrepConfig)
-    #: Shared-template source for cold-tier archives: a
-    #: :class:`~repro.blockstore.shared.SharedTemplateStore` (or a
-    #: prebuilt resolver).  ``None`` still resolves self-contained
-    #: archives through their own fallback bank.
-    templates: Optional[object] = None
     #: A prebuilt prune index (lifecycle rewrites pass theirs through so
     #: a fresh open does not rebuild what they just computed).
     prune_index: Optional[ArchiveIndex] = None
@@ -201,19 +196,12 @@ class LogGrep(AggregateShortcuts):
     fragments: Optional[QueryCache] = None
 
     def __post_init__(self) -> None:
-        from ..blockstore.shared import as_resolver
-
         if self.fragments is None:
             self.fragments = QueryCache(self.config.cache_capacity)
         self.compress_seconds = 0.0
         self.raw_bytes = 0
-        self._next_block_id = 0
-        self._next_line_id = 0
         self._template_cache = TemplateCache()
         self._box_cache = BoxCache(self.config.box_cache_capacity)
-        # One resolver per archive: the shared store (when given) plus the
-        # archive's own fallback bank, with a cross-box memo cache.
-        self._resolver = as_resolver(self.templates, self.store)
         # Load the prune-index sidecar once (rebuilding it for legacy
         # archives that predate it); compression keeps it current, and
         # the executor's source re-reads it when a foreign writer bumps
@@ -221,26 +209,13 @@ class LogGrep(AggregateShortcuts):
         index = (
             self.prune_index
             if self.prune_index is not None
-            else self._load_or_build_index()
+            else open_index(self.store)
         )
         self._executor = QueryExecutor(
-            StoreBoxSource(self.store, self._box_cache, index, self._resolver),
+            StoreBoxSource(self.store, self._box_cache, index),
             self.config,
             self.fragments,
         )
-
-    def _load_or_build_index(self) -> ArchiveIndex:
-        index = load_index(self.store)
-        if index is not None:
-            return index
-        if self.store.names():
-            # Legacy archive: pay one full pass now so every later query
-            # prunes without touching the store.
-            index = ArchiveIndex.build(self.store, self._resolver)
-            if hasattr(self.store, "put_aux"):
-                save_index(self.store, index)
-            return index
-        return ArchiveIndex()
 
     # ------------------------------------------------------------------
     # compression
@@ -262,23 +237,30 @@ class LogGrep(AggregateShortcuts):
             # rows, boxes) is dropped on its next run.
             bump_generation(self.store)
 
-        # A foreign rewrite since the last query must not be appended to
-        # (and persisted from) a stale prune index.
+        # A foreign rewrite or append since the last query must not be
+        # appended to (and persisted from) a stale prune index, and the
+        # new blocks continue after the archive's last one.
         self._executor.sync_generation()
+        source = self._executor.source
+        if len(source.index) != len(self.store.names()):
+            # A lost or corrupt sidecar must not restart the ids at 0.
+            source.index = ArchiveIndex.build(self.store)
+        index = source.index
+        block_id, line_id = index.next_ids()
         with tracer.span("compress") as cspan:
             scheduler = CompressionScheduler(
                 self.store,
                 self.config,
                 template_cache=self._template_cache,
                 on_commit=on_commit,
-                index=self._executor.source.index,
+                index=index,
             )
             try:
                 for block in split_lines(lines, self.config.block_bytes):
-                    block.block_id = self._next_block_id
-                    block.first_line_id = self._next_line_id
-                    self._next_block_id += 1
-                    self._next_line_id += block.num_lines
+                    block.block_id = block_id
+                    block.first_line_id = line_id
+                    block_id += 1
+                    line_id += block.num_lines
                     scheduler.submit(block)
             finally:
                 scheduler.close()
@@ -531,8 +513,6 @@ class LogGrep(AggregateShortcuts):
         hint = getattr(self._executor.source, "total_lines_hint", None)
         if hint is not None:
             return hint()
-        if self._next_line_id:
-            return self._next_line_id
         best = 0
         names = self.store.names()
         index = self._executor.source.index

@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..blockstore.block import LogBlock
-from ..blockstore.index import ArchiveIndex
+from ..blockstore.index import ArchiveIndex, open_index
 from ..blockstore.store import ArchiveStore, MemoryStore
 from ..capsule.box import CapsuleBox
 from ..common.tokenizer import tokenize
@@ -142,7 +142,7 @@ class StreamingCompressor:
             raise ValueError("pipeline depth must be positive")
         self.pipeline_depth = pipeline_depth
         self.store = store if store is not None else MemoryStore()
-        self._index = ArchiveIndex()
+        self._index = open_index(self.store)
         # One reentrant lock serializes everything the tail snapshot
         # depends on: the append buffer, the scheduler's pending deque
         # and the store commits it performs.  Snapshots taken under it
@@ -166,8 +166,8 @@ class StreamingCompressor:
         )
         self._lines: list = []
         self._buffered_bytes = 0
-        self._next_block_id = 0
-        self._next_line_id = 0
+        # Appending to an existing archive continues after its last block.
+        self._next_block_id, self._next_line_id = self._index.next_ids()
         self._start = time.perf_counter()
         self._closed = False
         # Tail boxes are scanned, not archived: plain vectors, raw
@@ -455,8 +455,6 @@ class StreamingCompressor:
         reader = LogGrep(
             store=self.store, config=self.config, prune_index=self._index
         )
-        reader._next_block_id = self._next_block_id
-        reader._next_line_id = self._next_line_id
         if tail:
             source = _TailBoxSource(self, reader._box_cache, self._index)
             reader._executor = QueryExecutor(

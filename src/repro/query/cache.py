@@ -16,8 +16,8 @@ in row-set algebra: a COUNT touches neither the store nor the box.
 The **generation** is a monotonic counter persisted as an auxiliary blob
 next to the blocks, bumped by every writer that can change the bytes
 behind an existing block name: ``compress``/streaming commit, ``lifecycle
-demote`` to WARM (block-for-block rewrite, same names) and to COLD (merge
-+ shared-template-store rewrite).  The executor loads it once per run; a
+demote`` to WARM (block-for-block rewrite, same names) and to COLD
+(merge-and-recompress, renumbered names).  The executor loads it once per run; a
 bumped generation makes every older row set unreachable by key, and
 :meth:`QueryCache.set_generation` drops them eagerly
 (``loggrep_query_cache_invalidations_total``).  Because invalidation
@@ -92,7 +92,7 @@ def bump_generation(store: object) -> int:
     """Advance the archive generation; returns the new value.
 
     Called by every writer that can change bytes behind an existing
-    block name (commit, demote, shared-store merge).  Best-effort on
+    block name (commit, warm rewrite, cold merge).  Best-effort on
     stores without aux support — see :func:`load_generation`.
     """
     gen = load_generation(store) + 1

@@ -199,14 +199,10 @@ class StoreBoxSource:
         store: object,
         box_cache: Optional[BoxCache] = None,
         index: Optional[ArchiveIndex] = None,
-        templates: object = None,
     ):
         self.store = store
         self.box_cache = box_cache
         self.index = index
-        #: Resolver for shared-format (flag 0x01) boxes; None for archives
-        #: that are fully inline.
-        self.templates = templates
 
     def names(self) -> List[str]:
         return self.store.names()  # type: ignore[attr-defined]
@@ -1064,10 +1060,7 @@ class QueryExecutor:
     # ------------------------------------------------------------------
     def _open_box(self, name: str) -> CapsuleBox:
         """Open one box through ranged reads (payloads stay on the store)."""
-        return CapsuleBox.open(
-            self.source.blob(name),
-            templates=getattr(self.source, "templates", None),
-        )
+        return CapsuleBox.open(self.source.blob(name))
 
     def load_box(self, name: str, pin: bool = False) -> CapsuleBox:
         """Load (or reuse) one block's box outside a query.

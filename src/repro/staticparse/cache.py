@@ -27,7 +27,6 @@ the current cache size.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -58,27 +57,6 @@ _SIZE = get_registry().gauge(
 def template_key(template: Template) -> TemplateKey:
     """The canonical cache key of *template*."""
     return tuple(template.tokens)
-
-
-def template_signature(key: TemplateKey) -> str:
-    """Content hash of a template's token tuple (16 hex chars).
-
-    The hash covers only the tokens — never the per-archive
-    ``template_id`` — so the same static pattern mined by two different
-    archives hashes to the same id.  This is what lets the cold tier's
-    :class:`~repro.blockstore.shared.SharedTemplateStore` deduplicate
-    templates globally: the signature is the content-addressed key.
-    Length-prefixed encoding keeps the hash unambiguous (no token
-    concatenation collisions).
-    """
-    digest = hashlib.sha1()
-    for token in key:
-        if token is None:
-            digest.update(b"\x00")
-        else:
-            data = token.encode("utf-8")
-            digest.update(b"\x01" + len(data).to_bytes(4, "little") + data)
-    return digest.hexdigest()[:16]
 
 
 class TemplateCache:

@@ -385,21 +385,17 @@ class TestInvalidation:
             reader.count("ERROR"), reader.count("read"),
         ]
 
-    def test_demote_cold_shared_store_merge_invalidates(self, corpus):
-        from repro.blockstore.shared import SharedTemplateStore
-        from repro.blockstore.store import MemoryStore
+    def test_demote_cold_merge_invalidates_shared_cache(self, corpus):
         from repro.core.lifecycle import LifecycleManager, Tier
 
         lg = make_lg(corpus)
         warm = lg.count_many(["ERROR", "read"])
         gen_before = load_generation(lg.store)
-        shared = SharedTemplateStore(MemoryStore())
-        manager = LifecycleManager(lg.store, lg.config, shared=shared)
-        report = manager.demote(Tier.COLD)
+        report = LifecycleManager(lg.store, lg.config).demote(Tier.COLD)
         assert report.blocks_after < report.blocks_before  # merged
         assert load_generation(lg.store) > gen_before
         reader = LogGrep(
-            store=lg.store, config=lg.config, templates=shared,
+            store=lg.store, config=lg.config,
             fragments=lg.fragments,  # carry the stale cache over
         )
         assert reader.count_many(["ERROR", "read"]) == warm

@@ -13,7 +13,6 @@ import pytest
 
 from repro.blockstore.blobsource import BytesBlobSource
 from repro.blockstore.block import LogBlock
-from repro.blockstore.shared import SharedTemplateStore, TemplateResolver
 from repro.capsule.assembler import (
     EncodingOptions,
     NominalEncodedVector,
@@ -75,13 +74,6 @@ class TestRoundTrip:
         blob = _box(use_padding=use_padding).serialize()
         assert CapsuleBox.deserialize(blob).serialize() == blob
 
-    def test_shared_template_form_reserializes_byte_for_byte(self):
-        shared = SharedTemplateStore()
-        blob = _box().serialize(shared=shared)
-        assert blob[5] == 0x01
-        box = CapsuleBox.deserialize(blob, TemplateResolver(shared))
-        assert box.serialize(shared=shared) == blob
-
     def test_compressed_block_reserializes_byte_for_byte(self):
         lines = make_mixed_lines(800, seed=5)
         blob = compress_block(LogBlock(3, 40, lines), LogGrepConfig()).serialize()
@@ -103,16 +95,14 @@ class TestRoundTrip:
 
 
 class TestMalformedMetadata:
-    @pytest.mark.parametrize("shared", [False, True])
-    def test_every_strict_prefix_is_a_format_error(self, shared):
-        store = SharedTemplateStore() if shared else None
-        blob = _box().serialize(shared=store)
-        resolver = TemplateResolver(store) if shared else None
+    @pytest.mark.parametrize("use_padding", [False, True])
+    def test_every_strict_prefix_is_a_format_error(self, use_padding):
+        blob = _box(use_padding=use_padding).serialize()
         meta = _meta_of(blob)
-        assert CapsuleBox.deserialize(_with_meta(blob, meta), resolver)
+        assert CapsuleBox.deserialize(_with_meta(blob, meta))
         for cut in range(len(meta)):
             with pytest.raises(FormatError):
-                CapsuleBox.deserialize(_with_meta(blob, meta[:cut]), resolver)
+                CapsuleBox.deserialize(_with_meta(blob, meta[:cut]))
 
     def test_a_read_past_the_end_keeps_its_cause(self):
         # The original error stays chained, so a decoder bug that raises
@@ -152,8 +142,3 @@ class TestMalformedMetadata:
         shrunk[28:32] = (toc.payload_len - 8).to_bytes(4, "little")
         with pytest.raises(FormatError, match="out of range"):
             CapsuleBox.deserialize(bytes(shrunk))
-
-    def test_shared_box_without_a_resolver(self):
-        blob = _box().serialize(shared=SharedTemplateStore())
-        with pytest.raises(FormatError, match="requires a template resolver"):
-            CapsuleBox.deserialize(blob)

@@ -30,6 +30,50 @@ class TestCompress:
         assert len(list(archive.iterdir())) > 1
 
 
+class TestAppend:
+    def test_compress_after_partial_cold_demote(self, tmp_path, capsys):
+        """A partial cold merge leaves gaps in the block names; a later
+        compress must append after the last block, not over it."""
+        import json
+        import time
+
+        from repro.baselines.evalutil import grep_lines
+
+        now = time.time()
+
+        def stamped(seed, age_days):
+            stamp = time.strftime(
+                "%Y-%m-%d %H:%M:%S", time.gmtime(now - age_days * 86400)
+            )
+            return [f"{stamp} {line}" for line in make_mixed_lines(1500, seed=seed)]
+
+        archive = str(tmp_path / "arch")
+
+        def compress(lines, name):
+            path = tmp_path / name
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            assert main(["compress", str(path), "-a", archive, "--block-bytes", "8192"]) == 0
+
+        first = stamped(1, 90) + stamped(2, 1)
+        compress(first, "first.log")
+        assert main(
+            ["lifecycle", "demote", "--tier", "cold", "--older-than", "30d", "-a", archive]
+        ) == 0
+        capsys.readouterr()
+        assert main(["lifecycle", "status", "--json", "-a", archive]) == 0
+        status = json.loads(capsys.readouterr().out)
+        assert status["cold"]["blocks"] > 0 and status["hot"]["blocks"] > 0
+        later = stamped(3, 0)
+        compress(later, "later.log")
+        lines = first + later
+        capsys.readouterr()
+        for query in ("read", "ERROR", "state: ERR"):
+            assert main(["grep", query, "-a", archive]) == 0
+            assert capsys.readouterr().out.splitlines() == grep_lines(query, lines)
+        assert main(["stats", "-a", archive]) == 0
+        assert f"total: {len(lines)} lines" in capsys.readouterr().out
+
+
 class TestGrep:
     def test_grep_outputs_lines(self, log_file, tmp_path, capsys):
         path, lines = log_file

@@ -207,6 +207,19 @@ class TestBoxTOC:
             with pytest.raises(FormatError):
                 BoxTOC.read(BytesBlobSource(blob[:cut]))
 
+    @pytest.mark.parametrize("flags", [0x01, 0x02, 0x80, 0xFF])
+    def test_nonzero_flags_raise(self, flags):
+        """The flags byte must be 0: no flag bit names a box format."""
+        blob = bytearray(_one_box(self.LINES))
+        assert blob[5] == 0
+        blob[5] = flags
+        for read in (
+            lambda: BoxTOC.read(BytesBlobSource(bytes(blob))),
+            lambda: CapsuleBox.deserialize(bytes(blob)),
+        ):
+            with pytest.raises(FormatError, match=f"flags 0x{flags:02x}"):
+                read()
+
     def test_truncated_payload_raises(self):
         blob = _one_box(self.LINES)
         with pytest.raises(FormatError):
@@ -390,6 +403,21 @@ class TestOldFormatsRejected:
         out = capsys.readouterr().out
         (line,) = [ln for ln in out.splitlines() if ln.startswith(victim)]
         assert "version 1" in line and "version 2" in line
+        assert f"{len(store.names()) - 1}/{len(store.names())}" in out
+
+    @pytest.mark.parametrize("flags", [0x01, 0x40])
+    def test_verify_reports_flagged_box(self, tmp_path, capsys, flags):
+        from repro.cli import main
+
+        store = _compress_to(tmp_path, make_mixed_lines(400))
+        victim = store.names()[-1]
+        blob = bytearray(store.get(victim))
+        blob[5] = flags
+        store.put(victim, bytes(blob))
+        assert main(["verify", "-a", store.root]) == 1
+        out = capsys.readouterr().out
+        (line,) = [ln for ln in out.splitlines() if ln.startswith(victim)]
+        assert f"unknown CapsuleBox flags 0x{flags:02x}" in line
         assert f"{len(store.names()) - 1}/{len(store.names())}" in out
 
     def test_filled_bloom_section_ignored(self):

@@ -4,43 +4,51 @@ import pytest
 
 from repro import LogGrep, LogGrepConfig
 from repro.baselines.evalutil import grep_lines
+from repro.blockstore.store import MemoryStore
 from repro.core.lifecycle import (
-    archive_offline,
-    offline_config,
+    LifecycleManager,
+    Tier,
     transition_analysis,
 )
 from repro.cost.model import CostParameters
 from tests.conftest import make_mixed_lines
 
+LINES = make_mixed_lines(900, seed=51)
+
 
 @pytest.fixture(scope="module")
 def nearline():
     lg = LogGrep(config=LogGrepConfig(block_bytes=8 * 1024))
-    lg.compress(make_mixed_lines(900, seed=51))
+    lg.compress(LINES)
     return lg
 
 
-class TestOfflineArchiving:
-    def test_offline_config(self):
-        config = offline_config(LogGrepConfig(block_bytes=1 << 20))
-        assert config.preset == 9
-        assert config.block_bytes >= 4 << 20
+def _offline(nearline):
+    """Cold-demote a copy of the near-line store: the offline tier."""
+    store = MemoryStore()
+    for name in nearline.store.names():
+        store.put(name, nearline.store.get(name))
+    manager = LifecycleManager(store, nearline.config)
+    report = manager.demote(Tier.COLD)
+    return manager.open_reader(), report
 
+
+class TestOfflineArchiving:
     def test_rewrite_preserves_data(self, nearline):
-        offline, report = archive_offline(nearline)
-        assert offline.decompress_all() == nearline.decompress_all()
-        assert report.raw_bytes == nearline.raw_bytes
-        assert report.recompress_seconds > 0
+        offline, report = _offline(nearline)
+        assert offline.decompress_all() == nearline.decompress_all() == LINES
+        assert report.bytes_before == nearline.storage_bytes()
+        assert report.rewrite_seconds > 0
 
     def test_offline_compresses_harder(self, nearline):
-        offline, report = archive_offline(nearline)
-        assert report.offline_blocks < report.nearline_blocks  # merged
+        _, report = _offline(nearline)
+        assert report.blocks_after < report.blocks_before  # merged
         assert report.ratio_gain > 1.0  # smaller than near-line
 
     def test_offline_still_queryable(self, nearline):
-        offline, _ = archive_offline(nearline)
-        lines = nearline.decompress_all()
-        assert offline.grep("ERROR").lines == grep_lines("ERROR", lines)
+        offline, _ = _offline(nearline)
+        for query in ("ERROR", "state: ERR", "read"):
+            assert offline.grep(query).lines == grep_lines(query, LINES)
 
 
 class TestTransitionAnalysis:

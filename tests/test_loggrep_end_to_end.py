@@ -4,7 +4,7 @@ import pytest
 
 from repro import ABLATIONS, LogGrep, LogGrepConfig, ablated, sp_config
 from repro.baselines.evalutil import grep_lines
-from repro.blockstore.store import ArchiveStore
+from repro.blockstore.store import ArchiveStore, MemoryStore
 from tests.conftest import make_mixed_lines
 
 QUERIES = [
@@ -176,3 +176,74 @@ class TestPersistence:
         lg.compress(corpus)
         lg.pin_blocks_in_memory()
         assert lg.grep("ERROR").lines == grep_lines("ERROR", corpus)
+
+
+def assert_grep_equals_raw(lg, lines):
+    """Every query returns exactly the raw-line oracle's lines, at their
+    positions in *lines* as line ids."""
+    for query in QUERIES:
+        want = grep_lines(query, lines)
+        result = lg.grep(query)
+        assert result.lines == want, query
+        assert result.line_ids == [
+            i for i, line in enumerate(lines) if grep_lines(query, [line])
+        ], query
+    assert lg.decompress_all() == lines
+
+
+class TestAppend:
+    """A fresh handle over an existing archive continues after its last
+    block and line instead of overwriting them."""
+
+    CONFIG = LogGrepConfig(block_bytes=32 * 1024)
+
+    def test_fresh_handle_appends(self, tmp_path):
+        first = make_mixed_lines(1000, seed=1)
+        second = make_mixed_lines(1000, seed=2)
+        path = str(tmp_path / "archive")
+        LogGrep(store=ArchiveStore(path), config=self.CONFIG).compress(first)
+        blocks = len(ArchiveStore(path).names())
+        LogGrep(store=ArchiveStore(path), config=self.CONFIG).compress(second)
+        assert len(ArchiveStore(path).names()) > blocks
+        reader = LogGrep(store=ArchiveStore(path), config=self.CONFIG)
+        assert_grep_equals_raw(reader, first + second)
+        assert reader.total_lines() == len(first) + len(second)
+
+    def test_two_handles_append_alternately(self):
+        store = MemoryStore()
+        a = LogGrep(store=store, config=self.CONFIG)
+        b = LogGrep(store=store, config=self.CONFIG)
+        lines = []
+        for seed, handle in enumerate((a, b, a, b)):
+            batch = make_mixed_lines(500, seed=seed)
+            handle.compress(batch)
+            lines += batch
+        for handle in (a, b, LogGrep(store=store, config=self.CONFIG)):
+            assert_grep_equals_raw(handle, lines)
+
+    def test_held_handle_appends_after_sidecar_loss(self):
+        """The sidecar is derived data, safe to delete: a held handle that
+        finds it gone after a foreign append still appends after the
+        archive's last block."""
+        from repro.blockstore.index import INDEX_AUX_NAME
+
+        store = MemoryStore()
+        held = LogGrep(store=store, config=self.CONFIG)
+        batches = [make_mixed_lines(500, seed=seed) for seed in range(3)]
+        held.compress(batches[0])
+        LogGrep(store=store, config=self.CONFIG).compress(batches[1])
+        store.delete_aux(INDEX_AUX_NAME)
+        held.compress(batches[2])
+        lines = [line for batch in batches for line in batch]
+        assert_grep_equals_raw(LogGrep(store=store, config=self.CONFIG), lines)
+
+    def test_streaming_appends_to_existing_archive(self):
+        from repro.core.streaming import StreamingCompressor
+
+        first = make_mixed_lines(1000, seed=3)
+        second = make_mixed_lines(1000, seed=4)
+        store = MemoryStore()
+        LogGrep(store=store, config=self.CONFIG).compress(first)
+        with StreamingCompressor(store=store, config=self.CONFIG) as stream:
+            stream.extend(second)
+        assert_grep_equals_raw(LogGrep(store=store, config=self.CONFIG), first + second)

@@ -1,5 +1,5 @@
-"""Lifecycle tier engine: hot → warm → cold demotion, the cross-archive
-shared template store, and the sidecar-rewrite guarantees.
+"""Lifecycle tier engine: hot → warm → cold demotion and the
+sidecar-rewrite guarantees.
 
 The load-bearing regression here is the zero-read property: after a cold
 demotion merges blocks, a time-pruned query against the rewritten archive
@@ -15,22 +15,17 @@ import pytest
 
 from tests.conftest import make_mixed_lines
 from repro.blockstore.index import load_index
-from repro.blockstore.shared import SharedTemplateStore, as_resolver
 from repro.blockstore.store import MemoryStore
-from repro.capsule.box import FLAG_SHARED_TEMPLATES, CapsuleBox
-from repro.common.errors import FormatError
 from repro.common.timeparse import parse_age_arg
 from repro.core.config import LogGrepConfig
 from repro.core.lifecycle import (
     LifecycleManager,
     Tier,
     TierPolicy,
-    archive_offline,
     load_tiers,
     tier_config,
 )
 from repro.core.loggrep import LogGrep
-from repro.staticparse.cache import template_signature
 
 DAY = 86400.0
 #: 2024-01-01 00:00:00 UTC.
@@ -311,19 +306,6 @@ class TestSidecarRewrite:
         assert result.count == 0
         assert store.reads == 0
 
-    def test_pruned_query_costs_zero_reads_after_archive_offline(self):
-        lines = _ts_lines(400, day=1)
-        lg = _build(lines)
-        store = CountingStore()
-        offline, _ = archive_offline(lg, store=store)
-        store.reads = 0
-        reader = LogGrep(store=store, config=offline.config)
-        result = reader.grep(
-            "state", from_time=EPOCH_JAN1 + 30 * DAY, to_time=EPOCH_JAN1 + 31 * DAY
-        )
-        assert result.count == 0
-        assert store.reads == 0
-
     def test_in_window_query_still_correct_after_demote(self):
         lines = _ts_lines(400, day=1)
         lg = _build(lines)
@@ -335,111 +317,3 @@ class TestSidecarRewrite:
         )
         assert got.lines == want.lines and got.line_ids == want.line_ids
 
-
-# ======================================================================
-# the cross-archive shared template store
-# ======================================================================
-class TestSharedStore:
-    def _cold_with_shared(self, lines, shared):
-        lg = _build(lines)
-        manager = LifecycleManager(lg.store, lg.config, shared=shared)
-        manager.demote(Tier.COLD)
-        return lg.store, manager
-
-    def test_cold_boxes_carry_the_shared_flag(self):
-        shared = SharedTemplateStore(MemoryStore())
-        store, _ = self._cold_with_shared(make_mixed_lines(300, seed=9), shared)
-        resolver = as_resolver(shared, store)
-        for name in store.names():
-            data = store.get(name)
-            box = CapsuleBox.deserialize(data, templates=resolver)
-            assert box.num_lines > 0
-        # Flag byte is set in the container header.
-        assert shared.total_bytes() > 0
-
-    def test_second_identical_archive_dedups_fully(self):
-        lines = make_mixed_lines(400, seed=10)
-        shared = SharedTemplateStore(MemoryStore())
-        self._cold_with_shared(lines, shared)
-        bytes_after_first = shared.total_bytes()
-        assert bytes_after_first > 0
-        self._cold_with_shared(lines, shared)
-        # Identical content → identical content ids → zero new bytes.
-        assert shared.total_bytes() == bytes_after_first
-
-    def test_shared_cold_tier_undercuts_per_archive_offline(self):
-        """Three archives of one service — the same 40 templates and 120
-        long low-cardinality values (3 000 lines, 64 KiB blocks): per-
-        archive offline rewrites store those dictionaries three times,
-        the shared store once, so cold-demoting into it costs at most
-        85 % of the offline bytes (0.794 here)."""
-        rng = random.Random(7)
-        values = ["req-%024x" % rng.getrandbits(96) for _ in range(120)]
-        lines = [
-            f"T{1000 + i % 40} handler state: {values[rng.randrange(120)]} ok"
-            for i in range(3000)
-        ]
-
-        def build():
-            lg = LogGrep(
-                store=MemoryStore(), config=LogGrepConfig(block_bytes=64 * 1024)
-            )
-            lg.compress(lines)
-            return lg
-
-        shared = SharedTemplateStore(MemoryStore())
-        offline_bytes = shared_bytes = 0
-        for _ in range(3):
-            _, report = archive_offline(build())
-            offline_bytes += report.offline_bytes
-            lg = build()
-            LifecycleManager(lg.store, lg.config, shared=shared).demote(Tier.COLD)
-            shared_bytes += lg.storage_bytes()
-        shared_bytes += shared.total_bytes()
-        assert 0 < shared_bytes <= 0.85 * offline_bytes
-
-    def test_shared_archive_queries_match_plain(self):
-        lines = make_mixed_lines(400, seed=11)
-        plain = _build(lines)
-        want = plain.grep("read")
-        shared = SharedTemplateStore(MemoryStore())
-        store, manager = self._cold_with_shared(lines, shared)
-        got = manager.open_reader().grep("read")
-        assert got.lines == want.lines
-        reader = LogGrep(
-            store=store, config=LogGrepConfig(block_bytes=2048), templates=shared
-        )
-        assert reader.grep("read").lines == want.lines
-
-    def test_opening_without_resolver_fails_actionably(self):
-        shared = SharedTemplateStore(MemoryStore())
-        store, _ = self._cold_with_shared(make_mixed_lines(300, seed=12), shared)
-        name = store.names()[0]
-        with pytest.raises(FormatError, match="resolver"):
-            CapsuleBox.deserialize(store.get(name))
-        # A resolver with neither store nor bank fails at resolve time
-        # with a message that names the missing content.
-        with pytest.raises(FormatError):
-            CapsuleBox.deserialize(
-                store.get(name), templates=as_resolver(None, store)
-            ).groups  # resolution is eager: deserialize itself raises
-
-    def test_export_bank_makes_archive_self_contained(self):
-        shared = SharedTemplateStore(MemoryStore())
-        lines = make_mixed_lines(300, seed=13)
-        store, manager = self._cold_with_shared(lines, shared)
-        size = manager.export_bank()
-        assert size > 0
-        # No shared store attached: the bank alone resolves everything.
-        reader = LogGrep(store=store, config=LogGrepConfig(block_bytes=2048))
-        assert reader.decompress_all() == lines
-
-
-class TestTemplateSignature:
-    def test_deterministic_and_content_addressed(self):
-        key = ("worker", None, "read")
-        assert template_signature(key) == template_signature(("worker", None, "read"))
-        assert len(template_signature(key)) == 16
-        assert template_signature(key) != template_signature(("worker", None, "write"))
-        # None (a variable slot) and the empty string are distinct tokens.
-        assert template_signature((None,)) != template_signature(("",))
