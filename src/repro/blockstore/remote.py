@@ -157,6 +157,10 @@ class RemoteStore(ArchiveStore):
         self.inner.put_aux(name, data)
 
     def get_aux(self, name: str) -> bytes:
+        if not self.inner.aux_exists(name):
+            # Absent per the cached listing: no request is made, and the
+            # inner store raises its own not-found error.
+            return self.inner.get_aux(name)
         self._request("get")
         return self.inner.get_aux(name)
 

@@ -199,6 +199,10 @@ class CapsuleBox:
         # The blob source capsules were loaded from (None for boxes built
         # in memory by the compressor); prefetch batches reads through it.
         self._source: Optional[BlobSource] = None
+        # The query side's decoded vector state (repro.query.vectors
+        # .box_readers), attached on first query: it lives exactly as
+        # long as the box.
+        self.readers: Optional[object] = None
 
     # ------------------------------------------------------------------
     # serialization

@@ -31,39 +31,34 @@ from ..query.stats import QueryStats
 from ..query.vectors import (
     Piece,
     QuerySettings,
+    box_readers,
     decode_rows,
     join_cells,
-    make_reader,
 )
 
 _DELIMITER = DELIMITER.encode("utf-8")
 
 
 class BlockReconstructor:
-    """Rebuilds entries of one CapsuleBox."""
+    """Rebuilds entries of one CapsuleBox.
+
+    Values come from the box's own vector readers
+    (:func:`~repro.query.vectors.box_readers`), the ones the BlockEngine
+    matched with, so Capsules decompressed and dictionaries mapped while
+    matching — or by any earlier query over a pinned box — are reused.
+    *settings* are the run's; rendering charges *stats*.
+    """
 
     def __init__(
         self,
         box: CapsuleBox,
         settings: Optional[QuerySettings] = None,
         stats: Optional[QueryStats] = None,
-        readers: Optional[Dict[tuple, object]] = None,
     ):
         self.box = box
         self.settings = settings or QuerySettings()
         self.stats = stats if stats is not None else QueryStats()
-        # Reader cache may be shared with the BlockEngine so Capsules
-        # decompressed during matching are reused for reconstruction.
-        self._readers = readers if readers is not None else {}
-
-    def _reader(self, group_idx: int, var_idx: int):
-        key = (group_idx, var_idx)
-        reader = self._readers.get(key)
-        if reader is None:
-            encoded = self.box.groups[group_idx].vectors[var_idx]
-            reader = make_reader(encoded, self.settings, self.stats)
-            self._readers[key] = reader
-        return reader
+        self._readers = box_readers(box)
 
     # ------------------------------------------------------------------
     def reconstruct(self, hits: Dict[int, RowSet]) -> List[Tuple[int, str]]:
@@ -95,7 +90,8 @@ class BlockReconstructor:
             if position:
                 pieces.append(_DELIMITER)
             if token is None:
-                pieces.extend(self._reader(group_idx, var_idx).pieces(rows))
+                reader = self._readers.reader(group_idx, var_idx)
+                pieces.extend(reader.pieces(rows, self.stats))
                 var_idx += 1
             else:
                 pieces.append(token.encode("utf-8"))

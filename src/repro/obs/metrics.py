@@ -33,6 +33,8 @@ DEFAULT_LATENCY_BUCKETS = (
 
 
 def _label_key(labels: Dict[str, str]) -> LabelKey:
+    if not labels:
+        return ()  # the unlabeled series: most calls, nothing to sort
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 

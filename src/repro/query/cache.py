@@ -81,8 +81,7 @@ def load_generation(store: object) -> int:
     name in place.
     """
     try:
-        if not store.aux_exists(GENERATION_AUX_NAME):  # type: ignore[attr-defined]
-            return 0
+        # One read, no existence probe first: a missing blob raises too.
         return int(store.get_aux(GENERATION_AUX_NAME).decode("ascii"))  # type: ignore[attr-defined]
     except Exception:  # noqa: BLE001 - absence and corruption read alike
         return 0

@@ -25,7 +25,7 @@ from .language import Keyword, QueryCommand, SearchString
 from .modes import MatchMode
 from .plan import QueryPlan, build_plan
 from .stats import QueryStats
-from .vectors import QuerySettings, make_reader
+from .vectors import QuerySettings, VectorReader, box_readers
 
 #: Block-level result: group index → matching entry rows.
 GroupRows = Dict[int, RowSet]
@@ -36,7 +36,13 @@ Resolver = Callable[[SearchString], GroupRows]
 
 
 class BlockEngine:
-    """Query executor bound to one deserialized CapsuleBox."""
+    """Query executor bound to one deserialized CapsuleBox.
+
+    The engine is per pass — it carries the run's settings and the
+    stats being charged — while the vector readers it searches through
+    belong to the box (:func:`~repro.query.vectors.box_readers`), so a
+    pinned box's readers serve every query of a refining session.
+    """
 
     def __init__(
         self,
@@ -47,31 +53,17 @@ class BlockEngine:
         self.box = box
         self.settings = settings or QuerySettings()
         self.stats = stats if stats is not None else QueryStats()
-        self._readers: Dict[Tuple[int, int], object] = {}
-        # token position → variable ordinal, per group
-        self._var_ordinals: List[Dict[int, int]] = [
-            {pos: k for k, pos in enumerate(group.template.var_positions)}
-            for group in box.groups
-        ]
+        self._vectors = box_readers(box)
 
     # ------------------------------------------------------------------
     @property
-    def readers(self) -> Dict[Tuple[int, int], object]:
-        """The (group, var) → vector-reader cache.
+    def readers(self) -> Dict[Tuple[int, int], VectorReader]:
+        """The box's (group, var) → vector-reader map, shared with the
+        Reconstructor and with every later pass over the same box."""
+        return self._vectors.readers
 
-        Shared with the Reconstructor so Capsules decompressed during
-        matching are reused for reconstruction.
-        """
-        return self._readers
-
-    def reader(self, group_idx: int, var_idx: int):
-        key = (group_idx, var_idx)
-        reader = self._readers.get(key)
-        if reader is None:
-            encoded = self.box.groups[group_idx].vectors[var_idx]
-            reader = make_reader(encoded, self.settings, self.stats)
-            self._readers[key] = reader
-        return reader
+    def reader(self, group_idx: int, var_idx: int) -> VectorReader:
+        return self._vectors.reader(group_idx, var_idx)
 
     # ------------------------------------------------------------------
     def execute(
@@ -122,7 +114,7 @@ class BlockEngine:
                     if _const_matches(token, keyword, MatchMode.SUBSTRING):
                         return RowSet.full(n)
                     continue
-                var_idx = self._var_ordinals[group_idx][pos]
+                var_idx = self._vectors.var_ordinals[group_idx][pos]
                 result = result | self._search_var(
                     group_idx, var_idx, keyword, MatchMode.SUBSTRING
                 )
@@ -162,7 +154,7 @@ class BlockEngine:
                 var_checks.append((start + j, keyword, mode))
         acc = RowSet.full(n)
         for pos, keyword, mode in var_checks:
-            var_idx = self._var_ordinals[group_idx][pos]
+            var_idx = self._vectors.var_ordinals[group_idx][pos]
             acc = acc & self._search_var(group_idx, var_idx, keyword, mode)
             if not acc:
                 return acc
@@ -171,10 +163,10 @@ class BlockEngine:
     def _search_var(
         self, group_idx: int, var_idx: int, keyword: Keyword, mode: MatchMode
     ) -> RowSet:
-        reader = self.reader(group_idx, var_idx)
+        reader = self._vectors.reader(group_idx, var_idx)
         if keyword.needs_regex:
-            return reader.search_wildcard(keyword, mode)
-        return reader.search(keyword.text, mode)
+            return reader.search_wildcard(keyword, mode, self.settings, self.stats)
+        return reader.search(keyword.text, mode, self.settings, self.stats)
 
 
 def _mode_for(j: int, k: int) -> MatchMode:

@@ -19,10 +19,11 @@ one.  Per block the pipeline is::
   Opening fetches only the header and metadata sections through
   ranged reads; capsule payloads are
   ranged-read on first access, and Reconstruct batch-prefetches the hit
-  groups' payloads with coalesced reads.  One :class:`BlockEngine` per
-  block shares its vector readers across plans, so a capsule
+  groups' payloads with coalesced reads.  The vector readers belong
+  to the box (:func:`~repro.query.vectors.box_readers`), so a capsule
   decompressed for one plan's match is free for another's
-  reconstruction.
+  reconstruction, and a pinned box's decoded state serves every later
+  query of a refining session.
 * **Locate** — the engine's disjunct fold over the plan's
   selectivity-ordered terms.  The §5.1 Locator's answers are memoized
   for the run (:data:`~repro.query.vectors.LocateMemo`): blocks of one
@@ -884,7 +885,7 @@ class QueryExecutor:
                 "reconstruct"
             ):
                 outcome.entries = self._reconstruct(
-                    box, hits, outcome.stats, rspan, engine.readers
+                    box, hits, outcome.stats, engine.settings, rspan
                 )
 
     def _reconstruct(
@@ -892,20 +893,19 @@ class QueryExecutor:
         box: CapsuleBox,
         hits: GroupRows,
         stats: QueryStats,
+        settings: QuerySettings,
         rspan: object,
-        readers: Optional[Dict[tuple, object]] = None,
     ) -> List[Entry]:
-        """The Reconstruct operator body.  Reconstruction touches every
-        vector of each hit group, so the still-unfetched payloads are
-        batched into coalesced ranged reads instead of one per capsule."""
+        """The Reconstruct operator body, under the run's *settings*.
+        Reconstruction touches every vector of each hit group, so the
+        still-unfetched payloads are batched into coalesced ranged reads
+        instead of one per capsule."""
         from ..core.reconstructor import BlockReconstructor
 
         prefetched = box.prefetch(hits.keys())
         if prefetched:
             rspan.set("prefetched_bytes", prefetched)
-        entries = BlockReconstructor(
-            box, self._settings(), stats, readers=readers
-        ).reconstruct(hits)
+        entries = BlockReconstructor(box, settings, stats).reconstruct(hits)
         rspan.set("entries", len(entries))
         return entries
 
@@ -928,7 +928,11 @@ class QueryExecutor:
             return []
         with get_tracer().span("reconstruct", block=name) as rspan:
             return self._reconstruct(
-                self.load_box(name), hits, stats or QueryStats(), rspan
+                self.load_box(name),
+                hits,
+                stats or QueryStats(),
+                self._settings(),
+                rspan,
             )
 
     # ------------------------------------------------------------------
@@ -984,7 +988,7 @@ class QueryExecutor:
                 partial.add(ref.constant or "", len(rows))  # type: ignore[attr-defined]
                 continue
             reader = engine.reader(ref.group_index, ref.var_index)
-            counts = reader.value_counts(rows)
+            counts = reader.value_counts(rows, engine.stats)
             if isinstance(reader, NominalVectorReader):
                 _AGG_INDEX_ROWS.inc(len(rows))
             else:
@@ -1006,7 +1010,9 @@ class QueryExecutor:
         reader = engine.reader(ref.group_index, ref.var_index)
         _AGG_DECODED_ROWS.inc(len(rows))  # type: ignore[arg-type]
         wanted = None if rows.is_full() else rows.rows()  # type: ignore[attr-defined]
-        return [ref.clean(value) for value in reader.values(wanted)]
+        return [
+            ref.clean(value) for value in reader.values(wanted, engine.stats)
+        ]
 
     def _aggregate_values(
         self,

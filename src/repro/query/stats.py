@@ -45,49 +45,69 @@ class QueryStats:
     def merge(self, other: "QueryStats") -> None:
         """Accumulate *other* field by field.
 
-        Iterates ``dataclasses.fields`` so a newly added counter can never
-        be silently dropped from aggregation.
+        Iterates the names ``dataclasses.fields`` lists, so a newly added
+        counter can never be silently dropped from aggregation.
         """
-        for spec in dataclasses.fields(self):
-            setattr(
-                self,
-                spec.name,
-                getattr(self, spec.name) + getattr(other, spec.name),
-            )
+        for name in _QUERYSTAT_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     def publish(self, elapsed: float) -> None:
         """Record this query in the process-wide metrics registry."""
-        registry = get_registry()
-        registry.counter(
-            "loggrep_queries_total", "Queries executed"
-        ).inc()
-        registry.histogram(
-            "loggrep_query_seconds", "End-to-end query latency"
-        ).observe(elapsed)
-        for spec in dataclasses.fields(self):
-            registry.counter(
-                f"loggrep_query_{spec.name}_total",
-                f"QueryStats.{spec.name} summed over all queries",
-            ).inc(getattr(self, spec.name))
+        _QUERIES.inc()
+        _QUERY_SECONDS.observe(elapsed)
+        for name, counter in _FIELD_COUNTERS:
+            counter.inc(getattr(self, name))
         touched = self.capsules_filtered + self.capsules_decompressed
         if touched:
-            registry.gauge(
-                "loggrep_capsule_filter_ratio",
-                "Fraction of capsules proven irrelevant without decompression "
-                "in the most recent query",
-            ).set(self.capsules_filtered / touched)
+            _FILTER_RATIO.set(self.capsules_filtered / touched)
+
+
+#: Field names resolved once — merge() runs per (block, plan) pair, too
+#: hot for a dataclasses.fields() walk each time.
+_QUERYSTAT_FIELDS = tuple(spec.name for spec in dataclasses.fields(QueryStats))
+
+_QUERIES = get_registry().counter("loggrep_queries_total", "Queries executed")
+_QUERY_SECONDS = get_registry().histogram(
+    "loggrep_query_seconds", "End-to-end query latency"
+)
+#: One counter per QueryStats field, registered once at import.
+_FIELD_COUNTERS = tuple(
+    (
+        name,
+        get_registry().counter(
+            f"loggrep_query_{name}_total",
+            f"QueryStats.{name} summed over all queries",
+        ),
+    )
+    for name in _QUERYSTAT_FIELDS
+)
+_FILTER_RATIO = get_registry().gauge(
+    "loggrep_capsule_filter_ratio",
+    "Fraction of capsules proven irrelevant without decompression "
+    "in the most recent query",
+)
+
+#: Striped locks serializing the first inflate of each Capsule: two
+#: queries racing on one pinned box inflate it once, and only the one
+#: that did is charged.  Stripes keep unrelated Capsules inflating in
+#: parallel (the codecs release the GIL).
+_INFLATE_LOCKS = tuple(threading.Lock() for _ in range(64))
 
 
 def touch_capsule(capsule, stats: QueryStats) -> None:
-    """Record a decompression if *capsule* has not been opened yet."""
+    """Inflate *capsule* if nobody has yet, charging *stats* only when
+    this call is the one that inflated it."""
     if capsule.is_decompressed:
         return
-    with get_tracer().span("decompress") as span:
-        data = capsule.plain()
-        span.set("bytes", len(data))
+    with _INFLATE_LOCKS[(id(capsule) >> 4) % len(_INFLATE_LOCKS)]:
+        if capsule.is_decompressed:
+            return
+        with get_tracer().span("decompress") as span:
+            data = capsule.plain()
+            span.set("bytes", len(data))
     stats.capsules_decompressed += 1
     stats.bytes_decompressed += len(data)
     ledger_channel.charge_decompress(len(data))

@@ -20,16 +20,29 @@ pass (:func:`join_cells`, :func:`decode_rows`), whether the caller is the
 Reconstructor, an aggregate or wildcard verification.  Every cell comes
 out of ``Capsule.cells`` (or ``region_cells``), so a payload whose shape
 disagrees with its metadata raises :class:`FormatError` on every path.
-Nothing decoded outlives the reader, which lives for one block pass.
+
+Decoded vector state is box-scoped.  A reader is built once per vector
+and lives exactly as long as its :class:`CapsuleBox`, which owns it
+(:func:`box_readers`): a box pinned by a refining session keeps its
+readers' stamp lists, Locator keys, outlier maps and nominal cell tables
+across queries, and a box dropped by the BoxCache or a generation bump
+takes them with it.  This is no cache of its own: the cache count stays
+at four (the Query Cache, the BoxCache, the warm-start TemplateCache and
+the per-run :data:`LocateMemo`).  A reader holds nothing of a query: the run's
+:class:`QuerySettings` and the :class:`QueryStats` being charged are
+passed to every call, so concurrent queries over one pinned box never
+charge each other, and every lazily built piece of state is computed
+whole and then published, so racing threads at worst build it twice.
 """
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union, cast
 
 from ..capsule import scan
 from ..obs import ledger as ledger_channel
@@ -38,6 +51,7 @@ from ..capsule.assembler import (
     PlainEncodedVector,
     RealEncodedVector,
 )
+from ..capsule.box import CapsuleBox
 from ..capsule.capsule import LAYOUT_FIXED, LAYOUT_REGION, PAD, Capsule
 from ..capsule.stamp import CapsuleStamp
 from ..common.errors import FormatError
@@ -181,38 +195,49 @@ def _literal_runs(keyword) -> List[str]:
 
 class _VectorReader:
     """What the three readers share: values are decoded from ``pieces``
-    and nowhere else."""
+    and nowhere else.
 
-    def __init__(self, encoded, settings: QuerySettings, stats: QueryStats):
+    A reader keeps only what its vector's stored bytes determine.  The
+    :class:`QueryStats` to charge, and for a search the run's
+    :class:`QuerySettings`, come with every call.
+    """
+
+    def __init__(self, encoded):
         self.encoded = encoded
-        self.settings = settings
-        self.stats = stats
         self.num_rows = encoded.num_rows
 
-    def pieces(self, rows: Optional[Sequence[int]] = None) -> List[Piece]:
+    def pieces(
+        self, rows: Optional[Sequence[int]], stats: QueryStats
+    ) -> List[Piece]:
         raise NotImplementedError
 
-    def values(self, rows: Optional[Sequence[int]] = None) -> List[str]:
+    def values(
+        self, rows: Optional[Sequence[int]], stats: QueryStats
+    ) -> List[str]:
         """The decoded values of *rows* (ascending group rows; every row
         when None), in row order."""
         num_rows = self.num_rows if rows is None else len(rows)
-        return decode_rows(join_cells(self.pieces(rows), num_rows))
+        return decode_rows(join_cells(self.pieces(rows, stats), num_rows))
 
-    def value_counts(self, rows: Optional[RowSet] = None) -> "Counter[str]":
+    def value_counts(
+        self, rows: Optional[RowSet], stats: QueryStats
+    ) -> "Counter[str]":
         """value → occurrences among *rows* (all rows when None).
 
         Real and plain vectors have no dictionary, so counting decodes
         every wanted row — the documented slow path of the Aggregate
         operator (its fast path is nominal index-cell counting).
         """
-        return Counter(self.values(_row_list(rows)))
+        return Counter(self.values(_row_list(rows), stats))
 
-    def _verify(self, regex, rows: Optional[Sequence[int]]) -> RowSet:
+    def _verify(
+        self, regex, rows: Optional[Sequence[int]], stats: QueryStats
+    ) -> RowSet:
         """The rows of *rows* (every row when None) whose decoded value
         the wildcard *regex* finds a match in."""
         result = RowSet.empty(self.num_rows)
         wanted = range(self.num_rows) if rows is None else rows
-        values = self.values(rows)
+        values = self.values(rows, stats)
         result.add_rows(
             [row for row, value in zip(wanted, values) if regex.search(value)]
         )
@@ -224,49 +249,56 @@ class RealVectorReader(_VectorReader):
 
     encoded: RealEncodedVector
 
-    def __init__(
-        self,
-        encoded: RealEncodedVector,
-        settings: QuerySettings,
-        stats: QueryStats,
-    ):
-        super().__init__(encoded, settings, stats)
+    def __init__(self, encoded: RealEncodedVector):
+        super().__init__(encoded)
         self._stamps: List[CapsuleStamp] = [
             capsule.stamp for capsule in encoded.subvar_capsules
         ]
         self._locate_key = (tuple(encoded.pattern.elements), tuple(self._stamps))
-        self._outlier_set = set(encoded.outlier_rows)
+        self._outlier_set = frozenset(encoded.outlier_rows)
         self._matched_map: Optional[List[int]] = None  # capsule row → group row
 
     # ------------------------------------------------------------------
     def _matched_rows(self) -> List[int]:
-        if self._matched_map is None:
-            if not self._outlier_set:
-                self._matched_map = list(range(self.num_rows))
-            else:
-                self._matched_map = [
-                    row for row in range(self.num_rows) if row not in self._outlier_set
-                ]
-        return self._matched_map
+        mapping = self._matched_map
+        if mapping is None:
+            outliers = self._outlier_set
+            mapping = self._matched_map = [
+                row for row in range(self.num_rows) if row not in outliers
+            ]
+        return mapping
 
     @property
     def _num_matched(self) -> int:
         return self.num_rows - len(self.encoded.outlier_rows)
 
     # ------------------------------------------------------------------
-    def search(self, fragment: str, mode: MatchMode) -> RowSet:
+    def search(
+        self,
+        fragment: str,
+        mode: MatchMode,
+        settings: QuerySettings,
+        stats: QueryStats,
+    ) -> RowSet:
         result = RowSet.empty(self.num_rows)
-        self._search_matched(fragment, mode, result)
-        self._search_outliers_plain(fragment, mode, result)
+        self._search_matched(fragment, mode, settings, stats, result)
+        self._search_outliers_plain(fragment, mode, stats, result)
         return result
 
-    def _search_matched(self, fragment: str, mode: MatchMode, result: RowSet) -> None:
+    def _search_matched(
+        self,
+        fragment: str,
+        mode: MatchMode,
+        settings: QuerySettings,
+        stats: QueryStats,
+        result: RowSet,
+    ) -> None:
         num_matched = self._num_matched
         if num_matched == 0:
             return
         encoded = self.encoded
         candidates = _locate(
-            self.settings,
+            settings,
             self._locate_key,
             encoded.pattern,
             self._stamps,
@@ -274,19 +306,19 @@ class RealVectorReader(_VectorReader):
             mode,
         )
         if candidates is TOO_COMPLEX:
-            self.stats.fallback_scans += 1
-            self._scan_matched(fragment, mode, result)
+            stats.fallback_scans += 1
+            self._scan_matched(fragment, mode, stats, result)
             return
         capsule_rows = RowSet.empty(num_matched)
         for candidate in candidates:
-            self.stats.candidates_evaluated += 1
+            stats.candidates_evaluated += 1
             if not candidate:
                 capsule_rows = RowSet.full(num_matched)
                 break
             current: Optional[RowSet] = None
             for subvar, frag, frag_mode in candidate:
                 capsule = encoded.subvar_capsules[subvar]
-                self.stats.capsules_considered += 1
+                stats.capsules_considered += 1
                 hint = None
                 if (
                     current is not None
@@ -295,7 +327,7 @@ class RealVectorReader(_VectorReader):
                 ):
                     # §5.2 direct checking: probe only candidate rows.
                     hint = current.rows()
-                touch_capsule(capsule, self.stats)
+                touch_capsule(capsule, stats)
                 rows = search_capsule(capsule, frag, frag_mode, rows_hint=hint)
                 current = rows if current is None else current & rows
                 if not current:
@@ -311,11 +343,13 @@ class RealVectorReader(_VectorReader):
         mapping = self._matched_rows()
         result.add_rows([mapping[crow] for crow in capsule_rows.rows()])
 
-    def _scan_matched(self, fragment: str, mode: MatchMode, result: RowSet) -> None:
+    def _scan_matched(
+        self, fragment: str, mode: MatchMode, stats: QueryStats, result: RowSet
+    ) -> None:
         """Correct-but-slow fallback: decode every pattern-matched row
         and test it."""
         mapping = self._matched_rows()
-        pieces = self._matched_pieces(None)
+        pieces = self._matched_pieces(None, stats)
         values = decode_rows(join_cells(pieces, self._num_matched))
         result.add_rows(
             [
@@ -326,32 +360,40 @@ class RealVectorReader(_VectorReader):
         )
 
     def _search_outliers_plain(
-        self, fragment: str, mode: MatchMode, result: RowSet
+        self, fragment: str, mode: MatchMode, stats: QueryStats, result: RowSet
     ) -> None:
         encoded = self.encoded
         if encoded.outlier_capsule is None:
             return
         # Outliers escaped the pattern, so every query must scan them.
-        touch_capsule(encoded.outlier_capsule, self.stats)
+        touch_capsule(encoded.outlier_capsule, stats)
         rows = search_capsule(encoded.outlier_capsule, fragment, mode)
         outlier_rows = encoded.outlier_rows
         result.add_rows([outlier_rows[orow] for orow in rows.rows()])
 
     # ------------------------------------------------------------------
-    def search_wildcard(self, keyword, mode: MatchMode) -> RowSet:
+    def search_wildcard(
+        self,
+        keyword,
+        mode: MatchMode,
+        settings: QuerySettings,
+        stats: QueryStats,
+    ) -> RowSet:
         """Wildcard search: literal runs narrow the candidate rows through
         the normal pattern/stamp machinery (byte-level), then only those
         rows — and every outlier, which escaped the pattern — are decoded
         and regex-verified: the structured analogue of index-assisted
         wildcard matching."""
-        candidates = self._wildcard_candidates(keyword)
+        candidates = self._wildcard_candidates(keyword, settings, stats)
         rows: Optional[List[int]] = None  # no usable literal run: every row
         if candidates is not None:
             candidates.add_rows(self.encoded.outlier_rows)
             rows = candidates.rows()
-        return self._verify(keyword.regex_for(mode), rows)
+        return self._verify(keyword.regex_for(mode), rows, stats)
 
-    def _wildcard_candidates(self, keyword) -> Optional[RowSet]:
+    def _wildcard_candidates(
+        self, keyword, settings: QuerySettings, stats: QueryStats
+    ) -> Optional[RowSet]:
         """Pattern-matched rows that contain every (case-sensitive)
         literal run of the keyword; None when no run is checkable."""
         literals = _literal_runs(keyword)
@@ -360,17 +402,17 @@ class RealVectorReader(_VectorReader):
         candidates: Optional[RowSet] = None
         for run in literals:
             rows = RowSet.empty(self.num_rows)
-            self._search_matched(run, MatchMode.SUBSTRING, rows)
+            self._search_matched(run, MatchMode.SUBSTRING, settings, stats, rows)
             candidates = rows if candidates is None else candidates & rows
             if not candidates:
-                self.stats.capsules_filtered += len(
-                    self.encoded.subvar_capsules
-                )
+                stats.capsules_filtered += len(self.encoded.subvar_capsules)
                 break
         return candidates
 
     # ------------------------------------------------------------------
-    def pieces(self, rows: Optional[Sequence[int]] = None) -> List[Piece]:
+    def pieces(
+        self, rows: Optional[Sequence[int]], stats: QueryStats
+    ) -> List[Piece]:
         """The values of *rows* (ascending group rows; every row when
         None) as rendering pieces: the pattern's constants and one padded
         cell column per sub-variable.
@@ -382,7 +424,7 @@ class RealVectorReader(_VectorReader):
         encoded = self.encoded
         outlier_rows = encoded.outlier_rows
         if not outlier_rows:
-            return self._matched_pieces(rows)
+            return self._matched_pieces(rows, stats)
         assert encoded.outlier_capsule is not None
         # Capsule rows of the matched rows, outlier-Capsule rows of the
         # outliers, and where in the output each outlier belongs.
@@ -396,18 +438,20 @@ class RealVectorReader(_VectorReader):
                 places.append(slot)
             else:
                 matched.append(row - pos)
-        column = join_cells(self._matched_pieces(matched), len(matched))
+        column = join_cells(self._matched_pieces(matched, stats), len(matched))
         # Ascending places: each insert lands at its final position.
-        outliers = _take_cells(encoded.outlier_capsule, picked, self.stats)
+        outliers = _take_cells(encoded.outlier_capsule, picked, stats)
         for place, cell in zip(places, outliers):
             column.insert(place, cell)
         return [column]
 
-    def _matched_pieces(self, crows: Optional[Sequence[int]]) -> List[Piece]:
+    def _matched_pieces(
+        self, crows: Optional[Sequence[int]], stats: QueryStats
+    ) -> List[Piece]:
         """Pieces of the pattern-matched rows, in capsule row space."""
         encoded = self.encoded
         columns = [
-            _take_cells(capsule, crows, self.stats)
+            _take_cells(capsule, crows, stats)
             for capsule in encoded.subvar_capsules
         ]
         return _pattern_pieces(encoded.pattern, columns)
@@ -418,44 +462,53 @@ class NominalVectorReader(_VectorReader):
 
     encoded: NominalEncodedVector
 
-    def __init__(
-        self,
-        encoded: NominalEncodedVector,
-        settings: QuerySettings,
-        stats: QueryStats,
-    ):
-        super().__init__(encoded, settings, stats)
+    def __init__(self, encoded: NominalEncodedVector):
+        super().__init__(encoded)
         self._region_slots: List[int] = []  # first slot of each pattern region
+        # Each dictionary pattern's sub-variable stamps and Locator key,
+        # built on the first search (see _pattern_keys).
+        self._keys: Optional[List[Tuple[Tuple[CapsuleStamp, ...], tuple]]] = None
         self._table: Optional[Dict[bytes, bytes]] = None  # see _cell_table
         self._dictionary: Optional[List[str]] = None  # see _decoded_dictionary
-        self._stamps: Optional[List[Tuple[CapsuleStamp, ...]]] = None  # per pattern
         slot = 0
         for dp in encoded.dict_patterns:
             self._region_slots.append(slot)
             slot += dp.count
 
     # ------------------------------------------------------------------
-    def _pattern_stamps(self) -> List[Tuple[CapsuleStamp, ...]]:
-        """Each dictionary pattern's sub-variable stamps, built once."""
-        if self._stamps is None:
-            self._stamps = [
-                tuple(
+    def _pattern_keys(self) -> List[Tuple[Tuple[CapsuleStamp, ...], tuple]]:
+        """Each dictionary pattern's ``(sub-variable stamps, Locator
+        key)``, built once."""
+        keys = self._keys
+        if keys is None:
+            keys = []
+            for dp in self.encoded.dict_patterns:
+                stamps = tuple(
                     CapsuleStamp(mask, maxlen)
                     for mask, maxlen in zip(dp.subvar_masks, dp.subvar_maxlens)
                 )
-                for dp in self.encoded.dict_patterns
-            ]
-        return self._stamps
+                keys.append((stamps, (tuple(dp.pattern.elements), stamps)))
+            self._keys = keys
+        return keys
 
-    def _decoded_dictionary(self) -> List[str]:
-        """Every dictionary value in slot order, decoded once per reader
-        from the cells of :meth:`_cell_table`."""
-        if self._dictionary is None:
-            self._dictionary = decode_rows(list(self._cell_table().values()))
-        return self._dictionary
+    def _decoded_dictionary(self, stats: QueryStats) -> List[str]:
+        """Every dictionary value in slot order, decoded once from the
+        cells of :meth:`_cell_table`."""
+        dictionary = self._dictionary
+        if dictionary is None:
+            dictionary = self._dictionary = decode_rows(
+                list(self._cell_table(stats).values())
+            )
+        return dictionary
 
     # ------------------------------------------------------------------
-    def matching_slots(self, fragment: str, mode: MatchMode) -> List[int]:
+    def matching_slots(
+        self,
+        fragment: str,
+        mode: MatchMode,
+        settings: QuerySettings,
+        stats: QueryStats,
+    ) -> List[int]:
         """Dictionary slots whose value matches the fragment.
 
         In a region-packed dictionary each surviving pattern's region is
@@ -466,17 +519,16 @@ class NominalVectorReader(_VectorReader):
         in_place = encoded.dict_capsule.layout == LAYOUT_REGION
         needle = fragment.encode("utf-8") if in_place else b""
         slots: List[int] = []
-        all_stamps = self._pattern_stamps()
+        keys = self._pattern_keys()
         for pattern_idx, dp in enumerate(encoded.dict_patterns):
-            stamps = all_stamps[pattern_idx]
-            key = (tuple(dp.pattern.elements), stamps)
-            candidates = _locate(self.settings, key, dp.pattern, stamps, fragment, mode)
+            stamps, key = keys[pattern_idx]
+            candidates = _locate(settings, key, dp.pattern, stamps, fragment, mode)
             if candidates is not TOO_COMPLEX and not candidates:
-                self.stats.capsules_filtered += 1
+                stats.capsules_filtered += 1
                 continue  # the pattern cannot produce the fragment
             base = self._region_slots[pattern_idx]
             if in_place:
-                touch_capsule(encoded.dict_capsule, self.stats)
+                touch_capsule(encoded.dict_capsule, stats)
                 plain = encoded.dict_capsule.plain()
                 for local in scan.scan_region(
                     plain,
@@ -488,34 +540,46 @@ class NominalVectorReader(_VectorReader):
                 ):
                     slots.append(base + local)
                 continue
-            region = self._decoded_dictionary()[base : base + dp.count]
+            region = self._decoded_dictionary(stats)[base : base + dp.count]
             for local, value in enumerate(region):
                 if value_matches(value, fragment, mode):
                     slots.append(base + local)
         return slots
 
-    def search(self, fragment: str, mode: MatchMode) -> RowSet:
-        slots = self.matching_slots(fragment, mode)
-        return self._rows_for_slots(slots)
+    def search(
+        self,
+        fragment: str,
+        mode: MatchMode,
+        settings: QuerySettings,
+        stats: QueryStats,
+    ) -> RowSet:
+        slots = self.matching_slots(fragment, mode, settings, stats)
+        return self._rows_for_slots(slots, stats)
 
-    def search_wildcard(self, keyword, mode: MatchMode) -> RowSet:
+    def search_wildcard(
+        self,
+        keyword,
+        mode: MatchMode,
+        settings: QuerySettings,
+        stats: QueryStats,
+    ) -> RowSet:
         regex = keyword.regex_for(mode)
         slots = [
             slot
-            for slot, value in enumerate(self._decoded_dictionary())
+            for slot, value in enumerate(self._decoded_dictionary(stats))
             if regex.search(value)
         ]
-        return self._rows_for_slots(slots)
+        return self._rows_for_slots(slots, stats)
 
-    def _rows_for_slots(self, slots: Sequence[int]) -> RowSet:
+    def _rows_for_slots(self, slots: Sequence[int], stats: QueryStats) -> RowSet:
         encoded = self.encoded
         result = RowSet.empty(self.num_rows)
         if not slots:
             # The index Capsule is never decompressed — the dictionary
             # proved the keyword absent (§5.1).
-            self.stats.capsules_filtered += 1
+            stats.capsules_filtered += 1
             return result
-        touch_capsule(encoded.index_capsule, self.stats)
+        touch_capsule(encoded.index_capsule, stats)
         width = encoded.index_width
         capsule = encoded.index_capsule
         rows: List[int] = []
@@ -558,7 +622,9 @@ class NominalVectorReader(_VectorReader):
         return result
 
     # ------------------------------------------------------------------
-    def value_counts(self, rows: Optional[RowSet] = None) -> "Counter[str]":
+    def value_counts(
+        self, rows: Optional[RowSet], stats: QueryStats
+    ) -> "Counter[str]":
         """value → occurrences among *rows* (all rows when None), counted
         on raw index cells — the §2 "dictionary is the group-by index"
         fast path.
@@ -570,25 +636,29 @@ class NominalVectorReader(_VectorReader):
         rows.
         """
         capsule = self.encoded.index_capsule
-        touch_capsule(capsule, self.stats)
+        touch_capsule(capsule, stats)
         cells = capsule.cells(_row_list(rows))
         ledger_channel.charge_rows_scanned(len(cells))
         cell_counts = Counter(cells)
-        values = decode_rows(self._dictionary_cells(cell_counts))
+        values = decode_rows(self._dictionary_cells(cell_counts, stats))
         out: "Counter[str]" = Counter()
         for value, n in zip(values, cell_counts.values()):
             out[value] += n
         return out
 
-    def pieces(self, rows: Optional[Sequence[int]] = None) -> List[Piece]:
+    def pieces(
+        self, rows: Optional[Sequence[int]], stats: QueryStats
+    ) -> List[Piece]:
         """The values of *rows* (every row when None) as one column of
         padded dictionary cells, mapped from the raw index cells."""
-        cells = _take_cells(self.encoded.index_capsule, rows, self.stats)
-        return [self._dictionary_cells(cells)]
+        cells = _take_cells(self.encoded.index_capsule, rows, stats)
+        return [self._dictionary_cells(cells, stats)]
 
-    def _dictionary_cells(self, index_cells: Iterable[bytes]) -> List[bytes]:
+    def _dictionary_cells(
+        self, index_cells: Iterable[bytes], stats: QueryStats
+    ) -> List[bytes]:
         """The padded dictionary cell each raw index cell names."""
-        table = self._cell_table()
+        table = self._cell_table(stats)
         try:
             return list(map(table.__getitem__, index_cells))
         except KeyError as exc:
@@ -596,13 +666,14 @@ class NominalVectorReader(_VectorReader):
                 f"index cell {exc.args[0]!r} names no dictionary slot"
             ) from None
 
-    def _cell_table(self) -> Dict[bytes, bytes]:
+    def _cell_table(self, stats: QueryStats) -> Dict[bytes, bytes]:
         """Raw (zero-filled) index cell → padded dictionary cell, built
         once per vector from the dictionary payload."""
-        if self._table is None:
+        table = self._table
+        if table is None:
             encoded = self.encoded
             capsule = encoded.dict_capsule
-            touch_capsule(capsule, self.stats)
+            touch_capsule(capsule, stats)
             if capsule.layout == LAYOUT_REGION:
                 cells = capsule.region_cells(
                     [(dp.count, dp.width) for dp in encoded.dict_patterns]
@@ -611,11 +682,11 @@ class NominalVectorReader(_VectorReader):
                 cells = capsule.cells()
             ledger_channel.charge_decoded_values(len(cells))
             width = encoded.index_width
-            self._table = {
+            table = self._table = {
                 str(slot).zfill(width).encode("ascii"): cell
                 for slot, cell in enumerate(cells)
             }
-        return self._table
+        return table
 
 
 class PlainVectorReader(_VectorReader):
@@ -623,26 +694,38 @@ class PlainVectorReader(_VectorReader):
 
     encoded: PlainEncodedVector
 
-    def search(self, fragment: str, mode: MatchMode) -> RowSet:
+    def search(
+        self,
+        fragment: str,
+        mode: MatchMode,
+        settings: QuerySettings,
+        stats: QueryStats,
+    ) -> RowSet:
         capsule = self.encoded.capsule
-        self.stats.capsules_considered += 1
-        if self.settings.use_stamps and not capsule.stamp.admits(fragment):
-            self.stats.capsules_filtered += 1
+        stats.capsules_considered += 1
+        if settings.use_stamps and not capsule.stamp.admits(fragment):
+            stats.capsules_filtered += 1
             return RowSet.empty(self.num_rows)
-        touch_capsule(capsule, self.stats)
+        touch_capsule(capsule, stats)
         return search_capsule(capsule, fragment, mode)
 
-    def search_wildcard(self, keyword, mode: MatchMode) -> RowSet:
+    def search_wildcard(
+        self,
+        keyword,
+        mode: MatchMode,
+        settings: QuerySettings,
+        stats: QueryStats,
+    ) -> RowSet:
         capsule = self.encoded.capsule
         literals = _literal_runs(keyword)
-        if literals and self.settings.use_stamps:
+        if literals and settings.use_stamps:
             if any(not capsule.stamp.admits(run) for run in literals):
-                self.stats.capsules_filtered += 1
+                stats.capsules_filtered += 1
                 return RowSet.empty(self.num_rows)
         rows: Optional[List[int]] = None  # no literal run: every row
         if literals:
             # Narrow with the literal runs, verify only candidate rows.
-            touch_capsule(capsule, self.stats)
+            touch_capsule(capsule, stats)
             candidates: Optional[RowSet] = None
             for run in literals:
                 found = search_capsule(capsule, run, MatchMode.SUBSTRING)
@@ -650,19 +733,68 @@ class PlainVectorReader(_VectorReader):
                 if not candidates:
                     return candidates
             rows = candidates.rows()
-        return self._verify(keyword.regex_for(mode), rows)
+        return self._verify(keyword.regex_for(mode), rows, stats)
 
-    def pieces(self, rows: Optional[Sequence[int]] = None) -> List[Piece]:
+    def pieces(
+        self, rows: Optional[Sequence[int]], stats: QueryStats
+    ) -> List[Piece]:
         """The values of *rows* (every row when None): one padded column."""
-        return [_take_cells(self.encoded.capsule, rows, self.stats)]
+        return [_take_cells(self.encoded.capsule, rows, stats)]
 
 
-def make_reader(encoded, settings: QuerySettings, stats: QueryStats):
+VectorReader = Union[RealVectorReader, NominalVectorReader, PlainVectorReader]
+
+
+def make_reader(encoded) -> VectorReader:
     """Reader factory over the three encodings."""
     if isinstance(encoded, RealEncodedVector):
-        return RealVectorReader(encoded, settings, stats)
+        return RealVectorReader(encoded)
     if isinstance(encoded, NominalEncodedVector):
-        return NominalVectorReader(encoded, settings, stats)
+        return NominalVectorReader(encoded)
     if isinstance(encoded, PlainEncodedVector):
-        return PlainVectorReader(encoded, settings, stats)
+        return PlainVectorReader(encoded)
     raise TypeError(f"unknown encoded vector {type(encoded)!r}")
+
+
+class BoxReaders:
+    """The vector readers of one :class:`CapsuleBox`, built on first use
+    and owned by the box (see :func:`box_readers`), plus each group's
+    token position → variable ordinal map."""
+
+    __slots__ = ("_groups", "readers", "var_ordinals")
+
+    def __init__(self, box: CapsuleBox):
+        self._groups = box.groups
+        #: (group, var) → reader.
+        self.readers: Dict[Tuple[int, int], VectorReader] = {}
+        self.var_ordinals: List[Dict[int, int]] = [
+            {pos: k for k, pos in enumerate(group.template.var_positions)}
+            for group in box.groups
+        ]
+
+    def reader(self, group_idx: int, var_idx: int) -> VectorReader:
+        key = (group_idx, var_idx)
+        reader = self.readers.get(key)
+        if reader is None:
+            # setdefault is atomic: of two racing builds one is kept, and
+            # every caller gets that one.
+            reader = self.readers.setdefault(
+                key, make_reader(self._groups[group_idx].vectors[var_idx])
+            )
+        return reader
+
+
+_ATTACH_LOCK = threading.Lock()
+
+
+def box_readers(box: CapsuleBox) -> BoxReaders:
+    """The readers of *box*, attached to it on first use: they live and
+    die with the box, whether it is pinned, cached or opened for one
+    query."""
+    readers = box.readers
+    if readers is None:
+        with _ATTACH_LOCK:
+            if box.readers is None:
+                box.readers = BoxReaders(box)
+            readers = box.readers
+    return cast(BoxReaders, readers)

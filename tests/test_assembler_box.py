@@ -21,7 +21,7 @@ from repro.core.compressor import compress_block
 from repro.core.config import LogGrepConfig
 from repro.core.reconstructor import BlockReconstructor
 from repro.query.stats import QueryStats
-from repro.query.vectors import QuerySettings, make_reader
+from repro.query.vectors import make_reader
 from repro.runtime.classify import VectorKind
 from repro.runtime.merge import extract_nominal
 from tests.conftest import make_mixed_lines
@@ -29,8 +29,7 @@ from tests.conftest import make_mixed_lines
 
 def decode_all(encoded):
     """Reconstruct every value of an encoded vector via a reader."""
-    reader = make_reader(encoded, QuerySettings(), QueryStats())
-    return reader.values()
+    return make_reader(encoded).values(None, QueryStats())
 
 
 class TestEncodeReal:

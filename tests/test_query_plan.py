@@ -194,8 +194,9 @@ class TestExecutor:
         box = CapsuleBox.deserialize(store.store.get(name))
         engine = BlockEngine(box, store.config.query_settings(), QueryStats())
         engine.search_string_rows(parse_query("read").disjuncts[0][0].search)
-        assert engine.readers is engine._readers
-        assert isinstance(engine.readers, dict)
+        # The readers belong to the box: every engine over it shares them.
+        assert engine.readers is BlockEngine(box).readers
+        assert isinstance(engine.readers, dict) and engine.readers
 
 
 # ----------------------------------------------------------------------

@@ -60,11 +60,13 @@ class TestReconstructor:
         assert bulk == sorted(single)
 
     def test_shared_readers_with_engine(self, box_and_lines):
+        from repro.query.engine import BlockEngine
+
         box, _ = box_and_lines
-        readers = {}
-        recon = BlockReconstructor(box, readers=readers)
+        recon = BlockReconstructor(box)
         recon.reconstruct({0: RowSet.full(box.groups[0].num_entries)})
-        assert readers  # the shared cache is actually populated
+        # The readers rendering built are the box's, which the engine uses.
+        assert BlockEngine(box).readers
 
 
 class TestCompressor:

@@ -26,10 +26,36 @@ from repro.runtime.pattern import Const, RuntimePattern, SubVar
 ALL_MODES = list(MatchMode)
 
 
+class Bound:
+    """A reader with one query's settings and stats: the context the
+    engine passes on every call, bound once for brevity."""
+
+    def __init__(self, encoded, settings_=None, stats=None):
+        self.reader = make_reader(encoded)
+        self.encoded = encoded
+        self.settings = settings_ if settings_ is not None else QuerySettings()
+        self.stats = stats if stats is not None else QueryStats()
+
+    def search(self, fragment, mode):
+        return self.reader.search(fragment, mode, self.settings, self.stats)
+
+    def search_wildcard(self, keyword, mode):
+        return self.reader.search_wildcard(keyword, mode, self.settings, self.stats)
+
+    def matching_slots(self, fragment, mode):
+        return self.reader.matching_slots(fragment, mode, self.settings, self.stats)
+
+    def values(self, rows=None):
+        return self.reader.values(rows, self.stats)
+
+    def value_counts(self, rows=None):
+        return self.reader.value_counts(rows, self.stats)
+
+
 def reader_for(values, stats=None, **opts):
     settings_ = QuerySettings(use_stamps=opts.pop("use_stamps", True))
     encoded = encode_vector(values, EncodingOptions(**opts))
-    return make_reader(encoded, settings_, stats if stats is not None else QueryStats())
+    return Bound(encoded, settings_, stats)
 
 
 def naive(values, fragment, mode):
@@ -160,14 +186,14 @@ class TestPlainReader:
     def test_matches_naive(self, fragment, mode):
         values = ["alpha", "beta", "omega", ""] * 8
         encoded = encode_plain(values)
-        reader = make_reader(encoded, QuerySettings(), QueryStats())
+        reader = Bound(encoded)
         got = set(reader.search(fragment, mode).rows())
         assert got == naive(values, fragment, mode)
 
     def test_stamp_rejects(self):
         stats = QueryStats()
         values = ["123", "456"] * 10
-        reader = make_reader(encode_plain(values), QuerySettings(), stats)
+        reader = Bound(encode_plain(values), stats=stats)
         assert not reader.search("abc", MatchMode.SUBSTRING)
         assert stats.capsules_filtered == 1
         assert stats.capsules_decompressed == 0
@@ -210,7 +236,6 @@ class TestBudgetFallback:
 
     def _exploding_reader(self, stats):
         from repro.capsule.capsule import Capsule
-        from repro.query.vectors import RealVectorReader
         from repro.capsule.assembler import RealEncodedVector
         from repro.runtime.pattern import pattern_from_fragments
 
@@ -233,7 +258,7 @@ class TestBudgetFallback:
         values = [
             pattern.render([column[r] for column in columns]) for r in range(30)
         ]
-        return RealVectorReader(encoded, settings_, stats), values
+        return Bound(encoded, settings_, stats), values
 
     def test_fallback_scan_is_correct(self):
         stats = QueryStats()
@@ -295,7 +320,7 @@ class TestRowSubsetDecoding:
         encoded, values = vector
         indices = st.sampled_from(range(len(values))) if values else st.nothing()
         rows = sorted(data.draw(st.sets(indices)))
-        reader = make_reader(encoded, QuerySettings(), QueryStats())
+        reader = Bound(encoded)
         assert reader.values() == values
         assert reader.values(rows) == [values[row] for row in rows]
         assert reader.value_counts(RowSet.from_rows(len(values), rows)) == Counter(
@@ -312,7 +337,7 @@ class TestPayloadShape:
             LAYOUT_VARIABLE, 0, 2, packed.stamp, CODEC_RAW, 1, packed.plain()
         )
         encoded = PlainEncodedVector(short, 2)
-        reader = make_reader(encoded, QuerySettings(), QueryStats())
+        reader = Bound(encoded)
         with pytest.raises(FormatError, match="expected 2"):
             reader.value_counts(RowSet.from_rows(2, [1]))
 
@@ -320,4 +345,4 @@ class TestPayloadShape:
 class TestReaderFactory:
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
-            make_reader(object(), QuerySettings(), QueryStats())
+            make_reader(object())
