@@ -9,8 +9,9 @@ kind:
 * **nominal** vectors become a dictionary Capsule (unique values grouped by
   merged pattern, each region padded to its own width) and an index Capsule
   of fixed-width decimal indices;
-* **plain** vectors (LogGrep-SP and the `w/o real`/`w/o nomi` ablations)
-  are stored whole with a vector-level stamp — §2.2's "first attempt".
+* **plain** vectors (LogGrep-SP, the `w/o real`/`w/o nomi` ablations and
+  the hot tail's ``scan_only`` boxes) are stored whole with a
+  vector-level stamp — §2.2's "first attempt".
 
 Extraction quality is a performance matter only: if a pattern covers too
 few values the Assembler falls back to the trivial pattern, and individual
@@ -27,7 +28,7 @@ from ..runtime.classify import DEFAULT_DUPLICATION_THRESHOLD, VectorKind, classi
 from ..runtime.merge import DictPattern, NominalEncoding, extract_nominal
 from ..runtime.pattern import RuntimePattern, SubVar
 from ..runtime.treeexpand import TreeExpandConfig, extract_real_pattern
-from .capsule import Capsule
+from .capsule import Capsule, CodecRequest
 from .stamp import CapsuleStamp
 
 #: Encoding tags (serialized into CapsuleBoxes).
@@ -54,12 +55,11 @@ class EncodingOptions:
     #: Speed-tier codec margin (keep zlib unless LZMA's ratio edge
     #: exceeds ``ZLIB_MARGIN``); see ``capsule._choose_codec``.
     codec_speed_tier: bool = False
-    #: Emit permissive stamps instead of scanning every value's character
-    #: classes.  Permissive stamps admit everything, so they can never
-    #: cause a wrong skip — they only forgo stamp pruning.  Used by the
-    #: hot tail, whose always-scanned in-memory blocks gain nothing from
-    #: stamps but pay their cost on the append→queryable latency path.
-    cheap_stamps: bool = False
+    #: The hot tail's mode: its boxes are scanned, never stored or
+    #: pruned, so every vector is plain, every Capsule raw (no codec) and
+    #: every stamp permissive (no character-class scan; a permissive
+    #: stamp admits everything, so it can never cause a wrong skip).
+    scan_only: bool = False
 
 
 @dataclass
@@ -125,6 +125,8 @@ def encode_vector(
     compressor does, under its ``classify`` span) skip re-classification.
     """
     options = options or EncodingOptions()
+    if options.scan_only:
+        return encode_plain(values, options)
     if kind is None:
         kind = classify(values, options.duplication_threshold)
     if kind is VectorKind.REAL and options.use_real_patterns:
@@ -173,15 +175,14 @@ def _encode_nominal(
         widths.append(dict_pattern.width)
         slot += dict_pattern.count
 
-    speed_tier = options.codec_speed_tier
-    dict_stamp = _cheap_stamp(options)
+    codec = _codec(options)
     if options.use_padding:
         dict_capsule = Capsule.pack_regions(
-            regions, widths, options.preset, dict_stamp, speed_tier=speed_tier
+            regions, widths, options.preset, codec=codec
         )
     else:
         dict_capsule = Capsule.pack_variable(
-            encoding.dict_values, options.preset, dict_stamp, speed_tier=speed_tier
+            encoding.dict_values, options.preset, codec=codec
         )
 
     # Every index is rendered from one table entry per dictionary slot, and
@@ -192,7 +193,7 @@ def _encode_nominal(
         for slot in range(len(encoding.dict_values))
     ]
     index_values = [slots[i] for i in encoding.index]
-    index_stamp = _cheap_stamp(options) or (
+    index_stamp = (
         CapsuleStamp(chartypes.DIGIT, encoding.index_width)
         if index_values
         else CapsuleStamp(0, 0)
@@ -203,11 +204,11 @@ def _encode_nominal(
             options.preset,
             index_stamp,
             width=encoding.index_width,
-            speed_tier=speed_tier,
+            codec=codec,
         )
     else:
         index_capsule = Capsule.pack_variable(
-            index_values, options.preset, index_stamp, speed_tier=speed_tier
+            index_values, options.preset, index_stamp, codec=codec
         )
 
     return NominalEncodedVector(
@@ -220,19 +221,14 @@ def _encode_nominal(
     )
 
 
-def _cheap_stamp(options: EncodingOptions) -> Optional[CapsuleStamp]:
-    """The permissive stamp under ``cheap_stamps``, else None (= scan)."""
-    return CapsuleStamp.permissive() if options.cheap_stamps else None
+def _codec(options: EncodingOptions) -> CodecRequest:
+    if options.scan_only:
+        return CodecRequest.RAW
+    return CodecRequest.SPEED if options.codec_speed_tier else CodecRequest.SMALLEST
 
 
 def _pack(values: Sequence[str], options: EncodingOptions) -> Capsule:
-    stamp = _cheap_stamp(options)
-    if options.use_padding:
-        return Capsule.pack_fixed(
-            values, options.preset, stamp=stamp,
-            speed_tier=options.codec_speed_tier,
-        )
-    return Capsule.pack_variable(
-        values, options.preset, stamp=stamp,
-        speed_tier=options.codec_speed_tier,
-    )
+    # None makes the packer scan the values for their stamp.
+    stamp = CapsuleStamp.permissive() if options.scan_only else None
+    pack = Capsule.pack_fixed if options.use_padding else Capsule.pack_variable
+    return pack(values, options.preset, stamp, codec=_codec(options))

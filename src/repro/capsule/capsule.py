@@ -22,6 +22,7 @@ from __future__ import annotations
 import lzma
 import struct
 import zlib
+from enum import Enum
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..common.errors import NUL_IN_VALUE, CompressionError, FormatError
@@ -48,6 +49,15 @@ CODEC_ZLIB = 2
 
 CODEC_NAMES = {CODEC_RAW: "raw", CODEC_LZMA: "lzma", CODEC_ZLIB: "zlib"}
 
+
+class CodecRequest(Enum):
+    """What a packer asks of the codec rule."""
+
+    SMALLEST = "smallest"  # the size-keyed rule, keeping the smaller payload
+    SPEED = "speed"  # the same rule with zlib's ZLIB_MARGIN (codec_speed_tier)
+    RAW = "raw"  # no codec: the hot tail's scan-only boxes, never stored
+
+
 #: Size bands of the codec rule.  Measured on the Capsule buffers of the
 #: perfbench ``ingest-encode`` corpora at 128 KiB blocks (847 buffers: 123
 #: under 32 B, median 694 B, p90 4.7 KB, max 36 KB) and on 179 more taken
@@ -69,9 +79,9 @@ RAW_BELOW = 32
 ZLIB_ONLY_BELOW = 2 * 1024
 LZMA_ONLY_FROM = 32 * 1024
 
-#: Speed-tier margin: with ``speed_tier`` zlib is kept when ``len(lzma) >=
-#: ZLIB_MARGIN * len(zlib)`` — i.e. LZMA shrinks the payload less than 10%
-#: beyond zlib — instead of only when zlib is no larger.
+#: Speed-tier margin: with ``CodecRequest.SPEED`` zlib is kept when
+#: ``len(lzma) >= ZLIB_MARGIN * len(zlib)`` — i.e. LZMA shrinks the payload
+#: less than 10% beyond zlib — instead of only when zlib is no larger.
 ZLIB_MARGIN = 0.9
 
 _LZMA_FILTERS_BY_PRESET = {
@@ -254,7 +264,7 @@ class Capsule:
         preset: int = 1,
         stamp: Optional[CapsuleStamp] = None,
         width: Optional[int] = None,
-        speed_tier: bool = False,
+        codec: CodecRequest = CodecRequest.SMALLEST,
     ) -> "Capsule":
         """Pack *values* NUL-padded to a common width (§5.2)."""
         encoded = list(map(str.encode, values))
@@ -265,8 +275,8 @@ class Capsule:
             raise CompressionError(f"a value is longer than the width {width}")
         _reject_nul(buf, len(buf) - sum(map(len, encoded)))
         stamp = stamp or CapsuleStamp.of_values(values)
-        codec, payload = _choose_codec(buf, preset, speed_tier)
-        return cls(LAYOUT_FIXED, width, len(values), stamp, codec, preset, payload)
+        stored, payload = _encode(buf, preset, codec)
+        return cls(LAYOUT_FIXED, width, len(values), stamp, stored, preset, payload)
 
     @classmethod
     def pack_variable(
@@ -274,14 +284,14 @@ class Capsule:
         values: Sequence[str],
         preset: int = 1,
         stamp: Optional[CapsuleStamp] = None,
-        speed_tier: bool = False,
+        codec: CodecRequest = CodecRequest.SMALLEST,
     ) -> "Capsule":
         """Pack *values* NUL-separated (the w/o-fixed ablation layout)."""
         buf = PAD.join(map(str.encode, values))
         _reject_nul(buf, max(len(values) - 1, 0))
         stamp = stamp or CapsuleStamp.of_values(values)
-        codec, payload = _choose_codec(buf, preset, speed_tier)
-        return cls(LAYOUT_VARIABLE, 0, len(values), stamp, codec, preset, payload)
+        stored, payload = _encode(buf, preset, codec)
+        return cls(LAYOUT_VARIABLE, 0, len(values), stamp, stored, preset, payload)
 
     @classmethod
     def pack_regions(
@@ -290,7 +300,7 @@ class Capsule:
         widths: Sequence[int],
         preset: int = 1,
         stamp: Optional[CapsuleStamp] = None,
-        speed_tier: bool = False,
+        codec: CodecRequest = CodecRequest.SMALLEST,
     ) -> "Capsule":
         """Pack a dictionary vector: concatenated per-pattern padded regions.
 
@@ -314,8 +324,8 @@ class Capsule:
         buf = b"".join(parts)
         _reject_nul(buf, len(buf) - value_bytes)
         stamp = stamp or CapsuleStamp.of_values(all_values)
-        codec, payload = _choose_codec(buf, preset, speed_tier)
-        return cls(LAYOUT_REGION, 0, len(all_values), stamp, codec, preset, payload)
+        stored, payload = _encode(buf, preset, codec)
+        return cls(LAYOUT_REGION, 0, len(all_values), stamp, stored, preset, payload)
 
     # ------------------------------------------------------------------
     # access
@@ -483,6 +493,18 @@ def _reject_nul(buf: bytes, layout_nuls: int) -> None:
         raise CompressionError(NUL_IN_VALUE)
 
 
+def _encode(buf: bytes, preset: int, codec: CodecRequest) -> Tuple[int, bytes]:
+    """The stored codec and payload of *buf* under the request *codec*.
+
+    ``RAW`` never enters the codec rule: the hot tail wants its bytes
+    queryable *now* and never stores them, so neither the encode nor the
+    Match that follows pays for a codec.
+    """
+    if codec is CodecRequest.RAW:
+        return CODEC_RAW, buf
+    return _choose_codec(buf, preset, codec is CodecRequest.SPEED)
+
+
 def _choose_codec(
     buf: bytes, preset: int, speed_tier: bool = False
 ) -> Tuple[int, bytes]:
@@ -490,18 +512,15 @@ def _choose_codec(
     smaller payload where two codecs run and raw whenever compression
     does not shrink the buffer.
 
-    ``speed_tier`` (config ``codec_speed_tier``) follows the same rule
-    with two differences: zlib is kept unless LZMA beats it by more than
-    :data:`ZLIB_MARGIN` — zlib inflates several times faster, which the
-    query path pays on every Capsule the Locator could not filter — and
-    zlib is still tried above its window.  At preset 0 it means the
-    caller wants the bytes queryable *now* and never stores them (the hot
-    tail): raw, so neither the encode nor the Match that follows pays for
-    a codec.
+    ``speed_tier`` (``CodecRequest.SPEED``, config ``codec_speed_tier``)
+    follows the same rule with two differences: zlib is kept unless LZMA
+    beats it by more than :data:`ZLIB_MARGIN` — zlib inflates several
+    times faster, which the query path pays on every Capsule the Locator
+    could not filter — and zlib is still tried above its window.
     """
     size = len(buf)
     codec, payload = CODEC_RAW, buf
-    if size >= RAW_BELOW and not (speed_tier and preset == 0):
+    if size >= RAW_BELOW:
         if speed_tier or size < LZMA_ONLY_FROM:
             codec, payload = CODEC_ZLIB, zlib.compress(buf, 6)
         if size >= ZLIB_ONLY_BELOW:

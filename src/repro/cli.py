@@ -3,7 +3,7 @@
 Examples::
 
     loggrep compress app.log -a /tmp/archive
-    loggrep compress app.log -a /tmp/archive -j 4 --executor process
+    loggrep compress app.log -a /tmp/archive -j 4
     loggrep grep -a /tmp/archive "ERROR AND dst:11.8.* NOT state:503"
     loggrep grep -a /tmp/archive ERROR --trace       # span tree to stderr
     loggrep agg fields -a /tmp/archive               # discovered schema
@@ -47,13 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     compress.add_argument(
         "-j", "--parallelism", type=int, default=None, metavar="N",
-        help="encode blocks on an N-worker pool (default: serial; archives "
+        help="encode blocks on an N-thread pool (default: serial; archives "
         "are byte-identical for any N)",
-    )
-    compress.add_argument(
-        "--executor", choices=("thread", "process"), default=None,
-        help="worker pool kind for -j: threads overlap LZMA, processes "
-        "sidestep the GIL for the encoding loops (default: thread)",
     )
     compress.add_argument(
         "--tier", choices=("hot", "warm", "cold"), default=None,
@@ -343,8 +338,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         overrides = {"block_bytes": args.block_bytes, "preset": args.preset}
         if args.parallelism is not None:
             overrides["compress_parallelism"] = args.parallelism
-        if args.executor is not None:
-            overrides["compress_executor"] = args.executor
         config = LogGrepConfig(**overrides)
         if args.tier is not None:
             from .core.lifecycle import Tier, tier_config

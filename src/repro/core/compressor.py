@@ -10,7 +10,7 @@ The pipeline is split at the parse/encode boundary so the compression
 scheduler (:mod:`repro.core.schedule`) can keep :func:`parse_block`
 ordered — it mutates the cross-block template warm-start cache — while
 fanning the pure, CPU-bound :func:`encode_parsed` stage out to worker
-threads or processes.  :func:`compress_block` composes the two stages
+threads.  :func:`compress_block` composes the two stages
 serially and is the single-block entry point everything else (profiler,
 cluster nodes, tests) keeps using.
 """
@@ -62,13 +62,16 @@ def encode_parsed(
     parsed: ParsedBlock,
     config: LogGrepConfig,
     parent: Optional[Span] = None,
+    scan_only: bool = False,
 ) -> CapsuleBox:
     """Classify, encapsulate and pack a parsed block (the pure stage).
 
     A pure function of ``(block, parsed, config)`` — no shared state —
-    so the scheduler may run it on any worker thread or process and the
-    output bytes stay independent of scheduling.  ``parent`` attaches
-    the stage spans to the right node when running off the main thread.
+    so the scheduler may run it on any worker thread and the output
+    bytes stay independent of scheduling.  ``parent`` attaches the stage
+    spans to the right node when running off the main thread.
+    ``scan_only`` is the hot tail's mode (see ``EncodingOptions``): only
+    ``StreamingCompressor`` sets it, for boxes that are never stored.
     """
     tracer = get_tracer()
     with tracer.span("classify", parent=parent):
@@ -87,11 +90,12 @@ def encode_parsed(
             # A distinct deterministic seed per vector keeps delimiter
             # probing independent across vectors but reproducible.
             seed = _vector_seed(config.seed, block.block_id, group_idx, var_idx)
-            options = config.encoding_options(seed)
+            options = config.encoding_options(seed, scan_only)
             kind = kinds[group_idx][var_idx]
-            uses_patterns = (
-                kind is VectorKind.REAL and options.use_real_patterns
-            ) or (kind is VectorKind.NOMINAL and options.use_nominal_patterns)
+            uses_patterns = not scan_only and (
+                (kind is VectorKind.REAL and options.use_real_patterns)
+                or (kind is VectorKind.NOMINAL and options.use_nominal_patterns)
+            )
             bucket = kind.value if uses_patterns else "plain"
             with tracer.span(
                 "encode",

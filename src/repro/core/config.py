@@ -15,10 +15,6 @@ def _default_compress_parallelism() -> int:
     return int(os.environ.get("LOGGREP_COMPRESS_PARALLELISM", "1"))
 
 
-def _default_compress_executor() -> str:
-    return os.environ.get("LOGGREP_COMPRESS_EXECUTOR", "thread")
-
-
 def _default_slow_query_ms() -> Optional[float]:
     raw = os.environ.get("LOGGREP_SLOW_QUERY_MS")
     return float(raw) if raw else None
@@ -67,13 +63,10 @@ class LogGrepConfig:
 
     # -- compression scheduler (§8 "compression speed") --------------------
     # Blocks are independent once parsed, so the scheduler fans the
-    # CPU-bound encode/serialize stage out to N workers while parsing
-    # stays ordered on the submitting thread (archives are byte-identical
-    # for any worker count).  "process" sidesteps the GIL for the
-    # per-value Python encoding loops; "thread" still overlaps the LZMA
-    # portions, which release the GIL.
+    # CPU-bound encode/serialize stage out to N worker threads while
+    # parsing stays ordered on the submitting thread (archives are
+    # byte-identical for any worker count).
     compress_parallelism: int = field(default_factory=_default_compress_parallelism)
-    compress_executor: str = field(default_factory=_default_compress_executor)
 
     # -- codec tiering ----------------------------------------------------
     # Opt-in: where the size-keyed codec rule compares zlib with LZMA,
@@ -81,12 +74,6 @@ class LogGrepConfig:
     # keep the smaller) — faster decompression on the query path at a
     # small ratio cost.
     codec_speed_tier: bool = False
-    # Emit permissive Capsule stamps instead of scanning every value's
-    # character classes.  Permissive stamps admit everything — they can
-    # never cause a wrong skip, only forgo stamp pruning.  The hot tail
-    # turns this on: its in-memory blocks are always scanned anyway,
-    # and stamp computation would sit on the append→queryable latency.
-    cheap_stamps: bool = False
 
     # -- query-side --------------------------------------------------------
     # Bound on Query Cache entries: per-(generation, block, search string)
@@ -114,7 +101,9 @@ class LogGrepConfig:
     max_read_bytes: Optional[int] = field(default_factory=_default_max_read_bytes)
     max_decoded_values: Optional[int] = field(default_factory=_default_max_decoded_values)
 
-    def encoding_options(self, seed: int = None) -> EncodingOptions:
+    def encoding_options(
+        self, seed: Optional[int] = None, scan_only: bool = False
+    ) -> EncodingOptions:
         return EncodingOptions(
             use_real_patterns=self.use_real_patterns,
             use_nominal_patterns=self.use_nominal_patterns,
@@ -124,7 +113,7 @@ class LogGrepConfig:
             preset=self.preset,
             seed=self.seed if seed is None else seed,
             codec_speed_tier=self.codec_speed_tier,
-            cheap_stamps=self.cheap_stamps,
+            scan_only=scan_only,
         )
 
     def query_settings(self) -> QuerySettings:

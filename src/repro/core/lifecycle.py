@@ -119,8 +119,9 @@ class Tier(str, Enum):
 def tier_config(tier: Tier, base: Optional[LogGrepConfig] = None) -> LogGrepConfig:
     """The compression config of one tier.
 
-    * HOT — the speed-tier codec (zlib when LZMA's edge is thin): fast
-      inflation for the tail of the stream that still gets queried.
+    * HOT — the speed-tier codec (zlib when LZMA's edge is thin), at
+      the configured preset: fast inflation for the tail of the stream
+      that still gets queried.
     * WARM — the archive default: plain LZMA at the configured preset.
     * COLD — the offline tier trades everything for ratio: maximum
       preset and 4× merged blocks (almost no queries to speed up).

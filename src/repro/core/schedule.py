@@ -8,7 +8,7 @@ here, and the scheduler pipelines them through three stages::
 
     parse  (ordered, submitting thread)   template warm-start cache
       │
-    encode (worker pool: thread/process)  classify + encapsulate + pack
+    encode (worker thread pool)           classify + encapsulate + pack
       │                                   + serialize — pure CPU
     commit (ordered, submitting thread)   store.put + metrics + hooks
 
@@ -19,24 +19,24 @@ blocks ``0..N-1``, a pure function of the input stream.  The *encode*
 stage is a pure function of ``(block, parsed, config)``, so fanning it
 out cannot change bytes.  Commits happen in submission order.  Together
 that yields the scheduler's determinism contract: **archives are
-byte-identical to serial compression regardless of worker count or
-executor kind** (property-tested in ``tests/test_compress_equivalence``).
+byte-identical to serial compression regardless of worker count**
+(property-tested in ``tests/test_compress_equivalence``).
 
-``config.compress_parallelism`` picks the worker count and
-``config.compress_executor`` the pool kind — ``"thread"`` overlaps the
-LZMA portions (which release the GIL), ``"process"`` sidesteps the GIL
-for the per-value Python encoding loops.  With one worker and
-``always_async=False`` the scheduler degrades to the exact serial path
-(no pool is ever created).  Back-pressure bounds the in-flight pipeline
-at twice the worker count, committing the oldest block when full, so a
-producer can never outrun compression without bound.
+``config.compress_parallelism`` picks the worker count of one thread
+pool.  Threads overlap the codec portions (zlib and LZMA release the
+GIL) and keep encode spans and codec metrics in the calling process.
+With one worker and ``always_async=False`` the scheduler degrades to
+the exact serial path (no pool is ever created).  Back-pressure bounds
+the in-flight pipeline at twice the worker count, committing the oldest
+block when full, so a producer can never outrun compression without
+bound.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Deque, List, NamedTuple, Optional, Tuple, Union
 
 from ..blockstore.block import LogBlock, block_name
@@ -63,24 +63,8 @@ CommitHook = Callable[[str, LogBlock, bytes], None]
 
 #: What the encode stage returns: serialized bytes + the block's
 #: prune-index summary + its wall-clock.  The summary is computed on the
-#: worker (it only walks stamps already in memory) so commit stays cheap;
-#: it is picklable for the process-pool path.
+#: worker (it only walks stamps already in memory) so commit stays cheap.
 EncodeResult = Tuple[bytes, BlockSummary, float]
-
-
-def _encode_job(
-    block: LogBlock, parsed: object, config: LogGrepConfig
-) -> EncodeResult:
-    """Encode + serialize one parsed block (process-pool entry point).
-
-    Module-level and argument-pure so :class:`ProcessPoolExecutor` can
-    pickle it; spans are not propagated across the process boundary.
-    """
-    start = time.perf_counter()
-    box = encode_parsed(block, parsed, config)  # type: ignore[arg-type]
-    data = box.serialize()
-    summary = BlockSummary.from_box(box, lines=block.lines)
-    return data, summary, time.perf_counter() - start
 
 
 class _Pending(NamedTuple):
@@ -107,17 +91,11 @@ class CompressionScheduler:
         on_commit: Optional[CommitHook] = None,
         index: Optional[ArchiveIndex] = None,
         parallelism: Optional[int] = None,
-        executor: Optional[str] = None,
         always_async: bool = False,
     ) -> None:
         workers = parallelism if parallelism is not None else config.compress_parallelism
-        kind = executor if executor is not None else config.compress_executor
         if workers < 1:
             raise ValueError("compress parallelism must be positive")
-        if kind not in ("thread", "process"):
-            raise ValueError(
-                f"unknown compress executor {kind!r}; pick 'thread' or 'process'"
-            )
         self.store = store
         self.config = config
         self.template_cache = template_cache
@@ -129,10 +107,9 @@ class CompressionScheduler:
         # Tracked on the instance — back-pressure must not reach into
         # executor privates (the configured depth is ours to know).
         self.workers = workers
-        self.executor_kind = kind
         self.max_inflight = workers * 2
         self._async = always_async or workers > 1
-        self._pool: Optional[Executor] = None
+        self._pool: Optional[ThreadPoolExecutor] = None
         self._pending: Deque[_Pending] = deque()
         self.blocks = 0
         self.raw_bytes = 0
@@ -165,10 +142,6 @@ class CompressionScheduler:
                 # like the historical single-threaded pipeline.
                 result: Union["Future[EncodeResult]", EncodeResult]
                 result = self._encode_traced(block, parsed, None)
-            elif self.executor_kind == "process":
-                result = self._ensure_pool().submit(
-                    _encode_job, block, parsed, self.config
-                )
             else:
                 result = self._ensure_pool().submit(
                     self._encode_traced, block, parsed, bspan
@@ -180,18 +153,15 @@ class CompressionScheduler:
         while len(self._pending) > self.max_inflight:
             self._commit_oldest()
 
-    def _ensure_pool(self) -> Executor:
+    def _ensure_pool(self) -> ThreadPoolExecutor:
         if self._pool is None:
-            if self.executor_kind == "process":
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
-            else:
-                self._pool = ThreadPoolExecutor(max_workers=self.workers)
+            self._pool = ThreadPoolExecutor(max_workers=self.workers)
         return self._pool
 
     def _encode_traced(
         self, block: LogBlock, parsed: object, parent: Optional[Span]
     ) -> EncodeResult:
-        """Encode stage for the serial and thread paths.
+        """The encode stage, inline (serial) or on a pool thread.
 
         ``parent`` attaches the worker-thread spans to the block's span;
         on the serial path it is ``None`` and spans nest via the stack.

@@ -32,9 +32,10 @@ rebuilt, once per tail version, and its parse is *incremental*: every
 ``append`` assigns its line against the templates the stream has already
 mined (the batch parser's ``TemplateMatcher``), so a build only
 transposes the assigned rows and mines the small residual no known
-template matched.  Tail boxes are scanned, never stored: plain vectors,
-raw Capsules (``preset=0`` with the speed-tier codec) and permissive
-stamps.  The prune operators skip them because the source serves them as
+template matched.  Tail boxes are scanned, never stored, so they are
+encoded in ``encode_parsed``'s ``scan_only`` mode: plain vectors, raw
+Capsules that never enter the codec rule, and permissive stamps.  The
+prune operators skip them because the source serves them as
 already-open boxes.  Line ids start at each block's own
 ``first_line_id`` — what sealing assigns — so a tail-inclusive grep is
 byte-for-byte equal to the same grep after ``flush()``.
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..blockstore.block import LogBlock
@@ -159,7 +160,6 @@ class StreamingCompressor:
             self.config,
             template_cache=self._template_cache,
             parallelism=pipeline_depth,
-            executor=self.config.compress_executor,
             always_async=True,
             index=self._index,
             on_commit=self._on_commit,
@@ -170,19 +170,6 @@ class StreamingCompressor:
         self._next_block_id, self._next_line_id = self._index.next_ids()
         self._start = time.perf_counter()
         self._closed = False
-        # Tail boxes are scanned, not archived: plain vectors, raw
-        # Capsules and permissive stamps make the encode latency (the
-        # append→queryable window) a fraction of a real block compression
-        # while reconstructing the exact same lines.
-        self._tail_config = replace(
-            self.config,
-            preset=0,
-            use_real_patterns=False,
-            use_nominal_patterns=False,
-            codec_speed_tier=True,
-            cheap_stamps=True,
-            compress_parallelism=1,
-        )
         # Incremental parse of the buffer (all under self._lock): the
         # matcher (rebuilt from the scheduler's cache at every seal) and
         # the buffer's accumulated per-template rows and residual.
@@ -324,9 +311,9 @@ class StreamingCompressor:
         groups = snap.buffer_groups()
         if snap.residual:
             parser = BlockParser(
-                sample_rate=self._tail_config.sample_rate,
-                similarity=self._tail_config.similarity,
-                seed=self._tail_config.seed,
+                sample_rate=self.config.sample_rate,
+                similarity=self.config.similarity,
+                seed=self.config.seed,
             )
             mined = parser.parse([line for _, line in snap.residual])
             for group in mined.groups:
@@ -376,7 +363,11 @@ class StreamingCompressor:
         ):
             if buffer:
                 parsed = self._parse_buffer(snap)
-            box = encode_parsed(block, parsed, self._tail_config)
+            # Scan-only: plain vectors, raw Capsules and permissive stamps
+            # make the encode latency (the append→queryable window) a
+            # fraction of a real block compression while reconstructing
+            # the exact same lines.
+            box = encode_parsed(block, parsed, self.config, scan_only=True)
         _VISIBLE_SECONDS.set(time.perf_counter() - start)
         _TAIL_LINES.inc(block.num_lines, kind=kind)
         with self._lock:

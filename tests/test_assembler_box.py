@@ -15,6 +15,7 @@ from repro.capsule.assembler import (
     encode_vector,
 )
 from repro.capsule.box import CapsuleBox
+from repro.capsule.capsule import CODEC_RAW
 from repro.capsule.stamp import CapsuleStamp
 from repro.common import chartypes
 from repro.core.compressor import compress_block
@@ -23,7 +24,6 @@ from repro.core.reconstructor import BlockReconstructor
 from repro.query.stats import QueryStats
 from repro.query.vectors import make_reader
 from repro.runtime.classify import VectorKind
-from repro.runtime.merge import extract_nominal
 from tests.conftest import make_mixed_lines
 
 
@@ -87,23 +87,23 @@ class TestEncodeNominal:
         assert decode_all(encoded) == values
 
     @pytest.mark.parametrize("padded", [True, False])
-    def test_cheap_stamps_scan_no_capsule(self, monkeypatch, padded):
-        # The extractor's own sub-variable masks (over the unique values)
-        # are not Capsule stamps, so extraction runs before the patch.
+    def test_scan_only_scans_no_capsule(self, monkeypatch, padded):
+        # A nominal vector in the hot tail's mode: no pattern extraction,
+        # no character-class scan, no codec — one raw plain Capsule with
+        # a permissive stamp that still decodes to the values.
         values = ["ERR#404"] * 40 + ["SUCC"] * 50 + ["ERR#501"] * 30
-        encoding = extract_nominal(values)
-        monkeypatch.setattr(assembler, "extract_nominal", lambda _: encoding)
 
-        def no_scan(text):
-            raise AssertionError("cheap_stamps scanned character classes")
+        def forbidden(*args):
+            raise AssertionError("scan_only extracted or scanned")
 
-        monkeypatch.setattr(chartypes, "type_mask", no_scan)
+        monkeypatch.setattr(assembler, "extract_nominal", forbidden)
+        monkeypatch.setattr(chartypes, "type_mask", forbidden)
         encoded = encode_vector(
-            values, EncodingOptions(cheap_stamps=True, use_padding=padded)
+            values, EncodingOptions(scan_only=True, use_padding=padded)
         )
-        assert isinstance(encoded, NominalEncodedVector)
-        assert encoded.dict_capsule.stamp == CapsuleStamp.permissive()
-        assert encoded.index_capsule.stamp == CapsuleStamp.permissive()
+        assert isinstance(encoded, PlainEncodedVector)
+        assert encoded.capsule.stamp == CapsuleStamp.permissive()
+        assert encoded.capsule.codec == CODEC_RAW
         assert decode_all(encoded) == values
 
     @pytest.mark.parametrize("padded", [True, False])

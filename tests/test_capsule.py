@@ -17,6 +17,7 @@ from repro.capsule.capsule import (
     ZLIB_MARGIN,
     ZLIB_ONLY_BELOW,
     Capsule,
+    CodecRequest,
     LAYOUT_FIXED,
     LAYOUT_VARIABLE,
     _choose_codec,
@@ -269,8 +270,8 @@ class TestCodecRule:
 
         monkeypatch.setattr(lzma, "compress", no_lzma)
         monkeypatch.setattr(lzma, "LZMACompressor", no_lzma)
-        for speed_tier in (False, True):
-            capsule = Capsule.pack_fixed(["abcabcabc"] * 100, speed_tier=speed_tier)
+        for codec in (CodecRequest.SMALLEST, CodecRequest.SPEED):
+            capsule = Capsule.pack_fixed(["abcabcabc"] * 100, codec=codec)
             assert capsule.codec == CODEC_ZLIB
             assert capsule.compressed_bytes < 9 * 100
             assert capsule.values() == ["abcabcabc"] * 100
@@ -365,24 +366,36 @@ class TestSpeedTierCodec:
     def test_speed_tier_roundtrip(self):
         values = self._zlib_wins_values()
         for pack in (Capsule.pack_fixed, Capsule.pack_variable):
-            capsule = pack(values, speed_tier=True)
+            capsule = pack(values, codec=CodecRequest.SPEED)
             assert capsule.values() == values
             loaded = _box_roundtrip(capsule)
             assert loaded.values() == values
 
     def test_speed_tier_picks_zlib_when_margin_small(self):
-        capsule = Capsule.pack_fixed(self._zlib_wins_values(), speed_tier=True)
+        capsule = Capsule.pack_fixed(self._zlib_wins_values(), codec=CodecRequest.SPEED)
         assert capsule.codec == CODEC_ZLIB
 
     def test_speed_tier_keeps_lzma_when_it_wins(self):
-        capsule = Capsule.pack_fixed(_long_period_values(), speed_tier=True)
+        capsule = Capsule.pack_fixed(_long_period_values(), codec=CodecRequest.SPEED)
         assert capsule.codec == CODEC_LZMA
 
     def test_region_speed_tier_roundtrip(self):
         values = self._zlib_wins_values()
-        capsule = Capsule.pack_regions([values], widths=[12], speed_tier=True)
+        capsule = Capsule.pack_regions([values], widths=[12], codec=CodecRequest.SPEED)
         cells = capsule.region_cells([(len(values), 12)])
         assert [cell.rstrip(b"\x00").decode() for cell in cells] == values
+
+    def test_raw_request_never_enters_the_codec_rule(self, monkeypatch):
+        monkeypatch.setattr(
+            capsule_module, "_choose_codec",
+            lambda *a: pytest.fail("a RAW request ran the codec rule"),
+        )
+        values = _long_period_values()
+        for preset in (0, 1):
+            for pack in (Capsule.pack_fixed, Capsule.pack_variable):
+                capsule = pack(values, preset, codec=CodecRequest.RAW)
+                assert capsule.codec == CODEC_RAW
+                assert capsule.values() == values
 
 
 class TestVariablePayloadValidation:

@@ -22,9 +22,7 @@ from repro import LogGrep, LogGrepConfig, StreamingCompressor
 from repro.blockstore.store import MemoryStore
 from tests.conftest import make_mixed_lines
 
-BASE_CONFIG = LogGrepConfig(
-    block_bytes=2 * 1024, compress_parallelism=1, compress_executor="thread"
-)
+BASE_CONFIG = LogGrepConfig(block_bytes=2 * 1024, compress_parallelism=1)
 
 
 def archive_bytes(store):
@@ -64,17 +62,6 @@ def test_parallel_and_streaming_archives_identical(seed, n, parallelism):
     with StreamingCompressor(store=streamed, config=config) as stream:
         stream.extend(lines)
     assert archive_bytes(streamed) == reference
-
-
-def test_process_executor_archive_identical():
-    """The process pool is byte-identical too (GIL-free encode path)."""
-    lines = make_mixed_lines(250, seed=77)
-    serial = compress_batch(lines, BASE_CONFIG)
-    process = compress_batch(
-        lines,
-        replace(BASE_CONFIG, compress_parallelism=2, compress_executor="process"),
-    )
-    assert archive_bytes(process.store) == archive_bytes(serial.store)
 
 
 def test_multiple_compress_calls_keep_equivalence():

@@ -56,15 +56,13 @@ def _tiny_config(**overrides):
 #: Pipeline depths the tail must be exact under: the benchmark's one
 #: encode worker (two blocks pending at most) and the streaming default.
 _PIPELINES = [
-    pytest.param(1, "thread", id="depth1"),
-    pytest.param(None, "thread", id="default"),
+    pytest.param(1, id="depth1"),
+    pytest.param(None, id="default"),
 ]
 
 
-def _stream(depth, executor):
-    return StreamingCompressor(
-        config=_tiny_config(compress_executor=executor), pipeline_depth=depth
-    )
+def _stream(depth):
+    return StreamingCompressor(config=_tiny_config(), pipeline_depth=depth)
 
 
 class TestImmediateVisibility:
@@ -159,7 +157,7 @@ class TestSealBoundaryEquivalence:
 
 
 class TestInterleavingProperty:
-    @pytest.mark.parametrize("depth, executor", _PIPELINES)
+    @pytest.mark.parametrize("depth", _PIPELINES)
     @settings(
         max_examples=20,
         deadline=None,
@@ -176,11 +174,11 @@ class TestInterleavingProperty:
             max_size=12,
         ),
     )
-    def test_any_interleaving_is_exact(self, depth, executor, seed, ops):
+    def test_any_interleaving_is_exact(self, depth, seed, ops):
         """For any append/flush interleaving, the tail-inclusive view is
         exactly the appended stream, and after the final flush it equals
         the sealed-only view byte for byte."""
-        stream = _stream(depth, executor)
+        stream = _stream(depth)
         reader = stream.open_reader(tail=True)
         appended = []
         counter = 0
@@ -207,18 +205,13 @@ class TestInterleavingProperty:
 
 
 class TestConcurrentAppend:
-    # A process pool's workers encode a pickled copy of each parse while
-    # the tail encodes the submit-side one.
-    @pytest.mark.parametrize(
-        "depth, executor",
-        _PIPELINES + [pytest.param(None, "process", id="process")],
-    )
-    def test_no_duplicates_or_drops_under_concurrent_append(self, depth, executor):
+    @pytest.mark.parametrize("depth", _PIPELINES)
+    def test_no_duplicates_or_drops_under_concurrent_append(self, depth):
         """Queries racing a writer thread must always see an exact
         prefix of the stream: contiguous ids from 0, each line intact."""
         total = 400
         lines = [f"EV {i} concurrent payload {i % 13}" for i in range(total)]
-        stream = _stream(depth, executor)
+        stream = _stream(depth)
         reader = stream.open_reader(tail=True)
         errors = []
         done = threading.Event()

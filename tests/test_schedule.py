@@ -199,8 +199,6 @@ class TestCompressionScheduler:
     def test_rejects_bad_configuration(self):
         with pytest.raises(ValueError):
             CompressionScheduler(MemoryStore(), CONFIG, parallelism=0)
-        with pytest.raises(ValueError):
-            CompressionScheduler(MemoryStore(), CONFIG, executor="fiber")
 
     def test_submit_after_close_rejected(self):
         scheduler = CompressionScheduler(MemoryStore(), CONFIG)

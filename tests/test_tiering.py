@@ -14,6 +14,7 @@ import random
 import pytest
 
 from tests.conftest import make_mixed_lines
+from repro.baselines.evalutil import grep_lines
 from repro.blockstore.index import load_index
 from repro.blockstore.store import MemoryStore
 from repro.common.timeparse import parse_age_arg
@@ -95,6 +96,22 @@ class TestTierConfig:
 
     def test_tier_ranks_order(self):
         assert Tier.HOT.rank < Tier.WARM.rank < Tier.COLD.rank
+
+    def test_hot_tier_at_preset_0_is_compressed(self):
+        # The speed-tier codec at preset 0 writes a persisted archive like
+        # any other: its Capsules go through the codec rule, not stored
+        # raw as the hot tail's in-memory boxes are.
+        lines = make_mixed_lines(2000, seed=8)
+        config = tier_config(Tier.HOT, LogGrepConfig(block_bytes=32 * 1024, preset=0))
+        lg = LogGrep(store=MemoryStore(), config=config)
+        lg.compress(lines)
+        compressed = 0
+        for name in lg.store.names():
+            usage = lg.executor.load_box(name).codec_usage()
+            compressed += usage["zlib"]["capsules"] + usage["lzma"]["capsules"]
+        assert compressed > 0
+        for query in ("state: ERR", "read"):
+            assert lg.grep(query).lines == grep_lines(query, lines)
 
 
 class TestParseAgeArg:
