@@ -2,16 +2,22 @@
 
 The paper's Query Cache (§3, Fig 9 'w/o cache') exists exactly for this
 workflow — each refinement reuses the located rows of the search strings
-it shares with earlier commands.
+it shares with earlier commands.  A later AND term is matched only on
+the rows the earlier ones left, so the cache holds some terms for part
+of a block; the session is walked forward and then revisited in reverse
+order, and every step is checked against grep over the raw lines.
 
 Run with::
 
     python examples/debugging_session.py
+
+It exits non-zero if any step's answer differs from the raw-line grep.
 """
 
-import time
+import sys
 
 from repro import LogGrep, LogGrepConfig, ablated
+from repro.baselines.evalutil import grep_lines
 from repro.workloads import spec_by_name
 
 
@@ -27,21 +33,29 @@ SESSION = [
 ]
 
 
-def run_session(lg: LogGrep, label: str) -> float:
+def run_session(lg: LogGrep, lines, label: str, steps=SESSION):
+    """Run *steps* in one session; returns (seconds, mismatching steps)."""
     total = 0.0
+    wrong = []
     print(f"--- {label} ---")
-    for command in SESSION:
-        result = lg.grep(command)
-        total += result.elapsed
-        print(
-            f"  {command[:60]:60s} {result.count:5d} hits  "
-            f"{result.elapsed * 1000:7.1f} ms  (cache hits: {result.stats.cache_hits})"
-        )
+    with lg.open_session() as session:
+        for command in steps:
+            result = session.grep(command)
+            total += result.elapsed
+            ok = result.lines == grep_lines(command, lines)
+            if not ok:
+                wrong.append(command)
+            print(
+                f"  {command[:60]:60s} {result.count:5d} hits  "
+                f"{result.elapsed * 1000:7.1f} ms  "
+                f"(cache hits: {result.stats.cache_hits})"
+                f"{'' if ok else '  MISMATCH'}"
+            )
     print(f"  session total: {total * 1000:.1f} ms\n")
-    return total
+    return total, wrong
 
 
-def main() -> None:
+def main() -> int:
     spec = spec_by_name("Log A")
     lines = spec.generate(20000)
 
@@ -50,8 +64,17 @@ def main() -> None:
     uncached = LogGrep(config=ablated("w/o cache", LogGrepConfig(block_bytes=1 << 20)))
     uncached.compress(lines)
 
-    with_cache = run_session(cached, "refining session WITH Query Cache")
-    without = run_session(uncached, "refining session WITHOUT Query Cache (w/o cache ablation)")
+    with_cache, wrong = run_session(cached, lines, "refining session WITH Query Cache")
+    without, more = run_session(
+        uncached, lines, "refining session WITHOUT Query Cache (w/o cache ablation)"
+    )
+    wrong += more
+    # The same terms again, now at other accumulators: the cache holds
+    # some of them for part of a block only.
+    _, more = run_session(
+        cached, lines, "the session revisited in reverse, cache warm", SESSION[::-1]
+    )
+    wrong += more
     print(
         f"Query Cache speedup over the session: {without / with_cache:.2f}x "
         "(paper §6.3: 2.08x)"
@@ -63,6 +86,13 @@ def main() -> None:
     for line in final.lines[:3]:
         print(f"  {line}")
 
+    if wrong:
+        print(f"\n{len(wrong)} step(s) differ from grep over the raw lines:")
+        for command in wrong:
+            print(f"  {command}")
+        return 1
+    return 0
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -55,7 +55,7 @@ from ..capsule.box import CapsuleBox
 from ..common.tokenizer import tokenize
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
-from ..query.executor import QueryExecutor, StoreBoxSource
+from ..query.executor import StoreBoxSource
 from ..query.cache import bump_generation
 from ..staticparse.cache import TemplateCache
 from ..staticparse.matcher import TemplateMatcher
@@ -447,9 +447,11 @@ class StreamingCompressor:
             store=self.store, config=self.config, prune_index=self._index
         )
         if tail:
-            source = _TailBoxSource(self, reader._box_cache, self._index)
-            reader._executor = QueryExecutor(
-                source, self.config, reader.fragments
+            # Re-point the reader's one executor: a second one would read
+            # the archive generation again, and every blocking read hands
+            # the encode worker the GIL.
+            reader.executor.source = _TailBoxSource(
+                self, reader._box_cache, self._index
             )
         return reader
 

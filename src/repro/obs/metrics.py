@@ -20,6 +20,8 @@ from __future__ import annotations
 import json
 import math
 import threading
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Label sets are keyed by their sorted (key, value) tuples.
@@ -117,7 +119,12 @@ class Gauge(Counter):
 
 
 class Histogram:
-    """Fixed-bucket histogram with cumulative bucket counts."""
+    """Fixed-bucket histogram with cumulative bucket counts.
+
+    An observation increments only the first bucket whose bound covers
+    it (one bisect); the counts are cumulated when read.  A value above
+    the last bound, or NaN, lands in no finite bucket — only in ``+Inf``.
+    """
 
     kind = "histogram"
 
@@ -139,15 +146,15 @@ class Histogram:
 
     def observe(self, value: float, **labels) -> None:
         key = _label_key(labels)
+        slot = bisect_left(self.buckets, value)
         with self._lock:
             counts = self._counts.get(key)
             if counts is None:
                 counts = self._counts[key] = [0] * len(self.buckets)
                 self._sums[key] = 0.0
                 self._totals[key] = 0
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    counts[i] += 1
+            if slot < len(counts) and value == value:  # NaN is no bucket's
+                counts[slot] += 1
             self._sums[key] += value
             self._totals[key] += 1
 
@@ -164,9 +171,10 @@ class Histogram:
             self._totals.clear()
 
     def _samples(self) -> List[Tuple[LabelKey, List[int], float, int]]:
+        """Per label set: cumulative bucket counts, sum and count."""
         with self._lock:
             return sorted(
-                (key, list(counts), self._sums[key], self._totals[key])
+                (key, list(accumulate(counts)), self._sums[key], self._totals[key])
                 for key, counts in self._counts.items()
             )
 
@@ -228,9 +236,7 @@ class MetricsRegistry:
             out.append(f"# TYPE {name} {metric.kind}")
             if isinstance(metric, Histogram):
                 for key, counts, total_sum, total in metric._samples():
-                    # Histogram.observe increments every bucket whose bound
-                    # covers the value, so the stored counts are already
-                    # cumulative — emit them as-is.
+                    # _samples has already cumulated the bucket counts.
                     for bound, count in zip(metric.buckets, counts):
                         out.append(
                             f"{name}_bucket"

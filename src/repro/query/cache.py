@@ -8,7 +8,19 @@ bounded LRU of per-block row sets keyed ``(archive generation, block
 name, term key)``.  Row sets are the exact intermediate the engine's
 AND/OR/NOT algebra consumes, so *overlapping* queries (``ERROR``, ``ERROR
 AND timeout``, ``ERROR OR WARN``) share work even when no two are
-textually equal, and a repeated query skips Match entirely.  Alongside
+textually equal, and a repeated query skips Match entirely.
+
+An entry carries its **coverage** next to its rows: the rows the answer
+is exact on, ``None`` meaning every row of the block.  A term that opens
+a disjunct is matched over every row and cached complete; a later AND or
+NOT term is matched only on the rows the conjunction still holds
+(:func:`~repro.query.engine.fold_disjuncts`), so its entry covers just
+those.  A lookup with *alive* rows answers when the entry is complete or
+its coverage contains *alive* (the rows within *alive*); otherwise the
+executor matches the term on *alive* and stores one new entry with the
+union of both rows and both coverages (:func:`widen`).  The entry is
+replaced whole, so racing writers can lose coverage but never pair one
+entry's rows with another's coverage.  Alongside
 the terms the cache memoizes each block's **shape** (per-group row
 counts) under a reserved key, so a fully warm block is evaluated purely
 in row-set algebra: a COUNT touches neither the store nor the box.
@@ -61,6 +73,10 @@ _ENTRIES = get_registry().gauge(
 #: Block-level located rows (group index → row set).
 GroupRows = Dict[int, RowSet]
 
+#: One cached term: its located rows and their coverage, the rows they
+#: are exact on (None = every row).  The rows lie within the coverage.
+TermEntry = Tuple[GroupRows, Optional[GroupRows]]
+
 DEFAULT_CAPACITY = 4096
 
 #: Aux-blob name of the per-archive generation counter.
@@ -102,6 +118,52 @@ def bump_generation(store: object) -> int:
     return gen
 
 
+def covered_rows(
+    entry: TermEntry, alive: Optional[GroupRows]
+) -> Optional[GroupRows]:
+    """What *entry* knows of its term on the *alive* rows (None = every
+    row): all its rows when it is complete, its rows within *alive* when
+    its coverage contains *alive*, else None."""
+    rows, coverage = entry
+    if coverage is None:
+        return rows
+    if alive is None:
+        return None
+    out: GroupRows = {}
+    for group, wanted in alive.items():
+        covered = coverage.get(group)
+        if covered is None or wanted - covered:
+            return None
+        found = rows.get(group)
+        if found is not None:
+            found = found & wanted
+            if found:
+                out[group] = found
+    return out
+
+
+def widen(
+    entry: Optional[TermEntry],
+    rows: GroupRows,
+    coverage: Optional[GroupRows],
+) -> TermEntry:
+    """*entry* (if any) extended by *rows*, exact on *coverage*: a new
+    entry whose rows and coverage are the unions of both."""
+    if entry is None or coverage is None:
+        return rows, coverage
+    old_rows, old_coverage = entry
+    if old_coverage is None:
+        return entry  # already complete
+    return _union(old_rows, rows), _union(old_coverage, coverage)
+
+
+def _union(a: GroupRows, b: GroupRows) -> GroupRows:
+    out = dict(a)
+    for group, rows in b.items():
+        out[group] = out[group] | rows if group in out else rows
+    return out
+
+
 class QueryCache:
     """A bounded LRU of generation-keyed per-block search-string results."""
 
@@ -139,26 +201,52 @@ class QueryCache:
             _ENTRIES.set(len(self._entries))
 
     def get(
-        self, generation: int, block_name: str, term_key: str
+        self,
+        generation: int,
+        block_name: str,
+        term_key: str,
+        alive: Optional[GroupRows] = None,
     ) -> Optional[GroupRows]:
+        """The term's rows, exact on *alive* (None = every row), or None
+        when no entry answers it."""
+        return self.lookup(generation, block_name, term_key, alive)[1]
+
+    def lookup(
+        self,
+        generation: int,
+        block_name: str,
+        term_key: str,
+        alive: Optional[GroupRows] = None,
+    ) -> Tuple[Optional[TermEntry], Optional[GroupRows]]:
+        """The term's whole entry and its answer on *alive* (see
+        :func:`covered_rows`); a hit is a lookup that answered."""
         key = (generation, block_name, term_key)
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
+            rows: Optional[GroupRows] = None
+            if entry is not None:
+                self._entries.move_to_end(key)
+                rows = covered_rows(entry, alive)  # type: ignore[arg-type]
+            if rows is None:
                 self.misses += 1
                 _MISSES.inc()
-                ledger_channel.charge_cache("query", False)
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            _HITS.inc()
-            ledger_channel.charge_cache("query", True)
-            return entry  # type: ignore[return-value]
+            else:
+                self.hits += 1
+                _HITS.inc()
+        ledger_channel.charge_cache("query", rows is not None)
+        return entry, rows  # type: ignore[return-value]
 
     def put(
-        self, generation: int, block_name: str, term_key: str, rows: GroupRows
+        self,
+        generation: int,
+        block_name: str,
+        term_key: str,
+        rows: GroupRows,
+        coverage: Optional[GroupRows] = None,
     ) -> None:
-        self._put((generation, block_name, term_key), rows)
+        """Store one term's entry whole: *rows*, exact on *coverage*
+        (None = every row)."""
+        self._put((generation, block_name, term_key), (rows, coverage))
 
     # Block shapes are cached uncounted: they are not search-string
     # results, only the full-rows seed that lets a warm block skip LoadBox.

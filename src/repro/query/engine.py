@@ -13,6 +13,15 @@ group (static pattern) it matches every search string at the token level:
 
 Results are row sets per group, combined with the query's logical
 operators, and finally handed to the Reconstructor.
+
+A conjunction is evaluated as a pushdown: the first term of a disjunct
+is matched over every group, and each later AND or NOT term only over
+the rows the accumulator still holds (*alive*).  The engine then visits
+only the groups in *alive*, starts every match from their candidate
+rows, and the readers probe those rows in place (§5.2 direct checking)
+instead of scanning the Capsule when there are few of them.  A term
+resolved on *alive* is exact on *alive* only; the executor's Match memo
+and the Query Cache keep that coverage next to the rows.
 """
 
 from __future__ import annotations
@@ -30,9 +39,11 @@ from .vectors import QuerySettings, VectorReader, box_readers
 #: Block-level result: group index → matching entry rows.
 GroupRows = Dict[int, RowSet]
 
-#: Resolver hook used for the query cache: maps a search string to its
-#: block-level result (the engine's ``search_string_rows`` by default).
-Resolver = Callable[[SearchString], GroupRows]
+#: Resolver hook used for the query cache: maps a search string and the
+#: accumulator's alive rows (None = every row) to its block-level result,
+#: exact on the alive rows and within them (the engine's
+#: ``search_string_rows`` by default).
+Resolver = Callable[[SearchString, Optional[GroupRows]], GroupRows]
 
 
 class BlockEngine:
@@ -90,19 +101,35 @@ class BlockEngine:
         return shape_rows(group.num_entries for group in self.box.groups)
 
     # ------------------------------------------------------------------
-    def search_string_rows(self, search: SearchString) -> GroupRows:
-        """Block-level match of one search string."""
+    def search_string_rows(
+        self, search: SearchString, alive: Optional[GroupRows] = None
+    ) -> GroupRows:
+        """Block-level match of one search string, over every row, or
+        only over the *alive* rows of the groups in *alive*."""
         out: GroupRows = {}
-        for group_idx, group in enumerate(self.box.groups):
-            rows = self._match_group(group_idx, group, search)
+        groups = self.box.groups
+        for group_idx in range(len(groups)) if alive is None else sorted(alive):
+            candidates = None if alive is None else alive[group_idx]
+            if candidates is not None and candidates.is_full():
+                candidates = None  # a whole group is matched as one
+            rows = self._match_group(
+                group_idx, groups[group_idx], search, candidates
+            )
             if rows:
                 out[group_idx] = rows
         return out
 
     def _match_group(
-        self, group_idx: int, group: GroupBox, search: SearchString
+        self,
+        group_idx: int,
+        group: GroupBox,
+        search: SearchString,
+        candidates: Optional[RowSet],
     ) -> RowSet:
+        """The rows of one group matching *search*, among *candidates*
+        (every row when None)."""
         n = group.num_entries
+        every = RowSet.full(n) if candidates is None else candidates
         result = RowSet.empty(n)
         keywords = search.keywords
         tokens = group.template.tokens
@@ -112,22 +139,24 @@ class BlockEngine:
             for pos, token in enumerate(tokens):
                 if token is not None:
                     if _const_matches(token, keyword, MatchMode.SUBSTRING):
-                        return RowSet.full(n)
+                        return every
                     continue
                 var_idx = self._vectors.var_ordinals[group_idx][pos]
                 result = result | self._search_var(
-                    group_idx, var_idx, keyword, MatchMode.SUBSTRING
+                    group_idx, var_idx, keyword, MatchMode.SUBSTRING, candidates
                 )
-                if result.is_full():
+                if result and result == every:
                     break
             return result
 
     # multi-keyword: consecutive token windows
         for start in range(0, len(tokens) - k + 1):
-            window = self._match_window(group_idx, group, keywords, start)
+            window = self._match_window(
+                group_idx, group, keywords, start, candidates
+            )
             if window is not None:
                 result = result | window
-                if result.is_full():
+                if result and result == every:
                     break
         return result
 
@@ -137,10 +166,12 @@ class BlockEngine:
         group: GroupBox,
         keywords: List[Keyword],
         start: int,
+        candidates: Optional[RowSet],
     ) -> Optional[RowSet]:
-        """Match keywords against tokens[start : start+k]; None = no match."""
+        """Match keywords against tokens[start : start+k] among
+        *candidates* (every row when None); None = no match.  Each
+        variable narrows the candidates the next one is checked on."""
         tokens = group.template.tokens
-        n = group.num_entries
         k = len(keywords)
         # Constants first: they are free and prune whole windows.
         var_checks = []
@@ -152,21 +183,39 @@ class BlockEngine:
                     return None
             else:
                 var_checks.append((start + j, keyword, mode))
-        acc = RowSet.full(n)
+        acc = RowSet.full(group.num_entries) if candidates is None else candidates
         for pos, keyword, mode in var_checks:
             var_idx = self._vectors.var_ordinals[group_idx][pos]
-            acc = acc & self._search_var(group_idx, var_idx, keyword, mode)
+            acc = self._search_var(
+                group_idx, var_idx, keyword, mode,
+                None if acc.is_full() else acc,
+            )
             if not acc:
                 return acc
         return acc
 
     def _search_var(
-        self, group_idx: int, var_idx: int, keyword: Keyword, mode: MatchMode
+        self,
+        group_idx: int,
+        var_idx: int,
+        keyword: Keyword,
+        mode: MatchMode,
+        candidates: Optional[RowSet],
     ) -> RowSet:
+        """The rows among *candidates* (every row when None) whose value
+        of one variable matches *keyword*.  Readers may check every row
+        (above their direct-checking bound); the result is cut to the
+        candidates here."""
         reader = self._vectors.reader(group_idx, var_idx)
         if keyword.needs_regex:
-            return reader.search_wildcard(keyword, mode, self.settings, self.stats)
-        return reader.search(keyword.text, mode, self.settings, self.stats)
+            rows = reader.search_wildcard(
+                keyword, mode, self.settings, self.stats, candidates
+            )
+        else:
+            rows = reader.search(
+                keyword.text, mode, self.settings, self.stats, candidates
+            )
+        return rows if candidates is None else rows & candidates
 
 
 def _mode_for(j: int, k: int) -> MatchMode:
@@ -209,18 +258,24 @@ def fold_disjuncts(
     yields the algebra's identity (every row of every group).  Neither
     needs an open box — on a warm query cache both are answered from
     cached row sets and the block's cached shape.
+
+    A disjunct's first term is resolved over every row; each later term
+    only over the accumulator it is about to narrow, so its answer need
+    be exact on those rows alone.
     """
     total: GroupRows = {}
     for disjunct in plan.disjuncts:
         acc = full()
+        alive: Optional[GroupRows] = None  # the first term sees every row
         for term in disjunct.terms:
-            rows = resolve(term.search)
+            rows = resolve(term.search, alive)
             if term.negated:
                 acc = _difference(acc, rows)
             else:
                 acc = _intersect(acc, rows)
             if not acc:
                 break
+            alive = acc
         total = _union(total, acc)
     return {g: rs for g, rs in total.items() if rs}
 

@@ -30,12 +30,17 @@ one.  Per block the pipeline is::
   log repeat their runtime patterns and stamps, so each distinct
   (pattern, stamps, fragment, mode) is located once per run, not once
   per vector.
-* **Match** — resolves one search string to per-group row sets, at most
-  once per block per pass (first requester pays), memoized across runs
-  in the generation-keyed :class:`~repro.query.cache.QueryCache` when
-  ``config.use_query_cache`` is on.  With the block's shape and every
-  needed term cached, Locate is pure row-set algebra: COUNT/ROWS plans
-  and miss-everything LINES plans never open the box.
+* **Match** — resolves one search string to per-group row sets.  A
+  disjunct's first term is matched over every row; each later AND/NOT
+  term only over the rows the fold still holds, so a selective first
+  term leaves the rest a few direct cell probes.  Results are memoized
+  per block for the pass (first requester pays) and across runs in the
+  generation-keyed :class:`~repro.query.cache.QueryCache` when
+  ``config.use_query_cache`` is on, both as ``(rows, coverage)``
+  entries: a later request is answered when the entry is complete or
+  covers its rows, and otherwise widens the entry.  With the block's
+  shape and every needed term cached, Locate is pure row-set algebra:
+  COUNT/ROWS plans and miss-everything LINES plans never open the box.
 * **Reconstruct / Aggregate** — per plan: rebuild the located entries,
   or fold them into a partial aggregate; elided for ``COUNT``/``ROWS``
   plans, and replaced by a dry-run rendering for ``EXPLAIN`` plans.
@@ -82,8 +87,8 @@ from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .aggregate import AggregatePartial, AggregateSpec, make_partial
 from .blockfilter import summary_might_match
-from .cache import QueryCache, load_generation
-from .engine import BlockEngine, GroupRows, fold_disjuncts, shape_rows
+from .cache import QueryCache, TermEntry, covered_rows, load_generation, widen
+from .engine import BlockEngine, GroupRows, Resolver, fold_disjuncts, shape_rows
 from .language import QueryCommand, SearchString
 from .modes import AggregateKind
 from .plan import OutputMode, QueryPlan, build_plan
@@ -320,7 +325,9 @@ class _Unresolved(Exception):
 def _locate_cached(
     plan: QueryPlan,
     shape: Tuple[int, ...],
-    cached_rows: Callable[[SearchString], Optional[GroupRows]],
+    cached_rows: Callable[
+        [SearchString, Optional[GroupRows]], Optional[GroupRows]
+    ],
 ) -> Optional[Tuple[GroupRows, int]]:
     """Locate from cached row sets and the block's shape alone.
 
@@ -330,9 +337,9 @@ def _locate_cached(
     """
     resolved = 0
 
-    def resolve(search: SearchString) -> GroupRows:
+    def resolve(search: SearchString, alive: Optional[GroupRows]) -> GroupRows:
         nonlocal resolved
-        rows = cached_rows(search)
+        rows = cached_rows(search, alive)
         if rows is None:
             raise _Unresolved(search.cache_key)
         resolved += 1
@@ -657,43 +664,47 @@ class QueryExecutor:
             if not live:
                 return done
 
-        # -- shared Match memo: term key -> row sets, resolved at most
-        # once per block per pass (query cache first, engine second).
-        term_rows: Dict[str, GroupRows] = {}
-        missing: Set[str] = set()
+        # -- shared Match memo: term key -> (rows, coverage), the query
+        # cache consulted once per term per block and pass, the engine
+        # when neither covers the rows asked about.
+        term_rows: Dict[str, TermEntry] = {}
+        consulted: Set[str] = set()
 
-        def cached_rows(search: SearchString) -> Optional[GroupRows]:
+        def cached_rows(
+            search: SearchString, alive: Optional[GroupRows]
+        ) -> Optional[GroupRows]:
             key = search.cache_key
-            rows = term_rows.get(key)
-            if rows is None and cache is not None and key not in missing:
-                rows = cache.get(generation, name, key)
-                if rows is None:
-                    missing.add(key)
-                else:
-                    term_rows[key] = rows
-            return rows
+            entry = term_rows.get(key)
+            if entry is None and cache is not None and key not in consulted:
+                consulted.add(key)
+                entry, rows = cache.lookup(generation, name, key, alive)
+                if entry is not None:
+                    term_rows[key] = entry
+                return rows
+            return None if entry is None else covered_rows(entry, alive)
 
-        def matcher(
-            stats: QueryStats, ledger: QueryLedger
-        ) -> Callable[[SearchString], GroupRows]:
+        def matcher(stats: QueryStats, ledger: QueryLedger) -> Resolver:
             """The Match operator of one plan."""
             # One reusable timer for the whole block: match runs once per
             # (group, search) pair — the hottest operator boundary by far.
             match_timer = ledger.operator("match")
 
-            def match(search: SearchString) -> GroupRows:
-                rows = cached_rows(search)
+            def match(
+                search: SearchString, alive: Optional[GroupRows]
+            ) -> GroupRows:
+                rows = cached_rows(search, alive)
                 if rows is not None:
                     stats.cache_hits += 1
                     return rows
-                # First plan to need this term pays its Match; the memo
-                # and the query cache make it free for everyone else.
+                # First plan to need this term on these rows pays its
+                # Match; the memo and the query cache make it free for
+                # everyone else.
                 key = search.cache_key
                 with tracer.span("match", search=key), match_timer:
-                    rows = engine.search_string_rows(search)
-                term_rows[key] = rows
+                    rows = engine.search_string_rows(search, alive)
+                entry = term_rows[key] = widen(term_rows.get(key), rows, alive)
                 if cache is not None:
-                    cache.put(generation, name, key, rows)
+                    cache.put(generation, name, key, *entry)
                 return rows
 
             return match

@@ -2,8 +2,9 @@
 
 A reader answers two questions about one variable vector of one group:
 
-* ``search(fragment, mode)`` — which group rows could contain the
-  fragment?  (Locator → stamp filter → fixed-length matching.)
+* ``search(fragment, mode, candidates)`` — which group rows (among the
+  candidates, every row when None) could contain the fragment?
+  (Locator → stamp filter → fixed-length matching.)
 * ``pieces(rows)`` — the values of those rows as still-padded byte cells.
 
 Readers translate between *capsule row space* (rows stored in a Capsule,
@@ -13,7 +14,13 @@ Candidate filtering runs on payload **bytes**: the scan kernels of
 :mod:`repro.capsule.scan` match fragments directly against the padded
 buffers, dictionary regions are scanned in place with the §5.2
 Σ count·width jump, and index Capsules are compared slot-by-slot as raw
-byte cells.  Only rows that survive matching are ever decoded, and
+byte cells.  A search given at most :data:`DIRECT_CHECK_ROWS` candidate
+rows — left by earlier terms of a conjunction, or by the keyword's
+earlier sub-variables — probes just their cells (§5.2 direct checking)
+instead of scanning the Capsule, and leaves a Capsule none of them lives
+in uninflated; above the bound it scans as usual and the caller cuts the
+result to the candidates.  Only rows that survive matching are ever
+decoded, and
 ``pieces`` is the one way a reader turns stored bytes into strings:
 ``values(rows)`` joins the pieces row-wise and strips the padding in one
 pass (:func:`join_cells`, :func:`decode_rows`), whether the caller is the
@@ -75,6 +82,10 @@ from .stats import QueryStats, touch_capsule
 LocateMemo = Dict[tuple, Optional[List[Candidate]]]
 
 _MISS = object()
+
+#: §5.2 direct checking: a search given at most this many candidate rows
+#: probes their cells in place; with more it scans the whole Capsule.
+DIRECT_CHECK_ROWS = 64
 
 
 @dataclass
@@ -180,6 +191,21 @@ def _take_cells(
     return cells
 
 
+def _direct_rows(
+    capsule: Capsule, candidates: Optional[RowSet]
+) -> Optional[List[int]]:
+    """The rows of *capsule* to probe by direct checking: *candidates*
+    when a fixed layout holds them and they are few enough; None means
+    scan the whole Capsule."""
+    if (
+        candidates is None
+        or capsule.layout != LAYOUT_FIXED
+        or len(candidates) > DIRECT_CHECK_ROWS
+    ):
+        return None
+    return candidates.rows()
+
+
 def _row_list(rows: Optional[RowSet]) -> Optional[List[int]]:
     """*rows* as ascending row numbers, or None when every row is wanted."""
     return None if rows is None or rows.is_full() else rows.rows()
@@ -255,22 +281,50 @@ class RealVectorReader(_VectorReader):
             capsule.stamp for capsule in encoded.subvar_capsules
         ]
         self._locate_key = (tuple(encoded.pattern.elements), tuple(self._stamps))
-        self._outlier_set = frozenset(encoded.outlier_rows)
+        self._outlier_bits: Optional[RowSet] = None  # see _outliers
         self._matched_map: Optional[List[int]] = None  # capsule row → group row
 
     # ------------------------------------------------------------------
     def _matched_rows(self) -> List[int]:
         mapping = self._matched_map
         if mapping is None:
-            outliers = self._outlier_set
-            mapping = self._matched_map = [
-                row for row in range(self.num_rows) if row not in outliers
-            ]
+            mapping = self._matched_map = (
+                RowSet.full(self.num_rows) - self._outliers()
+            ).rows()
         return mapping
 
     @property
     def _num_matched(self) -> int:
         return self.num_rows - len(self.encoded.outlier_rows)
+
+    def _outliers(self) -> RowSet:
+        """The outlier rows as a group-row bitmap, built once."""
+        bits = self._outlier_bits
+        if bits is None:
+            bits = self._outlier_bits = RowSet.from_rows(
+                self.num_rows, self.encoded.outlier_rows
+            )
+        return bits
+
+    def _capsule_candidates(self, candidates: Optional[RowSet]) -> Optional[RowSet]:
+        """The pattern-matched rows among *candidates* (group rows), in
+        capsule row space: empty when every candidate is an outlier, and
+        None — check every matched row — without candidates or above
+        :data:`DIRECT_CHECK_ROWS` of them."""
+        if candidates is None:
+            return None
+        matched = candidates - self._outliers()
+        if len(matched) > DIRECT_CHECK_ROWS:
+            return None
+        outlier_rows = self.encoded.outlier_rows
+        if not outlier_rows:
+            return matched  # capsule rows are group rows
+        # A matched row's capsule row is its group row less the outliers
+        # before it.
+        return RowSet.from_rows(
+            self._num_matched,
+            [row - bisect_left(outlier_rows, row) for row in matched.rows()],
+        )
 
     # ------------------------------------------------------------------
     def search(
@@ -279,10 +333,14 @@ class RealVectorReader(_VectorReader):
         mode: MatchMode,
         settings: QuerySettings,
         stats: QueryStats,
+        candidates: Optional[RowSet] = None,
     ) -> RowSet:
         result = RowSet.empty(self.num_rows)
-        self._search_matched(fragment, mode, settings, stats, result)
-        self._search_outliers_plain(fragment, mode, stats, result)
+        self._search_matched(
+            fragment, mode, settings, stats, result,
+            self._capsule_candidates(candidates),
+        )
+        self._search_outliers_plain(fragment, mode, stats, result, candidates)
         return result
 
     def _search_matched(
@@ -292,10 +350,13 @@ class RealVectorReader(_VectorReader):
         settings: QuerySettings,
         stats: QueryStats,
         result: RowSet,
+        start: Optional[RowSet] = None,
     ) -> None:
+        """Add the pattern-matched rows whose value contains *fragment*
+        to *result*, checking only the capsule rows *start* when given."""
         num_matched = self._num_matched
-        if num_matched == 0:
-            return
+        if num_matched == 0 or (start is not None and not start):
+            return  # no pattern-matched row to check: inflate nothing
         encoded = self.encoded
         candidates = _locate(
             settings,
@@ -307,26 +368,20 @@ class RealVectorReader(_VectorReader):
         )
         if candidates is TOO_COMPLEX:
             stats.fallback_scans += 1
-            self._scan_matched(fragment, mode, stats, result)
+            self._scan_matched(fragment, mode, stats, result, start)
             return
         capsule_rows = RowSet.empty(num_matched)
         for candidate in candidates:
             stats.candidates_evaluated += 1
             if not candidate:
-                capsule_rows = RowSet.full(num_matched)
+                capsule_rows = RowSet.full(num_matched) if start is None else start
                 break
-            current: Optional[RowSet] = None
+            current = start
             for subvar, frag, frag_mode in candidate:
                 capsule = encoded.subvar_capsules[subvar]
                 stats.capsules_considered += 1
-                hint = None
-                if (
-                    current is not None
-                    and capsule.layout == LAYOUT_FIXED
-                    and len(current) <= 64
-                ):
-                    # §5.2 direct checking: probe only candidate rows.
-                    hint = current.rows()
+                # §5.2 direct checking: probe only candidate rows.
+                hint = _direct_rows(capsule, current)
                 touch_capsule(capsule, stats)
                 rows = search_capsule(capsule, frag, frag_mode, rows_hint=hint)
                 current = rows if current is None else current & rows
@@ -336,7 +391,7 @@ class RealVectorReader(_VectorReader):
                 capsule_rows = capsule_rows | current
         if not capsule_rows:
             return
-        if not self._outlier_set:
+        if not self.encoded.outlier_rows:
             # Capsule rows are group rows: OR the bitmap in as it is.
             result.bits |= capsule_rows.bits
             return
@@ -344,28 +399,43 @@ class RealVectorReader(_VectorReader):
         result.add_rows([mapping[crow] for crow in capsule_rows.rows()])
 
     def _scan_matched(
-        self, fragment: str, mode: MatchMode, stats: QueryStats, result: RowSet
+        self,
+        fragment: str,
+        mode: MatchMode,
+        stats: QueryStats,
+        result: RowSet,
+        start: Optional[RowSet],
     ) -> None:
         """Correct-but-slow fallback: decode every pattern-matched row
-        and test it."""
+        (the capsule rows *start* when given) and test it."""
         mapping = self._matched_rows()
-        pieces = self._matched_pieces(None, stats)
-        values = decode_rows(join_cells(pieces, self._num_matched))
+        crows = None if start is None else start.rows()
+        pieces = self._matched_pieces(crows, stats)
+        num = self._num_matched if crows is None else len(crows)
+        values = decode_rows(join_cells(pieces, num))
         result.add_rows(
             [
                 mapping[crow]
-                for crow, value in enumerate(values)
+                for crow, value in zip(crows or range(num), values)
                 if value_matches(value, fragment, mode)
             ]
         )
 
     def _search_outliers_plain(
-        self, fragment: str, mode: MatchMode, stats: QueryStats, result: RowSet
+        self,
+        fragment: str,
+        mode: MatchMode,
+        stats: QueryStats,
+        result: RowSet,
+        candidates: Optional[RowSet],
     ) -> None:
         encoded = self.encoded
         if encoded.outlier_capsule is None:
             return
-        # Outliers escaped the pattern, so every query must scan them.
+        # Outliers escaped the pattern, so they are scanned whenever a
+        # candidate is one.
+        if candidates is not None and not candidates & self._outliers():
+            return
         touch_capsule(encoded.outlier_capsule, stats)
         rows = search_capsule(encoded.outlier_capsule, fragment, mode)
         outlier_rows = encoded.outlier_rows
@@ -378,31 +448,44 @@ class RealVectorReader(_VectorReader):
         mode: MatchMode,
         settings: QuerySettings,
         stats: QueryStats,
+        candidates: Optional[RowSet] = None,
     ) -> RowSet:
         """Wildcard search: literal runs narrow the candidate rows through
         the normal pattern/stamp machinery (byte-level), then only those
         rows — and every outlier, which escaped the pattern — are decoded
         and regex-verified: the structured analogue of index-assisted
-        wildcard matching."""
-        candidates = self._wildcard_candidates(keyword, settings, stats)
-        rows: Optional[List[int]] = None  # no usable literal run: every row
-        if candidates is not None:
-            candidates.add_rows(self.encoded.outlier_rows)
-            rows = candidates.rows()
+        wildcard matching.  Given *candidates*, only those are decoded."""
+        found = self._wildcard_candidates(
+            keyword, settings, stats, self._capsule_candidates(candidates)
+        )
+        wanted = candidates  # no usable literal run: every candidate
+        if found is not None:
+            found.add_rows(self.encoded.outlier_rows)
+            wanted = found if candidates is None else found & candidates
+        rows = None if wanted is None else wanted.rows()
         return self._verify(keyword.regex_for(mode), rows, stats)
 
     def _wildcard_candidates(
-        self, keyword, settings: QuerySettings, stats: QueryStats
+        self,
+        keyword,
+        settings: QuerySettings,
+        stats: QueryStats,
+        start: Optional[RowSet],
     ) -> Optional[RowSet]:
-        """Pattern-matched rows that contain every (case-sensitive)
-        literal run of the keyword; None when no run is checkable."""
+        """Pattern-matched rows (among the capsule rows *start* when
+        given) that contain every (case-sensitive) literal run of the
+        keyword; None when no run is checkable."""
         literals = _literal_runs(keyword)
         if not literals:
             return None
+        if start is not None and not start:
+            return RowSet.empty(self.num_rows)  # every candidate is an outlier
         candidates: Optional[RowSet] = None
         for run in literals:
             rows = RowSet.empty(self.num_rows)
-            self._search_matched(run, MatchMode.SUBSTRING, settings, stats, rows)
+            self._search_matched(
+                run, MatchMode.SUBSTRING, settings, stats, rows, start
+            )
             candidates = rows if candidates is None else candidates & rows
             if not candidates:
                 stats.capsules_filtered += len(self.encoded.subvar_capsules)
@@ -552,9 +635,10 @@ class NominalVectorReader(_VectorReader):
         mode: MatchMode,
         settings: QuerySettings,
         stats: QueryStats,
+        candidates: Optional[RowSet] = None,
     ) -> RowSet:
         slots = self.matching_slots(fragment, mode, settings, stats)
-        return self._rows_for_slots(slots, stats)
+        return self._rows_for_slots(slots, stats, candidates)
 
     def search_wildcard(
         self,
@@ -562,6 +646,7 @@ class NominalVectorReader(_VectorReader):
         mode: MatchMode,
         settings: QuerySettings,
         stats: QueryStats,
+        candidates: Optional[RowSet] = None,
     ) -> RowSet:
         regex = keyword.regex_for(mode)
         slots = [
@@ -569,9 +654,17 @@ class NominalVectorReader(_VectorReader):
             for slot, value in enumerate(self._decoded_dictionary(stats))
             if regex.search(value)
         ]
-        return self._rows_for_slots(slots, stats)
+        return self._rows_for_slots(slots, stats, candidates)
 
-    def _rows_for_slots(self, slots: Sequence[int], stats: QueryStats) -> RowSet:
+    def _rows_for_slots(
+        self,
+        slots: Sequence[int],
+        stats: QueryStats,
+        candidates: Optional[RowSet] = None,
+    ) -> RowSet:
+        """The rows whose index cell names one of *slots*: only the
+        *candidates*' cells when there are few enough of them (see
+        :data:`DIRECT_CHECK_ROWS`), else every row."""
         encoded = self.encoded
         result = RowSet.empty(self.num_rows)
         if not slots:
@@ -582,42 +675,37 @@ class NominalVectorReader(_VectorReader):
         touch_capsule(encoded.index_capsule, stats)
         width = encoded.index_width
         capsule = encoded.index_capsule
+        wanted = (
+            None
+            if candidates is None or len(candidates) > DIRECT_CHECK_ROWS
+            else candidates.rows()
+        )
+        targets = {str(slot).zfill(width).encode("utf-8") for slot in slots}
         rows: List[int] = []
-        if capsule.layout == LAYOUT_FIXED and width > 0:
+        if (
+            wanted is None
+            and capsule.layout == LAYOUT_FIXED
+            and width > 0
+            and len(targets) <= 4
+        ):
+            # Selective dictionary hit: search each index number (§5.1).
             buf = capsule.plain()
-            if len(slots) <= 4:
-                # Selective dictionary hit: search each index number (§5.1).
-                for slot in slots:
-                    target = str(slot).zfill(width).encode("utf-8")
-                    rows.extend(
-                        scan.scan_fixed(
-                            buf, width, self.num_rows, target, scan.MODE_EXACT
-                        )
-                    )
-            else:
-                # Unselective keyword: one row-wise membership pass beats
-                # a separate scan per matching dictionary entry.
-                targets = {
-                    str(slot).zfill(width).encode("utf-8") for slot in slots
-                }
-                rows = [
-                    row
-                    for row in range(self.num_rows)
-                    if buf[row * width : (row + 1) * width] in targets
-                ]
+            for target in targets:
+                rows.extend(
+                    scan.scan_fixed(buf, width, self.num_rows, target, scan.MODE_EXACT)
+                )
         else:
-            # Variable-layout index (w/o-fixed ablation): compare raw byte
-            # cells against the wanted (zero-filled) slot numbers, no decode.
-            targets = {str(slot).zfill(width).encode("utf-8") for slot in slots}
-            buf = capsule.plain()
-            view = memoryview(buf)
-            offsets = capsule._variable_offsets()
-            n = capsule.count
-            for row in range(n):
-                start = offsets[row]
-                end = offsets[row + 1] - 1 if row + 1 < n else len(buf)
-                if view[start:end] in targets:
-                    rows.append(row)
+            # One membership pass over the raw index cells — only the
+            # candidates' under §5.2 direct checking — beats a scan per
+            # matching slot, and serves a variable-layout index (w/o-fixed
+            # ablation) too; no cell is decoded.
+            cells = capsule.cells(wanted)
+            ledger_channel.charge_rows_scanned(len(cells))
+            rows = [
+                row
+                for row, cell in zip(wanted or range(len(cells)), cells)
+                if cell in targets
+            ]
         result.add_rows(rows)
         return result
 
@@ -700,6 +788,7 @@ class PlainVectorReader(_VectorReader):
         mode: MatchMode,
         settings: QuerySettings,
         stats: QueryStats,
+        candidates: Optional[RowSet] = None,
     ) -> RowSet:
         capsule = self.encoded.capsule
         stats.capsules_considered += 1
@@ -707,7 +796,9 @@ class PlainVectorReader(_VectorReader):
             stats.capsules_filtered += 1
             return RowSet.empty(self.num_rows)
         touch_capsule(capsule, stats)
-        return search_capsule(capsule, fragment, mode)
+        return search_capsule(
+            capsule, fragment, mode, rows_hint=_direct_rows(capsule, candidates)
+        )
 
     def search_wildcard(
         self,
@@ -715,6 +806,7 @@ class PlainVectorReader(_VectorReader):
         mode: MatchMode,
         settings: QuerySettings,
         stats: QueryStats,
+        candidates: Optional[RowSet] = None,
     ) -> RowSet:
         capsule = self.encoded.capsule
         literals = _literal_runs(keyword)
@@ -722,17 +814,18 @@ class PlainVectorReader(_VectorReader):
             if any(not capsule.stamp.admits(run) for run in literals):
                 stats.capsules_filtered += 1
                 return RowSet.empty(self.num_rows)
-        rows: Optional[List[int]] = None  # no literal run: every row
         if literals:
             # Narrow with the literal runs, verify only candidate rows.
             touch_capsule(capsule, stats)
-            candidates: Optional[RowSet] = None
             for run in literals:
-                found = search_capsule(capsule, run, MatchMode.SUBSTRING)
+                found = search_capsule(
+                    capsule, run, MatchMode.SUBSTRING,
+                    rows_hint=_direct_rows(capsule, candidates),
+                )
                 candidates = found if candidates is None else candidates & found
                 if not candidates:
                     return candidates
-            rows = candidates.rows()
+        rows = None if candidates is None else candidates.rows()
         return self._verify(keyword.regex_for(mode), rows, stats)
 
     def pieces(

@@ -73,12 +73,15 @@ class TestEngine:
         engine, _ = engine_and_lines
         calls = []
 
-        def resolver(search):
-            calls.append(search.text)
-            return engine.search_string_rows(search)
+        def resolver(search, alive):
+            calls.append((search.text, alive))
+            return engine.search_string_rows(search, alive)
 
-        engine.execute(parse_query("ERROR AND read"), resolver)
-        assert calls == ["ERROR", "read"]
+        hits = engine.execute(parse_query("ERROR AND read"), resolver)
+        # The first term sees every row; the second only what survived it.
+        first = engine.search_string_rows(parse_query("ERROR").disjuncts[0][0].search)
+        assert calls == [("ERROR", None), ("read", first)]
+        assert hits == engine.execute(parse_query("ERROR AND read"))
 
 
 class TestQueryCache:
@@ -141,6 +144,37 @@ class TestQueryCache:
         cache.clear()
         assert len(cache) == 0
         assert cache.hits == 0
+
+    def test_partial_entry_answers_only_inside_its_coverage(self):
+        cache = QueryCache()
+        coverage = {0: RowSet.from_rows(8, [1, 2, 3]), 1: RowSet.full(4)}
+        rows = {0: RowSet.from_rows(8, [2]), 1: RowSet.from_rows(4, [0, 3])}
+        cache.put(0, "b", "q", rows, coverage)
+        inside = {0: RowSet.from_rows(8, [1, 2]), 1: RowSet.from_rows(4, [3])}
+        assert cache.get(0, "b", "q", inside) == {
+            0: RowSet.from_rows(8, [2]),
+            1: RowSet.from_rows(4, [3]),
+        }
+        assert cache.get(0, "b", "q", {0: RowSet.from_rows(8, [4])}) is None
+        assert cache.get(0, "b", "q", {2: RowSet.full(1)}) is None
+        assert cache.get(0, "b", "q") is None  # every row: not covered
+        assert cache.hits == 1 and cache.misses == 3
+
+    def test_widen_unions_rows_and_coverage(self):
+        from repro.query.cache import covered_rows, widen
+
+        first = ({0: RowSet.from_rows(8, [2])}, {0: RowSet.from_rows(8, [1, 2])})
+        entry = widen(first, {0: RowSet.from_rows(8, [6])}, {0: RowSet.from_rows(8, [5, 6])})
+        assert entry == (
+            {0: RowSet.from_rows(8, [2, 6])},
+            {0: RowSet.from_rows(8, [1, 2, 5, 6])},
+        )
+        assert covered_rows(entry, {0: RowSet.from_rows(8, [1, 5])}) == {}
+        # A complete evaluation replaces the entry; a complete entry stays.
+        complete = widen(entry, {0: RowSet.from_rows(8, [2, 6, 7])}, None)
+        assert complete[1] is None
+        assert widen(complete, {}, {0: RowSet.from_rows(8, [0])}) is complete
+        assert covered_rows(complete, {0: RowSet.from_rows(8, [0])}) == complete[0]
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):

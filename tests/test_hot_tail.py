@@ -75,6 +75,25 @@ class TestImmediateVisibility:
             assert result.line_ids == [0]
             assert reader.total_lines() == 1
 
+    def test_one_tail_count_reads_the_generation_twice(self, monkeypatch):
+        # Once when the reader's executor is built, once when the count
+        # syncs it: the tail reader builds one executor, not two.
+        from repro.query import executor as executor_module
+
+        reads = []
+        real = executor_module.load_generation
+
+        def counting(store):
+            reads.append(store)
+            return real(store)
+
+        monkeypatch.setattr(executor_module, "load_generation", counting)
+        with StreamingCompressor(config=_tiny_config()) as stream:
+            stream.extend(_event_lines(40, seed=2))
+            reads.clear()
+            assert stream.open_reader(tail=True).count("EV") == 40
+            assert len(reads) == 2
+
     def test_every_prefix_is_complete(self):
         lines = _event_lines(120, seed=1)
         with StreamingCompressor(config=_tiny_config()) as stream:

@@ -24,8 +24,10 @@ from repro.query import vectors as vectors_module
 from repro.query.executor import QueryExecutor
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
-#: The counters of every perfbench op, recorded before the memo existed,
-#: one JSON row per op.  ``PYTHONPATH=src python tests/test_locate_memo.py
+#: The counters of every perfbench op, one JSON row per op; the memo
+#: must reproduce them exactly.  Last re-recorded when later AND/NOT
+#: terms began matching only the rows still alive (single-term ops kept
+#: their counters).  ``PYTHONPATH=src python tests/test_locate_memo.py
 #: > tests/golden/locate_counters.jsonl`` records them from the
 #: checked-out code.
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "locate_counters.jsonl"

@@ -232,6 +232,68 @@ class TestMetrics:
         assert 'x_seconds_bucket{le="3"} 3' in text
         assert 'x_seconds_bucket{le="+Inf"} 3' in text
 
+    def test_histogram_edge_values_export_unchanged(self):
+        """Bounds, zero, negatives, values past the last bound and NaN:
+        the exposition and JSON are the ones the walk-every-bucket
+        ``observe`` produced (recorded below), byte for byte."""
+        series = [
+            0.0, 0.01, 0.05, 0.1, 0.5, 1.0, 2.0, float("nan"),
+            0.003, 7.5, -1.0, 10.0, 11.0, 0.0025,
+        ]
+        reg = MetricsRegistry()
+        small = reg.histogram("t_seconds", "help", buckets=(0.01, 0.1, 1.0))
+        default = reg.histogram("u_seconds", "latency")
+        for value in series:
+            small.observe(value)
+            default.observe(value)
+        for value in (0.2, 1.0):
+            small.observe(value, op="x")
+        assert reg.to_prometheus() == (
+            "# HELP t_seconds help\n"
+            "# TYPE t_seconds histogram\n"
+            't_seconds_bucket{le="0.01"} 5\n'
+            't_seconds_bucket{le="0.1"} 7\n'
+            't_seconds_bucket{le="1"} 9\n'
+            't_seconds_bucket{le="+Inf"} 14\n'
+            "t_seconds_sum nan\n"
+            "t_seconds_count 14\n"
+            't_seconds_bucket{op="x",le="0.01"} 0\n'
+            't_seconds_bucket{op="x",le="0.1"} 0\n'
+            't_seconds_bucket{op="x",le="1"} 2\n'
+            't_seconds_bucket{op="x",le="+Inf"} 2\n'
+            't_seconds_sum{op="x"} 1.2\n'
+            't_seconds_count{op="x"} 2\n'
+            "# HELP u_seconds latency\n"
+            "# TYPE u_seconds histogram\n"
+            'u_seconds_bucket{le="0.001"} 2\n'
+            'u_seconds_bucket{le="0.0025"} 3\n'
+            'u_seconds_bucket{le="0.005"} 4\n'
+            'u_seconds_bucket{le="0.01"} 5\n'
+            'u_seconds_bucket{le="0.025"} 5\n'
+            'u_seconds_bucket{le="0.05"} 6\n'
+            'u_seconds_bucket{le="0.1"} 7\n'
+            'u_seconds_bucket{le="0.25"} 7\n'
+            'u_seconds_bucket{le="0.5"} 8\n'
+            'u_seconds_bucket{le="1"} 9\n'
+            'u_seconds_bucket{le="2.5"} 10\n'
+            'u_seconds_bucket{le="5"} 10\n'
+            'u_seconds_bucket{le="10"} 12\n'
+            'u_seconds_bucket{le="+Inf"} 14\n'
+            "u_seconds_sum nan\n"
+            "u_seconds_count 14\n"
+        )
+        # NaN != NaN, so the dict is compared through its JSON text.
+        assert json.dumps(reg.to_dict(), sort_keys=True) == (
+            '{"t_seconds": {"buckets": [0.01, 0.1, 1.0], "help": "help", '
+            '"samples": [{"count": 14, "counts": [5, 7, 9], "labels": {}, '
+            '"sum": NaN}, {"count": 2, "counts": [0, 0, 2], "labels": '
+            '{"op": "x"}, "sum": 1.2}], "type": "histogram"}, "u_seconds": '
+            '{"buckets": [0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, '
+            '0.25, 0.5, 1.0, 2.5, 5.0, 10.0], "help": "latency", "samples": '
+            '[{"count": 14, "counts": [2, 3, 4, 5, 5, 6, 7, 7, 8, 9, 10, 10, '
+            '12], "labels": {}, "sum": NaN}], "type": "histogram"}}'
+        )
+
     def test_json_export_golden(self):
         reg = MetricsRegistry()
         reg.counter("req_total", "Requests").inc(3)

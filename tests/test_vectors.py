@@ -36,11 +36,15 @@ class Bound:
         self.settings = settings_ if settings_ is not None else QuerySettings()
         self.stats = stats if stats is not None else QueryStats()
 
-    def search(self, fragment, mode):
-        return self.reader.search(fragment, mode, self.settings, self.stats)
+    def search(self, fragment, mode, candidates=None):
+        return self.reader.search(
+            fragment, mode, self.settings, self.stats, candidates
+        )
 
-    def search_wildcard(self, keyword, mode):
-        return self.reader.search_wildcard(keyword, mode, self.settings, self.stats)
+    def search_wildcard(self, keyword, mode, candidates=None):
+        return self.reader.search_wildcard(
+            keyword, mode, self.settings, self.stats, candidates
+        )
 
     def matching_slots(self, fragment, mode):
         return self.reader.matching_slots(fragment, mode, self.settings, self.stats)
@@ -145,6 +149,74 @@ class TestRowBitmaps:
         got = reader.search(fragment, mode)
         assert got.n == len(values)
         assert set(got.rows()) == naive(values, fragment, mode)
+
+
+class TestCandidates:
+    """A search given candidate rows is exact on them, whichever side of
+    the direct-checking bound they fall, and leaves Capsules no candidate
+    lives in uninflated."""
+
+    VECTORS = {
+        "real": lambda: reader_for(WIDE_VALUES, sample_rate=1.0),
+        "real-outliers": lambda: reader_for(WIDE_OUTLIERS, sample_rate=1.0),
+        "nominal": lambda: reader_for(NOMINAL_VALUES * 20),
+        "plain": lambda: Bound(encode_plain(WIDE_OUTLIERS)),
+    }
+    VALUES = {
+        "real": WIDE_VALUES,
+        "real-outliers": WIDE_OUTLIERS,
+        "nominal": NOMINAL_VALUES * 20,
+        "plain": WIDE_OUTLIERS,
+    }
+
+    @pytest.mark.parametrize("kind", sorted(VECTORS))
+    @settings(max_examples=25, deadline=None)
+    @given(
+        picks=st.lists(st.integers(0, 2999), min_size=1, max_size=120),
+        query=st.sampled_from(
+            [
+                ("0", MatchMode.SUBSTRING),
+                ("-x", MatchMode.SUFFIX),
+                ("id-01", MatchMode.PREFIX),
+                ("<100>", MatchMode.EXACT),
+                ("ERR#", MatchMode.PREFIX),
+                ("<1*", None),
+                ("id-0?1*", None),
+                ("E?R*", None),
+            ]
+        ),
+    )
+    def test_exact_on_the_candidates(self, kind, picks, query):
+        reader, values = self.VECTORS[kind](), self.VALUES[kind]
+        candidates = RowSet.from_rows(len(values), [p % len(values) for p in picks])
+        text, mode = query
+        if mode is None:
+            keyword = Keyword(text)
+            got = reader.search_wildcard(keyword, MatchMode.SUBSTRING, candidates)
+            regex = keyword.regex_for(MatchMode.SUBSTRING)
+            expected = {i for i, v in enumerate(values) if regex.search(v)}
+        else:
+            got = reader.search(text, mode, candidates)
+            expected = naive(values, text, mode)
+        assert set((got & candidates).rows()) == expected & set(candidates.rows())
+
+    def test_only_outlier_candidates_leave_subvariables_closed(self):
+        stats = QueryStats()
+        reader = reader_for(WIDE_OUTLIERS, stats=stats, sample_rate=1.0)
+        outliers = RowSet.from_rows(3000, [0, 50, 100])
+        found = reader.search("<", MatchMode.PREFIX, outliers) & outliers
+        assert found.rows() == [0, 50, 100]
+        assert stats.capsules_decompressed == 1  # the outlier Capsule alone
+        assert not any(
+            capsule.is_decompressed for capsule in reader.encoded.subvar_capsules
+        )
+
+    def test_matched_candidates_leave_the_outliers_closed(self):
+        reader = reader_for(WIDE_OUTLIERS, sample_rate=1.0)
+        matched = RowSet.from_rows(3000, [1, 2, 51])
+        found = reader.search("id-", MatchMode.PREFIX, matched) & matched
+        assert found.rows() == [1, 2, 51]
+        assert not reader.encoded.outlier_capsule.is_decompressed
 
 
 class TestNominalReader:
