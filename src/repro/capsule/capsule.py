@@ -96,7 +96,8 @@ _PRESET_DICT_SIZE = {
 }
 _MIN_DICT_SIZE = 4096  # liblzma's floor
 
-#: Cells sliced per ``struct`` call in :func:`_split_fixed`.
+#: Cells sliced (or padded) per ``struct`` call in :func:`_split_fixed`
+#: (:func:`_pad_fixed`).
 _SPLIT_CHUNK = 4096
 
 _CODEC_CAPSULES = get_registry().counter(
@@ -267,13 +268,8 @@ class Capsule:
         codec: CodecRequest = CodecRequest.SMALLEST,
     ) -> "Capsule":
         """Pack *values* NUL-padded to a common width (§5.2)."""
-        encoded = list(map(str.encode, values))
-        if width is None:
-            width = max(map(len, encoded), default=0)
-        buf = b"".join([e.ljust(width, PAD) for e in encoded])
-        if len(buf) != width * len(encoded):
-            raise CompressionError(f"a value is longer than the width {width}")
-        _reject_nul(buf, len(buf) - sum(map(len, encoded)))
+        buf, width, value_bytes = _pad_fixed(list(map(str.encode, values)), width)
+        _reject_nul(buf, len(buf) - value_bytes)
         stamp = stamp or CapsuleStamp.of_values(values)
         stored, payload = _encode(buf, preset, codec)
         return cls(LAYOUT_FIXED, width, len(values), stamp, stored, preset, payload)
@@ -312,14 +308,9 @@ class Capsule:
         all_values: List[str] = []
         value_bytes = 0
         for region, width in zip(regions, widths):
-            encoded = list(map(str.encode, region))
-            if max(map(len, encoded), default=0) > width:
-                value = next(v for v, e in zip(region, encoded) if len(e) > width)
-                raise CompressionError(
-                    f"value {value!r} longer than its region width {width}"
-                )
-            parts.extend([e.ljust(width, PAD) for e in encoded])
-            value_bytes += sum(map(len, encoded))
+            part, _, region_bytes = _pad_fixed(list(map(str.encode, region)), width)
+            parts.append(part)
+            value_bytes += region_bytes
             all_values.extend(region)
         buf = b"".join(parts)
         _reject_nul(buf, len(buf) - value_bytes)
@@ -484,6 +475,37 @@ def _split_fixed(plain: bytes, start: int, count: int, width: int) -> List[bytes
             )
         )
     return cells
+
+
+def _pad_fixed(
+    encoded: Sequence[bytes], width: Optional[int] = None
+) -> Tuple[bytes, int, int]:
+    """*encoded* NUL-padded to *width* bytes each (the longest value's
+    length when None) and concatenated: ``(column, width, value bytes)``.
+
+    The mirror of :func:`_split_fixed`: a column whose values all have
+    the width is one join, any other one ``struct`` pack per
+    :data:`_SPLIT_CHUNK` cells, so the padding happens in C rather than
+    in one ``ljust`` per value.  A value longer than *width* raises
+    :class:`CompressionError` (``struct`` would truncate it silently).
+    """
+    lengths = list(map(len, encoded))
+    longest = max(lengths, default=0)
+    if width is None:
+        width = longest
+    elif longest > width:
+        value = next(e for e in encoded if len(e) > width)
+        raise CompressionError(
+            f"value {value.decode('utf-8')!r} is longer than the width {width}"
+        )
+    value_bytes = sum(lengths)
+    if value_bytes == width * len(encoded):  # every value has the width
+        return b"".join(encoded), width, value_bytes
+    parts = []
+    for done in range(0, len(encoded), _SPLIT_CHUNK):
+        chunk = encoded[done : done + _SPLIT_CHUNK]
+        parts.append(struct.pack(b"%ds" % width * len(chunk), *chunk))
+    return b"".join(parts), width, value_bytes
 
 
 def _reject_nul(buf: bytes, layout_nuls: int) -> None:

@@ -17,7 +17,7 @@ cluster nodes, tests) keeps using.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..blockstore.block import LogBlock
 from ..capsule.assembler import encode_vector
@@ -72,16 +72,21 @@ def encode_parsed(
     spans to the right node when running off the main thread.
     ``scan_only`` is the hot tail's mode (see ``EncodingOptions``): only
     ``StreamingCompressor`` sets it, for boxes that are never stored.
+    It skips classification: every vector is stored plain.
     """
     tracer = get_tracer()
-    with tracer.span("classify", parent=parent):
-        kinds = [
-            [
-                classify(vector, config.duplication_threshold)
-                for vector in group.variable_vectors
+    # Every scan-only vector is stored plain: a kind would be thrown
+    # away, so none is computed (and no ``classify`` span is emitted).
+    kinds: Optional[List[List[VectorKind]]] = None
+    if not scan_only:
+        with tracer.span("classify", parent=parent):
+            kinds = [
+                [
+                    classify(vector, config.duplication_threshold)
+                    for vector in group.variable_vectors
+                ]
+                for group in parsed.groups
             ]
-            for group in parsed.groups
-        ]
 
     groups = []
     for group_idx, group in enumerate(parsed.groups):
@@ -91,17 +96,16 @@ def encode_parsed(
             # probing independent across vectors but reproducible.
             seed = _vector_seed(config.seed, block.block_id, group_idx, var_idx)
             options = config.encoding_options(seed, scan_only)
-            kind = kinds[group_idx][var_idx]
-            uses_patterns = not scan_only and (
-                (kind is VectorKind.REAL and options.use_real_patterns)
-                or (kind is VectorKind.NOMINAL and options.use_nominal_patterns)
-            )
-            bucket = kind.value if uses_patterns else "plain"
+            kind = None if kinds is None else kinds[group_idx][var_idx]
+            uses_patterns = (
+                kind is VectorKind.REAL and options.use_real_patterns
+            ) or (kind is VectorKind.NOMINAL and options.use_nominal_patterns)
+            kind_name = "plain" if kind is None else kind.value
             with tracer.span(
                 "encode",
                 parent=parent,
-                kind=kind.value,
-                bucket=bucket,
+                kind=kind_name,
+                bucket=kind_name if uses_patterns else "plain",
                 values=len(vector),
             ):
                 vectors.append(encode_vector(vector, options, kind=kind))

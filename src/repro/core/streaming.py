@@ -33,12 +33,23 @@ rebuilt, once per tail version, and its parse is *incremental*: every
 mined (the batch parser's ``TemplateMatcher``), so a build only
 transposes the assigned rows and mines the small residual no known
 template matched.  Tail boxes are scanned, never stored, so they are
-encoded in ``encode_parsed``'s ``scan_only`` mode: plain vectors, raw
-Capsules that never enter the codec rule, and permissive stamps.  The
-prune operators skip them because the source serves them as
-already-open boxes.  Line ids start at each block's own
-``first_line_id`` — what sealing assigns — so a tail-inclusive grep is
-byte-for-byte equal to the same grep after ``flush()``.
+encoded in ``encode_parsed``'s ``scan_only`` mode: plain vectors (no
+vector is classified), raw Capsules that never enter the codec rule,
+and permissive stamps.  The prune operators skip them because the
+source serves them as already-open boxes.  Line ids start at each
+block's own ``first_line_id`` — what sealing assigns — so a
+tail-inclusive grep is byte-for-byte equal to the same grep after
+``flush()``.
+
+Every reader of the stream shares one Query Cache, keyed like any
+other by ``(generation, box name, term)``.  A pending box's name
+fronts one content until its commit, and the buffer's name carries its
+tail version, so a tail count matches only the boxes that changed
+since the last count; every commit bumps the generation, which drops
+every entry.  The readers do not share a ``BoxCache``: each executor
+takes its generation baseline when it is built, so a shared box could
+outlive a foreign warm demote that rewrote its block under the same
+name.
 """
 
 from __future__ import annotations
@@ -56,7 +67,7 @@ from ..common.tokenizer import tokenize
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..query.executor import StoreBoxSource
-from ..query.cache import bump_generation
+from ..query.cache import QueryCache, bump_generation
 from ..staticparse.cache import TemplateCache
 from ..staticparse.matcher import TemplateMatcher
 from ..staticparse.parser import BlockParser, Group, ParsedBlock
@@ -154,6 +165,8 @@ class StreamingCompressor:
         # and the buffer's latest version (``_buffer_name``).
         self._tail_boxes: Dict[str, CapsuleBox] = {}
         self._buffer_name = ""
+        # The Query Cache every reader shares (see the module docstring).
+        self._fragments = QueryCache(self.config.cache_capacity)
         self._template_cache = TemplateCache()
         self._scheduler = CompressionScheduler(
             self.store,
@@ -377,9 +390,12 @@ class StreamingCompressor:
                 self._tail_boxes.pop(self._buffer_name, None)
                 self._buffer_name = name
                 self._tail_boxes[name] = box
-            elif block_id >= self._scheduler.blocks:
-                # Still pending (commits go in block order), so
-                # _on_commit will drop it.
+            elif any(
+                entry.block_id == block_id
+                for entry, _ in self._scheduler.pending_blocks()
+            ):
+                # Still pending, so _on_commit will drop it; a box that
+                # lost the race with its commit is not kept.
                 self._tail_boxes[name] = box
         return box
 
@@ -442,9 +458,16 @@ class StreamingCompressor:
         ``tail=True`` the reader sees ``sealed ∪ tail``: every appended
         line, including lines whose block has not sealed yet, with the
         same line ids they will carry after sealing.
+
+        Every reader shares the stream's Query Cache (not its
+        ``BoxCache``), so ``clear_query_cache()`` on one clears it for
+        all of them.
         """
         reader = LogGrep(
-            store=self.store, config=self.config, prune_index=self._index
+            store=self.store,
+            config=self.config,
+            prune_index=self._index,
+            fragments=self._fragments,
         )
         if tail:
             # Re-point the reader's one executor: a second one would read

@@ -437,3 +437,95 @@ class TestFixedPayloadValidation:
         )
         with pytest.raises(FormatError, match="expected 2 x 2"):
             short.values()
+
+
+def _ljust_column(values, width):
+    """The padding rule the packers must keep: one ``ljust`` per value."""
+    return b"".join(value.encode().ljust(width, b"\x00") for value in values)
+
+
+def _uniform(values):
+    """*values* topped up with ASCII to one common byte width."""
+    width = max((len(value.encode()) for value in values), default=0)
+    return [value + "x" * (width - len(value.encode())) for value in values]
+
+
+#: Non-ASCII text: byte widths differ from character counts.
+_utf8_text = st.text(
+    alphabet=st.characters(blacklist_characters="\x00", blacklist_categories=("Cs",)),
+    max_size=10,
+)
+
+
+class TestPaddingOracle:
+    """Both padded layouts pad in C — one join when every value has the
+    width, else one ``struct`` pack per ``_SPLIT_CHUNK`` cells — and must
+    stay byte-identical to the per-value ``ljust`` rule."""
+
+    @given(st.lists(_utf8_text, max_size=40), st.integers(0, 5))
+    def test_fixed_mixed_widths(self, values, extra):
+        width = max((len(value.encode()) for value in values), default=0)
+        assert Capsule.pack_fixed(values).plain() == _ljust_column(values, width)
+        wider = Capsule.pack_fixed(values, width=width + extra)
+        assert wider.width == width + extra
+        assert wider.plain() == _ljust_column(values, width + extra)
+
+    @given(st.lists(_utf8_text, max_size=40))
+    def test_fixed_uniform_widths(self, values):
+        values = _uniform(values)
+        width = max((len(value.encode()) for value in values), default=0)
+        capsule = Capsule.pack_fixed(values)
+        assert capsule.plain() == _ljust_column(values, width)
+        assert capsule.values() == values
+
+    @given(st.lists(st.lists(_utf8_text, max_size=8), max_size=5), st.data())
+    def test_regions(self, regions, data):
+        regions = [
+            _uniform(region) if data.draw(st.booleans()) else region
+            for region in regions
+        ]
+        widths = [
+            max((len(value.encode()) for value in region), default=0)
+            + data.draw(st.integers(0, 3))
+            for region in regions
+        ]
+        capsule = Capsule.pack_regions(regions, widths)
+        assert capsule.plain() == b"".join(
+            _ljust_column(region, width) for region, width in zip(regions, widths)
+        )
+
+    def test_more_than_one_chunk(self):
+        chunk = capsule_module._SPLIT_CHUNK
+        rng = random.Random(5)
+        values = [
+            "é" * rng.randrange(3) + str(rng.randrange(10**6))
+            for _ in range(2 * chunk + 7)
+        ]
+        width = max(len(value.encode()) for value in values)
+        assert Capsule.pack_fixed(values).plain() == _ljust_column(values, width)
+        uniform = _uniform(values)
+        assert Capsule.pack_fixed(uniform).plain() == _ljust_column(uniform, width)
+        regions = [values[:chunk + 1], values[chunk + 1 :]]
+        capsule = Capsule.pack_regions(regions, [width, width + 2])
+        assert capsule.plain() == _ljust_column(regions[0], width) + _ljust_column(
+            regions[1], width + 2
+        )
+
+    @pytest.mark.parametrize("count", [3, 2 * capsule_module._SPLIT_CHUNK + 1])
+    def test_longer_than_width_rejected(self, count):
+        values = ["ab"] * count
+        values[-1] = "aé"  # three bytes
+        with pytest.raises(CompressionError, match="longer than the width 2"):
+            Capsule.pack_fixed(values, width=2)
+        with pytest.raises(CompressionError, match="longer than the width 2"):
+            Capsule.pack_regions([values[:1], values[1:]], widths=[2, 2])
+
+    @pytest.mark.parametrize("count", [3, 2 * capsule_module._SPLIT_CHUNK + 1])
+    def test_nul_in_value_rejected(self, count):
+        # Mixed widths take the struct path, uniform ones the join.
+        for values in (["a"] * count, ["ab"] * count):
+            values[-1] = "\x00b"
+            with pytest.raises(CompressionError, match="NUL"):
+                Capsule.pack_fixed(values)
+            with pytest.raises(CompressionError, match="NUL"):
+                Capsule.pack_regions([values[:1], values[1:]], widths=[2, 2])

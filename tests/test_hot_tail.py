@@ -22,10 +22,15 @@ from hypothesis import strategies as st
 
 from tests.conftest import make_mixed_lines
 from repro.baselines.evalutil import line_matches
+from repro.blockstore.store import MemoryStore
+from repro.core import compressor as compressor_module
 from repro.core import streaming as streaming_module
 from repro.core.config import LogGrepConfig
 from repro.core.streaming import StreamingCompressor
 from repro.obs.metrics import get_registry
+from repro.obs.trace import tracing
+from repro.query.cache import bump_generation
+from repro.query.engine import BlockEngine
 from repro.query.language import parse_query
 from repro.staticparse.parser import BlockParser
 
@@ -386,3 +391,182 @@ class TestTailCountCost:
         for _, box in encoded:
             usage = box.codec_usage()
             assert usage["zlib"]["capsules"] == usage["lzma"]["capsules"] == 0
+
+
+def _oracle(command, lines):
+    parsed = parse_query(command)
+    return sum(line_matches(parsed, line) for line in lines)
+
+
+class TestSharedQueryCache:
+    """Every reader of a stream shares one Query Cache: a tail count
+    matches only the boxes that changed since the last count, and every
+    count still equals the count over the raw lines."""
+
+    #: Two terms, so a later term is matched on the rows still alive.
+    COMMAND = "EV AND ERR"
+
+    @staticmethod
+    def _spy_matches(monkeypatch):
+        """``(block id, lines, term)`` of every Match the engine runs."""
+        matched = []
+        real = BlockEngine.search_string_rows
+
+        def spy(engine, search, alive=None):
+            matched.append(
+                (engine.box.block_id, engine.box.num_lines, search.cache_key)
+            )
+            return real(engine, search, alive)
+
+        monkeypatch.setattr(BlockEngine, "search_string_rows", spy)
+        return matched
+
+    def test_pending_boxes_are_matched_once_per_term(self, monkeypatch):
+        matched = self._spy_matches(monkeypatch)
+        lines = _event_lines(80, seed=12)
+        stream = StreamingCompressor(config=_tiny_config(), pipeline_depth=1)
+        try:
+            stream.extend(lines[:45])
+            snap = stream.tail_snapshot()
+            assert snap.pending and snap.lines
+            pending = {block.block_id for block, _ in snap.pending}
+            expected = _oracle(self.COMMAND, lines[:45])
+            cache = stream._fragments
+            assert stream.open_reader(tail=True).count(self.COMMAND) == expected
+            assert pending <= {block_id for block_id, _, _ in matched}
+            lookups = cache.misses
+            assert lookups and cache.hits == 0
+
+            # No append in between: nothing is matched again, and every
+            # term the first count looked up is a cache hit.
+            matched.clear()
+            assert stream.open_reader(tail=True).count(self.COMMAND) == expected
+            assert matched == []
+            assert (cache.hits, cache.misses) == (lookups, lookups)
+
+            # Appends that seal nothing: only the new buffer version is
+            # matched, once per term.
+            stream.extend(lines[45:47])
+            after = stream.tail_snapshot()
+            assert after.block_id == snap.block_id
+            assert [b.block_id for b, _ in after.pending] == sorted(pending)
+            matched.clear()
+            count = stream.open_reader(tail=True).count(self.COMMAND)
+            assert count == _oracle(self.COMMAND, lines[:47])
+            assert sorted(matched) == [
+                (after.block_id, len(after.lines), "ERR"),
+                (after.block_id, len(after.lines), "EV"),
+            ]
+        finally:
+            stream.close()
+
+    def test_counts_stay_exact_across_commits_and_bumps(self, monkeypatch):
+        matched = self._spy_matches(monkeypatch)
+        lines = _event_lines(400, seed=13)
+        stream = StreamingCompressor(config=_tiny_config(), pipeline_depth=1)
+        fed = 0
+
+        def feed(n):
+            nonlocal fed
+            stream.extend(lines[fed : fed + n])
+            fed += n
+
+        def check():
+            for command in (self.COMMAND, "ERR", "EV NOT gc"):
+                count = stream.open_reader(tail=True).count(command)
+                assert count == _oracle(command, lines[:fed]), (command, fed)
+
+        try:
+            feed(30)
+            check()
+            check()
+            committed = stream.blocks
+            feed(150)  # seals and commits blocks between counts
+            assert stream.blocks > committed
+            check()
+            stream.flush()
+            check()
+            feed(40)
+            check()
+            # A foreign writer's bump drops every entry: the pending
+            # boxes are matched again, and the counts stay exact.
+            pending = {b.block_id for b, _ in stream.tail_snapshot().pending}
+            assert pending
+            matched.clear()
+            bump_generation(stream.store)
+            check()
+            assert pending <= {block_id for block_id, _, _ in matched}
+            stream.flush()
+            check()
+        finally:
+            stream.close()
+
+    def test_clearing_one_reader_clears_them_all(self):
+        with StreamingCompressor(config=_tiny_config()) as stream:
+            stream.extend(_event_lines(30, seed=14))
+            first, second = stream.open_reader(tail=True), stream.open_reader()
+            assert first.fragments is second.fragments
+            first.count("ERR")
+            assert len(second.fragments)
+            first.clear_query_cache()
+            assert len(second.fragments) == 0
+
+
+class TestTailBuildDoesNotClassify:
+    def test_count_and_grep_without_classify(self, monkeypatch):
+        """The tail's scan-only build stores every vector plain, so it
+        never classifies.  Tail builds run on the querying thread; the
+        scheduler's background encode (a worker thread) still does."""
+        querying = threading.get_ident()
+        classify = compressor_module.classify
+
+        def guarded(*args, **kwargs):
+            if threading.get_ident() == querying:
+                raise AssertionError("a tail build classified a vector")
+            return classify(*args, **kwargs)
+
+        monkeypatch.setattr(compressor_module, "classify", guarded)
+        lines = _event_lines(120, seed=15)
+        with StreamingCompressor(config=_tiny_config(), pipeline_depth=1) as stream:
+            stream.extend(lines)
+            snap = stream.tail_snapshot()
+            assert snap.pending and snap.lines
+            reader = stream.open_reader(tail=True)
+            with tracing() as tracer:
+                assert reader.count("ERR") == _oracle("ERR", lines)
+            assert reader.grep("EV").lines == lines
+            query = next(root for root in tracer.roots if root.name == "query")
+            assert query.find("classify") == []
+            encodes = query.find("encode")
+            assert encodes
+            assert {span.attrs["kind"] for span in encodes} == {"plain"}
+
+
+class TestPendingBoxAfterCommit:
+    def test_box_built_after_its_commit_is_not_kept(self):
+        """On an appended archive the stream's first block id is not 0:
+        a pending box built from a snapshot taken before its block
+        committed must not stay cached for the stream's life."""
+        store = MemoryStore()
+        config = LogGrepConfig(block_bytes=4096)
+        # 64 bytes a line with its newline: 64 lines a block.
+        lines = [f"EV {i:05d} ERR" + "." * 51 for i in range(64 * 14 + 5)]
+        assert {len(line) for line in lines} == {63}
+        with StreamingCompressor(store=store, config=config) as first:
+            first.extend(lines[: 64 * 13])
+        assert first.blocks == 13
+
+        stream = StreamingCompressor(store=store, config=config, pipeline_depth=1)
+        try:
+            stream.extend(lines[64 * 13 :])
+            snap = stream.tail_snapshot()
+            name = "tail-000000000013.lgcb"
+            assert name in snap.tail_names
+            assert [block.block_id for block, _ in snap.pending] == [13]
+            stream.flush()
+            box = stream._tail_box(snap, name)
+            assert box.first_line_id == 64 * 13
+            assert name not in stream._tail_boxes
+            assert stream.open_reader(tail=True).count("ERR") == len(lines)
+        finally:
+            stream.close()
