@@ -448,6 +448,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(
                     f"# {result.count} hit(s) in {result.elapsed * 1000:.1f} ms; "
                     f"capsules decompressed: {result.stats.capsules_decompressed}, "
+                    f"considered: {result.stats.capsules_considered}, "
                     f"filtered: {result.stats.capsules_filtered}",
                     file=sys.stderr,
                 )

@@ -37,7 +37,7 @@ from ..obs.metrics import get_registry
 from ..query.engine import GroupRows
 from ..query.executor import BlockPass, Entry, QueryExecutor, StoreBoxSource
 from ..query.plan import QueryPlan
-from ..query.stats import QueryStats
+from ..query.stats import QueryStats, collect
 
 _NODE_QUERIES = get_registry().counter(
     "loggrep_cluster_node_queries_total", "Block queries served, per node"
@@ -187,5 +187,6 @@ class WorkerNode:
         with self._serve():
             self.queries_served += 1
             _NODE_QUERIES.inc(node=self.node_id)
-            stats = QueryStats()
-            return self._executor.reconstruct_rows(name, rows, stats), stats
+            with collect() as stats:
+                entries = self._executor.reconstruct_rows(name, rows)
+            return entries, stats

@@ -27,7 +27,6 @@ from typing import Dict, List, Optional, Tuple
 from ..capsule.box import CapsuleBox
 from ..common.rowset import RowSet
 from ..common.tokenizer import DELIMITER
-from ..query.stats import QueryStats
 from ..query.vectors import (
     Piece,
     QuerySettings,
@@ -46,18 +45,14 @@ class BlockReconstructor:
     (:func:`~repro.query.vectors.box_readers`), the ones the BlockEngine
     matched with, so Capsules decompressed and dictionaries mapped while
     matching — or by any earlier query over a pinned box — are reused.
-    *settings* are the run's; rendering charges *stats*.
+    *settings* are the run's; rendering charges the thread-local channel
+    of :mod:`repro.obs.ledger` (the executor's Reconstruct scope, or the
+    caller's :func:`~repro.query.stats.collect`).
     """
 
-    def __init__(
-        self,
-        box: CapsuleBox,
-        settings: Optional[QuerySettings] = None,
-        stats: Optional[QueryStats] = None,
-    ):
+    def __init__(self, box: CapsuleBox, settings: Optional[QuerySettings] = None):
         self.box = box
         self.settings = settings or QuerySettings()
-        self.stats = stats if stats is not None else QueryStats()
         self._readers = box_readers(box)
 
     # ------------------------------------------------------------------
@@ -91,7 +86,7 @@ class BlockReconstructor:
                 pieces.append(_DELIMITER)
             if token is None:
                 reader = self._readers.reader(group_idx, var_idx)
-                pieces.extend(reader.pieces(rows, self.stats))
+                pieces.extend(reader.pieces(rows))
                 var_idx += 1
             else:
                 pieces.append(token.encode("utf-8"))

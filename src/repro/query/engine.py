@@ -22,6 +22,8 @@ rows, and the readers probe those rows in place (§5.2 direct checking)
 instead of scanning the Capsule when there are few of them.  A term
 resolved on *alive* is exact on *alive* only; the executor's Match memo
 and the Query Cache keep that coverage next to the rows.
+
+Capsule decisions are counted here and nowhere else (``_search_var``).
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..capsule.box import CapsuleBox, GroupBox
 from ..common.rowset import RowSet
+from ..obs import ledger as ledger_channel
 from .language import Keyword, QueryCommand, SearchString
 from .modes import MatchMode
 from .plan import QueryPlan, build_plan
-from .stats import QueryStats
 from .vectors import QuerySettings, VectorReader, box_readers
 
 #: Block-level result: group index → matching entry rows.
@@ -49,22 +51,20 @@ Resolver = Callable[[SearchString, Optional[GroupRows]], GroupRows]
 class BlockEngine:
     """Query executor bound to one deserialized CapsuleBox.
 
-    The engine is per pass — it carries the run's settings and the
-    stats being charged — while the vector readers it searches through
-    belong to the box (:func:`~repro.query.vectors.box_readers`), so a
-    pinned box's readers serve every query of a refining session.
+    The engine is per pass — it carries the run's settings — while the
+    vector readers it searches through belong to the box
+    (:func:`~repro.query.vectors.box_readers`), so a pinned box's readers
+    serve every query of a refining session.
     """
 
-    def __init__(
-        self,
-        box: CapsuleBox,
-        settings: Optional[QuerySettings] = None,
-        stats: Optional[QueryStats] = None,
-    ):
+    def __init__(self, box: CapsuleBox, settings: Optional[QuerySettings] = None):
         self.box = box
         self.settings = settings or QuerySettings()
-        self.stats = stats if stats is not None else QueryStats()
         self._vectors = box_readers(box)
+        # The open Match's read log and Capsule decisions (_search_var).
+        self._reads: List[int] = []
+        self._considered = 0
+        self._filtered = 0
 
     # ------------------------------------------------------------------
     @property
@@ -105,18 +105,25 @@ class BlockEngine:
         self, search: SearchString, alive: Optional[GroupRows] = None
     ) -> GroupRows:
         """Block-level match of one search string, over every row, or
-        only over the *alive* rows of the groups in *alive*."""
+        only over the *alive* rows of the groups in *alive*.  Its Capsule
+        decisions are charged once, at the end."""
         out: GroupRows = {}
         groups = self.box.groups
-        for group_idx in range(len(groups)) if alive is None else sorted(alive):
-            candidates = None if alive is None else alive[group_idx]
-            if candidates is not None and candidates.is_full():
-                candidates = None  # a whole group is matched as one
-            rows = self._match_group(
-                group_idx, groups[group_idx], search, candidates
-            )
-            if rows:
-                out[group_idx] = rows
+        self._considered = self._filtered = 0
+        previous = ledger_channel.record_reads(self._reads)
+        try:
+            for group_idx in range(len(groups)) if alive is None else sorted(alive):
+                candidates = None if alive is None else alive[group_idx]
+                if candidates is not None and candidates.is_full():
+                    candidates = None  # a whole group is matched as one
+                rows = self._match_group(
+                    group_idx, groups[group_idx], search, candidates
+                )
+                if rows:
+                    out[group_idx] = rows
+        finally:
+            ledger_channel.record_reads(previous)
+            ledger_channel.charge_decisions(self._considered, self._filtered)
         return out
 
     def _match_group(
@@ -205,16 +212,20 @@ class BlockEngine:
         """The rows among *candidates* (every row when None) whose value
         of one variable matches *keyword*.  Readers may check every row
         (above their direct-checking bound); the result is cut to the
-        candidates here."""
+        candidates here.  Each of the vector's Capsules is counted as
+        considered once, and as filtered unless the search read it."""
         reader = self._vectors.reader(group_idx, var_idx)
+        reads = self._reads
+        reads.clear()
         if keyword.needs_regex:
-            rows = reader.search_wildcard(
-                keyword, mode, self.settings, self.stats, candidates
-            )
+            rows = reader.search_wildcard(keyword, mode, self.settings, candidates)
         else:
-            rows = reader.search(
-                keyword.text, mode, self.settings, self.stats, candidates
-            )
+            rows = reader.search(keyword.text, mode, self.settings, candidates)
+        # A Capsule may be read more than once (several Locator candidates).
+        read = len(reads) if len(reads) < 2 else len(set(reads))
+        owned = reader.num_capsules
+        self._considered += owned
+        self._filtered += owned - read
         return rows if candidates is None else rows & candidates
 
 

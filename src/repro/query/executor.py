@@ -45,20 +45,26 @@ one.  Per block the pipeline is::
   or fold them into a partial aggregate; elided for ``COUNT``/``ROWS``
   plans, and replaced by a dry-run rendering for ``EXPLAIN`` plans.
 
-**Ledger attribution.**  Shared work (planning, pruning, LoadBox) is
-charged to one *shared ledger*; per-plan work (match, aggregate,
-reconstruct — including the capsule fetches they trigger) to that
-plan's own ledger.  A pass of one aliases the two, so its plan's bill
-is the whole query; otherwise every store read lands in exactly one
-ledger and ``sum(per-plan bytes) + shared bytes`` equals the
+**Attribution.**  Every charge travels the thread-local channel of
+:mod:`repro.obs.ledger`, and the operator scope open on the thread
+decides who pays — for a plan's :class:`QueryStats` and its ledger
+alike.  Shared work (planning, pruning, LoadBox) is charged to one
+*shared ledger* and to no plan's stats: it reads metadata and inflates
+no Capsule.  Per-plan work — Locate, Match (the first plan to request a
+term on a block pays; the memo serves the rest), Aggregate and
+Reconstruct, including the capsule fetches they trigger — is charged to
+that plan's stats and ledger.  A pass of one aliases the two ledgers,
+so its plan's bill is the whole query and its stats equal its ANALYZE
+ledger's totals; otherwise every store read lands in exactly one ledger
+and ``sum(per-plan bytes) + shared bytes`` equals the
 ``loggrep_store_range_read_bytes_total`` delta.
 
 Blocks are independent, so the executor schedules them either serially
-or on a thread pool (``config.query_parallelism``); per-block
-:class:`QueryStats` are merged in block order either way.  Obs spans sit
-on the operator boundaries — ``query | batch → plan / block →
-block_filter / load_box / locate → match → decompress / reconstruct`` —
-rooted at ``query`` for one plan and ``batch`` for several.
+or on a thread pool (``config.query_parallelism``); each (block, plan)
+pair has its own :class:`QueryStats`, merged in block order either way.
+Obs spans sit on the operator boundaries — ``query | batch → plan /
+block → block_filter / load_box / locate → match → decompress /
+reconstruct`` — rooted at ``query`` for one plan and ``batch`` for several.
 """
 
 from __future__ import annotations
@@ -264,10 +270,6 @@ class BlockPass:
 
     #: Positionally aligned with the plans of the pass.
     outcomes: List[BlockOutcome]
-    #: Engine work no single plan owns — capsules touched by
-    #: first-requester Match in a multi-plan pass.  Empty for a pass of
-    #: one, whose plan owns everything.
-    shared: QueryStats = field(default_factory=QueryStats)
     #: Whether the pass opened the box (a warm pass may not need it).
     loaded: bool = False
 
@@ -314,8 +316,6 @@ class BatchReport:
     #: carry the attributed remainder; a run of one bills its plan for
     #: everything and leaves this the null ledger.
     ledger: QueryLedger = NULL_LEDGER
-    #: Deep counters of shared work (see :attr:`BlockPass.shared`).
-    stats: QueryStats = field(default_factory=QueryStats)
 
 
 class _Unresolved(Exception):
@@ -453,9 +453,7 @@ class QueryExecutor:
                 passes = self._schedule(
                     names, plans, ledgers, shared, generation, settings, rspan
                 )
-                for block in passes:
-                    report.stats.merge(block.shared)
-                    report.shared_loads += block.loaded
+                report.shared_loads = sum(block.loaded for block in passes)
                 _PASS_LOADS.inc(report.shared_loads)
                 results = [
                     self._fold(
@@ -484,9 +482,7 @@ class QueryExecutor:
             result.elapsed = elapsed
             if result.plan.mode is not OutputMode.EXPLAIN:
                 result.stats.publish(elapsed)
-            self._maybe_log_slow(
-                result.plan, result.stats, result.ledger, elapsed
-            )
+            self._maybe_log_slow(result)
         _PASS_QUERIES.inc(len(plans))
         _PASS_RUNS.inc()
         return results, report
@@ -548,26 +544,22 @@ class QueryExecutor:
         )
         return QueryLedger(budget)
 
-    def _maybe_log_slow(
-        self,
-        plan: QueryPlan,
-        stats: QueryStats,
-        ledger: QueryLedger,
-        elapsed: float,
-    ) -> None:
+    def _maybe_log_slow(self, result: ExecutionResult) -> None:
         """Emit one slow-query record when the query crossed the threshold."""
         threshold = self.config.slow_query_ms
-        if threshold is None or elapsed * 1000.0 < threshold:
+        elapsed_ms = result.elapsed * 1000.0
+        if threshold is None or elapsed_ms < threshold:
             return
         from ..obs import slowlog
 
+        ledger = result.ledger
         record = slowlog.build_record(
-            query=plan.raw,
-            mode=plan.mode.value,
-            elapsed_ms=elapsed * 1000.0,
+            query=result.plan.raw,
+            mode=result.plan.mode.value,
+            elapsed_ms=elapsed_ms,
             threshold_ms=float(threshold),
-            plan=self.describe(plan),
-            stats=stats.as_dict(),
+            plan=self.describe(result.plan),
+            stats=result.stats.as_dict(),
             ledger=ledger.as_dict() if ledger.enabled else None,
         )
         slowlog.emit(record, self.config.slow_query_log_path)
@@ -683,24 +675,28 @@ class QueryExecutor:
                 return rows
             return None if entry is None else covered_rows(entry, alive)
 
-        def matcher(stats: QueryStats, ledger: QueryLedger) -> Resolver:
+        def matcher(outcome: BlockOutcome, ledger: QueryLedger) -> Resolver:
             """The Match operator of one plan."""
-            # One reusable timer for the whole block: match runs once per
+            # One reusable scope for the whole block: match runs once per
             # (group, search) pair — the hottest operator boundary by far.
-            match_timer = ledger.operator("match")
+            # Without a ledger it has nothing to add: the plan's Locate
+            # scope, open around every match, already routes to its stats.
+            match_scope = ledger.operator(
+                "match", outcome.stats if ledger.enabled else None
+            )
 
             def match(
                 search: SearchString, alive: Optional[GroupRows]
             ) -> GroupRows:
                 rows = cached_rows(search, alive)
                 if rows is not None:
-                    stats.cache_hits += 1
+                    outcome.stats.cache_hits += 1
                     return rows
                 # First plan to need this term on these rows pays its
                 # Match; the memo and the query cache make it free for
                 # everyone else.
                 key = search.cache_key
-                with tracer.span("match", search=key), match_timer:
+                with tracer.span("match", search=key), match_scope:
                     rows = engine.search_string_rows(search, alive)
                 entry = term_rows[key] = widen(term_rows.get(key), rows, alive)
                 if cache is not None:
@@ -724,7 +720,9 @@ class QueryExecutor:
                 plan, outcome = plans[i], outcomes[i]
                 warm = None
                 if plan.mode is not OutputMode.EXPLAIN:
-                    with tracer.span("locate"), ledgers[i].operator("locate"):
+                    with tracer.span("locate"), ledgers[i].operator(
+                        "locate", outcome.stats
+                    ):
                         warm = _locate_cached(plan, shape, cached_rows)
                 if warm is None:
                     need_box.append(i)
@@ -753,13 +751,7 @@ class QueryExecutor:
                     generation, name,
                     tuple(group.num_entries for group in box.groups),
                 )
-        # Deep engine charges (capsules decompressed while matching) are
-        # per block, not per plan: a pass of one owns them, a shared pass
-        # reports them once as shared cost.
-        engine = BlockEngine(
-            box, settings,
-            outcomes[0].stats if len(plans) == 1 else done.shared,
-        )
+        engine = BlockEngine(box, settings)
         for i in live:
             plan, outcome, ledger = plans[i], outcomes[i], ledgers[i]
             # -- EXPLAIN: dry-run the remaining operators into a rendering.
@@ -774,9 +766,11 @@ class QueryExecutor:
             if hits is None:
                 # -- Locate (calling Match per search string).  A
                 # match-all aggregate has nothing to locate: every row.
-                with tracer.span("locate") as lspan, ledger.operator("locate"):
+                with tracer.span("locate") as lspan, ledger.operator(
+                    "locate", outcome.stats
+                ):
                     hits = (
-                        engine.execute(plan, matcher(outcome.stats, ledger))
+                        engine.execute(plan, matcher(outcome, ledger))
                         if plan.disjuncts
                         else engine.full_rows()
                     )
@@ -879,7 +873,7 @@ class QueryExecutor:
                 return
             with tracer.span(
                 "aggregate", kind=plan.aggregate.kind.value
-            ) as aspan, ledger.operator("aggregate"):
+            ) as aspan, ledger.operator("aggregate", outcome.stats):
                 outcome.partial = self._aggregate_block(
                     box, engine, plan.aggregate, hits
                 )
@@ -893,17 +887,16 @@ class QueryExecutor:
             and engine is not None
         ):
             with tracer.span("reconstruct") as rspan, ledger.operator(
-                "reconstruct"
+                "reconstruct", outcome.stats
             ):
                 outcome.entries = self._reconstruct(
-                    box, hits, outcome.stats, engine.settings, rspan
+                    box, hits, engine.settings, rspan
                 )
 
     def _reconstruct(
         self,
         box: CapsuleBox,
         hits: GroupRows,
-        stats: QueryStats,
         settings: QuerySettings,
         rspan: object,
     ) -> List[Entry]:
@@ -916,34 +909,26 @@ class QueryExecutor:
         prefetched = box.prefetch(hits.keys())
         if prefetched:
             rspan.set("prefetched_bytes", prefetched)
-        entries = BlockReconstructor(box, settings, stats).reconstruct(hits)
+        entries = BlockReconstructor(box, settings).reconstruct(hits)
         rspan.set("entries", len(entries))
         return entries
 
-    def reconstruct_rows(
-        self,
-        name: str,
-        hits: GroupRows,
-        stats: Optional[QueryStats] = None,
-    ) -> List[Entry]:
+    def reconstruct_rows(self, name: str, hits: GroupRows) -> List[Entry]:
         """Rebuild the original entries of pre-located rows of one block.
 
         The bounded-fetch half of the ROWS protocol: a coordinator that
         gathered row sets calls back (on any replica holding the block)
         with exactly the rows it still wants rendered.  Loads go through
         the shared BoxCache/lazy-I/O path; only the hit groups' capsule
-        payloads are fetched, coalesced.
+        payloads are fetched, coalesced.  Charges go to the caller's
+        scope (:func:`~repro.query.stats.collect`).
         """
         hits = {g: rows for g, rows in hits.items() if rows}
         if not hits:
             return []
         with get_tracer().span("reconstruct", block=name) as rspan:
             return self._reconstruct(
-                self.load_box(name),
-                hits,
-                stats or QueryStats(),
-                self._settings(),
-                rspan,
+                self.load_box(name), hits, self._settings(), rspan
             )
 
     # ------------------------------------------------------------------
@@ -999,7 +984,7 @@ class QueryExecutor:
                 partial.add(ref.constant or "", len(rows))  # type: ignore[attr-defined]
                 continue
             reader = engine.reader(ref.group_index, ref.var_index)
-            counts = reader.value_counts(rows, engine.stats)
+            counts = reader.value_counts(rows)
             if isinstance(reader, NominalVectorReader):
                 _AGG_INDEX_ROWS.inc(len(rows))
             else:
@@ -1022,7 +1007,7 @@ class QueryExecutor:
         _AGG_DECODED_ROWS.inc(len(rows))  # type: ignore[arg-type]
         wanted = None if rows.is_full() else rows.rows()  # type: ignore[attr-defined]
         return [
-            ref.clean(value) for value in reader.values(wanted, engine.stats)
+            ref.clean(value) for value in reader.values(wanted)
         ]
 
     def _aggregate_values(

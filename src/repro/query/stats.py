@@ -1,10 +1,11 @@
-"""Query execution counters.
+"""Query execution counters and the per-query resource ledger.
 
 The whole point of LogGrep is to *not* decompress Capsules; these counters
 make that observable.  Benchmarks and the filtering-efficacy tests assert
-on them, and `LogGrep.grep` returns them with every result.
-
-The counters are one half of the observability layer (`repro.obs`): every
+on them, and `LogGrep.grep` returns them with every result.  Both are
+filled by one channel, :mod:`repro.obs.ledger`, whose target the
+executor's operator scopes (:meth:`QueryLedger.operator`) set; code
+outside the executor reads it with :func:`collect`.  Every
 field is published into the process-wide MetricsRegistry after each query
 via :meth:`QueryStats.publish`, and :func:`touch_capsule` — the single
 choke point through which every Capsule decompression flows — emits a
@@ -30,8 +31,11 @@ from ..obs.trace import get_tracer
 class QueryStats:
     """Counters accumulated while executing one query."""
 
+    #: Every Capsule a vector search could have read, once per search.
     capsules_considered: int = 0
-    capsules_filtered: int = 0  # proven irrelevant without decompression
+    #: Considered Capsules the search did not read: proven irrelevant
+    #: without decompression (so always <= capsules_considered).
+    capsules_filtered: int = 0
     capsules_decompressed: int = 0
     bytes_decompressed: int = 0
     candidates_evaluated: int = 0
@@ -60,9 +64,8 @@ class QueryStats:
         _QUERY_SECONDS.observe(elapsed)
         for name, counter in _FIELD_COUNTERS:
             counter.inc(getattr(self, name))
-        touched = self.capsules_filtered + self.capsules_decompressed
-        if touched:
-            _FILTER_RATIO.set(self.capsules_filtered / touched)
+        if self.capsules_considered:
+            _FILTER_RATIO.set(self.capsules_filtered / self.capsules_considered)
 
 
 #: Field names resolved once — merge() runs per (block, plan) pair, too
@@ -86,8 +89,8 @@ _FIELD_COUNTERS = tuple(
 )
 _FILTER_RATIO = get_registry().gauge(
     "loggrep_capsule_filter_ratio",
-    "Fraction of capsules proven irrelevant without decompression "
-    "in the most recent query",
+    "Capsules filtered / Capsules considered by the vector searches "
+    "of the most recent query",
 )
 
 #: Striped locks serializing the first inflate of each Capsule: two
@@ -97,9 +100,11 @@ _FILTER_RATIO = get_registry().gauge(
 _INFLATE_LOCKS = tuple(threading.Lock() for _ in range(64))
 
 
-def touch_capsule(capsule, stats: QueryStats) -> None:
-    """Inflate *capsule* if nobody has yet, charging *stats* only when
-    this call is the one that inflated it."""
+def touch_capsule(capsule) -> None:
+    """Note *capsule* as read by the open vector search, and inflate it
+    if nobody has yet — charging the channel only when this call is the
+    one that inflated it."""
+    ledger_channel.note_read(capsule)
     if capsule.is_decompressed:
         return
     with _INFLATE_LOCKS[(id(capsule) >> 4) % len(_INFLATE_LOCKS)]:
@@ -108,8 +113,6 @@ def touch_capsule(capsule, stats: QueryStats) -> None:
         with get_tracer().span("decompress") as span:
             data = capsule.plain()
             span.set("bytes", len(data))
-    stats.capsules_decompressed += 1
-    stats.bytes_decompressed += len(data)
     ledger_channel.charge_decompress(len(data))
 
 
@@ -215,36 +218,53 @@ class BudgetMeter:
         }
 
 
-class _OperatorTimer:
-    """Context manager timing one operator and routing deep charges to it.
+class _Scope:
+    """Context manager routing this thread's deep charges to a plan's
+    :class:`QueryStats` and, given a ledger operator, to it too — which
+    it then times.
 
     Safe to reuse sequentially (each entry accumulates another call onto
-    the same :class:`OperatorStats`) — the executor's Match stage keeps
-    one per block and re-enters it for every search instead of paying an
-    allocation per match.  The entry tuple is built once up front; the
-    enter/exit path is two ``perf_counter`` reads and two thread-local
-    stores.
+    the same counters) — the executor's Match stage keeps one per block
+    and re-enters it for every search instead of paying an allocation
+    per match.  The entry tuple is built once up front; enter/exit are
+    two thread-local stores, plus two ``perf_counter`` reads with a
+    ledger operator.
     """
 
     __slots__ = ("_entry", "_op", "_prev", "_start")
 
-    def __init__(self, ledger: "QueryLedger", op: OperatorStats):
-        self._entry: ledger_channel.Entry = (ledger, op)
+    def __init__(
+        self,
+        ledger: Optional["QueryLedger"],
+        op: Optional[OperatorStats],
+        stats: Optional[QueryStats],
+    ):
+        self._entry: ledger_channel.Entry = (ledger, op, stats)
         self._op = op
         self._prev: Optional[ledger_channel.Entry] = None
         self._start = 0.0
 
-    def __enter__(self) -> None:
+    def __enter__(self) -> QueryStats:
         self._prev = ledger_channel.set_entry(self._entry)
-        self._start = time.perf_counter()
-        return None
+        if self._op is not None:
+            self._start = time.perf_counter()
+        return self._entry[2]
 
     def __exit__(self, *exc: object) -> None:
         op = self._op
-        op.seconds += time.perf_counter() - self._start
-        op.calls += 1
+        if op is not None:
+            op.seconds += time.perf_counter() - self._start
+            op.calls += 1
         ledger_channel.set_entry(self._prev)
         return None
+
+
+def collect() -> ContextManager[QueryStats]:
+    """``with collect() as stats: ...`` — every charge this thread makes
+    inside the block, summed into a fresh :class:`QueryStats`: how code
+    outside the executor (tests, the cluster's bounded-fetch
+    reconstruction) reads what a call cost."""
+    return _Scope(None, None, QueryStats())
 
 
 #: Cache-lookup kinds the ledger distinguishes.
@@ -266,11 +286,13 @@ class QueryLedger:
     (:mod:`repro.capsule.capsule`), rows covered by the byte kernels
     (:mod:`repro.capsule.scan`), decompressions (:func:`touch_capsule`)
     and cache lookups (:mod:`repro.query.cache`) — lands on that
-    operator's :class:`OperatorStats`.  Under ``query_parallelism > 1``
-    the scheduler gives each block a child ledger (:meth:`spawn`) and
-    folds them back with :meth:`merge_children`, so the totals are exact
-    regardless of the worker count, while the shared :class:`BudgetMeter`
-    enforces the per-query budgets globally and immediately.
+    operator's :class:`OperatorStats`, and the same calls charge the
+    plan's :class:`QueryStats` given to the scope.  Under
+    ``query_parallelism > 1`` the scheduler gives each block a child
+    ledger (:meth:`spawn`) and folds them back with
+    :meth:`merge_children`, so the totals are exact regardless of the
+    worker count, while the shared :class:`BudgetMeter` enforces the
+    per-query budgets globally and immediately.
     """
 
     def __init__(self, budget: Optional[BudgetMeter] = None):
@@ -291,11 +313,14 @@ class QueryLedger:
     # ------------------------------------------------------------------
     # executor surface
     # ------------------------------------------------------------------
-    def operator(self, name: str) -> ContextManager[None]:
+    def operator(
+        self, name: str, stats: Optional[QueryStats] = None
+    ) -> ContextManager[object]:
         """Time one pipeline stage and route this thread's deep charges
-        to it.  Reentrant: ``match`` inside ``locate`` restores the outer
-        operator on exit, exactly like the span stack."""
-        return _OperatorTimer(self, self._op(name))
+        to it, and to *stats* — the plan's counters, or None for work no
+        plan owns.  Reentrant: ``match`` inside ``locate`` restores the
+        outer operator on exit, exactly like the span stack."""
+        return _Scope(self, self._op(name), stats)
 
     def spawn(self) -> "QueryLedger":
         """A child ledger for one block (same budget meter, merged later)."""
@@ -419,19 +444,22 @@ _NULL_CONTEXT: ContextManager[None] = nullcontext()
 
 
 class NullQueryLedger(QueryLedger):
-    """The disabled ledger: every surface is a no-op.
+    """The disabled ledger: every ledger surface is a no-op.
 
     The executor always holds *a* ledger, so the pipeline has no
-    ``if ledger:`` branches; when accounting is off this object keeps the
-    thread-local charge channel empty and allocates nothing per block.
+    ``if ledger:`` branches.  When accounting is off an operator scope
+    still routes the channel's charges to the plan's :class:`QueryStats`
+    — without a clock read — and nothing else.
     """
 
     @property
     def enabled(self) -> bool:
         return False
 
-    def operator(self, name: str) -> ContextManager[None]:
-        return _NULL_CONTEXT
+    def operator(
+        self, name: str, stats: Optional[QueryStats] = None
+    ) -> ContextManager[object]:
+        return _NULL_CONTEXT if stats is None else _Scope(None, None, stats)
 
     def spawn(self) -> "QueryLedger":
         return self

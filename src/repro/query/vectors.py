@@ -36,10 +36,13 @@ across queries, and a box dropped by the BoxCache or a generation bump
 takes them with it.  This is no cache of its own: the cache count stays
 at four (the Query Cache, the BoxCache, the warm-start TemplateCache and
 the per-run :data:`LocateMemo`).  A reader holds nothing of a query: the run's
-:class:`QuerySettings` and the :class:`QueryStats` being charged are
-passed to every call, so concurrent queries over one pinned box never
-charge each other, and every lazily built piece of state is computed
-whole and then published, so racing threads at worst build it twice.
+:class:`QuerySettings` come with every search, and every read is charged
+through :mod:`repro.obs.ledger` to the plan open on that thread, so
+concurrent queries over one pinned box never charge each other.  Every
+lazily built piece of state is computed whole and then published, so
+racing threads at worst build it twice.  Each Capsule a search uses goes
+through :func:`touch_capsule`, which notes the read for the engine's one
+Capsule-decision count.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ from ..runtime.pattern import Const, RuntimePattern
 from .locator import TOO_COMPLEX, Candidate, locate
 from .matcher import search_capsule
 from .modes import MatchMode, value_matches
-from .stats import QueryStats, touch_capsule
+from .stats import touch_capsule
 
 
 #: One query's Locator results: ``(vector key, fragment, mode,
@@ -178,14 +181,12 @@ def decode_rows(rows: List[bytes]) -> List[str]:
     return [row.translate(None, PAD).decode("utf-8") for row in rows]
 
 
-def _take_cells(
-    capsule: Capsule, rows: Optional[Sequence[int]], stats: QueryStats
-) -> List[bytes]:
+def _take_cells(capsule: Capsule, rows: Optional[Sequence[int]]) -> List[bytes]:
     """Padded cells of *capsule* (all rows when None), accounted like
-    every other read: the inflate on ``stats``, the cells on the ledger."""
+    every other read: the inflate and the cells both on the channel."""
     if rows is not None and not len(rows):
         return []  # nothing wanted: leave the Capsule unopened
-    touch_capsule(capsule, stats)
+    touch_capsule(capsule)
     cells = capsule.cells(rows)
     ledger_channel.charge_decoded_values(len(cells))
     return cells
@@ -223,47 +224,42 @@ class _VectorReader:
     """What the three readers share: values are decoded from ``pieces``
     and nowhere else.
 
-    A reader keeps only what its vector's stored bytes determine.  The
-    :class:`QueryStats` to charge, and for a search the run's
-    :class:`QuerySettings`, come with every call.
+    A reader keeps only what its vector's stored bytes determine; a
+    search gets the run's :class:`QuerySettings` with every call, and
+    every charge goes through :mod:`repro.obs.ledger`.
     """
+
+    #: The Capsules the vector owns — what one search of it considers.
+    num_capsules = 1
 
     def __init__(self, encoded):
         self.encoded = encoded
         self.num_rows = encoded.num_rows
 
-    def pieces(
-        self, rows: Optional[Sequence[int]], stats: QueryStats
-    ) -> List[Piece]:
+    def pieces(self, rows: Optional[Sequence[int]]) -> List[Piece]:
         raise NotImplementedError
 
-    def values(
-        self, rows: Optional[Sequence[int]], stats: QueryStats
-    ) -> List[str]:
+    def values(self, rows: Optional[Sequence[int]]) -> List[str]:
         """The decoded values of *rows* (ascending group rows; every row
         when None), in row order."""
         num_rows = self.num_rows if rows is None else len(rows)
-        return decode_rows(join_cells(self.pieces(rows, stats), num_rows))
+        return decode_rows(join_cells(self.pieces(rows), num_rows))
 
-    def value_counts(
-        self, rows: Optional[RowSet], stats: QueryStats
-    ) -> "Counter[str]":
+    def value_counts(self, rows: Optional[RowSet]) -> "Counter[str]":
         """value → occurrences among *rows* (all rows when None).
 
         Real and plain vectors have no dictionary, so counting decodes
         every wanted row — the documented slow path of the Aggregate
         operator (its fast path is nominal index-cell counting).
         """
-        return Counter(self.values(_row_list(rows), stats))
+        return Counter(self.values(_row_list(rows)))
 
-    def _verify(
-        self, regex, rows: Optional[Sequence[int]], stats: QueryStats
-    ) -> RowSet:
+    def _verify(self, regex, rows: Optional[Sequence[int]]) -> RowSet:
         """The rows of *rows* (every row when None) whose decoded value
         the wildcard *regex* finds a match in."""
         result = RowSet.empty(self.num_rows)
         wanted = range(self.num_rows) if rows is None else rows
-        values = self.values(rows, stats)
+        values = self.values(rows)
         result.add_rows(
             [row for row, value in zip(wanted, values) if regex.search(value)]
         )
@@ -281,6 +277,7 @@ class RealVectorReader(_VectorReader):
             capsule.stamp for capsule in encoded.subvar_capsules
         ]
         self._locate_key = (tuple(encoded.pattern.elements), tuple(self._stamps))
+        self.num_capsules = len(self._stamps) + (encoded.outlier_capsule is not None)
         self._outlier_bits: Optional[RowSet] = None  # see _outliers
         self._matched_map: Optional[List[int]] = None  # capsule row → group row
 
@@ -332,15 +329,14 @@ class RealVectorReader(_VectorReader):
         fragment: str,
         mode: MatchMode,
         settings: QuerySettings,
-        stats: QueryStats,
         candidates: Optional[RowSet] = None,
     ) -> RowSet:
         result = RowSet.empty(self.num_rows)
         self._search_matched(
-            fragment, mode, settings, stats, result,
+            fragment, mode, settings, result,
             self._capsule_candidates(candidates),
         )
-        self._search_outliers_plain(fragment, mode, stats, result, candidates)
+        self._search_outliers_plain(fragment, mode, result, candidates)
         return result
 
     def _search_matched(
@@ -348,7 +344,6 @@ class RealVectorReader(_VectorReader):
         fragment: str,
         mode: MatchMode,
         settings: QuerySettings,
-        stats: QueryStats,
         result: RowSet,
         start: Optional[RowSet] = None,
     ) -> None:
@@ -367,28 +362,30 @@ class RealVectorReader(_VectorReader):
             mode,
         )
         if candidates is TOO_COMPLEX:
-            stats.fallback_scans += 1
-            self._scan_matched(fragment, mode, stats, result, start)
+            ledger_channel.charge_locate(0, True)
+            self._scan_matched(fragment, mode, result, start)
             return
         capsule_rows = RowSet.empty(num_matched)
+        evaluated = 0
         for candidate in candidates:
-            stats.candidates_evaluated += 1
+            evaluated += 1
             if not candidate:
                 capsule_rows = RowSet.full(num_matched) if start is None else start
                 break
             current = start
             for subvar, frag, frag_mode in candidate:
                 capsule = encoded.subvar_capsules[subvar]
-                stats.capsules_considered += 1
                 # §5.2 direct checking: probe only candidate rows.
                 hint = _direct_rows(capsule, current)
-                touch_capsule(capsule, stats)
+                touch_capsule(capsule)
                 rows = search_capsule(capsule, frag, frag_mode, rows_hint=hint)
                 current = rows if current is None else current & rows
                 if not current:
                     break
             if current:
                 capsule_rows = capsule_rows | current
+        if evaluated:
+            ledger_channel.charge_locate(evaluated, False)
         if not capsule_rows:
             return
         if not self.encoded.outlier_rows:
@@ -402,7 +399,6 @@ class RealVectorReader(_VectorReader):
         self,
         fragment: str,
         mode: MatchMode,
-        stats: QueryStats,
         result: RowSet,
         start: Optional[RowSet],
     ) -> None:
@@ -410,7 +406,7 @@ class RealVectorReader(_VectorReader):
         (the capsule rows *start* when given) and test it."""
         mapping = self._matched_rows()
         crows = None if start is None else start.rows()
-        pieces = self._matched_pieces(crows, stats)
+        pieces = self._matched_pieces(crows)
         num = self._num_matched if crows is None else len(crows)
         values = decode_rows(join_cells(pieces, num))
         result.add_rows(
@@ -425,7 +421,6 @@ class RealVectorReader(_VectorReader):
         self,
         fragment: str,
         mode: MatchMode,
-        stats: QueryStats,
         result: RowSet,
         candidates: Optional[RowSet],
     ) -> None:
@@ -436,7 +431,7 @@ class RealVectorReader(_VectorReader):
         # candidate is one.
         if candidates is not None and not candidates & self._outliers():
             return
-        touch_capsule(encoded.outlier_capsule, stats)
+        touch_capsule(encoded.outlier_capsule)
         rows = search_capsule(encoded.outlier_capsule, fragment, mode)
         outlier_rows = encoded.outlier_rows
         result.add_rows([outlier_rows[orow] for orow in rows.rows()])
@@ -447,7 +442,6 @@ class RealVectorReader(_VectorReader):
         keyword,
         mode: MatchMode,
         settings: QuerySettings,
-        stats: QueryStats,
         candidates: Optional[RowSet] = None,
     ) -> RowSet:
         """Wildcard search: literal runs narrow the candidate rows through
@@ -456,20 +450,19 @@ class RealVectorReader(_VectorReader):
         and regex-verified: the structured analogue of index-assisted
         wildcard matching.  Given *candidates*, only those are decoded."""
         found = self._wildcard_candidates(
-            keyword, settings, stats, self._capsule_candidates(candidates)
+            keyword, settings, self._capsule_candidates(candidates)
         )
         wanted = candidates  # no usable literal run: every candidate
         if found is not None:
             found.add_rows(self.encoded.outlier_rows)
             wanted = found if candidates is None else found & candidates
         rows = None if wanted is None else wanted.rows()
-        return self._verify(keyword.regex_for(mode), rows, stats)
+        return self._verify(keyword.regex_for(mode), rows)
 
     def _wildcard_candidates(
         self,
         keyword,
         settings: QuerySettings,
-        stats: QueryStats,
         start: Optional[RowSet],
     ) -> Optional[RowSet]:
         """Pattern-matched rows (among the capsule rows *start* when
@@ -484,18 +477,15 @@ class RealVectorReader(_VectorReader):
         for run in literals:
             rows = RowSet.empty(self.num_rows)
             self._search_matched(
-                run, MatchMode.SUBSTRING, settings, stats, rows, start
+                run, MatchMode.SUBSTRING, settings, rows, start
             )
             candidates = rows if candidates is None else candidates & rows
             if not candidates:
-                stats.capsules_filtered += len(self.encoded.subvar_capsules)
                 break
         return candidates
 
     # ------------------------------------------------------------------
-    def pieces(
-        self, rows: Optional[Sequence[int]], stats: QueryStats
-    ) -> List[Piece]:
+    def pieces(self, rows: Optional[Sequence[int]]) -> List[Piece]:
         """The values of *rows* (ascending group rows; every row when
         None) as rendering pieces: the pattern's constants and one padded
         cell column per sub-variable.
@@ -507,7 +497,7 @@ class RealVectorReader(_VectorReader):
         encoded = self.encoded
         outlier_rows = encoded.outlier_rows
         if not outlier_rows:
-            return self._matched_pieces(rows, stats)
+            return self._matched_pieces(rows)
         assert encoded.outlier_capsule is not None
         # Capsule rows of the matched rows, outlier-Capsule rows of the
         # outliers, and where in the output each outlier belongs.
@@ -521,20 +511,18 @@ class RealVectorReader(_VectorReader):
                 places.append(slot)
             else:
                 matched.append(row - pos)
-        column = join_cells(self._matched_pieces(matched, stats), len(matched))
+        column = join_cells(self._matched_pieces(matched), len(matched))
         # Ascending places: each insert lands at its final position.
-        outliers = _take_cells(encoded.outlier_capsule, picked, stats)
+        outliers = _take_cells(encoded.outlier_capsule, picked)
         for place, cell in zip(places, outliers):
             column.insert(place, cell)
         return [column]
 
-    def _matched_pieces(
-        self, crows: Optional[Sequence[int]], stats: QueryStats
-    ) -> List[Piece]:
+    def _matched_pieces(self, crows: Optional[Sequence[int]]) -> List[Piece]:
         """Pieces of the pattern-matched rows, in capsule row space."""
         encoded = self.encoded
         columns = [
-            _take_cells(capsule, crows, stats)
+            _take_cells(capsule, crows)
             for capsule in encoded.subvar_capsules
         ]
         return _pattern_pieces(encoded.pattern, columns)
@@ -544,6 +532,7 @@ class NominalVectorReader(_VectorReader):
     """Reader over a nominal variable vector (dictionary + index)."""
 
     encoded: NominalEncodedVector
+    num_capsules = 2  # the dictionary and the index
 
     def __init__(self, encoded: NominalEncodedVector):
         super().__init__(encoded)
@@ -574,14 +563,13 @@ class NominalVectorReader(_VectorReader):
             self._keys = keys
         return keys
 
-    def _decoded_dictionary(self, stats: QueryStats) -> List[str]:
+    def _decoded_dictionary(self) -> List[str]:
         """Every dictionary value in slot order, decoded once from the
         cells of :meth:`_cell_table`."""
+        table = self._cell_table()
         dictionary = self._dictionary
         if dictionary is None:
-            dictionary = self._dictionary = decode_rows(
-                list(self._cell_table(stats).values())
-            )
+            dictionary = self._dictionary = decode_rows(list(table.values()))
         return dictionary
 
     # ------------------------------------------------------------------
@@ -590,7 +578,6 @@ class NominalVectorReader(_VectorReader):
         fragment: str,
         mode: MatchMode,
         settings: QuerySettings,
-        stats: QueryStats,
     ) -> List[int]:
         """Dictionary slots whose value matches the fragment.
 
@@ -607,11 +594,10 @@ class NominalVectorReader(_VectorReader):
             stamps, key = keys[pattern_idx]
             candidates = _locate(settings, key, dp.pattern, stamps, fragment, mode)
             if candidates is not TOO_COMPLEX and not candidates:
-                stats.capsules_filtered += 1
                 continue  # the pattern cannot produce the fragment
             base = self._region_slots[pattern_idx]
             if in_place:
-                touch_capsule(encoded.dict_capsule, stats)
+                touch_capsule(encoded.dict_capsule)
                 plain = encoded.dict_capsule.plain()
                 for local in scan.scan_region(
                     plain,
@@ -623,7 +609,7 @@ class NominalVectorReader(_VectorReader):
                 ):
                     slots.append(base + local)
                 continue
-            region = self._decoded_dictionary(stats)[base : base + dp.count]
+            region = self._decoded_dictionary()[base : base + dp.count]
             for local, value in enumerate(region):
                 if value_matches(value, fragment, mode):
                     slots.append(base + local)
@@ -634,32 +620,29 @@ class NominalVectorReader(_VectorReader):
         fragment: str,
         mode: MatchMode,
         settings: QuerySettings,
-        stats: QueryStats,
         candidates: Optional[RowSet] = None,
     ) -> RowSet:
-        slots = self.matching_slots(fragment, mode, settings, stats)
-        return self._rows_for_slots(slots, stats, candidates)
+        slots = self.matching_slots(fragment, mode, settings)
+        return self._rows_for_slots(slots, candidates)
 
     def search_wildcard(
         self,
         keyword,
         mode: MatchMode,
         settings: QuerySettings,
-        stats: QueryStats,
         candidates: Optional[RowSet] = None,
     ) -> RowSet:
         regex = keyword.regex_for(mode)
         slots = [
             slot
-            for slot, value in enumerate(self._decoded_dictionary(stats))
+            for slot, value in enumerate(self._decoded_dictionary())
             if regex.search(value)
         ]
-        return self._rows_for_slots(slots, stats, candidates)
+        return self._rows_for_slots(slots, candidates)
 
     def _rows_for_slots(
         self,
         slots: Sequence[int],
-        stats: QueryStats,
         candidates: Optional[RowSet] = None,
     ) -> RowSet:
         """The rows whose index cell names one of *slots*: only the
@@ -670,9 +653,8 @@ class NominalVectorReader(_VectorReader):
         if not slots:
             # The index Capsule is never decompressed — the dictionary
             # proved the keyword absent (§5.1).
-            stats.capsules_filtered += 1
             return result
-        touch_capsule(encoded.index_capsule, stats)
+        touch_capsule(encoded.index_capsule)
         width = encoded.index_width
         capsule = encoded.index_capsule
         wanted = (
@@ -710,9 +692,7 @@ class NominalVectorReader(_VectorReader):
         return result
 
     # ------------------------------------------------------------------
-    def value_counts(
-        self, rows: Optional[RowSet], stats: QueryStats
-    ) -> "Counter[str]":
+    def value_counts(self, rows: Optional[RowSet]) -> "Counter[str]":
         """value → occurrences among *rows* (all rows when None), counted
         on raw index cells — the §2 "dictionary is the group-by index"
         fast path.
@@ -724,29 +704,25 @@ class NominalVectorReader(_VectorReader):
         rows.
         """
         capsule = self.encoded.index_capsule
-        touch_capsule(capsule, stats)
+        touch_capsule(capsule)
         cells = capsule.cells(_row_list(rows))
         ledger_channel.charge_rows_scanned(len(cells))
         cell_counts = Counter(cells)
-        values = decode_rows(self._dictionary_cells(cell_counts, stats))
+        values = decode_rows(self._dictionary_cells(cell_counts))
         out: "Counter[str]" = Counter()
         for value, n in zip(values, cell_counts.values()):
             out[value] += n
         return out
 
-    def pieces(
-        self, rows: Optional[Sequence[int]], stats: QueryStats
-    ) -> List[Piece]:
+    def pieces(self, rows: Optional[Sequence[int]]) -> List[Piece]:
         """The values of *rows* (every row when None) as one column of
         padded dictionary cells, mapped from the raw index cells."""
-        cells = _take_cells(self.encoded.index_capsule, rows, stats)
-        return [self._dictionary_cells(cells, stats)]
+        cells = _take_cells(self.encoded.index_capsule, rows)
+        return [self._dictionary_cells(cells)]
 
-    def _dictionary_cells(
-        self, index_cells: Iterable[bytes], stats: QueryStats
-    ) -> List[bytes]:
+    def _dictionary_cells(self, index_cells: Iterable[bytes]) -> List[bytes]:
         """The padded dictionary cell each raw index cell names."""
-        table = self._cell_table(stats)
+        table = self._cell_table()
         try:
             return list(map(table.__getitem__, index_cells))
         except KeyError as exc:
@@ -754,14 +730,15 @@ class NominalVectorReader(_VectorReader):
                 f"index cell {exc.args[0]!r} names no dictionary slot"
             ) from None
 
-    def _cell_table(self, stats: QueryStats) -> Dict[bytes, bytes]:
+    def _cell_table(self) -> Dict[bytes, bytes]:
         """Raw (zero-filled) index cell → padded dictionary cell, built
-        once per vector from the dictionary payload."""
+        once per vector from the dictionary payload.  Every call reads
+        the dictionary Capsule, whether or not it builds the table."""
+        encoded = self.encoded
+        capsule = encoded.dict_capsule
+        touch_capsule(capsule)
         table = self._table
         if table is None:
-            encoded = self.encoded
-            capsule = encoded.dict_capsule
-            touch_capsule(capsule, stats)
             if capsule.layout == LAYOUT_REGION:
                 cells = capsule.region_cells(
                     [(dp.count, dp.width) for dp in encoded.dict_patterns]
@@ -787,15 +764,12 @@ class PlainVectorReader(_VectorReader):
         fragment: str,
         mode: MatchMode,
         settings: QuerySettings,
-        stats: QueryStats,
         candidates: Optional[RowSet] = None,
     ) -> RowSet:
         capsule = self.encoded.capsule
-        stats.capsules_considered += 1
         if settings.use_stamps and not capsule.stamp.admits(fragment):
-            stats.capsules_filtered += 1
             return RowSet.empty(self.num_rows)
-        touch_capsule(capsule, stats)
+        touch_capsule(capsule)
         return search_capsule(
             capsule, fragment, mode, rows_hint=_direct_rows(capsule, candidates)
         )
@@ -805,18 +779,16 @@ class PlainVectorReader(_VectorReader):
         keyword,
         mode: MatchMode,
         settings: QuerySettings,
-        stats: QueryStats,
         candidates: Optional[RowSet] = None,
     ) -> RowSet:
         capsule = self.encoded.capsule
         literals = _literal_runs(keyword)
         if literals and settings.use_stamps:
             if any(not capsule.stamp.admits(run) for run in literals):
-                stats.capsules_filtered += 1
                 return RowSet.empty(self.num_rows)
         if literals:
             # Narrow with the literal runs, verify only candidate rows.
-            touch_capsule(capsule, stats)
+            touch_capsule(capsule)
             for run in literals:
                 found = search_capsule(
                     capsule, run, MatchMode.SUBSTRING,
@@ -826,13 +798,11 @@ class PlainVectorReader(_VectorReader):
                 if not candidates:
                     return candidates
         rows = None if candidates is None else candidates.rows()
-        return self._verify(keyword.regex_for(mode), rows, stats)
+        return self._verify(keyword.regex_for(mode), rows)
 
-    def pieces(
-        self, rows: Optional[Sequence[int]], stats: QueryStats
-    ) -> List[Piece]:
+    def pieces(self, rows: Optional[Sequence[int]]) -> List[Piece]:
         """The values of *rows* (every row when None): one padded column."""
-        return [_take_cells(self.encoded.capsule, rows, stats)]
+        return [_take_cells(self.encoded.capsule, rows)]
 
 
 VectorReader = Union[RealVectorReader, NominalVectorReader, PlainVectorReader]

@@ -21,7 +21,6 @@ from repro.common import chartypes
 from repro.core.compressor import compress_block
 from repro.core.config import LogGrepConfig
 from repro.core.reconstructor import BlockReconstructor
-from repro.query.stats import QueryStats
 from repro.query.vectors import make_reader
 from repro.runtime.classify import VectorKind
 from tests.conftest import make_mixed_lines
@@ -29,7 +28,7 @@ from tests.conftest import make_mixed_lines
 
 def decode_all(encoded):
     """Reconstruct every value of an encoded vector via a reader."""
-    return make_reader(encoded).values(None, QueryStats())
+    return make_reader(encoded).values(None)
 
 
 class TestEncodeReal:

@@ -46,10 +46,10 @@ def builds(monkeypatch):
         counts["readers"] += 1
         return make_reader(encoded)
 
-    def counting_cell_table(self, stats):
+    def counting_cell_table(self):
         if self._table is None:
             counts["cell_tables"] += 1
-        return cell_table(self, stats)
+        return cell_table(self)
 
     monkeypatch.setattr(vectors, "make_reader", counting_make_reader)
     monkeypatch.setattr(

@@ -1,5 +1,8 @@
 """Tests for the ``loggrep`` command-line interface."""
 
+import json
+import re
+
 import pytest
 
 from repro.cli import main
@@ -112,6 +115,14 @@ class TestGrep:
         main(["grep", "ERROR", "-a", str(archive), "--stats"])
         captured = capsys.readouterr()
         assert "hit(s)" in captured.err
+        # Capsules considered are printed next to those filtered, and
+        # equal the JSON document's counters.
+        counts = dict(re.findall(r"(considered|filtered): (\d+)", captured.err))
+        main(["grep", "ERROR", "-a", str(archive), "--stats", "--json"])
+        stats = json.loads(capsys.readouterr().err)["stats"]
+        assert int(counts["considered"]) == stats["capsules_considered"] > 0
+        assert int(counts["filtered"]) == stats["capsules_filtered"]
+        assert stats["capsules_filtered"] <= stats["capsules_considered"]
 
     def test_grep_analyze_prints_ledger_table(self, log_file, tmp_path, capsys):
         path, lines = log_file

@@ -25,9 +25,10 @@ from repro.query.executor import QueryExecutor
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
 #: The counters of every perfbench op, one JSON row per op; the memo
-#: must reproduce them exactly.  Last re-recorded when later AND/NOT
-#: terms began matching only the rows still alive (single-term ops kept
-#: their counters).  ``PYTHONPATH=src python tests/test_locate_memo.py
+#: must reproduce them exactly.  Last re-recorded when Capsule decisions
+#: moved to one counting site (each vector search considers every
+#: Capsule its vector owns; only ``capsules_considered`` and
+#: ``capsules_filtered`` changed).  ``PYTHONPATH=src python tests/test_locate_memo.py
 #: > tests/golden/locate_counters.jsonl`` records them from the
 #: checked-out code.
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "locate_counters.jsonl"

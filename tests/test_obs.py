@@ -436,7 +436,9 @@ class TestQueryStats:
         reg = get_registry()
         queries = reg.counter("loggrep_queries_total")
         before = queries.value()
-        stats = QueryStats(capsules_filtered=3, capsules_decompressed=1)
+        stats = QueryStats(
+            capsules_considered=4, capsules_filtered=3, capsules_decompressed=1
+        )
         stats.publish(0.01)
         assert queries.value() == before + 1
         assert reg.gauge("loggrep_capsule_filter_ratio").value() == pytest.approx(0.75)

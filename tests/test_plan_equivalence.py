@@ -95,6 +95,49 @@ def test_grep_count_and_reference_agree(
 
 
 # ----------------------------------------------------------------------
+# accounting: one channel charges a result's stats and its ledger
+# ----------------------------------------------------------------------
+def _assert_capsule_decisions_consistent(stats):
+    assert 0 <= stats.capsules_filtered <= stats.capsules_considered
+
+
+@settings(
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    command=query_strings(),
+    other=query_strings(),
+    parallelism=st.sampled_from([1, 2]),
+)
+def test_accounting_invariants(archive, command, other, parallelism):
+    """Filtered never exceeds considered; a cold LINES run and a cold
+    ANALYZE run of one query count the same; and a single plan's ANALYZE
+    ledger inflated exactly what its stats say."""
+    archive.config.query_parallelism = parallelism
+    archive.config.use_query_cache = True
+    try:
+        grep_lines(command, CORPUS)
+        grep_lines(other, CORPUS)
+    except QuerySyntaxError:
+        assume(False)
+    archive.clear_query_cache()
+    lines = archive.grep(command)
+    archive.clear_query_cache()
+    analyzed = archive.explain_analyze(command)
+    assert lines.lines == analyzed.lines
+    assert lines.stats == analyzed.stats
+    _assert_capsule_decisions_consistent(lines.stats)
+    totals = analyzed.ledger.totals()
+    assert totals.capsules_decompressed == analyzed.stats.capsules_decompressed
+    assert totals.bytes_decompressed == analyzed.stats.bytes_decompressed
+    archive.clear_query_cache()
+    for result in archive.grep_many([command, other]):
+        _assert_capsule_decisions_consistent(result.stats)
+
+
+# ----------------------------------------------------------------------
 # conjunction pushdown: later AND/NOT terms see only the alive rows
 # ----------------------------------------------------------------------
 #: VOCAB plus selective fragments, so a first term often leaves few

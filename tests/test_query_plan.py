@@ -188,11 +188,10 @@ class TestExecutor:
 
     def test_engine_readers_public_accessor(self, store):
         from repro.query.engine import BlockEngine
-        from repro.query.stats import QueryStats
 
         name = store.store.names()[0]
         box = CapsuleBox.deserialize(store.store.get(name))
-        engine = BlockEngine(box, store.config.query_settings(), QueryStats())
+        engine = BlockEngine(box, store.config.query_settings())
         engine.search_string_rows(parse_query("read").disjuncts[0][0].search)
         # The readers belong to the box: every engine over it shares them.
         assert engine.readers is BlockEngine(box).readers

@@ -33,7 +33,7 @@ from repro.common.rowset import RowSet
 from repro.core.compressor import compress_block
 from repro.core.config import LogGrepConfig, ablated, sp_config
 from repro.core.reconstructor import BlockReconstructor
-from repro.query.stats import QueryLedger, QueryStats
+from repro.query.stats import QueryLedger, QueryStats, collect
 from repro.runtime.classify import VectorKind
 from repro.runtime.merge import DictPattern
 from repro.runtime.pattern import Const, RuntimePattern, SubVar
@@ -310,8 +310,8 @@ class TestAccounting:
         for this box: 14 Capsules, 4 378 plain bytes, 1 469 values."""
         box, raw = compressed_box(LogGrepConfig(), make_mixed_lines(500), block_id=3)
         stats, ledger = QueryStats(), QueryLedger()
-        with ledger.operator("reconstruct"):
-            lines = BlockReconstructor(box, stats=stats).all_lines()
+        with ledger.operator("reconstruct", stats):
+            lines = BlockReconstructor(box).all_lines()
         assert lines == [raw[i] for i in sorted(raw)]
         capsules = [
             capsule
@@ -337,8 +337,8 @@ class TestAccounting:
             for group_idx, group in enumerate(box.groups)
         }
         stats, ledger = QueryStats(), QueryLedger()
-        with ledger.operator("reconstruct"):
-            entries = BlockReconstructor(box, stats=stats).reconstruct(hits)
+        with ledger.operator("reconstruct", stats):
+            entries = BlockReconstructor(box).reconstruct(hits)
         inflated = [
             capsule
             for group in box.groups
@@ -354,10 +354,10 @@ class TestAccounting:
     def test_outlier_only_subset_leaves_subvariable_capsules_closed(self):
         encoded, values = real_vector(outlier_every=4)
         box = _one_group_box(encoded, N)
-        stats = QueryStats()
-        entries = BlockReconstructor(box, stats=stats).reconstruct(
-            {0: RowSet.from_rows(N, [0, 8])}
-        )
+        with collect() as stats:
+            entries = BlockReconstructor(box).reconstruct(
+                {0: RowSet.from_rows(N, [0, 8])}
+            )
         assert [text for _, text in entries] == [f"k {values[0]}", f"k {values[8]}"]
         assert stats.capsules_decompressed == 1
         assert not any(c.is_decompressed for c in encoded.subvar_capsules)

@@ -13,53 +13,71 @@ from repro.capsule.assembler import (
     encode_plain,
     encode_vector,
 )
+from repro.capsule.box import CapsuleBox, GroupBox
 from repro.capsule.capsule import CODEC_RAW, LAYOUT_VARIABLE, Capsule
 from repro.common.errors import FormatError
 from repro.common.rowset import RowSet
-from repro.query.language import Keyword
+from repro.query.engine import BlockEngine
+from repro.query.language import Keyword, SearchString
 from repro.query.modes import MatchMode, value_matches
-from repro.query.stats import QueryStats
+from repro.query.stats import collect
 from repro.query.vectors import QuerySettings, make_reader
 from repro.runtime.classify import VectorKind
 from repro.runtime.pattern import Const, RuntimePattern, SubVar
+from repro.staticparse.template import Template
 
 ALL_MODES = list(MatchMode)
 
 
 class Bound:
-    """A reader with one query's settings and stats: the context the
-    engine passes on every call, bound once for brevity."""
+    """A reader with one query's settings: the context the engine passes
+    on every search, bound once for brevity.  Charges go to the caller's
+    ``collect()`` scope."""
 
-    def __init__(self, encoded, settings_=None, stats=None):
+    def __init__(self, encoded, settings_=None):
         self.reader = make_reader(encoded)
         self.encoded = encoded
         self.settings = settings_ if settings_ is not None else QuerySettings()
-        self.stats = stats if stats is not None else QueryStats()
 
     def search(self, fragment, mode, candidates=None):
-        return self.reader.search(
-            fragment, mode, self.settings, self.stats, candidates
-        )
+        return self.reader.search(fragment, mode, self.settings, candidates)
 
     def search_wildcard(self, keyword, mode, candidates=None):
         return self.reader.search_wildcard(
-            keyword, mode, self.settings, self.stats, candidates
+            keyword, mode, self.settings, candidates
         )
 
     def matching_slots(self, fragment, mode):
-        return self.reader.matching_slots(fragment, mode, self.settings, self.stats)
+        return self.reader.matching_slots(fragment, mode, self.settings)
 
     def values(self, rows=None):
-        return self.reader.values(rows, self.stats)
+        return self.reader.values(rows)
 
     def value_counts(self, rows=None):
-        return self.reader.value_counts(rows, self.stats)
+        return self.reader.value_counts(rows)
 
 
-def reader_for(values, stats=None, **opts):
+def reader_for(values, **opts):
     settings_ = QuerySettings(use_stamps=opts.pop("use_stamps", True))
     encoded = encode_vector(values, EncodingOptions(**opts))
-    return Bound(encoded, settings_, stats)
+    return Bound(encoded, settings_)
+
+
+def one_vector_engine(encoded):
+    """An engine over a box of one group whose template is one variable."""
+    n = encoded.num_rows
+    group = GroupBox(Template(0, [None]), list(range(n)), [encoded])
+    return BlockEngine(CapsuleBox(0, 0, n, True, [group]))
+
+
+def engine_search(encoded, keyword, candidates=None, engine=None):
+    """One search of *encoded* the way the engine runs it — the one path
+    that counts Capsule decisions.  Returns (rows, stats)."""
+    engine = engine or one_vector_engine(encoded)
+    alive = None if candidates is None else {0: candidates}
+    with collect() as stats:
+        hits = engine.search_string_rows(SearchString(keyword), alive)
+    return hits.get(0, RowSet.empty(encoded.num_rows)), stats
 
 
 def naive(values, fragment, mode):
@@ -99,10 +117,10 @@ class TestRealReader:
         assert reader.values() == OUTLIER_VALUES
 
     def test_stamp_filtering_avoids_decompression(self):
-        stats = QueryStats()
-        reader = reader_for(REAL_VALUES, stats=stats, seed=3)
+        reader = reader_for(REAL_VALUES, seed=3)
         # "zz" has a character class no sub-variable contains.
-        assert not reader.search("zz", MatchMode.SUBSTRING)
+        with collect() as stats:
+            assert not reader.search("zz", MatchMode.SUBSTRING)
         assert stats.capsules_decompressed == 0
 
     def test_wildcard(self):
@@ -113,8 +131,7 @@ class TestRealReader:
         assert got == {i for i, v in enumerate(REAL_VALUES) if regex.search(v)}
 
     def test_wildcard_literal_prefilter(self):
-        stats = QueryStats()
-        reader = reader_for(REAL_VALUES, stats=stats, seed=3)
+        reader = reader_for(REAL_VALUES, seed=3)
         # literal run "zz" cannot occur → whole matched portion skipped.
         assert not reader.search_wildcard(Keyword("zz*"), MatchMode.SUBSTRING)
 
@@ -201,10 +218,10 @@ class TestCandidates:
         assert set((got & candidates).rows()) == expected & set(candidates.rows())
 
     def test_only_outlier_candidates_leave_subvariables_closed(self):
-        stats = QueryStats()
-        reader = reader_for(WIDE_OUTLIERS, stats=stats, sample_rate=1.0)
+        reader = reader_for(WIDE_OUTLIERS, sample_rate=1.0)
         outliers = RowSet.from_rows(3000, [0, 50, 100])
-        found = reader.search("<", MatchMode.PREFIX, outliers) & outliers
+        with collect() as stats:
+            found = reader.search("<", MatchMode.PREFIX, outliers) & outliers
         assert found.rows() == [0, 50, 100]
         assert stats.capsules_decompressed == 1  # the outlier Capsule alone
         assert not any(
@@ -228,9 +245,9 @@ class TestNominalReader:
         assert got == naive(NOMINAL_VALUES, fragment, mode)
 
     def test_dictionary_miss_skips_index(self):
-        stats = QueryStats()
-        reader = reader_for(NOMINAL_VALUES, stats=stats)
-        assert not reader.search("zzz", MatchMode.SUBSTRING)
+        reader = reader_for(NOMINAL_VALUES)
+        with collect() as stats:
+            assert not reader.search("zzz", MatchMode.SUBSTRING)
         # The index Capsule must not have been opened (§5.1).
         assert stats.capsules_decompressed <= 1  # at most the dictionary
 
@@ -263,10 +280,10 @@ class TestPlainReader:
         assert got == naive(values, fragment, mode)
 
     def test_stamp_rejects(self):
-        stats = QueryStats()
         values = ["123", "456"] * 10
-        reader = Bound(encode_plain(values), stats=stats)
-        assert not reader.search("abc", MatchMode.SUBSTRING)
+        rows, stats = engine_search(encode_plain(values), "abc")
+        assert not rows
+        assert stats.capsules_considered == 1
         assert stats.capsules_filtered == 1
         assert stats.capsules_decompressed == 0
 
@@ -306,7 +323,7 @@ class TestKernelParity:
 class TestBudgetFallback:
     """Locator explosion must fall back to a scan with correct results."""
 
-    def _exploding_reader(self, stats):
+    def _exploding_reader(self):
         from repro.capsule.capsule import Capsule
         from repro.capsule.assembler import RealEncodedVector
         from repro.runtime.pattern import pattern_from_fragments
@@ -330,21 +347,21 @@ class TestBudgetFallback:
         values = [
             pattern.render([column[r] for column in columns]) for r in range(30)
         ]
-        return Bound(encoded, settings_, stats), values
+        return Bound(encoded, settings_), values
 
     def test_fallback_scan_is_correct(self):
-        stats = QueryStats()
-        reader, values = self._exploding_reader(stats)
+        reader, values = self._exploding_reader()
         fragment = "a-b-a-b-a-b-a-b"
-        got = set(reader.search(fragment, MatchMode.SUBSTRING).rows())
+        with collect() as stats:
+            got = set(reader.search(fragment, MatchMode.SUBSTRING).rows())
         assert stats.fallback_scans >= 1
         assert got == naive(values, fragment, MatchMode.SUBSTRING)
         assert got  # the corpus is built so the keyword does occur
 
     def test_non_exploding_query_stays_on_locator(self):
-        stats = QueryStats()
-        reader, values = self._exploding_reader(stats)
-        got = set(reader.search("a-b", MatchMode.PREFIX).rows())
+        reader, values = self._exploding_reader()
+        with collect() as stats:
+            got = set(reader.search("a-b", MatchMode.PREFIX).rows())
         assert stats.fallback_scans == 0
         assert got == naive(values, "a-b", MatchMode.PREFIX)
 
@@ -398,6 +415,78 @@ class TestRowSubsetDecoding:
         assert reader.value_counts(RowSet.from_rows(len(values), rows)) == Counter(
             values[row] for row in rows
         )
+
+
+class TestCapsuleDecisions:
+    """Exact counts of the engine's one Capsule-decision site: a vector
+    search considers each Capsule its vector owns once, and every one it
+    did not read is filtered."""
+
+    def test_plain_read(self):
+        rows, stats = engine_search(encode_plain(["123", "456"] * 10), "45")
+        assert len(rows) == 10
+        assert (stats.capsules_considered, stats.capsules_filtered) == (1, 0)
+        assert stats.capsules_decompressed == 1
+
+    def test_nominal_dictionary_rules_out_every_pattern(self):
+        encoded = encode_vector(NOMINAL_VALUES, EncodingOptions())
+        rows, stats = engine_search(encoded, "zzz")
+        assert not rows
+        assert (stats.capsules_considered, stats.capsules_filtered) == (2, 2)
+        assert stats.capsules_decompressed == 0
+
+    def test_nominal_hit_reads_dictionary_and_index(self):
+        encoded = encode_vector(NOMINAL_VALUES, EncodingOptions())
+        rows, stats = engine_search(encoded, "ERR#404")
+        assert len(rows) == 40
+        assert (stats.capsules_considered, stats.capsules_filtered) == (2, 0)
+
+    def test_nominal_warm_dictionary_still_counts_as_read(self):
+        # The second search over the box finds the dictionary decoded
+        # already: it is still read, not filtered, though nothing is
+        # inflated again.
+        encoded = encode_vector(NOMINAL_VALUES, EncodingOptions(use_padding=False))
+        engine = one_vector_engine(encoded)
+        engine_search(encoded, "ERR", engine=engine)
+        rows, stats = engine_search(encoded, "SUCC", engine=engine)
+        assert len(rows) == 70
+        assert (stats.capsules_considered, stats.capsules_filtered) == (2, 0)
+        assert stats.capsules_decompressed == 0
+
+    def test_real_without_locator_candidate(self):
+        encoded = encode_vector(REAL_VALUES, EncodingOptions(seed=3))
+        assert isinstance(encoded, RealEncodedVector)
+        assert encoded.outlier_capsule is None
+        rows, stats = engine_search(encoded, "zz")
+        assert not rows
+        owned = len(encoded.subvar_capsules)
+        assert (stats.capsules_considered, stats.capsules_filtered) == (owned, owned)
+        assert stats.capsules_decompressed == 0
+
+    def test_real_with_outliers_without_locator_candidate(self):
+        encoded = encode_vector(WIDE_OUTLIERS, EncodingOptions(sample_rate=1.0))
+        assert isinstance(encoded, RealEncodedVector)
+        assert encoded.outlier_capsule is not None
+        matched = RowSet.from_rows(3000, [1, 2, 51])  # no outlier among them
+        rows, stats = engine_search(encoded, "zz", candidates=matched)
+        assert not rows
+        owned = len(encoded.subvar_capsules) + 1
+        assert (stats.capsules_considered, stats.capsules_filtered) == (owned, owned)
+        assert stats.capsules_decompressed == 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        encoded_vectors(),
+        st.sampled_from(["blk_", "_1", "a#", "OK", "ERR#2", "é", "zz", "b*_"]),
+    )
+    def test_filtered_never_exceeds_considered(self, vector, keyword):
+        encoded, _ = vector
+        if not encoded.num_rows:
+            return
+        _, stats = engine_search(encoded, keyword)
+        owned = make_reader(encoded).num_capsules
+        assert stats.capsules_considered == owned
+        assert 0 <= stats.capsules_filtered <= owned
 
 
 class TestPayloadShape:
