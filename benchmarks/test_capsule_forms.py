@@ -1,0 +1,80 @@
+"""Digit and hex columns stored two characters per byte (§5.2 Packer).
+
+A Capsule whose plain buffer is all digits (with the NUL pad) or all hex
+of one case is packed two characters per byte before the codec rule runs
+(the ``FORM_*`` forms of ``capsule/capsule.py``).  This check compresses
+the 37 specs at 128 KiB blocks and compares, Capsule by Capsule, the
+stored payload with what the codec rule makes of the same Capsule's
+``plain()`` — the one-character-per-byte form, computed from the same
+archive, so no switch is needed:
+
+* every archive decompresses to its input lines, and every Capsule
+  re-packs from ``plain()`` to exactly its stored form, codec and
+  payload;
+* the geomean over the corpora of ASCII ÷ stored payload bytes is at
+  least :data:`MIN_GEOMEAN`.
+
+Sizes only, no timings: the result is deterministic.
+"""
+
+import pytest
+
+from repro.bench.report import format_table, print_banner
+from repro.bench.runner import base_lines, geomean
+from repro.blockstore.store import MemoryStore
+from repro.capsule.capsule import (
+    FORM_ASCII,
+    CodecRequest,
+    _choose_codec,
+    _encode,
+)
+from repro.core.config import LogGrepConfig
+from repro.core.loggrep import LogGrep
+from repro.workloads import production_specs, public_specs
+
+BLOCK_BYTES = 128 * 1024
+MIN_GEOMEAN = 1.08
+
+
+@pytest.fixture(scope="module")
+def per_corpus():
+    """``(name, capsules, packed, ascii payload, stored payload)`` per spec."""
+    rows = []
+    for spec in production_specs() + public_specs():
+        lines = spec.generate(base_lines())
+        lg = LogGrep(store=MemoryStore(), config=LogGrepConfig(block_bytes=BLOCK_BYTES))
+        lg.compress(lines)
+        assert lg.decompress_all() == lines, spec.name
+        capsules = packed = ascii_bytes = stored_bytes = 0
+        for name in lg.store.names():
+            for capsule in lg.executor.load_box(name).capsules():
+                plain = capsule.plain()
+                assert _encode(plain, capsule.preset, CodecRequest.SMALLEST) == (
+                    capsule.codec, capsule.form, capsule.payload,
+                ), f"{spec.name} {name}: plain() does not re-pack to its payload"
+                capsules += 1
+                packed += capsule.form != FORM_ASCII
+                ascii_bytes += len(_choose_codec(plain, capsule.preset)[1])
+                stored_bytes += capsule.compressed_bytes
+        rows.append((spec.name, capsules, packed, ascii_bytes, stored_bytes))
+    return rows
+
+
+def test_packed_forms_shrink_the_payload(per_corpus):
+    print_banner(
+        f"Capsule payload bytes, one character per byte vs stored "
+        f"({base_lines()} lines per spec, {BLOCK_BYTES // 1024} KiB blocks)"
+    )
+    print(
+        format_table(
+            ["dataset", "capsules", "packed", "ascii B", "stored B", "ascii/stored"],
+            [
+                [name, n, p, f"{a:,}", f"{s:,}", f"{a / s:.3f}"]
+                for name, n, p, a, s in per_corpus
+            ],
+        )
+    )
+    gain = geomean([a / s for *_, a, s in per_corpus])
+    grew = [name for name, *_, a, s in per_corpus if s > a]
+    print(f"geomean ascii/stored: {gain:.3f}; stored payload grew on: {grew or 'none'}")
+    assert gain >= MIN_GEOMEAN

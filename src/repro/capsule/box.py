@@ -56,7 +56,7 @@ from .assembler import (
     PlainEncodedVector,
     RealEncodedVector,
 )
-from .capsule import CODEC_NAMES, Capsule
+from .capsule import CODEC_NAMES, FORM_ASCII, FORMS, Capsule
 from .stamp import CapsuleStamp
 
 MAGIC = b"LGCB"
@@ -328,30 +328,33 @@ class CapsuleBox:
     # ------------------------------------------------------------------
     # statistics
     # ------------------------------------------------------------------
-    def _capsules(self) -> Iterator[Capsule]:
+    def capsules(self) -> Iterator[Capsule]:
+        """Every Capsule of the box, group by group, vector by vector."""
         for group in self.groups:
             for vector in group.vectors:
                 yield from _capsules_of(vector)
 
     def capsule_count(self) -> int:
-        return sum(1 for _ in self._capsules())
+        return sum(1 for _ in self.capsules())
 
     def payload_bytes(self) -> int:
         # compressed_bytes comes from the extent for unfetched capsules,
         # so statistics never force a payload read.
-        return sum(capsule.compressed_bytes for capsule in self._capsules())
+        return sum(capsule.compressed_bytes for capsule in self.capsules())
 
     def codec_usage(self) -> Dict[str, Dict[str, int]]:
         """Capsules and stored payload bytes per codec name — what the
-        size-keyed codec rule chose for this block."""
+        size-keyed codec rule chose for this block — and, of those
+        Capsules, how many are ``packed`` two characters per byte."""
         usage = {
-            name: {"capsules": 0, "payload_bytes": 0}
+            name: {"capsules": 0, "payload_bytes": 0, "packed": 0}
             for name in CODEC_NAMES.values()
         }
-        for capsule in self._capsules():
+        for capsule in self.capsules():
             row = usage[CODEC_NAMES[capsule.codec]]
             row["capsules"] += 1
             row["payload_bytes"] += capsule.compressed_bytes
+            row["packed"] += capsule.form != FORM_ASCII
         return usage
 
     def verify(self) -> List[str]:
@@ -435,7 +438,9 @@ def _write_capsule(
     writer.write_varint(capsule.width)
     writer.write_varint(capsule.count)
     capsule.stamp.write(writer)
-    writer.write_u8(capsule.codec)
+    # The codec byte: the entropy codec in the low nibble, the form
+    # (alphabet and odd flag, FORM_*) in the high one.
+    writer.write_u8(capsule.codec | capsule.form << 4)
     writer.write_u8(capsule.preset)
     writer.write_varint(offset[0])
     writer.write_varint(len(capsule.payload))
@@ -665,7 +670,10 @@ def _capsule_at(
     stamp = stamps.get((mask, max_len))
     if stamp is None:
         stamp = stamps[mask, max_len] = CapsuleStamp(mask, max_len)
-    codec = data[pos]
+    codec = data[pos] & 0x0F
+    form = data[pos] >> 4
+    if form not in FORMS:
+        raise FormatError(f"unknown capsule form {form}")
     preset = data[pos + 1]
     pos += 2
     off, pos = _varint(data, pos)
@@ -677,7 +685,7 @@ def _capsule_at(
         raise FormatError("capsule payload out of range")
     capsule = Capsule(
         layout, width, count, stamp, codec, preset,
-        source=source, extent=(toc.payload_off + off, length),
+        source=source, extent=(toc.payload_off + off, length), form=form,
     )
     capsule.expected_crc = crc
     return capsule, pos + 4

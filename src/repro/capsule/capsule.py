@@ -2,7 +2,15 @@
 
 A Capsule stores one column of values — a sub-variable vector, an outlier
 vector, a dictionary vector or an index vector — compressed independently
-with LZMA (the paper's Packer uses LZMA for its high ratio).
+(the paper's Packer uses LZMA for its high ratio; here a size-keyed rule,
+:func:`_choose_codec`, picks raw, zlib or LZMA per Capsule).
+
+Before the codec, a buffer of at least :data:`RAW_BELOW` bytes whose every
+byte is a decimal digit (or the NUL pad), or every byte a hex digit of one
+case, is stored in a packed *form*: two characters per byte, the nibbles
+of ``binascii.unhexlify``.  Most stored bytes are such columns, and the
+codec then runs on half the bytes.  :meth:`Capsule.plain` undoes the
+packing, so everything above it sees the padded ASCII buffer.
 
 Two payload layouts exist:
 
@@ -19,6 +27,7 @@ Values must not contain NUL; log lines are text, so the packer enforces it.
 
 from __future__ import annotations
 
+import binascii
 import lzma
 import struct
 import zlib
@@ -48,6 +57,41 @@ CODEC_LZMA = 1
 CODEC_ZLIB = 2
 
 CODEC_NAMES = {CODEC_RAW: "raw", CODEC_LZMA: "lzma", CODEC_ZLIB: "zlib"}
+
+#: Forms: how the plain buffer is laid out before the codec.  The low two
+#: bits name the alphabet of a buffer stored two characters per byte;
+#: ``FORM_ODD`` marks an odd-length one, whose last nibble is filler.  The
+#: stored codec byte carries the form in its high nibble (docs/FORMAT.md).
+FORM_ASCII = 0  # one character per byte, as the packer built it
+FORM_DIGITS = 1  # 0-9 and the NUL pad, the pad stored as nibble f
+FORM_HEX = 2  # 0-9a-f, no NUL
+FORM_HEX_UPPER = 3  # 0-9A-F, no NUL, lowered before packing
+FORM_ODD = 4
+
+FORM_NAMES = {
+    FORM_ASCII: "ascii", FORM_DIGITS: "digits", FORM_HEX: "hex",
+    FORM_HEX_UPPER: "hex_upper",
+}
+#: Every form a reader accepts: an alphabet, with or without the odd flag.
+FORMS = frozenset([FORM_ASCII]) | frozenset(
+    alphabet | odd
+    for alphabet in (FORM_DIGITS, FORM_HEX, FORM_HEX_UPPER)
+    for odd in (0, FORM_ODD)
+)
+
+_DIGITS = b"0123456789"
+#: Per alphabet: the translation into hex digits before ``unhexlify`` and
+#: back after ``hexlify`` (None: already lowercase hex).
+_TO_HEX = {
+    FORM_DIGITS: bytes.maketrans(b"\x00", b"f"),
+    FORM_HEX: None,
+    FORM_HEX_UPPER: bytes.maketrans(b"ABCDEF", b"abcdef"),
+}
+_FROM_HEX = {
+    FORM_DIGITS: bytes.maketrans(b"f", b"\x00"),
+    FORM_HEX: None,
+    FORM_HEX_UPPER: bytes.maketrans(b"abcdef", b"ABCDEF"),
+}
 
 
 class CodecRequest(Enum):
@@ -101,15 +145,15 @@ _MIN_DICT_SIZE = 4096  # liblzma's floor
 _SPLIT_CHUNK = 4096
 
 _CODEC_CAPSULES = get_registry().counter(
-    "loggrep_capsule_codec_total", "Capsules packed, by chosen codec"
+    "loggrep_capsule_codec_total", "Capsules packed, by chosen codec and form"
 )
 _CODEC_BYTES_IN = get_registry().counter(
     "loggrep_capsule_codec_bytes_in_total",
-    "Plain Capsule bytes handed to the codec rule, by chosen codec",
+    "Plain Capsule bytes, before any packing, by chosen codec and form",
 )
 _CODEC_BYTES_OUT = get_registry().counter(
     "loggrep_capsule_codec_bytes_out_total",
-    "Capsule payload bytes stored, by chosen codec",
+    "Capsule payload bytes stored, by chosen codec and form",
 )
 
 
@@ -157,10 +201,13 @@ class Capsule:
     bytes are fetched on first access to :attr:`payload` (or in a batched
     prefetch, see ``CapsuleBox.prefetch``).  Capsules built by the packer
     hold their bytes directly and behave exactly as before.
+
+    ``codec`` is the entropy codec of the payload and ``form`` the layout
+    of the buffer it decodes to (``FORM_*``); :meth:`plain` undoes both.
     """
 
     __slots__ = (
-        "layout", "width", "count", "stamp", "codec", "preset",
+        "layout", "width", "count", "stamp", "codec", "preset", "form",
         "expected_crc", "_payload", "_source", "_extent", "_plain",
         "_offsets",
     )
@@ -177,6 +224,7 @@ class Capsule:
         *,
         source: Optional["BlobSource"] = None,
         extent: Optional[Tuple[int, int]] = None,
+        form: int = FORM_ASCII,
     ):
         if payload is None and (source is None or extent is None):
             raise ValueError("capsule needs a payload or a (source, extent)")
@@ -186,6 +234,7 @@ class Capsule:
         self.stamp = stamp
         self.codec = codec
         self.preset = preset
+        self.form = form
         #: CRC32 recorded at serialization time (None for in-memory
         #: capsules); checked by :meth:`verify_payload`, not on the hot
         #: read path.
@@ -240,6 +289,7 @@ class Capsule:
             and self.stamp == other.stamp
             and self.codec == other.codec
             and self.preset == other.preset
+            and self.form == other.form
             and self.payload == other.payload
         )
 
@@ -252,7 +302,8 @@ class Capsule:
         return (
             f"Capsule(layout={self.layout}, width={self.width}, "
             f"count={self.count}, stamp={self.stamp!r}, "
-            f"codec={self.codec}, preset={self.preset}, {where})"
+            f"codec={self.codec}, preset={self.preset}, form={self.form}, "
+            f"{where})"
         )
 
     # ------------------------------------------------------------------
@@ -271,8 +322,11 @@ class Capsule:
         buf, width, value_bytes = _pad_fixed(list(map(str.encode, values)), width)
         _reject_nul(buf, len(buf) - value_bytes)
         stamp = stamp or CapsuleStamp.of_values(values)
-        stored, payload = _encode(buf, preset, codec)
-        return cls(LAYOUT_FIXED, width, len(values), stamp, stored, preset, payload)
+        stored, form, payload = _encode(buf, preset, codec)
+        return cls(
+            LAYOUT_FIXED, width, len(values), stamp, stored, preset, payload,
+            form=form,
+        )
 
     @classmethod
     def pack_variable(
@@ -286,8 +340,11 @@ class Capsule:
         buf = PAD.join(map(str.encode, values))
         _reject_nul(buf, max(len(values) - 1, 0))
         stamp = stamp or CapsuleStamp.of_values(values)
-        stored, payload = _encode(buf, preset, codec)
-        return cls(LAYOUT_VARIABLE, 0, len(values), stamp, stored, preset, payload)
+        stored, form, payload = _encode(buf, preset, codec)
+        return cls(
+            LAYOUT_VARIABLE, 0, len(values), stamp, stored, preset, payload,
+            form=form,
+        )
 
     @classmethod
     def pack_regions(
@@ -315,14 +372,18 @@ class Capsule:
         buf = b"".join(parts)
         _reject_nul(buf, len(buf) - value_bytes)
         stamp = stamp or CapsuleStamp.of_values(all_values)
-        stored, payload = _encode(buf, preset, codec)
-        return cls(LAYOUT_REGION, 0, len(all_values), stamp, stored, preset, payload)
+        stored, form, payload = _encode(buf, preset, codec)
+        return cls(
+            LAYOUT_REGION, 0, len(all_values), stamp, stored, preset, payload,
+            form=form,
+        )
 
     # ------------------------------------------------------------------
     # access
     # ------------------------------------------------------------------
     def plain(self) -> bytes:
-        """The decompressed payload (cached after the first call).
+        """The decompressed payload in its packer's one-character-per-byte
+        layout (cached after the first call).
 
         Corrupt payloads raise :class:`FormatError` — codec-specific
         exceptions never escape the storage layer.
@@ -330,15 +391,24 @@ class Capsule:
         if self._plain is None:
             try:
                 if self.codec == CODEC_RAW:
-                    self._plain = self.payload
+                    data = self.payload
                 elif self.codec == CODEC_LZMA:
-                    self._plain = _lzma_decompress(self.payload, self.preset)
+                    data = _lzma_decompress(self.payload, self.preset)
                 elif self.codec == CODEC_ZLIB:
-                    self._plain = zlib.decompress(self.payload)
+                    data = zlib.decompress(self.payload)
                 else:
                     raise FormatError(f"unknown codec {self.codec}")
             except (lzma.LZMAError, zlib.error) as exc:
                 raise FormatError(f"corrupt capsule payload: {exc}") from exc
+            form = self.form
+            if form:
+                data = binascii.hexlify(data)
+                if form & FORM_ODD:
+                    data = data[:-1]
+                table = _FROM_HEX[form & ~FORM_ODD]
+                if table is not None:
+                    data = data.translate(table)
+            self._plain = data
         return self._plain
 
     def values(self) -> List[str]:
@@ -515,16 +585,54 @@ def _reject_nul(buf: bytes, layout_nuls: int) -> None:
         raise CompressionError(NUL_IN_VALUE)
 
 
-def _encode(buf: bytes, preset: int, codec: CodecRequest) -> Tuple[int, bytes]:
-    """The stored codec and payload of *buf* under the request *codec*.
+def _encode(
+    buf: bytes, preset: int, codec: CodecRequest
+) -> Tuple[int, int, bytes]:
+    """The stored codec, form and payload of *buf* under the request
+    *codec*: the buffer is packed into its form (:func:`_pack_form`) and
+    the codec rule runs once, on the packed bytes.
 
     ``RAW`` never enters the codec rule: the hot tail wants its bytes
     queryable *now* and never stores them, so neither the encode nor the
-    Match that follows pays for a codec.
+    Match that follows pays for a codec — or for a form.
     """
     if codec is CodecRequest.RAW:
-        return CODEC_RAW, buf
-    return _choose_codec(buf, preset, codec is CodecRequest.SPEED)
+        return CODEC_RAW, FORM_ASCII, buf
+    form, packed = _pack_form(buf)
+    stored, payload = _choose_codec(packed, preset, codec is CodecRequest.SPEED)
+    labels = {"codec": CODEC_NAMES[stored], "form": FORM_NAMES[form & ~FORM_ODD]}
+    _CODEC_CAPSULES.inc(**labels)
+    _CODEC_BYTES_IN.inc(len(buf), **labels)
+    _CODEC_BYTES_OUT.inc(len(payload), **labels)
+    return stored, form, payload
+
+
+def _pack_form(buf: bytes) -> Tuple[int, bytes]:
+    """``(form, packed)``: *buf* two characters per byte when it is at
+    least :data:`RAW_BELOW` bytes and every byte is in one alphabet
+    (digits and NUL; lowercase hex; uppercase hex), else *buf* as it is.
+
+    Mixed-case hex and hex with a NUL stay one character per byte: nibble
+    ``f`` stands for the pad only where ``f`` is not itself a character.
+    """
+    if len(buf) < RAW_BELOW:
+        return FORM_ASCII, buf
+    rest = buf.translate(None, _DIGITS)
+    if rest.translate(None, b"\x00abcdefABCDEF"):
+        return FORM_ASCII, buf
+    if not rest.translate(None, b"\x00"):
+        alphabet = FORM_DIGITS
+    elif not rest.translate(None, b"abcdef"):
+        alphabet = FORM_HEX
+    elif not rest.translate(None, b"ABCDEF"):
+        alphabet = FORM_HEX_UPPER
+    else:
+        return FORM_ASCII, buf
+    table = _TO_HEX[alphabet]
+    text = buf if table is None else buf.translate(table)
+    if len(buf) & 1:
+        return alphabet | FORM_ODD, binascii.unhexlify(text + b"0")
+    return alphabet, binascii.unhexlify(text)
 
 
 def _choose_codec(
@@ -533,6 +641,9 @@ def _choose_codec(
     """Pick a codec for *buf* from its length (bands above), keeping the
     smaller payload where two codecs run and raw whenever compression
     does not shrink the buffer.
+
+    *buf* is what is stored: for a packed Capsule the two-per-byte bytes
+    of :func:`_pack_form`, so the bands key on the packed length.
 
     ``speed_tier`` (``CodecRequest.SPEED``, config ``codec_speed_tier``)
     follows the same rule with two differences: zlib is kept unless LZMA
@@ -554,8 +665,4 @@ def _choose_codec(
                 codec, payload = CODEC_LZMA, lzma_payload
         if len(payload) >= size:
             codec, payload = CODEC_RAW, buf
-    name = CODEC_NAMES[codec]
-    _CODEC_CAPSULES.inc(codec=name)
-    _CODEC_BYTES_IN.inc(size, codec=name)
-    _CODEC_BYTES_OUT.inc(len(payload), codec=name)
     return codec, payload

@@ -483,7 +483,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 0
         for b in blocks:
             codecs = ", ".join(
-                f"{name} {use['capsules']}/{use['payload_bytes']} B"
+                f"{name} {use['capsules']}/{use['payload_bytes']} B "
+                f"[{use['packed']} packed]"
                 for name, use in b["codecs"].items()
             )
             print(

@@ -63,7 +63,7 @@ def inflated(lg):
     return sum(
         capsule.is_decompressed
         for name in lg.store.names()
-        for capsule in lg.executor.load_box(name)._capsules()
+        for capsule in lg.executor.load_box(name).capsules()
     )
 
 

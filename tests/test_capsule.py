@@ -3,31 +3,46 @@
 import lzma
 import random
 import zlib
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.capsule import capsule as capsule_module
 from repro.capsule.capsule import (
     CODEC_LZMA,
+    CODEC_NAMES,
     CODEC_RAW,
     CODEC_ZLIB,
+    FORM_ASCII,
+    FORM_DIGITS,
+    FORM_HEX,
+    FORM_HEX_UPPER,
+    FORM_ODD,
+    FORMS,
     LZMA_ONLY_FROM,
+    RAW_BELOW,
     ZLIB_MARGIN,
     ZLIB_ONLY_BELOW,
     Capsule,
     CodecRequest,
     LAYOUT_FIXED,
     LAYOUT_VARIABLE,
+    _SPLIT_CHUNK,
     _choose_codec,
     _lzma_compress,
+    _pack_form,
 )
+from repro.blockstore.blobsource import BytesBlobSource
 from repro.capsule.assembler import PlainEncodedVector
-from repro.capsule.box import CapsuleBox, GroupBox
+from repro.capsule.box import BoxTOC, CapsuleBox, GroupBox
 from repro.capsule.stamp import CapsuleStamp
 from repro.common import chartypes
 from repro.common.errors import CompressionError, FormatError
+from repro.common.rowset import RowSet
+from repro.core.config import LogGrepConfig
+from repro.core.reconstructor import BlockReconstructor
 from repro.obs import get_registry
 from repro.staticparse.template import Template
 
@@ -287,9 +302,15 @@ class TestCodecRule:
                 CODEC_ZLIB: len(zlib.compress(buf, 6)),
             }
             assert min(by_codec, key=by_codec.get) == expected
+            codec, payload = _choose_codec(buf, 1)
+            assert (codec, len(payload)) == (expected, by_codec[expected])
+            # The Capsule runs the same rule once, on its packed buffer:
+            # the digit column two per byte, the lettered one as it is.
+            form, packed = _pack_form(buf)
+            assert form == (FORM_DIGITS if values is counters else FORM_ASCII)
             capsule = Capsule.pack_fixed(values)
-            assert capsule.codec == expected
-            assert capsule.compressed_bytes == by_codec[expected]
+            assert capsule.form == form
+            assert (capsule.codec, capsule.payload) == _choose_codec(packed, 1)
             assert capsule.values() == values
 
     def test_band_tie_goes_to_zlib(self, monkeypatch):
@@ -318,30 +339,34 @@ class TestCodecRule:
     def test_choice_is_counted_per_codec(self):
         registry = get_registry()
 
+        cases = (("raw", "ascii"), ("zlib", "hex"), ("lzma", "ascii"))
+
         def snapshot():
             return {
-                (metric, codec): registry.get(metric).value(codec=codec)
+                (metric, codec): registry.get(metric).value(codec=codec, form=form)
                 for metric in (
                     "loggrep_capsule_codec_total",
                     "loggrep_capsule_codec_bytes_in_total",
                     "loggrep_capsule_codec_bytes_out_total",
                 )
-                for codec in ("raw", "zlib", "lzma")
+                for codec, form in cases
             }
 
         before = snapshot()
         small = Capsule.pack_fixed(["ab"])
-        medium = Capsule.pack_fixed(["abcabcabc"] * 100)
+        medium = Capsule.pack_fixed(["abcabcabc"] * 100)  # hex: packed
         large = Capsule.pack_fixed(_long_period_values())
         delta = {key: value - before[key] for key, value in snapshot().items()}
         for codec, capsule in (("raw", small), ("zlib", medium), ("lzma", large)):
             assert delta["loggrep_capsule_codec_total", codec] == 1
+            # Plain bytes in, whatever the form the codec ran on.
             assert delta["loggrep_capsule_codec_bytes_in_total", codec] == len(
                 capsule.plain()
             )
             assert delta["loggrep_capsule_codec_bytes_out_total", codec] == (
                 capsule.compressed_bytes
             )
+        assert len(medium.plain()) == 900 and medium.form == FORM_HEX
 
     def test_speed_tier_differs_only_by_margin(self):
         # At preset 6 LZMA beats zlib on this buffer, but by under 10 %:
@@ -529,3 +554,227 @@ class TestPaddingOracle:
                 Capsule.pack_fixed(values)
             with pytest.raises(CompressionError, match="NUL"):
                 Capsule.pack_regions([values[:1], values[1:]], widths=[2, 2])
+
+
+# ----------------------------------------------------------------------
+# forms: digit and hex columns stored two characters per byte
+# ----------------------------------------------------------------------
+ALPHABETS = {
+    "digits": "0123456789",
+    "hex": "0123456789abcdef",
+    "hex_upper": "0123456789ABCDEF",
+    "mixed_case": "0123456789abcdefABCDEF",
+    "text": "0123456789abcdefxyz-.",
+}
+
+
+def _reference_form(buf, request):
+    """The form the rule must pick, from the set of bytes in *buf*."""
+    if request is CodecRequest.RAW or len(buf) < RAW_BELOW:
+        return FORM_ASCII
+    chars = set(buf)
+    for alphabet, allowed in (
+        (FORM_DIGITS, b"0123456789\x00"),
+        (FORM_HEX, b"0123456789abcdef"),
+        (FORM_HEX_UPPER, b"0123456789ABCDEF"),
+    ):
+        if chars <= set(allowed):
+            return alphabet | (FORM_ODD if len(buf) % 2 else 0)
+    return FORM_ASCII
+
+
+@st.composite
+def _columns(draw):
+    """``(values, width)``: one alphabet, a width of 1-40, values either
+    all that wide (no pad) or shorter, optionally tiled past
+    ``_SPLIT_CHUNK`` cells."""
+    alphabet = ALPHABETS[draw(st.sampled_from(sorted(ALPHABETS)))]
+    width = draw(st.integers(1, 40))
+    # Mostly full width: hex packs only without pad bytes.
+    low = width if draw(st.sampled_from([True, True, False])) else 0
+    values = draw(
+        st.lists(
+            st.text(alphabet=alphabet, min_size=low, max_size=width),
+            min_size=1, max_size=30,
+        )
+    )
+    if draw(st.booleans()):
+        values = values * (_SPLIT_CHUNK // len(values) + 1)
+    return values, width
+
+
+def _padded(values, width):
+    return b"".join(v.encode().ljust(width, b"\x00") for v in values)
+
+
+def _check_form(capsule, buf, request):
+    assert capsule.form == _reference_form(buf, request)
+    assert capsule.plain() == buf
+    loaded = _box_roundtrip(capsule)
+    assert loaded.form == capsule.form
+    assert loaded.plain() == buf
+    assert loaded == capsule
+
+
+_FORM_SETTINGS = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+class TestForms:
+    """A Capsule's plain buffer in any form: ``plain()`` returns the
+    packer's padded ASCII byte for byte, stored and reopened."""
+
+    @_FORM_SETTINGS
+    @given(column=_columns(), request=st.sampled_from(list(CodecRequest)))
+    def test_fixed_round_trip(self, column, request):
+        values, width = column
+        capsule = Capsule.pack_fixed(values, width=width, codec=request)
+        _check_form(capsule, _padded(values, width), request)
+        assert capsule.values() == values
+
+    @_FORM_SETTINGS
+    @given(column=_columns(), request=st.sampled_from(list(CodecRequest)))
+    def test_variable_round_trip(self, column, request):
+        values, _ = column
+        capsule = Capsule.pack_variable(values, codec=request)
+        _check_form(capsule, b"\x00".join(v.encode() for v in values), request)
+        assert capsule.values() == values
+
+    @_FORM_SETTINGS
+    @given(
+        regions=st.lists(_columns(), min_size=1, max_size=3),
+        request=st.sampled_from(list(CodecRequest)),
+    )
+    def test_region_round_trip(self, regions, request):
+        widths = [width for _, width in regions]
+        capsule = Capsule.pack_regions(
+            [values for values, _ in regions], widths, codec=request
+        )
+        buf = b"".join(_padded(values, width) for values, width in regions)
+        _check_form(capsule, buf, request)
+        cells = capsule.region_cells([(len(v), w) for v, w in regions])
+        assert [c.rstrip(b"\x00").decode() for c in cells] == [
+            value for values, _ in regions for value in values
+        ]
+
+    @pytest.mark.parametrize(
+        "values, form",
+        [
+            (["1234", "5", ""] * 11, FORM_DIGITS),  # 132 B, NUL pads
+            (["12345"] * 7, FORM_DIGITS | FORM_ODD),  # 35 B
+            (["deadbeef"] * 4, FORM_HEX),
+            (["deadbeef1"] * 5, FORM_HEX | FORM_ODD),  # 45 B
+            (["DEADBEEF"] * 4, FORM_HEX_UPPER),
+            (["DEADBEEF1"] * 5, FORM_HEX_UPPER | FORM_ODD),
+        ],
+    )
+    def test_each_alphabet_and_parity(self, values, form):
+        capsule = Capsule.pack_fixed(values)
+        assert capsule.form == form
+        assert capsule.values() == values
+        assert capsule.compressed_bytes <= (len(capsule.plain()) + 1) // 2
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            ["a1B2c3D4"] * 8,  # mixed-case hex
+            ["abc12", "de3"] * 8,  # lowercase hex with NUL pads
+            ["ABC12", "DE3"] * 8,  # uppercase hex with NUL pads
+            ["1"] * 31,  # 31 B of digits: under RAW_BELOW
+            ["12:34:56"] * 8,  # a character outside every alphabet
+        ],
+    )
+    def test_other_buffers_stay_ascii(self, values):
+        capsule = Capsule.pack_fixed(values)
+        assert capsule.form == FORM_ASCII
+        assert capsule.values() == values
+
+    def test_raw_request_stays_ascii(self):
+        values = [f"{i:06d}" for i in range(500)]
+        capsule = Capsule.pack_fixed(values, codec=CodecRequest.RAW)
+        assert (capsule.codec, capsule.form) == (CODEC_RAW, FORM_ASCII)
+        assert capsule.payload == "".join(values).encode()
+
+    def test_form_takes_part_in_equality(self):
+        buf = b"12" * 20
+        ascii_capsule = Capsule(
+            LAYOUT_FIXED, 2, 20, CapsuleStamp.of_values(["12"]), CODEC_RAW, 1, buf
+        )
+        packed = Capsule.pack_fixed(["12"] * 20)
+        assert packed.form == FORM_DIGITS and packed.plain() == buf
+        assert packed != ascii_capsule
+
+    def test_codec_usage_counts_packed_capsules(self):
+        digits = Capsule.pack_fixed([f"{i:05d}" for i in range(100)])
+        text = Capsule.pack_fixed(["state:ok"] * 100)
+        group = GroupBox(
+            Template(0, [None, None]), list(range(100)),
+            [PlainEncodedVector(digits, 100), PlainEncodedVector(text, 100)],
+        )
+        usage = CapsuleBox(0, 0, 100, True, [group]).codec_usage()
+        assert sum(row["capsules"] for row in usage.values()) == 2
+        assert usage[CODEC_NAMES[digits.codec]]["packed"] == 1
+        assert sum(row["packed"] for row in usage.values()) == 1
+
+    @pytest.mark.parametrize("form", sorted(set(range(16)) - FORMS))
+    def test_unknown_form_rejected_at_box_open(self, form):
+        capsule = Capsule.pack_fixed([f"{i:04d}" for i in range(100)])
+        capsule.form = form
+        data = CapsuleBox(
+            0, 0, 100, True,
+            [GroupBox(Template(0, [None]), list(range(100)),
+                      [PlainEncodedVector(capsule, 100)])],
+        ).serialize()
+        with pytest.raises(FormatError, match="form"):
+            CapsuleBox.deserialize(data)
+
+
+#: One block written and serialized by the code before forms existed:
+#: every Capsule, digit and hex columns included, is one character per
+#: byte.  Its lines are :func:`_before_forms_lines`.
+GOLDEN_BOX = Path(__file__).parent / "golden" / "box_v2_before_forms.lgcb"
+
+
+def _before_forms_lines():
+    lines = []
+    for i in range(200):
+        if i % 9 == 0:
+            lines.append(
+                f"ERROR write to file: /var/log/app{i % 5}.log failed code={i % 7}"
+            )
+        else:
+            lines.append(
+                f"2024-01-{1 + i % 28:02d} 10:{i % 60:02d}:{(i * 7) % 60:02d} "
+                f"INFO req={i * 7919 % 100000} blk_{(i * 2654435761) % 10**10} "
+                f"id={(i * 40503) & 0xFFFFFF:06x} TX={(i * 977) & 0xFFFF:04X}"
+            )
+    return lines
+
+
+def _sections(data):
+    toc = BoxTOC.read(BytesBlobSource(data, "<box>"))
+    meta = zlib.decompress(data[toc.meta_off : toc.meta_off + toc.meta_len])
+    return data[:4], meta, data[toc.payload_off :]
+
+
+class TestBoxWrittenBeforeForms:
+    def test_reads_unchanged(self):
+        box = CapsuleBox.deserialize(GOLDEN_BOX.read_bytes())
+        capsules = list(box.capsules())
+        assert len(capsules) > 5
+        assert {capsule.form for capsule in capsules} == {FORM_ASCII}
+        assert box.verify() == []
+        reconstructor = BlockReconstructor(box, LogGrepConfig().query_settings())
+        entries = reconstructor.reconstruct(
+            {i: RowSet.full(group.num_entries) for i, group in enumerate(box.groups)}
+        )
+        assert [text for _, text in sorted(entries)] == _before_forms_lines()
+
+    def test_ascii_box_serializes_as_before(self):
+        # The codec byte of a form-0 Capsule is the codec alone, so the
+        # metadata and payload sections come back byte for byte.
+        data = GOLDEN_BOX.read_bytes()
+        again = CapsuleBox.deserialize(data).serialize()
+        assert _sections(again) == _sections(data)
+
