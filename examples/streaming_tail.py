@@ -13,6 +13,11 @@ against grep over the raw lines appended so far.
 Run with::
 
     python examples/streaming_tail.py
+    LOGGREP_COMPRESS_PARALLELISM=4 python examples/streaming_tail.py
+
+By default the stream seals each block on the appending thread; with a
+parallelism of 2 or more it encodes on a worker pool, so the counts also
+span pending blocks' in-memory boxes.
 
 It exits non-zero if any answer differs from the raw-line grep.
 """

@@ -22,14 +22,15 @@ that yields the scheduler's determinism contract: **archives are
 byte-identical to serial compression regardless of worker count**
 (property-tested in ``tests/test_compress_equivalence``).
 
-``config.compress_parallelism`` picks the worker count of one thread
-pool.  Threads overlap the codec portions (zlib and LZMA release the
-GIL) and keep encode spans and codec metrics in the calling process.
-With one worker and ``always_async=False`` the scheduler degrades to
-the exact serial path (no pool is ever created).  Back-pressure bounds
-the in-flight pipeline at twice the worker count, committing the oldest
-block when full, so a producer can never outrun compression without
-bound.
+``config.compress_parallelism`` (or ``parallelism``) picks the worker
+count of one thread pool.  Threads overlap the codec portions (zlib and
+LZMA release the GIL) and keep encode spans and codec metrics in the
+calling process.  With one worker the scheduler is the exact serial
+path: ``submit`` parses, encodes and commits before it returns, and no
+pool is ever created — a lone worker thread would add no throughput
+under the GIL, only hand-offs.  Back-pressure bounds the in-flight
+pipeline at twice the worker count, committing the oldest block when
+full, so a producer can never outrun compression without bound.
 """
 
 from __future__ import annotations
@@ -91,7 +92,6 @@ class CompressionScheduler:
         on_commit: Optional[CommitHook] = None,
         index: Optional[ArchiveIndex] = None,
         parallelism: Optional[int] = None,
-        always_async: bool = False,
     ) -> None:
         workers = parallelism if parallelism is not None else config.compress_parallelism
         if workers < 1:
@@ -108,7 +108,7 @@ class CompressionScheduler:
         # executor privates (the configured depth is ours to know).
         self.workers = workers
         self.max_inflight = workers * 2
-        self._async = always_async or workers > 1
+        self._async = workers > 1
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pending: Deque[_Pending] = deque()
         self.blocks = 0

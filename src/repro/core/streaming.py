@@ -1,15 +1,24 @@
-"""Streaming ingestion with pipelined block compression and a hot tail.
+"""Streaming ingestion with block compression and a hot tail.
 
 The paper's §8 calls compression speed "important to ingest raw logs at a
 high speed".  In production, Alibaba's applications append raw text to the
 current 64 MB block while *previous* blocks compress in the background
-(§2).  :class:`StreamingCompressor` reproduces that pipeline on top of the
-:class:`~repro.core.schedule.CompressionScheduler`: ``append`` never
-blocks on compression — a full block is parsed in order (template
-warm-start) and its CPU-bound encode stage is handed to the scheduler's
-worker pool — and ``flush``/``close`` drain the pipeline.  Because the
-scheduler is deterministic, streaming produces byte-identical archives to
-batch compression for the same config, any worker count.
+(§2).  :class:`StreamingCompressor` runs on the
+:class:`~repro.core.schedule.CompressionScheduler` and follows the rule
+batch compression uses: with ``pipeline_depth`` ≥ 2 a full block is
+parsed in order (template warm-start) and its CPU-bound encode stage is
+handed to the scheduler's worker pool, so appends keep flowing; at depth
+1 (the default unless ``config.compress_parallelism`` says otherwise)
+there is no thread, and the ``append`` that fills a block parses,
+encodes and commits it before it returns.  That is the one trade-off:
+the sealing append blocks for one block's encode, and a caller who
+wants appends to keep flowing passes ``pipeline_depth=2``.  Under the
+GIL a lone encode worker adds no throughput, since the encode is Python
+except for the codec, while every blocking call of a concurrent tail
+count waits for the worker to hand back the GIL.  ``flush``/``close``
+drain the pipeline.  Because the scheduler is deterministic, streaming
+produces byte-identical archives to batch compression for the same
+config, at any depth.
 
     with StreamingCompressor(store=ArchiveStore(path)) as stream:
         for line in tail_f(...):
@@ -20,11 +29,11 @@ batch compression for the same config, any worker count.
 not when its block seals.  ``open_reader(tail=True)`` yields a LogGrep
 whose box source presents ``sealed ∪ tail``: the committed store blocks,
 one in-memory box per *pending* block (sealed and handed to the
-scheduler, not yet committed) and one for the append buffer.  At any
-instant a line lives in exactly one of those three places, and the
-snapshot that decides block membership is taken atomically under the
-ingest lock, so no line is double-counted or dropped across the seal
-race.
+scheduler's pool, not yet committed — only at depth ≥ 2) and one for the
+append buffer.  At any instant a line lives in exactly one of those
+three places, and the snapshot that decides block membership is taken
+atomically under the ingest lock, so no line is double-counted or
+dropped across the seal race.
 
 A pending block's box is encoded once, from the parse the scheduler made
 at submit, and kept until the block commits.  Only the buffer's box is
@@ -136,7 +145,8 @@ class TailSnapshot:
 
 
 class StreamingCompressor:
-    """Append-oriented ingestion that compresses blocks in the background."""
+    """Append-oriented ingestion: blocks seal on the appending thread at
+    ``pipeline_depth`` 1 and encode on a worker pool at depth ≥ 2."""
 
     def __init__(
         self,
@@ -146,10 +156,7 @@ class StreamingCompressor:
     ):
         self.config = config or LogGrepConfig()
         if pipeline_depth is None:
-            # Streaming always keeps at least two stages in flight so
-            # append overlaps with background compression even when the
-            # batch-side default is serial.
-            pipeline_depth = max(2, self.config.compress_parallelism)
+            pipeline_depth = self.config.compress_parallelism
         if pipeline_depth <= 0:
             raise ValueError("pipeline depth must be positive")
         self.pipeline_depth = pipeline_depth
@@ -173,7 +180,6 @@ class StreamingCompressor:
             self.config,
             template_cache=self._template_cache,
             parallelism=pipeline_depth,
-            always_async=True,
             index=self._index,
             on_commit=self._on_commit,
         )
@@ -252,12 +258,12 @@ class StreamingCompressor:
             self._buffered_bytes = 0
             self._tail_rows = {}
             self._tail_residual = []
-            # The buffer's box is dead: its lines are a pending block now.
+            # The buffer's box is dead: its lines are a sealed block now.
             self._tail_boxes.pop(self._buffer_name, None)
-            # The scheduler parses in order (warm-start cache), encodes in
-            # the background, and applies back-pressure at twice its
-            # configured worker depth — the producer cannot outrun
-            # compression forever.
+            # The scheduler parses in order (warm-start cache), then
+            # encodes and commits inline at depth 1, or on its pool with
+            # back-pressure at twice its worker depth — the producer
+            # cannot outrun compression forever.
             with get_tracer().span(
                 "ingest.seal", block=block.block_id, lines=block.num_lines
             ):
@@ -444,11 +450,16 @@ class StreamingCompressor:
         )
 
     def close(self) -> CompressionReport:
-        """Flush, release the worker pool, and reject further appends."""
-        report = self.flush()
-        self._scheduler.close()
-        self._closed = True
-        return report
+        """Flush, release the worker pool, and reject further appends.
+
+        The stream is closed and its pool released even when the flush
+        raises (a failing store, say); the error still propagates.
+        """
+        try:
+            return self.flush()
+        finally:
+            self._closed = True
+            self._scheduler.close()
 
     def open_reader(self, tail: bool = False) -> LogGrep:
         """A LogGrep facade over the stream.
@@ -471,8 +482,7 @@ class StreamingCompressor:
         )
         if tail:
             # Re-point the reader's one executor: a second one would read
-            # the archive generation again, and every blocking read hands
-            # the encode worker the GIL.
+            # the archive generation again.
             reader.executor.source = _TailBoxSource(
                 self, reader._box_cache, self._index
             )

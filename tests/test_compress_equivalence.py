@@ -58,10 +58,15 @@ def test_parallel_and_streaming_archives_identical(seed, n, parallelism):
     )
     assert archive_bytes(parallel.store) == reference
 
-    streamed = MemoryStore()
-    with StreamingCompressor(store=streamed, config=config) as stream:
-        stream.extend(lines)
-    assert archive_bytes(streamed) == reference
+    # Inline sealing (depth 1) and a pooled stream both write the batch
+    # bytes.
+    for depth in (1, parallelism):
+        streamed = MemoryStore()
+        with StreamingCompressor(
+            store=streamed, config=config, pipeline_depth=depth
+        ) as stream:
+            stream.extend(lines)
+        assert archive_bytes(streamed) == reference
 
 
 def test_multiple_compress_calls_keep_equivalence():

@@ -58,10 +58,12 @@ def _tiny_config(**overrides):
     return LogGrepConfig(block_bytes=512, **overrides)
 
 
-#: Pipeline depths the tail must be exact under: the benchmark's one
-#: encode worker (two blocks pending at most) and the streaming default.
+#: Pipeline depths the tail must be exact under: inline sealing (no
+#: pending block, the benchmark's depth), two encode workers (up to four
+#: blocks pending) and the streaming default.
 _PIPELINES = [
     pytest.param(1, id="depth1"),
+    pytest.param(2, id="depth2"),
     pytest.param(None, id="default"),
 ]
 
@@ -160,7 +162,7 @@ class TestSealBoundaryEquivalence:
 
     def test_aggregates_cover_tail(self):
         lines = make_mixed_lines(300, seed=11)
-        stream = StreamingCompressor(config=_tiny_config())
+        stream = StreamingCompressor(config=_tiny_config(), pipeline_depth=2)
         reader = stream.open_reader(tail=True)
         stream.extend(lines)
         assert len(stream.tail_snapshot().tail_names) >= 3  # several tail boxes
@@ -279,9 +281,9 @@ class TestConcurrentAppend:
 
 class TestTailInternals:
     def test_snapshot_partition_is_exact(self):
-        # One encode worker keeps at most two blocks pending, so 200 lines
-        # leave some sealed, some pending and some in the buffer.
-        stream = StreamingCompressor(config=_tiny_config(), pipeline_depth=1)
+        # Two encode workers keep at most four blocks pending, so 200
+        # lines leave some sealed, some pending and some in the buffer.
+        stream = StreamingCompressor(config=_tiny_config(), pipeline_depth=2)
         lines = _event_lines(200, seed=2)
         stream.extend(lines)
         snap = stream.tail_snapshot()
@@ -305,7 +307,7 @@ class TestTailInternals:
         stream.close()
 
     def test_tail_box_cached_per_version(self):
-        stream = StreamingCompressor(config=_tiny_config(), pipeline_depth=1)
+        stream = StreamingCompressor(config=_tiny_config(), pipeline_depth=2)
         stream.extend(_event_lines(40, seed=4))
         snap = stream.tail_snapshot()
         assert snap.pending and snap.lines
@@ -336,11 +338,10 @@ class TestTailInternals:
 
 class TestTailCountCost:
     def test_counts_rebuild_only_the_buffer(self, monkeypatch):
-        """At the benchmark's pipeline depth nothing commits mid-stream,
-        so pending blocks pile up behind the buffer.  A tail count must
-        encode each pending block's box once, from the scheduler's parse
-        (no pending line is parsed again), store tail Capsules raw, and
-        still equal the count over the raw lines."""
+        """With an encode pool, pending blocks pile up behind the buffer.
+        A tail count must encode each pending block's box once, from the
+        scheduler's parse (no pending line is parsed again), store tail
+        Capsules raw, and still equal the count over the raw lines."""
         encoded = []
         encode = streaming_module.encode_parsed
 
@@ -364,7 +365,7 @@ class TestTailCountCost:
         lines = _event_lines(300, seed=9)
         command = parse_query("ERR")
         pending_seen = {}
-        with StreamingCompressor(config=_tiny_config(), pipeline_depth=1) as stream:
+        with StreamingCompressor(config=_tiny_config(), pipeline_depth=2) as stream:
             for appended, line in enumerate(lines, 1):
                 stream.append(line)
                 if appended % 7:
@@ -424,7 +425,7 @@ class TestSharedQueryCache:
     def test_pending_boxes_are_matched_once_per_term(self, monkeypatch):
         matched = self._spy_matches(monkeypatch)
         lines = _event_lines(80, seed=12)
-        stream = StreamingCompressor(config=_tiny_config(), pipeline_depth=1)
+        stream = StreamingCompressor(config=_tiny_config(), pipeline_depth=2)
         try:
             stream.extend(lines[:45])
             snap = stream.tail_snapshot()
@@ -463,7 +464,7 @@ class TestSharedQueryCache:
     def test_counts_stay_exact_across_commits_and_bumps(self, monkeypatch):
         matched = self._spy_matches(monkeypatch)
         lines = _event_lines(400, seed=13)
-        stream = StreamingCompressor(config=_tiny_config(), pipeline_depth=1)
+        stream = StreamingCompressor(config=_tiny_config(), pipeline_depth=2)
         fed = 0
 
         def feed(n):
@@ -527,7 +528,7 @@ class TestTailBuildDoesNotClassify:
 
         monkeypatch.setattr(compressor_module, "classify", guarded)
         lines = _event_lines(120, seed=15)
-        with StreamingCompressor(config=_tiny_config(), pipeline_depth=1) as stream:
+        with StreamingCompressor(config=_tiny_config(), pipeline_depth=2) as stream:
             stream.extend(lines)
             snap = stream.tail_snapshot()
             assert snap.pending and snap.lines
@@ -556,7 +557,7 @@ class TestPendingBoxAfterCommit:
             first.extend(lines[: 64 * 13])
         assert first.blocks == 13
 
-        stream = StreamingCompressor(store=store, config=config, pipeline_depth=1)
+        stream = StreamingCompressor(store=store, config=config, pipeline_depth=2)
         try:
             stream.extend(lines[64 * 13 :])
             snap = stream.tail_snapshot()

@@ -187,8 +187,7 @@ class TestCompressionScheduler:
             MemoryStore(),
             CONFIG,
             template_cache=TemplateCache(),
-            parallelism=1,
-            always_async=True,
+            parallelism=2,
         )
         with scheduler:
             for block in make_blocks(lines):

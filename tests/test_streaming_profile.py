@@ -1,11 +1,13 @@
 """Tests for streaming ingestion and the ``w/o real`` encoding ablation."""
 
+import threading
 from collections import Counter
 
 import pytest
 
 from repro import LogGrep
 from repro.baselines.evalutil import grep_lines
+from repro.blockstore.block import block_name
 from repro.blockstore.store import MemoryStore
 from repro.capsule.box import CapsuleBox
 from repro.core.config import LogGrepConfig, ablated
@@ -93,6 +95,58 @@ class TestStreamingCompressor:
         stream.extend(make_mixed_lines(300))
         stream.close()
         assert stream.backlog == 0
+
+    def test_depth_one_seals_on_the_appending_thread(self, monkeypatch):
+        """At depth 1 the append that fills a block parses, encodes and
+        commits it before it returns: nothing is pending and no thread
+        is ever started."""
+        started = []
+        real_start = threading.Thread.start
+
+        def spy_start(thread):
+            started.append(thread)
+            return real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy_start)
+        store = MemoryStore()
+        stream = StreamingCompressor(store=store, config=CONFIG, pipeline_depth=1)
+        for line in make_mixed_lines(600, seed=4):
+            stream.append(line)
+            if stream.blocks:
+                break
+        assert stream.blocks == 1
+        assert stream.backlog == 0
+        assert store.names() == [block_name(0)]
+        assert stream._scheduler._pool is None
+        assert started == []
+        stream.close()
+        assert started == []
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_failed_close_still_closes(self, depth):
+        """A close whose flush fails re-raises, yet the stream is closed
+        and its worker pool released."""
+
+        class FailingStore(MemoryStore):
+            def put(self, name, data):
+                raise OSError("store unavailable")
+
+        threads = threading.active_count()
+        stream = StreamingCompressor(
+            store=FailingStore(), config=CONFIG, pipeline_depth=depth
+        )
+        # Less than one block at depth 1 (a seal would commit, and fail,
+        # in append); a few pending blocks at depth 2.
+        lines = make_mixed_lines(40 if depth == 1 else 1000, seed=5)
+        stream.extend(lines)
+        assert stream.blocks == 0
+        assert (stream.backlog > 0) == (depth == 2)
+        with pytest.raises(OSError):
+            stream.close()
+        assert stream._scheduler._pool is None
+        assert threading.active_count() == threads
+        with pytest.raises(RuntimeError):
+            stream.append("x")
 
     def test_pipeline_depth_validation(self):
         with pytest.raises(ValueError):
