@@ -1,11 +1,16 @@
-"""The hot tail under commits: tail counts and greps while blocks seal,
-commit and bump the archive generation.
+"""The hot tail under commits: tail counts and greps while blocks seal
+and commit, and while a foreign demote rewrites the sealed blocks.
 
 A ``StreamingCompressor`` makes every appended line queryable at once
 through ``open_reader(tail=True)``, and all of a stream's readers share
 one Query Cache.  At 8 KiB blocks a block seals every ~90 Log A lines,
-so commits — each one bumps the generation and drops every cached entry
-— interleave with the tail queries.  The run also flushes mid-stream
+so commits interleave with the tail queries.  A commit only adds a
+block, so the cached entries of every other block survive it, and the
+first count after it takes the new block from the box the stream just
+built instead of opening it from the store.  Between two query rounds
+a separate ``LifecycleManager`` demotes the sealed blocks to the warm
+tier: that rewrite bumps the archive generation, and the readers drop
+what they derived from the old bytes.  The run also flushes mid-stream
 and then appends a second stream onto the same archive, whose block ids
 continue after the first stream's.  Every count and grep is checked
 against grep over the raw lines appended so far.
@@ -28,6 +33,8 @@ import tempfile
 from repro import LogGrepConfig, StreamingCompressor
 from repro.baselines.evalutil import grep_lines
 from repro.blockstore.store import ArchiveStore
+from repro.core.lifecycle import LifecycleManager, Tier
+from repro.obs.metrics import get_registry
 from repro.query.cache import load_generation
 from repro.workloads import spec_by_name
 
@@ -40,11 +47,18 @@ QUERIES = [
 #: most rounds see the buffer grown in place and some see it sealed.
 EVERY = 40
 
+#: Boxes the executor opened from the store.
+OPENED = get_registry().counter("loggrep_batch_shared_block_loads_total")
 
-def check_stream(stream, appended, lines, wrong):
+
+def check_stream(stream, appended, lines, wrong, after_commit, demote_at=None):
     """Append *lines* to *stream*, querying the tail every EVERY lines;
-    returns how many answers were checked."""
+    returns how many answers were checked.  The first count of a round
+    that follows a commit is tallied in *after_commit* by whether it
+    opened any block from the store.  After the round at *demote_at*
+    lines, a separate lifecycle manager demotes the sealed blocks."""
     checked = 0
+    committed = stream.blocks
     for i, line in enumerate(lines, 1):
         stream.append(line)
         appended.append(line)
@@ -57,7 +71,11 @@ def check_stream(stream, appended, lines, wrong):
             # A new reader per query, as a dashboard polling the tail
             # would open: they all share the stream's Query Cache.
             reader = stream.open_reader(tail=True)
+            opened = OPENED.value()
             count = reader.count(command)
+            if stream.blocks != committed:
+                committed = stream.blocks
+                after_commit["opened" if OPENED.value() > opened else "held"] += 1
             result = reader.grep(command)
             checked += 2
             if count != len(expected) or result.lines != expected:
@@ -65,6 +83,13 @@ def check_stream(stream, appended, lines, wrong):
                     f"{command!r} after {len(appended)} lines: count {count}, "
                     f"grep {result.count}, raw grep {len(expected)}"
                 )
+        if i == demote_at:
+            report = LifecycleManager(stream.store, stream.config).demote(Tier.WARM)
+            print(
+                f"foreign warm demote after {len(appended)} lines: "
+                f"{report.blocks_after} blocks rewritten, archive generation "
+                f"{load_generation(stream.store)}"
+            )
     return checked
 
 
@@ -73,11 +98,14 @@ def main() -> int:
     config = LogGrepConfig(block_bytes=8 * 1024)
     wrong = []
     appended = []
+    after_commit = {"held": 0, "opened": 0}
     with tempfile.TemporaryDirectory() as path:
         store = ArchiveStore(path)
         first, second = lines[:1200], lines[1200:]
         with StreamingCompressor(store=store, config=config) as stream:
-            checked = check_stream(stream, appended, first, wrong)
+            checked = check_stream(
+                stream, appended, first, wrong, after_commit, demote_at=800
+            )
             cache = stream.open_reader().fragments
             print(
                 f"stream 1: {len(first)} lines, {stream.blocks} blocks, "
@@ -85,13 +113,17 @@ def main() -> int:
                 f"{cache.hits} hits / {cache.misses} misses"
             )
         with StreamingCompressor(store=store, config=config) as stream:
-            checked = check_stream(stream, appended, second, wrong)
+            checked = check_stream(stream, appended, second, wrong, after_commit)
             print(
                 f"stream 2 (appended): {len(second)} lines, {stream.blocks} "
                 f"blocks, {checked} tail answers checked"
             )
             sealed = stream.open_reader()
-        print(f"archive generation after both streams: {load_generation(store)}")
+        print(
+            f"first count after a commit: {after_commit['held']} served the "
+            f"new block from the stream's held box, {after_commit['opened']} "
+            "opened blocks from the store"
+        )
         for command in QUERIES:
             result = sealed.grep(command)
             if result.lines != grep_lines(command, lines):

@@ -25,15 +25,15 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Tuple
 
-from ..blockstore.block import LogBlock, split_lines
-from ..blockstore.index import ArchiveIndex, open_index
+from ..blockstore.block import split_lines
+from ..blockstore.index import ArchiveIndex, load_index, open_index
 from ..blockstore.store import ArchiveStore, MemoryStore
 from ..common.rowset import RowSet
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..query.admission import AdmissionQueue
 from ..query.aggregate import AggregateSpec, Bucket, NumericStats
-from ..query.cache import QueryCache, bump_generation
+from ..query.cache import QueryCache
 from ..query.executor import (
     BoxCache,
     ExecutionResult,
@@ -204,8 +204,8 @@ class LogGrep(AggregateShortcuts):
         self._box_cache = BoxCache(self.config.box_cache_capacity)
         # Load the prune-index sidecar once (rebuilding it for legacy
         # archives that predate it); compression keeps it current, and
-        # the executor's source re-reads it when a foreign writer bumps
-        # the archive generation.
+        # the executor's source re-reads it when a lifecycle rewrite
+        # bumps the archive generation.
         index = (
             self.prune_index
             if self.prune_index is not None
@@ -231,20 +231,22 @@ class LogGrep(AggregateShortcuts):
         tracer = get_tracer()
         start = time.perf_counter()
 
-        def on_commit(_name: str, _block: LogBlock, _data: bytes) -> None:
-            # Every commit advances the archive generation: whatever any
-            # handle derived from the bytes behind a block name (cached
-            # rows, boxes) is dropped on its next run.
-            bump_generation(self.store)
-
         # A foreign rewrite or append since the last query must not be
         # appended to (and persisted from) a stale prune index, and the
-        # new blocks continue after the archive's last one.
+        # new blocks continue after the archive's last one.  A commit
+        # only adds a block and bumps nothing, so a foreign append shows
+        # only as names the index lacks: its writer's sidecar has them.
         self._executor.sync_generation()
         source = self._executor.source
-        if len(source.index) != len(self.store.names()):
+        names = set(self.store.names())
+        if source.index.blocks.keys() != names:
+            index = load_index(self.store)
             # A lost or corrupt sidecar must not restart the ids at 0.
-            source.index = ArchiveIndex.build(self.store)
+            source.index = (
+                index
+                if index is not None and index.blocks.keys() == names
+                else ArchiveIndex.build(self.store)
+            )
         index = source.index
         block_id, line_id = index.next_ids()
         with tracer.span("compress") as cspan:
@@ -252,7 +254,6 @@ class LogGrep(AggregateShortcuts):
                 self.store,
                 self.config,
                 template_cache=self._template_cache,
-                on_commit=on_commit,
                 index=index,
             )
             try:

@@ -31,6 +31,11 @@ pool is ever created — a lone worker thread would add no throughput
 under the GIL, only hand-offs.  Back-pressure bounds the in-flight
 pipeline at twice the worker count, committing the oldest block when
 full, so a producer can never outrun compression without bound.
+
+A commit only ever adds a block: it refuses a name the store already
+holds (another writer appended since this one read the archive), so the
+bytes behind a committed name change only through a lifecycle rewrite,
+and caches keyed by block name survive every commit.
 """
 
 from __future__ import annotations
@@ -43,6 +48,8 @@ from typing import Callable, Deque, List, NamedTuple, Optional, Tuple, Union
 from ..blockstore.block import LogBlock, block_name
 from ..blockstore.index import ArchiveIndex, BlockSummary, save_index
 from ..blockstore.store import ArchiveStore
+from ..capsule.box import CapsuleBox
+from ..common.errors import CompressionError
 from ..obs.metrics import get_registry
 from ..obs.trace import Span, get_tracer
 from ..staticparse.cache import TemplateCache
@@ -59,13 +66,15 @@ _ENCODE_SECONDS = get_registry().histogram(
     "Per-block wall-clock of the encode+serialize stage",
 )
 
-#: Hook invoked after each block is persisted: (name, block, data).
-CommitHook = Callable[[str, LogBlock, bytes], None]
+#: Hook invoked after each block is persisted: (name, block, box), the
+#: box being the encoder's in-memory one (what the bytes deserialize to).
+CommitHook = Callable[[str, LogBlock, CapsuleBox], None]
 
-#: What the encode stage returns: serialized bytes + the block's
-#: prune-index summary + its wall-clock.  The summary is computed on the
-#: worker (it only walks stamps already in memory) so commit stays cheap.
-EncodeResult = Tuple[bytes, BlockSummary, float]
+#: What the encode stage returns: the encoded box, its serialized bytes,
+#: the block's prune-index summary and its wall-clock.  The summary is
+#: computed on the worker (it only walks stamps already in memory) so
+#: commit stays cheap.
+EncodeResult = Tuple[CapsuleBox, bytes, BlockSummary, float]
 
 
 class _Pending(NamedTuple):
@@ -172,7 +181,7 @@ class CompressionScheduler:
         with tracer.span("serialize", parent=parent):
             data = box.serialize()
         summary = BlockSummary.from_box(box, lines=block.lines)
-        return data, summary, time.perf_counter() - start
+        return box, data, summary, time.perf_counter() - start
 
     # ------------------------------------------------------------------
     # commit
@@ -181,9 +190,16 @@ class CompressionScheduler:
         pending = self._pending.popleft()
         result = pending.result
         if isinstance(result, Future):
-            data, summary, encode_seconds = result.result()
+            box, data, summary, encode_seconds = result.result()
         else:
-            data, summary, encode_seconds = result
+            box, data, summary, encode_seconds = result
+        if self.store.exists(pending.name):
+            # Another writer appended after this one read the archive;
+            # writing over its block would lose its lines.
+            raise CompressionError(
+                f"block {pending.name} already exists: another writer "
+                "appended to this archive"
+            )
         self.store.put(pending.name, data)
         if self.index is not None:
             self.index.add(pending.name, summary)
@@ -195,7 +211,7 @@ class CompressionScheduler:
         _PARSE_SECONDS.observe(pending.parse_seconds)
         _ENCODE_SECONDS.observe(encode_seconds)
         if self.on_commit is not None:
-            self.on_commit(pending.name, pending.block, data)
+            self.on_commit(pending.name, pending.block, box)
 
     @property
     def backlog(self) -> int:

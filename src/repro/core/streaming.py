@@ -54,11 +54,17 @@ Every reader of the stream shares one Query Cache, keyed like any
 other by ``(generation, box name, term)``.  A pending box's name
 fronts one content until its commit, and the buffer's name carries its
 tail version, so a tail count matches only the boxes that changed
-since the last count; every commit bumps the generation, which drops
-every entry.  The readers do not share a ``BoxCache``: each executor
-takes its generation baseline when it is built, so a shared box could
-outlive a foreign warm demote that rewrote its block under the same
-name.
+since the last count.  A commit only adds a block name — the scheduler
+refuses to write over one — so it bumps no generation, and the entries
+of every unchanged block survive it.  The stream also holds the box of
+its newest committed block (the encoder's, one at most) and serves it
+under the block's name, so the first count after a seal matches the
+new block without reading the store.  Only a lifecycle rewrite bumps
+the generation; a reader then stops serving a held box committed under
+an older one, and the stream folds the rewriter's sidecar into its
+prune index.  The readers do not share a ``BoxCache``: a shared box
+could outlive a foreign warm demote that rewrote its block under the
+same name.
 """
 
 from __future__ import annotations
@@ -69,14 +75,14 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..blockstore.block import LogBlock
-from ..blockstore.index import ArchiveIndex, open_index
+from ..blockstore.index import ArchiveIndex, load_index, open_index
 from ..blockstore.store import ArchiveStore, MemoryStore
 from ..capsule.box import CapsuleBox
 from ..common.tokenizer import tokenize
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..query.executor import StoreBoxSource
-from ..query.cache import QueryCache, bump_generation
+from ..query.cache import QueryCache, load_generation
 from ..staticparse.cache import TemplateCache
 from ..staticparse.matcher import TemplateMatcher
 from ..staticparse.parser import BlockParser, Group, ParsedBlock
@@ -161,6 +167,9 @@ class StreamingCompressor:
             raise ValueError("pipeline depth must be positive")
         self.pipeline_depth = pipeline_depth
         self.store = store if store is not None else MemoryStore()
+        # The generation the index reflects, read before it: a rewrite
+        # in between re-syncs (see _sync_index).
+        self._generation = load_generation(self.store)
         self._index = open_index(self.store)
         # One reentrant lock serializes everything the tail snapshot
         # depends on: the append buffer, the scheduler's pending deque
@@ -172,6 +181,9 @@ class StreamingCompressor:
         # and the buffer's latest version (``_buffer_name``).
         self._tail_boxes: Dict[str, CapsuleBox] = {}
         self._buffer_name = ""
+        # The newest committed block: (name, its box, the generation read
+        # before its commit).  Replaced at every commit.
+        self._held: Optional[Tuple[str, CapsuleBox, int]] = None
         # The Query Cache every reader shares (see the module docstring).
         self._fragments = QueryCache(self.config.cache_capacity)
         self._template_cache = TemplateCache()
@@ -267,19 +279,47 @@ class StreamingCompressor:
             with get_tracer().span(
                 "ingest.seal", block=block.block_id, lines=block.num_lines
             ):
+                self._sync_index()
                 self._scheduler.submit(block)
             # The ordered parse just merged the sealed block's templates
             # into the cache; future appends should match against them.
             self._refresh_tail_matcher()
 
-    def _on_commit(self, name: str, block: LogBlock, data: bytes) -> None:
-        # The block's lines are in the store now: its tail box is dead.
+    def _on_commit(self, name: str, block: LogBlock, box: CapsuleBox) -> None:
+        # The block's lines are in the store now: its tail box is dead,
+        # and the box just committed serves its name instead.  Every
+        # commit runs after a _sync_index, so _generation was read before
+        # the block was written: a rewrite of it bumps past that.
         with self._lock:
             self._tail_boxes.pop(_tail_name(block.block_id), None)
-        # The archive's block set changed: advance the persisted
-        # generation so query caches keyed on it (see
-        # repro/query/cache.py) cannot serve pre-commit row sets.
-        bump_generation(self.store)
+            self._held = (name, box, self._generation)
+            # Its shape too, so the block stays box-less warm (no
+            # LoadBox) once the next commit replaces the held box.
+            self._fragments.put_shape(
+                self._generation,
+                name,
+                tuple(group.num_entries for group in box.groups),
+            )
+
+    def _sync_index(self) -> int:
+        """Load the archive generation; when a lifecycle rewrite advanced
+        it, fold the rewriter's sidecar into the stream's prune index (a
+        cold merge reuses names for other lines) and drop the names it
+        merged away.  The index object is shared with the scheduler and
+        the readers, so it is updated in place.  Returns the generation.
+        """
+        with self._lock:
+            generation = load_generation(self.store)
+            if generation != self._generation:
+                self._generation = generation
+                fresh = load_index(self.store) or ArchiveIndex()
+                summaries = {**self._index.blocks, **fresh.blocks}
+                self._index.blocks = {
+                    name: summaries[name]
+                    for name in self.store.names()
+                    if name in summaries
+                }
+            return generation
 
     # ------------------------------------------------------------------
     # the hot tail
@@ -443,6 +483,9 @@ class StreamingCompressor:
         with self._lock:
             with get_tracer().span("ingest.flush"):
                 self._submit_block()
+                # A foreign rewrite since the last seal must be folded in
+                # before the drain persists the index as the sidecar.
+                self._sync_index()
                 self._scheduler.drain()
         elapsed = time.perf_counter() - self._start
         return CompressionReport(
@@ -472,7 +515,8 @@ class StreamingCompressor:
 
         Every reader shares the stream's Query Cache (not its
         ``BoxCache``), so ``clear_query_cache()`` on one clears it for
-        all of them.
+        all of them, and serves the stream's newest committed block
+        from the box the stream built for it.
         """
         reader = LogGrep(
             store=self.store,
@@ -480,12 +524,12 @@ class StreamingCompressor:
             prune_index=self._index,
             fragments=self._fragments,
         )
-        if tail:
-            # Re-point the reader's one executor: a second one would read
-            # the archive generation again.
-            reader.executor.source = _TailBoxSource(
-                self, reader._box_cache, self._index
-            )
+        # Re-point the reader's one executor (a second one would read the
+        # archive generation again), at the generation the stream's index
+        # reflects: a rewrite since then re-syncs at the first query.
+        reader.executor.source = _StreamBoxSource(
+            self, reader._box_cache, self._index, tail
+        )
         return reader
 
     def __enter__(self) -> "StreamingCompressor":
@@ -495,8 +539,9 @@ class StreamingCompressor:
         self.close()
 
 
-class _TailBoxSource(StoreBoxSource):
-    """Box source presenting ``sealed ∪ tail`` to the query executor.
+class _StreamBoxSource(StoreBoxSource):
+    """Box source of a stream's readers: the store's blocks, the
+    stream's newest committed box and, with ``tail``, ``sealed ∪ tail``.
 
     ``names()`` — the executor's once-per-query consistency point —
     takes one atomic tail snapshot: the sealed store listing plus one
@@ -504,7 +549,8 @@ class _TailBoxSource(StoreBoxSource):
     Tail names answer ``cached()`` with an in-memory box, which makes the
     plan's TimePrune/BlockFilter/LoadBox operators skip them without any
     special-casing; Match/Aggregate then run over their vectors like any
-    other block's.
+    other block's.  So does the held box of the newest committed block,
+    while the reader's generation is the one it was committed under.
     """
 
     def __init__(
@@ -512,14 +558,18 @@ class _TailBoxSource(StoreBoxSource):
         stream: StreamingCompressor,
         box_cache=None,
         index: Optional[ArchiveIndex] = None,
+        tail: bool = True,
     ):
-        super().__init__(stream.store, box_cache, index)
+        super().__init__(stream.store, box_cache, index, stream._generation)
         self._stream = stream
+        self._tail = tail
         # The latest few snapshots: concurrent queries may hold a few at
         # once, but only the latest few matter.
         self._snaps: List[TailSnapshot] = []
 
     def names(self) -> List[str]:
+        if not self._tail:
+            return super().names()
         snap = self._stream.tail_snapshot()
         self._snaps = self._snaps[-3:] + [snap]
         return snap.sealed_names + list(snap.tail_names)
@@ -528,7 +578,18 @@ class _TailBoxSource(StoreBoxSource):
         for snap in reversed(self._snaps):
             if name in snap.tail_names:
                 return self._stream._tail_box(snap, name)
+        held = self._stream._held
+        if held is not None and held[0] == name and held[2] == self.generation:
+            return held[1]
         return super().cached(name)
+
+    def invalidate(self) -> None:
+        """A lifecycle rewrite: drop the boxes, and share the stream's
+        prune index once it has folded in the rewriter's sidecar."""
+        if self.box_cache is not None:
+            self.box_cache.clear()
+        self._stream._sync_index()
+        self.index = self._stream._index
 
     def total_lines_hint(self) -> int:
         """Logical-clock extent including unsealed lines (timeseries)."""

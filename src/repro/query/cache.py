@@ -27,9 +27,12 @@ in row-set algebra: a COUNT touches neither the store nor the box.
 
 The **generation** is a monotonic counter persisted as an auxiliary blob
 next to the blocks, bumped by every writer that can change the bytes
-behind an existing block name: ``compress``/streaming commit, ``lifecycle
-demote`` to WARM (block-for-block rewrite, same names) and to COLD
-(merge-and-recompress, renumbered names).  The executor loads it once per run; a
+behind an existing block name: ``lifecycle demote`` to WARM
+(block-for-block rewrite, same names) and to COLD (merge-and-recompress,
+renumbered names).  A commit — batch ``compress`` or a streaming seal —
+only adds a name (the scheduler refuses to write over one), so it bumps
+nothing and the entries of every existing block stay valid.  The
+executor loads the generation once per run; a
 bumped generation makes every older row set unreachable by key, and
 :meth:`QueryCache.set_generation` drops them eagerly
 (``loggrep_query_cache_invalidations_total``).  Because invalidation
@@ -107,8 +110,9 @@ def bump_generation(store: object) -> int:
     """Advance the archive generation; returns the new value.
 
     Called by every writer that can change bytes behind an existing
-    block name (commit, warm rewrite, cold merge).  Best-effort on
-    stores without aux support — see :func:`load_generation`.
+    block name: the lifecycle's warm rewrite and cold merge.  A commit
+    only adds a name, so it does not call this.  Best-effort on stores
+    without aux support — see :func:`load_generation`.
     """
     gen = load_generation(store) + 1
     try:

@@ -211,10 +211,16 @@ class StoreBoxSource:
         store: object,
         box_cache: Optional[BoxCache] = None,
         index: Optional[ArchiveIndex] = None,
+        generation: Optional[int] = None,
     ):
         self.store = store
         self.box_cache = box_cache
         self.index = index
+        #: The archive generation the derived state (boxes, index)
+        #: reflects; the executor advances it when a rewrite bumps it.
+        self.generation = (
+            load_generation(store) if generation is None else generation
+        )
 
     def names(self) -> List[str]:
         return self.store.names()  # type: ignore[attr-defined]
@@ -368,20 +374,19 @@ class QueryExecutor:
         self.cache = (
             cache if cache is not None else QueryCache(config.cache_capacity)
         )
-        #: The archive generation the source's derived state reflects.
-        self._generation = load_generation(source.store)
 
     def sync_generation(self) -> int:
         """Load the archive generation — once per run.
 
-        When a writer (possibly another process's lifecycle demote)
+        When a lifecycle rewrite (possibly another process's demote)
         advanced it since this handle last looked, every block name may
         now front different bytes: cached row sets become unreachable by
-        key, and the source drops its boxes and prune index.
+        key, and the source drops its boxes and prune index.  A commit
+        only adds a block, so it advances nothing.
         """
         generation = load_generation(self.source.store)
-        if generation != self._generation:
-            self._generation = generation
+        if generation != self.source.generation:
+            self.source.generation = generation
             self.source.invalidate()
         self.cache.set_generation(generation)
         return generation

@@ -8,24 +8,34 @@ The invariants under test:
 * tail-inclusive grep results are byte-for-byte identical to running
   the same grep after ``flush()`` (same lines, same line ids);
 * the property holds for any append/seal interleaving (hypothesis) and
-  under concurrent append from another thread.
+  under concurrent append from another thread;
+* a commit only adds a block: the next count matches only what changed
+  and reads nothing from the store, a foreign rewrite still answers
+  exactly, and a stream never writes over another writer's block.
 """
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import make_mixed_lines
-from repro.baselines.evalutil import line_matches
-from repro.blockstore.store import MemoryStore
+from repro.baselines.evalutil import grep_lines, line_matches
+from repro.blockstore.block import block_name
+from repro.blockstore.store import ArchiveStore, MemoryStore
+from repro.capsule.box import CapsuleBox
+from repro.common.errors import CompressionError
 from repro.core import compressor as compressor_module
 from repro.core import streaming as streaming_module
 from repro.core.config import LogGrepConfig
+from repro.core.lifecycle import LifecycleManager, Tier
+from repro.core.loggrep import LogGrep
 from repro.core.streaming import StreamingCompressor
 from repro.obs.metrics import get_registry
 from repro.obs.trace import tracing
@@ -571,3 +581,195 @@ class TestPendingBoxAfterCommit:
             assert stream.open_reader(tail=True).count("ERR") == len(lines)
         finally:
             stream.close()
+
+
+def _spy_opens(monkeypatch):
+    """Every ``CapsuleBox.open`` (a block read from the store)."""
+    opened = []
+    real = CapsuleBox.open
+
+    def spy(cls, source):
+        opened.append(source)
+        return real(source)
+
+    monkeypatch.setattr(CapsuleBox, "open", classmethod(spy))
+    return opened
+
+
+def _seal_one(stream, lines, fed):
+    """Append from *lines*[fed:] until exactly one more block commits;
+    the line that sealed it opens the buffer.  Returns the new *fed*."""
+    committed = stream.blocks
+    while stream.blocks == committed:
+        stream.append(lines[fed])
+        fed += 1
+    assert stream.blocks == committed + 1 and stream.backlog == 0
+    return fed
+
+
+class TestCommitAddsOnlyABlock:
+    """A commit bumps no generation: the first count after it matches
+    only the block it added (served from the box the stream just built)
+    and the buffer, and opens nothing from the store."""
+
+    COMMANDS = ("EV AND ERR", "gc", "EV NOT read")
+
+    def _warm(self, stream, lines, fed):
+        for _ in range(2):
+            for command in self.COMMANDS:
+                count = stream.open_reader(tail=True).count(command)
+                assert count == _oracle(command, lines[:fed])
+
+    def test_first_count_after_a_seal(self, monkeypatch):
+        lines = _event_lines(300, seed=21)
+        stream = _stream(1)
+        try:
+            fed = 120
+            stream.extend(lines[:fed])
+            self._warm(stream, lines, fed)
+            for _ in range(3):
+                fed = _seal_one(stream, lines, fed)
+                stream.append(lines[fed])
+                fed += 1
+                new_block = stream.blocks - 1
+                matched = TestSharedQueryCache._spy_matches(monkeypatch)
+                opened = _spy_opens(monkeypatch)
+                for command in self.COMMANDS:
+                    count = stream.open_reader(tail=True).count(command)
+                    assert count == _oracle(command, lines[:fed])
+                # The buffer seals as the next block id.
+                assert {block_id for block_id, _, _ in matched} == {
+                    new_block, new_block + 1,
+                }
+                assert opened == []
+                monkeypatch.undo()
+        finally:
+            stream.close()
+
+    def test_first_count_after_a_flush_at_depth2(self, monkeypatch):
+        lines = _event_lines(300, seed=22)
+        stream = _stream(2)
+        try:
+            fed = 150
+            stream.extend(lines[:fed])
+            stream.flush()
+            self._warm(stream, lines, fed)
+            for _ in range(3):
+                # Under a block's worth, so the flush commits one block.
+                stream.extend(lines[fed : fed + 5])
+                fed += 5
+                self._warm(stream, lines, fed)
+                committed = stream.blocks
+                stream.flush()
+                assert stream.blocks == committed + 1
+                matched = TestSharedQueryCache._spy_matches(monkeypatch)
+                opened = _spy_opens(monkeypatch)
+                for command in self.COMMANDS:
+                    count = stream.open_reader(tail=True).count(command)
+                    assert count == _oracle(command, lines[:fed])
+                assert {block_id for block_id, _, _ in matched} == {
+                    stream.blocks - 1
+                }
+                assert opened == []
+                monkeypatch.undo()
+        finally:
+            stream.close()
+
+    def test_stream_holds_one_committed_box(self):
+        lines = _event_lines(200, seed=23)
+        stream = _stream(1)
+        try:
+            fed = _seal_one(stream, lines, 0)
+            name, box, _ = stream._held
+            assert name == block_name(stream.blocks - 1)
+            previous = weakref.ref(box)
+            del box
+            for _ in range(3):
+                fed = _seal_one(stream, lines, fed)
+                assert stream.open_reader(tail=True).count("EV") == fed
+                gc.collect()
+                # The last commit's box replaced the one before it.
+                assert previous() is None
+                name, box, _ = stream._held
+                assert name == block_name(stream.blocks - 1)
+                previous = weakref.ref(box)
+                del box
+        finally:
+            stream.close()
+
+    @pytest.mark.parametrize("tier", [Tier.WARM, Tier.COLD], ids=["warm", "cold"])
+    def test_foreign_demote_between_counts(self, tier):
+        """A rewrite the stream did not make: the held box is not served
+        under the bumped generation, a cold merge's reused names get
+        their new summaries, and every answer equals the raw lines."""
+        # No upper case in the first blocks but one line of the second: a
+        # cold merge moves it under the first block's name, whose
+        # pre-merge summary would prune it.
+        lines = [f"t{1000 + i} bk.{i % 256:02x}.{i % 20} read" for i in range(60)]
+        lines[30] = "t1030 ERROR QQneedleQQ"
+        lines += _event_lines(340, seed=24)
+        stream = _stream(1)
+        commands = ("QQneedleQQ", "read", "EV AND ERR", "gc", "EV NOT read")
+
+        def check(reader, fed):
+            for command in commands:
+                want = grep_lines(command, lines[:fed])
+                assert reader.count(command) == len(want), command
+                assert reader.grep(command).lines == want, command
+                fresh = stream.open_reader(tail=True)
+                assert fresh.count(command) == len(want), command
+                assert fresh.grep(command).lines == want, command
+
+        try:
+            stream.extend(lines[:150])
+            assert stream.blocks > 4
+            fed = _seal_one(stream, lines, 150)
+            stream.extend(lines[fed : fed + 3])
+            fed += 3
+            held = stream.open_reader(tail=True)
+            check(held, fed)
+            assert stream._held is not None
+            LifecycleManager(stream.store, stream.config).demote(tier)
+            check(held, fed)
+            for _ in range(2):
+                fed = _seal_one(stream, lines, fed)
+                check(held, fed)
+            stream.flush()
+            check(held, fed)
+        finally:
+            stream.close()
+        archive = LogGrep(store=stream.store, config=stream.config)
+        for command in commands:
+            assert archive.grep(command).lines == grep_lines(command, lines[:fed])
+
+
+class TestStreamRefusesForeignBlocks:
+    """A stream opened before another writer appended must not write over
+    that writer's blocks: the commit raises and the store keeps them."""
+
+    @pytest.mark.parametrize("depth", [1, 2], ids=["depth1", "depth2"])
+    def test_commit_over_a_foreign_block_raises(self, tmp_path, depth):
+        config = LogGrepConfig(block_bytes=4096)
+        store = ArchiveStore(str(tmp_path))
+        alpha = [f"EV {i:04d} alpha" for i in range(50)]
+        beta = [f"EV {i:04d} beta payload {i % 17}" for i in range(200)]
+        LogGrep(store=store, config=config).compress(alpha)
+        assert len(store.names()) == 1
+        stream = StreamingCompressor(
+            store=store, config=config, pipeline_depth=depth
+        )
+        LogGrep(store=store, config=config).compress(beta)
+        foreign = {name: store.get(name) for name in store.names()}
+        assert len(foreign) == 3
+        with pytest.raises(CompressionError, match=block_name(1)):
+            try:
+                stream.extend(f"EV {i:04d} gamma" for i in range(200))
+            finally:
+                stream.close()
+        assert {name: store.get(name) for name in store.names()} == foreign
+        archive = LogGrep(store=store, config=config)
+        assert archive.total_lines() == len(alpha) + len(beta)
+        for command in ("beta", "alpha", "EV AND payload"):
+            assert archive.grep(command).lines == grep_lines(
+                command, alpha + beta
+            )

@@ -5,8 +5,11 @@ import calendar
 
 import pytest
 
+from repro.baselines.evalutil import grep_lines
 from repro.blockstore.index import ArchiveIndex, BlockSummary
 from repro.blockstore.remote import RemoteStore
+from repro.blockstore.store import MemoryStore
+from repro.capsule.box import CapsuleBox
 from repro.cluster import ClusterLogGrep
 from repro.common.timeparse import (
     extract_timestamp,
@@ -160,3 +163,41 @@ class TestTimeWindowPruning:
                 "ERROR", **window
             ).lines
             assert c.count("ERROR", **window) == single.count("ERROR", **window)
+
+
+class TestAppendFromTwoHandles:
+    def test_foreign_append_reloads_the_sidecar(self, monkeypatch):
+        """A commit bumps nothing, so a handle learns of another handle's
+        append from the names its index lacks: it reloads the sidecar,
+        which has them with their time ranges, and opens no block."""
+        corpus = timed_corpus(1200)
+        store = MemoryStore()
+        first = LogGrep(store=store, config=CONFIG)
+        second = LogGrep(store=store, config=CONFIG)
+        reads = []
+        real_get, real_open = store.get, CapsuleBox.open
+        monkeypatch.setattr(
+            store, "get", lambda name: reads.append(name) or real_get(name)
+        )
+        monkeypatch.setattr(
+            CapsuleBox,
+            "open",
+            classmethod(lambda cls, source: reads.append(source) or real_open(source)),
+        )
+        first.compress(corpus[:400])
+        first_blocks = len(store.names())
+        for handle, part in ((second, corpus[400:800]), (first, corpus[800:])):
+            del reads[:]
+            handle.compress(part)
+            assert reads == []
+        # 00:13:20 on: only blocks of the last append can hold a match.
+        window = epoch("00:13:20")
+        for handle in (first, second):
+            for command in ("ERROR", "state: SUC#1642"):
+                assert handle.grep(command).lines == grep_lines(command, corpus)
+        result = second.grep("ERROR", from_time=window)
+        assert result.stats.blocks_time_pruned >= first_blocks
+        assert result.lines == [
+            line for line in grep_lines("ERROR", corpus)
+            if extract_timestamp(line) >= window
+        ]
