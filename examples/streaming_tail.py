@@ -3,17 +3,20 @@ and commit, and while a foreign demote rewrites the sealed blocks.
 
 A ``StreamingCompressor`` makes every appended line queryable at once
 through ``open_reader(tail=True)``, and all of a stream's readers share
-one Query Cache.  At 8 KiB blocks a block seals every ~90 Log A lines,
-so commits interleave with the tail queries.  A commit only adds a
-block, so the cached entries of every other block survive it, and the
-first count after it takes the new block from the box the stream just
-built instead of opening it from the store.  Between two query rounds
-a separate ``LifecycleManager`` demotes the sealed blocks to the warm
-tier: that rewrite bumps the archive generation, and the readers drop
-what they derived from the old bytes.  The run also flushes mid-stream
-and then appends a second stream onto the same archive, whose block ids
-continue after the first stream's.  Every count and grep is checked
-against grep over the raw lines appended so far.
+one Query Cache.  Counts and greps scan the unsealed lines as text
+(needles, a wildcard, an ``or`` and an ignore-case query); a
+``count_by`` over the tail builds its boxes on demand and must equal the
+same aggregate after the flush.  At 8 KiB blocks a block seals every ~90
+Log A lines, so commits interleave with the tail queries.  A commit only
+adds a block, so the cached entries of every other block survive it, and
+the first count after it takes the new block from the box the stream
+just built instead of opening it from the store.  Between two query
+rounds a separate ``LifecycleManager`` demotes the sealed blocks to the
+warm tier: that rewrite bumps the archive generation, and the readers
+drop what they derived from the old bytes.  The run also flushes
+mid-stream and then appends a second stream onto the same archive, whose
+block ids continue after the first stream's.  Every count and grep is
+checked against grep over the raw lines appended so far.
 
 Run with::
 
@@ -21,8 +24,8 @@ Run with::
     LOGGREP_COMPRESS_PARALLELISM=4 python examples/streaming_tail.py
 
 By default the stream seals each block on the appending thread; with a
-parallelism of 2 or more it encodes on a worker pool, so the counts also
-span pending blocks' in-memory boxes.
+parallelism of 2 or more it encodes on a worker pool, so the tail also
+spans pending blocks.
 
 It exits non-zero if any answer differs from the raw-line grep.
 """
@@ -38,11 +41,17 @@ from repro.obs.metrics import get_registry
 from repro.query.cache import load_generation
 from repro.workloads import spec_by_name
 
+#: (command, ignore_case) pairs.
 QUERIES = [
-    "ERROR",
-    "state:REQ_ST_CLOSED and code:20012",
-    "accept conn NOT reqId:CFF6",
+    ("ERROR", False),
+    ("state:REQ_ST_CLOSED and code:20012", False),
+    ("accept conn NOT reqId:CFF6", False),
+    ("st?te:REQ_ST_C* and code:200*", False),
+    ("ERROR or state:REQ_ST_ABORT", False),
+    ("error", True),
 ]
+#: The field the tail aggregate counts by.
+FIELD = "state"
 #: Lines between two rounds of tail queries: under a block's ~90, so
 #: most rounds see the buffer grown in place and some see it sealed.
 EVERY = 40
@@ -55,28 +64,38 @@ def check_stream(stream, appended, lines, wrong, after_commit, demote_at=None):
     """Append *lines* to *stream*, querying the tail every EVERY lines;
     returns how many answers were checked.  The first count of a round
     that follows a commit is tallied in *after_commit* by whether it
-    opened any block from the store.  After the round at *demote_at*
-    lines, a separate lifecycle manager demotes the sealed blocks."""
+    opened any block from the store.  Midway, a ``count_by`` over the
+    tail is checked against the same aggregate after a flush.  After the
+    round at *demote_at* lines, a separate lifecycle manager demotes the
+    sealed blocks."""
     checked = 0
     committed = stream.blocks
     for i, line in enumerate(lines, 1):
         stream.append(line)
         appended.append(line)
         if i == len(lines) // 2:
+            tail_counts = stream.open_reader(tail=True).count_by(FIELD)
             stream.flush()  # seals the partial block early
+            sealed_counts = stream.open_reader().count_by(FIELD)
+            checked += 1
+            if not tail_counts or tail_counts != sealed_counts:
+                wrong.append(
+                    f"count_by({FIELD!r}) after {len(appended)} lines: tail "
+                    f"{dict(tail_counts)}, after flush {dict(sealed_counts)}"
+                )
         if i % EVERY and i != len(lines):
             continue
-        for command in QUERIES:
-            expected = grep_lines(command, appended)
+        for command, ignore_case in QUERIES:
+            expected = grep_lines(command, appended, ignore_case)
             # A new reader per query, as a dashboard polling the tail
             # would open: they all share the stream's Query Cache.
             reader = stream.open_reader(tail=True)
             opened = OPENED.value()
-            count = reader.count(command)
+            count = reader.count(command, ignore_case)
             if stream.blocks != committed:
                 committed = stream.blocks
                 after_commit["opened" if OPENED.value() > opened else "held"] += 1
-            result = reader.grep(command)
+            result = reader.grep(command, ignore_case)
             checked += 2
             if count != len(expected) or result.lines != expected:
                 wrong.append(
@@ -124,9 +143,9 @@ def main() -> int:
             f"new block from the stream's held box, {after_commit['opened']} "
             "opened blocks from the store"
         )
-        for command in QUERIES:
-            result = sealed.grep(command)
-            if result.lines != grep_lines(command, lines):
+        for command, ignore_case in QUERIES:
+            result = sealed.grep(command, ignore_case)
+            if result.lines != grep_lines(command, lines, ignore_case):
                 wrong.append(f"{command!r} over the sealed archive")
         if sealed.total_lines() != len(lines):
             wrong.append(f"total_lines {sealed.total_lines()} != {len(lines)}")

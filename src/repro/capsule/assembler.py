@@ -9,9 +9,8 @@ kind:
 * **nominal** vectors become a dictionary Capsule (unique values grouped by
   merged pattern, each region padded to its own width) and an index Capsule
   of fixed-width decimal indices;
-* **plain** vectors (LogGrep-SP, the `w/o real`/`w/o nomi` ablations and
-  the hot tail's ``scan_only`` boxes) are stored whole with a
-  vector-level stamp — §2.2's "first attempt".
+* **plain** vectors (LogGrep-SP and the `w/o real`/`w/o nomi` ablations)
+  are stored whole with a vector-level stamp — §2.2's "first attempt".
 
 Extraction quality is a performance matter only: if a pattern covers too
 few values the Assembler falls back to the trivial pattern, and individual
@@ -55,11 +54,6 @@ class EncodingOptions:
     #: Speed-tier codec margin (keep zlib unless LZMA's ratio edge
     #: exceeds ``ZLIB_MARGIN``); see ``capsule._choose_codec``.
     codec_speed_tier: bool = False
-    #: The hot tail's mode: its boxes are scanned, never stored or
-    #: pruned, so every vector is plain, every Capsule raw (no codec) and
-    #: every stamp permissive (no character-class scan; a permissive
-    #: stamp admits everything, so it can never cause a wrong skip).
-    scan_only: bool = False
 
 
 @dataclass
@@ -125,8 +119,6 @@ def encode_vector(
     compressor does, under its ``classify`` span) skip re-classification.
     """
     options = options or EncodingOptions()
-    if options.scan_only:
-        return encode_plain(values, options)
     if kind is None:
         kind = classify(values, options.duplication_threshold)
     if kind is VectorKind.REAL and options.use_real_patterns:
@@ -222,13 +214,9 @@ def _encode_nominal(
 
 
 def _codec(options: EncodingOptions) -> CodecRequest:
-    if options.scan_only:
-        return CodecRequest.RAW
     return CodecRequest.SPEED if options.codec_speed_tier else CodecRequest.SMALLEST
 
 
 def _pack(values: Sequence[str], options: EncodingOptions) -> Capsule:
-    # None makes the packer scan the values for their stamp.
-    stamp = CapsuleStamp.permissive() if options.scan_only else None
     pack = Capsule.pack_fixed if options.use_padding else Capsule.pack_variable
-    return pack(values, options.preset, stamp, codec=_codec(options))
+    return pack(values, options.preset, codec=_codec(options))

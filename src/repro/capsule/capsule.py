@@ -99,7 +99,6 @@ class CodecRequest(Enum):
 
     SMALLEST = "smallest"  # the size-keyed rule, keeping the smaller payload
     SPEED = "speed"  # the same rule with zlib's ZLIB_MARGIN (codec_speed_tier)
-    RAW = "raw"  # no codec: the hot tail's scan-only boxes, never stored
 
 
 #: Size bands of the codec rule.  Measured on the Capsule buffers of the
@@ -591,13 +590,7 @@ def _encode(
     """The stored codec, form and payload of *buf* under the request
     *codec*: the buffer is packed into its form (:func:`_pack_form`) and
     the codec rule runs once, on the packed bytes.
-
-    ``RAW`` never enters the codec rule: the hot tail wants its bytes
-    queryable *now* and never stores them, so neither the encode nor the
-    Match that follows pays for a codec — or for a form.
     """
-    if codec is CodecRequest.RAW:
-        return CODEC_RAW, FORM_ASCII, buf
     form, packed = _pack_form(buf)
     stored, payload = _choose_codec(packed, preset, codec is CodecRequest.SPEED)
     labels = {"codec": CODEC_NAMES[stored], "form": FORM_NAMES[form & ~FORM_ODD]}

@@ -17,7 +17,7 @@ cluster nodes, tests) keeps using.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..blockstore.block import LogBlock
 from ..capsule.assembler import encode_vector
@@ -62,7 +62,6 @@ def encode_parsed(
     parsed: ParsedBlock,
     config: LogGrepConfig,
     parent: Optional[Span] = None,
-    scan_only: bool = False,
 ) -> CapsuleBox:
     """Classify, encapsulate and pack a parsed block (the pure stage).
 
@@ -70,23 +69,16 @@ def encode_parsed(
     so the scheduler may run it on any worker thread and the output
     bytes stay independent of scheduling.  ``parent`` attaches the stage
     spans to the right node when running off the main thread.
-    ``scan_only`` is the hot tail's mode (see ``EncodingOptions``): only
-    ``StreamingCompressor`` sets it, for boxes that are never stored.
-    It skips classification: every vector is stored plain.
     """
     tracer = get_tracer()
-    # Every scan-only vector is stored plain: a kind would be thrown
-    # away, so none is computed (and no ``classify`` span is emitted).
-    kinds: Optional[List[List[VectorKind]]] = None
-    if not scan_only:
-        with tracer.span("classify", parent=parent):
-            kinds = [
-                [
-                    classify(vector, config.duplication_threshold)
-                    for vector in group.variable_vectors
-                ]
-                for group in parsed.groups
+    with tracer.span("classify", parent=parent):
+        kinds = [
+            [
+                classify(vector, config.duplication_threshold)
+                for vector in group.variable_vectors
             ]
+            for group in parsed.groups
+        ]
 
     groups = []
     for group_idx, group in enumerate(parsed.groups):
@@ -95,17 +87,16 @@ def encode_parsed(
             # A distinct deterministic seed per vector keeps delimiter
             # probing independent across vectors but reproducible.
             seed = _vector_seed(config.seed, block.block_id, group_idx, var_idx)
-            options = config.encoding_options(seed, scan_only)
-            kind = None if kinds is None else kinds[group_idx][var_idx]
+            options = config.encoding_options(seed)
+            kind = kinds[group_idx][var_idx]
             uses_patterns = (
                 kind is VectorKind.REAL and options.use_real_patterns
             ) or (kind is VectorKind.NOMINAL and options.use_nominal_patterns)
-            kind_name = "plain" if kind is None else kind.value
             with tracer.span(
                 "encode",
                 parent=parent,
-                kind=kind_name,
-                bucket=kind_name if uses_patterns else "plain",
+                kind=kind.value,
+                bucket=kind.value if uses_patterns else "plain",
                 values=len(vector),
             ):
                 vectors.append(encode_vector(vector, options, kind=kind))

@@ -101,9 +101,7 @@ class LogGrepConfig:
     max_read_bytes: Optional[int] = field(default_factory=_default_max_read_bytes)
     max_decoded_values: Optional[int] = field(default_factory=_default_max_decoded_values)
 
-    def encoding_options(
-        self, seed: Optional[int] = None, scan_only: bool = False
-    ) -> EncodingOptions:
+    def encoding_options(self, seed: Optional[int] = None) -> EncodingOptions:
         return EncodingOptions(
             use_real_patterns=self.use_real_patterns,
             use_nominal_patterns=self.use_nominal_patterns,
@@ -113,7 +111,6 @@ class LogGrepConfig:
             preset=self.preset,
             seed=self.seed if seed is None else seed,
             codec_speed_tier=self.codec_speed_tier,
-            scan_only=scan_only,
         )
 
     def query_settings(self) -> QuerySettings:

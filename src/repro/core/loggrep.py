@@ -31,7 +31,6 @@ from ..blockstore.store import ArchiveStore, MemoryStore
 from ..common.rowset import RowSet
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
-from ..query.admission import AdmissionQueue
 from ..query.aggregate import AggregateSpec, Bucket, NumericStats
 from ..query.cache import QueryCache
 from ..query.executor import (
@@ -460,16 +459,6 @@ class LogGrep(AggregateShortcuts):
                 )
             )
         return out
-
-    def admission_queue(
-        self, window_s: float = 0.002, max_batch: int = 64
-    ) -> AdmissionQueue:
-        """A coalescing front door over this archive: plans submitted
-        within *window_s* of each other run as one block pass.
-        Callers own the queue (``close()`` it when done)."""
-        return AdmissionQueue(
-            self._executor.run_plans, window_s=window_s, max_batch=max_batch
-        )
 
     # ------------------------------------------------------------------
     # aggregation (pushdown: executed as the Aggregate pipeline operator)

@@ -24,11 +24,28 @@ resolved on *alive* is exact on *alive* only; the executor's Match memo
 and the Query Cache keep that coverage next to the rows.
 
 Capsule decisions are counted here and nowhere else (``_search_var``).
+
+Lines that were never encoded — a stream's hot tail — are located by
+:func:`text_rows`, one text scan per search string under the same token
+model, folded by the same :func:`fold_disjuncts`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+import re
+from bisect import bisect_right
+from itertools import accumulate
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Pattern,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..capsule.box import CapsuleBox, GroupBox
 from ..common.rowset import RowSet
@@ -250,6 +267,64 @@ def _const_matches(token: str, keyword: Keyword, mode: MatchMode) -> bool:
     if mode is MatchMode.SUFFIX:
         return token.endswith(text)
     return text in token
+
+
+# ----------------------------------------------------------------------
+# raw text
+# ----------------------------------------------------------------------
+def text_rows(plan: QueryPlan, lines: Sequence[str]) -> GroupRows:
+    """Locate *plan* over raw *lines*, as one group of ``len(lines)``
+    rows.
+
+    One space is the token model's only delimiter, so a literal search
+    string matches a line exactly where its text occurs in it: ``"a b"``
+    occurs only as a suffix of one token, a space and a prefix of the
+    next, which is what the engine checks.  A wildcard search string is
+    one regex over the same text (``*`` → ``[^ \\n]*``, ``?`` →
+    ``[^ \\n]``), and ``ignore_case`` adds ``re.IGNORECASE``.  Each term
+    is one ``str.find`` / ``re.search`` walk over the lines joined by
+    ``\\n``; a hit maps to its row by bisection over the line starts
+    and the walk resumes at the next line.
+    """
+    text = "\n".join(lines)
+    starts = [0, *accumulate(len(line) + 1 for line in lines)]
+    last = len(lines) - 1
+
+    def resolve(search: SearchString, alive: Optional[GroupRows]) -> GroupRows:
+        if "\n" in search.text:  # a line holds no newline
+            return {}
+        rows = RowSet.empty(len(lines))
+        if any(keyword.needs_regex for keyword in search.keywords):
+            regex = _text_regex(search)
+
+            def find(pos: int) -> int:
+                hit = regex.search(text, pos)
+                return -1 if hit is None else hit.start()
+
+        else:
+            needle = search.text
+
+            def find(pos: int) -> int:
+                return text.find(needle, pos)
+
+        pos = find(0)
+        while pos >= 0:
+            row = bisect_right(starts, pos) - 1
+            rows.add(row)
+            if row == last:
+                break
+            pos = find(starts[row + 1])
+        return {0: rows} if rows else {}
+
+    return fold_disjuncts(plan, resolve, lambda: shape_rows((len(lines),)))
+
+
+def _text_regex(search: SearchString) -> Pattern:
+    body = "".join(
+        "[^ \n]*" if ch == "*" else "[^ \n]" if ch == "?" else re.escape(ch)
+        for ch in search.text
+    )
+    return re.compile(body, re.IGNORECASE if search.ignore_case else 0)
 
 
 # ----------------------------------------------------------------------

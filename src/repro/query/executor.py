@@ -86,6 +86,7 @@ from typing import (
 )
 
 from ..blockstore.blobsource import BlobSource, StoreBlobSource
+from ..blockstore.block import LogBlock
 from ..blockstore.index import ArchiveIndex, BlockSummary, load_index
 from ..capsule.box import CapsuleBox
 from ..common.errors import BudgetExceeded
@@ -94,7 +95,14 @@ from ..obs.trace import get_tracer
 from .aggregate import AggregatePartial, AggregateSpec, make_partial
 from .blockfilter import summary_might_match
 from .cache import QueryCache, TermEntry, covered_rows, load_generation, widen
-from .engine import BlockEngine, GroupRows, Resolver, fold_disjuncts, shape_rows
+from .engine import (
+    BlockEngine,
+    GroupRows,
+    Resolver,
+    fold_disjuncts,
+    shape_rows,
+    text_rows,
+)
 from .language import QueryCommand, SearchString
 from .modes import AggregateKind
 from .plan import OutputMode, QueryPlan, build_plan
@@ -201,9 +209,10 @@ class StoreBoxSource:
 
     The executor needs four things from storage: the block names, a
     possibly-pinned deserialized box, a :class:`BlobSource` of ranged
-    reads over one block, and the block's prune-index summary.  Anything
-    that provides those — a local store, a cluster node's replica store —
-    can sit behind the same pipeline.
+    reads over one block, and the block's prune-index summary (a
+    stream's source adds the raw lines of its unencoded tail blocks).
+    Anything that provides those — a local store, a cluster node's
+    replica store — can sit behind the same pipeline.
     """
 
     def __init__(
@@ -239,6 +248,11 @@ class StoreBoxSource:
         if self.box_cache is None:
             return None
         return self.box_cache.get(name)
+
+    def tail_block(self, name: str) -> Optional[LogBlock]:
+        """The raw lines behind *name* when it names a block that was
+        never encoded (a stream's hot tail), else None."""
+        return None
 
     def invalidate(self) -> None:
         """The archive was rewritten under this handle: drop everything
@@ -649,13 +663,25 @@ class QueryExecutor:
         for outcome in outcomes:
             outcome.stats.blocks_visited += 1
         done = BlockPass(outcomes)
+        cache = self.cache if self.config.use_query_cache else None
+        live = list(range(len(plans)))
+        tail = self.source.tail_block(name)
+        if tail is not None:
+            # -- a tail block is raw text: COUNT/LINES/ANALYZE plans scan
+            # it, the rest run over the box the source builds for them.
+            # Its rows never enter the Query Cache.
+            cache = None
+            live = [
+                i for i in live
+                if not self._scan_text(tail, plans[i], outcomes[i], ledgers[i])
+            ]
+            if not live:
+                return done
         box = self.source.cached(name)
         if self.source.box_cache is not None:
             shared.charge_box_cache(box is not None)
         if settings is None:
             settings = self._settings()
-        cache = self.cache if self.config.use_query_cache else None
-        live = list(range(len(plans)))
         if box is None:
             live = self._prune(name, plans, outcomes, shared, settings)
             if not live:
@@ -783,6 +809,32 @@ class QueryExecutor:
             self._finish(plan, outcome, hits, box, engine, ledger)
         return done
 
+    def _scan_text(
+        self,
+        block: LogBlock,
+        plan: QueryPlan,
+        outcome: BlockOutcome,
+        ledger: QueryLedger,
+    ) -> bool:
+        """Answer a COUNT, LINES or ANALYZE plan over *block*'s raw lines
+        (:func:`~repro.query.engine.text_rows`); False for any other
+        plan, which needs a box."""
+        if plan.aggregate is not None or plan.mode not in (
+            OutputMode.COUNT, OutputMode.LINES, OutputMode.ANALYZE,
+        ):
+            return False
+        scope = ledger.operator("locate", outcome.stats)
+        with get_tracer().span("scan_text", lines=block.num_lines), scope:
+            hits = text_rows(plan, block.lines)
+        outcome.count = sum(len(rows) for rows in hits.values())
+        if plan.mode is not OutputMode.COUNT:
+            outcome.entries = [
+                (block.first_line_id + row, block.lines[row])
+                for rows in hits.values()
+                for row in rows
+            ]
+        return True
+
     def _prune(
         self,
         name: str,
@@ -793,8 +845,8 @@ class QueryExecutor:
     ) -> List[int]:
         """TimePrune + BlockFilter of one uncached block for every plan,
         both decided on the block's prune-index summary — zero store
-        reads.  A block without a summary (a hot-tail block, or an index
-        turned off) is never pruned.
+        reads.  A block without a summary (an index turned off) is never
+        pruned.
 
         Returns the indices of the surviving plans.
         """

@@ -22,13 +22,13 @@ coordinator both execute the *same* plan instead of re-parsing the raw
 command per block.
 
 Plans are also agnostic to where a block's bytes live.  The streaming
-hot tail exploits this: its reader lists **in-memory tail blocks**
+hot tail exploits this: its reader lists **unencoded tail blocks**
 (``tail-*.lgcb``, one per uncommitted block plus the append buffer)
 after the sealed ``block-*`` names, and the executor runs the same plan
-over them — the prune operators are skipped because the boxes are
-already cached (pruning exists to avoid reads the tail never performs),
-while Locate/Match/Aggregate treat them like any committed block.  Nothing in
-this module knows about the tail; that is the point.
+over them — COUNT/LINES/ANALYZE plans as one text scan of their lines,
+folded by the same disjunct fold, and every other plan over a box built
+on demand, which the prune operators skip because it is already open.
+Nothing in this module knows about the tail; that is the point.
 """
 
 from __future__ import annotations

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blockstore.block import LogBlock
-from repro.capsule import assembler
 from repro.capsule.assembler import (
     EncodingOptions,
     NominalEncodedVector,
@@ -15,9 +14,7 @@ from repro.capsule.assembler import (
     encode_vector,
 )
 from repro.capsule.box import CapsuleBox
-from repro.capsule.capsule import CODEC_RAW
 from repro.capsule.stamp import CapsuleStamp
-from repro.common import chartypes
 from repro.core.compressor import compress_block
 from repro.core.config import LogGrepConfig
 from repro.core.reconstructor import BlockReconstructor
@@ -83,26 +80,6 @@ class TestEncodeNominal:
     def test_unpadded_layout(self):
         values = ["x"] * 30 + ["yy"] * 30
         encoded = encode_vector(values, EncodingOptions(use_padding=False))
-        assert decode_all(encoded) == values
-
-    @pytest.mark.parametrize("padded", [True, False])
-    def test_scan_only_scans_no_capsule(self, monkeypatch, padded):
-        # A nominal vector in the hot tail's mode: no pattern extraction,
-        # no character-class scan, no codec — one raw plain Capsule with
-        # a permissive stamp that still decodes to the values.
-        values = ["ERR#404"] * 40 + ["SUCC"] * 50 + ["ERR#501"] * 30
-
-        def forbidden(*args):
-            raise AssertionError("scan_only extracted or scanned")
-
-        monkeypatch.setattr(assembler, "extract_nominal", forbidden)
-        monkeypatch.setattr(chartypes, "type_mask", forbidden)
-        encoded = encode_vector(
-            values, EncodingOptions(scan_only=True, use_padding=padded)
-        )
-        assert isinstance(encoded, PlainEncodedVector)
-        assert encoded.capsule.stamp == CapsuleStamp.permissive()
-        assert encoded.capsule.codec == CODEC_RAW
         assert decode_all(encoded) == values
 
     @pytest.mark.parametrize("padded", [True, False])

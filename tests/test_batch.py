@@ -5,12 +5,9 @@ result-identical to running each plan alone for every mode mix (and a
 run of one must *be* the single query — entries, stats and ledger), the
 query cache must never serve stale rows across append/seal, lifecycle
 demotion and cold shared-store merges, a handle or session held across a
-foreign rewrite must keep answering exactly, the shared ledger must
-reconcile exactly against the store's ranged-read counter, and the
-admission queue must coalesce bursts into fewer passes.
+foreign rewrite must keep answering exactly, and the shared ledger must
+reconcile exactly against the store's ranged-read counter.
 """
-
-import threading
 
 import pytest
 
@@ -19,7 +16,6 @@ from repro.baselines.evalutil import grep_lines
 from repro.blockstore.store import MemoryStore
 from repro.obs import tracing
 from repro.obs.metrics import get_registry
-from repro.query.admission import AdmissionQueue
 from repro.query.aggregate import AggregateSpec
 from repro.query.cache import (
     GENERATION_AUX_NAME,
@@ -519,73 +515,6 @@ class TestBatchLedger:
         with pytest.raises(BudgetExceeded) as excinfo:
             lg.grep_many(["ERROR"])
         assert excinfo.value.ledger is not None
-
-
-# ----------------------------------------------------------------------
-# admission queue
-# ----------------------------------------------------------------------
-class TestAdmissionQueue:
-    def test_burst_coalesces_and_results_match(self, corpus):
-        lg = make_lg(corpus)
-        sequential = {q: lg.grep(q).lines for q in QUERIES}
-        queue = lg.admission_queue(window_s=0.02)
-        try:
-            futures = [
-                (q, queue.submit(build_plan(q, OutputMode.LINES)))
-                for q in QUERIES
-            ]
-            for query, future in futures:
-                result = future.result(timeout=30)
-                assert [t for _, t in result.entries] == sequential[query]
-        finally:
-            queue.close()
-        assert queue.batches < len(QUERIES)  # the burst coalesced
-
-    def test_concurrent_submitters(self, corpus):
-        lg = make_lg(corpus)
-        sequential = {q: lg.count(q) for q in QUERIES}
-        queue = lg.admission_queue(window_s=0.01)
-        errors = []
-
-        def worker(query):
-            try:
-                future = queue.submit(build_plan(query, OutputMode.COUNT))
-                assert future.result(timeout=30).count == sequential[query]
-            except Exception as exc:  # pragma: no cover - surfaced below
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=worker, args=(q,)) for q in QUERIES * 3
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        queue.close()
-        assert not errors
-
-    def test_submit_after_close_raises(self, corpus):
-        lg = make_lg(corpus)
-        queue = lg.admission_queue()
-        queue.close()
-        with pytest.raises(RuntimeError):
-            queue.submit(build_plan("ERROR", OutputMode.COUNT))
-
-    def test_max_batch_bounds_one_pass(self, corpus):
-        lg = make_lg(corpus)
-        queue = AdmissionQueue(
-            lg.executor.run_plans, window_s=0.02, max_batch=2
-        )
-        try:
-            futures = [
-                queue.submit(build_plan(q, OutputMode.COUNT))
-                for q in QUERIES[:4]
-            ]
-            counts = [f.result(timeout=30).count for f in futures]
-        finally:
-            queue.close()
-        assert counts == [lg.count(q) for q in QUERIES[:4]]
-        assert queue.batches >= 2
 
 
 # ----------------------------------------------------------------------

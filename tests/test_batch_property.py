@@ -1,7 +1,7 @@
 """Property tests for the multi-plan block pass.
 
-The invariant: for ANY mix of grep/count/aggregate plans, ANY admission
-interleaving and ANY warm/cold/evicting query-cache state — including
+The invariant: for ANY mix of grep/count/aggregate plans, ANY plan
+order and ANY warm/cold/evicting query-cache state — including
 across a concurrent ``lifecycle demote`` generation bump — running the
 plans together is result-identical to running each alone on a handle
 that caches nothing.
@@ -115,7 +115,7 @@ class TestBatchProperty:
         lg.compress(lines)
         plans = [build(*entry) for entry in mix]
         want = reference(lg.store, config, plans, lines)
-        # Any admission interleaving: runs are order-insensitive, so
+        # Any plan order: runs are order-insensitive, so
         # executing a shuffled list and unshuffling must change nothing.
         order = list(range(len(plans)))
         random.Random(seed).shuffle(order)

@@ -410,18 +410,6 @@ class TestSpeedTierCodec:
         cells = capsule.region_cells([(len(values), 12)])
         assert [cell.rstrip(b"\x00").decode() for cell in cells] == values
 
-    def test_raw_request_never_enters_the_codec_rule(self, monkeypatch):
-        monkeypatch.setattr(
-            capsule_module, "_choose_codec",
-            lambda *a: pytest.fail("a RAW request ran the codec rule"),
-        )
-        values = _long_period_values()
-        for preset in (0, 1):
-            for pack in (Capsule.pack_fixed, Capsule.pack_variable):
-                capsule = pack(values, preset, codec=CodecRequest.RAW)
-                assert capsule.codec == CODEC_RAW
-                assert capsule.values() == values
-
 
 class TestVariablePayloadValidation:
     def test_truncated_payload_rejected(self):
@@ -570,7 +558,7 @@ ALPHABETS = {
 
 def _reference_form(buf, request):
     """The form the rule must pick, from the set of bytes in *buf*."""
-    if request is CodecRequest.RAW or len(buf) < RAW_BELOW:
+    if len(buf) < RAW_BELOW:
         return FORM_ASCII
     chars = set(buf)
     for alphabet, allowed in (
@@ -689,12 +677,6 @@ class TestForms:
         capsule = Capsule.pack_fixed(values)
         assert capsule.form == FORM_ASCII
         assert capsule.values() == values
-
-    def test_raw_request_stays_ascii(self):
-        values = [f"{i:06d}" for i in range(500)]
-        capsule = Capsule.pack_fixed(values, codec=CodecRequest.RAW)
-        assert (capsule.codec, capsule.form) == (CODEC_RAW, FORM_ASCII)
-        assert capsule.payload == "".join(values).encode()
 
     def test_form_takes_part_in_equality(self):
         buf = b"12" * 20

@@ -27,11 +27,12 @@ from hypothesis import strategies as st
 
 from tests.conftest import make_mixed_lines
 from repro.baselines.evalutil import grep_lines, line_matches
-from repro.blockstore.block import block_name
+from repro.blockstore.block import LogBlock, block_name
 from repro.blockstore.store import ArchiveStore, MemoryStore
 from repro.capsule.box import CapsuleBox
 from repro.common.errors import CompressionError
 from repro.core import compressor as compressor_module
+from repro.core.compressor import compress_block
 from repro.core import streaming as streaming_module
 from repro.core.config import LogGrepConfig
 from repro.core.lifecycle import LifecycleManager, Tier
@@ -40,8 +41,9 @@ from repro.core.streaming import StreamingCompressor
 from repro.obs.metrics import get_registry
 from repro.obs.trace import tracing
 from repro.query.cache import bump_generation
-from repro.query.engine import BlockEngine
+from repro.query.engine import BlockEngine, text_rows
 from repro.query.language import parse_query
+from repro.query.plan import build_plan
 from repro.staticparse.parser import BlockParser
 
 # Every generated line contains "EV", so grep("EV") is a full-stream
@@ -133,11 +135,16 @@ class TestImmediateVisibility:
             assert tail.grep("solo").count == 1
 
     def test_visible_seconds_gauge_set(self):
+        # A grep scans the tail's text; an aggregate builds its box, and
+        # the gauge times that build.
         gauge = get_registry().gauge("loggrep_ingest_visible_seconds", "")
+        gauge.set(0.0)
         with StreamingCompressor(config=_tiny_config()) as stream:
             reader = stream.open_reader(tail=True)
-            stream.append("EV 0 gauge probe")
+            stream.extend(["EV 0 state: probe", "EV 1 state: other"])
             assert reader.grep("probe").count == 1
+            assert gauge.value() == 0.0
+            assert reader.count_by("state") == {"probe": 1, "other": 1}
             assert gauge.value() > 0.0
 
 
@@ -316,27 +323,24 @@ class TestTailInternals:
         ] + [snap.block_id]
         stream.close()
 
-    def test_tail_box_cached_per_version(self):
+    def test_tail_box_built_on_demand(self):
+        """A pending block's box is the box its commit writes; the
+        buffer's is ``compress_block``'s; the stream keeps neither."""
         stream = StreamingCompressor(config=_tiny_config(), pipeline_depth=2)
         stream.extend(_event_lines(40, seed=4))
         snap = stream.tail_snapshot()
         assert snap.pending and snap.lines
         pending_name, *_, buffer_name = snap.tail_names
-        pending_box = stream._tail_box(snap, pending_name)
-        assert pending_box.first_line_id == snap.pending[0][0].first_line_id
-        buffer_box = stream._tail_box(snap, buffer_name)
-        assert buffer_box.first_line_id == snap.first_line_id
-        assert stream._tail_box(snap, buffer_name) is buffer_box
-        stream.append("EV 40 new version")
-        snap2 = stream.tail_snapshot()
-        assert snap2.version != snap.version and snap2.block_id == snap.block_id
-        *_, buffer_name2 = snap2.tail_names
-        assert buffer_name2 != buffer_name
-        assert stream._tail_box(snap2, buffer_name2) is not buffer_box
-        # A pending block's box outlives tail versions until it commits.
-        assert stream._tail_box(snap2, pending_name) is pending_box
+        pending_box = stream._tail_box(pending_name)
+        pending_block = snap.pending[0][0]
+        assert pending_box.first_line_id == pending_block.first_line_id
+        buffer_box = stream._tail_box(buffer_name)
+        buffer = LogBlock(snap.block_id, snap.first_line_id, snap.lines)
+        assert buffer_box.serialize() == compress_block(buffer, stream.config).serialize()
+        assert stream._tail_box(buffer_name) is not buffer_box
         stream.flush()
-        assert pending_name not in stream._tail_boxes
+        committed = stream.store.get(block_name(pending_block.block_id))
+        assert pending_box.serialize() == committed
         stream.close()
 
     def test_closed_stream_rejects_append(self):
@@ -346,62 +350,152 @@ class TestTailInternals:
             stream.append("EV too late")
 
 
+class TestRunKeepsItsTailView:
+    def test_later_snapshots_do_not_strand_a_running_count(self, monkeypatch):
+        """A run reaches its tail blocks after later runs have taken any
+        number of snapshots on the same reader: it still sees its own."""
+        stream = StreamingCompressor(config=LogGrepConfig(block_bytes=1 << 20))
+        stream.extend(f"EV {i} race payload" for i in range(50))
+        reader = stream.open_reader(tail=True)
+        source = reader.executor.source
+        listed = source.names
+
+        def names():
+            mine = listed()
+            for i in range(4):
+                stream.append(f"other {i}")
+                listed()
+            return mine
+
+        monkeypatch.setattr(source, "names", names)
+        try:
+            assert reader.count("EV") == 50
+        finally:
+            stream.close()
+
+
+#: Tokens mix ASCII and non-ASCII letters whose case folding differs
+#: between ``str.lower`` and ``re.IGNORECASE`` (``İ``, ``ı``, the Kelvin
+#: sign); an empty token comes from a run of spaces.  A small alphabet
+#: keeps hits frequent.
+_tokens = st.text(alphabet="abAB:éÉİı\u212ak", max_size=3)
+_tail_lines = st.lists(
+    st.lists(_tokens, min_size=1, max_size=6).map(" ".join),
+    min_size=1,
+    max_size=40,
+)
+#: Keywords over the same letters, and dense wildcard ones: a wildcard
+#: must stay inside one token.
+_keywords = st.one_of(
+    st.text(alphabet="abAB:éİK*?", max_size=3),
+    st.text(alphabet="ab*?", min_size=2, max_size=4),
+)
+_searches = (
+    st.lists(_keywords, min_size=1, max_size=3)
+    .map(" ".join)
+    .filter(lambda search: search.strip(" "))
+)
+
+
+@st.composite
+def _commands(draw, depth=0):
+    """A query command over the whole language: search strings of one or
+    more keywords, wildcards, and/or/not and parentheses."""
+    parts = [draw(_searches)]
+    for _ in range(draw(st.integers(0, 2))):
+        op = draw(st.sampled_from(["and", "or", "not", "and not", "OR"]))
+        operand = (
+            f"( {draw(_commands(depth + 1))} )"
+            if depth < 1 and draw(st.booleans())
+            else draw(_searches)
+        )
+        parts += [op, operand]
+    return " ".join(parts)
+
+
+class TestTextKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(lines=_tail_lines, command=_commands(), ignore_case=st.booleans())
+    def test_rows_equal_the_line_oracle(self, lines, command, ignore_case):
+        parsed = parse_query(command, ignore_case)
+        hits = text_rows(build_plan(parsed), lines)
+        rows = [row for group in hits.values() for row in group]
+        assert rows == [
+            i for i, line in enumerate(lines) if line_matches(parsed, line)
+        ]
+
+    @pytest.mark.parametrize("depth", [1, 2], ids=["depth1", "depth2"])
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        lines=_tail_lines,
+        commands=st.lists(_commands(), min_size=1, max_size=4),
+        ignore_case=st.booleans(),
+    )
+    def test_tail_equals_the_same_query_after_flush(
+        self, depth, lines, commands, ignore_case
+    ):
+        stream = StreamingCompressor(
+            config=LogGrepConfig(block_bytes=96), pipeline_depth=depth
+        )
+        try:
+            stream.extend(lines)
+            reader = stream.open_reader(tail=True)
+            tail = [
+                (reader.count(c, ignore_case), reader.grep(c, ignore_case))
+                for c in commands
+            ]
+            stream.flush()
+            sealed = stream.open_reader()
+            for command, (count, grep) in zip(commands, tail):
+                after = sealed.grep(command, ignore_case)
+                want = grep_lines(command, lines, ignore_case)
+                assert count == sealed.count(command, ignore_case) == len(want)
+                assert grep.lines == after.lines == want
+                assert grep.line_ids == after.line_ids
+        finally:
+            stream.close()
+
+
 class TestTailCountCost:
-    def test_counts_rebuild_only_the_buffer(self, monkeypatch):
+    def test_counts_build_no_box(self, monkeypatch):
         """With an encode pool, pending blocks pile up behind the buffer.
-        A tail count must encode each pending block's box once, from the
-        scheduler's parse (no pending line is parsed again), store tail
-        Capsules raw, and still equal the count over the raw lines."""
-        encoded = []
-        encode = streaming_module.encode_parsed
+        A tail count scans their text: it encodes and parses nothing, and
+        still equals the count over the raw lines."""
+        def forbid(name):
+            def spy(*args, **kwargs):
+                raise AssertionError(f"a tail count called {name}")
 
-        def spy_encode(block, parsed, config, *args, **kwargs):
-            box = encode(block, parsed, config, *args, **kwargs)
-            encoded.append((block, box))
-            return box
-
-        parsed_lines = []
-        parse = BlockParser.parse
-
-        def spy_parse(parser, lines):
-            parsed_lines.extend(lines)
-            return parse(parser, lines)
-
-        monkeypatch.setattr(streaming_module, "encode_parsed", spy_encode)
-        monkeypatch.setattr(BlockParser, "parse", spy_parse)
-        counter = get_registry().get("loggrep_tail_lines_encoded_total")
-        before = counter.value(kind="pending")
+            return spy
 
         lines = _event_lines(300, seed=9)
         command = parse_query("ERR")
-        pending_seen = {}
+        pending_seen = set()
+        counter = get_registry().get("loggrep_tail_lines_encoded_total")
+        before = counter.value(kind="pending"), counter.value(kind="buffer")
         with StreamingCompressor(config=_tiny_config(), pipeline_depth=2) as stream:
             for appended, line in enumerate(lines, 1):
                 stream.append(line)
                 if appended % 7:
                     continue
-                pending = [block for block, _ in stream._scheduler.pending_blocks()]
-                pending_seen.update((id(block), block) for block in pending)
-                del parsed_lines[:]
-                count = stream.open_reader(tail=True).count("ERR")
+                pending_seen.update(
+                    block.block_id for block, _ in stream._scheduler.pending_blocks()
+                )
+                with monkeypatch.context() as patch:
+                    patch.setattr(streaming_module, "encode_parsed", forbid("encode_parsed"))
+                    patch.setattr(streaming_module, "compress_block", forbid("compress_block"))
+                    patch.setattr(BlockParser, "parse", forbid("BlockParser.parse"))
+                    count = stream.open_reader(tail=True).count("ERR")
                 assert count == sum(
                     line_matches(command, raw) for raw in lines[:appended]
                 )
-                pending_lines = {raw for block in pending for raw in block.lines}
-                assert not pending_lines.intersection(parsed_lines)
 
         assert len(pending_seen) >= 5
-        times = {key: 0 for key in pending_seen}
-        for block, _ in encoded:
-            if id(block) in times:
-                times[id(block)] += 1
-        assert set(times.values()) == {1}
-        assert counter.value(kind="pending") - before == sum(
-            block.num_lines for block in pending_seen.values()
-        )
-        for _, box in encoded:
-            usage = box.codec_usage()
-            assert usage["zlib"]["capsules"] == usage["lzma"]["capsules"] == 0
+        after = counter.value(kind="pending"), counter.value(kind="buffer")
+        assert after == before
 
 
 def _oracle(command, lines):
@@ -432,21 +526,25 @@ class TestSharedQueryCache:
         monkeypatch.setattr(BlockEngine, "search_string_rows", spy)
         return matched
 
-    def test_pending_boxes_are_matched_once_per_term(self, monkeypatch):
+    def test_tail_blocks_are_scanned_not_matched(self, monkeypatch):
         matched = self._spy_matches(monkeypatch)
-        lines = _event_lines(80, seed=12)
+        lines = _event_lines(200, seed=12)
         stream = StreamingCompressor(config=_tiny_config(), pipeline_depth=2)
         try:
-            stream.extend(lines[:45])
+            stream.extend(lines[:150])
             snap = stream.tail_snapshot()
-            assert snap.pending and snap.lines
-            pending = {block.block_id for block, _ in snap.pending}
-            expected = _oracle(self.COMMAND, lines[:45])
+            assert snap.pending and snap.lines and stream.blocks
+            committed = set(range(stream.blocks))
+            expected = _oracle(self.COMMAND, lines[:150])
             cache = stream._fragments
             assert stream.open_reader(tail=True).count(self.COMMAND) == expected
-            assert pending <= {block_id for block_id, _, _ in matched}
+            # Only committed blocks go through the engine and the cache.
+            assert {block_id for block_id, _, _ in matched} == committed
             lookups = cache.misses
             assert lookups and cache.hits == 0
+            assert not any(
+                str(key[1]).startswith("tail-") for key in cache._entries
+            )
 
             # No append in between: nothing is matched again, and every
             # term the first count looked up is a cache hit.
@@ -455,19 +553,16 @@ class TestSharedQueryCache:
             assert matched == []
             assert (cache.hits, cache.misses) == (lookups, lookups)
 
-            # Appends that seal nothing: only the new buffer version is
-            # matched, once per term.
-            stream.extend(lines[45:47])
+            # Appends that seal nothing change only the tail's text:
+            # still nothing is matched.
+            stream.extend(lines[150:152])
             after = stream.tail_snapshot()
             assert after.block_id == snap.block_id
-            assert [b.block_id for b, _ in after.pending] == sorted(pending)
-            matched.clear()
+            assert stream.blocks == len(committed)
             count = stream.open_reader(tail=True).count(self.COMMAND)
-            assert count == _oracle(self.COMMAND, lines[:47])
-            assert sorted(matched) == [
-                (after.block_id, len(after.lines), "ERR"),
-                (after.block_id, len(after.lines), "EV"),
-            ]
+            assert count == _oracle(self.COMMAND, lines[:152])
+            assert matched == []
+            assert (cache.hits, cache.misses) == (2 * lookups, lookups)
         finally:
             stream.close()
 
@@ -499,14 +594,16 @@ class TestSharedQueryCache:
             check()
             feed(40)
             check()
-            # A foreign writer's bump drops every entry: the pending
-            # boxes are matched again, and the counts stay exact.
+            # A foreign writer's bump drops every entry: the committed
+            # blocks are matched again, the pending ones are scanned as
+            # text, and the counts stay exact.
             pending = {b.block_id for b, _ in stream.tail_snapshot().pending}
             assert pending
+            committed = set(range(stream.blocks))
             matched.clear()
             bump_generation(stream.store)
             check()
-            assert pending <= {block_id for block_id, _, _ in matched}
+            assert {block_id for block_id, _, _ in matched} == committed
             stream.flush()
             check()
         finally:
@@ -525,15 +622,15 @@ class TestSharedQueryCache:
 
 class TestTailBuildDoesNotClassify:
     def test_count_and_grep_without_classify(self, monkeypatch):
-        """The tail's scan-only build stores every vector plain, so it
-        never classifies.  Tail builds run on the querying thread; the
-        scheduler's background encode (a worker thread) still does."""
+        """A tail count or grep scans the tail's text, so it encodes
+        nothing and never classifies.  The scheduler's background encode
+        (a worker thread) still does."""
         querying = threading.get_ident()
         classify = compressor_module.classify
 
         def guarded(*args, **kwargs):
             if threading.get_ident() == querying:
-                raise AssertionError("a tail build classified a vector")
+                raise AssertionError("a tail query classified a vector")
             return classify(*args, **kwargs)
 
         monkeypatch.setattr(compressor_module, "classify", guarded)
@@ -547,17 +644,21 @@ class TestTailBuildDoesNotClassify:
                 assert reader.count("ERR") == _oracle("ERR", lines)
             assert reader.grep("EV").lines == lines
             query = next(root for root in tracer.roots if root.name == "query")
-            assert query.find("classify") == []
-            encodes = query.find("encode")
-            assert encodes
-            assert {span.attrs["kind"] for span in encodes} == {"plain"}
+            assert query.find("classify") == query.find("encode") == []
+            assert query.find("ingest.tail_build") == []
+            scans = query.find("scan_text")
+            assert sum(span.attrs["lines"] for span in scans) == len(lines) - sum(
+                stream.open_reader().executor.load_box(name).num_lines
+                for name in snap.sealed_names
+            )
 
 
 class TestPendingBoxAfterCommit:
     def test_box_built_after_its_commit_is_not_kept(self):
         """On an appended archive the stream's first block id is not 0:
         a pending box built from a snapshot taken before its block
-        committed must not stay cached for the stream's life."""
+        committed is still that block's committed box, and the stream
+        does not keep it."""
         store = MemoryStore()
         config = LogGrepConfig(block_bytes=4096)
         # 64 bytes a line with its newline: 64 lines a block.
@@ -571,13 +672,16 @@ class TestPendingBoxAfterCommit:
         try:
             stream.extend(lines[64 * 13 :])
             snap = stream.tail_snapshot()
-            name = "tail-000000000013.lgcb"
-            assert name in snap.tail_names
+            name = next(n for n in snap.tail_names if n == "tail-000000000013.lgcb")
             assert [block.block_id for block, _ in snap.pending] == [13]
             stream.flush()
-            box = stream._tail_box(snap, name)
+            box = stream._tail_box(name)
             assert box.first_line_id == 64 * 13
-            assert name not in stream._tail_boxes
+            assert box.serialize() == store.get(block_name(13))
+            built = weakref.ref(box)
+            del box
+            gc.collect()
+            assert built() is None
             assert stream.open_reader(tail=True).count("ERR") == len(lines)
         finally:
             stream.close()
@@ -637,10 +741,8 @@ class TestCommitAddsOnlyABlock:
                 for command in self.COMMANDS:
                     count = stream.open_reader(tail=True).count(command)
                     assert count == _oracle(command, lines[:fed])
-                # The buffer seals as the next block id.
-                assert {block_id for block_id, _, _ in matched} == {
-                    new_block, new_block + 1,
-                }
+                # The buffer is scanned as text, not matched.
+                assert {block_id for block_id, _, _ in matched} == {new_block}
                 assert opened == []
                 monkeypatch.undo()
         finally:

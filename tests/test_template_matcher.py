@@ -3,9 +3,8 @@
 The rule ``TemplateMatcher`` compiles used to be a Python loop — score
 every same-width template (constants that agree, -1 on a mismatch), keep
 the first maximum.  That loop, and the two parse bodies built on it, are
-kept *here* as the reference; the matcher, ``BlockParser.parse`` /
-``parse_cached`` and the streaming tail must agree with them line for
-line.
+kept *here* as the reference; the matcher, ``BlockParser.parse`` and
+``parse_cached`` must agree with them line for line.
 """
 
 from __future__ import annotations
@@ -19,8 +18,6 @@ from hypothesis import strategies as st
 
 from repro.common.sampling import sample
 from repro.common.tokenizer import tokenize
-from repro.core.config import LogGrepConfig
-from repro.core.streaming import StreamingCompressor
 from repro.staticparse import (
     BlockParser,
     Template,
@@ -368,42 +365,3 @@ def test_catch_alls_match_reference(monkeypatch):
     assert triples_of(parsed.groups) == expected
     assert (outcome.cache_hits, outcome.cache_misses, False, 0) == ref_outcome
     assert cache.snapshot() == ref_cache.snapshot() == [("a", None)]
-
-
-# ----------------------------------------------------------------------
-# the streaming tail assigns like the batch parser
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", ["Log K", "Log G"])
-def test_tail_assignment_equals_batch_rule(name):
-    lines = _block(name, n=500)
-    config = LogGrepConfig(block_bytes=16 * 1024, compress_parallelism=1)
-    with StreamingCompressor(config=config) as stream:
-        stream.extend(lines)
-        assert stream.blocks or stream.backlog  # at least one seal: matcher is warm
-        snap = stream.tail_snapshot()
-        buffer_lines = list(stream._lines)
-        cached = [
-            Template(i, list(key))
-            for i, key in enumerate(stream._scheduler.template_cache.snapshot())
-        ]
-        assert snap.lines == buffer_lines and buffer_lines
-
-        expected: Dict[int, GroupTriple] = {}
-        residual = []
-        for local_id, line in enumerate(buffer_lines):
-            tokens = tokenize(line)
-            template = ref_match(cached, tokens)
-            if template is None:
-                residual.append((local_id, line))
-                continue
-            triple = expected.setdefault(
-                template.template_id,
-                (list(template.tokens), [], [[] for _ in template.var_positions]),
-            )
-            triple[1].append(local_id)
-            for vector, value in zip(triple[2], template.extract(tokens)):
-                vector.append(value)
-        got = triples_of(snap.buffer_groups())
-        assert got == list(expected.values())
-        assert snap.residual == residual
-        assert got  # the warm matcher assigned something
