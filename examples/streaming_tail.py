@@ -12,8 +12,8 @@ adds a block, so the cached entries of every other block survive it, and
 the first count after it takes the new block from the box the stream
 just built instead of opening it from the store.  Between two query
 rounds a separate ``LifecycleManager`` demotes the sealed blocks to the
-warm tier: that rewrite bumps the archive generation, and the readers
-drop what they derived from the old bytes.  The run also flushes
+warm tier: that rewrite writes every sealed block under a new name and
+deletes the old ones, and the readers serve the new names.  The run also flushes
 mid-stream and then appends a second stream onto the same archive, whose
 block ids continue after the first stream's.  Every count and grep is
 checked against grep over the raw lines appended so far.
@@ -38,7 +38,6 @@ from repro.baselines.evalutil import grep_lines
 from repro.blockstore.store import ArchiveStore
 from repro.core.lifecycle import LifecycleManager, Tier
 from repro.obs.metrics import get_registry
-from repro.query.cache import load_generation
 from repro.workloads import spec_by_name
 
 #: (command, ignore_case) pairs.
@@ -104,10 +103,11 @@ def check_stream(stream, appended, lines, wrong, after_commit, demote_at=None):
                 )
         if i == demote_at:
             report = LifecycleManager(stream.store, stream.config).demote(Tier.WARM)
+            names = stream.store.names()
             print(
                 f"foreign warm demote after {len(appended)} lines: "
-                f"{report.blocks_after} blocks rewritten, archive generation "
-                f"{load_generation(stream.store)}"
+                f"{report.blocks_after} blocks rewritten as {names[0]} .. "
+                f"{names[-1]}"
             )
     return checked
 

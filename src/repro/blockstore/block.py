@@ -8,21 +8,38 @@ the unit every system in this repo compresses and queries independently;
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 #: The production block size.  Tests and laptop-scale benchmarks pass a much
 #: smaller budget; the splitting logic is identical.
 DEFAULT_BLOCK_BYTES = 64 * 1024 * 1024
 
 
-def block_name(block_id: int) -> str:
-    """The canonical archive-store name of a compressed block.
+def block_name(block_id: int, epoch: int = 0) -> str:
+    """The archive-store name of a compressed block.
 
-    Every producer — batch compression, the streaming pipeline, the
-    cluster nodes — must agree on this so archives stay interchangeable.
+    A name is written once.  Ingest writes epoch 0, ``block-%08d.lgcb``;
+    a lifecycle rewrite writes a new epoch, ``block-%08d.e<N>.lgcb``.
+    Ids are in line order, so name order is line order.  Every producer
+    names blocks here so archives stay interchangeable.
     """
+    if epoch:
+        return f"block-{block_id:08d}.e{epoch}.lgcb"
     return f"block-{block_id:08d}.lgcb"
+
+
+_BLOCK_NAME = re.compile(r"block-(\d{8,})(?:\.e(\d+))?\.lgcb\Z")
+
+
+def parse_block_name(name: str) -> Optional[Tuple[int, int]]:
+    """``(block id, epoch)`` of a :func:`block_name`, None for any other
+    name."""
+    match = _BLOCK_NAME.match(name)
+    if match is None:
+        return None
+    return int(match.group(1)), int(match.group(2) or 0)
 
 
 @dataclass

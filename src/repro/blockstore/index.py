@@ -29,12 +29,17 @@ Each entry still carries the retired ``has_bloom`` byte: always written
 as 0, and any other value is a :class:`FormatError` (the sidecar is then
 rebuilt from the blocks like any other unreadable one).
 
-The sidecar is *derived* data: it lives outside the block namespace (an
-auxiliary blob, see :meth:`ArchiveStore.put_aux`), does not count toward
-stored bytes, and is rebuilt on the fly for archives that predate it.
-An index that disagrees with the archive can only ever cause a missed
-prune or a rebuild — never a wrong query result, because pruning is
-validated against the same masks the engine enforces exactly.
+The sidecar lives outside the block namespace (an auxiliary blob, see
+:meth:`ArchiveStore.put_aux`), does not count toward stored bytes, and
+is rebuilt on the fly for archives that predate it.  Its summaries are
+derived data: a summary that disagrees with its block can only ever
+cause a missed prune or a rebuild — never a wrong query result, because
+pruning is validated against the same masks the engine enforces exactly.
+
+Its name set is the commit point of a lifecycle rewrite, which writes
+new names, saves the sidecar and only then deletes what it replaced:
+:func:`live_names` turns a store listing into the blocks a reader
+serves, and :func:`sync_index` folds a newer sidecar into an index.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from ..common import chartypes
 from ..common.binio import BinaryReader, BinaryWriter
 from ..common.errors import FormatError
+from .block import parse_block_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a hard cycle)
     from ..capsule.box import CapsuleBox
@@ -275,13 +281,76 @@ class ArchiveIndex:
         Pays one full read per block — exactly what opening a legacy
         archive cost before; every later query then prunes for free.
         """
+        index = cls()
+        index.summarize(store, store.names())  # type: ignore[attr-defined]
+        return index
+
+    def summarize(self, store: object, names: List[str]) -> bool:
+        """Add a summary, read from its block, for each of *names* the
+        index lacks; True when it added one.  A writer runs this over
+        the live names before it writes, so its ids continue after
+        blocks another writer committed without saving the sidecar."""
         from ..capsule.box import CapsuleBox
 
-        index = cls()
-        for name in store.names():  # type: ignore[attr-defined]
-            box = CapsuleBox.deserialize(store.get(name))  # type: ignore[attr-defined]
-            index.add(name, BlockSummary.from_box(box))
-        return index
+        added = False
+        for name in names:
+            if name not in self.blocks:
+                box = CapsuleBox.deserialize(store.get(name))  # type: ignore[attr-defined]
+                self.add(name, BlockSummary.from_box(box))
+                added = True
+        return added
+
+
+def live_names(
+    names: List[str], sidecar: Optional[ArchiveIndex]
+) -> List[str]:
+    """The names of a store listing a reader serves.
+
+    A listed name is live when the sidecar lists it, or when its block
+    id is above every id the sidecar lists: an append whose writer has
+    not saved the sidecar yet (served unpruned).  Any other listed name
+    is a rewrite's unpublished output or a block a published rewrite
+    replaced, and is not served.  With no readable sidecar every listed
+    name is live.
+    """
+    if not sidecar:
+        return list(names)
+    top = sidecar.next_ids()[0] - 1
+    return [
+        name
+        for name, parsed in zip(names, map(parse_block_name, names))
+        if name in sidecar or (parsed is not None and parsed[0] > top)
+    ]
+
+
+def stored_live_names(store: object) -> List[str]:
+    """The live names of *store* under its stored sidecar."""
+    return live_names(store.names(), load_index(store))  # type: ignore[attr-defined]
+
+
+def sync_index(
+    store: object, index: ArchiveIndex, names: Optional[List[str]] = None
+) -> List[str]:
+    """Fold the stored sidecar into *index* in place (a stream shares
+    it); return the live names of the listing *names* (listed when None).
+
+    A listing equal to the index's names comes back as is, with no
+    sidecar read.  Otherwise the sidecar's entries replace the index's,
+    and an entry it lacks stays only above its top id (an append not
+    saved yet): any other was replaced by a rewrite.
+    """
+    if names is None:
+        names = store.names()  # type: ignore[attr-defined]
+    if index.blocks.keys() == set(names):
+        return names
+    sidecar = load_index(store)
+    if sidecar:
+        top = sidecar.next_ids()[0] - 1
+        for name, summary in list(index.blocks.items()):
+            if summary.block_id <= top and name not in sidecar:
+                index.discard(name)
+        index.blocks.update(sidecar.blocks)
+    return live_names(names, sidecar)
 
 
 def load_index(store: object) -> Optional[ArchiveIndex]:

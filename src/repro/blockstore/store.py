@@ -15,7 +15,10 @@ sidecar data — currently the per-archive prune index.  They live next to
 the blocks as dot-prefixed files but are *not* part of the block
 namespace: ``names()``, ``items()`` and ``total_bytes()`` ignore them, so
 block counting and the cost model's stored-bytes measure are unaffected,
-and deleting them only costs a rebuild.
+and deleting them only costs a rebuild.  An aux write replaces its blob
+atomically (temporary file, then ``os.replace``): the sidecar is the
+commit point of a lifecycle rewrite.  Block ``put`` writes in place; a
+block name is written once.
 
 An in-memory variant is provided for tests and benchmarks that should not
 touch the disk.
@@ -24,6 +27,7 @@ touch the disk.
 from __future__ import annotations
 
 import os
+import tempfile
 from typing import Dict, Iterator, List
 
 from ..common.errors import FormatError
@@ -128,8 +132,11 @@ class ArchiveStore:
     # auxiliary (sidecar) blobs — derived data, outside the block namespace
     # ------------------------------------------------------------------
     def put_aux(self, name: str, data: bytes) -> None:
-        with open(self._aux_path(name), "wb") as fh:
+        path = self._aux_path(name)
+        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=f".{name}.", suffix=".tmp")
+        with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+        os.replace(tmp, path)
 
     def get_aux(self, name: str) -> bytes:
         with open(self._aux_path(name), "rb") as fh:

@@ -458,9 +458,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         store = ArchiveStore(args.archive)
         from .capsule.box import CapsuleBox
 
+        from .blockstore.index import stored_live_names
+
         blocks = []
         total = 0
-        for name in store.names():
+        for name in stored_live_names(store):
             box = CapsuleBox.deserialize(store.get(name))
             total += box.num_lines
             blocks.append(

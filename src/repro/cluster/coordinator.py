@@ -36,7 +36,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..blockstore.block import split_lines
+from ..blockstore.block import block_name, split_lines
 from ..blockstore.index import BlockSummary
 from ..blockstore.remote import FaultProfile, RemoteStore
 from ..blockstore.store import ArchiveStore, MemoryStore
@@ -141,7 +141,7 @@ class ClusterQueryReport:
 
 class _PlacementSource(StoreBoxSource):
     """The cluster's blocks as the executor sees them: the placement's
-    names and no local store — every block pass runs on a replica."""
+    names and no store at all — every block pass runs on a replica."""
 
     def __init__(self, placement: Dict[str, List[str]]):
         super().__init__(store=None)
@@ -269,7 +269,7 @@ class ClusterLogGrep(AggregateShortcuts):
         tracer = get_tracer()
         with tracer.span("cluster.compress", blocks=len(blocks)) as cspan:
             def ingest_one(block) -> None:
-                name = f"block-{block.block_id:08d}.lgcb"
+                name = block_name(block.block_id)
                 replicas = replica_nodes(name, self._alive_ids(), self.replication)
                 if not replicas:
                     raise ClusterError("no alive node to ingest into")

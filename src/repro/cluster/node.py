@@ -76,9 +76,7 @@ class WorkerNode:
         self._slots = threading.Semaphore(_SERVE_SLOTS)
         # Each worker runs the same physical pipeline as a single-node
         # LogGrep over its local replica store, pruning via its own
-        # summaries.  Its query cache is node-local and keyed at
-        # generation 0 — replica stores never rewrite a block name in
-        # place, so the token never needs to move.
+        # summaries.  Its query cache is node-local.
         self._executor = QueryExecutor(
             StoreBoxSource(self.store, index=self.index), self.config
         )

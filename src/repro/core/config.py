@@ -76,7 +76,7 @@ class LogGrepConfig:
     codec_speed_tier: bool = False
 
     # -- query-side --------------------------------------------------------
-    # Bound on Query Cache entries: per-(generation, block, search string)
+    # Bound on Query Cache entries: per-(block, search string)
     # row sets plus one shape entry per block; see repro/query/cache.py.
     cache_capacity: int = 4096
     # Bound on pinned deserialized CapsuleBoxes (refining sessions); the

@@ -11,13 +11,16 @@ matters.  This module implements the transitions:
   recompressed at maximum preset, amortizing template/metadata
   overhead).  Cold archives remain valid LogGrep archives: queries still
   work, just against bigger, colder blocks.  Demotions pick the longest
-  timestamp-eligible *prefix* of the block sequence (blocks are written
+  timestamp-eligible *prefix* of the live blocks (blocks are written
   in arrival order; blocks with no parseable timestamps are treated as
-  eligible), rewrite it at the target tier's config, and rewrite the
-  ``.index.lgix`` sidecar — including the v2 min/max timestamp range and
-  discarding entries for merged-away names — so a pruned query against
-  the demoted archive still costs zero store reads.  To keep the
-  near-line archive, demote a copy of its store.
+  eligible) and rewrite it at the target tier's config.  A block name
+  is written once: a rewrite writes new names
+  (:func:`~repro.blockstore.block.block_name`), publishes them by saving
+  the ``.index.lgix`` sidecar with fresh v2 summaries, saves
+  ``tiers.json`` and only then deletes the blocks it replaced, so a
+  crash leaves the archive as before or after it.  A pruned query
+  against the demoted archive still costs zero store reads.  To keep
+  the near-line archive, demote a copy of its store.
 * :func:`transition_analysis` uses Equation 1 to answer the operational
   question: given the residual query rate, does recompressing pay for
   itself, and how much does a TB-month cost in each tier?
@@ -31,16 +34,22 @@ import json
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from ..blockstore.block import LogBlock, block_name, split_lines
-from ..blockstore.index import ArchiveIndex, BlockSummary, load_index, save_index
+from ..blockstore.block import LogBlock, block_name, parse_block_name, split_lines
+from ..blockstore.index import (
+    BlockSummary,
+    live_names,
+    load_index,
+    open_index,
+    save_index,
+    stored_live_names,
+)
 from ..blockstore.store import ArchiveStore
 from ..capsule.box import CapsuleBox
 from ..cost.model import CostParameters
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
-from ..query.cache import bump_generation
 from .compressor import compress_block
 from .config import LogGrepConfig
 from .loggrep import LogGrep
@@ -249,14 +258,15 @@ class LifecycleManager:
 
     # ------------------------------------------------------------------
     def status(self) -> TierStatus:
-        """Per-tier block/byte accounting; publishes the tier gauges.
+        """Per-tier block/byte accounting of the live blocks; publishes
+        the tier gauges.
 
         Blocks with no recorded tier are HOT — that is what fresh ingest
         produces and what a lost tier map safely degrades to.
         """
         blocks = {tier: 0 for tier in Tier}
         size = {tier: 0 for tier in Tier}
-        for name in self.store.names():
+        for name in stored_live_names(self.store):
             tier = self.tiers.get(name, Tier.HOT)
             blocks[tier] += 1
             size[tier] += self.store.size(name)
@@ -269,8 +279,8 @@ class LifecycleManager:
     def eligible_prefix(
         self, older_than_seconds: float, now: Optional[float] = None
     ) -> List[str]:
-        """The longest prefix of blocks whose newest line is older than
-        the cutoff.
+        """The longest prefix of live blocks whose newest line is older
+        than the cutoff.
 
         Blocks are written in arrival order, so age decreases along the
         name sequence; the scan stops at the first too-young block.
@@ -278,11 +288,16 @@ class LifecycleManager:
         eligible (age unknown — they would otherwise pin every block
         behind them forever; documented CLI behaviour).
         """
+        index = load_index(self.store)
+        live = live_names(self.store.names(), index)
+        return self._prefix(live, index, older_than_seconds, now)
+
+    @staticmethod
+    def _prefix(live, index, older_than_seconds, now) -> List[str]:
         now = time.time() if now is None else now
         cutoff = now - older_than_seconds
-        index = load_index(self.store)
         names: List[str] = []
-        for name in self.store.names():
+        for name in live:
             summary = index.get(name) if index is not None else None
             if summary is not None and summary.max_ts is not None:
                 if summary.max_ts > cutoff:
@@ -298,38 +313,61 @@ class LifecycleManager:
     ) -> DemotionReport:
         """Rewrite the eligible prefix of the archive at *tier* in place.
 
-        WARM rewrites block-for-block (same names, same ids); COLD merges
-        the prefix into 4×-sized blocks (ids renumbered sequentially from
-        the first original block).  Both paths rewrite
-        the sidecar index with fresh v2 summaries — min/max timestamps
-        included — and discard entries for merged-away names, so pruned
-        queries against the result cost zero store reads.
+        WARM rewrites block-for-block (same ids, a new epoch); COLD
+        merges the prefix into 4×-sized blocks within the merged id
+        range.  Both write new names, publish them through the sidecar —
+        fresh v2 summaries, min/max timestamps included — then save the
+        tier map and delete the replaced blocks, together with any block
+        an earlier crashed rewrite left behind.
         """
         if tier is Tier.HOT:
             raise ValueError("demote targets warm or cold, not hot")
+        # The sidecar is the commit point: before the first write it
+        # lists every live block, or a new name above its top would be
+        # live next to the block it replaces until it is saved.
+        index = open_index(self.store)
+        listing = self.store.names()
+        live = live_names(listing, index)
+        if index.summarize(self.store, live):
+            save_index(self.store, index)
+        # Blocks an earlier crashed rewrite left behind.
+        replaced = [
+            name for name in listing if name not in live and parse_block_name(name)
+        ]
         names = [
             name
-            for name in self.eligible_prefix(older_than_seconds, now)
+            for name in self._prefix(live, index, older_than_seconds, now)
             if self.tiers.get(name, Tier.HOT).rank < tier.rank
         ]
-        bytes_before = sum(self.store.size(n) for n in self.store.names())
-        blocks_before = len(self.store.names())
+        bytes_before = sum(self.store.size(n) for n in live)
+        blocks_before = len(live)
         start = time.perf_counter()
         if names:
+            epoch = 1 + max(
+                (parsed[1] for parsed in map(parse_block_name, listing) if parsed),
+                default=0,
+            )
             with get_tracer().span(
                 f"lifecycle.demote.{tier.value}", blocks=len(names)
             ):
                 if tier is Tier.WARM:
-                    self._rewrite_warm(names)
+                    written = self._rewrite_warm(names, epoch)
                 else:
-                    self._rewrite_cold(names)
-            # Demotion rewrites bytes behind existing block names (WARM)
-            # or replaces the name sequence outright (COLD merge), so any
-            # row sets, boxes or summaries a reader derived from the old
-            # bytes are stale: advance the persisted archive generation.
-            bump_generation(self.store)
+                    written = self._rewrite_cold(names, epoch)
+            for name in names:
+                index.discard(name)
+            for name, summary in written:
+                index.add(name, summary)
+            save_index(self.store, index)
+            replaced += names
+            for name, _ in written:
+                self.tiers[name] = tier
         rewrite_seconds = time.perf_counter() - start
+        for name in replaced:
+            self.tiers.pop(name, None)
         save_tiers(self.store, self.tiers)
+        for name in replaced:
+            self.store.delete(name)
         status = self.status()
         return DemotionReport(
             tier=tier,
@@ -344,62 +382,61 @@ class LifecycleManager:
     def _load_box(self, name: str) -> CapsuleBox:
         return CapsuleBox.deserialize(self.store.get(name))
 
-    def _index(self) -> ArchiveIndex:
-        index = load_index(self.store)
-        return index if index is not None else ArchiveIndex()
+    def _write(
+        self, block: LogBlock, config: LogGrepConfig, epoch: int
+    ) -> Tuple[str, BlockSummary]:
+        """Compress *block* and write it under its new name."""
+        box = compress_block(block, config)
+        name = block_name(block.block_id, epoch)
+        self.store.put(name, box.serialize())
+        return name, BlockSummary.from_box(box, lines=block.lines)
 
-    def _rewrite_warm(self, names: List[str]) -> None:
-        """Block-for-block recompression at the warm config."""
+    def _rewrite_warm(
+        self, names: List[str], epoch: int
+    ) -> List[Tuple[str, BlockSummary]]:
+        """Block-for-block recompression at the warm config: each block
+        keeps its id and takes the new epoch."""
         config = tier_config(Tier.WARM, self.config)
-        index = self._index()
+        written = []
         for name in names:
             box = self._load_box(name)
             lines = BlockReconstructor(box).all_lines()
             block = LogBlock(box.block_id, box.first_line_id, lines)
-            new_box = compress_block(block, config)
-            self.store.put(name, new_box.serialize())
-            index.add(name, BlockSummary.from_box(new_box, lines=lines))
-            self.tiers[name] = Tier.WARM
-        save_index(self.store, index)
+            written.append(self._write(block, config, epoch))
+        return written
 
-    def _rewrite_cold(self, names: List[str]) -> None:
+    def _rewrite_cold(
+        self, names: List[str], epoch: int
+    ) -> List[Tuple[str, BlockSummary]]:
         """Merge-and-recompress the prefix at the cold config.
 
-        Line ids are preserved exactly (ids are positional and the merge
-        keeps line order); block ids are renumbered sequentially from the
-        first original block, so the new names are a prefix of the old
-        name sequence and name order stays consistent with line order.
+        Line ids are preserved exactly (the merge keeps line order).  No
+        output id leaves the merged range (above it reads as an append,
+        below it is another block's): with a budget at least the largest
+        merged block's, greedy splitting needs at most as many blocks as
+        the merge covers, and the last takes the last merged id.
         """
         config = tier_config(Tier.COLD, self.config)
-        index = self._index()
+        budget = config.block_bytes
         lines: List[str] = []
-        first_box = self._load_box(names[0])
-        first_block_id = first_box.block_id
-        first_line_id = first_box.first_line_id
+        first_line_id = last_id = 0
         for name in names:
-            box = first_box if name == names[0] else self._load_box(name)
-            lines.extend(BlockReconstructor(box).all_lines())
-        new_names: List[str] = []
-        block_id = first_block_id
+            box = self._load_box(name)
+            block = LogBlock(
+                box.block_id, box.first_line_id, BlockReconstructor(box).all_lines()
+            )
+            budget = max(budget, block.raw_bytes)
+            if not lines:
+                first_line_id = block.first_line_id
+            last_id = block.block_id
+            lines.extend(block.lines)
+        blocks = list(split_lines(lines, budget))
         line_id = first_line_id
-        for block in split_lines(lines, config.block_bytes):
+        for block_id, block in enumerate(blocks, last_id - len(blocks) + 1):
             block.block_id = block_id
             block.first_line_id = line_id
-            block_id += 1
             line_id += block.num_lines
-            new_box = compress_block(block, config)
-            name = block_name(block.block_id)
-            self.store.put(name, new_box.serialize())
-            index.add(name, BlockSummary.from_box(new_box, lines=block.lines))
-            self.tiers[name] = Tier.COLD
-            new_names.append(name)
-        # Merged-away names: delete the blobs AND their sidecar entries —
-        # a stale summary would claim lines the store no longer holds.
-        for name in set(names) - set(new_names):
-            self.store.delete(name)
-            index.discard(name)
-            self.tiers.pop(name, None)
-        save_index(self.store, index)
+        return [self._write(block, config, epoch) for block in blocks]
 
     def open_reader(self) -> LogGrep:
         """A LogGrep facade over the archive."""

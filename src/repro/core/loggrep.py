@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Tuple
 
 from ..blockstore.block import split_lines
-from ..blockstore.index import ArchiveIndex, load_index, open_index
+from ..blockstore.index import ArchiveIndex, open_index, sync_index
 from ..blockstore.store import ArchiveStore, MemoryStore
 from ..common.rowset import RowSet
 from ..obs.metrics import get_registry
@@ -189,9 +189,9 @@ class LogGrep(AggregateShortcuts):
     prune_index: Optional[ArchiveIndex] = None
     #: The Query Cache (§3): per-(block, search string) row sets, gated
     #: by ``config.use_query_cache``.  Injectable so a service can share
-    #: one cache across handles of the same archive; entries are keyed by
-    #: archive generation, so sharing (or holding the cache across a
-    #: lifecycle demotion) can never serve stale rows.
+    #: one cache across handles of the same archive; a block name is
+    #: written once, so sharing (or holding the cache across a lifecycle
+    #: demotion) can never serve stale rows.
     fragments: Optional[QueryCache] = None
 
     def __post_init__(self) -> None:
@@ -203,8 +203,8 @@ class LogGrep(AggregateShortcuts):
         self._box_cache = BoxCache(self.config.box_cache_capacity)
         # Load the prune-index sidecar once (rebuilding it for legacy
         # archives that predate it); compression keeps it current, and
-        # the executor's source re-reads it when a lifecycle rewrite
-        # bumps the archive generation.
+        # the executor's source folds in the sidecar a lifecycle rewrite
+        # publishes.
         index = (
             self.prune_index
             if self.prune_index is not None
@@ -232,21 +232,12 @@ class LogGrep(AggregateShortcuts):
 
         # A foreign rewrite or append since the last query must not be
         # appended to (and persisted from) a stale prune index, and the
-        # new blocks continue after the archive's last one.  A commit
-        # only adds a block and bumps nothing, so a foreign append shows
-        # only as names the index lacks: its writer's sidecar has them.
-        self._executor.sync_generation()
-        source = self._executor.source
-        names = set(self.store.names())
-        if source.index.blocks.keys() != names:
-            index = load_index(self.store)
-            # A lost or corrupt sidecar must not restart the ids at 0.
-            source.index = (
-                index
-                if index is not None and index.blocks.keys() == names
-                else ArchiveIndex.build(self.store)
-            )
-        index = source.index
+        # new blocks continue after the archive's last one.  A live block
+        # the sidecar does not list (a lost sidecar, or a writer that has
+        # not saved it yet) is summarized from its box, so the ids never
+        # restart below it.
+        index = self._executor.source.index
+        index.summarize(self.store, sync_index(self.store, index))
         block_id, line_id = index.next_ids()
         with tracer.span("compress") as cspan:
             scheduler = CompressionScheduler(
@@ -504,7 +495,7 @@ class LogGrep(AggregateShortcuts):
         if hint is not None:
             return hint()
         best = 0
-        names = self.store.names()
+        names = self._executor.source.names()
         index = self._executor.source.index
         if index is not None:
             summaries = [index.get(name) for name in names]
@@ -558,8 +549,7 @@ class LogGrep(AggregateShortcuts):
         an archive larger than the bound keeps the most recently touched
         blocks only.
         """
-        self._executor.sync_generation()
-        for name in self.store.names():
+        for name in self._executor.source.live(self.store.names()):
             self._executor.load_box(name, pin=True)
 
     def unpin_blocks(self) -> None:
@@ -587,7 +577,7 @@ class LogGrep(AggregateShortcuts):
     def decompress_all(self) -> List[str]:
         """Rebuild every stored line in global order (round-trip check)."""
         entries: List[Tuple[int, str]] = []
-        for name in self.store.names():
+        for name in self._executor.source.live(self.store.names()):
             box = self._executor.load_box(name)
             box.prefetch()  # full rebuild touches everything: batch the reads
             reconstructor = BlockReconstructor(box, self.config.query_settings())

@@ -33,9 +33,9 @@ pipeline at twice the worker count, committing the oldest block when
 full, so a producer can never outrun compression without bound.
 
 A commit only ever adds a block: it refuses a name the store already
-holds (another writer appended since this one read the archive), so the
-bytes behind a committed name change only through a lifecycle rewrite,
-and caches keyed by block name survive every commit.
+holds (another writer appended since this one read the archive).  A
+lifecycle rewrite writes new names too, so the bytes behind a name
+never change and caches keyed by block name survive every write.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Deque, List, NamedTuple, Optional, Tuple, Union
 
 from ..blockstore.block import LogBlock, block_name
-from ..blockstore.index import ArchiveIndex, BlockSummary, save_index
+from ..blockstore.index import ArchiveIndex, BlockSummary, save_index, sync_index
 from ..blockstore.store import ArchiveStore
 from ..capsule.box import CapsuleBox
 from ..common.errors import CompressionError
@@ -234,11 +234,14 @@ class CompressionScheduler:
     # ------------------------------------------------------------------
     def drain(self) -> None:
         """Commit every outstanding block, in submission order, and
-        persist the prune-index sidecar when it changed."""
+        persist the prune-index sidecar when it changed — after folding
+        in a sidecar a lifecycle rewrite published meanwhile, whose names
+        saving a stale index would unpublish."""
         while self._pending:
             self._commit_oldest()
         if self.index is not None and self._index_dirty:
             if hasattr(self.store, "put_aux"):
+                sync_index(self.store, self.index)
                 save_index(self.store, self.index)
             self._index_dirty = False
 

@@ -48,18 +48,22 @@ Neither is kept.  Line ids start at each block's own ``first_line_id``
 equal to the same grep after ``flush()``.
 
 Every reader of the stream shares one Query Cache, keyed like any
-other by ``(generation, box name, term)``; tail rows never enter it.
-A commit only adds a block name — the scheduler refuses to write over
-one — so it bumps no generation, and the entries of every unchanged
-block survive it.  The stream also holds the box of its newest
-committed block (the encoder's, one at most) and serves it under the
-block's name, so the first count after a seal matches the new block
-without reading the store.  Only a lifecycle rewrite bumps the
-generation; a reader then stops serving a held box committed under an
-older one, and the stream folds the rewriter's sidecar into its prune
-index.  The readers do not share a ``BoxCache``: a shared box could
-outlive a foreign warm demote that rewrote its block under the same
-name.
+other by ``(box name, term)``; tail rows never enter it.  A block name
+is written once (a commit only adds one; a lifecycle rewrite writes new
+names and deletes the ones it replaced), so a name's entries and boxes
+stay right for as long as the name is served.  The stream also holds
+the box of its newest committed block (the encoder's, one at most) and
+serves it under the block's name, so the first count after a seal
+matches the new block without reading the store.  The stream's prune
+index is shared with its scheduler and its readers: opening the stream
+summarizes into it the live blocks the sidecar does not list, and a
+listing that shows a rewrite folds the rewriter's sidecar into it
+(:func:`~repro.blockstore.index.sync_index`), as the scheduler does
+before it saves the index.  Each reader keeps
+its own ``BoxCache``: measured on a 2-core box, a ``BoxCache`` shared
+across a stream's readers took tail counts to 0.77–0.85x of their time,
+about what the one held box gives (0.82x), while holding up to 64 boxes
+instead of one.
 """
 
 from __future__ import annotations
@@ -70,13 +74,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..blockstore.block import LogBlock
-from ..blockstore.index import ArchiveIndex, load_index, open_index
+from ..blockstore.index import ArchiveIndex, live_names, open_index
 from ..blockstore.store import ArchiveStore, MemoryStore
 from ..capsule.box import CapsuleBox
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..query.executor import StoreBoxSource
-from ..query.cache import QueryCache, load_generation
+from ..query.cache import QueryCache
 from ..staticparse.cache import TemplateCache
 from ..staticparse.parser import ParsedBlock
 # parse_block is unused here but stays bound: perfbench/tracing.py wraps
@@ -156,18 +160,17 @@ class StreamingCompressor:
             raise ValueError("pipeline depth must be positive")
         self.pipeline_depth = pipeline_depth
         self.store = store if store is not None else MemoryStore()
-        # The generation the index reflects, read before it: a rewrite
-        # in between re-syncs (see _sync_index).
-        self._generation = load_generation(self.store)
         self._index = open_index(self.store)
+        # Append after commits a writer died before saving the sidecar for.
+        self._index.summarize(self.store, live_names(self.store.names(), self._index))
         # One reentrant lock serializes everything the tail snapshot
         # depends on: the append buffer, the scheduler's pending deque
         # and the store commits it performs.  Snapshots taken under it
         # are atomic across the seal race.
         self._lock = threading.RLock()
-        # The newest committed block: (name, its box, the generation read
-        # before its commit).  Replaced at every commit.
-        self._held: Optional[Tuple[str, CapsuleBox, int]] = None
+        # The newest committed block: (name, its box).  Replaced at every
+        # commit.
+        self._held: Optional[Tuple[str, CapsuleBox]] = None
         # The Query Cache every reader shares (see the module docstring).
         self._fragments = QueryCache(self.config.cache_capacity)
         self._template_cache = TemplateCache()
@@ -227,42 +230,17 @@ class StreamingCompressor:
             with get_tracer().span(
                 "ingest.seal", block=block.block_id, lines=block.num_lines
             ):
-                self._sync_index()
                 self._scheduler.submit(block)
 
     def _on_commit(self, name: str, block: LogBlock, box: CapsuleBox) -> None:
-        # The box just committed serves its block's name.  Every commit
-        # runs after a _sync_index, so _generation was read before the
-        # block was written: a rewrite of it bumps past that.
+        # The box just committed serves its block's name.
         with self._lock:
-            self._held = (name, box, self._generation)
+            self._held = (name, box)
             # Its shape too, so the block stays box-less warm (no
             # LoadBox) once the next commit replaces the held box.
             self._fragments.put_shape(
-                self._generation,
-                name,
-                tuple(group.num_entries for group in box.groups),
+                name, tuple(group.num_entries for group in box.groups)
             )
-
-    def _sync_index(self) -> int:
-        """Load the archive generation; when a lifecycle rewrite advanced
-        it, fold the rewriter's sidecar into the stream's prune index (a
-        cold merge reuses names for other lines) and drop the names it
-        merged away.  The index object is shared with the scheduler and
-        the readers, so it is updated in place.  Returns the generation.
-        """
-        with self._lock:
-            generation = load_generation(self.store)
-            if generation != self._generation:
-                self._generation = generation
-                fresh = load_index(self.store) or ArchiveIndex()
-                summaries = {**self._index.blocks, **fresh.blocks}
-                self._index.blocks = {
-                    name: summaries[name]
-                    for name in self.store.names()
-                    if name in summaries
-                }
-            return generation
 
     # ------------------------------------------------------------------
     # the hot tail
@@ -359,9 +337,6 @@ class StreamingCompressor:
         with self._lock:
             with get_tracer().span("ingest.flush"):
                 self._submit_block()
-                # A foreign rewrite since the last seal must be folded in
-                # before the drain persists the index as the sidecar.
-                self._sync_index()
                 self._scheduler.drain()
         elapsed = time.perf_counter() - self._start
         return CompressionReport(
@@ -400,9 +375,7 @@ class StreamingCompressor:
             prune_index=self._index,
             fragments=self._fragments,
         )
-        # Re-point the reader's one executor (a second one would read the
-        # archive generation again), at the generation the stream's index
-        # reflects: a rewrite since then re-syncs at the first query.
+        # Re-point the reader's one executor at the stream's source.
         reader.executor.source = _StreamBoxSource(
             self, reader._box_cache, self._index, tail
         )
@@ -426,8 +399,7 @@ class _StreamBoxSource(StoreBoxSource):
     block's lines to scan; ``cached()`` builds its box for the plans that
     need one, which makes the plan's TimePrune/BlockFilter/LoadBox
     operators skip it.  The held box of the newest committed block is
-    served while the reader's generation is the one it was committed
-    under.
+    served under its name.
     """
 
     def __init__(
@@ -437,7 +409,7 @@ class _StreamBoxSource(StoreBoxSource):
         index: Optional[ArchiveIndex] = None,
         tail: bool = True,
     ):
-        super().__init__(stream.store, box_cache, index, stream._generation)
+        super().__init__(stream.store, box_cache, index)
         self._stream = stream
         self._tail = tail
 
@@ -445,7 +417,7 @@ class _StreamBoxSource(StoreBoxSource):
         if not self._tail:
             return super().names()
         snap = self._stream.tail_snapshot()
-        return snap.sealed_names + list(snap.tail_names)
+        return self.live(snap.sealed_names) + list(snap.tail_names)
 
     def tail_block(self, name: str) -> Optional[LogBlock]:
         return name.block if isinstance(name, _TailName) else None
@@ -454,17 +426,9 @@ class _StreamBoxSource(StoreBoxSource):
         if isinstance(name, _TailName):
             return self._stream._tail_box(name)
         held = self._stream._held
-        if held is not None and held[0] == name and held[2] == self.generation:
+        if held is not None and held[0] == name:
             return held[1]
         return super().cached(name)
-
-    def invalidate(self) -> None:
-        """A lifecycle rewrite: drop the boxes, and share the stream's
-        prune index once it has folded in the rewriter's sidecar."""
-        if self.box_cache is not None:
-            self.box_cache.clear()
-        self._stream._sync_index()
-        self.index = self._stream._index
 
     def total_lines_hint(self) -> int:
         """Logical-clock extent including unsealed lines (timeseries)."""

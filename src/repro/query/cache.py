@@ -1,11 +1,11 @@
-"""Query Cache (paper §3, §6.3) and the archive generation.
+"""Query Cache (paper §3, §6.3).
 
 LogGrep keeps a map from query text to located rows so that the
 *refining mode* — an engineer growing ``ERROR`` into ``ERROR AND x`` into
 ``ERROR AND x NOT y`` over a debugging session — never re-matches a search
 string it has already located.  :class:`QueryCache` is that map: one
-bounded LRU of per-block row sets keyed ``(archive generation, block
-name, term key)``.  Row sets are the exact intermediate the engine's
+bounded LRU of per-block row sets keyed ``(block name, term key)``.  Row
+sets are the exact intermediate the engine's
 AND/OR/NOT algebra consumes, so *overlapping* queries (``ERROR``, ``ERROR
 AND timeout``, ``ERROR OR WARN``) share work even when no two are
 textually equal, and a repeated query skips Match entirely.
@@ -25,21 +25,13 @@ the terms the cache memoizes each block's **shape** (per-group row
 counts) under a reserved key, so a fully warm block is evaluated purely
 in row-set algebra: a COUNT touches neither the store nor the box.
 
-The **generation** is a monotonic counter persisted as an auxiliary blob
-next to the blocks, bumped by every writer that can change the bytes
-behind an existing block name: ``lifecycle demote`` to WARM
-(block-for-block rewrite, same names) and to COLD (merge-and-recompress,
-renumbered names).  A commit — batch ``compress`` or a streaming seal —
-only adds a name (the scheduler refuses to write over one), so it bumps
-nothing and the entries of every existing block stay valid.  The
-executor loads the generation once per run; a
-bumped generation makes every older row set unreachable by key, and
-:meth:`QueryCache.set_generation` drops them eagerly
-(``loggrep_query_cache_invalidations_total``).  Because invalidation
-rides an archive-associated token rather than in-process callbacks, a
-cache shared across LogGrep handles — or held across a demotion
-performed by a separate :class:`~repro.core.lifecycle.LifecycleManager`
-— can never serve stale rows.
+A block name is written once (:func:`~repro.blockstore.block.block_name`):
+a commit adds a name, and a lifecycle rewrite writes new names and
+deletes the ones it replaced.  A name therefore identifies its bytes,
+and an entry can never go stale — entries of replaced names are simply
+never asked for again and age out of the LRU.  So a cache shared across
+LogGrep handles, or held across a demotion performed by a separate
+:class:`~repro.core.lifecycle.LifecycleManager`, needs no invalidation.
 
 Decoded values are not cached here: a reader decodes the rows it needs
 from padded cells (:mod:`repro.query.vectors`), and the decompressed
@@ -65,10 +57,6 @@ _MISSES = get_registry().counter(
 _EVICTIONS = get_registry().counter(
     "loggrep_query_cache_evictions_total", "Entries evicted by the LRU bound"
 )
-_INVALIDATIONS = get_registry().counter(
-    "loggrep_query_cache_invalidations_total",
-    "Entries dropped because the archive generation advanced",
-)
 _ENTRIES = get_registry().gauge(
     "loggrep_query_cache_entries", "Entries currently cached"
 )
@@ -82,44 +70,9 @@ TermEntry = Tuple[GroupRows, Optional[GroupRows]]
 
 DEFAULT_CAPACITY = 4096
 
-#: Aux-blob name of the per-archive generation counter.
-GENERATION_AUX_NAME = "generation.txt"
-
 #: Reserved term key for a block's shape (group -> row count).  NUL can
 #: never appear in a parsed search string, so it cannot collide.
 SHAPE_KEY = "\x00shape"
-
-
-def load_generation(store: object) -> int:
-    """The archive's current generation (0 for a never-bumped archive).
-
-    Tolerant of stores without aux-blob support and of unreadable blobs:
-    both read as generation 0, which is always *safe* — a reader that
-    cannot observe bumps simply keys every row set to one generation,
-    and such stores (e.g. cluster replica holders) never rewrite a block
-    name in place.
-    """
-    try:
-        # One read, no existence probe first: a missing blob raises too.
-        return int(store.get_aux(GENERATION_AUX_NAME).decode("ascii"))  # type: ignore[attr-defined]
-    except Exception:  # noqa: BLE001 - absence and corruption read alike
-        return 0
-
-
-def bump_generation(store: object) -> int:
-    """Advance the archive generation; returns the new value.
-
-    Called by every writer that can change bytes behind an existing
-    block name: the lifecycle's warm rewrite and cold merge.  A commit
-    only adds a name, so it does not call this.  Best-effort on stores
-    without aux support — see :func:`load_generation`.
-    """
-    gen = load_generation(store) + 1
-    try:
-        store.put_aux(GENERATION_AUX_NAME, str(gen).encode("ascii"))  # type: ignore[attr-defined]
-    except Exception:  # noqa: BLE001
-        pass
-    return gen
 
 
 def covered_rows(
@@ -169,7 +122,8 @@ def _union(a: GroupRows, b: GroupRows) -> GroupRows:
 
 
 class QueryCache:
-    """A bounded LRU of generation-keyed per-block search-string results."""
+    """A bounded LRU of per-block search-string results, keyed by block
+    name and term."""
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY):
         if capacity <= 0:
@@ -179,52 +133,28 @@ class QueryCache:
         # Parallel query execution (query_parallelism > 1) shares the cache
         # across worker threads.
         self._lock = threading.Lock()
-        self._generation: Optional[int] = None
         self.hits = 0
         self.misses = 0
-        self.invalidations = 0
-
-    def set_generation(self, generation: int) -> None:
-        """Pin the cache to one archive generation.
-
-        Called once per run with the freshly-loaded token.  Entries from
-        any other generation are unreachable by key anyway; they are
-        dropped eagerly here so a rewritten archive's stale row sets do
-        not squat in the LRU.
-        """
-        with self._lock:
-            if self._generation == generation:
-                return
-            self._generation = generation
-            stale = [key for key in self._entries if key[0] != generation]
-            for key in stale:
-                del self._entries[key]
-            if stale:
-                self.invalidations += len(stale)
-                _INVALIDATIONS.inc(len(stale))
-            _ENTRIES.set(len(self._entries))
 
     def get(
         self,
-        generation: int,
         block_name: str,
         term_key: str,
         alive: Optional[GroupRows] = None,
     ) -> Optional[GroupRows]:
         """The term's rows, exact on *alive* (None = every row), or None
         when no entry answers it."""
-        return self.lookup(generation, block_name, term_key, alive)[1]
+        return self.lookup(block_name, term_key, alive)[1]
 
     def lookup(
         self,
-        generation: int,
         block_name: str,
         term_key: str,
         alive: Optional[GroupRows] = None,
     ) -> Tuple[Optional[TermEntry], Optional[GroupRows]]:
         """The term's whole entry and its answer on *alive* (see
         :func:`covered_rows`); a hit is a lookup that answered."""
-        key = (generation, block_name, term_key)
+        key = (block_name, term_key)
         with self._lock:
             entry = self._entries.get(key)
             rows: Optional[GroupRows] = None
@@ -242,7 +172,6 @@ class QueryCache:
 
     def put(
         self,
-        generation: int,
         block_name: str,
         term_key: str,
         rows: GroupRows,
@@ -250,24 +179,20 @@ class QueryCache:
     ) -> None:
         """Store one term's entry whole: *rows*, exact on *coverage*
         (None = every row)."""
-        self._put((generation, block_name, term_key), (rows, coverage))
+        self._put((block_name, term_key), (rows, coverage))
 
     # Block shapes are cached uncounted: they are not search-string
     # results, only the full-rows seed that lets a warm block skip LoadBox.
-    def get_shape(
-        self, generation: int, block_name: str
-    ) -> Optional[Tuple[int, ...]]:
-        key = (generation, block_name, SHAPE_KEY)
+    def get_shape(self, block_name: str) -> Optional[Tuple[int, ...]]:
+        key = (block_name, SHAPE_KEY)
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
             return entry  # type: ignore[return-value]
 
-    def put_shape(
-        self, generation: int, block_name: str, shape: Tuple[int, ...]
-    ) -> None:
-        self._put((generation, block_name, SHAPE_KEY), shape)
+    def put_shape(self, block_name: str, shape: Tuple[int, ...]) -> None:
+        self._put((block_name, SHAPE_KEY), shape)
 
     def _put(self, key: tuple, value: object) -> None:
         with self._lock:
@@ -281,10 +206,8 @@ class QueryCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._generation = None
             self.hits = 0
             self.misses = 0
-            self.invalidations = 0
             _ENTRIES.set(0)
 
     def __len__(self) -> int:

@@ -35,7 +35,7 @@ one.  Per block the pipeline is::
   term only over the rows the fold still holds, so a selective first
   term leaves the rest a few direct cell probes.  Results are memoized
   per block for the pass (first requester pays) and across runs in the
-  generation-keyed :class:`~repro.query.cache.QueryCache` when
+  name-keyed :class:`~repro.query.cache.QueryCache` when
   ``config.use_query_cache`` is on, both as ``(rows, coverage)``
   entries: a later request is answered when the entry is complete or
   covers its rows, and otherwise widens the entry.  With the block's
@@ -87,14 +87,20 @@ from typing import (
 
 from ..blockstore.blobsource import BlobSource, StoreBlobSource
 from ..blockstore.block import LogBlock
-from ..blockstore.index import ArchiveIndex, BlockSummary, load_index
+from ..blockstore.index import (
+    ArchiveIndex,
+    BlockSummary,
+    live_names,
+    load_index,
+    sync_index,
+)
 from ..capsule.box import CapsuleBox
 from ..common.errors import BudgetExceeded
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .aggregate import AggregatePartial, AggregateSpec, make_partial
 from .blockfilter import summary_might_match
-from .cache import QueryCache, TermEntry, covered_rows, load_generation, widen
+from .cache import QueryCache, TermEntry, covered_rows, widen
 from .engine import (
     BlockEngine,
     GroupRows,
@@ -192,6 +198,13 @@ class BoxCache:
                 _BOX_EVICTIONS.inc()
             _BOX_ENTRIES.set(len(self._entries))
 
+    def retain(self, names: Set[str]) -> None:
+        """Drop the boxes of every name not in *names*."""
+        with self._lock:
+            for name in [name for name in self._entries if name not in names]:
+                del self._entries[name]
+            _BOX_ENTRIES.set(len(self._entries))
+
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
@@ -220,19 +233,26 @@ class StoreBoxSource:
         store: object,
         box_cache: Optional[BoxCache] = None,
         index: Optional[ArchiveIndex] = None,
-        generation: Optional[int] = None,
     ):
         self.store = store
         self.box_cache = box_cache
         self.index = index
-        #: The archive generation the derived state (boxes, index)
-        #: reflects; the executor advances it when a rewrite bumps it.
-        self.generation = (
-            load_generation(store) if generation is None else generation
-        )
 
     def names(self) -> List[str]:
-        return self.store.names()  # type: ignore[attr-defined]
+        """The live blocks, listed once per run."""
+        return self.live(self.store.names())  # type: ignore[attr-defined]
+
+    def live(self, listing: List[str]) -> List[str]:
+        """The names of the store listing *listing* that are served
+        (:func:`~repro.blockstore.index.live_names`).  A listing that
+        differs from the index's names folds the sidecar into the index
+        and drops the boxes of names no longer served."""
+        if self.index is None:
+            return live_names(listing, load_index(self.store))
+        names = sync_index(self.store, self.index, listing)
+        if names is not listing and self.box_cache is not None:
+            self.box_cache.retain(set(names))
+        return names
 
     def blob(self, name: str) -> BlobSource:
         """Ranged access to one block."""
@@ -253,17 +273,6 @@ class StoreBoxSource:
         """The raw lines behind *name* when it names a block that was
         never encoded (a stream's hot tail), else None."""
         return None
-
-    def invalidate(self) -> None:
-        """The archive was rewritten under this handle: drop everything
-        derived from the old bytes and keyed by block name — cached or
-        pinned boxes, and the prune index, which is re-read from the
-        sidecar the writer persisted (a missing sidecar only costs
-        pruning, never correctness)."""
-        if self.box_cache is not None:
-            self.box_cache.clear()
-        if self.index is not None:
-            self.index = load_index(self.store) or ArchiveIndex()
 
 
 @dataclass
@@ -389,22 +398,6 @@ class QueryExecutor:
             cache if cache is not None else QueryCache(config.cache_capacity)
         )
 
-    def sync_generation(self) -> int:
-        """Load the archive generation — once per run.
-
-        When a lifecycle rewrite (possibly another process's demote)
-        advanced it since this handle last looked, every block name may
-        now front different bytes: cached row sets become unreachable by
-        key, and the source drops its boxes and prune index.  A commit
-        only adds a block, so it advances nothing.
-        """
-        generation = load_generation(self.source.store)
-        if generation != self.source.generation:
-            self.source.generation = generation
-            self.source.invalidate()
-        self.cache.set_generation(generation)
-        return generation
-
     # ------------------------------------------------------------------
     # plan-level driver
     # ------------------------------------------------------------------
@@ -464,13 +457,12 @@ class QueryExecutor:
                         else build_plan(c, mode, ignore_case)
                         for c in commands
                     ]
-                generation = self.sync_generation()
                 names = self.source.names()
                 report.blocks = len(names)
                 # One Locator memo for the whole run, dropped with it.
                 settings = self._settings()
                 passes = self._schedule(
-                    names, plans, ledgers, shared, generation, settings, rspan
+                    names, plans, ledgers, shared, settings, rspan
                 )
                 report.shared_loads = sum(block.loaded for block in passes)
                 _PASS_LOADS.inc(report.shared_loads)
@@ -589,7 +581,6 @@ class QueryExecutor:
         plans: List[QueryPlan],
         ledgers: List[QueryLedger],
         shared: QueryLedger,
-        generation: int,
         settings: QuerySettings,
         root: object,
     ) -> List[BlockPass]:
@@ -614,8 +605,7 @@ class QueryExecutor:
                 block_shared = shared.spawn()
             with tracer.span("block", parent=root, block=name):
                 return self.execute_block(
-                    name, plans, block_ledgers, block_shared, generation,
-                    settings,
+                    name, plans, block_ledgers, block_shared, settings
                 )
 
         try:
@@ -642,7 +632,6 @@ class QueryExecutor:
         plans: Sequence[QueryPlan],
         ledgers: Optional[Sequence[QueryLedger]] = None,
         shared: QueryLedger = NULL_LEDGER,
-        generation: Optional[int] = None,
         settings: Optional[QuerySettings] = None,
     ) -> BlockPass:
         """TimePrune → BlockFilter → LoadBox → Locate/Match →
@@ -651,14 +640,12 @@ class QueryExecutor:
         *ledgers* aligns with *plans*; *shared* pays for pruning and
         LoadBox; *settings* carries the run's Locator memo.  Called bare
         — ``execute_block(name, plans)``, the unit a cluster worker
-        serves per RPC — the pass is unaccounted, loads the archive
-        generation itself and memoizes ``locate`` for this block only.
+        serves per RPC — the pass is unaccounted and memoizes ``locate``
+        for this block only.
         """
         tracer = get_tracer()
         if ledgers is None:
             ledgers = [NULL_LEDGER] * len(plans)
-        if generation is None:
-            generation = self.sync_generation()
         outcomes = [BlockOutcome(name) for _ in plans]
         for outcome in outcomes:
             outcome.stats.blocks_visited += 1
@@ -700,7 +687,7 @@ class QueryExecutor:
             entry = term_rows.get(key)
             if entry is None and cache is not None and key not in consulted:
                 consulted.add(key)
-                entry, rows = cache.lookup(generation, name, key, alive)
+                entry, rows = cache.lookup(name, key, alive)
                 if entry is not None:
                     term_rows[key] = entry
                 return rows
@@ -731,7 +718,7 @@ class QueryExecutor:
                     rows = engine.search_string_rows(search, alive)
                 entry = term_rows[key] = widen(term_rows.get(key), rows, alive)
                 if cache is not None:
-                    cache.put(generation, name, key, *entry)
+                    cache.put(name, key, *entry)
                 return rows
 
             return match
@@ -741,7 +728,7 @@ class QueryExecutor:
         # miss-everything LINES plans never open the box.
         located: Dict[int, GroupRows] = {}
         shape = (
-            cache.get_shape(generation, name)
+            cache.get_shape(name)
             if cache is not None and box is None
             else None
         )
@@ -779,8 +766,7 @@ class QueryExecutor:
             done.loaded = True
             if cache is not None:
                 cache.put_shape(
-                    generation, name,
-                    tuple(group.num_entries for group in box.groups),
+                    name, tuple(group.num_entries for group in box.groups)
                 )
         engine = BlockEngine(box, settings)
         for i in live:

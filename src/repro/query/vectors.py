@@ -32,11 +32,12 @@ Decoded vector state is box-scoped.  A reader is built once per vector
 and lives exactly as long as its :class:`CapsuleBox`, which owns it
 (:func:`box_readers`): a box pinned by a refining session keeps its
 readers' stamp lists, Locator keys, outlier maps and nominal cell tables
-across queries, and a box dropped by the BoxCache or a generation bump
-takes them with it.  This is no cache of its own: the cache count stays
-at four (the Query Cache, the BoxCache, the warm-start TemplateCache and
-the per-run :data:`LocateMemo`).  A reader holds nothing of a query: the run's
-:class:`QuerySettings` come with every search, and every read is charged
+across queries, and a box the BoxCache drops (evicted, or its name
+replaced by a rewrite) takes them with it.  This is no cache of its
+own: the cache count stays at four (the Query Cache, the BoxCache, the
+warm-start TemplateCache and the per-run :data:`LocateMemo`).  A reader
+holds nothing of a query: the run's :class:`QuerySettings` come with
+every search, and every read is charged
 through :mod:`repro.obs.ledger` to the plan open on that thread, so
 concurrent queries over one pinned box never charge each other.  Every
 lazily built piece of state is computed whole and then published, so

@@ -1,4 +1,4 @@
-"""Multi-plan block pass + generation-keyed query cache tests.
+"""Multi-plan block pass + name-keyed query cache tests.
 
 Acceptance coverage for the one pass: a multi-plan run must be
 result-identical to running each plan alone for every mode mix (and a
@@ -13,15 +13,11 @@ import pytest
 
 from repro import LogGrep, LogGrepConfig
 from repro.baselines.evalutil import grep_lines
+from repro.blockstore.block import block_name, parse_block_name
 from repro.blockstore.store import MemoryStore
 from repro.obs import tracing
 from repro.obs.metrics import get_registry
 from repro.query.aggregate import AggregateSpec
-from repro.query.cache import (
-    GENERATION_AUX_NAME,
-    bump_generation,
-    load_generation,
-)
 from repro.query.modes import AggregateKind
 from repro.query.plan import OutputMode, build_plan
 from repro.workloads import spec_by_name
@@ -331,19 +327,25 @@ class TestQueryCacheWarmPath:
 
 
 # ----------------------------------------------------------------------
-# staleness: every rewrite path must bump the generation; a commit only
-# adds a block, so it bumps nothing
+# staleness: a block name is written once — a commit only adds a name,
+# and a lifecycle rewrite writes new names and deletes the old ones
 # ----------------------------------------------------------------------
 class TestInvalidation:
-    def test_commit_keeps_generation_demote_advances_it(self, corpus):
+    def test_commit_keeps_names_demote_writes_new_ones(self, corpus):
         from repro.core.lifecycle import LifecycleManager, Tier
 
         lg = make_lg(corpus)
-        assert load_generation(lg.store) == 0
+        before = lg.store.names()
+        assert before == [block_name(i) for i in range(len(before))]
         lg.compress(["extra line one", "extra line two"])
-        assert load_generation(lg.store) == 0
+        after = lg.store.names()
+        assert after == before + [block_name(len(before))]
         LifecycleManager(lg.store, lg.config).demote(Tier.WARM)
-        assert load_generation(lg.store) > 0
+        demoted = lg.store.names()
+        assert not set(demoted) & set(after)
+        assert [parse_block_name(name)[0] for name in demoted] == list(
+            range(len(after))
+        )
 
     def test_append_keeps_rowsets(self, corpus):
         lg = make_lg(corpus)
@@ -355,7 +357,7 @@ class TestInvalidation:
         # The pre-append entries still answer for the unchanged blocks.
         assert lg.fragments.hits > hits_before
 
-    def test_streaming_seal_keeps_generation(self):
+    def test_streaming_seal_keeps_names(self):
         from repro.core.lifecycle import LifecycleManager, Tier
         from repro.core.streaming import StreamingCompressor
 
@@ -365,14 +367,15 @@ class TestInvalidation:
                 stream.append(f"streamed ERROR line {i} payload {i % 13}")
             store = stream.store
         assert stream.blocks > 1
-        assert load_generation(store) == 0
+        blocks = range(stream.blocks)
+        assert store.names() == [block_name(i) for i in blocks]
         LifecycleManager(store, config).demote(Tier.WARM)
-        assert load_generation(store) > 0
+        assert store.names() == [block_name(i, epoch=1) for i in blocks]
 
     def test_demote_warm_invalidates_shared_cache(self, corpus):
         """The demotion is performed by a *separate* LifecycleManager;
-        a cache shared with a fresh handle must still notice via the
-        persisted generation token."""
+        a cache shared with a fresh handle never sees the rewritten
+        blocks under their old names."""
         from repro.core.lifecycle import LifecycleManager, Tier
 
         lg = make_lg(corpus)
@@ -393,10 +396,10 @@ class TestInvalidation:
 
         lg = make_lg(corpus)
         warm = lg.count_many(["ERROR", "read"])
-        gen_before = load_generation(lg.store)
+        names_before = set(lg.store.names())
         report = LifecycleManager(lg.store, lg.config).demote(Tier.COLD)
         assert report.blocks_after < report.blocks_before  # merged
-        assert load_generation(lg.store) > gen_before
+        assert not names_before & set(lg.store.names())  # all new names
         reader = LogGrep(
             store=lg.store, config=lg.config,
             fragments=lg.fragments,  # carry the stale cache over
@@ -426,7 +429,7 @@ class TestInvalidation:
         fresh = LogGrep(store=lg.store, config=lg.config)
         for query in QUERIES:
             want = grep_lines(query, corpus)
-            for _ in range(2):  # cold after the bump, then warm again
+            for _ in range(2):  # cold after the rewrite, then warm again
                 assert reader.grep(query).lines == want
             assert reader.count(query) == len(want)
             assert fresh.grep(query).lines == want
@@ -434,10 +437,10 @@ class TestInvalidation:
             reader.close()
 
     def test_held_handle_rereads_prune_index_after_cold_merge(self, corpus):
-        """Merged cold blocks reuse the first original's name: a summary
-        kept from before the merge would prune lines that now live under
-        that name.  The first original block has no upper-case G-Z, so
-        its stale charset mask prunes the upper-case needle."""
+        """The first original block has no upper-case G-Z, so its charset
+        mask prunes the upper-case needle.  A cold merge moves the
+        needle's line into a block under a new name, which the held
+        handle must serve with the summary the merge published."""
         from repro.blockstore.index import load_index
         from repro.core.lifecycle import LifecycleManager, Tier
         from repro.query.executor import summary_might_match
@@ -454,7 +457,9 @@ class TestInvalidation:
         assert not summary_might_match(stale, parse_query("QQneedleQQ"))
         assert lg.grep("QQneedleQQ").lines == [needle]
         LifecycleManager(lg.store, lg.config).demote(Tier.COLD)
-        merged = load_index(lg.store).get(first)
+        merged_name = lg.store.names()[0]
+        assert merged_name != first
+        merged = load_index(lg.store).get(merged_name)
         assert merged.first_line_id + merged.num_lines > 600
         assert lg.grep("QQneedleQQ").lines == [needle]
         lg.compress(["appended after the merge QQneedleQQ"])
@@ -462,21 +467,28 @@ class TestInvalidation:
         fresh = LogGrep(store=lg.store, config=lg.config)
         assert fresh.grep("QQneedleQQ").lines == lg.grep("QQneedleQQ").lines
 
-    def test_missing_generation_blob_reads_as_zero(self):
-        class Auxless:
-            pass
-
-        assert load_generation(Auxless()) == 0
-        bump_generation(Auxless())  # best-effort, must not raise
-
-    def test_generation_blob_is_aux(self, corpus):
+    def test_leftover_generation_blob_is_ignored(self, corpus):
+        """Archives written before block names were immutable may hold a
+        ``generation.txt`` aux blob: nothing reads or rewrites it."""
         from repro.core.lifecycle import LifecycleManager, Tier
 
         lg = make_lg(corpus)
+        lg.store.put_aux("generation.txt", b"7")
+        aux_reads = []
+        get_aux = lg.store.get_aux
+        lg.store.get_aux = lambda name: aux_reads.append(name) or get_aux(name)
+        held = LogGrep(store=lg.store, config=lg.config)
+        for query in QUERIES:
+            held.grep(query)
         LifecycleManager(lg.store, lg.config).demote(Tier.WARM)
-        assert lg.store.aux_exists(GENERATION_AUX_NAME)
+        fresh = LogGrep(store=lg.store, config=lg.config)
+        for query in QUERIES:
+            assert held.grep(query).lines == grep_lines(query, corpus)
+            assert fresh.grep(query).lines == grep_lines(query, corpus)
+        assert "generation.txt" not in aux_reads
+        assert get_aux("generation.txt") == b"7"
         # Aux blobs never pollute the block namespace.
-        assert GENERATION_AUX_NAME not in lg.store.names()
+        assert "generation.txt" not in lg.store.names()
 
 
 # ----------------------------------------------------------------------

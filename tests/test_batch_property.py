@@ -1,10 +1,10 @@
 """Property tests for the multi-plan block pass.
 
 The invariant: for ANY mix of grep/count/aggregate plans, ANY plan
-order and ANY warm/cold/evicting query-cache state — including
-across a concurrent ``lifecycle demote`` generation bump — running the
-plans together is result-identical to running each alone on a handle
-that caches nothing.
+order and ANY warm/cold/evicting query-cache state — including across
+a concurrent ``lifecycle demote`` that rewrites every block — running
+the plans together is result-identical to running each alone on a
+handle that caches nothing.
 """
 
 import random
@@ -138,10 +138,10 @@ class TestBatchProperty:
     )
     @given(plan_mixes(), st.sampled_from(["warm", "cold"]))
     def test_together_equals_alone_across_demote(self, mix, tier_name):
-        """A lifecycle demotion between two runs rewrites blocks in
-        place; the generation bump must keep the second run exact — on
-        the handle that was held across it and on a fresh one sharing
-        its (now stale-keyed) cache."""
+        """A lifecycle demotion between two runs rewrites blocks under
+        new names; the second run must stay exact — on the handle that
+        was held across it and on a fresh one sharing its cache, whose
+        entries are keyed by the replaced names."""
         from repro.core.lifecycle import LifecycleManager, Tier
 
         lines = make_mixed_lines(250, seed=23)

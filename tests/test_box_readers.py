@@ -2,8 +2,9 @@
 
 A refining session pins its boxes, and with them every reader's decoded
 state: a repeated warm query builds no reader, no nominal cell table and
-inflates no Capsule.  A foreign rewrite bumps the generation, which drops
-the boxes and their readers, so the next query decodes the new bytes.
+inflates no Capsule.  A foreign rewrite replaces the block names, which
+drops the old boxes and their readers, so the next query decodes the new
+bytes.
 Queries racing on one pinned box inflate each Capsule once and charge
 only the query that inflated it.
 """
@@ -93,10 +94,13 @@ class TestWarmPath:
         with lg.open_session() as session:
             session.grep(QUERY)
             session.grep(QUERY)
+            replaced = lg.store.names()
             LifecycleManager(lg.store, lg.config).demote(Tier(tier_name))
             before = builds["readers"]
             after = session.grep(QUERY)
             assert builds["readers"] > before  # the old readers went too
+            # The pinned boxes of the replaced names are dropped.
+            assert not any(name in lg._box_cache for name in replaced)
             assert after.lines == grep_lines(QUERY, corpus)
             assert session.grep(QUERY).lines == after.lines
 

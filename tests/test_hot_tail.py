@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from tests.conftest import make_mixed_lines
 from repro.baselines.evalutil import grep_lines, line_matches
 from repro.blockstore.block import LogBlock, block_name
+from repro.blockstore.index import load_index
 from repro.blockstore.store import ArchiveStore, MemoryStore
 from repro.capsule.box import CapsuleBox
 from repro.common.errors import CompressionError
@@ -40,7 +41,6 @@ from repro.core.loggrep import LogGrep
 from repro.core.streaming import StreamingCompressor
 from repro.obs.metrics import get_registry
 from repro.obs.trace import tracing
-from repro.query.cache import bump_generation
 from repro.query.engine import BlockEngine, text_rows
 from repro.query.language import parse_query
 from repro.query.plan import build_plan
@@ -94,24 +94,22 @@ class TestImmediateVisibility:
             assert result.line_ids == [0]
             assert reader.total_lines() == 1
 
-    def test_one_tail_count_reads_the_generation_twice(self, monkeypatch):
-        # Once when the reader's executor is built, once when the count
-        # syncs it: the tail reader builds one executor, not two.
-        from repro.query import executor as executor_module
-
-        reads = []
-        real = executor_module.load_generation
-
-        def counting(store):
-            reads.append(store)
-            return real(store)
-
-        monkeypatch.setattr(executor_module, "load_generation", counting)
+    def test_a_tail_count_reads_no_aux_blob(self, monkeypatch):
+        # Only a listing that shows a rewrite's publish reads the sidecar:
+        # opening a tail reader and counting after seals reads no aux blob.
         with StreamingCompressor(config=_tiny_config()) as stream:
-            stream.extend(_event_lines(40, seed=2))
-            reads.clear()
-            assert stream.open_reader(tail=True).count("EV") == 40
-            assert len(reads) == 2
+            stream.extend(_event_lines(120, seed=2))
+            assert stream.blocks > 1
+            reads = []
+            for method in ("get_aux", "aux_exists"):
+                real = getattr(stream.store, method)
+                monkeypatch.setattr(
+                    stream.store,
+                    method,
+                    lambda name, real=real: reads.append(name) or real(name),
+                )
+            assert stream.open_reader(tail=True).count("EV") == 120
+            assert reads == []
 
     def test_every_prefix_is_complete(self):
         lines = _event_lines(120, seed=1)
@@ -594,14 +592,14 @@ class TestSharedQueryCache:
             check()
             feed(40)
             check()
-            # A foreign writer's bump drops every entry: the committed
-            # blocks are matched again, the pending ones are scanned as
-            # text, and the counts stay exact.
+            # A foreign warm demote rewrites every committed block under a
+            # new name: those blocks are matched again, the pending ones
+            # are scanned as text, and the counts stay exact.
             pending = {b.block_id for b, _ in stream.tail_snapshot().pending}
             assert pending
             committed = set(range(stream.blocks))
             matched.clear()
-            bump_generation(stream.store)
+            LifecycleManager(stream.store, stream.config).demote(Tier.WARM)
             check()
             assert {block_id for block_id, _, _ in matched} == committed
             stream.flush()
@@ -712,7 +710,7 @@ def _seal_one(stream, lines, fed):
 
 
 class TestCommitAddsOnlyABlock:
-    """A commit bumps no generation: the first count after it matches
+    """A commit only adds a block: the first count after it matches
     only the block it added (served from the box the stream just built)
     and the buffer, and opens nothing from the store."""
 
@@ -782,7 +780,7 @@ class TestCommitAddsOnlyABlock:
         stream = _stream(1)
         try:
             fed = _seal_one(stream, lines, 0)
-            name, box, _ = stream._held
+            name, box = stream._held
             assert name == block_name(stream.blocks - 1)
             previous = weakref.ref(box)
             del box
@@ -792,7 +790,7 @@ class TestCommitAddsOnlyABlock:
                 gc.collect()
                 # The last commit's box replaced the one before it.
                 assert previous() is None
-                name, box, _ = stream._held
+                name, box = stream._held
                 assert name == block_name(stream.blocks - 1)
                 previous = weakref.ref(box)
                 del box
@@ -801,12 +799,12 @@ class TestCommitAddsOnlyABlock:
 
     @pytest.mark.parametrize("tier", [Tier.WARM, Tier.COLD], ids=["warm", "cold"])
     def test_foreign_demote_between_counts(self, tier):
-        """A rewrite the stream did not make: the held box is not served
-        under the bumped generation, a cold merge's reused names get
-        their new summaries, and every answer equals the raw lines."""
+        """A rewrite the stream did not make: the rewritten blocks are
+        served under their new names with the summaries the rewrite
+        published, and every answer equals the raw lines."""
         # No upper case in the first blocks but one line of the second: a
-        # cold merge moves it under the first block's name, whose
-        # pre-merge summary would prune it.
+        # cold merge moves it into a block whose summary must not be the
+        # first block's.
         lines = [f"t{1000 + i} bk.{i % 256:02x}.{i % 20} read" for i in range(60)]
         lines[30] = "t1030 ERROR QQneedleQQ"
         lines += _event_lines(340, seed=24)
@@ -843,6 +841,71 @@ class TestCommitAddsOnlyABlock:
         archive = LogGrep(store=stream.store, config=stream.config)
         for command in commands:
             assert archive.grep(command).lines == grep_lines(command, lines[:fed])
+
+
+    @pytest.mark.parametrize("tier", [Tier.WARM, Tier.COLD], ids=["warm", "cold"])
+    def test_drain_after_a_foreign_demote_keeps_the_rewrite(self, tier):
+        """No reader queries between a foreign demote and the stream's
+        next save: the drain itself must fold in the rewriter's sidecar,
+        or saving the stream's index would unpublish the rewrite."""
+        lines = _event_lines(300, seed=25)
+        stream = _stream(1)
+        try:
+            stream.extend(lines[:200])
+            assert stream.blocks > 4
+            LifecycleManager(stream.store, stream.config).demote(tier)
+            stream.extend(lines[200:])
+        finally:
+            stream.close()
+        # The saved sidecar lists exactly the live blocks: the rewrite's
+        # and the stream's later commits.
+        assert set(load_index(stream.store).blocks) == set(stream.store.names())
+        archive = LogGrep(store=stream.store, config=stream.config)
+        assert archive.total_lines() == len(lines)
+        for command in ("EV", "ERR", "gc"):
+            assert archive.grep(command).lines == grep_lines(command, lines)
+
+    def test_fresh_handle_serves_unsaved_commits(self):
+        """Blocks committed after the stream last saved the sidecar have
+        ids above every id it lists: a fresh handle serves them."""
+        lines = _event_lines(300, seed=26)
+        stream = _stream(1)
+        try:
+            stream.extend(lines[:100])
+            stream.flush()
+            saved = set(load_index(stream.store).blocks)
+            stream.extend(lines[100:])
+            assert set(stream.store.names()) - saved
+            sealed = len(lines) - len(stream.tail_snapshot().lines)
+            archive = LogGrep(store=stream.store, config=stream.config)
+            assert archive.grep("EV").lines == lines[:sealed]
+            assert archive.count("ERR") == _oracle("ERR", lines[:sealed])
+            # Only stored lines: the tail reader rebuilds no tail block.
+            reader = stream.open_reader(tail=True)
+            assert reader.decompress_all() == lines[:sealed]
+        finally:
+            stream.close()
+
+    def test_new_stream_continues_after_unsaved_commits(self):
+        """A stream that died before saving the sidecar left blocks it
+        does not list: the next stream appends after them."""
+        lines = _event_lines(300, seed=27)
+        dead = _stream(1)
+        dead.extend(lines[:100])
+        dead.flush()
+        dead.extend(lines[100:200])
+        sealed = 200 - len(dead.tail_snapshot().lines)
+        store = MemoryStore()
+        store._blobs = dict(dead.store._blobs)
+        store._aux = dict(dead.store._aux)
+        dead.close()
+        assert set(store.names()) - set(load_index(store).blocks)
+        with StreamingCompressor(store=store, config=_tiny_config()) as stream:
+            stream.extend(lines[sealed:])
+        archive = LogGrep(store=store, config=_tiny_config())
+        assert archive.total_lines() == len(lines)
+        assert archive.grep("EV").lines == grep_lines("EV", lines)
+        assert set(load_index(store).blocks) == set(store.names())
 
 
 class TestStreamRefusesForeignBlocks:

@@ -168,6 +168,26 @@ class TestStoreRanges:
         store.delete_aux("index.lgix")
         assert not store.aux_exists("index.lgix")
 
+    def test_aux_write_replaces_atomically(self, tmp_path, monkeypatch):
+        """The sidecar is a rewrite's commit point: an aux write that
+        fails before its rename leaves the old blob whole."""
+        import os
+
+        store = ArchiveStore(str(tmp_path))
+        store.put_aux("index.lgix", b"old sidecar")
+        store.put_aux("index.lgix", b"new sidecar")
+        assert store.get_aux("index.lgix") == b"new sidecar"
+        assert sorted(os.listdir(tmp_path)) == [".index.lgix"]
+
+        def crash(src, dst):
+            raise OSError("crash before the rename")
+
+        monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(OSError):
+            store.put_aux("index.lgix", b"torn")
+        assert store.get_aux("index.lgix") == b"new sidecar"
+        assert store.names() == []
+
     def test_memory_store_parity(self):
         store = MemoryStore()
         store.put("b", b"0123456789")
@@ -275,6 +295,8 @@ class TestZeroReadPruning:
         """A block the index has no summary of is not pruned: it is
         opened through ranged reads — never a whole-blob read."""
         store = _compress_to(tmp_path, PRUNABLE_LINES)
+        # No sidecar to fold in: the handle's empty index stays empty.
+        store.delete_aux(INDEX_AUX_NAME)
         lg = _reopen(store, prune_index=ArchiveIndex())
         whole_reads = get_registry().counter("loggrep_store_reads_total")
         reads_before = whole_reads.value()
@@ -358,6 +380,7 @@ class TestPruneIndex:
         no-summary branch and still grep right."""
         lines = make_mixed_lines(400)
         store = _compress_to(tmp_path, lines)
+        store.delete_aux(INDEX_AUX_NAME)  # no sidecar to fold in
         lg = _reopen(store, prune_index=ArchiveIndex())
         assert lg.grep("ERROR").lines == grep_lines("ERROR", lines)
 

@@ -15,6 +15,7 @@ import pytest
 
 from tests.conftest import make_mixed_lines
 from repro.baselines.evalutil import grep_lines
+from repro.blockstore.block import parse_block_name
 from repro.blockstore.index import load_index
 from repro.blockstore.store import MemoryStore
 from repro.common.timeparse import parse_age_arg
@@ -24,6 +25,7 @@ from repro.core.lifecycle import (
     Tier,
     TierPolicy,
     load_tiers,
+    save_tiers,
     tier_config,
 )
 from repro.core.loggrep import LogGrep
@@ -182,7 +184,7 @@ class TestTierPolicy:
 # in-place demotion
 # ======================================================================
 class TestWarmDemotion:
-    def test_rewrites_in_place_preserving_names_and_results(self):
+    def test_rewrites_under_new_names_preserving_ids_and_results(self):
         lines = make_mixed_lines(400, seed=3)
         lg = _build(lines, codec_speed_tier=True)
         names_before = list(lg.store.names())
@@ -190,8 +192,13 @@ class TestWarmDemotion:
         manager = LifecycleManager(lg.store, lg.config)
         report = manager.demote(Tier.WARM)
         assert report.blocks_before == report.blocks_after == len(names_before)
-        assert list(lg.store.names()) == names_before
-        assert manager.tiers == {name: Tier.WARM for name in names_before}
+        # One new name per old one, with the same ids, in the same order.
+        names_after = list(lg.store.names())
+        assert not set(names_after) & set(names_before)
+        assert [parse_block_name(name)[0] for name in names_after] == [
+            parse_block_name(name)[0] for name in names_before
+        ]
+        assert manager.tiers == {name: Tier.WARM for name in names_after}
         after = manager.open_reader().grep("state: ERR")
         assert after.lines == hits_before.lines
         assert after.line_ids == hits_before.line_ids
@@ -226,6 +233,25 @@ class TestColdDemotion:
         assert after.line_ids == hits_before.line_ids
         assert reader.decompress_all() == lines
         assert all(tier is Tier.COLD for tier in manager.tiers.values())
+
+    def test_merge_at_a_smaller_budget_keeps_every_line(self):
+        """A manager whose cold budget is below the ingest block size must
+        not number its output past the merged blocks: it would write over
+        the younger blocks that follow and lose their lines."""
+        lines = make_mixed_lines(1000, seed=9)
+        lg = LogGrep(config=LogGrepConfig(block_bytes=8 * 1024))
+        lg.compress(lines)
+        names = lg.store.names()
+        assert len(names) >= 4
+        save_tiers(lg.store, {name: Tier.COLD for name in names[2:]})
+        manager = LifecycleManager(lg.store, LogGrepConfig(block_bytes=256))
+        manager.demote(Tier.COLD)
+        assert lg.store.names()[-len(names[2:]) :] == names[2:]
+        fresh = LogGrep(store=lg.store, config=lg.config)
+        assert fresh.total_lines() == len(lines)
+        assert fresh.decompress_all() == lines
+        for query in ("read", "state: ERR", "ERROR"):
+            assert fresh.grep(query).lines == grep_lines(query, lines)
 
     def test_status_accounts_every_block(self):
         lg = _build(make_mixed_lines(400, seed=6))
