@@ -18,7 +18,9 @@ block counting and the cost model's stored-bytes measure are unaffected,
 and deleting them only costs a rebuild.  An aux write replaces its blob
 atomically (temporary file, then ``os.replace``): the sidecar is the
 commit point of a lifecycle rewrite.  Block ``put`` writes in place; a
-block name is written once.
+block name is written once.  Reading (or sizing) a block that is not in
+the store — one a rewrite deleted under a reader — raises
+:class:`~repro.common.errors.BlockMissingError` naming it.
 
 An in-memory variant is provided for tests and benchmarks that should not
 touch the disk.
@@ -30,7 +32,7 @@ import os
 import tempfile
 from typing import Dict, Iterator, List
 
-from ..common.errors import FormatError
+from ..common.errors import BlockMissingError, FormatError
 from ..obs.metrics import get_registry
 
 _READS = get_registry().counter(
@@ -79,8 +81,11 @@ class ArchiveStore:
 
     def get(self, name: str) -> bytes:
         _READS.inc()
-        with open(self._path(name), "rb") as fh:
-            data = fh.read()
+        try:
+            with open(self._path(name), "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
+            raise BlockMissingError(name) from None
         _READ_BYTES.inc(len(data))
         return data
 
@@ -95,9 +100,12 @@ class ArchiveStore:
         if offset < 0 or length < 0:
             raise ValueError(f"invalid range [{offset}, +{length})")
         _RANGE_READS.inc()
-        with open(self._path(name), "rb") as fh:
-            fh.seek(offset)
-            data = fh.read(length)
+        try:
+            with open(self._path(name), "rb") as fh:
+                fh.seek(offset)
+                data = fh.read(length)
+        except FileNotFoundError:
+            raise BlockMissingError(name) from None
         if len(data) != length:
             raise FormatError(
                 f"{name}: range [{offset}, +{length}) past end of blob"
@@ -108,7 +116,10 @@ class ArchiveStore:
 
     def size(self, name: str) -> int:
         """Stored size of one blob in bytes (no read charged)."""
-        return os.path.getsize(self._path(name))
+        try:
+            return os.path.getsize(self._path(name))
+        except FileNotFoundError:
+            raise BlockMissingError(name) from None
 
     def exists(self, name: str) -> bool:
         return os.path.exists(self._path(name))
@@ -163,7 +174,7 @@ class MemoryStore(ArchiveStore):
         self._blobs[name] = bytes(data)
 
     def get(self, name: str) -> bytes:
-        data = self._blobs[name]
+        data = self._blob(name)
         _READS.inc()
         _READ_BYTES.inc(len(data))
         return data
@@ -171,7 +182,7 @@ class MemoryStore(ArchiveStore):
     def get_range(self, name: str, offset: int, length: int) -> bytes:
         if offset < 0 or length < 0:
             raise ValueError(f"invalid range [{offset}, +{length})")
-        blob = self._blobs[name]
+        blob = self._blob(name)
         _RANGE_READS.inc()
         if offset + length > len(blob):
             raise FormatError(
@@ -182,7 +193,13 @@ class MemoryStore(ArchiveStore):
         return blob[offset : offset + length]
 
     def size(self, name: str) -> int:
-        return len(self._blobs[name])
+        return len(self._blob(name))
+
+    def _blob(self, name: str) -> bytes:
+        try:
+            return self._blobs[name]
+        except KeyError:
+            raise BlockMissingError(name) from None
 
     def exists(self, name: str) -> bool:
         return name in self._blobs

@@ -1,45 +1,57 @@
 """CapsuleBox: the on-disk unit holding one compressed log block (Fig 1).
 
 A CapsuleBox contains every Capsule of a block plus the metadata needed to
-query and reconstruct it: static patterns (templates), per-group entry line
-ids, runtime patterns and Capsule stamps.
+query and reconstruct it: static patterns (templates), the group of every
+line, runtime patterns and Capsule stamps.
 
-Layout::
+Layout (LGCB v3)::
 
-    MAGIC "LGCB" | version u8 (=2) | flags u8 (=0) | header_len u16 (=32)
-    | bloom_off u32 | bloom_len u32 | meta_off u32 | meta_len u32
-    | payload_off u32 | payload_len u32
-    | retired bloom section | zlib(meta) | payload blobs
+    MAGIC "LGCB" | version u8 (=3) | flags u8 (=0) | header_len u16 (=16)
+    | meta_len u32 | payload_len u32
+    | zlib(meta) | payload blobs
 
-The fixed 32-byte header is a table of contents: it records the byte
-extent of every section, so a reader can fetch the metadata or one
-capsule payload with an independent ranged read — nothing forces pulling
-the whole blob.  Sections are contiguous and the header is validated
-strictly (flags, lengths, contiguity, total size), so any single-byte
-header corruption is detected before bytes are trusted.  The bloom
-section is retired: the writer emits the one zero byte every v2 box
-holds there and the reader never fetches it.
+The fixed 16-byte header is a table of contents: the metadata follows it
+and the payload section follows the metadata, so a reader can fetch the
+metadata or one capsule payload with an independent ranged read — nothing
+forces pulling the whole blob.  The header is validated strictly (flags,
+header length, total size), so any single-byte header corruption is
+detected before bytes are trusted.
 
-Version 2 is the only version read or written; any other version byte
-is a :class:`FormatError` naming the version found.
+The metadata holds the block's **group-id column** — one u8 cell per line
+(u16 above 255 groups, u32 above 65 535) naming the group the line
+belongs to — in place of per-group line-id arrays: a group's entry count
+is the count of its id in the column, and its line ids are the positions
+of its id, found with one C-level pass over the column the first time
+that group's are read.  Every Capsule record sits in one columnar
+**Capsule table** at the end of the metadata, decoded with one
+``struct`` call; payload offsets are the prefix sums of the stored
+lengths.
 
-Capsule payloads live *outside* the zlib'd metadata, referenced by
-(offset, length) relative to the payload section.  Deserialized capsules
-are **lazy**: they hold their extent plus a
-:class:`~repro.blockstore.blobsource.BlobSource` and fetch bytes on first
-access (or batched, via :meth:`CapsuleBox.prefetch`) — the
-selective-decompression property of the paper extended down to
+Version 3 is the only version read or written; any other version byte
+(the retired 13-byte-header v1 and 32-byte-header v2 included) is a
+:class:`FormatError` naming the version found.
+
+Capsule payloads live *outside* the zlib'd metadata, at the offsets the
+Capsule table implies.  Deserialized capsules are **lazy**: they hold
+their extent plus a :class:`~repro.blockstore.blobsource.BlobSource` and
+fetch bytes on first access (or batched, via :meth:`CapsuleBox.prefetch`)
+— the selective-decompression property of the paper extended down to
 selective *fetching*.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
 import zlib
 from array import array
+from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from functools import lru_cache
+from itertools import accumulate, compress
+from typing import (
+    Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 from ..blockstore.blobsource import BlobSource, BytesBlobSource, coalesce_extents
 from ..common.binio import BinaryWriter
@@ -60,26 +72,37 @@ from .capsule import CODEC_NAMES, FORM_ASCII, FORMS, Capsule
 from .stamp import CapsuleStamp
 
 MAGIC = b"LGCB"
-VERSION = 2
+VERSION = 3
 
-_HEADER_LEN = 32
-
-#: The retired bloom section ("no filter"), written so v2 stays byte for
-#: byte what it was; container v3 drops it and its two TOC words.
-_RETIRED_BLOOM = b"\x00"
+#: ``MAGIC | version | flags | header_len | meta_len | payload_len``.
+_HEADER = struct.Struct("<4sBBHII")
+_HEADER_LEN = _HEADER.size
 
 #: Payload extents closer than this are fetched as one ranged read: the
 #: per-read fixed cost (seek / object-store request) dwarfs a few hundred
 #: over-read bytes.
 PREFETCH_GAP = 256
 
+#: The Capsule table's columns, in stored order: layout, width, count,
+#: stamp mask, stamp max_len, codec | form << 4, preset, payload length,
+#: payload CRC32.  Each column holds one cell per Capsule.
+_TABLE_CODES = "BIIBIBBII"
+
+#: Every codec byte a reader accepts: any codec nibble under a known form.
+_CODEC_BYTES = frozenset(codec | form << 4 for form in FORMS for codec in range(16))
+
+#: A group-id cell: the narrowest unsigned type whose all-ones value is
+#: not a group id (it marks an unassigned line while the column is built).
+_CELL_TYPES = ((255, "B"), (65535, "H"), (0xFFFFFFFF, "I"))
+
+#: A group-id column: ``bytes`` for u8 cells, an ``array`` for wider ones.
+Column = Union[bytes, "array[int]"]
+
 
 @dataclass(frozen=True)
 class BoxTOC:
     """Parsed header: the byte extent of every section of a box."""
 
-    bloom_off: int
-    bloom_len: int
     meta_off: int
     meta_len: int
     payload_off: int
@@ -106,70 +129,70 @@ class BoxTOC:
             )
         if size < _HEADER_LEN:
             raise FormatError("truncated CapsuleBox header")
-        flags = head[5]
-        header_len = int.from_bytes(head[6:8], "little")
+        _, _, flags, header_len, meta_len, payload_len = _HEADER.unpack(head)
         if flags:
             raise FormatError(f"unknown CapsuleBox flags 0x{flags:02x}")
         if header_len != _HEADER_LEN:
             raise FormatError(f"bad CapsuleBox header length {header_len}")
-        bloom_off = int.from_bytes(head[8:12], "little")
-        bloom_len = int.from_bytes(head[12:16], "little")
-        meta_off = int.from_bytes(head[16:20], "little")
-        meta_len = int.from_bytes(head[20:24], "little")
-        payload_off = int.from_bytes(head[24:28], "little")
-        payload_len = int.from_bytes(head[28:32], "little")
-        # Sections must tile the blob exactly: contiguity pins every
-        # offset to the lengths before it, and the final extent must end
-        # at the end of the blob.
-        if bloom_off != header_len:
-            raise FormatError("CapsuleBox TOC: bloom section not contiguous")
-        if meta_off != bloom_off + bloom_len:
-            raise FormatError("CapsuleBox TOC: metadata section not contiguous")
-        if payload_off != meta_off + meta_len:
-            raise FormatError("CapsuleBox TOC: payload section not contiguous")
-        if payload_off + payload_len != size:
-            raise FormatError("CapsuleBox TOC: payload extent does not match blob size")
-        return cls(
-            bloom_off, bloom_len, meta_off, meta_len, payload_off, payload_len
-        )
+        # The two sections follow the header back to back and must end
+        # exactly at the end of the blob.
+        if header_len + meta_len + payload_len != size:
+            raise FormatError(
+                "CapsuleBox TOC: section lengths do not match blob size"
+            )
+        return cls(header_len, meta_len, header_len + meta_len, payload_len)
 
 
 class GroupBox:
     """One group (static pattern + its encoded variable vectors).
 
     ``line_ids`` are the group's entry line ids within the block.  A
-    group decoded from a box keeps them as the stored u32 deltas until
-    first read: their prefix sum costs more than the rest of the
-    group's metadata, and a query needs it only for the groups it
-    reconstructs.
+    group decoded from a box holds only its entry count until its line
+    ids are first read; they are then the positions of its id in the
+    box's group-id column (:func:`_positions`), found once, since a
+    query needs them only for the groups it reconstructs.
     """
 
-    __slots__ = ("template", "vectors", "_line_ids", "_deltas")
+    __slots__ = ("template", "vectors", "num_entries", "_line_ids", "_column", "_index")
 
     def __init__(
         self,
         template: Template,
-        line_ids: Optional[List[int]],
+        line_ids: List[int],
         vectors: List[EncodedVector],
-        deltas: Optional["array[int]"] = None,
     ):
         self.template = template
         self.vectors = vectors
-        self._line_ids = line_ids
-        self._deltas = deltas
+        self.num_entries = len(line_ids)
+        self._line_ids: Optional[List[int]] = line_ids
+        self._column: Optional[Column] = None
+        self._index = 0
+
+    @classmethod
+    def _decoded(
+        cls,
+        template: Template,
+        vectors: List[EncodedVector],
+        column: Column,
+        index: int,
+        num_entries: int,
+    ) -> "GroupBox":
+        group = cls.__new__(cls)
+        group.template = template
+        group.vectors = vectors
+        group.num_entries = num_entries
+        group._line_ids = None
+        group._column = column
+        group._index = index
+        return group
 
     @property
     def line_ids(self) -> List[int]:
         line_ids = self._line_ids
         if line_ids is None:
-            line_ids = self._line_ids = list(accumulate(self._deltas or ()))
+            assert self._column is not None
+            line_ids = self._line_ids = _positions(self._column, self._index)
         return line_ids
-
-    @property
-    def num_entries(self) -> int:
-        if self._line_ids is None:
-            return len(self._deltas or ())
-        return len(self._line_ids)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupBox):
@@ -183,6 +206,22 @@ class GroupBox:
             f"GroupBox(template={self.template!r}, "
             f"entries={self.num_entries}, vectors={len(self.vectors)})"
         )
+
+
+@dataclass(frozen=True)
+class BoxLayout:
+    """Where the bytes of one stored box go (``loggrep stats``).
+
+    ``meta_bytes`` is the stored (zlib'd) metadata section; the column
+    and the Capsule table are measured inside it before zlib, where each
+    has an exact size.
+    """
+
+    meta_bytes: int
+    meta_inflated_bytes: int
+    column_bytes: int
+    capsule_table_bytes: int
+    payload_bytes: int
 
 
 @dataclass
@@ -199,6 +238,9 @@ class CapsuleBox:
         # The blob source capsules were loaded from (None for boxes built
         # in memory by the compressor); prefetch batches reads through it.
         self._source: Optional[BlobSource] = None
+        # The stored group-id column of a decoded box (None for boxes
+        # built in memory, whose groups hold their line ids).
+        self._column: Optional[Column] = None
         # The query side's decoded vector state (repro.query.vectors
         # .box_readers), attached on first query: it lives exactly as
         # long as the box.
@@ -207,39 +249,72 @@ class CapsuleBox:
     # ------------------------------------------------------------------
     # serialization
     # ------------------------------------------------------------------
-    def serialize(self) -> bytes:
-        """Serialize the box."""
-        writer = BinaryWriter()
-        blobs: List[bytes] = []
-        offset = [0]
+    def _group_column(self) -> Column:
+        """One group id per line of the block (see the module docstring).
 
+        A decoded box returns its stored column; a box built in memory
+        derives it from its groups' line ids, which must partition
+        ``range(num_lines)`` in increasing order within each group.
+        """
+        if self._column is not None:
+            return self._column
+        unset, typecode = _cell_type(len(self.groups))
+        column: Union[bytearray, "array[int]"] = (
+            bytearray(b"\xff") * self.num_lines
+            if typecode == "B"
+            else array(typecode, [unset]) * self.num_lines
+        )
+        total = 0
+        for group_idx, group in enumerate(self.groups):
+            line_ids = group.line_ids
+            if any(vector.num_rows != len(line_ids) for vector in group.vectors):
+                raise FormatError(
+                    f"group {group_idx}: a vector's row count is not the "
+                    f"group's {len(line_ids)} entries"
+                )
+            if line_ids and (
+                line_ids[0] < 0
+                or line_ids[-1] >= self.num_lines
+                or line_ids != sorted(line_ids)
+            ):
+                raise FormatError(
+                    f"group {group_idx}: line ids are not increasing "
+                    f"within [0, {self.num_lines})"
+                )
+            for line_id in line_ids:
+                column[line_id] = group_idx
+            total += len(line_ids)
+        if total != self.num_lines or unset in column:
+            raise FormatError(
+                f"group line ids do not cover the block's {self.num_lines} "
+                "lines exactly once"
+            )
+        return bytes(column) if isinstance(column, bytearray) else column
+
+    def serialize(self) -> bytes:
+        """Serialize the box (LGCB v3)."""
+        capsules = list(self.capsules())
+        writer = BinaryWriter()
         writer.write_varint(self.block_id)
         writer.write_varint(self.first_line_id)
         writer.write_varint(self.num_lines)
         writer.write_u8(1 if self.padded else 0)
         writer.write_varint(len(self.groups))
+        writer.write_varint(len(capsules))
+        writer.write_bytes(_little_endian(self._group_column()))
         for group in self.groups:
             _write_template(writer, group.template)
-            _write_line_ids(writer, group.line_ids)
             writer.write_varint(len(group.vectors))
             for vector in group.vectors:
-                _write_vector(writer, vector, blobs, offset)
-
+                _write_vector(writer, vector)
+        payloads = [capsule.payload for capsule in capsules]
+        _write_capsule_table(writer, capsules, payloads)
         meta = zlib.compress(writer.getvalue(), 6)
-        payload = b"".join(blobs)
-        bloom_off = _HEADER_LEN
-        meta_off = bloom_off + len(_RETIRED_BLOOM)
-        payload_off = meta_off + len(meta)
-        toc = (
-            _HEADER_LEN.to_bytes(2, "little")
-            + bloom_off.to_bytes(4, "little")
-            + len(_RETIRED_BLOOM).to_bytes(4, "little")
-            + meta_off.to_bytes(4, "little")
-            + len(meta).to_bytes(4, "little")
-            + payload_off.to_bytes(4, "little")
-            + len(payload).to_bytes(4, "little")
+        payload = b"".join(payloads)
+        header = _HEADER.pack(
+            MAGIC, VERSION, 0, _HEADER_LEN, len(meta), len(payload)
         )
-        return MAGIC + bytes([VERSION, 0]) + toc + _RETIRED_BLOOM + meta + payload
+        return header + meta + payload
 
     @classmethod
     def read_toc(cls, source: BlobSource) -> BoxTOC:
@@ -259,10 +334,7 @@ class CapsuleBox:
         :meth:`prefetch` to batch the ones a plan will need.
         """
         toc = BoxTOC.read(source)
-        try:
-            meta = zlib.decompress(source.read(toc.meta_off, toc.meta_len))
-        except zlib.error as exc:
-            raise FormatError(f"corrupt CapsuleBox metadata: {exc}") from exc
+        meta = _inflate(source.read(toc.meta_off, toc.meta_len))
         try:
             box = _decode_meta(meta, source, toc)
         except (IndexError, struct.error) as exc:
@@ -273,6 +345,23 @@ class CapsuleBox:
             raise FormatError(f"corrupt CapsuleBox metadata: {exc}") from exc
         box._source = source
         return box
+
+    @classmethod
+    def layout(cls, data: bytes) -> BoxLayout:
+        """Byte accounting of the stored box *data*, section by section."""
+        toc = BoxTOC.read(BytesBlobSource(data, "<box>"))
+        meta = _inflate(data[toc.meta_off : toc.meta_off + toc.meta_len])
+        try:
+            prefix = _MetaPrefix.read(meta)
+        except (IndexError, struct.error) as exc:
+            raise FormatError(_TRUNCATED) from exc
+        return BoxLayout(
+            meta_bytes=toc.meta_len,
+            meta_inflated_bytes=len(meta),
+            column_bytes=prefix.column_end - prefix.column_start,
+            capsule_table_bytes=_table_struct(prefix.num_capsules).size,
+            payload_bytes=toc.payload_len,
+        )
 
     # ------------------------------------------------------------------
     # payload prefetch
@@ -329,7 +418,8 @@ class CapsuleBox:
     # statistics
     # ------------------------------------------------------------------
     def capsules(self) -> Iterator[Capsule]:
-        """Every Capsule of the box, group by group, vector by vector."""
+        """Every Capsule of the box, group by group, vector by vector —
+        the order of the Capsule table and of the payload section."""
         for group in self.groups:
             for vector in group.vectors:
                 yield from _capsules_of(vector)
@@ -399,7 +489,57 @@ def _capsules_of(vector: EncodedVector) -> List[Capsule]:
 
 
 # ----------------------------------------------------------------------
-# templates
+# fixed-width columns
+# ----------------------------------------------------------------------
+def _cell_type(num_groups: int) -> Tuple[int, str]:
+    """``(unset, typecode)`` of a group-id cell for *num_groups* groups:
+    the cell's all-ones value, never a group id, and its array type."""
+    for unset, typecode in _CELL_TYPES:
+        if num_groups <= unset:
+            return unset, typecode
+    raise FormatError(f"{num_groups} groups do not fit a group-id column")
+
+
+def _little_endian(column: Column) -> bytes:
+    if isinstance(column, bytes):
+        return column
+    if sys.byteorder == "big":  # pragma: no cover - big-endian hosts
+        column = array(column.typecode, column)
+        column.byteswap()
+    return column.tobytes()
+
+
+@lru_cache(maxsize=256)
+def _table_struct(count: int) -> struct.Struct:
+    """The Capsule table of *count* Capsules: one column per field."""
+    return struct.Struct("<" + "".join(f"{count}{code}" for code in _TABLE_CODES))
+
+
+def _write_capsule_table(
+    writer: BinaryWriter, capsules: Sequence[Capsule], payloads: Sequence[bytes]
+) -> None:
+    # Payloads sit outside the zlib'd (self-checking) metadata stream, so
+    # they carry their own checksum for `loggrep verify` / `CapsuleBox.
+    # verify()`.  RAW-codec payloads would otherwise corrupt silently.
+    writer.write_raw(
+        _table_struct(len(capsules)).pack(
+            *(capsule.layout for capsule in capsules),
+            *(capsule.width for capsule in capsules),
+            *(capsule.count for capsule in capsules),
+            *(capsule.stamp.type_mask for capsule in capsules),
+            *(capsule.stamp.max_len for capsule in capsules),
+            # The entropy codec in the low nibble, the form (alphabet and
+            # odd flag, FORM_*) in the high one.
+            *(capsule.codec | capsule.form << 4 for capsule in capsules),
+            *(capsule.preset for capsule in capsules),
+            *map(len, payloads),
+            *map(zlib.crc32, payloads),
+        )
+    )
+
+
+# ----------------------------------------------------------------------
+# templates and encoded vectors
 # ----------------------------------------------------------------------
 def _write_template(writer: BinaryWriter, template: Template) -> None:
     writer.write_varint(template.template_id)
@@ -412,65 +552,19 @@ def _write_template(writer: BinaryWriter, template: Template) -> None:
             writer.write_str(token)
 
 
-def _write_line_ids(writer: BinaryWriter, line_ids: List[int]) -> None:
-    # Strictly increasing within a group, so deltas are tiny and the u32
-    # array's zero-heavy bytes vanish under the metadata zlib pass; parsing
-    # back is C-speed, which keeps box loading off the query's critical
-    # path (it dominated latency when these were per-entry varints).
-    prev = 0
-    deltas = []
-    for line_id in line_ids:
-        deltas.append(line_id - prev)
-        prev = line_id
-    writer.write_u32_array(deltas)
-
-
-# ----------------------------------------------------------------------
-# capsules with out-of-band payloads
-# ----------------------------------------------------------------------
-def _write_capsule(
-    writer: BinaryWriter,
-    capsule: Capsule,
-    blobs: List[bytes],
-    offset: List[int],
-) -> None:
-    writer.write_u8(capsule.layout)
-    writer.write_varint(capsule.width)
-    writer.write_varint(capsule.count)
-    capsule.stamp.write(writer)
-    # The codec byte: the entropy codec in the low nibble, the form
-    # (alphabet and odd flag, FORM_*) in the high one.
-    writer.write_u8(capsule.codec | capsule.form << 4)
-    writer.write_u8(capsule.preset)
-    writer.write_varint(offset[0])
-    writer.write_varint(len(capsule.payload))
-    # Payloads sit outside the zlib'd (self-checking) metadata stream, so
-    # they carry their own checksum for `loggrep verify` / `CapsuleBox.
-    # verify()`.  RAW-codec payloads would otherwise corrupt silently.
-    writer.write_u32(zlib.crc32(capsule.payload))
-    blobs.append(capsule.payload)
-    offset[0] += len(capsule.payload)
-
-
-# ----------------------------------------------------------------------
-# encoded vectors
-# ----------------------------------------------------------------------
-def _write_vector(
-    writer: BinaryWriter,
-    vector: EncodedVector,
-    blobs: List[bytes],
-    offset: List[int],
-) -> None:
+def _write_vector(writer: BinaryWriter, vector: EncodedVector) -> None:
+    """A vector record; its Capsules are rows of the Capsule table."""
     writer.write_u8(vector.tag)
     if isinstance(vector, RealEncodedVector):
         vector.pattern.write(writer)
         writer.write_varint(len(vector.subvar_capsules))
-        for capsule in vector.subvar_capsules:
-            _write_capsule(writer, capsule, blobs, offset)
         if vector.outlier_capsule is not None:
             writer.write_u8(1)
-            _write_line_ids(writer, vector.outlier_rows)
-            _write_capsule(writer, vector.outlier_capsule, blobs, offset)
+            # Strictly increasing, so deltas are tiny and the u32 array's
+            # zero-heavy bytes vanish under the metadata zlib pass.
+            writer.write_u32_array(
+                [b - a for a, b in zip([0, *vector.outlier_rows], vector.outlier_rows)]
+            )
         else:
             writer.write_u8(0)
         writer.write_varint(vector.num_rows)
@@ -482,13 +576,10 @@ def _write_vector(
             writer.write_varint(dp.width)
             writer.write_u32_list(dp.subvar_masks)
             writer.write_u32_list(dp.subvar_maxlens)
-        _write_capsule(writer, vector.dict_capsule, blobs, offset)
-        _write_capsule(writer, vector.index_capsule, blobs, offset)
         writer.write_varint(vector.index_width)
         writer.write_varint(vector.num_rows)
         writer.write_varint(vector.dict_size)
     elif isinstance(vector, PlainEncodedVector):
-        _write_capsule(writer, vector.capsule, blobs, offset)
         writer.write_varint(vector.num_rows)
     else:  # pragma: no cover - exhaustive over EncodedVector
         raise FormatError(f"unknown vector type {type(vector)!r}")
@@ -498,26 +589,68 @@ def _write_vector(
 # the decoder
 # ----------------------------------------------------------------------
 _TRUNCATED = "truncated CapsuleBox metadata: read past end of buffer"
-_U32 = struct.Struct("<I")
+
+
+def _inflate(packed: bytes) -> bytes:
+    try:
+        return zlib.decompress(packed)
+    except zlib.error as exc:
+        raise FormatError(f"corrupt CapsuleBox metadata: {exc}") from exc
+
+
+class _MetaPrefix(NamedTuple):
+    """The fields at the head of the inflated metadata, up to the end of
+    the group-id column."""
+
+    block_id: int
+    first_line_id: int
+    num_lines: int
+    padded: bool
+    num_groups: int
+    num_capsules: int
+    column_start: int
+    column_end: int
+
+    @classmethod
+    def read(cls, data: bytes) -> "_MetaPrefix":
+        block_id, pos = _varint(data, 0)
+        first_line_id, pos = _varint(data, pos)
+        num_lines, pos = _varint(data, pos)
+        padded = data[pos] == 1
+        num_groups, pos = _varint(data, pos + 1)
+        num_capsules, pos = _varint(data, pos)
+        start, end = _span(data, pos)
+        return cls(
+            block_id, first_line_id, num_lines, padded, num_groups,
+            num_capsules, start, end,
+        )
+
 
 def _decode_meta(data: bytes, source: BlobSource, toc: BoxTOC) -> CapsuleBox:
-    """Build a box from its inflated LGCB v2 metadata in one pass.
+    """Build a box from its inflated LGCB v3 metadata.
 
-    The read state is a local ``(data, pos)``: a u8 is one index, a
-    varint takes :func:`_varint`'s one-byte branch, and Capsule, stamp
-    and pattern objects are built straight from the fields.  Nothing
-    here bounds-checks a single-byte read: past the end it raises
-    ``IndexError`` (``struct.error`` for a u32), which
+    The Capsule table is decoded first, in one ``struct`` call, so each
+    vector record takes its Capsules in table order as it is read.  The
+    read state is a local ``(data, pos)``: a u8 is one index, a varint
+    takes :func:`_varint`'s one-byte branch, and pattern objects are
+    built straight from the fields.  Nothing here bounds-checks a
+    single-byte read: past the end it raises ``IndexError``
+    (``struct.error`` for a fixed-width field), which
     :meth:`CapsuleBox.open` reports as a :class:`FormatError`.
     """
-    stamps: Dict[Tuple[int, int], CapsuleStamp] = {}
-    block_id, pos = _varint(data, 0)
-    first_line_id, pos = _varint(data, pos)
-    num_lines, pos = _varint(data, pos)
-    padded = data[pos] == 1
-    num_groups, pos = _varint(data, pos + 1)
+    head = _MetaPrefix.read(data)
+    column, counts = _column_at(data, head)
+    num_groups = head.num_groups
+    table = _table_struct(head.num_capsules)
+    table_off = len(data) - table.size
+    if table_off < head.column_end:
+        raise FormatError(_TRUNCATED)
+    capsules = _capsule_table(table.unpack_from(data, table_off), source, toc)
+    consts: Dict[bytes, Const] = {}
+    pos = head.column_end
+    taken = 0
     groups: List[GroupBox] = []
-    for _ in range(num_groups):
+    for group_idx in range(num_groups):
         template_id, pos = _varint(data, pos)
         num_tokens, pos = _varint(data, pos)
         tokens: List[Optional[str]] = []
@@ -528,7 +661,6 @@ def _decode_meta(data: bytes, source: BlobSource, toc: BoxTOC) -> CapsuleBox:
             else:
                 start, pos = _span(data, pos)
                 tokens.append(data[start:pos].decode())
-        deltas, pos = _deltas_at(data, pos)
         num_vectors, pos = _varint(data, pos)
         vectors: List[EncodedVector] = []
         for _ in range(num_vectors):
@@ -536,28 +668,27 @@ def _decode_meta(data: bytes, source: BlobSource, toc: BoxTOC) -> CapsuleBox:
             pos += 1
             vector: EncodedVector
             if tag == ENC_REAL:
-                pattern, pos = _pattern_at(data, pos)
+                pattern, pos = _pattern_at(data, pos, consts)
                 num_capsules, pos = _varint(data, pos)
-                capsules: List[Capsule] = []
-                for _ in range(num_capsules):
-                    capsule, pos = _capsule_at(data, pos, source, toc, stamps)
-                    capsules.append(capsule)
+                subvars = capsules[taken : taken + num_capsules]
+                taken += num_capsules
                 outlier: Optional[Capsule] = None
                 outlier_rows: List[int] = []
                 pos += 1
                 if data[pos - 1] == 1:
                     outlier_deltas, pos = _deltas_at(data, pos)
                     outlier_rows = list(accumulate(outlier_deltas))
-                    outlier, pos = _capsule_at(data, pos, source, toc, stamps)
+                    outlier = capsules[taken]
+                    taken += 1
                 num_rows, pos = _varint(data, pos)
                 vector = RealEncodedVector(
-                    pattern, capsules, outlier, outlier_rows, num_rows
+                    pattern, subvars, outlier, outlier_rows, num_rows
                 )
             elif tag == ENC_NOMINAL:
                 num_patterns, pos = _varint(data, pos)
                 dict_patterns: List[DictPattern] = []
                 for _ in range(num_patterns):
-                    pattern, pos = _pattern_at(data, pos)
+                    pattern, pos = _pattern_at(data, pos, consts)
                     count, pos = _varint(data, pos)
                     width, pos = _varint(data, pos)
                     masks, pos = _varints_at(data, pos)
@@ -565,24 +696,133 @@ def _decode_meta(data: bytes, source: BlobSource, toc: BoxTOC) -> CapsuleBox:
                     dict_patterns.append(
                         DictPattern(pattern, count, width, masks, maxlens)
                     )
-                dict_capsule, pos = _capsule_at(data, pos, source, toc, stamps)
-                index_capsule, pos = _capsule_at(data, pos, source, toc, stamps)
                 index_width, pos = _varint(data, pos)
                 num_rows, pos = _varint(data, pos)
                 dict_size, pos = _varint(data, pos)
                 vector = NominalEncodedVector(
-                    dict_patterns, dict_capsule, index_capsule, index_width,
-                    num_rows, dict_size,
+                    dict_patterns, capsules[taken], capsules[taken + 1],
+                    index_width, num_rows, dict_size,
                 )
+                taken += 2
             elif tag == ENC_PLAIN:
-                capsule, pos = _capsule_at(data, pos, source, toc, stamps)
                 num_rows, pos = _varint(data, pos)
-                vector = PlainEncodedVector(capsule, num_rows)
+                vector = PlainEncodedVector(capsules[taken], num_rows)
+                taken += 1
             else:
                 raise FormatError(f"unknown encoded-vector tag {tag}")
+            if num_rows != counts[group_idx]:
+                raise FormatError(
+                    f"group {group_idx}: a vector holds {num_rows} rows, "
+                    f"the group-id column {counts[group_idx]}"
+                )
             vectors.append(vector)
-        groups.append(GroupBox(Template(template_id, tokens), None, vectors, deltas))
-    return CapsuleBox(block_id, first_line_id, num_lines, padded, groups)
+        groups.append(
+            GroupBox._decoded(
+                Template(template_id, tokens), vectors, column, group_idx,
+                counts[group_idx],
+            )
+        )
+    if pos != table_off or taken != len(capsules):
+        raise FormatError(
+            "CapsuleBox metadata: the vector records and the Capsule "
+            "table disagree"
+        )
+    box = CapsuleBox(
+        head.block_id, head.first_line_id, head.num_lines, head.padded, groups
+    )
+    box._column = column
+    return box
+
+
+def _positions(column: Column, group: int) -> List[int]:
+    """The line ids of *group*: the positions of its id in *column*.
+
+    A u8 column is one C-level pass: ``translate`` maps the id to 1 and
+    every other byte to 0, and ``compress`` picks the matching entries of
+    a shared tuple of line numbers, so no int is built per line."""
+    if isinstance(column, bytes):
+        mask = column.translate(bytes(group) + b"\x01" + bytes(255 - group))
+        numbers: Sequence[int] = _LINE_NUMBERS
+        if len(column) > len(numbers):
+            numbers = range(len(column))
+        return list(compress(numbers, mask))
+    return [line_id for line_id, cell in enumerate(column) if cell == group]
+
+
+#: 0, 1, 2, ...: ``compress`` over these picks line ids without building
+#: an int per line; a longer column counts with a ``range``.
+_LINE_NUMBERS = tuple(range(1 << 14))
+
+
+def _column_at(data: bytes, head: _MetaPrefix) -> Tuple[Column, List[int]]:
+    """The group-id column and each group's entry count, validated: one
+    cell per line, and every cell a group id below the group count."""
+    if head.num_groups > len(data):
+        # Every group record takes bytes of its own: a count this large
+        # is corruption, and would only size the tallies below.
+        raise FormatError(_TRUNCATED)
+    cells = data[head.column_start : head.column_end]
+    _, typecode = _cell_type(head.num_groups)
+    width = array(typecode).itemsize
+    if len(cells) != head.num_lines * width:
+        raise FormatError(
+            f"group-id column is {len(cells)} byte(s); the block's "
+            f"{head.num_lines} lines need {head.num_lines * width}"
+        )
+    column: Column
+    if typecode == "B":
+        column = cells
+        counts = [cells.count(group) for group in range(head.num_groups)]
+    else:
+        column = array(typecode)
+        column.frombytes(cells)
+        if sys.byteorder == "big":  # pragma: no cover - big-endian hosts
+            column.byteswap()
+        tally = Counter(column)
+        counts = [tally[group] for group in range(head.num_groups)]
+    if sum(counts) != head.num_lines:
+        raise FormatError(
+            f"group-id column holds a group id >= the group count {head.num_groups}"
+        )
+    return column, counts
+
+
+def _capsule_table(
+    fields: Tuple[int, ...], source: BlobSource, toc: BoxTOC
+) -> List[Capsule]:
+    """Capsules from the flat field tuple of the Capsule table (see
+    :data:`_TABLE_CODES`)."""
+    n = len(fields) // len(_TABLE_CODES)
+    layouts, widths, counts, masks, max_lens, codecs, presets, lengths, crcs = (
+        fields[i * n : (i + 1) * n] for i in range(len(_TABLE_CODES))
+    )
+    # Validate the extents against the TOC *now*: a corrupt length must be
+    # a FormatError at load time, not a failed ranged read at first use.
+    if sum(lengths) != toc.payload_len:
+        raise FormatError(
+            f"Capsule table: payload lengths sum to {sum(lengths)}, "
+            f"the payload section holds {toc.payload_len}"
+        )
+    if not _CODEC_BYTES.issuperset(codecs):
+        form = next(c >> 4 for c in codecs if c not in _CODEC_BYTES)
+        raise FormatError(f"unknown capsule form {form}")
+    stored = Capsule.stored
+    return [
+        stored(
+            layout, width, count, _stamp(mask, max_len), codec & 0x0F, preset,
+            codec >> 4, source, (offset, length), crc,
+        )
+        for layout, width, count, mask, max_len, codec, preset, offset, length, crc
+        in zip(
+            layouts, widths, counts, masks, max_lens, codecs, presets,
+            accumulate(lengths, initial=toc.payload_off), lengths, crcs,
+        )
+    ]
+
+
+#: Stamps are immutable, so box opens share one per ``(mask, max_len)``:
+#: boxes repeat few distinct ones.
+_stamp = lru_cache(maxsize=4096)(CapsuleStamp)
 
 
 def _varint(data: bytes, pos: int) -> Tuple[int, int]:
@@ -624,68 +864,41 @@ def _varints_at(data: bytes, pos: int) -> Tuple[List[int], int]:
 
 
 def _deltas_at(data: bytes, pos: int) -> Tuple["array[int]", int]:
-    """The u32 deltas of a line-id list (see :func:`_write_line_ids`)."""
+    """The u32 deltas of an outlier row list."""
     start, end = _span(data, pos)
     if (end - start) % 4:
-        raise FormatError("line-id array is not a whole number of u32s")
+        raise FormatError("outlier-row array is not a whole number of u32s")
     deltas = array("I")
     deltas.frombytes(memoryview(data)[start:end])
     return deltas, end
 
 
-def _pattern_at(data: bytes, pos: int) -> Tuple[RuntimePattern, int]:
+def _pattern_at(
+    data: bytes, pos: int, consts: Dict[bytes, Const]
+) -> Tuple[RuntimePattern, int]:
     """A runtime-pattern record: ``(pattern, end)``.
 
     Elements are kept as stored, not re-normalized, so a re-serialized
-    box is byte-identical to the one read."""
+    box is byte-identical to the one read.  Elements are immutable, so
+    one object serves every repeat: *consts* holds a box's constants by
+    their stored bytes, and :data:`_SUBVARS` the common sub-variables."""
     count, pos = _varint(data, pos)
     elements: List[Element] = []
     for _ in range(count):
         pos += 1
         if data[pos - 1] == 0:
             text_start, pos = _span(data, pos)
-            elements.append(Const(data[text_start:pos].decode()))
+            raw = data[text_start:pos]
+            const = consts.get(raw)
+            if const is None:
+                const = consts[raw] = Const(raw.decode())
+            elements.append(const)
         else:
             index, pos = _varint(data, pos)
-            elements.append(SubVar(index))
+            elements.append(_SUBVARS[index] if index < len(_SUBVARS) else SubVar(index))
     pattern = RuntimePattern.__new__(RuntimePattern)
     pattern.elements = elements
     return pattern, pos
 
 
-def _capsule_at(
-    data: bytes,
-    pos: int,
-    source: BlobSource,
-    toc: BoxTOC,
-    stamps: Dict[Tuple[int, int], CapsuleStamp],
-) -> Tuple[Capsule, int]:
-    """One capsule record (see :func:`_write_capsule`).  Stamps are
-    shared through *stamps*: a box repeats few distinct ones."""
-    layout = data[pos]
-    width, pos = _varint(data, pos + 1)
-    count, pos = _varint(data, pos)
-    mask = data[pos]
-    max_len, pos = _varint(data, pos + 1)
-    stamp = stamps.get((mask, max_len))
-    if stamp is None:
-        stamp = stamps[mask, max_len] = CapsuleStamp(mask, max_len)
-    codec = data[pos] & 0x0F
-    form = data[pos] >> 4
-    if form not in FORMS:
-        raise FormatError(f"unknown capsule form {form}")
-    preset = data[pos + 1]
-    pos += 2
-    off, pos = _varint(data, pos)
-    length, pos = _varint(data, pos)
-    (crc,) = _U32.unpack_from(data, pos)
-    # Validate the extent against the TOC *now*: a corrupt offset must be
-    # a FormatError at load time, not a failed ranged read at first use.
-    if off + length > toc.payload_len:
-        raise FormatError("capsule payload out of range")
-    capsule = Capsule(
-        layout, width, count, stamp, codec, preset,
-        source=source, extent=(toc.payload_off + off, length), form=form,
-    )
-    capsule.expected_crc = crc
-    return capsule, pos + 4
+_SUBVARS = tuple(SubVar(index) for index in range(32))

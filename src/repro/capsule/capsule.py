@@ -244,6 +244,39 @@ class Capsule:
         self._plain: Optional[bytes] = None
         self._offsets: Optional[List[int]] = None
 
+    @classmethod
+    def stored(
+        cls,
+        layout: int,
+        width: int,
+        count: int,
+        stamp: CapsuleStamp,
+        codec: int,
+        preset: int,
+        form: int,
+        source: "BlobSource",
+        extent: Tuple[int, int],
+        crc: int,
+    ) -> "Capsule":
+        """A Capsule of a stored box: its payload stays at *extent* of
+        *source* until first access.  A box open builds one per Capsule
+        table row, so this skips ``__init__``'s keyword handling."""
+        capsule = cls.__new__(cls)
+        capsule.layout = layout
+        capsule.width = width
+        capsule.count = count
+        capsule.stamp = stamp
+        capsule.codec = codec
+        capsule.preset = preset
+        capsule.form = form
+        capsule.expected_crc = crc
+        capsule._payload = None
+        capsule._source = source
+        capsule._extent = extent
+        capsule._plain = None
+        capsule._offsets = None
+        return capsule
+
     # ------------------------------------------------------------------
     # lazy payload
     # ------------------------------------------------------------------

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..common import chartypes
-from ..common.binio import BinaryWriter
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,3 @@ class CapsuleStamp:
         if len(fragment) > self.max_len:
             return False
         return chartypes.mask_subsumes(self.type_mask, chartypes.type_mask(fragment))
-
-    def write(self, writer: BinaryWriter) -> None:
-        writer.write_u8(self.type_mask)
-        writer.write_varint(self.max_len)

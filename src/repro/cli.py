@@ -463,7 +463,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         blocks = []
         total = 0
         for name in stored_live_names(store):
-            box = CapsuleBox.deserialize(store.get(name))
+            blob = store.get(name)
+            box = CapsuleBox.deserialize(blob)
+            layout = CapsuleBox.layout(blob)
             total += box.num_lines
             blocks.append(
                 {
@@ -471,7 +473,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "lines": box.num_lines,
                     "groups": len(box.groups),
                     "capsules": box.capsule_count(),
-                    "payload_bytes": box.payload_bytes(),
+                    "meta_bytes": layout.meta_bytes,
+                    "meta_inflated_bytes": layout.meta_inflated_bytes,
+                    "column_bytes": layout.column_bytes,
+                    "capsule_table_bytes": layout.capsule_table_bytes,
+                    "payload_bytes": layout.payload_bytes,
                     "codecs": box.codec_usage(),
                 }
             )
@@ -492,7 +498,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(
                 f"{b['name']}: {b['lines']} lines, {b['groups']} groups, "
                 f"{b['capsules']} capsules, {b['payload_bytes']} payload bytes "
-                f"({codecs})"
+                f"({codecs}), {b['meta_bytes']} metadata bytes "
+                f"({b['meta_inflated_bytes']} B inflated: group-id column "
+                f"{b['column_bytes']} B, Capsule table "
+                f"{b['capsule_table_bytes']} B)"
             )
         print(f"total: {total} lines, {store.total_bytes()} stored bytes")
         return 0

@@ -43,6 +43,10 @@ class BinaryWriter:
                 self._buf.write(bytes((byte,)))
                 return
 
+    def write_raw(self, data: bytes) -> None:
+        """*data* as is, with no length prefix (a fixed-size field)."""
+        self._buf.write(data)
+
     def write_bytes(self, data: bytes) -> None:
         self.write_varint(len(data))
         self._buf.write(data)

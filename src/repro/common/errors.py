@@ -11,6 +11,15 @@ class FormatError(ReproError):
     """A serialized archive / CapsuleBox is malformed or truncated."""
 
 
+class BlockMissingError(ReproError):
+    """A block the caller named is not in the store: deleted under a
+    reader (a lifecycle rewrite replaced it), or never written."""
+
+    def __init__(self, name: str):
+        super().__init__(f"block {name!r} is not in the store")
+        self.name = name
+
+
 class QuerySyntaxError(ReproError):
     """A query command could not be parsed."""
 

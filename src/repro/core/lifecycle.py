@@ -410,29 +410,43 @@ class LifecycleManager:
     ) -> List[Tuple[str, BlockSummary]]:
         """Merge-and-recompress the prefix at the cold config.
 
-        Line ids are preserved exactly (the merge keeps line order).  No
-        output id leaves the merged range (above it reads as an append,
-        below it is another block's): with a budget at least the largest
-        merged block's, greedy splitting needs at most as many blocks as
-        the merge covers, and the last takes the last merged id.
+        Each maximal run of line-contiguous names is merged on its own: a
+        block the prefix skips (already COLD in a hand-edited tier map)
+        keeps its lines between the runs around it.
         """
         config = tier_config(Tier.COLD, self.config)
-        budget = config.block_bytes
-        lines: List[str] = []
-        first_line_id = last_id = 0
+        written: List[Tuple[str, BlockSummary]] = []
+        run: List[LogBlock] = []
         for name in names:
             box = self._load_box(name)
             block = LogBlock(
                 box.block_id, box.first_line_id, BlockReconstructor(box).all_lines()
             )
-            budget = max(budget, block.raw_bytes)
-            if not lines:
-                first_line_id = block.first_line_id
-            last_id = block.block_id
-            lines.extend(block.lines)
+            if run and block.first_line_id != run[-1].first_line_id + run[-1].num_lines:
+                written += self._merge(run, config, epoch)
+                run = []
+            run.append(block)
+        if run:
+            written += self._merge(run, config, epoch)
+        return written
+
+    def _merge(
+        self, run: List[LogBlock], config: LogGrepConfig, epoch: int
+    ) -> List[Tuple[str, BlockSummary]]:
+        """Merge one run of line-contiguous blocks into blocks of
+        ``config.block_bytes``.
+
+        Line ids are preserved exactly (the merge keeps line order).  No
+        output id leaves the merged range (above it reads as an append,
+        below it is another block's): with a budget at least the largest
+        merged block's, greedy splitting needs at most as many blocks as
+        the run covers, and the last takes the run's last id.
+        """
+        budget = max(config.block_bytes, *(block.raw_bytes for block in run))
+        lines = [line for block in run for line in block.lines]
         blocks = list(split_lines(lines, budget))
-        line_id = first_line_id
-        for block_id, block in enumerate(blocks, last_id - len(blocks) + 1):
+        line_id = run[0].first_line_id
+        for block_id, block in enumerate(blocks, run[-1].block_id - len(blocks) + 1):
             block.block_id = block_id
             block.first_line_id = line_id
             line_id += block.num_lines

@@ -22,6 +22,7 @@ paper describes but did not need for Alibaba logs.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from ..capsule.box import CapsuleBox
@@ -36,6 +37,7 @@ from ..query.vectors import (
 )
 
 _DELIMITER = DELIMITER.encode("utf-8")
+_LINE_ID = itemgetter(0)
 
 
 class BlockReconstructor:
@@ -60,18 +62,22 @@ class BlockReconstructor:
         """Rebuild all hit entries, merged into global order."""
         entries: List[Tuple[int, str]] = []
         base = self.box.first_line_id
+        runs = 0
         for group_idx, rows in hits.items():
             if not rows:
                 continue
             line_ids = self.box.groups[group_idx].line_ids
             # None = every row: whole columns are taken, no row list built.
             wanted = None if rows.is_full() else rows.rows()
-            if wanted is not None:
-                line_ids = [line_ids[row] for row in wanted]
             texts = self._render(group_idx, wanted, len(rows))
-            entries.extend(zip([base + line_id for line_id in line_ids], texts))
-        # Line ids are unique, so the tuples order by id alone.
-        entries.sort()
+            if wanted is not None:
+                line_ids = map(line_ids.__getitem__, wanted)
+            entries.extend(zip(map(base.__add__, line_ids), texts))
+            runs += 1
+        # Each group's entries are in line order already; across groups,
+        # line ids are unique, so sorting by the int id alone suffices.
+        if runs > 1:
+            entries.sort(key=_LINE_ID)
         return entries
 
     def _render(

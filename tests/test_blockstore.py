@@ -11,6 +11,9 @@ from repro.blockstore import (
     block_from_text,
     split_lines,
 )
+from repro.common.errors import BlockMissingError
+from repro.core.config import LogGrepConfig
+from repro.core.loggrep import LogGrep
 
 
 class TestSplitLines:
@@ -101,6 +104,38 @@ class TestStores:
         store.put("a", b"1")
         store.delete("a")
         assert not store.exists("a")
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda store: store.get("a"),
+            lambda store: store.get_range("a", 0, 1),
+            lambda store: store.size("a"),
+        ],
+        ids=["get", "get_range", "size"],
+    )
+    def test_vanished_block_is_a_typed_error(self, store_factory, tmp_path, read):
+        store = self._make(store_factory, tmp_path)
+        store.put("a", b"1")
+        store.delete("a")
+        with pytest.raises(BlockMissingError) as info:
+            read(store)
+        assert info.value.name == "a" and "'a'" in str(info.value)
+
+    def test_block_deleted_under_a_reader(self, store_factory, tmp_path, monkeypatch):
+        # The reader lists the blocks, then a rewrite deletes one of them
+        # before the reader opens it.
+        store = self._make(store_factory, tmp_path)
+        config = LogGrepConfig(block_bytes=4096)
+        LogGrep(store=store, config=config).compress(
+            [f"ERROR disk {i} failed" for i in range(400)]
+        )
+        listing = store.names()
+        victim = listing[1]
+        store.delete(victim)
+        monkeypatch.setattr(store, "names", lambda: list(listing))
+        with pytest.raises(BlockMissingError, match=victim):
+            LogGrep(store=store, config=config).grep("ERROR")
 
 
 class TestArchiveStorePaths:

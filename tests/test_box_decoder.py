@@ -1,12 +1,15 @@
-"""Tests for the one-pass CapsuleBox metadata decoder (``CapsuleBox.open``).
+"""Tests for the CapsuleBox metadata decoder (``CapsuleBox.open``).
 
 Every kind of stored vector must survive ``serialize`` → ``open`` →
 ``serialize`` byte for byte, and malformed metadata — truncated at any
-byte, or holding an impossible field — must surface as a
-:class:`FormatError`, never as ``IndexError``, ``struct.error`` or
-``UnicodeDecodeError`` from inside the decoder.
+byte, or holding an impossible field, such as a group-id column that
+disagrees with the block or a Capsule table that disagrees with the
+payload section — must surface as a :class:`FormatError`, never as
+``IndexError``, ``struct.error`` or ``UnicodeDecodeError`` from inside
+the decoder.
 """
 
+import struct
 import zlib
 
 import pytest
@@ -21,17 +24,20 @@ from repro.capsule.assembler import (
     encode_plain,
     encode_vector,
 )
-from repro.capsule.box import BoxTOC, CapsuleBox, GroupBox
+from repro.capsule.box import BoxTOC, CapsuleBox, GroupBox, _MetaPrefix
+from repro.common.binio import BinaryWriter
 from repro.common.errors import FormatError
 from repro.core.compressor import compress_block
-from repro.core.config import LogGrepConfig
+from repro.core.config import LogGrepConfig, ablated, sp_config
+from repro.core.reconstructor import BlockReconstructor
 from repro.staticparse.template import Template
 from tests.conftest import make_mixed_lines
 
+#: Each vector holds one row per entry of its group (200 of 600 lines).
 OUTLIER_VALUES = [f"req_{i}" for i in range(190)] + [
-    "WEIRD!", "also weird", *[f"req_{i}" for i in range(190, 200)]
+    "WEIRD!", "also weird", *[f"req_{i}" for i in range(190, 198)]
 ]
-NOMINAL_VALUES = (["ERR#404"] * 40 + ["SUCC"] * 70 + ["ERR#501"] * 40)[:200]
+NOMINAL_VALUES = ["ERR#404"] * 60 + ["SUCC"] * 80 + ["ERR#501"] * 60
 PLAIN_VALUES = [f"v{i % 13}-{i}" for i in range(200)]
 
 
@@ -52,15 +58,20 @@ def _box(*, use_padding=True):
 
 def _with_meta(blob: bytes, meta: bytes) -> bytes:
     """*blob* with its inflated metadata replaced by *meta*: recompressed,
-    with the TOC's metadata length and payload offset patched so the
-    header stays self-consistent."""
+    with the header's metadata length patched so it stays
+    self-consistent."""
     toc = BoxTOC.read(BytesBlobSource(blob))
     packed = zlib.compress(meta, 6)
     payload = blob[toc.payload_off :]
     header = bytearray(blob[: toc.meta_off])
-    header[20:24] = len(packed).to_bytes(4, "little")
-    header[24:28] = (toc.meta_off + len(packed)).to_bytes(4, "little")
+    header[8:12] = len(packed).to_bytes(4, "little")
     return bytes(header) + packed + payload
+
+
+def _meta_only(meta: bytes) -> bytes:
+    """A box of the inflated metadata *meta* and an empty payload."""
+    packed = zlib.compress(meta, 6)
+    return struct.pack("<4sBBHII", b"LGCB", 3, 0, 16, len(packed), 0) + packed
 
 
 def _meta_of(blob: bytes) -> bytes:
@@ -119,26 +130,150 @@ class TestMalformedMetadata:
             CapsuleBox.deserialize(_with_meta(blob, b"\xff" * 11))
 
     def test_unknown_vector_tag(self):
-        # block 0, first line 0, 0 lines, padded, 1 group: template 0 of
-        # no tokens, no line ids, one vector of tag 9.
-        meta = bytes([0, 0, 0, 1, 1, 0, 0, 0, 1, 9])
+        # block 0, first line 0, 0 lines, padded, 1 group, 0 Capsules, an
+        # empty group-id column; the group: template 0 of no tokens, one
+        # vector of tag 9.
+        meta = bytes([0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 9])
         with pytest.raises(FormatError, match="unknown encoded-vector tag 9"):
-            CapsuleBox.deserialize(_with_meta(_box().serialize(), meta))
+            CapsuleBox.deserialize(_meta_only(meta))
 
     def test_invalid_utf8_token(self):
-        meta = bytes([0, 0, 0, 1, 1, 0, 1, 0, 1, 0xFF, 0, 0])
+        meta = bytes([0, 0, 0, 1, 1, 0, 0, 0, 1, 0, 1, 0xFF, 0])
         with pytest.raises(FormatError):
-            CapsuleBox.deserialize(_with_meta(_box().serialize(), meta))
+            CapsuleBox.deserialize(_meta_only(meta))
 
     def test_ragged_line_id_array(self):
-        meta = bytes([0, 0, 0, 1, 1, 0, 0, 3, 1, 0, 0, 0])
+        # Outlier rows are the one u32 array left in the metadata: one
+        # real vector of no elements and no sub-variables, with outliers
+        # whose array is 3 bytes long.
+        meta = bytes([0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0, 0, 1, 3, 0, 0, 0])
         with pytest.raises(FormatError, match="u32"):
-            CapsuleBox.deserialize(_with_meta(_box().serialize(), meta))
+            CapsuleBox.deserialize(_meta_only(meta))
 
     def test_payload_extent_past_the_toc(self):
         blob = _box().serialize()
         toc = BoxTOC.read(BytesBlobSource(blob))
         shrunk = bytearray(blob[: len(blob) - 8])
-        shrunk[28:32] = (toc.payload_len - 8).to_bytes(4, "little")
-        with pytest.raises(FormatError, match="out of range"):
+        shrunk[12:16] = (toc.payload_len - 8).to_bytes(4, "little")
+        with pytest.raises(FormatError, match="payload section"):
             CapsuleBox.deserialize(bytes(shrunk))
+
+
+def _with_column(meta: bytes, cells: bytes) -> bytes:
+    """*meta* with its group-id column replaced by *cells*."""
+    head = _MetaPrefix.read(meta)
+    old, new = BinaryWriter(), BinaryWriter()
+    old.write_varint(head.column_end - head.column_start)
+    new.write_bytes(cells)
+    start = head.column_start - len(old.getvalue())
+    return meta[:start] + new.getvalue() + meta[head.column_end :]
+
+
+def _round_trip_lines(box: CapsuleBox):
+    """The lines of *box* after a serialize → open round trip, checking
+    that the reopened box serializes to the same bytes."""
+    blob = box.serialize()
+    loaded = CapsuleBox.deserialize(blob)
+    assert loaded.serialize() == blob
+    assert loaded.verify() == []
+    return BlockReconstructor(loaded).all_lines()
+
+
+class TestV3Layout:
+    def test_300_templates_take_a_u16_column(self):
+        options = EncodingOptions(sample_rate=1.0)
+        groups = [
+            GroupBox(
+                Template(g, [f"event{g}", None]),
+                [g, 300 + g],
+                [encode_plain([f"a{g}", f"b{g}"], options)],
+            )
+            for g in range(300)
+        ]
+        box = CapsuleBox(0, 0, 600, True, groups)
+        blob = box.serialize()
+        layout = CapsuleBox.layout(blob)
+        assert layout.column_bytes == 2 * 600
+        loaded = CapsuleBox.deserialize(blob)
+        assert [g.line_ids for g in loaded.groups] == [g.line_ids for g in groups]
+        want = [f"event{g % 300} {'ab'[g // 300]}{g % 300}" for g in range(600)]
+        assert _round_trip_lines(box) == want
+
+    def test_u8_column_below_256_groups(self):
+        blob = _box().serialize()
+        assert CapsuleBox.layout(blob).column_bytes == 600
+
+    def test_zero_vector_groups(self):
+        lines = [
+            "service started" if i % 3 == 0 else
+            "service stopped" if i % 3 == 1 else
+            f"request {i} took {i % 17} ms"
+            for i in range(300)
+        ]
+        box = compress_block(LogBlock(0, 0, lines), LogGrepConfig())
+        assert sum(not group.vectors for group in box.groups) == 2
+        assert _round_trip_lines(box) == lines
+
+    @pytest.mark.parametrize(
+        "config",
+        [ablated("w/o fixed"), sp_config()],
+        ids=["w/o fixed", "LG-SP"],
+    )
+    def test_fig9_configs(self, config):
+        lines = make_mixed_lines(600, seed=7)
+        box = compress_block(LogBlock(2, 100, lines), config)
+        assert not box.padded
+        assert _round_trip_lines(box) == lines
+
+
+class TestV3Malformed:
+    def test_column_shorter_than_the_block(self):
+        blob = _box().serialize()
+        meta = _meta_of(blob)
+        head = _MetaPrefix.read(meta)
+        cells = meta[head.column_start : head.column_end]
+        with pytest.raises(FormatError, match="group-id column is 599 byte"):
+            CapsuleBox.deserialize(_with_meta(blob, _with_column(meta, cells[:-1])))
+
+    def test_group_id_past_the_group_count(self):
+        blob = _box().serialize()
+        meta = _meta_of(blob)
+        head = _MetaPrefix.read(meta)
+        cells = bytearray(meta[head.column_start : head.column_end])
+        cells[5] = 3
+        with pytest.raises(FormatError, match="group id >= the group count 3"):
+            CapsuleBox.deserialize(_with_meta(blob, _with_column(meta, bytes(cells))))
+
+    def test_vector_rows_differ_from_the_column_count(self):
+        # Line 0 moves from group 0 to group 1: both now disagree with
+        # their vectors' 200 rows.
+        blob = _box().serialize()
+        meta = _meta_of(blob)
+        head = _MetaPrefix.read(meta)
+        cells = bytearray(meta[head.column_start : head.column_end])
+        assert cells[0] == 0
+        cells[0] = 1
+        with pytest.raises(FormatError, match="holds 200 rows, the group-id column 199"):
+            CapsuleBox.deserialize(_with_meta(blob, _with_column(meta, bytes(cells))))
+
+    def test_capsule_lengths_short_of_the_payload_section(self):
+        blob = bytearray(_box().serialize())
+        toc = BoxTOC.read(BytesBlobSource(bytes(blob)))
+        blob[12:16] = (toc.payload_len + 4).to_bytes(4, "little")
+        with pytest.raises(FormatError, match="payload lengths sum to"):
+            CapsuleBox.deserialize(bytes(blob) + b"\x00" * 4)
+
+    def test_serialize_rejects_line_ids_that_do_not_partition_the_block(self):
+        options = EncodingOptions(sample_rate=1.0)
+        vector = encode_plain(["x", "y"], options)
+        overlapping = CapsuleBox(0, 0, 3, True, [
+            GroupBox(Template(0, [None]), [0, 1], [vector]),
+            GroupBox(Template(1, [None]), [1, 2], [vector]),
+        ])
+        with pytest.raises(FormatError, match="exactly once"):
+            overlapping.serialize()
+        unsorted = CapsuleBox(0, 0, 2, True, [
+            GroupBox(Template(0, [None]), [1, 0], [vector]),
+        ])
+        with pytest.raises(FormatError, match="increasing"):
+            unsorted.serialize()

@@ -34,9 +34,8 @@ from repro.capsule.capsule import (
     _lzma_compress,
     _pack_form,
 )
-from repro.blockstore.blobsource import BytesBlobSource
 from repro.capsule.assembler import PlainEncodedVector
-from repro.capsule.box import BoxTOC, CapsuleBox, GroupBox
+from repro.capsule.box import CapsuleBox, GroupBox
 from repro.capsule.stamp import CapsuleStamp
 from repro.common import chartypes
 from repro.common.errors import CompressionError, FormatError
@@ -714,8 +713,12 @@ class TestForms:
 
 #: One block written and serialized by the code before forms existed:
 #: every Capsule, digit and hex columns included, is one character per
-#: byte.  Its lines are :func:`_before_forms_lines`.
+#: byte.  Its container is LGCB v2, which no reader accepts any more.
 GOLDEN_BOX = Path(__file__).parent / "golden" / "box_v2_before_forms.lgcb"
+
+#: The same lines as an LGCB v3 box: a group-id column and a Capsule
+#: table, with packed digit and hex Capsules.
+GOLDEN_V3_BOX = Path(__file__).parent / "golden" / "box_v3.lgcb"
 
 
 def _before_forms_lines():
@@ -734,29 +737,24 @@ def _before_forms_lines():
     return lines
 
 
-def _sections(data):
-    toc = BoxTOC.read(BytesBlobSource(data, "<box>"))
-    meta = zlib.decompress(data[toc.meta_off : toc.meta_off + toc.meta_len])
-    return data[:4], meta, data[toc.payload_off :]
-
-
 class TestBoxWrittenBeforeForms:
-    def test_reads_unchanged(self):
-        box = CapsuleBox.deserialize(GOLDEN_BOX.read_bytes())
-        capsules = list(box.capsules())
-        assert len(capsules) > 5
-        assert {capsule.form for capsule in capsules} == {FORM_ASCII}
+    def test_v2_box_raises_naming_version_2(self):
+        with pytest.raises(FormatError) as info:
+            CapsuleBox.deserialize(GOLDEN_BOX.read_bytes())
+        assert "version 2" in str(info.value)
+
+
+class TestGoldenV3Box:
+    def test_decodes_to_its_lines(self):
+        box = CapsuleBox.deserialize(GOLDEN_V3_BOX.read_bytes())
+        assert len(list(box.capsules())) > 5
         assert box.verify() == []
         reconstructor = BlockReconstructor(box, LogGrepConfig().query_settings())
         entries = reconstructor.reconstruct(
             {i: RowSet.full(group.num_entries) for i, group in enumerate(box.groups)}
         )
-        assert [text for _, text in sorted(entries)] == _before_forms_lines()
+        assert [text for _, text in entries] == _before_forms_lines()
 
-    def test_ascii_box_serializes_as_before(self):
-        # The codec byte of a form-0 Capsule is the codec alone, so the
-        # metadata and payload sections come back byte for byte.
-        data = GOLDEN_BOX.read_bytes()
-        again = CapsuleBox.deserialize(data).serialize()
-        assert _sections(again) == _sections(data)
-
+    def test_reserializes_byte_for_byte(self):
+        data = GOLDEN_V3_BOX.read_bytes()
+        assert CapsuleBox.deserialize(data).serialize() == data

@@ -231,6 +231,42 @@ class TestStats:
             in capsys.readouterr().out
         )
 
+    def test_stats_splits_each_block_into_metadata_and_payload(
+        self, log_file, tmp_path, capsys
+    ):
+        import json
+
+        path, lines = log_file
+        archive = tmp_path / "arch"
+        main(["compress", str(path), "-a", str(archive), "--block-bytes", "4096"])
+        capsys.readouterr()
+        assert main(["stats", "-a", str(archive), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["blocks"]) > 1
+        header = 16
+        for block in doc["blocks"]:
+            # One u8 group-id cell per line, and 24 Capsule-table bytes
+            # per Capsule, inside the inflated metadata.
+            assert block["column_bytes"] == block["lines"]
+            assert block["capsule_table_bytes"] == 24 * block["capsules"]
+            assert (
+                block["column_bytes"] + block["capsule_table_bytes"]
+                < block["meta_inflated_bytes"]
+            )
+        assert doc["stored_bytes"] == sum(
+            header + block["meta_bytes"] + block["payload_bytes"]
+            for block in doc["blocks"]
+        )
+        assert main(["stats", "-a", str(archive)]) == 0
+        out = capsys.readouterr().out
+        first = doc["blocks"][0]
+        assert (
+            f"{first['meta_bytes']} metadata bytes "
+            f"({first['meta_inflated_bytes']} B inflated: group-id column "
+            f"{first['column_bytes']} B, Capsule table "
+            f"{first['capsule_table_bytes']} B)" in out
+        )
+
 
 class TestArgErrors:
     def test_missing_command(self):

@@ -32,7 +32,6 @@ from repro.blockstore.store import ArchiveStore, MemoryStore
 from repro.capsule.box import BoxTOC, CapsuleBox, _capsules_of
 from repro.common.binio import BinaryWriter
 from repro.common.errors import FormatError
-from repro.core.reconstructor import BlockReconstructor
 from repro.obs import get_registry
 from repro.workloads import spec_by_name
 from tests.conftest import make_mixed_lines
@@ -210,14 +209,14 @@ def _one_box(lines):
 class TestBoxTOC:
     LINES = make_mixed_lines(120)
 
-    def test_v2_header_layout(self):
+    def test_v3_header_layout(self):
         blob = _one_box(self.LINES)
         toc = BoxTOC.read(BytesBlobSource(blob))
-        assert blob[:5] == b"LGCB\x02"
-        assert toc.bloom_off == 32
-        # The retired bloom section: one zero byte, never read.
-        assert blob[toc.bloom_off : toc.bloom_off + toc.bloom_len] == b"\x00"
-        assert toc.meta_off == toc.bloom_off + toc.bloom_len
+        assert blob[:5] == b"LGCB\x03"
+        # A 16-byte header; the metadata follows it directly.
+        assert int.from_bytes(blob[6:8], "little") == toc.meta_off == 16
+        assert int.from_bytes(blob[8:12], "little") == toc.meta_len
+        assert int.from_bytes(blob[12:16], "little") == toc.payload_len
         assert toc.payload_off == toc.meta_off + toc.meta_len
         assert toc.payload_off + toc.payload_len == len(blob)
 
@@ -247,15 +246,15 @@ class TestBoxTOC:
 
     def test_capsule_extent_out_of_range(self):
         # Shrink the payload section while keeping the TOC self-consistent:
-        # the trailing capsule's extent now points past payload_len and must
-        # be rejected at open time, before any payload fetch.
+        # the Capsule table's lengths now run past payload_len and must be
+        # rejected at open time, before any payload fetch.
         blob = bytearray(_one_box(self.LINES))
         toc = BoxTOC.read(BytesBlobSource(bytes(blob)))
         cut = 16
         assert toc.payload_len > cut
         new_len = toc.payload_len - cut
-        blob[28:32] = new_len.to_bytes(4, "little")
-        with pytest.raises(FormatError, match="out of range"):
+        blob[12:16] = new_len.to_bytes(4, "little")
+        with pytest.raises(FormatError, match="payload section"):
             CapsuleBox.deserialize(bytes(blob[: len(blob) - cut]))
 
     def test_corrupt_metadata_raises(self):
@@ -266,13 +265,12 @@ class TestBoxTOC:
             CapsuleBox.deserialize(bytes(blob))
 
     def test_open_reads_header_and_metadata_only(self):
-        """Two ranged reads per open: the retired bloom section is
-        never fetched."""
+        """Two ranged reads per open: the header, then the metadata."""
         store = _OpenedStore()
         store.put("block", _one_box(self.LINES))
         box = CapsuleBox.open(StoreBlobSource(store, "block"))
         toc = BoxTOC.read(BytesBlobSource(store.get("block")))
-        assert store.ranges == [(0, 32), (toc.meta_off, toc.meta_len)]
+        assert store.ranges == [(0, 16), (toc.meta_off, toc.meta_len)]
         assert box.groups
 
 
@@ -387,19 +385,35 @@ class TestPruneIndex:
 
 def _as_v1(blob):
     """The sections of a stored box re-framed in the retired v1 container
-    (``MAGIC | 1 | bloom_len u32 | meta_len u32 | bloom | meta | payload``)."""
+    (``MAGIC | 1 | bloom_len u32 | meta_len u32 | bloom | meta | payload``)
+    with an empty bloom section."""
     toc = BoxTOC.read(BytesBlobSource(blob))
     return (
         b"LGCB\x01"
-        + toc.bloom_len.to_bytes(4, "little")
+        + bytes(4)
         + toc.meta_len.to_bytes(4, "little")
-        + blob[toc.bloom_off :]
+        + blob[toc.meta_off :]
+    )
+
+
+def _as_v2(blob):
+    """The sections of a stored box re-framed in the retired v2 container:
+    a 32-byte table of contents and a one-byte bloom section."""
+    toc = BoxTOC.read(BytesBlobSource(blob))
+    meta_off = 33
+    fields = (32, 1, meta_off, toc.meta_len, meta_off + toc.meta_len, toc.payload_len)
+    return (
+        b"LGCB\x02\x00"
+        + (32).to_bytes(2, "little")
+        + b"".join(value.to_bytes(4, "little") for value in fields)
+        + b"\x00"
+        + blob[toc.meta_off :]
     )
 
 
 class TestOldFormatsRejected:
-    """LGCB v1 is a typed error; an LGIX v1 sidecar is rebuilt as v2; the
-    retired bloom section and ``has_bloom`` byte are never trusted."""
+    """LGCB v1 and v2 are typed errors; an LGIX v1 sidecar is rebuilt as
+    v2; the retired ``has_bloom`` byte is never trusted."""
 
     #: 13 bytes: magic, version 1, bloom_len u32 = 0, meta_len u32 = 0.
     V1_HEADER = b"LGCB\x01" + bytes(8)
@@ -414,7 +428,14 @@ class TestOldFormatsRejected:
             with pytest.raises(FormatError) as info:
                 read()
             assert "version 1" in str(info.value)
-            assert "version 2" in str(info.value)
+            assert "version 3" in str(info.value)
+
+    def test_v2_box_raises_naming_both_versions(self):
+        v2 = _as_v2(_one_box(make_mixed_lines(120)))
+        with pytest.raises(FormatError) as info:
+            CapsuleBox.deserialize(v2)
+        assert "version 2" in str(info.value)
+        assert "version 3" in str(info.value)
 
     def test_verify_reports_v1_box(self, tmp_path, capsys):
         from repro.cli import main
@@ -425,7 +446,7 @@ class TestOldFormatsRejected:
         assert main(["verify", "-a", store.root]) == 1
         out = capsys.readouterr().out
         (line,) = [ln for ln in out.splitlines() if ln.startswith(victim)]
-        assert "version 1" in line and "version 2" in line
+        assert "version 1" in line and "version 3" in line
         assert f"{len(store.names()) - 1}/{len(store.names())}" in out
 
     @pytest.mark.parametrize("flags", [0x01, 0x40])
@@ -442,25 +463,6 @@ class TestOldFormatsRejected:
         (line,) = [ln for ln in out.splitlines() if ln.startswith(victim)]
         assert f"unknown CapsuleBox flags 0x{flags:02x}" in line
         assert f"{len(store.names()) - 1}/{len(store.names())}" in out
-
-    def test_filled_bloom_section_ignored(self):
-        """A box whose bloom section holds a filter (as boxes written with
-        the retired block Bloom did) opens to the same lines."""
-        lines = make_mixed_lines(120)
-        blob = _one_box(lines)
-        toc = BoxTOC.read(BytesBlobSource(blob))
-        section = b"\x01" + bytes(range(40))
-        grow = len(section) - toc.bloom_len
-        header = bytearray(blob[:32])
-        for at, value in (
-            (12, len(section)),
-            (16, toc.meta_off + grow),
-            (24, toc.payload_off + grow),
-        ):
-            header[at : at + 4] = value.to_bytes(4, "little")
-        filled = bytes(header) + section + blob[toc.meta_off :]
-        box = CapsuleBox.deserialize(filled)
-        assert BlockReconstructor(box).all_lines() == lines
 
     def test_bloom_sidecar_rebuilt(self, tmp_path):
         """A sidecar entry with ``has_bloom`` set is unreadable, so the

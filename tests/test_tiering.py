@@ -253,6 +253,26 @@ class TestColdDemotion:
         for query in ("read", "state: ERR", "ERROR"):
             assert fresh.grep(query).lines == grep_lines(query, lines)
 
+    def test_cold_block_between_hot_ones_splits_the_merge(self):
+        """A hand-edited tier map can mark a middle block COLD: the demote
+        merges the HOT blocks on each side of it separately, so the lines
+        after it keep their ids."""
+        lines = make_mixed_lines(1000, seed=11)
+        lg = LogGrep(config=LogGrepConfig(block_bytes=4 * 1024))
+        lg.compress(lines)
+        names = lg.store.names()
+        assert len(names) >= 5
+        save_tiers(lg.store, {names[2]: Tier.COLD})
+        LifecycleManager(lg.store, lg.config).demote(Tier.COLD)
+        assert names[2] in lg.store.names()
+        fresh = LogGrep(store=lg.store, config=lg.config)
+        assert fresh.total_lines() == len(lines)
+        assert fresh.decompress_all() == lines
+        for query in ("read", "state: ERR", "ERROR"):
+            got = fresh.grep(query)
+            assert got.lines == grep_lines(query, lines)
+            assert [lines[i] for i in got.line_ids] == got.lines
+
     def test_status_accounts_every_block(self):
         lg = _build(make_mixed_lines(400, seed=6))
         manager = LifecycleManager(lg.store, lg.config)
