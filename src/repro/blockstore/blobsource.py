@@ -5,7 +5,11 @@ storage: ``read(offset, length)`` and ``size()``.  Two implementations
 exist — :class:`BytesBlobSource` wraps an already-fetched buffer (eager
 deserialization, pinned boxes, tests) and :class:`StoreBlobSource`
 forwards to :meth:`ArchiveStore.get_range`, so a capsule payload is only
-pulled off the store the first time somebody asks for its bytes.
+pulled off the store the first time somebody asks for its bytes.  A
+:class:`StoreBlobSource` over an on-disk blob holds one OS handle on it
+for as long as the source lives (its box, for a box's source): every
+ranged read is one ``os.pread`` through it, and a finalizer closes it
+when the source is dropped.
 
 Both are *strict*: a read past the end of the blob raises
 :class:`~repro.common.errors.FormatError` instead of returning a short
@@ -19,10 +23,17 @@ actually needs into one ranged read per contiguous run.
 
 from __future__ import annotations
 
+import os
+import threading
+import weakref
 from typing import List, Optional, Sequence, Tuple
 
 from ..common.errors import FormatError
 from ..obs import ledger as ledger_channel
+
+#: Serializes a source's first ``size()``, so racing threads open one
+#: handle between them.
+_OPEN_LOCK = threading.Lock()
 
 #: One byte extent: (offset, length).
 Extent = Tuple[int, int]
@@ -67,12 +78,20 @@ class BytesBlobSource(BlobSource):
 
 
 class StoreBlobSource(BlobSource):
-    """A BlobSource issuing ranged reads against an archive store."""
+    """A BlobSource issuing ranged reads against an archive store.
+
+    The first ``size()`` (every box open starts with one) takes the
+    store's handle on the blob (:meth:`ArchiveStore.open_handle`; None
+    for a store without files), and every later ``size`` and ``read``
+    passes it to the store.  The handle is closed when the source is
+    garbage-collected, so a live box holds at most one.
+    """
 
     def __init__(self, store: object, name: str):
         self.store = store
         self.name = name
         self._size: Optional[int] = None
+        self._handle: Optional[int] = None
         self._bytes_read = 0
 
     def read(self, offset: int, length: int) -> bytes:
@@ -81,7 +100,11 @@ class StoreBlobSource(BlobSource):
                 f"{self.name}: read [{offset}, {offset + length}) out of "
                 f"range of {self.size()}-byte blob"
             )
-        data = self.store.get_range(self.name, offset, length)  # type: ignore[attr-defined]
+        handle = self._handle
+        if handle is None:
+            data = self.store.get_range(self.name, offset, length)  # type: ignore[attr-defined]
+        else:
+            data = self.store.get_range(self.name, offset, length, handle)  # type: ignore[attr-defined]
         if len(data) != length:
             raise FormatError(
                 f"{self.name}: ranged read returned {len(data)} byte(s), "
@@ -95,9 +118,23 @@ class StoreBlobSource(BlobSource):
         return data
 
     def size(self) -> int:
-        if self._size is None:
-            self._size = int(self.store.size(self.name))  # type: ignore[attr-defined]
-        return self._size
+        size = self._size
+        if size is None:
+            with _OPEN_LOCK:
+                size = self._size
+                if size is None:
+                    size = self._size = self._open()
+        return size
+
+    def _open(self) -> int:
+        """Take the store's handle on the blob; return the blob's size."""
+        store = self.store
+        handle = store.open_handle(self.name)  # type: ignore[attr-defined]
+        if handle is None:
+            return int(store.size(self.name))  # type: ignore[attr-defined]
+        weakref.finalize(self, os.close, handle)
+        self._handle = handle
+        return int(store.size(self.name, handle))  # type: ignore[attr-defined]
 
     @property
     def bytes_read(self) -> int:

@@ -39,13 +39,17 @@ pruning is validated against the same masks the engine enforces exactly.
 Its name set is the commit point of a lifecycle rewrite, which writes
 new names, saves the sidecar and only then deletes what it replaced:
 :func:`live_names` turns a store listing into the blocks a reader
-serves, and :func:`sync_index` folds a newer sidecar into an index.
+serves, and :func:`sync_index` folds a newer sidecar into an index.  A
+name the sidecar lists that the store lacks is a lost block
+(:func:`missing_names`): readers raise
+:class:`~repro.common.errors.BlockMissingError` for it rather than
+answer without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from ..common import chartypes
 from ..common.binio import BinaryReader, BinaryWriter
@@ -320,6 +324,23 @@ def live_names(
         name
         for name, parsed in zip(names, map(parse_block_name, names))
         if name in sidecar or (parsed is not None and parsed[0] > top)
+    ]
+
+
+def missing_names(
+    store: object, listed: Iterable[str], listing: List[str]
+) -> List[str]:
+    """The names of *listed* (a sidecar's or an index's) that the store
+    holds no block for: in neither the store listing *listing* nor the
+    store itself (a block written after the listing is there).  A
+    sidecar names a block only once it is written and until a rewrite
+    has published its replacement, so a name here is a block deleted
+    outside any rewrite, which a reader must report, never skip."""
+    present = set(listing)
+    return [
+        name
+        for name in listed
+        if name not in present and not store.exists(name)  # type: ignore[attr-defined]
     ]
 
 

@@ -140,11 +140,17 @@ class RemoteStore(ArchiveStore):
         self._request("get")
         return self.inner.get(name)
 
-    def get_range(self, name: str, offset: int, length: int) -> bytes:
+    def open_handle(self, name: str) -> Optional[int]:
+        # A remote blob has no OS handle: every read stays a request.
+        return None
+
+    def get_range(
+        self, name: str, offset: int, length: int, handle: Optional[int] = None
+    ) -> bytes:
         self._request("get_range")
         return self.inner.get_range(name, offset, length)
 
-    def size(self, name: str) -> int:
+    def size(self, name: str, handle: Optional[int] = None) -> int:
         self._request("size")
         return self.inner.size(name)
 

@@ -22,6 +22,15 @@ block name is written once.  Reading (or sizing) a block that is not in
 the store — one a rewrite deleted under a reader — raises
 :class:`~repro.common.errors.BlockMissingError` naming it.
 
+A reader that will make several ranged reads of one block takes an OS
+handle on it once (:meth:`ArchiveStore.open_handle`) and passes it to
+every :meth:`~ArchiveStore.get_range` and :meth:`~ArchiveStore.size`
+call: each is then one ``os.pread`` / ``os.fstat``, not an open, a
+seek, a read and a close.  ``pread`` moves no shared file offset, so
+threads may read through one handle at once.  Every ranged read still
+goes through ``get_range``, handle or not, so its metrics (and anything
+that wraps it) see the same reads.
+
 An in-memory variant is provided for tests and benchmarks that should not
 touch the disk.
 """
@@ -30,7 +39,7 @@ from __future__ import annotations
 
 import os
 import tempfile
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Optional
 
 from ..common.errors import BlockMissingError, FormatError
 from ..obs.metrics import get_registry
@@ -89,8 +98,21 @@ class ArchiveStore:
         _READ_BYTES.inc(len(data))
         return data
 
-    def get_range(self, name: str, offset: int, length: int) -> bytes:
-        """Exactly *length* bytes of blob *name* starting at *offset*.
+    def open_handle(self, name: str) -> Optional[int]:
+        """An OS handle on block *name* for :meth:`get_range` and
+        :meth:`size` to read through; the caller closes it with
+        ``os.close``.  None where blobs are not files (the in-memory and
+        remote stores), and every read then takes the store's own path."""
+        try:
+            return os.open(self._path(name), os.O_RDONLY)
+        except FileNotFoundError:
+            raise BlockMissingError(name) from None
+
+    def get_range(
+        self, name: str, offset: int, length: int, handle: Optional[int] = None
+    ) -> bytes:
+        """Exactly *length* bytes of blob *name* starting at *offset*,
+        read through *handle* (from :meth:`open_handle`) when given.
 
         Short reads (offset/length past the end of the blob) raise
         :class:`FormatError`: a ranged reader asking for bytes that do not
@@ -100,12 +122,15 @@ class ArchiveStore:
         if offset < 0 or length < 0:
             raise ValueError(f"invalid range [{offset}, +{length})")
         _RANGE_READS.inc()
-        try:
-            with open(self._path(name), "rb") as fh:
-                fh.seek(offset)
-                data = fh.read(length)
-        except FileNotFoundError:
-            raise BlockMissingError(name) from None
+        if handle is not None:
+            data = os.pread(handle, length, offset)
+        else:
+            try:
+                with open(self._path(name), "rb") as fh:
+                    fh.seek(offset)
+                    data = fh.read(length)
+            except FileNotFoundError:
+                raise BlockMissingError(name) from None
         if len(data) != length:
             raise FormatError(
                 f"{name}: range [{offset}, +{length}) past end of blob"
@@ -114,8 +139,11 @@ class ArchiveStore:
         _READ_BYTES.inc(length)
         return data
 
-    def size(self, name: str) -> int:
-        """Stored size of one blob in bytes (no read charged)."""
+    def size(self, name: str, handle: Optional[int] = None) -> int:
+        """Stored size of one blob in bytes (no read charged), taken
+        from *handle* (from :meth:`open_handle`) when given."""
+        if handle is not None:
+            return os.fstat(handle).st_size
         try:
             return os.path.getsize(self._path(name))
         except FileNotFoundError:
@@ -179,7 +207,12 @@ class MemoryStore(ArchiveStore):
         _READ_BYTES.inc(len(data))
         return data
 
-    def get_range(self, name: str, offset: int, length: int) -> bytes:
+    def open_handle(self, name: str) -> Optional[int]:
+        return None
+
+    def get_range(
+        self, name: str, offset: int, length: int, handle: Optional[int] = None
+    ) -> bytes:
         if offset < 0 or length < 0:
             raise ValueError(f"invalid range [{offset}, +{length})")
         blob = self._blob(name)
@@ -192,7 +225,7 @@ class MemoryStore(ArchiveStore):
         _READ_BYTES.inc(length)
         return blob[offset : offset + length]
 
-    def size(self, name: str) -> int:
+    def size(self, name: str, handle: Optional[int] = None) -> int:
         return len(self._blob(name))
 
     def _blob(self, name: str) -> bytes:

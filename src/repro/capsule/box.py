@@ -27,6 +27,11 @@ that group's are read.  Every Capsule record sits in one columnar
 ``struct`` call; payload offsets are the prefix sums of the stored
 lengths.
 
+Opening a box decodes the metadata in one pass (:func:`_decode_meta`):
+nearly every varint and span length in it is below 0x80, so those are
+read inline as one byte, and the varint and span helpers run only for
+multi-byte values; every span end is still checked against the buffer.
+
 Version 3 is the only version read or written; any other version byte
 (the retired 13-byte-header v1 and 32-byte-header v2 included) is a
 :class:`FormatError` naming the version found.
@@ -617,8 +622,16 @@ class _MetaPrefix(NamedTuple):
         first_line_id, pos = _varint(data, pos)
         num_lines, pos = _varint(data, pos)
         padded = data[pos] == 1
-        num_groups, pos = _varint(data, pos + 1)
-        num_capsules, pos = _varint(data, pos)
+        num_groups = data[pos + 1]
+        if num_groups < 0x80:
+            pos += 2
+        else:
+            num_groups, pos = _varint(data, pos + 1)
+        num_capsules = data[pos]
+        if num_capsules < 0x80:
+            pos += 1
+        else:
+            num_capsules, pos = _varint(data, pos)
         start, end = _span(data, pos)
         return cls(
             block_id, first_line_id, num_lines, padded, num_groups,
@@ -631,12 +644,14 @@ def _decode_meta(data: bytes, source: BlobSource, toc: BoxTOC) -> CapsuleBox:
 
     The Capsule table is decoded first, in one ``struct`` call, so each
     vector record takes its Capsules in table order as it is read.  The
-    read state is a local ``(data, pos)``: a u8 is one index, a varint
-    takes :func:`_varint`'s one-byte branch, and pattern objects are
-    built straight from the fields.  Nothing here bounds-checks a
-    single-byte read: past the end it raises ``IndexError``
-    (``struct.error`` for a fixed-width field), which
-    :meth:`CapsuleBox.open` reports as a :class:`FormatError`.
+    read state is a local ``(data, pos)``: a u8 is one index, and so is
+    a varint or a span length below 0x80 — nearly every one in a box —
+    read inline, with :func:`_varint` / :func:`_span` called only for a
+    multi-byte value; pattern objects are built straight from the
+    fields.  Every span end is checked against the buffer, inline or
+    not.  Nothing here bounds-checks a single-byte read: past the end
+    it raises ``IndexError`` (``struct.error`` for a fixed-width field),
+    which :meth:`CapsuleBox.open` reports as a :class:`FormatError`.
     """
     head = _MetaPrefix.read(data)
     column, counts = _column_at(data, head)
@@ -647,21 +662,42 @@ def _decode_meta(data: bytes, source: BlobSource, toc: BoxTOC) -> CapsuleBox:
         raise FormatError(_TRUNCATED)
     capsules = _capsule_table(table.unpack_from(data, table_off), source, toc)
     consts: Dict[bytes, Const] = {}
+    end = len(data)
     pos = head.column_end
     taken = 0
     groups: List[GroupBox] = []
     for group_idx in range(num_groups):
-        template_id, pos = _varint(data, pos)
-        num_tokens, pos = _varint(data, pos)
+        template_id = data[pos]
+        if template_id < 0x80:
+            pos += 1
+        else:
+            template_id, pos = _varint(data, pos)
+        num_tokens = data[pos]
+        if num_tokens < 0x80:
+            pos += 1
+        else:
+            num_tokens, pos = _varint(data, pos)
         tokens: List[Optional[str]] = []
         for _ in range(num_tokens):
-            pos += 1
-            if data[pos - 1] == 1:
+            if data[pos] == 1:
+                pos += 1
                 tokens.append(None)
+                continue
+            length = data[pos + 1]
+            if length < 0x80:
+                start = pos + 2
+                pos = start + length
+                if pos > end:
+                    raise FormatError(_TRUNCATED)
             else:
-                start, pos = _span(data, pos)
-                tokens.append(data[start:pos].decode())
-        num_vectors, pos = _varint(data, pos)
+                start, pos = _span(data, pos + 1)
+            tokens.append(data[start:pos].decode())
+        num_vectors = data[pos]
+        if num_vectors < 0x80:
+            pos += 1
+        else:
+            num_vectors, pos = _varint(data, pos)
+        count_here = counts[group_idx]
         vectors: List[EncodedVector] = []
         for _ in range(num_vectors):
             tag = data[pos]
@@ -669,7 +705,11 @@ def _decode_meta(data: bytes, source: BlobSource, toc: BoxTOC) -> CapsuleBox:
             vector: EncodedVector
             if tag == ENC_REAL:
                 pattern, pos = _pattern_at(data, pos, consts)
-                num_capsules, pos = _varint(data, pos)
+                num_capsules = data[pos]
+                if num_capsules < 0x80:
+                    pos += 1
+                else:
+                    num_capsules, pos = _varint(data, pos)
                 subvars = capsules[taken : taken + num_capsules]
                 taken += num_capsules
                 outlier: Optional[Capsule] = None
@@ -680,7 +720,11 @@ def _decode_meta(data: bytes, source: BlobSource, toc: BoxTOC) -> CapsuleBox:
                     outlier_rows = list(accumulate(outlier_deltas))
                     outlier = capsules[taken]
                     taken += 1
-                num_rows, pos = _varint(data, pos)
+                num_rows = data[pos]
+                if num_rows < 0x80:
+                    pos += 1
+                else:
+                    num_rows, pos = _varint(data, pos)
                 vector = RealEncodedVector(
                     pattern, subvars, outlier, outlier_rows, num_rows
                 )
@@ -705,21 +749,25 @@ def _decode_meta(data: bytes, source: BlobSource, toc: BoxTOC) -> CapsuleBox:
                 )
                 taken += 2
             elif tag == ENC_PLAIN:
-                num_rows, pos = _varint(data, pos)
+                num_rows = data[pos]
+                if num_rows < 0x80:
+                    pos += 1
+                else:
+                    num_rows, pos = _varint(data, pos)
                 vector = PlainEncodedVector(capsules[taken], num_rows)
                 taken += 1
             else:
                 raise FormatError(f"unknown encoded-vector tag {tag}")
-            if num_rows != counts[group_idx]:
+            if num_rows != count_here:
                 raise FormatError(
                     f"group {group_idx}: a vector holds {num_rows} rows, "
-                    f"the group-id column {counts[group_idx]}"
+                    f"the group-id column {count_here}"
                 )
             vectors.append(vector)
         groups.append(
             GroupBox._decoded(
                 Template(template_id, tokens), vectors, column, group_idx,
-                counts[group_idx],
+                count_here,
             )
         )
     if pos != table_off or taken != len(capsules):
@@ -854,11 +902,16 @@ def _span(data: bytes, pos: int) -> Tuple[int, int]:
 
 
 def _varints_at(data: bytes, pos: int) -> Tuple[List[int], int]:
-    """A count-prefixed list of varints (``BinaryWriter.write_u32_list``)."""
+    """A count-prefixed list of varints (``BinaryWriter.write_u32_list``);
+    one-byte values are read inline."""
     count, pos = _varint(data, pos)
     out: List[int] = []
     for _ in range(count):
-        value, pos = _varint(data, pos)
+        value = data[pos]
+        if value < 0x80:
+            pos += 1
+        else:
+            value, pos = _varint(data, pos)
         out.append(value)
     return out, pos
 
@@ -881,21 +934,35 @@ def _pattern_at(
     Elements are kept as stored, not re-normalized, so a re-serialized
     box is byte-identical to the one read.  Elements are immutable, so
     one object serves every repeat: *consts* holds a box's constants by
-    their stored bytes, and :data:`_SUBVARS` the common sub-variables."""
-    count, pos = _varint(data, pos)
+    their stored bytes, and :data:`_SUBVARS` the common sub-variables.
+    One-byte counts, lengths and indices are read inline."""
+    count = data[pos]
+    if count < 0x80:
+        pos += 1
+    else:
+        count, pos = _varint(data, pos)
     elements: List[Element] = []
     for _ in range(count):
-        pos += 1
-        if data[pos - 1] == 0:
-            text_start, pos = _span(data, pos)
+        kind = data[pos]
+        value = data[pos + 1]
+        if value < 0x80:
+            pos += 2
+        else:
+            value, pos = _varint(data, pos + 1)
+        if kind == 0:
+            # value is the constant's byte length
+            text_start = pos
+            pos += value
+            if pos > len(data):
+                raise FormatError(_TRUNCATED)
             raw = data[text_start:pos]
             const = consts.get(raw)
             if const is None:
                 const = consts[raw] = Const(raw.decode())
             elements.append(const)
         else:
-            index, pos = _varint(data, pos)
-            elements.append(_SUBVARS[index] if index < len(_SUBVARS) else SubVar(index))
+            # value is the sub-variable's index
+            elements.append(_SUBVARS[value] if value < len(_SUBVARS) else SubVar(value))
     pattern = RuntimePattern.__new__(RuntimePattern)
     pattern.elements = elements
     return pattern, pos

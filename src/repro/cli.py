@@ -281,6 +281,15 @@ def _open(
     )
 
 
+def _lost_blocks(store: ArchiveStore) -> List[str]:
+    """The blocks the archive's prune index lists that its directory
+    lacks (deleted outside any rewrite)."""
+    from .blockstore.index import load_index, missing_names
+
+    sidecar = load_index(store)
+    return missing_names(store, sidecar.blocks if sidecar else (), store.names())
+
+
 def _run_grep_batch(lg, args, from_time, to_time) -> int:
     """``grep --batch-file``: one block pass over many queries."""
     with open(args.batch_file, "r", encoding="utf-8") as fh:
@@ -357,7 +366,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "grep":
-        from .common.errors import BudgetExceeded
+        from .common.errors import BlockMissingError, BudgetExceeded
 
         if (args.query is None) == (args.batch_file is None):
             print(
@@ -406,6 +415,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 root = tracer.last_root()
             else:
                 result = run_query()
+        except BlockMissingError as exc:
+            print(f"loggrep: {exc}", file=sys.stderr)
+            return 1
         except BudgetExceeded as exc:
             print(f"loggrep: {exc}", file=sys.stderr)
             if exc.ledger is not None:
@@ -459,7 +471,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .capsule.box import CapsuleBox
 
         from .blockstore.index import stored_live_names
+        from .common.errors import BlockMissingError
 
+        lost = _lost_blocks(store)
+        if lost:
+            # The totals would leave the block's lines out.
+            print(f"loggrep: {BlockMissingError(lost[0])}", file=sys.stderr)
+            return 1
         blocks = []
         total = 0
         for name in stored_live_names(store):
@@ -537,8 +555,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .common.errors import ReproError
 
         store = ArchiveStore(args.archive)
-        bad = 0
-        for name in store.names():
+        names = store.names()
+        # A query over the archive raises for a lost block, so verify
+        # reports it.
+        missing = _lost_blocks(store)
+        for name in missing:
+            print(f"{name}: missing (listed by the prune index, not in the store)")
+        bad = len(missing)
+        for name in names:
             try:
                 problems = CapsuleBox.deserialize(store.get(name)).verify()
             except ReproError as exc:
@@ -549,7 +573,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                     print(f"{name}: {problem}")
             else:
                 print(f"{name}: ok")
-        print(f"{len(store.names()) - bad}/{len(store.names())} block(s) healthy")
+        total = len(names) + len(missing)
+        print(f"{total - bad}/{total} block(s) healthy")
         return 1 if bad else 0
 
     if args.command == "agg":

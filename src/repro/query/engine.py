@@ -230,7 +230,19 @@ class BlockEngine:
         of one variable matches *keyword*.  Readers may check every row
         (above their direct-checking bound); the result is cut to the
         candidates here.  Each of the vector's Capsules is counted as
-        considered once, and as filtered unless the search read it."""
+        considered once, and as filtered unless the search read it.
+
+        A literal keyword is first checked against the vector's stamp
+        (:func:`~repro.query.vectors.vector_stamp`): one it cannot pass
+        occurs in no value, and is answered before a reader is built or
+        the Locator asked — with the same counts a Locator rejection
+        gives.  The ``w/o stamp`` ablation skips the check."""
+        if self.settings.use_stamps and not keyword.needs_regex:
+            mask, max_len, owned = self._vectors.stamp(group_idx, var_idx)
+            if len(keyword.text) > max_len or keyword.mask & ~mask:
+                self._considered += owned
+                self._filtered += owned
+                return RowSet.empty(self.box.groups[group_idx].num_entries)
         reader = self._vectors.reader(group_idx, var_idx)
         reads = self._reads
         reads.clear()

@@ -77,6 +77,7 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -92,10 +93,11 @@ from ..blockstore.index import (
     BlockSummary,
     live_names,
     load_index,
+    missing_names,
     sync_index,
 )
 from ..capsule.box import CapsuleBox
-from ..common.errors import BudgetExceeded
+from ..common.errors import BlockMissingError, BudgetExceeded
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .aggregate import AggregatePartial, AggregateSpec, make_partial
@@ -246,12 +248,25 @@ class StoreBoxSource:
         """The names of the store listing *listing* that are served
         (:func:`~repro.blockstore.index.live_names`).  A listing that
         differs from the index's names folds the sidecar into the index
-        and drops the boxes of names no longer served."""
+        and drops the boxes of names no longer served.  A block the
+        sidecar lists but the store lacks raises
+        :class:`~repro.common.errors.BlockMissingError`
+        (:func:`~repro.blockstore.index.missing_names`): a query never
+        answers without one of its blocks."""
         if self.index is None:
-            return live_names(listing, load_index(self.store))
-        names = sync_index(self.store, self.index, listing)
-        if names is not listing and self.box_cache is not None:
-            self.box_cache.retain(set(names))
+            sidecar = load_index(self.store)
+            names = live_names(listing, sidecar)
+            listed: Iterable[str] = sidecar.blocks if sidecar else ()
+        else:
+            names = sync_index(self.store, self.index, listing)
+            if names is listing:
+                return names  # the index lists exactly these names
+            listed = self.index.blocks
+            if self.box_cache is not None:
+                self.box_cache.retain(set(names))
+        missing = missing_names(self.store, listed, listing)
+        if missing:
+            raise BlockMissingError(missing[0])
         return names
 
     def blob(self, name: str) -> BlobSource:

@@ -27,6 +27,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Pattern, Tuple
 
+from ..common.chartypes import type_mask
 from ..common.errors import QuerySyntaxError
 from ..common.tokenizer import tokenize
 from .modes import MatchMode
@@ -53,10 +54,14 @@ class Keyword:
     #: True when token matching must go through the regex path.  Both
     #: flags are fixed at construction: the engine asks per token.
     needs_regex: bool = field(init=False, repr=False, compare=False)
+    #: The text's character-class mask, for stamp checks of a literal
+    #: keyword (:func:`~repro.common.chartypes.type_mask`).
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.is_wildcard = not _WILDCARDS.isdisjoint(self.text)
         self.needs_regex = self.is_wildcard or self.ignore_case
+        self.mask = type_mask(self.text)
 
     def literals(self) -> List[str]:
         """Literal runs between wildcards (all of them non-empty)."""

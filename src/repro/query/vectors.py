@@ -4,8 +4,16 @@ A reader answers two questions about one variable vector of one group:
 
 * ``search(fragment, mode, candidates)`` — which group rows (among the
   candidates, every row when None) could contain the fragment?
-  (Locator → stamp filter → fixed-length matching.)
+  (Locator → stamp filter → fixed-length matching; a Real vector's
+  outlier Capsule is scanned only when its own stamp admits the
+  fragment.)
 * ``pieces(rows)`` — the values of those rows as still-padded byte cells.
+
+Ahead of any reader, Match checks a literal keyword against the
+vector's :func:`vector_stamp` — every character class and the longest
+length any of its values can have, from the Capsule stamps and pattern
+constants alone — and answers a keyword outside it without building a
+reader or asking the Locator (``BlockEngine._search_var``).
 
 Readers translate between *capsule row space* (rows stored in a Capsule,
 excluding outliers) and *group row space* (entry rows of the group).
@@ -32,8 +40,9 @@ Decoded vector state is box-scoped.  A reader is built once per vector
 and lives exactly as long as its :class:`CapsuleBox`, which owns it
 (:func:`box_readers`): a box pinned by a refining session keeps its
 readers' stamp lists, Locator keys, outlier maps and nominal cell tables
-across queries, and a box the BoxCache drops (evicted, or its name
-replaced by a rewrite) takes them with it.  This is no cache of its
+across queries (and :class:`BoxReaders` its vector stamps), and a box
+the BoxCache drops (evicted, or its name replaced by a rewrite) takes
+them with it.  This is no cache of its
 own: the cache count stays at four (the Query Cache, the BoxCache, the
 warm-start TemplateCache and the per-run :data:`LocateMemo`).  A reader
 holds nothing of a query: the run's :class:`QuerySettings` come with
@@ -52,10 +61,12 @@ import threading
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union, cast
 
 from ..capsule import scan
+from ..common import chartypes
 from ..obs import ledger as ledger_channel
 from ..capsule.assembler import (
     NominalEncodedVector,
@@ -337,7 +348,7 @@ class RealVectorReader(_VectorReader):
             fragment, mode, settings, result,
             self._capsule_candidates(candidates),
         )
-        self._search_outliers_plain(fragment, mode, result, candidates)
+        self._search_outliers_plain(fragment, mode, settings, result, candidates)
         return result
 
     def _search_matched(
@@ -422,19 +433,23 @@ class RealVectorReader(_VectorReader):
         self,
         fragment: str,
         mode: MatchMode,
+        settings: QuerySettings,
         result: RowSet,
         candidates: Optional[RowSet],
     ) -> None:
-        encoded = self.encoded
-        if encoded.outlier_capsule is None:
+        outlier = self.encoded.outlier_capsule
+        if outlier is None:
             return
         # Outliers escaped the pattern, so they are scanned whenever a
-        # candidate is one.
+        # candidate is one and the outlier Capsule's stamp admits the
+        # fragment.
         if candidates is not None and not candidates & self._outliers():
             return
-        touch_capsule(encoded.outlier_capsule)
-        rows = search_capsule(encoded.outlier_capsule, fragment, mode)
-        outlier_rows = encoded.outlier_rows
+        if settings.use_stamps and not outlier.stamp.admits(fragment):
+            return
+        touch_capsule(outlier)
+        rows = search_capsule(outlier, fragment, mode)
+        outlier_rows = self.encoded.outlier_rows
         result.add_rows([outlier_rows[orow] for orow in rows.rows()])
 
     # ------------------------------------------------------------------
@@ -820,21 +835,78 @@ def make_reader(encoded) -> VectorReader:
     raise TypeError(f"unknown encoded vector {type(encoded)!r}")
 
 
+#: A vector stamp: ``(type mask, max value length, Capsules owned)``.
+VectorStamp = Tuple[int, int, int]
+
+
+def vector_stamp(encoded) -> VectorStamp:
+    """The stamp of a whole vector: every character class and the
+    longest length any of its values can have, and the number of
+    Capsules a search of it considers.
+
+    A real vector's pattern-matched value is its constants and one value
+    of each sub-variable Capsule, so the classes are the union of theirs
+    and the length at most the constants' lengths plus each Capsule's
+    ``max_len``; an outlier adds its Capsule's stamp.  Every value of a
+    nominal vector is a dictionary entry, so the dictionary Capsule's
+    stamp covers it, and a plain vector's Capsule is its stamp.  A
+    literal fragment whose classes or length fall outside this stamp
+    occurs in no value: the Locator would reject every Capsule.
+    """
+    if isinstance(encoded, RealEncodedVector):
+        mask = length = 0
+        capsules = encoded.subvar_capsules
+        for element in encoded.pattern.elements:
+            if isinstance(element, Const):
+                mask |= _const_mask(element.text)
+                length += len(element.text)
+            else:
+                stamp = capsules[element.index].stamp
+                mask |= stamp.type_mask
+                length += stamp.max_len
+        outlier = encoded.outlier_capsule
+        if outlier is None:
+            return mask, length, len(capsules)
+        stamp = outlier.stamp
+        return mask | stamp.type_mask, max(length, stamp.max_len), len(capsules) + 1
+    if isinstance(encoded, NominalEncodedVector):
+        stamp = encoded.dict_capsule.stamp
+        return stamp.type_mask, stamp.max_len, NominalVectorReader.num_capsules
+    stamp = encoded.capsule.stamp
+    return stamp.type_mask, stamp.max_len, PlainVectorReader.num_capsules
+
+
+#: Pattern constants repeat across vectors and boxes.
+_const_mask = lru_cache(maxsize=4096)(chartypes.type_mask)
+
+
 class BoxReaders:
     """The vector readers of one :class:`CapsuleBox`, built on first use
     and owned by the box (see :func:`box_readers`), plus each group's
-    token position → variable ordinal map."""
+    token position → variable ordinal map and each vector's
+    :func:`vector_stamp`, also built on first use."""
 
-    __slots__ = ("_groups", "readers", "var_ordinals")
+    __slots__ = ("_groups", "readers", "stamps", "var_ordinals")
 
     def __init__(self, box: CapsuleBox):
         self._groups = box.groups
         #: (group, var) → reader.
         self.readers: Dict[Tuple[int, int], VectorReader] = {}
+        #: (group, var) → vector stamp.
+        self.stamps: Dict[Tuple[int, int], VectorStamp] = {}
         self.var_ordinals: List[Dict[int, int]] = [
             {pos: k for k, pos in enumerate(group.template.var_positions)}
             for group in box.groups
         ]
+
+    def stamp(self, group_idx: int, var_idx: int) -> VectorStamp:
+        key = (group_idx, var_idx)
+        stamp = self.stamps.get(key)
+        if stamp is None:
+            stamp = self.stamps[key] = vector_stamp(
+                self._groups[group_idx].vectors[var_idx]
+            )
+        return stamp
 
     def reader(self, group_idx: int, var_idx: int) -> VectorReader:
         key = (group_idx, var_idx)

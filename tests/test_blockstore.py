@@ -137,6 +137,25 @@ class TestStores:
         with pytest.raises(BlockMissingError, match=victim):
             LogGrep(store=store, config=config).grep("ERROR")
 
+    def test_block_lost_outside_a_rewrite_fails_the_query(
+        self, store_factory, tmp_path
+    ):
+        # The sidecar still lists the block and nothing replaced it: a
+        # grep or count must name it, not answer from the other blocks.
+        store = self._make(store_factory, tmp_path)
+        config = LogGrepConfig(block_bytes=4096)
+        lines = [f"ERROR disk {i} failed" for i in range(400)]
+        opened = LogGrep(store=store, config=config)
+        opened.compress(lines)
+        assert opened.count("ERROR") == 400
+        victim = store.names()[1]
+        store.delete(victim)
+        for lg in (opened, LogGrep(store=store, config=config)):
+            with pytest.raises(BlockMissingError, match=victim):
+                lg.grep("ERROR")
+            with pytest.raises(BlockMissingError, match=victim):
+                lg.count("ERROR")
+
 
 class TestArchiveStorePaths:
     def test_rejects_path_traversal(self, tmp_path):

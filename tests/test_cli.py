@@ -268,6 +268,41 @@ class TestStats:
         )
 
 
+class TestLostBlock:
+    """A block the prune index lists but the archive directory lacks."""
+
+    @pytest.fixture
+    def damaged(self, log_file, tmp_path, capsys):
+        path, _ = log_file
+        archive = tmp_path / "arch"
+        main(["compress", str(path), "-a", str(archive), "--block-bytes", "2048"])
+        blocks = sorted(p.name for p in archive.iterdir() if not p.name.startswith("."))
+        assert len(blocks) > 2
+        victim = blocks[1]
+        (archive / victim).unlink()
+        capsys.readouterr()
+        return str(archive), victim, len(blocks)
+
+    def test_verify_reports_it(self, damaged, capsys):
+        archive, victim, total = damaged
+        assert main(["verify", "-a", archive]) == 1
+        out = capsys.readouterr().out
+        assert f"{victim}: missing" in out
+        assert f"{total - 1}/{total} block(s) healthy" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["grep", "ERROR", "--count"], ["grep", "ERROR"], ["stats"]],
+        ids=" ".join,
+    )
+    def test_a_read_names_it(self, damaged, capsys, argv):
+        archive, victim, _ = damaged
+        assert main(argv + ["-a", archive]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert victim in captured.err
+
+
 class TestArgErrors:
     def test_missing_command(self):
         with pytest.raises(SystemExit):

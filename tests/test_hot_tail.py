@@ -97,7 +97,10 @@ class TestImmediateVisibility:
     def test_a_tail_count_reads_no_aux_blob(self, monkeypatch):
         # Only a listing that shows a rewrite's publish reads the sidecar:
         # opening a tail reader and counting after seals reads no aux blob.
-        with StreamingCompressor(config=_tiny_config()) as stream:
+        # Depth 1 commits each block inside the append that seals it, so
+        # blocks are in the store when ``extend`` returns; at a deeper
+        # pipeline they may all still be pending.
+        with StreamingCompressor(config=_tiny_config(), pipeline_depth=1) as stream:
             stream.extend(_event_lines(120, seed=2))
             assert stream.blocks > 1
             reads = []
@@ -608,7 +611,10 @@ class TestSharedQueryCache:
             stream.close()
 
     def test_clearing_one_reader_clears_them_all(self):
-        with StreamingCompressor(config=_tiny_config()) as stream:
+        # Only committed blocks' rows enter the Query Cache (tail rows
+        # never do), so the count must see committed blocks: depth 1
+        # commits each one inside the append that seals it.
+        with StreamingCompressor(config=_tiny_config(), pipeline_depth=1) as stream:
             stream.extend(_event_lines(30, seed=14))
             first, second = stream.open_reader(tail=True), stream.open_reader()
             assert first.fragments is second.fragments

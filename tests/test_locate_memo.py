@@ -25,10 +25,10 @@ from repro.query.executor import QueryExecutor
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
 #: The counters of every perfbench op, one JSON row per op; the memo
-#: must reproduce them exactly.  Last re-recorded when Capsule decisions
-#: moved to one counting site (each vector search considers every
-#: Capsule its vector owns; only ``capsules_considered`` and
-#: ``capsules_filtered`` changed).  ``PYTHONPATH=src python tests/test_locate_memo.py
+#: must reproduce them exactly.  Last re-recorded when a Real vector's
+#: outlier Capsule began to obey its stamp (only ``capsules_decompressed``
+#: fell and ``capsules_filtered`` rose; ``candidates_evaluated`` did not
+#: move).  ``PYTHONPATH=src python tests/test_locate_memo.py
 #: > tests/golden/locate_counters.jsonl`` records them from the
 #: checked-out code.
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "locate_counters.jsonl"
@@ -114,7 +114,10 @@ class TestStampsAreInTheKey:
 
     def test_one_locate_per_distinct_question(self, locate_calls):
         lg, _ = _split_stamp_archive()
-        lg.grep("blk_a or blk_1")
+        # Both fragments pass both vectors' stamps (a digit-only fragment
+        # would be answered by the letters-only vector's stamp before the
+        # Locator is asked), so every vector asks both questions.
+        lg.grep("blk_a or blk_b")
         assert len(locate_calls) >= 4  # two keys x two fragments
         assert len(set(locate_calls)) == len(locate_calls)
 
