@@ -7,11 +7,16 @@ the rows the earlier ones left, so the cache holds some terms for part
 of a block; the session is walked forward and then revisited in reverse
 order, and every step is checked against grep over the raw lines.
 
+A pinned box keeps the rows it has rendered, so the example ends with a
+forward revisit of the whole session inside the session that walked it:
+every revisited step must inflate no Capsule and decode no value.
+
 Run with::
 
     python examples/debugging_session.py
 
-It exits non-zero if any step's answer differs from the raw-line grep.
+It exits non-zero if any step's answer differs from the raw-line grep,
+or if a step of the final revisit inflates a Capsule or decodes a value.
 """
 
 import sys
@@ -55,6 +60,30 @@ def run_session(lg: LogGrep, lines, label: str, steps=SESSION):
     return total, wrong
 
 
+def revisit_session(lg: LogGrep, lines, steps=SESSION):
+    """Walk *steps* forward, then again in the same session under
+    EXPLAIN ANALYZE; returns the revisited steps that read anything
+    back: a wrong answer, an inflated Capsule or a decoded value."""
+    costly = []
+    print("--- the session walked, then revisited forward in one session ---")
+    with lg.open_session() as session:
+        for command in steps:
+            session.grep(command)
+        for command in steps:
+            result = lg.explain_analyze(command)
+            inflated = result.ledger.totals().capsules_decompressed
+            decoded = result.ledger.decoded_values
+            ok = result.lines == grep_lines(command, lines)
+            if not ok or inflated or decoded:
+                costly.append(command)
+            print(
+                f"  {command[:60]:60s} {result.count:5d} hits  "
+                f"inflated {inflated}  decoded {decoded}"
+                f"{'' if ok else '  MISMATCH'}"
+            )
+    return costly
+
+
 def main() -> int:
     spec = spec_by_name("Log A")
     lines = spec.generate(20000)
@@ -86,12 +115,20 @@ def main() -> int:
     for line in final.lines[:3]:
         print(f"  {line}")
 
+    print()
+    costly = revisit_session(cached, lines)
     if wrong:
         print(f"\n{len(wrong)} step(s) differ from grep over the raw lines:")
         for command in wrong:
             print(f"  {command}")
-        return 1
-    return 0
+    if costly:
+        print(
+            f"\n{len(costly)} revisited step(s) read something back "
+            "(a wrong answer, an inflated Capsule or a decoded value):"
+        )
+        for command in costly:
+            print(f"  {command}")
+    return 1 if wrong or costly else 0
 
 
 if __name__ == "__main__":

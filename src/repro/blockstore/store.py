@@ -42,7 +42,7 @@ import tempfile
 from typing import Dict, Iterator, List, Optional
 
 from ..common.errors import BlockMissingError, FormatError
-from ..obs.metrics import get_registry
+from ..obs.metrics import CounterGroup, get_registry
 
 _READS = get_registry().counter(
     "loggrep_store_reads_total", "Blob reads from the archive store"
@@ -63,6 +63,8 @@ _RANGE_READ_BYTES = get_registry().counter(
     "loggrep_store_range_read_bytes_total",
     "Bytes read through ranged reads (also counted in read_bytes)",
 )
+#: A ranged read that returns its bytes: one update of all three.
+_RANGE_READ_DONE = CounterGroup(_RANGE_READS, _RANGE_READ_BYTES, _READ_BYTES)
 
 
 class ArchiveStore:
@@ -121,22 +123,27 @@ class ArchiveStore:
         """
         if offset < 0 or length < 0:
             raise ValueError(f"invalid range [{offset}, +{length})")
-        _RANGE_READS.inc()
-        if handle is not None:
-            data = os.pread(handle, length, offset)
-        else:
-            try:
-                with open(self._path(name), "rb") as fh:
-                    fh.seek(offset)
-                    data = fh.read(length)
-            except FileNotFoundError:
-                raise BlockMissingError(name) from None
+        data = b""
+        try:
+            if handle is not None:
+                data = os.pread(handle, length, offset)
+            else:
+                try:
+                    with open(self._path(name), "rb") as fh:
+                        fh.seek(offset)
+                        data = fh.read(length)
+                except FileNotFoundError:
+                    raise BlockMissingError(name) from None
+        finally:
+            # A read that fails or comes up short counts, without bytes.
+            if len(data) == length:
+                _RANGE_READ_DONE.inc(1, length, length)
+            else:
+                _RANGE_READS.inc()
         if len(data) != length:
             raise FormatError(
                 f"{name}: range [{offset}, +{length}) past end of blob"
             )
-        _RANGE_READ_BYTES.inc(length)
-        _READ_BYTES.inc(length)
         return data
 
     def size(self, name: str, handle: Optional[int] = None) -> int:
@@ -216,13 +223,12 @@ class MemoryStore(ArchiveStore):
         if offset < 0 or length < 0:
             raise ValueError(f"invalid range [{offset}, +{length})")
         blob = self._blob(name)
-        _RANGE_READS.inc()
         if offset + length > len(blob):
+            _RANGE_READS.inc()
             raise FormatError(
                 f"{name}: range [{offset}, +{length}) past end of blob"
             )
-        _RANGE_READ_BYTES.inc(length)
-        _READ_BYTES.inc(length)
+        _RANGE_READ_DONE.inc(1, length, length)
         return blob[offset : offset + length]
 
     def size(self, name: str, handle: Optional[int] = None) -> int:

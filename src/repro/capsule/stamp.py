@@ -44,4 +44,6 @@ class CapsuleStamp:
         """
         if len(fragment) > self.max_len:
             return False
-        return chartypes.mask_subsumes(self.type_mask, chartypes.type_mask(fragment))
+        return chartypes.mask_subsumes(
+            self.type_mask, chartypes.fragment_mask(fragment)
+        )

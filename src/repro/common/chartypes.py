@@ -21,6 +21,7 @@ mask ``K`` can only occur in a Capsule with mask ``C`` if ``K & C == K``.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable
 
 DIGIT = 0b000001
@@ -76,6 +77,15 @@ def type_mask(text: str) -> int:
         code = ord(ch)
         mask |= _CHAR_CLASS[code] if code < 256 else OTHER
     return mask
+
+
+@lru_cache(maxsize=4096)
+def fragment_mask(fragment: str) -> int:
+    """:func:`type_mask` of a query fragment or pattern constant, computed
+    once per distinct string: a query checks the same few fragments
+    against every Capsule stamp and block summary it meets, and blocks
+    of one log repeat their pattern constants."""
+    return type_mask(fragment)
 
 
 def type_mask_of_values(values: Iterable[str]) -> int:

@@ -12,7 +12,10 @@ formats:
 Metrics are always on: incrementing a counter is a dict lookup and an add
 under a lock, cheap enough for the hot paths that call it once per query
 or per block (never per capsule — per-capsule accounting rides on
-QueryStats and is published once per query).
+QueryStats and is published once per query).  Counters that always move
+together — a ranged store read advances its count, its bytes and the
+store's total bytes — form a :class:`CounterGroup`: one lock, one call
+per event.
 """
 
 from __future__ import annotations
@@ -98,6 +101,31 @@ class Counter:
     def _samples(self) -> List[Tuple[LabelKey, float]]:
         with self._lock:
             return sorted(self._values.items())
+
+
+class CounterGroup:
+    """Unlabeled counters advanced together: :meth:`inc` adds one amount
+    to each under a single lock instead of one locked ``inc`` apiece.
+
+    The counters share that lock from then on, so their own ``inc``,
+    reads and exports stay serialized with the group's updates; the
+    values they export are exactly what separate calls would give.
+    """
+
+    __slots__ = ("_counters", "_lock")
+
+    def __init__(self, *counters: Counter):
+        self._lock = threading.Lock()
+        for counter in counters:
+            counter._lock = self._lock
+        self._counters = counters
+
+    def inc(self, *amounts: float) -> None:
+        """Add ``amounts[i]`` to the i-th counter's unlabeled series."""
+        with self._lock:
+            for counter, amount in zip(self._counters, amounts):
+                values = counter._values
+                values[()] = values.get((), 0) + amount
 
 
 class Gauge(Counter):

@@ -56,7 +56,9 @@ def summary_might_match(
         verdict = memo.get(key)
         if verdict is None:
             verdict = memo[key] = all(
-                chartypes.mask_subsumes(summary.type_mask, chartypes.type_mask(f))
+                chartypes.mask_subsumes(
+                    summary.type_mask, chartypes.fragment_mask(f)
+                )
                 for f in _fragments(term)
             )
         return verdict

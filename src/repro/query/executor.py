@@ -959,15 +959,19 @@ class QueryExecutor:
         rspan: object,
     ) -> List[Entry]:
         """The Reconstruct operator body, under the run's *settings*.
-        Reconstruction touches every vector of each hit group, so the
-        still-unfetched payloads are batched into coalesced ranged reads
-        instead of one per capsule."""
+        Rendering a row touches every vector of its group, so the
+        still-unfetched payloads of the groups with rows the box has not
+        rendered yet are batched into coalesced ranged reads instead of
+        one per capsule; rows rendered before read nothing."""
         from ..core.reconstructor import BlockReconstructor
 
-        prefetched = box.prefetch(hits.keys())
-        if prefetched:
-            rspan.set("prefetched_bytes", prefetched)
-        entries = BlockReconstructor(box, settings).reconstruct(hits)
+        reconstructor = BlockReconstructor(box, settings)
+        pending = reconstructor.pending(hits)
+        if pending:
+            prefetched = box.prefetch(pending)
+            if prefetched:
+                rspan.set("prefetched_bytes", prefetched)
+        entries = reconstructor.reconstruct(hits)
         rspan.set("entries", len(entries))
         return entries
 

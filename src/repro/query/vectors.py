@@ -40,9 +40,10 @@ Decoded vector state is box-scoped.  A reader is built once per vector
 and lives exactly as long as its :class:`CapsuleBox`, which owns it
 (:func:`box_readers`): a box pinned by a refining session keeps its
 readers' stamp lists, Locator keys, outlier maps and nominal cell tables
-across queries (and :class:`BoxReaders` its vector stamps), and a box
-the BoxCache drops (evicted, or its name replaced by a rewrite) takes
-them with it.  This is no cache of its
+across queries (and :class:`BoxReaders` its vector stamps and the rows
+the Reconstructor has rendered, so a row is rendered once per box), and
+a box the BoxCache drops (evicted, or its name replaced by a rewrite)
+takes them with it.  This is no cache of its
 own: the cache count stays at four (the Query Cache, the BoxCache, the
 warm-start TemplateCache and the per-run :data:`LocateMemo`).  A reader
 holds nothing of a query: the run's :class:`QuerySettings` come with
@@ -61,7 +62,6 @@ import threading
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union, cast
 
@@ -858,7 +858,7 @@ def vector_stamp(encoded) -> VectorStamp:
         capsules = encoded.subvar_capsules
         for element in encoded.pattern.elements:
             if isinstance(element, Const):
-                mask |= _const_mask(element.text)
+                mask |= chartypes.fragment_mask(element.text)
                 length += len(element.text)
             else:
                 stamp = capsules[element.index].stamp
@@ -876,17 +876,25 @@ def vector_stamp(encoded) -> VectorStamp:
     return stamp.type_mask, stamp.max_len, PlainVectorReader.num_capsules
 
 
-#: Pattern constants repeat across vectors and boxes.
-_const_mask = lru_cache(maxsize=4096)(chartypes.type_mask)
-
-
 class BoxReaders:
     """The vector readers of one :class:`CapsuleBox`, built on first use
     and owned by the box (see :func:`box_readers`), plus each group's
-    token position → variable ordinal map and each vector's
-    :func:`vector_stamp`, also built on first use."""
+    token position → variable ordinal map, each vector's
+    :func:`vector_stamp`, also built on first use, and the rows the
+    Reconstructor has rendered so far.
 
-    __slots__ = ("_groups", "readers", "stamps", "var_ordinals")
+    Rendered rows are kept as they come (:meth:`keep`: the row list and
+    its texts, no per-row work, so a box that dies after one query pays
+    almost nothing for them) and folded into one row → text map per
+    group only when a later request must pick from them
+    (:meth:`texts_of`).  Both run under the box's lock, which publishes
+    a group's texts together with its ``rendered`` bitmap: a row whose
+    bit a reader sees always has its text."""
+
+    __slots__ = (
+        "_chunks", "_groups", "_lock", "_texts", "readers", "rendered",
+        "stamps", "var_ordinals",
+    )
 
     def __init__(self, box: CapsuleBox):
         self._groups = box.groups
@@ -894,10 +902,35 @@ class BoxReaders:
         self.readers: Dict[Tuple[int, int], VectorReader] = {}
         #: (group, var) → vector stamp.
         self.stamps: Dict[Tuple[int, int], VectorStamp] = {}
+        #: group → bitmap (a :class:`RowSet`'s ``bits``) of the rows
+        #: rendered so far.
+        self.rendered: Dict[int, int] = {}
+        #: group → row → text, for the rendered rows folded so far.
+        self._texts: Dict[int, Dict[int, str]] = {}
+        #: group → (rows, texts) renders not folded into ``_texts`` yet.
+        self._chunks: Dict[int, List[Tuple[Sequence[int], List[str]]]] = {}
+        self._lock = threading.Lock()
         self.var_ordinals: List[Dict[int, int]] = [
             {pos: k for k, pos in enumerate(group.template.var_positions)}
             for group in box.groups
         ]
+
+    def keep(
+        self, group_idx: int, bits: int, rows: Sequence[int], texts: List[str]
+    ) -> None:
+        """Publish the *texts* of *rows* (bitmap *bits*) of a group."""
+        with self._lock:
+            self._chunks.setdefault(group_idx, []).append((rows, texts))
+            self.rendered[group_idx] = self.rendered.get(group_idx, 0) | bits
+
+    def texts_of(self, group_idx: int) -> Dict[int, str]:
+        """Row → text of every row of a group rendered so far.  Callers
+        only read it; later folds only add to it."""
+        with self._lock:
+            known = self._texts.setdefault(group_idx, {})
+            for rows, texts in self._chunks.pop(group_idx, ()):
+                known.update(zip(rows, texts))
+            return known
 
     def stamp(self, group_idx: int, var_idx: int) -> VectorStamp:
         key = (group_idx, var_idx)

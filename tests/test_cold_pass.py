@@ -10,6 +10,10 @@ handle per box, and Match's vector stamp gate.
   gives; the gate never changes a result, stamps on or off.
 * A Real vector's outlier Capsule is inflated only when its stamp
   admits the fragment.
+* Each distinct fragment's class mask is computed once, however many
+  stamps and block summaries check it.
+* A ranged store read is one metrics update, and the exported totals
+  stay exact under concurrent readers.
 """
 
 import builtins
@@ -28,11 +32,15 @@ from repro.blockstore.blobsource import StoreBlobSource
 from repro.blockstore.store import ArchiveStore, MemoryStore
 from repro.capsule.assembler import encode_vector
 from repro.capsule.box import CapsuleBox, GroupBox
+from repro.capsule.stamp import CapsuleStamp
+from repro.common import chartypes
 from repro.common.chartypes import type_mask
 from repro.common.errors import BlockMissingError, FormatError
 from repro.obs import get_registry
+from repro.obs.metrics import Counter, CounterGroup
 from repro.query import vectors as vectors_module
 from repro.query.modes import MatchMode
+from repro.query.stats import QueryLedger
 from repro.query.vectors import QuerySettings, RealVectorReader, vector_stamp
 from repro.staticparse.template import Template
 from tests.conftest import make_mixed_lines
@@ -396,3 +404,126 @@ class TestGateNeverChangesAResult:
                     command,
                     use_stamps,
                 )
+
+
+# ----------------------------------------------------------------------
+# one class mask per fragment
+# ----------------------------------------------------------------------
+#: Cold needles: a literal id piece, a path, a nominal code, a miss.
+NEEDLES = ["bk.1F", "admin/37.log", "#1699", "code=7", "zzz_absent", "T1500"]
+
+
+class TestFragmentMasks:
+    def test_each_fragment_mask_is_computed_once(self, monkeypatch):
+        lines = make_mixed_lines(900, seed=3)
+        lg = LogGrep(config=LogGrepConfig(block_bytes=SMALL))
+        lg.compress(lines)
+        masked = []
+        admitted = []
+        real_mask = chartypes.type_mask
+        real_admits = CapsuleStamp.admits
+
+        def spy_mask(text):
+            masked.append(text)
+            return real_mask(text)
+
+        def spy_admits(stamp, fragment):
+            admitted.append(fragment)
+            return real_admits(stamp, fragment)
+
+        monkeypatch.setattr(chartypes, "type_mask", spy_mask)
+        monkeypatch.setattr(CapsuleStamp, "admits", spy_admits)
+        chartypes.fragment_mask.cache_clear()
+        try:
+            for _ in range(2):
+                for command in NEEDLES:
+                    lg.unpin_blocks()
+                    lg.clear_query_cache()
+                    assert lg.grep(command).lines == grep_lines(command, lines)
+                if not masked:
+                    break
+                # Each distinct fragment is classified once, however many
+                # stamps and blocks check it ...
+                assert len(masked) == len(set(masked))
+                assert len(admitted) > len(masked)
+                masked.clear()
+            # ... and the same greps again classify nothing.
+            assert masked == []
+        finally:
+            chartypes.fragment_mask.cache_clear()
+
+
+# ----------------------------------------------------------------------
+# one metrics update per ranged read
+# ----------------------------------------------------------------------
+_READ_BYTES = get_registry().counter("loggrep_store_read_bytes_total")
+
+
+class TestStoreReadMetrics:
+    @pytest.mark.parametrize("kind", ["disk", "memory"])
+    def test_reads_from_threads_advance_the_totals_exactly(self, tmp_path, kind):
+        store = ArchiveStore(str(tmp_path)) if kind == "disk" else MemoryStore()
+        blob = bytes(random.Random(4).randrange(256) for _ in range(1 << 13))
+        store.put("b", blob)
+        counters = (_RANGE_READS, _RANGE_READ_BYTES, _READ_BYTES)
+        before = [counter.value() for counter in counters]
+        threads, reads = 8, 250
+        ledgers = [QueryLedger() for _ in range(threads)]
+        start = threading.Barrier(threads)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+
+            def reader(i):
+                source = StoreBlobSource(store, "b")
+                start.wait(timeout=60)
+                with ledgers[i].operator("load_box"):
+                    for k in range(reads):
+                        source.read((i * 97 + k * 31) % 4096, 1 + (i + k) % 64)
+
+            workers = [
+                threading.Thread(target=reader, args=(i,)) for i in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+            assert not any(worker.is_alive() for worker in workers)
+        finally:
+            sys.setswitchinterval(interval)
+        want_bytes = sum(
+            1 + (i + k) % 64 for i in range(threads) for k in range(reads)
+        )
+        deltas = [c.value() - b for c, b in zip(counters, before)]
+        assert deltas == [threads * reads, want_bytes, want_bytes]
+        totals = [ledger.totals() for ledger in ledgers]
+        assert sum(t.range_reads for t in totals) == threads * reads
+        assert sum(t.read_bytes for t in totals) == want_bytes
+
+    def test_a_failed_read_counts_without_bytes(self, tmp_path):
+        store = ArchiveStore(str(tmp_path))
+        store.put("b", b"0123456789")
+        counters = (_RANGE_READS, _RANGE_READ_BYTES, _READ_BYTES)
+        before = [counter.value() for counter in counters]
+        with pytest.raises(FormatError):
+            store.get_range("b", 8, 4)
+        with pytest.raises(BlockMissingError):
+            store.get_range("gone", 0, 1)
+        assert store.get_range("b", 2, 3) == b"234"
+        deltas = [c.value() - b for c, b in zip(counters, before)]
+        assert deltas == [3, 3, 3]
+
+    @pytest.mark.parametrize("kind", ["disk", "memory"])
+    def test_a_read_is_one_registry_update(self, tmp_path, kind, monkeypatch):
+        store = ArchiveStore(str(tmp_path)) if kind == "disk" else MemoryStore()
+        store.put("b", bytes(100))
+        updates = []
+        monkeypatch.setattr(
+            Counter, "inc", lambda counter, *a, **k: updates.append(counter.name)
+        )
+        monkeypatch.setattr(
+            CounterGroup, "inc", lambda group, *a: updates.append("group")
+        )
+        for offset in range(10):
+            store.get_range("b", offset, 10)
+        assert updates == ["group"] * 10
