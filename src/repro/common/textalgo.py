@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 from typing import Optional, Tuple
 
 
@@ -33,14 +32,6 @@ def longest_common_substring(a: str, b: str) -> str:
                     best_end = i + 1
         prev = cur
     return a[best_end - best_len : best_end]
-
-
-def random_nonalnum_char(value: str, rng: random.Random) -> Optional[str]:
-    """Pick a random non-alphanumeric character of *value*, or None."""
-    candidates = [ch for ch in value if not ch.isalnum()]
-    if not candidates:
-        return None
-    return rng.choice(candidates)
 
 
 def split_first(value: str, delimiter: str) -> Optional[Tuple[str, str]]:

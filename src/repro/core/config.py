@@ -79,9 +79,6 @@ class LogGrepConfig:
     # Bound on Query Cache entries: per-(block, search string)
     # row sets plus one shape entry per block; see repro/query/cache.py.
     cache_capacity: int = 4096
-    # Bound on pinned deserialized CapsuleBoxes (refining sessions); the
-    # LRU keeps a pin of a huge archive from holding every block at once.
-    box_cache_capacity: int = 64
     # Blocks are independent, so queries parallelize trivially (§6's
     # "both compression and query execution can easily be parallelized";
     # the paper normalizes to one CPU, hence default 1).

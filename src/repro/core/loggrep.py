@@ -51,6 +51,9 @@ from .schedule import CompressionScheduler
 
 logger = logging.getLogger(__name__)
 
+#: The newest live blocks a refining session pins (:class:`LogGrepSession`).
+MAX_PINNED_BOXES = 64
+
 
 @dataclass
 class GrepResult:
@@ -200,7 +203,7 @@ class LogGrep(AggregateShortcuts):
         self.compress_seconds = 0.0
         self.raw_bytes = 0
         self._template_cache = TemplateCache()
-        self._box_cache = BoxCache(self.config.box_cache_capacity)
+        self._box_cache = BoxCache()
         # Load the prune-index sidecar once (rebuilding it for legacy
         # archives that predate it); compression keeps it current, and
         # the executor's source folds in the sidecar a lifecycle rewrite
@@ -542,17 +545,8 @@ class LogGrep(AggregateShortcuts):
         """Drop all cached search-string results (cold-query measurements)."""
         self.fragments.clear()  # type: ignore[union-attr]
 
-    def pin_blocks_in_memory(self) -> None:
-        """Keep deserialized boxes across queries (refining sessions).
-
-        The pin is bounded by ``config.box_cache_capacity`` (LRU): pinning
-        an archive larger than the bound keeps the most recently touched
-        blocks only.
-        """
-        for name in self._executor.source.live(self.store.names()):
-            self._executor.load_box(name, pin=True)
-
     def unpin_blocks(self) -> None:
+        """Drop every session's pins (cold-query measurements)."""
         self._box_cache.clear()
 
     def open_session(self) -> "LogGrepSession":
@@ -593,12 +587,23 @@ class LogGrep(AggregateShortcuts):
 
 
 class LogGrepSession:
-    """Context manager pinning archive state for interactive querying."""
+    """Context manager pinning archive state for interactive querying.
+
+    Opening pins the boxes of the newest :data:`MAX_PINNED_BOXES` live
+    blocks, reusing any box the handle already has pinned, so each block
+    is opened at most once per handle however many sessions are open;
+    closing releases this session's pins only.
+    """
 
     def __init__(self, loggrep: "LogGrep"):
         self.loggrep = loggrep
         self.queries_run = 0
-        loggrep.pin_blocks_in_memory()
+        executor = loggrep.executor
+        self._pinned = executor.source.live(loggrep.store.names())[
+            -MAX_PINNED_BOXES:
+        ]
+        for name in self._pinned:
+            loggrep._box_cache.pin(name, executor.load_box(name))
 
     def grep(self, command: str, ignore_case: bool = False) -> GrepResult:
         self.queries_run += 1
@@ -613,7 +618,10 @@ class LogGrepSession:
         return self.loggrep.explain(command, ignore_case)
 
     def close(self) -> None:
-        self.loggrep.unpin_blocks()
+        """Release this session's pins; a second call does nothing."""
+        pinned, self._pinned = self._pinned, []
+        for name in pinned:
+            self.loggrep._box_cache.unpin(name)
 
     def __enter__(self) -> "LogGrepSession":
         return self

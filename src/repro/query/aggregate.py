@@ -431,13 +431,3 @@ def make_partial(spec: AggregateSpec) -> AggregatePartial:
         return PairsPartial()
     raise ValueError(f"unknown aggregate kind {spec.kind!r}")
 
-
-def merge_partials(
-    spec: AggregateSpec, partials: Iterable[Optional[AggregatePartial]]
-) -> AggregatePartial:
-    """Fold per-block/per-node partials (skipping absent ones) into one."""
-    merged = make_partial(spec)
-    for partial in partials:
-        if partial is not None:
-            merged.merge(partial)
-    return merged

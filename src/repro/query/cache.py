@@ -224,6 +224,6 @@ def get_value_cache() -> _NoValueCache:
 
     Its only caller is the benchmark harness (``perfbench/run.py:336/349/
     369``), which clears it before every cold query; the stub goes with
-    that harness's re-baseline (ROADMAP item 8(a)).
+    that harness's re-baseline (ROADMAP item 7(a)).
     """
     return _NoValueCache()

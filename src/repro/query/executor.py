@@ -15,7 +15,7 @@ one.  Per block the pipeline is::
   Decisions are memoized per ``(block, term)`` for the pass, so N plans
   sharing a term decide it once.
 * **LoadBox** — one open per block for every surviving plan, or a
-  pinned box from the bounded :class:`BoxCache` (refining sessions).
+  box a refining session pinned in the :class:`BoxCache`.
   Opening fetches only the header and metadata sections through
   ranged reads; capsule payloads are
   ranged-read on first access, and Reconstruct batch-prefetches the hit
@@ -71,7 +71,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -127,9 +126,6 @@ _BOX_HITS = get_registry().counter(
 _BOX_MISSES = get_registry().counter(
     "loggrep_box_cache_misses_total", "Box cache lookups that missed"
 )
-_BOX_EVICTIONS = get_registry().counter(
-    "loggrep_box_cache_evictions_total", "Boxes evicted by the LRU bound"
-)
 _BOX_ENTRIES = get_registry().gauge(
     "loggrep_box_cache_entries", "Deserialized boxes currently pinned"
 )
@@ -167,49 +163,52 @@ Entry = Tuple[int, str]
 
 
 class BoxCache:
-    """A small bounded LRU of deserialized CapsuleBoxes.
+    """The deserialized CapsuleBoxes refining sessions pin, by block name.
 
-    Pinned refining sessions keep boxes across queries; the bound keeps a
-    pin of a large archive from holding every deserialized block at once.
-    Thread-safe: parallel block schedulers share one instance.
+    Each name carries a pin count: a box stays while any session that
+    pinned it is open and goes with its last :meth:`unpin`.  Thread-safe:
+    parallel block schedulers share one instance.
     """
 
-    def __init__(self, capacity: int):
-        if capacity <= 0:
-            raise ValueError("box cache capacity must be positive")
-        self.capacity = capacity
-        self._entries: "OrderedDict[str, CapsuleBox]" = OrderedDict()
+    def __init__(self) -> None:
+        self._entries: Dict[str, CapsuleBox] = {}
+        self._pins: Dict[str, int] = {}
         self._lock = threading.Lock()
 
     def get(self, name: str) -> Optional[CapsuleBox]:
         with self._lock:
             box = self._entries.get(name)
-            if box is None:
-                _BOX_MISSES.inc()
-                return None
-            self._entries.move_to_end(name)
-            _BOX_HITS.inc()
-            return box
+        (_BOX_MISSES if box is None else _BOX_HITS).inc()
+        return box
 
-    def put(self, name: str, box: CapsuleBox) -> None:
+    def pin(self, name: str, box: CapsuleBox) -> None:
+        """Add one pin on *name*; a box already held for it is kept."""
         with self._lock:
-            self._entries[name] = box
-            self._entries.move_to_end(name)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                _BOX_EVICTIONS.inc()
+            self._entries.setdefault(name, box)
+            self._pins[name] = self._pins.get(name, 0) + 1
             _BOX_ENTRIES.set(len(self._entries))
 
+    def unpin(self, name: str) -> None:
+        """Release one pin on *name*: a no-op for a name not held."""
+        with self._lock:
+            pins = self._pins.pop(name, 0)
+            if pins > 1:
+                self._pins[name] = pins - 1
+            elif pins:
+                del self._entries[name]
+                _BOX_ENTRIES.set(len(self._entries))
+
     def retain(self, names: Set[str]) -> None:
-        """Drop the boxes of every name not in *names*."""
+        """Drop the boxes of every name not in *names*, pinned or not."""
         with self._lock:
             for name in [name for name in self._entries if name not in names]:
-                del self._entries[name]
+                del self._pins[name], self._entries[name]
             _BOX_ENTRIES.set(len(self._entries))
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self._pins.clear()
             _BOX_ENTRIES.set(0)
 
     def __len__(self) -> int:
@@ -1120,26 +1119,18 @@ class QueryExecutor:
             partial.add_chunk(box.first_line_id, chunk)  # type: ignore[attr-defined]
 
     # ------------------------------------------------------------------
-    # box loading (shared by the pipeline, pinning and decompress_all)
+    # box loading (shared by the pipeline, sessions and decompress_all)
     # ------------------------------------------------------------------
     def _open_box(self, name: str) -> CapsuleBox:
         """Open one box through ranged reads (payloads stay on the store)."""
         return CapsuleBox.open(self.source.blob(name))
 
-    def load_box(self, name: str, pin: bool = False) -> CapsuleBox:
-        """Load (or reuse) one block's box outside a query.
-
-        This is the same path queries take through the shared
-        :class:`BoxCache`: pinned boxes (``pin=True``, refining sessions)
-        and query-time boxes share one LRU and one set of metrics instead
-        of deserializing the blob twice.
-        """
+    def load_box(self, name: str) -> CapsuleBox:
+        """One block's box outside a query: the pinned box when a session
+        holds one (the :class:`BoxCache` a query consults), else a fresh
+        open."""
         box = self.source.cached(name)
-        if box is None:
-            box = self._open_box(name)
-            if pin and self.source.box_cache is not None:
-                self.source.box_cache.put(name, box)
-        return box
+        return box if box is not None else self._open_box(name)
 
     def _settings(self) -> QuerySettings:
         return self.config.query_settings()

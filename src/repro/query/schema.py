@@ -160,7 +160,7 @@ def discover_schema(box: CapsuleBox) -> Schema:
 
 def schema_of(box: CapsuleBox) -> Schema:
     """Memoized :func:`discover_schema` — the memo lives on the box, so
-    it dies with it (BoxCache eviction) and costs nothing to look up.
+    it dies with it (unpinned from the BoxCache) and costs nothing to look up.
 
     The Aggregate operator runs once per (query, block); cached boxes
     (BoxCache, pinned sessions) would otherwise pay re-discovery on every

@@ -42,7 +42,7 @@ and lives exactly as long as its :class:`CapsuleBox`, which owns it
 readers' stamp lists, Locator keys, outlier maps and nominal cell tables
 across queries (and :class:`BoxReaders` its vector stamps and the rows
 the Reconstructor has rendered, so a row is rendered once per box), and
-a box the BoxCache drops (evicted, or its name replaced by a rewrite)
+a box the BoxCache drops (unpinned, or its name replaced by a rewrite)
 takes them with it.  This is no cache of its
 own: the cache count stays at four (the Query Cache, the BoxCache, the
 warm-start TemplateCache and the per-run :data:`LocateMemo`).  A reader

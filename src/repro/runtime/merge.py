@@ -58,11 +58,6 @@ class NominalEncoding:
     def num_rows(self) -> int:
         return len(self.index)
 
-    def pattern_region(self, pattern_idx: int) -> Tuple[int, int]:
-        """(first dictionary slot, slot count) of a pattern's region."""
-        start = sum(p.count for p in self.patterns[:pattern_idx])
-        return start, self.patterns[pattern_idx].count
-
     def value_at(self, row: int) -> str:
         return self.dict_values[self.index[row]]
 

@@ -189,9 +189,8 @@ class TestHandleReads:
             lg.unpin_blocks()
         assert descriptors() == baseline
         # A pinned box holds one handle until it is dropped.
-        lg.pin_blocks_in_memory()
-        assert descriptors() == baseline + blocks
-        lg.unpin_blocks()
+        with lg.open_session():
+            assert descriptors() == baseline + blocks
         assert descriptors() == baseline
 
 

@@ -8,7 +8,7 @@ Covers the four legs of the lazy-I/O work:
 * the persistent prune index (zero store reads for pruned blocks,
   rebuild-on-open for legacy archives, corruption tolerance),
 * lazy capsule fetch (lazy ≡ raw-line oracle, byte accounting,
-  pin/session sharing one BoxCache).
+  sessions pinning through one BoxCache).
 """
 
 import pytest
@@ -562,11 +562,11 @@ class TestPinSharesBoxCache:
     def test_pin_goes_through_executor_cache(self, tmp_path):
         store = _compress_to(tmp_path, make_mixed_lines(500))
         lg = _reopen(store)
-        lg.pin_blocks_in_memory()
-        cache = lg._executor.source.box_cache
-        assert len(cache) == len(store.names())
-        for name in store.names():
-            assert lg.executor.load_box(name) is cache.get(name)
+        with lg.open_session():
+            cache = lg._executor.source.box_cache
+            assert len(cache) == len(store.names())
+            for name in store.names():
+                assert lg.executor.load_box(name) is cache.get(name)
 
     def test_session_queries_hit_pin(self, tmp_path):
         lines = make_mixed_lines(500)

@@ -174,8 +174,8 @@ class TestPersistence:
     def test_pin_blocks_in_memory(self, corpus):
         lg = LogGrep(config=LogGrepConfig(block_bytes=16 * 1024))
         lg.compress(corpus)
-        lg.pin_blocks_in_memory()
-        assert lg.grep("ERROR").lines == grep_lines("ERROR", corpus)
+        with lg.open_session():
+            assert lg.grep("ERROR").lines == grep_lines("ERROR", corpus)
 
 
 def assert_grep_equals_raw(lg, lines):

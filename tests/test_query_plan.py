@@ -1,12 +1,13 @@
 """Tests for the query planner (logical plan IR) and the operator-pipeline
-executor: term ordering, output modes, schedulers, the box-cache LRU and
-the executor-level match memo."""
+executor: term ordering, output modes, schedulers, the box pin map,
+session pins and the executor-level match memo."""
 
 import pytest
 
 from repro import LogGrep, LogGrepConfig
 from repro.baselines.evalutil import grep_lines
 from repro.capsule.box import CapsuleBox
+from repro.core import loggrep as loggrep_module
 from repro.obs.metrics import get_registry
 from repro.query.executor import BoxCache, QueryExecutor, StoreBoxSource
 from repro.query.language import parse_query
@@ -199,36 +200,42 @@ class TestExecutor:
 
 
 # ----------------------------------------------------------------------
-# the bounded box cache
+# the box pin map and the sessions that fill it
 # ----------------------------------------------------------------------
 class TestBoxCache:
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            BoxCache(0)
+    def test_unpin_of_unheld_name_is_noop(self):
+        cache = BoxCache()
+        cache.unpin("a")
+        cache.pin("a", "box-a")
+        cache.unpin("b")
+        assert len(cache) == 1
+        assert cache.get("a") == "box-a"
 
-    def test_lru_eviction_bound(self):
-        cache = BoxCache(2)
-        cache.put("a", "box-a")
-        cache.put("b", "box-b")
-        cache.put("c", "box-c")  # evicts "a"
+    def test_last_unpin_drops_box(self):
+        cache = BoxCache()
+        cache.pin("a", "box-a")
+        cache.pin("b", "box-b")
+        cache.pin("c", "box-c")
+        cache.unpin("a")
         assert len(cache) == 2
         assert "a" not in cache
         assert cache.get("a") is None
         assert cache.get("b") == "box-b"
 
-    def test_get_refreshes_recency(self):
-        cache = BoxCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")  # "b" is now the LRU entry
-        cache.put("c", 3)
+    def test_pins_are_counted(self):
+        cache = BoxCache()
+        cache.pin("a", 1)
+        cache.pin("a", 2)  # the box already held stays
+        assert cache.get("a") == 1
+        cache.unpin("a")
         assert "a" in cache
-        assert "b" not in cache
+        cache.unpin("a")
+        assert "a" not in cache
 
     def test_clear(self):
-        cache = BoxCache(4)
-        cache.put("a", 1)
-        cache.put("b", 2)
+        cache = BoxCache()
+        cache.pin("a", 1)
+        cache.pin("b", 2)
         cache.clear()
         assert len(cache) == 0
         assert cache.get("a") is None
@@ -237,31 +244,31 @@ class TestBoxCache:
         registry = get_registry()
         hits = registry.counter("loggrep_box_cache_hits_total", "")
         misses = registry.counter("loggrep_box_cache_misses_total", "")
-        evictions = registry.counter("loggrep_box_cache_evictions_total", "")
         entries = registry.gauge("loggrep_box_cache_entries", "")
-        h0, m0, e0 = hits.value(), misses.value(), evictions.value()
-        cache = BoxCache(1)
+        h0, m0 = hits.value(), misses.value()
+        cache = BoxCache()
         cache.get("a")
-        cache.put("a", 1)
+        cache.pin("a", 1)
         cache.get("a")
-        cache.put("b", 2)  # evicts "a"
+        cache.pin("b", 2)
+        cache.unpin("a")
         assert hits.value() == h0 + 1
         assert misses.value() == m0 + 1
-        assert evictions.value() == e0 + 1
         assert entries.value() == 1
 
-    def test_pinning_respects_lru_bound(self, corpus):
-        lg = LogGrep(
-            config=LogGrepConfig(block_bytes=4 * 1024, box_cache_capacity=2)
-        )
+    def test_session_pins_newest_blocks(self, corpus, monkeypatch):
+        monkeypatch.setattr(loggrep_module, "MAX_PINNED_BOXES", 2)
+        lg = LogGrep(config=LogGrepConfig(block_bytes=4 * 1024))
         lg.compress(corpus)
-        assert len(lg.store.names()) > 2
-        lg.pin_blocks_in_memory()
-        assert len(lg._box_cache) == 2
-        # Pinned or not, queries stay correct.
-        assert lg.grep("read").count == lg.count("read")
-        lg.unpin_blocks()
-        assert len(lg._box_cache) == 0
+        names = lg.store.names()
+        assert len(names) > 2
+        with lg.open_session():
+            assert len(lg._box_cache) == 2
+            assert all(name in lg._box_cache for name in names[-2:])
+            # Pinned or not, queries stay correct.
+            assert lg.grep("read").count == lg.count("read")
+            lg.unpin_blocks()  # drops every session's pins
+            assert len(lg._box_cache) == 0
 
     def test_session_grep_uses_pinned_boxes(self, corpus):
         lg = LogGrep(config=LogGrepConfig(block_bytes=8 * 1024))
@@ -271,6 +278,63 @@ class TestBoxCache:
             assert session.grep("ERROR").lines == expected
             assert "physical plan" in session.explain("ERROR")
             assert session.queries_run == 1  # explain is not a query
+
+
+class TestSessionPins:
+    """Sessions over an archive of more blocks than one session pins."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        lines = make_mixed_lines(12000, seed=5)
+        lg = LogGrep(config=LogGrepConfig(block_bytes=4 * 1024))
+        lg.compress(lines)
+        assert len(lg.store.names()) > loggrep_module.MAX_PINNED_BOXES
+        return lg.store, lines
+
+    @staticmethod
+    def _spy_opens(monkeypatch):
+        """The block name of every ``CapsuleBox.open``."""
+        opened = []
+        real = CapsuleBox.open
+
+        def spy(cls, source):
+            opened.append(source.name)
+            return real(source)
+
+        monkeypatch.setattr(CapsuleBox, "open", classmethod(spy))
+        return opened
+
+    def test_each_block_opens_once_per_handle(self, wide, monkeypatch):
+        store, lines = wide
+        lg = LogGrep(store=store)
+        opened = self._spy_opens(monkeypatch)
+        newest = store.names()[-loggrep_module.MAX_PINNED_BOXES:]
+        with lg.open_session() as first:
+            assert opened == newest
+            opened.clear()
+            with lg.open_session() as second:
+                assert opened == []
+                for session in (first, second):
+                    assert session.grep("ERROR").lines == grep_lines("ERROR", lines)
+
+    def test_close_releases_only_own_pins(self, wide, monkeypatch):
+        store, lines = wide
+        lg = LogGrep(store=store)
+        newest = store.names()[-loggrep_module.MAX_PINNED_BOXES:]
+        first = lg.open_session()
+        second = lg.open_session()
+        first.close()
+        assert len(lg._box_cache) == len(newest)
+        assert all(name in lg._box_cache for name in newest)
+        opened = self._spy_opens(monkeypatch)
+        lg.clear_query_cache()
+        assert second.grep("state").lines == grep_lines("state", lines)
+        assert opened and not set(opened) & set(newest)
+        first.close()  # a second close releases nothing
+        assert len(lg._box_cache) == len(newest)
+        second.close()
+        assert len(lg._box_cache) == 0
+        assert lg.grep("state").lines == grep_lines("state", lines)
 
 
 # ----------------------------------------------------------------------
