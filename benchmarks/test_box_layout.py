@@ -12,15 +12,23 @@ each stored box's layout (``CapsuleBox.layout``):
   :data:`MAX_META_SHARE`, the value measured when v3 was introduced (the
   same specs in LGCB v2 boxes measured 0.111; EXPERIMENTS.md §LGCB v3).
 
+The same boxes check the two-phase open (``CapsuleBox.open`` skims the
+metadata and builds each vector record on first use): a skimmed box whose
+vectors are built in a shuffled order serializes to the stored bytes, and
+every stamp the skim reads off a record equals ``vector_stamp`` of the
+vector built from it.
+
 Sizes only, no timings: the result is deterministic.
 """
+
+import random
 
 import pytest
 
 from repro.bench.report import format_table, print_banner
 from repro.bench.runner import base_lines, geomean
 from repro.blockstore.store import MemoryStore
-from repro.capsule.box import CapsuleBox
+from repro.capsule.box import CapsuleBox, vector_stamp
 from repro.core.config import LogGrepConfig
 from repro.core.loggrep import LogGrep
 from repro.workloads import production_specs, public_specs
@@ -31,30 +39,37 @@ MAX_META_SHARE = 0.080
 
 
 @pytest.fixture(scope="module")
-def per_corpus():
-    """``(name, boxes, lines, column B, table B, metadata B, box B)`` per
-    spec."""
-    rows = []
+def archives():
+    """``(name, lines, stored box blobs)`` per spec."""
+    out = []
     for spec in production_specs() + public_specs():
         lines = spec.generate(base_lines())
         lg = LogGrep(store=MemoryStore(), config=LogGrepConfig(block_bytes=BLOCK_BYTES))
         lg.compress(lines)
         assert lg.decompress_all() == lines, spec.name
+        out.append((spec.name, lines, [lg.store.get(name) for name in lg.store.names()]))
+    return out
+
+
+@pytest.fixture(scope="module")
+def per_corpus(archives):
+    """``(name, boxes, lines, column B, table B, metadata B, box B)`` per
+    spec."""
+    rows = []
+    for spec_name, lines, blobs in archives:
         column = table = meta = total = 0
-        names = lg.store.names()
-        for name in names:
-            blob = lg.store.get(name)
+        for blob in blobs:
             layout = CapsuleBox.layout(blob)
             num_lines = CapsuleBox.deserialize(blob).num_lines
             assert layout.column_bytes <= MAX_COLUMN_BYTES_PER_LINE * num_lines, (
-                f"{spec.name} {name}: group-id column of {layout.column_bytes} B "
+                f"{spec_name}: group-id column of {layout.column_bytes} B "
                 f"for {num_lines} lines"
             )
             column += layout.column_bytes
             table += layout.capsule_table_bytes
             meta += layout.meta_bytes
             total += len(blob)
-        rows.append((spec.name, len(names), len(lines), column, table, meta, total))
+        rows.append((spec_name, len(blobs), len(lines), column, table, meta, total))
     return rows
 
 
@@ -76,3 +91,27 @@ def test_metadata_share_of_the_box(per_corpus):
     share = geomean([m / s for *_, m, s in per_corpus])
     print(f"geomean metadata/box: {share:.4f} (bar {MAX_META_SHARE})")
     assert share <= MAX_META_SHARE
+
+
+def test_vectors_built_in_any_order_reserialize_byte_for_byte(archives):
+    rng = random.Random(47)
+    for spec_name, _, blobs in archives:
+        for blob in blobs:
+            box = CapsuleBox.deserialize(blob)
+            order = [
+                (g, v) for g, group in enumerate(box.groups)
+                for v in range(len(group.vectors))
+            ]
+            rng.shuffle(order)
+            for g, v in order:
+                box.groups[g].vectors[v]
+            assert box.serialize() == blob, spec_name
+
+
+def test_skim_stamps_are_the_built_vectors_stamps(archives):
+    for spec_name, _, blobs in archives:
+        for blob in blobs:
+            box = CapsuleBox.deserialize(blob)
+            for group in box.groups:
+                skimmed = list(group.stamps)
+                assert skimmed == [vector_stamp(v) for v in group.vectors], spec_name

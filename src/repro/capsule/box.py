@@ -27,10 +27,18 @@ that group's are read.  Every Capsule record sits in one columnar
 ``struct`` call; payload offsets are the prefix sums of the stored
 lengths.
 
-Opening a box decodes the metadata in one pass (:func:`_decode_meta`):
-nearly every varint and span length in it is below 0x80, so those are
-read inline as one byte, and the varint and span helpers run only for
-multi-byte values; every span end is still checked against the buffer.
+Opening a box *skims* its metadata (:func:`_skim_meta`): it decodes the
+header, the group-id column, each group's template and the Capsule table
+(kept as the raw fields of one ``struct`` call), and walks every vector
+record once to validate it against the table and the column and to note
+its offset, its Capsules and its vector stamp (:func:`vector_stamp`).
+A vector's objects — pattern, outlier rows, dictionary patterns and
+Capsules — are built on first use (:class:`_Skim`), so a query pays for
+the records it reads, and the stamp gate of Match needs none built.
+Nearly every varint and span length in the metadata is below 0x80, so
+those are read inline as one byte, and the varint and span helpers run
+only for multi-byte values; every span end is still checked against the
+buffer.
 
 Version 3 is the only version read or written; any other version byte
 (the retired 13-byte-header v1 and 32-byte-header v2 included) is a
@@ -56,11 +64,15 @@ from functools import lru_cache
 from itertools import accumulate, compress
 from typing import (
     Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
+    overload,
 )
 
 from ..blockstore.blobsource import BlobSource, BytesBlobSource, coalesce_extents
 from ..common.binio import BinaryWriter
+from ..common.chartypes import fragment_mask
 from ..common.errors import FormatError
+from ..obs import ledger as ledger_channel
+from ..obs.metrics import get_registry
 from ..runtime.merge import DictPattern
 from ..runtime.pattern import Const, Element, RuntimePattern, SubVar
 from ..staticparse.template import Template
@@ -102,6 +114,11 @@ _CELL_TYPES = ((255, "B"), (65535, "H"), (0xFFFFFFFF, "I"))
 
 #: A group-id column: ``bytes`` for u8 cells, an ``array`` for wider ones.
 Column = Union[bytes, "array[int]"]
+
+_VECTORS_BUILT = get_registry().counter(
+    "loggrep_box_vectors_built_total",
+    "Vector records of opened boxes built into vector and Capsule objects",
+)
 
 
 @dataclass(frozen=True)
@@ -148,6 +165,10 @@ class BoxTOC:
         return cls(header_len, meta_len, header_len + meta_len, payload_len)
 
 
+#: A vector stamp: ``(type mask, max value length, Capsules owned)``.
+VectorStamp = Tuple[int, int, int]
+
+
 class GroupBox:
     """One group (static pattern + its encoded variable vectors).
 
@@ -155,10 +176,15 @@ class GroupBox:
     group decoded from a box holds only its entry count until its line
     ids are first read; they are then the positions of its id in the
     box's group-id column (:func:`_positions`), found once, since a
-    query needs them only for the groups it reconstructs.
+    query needs them only for the groups it reconstructs.  Its
+    ``vectors`` are built record by record on first use (see
+    :class:`_Skim`), and its ``stamps`` come from the skim.
     """
 
-    __slots__ = ("template", "vectors", "num_entries", "_line_ids", "_column", "_index")
+    __slots__ = (
+        "template", "vectors", "num_entries", "_line_ids", "_column", "_index",
+        "_stamps",
+    )
 
     def __init__(
         self,
@@ -167,20 +193,22 @@ class GroupBox:
         vectors: List[EncodedVector],
     ):
         self.template = template
-        self.vectors = vectors
+        self.vectors: Sequence[EncodedVector] = vectors
         self.num_entries = len(line_ids)
         self._line_ids: Optional[List[int]] = line_ids
         self._column: Optional[Column] = None
         self._index = 0
+        self._stamps: Optional[Sequence[VectorStamp]] = None
 
     @classmethod
     def _decoded(
         cls,
         template: Template,
-        vectors: List[EncodedVector],
+        vectors: "_Vectors",
         column: Column,
         index: int,
         num_entries: int,
+        stamps: Sequence[VectorStamp],
     ) -> "GroupBox":
         group = cls.__new__(cls)
         group.template = template
@@ -189,6 +217,7 @@ class GroupBox:
         group._line_ids = None
         group._column = column
         group._index = index
+        group._stamps = stamps
         return group
 
     @property
@@ -198,6 +227,15 @@ class GroupBox:
             assert self._column is not None
             line_ids = self._line_ids = _positions(self._column, self._index)
         return line_ids
+
+    @property
+    def stamps(self) -> Sequence[VectorStamp]:
+        """The :func:`vector_stamp` of each vector: read off the skim for
+        a decoded group, so no vector is built for it."""
+        stamps = self._stamps
+        if stamps is None:
+            stamps = self._stamps = [vector_stamp(v) for v in self.vectors]
+        return stamps
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupBox):
@@ -335,19 +373,17 @@ class CapsuleBox:
     def open(cls, source: BlobSource) -> "CapsuleBox":
         """Load a box through ranged reads: header + metadata only.
 
-        Capsule payloads stay unfetched until first access; use
-        :meth:`prefetch` to batch the ones a plan will need.
+        The metadata is skimmed (:func:`_skim_meta`): every vector record
+        is validated, but its objects are built on first use.  Capsule
+        payloads stay unfetched until first access; use :meth:`prefetch`
+        to batch the ones a plan will need.
         """
         toc = BoxTOC.read(source)
         meta = _inflate(source.read(toc.meta_off, toc.meta_len))
         try:
-            box = _decode_meta(meta, source, toc)
-        except (IndexError, struct.error) as exc:
-            # The decoder indexes its buffer without bounds checks: a
-            # read past the end of truncated metadata lands here.
-            raise FormatError(_TRUNCATED) from exc
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"corrupt CapsuleBox metadata: {exc}") from exc
+            box = _skim_meta(meta, source, toc)
+        except _DECODER_FAULTS as exc:
+            raise _format_error(exc) from exc
         box._source = source
         return box
 
@@ -491,6 +527,44 @@ def _capsules_of(vector: EncodedVector) -> List[Capsule]:
     if isinstance(vector, NominalEncodedVector):
         return [vector.dict_capsule, vector.index_capsule]
     return [vector.capsule]
+
+
+def vector_stamp(vector: EncodedVector) -> VectorStamp:
+    """The stamp of a whole vector: every character class and the
+    longest length any of its values can have, and the number of
+    Capsules a search of it considers (all of the vector's own).
+
+    A real vector's pattern-matched value is its constants and one value
+    of each sub-variable Capsule, so the classes are the union of theirs
+    and the length at most the constants' lengths plus each Capsule's
+    ``max_len``; an outlier adds its Capsule's stamp.  Every value of a
+    nominal vector is a dictionary entry, so the dictionary Capsule's
+    stamp covers it, and a plain vector's Capsule is its stamp.  A
+    literal fragment whose classes or length fall outside this stamp
+    occurs in no value: the Locator would reject every Capsule.
+    :func:`_skim_meta` computes the same triple from the stored record.
+    """
+    if isinstance(vector, RealEncodedVector):
+        mask = length = 0
+        capsules = vector.subvar_capsules
+        for element in vector.pattern.elements:
+            if isinstance(element, Const):
+                mask |= fragment_mask(element.text)
+                length += len(element.text)
+            else:
+                stamp = capsules[element.index].stamp
+                mask |= stamp.type_mask
+                length += stamp.max_len
+        outlier = vector.outlier_capsule
+        if outlier is None:
+            return mask, length, len(capsules)
+        stamp = outlier.stamp
+        return mask | stamp.type_mask, max(length, stamp.max_len), len(capsules) + 1
+    if isinstance(vector, NominalEncodedVector):
+        stamp = vector.dict_capsule.stamp
+        return stamp.type_mask, stamp.max_len, 2
+    stamp = vector.capsule.stamp
+    return stamp.type_mask, stamp.max_len, 1
 
 
 # ----------------------------------------------------------------------
@@ -639,34 +713,58 @@ class _MetaPrefix(NamedTuple):
         )
 
 
-def _decode_meta(data: bytes, source: BlobSource, toc: BoxTOC) -> CapsuleBox:
-    """Build a box from its inflated LGCB v3 metadata.
+def _skim_meta(data: bytes, source: BlobSource, toc: BoxTOC) -> CapsuleBox:
+    """Open a box from its inflated LGCB v3 metadata, building no vector.
 
-    The Capsule table is decoded first, in one ``struct`` call, so each
-    vector record takes its Capsules in table order as it is read.  The
-    read state is a local ``(data, pos)``: a u8 is one index, and so is
-    a varint or a span length below 0x80 — nearly every one in a box —
+    The skim decodes the prefix, the group-id column, each group's
+    template and the Capsule table (one ``struct`` call, kept as raw
+    rows), then walks every vector record once: it checks the record
+    against the table and the column exactly as a full decode would, and
+    keeps the record's offset, its first Capsule and its
+    :func:`vector_stamp`, all read off the record and the table.  The
+    vector's objects are built by :class:`_Skim` on first use.
+
+    The read state is a local ``(data, pos)``: a u8 is one index, and so
+    is a varint or a span length below 0x80 — nearly every one in a box —
     read inline, with :func:`_varint` / :func:`_span` called only for a
-    multi-byte value; pattern objects are built straight from the
-    fields.  Every span end is checked against the buffer, inline or
-    not.  Nothing here bounds-checks a single-byte read: past the end
-    it raises ``IndexError`` (``struct.error`` for a fixed-width field),
-    which :meth:`CapsuleBox.open` reports as a :class:`FormatError`.
+    multi-byte value.  Every span end is checked against the buffer,
+    inline or not.  Nothing here bounds-checks a single-byte read: past
+    the end it raises ``IndexError`` (``struct.error`` for a fixed-width
+    field), which :meth:`CapsuleBox.open` reports as a
+    :class:`FormatError`.
     """
     head = _MetaPrefix.read(data)
     column, counts = _column_at(data, head)
-    num_groups = head.num_groups
-    table = _table_struct(head.num_capsules)
+    n = head.num_capsules
+    table = _table_struct(n)
     table_off = len(data) - table.size
     if table_off < head.column_end:
         raise FormatError(_TRUNCATED)
-    capsules = _capsule_table(table.unpack_from(data, table_off), source, toc)
-    consts: Dict[bytes, Const] = {}
+    fields = table.unpack_from(data, table_off)
+    columns = [fields[i * n : (i + 1) * n] for i in range(len(_TABLE_CODES))]
+    _, _, _, masks, max_lens, codecs, _, lengths, _ = columns
+    # Validate the extents against the TOC *now*: a corrupt length must be
+    # a FormatError at open, not a failed ranged read at first use.
+    offsets = list(accumulate(lengths, initial=toc.payload_off))
+    if offsets[-1] != toc.payload_off + toc.payload_len:
+        raise FormatError(
+            f"Capsule table: payload lengths sum to "
+            f"{offsets[-1] - toc.payload_off}, the payload section holds "
+            f"{toc.payload_len}"
+        )
+    if not _CODEC_BYTES.issuperset(codecs):
+        form = next(c >> 4 for c in codecs if c not in _CODEC_BYTES)
+        raise FormatError(f"unknown capsule form {form}")
+    records: List[int] = []
+    firsts: List[int] = []
+    stamps: List[VectorStamp] = []
+    consts: Dict[bytes, Tuple[int, int]] = {}
+    skim = _Skim(data, list(zip(*columns, offsets)), source, records, firsts)
     end = len(data)
     pos = head.column_end
     taken = 0
     groups: List[GroupBox] = []
-    for group_idx in range(num_groups):
+    for group_idx in range(head.num_groups):
         template_id = data[pos]
         if template_id < 0x80:
             pos += 1
@@ -698,55 +796,94 @@ def _decode_meta(data: bytes, source: BlobSource, toc: BoxTOC) -> CapsuleBox:
         else:
             num_vectors, pos = _varint(data, pos)
         count_here = counts[group_idx]
-        vectors: List[EncodedVector] = []
+        low = len(records)
         for _ in range(num_vectors):
+            records.append(pos)
+            firsts.append(taken)
             tag = data[pos]
             pos += 1
-            vector: EncodedVector
+            stamp: VectorStamp
             if tag == ENC_REAL:
-                pattern, pos = _pattern_at(data, pos, consts)
-                num_capsules = data[pos]
-                if num_capsules < 0x80:
+                # The pattern, read for its stamp: its constants' classes
+                # and lengths here, its sub-variables' below, once their
+                # count is known.
+                mask = length = 0
+                subvars = []
+                num_elements = data[pos]
+                if num_elements < 0x80:
                     pos += 1
                 else:
-                    num_capsules, pos = _varint(data, pos)
-                subvars = capsules[taken : taken + num_capsules]
-                taken += num_capsules
-                outlier: Optional[Capsule] = None
-                outlier_rows: List[int] = []
+                    num_elements, pos = _varint(data, pos)
+                for _ in range(num_elements):
+                    value = data[pos + 1]
+                    if value < 0x80:
+                        kind = data[pos]
+                        pos += 2
+                    else:
+                        kind = data[pos]
+                        value, pos = _varint(data, pos + 1)
+                    if kind:
+                        subvars.append(value)
+                        continue
+                    start = pos
+                    pos += value
+                    if pos > end:
+                        raise FormatError(_TRUNCATED)
+                    raw = data[start:pos]
+                    const = consts.get(raw)
+                    if const is None:
+                        text = raw.decode()
+                        const = consts[raw] = (fragment_mask(text), len(text))
+                    mask |= const[0]
+                    length += const[1]
+                num_subvars = data[pos]
+                if num_subvars < 0x80:
+                    pos += 1
+                else:
+                    num_subvars, pos = _varint(data, pos)
+                first = taken
+                taken += num_subvars
                 pos += 1
-                if data[pos - 1] == 1:
-                    outlier_deltas, pos = _deltas_at(data, pos)
-                    outlier_rows = list(accumulate(outlier_deltas))
-                    outlier = capsules[taken]
+                outlier = data[pos - 1] == 1
+                if outlier:
+                    start, pos = _span(data, pos)
+                    if (pos - start) % 4:
+                        raise FormatError(
+                            "outlier-row array is not a whole number of u32s"
+                        )
                     taken += 1
                 num_rows = data[pos]
                 if num_rows < 0x80:
                     pos += 1
                 else:
                     num_rows, pos = _varint(data, pos)
-                vector = RealEncodedVector(
-                    pattern, subvars, outlier, outlier_rows, num_rows
-                )
+                for index in subvars:
+                    if index < num_subvars:
+                        mask |= masks[first + index]
+                        length += max_lens[first + index]
+                    elif num_rows:  # an empty vector stores no sub-variable
+                        raise FormatError(
+                            f"a runtime pattern names sub-variable {index} "
+                            f"of a vector of {num_subvars}"
+                        )
+                if outlier:
+                    mask |= masks[taken - 1]
+                    length = max(length, max_lens[taken - 1])
+                stamp = (mask, length, taken - first)
             elif tag == ENC_NOMINAL:
+                # Dictionary patterns, counts, widths and sub-variable
+                # stamps are passed over: the vector's stamp is its
+                # dictionary Capsule's.
                 num_patterns, pos = _varint(data, pos)
-                dict_patterns: List[DictPattern] = []
                 for _ in range(num_patterns):
-                    pattern, pos = _pattern_at(data, pos, consts)
-                    count, pos = _varint(data, pos)
-                    width, pos = _varint(data, pos)
-                    masks, pos = _varints_at(data, pos)
-                    maxlens, pos = _varints_at(data, pos)
-                    dict_patterns.append(
-                        DictPattern(pattern, count, width, masks, maxlens)
-                    )
-                index_width, pos = _varint(data, pos)
+                    pos = _skip_pattern(data, pos)
+                    pos = _skip_varints(data, pos, 2)  # count, width
+                    pos = _skip_list(data, pos)  # sub-variable masks
+                    pos = _skip_list(data, pos)  # sub-variable max lengths
+                pos = _skip_varints(data, pos, 1)  # index width
                 num_rows, pos = _varint(data, pos)
-                dict_size, pos = _varint(data, pos)
-                vector = NominalEncodedVector(
-                    dict_patterns, capsules[taken], capsules[taken + 1],
-                    index_width, num_rows, dict_size,
-                )
+                pos = _skip_varints(data, pos, 1)  # dictionary size
+                stamp = (masks[taken], max_lens[taken], 2)
                 taken += 2
             elif tag == ENC_PLAIN:
                 num_rows = data[pos]
@@ -754,7 +891,7 @@ def _decode_meta(data: bytes, source: BlobSource, toc: BoxTOC) -> CapsuleBox:
                     pos += 1
                 else:
                     num_rows, pos = _varint(data, pos)
-                vector = PlainEncodedVector(capsules[taken], num_rows)
+                stamp = (masks[taken], max_lens[taken], 1)
                 taken += 1
             else:
                 raise FormatError(f"unknown encoded-vector tag {tag}")
@@ -763,23 +900,209 @@ def _decode_meta(data: bytes, source: BlobSource, toc: BoxTOC) -> CapsuleBox:
                     f"group {group_idx}: a vector holds {num_rows} rows, "
                     f"the group-id column {count_here}"
                 )
-            vectors.append(vector)
+            stamps.append(stamp)
         groups.append(
             GroupBox._decoded(
-                Template(template_id, tokens), vectors, column, group_idx,
-                count_here,
+                Template(template_id, tokens),
+                _Vectors(skim, low, len(records)),
+                column, group_idx, count_here, stamps[low:],
             )
         )
-    if pos != table_off or taken != len(capsules):
+    if pos != table_off or taken != n:
         raise FormatError(
             "CapsuleBox metadata: the vector records and the Capsule "
             "table disagree"
         )
+    firsts.append(taken)
     box = CapsuleBox(
         head.block_id, head.first_line_id, head.num_lines, head.padded, groups
     )
     box._column = column
     return box
+
+
+class _Skim:
+    """What a box open keeps of the metadata to build vectors later: the
+    inflated bytes, the Capsule table's rows (each with its payload
+    offset), and per vector record its offset and first Capsule (the
+    Capsules of record *k* are ``firsts[k]`` up to ``firsts[k + 1]``).
+
+    A record is built — its pattern objects, outlier rows, dictionary
+    patterns and Capsules — by :meth:`build` or :meth:`vectors` and
+    published with one atomic ``dict.setdefault``: of two threads racing
+    to build it one object is kept, every caller gets that one, and only
+    its publisher counts it.
+    """
+
+    __slots__ = ("data", "table", "source", "records", "firsts", "built",
+                 "consts")
+
+    def __init__(
+        self,
+        data: bytes,
+        table: List[Tuple[int, ...]],
+        source: BlobSource,
+        records: List[int],
+        firsts: List[int],
+    ):
+        self.data = data
+        self.table = table
+        self.source = source
+        self.records = records
+        self.firsts = firsts
+        self.built: Dict[int, EncodedVector] = {}
+        # The box's pattern constants by stored bytes: one object serves
+        # every repeat, as in _pattern_at.
+        self.consts: Dict[bytes, Const] = {}
+
+    def build(self, k: int) -> EncodedVector:
+        """The vector of record *k*, which no caller has seen built."""
+        vector, made = self._publish(k)
+        if made:
+            _count_built(1)
+        return vector
+
+    def vectors(self, start: int, stop: int) -> List[EncodedVector]:
+        """The vectors of records ``start`` up to ``stop``, each built
+        on first use; the builds are counted once per call."""
+        built = self.built
+        out = []
+        made_here = 0
+        for k in range(start, stop):
+            vector = built.get(k)
+            if vector is None:
+                vector, made = self._publish(k)
+                made_here += made
+            out.append(vector)
+        if made_here:
+            _count_built(made_here)
+        return out
+
+    def _publish(self, k: int) -> Tuple[EncodedVector, bool]:
+        """Build record *k*: the published vector, and whether this
+        call published it."""
+        try:
+            made = self._build(k)
+        except _DECODER_FAULTS as exc:
+            raise _format_error(exc) from exc
+        vector = self.built.setdefault(k, made)
+        return vector, vector is made
+
+    def _build(self, k: int) -> EncodedVector:
+        """The vector of record *k*, whose structure the skim checked: a
+        count it also has (Capsules, rows) is skipped, not decoded."""
+        data = self.data
+        pos = self.records[k] + 1
+        source = self.source
+        stored = Capsule.stored
+        capsules = [
+            stored(
+                layout, width, count, _stamp(mask, max_len), codec & 0x0F,
+                preset, codec >> 4, source, (offset, length), crc,
+            )
+            for layout, width, count, mask, max_len, codec, preset, length, crc, offset
+            in self.table[self.firsts[k] : self.firsts[k + 1]]
+        ]
+        tag = data[pos - 1]
+        if tag == ENC_REAL:
+            pattern, pos = _pattern_at(data, pos, self.consts)
+            while data[pos] >= 0x80:  # the sub-variable count
+                pos += 1
+            if data[pos + 1] == 1:
+                deltas, pos = _deltas_at(data, pos + 2)
+                outlier: Optional[Capsule] = capsules.pop()
+                outlier_rows = list(accumulate(deltas))
+            else:
+                pos += 2
+                outlier = None
+                outlier_rows = []
+            num_rows = data[pos]
+            return RealEncodedVector(
+                pattern, capsules, outlier, outlier_rows,
+                num_rows if num_rows < 0x80 else _varint(data, pos)[0],
+            )
+        if tag == ENC_NOMINAL:
+            num_patterns, pos = _varint(data, pos)
+            dict_patterns: List[DictPattern] = []
+            for _ in range(num_patterns):
+                pattern, pos = _pattern_at(data, pos, self.consts)
+                count, pos = _varint(data, pos)
+                width, pos = _varint(data, pos)
+                masks, pos = _varints_at(data, pos)
+                maxlens, pos = _varints_at(data, pos)
+                dict_patterns.append(
+                    DictPattern(pattern, count, width, masks, maxlens)
+                )
+            index_width, pos = _varint(data, pos)
+            num_rows, pos = _varint(data, pos)
+            dict_size, pos = _varint(data, pos)
+            return NominalEncodedVector(
+                dict_patterns, capsules[0], capsules[1], index_width,
+                num_rows, dict_size,
+            )
+        return PlainEncodedVector(capsules[0], _varint(data, pos)[0])
+
+
+class _Vectors(Sequence[EncodedVector]):
+    """A decoded group's vectors: records ``start`` up to ``stop`` of its
+    box's :class:`_Skim`, each built when it is first indexed."""
+
+    __slots__ = ("_skim", "_start", "_stop")
+
+    def __init__(self, skim: _Skim, start: int, stop: int):
+        self._skim = skim
+        self._start = start
+        self._stop = stop
+
+    def __len__(self) -> int:
+        return self._stop - self._start
+
+    @overload
+    def __getitem__(self, index: int) -> EncodedVector: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> List[EncodedVector]: ...
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        size = self._stop - self._start
+        if index < 0:
+            index += size
+        if not 0 <= index < size:
+            raise IndexError("vector index out of range")
+        k = self._start + index
+        return self._skim.built.get(k) or self._skim.build(k)
+
+    def __iter__(self) -> Iterator[EncodedVector]:
+        return iter(self._skim.vectors(self._start, self._stop))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+#: What the decoder raises on malformed metadata: it indexes its buffer
+#: without bounds checks, so a read past the end of truncated metadata
+#: raises ``IndexError`` (``struct.error`` for a fixed-width field), and
+#: invalid UTF-8 raises ``UnicodeDecodeError``.
+_DECODER_FAULTS = (IndexError, struct.error, UnicodeDecodeError)
+
+
+def _count_built(count: int) -> None:
+    _VECTORS_BUILT.inc(count)
+    ledger_channel.charge_vectors_built(count)
+
+
+def _format_error(exc: Exception) -> FormatError:
+    """The :class:`FormatError` reporting a decoder fault (the caller
+    chains *exc* as its cause)."""
+    if isinstance(exc, UnicodeDecodeError):
+        return FormatError(f"corrupt CapsuleBox metadata: {exc}")
+    return FormatError(_TRUNCATED)
 
 
 def _positions(column: Column, group: int) -> List[int]:
@@ -835,39 +1158,6 @@ def _column_at(data: bytes, head: _MetaPrefix) -> Tuple[Column, List[int]]:
     return column, counts
 
 
-def _capsule_table(
-    fields: Tuple[int, ...], source: BlobSource, toc: BoxTOC
-) -> List[Capsule]:
-    """Capsules from the flat field tuple of the Capsule table (see
-    :data:`_TABLE_CODES`)."""
-    n = len(fields) // len(_TABLE_CODES)
-    layouts, widths, counts, masks, max_lens, codecs, presets, lengths, crcs = (
-        fields[i * n : (i + 1) * n] for i in range(len(_TABLE_CODES))
-    )
-    # Validate the extents against the TOC *now*: a corrupt length must be
-    # a FormatError at load time, not a failed ranged read at first use.
-    if sum(lengths) != toc.payload_len:
-        raise FormatError(
-            f"Capsule table: payload lengths sum to {sum(lengths)}, "
-            f"the payload section holds {toc.payload_len}"
-        )
-    if not _CODEC_BYTES.issuperset(codecs):
-        form = next(c >> 4 for c in codecs if c not in _CODEC_BYTES)
-        raise FormatError(f"unknown capsule form {form}")
-    stored = Capsule.stored
-    return [
-        stored(
-            layout, width, count, _stamp(mask, max_len), codec & 0x0F, preset,
-            codec >> 4, source, (offset, length), crc,
-        )
-        for layout, width, count, mask, max_len, codec, preset, offset, length, crc
-        in zip(
-            layouts, widths, counts, masks, max_lens, codecs, presets,
-            accumulate(lengths, initial=toc.payload_off), lengths, crcs,
-        )
-    ]
-
-
 #: Stamps are immutable, so box opens share one per ``(mask, max_len)``:
 #: boxes repeat few distinct ones.
 _stamp = lru_cache(maxsize=4096)(CapsuleStamp)
@@ -914,6 +1204,27 @@ def _varints_at(data: bytes, pos: int) -> Tuple[List[int], int]:
             value, pos = _varint(data, pos)
         out.append(value)
     return out, pos
+
+
+def _skip_varints(data: bytes, pos: int, count: int) -> int:
+    """The end of *count* varints at *pos*."""
+    for _ in range(count):
+        if data[pos] < 0x80:
+            pos += 1
+        else:
+            pos = _varint(data, pos)[1]
+    return pos
+
+
+def _skip_list(data: bytes, pos: int) -> int:
+    """The end of a count-prefixed list of varints
+    (``BinaryWriter.write_u32_list``)."""
+    count = data[pos]
+    if count < 0x80:
+        pos += 1
+    else:
+        count, pos = _varint(data, pos)
+    return _skip_varints(data, pos, count)
 
 
 def _deltas_at(data: bytes, pos: int) -> Tuple["array[int]", int]:
@@ -966,6 +1277,28 @@ def _pattern_at(
     pattern = RuntimePattern.__new__(RuntimePattern)
     pattern.elements = elements
     return pattern, pos
+
+
+def _skip_pattern(data: bytes, pos: int) -> int:
+    """The end of the runtime-pattern record at *pos* (see
+    :func:`_pattern_at`)."""
+    count = data[pos]
+    if count < 0x80:
+        pos += 1
+    else:
+        count, pos = _varint(data, pos)
+    for _ in range(count):
+        kind = data[pos]
+        value = data[pos + 1]
+        if value < 0x80:
+            pos += 2
+        else:
+            value, pos = _varint(data, pos + 1)
+        if kind == 0:
+            pos += value
+            if pos > len(data):
+                raise FormatError(_TRUNCATED)
+    return pos
 
 
 _SUBVARS = tuple(SubVar(index) for index in range(32))

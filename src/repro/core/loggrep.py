@@ -599,6 +599,7 @@ class LogGrepSession:
         self.loggrep = loggrep
         self.queries_run = 0
         executor = loggrep.executor
+        self._generation = loggrep._box_cache.generation
         self._pinned = executor.source.live(loggrep.store.names())[
             -MAX_PINNED_BOXES:
         ]
@@ -618,10 +619,12 @@ class LogGrepSession:
         return self.loggrep.explain(command, ignore_case)
 
     def close(self) -> None:
-        """Release this session's pins; a second call does nothing."""
+        """Release the pins this session still holds: a second call, or
+        one after :meth:`LogGrep.unpin_blocks` dropped them, does
+        nothing."""
         pinned, self._pinned = self._pinned, []
         for name in pinned:
-            self.loggrep._box_cache.unpin(name)
+            self.loggrep._box_cache.unpin(name, self._generation)
 
     def __enter__(self) -> "LogGrepSession":
         return self

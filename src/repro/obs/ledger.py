@@ -91,6 +91,13 @@ def charge_decoded_values(count: int) -> None:
         entry[0].charge_decoded_values(count)
 
 
+def charge_vectors_built(count: int) -> None:
+    """*count* vector records of a skimmed box built into their objects."""
+    entry = getattr(_local, "entry", None)
+    if entry is not None and entry[0] is not None:
+        entry[0].charge_vectors_built(count)
+
+
 def charge_cache(kind: str, hit: bool) -> None:
     """One lookup of the ``query`` cache."""
     entry = getattr(_local, "entry", None)

@@ -232,14 +232,17 @@ class BlockEngine:
         candidates here.  Each of the vector's Capsules is counted as
         considered once, and as filtered unless the search read it.
 
-        A literal keyword is first checked against the vector's stamp
-        (:func:`~repro.query.vectors.vector_stamp`): one it cannot pass
-        occurs in no value, and is answered before a reader is built or
-        the Locator asked — with the same counts a Locator rejection
-        gives.  The ``w/o stamp`` ablation skips the check."""
-        if self.settings.use_stamps and not keyword.needs_regex:
+        A case-sensitive keyword is first checked against the vector's
+        stamp (:func:`~repro.capsule.box.vector_stamp`, read off the
+        skimmed box) through its :attr:`~Keyword.gate`: one it cannot
+        pass occurs in no value, and is answered before the vector or a
+        reader is built or the Locator asked — with the same counts a
+        Locator rejection gives.  The ``w/o stamp`` ablation skips the
+        check."""
+        gate = keyword.gate
+        if gate is not None and self.settings.use_stamps:
             mask, max_len, owned = self._vectors.stamp(group_idx, var_idx)
-            if len(keyword.text) > max_len or keyword.mask & ~mask:
+            if gate[1] > max_len or gate[0] & ~mask:
                 self._considered += owned
                 self._filtered += owned
                 return RowSet.empty(self.box.groups[group_idx].num_entries)

@@ -166,7 +166,9 @@ class BoxCache:
     """The deserialized CapsuleBoxes refining sessions pin, by block name.
 
     Each name carries a pin count: a box stays while any session that
-    pinned it is open and goes with its last :meth:`unpin`.  Thread-safe:
+    pinned it is open and goes with its last :meth:`unpin`.  Every
+    :meth:`clear` starts a new ``generation``: a pin taken before it is
+    gone, so its holder must not release the name again.  Thread-safe:
     parallel block schedulers share one instance.
     """
 
@@ -174,6 +176,7 @@ class BoxCache:
         self._entries: Dict[str, CapsuleBox] = {}
         self._pins: Dict[str, int] = {}
         self._lock = threading.Lock()
+        self.generation = 0
 
     def get(self, name: str) -> Optional[CapsuleBox]:
         with self._lock:
@@ -188,9 +191,13 @@ class BoxCache:
             self._pins[name] = self._pins.get(name, 0) + 1
             _BOX_ENTRIES.set(len(self._entries))
 
-    def unpin(self, name: str) -> None:
-        """Release one pin on *name*: a no-op for a name not held."""
+    def unpin(self, name: str, generation: Optional[int] = None) -> None:
+        """Release one pin on *name* (taken in *generation*, when given):
+        a no-op for a name not held, or for a pin a :meth:`clear` since
+        *generation* already dropped."""
         with self._lock:
+            if generation is not None and generation != self.generation:
+                return
             pins = self._pins.pop(name, 0)
             if pins > 1:
                 self._pins[name] = pins - 1
@@ -209,6 +216,7 @@ class BoxCache:
         with self._lock:
             self._entries.clear()
             self._pins.clear()
+            self.generation += 1
             _BOX_ENTRIES.set(0)
 
     def __len__(self) -> int:

@@ -86,6 +86,7 @@ def render_analyze(
         ("capsules", "capsules_fetched"),
         ("decompressed", "bytes_decompressed"),
         ("rows_scanned", "rows_scanned"),
+        ("vectors_built", "vectors_built"),
     )
     rows = []
     for name, op in ledger.ordered_operators():

@@ -151,6 +151,7 @@ class OperatorStats:
     capsules_decompressed: int = 0
     bytes_decompressed: int = 0
     rows_scanned: int = 0  # capsule rows covered by the scan kernels
+    vectors_built: int = 0  # vector records built (load_box only)
 
     def merge(self, other: "OperatorStats") -> None:
         """Accumulate *other* field by field (drift-proof, like QueryStats)."""
@@ -368,6 +369,11 @@ class QueryLedger:
         self.decoded_values += count
         if self.budget is not None:
             self.budget.charge_decoded(count)
+
+    def charge_vectors_built(self, count: int) -> None:
+        # Building a vector record finishes its box's load, whichever
+        # operator first touched the vector.
+        self._op("load_box").vectors_built += count
 
     def charge_cache(self, kind: str, hit: bool) -> None:
         attr = _CACHE_ATTRS[kind][hit]

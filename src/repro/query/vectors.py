@@ -9,11 +9,12 @@ A reader answers two questions about one variable vector of one group:
   fragment.)
 * ``pieces(rows)`` — the values of those rows as still-padded byte cells.
 
-Ahead of any reader, Match checks a literal keyword against the
-vector's :func:`vector_stamp` — every character class and the longest
-length any of its values can have, from the Capsule stamps and pattern
-constants alone — and answers a keyword outside it without building a
-reader or asking the Locator (``BlockEngine._search_var``).
+Ahead of any reader, Match checks a keyword against the vector's
+stamp (:func:`~repro.capsule.box.vector_stamp`) — every character class
+and the longest length any of its values can have, from the Capsule
+stamps and pattern constants alone, read off the skimmed box metadata —
+and answers a keyword outside it without building the vector or a
+reader, or asking the Locator (``BlockEngine._search_var``).
 
 Readers translate between *capsule row space* (rows stored in a Capsule,
 excluding outliers) and *group row space* (entry rows of the group).
@@ -40,8 +41,9 @@ Decoded vector state is box-scoped.  A reader is built once per vector
 and lives exactly as long as its :class:`CapsuleBox`, which owns it
 (:func:`box_readers`): a box pinned by a refining session keeps its
 readers' stamp lists, Locator keys, outlier maps and nominal cell tables
-across queries (and :class:`BoxReaders` its vector stamps and the rows
-the Reconstructor has rendered, so a row is rendered once per box), and
+across queries (and :class:`BoxReaders` the rows the Reconstructor has
+rendered, so a row is rendered once per box; the vector stamps come
+with the box's skimmed metadata), and
 a box the BoxCache drops (unpinned, or its name replaced by a rewrite)
 takes them with it.  This is no cache of its
 own: the cache count stays at four (the Query Cache, the BoxCache, the
@@ -66,14 +68,13 @@ from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union, cast
 
 from ..capsule import scan
-from ..common import chartypes
 from ..obs import ledger as ledger_channel
 from ..capsule.assembler import (
     NominalEncodedVector,
     PlainEncodedVector,
     RealEncodedVector,
 )
-from ..capsule.box import CapsuleBox
+from ..capsule.box import CapsuleBox, VectorStamp
 from ..capsule.capsule import LAYOUT_FIXED, LAYOUT_REGION, PAD, Capsule
 from ..capsule.stamp import CapsuleStamp
 from ..common.errors import FormatError
@@ -835,52 +836,10 @@ def make_reader(encoded) -> VectorReader:
     raise TypeError(f"unknown encoded vector {type(encoded)!r}")
 
 
-#: A vector stamp: ``(type mask, max value length, Capsules owned)``.
-VectorStamp = Tuple[int, int, int]
-
-
-def vector_stamp(encoded) -> VectorStamp:
-    """The stamp of a whole vector: every character class and the
-    longest length any of its values can have, and the number of
-    Capsules a search of it considers.
-
-    A real vector's pattern-matched value is its constants and one value
-    of each sub-variable Capsule, so the classes are the union of theirs
-    and the length at most the constants' lengths plus each Capsule's
-    ``max_len``; an outlier adds its Capsule's stamp.  Every value of a
-    nominal vector is a dictionary entry, so the dictionary Capsule's
-    stamp covers it, and a plain vector's Capsule is its stamp.  A
-    literal fragment whose classes or length fall outside this stamp
-    occurs in no value: the Locator would reject every Capsule.
-    """
-    if isinstance(encoded, RealEncodedVector):
-        mask = length = 0
-        capsules = encoded.subvar_capsules
-        for element in encoded.pattern.elements:
-            if isinstance(element, Const):
-                mask |= chartypes.fragment_mask(element.text)
-                length += len(element.text)
-            else:
-                stamp = capsules[element.index].stamp
-                mask |= stamp.type_mask
-                length += stamp.max_len
-        outlier = encoded.outlier_capsule
-        if outlier is None:
-            return mask, length, len(capsules)
-        stamp = outlier.stamp
-        return mask | stamp.type_mask, max(length, stamp.max_len), len(capsules) + 1
-    if isinstance(encoded, NominalEncodedVector):
-        stamp = encoded.dict_capsule.stamp
-        return stamp.type_mask, stamp.max_len, NominalVectorReader.num_capsules
-    stamp = encoded.capsule.stamp
-    return stamp.type_mask, stamp.max_len, PlainVectorReader.num_capsules
-
-
 class BoxReaders:
     """The vector readers of one :class:`CapsuleBox`, built on first use
     and owned by the box (see :func:`box_readers`), plus each group's
-    token position → variable ordinal map, each vector's
-    :func:`vector_stamp`, also built on first use, and the rows the
+    token position → variable ordinal map and the rows the
     Reconstructor has rendered so far.
 
     Rendered rows are kept as they come (:meth:`keep`: the row list and
@@ -893,15 +852,13 @@ class BoxReaders:
 
     __slots__ = (
         "_chunks", "_groups", "_lock", "_texts", "readers", "rendered",
-        "stamps", "var_ordinals",
+        "var_ordinals",
     )
 
     def __init__(self, box: CapsuleBox):
         self._groups = box.groups
         #: (group, var) → reader.
         self.readers: Dict[Tuple[int, int], VectorReader] = {}
-        #: (group, var) → vector stamp.
-        self.stamps: Dict[Tuple[int, int], VectorStamp] = {}
         #: group → bitmap (a :class:`RowSet`'s ``bits``) of the rows
         #: rendered so far.
         self.rendered: Dict[int, int] = {}
@@ -933,13 +890,9 @@ class BoxReaders:
             return known
 
     def stamp(self, group_idx: int, var_idx: int) -> VectorStamp:
-        key = (group_idx, var_idx)
-        stamp = self.stamps.get(key)
-        if stamp is None:
-            stamp = self.stamps[key] = vector_stamp(
-                self._groups[group_idx].vectors[var_idx]
-            )
-        return stamp
+        """The vector's :func:`vector_stamp`; a skimmed box has it
+        without building the vector."""
+        return self._groups[group_idx].stamps[var_idx]
 
     def reader(self, group_idx: int, var_idx: int) -> VectorReader:
         key = (group_idx, var_idx)

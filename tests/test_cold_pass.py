@@ -31,7 +31,7 @@ from repro.baselines.evalutil import grep_lines
 from repro.blockstore.blobsource import StoreBlobSource
 from repro.blockstore.store import ArchiveStore, MemoryStore
 from repro.capsule.assembler import encode_vector
-from repro.capsule.box import CapsuleBox, GroupBox
+from repro.capsule.box import CapsuleBox, GroupBox, vector_stamp
 from repro.capsule.stamp import CapsuleStamp
 from repro.common import chartypes
 from repro.common.chartypes import type_mask
@@ -41,7 +41,7 @@ from repro.obs.metrics import Counter, CounterGroup
 from repro.query import vectors as vectors_module
 from repro.query.modes import MatchMode
 from repro.query.stats import QueryLedger
-from repro.query.vectors import QuerySettings, RealVectorReader, vector_stamp
+from repro.query.vectors import QuerySettings, RealVectorReader
 from repro.staticparse.template import Template
 from tests.conftest import make_mixed_lines
 
@@ -285,6 +285,42 @@ class TestVectorStampGate:
         result = lg.grep(command, ignore_case=ignore_case)
         assert result.lines == grep_lines(command, self.LINES, ignore_case)
         assert result.lines
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "blk_R*",  # a literal run holds G-Z, which no blk_ value does
+            "*k_0?Q",  # so does this one
+            "bl?_1234??",  # 7 literal characters and 3 '?': longer than 9
+        ],
+    )
+    def test_a_ruled_out_wildcard_builds_no_reader(self, monkeypatch, command):
+        built = _built_readers(monkeypatch)
+        lg = LogGrep(config=LogGrepConfig(block_bytes=SMALL))
+        lg.compress(self.LINES)
+        result = lg.grep(command)
+        assert result.lines == grep_lines(command, self.LINES) == []
+        assert built == []
+        stats = result.stats
+        assert stats.capsules_considered > 0
+        assert stats.capsules_filtered == stats.capsules_considered
+        assert stats.capsules_decompressed == 0
+
+    def test_a_wildcard_within_the_stamp_is_searched(self, monkeypatch):
+        built = _built_readers(monkeypatch)
+        lg = LogGrep(config=LogGrepConfig(block_bytes=SMALL))
+        lg.compress(self.LINES)
+        result = lg.grep("bl?_1234?")
+        assert result.lines == grep_lines("bl?_1234?", self.LINES)
+        assert built
+
+    def test_a_case_insensitive_wildcard_is_not_gated(self, monkeypatch):
+        built = _built_readers(monkeypatch)
+        lg = LogGrep(config=LogGrepConfig(block_bytes=SMALL))
+        lg.compress(self.LINES)
+        result = lg.grep("blk_R*", ignore_case=True)
+        assert result.lines == grep_lines("blk_R*", self.LINES, True) == []
+        assert built  # a-z under -i may be A-Z in the data
 
     def test_vector_stamp_covers_every_value(self):
         rng = random.Random(4)

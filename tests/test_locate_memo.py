@@ -25,10 +25,10 @@ from repro.query.executor import QueryExecutor
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
 #: The counters of every perfbench op, one JSON row per op; the memo
-#: must reproduce them exactly.  Last re-recorded when a Real vector's
-#: outlier Capsule began to obey its stamp (only ``capsules_decompressed``
-#: fell and ``capsules_filtered`` rose; ``candidates_evaluated`` did not
-#: move).  ``PYTHONPATH=src python tests/test_locate_memo.py
+#: must reproduce them exactly.  Last re-recorded when case-sensitive
+#: wildcard keywords began to take the vector stamp gate (only wildcard
+#: ops moved: ``capsules_filtered`` rose and ``capsules_decompressed``
+#: fell or held; ``candidates_evaluated`` did not move).  ``PYTHONPATH=src python tests/test_locate_memo.py
 #: > tests/golden/locate_counters.jsonl`` records them from the
 #: checked-out code.
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "locate_counters.jsonl"

@@ -240,6 +240,17 @@ class TestBoxCache:
         assert len(cache) == 0
         assert cache.get("a") is None
 
+    def test_a_pin_dropped_by_clear_is_not_released_again(self):
+        cache = BoxCache()
+        cache.pin("a", 1)
+        old = cache.generation
+        cache.clear()
+        cache.pin("a", 2)
+        cache.unpin("a", old)
+        assert cache.get("a") == 2
+        cache.unpin("a", cache.generation)
+        assert "a" not in cache
+
     def test_metrics_track_cache_activity(self):
         registry = get_registry()
         hits = registry.counter("loggrep_box_cache_hits_total", "")
@@ -335,6 +346,26 @@ class TestSessionPins:
         second.close()
         assert len(lg._box_cache) == 0
         assert lg.grep("state").lines == grep_lines("state", lines)
+
+    def test_a_session_closed_after_unpin_blocks_keeps_newer_pins(self, corpus):
+        lg = LogGrep(config=LogGrepConfig(block_bytes=1800))
+        lg.compress(corpus)
+        names = lg.store.names()
+        assert len(names) == 10
+        first = lg.open_session()
+        lg.unpin_blocks()
+        assert len(lg._box_cache) == 0
+        with lg.open_session():
+            first.close()
+            assert len(lg._box_cache) == 10
+            assert all(name in lg._box_cache for name in names)
+        assert len(lg._box_cache) == 0
+        # With no session open, unpin_blocks still empties the cache.
+        with lg.open_session():
+            pass
+        lg.open_session()
+        lg.unpin_blocks()
+        assert len(lg._box_cache) == 0
 
 
 # ----------------------------------------------------------------------
