@@ -18,6 +18,11 @@ vectors are built in a shuffled order serializes to the stored bytes, and
 every stamp the skim reads off a record equals ``vector_stamp`` of the
 vector built from it.
 
+The prune-index sidecar (``.index.lgix``) is one more case: for every
+spec its bytes stay at most :data:`MAX_SIDECAR_SHARE` of the block bytes
+(LGIX v3 keeps per block only a charset mask, line ids and a time
+range).
+
 Sizes only, no timings: the result is deterministic.
 """
 
@@ -27,6 +32,7 @@ import pytest
 
 from repro.bench.report import format_table, print_banner
 from repro.bench.runner import base_lines, geomean
+from repro.blockstore.index import INDEX_AUX_NAME
 from repro.blockstore.store import MemoryStore
 from repro.capsule.box import CapsuleBox, vector_stamp
 from repro.core.config import LogGrepConfig
@@ -36,18 +42,26 @@ from repro.workloads import production_specs, public_specs
 BLOCK_BYTES = 128 * 1024
 MAX_COLUMN_BYTES_PER_LINE = 2
 MAX_META_SHARE = 0.080
+MAX_SIDECAR_SHARE = 0.010
 
 
 @pytest.fixture(scope="module")
 def archives():
-    """``(name, lines, stored box blobs)`` per spec."""
+    """``(name, lines, stored box blobs, sidecar blob)`` per spec."""
     out = []
     for spec in production_specs() + public_specs():
         lines = spec.generate(base_lines())
         lg = LogGrep(store=MemoryStore(), config=LogGrepConfig(block_bytes=BLOCK_BYTES))
         lg.compress(lines)
         assert lg.decompress_all() == lines, spec.name
-        out.append((spec.name, lines, [lg.store.get(name) for name in lg.store.names()]))
+        out.append(
+            (
+                spec.name,
+                lines,
+                [lg.store.get(name) for name in lg.store.names()],
+                lg.store.get_aux(INDEX_AUX_NAME),
+            )
+        )
     return out
 
 
@@ -56,7 +70,7 @@ def per_corpus(archives):
     """``(name, boxes, lines, column B, table B, metadata B, box B)`` per
     spec."""
     rows = []
-    for spec_name, lines, blobs in archives:
+    for spec_name, lines, blobs, _ in archives:
         column = table = meta = total = 0
         for blob in blobs:
             layout = CapsuleBox.layout(blob)
@@ -93,9 +107,30 @@ def test_metadata_share_of_the_box(per_corpus):
     assert share <= MAX_META_SHARE
 
 
+def test_sidecar_share_of_the_blocks(archives):
+    rows = [
+        (name, len(sidecar), sum(map(len, blobs)))
+        for name, _, blobs, sidecar in archives
+    ]
+    print_banner(
+        f"Prune-index sidecar bytes ({base_lines()} lines per spec, "
+        f"{BLOCK_BYTES // 1024} KiB blocks)"
+    )
+    print(
+        format_table(
+            ["dataset", "sidecar B", "block B", "sidecar/blocks"],
+            [[name, f"{i:,}", f"{b:,}", f"{i / b:.2%}"] for name, i, b in rows],
+        )
+    )
+    total = sum(i for _, i, _ in rows)
+    print(f"total sidecar bytes: {total:,} (bar {MAX_SIDECAR_SHARE:.1%} per spec)")
+    over = [(name, i / b) for name, i, b in rows if i / b > MAX_SIDECAR_SHARE]
+    assert not over
+
+
 def test_vectors_built_in_any_order_reserialize_byte_for_byte(archives):
     rng = random.Random(47)
-    for spec_name, _, blobs in archives:
+    for spec_name, _, blobs, _ in archives:
         for blob in blobs:
             box = CapsuleBox.deserialize(blob)
             order = [
@@ -109,7 +144,7 @@ def test_vectors_built_in_any_order_reserialize_byte_for_byte(archives):
 
 
 def test_skim_stamps_are_the_built_vectors_stamps(archives):
-    for spec_name, _, blobs in archives:
+    for spec_name, _, blobs, _ in archives:
         for blob in blobs:
             box = CapsuleBox.deserialize(blob)
             for group in box.groups:

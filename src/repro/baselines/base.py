@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import abc
 import time
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 
 class LogStoreSystem(abc.ABC):
@@ -51,7 +51,3 @@ class LogStoreSystem(abc.ABC):
         start = time.perf_counter()
         lines = self.query(command)
         return lines, time.perf_counter() - start
-
-    @staticmethod
-    def _raw_size(lines: Iterable[str]) -> int:
-        return sum(len(line) + 1 for line in lines)

@@ -2,7 +2,7 @@
 
 from .blobsource import BlobSource, BytesBlobSource, StoreBlobSource, coalesce_extents
 from .block import DEFAULT_BLOCK_BYTES, LogBlock, block_from_text, split_lines
-from .index import INDEX_AUX_NAME, ArchiveIndex, BlockSummary, VectorSummary
+from .index import INDEX_AUX_NAME, ArchiveIndex, BlockSummary
 from .remote import FaultProfile, RemoteStore, RemoteStoreError
 from .store import ArchiveStore, MemoryStore
 
@@ -22,6 +22,5 @@ __all__ = [
     "coalesce_extents",
     "ArchiveIndex",
     "BlockSummary",
-    "VectorSummary",
     "INDEX_AUX_NAME",
 ]

@@ -11,23 +11,18 @@ blocks.
 Per block the index records:
 
 * the **block charset mask**: the union of the template constant-token
-  masks, every capsule stamp mask, and the runtime-pattern constant
-  masks.  The engine matches keyword fragments *within* rendered tokens
-  (template constants, or variable values rendered from capsule values
-  and pattern constants), so a fragment whose character classes are not
-  subsumed by this union cannot occur in any line of the block — the
-  §5.1 stamp check hoisted to block granularity,
-* per-vector stamp summaries (group, mask ∪ over the vector's capsules,
-  max value length, row count) and the block's line count, for
-  diagnostics and future vector-level planning,
+  masks and the box's vector stamp masks (``GroupBox.stamps``, the
+  same stamps that gate Match).  The engine matches keyword fragments
+  *within* rendered tokens (template constants, or variable values
+  rendered from capsule values and pattern constants), so a fragment
+  whose character classes are not subsumed by this union cannot occur
+  in any line of the block — the §5.1 stamp check hoisted to block
+  granularity,
+* the block's line count and first line id,
 * the block's **wall-clock range** (min/max leading timestamp of its raw
   lines): blocks are written in arrival order, so a
   ``from_time``/``to_time`` query window prunes whole blocks before any
   stamp check — zero store reads for out-of-window blocks.
-
-Each entry still carries the retired ``has_bloom`` byte: always written
-as 0, and any other value is a :class:`FormatError` (the sidecar is then
-rebuilt from the blocks like any other unreadable one).
 
 The sidecar lives outside the block namespace (an auxiliary blob, see
 :meth:`ArchiveStore.put_aux`), does not count toward stored bytes, and
@@ -48,7 +43,7 @@ answer without it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from ..common import chartypes
@@ -65,21 +60,11 @@ INDEX_AUX_NAME = "index.lgix"
 MAGIC = b"LGIX"
 #: The only version read or written; a sidecar of any other version
 #: fails to parse and, being derived data, is rebuilt from the blocks.
-VERSION = 2
+VERSION = 3
 
 #: Timestamps travel as non-negative varint milliseconds; a sentinel u8
 #: flag marks blocks with no parseable timestamps.
 _TS_SCALE = 1000.0
-
-
-@dataclass(frozen=True)
-class VectorSummary:
-    """Stamp synopsis of one encoded vector."""
-
-    group: int
-    type_mask: int
-    max_len: int
-    rows: int
 
 
 @dataclass
@@ -89,10 +74,9 @@ class BlockSummary:
     block_id: int
     first_line_id: int
     num_lines: int
-    #: Union of template-constant, capsule-stamp and pattern-constant
-    #: masks: the character classes that can occur anywhere in the block.
+    #: Union of the template-constant and vector-stamp masks: the
+    #: character classes that can occur anywhere in the block.
     type_mask: int
-    vectors: List[VectorSummary] = field(default_factory=list)
     #: Wall-clock range of the block's raw lines (epoch seconds); None
     #: when no line had a parseable timestamp (the block is then never
     #: time-pruned).
@@ -119,44 +103,13 @@ class BlockSummary:
     def from_box(
         cls, box: "CapsuleBox", lines: Optional[List[str]] = None
     ) -> "BlockSummary":
-        from ..capsule.assembler import NominalEncodedVector, RealEncodedVector
-        from ..capsule.box import _capsules_of
-        from ..runtime.pattern import Const
-
         mask = 0
-        vectors: List[VectorSummary] = []
-        for group_idx, group in enumerate(box.groups):
+        for group in box.groups:
             for token in group.template.tokens:
                 if token is not None:
-                    mask |= chartypes.type_mask(token)
-            for vector in group.vectors:
-                vmask = 0
-                vmax = 0
-                for capsule in _capsules_of(vector):
-                    vmask |= capsule.stamp.type_mask
-                    vmax = max(vmax, capsule.stamp.max_len)
-                if isinstance(vector, RealEncodedVector):
-                    consts = 0
-                    for element in vector.pattern.elements:
-                        if isinstance(element, Const):
-                            vmask |= chartypes.type_mask(element.text)
-                            consts += len(element.text)
-                    # Rendered values concatenate sub-variable values with
-                    # the pattern constants.
-                    vmax = max(
-                        vmax,
-                        consts
-                        + sum(c.stamp.max_len for c in vector.subvar_capsules),
-                    )
-                elif isinstance(vector, NominalEncodedVector):
-                    for dp in vector.dict_patterns:
-                        for element in dp.pattern.elements:
-                            if isinstance(element, Const):
-                                vmask |= chartypes.type_mask(element.text)
-                mask |= vmask
-                vectors.append(
-                    VectorSummary(group_idx, vmask, vmax, vector.num_rows)
-                )
+                    mask |= chartypes.fragment_mask(token)
+            for stamp in group.stamps:
+                mask |= stamp[0]
         min_ts: Optional[float] = None
         max_ts: Optional[float] = None
         if lines is not None:
@@ -164,8 +117,7 @@ class BlockSummary:
 
             min_ts, max_ts = time_range_of(lines)
         return cls(
-            box.block_id, box.first_line_id, box.num_lines, mask,
-            vectors, min_ts, max_ts,
+            box.block_id, box.first_line_id, box.num_lines, mask, min_ts, max_ts
         )
 
     def write(self, writer: BinaryWriter) -> None:
@@ -173,13 +125,6 @@ class BlockSummary:
         writer.write_varint(self.first_line_id)
         writer.write_varint(self.num_lines)
         writer.write_u8(self.type_mask)
-        writer.write_u8(0)  # has_bloom: retired
-        writer.write_varint(len(self.vectors))
-        for vector in self.vectors:
-            writer.write_varint(vector.group)
-            writer.write_u8(vector.type_mask)
-            writer.write_varint(vector.max_len)
-            writer.write_varint(vector.rows)
         # Pre-epoch timestamps cannot ride a varint; treat them as
         # unknown (they only cost a missed prune, never correctness).
         if (
@@ -199,26 +144,12 @@ class BlockSummary:
         first_line_id = reader.read_varint()
         num_lines = reader.read_varint()
         type_mask = reader.read_u8()
-        if reader.read_u8():
-            raise FormatError("archive index: retired block Bloom filter")
-        vectors = [
-            VectorSummary(
-                reader.read_varint(),
-                reader.read_u8(),
-                reader.read_varint(),
-                reader.read_varint(),
-            )
-            for _ in range(reader.read_varint())
-        ]
         min_ts: Optional[float] = None
         max_ts: Optional[float] = None
         if reader.read_u8():
             min_ts = reader.read_varint() / _TS_SCALE
             max_ts = reader.read_varint() / _TS_SCALE
-        return cls(
-            block_id, first_line_id, num_lines, type_mask, vectors,
-            min_ts, max_ts,
-        )
+        return cls(block_id, first_line_id, num_lines, type_mask, min_ts, max_ts)
 
 
 class ArchiveIndex:

@@ -360,11 +360,6 @@ class CapsuleBox:
         return header + meta + payload
 
     @classmethod
-    def read_toc(cls, source: BlobSource) -> BoxTOC:
-        """The parsed, validated header of a stored box."""
-        return BoxTOC.read(source)
-
-    @classmethod
     def deserialize(cls, data: bytes) -> "CapsuleBox":
         """Load a box from a fully-fetched blob."""
         return cls.open(BytesBlobSource(data, "<box>"))

@@ -470,7 +470,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         store = ArchiveStore(args.archive)
         from .capsule.box import CapsuleBox
 
-        from .blockstore.index import stored_live_names
+        from .blockstore.index import INDEX_AUX_NAME, stored_live_names
         from .common.errors import BlockMissingError
 
         lost = _lost_blocks(store)
@@ -499,11 +499,18 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "codecs": box.codec_usage(),
                 }
             )
+        stored = store.total_bytes()
+        sidecar = (
+            len(store.get_aux(INDEX_AUX_NAME))
+            if store.aux_exists(INDEX_AUX_NAME)
+            else 0
+        )
         if args.json:
             doc = {
                 "blocks": blocks,
                 "total_lines": total,
-                "stored_bytes": store.total_bytes(),
+                "stored_bytes": stored,
+                "sidecar_bytes": sidecar,
             }
             print(json.dumps(doc, indent=2))
             return 0
@@ -521,7 +528,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"{b['column_bytes']} B, Capsule table "
                 f"{b['capsule_table_bytes']} B)"
             )
-        print(f"total: {total} lines, {store.total_bytes()} stored bytes")
+        share = f"{100 * sidecar / stored:.2f} %" if stored else "n/a"
+        print(
+            f"total: {total} lines, {stored} stored bytes, {sidecar} sidecar "
+            f"bytes ({share} of block bytes)"
+        )
         return 0
 
     if args.command == "metrics":

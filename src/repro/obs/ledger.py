@@ -17,7 +17,7 @@ very same calls, so the two agree by construction.  Charges are made
 per Match, Capsule, read or scan call — never per row.
 
 Outside any scope (the default), every charge function is a single
-``getattr`` returning ``None`` — the same always-on/free-when-off
+attribute read returning ``None`` — the same always-on/free-when-off
 discipline as :mod:`repro.obs.trace`.  A block runs entirely on one
 scheduler thread, so a thread-local entry attributes every deep charge to
 the operator and plan open on that thread; per-block ledgers and stats
@@ -34,38 +34,45 @@ from typing import Any, List, Optional, Tuple
 #: imports nothing; the ledger and the query stats may each be None.
 Entry = Tuple[Any, Any, Any]
 
-_local = threading.local()
+class _Local(threading.local):
+    """This thread's entry and read log; both None on a fresh thread."""
+
+    entry: Optional[Entry] = None
+    reads: Optional[List[int]] = None
+
+
+_local = _Local()
 
 
 def current_entry() -> Optional[Entry]:
     """The active (ledger, operator, stats) of this thread, or None."""
-    return getattr(_local, "entry", None)
+    return _local.entry
 
 
 def set_entry(entry: Optional[Entry]) -> Optional[Entry]:
     """Install *entry* for this thread; returns the previous entry."""
-    previous = getattr(_local, "entry", None)
+    previous = _local.entry
     _local.entry = entry
     return previous
 
 
 def charge_read(nbytes: int, reads: int = 1) -> None:
     """A ranged store read of *nbytes* (StoreBlobSource.read)."""
-    entry = getattr(_local, "entry", None)
+    entry = _local.entry
     if entry is not None and entry[0] is not None:
         entry[0].charge_read(entry[1], nbytes, reads)
 
 
 def charge_capsule_fetch(nbytes: int) -> None:
     """A capsule payload materialized (lazy fetch or batched prefetch)."""
-    entry = getattr(_local, "entry", None)
+    entry = _local.entry
     if entry is not None and entry[0] is not None:
         entry[0].charge_capsule_fetch(entry[1], nbytes)
 
 
 def charge_decompress(nbytes: int) -> None:
     """A capsule payload inflated to *nbytes* plain bytes."""
-    entry = getattr(_local, "entry", None)
+    entry = _local.entry
     if entry is None:
         return
     ledger, op, stats = entry
@@ -78,7 +85,7 @@ def charge_decompress(nbytes: int) -> None:
 
 def charge_rows_scanned(rows: int) -> None:
     """*rows* capsule rows covered by a scan kernel."""
-    entry = getattr(_local, "entry", None)
+    entry = _local.entry
     if entry is not None and entry[0] is not None:
         entry[0].charge_rows_scanned(entry[1], rows)
 
@@ -86,21 +93,21 @@ def charge_rows_scanned(rows: int) -> None:
 def charge_decoded_values(count: int) -> None:
     """*count* capsule cells taken for decoding (a reader's row cells, a
     nominal vector's dictionary)."""
-    entry = getattr(_local, "entry", None)
+    entry = _local.entry
     if entry is not None and entry[0] is not None:
         entry[0].charge_decoded_values(count)
 
 
 def charge_vectors_built(count: int) -> None:
     """*count* vector records of a skimmed box built into their objects."""
-    entry = getattr(_local, "entry", None)
+    entry = _local.entry
     if entry is not None and entry[0] is not None:
         entry[0].charge_vectors_built(count)
 
 
 def charge_cache(kind: str, hit: bool) -> None:
     """One lookup of the ``query`` cache."""
-    entry = getattr(_local, "entry", None)
+    entry = _local.entry
     if entry is not None and entry[0] is not None:
         entry[0].charge_cache(kind, hit)
 
@@ -108,7 +115,7 @@ def charge_cache(kind: str, hit: bool) -> None:
 def charge_locate(candidates: int, fallback: bool) -> None:
     """One Locator answer: *candidates* evaluated, or — when the Locator
     gave up (``TOO_COMPLEX``) — one fallback scan."""
-    entry = getattr(_local, "entry", None)
+    entry = _local.entry
     if entry is not None and entry[2] is not None:
         stats = entry[2]
         stats.candidates_evaluated += candidates
@@ -122,14 +129,14 @@ def record_reads(reads: Optional[List[int]]) -> Optional[List[int]]:
     """Install *reads* as this thread's read log (None stops recording)
     and return the previous one.  While a log is installed, every Capsule
     a search uses is appended to it (:func:`note_read`)."""
-    previous = getattr(_local, "reads", None)
+    previous = _local.reads
     _local.reads = reads
     return previous
 
 
 def note_read(capsule: object) -> None:
     """*capsule*'s contents were used, inflated now or earlier."""
-    reads = getattr(_local, "reads", None)
+    reads = _local.reads
     if reads is not None:
         reads.append(id(capsule))
 
@@ -137,7 +144,7 @@ def note_read(capsule: object) -> None:
 def charge_decisions(considered: int, filtered: int) -> None:
     """Capsules the vector searches of one Match considered, and those of
     them they filtered — proven irrelevant without being read."""
-    entry = getattr(_local, "entry", None)
+    entry = _local.entry
     if entry is not None and entry[2] is not None:
         stats = entry[2]
         stats.capsules_considered += considered

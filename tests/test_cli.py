@@ -206,6 +206,31 @@ class TestStats:
         out = capsys.readouterr().out
         assert f"total: {len(lines)} lines" in out
 
+    def test_stats_reports_the_sidecar(self, log_file, tmp_path, capsys):
+        import json
+
+        from repro.blockstore.index import INDEX_AUX_NAME
+        from repro.blockstore.store import ArchiveStore
+
+        path, _ = log_file
+        archive = tmp_path / "arch"
+        main(["compress", str(path), "-a", str(archive), "--block-bytes", "4096"])
+        capsys.readouterr()
+        assert main(["stats", "-a", str(archive), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        store = ArchiveStore(str(archive))
+        sidecar = len(store.get_aux(INDEX_AUX_NAME))
+        assert doc["sidecar_bytes"] == sidecar > 0
+        assert main(["stats", "-a", str(archive)]) == 0
+        share = 100 * sidecar / doc["stored_bytes"]
+        assert (
+            f"{doc['stored_bytes']} stored bytes, {sidecar} sidecar bytes "
+            f"({share:.2f} % of block bytes)" in capsys.readouterr().out
+        )
+        store.delete_aux(INDEX_AUX_NAME)
+        assert main(["stats", "-a", str(archive), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["sidecar_bytes"] == 0
+
     def test_stats_splits_capsules_by_codec(self, log_file, tmp_path, capsys):
         import json
 

@@ -27,10 +27,10 @@ from repro.blockstore.index import (
     ArchiveIndex,
     BlockSummary,
     load_index,
+    open_index,
 )
 from repro.blockstore.store import ArchiveStore, MemoryStore
 from repro.capsule.box import BoxTOC, CapsuleBox, _capsules_of
-from repro.common.binio import BinaryWriter
 from repro.common.errors import FormatError
 from repro.obs import get_registry
 from repro.workloads import spec_by_name
@@ -337,12 +337,7 @@ class TestPruneIndex:
         store = _compress_to(tmp_path, make_mixed_lines(400))
         index = load_index(store)
         again = ArchiveIndex.deserialize(index.serialize())
-        assert sorted(again.blocks) == sorted(index.blocks)
-        for name, summary in index.blocks.items():
-            other = again.get(name)
-            assert other.type_mask == summary.type_mask
-            assert other.num_lines == summary.num_lines
-            assert other.vectors == summary.vectors
+        assert again.blocks == index.blocks
 
     def test_legacy_archive_rebuilds_index(self, tmp_path):
         lines = make_mixed_lines(400)
@@ -351,6 +346,22 @@ class TestPruneIndex:
         lg = _reopen(store)
         assert store.aux_exists(INDEX_AUX_NAME), "rebuild must re-persist"
         assert lg.grep("ERROR").lines == grep_lines("ERROR", lines)
+
+    def test_rebuild_builds_no_vector(self, tmp_path):
+        """A rebuilt summary reads its mask off the skimmed boxes' stamps:
+        no vector record is built into its objects."""
+        store = _compress_to(tmp_path, spec_by_name("Log A").generate(600))
+        sidecar = store.get_aux(INDEX_AUX_NAME)
+        store.delete_aux(INDEX_AUX_NAME)
+        built = get_registry().counter("loggrep_box_vectors_built_total")
+        before = built.value()
+        index = open_index(store)
+        assert built.value() == before
+        assert sorted(index.blocks) == store.names()
+        stored = load_index(store)
+        assert [s.type_mask for s in stored.blocks.values()] == [
+            s.type_mask for s in ArchiveIndex.deserialize(sidecar).blocks.values()
+        ]
 
     def test_corrupt_sidecar_tolerated(self, tmp_path):
         lines = make_mixed_lines(400)
@@ -412,8 +423,8 @@ def _as_v2(blob):
 
 
 class TestOldFormatsRejected:
-    """LGCB v1 and v2 are typed errors; an LGIX v1 sidecar is rebuilt as
-    v2; the retired ``has_bloom`` byte is never trusted."""
+    """LGCB v1 and v2 are typed errors; an LGIX v2 sidecar is rebuilt as
+    v3."""
 
     #: 13 bytes: magic, version 1, bloom_len u32 = 0, meta_len u32 = 0.
     V1_HEADER = b"LGCB\x01" + bytes(8)
@@ -464,41 +475,17 @@ class TestOldFormatsRejected:
         assert f"unknown CapsuleBox flags 0x{flags:02x}" in line
         assert f"{len(store.names()) - 1}/{len(store.names())}" in out
 
-    def test_bloom_sidecar_rebuilt(self, tmp_path):
-        """A sidecar entry with ``has_bloom`` set is unreadable, so the
-        archive rebuilds it from the blocks and writes ``has_bloom = 0``."""
-        lines = make_mixed_lines(400)
-        store = _compress_to(tmp_path, lines)
-        sidecar = store.get_aux(INDEX_AUX_NAME)
-        first = load_index(store).get(store.names()[0])
-        prefix = BinaryWriter()
-        prefix.write_varint(len(store.names()))
-        prefix.write_str(store.names()[0])
-        for value in (first.block_id, first.first_line_id, first.num_lines):
-            prefix.write_varint(value)
-        prefix.write_u8(first.type_mask)
-        at = 5 + len(prefix.getvalue())
-        assert sidecar[at] == 0
-        store.put_aux(INDEX_AUX_NAME, sidecar[:at] + b"\x01" + sidecar[at + 1 :])
-        with pytest.raises(FormatError, match="Bloom"):
-            ArchiveIndex.deserialize(store.get_aux(INDEX_AUX_NAME))
-        lg = _reopen(store)
-        assert lg.grep("ERROR").lines == grep_lines("ERROR", lines)
-        assert store.get_aux(INDEX_AUX_NAME) == sidecar
-
-    def test_v1_sidecar_rebuilt_as_v2(self, tmp_path):
-        from repro.workloads import spec_by_name
-
+    def test_v2_sidecar_rebuilt_as_v3(self, tmp_path):
         spec = spec_by_name("Log A")
         lines = spec.generate(600)
         store = _compress_to(tmp_path, lines)
         sidecar = store.get_aux(INDEX_AUX_NAME)
-        store.put_aux(INDEX_AUX_NAME, sidecar[:4] + b"\x01" + sidecar[5:])
-        with pytest.raises(FormatError, match="version 1"):
+        store.put_aux(INDEX_AUX_NAME, sidecar[:4] + b"\x02" + sidecar[5:])
+        with pytest.raises(FormatError, match="version 2"):
             ArchiveIndex.deserialize(store.get_aux(INDEX_AUX_NAME))
         lg = _reopen(store)
         assert lg.grep(spec.query).lines == grep_lines(spec.query, lines)
-        assert store.get_aux(INDEX_AUX_NAME)[:5] == b"LGIX\x02"
+        assert sidecar[:5] == store.get_aux(INDEX_AUX_NAME)[:5] == b"LGIX\x03"
         assert sorted(load_index(store).blocks) == store.names()
 
 

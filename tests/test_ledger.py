@@ -87,6 +87,31 @@ class TestQueryLedger:
         root.merge_children()  # idempotent: children were drained
         assert root.read_bytes == 100
 
+    def test_fresh_thread_outside_any_scope_charges_nothing(self):
+        """A thread that never opened a scope has no entry and no read
+        log: every charge is a no-op, whatever is open elsewhere."""
+        ledger = QueryLedger()
+        seen = []
+
+        def work():
+            seen.append(ledger_channel.current_entry())
+            ledger_channel.charge_read(100)
+            ledger_channel.charge_decompress(30)
+            ledger_channel.charge_vectors_built(2)
+            ledger_channel.charge_locate(5, False)
+            ledger_channel.charge_decisions(3, 1)
+            ledger_channel.note_read(object())
+            seen.append(ledger_channel.record_reads(None))
+
+        with ledger.operator("locate"):
+            thread = threading.Thread(target=work)
+            thread.start()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert seen == [None, None]
+        assert ledger.read_bytes == 0
+        assert ledger.operators["locate"].bytes_decompressed == 0
+
     def test_ordered_operators_follow_pipeline_order(self):
         ledger = QueryLedger()
         for name in ("reconstruct", "plan", "match", "load_box"):
