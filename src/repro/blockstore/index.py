@@ -58,9 +58,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a hard cycle)
 INDEX_AUX_NAME = "index.lgix"
 
 MAGIC = b"LGIX"
-#: The only version read or written; a sidecar of any other version
-#: fails to parse and, being derived data, is rebuilt from the blocks.
+#: The version written.  Version 2 is still read (see
+#: :meth:`BlockSummary.read`) and written back as 3 on the next save: a
+#: rebuild cannot recover its time ranges, and a rewrite publishes
+#: through it.  A sidecar of any other version fails to parse and, being
+#: derived data, is rebuilt from the blocks.
 VERSION = 3
+_READ_VERSIONS = (2, VERSION)
 
 #: Timestamps travel as non-negative varint milliseconds; a sentinel u8
 #: flag marks blocks with no parseable timestamps.
@@ -107,7 +111,7 @@ class BlockSummary:
         for group in box.groups:
             for token in group.template.tokens:
                 if token is not None:
-                    mask |= chartypes.fragment_mask(token)
+                    mask |= chartypes.type_mask(token)
             for stamp in group.stamps:
                 mask |= stamp[0]
         min_ts: Optional[float] = None
@@ -139,11 +143,23 @@ class BlockSummary:
             writer.write_u8(0)
 
     @classmethod
-    def read(cls, reader: BinaryReader) -> "BlockSummary":
+    def read(
+        cls, reader: BinaryReader, version: int = VERSION
+    ) -> "BlockSummary":
         block_id = reader.read_varint()
         first_line_id = reader.read_varint()
         num_lines = reader.read_varint()
         type_mask = reader.read_u8()
+        if version == 2:
+            # Skip v2's retired Bloom flag byte and its per-vector
+            # summaries (group, mask, longest value, rows).
+            if reader.read_u8():
+                raise FormatError("archive index: retired block Bloom filter")
+            for _ in range(reader.read_varint()):
+                reader.read_varint()  # group
+                reader.read_u8()  # mask
+                reader.read_varint()  # longest value
+                reader.read_varint()  # rows
         min_ts: Optional[float] = None
         max_ts: Optional[float] = None
         if reader.read_u8():
@@ -197,16 +213,17 @@ class ArchiveIndex:
             raise FormatError("not an archive index: bad magic")
         if len(data) < 5:
             raise FormatError("truncated archive index")
-        if data[4] != VERSION:
+        version = data[4]
+        if version not in _READ_VERSIONS:
             raise FormatError(
-                f"unsupported archive index version {data[4]} "
-                f"(only version {VERSION} is supported)"
+                f"unsupported archive index version {version} "
+                f"(only versions 2 and {VERSION} are supported)"
             )
         reader = BinaryReader(data[5:])
         index = cls()
         for _ in range(reader.read_varint()):
             name = reader.read_str()
-            index.add(name, BlockSummary.read(reader))
+            index.add(name, BlockSummary.read(reader, version))
         return index
 
     @classmethod

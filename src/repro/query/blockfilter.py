@@ -6,7 +6,8 @@ whether any line of the block can satisfy a query: the §5.1 charset-mask
 check hoisted to block granularity.  The engine matches every keyword
 fragment within a single rendered token, and the summary mask is the
 union of the template-constant and vector-stamp masks, so a fragment
-whose mask is not subsumed cannot occur anywhere in the block.  Wildcard keywords contribute their literal runs; case-insensitive
+whose mask is not subsumed cannot occur anywhere in the block.
+Wildcard keywords contribute their literal runs; case-insensitive
 fragments skip the check (the classes are case-split); negated terms
 never prune — the prune is always sound, never lossy.
 

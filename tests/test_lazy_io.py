@@ -28,9 +28,12 @@ from repro.blockstore.index import (
     BlockSummary,
     load_index,
     open_index,
+    stored_live_names,
 )
+from repro.blockstore.block import block_name
 from repro.blockstore.store import ArchiveStore, MemoryStore
 from repro.capsule.box import BoxTOC, CapsuleBox, _capsules_of
+from repro.common.binio import BinaryWriter
 from repro.common.errors import FormatError
 from repro.obs import get_registry
 from repro.workloads import spec_by_name
@@ -422,9 +425,39 @@ def _as_v2(blob):
     )
 
 
+def _as_lgix_v2(index, has_bloom=0):
+    """*index* in the LGIX v2 layout: each entry also carries the retired
+    ``has_bloom`` byte and a per-vector summary list (group, mask,
+    longest value, rows) between its mask and its time range."""
+    writer = BinaryWriter()
+    writer.write_varint(len(index.blocks))
+    for name in sorted(index.blocks):
+        summary = index.blocks[name]
+        writer.write_str(name)
+        for value in (summary.block_id, summary.first_line_id, summary.num_lines):
+            writer.write_varint(value)
+        writer.write_u8(summary.type_mask)
+        writer.write_u8(has_bloom)
+        writer.write_varint(2)
+        for group in range(2):
+            writer.write_varint(group)
+            writer.write_u8(summary.type_mask)
+            writer.write_varint(300)
+            writer.write_varint(summary.num_lines)
+        if summary.min_ts is None:
+            writer.write_u8(0)
+        else:
+            writer.write_u8(1)
+            writer.write_varint(round(summary.min_ts * 1000))
+            writer.write_varint(round(summary.max_ts * 1000))
+    return b"LGIX\x02" + writer.getvalue()
+
+
 class TestOldFormatsRejected:
-    """LGCB v1 and v2 are typed errors; an LGIX v2 sidecar is rebuilt as
-    v3."""
+    """LGCB v1 and v2 are typed errors.  An LGIX v2 sidecar is read as
+    is (a rebuild would lose its time ranges and live set) and written
+    back as v3; a v1 one, or a v2 entry with ``has_bloom`` set, is
+    rebuilt as v3."""
 
     #: 13 bytes: magic, version 1, bloom_len u32 = 0, meta_len u32 = 0.
     V1_HEADER = b"LGCB\x01" + bytes(8)
@@ -475,18 +508,57 @@ class TestOldFormatsRejected:
         assert f"unknown CapsuleBox flags 0x{flags:02x}" in line
         assert f"{len(store.names()) - 1}/{len(store.names())}" in out
 
-    def test_v2_sidecar_rebuilt_as_v3(self, tmp_path):
+    def test_v1_sidecar_rebuilt_as_v3(self, tmp_path):
         spec = spec_by_name("Log A")
         lines = spec.generate(600)
         store = _compress_to(tmp_path, lines)
         sidecar = store.get_aux(INDEX_AUX_NAME)
-        store.put_aux(INDEX_AUX_NAME, sidecar[:4] + b"\x02" + sidecar[5:])
-        with pytest.raises(FormatError, match="version 2"):
+        store.put_aux(INDEX_AUX_NAME, sidecar[:4] + b"\x01" + sidecar[5:])
+        with pytest.raises(FormatError, match="version 1"):
             ArchiveIndex.deserialize(store.get_aux(INDEX_AUX_NAME))
         lg = _reopen(store)
         assert lg.grep(spec.query).lines == grep_lines(spec.query, lines)
         assert sidecar[:5] == store.get_aux(INDEX_AUX_NAME)[:5] == b"LGIX\x03"
         assert sorted(load_index(store).blocks) == store.names()
+
+    def test_bloom_sidecar_rebuilt(self, tmp_path):
+        """A v2 entry with ``has_bloom`` set is unreadable, so the archive
+        rebuilds the sidecar from the blocks, as v3."""
+        lines = make_mixed_lines(400)
+        store = _compress_to(tmp_path, lines)
+        sidecar = store.get_aux(INDEX_AUX_NAME)
+        store.put_aux(INDEX_AUX_NAME, _as_lgix_v2(load_index(store), has_bloom=1))
+        with pytest.raises(FormatError, match="Bloom"):
+            ArchiveIndex.deserialize(store.get_aux(INDEX_AUX_NAME))
+        lg = _reopen(store)
+        assert lg.grep("ERROR").lines == grep_lines("ERROR", lines)
+        assert store.get_aux(INDEX_AUX_NAME) == sidecar
+
+    def test_v2_sidecar_keeps_time_ranges_and_live_set(self, tmp_path):
+        """A v2 sidecar is read, not rebuilt: its time ranges survive, and
+        a rewrite's unpublished output it does not list stays hidden.
+        The next save writes it as v3."""
+        spec = spec_by_name("Log A")
+        lines = spec.generate(600)
+        store = _compress_to(tmp_path, lines)
+        index = load_index(store)
+        assert all(s.min_ts is not None for s in index.blocks.values())
+        names = store.names()
+        store.put(block_name(0, epoch=1), store.get(names[0]))
+        v2 = _as_lgix_v2(index)
+        store.put_aux(INDEX_AUX_NAME, v2)
+        assert ArchiveIndex.deserialize(v2).blocks == index.blocks
+        assert stored_live_names(store) == names
+        lg = _reopen(store)
+        assert lg.grep(spec.query).lines == grep_lines(spec.query, lines)
+        assert store.get_aux(INDEX_AUX_NAME) == v2
+        more = spec.generate(100)
+        lg.compress(more)
+        stored = store.get_aux(INDEX_AUX_NAME)
+        assert stored[:5] == b"LGIX\x03"
+        again = ArchiveIndex.deserialize(stored)
+        assert {name: again.blocks[name] for name in names} == index.blocks
+        assert block_name(0, epoch=1) not in again
 
 
 class TestLazyCapsules:
