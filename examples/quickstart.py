@@ -46,7 +46,15 @@ def main() -> None:
         f"filtered without decompression: {stats.capsules_filtered}"
     )
 
-    # 4. Round-trip guarantee: the archive reconstructs every line exactly.
+    # 4. EXPLAIN dry-runs the same Match without reading a Capsule: per
+    #    block, which vectors each keyword reaches and what stops it.
+    plan = lg.explain("ERROR AND reqId:5E9D*").splitlines()
+    print("\n$ loggrep explain 'ERROR AND reqId:5E9D*'")
+    for line in plan[:12]:
+        print(f"  {line}".rstrip())
+    print(f"  ... {len(plan) - 12} more line(s)")
+
+    # 5. Round-trip guarantee: the archive reconstructs every line exactly.
     assert lg.decompress_all() == lines
     print("\nround-trip: exact ✓")
 

@@ -60,9 +60,10 @@ INDEX_AUX_NAME = "index.lgix"
 MAGIC = b"LGIX"
 #: The version written.  Version 2 is still read (see
 #: :meth:`BlockSummary.read`) and written back as 3 on the next save: a
-#: rebuild cannot recover its time ranges, and a rewrite publishes
-#: through it.  A sidecar of any other version fails to parse and, being
-#: derived data, is rebuilt from the blocks.
+#: rebuild lists every stored name, a crashed rewrite's leftovers too,
+#: and a rewrite publishes through the sidecar.  A sidecar of any other
+#: version fails to parse and, being derived data, is rebuilt from the
+#: blocks.
 VERSION = 3
 _READ_VERSIONS = (2, VERSION)
 
@@ -230,25 +231,28 @@ class ArchiveIndex:
     def build(cls, store: object) -> "ArchiveIndex":
         """Rebuild the index from the blocks of *store* (legacy archives).
 
-        Pays one full read per block — exactly what opening a legacy
-        archive cost before; every later query then prunes for free.
+        Pays one full read and decompression per block; every later
+        query then prunes for free.
         """
         index = cls()
         index.summarize(store, store.names())  # type: ignore[attr-defined]
         return index
 
     def summarize(self, store: object, names: List[str]) -> bool:
-        """Add a summary, read from its block, for each of *names* the
-        index lacks; True when it added one.  A writer runs this over
-        the live names before it writes, so its ids continue after
-        blocks another writer committed without saving the sidecar."""
+        """Add a summary, read from its block and the block's
+        reconstructed lines, for each of *names* the index lacks; True
+        when it added one.  A writer runs this over the live names
+        before it writes, so its ids continue after blocks another
+        writer committed without saving the sidecar."""
         from ..capsule.box import CapsuleBox
+        from ..core.reconstructor import BlockReconstructor
 
         added = False
         for name in names:
             if name not in self.blocks:
                 box = CapsuleBox.deserialize(store.get(name))  # type: ignore[attr-defined]
-                self.add(name, BlockSummary.from_box(box))
+                lines = BlockReconstructor(box).all_lines()
+                self.add(name, BlockSummary.from_box(box, lines))
                 added = True
         return added
 

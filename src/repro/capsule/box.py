@@ -237,6 +237,14 @@ class GroupBox:
             stamps = self._stamps = [vector_stamp(v) for v in self.vectors]
         return stamps
 
+    def vector_tag(self, var_idx: int) -> int:
+        """The encoding tag (``ENC_*``) of a vector, read off a decoded
+        group's skimmed record without building the vector."""
+        vectors = self.vectors
+        if isinstance(vectors, _Vectors):
+            return vectors.tag(var_idx)
+        return vectors[var_idx].tag
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupBox):
             return NotImplemented
@@ -1071,6 +1079,10 @@ class _Vectors(Sequence[EncodedVector]):
 
     def __iter__(self) -> Iterator[EncodedVector]:
         return iter(self._skim.vectors(self._start, self._stop))
+
+    def tag(self, index: int) -> int:
+        """The encoding tag of vector *index*: its record's first byte."""
+        return self._skim.data[self._skim.records[self._start + index]]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Sequence):

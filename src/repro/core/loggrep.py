@@ -281,12 +281,6 @@ class LogGrep(AggregateShortcuts):
         )
         return report
 
-    def compress_text(self, text: str) -> CompressionReport:
-        lines = text.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        return self.compress(lines)
-
     # ------------------------------------------------------------------
     # query
     # ------------------------------------------------------------------

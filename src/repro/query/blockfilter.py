@@ -3,42 +3,29 @@
 :func:`summary_might_match` decides, from a block's
 :class:`~repro.blockstore.index.BlockSummary` alone (zero store reads),
 whether any line of the block can satisfy a query: the §5.1 charset-mask
-check hoisted to block granularity.  The engine matches every keyword
-fragment within a single rendered token, and the summary mask is the
-union of the template-constant and vector-stamp masks, so a fragment
-whose mask is not subsumed cannot occur anywhere in the block.
-Wildcard keywords contribute their literal runs; case-insensitive
-fragments skip the check (the classes are case-split); negated terms
-never prune — the prune is always sound, never lossy.
-
-The check takes an optional per-block **memo** (term key → verdict): a
-block pass serving many plans hands every plan the same dict, so each
-distinct term is decided once per block however many plans (or
-disjuncts) contain it.
+check hoisted to block granularity.  The summary mask is the union of
+the template-constant masks and the vector stamps, and every keyword
+matches within a single rendered token, so a keyword whose
+:attr:`~repro.query.language.Keyword.gate` mask — the mask the Match
+gate checks each vector stamp against — is not subsumed cannot occur
+anywhere in the block.  A ``-i`` keyword has no gate (the classes are
+case-split) and negated terms never prune — the prune is always sound,
+never lossy.  A check is a few integer operations per keyword, so no
+verdict is memoized.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, Optional
+from typing import TYPE_CHECKING
 
-from ..common import chartypes
 from .language import QueryCommand, Term
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..blockstore.index import BlockSummary
 
 
-def _fragments(term: Term) -> Iterator[str]:
-    """The literal runs every match of *term* must contain."""
-    for keyword in term.search.keywords:
-        yield from keyword.literals() if keyword.is_wildcard else [keyword.text]
-
-
 def summary_might_match(
-    summary: "BlockSummary",
-    command: QueryCommand,
-    use_stamps: bool = True,
-    memo: Optional[Dict[str, bool]] = None,
+    summary: "BlockSummary", command: QueryCommand, use_stamps: bool = True
 ) -> bool:
     """Could any entry of the summarized block satisfy *command*?
 
@@ -47,20 +34,12 @@ def summary_might_match(
     """
     if not use_stamps:
         return True
-    memo = {} if memo is None else memo
+    mask = summary.type_mask
 
     def alive(term: Term) -> bool:
-        if term.negated or term.search.ignore_case:
-            return True
-        key = term.search.cache_key
-        verdict = memo.get(key)
-        if verdict is None:
-            verdict = memo[key] = all(
-                chartypes.mask_subsumes(
-                    summary.type_mask, chartypes.fragment_mask(f)
-                )
-                for f in _fragments(term)
-            )
-        return verdict
+        return term.negated or all(
+            keyword.gate is None or not keyword.gate[0] & ~mask
+            for keyword in term.search.keywords
+        )
 
     return any(all(alive(term) for term in disjunct) for disjunct in command.disjuncts)

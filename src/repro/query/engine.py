@@ -237,15 +237,12 @@ class BlockEngine:
         skimmed box) through its :attr:`~Keyword.gate`: one it cannot
         pass occurs in no value, and is answered before the vector or a
         reader is built or the Locator asked — with the same counts a
-        Locator rejection gives.  The ``w/o stamp`` ablation skips the
-        check."""
-        gate = keyword.gate
-        if gate is not None and self.settings.use_stamps:
-            mask, max_len, owned = self._vectors.stamp(group_idx, var_idx)
-            if gate[1] > max_len or gate[0] & ~mask:
-                self._considered += owned
-                self._filtered += owned
-                return RowSet.empty(self.box.groups[group_idx].num_entries)
+        Locator rejection gives (:meth:`_gate`)."""
+        owned = self._gate(group_idx, var_idx, keyword)
+        if owned is not None:
+            self._considered += owned
+            self._filtered += owned
+            return RowSet.empty(self.box.groups[group_idx].num_entries)
         reader = self._vectors.reader(group_idx, var_idx)
         reads = self._reads
         reads.clear()
@@ -259,6 +256,18 @@ class BlockEngine:
         self._considered += owned
         self._filtered += owned - read
         return rows if candidates is None else rows & candidates
+
+    def _gate(
+        self, group_idx: int, var_idx: int, keyword: Keyword
+    ) -> Optional[int]:
+        """The vector stamp gate: None when *keyword* may occur in a value
+        of the vector (always under ``-i`` or ``w/o stamp``), else the
+        number of Capsules the vector owns, all of which it filters."""
+        gate = keyword.gate
+        if gate is None or not self.settings.use_stamps:
+            return None
+        mask, max_len, owned = self._vectors.stamp(group_idx, var_idx)
+        return owned if gate[1] > max_len or gate[0] & ~mask else None
 
 
 def _mode_for(j: int, k: int) -> MatchMode:

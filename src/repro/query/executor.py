@@ -11,9 +11,9 @@ one.  Per block the pipeline is::
 * **TimePrune / BlockFilter** — drop the block for a plan whose window
   or charset mask cannot match.  Both run on the block's in-memory
   :class:`BlockSummary` from the persistent prune index — zero store
-  reads; a block without an index entry is not pruned.
-  Decisions are memoized per ``(block, term)`` for the pass, so N plans
-  sharing a term decide it once.
+  reads; a block without an index entry is not pruned.  The charset
+  check reads each keyword's :attr:`~repro.query.language.Keyword.gate`,
+  the mask the Match gate uses.
 * **LoadBox** — one open per block for every surviving plan, or a
   box a refining session pinned in the :class:`BoxCache`.
   Opening fetches only the header and metadata sections through
@@ -798,7 +798,7 @@ class QueryExecutor:
                 from .explain import explain_block
 
                 outcome.rendering = explain_block(
-                    box, plan, name, settings.use_stamps
+                    box, plan, name, settings
                 ).summary()
                 continue
             hits = located.get(i)
@@ -862,9 +862,6 @@ class QueryExecutor:
         if summary is None:
             return list(range(len(plans)))
         tracer = get_tracer()
-        use_stamps = settings.use_stamps
-        # One verdict per distinct term, reused by every plan.
-        memo: Dict[str, bool] = {}
         live: List[int] = []
         for i, plan in enumerate(plans):
             outcome = outcomes[i]
@@ -893,7 +890,7 @@ class QueryExecutor:
                     "block_filter"
                 ):
                     pruned = not summary_might_match(
-                        summary, plan.command, use_stamps, memo
+                        summary, plan.command, settings.use_stamps
                     )
                     fspan.set("pruned", pruned)
                 if pruned:

@@ -7,29 +7,40 @@ Capsule would or would not be touched — block prunes, stamp checks,
 runtime-pattern candidates.  Invaluable for understanding a slow query
 and for teaching the §5 machinery.
 
-The per-vector decisions below are produced by the same
-:func:`~repro.query.locator.locate` the Locate operator uses, so the
-rendering cannot drift from what execution actually does; which search
-strings are planned (deduped, in evaluation order) comes straight from
-:meth:`QueryPlan.search_strings`.
+The rendering is the engine's own Match, dry-run (:class:`DryRunEngine`
+overrides only ``_search_var``): the distinct search strings come from
+:meth:`QueryPlan.search_strings`, and the vectors each reaches, in which
+keyword-position mode, and the groups its template constants answer,
+from ``_match_group`` and ``_match_window``.  A vector reached gets the
+engine's stamp gate, then its reader's pre-read verdict from the
+helpers the reader's search calls.  No Capsule is read.  A vector that
+may match is taken to match every row it is given, so a single
+keyword's walk over a group ends at the first such vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Union
+from typing import List, Optional, Tuple, Union
 
-from ..capsule.assembler import (
-    NominalEncodedVector,
-    PlainEncodedVector,
-    RealEncodedVector,
-)
+from ..capsule.assembler import ENC_NOMINAL, ENC_PLAIN, ENC_REAL
 from ..capsule.box import CapsuleBox
-from ..query.language import QueryCommand
-from ..query.locator import TOO_COMPLEX, locate
+from ..common.rowset import RowSet
+from ..query.engine import BlockEngine
+from ..query.language import Keyword, QueryCommand
+from ..query.locator import TOO_COMPLEX
 from ..query.modes import MatchMode
 from ..query.plan import OutputMode, QueryPlan, build_plan
 from ..query.stats import CACHE_KINDS
+from ..query.vectors import (
+    NominalVectorReader,
+    QuerySettings,
+    RealVectorReader,
+    VectorReader,
+    literal_runs,
+)
+
+_KINDS = {ENC_REAL: "real", ENC_NOMINAL: "nominal", ENC_PLAIN: "plain"}
 
 
 @dataclass
@@ -88,23 +99,15 @@ def render_analyze(
         ("rows_scanned", "rows_scanned"),
         ("vectors_built", "vectors_built"),
     )
-    rows = []
-    for name, op in ledger.ordered_operators():
-        cells = [name]
-        for header, attr in columns:
-            if attr is None:
-                cells.append(f"{op.seconds * 1000:.2f}")
-            else:
-                cells.append(str(getattr(op, attr)))
-        rows.append(cells)
-    total = ledger.totals()
-    total_cells = ["TOTAL"]
-    for header, attr in columns:
-        if attr is None:
-            total_cells.append(f"{total.seconds * 1000:.2f}")
-        else:
-            total_cells.append(str(getattr(total, attr)))
-    rows.append(total_cells)
+
+    def row(label: str, op) -> List[str]:
+        return [label] + [
+            f"{op.seconds * 1000:.2f}" if attr is None else str(getattr(op, attr))
+            for _, attr in columns
+        ]
+
+    rows = [row(name, op) for name, op in ledger.ordered_operators()]
+    rows.append(row("TOTAL", ledger.totals()))
 
     headers = ["operator"] + [header for header, _ in columns]
     widths = [
@@ -136,21 +139,12 @@ def render_analyze(
     lines.append(f"  decoded values: {ledger.decoded_values}")
     if ledger.budget is not None:
         budget = ledger.budget.as_dict()
-        lines.append(
-            "  budget: "
-            f"read_bytes {budget['read_bytes']}"
-            + (
-                f"/{budget['max_read_bytes']}"
-                if budget["max_read_bytes"] is not None
-                else ""
-            )
-            + f", decoded_values {budget['decoded_values']}"
-            + (
-                f"/{budget['max_decoded_values']}"
-                if budget["max_decoded_values"] is not None
-                else ""
-            )
-        )
+        spent = [
+            f"{key} {budget[key]}"
+            + ("" if budget[f"max_{key}"] is None else f"/{budget[f'max_{key}']}")
+            for key in ("read_bytes", "decoded_values")
+        ]
+        lines.append(f"  budget: {', '.join(spent)}")
     if stats is not None:
         lines.append(
             "  stats: "
@@ -167,122 +161,116 @@ def explain_block(
     box: CapsuleBox,
     command: Union[QueryCommand, QueryPlan],
     name: str,
-    use_stamps: bool = True,
+    settings: Optional[QuerySettings] = None,
 ) -> BlockPlan:
-    """Render every (search string keyword, vector) decision of one block.
+    """Dry-run every distinct search string of *command* over *box*.
 
     Accepts a pre-built :class:`QueryPlan` (the executor's EXPLAIN path)
-    or a raw :class:`QueryCommand`, which is planned on the spot.  The
-    distinct search strings and their order come from the plan — the same
-    dedup the Match operator's memo performs.  *use_stamps* mirrors the
-    executing config's switch, so ``w/o stamp`` renders no stamp filter.
+    or a raw :class:`QueryCommand`, which is planned on the spot.
+    *settings* are the executing run's, so ``w/o stamp`` renders no
+    stamp filter.  A group the search string matches without a vector
+    that may match it is a template hit: its constants answer it.
     """
     query_plan = (
         command
         if isinstance(command, QueryPlan)
         else build_plan(command, OutputMode.EXPLAIN)
     )
-    plan = BlockPlan(name)
-    searches = query_plan.search_strings()
-
-    for group_idx, group in enumerate(box.groups):
-        template = group.template
-        constants = [t for t in template.tokens if t is not None]
-        for search in searches:
-            for keyword in search.keywords:
-                if keyword.needs_regex:
-                    continue  # handled by the regex path; skip in summary
-                if any(keyword.text in const for const in constants):
-                    plan.template_hits.append(
-                        f"{keyword.text!r} inside static pattern of group {group_idx}"
-                    )
-        for var_idx, encoded in enumerate(group.vectors):
-            for search in searches:
-                for keyword in search.keywords:
-                    plan.vector_plans.append(
-                        _plan_vector(
-                            group_idx, var_idx, encoded, keyword, use_stamps
-                        )
-                    )
+    engine = DryRunEngine(box, settings)
+    plan = BlockPlan(name, vector_plans=engine.plans)
+    for search in query_plan.search_strings():
+        start = len(engine.plans)
+        matched = engine.search_string_rows(search)
+        reached = {
+            p.group for p in engine.plans[start:] if p.decision != "filtered"
+        }
+        plan.template_hits.extend(
+            f"{search.text!r} matches static pattern of group {group_idx}"
+            for group_idx in sorted(matched.keys() - reached)
+        )
     return plan
 
 
-def _plan_vector(
-    group_idx: int, var_idx: int, encoded, keyword, use_stamps: bool = True
-) -> VectorPlan:
-    mode = MatchMode.SUBSTRING
-    base = dict(
-        group=group_idx,
-        var=var_idx,
-        keyword=keyword.text,
-        mode=mode.value,
-    )
+class DryRunEngine(BlockEngine):
+    """A :class:`BlockEngine` whose Match reads no Capsule: it records
+    each vector search as a :class:`VectorPlan`.  A vector the stamp gate
+    or its reader's pre-read verdict filters matches no row; any other
+    matches every row it is given (every row when None)."""
+
+    def __init__(self, box: CapsuleBox, settings: Optional[QuerySettings] = None):
+        super().__init__(box, settings)
+        self.plans: List[VectorPlan] = []
+
+    def _search_var(
+        self,
+        group_idx: int,
+        var_idx: int,
+        keyword: Keyword,
+        mode: MatchMode,
+        candidates: Optional[RowSet],
+    ) -> RowSet:
+        group = self.box.groups[group_idx]
+        if self._gate(group_idx, var_idx, keyword) is not None:
+            decision, detail = "filtered", "vector stamp rules the keyword out"
+        else:
+            decision, detail = vector_verdict(
+                self.reader(group_idx, var_idx), keyword, mode, self.settings
+            )
+        self.plans.append(
+            VectorPlan(
+                group_idx, var_idx, _KINDS[group.vector_tag(var_idx)],
+                keyword.text, mode.value, decision, detail,
+            )
+        )
+        if decision == "filtered":
+            return RowSet.empty(group.num_entries)
+        return RowSet.full(group.num_entries) if candidates is None else candidates
+
+
+def vector_verdict(
+    reader: VectorReader,
+    keyword: Keyword,
+    mode: MatchMode,
+    settings: QuerySettings,
+) -> Tuple[str, str]:
+    """``(decision, detail)``: what *reader* decides about a keyword the
+    stamp gate passed, before it reads a byte, from the helpers its
+    search calls — a real vector's Locator candidates and outlier stamp,
+    the dictionary patterns a nominal vector's Locator keeps, a plain
+    vector's Capsule stamp.  Of a wildcard keyword's literal runs only a
+    real vector's Locator can rule out more than the gate."""
+    text = keyword.text
     if keyword.needs_regex:
-        return VectorPlan(
-            kind=_kind(encoded), decision="regex-scan",
-            detail="wildcard/ignore-case keywords verify candidate rows by regex",
-            **base,
-        )
-    if isinstance(encoded, RealEncodedVector):
-        stamps = [c.stamp for c in encoded.subvar_capsules]
-        candidates = locate(
-            encoded.pattern, stamps, keyword.text, mode, use_stamps=use_stamps
-        )
+        if (
+            isinstance(reader, RealVectorReader)
+            and not reader.encoded.outlier_rows
+            and any(
+                reader.locate(run, MatchMode.SUBSTRING, settings) == []
+                for run in literal_runs(keyword)
+            )
+        ):
+            return "filtered", "the Locator rules out a literal run"
+        return "regex-scan", "wildcard/ignore-case keywords verify rows by regex"
+    if isinstance(reader, RealVectorReader):
+        candidates = reader.locate(text, mode, settings)
+        outlier = reader.outlier_admits(text, settings)
         if candidates is TOO_COMPLEX:
             decision, detail = "scan", "candidate enumeration exceeded budget"
-        elif not candidates:
-            decision = "filtered"
-            detail = f"pattern {encoded.pattern.display()!r} + stamps prove absence"
         elif candidates == [()]:
-            decision, detail = "candidates", "keyword inside the runtime pattern's constants"
+            decision, detail = "candidates", "keyword inside the pattern's constants"
+        elif candidates:
+            decision, detail = "candidates", f"{len(candidates)} possible match(es)"
         else:
-            decision = "candidates"
-            detail = f"{len(candidates)} possible match(es)"
-        if encoded.outlier_rows and decision == "filtered":
-            decision = "candidates"
-            detail += "; outlier capsule still scanned"
-        return VectorPlan(kind="real", decision=decision, detail=detail, **base)
-    if isinstance(encoded, NominalEncodedVector):
-        alive = 0
-        for dp in encoded.dict_patterns:
-            from ..capsule.stamp import CapsuleStamp
-
-            stamps = [
-                CapsuleStamp(m, l)
-                for m, l in zip(dp.subvar_masks, dp.subvar_maxlens)
-            ]
-            result = locate(
-                dp.pattern, stamps, keyword.text, mode, use_stamps=use_stamps
-            )
-            if result is TOO_COMPLEX or result:
-                alive += 1
-        if alive == 0:
-            return VectorPlan(
-                kind="nominal", decision="filtered",
-                detail="no dictionary pattern can produce the keyword",
-                **base,
-            )
-        return VectorPlan(
-            kind="nominal", decision="candidates",
-            detail=f"{alive}/{len(encoded.dict_patterns)} dictionary region(s) to check",
-            **base,
-        )
-    if isinstance(encoded, PlainEncodedVector):
-        if use_stamps and not encoded.capsule.stamp.admits(keyword.text):
-            return VectorPlan(
-                kind="plain", decision="filtered",
-                detail="vector-level stamp rejects the keyword",
-                **base,
-            )
-        return VectorPlan(
-            kind="plain", decision="scan", detail="whole-vector scan required", **base
-        )
-    return VectorPlan(kind="?", decision="scan", **base)
-
-
-def _kind(encoded) -> str:
-    if isinstance(encoded, RealEncodedVector):
-        return "real"
-    if isinstance(encoded, NominalEncodedVector):
-        return "nominal"
-    return "plain"
+            decision = "candidates" if outlier else "filtered"
+            pattern = reader.encoded.pattern.display()
+            detail = f"pattern {pattern!r} + stamps prove absence"
+        return decision, detail + ("; outlier capsule still scanned" if outlier else "")
+    if isinstance(reader, NominalVectorReader):
+        live = len(reader.live_patterns(text, mode, settings))
+        if not live:
+            return "filtered", "no dictionary pattern can produce the keyword"
+        total = len(reader.encoded.dict_patterns)
+        return "candidates", f"{live}/{total} dictionary region(s) to check"
+    if not reader.admits(text, settings):
+        return "filtered", "Capsule stamp rejects the keyword"
+    return "scan", "whole-vector scan required"

@@ -54,20 +54,17 @@ class Keyword:
     #: True when token matching must go through the regex path.  Both
     #: flags are fixed at construction: the engine asks per token.
     needs_regex: bool = field(init=False, repr=False, compare=False)
-    #: The text's character-class mask, for stamp checks of a literal
-    #: keyword (:func:`~repro.common.chartypes.type_mask`).
-    mask: int = field(init=False, repr=False, compare=False)
     #: ``(mask, length)`` that a value holding a match must cover and
-    #: reach, for the vector stamp gate: a literal keyword's own mask
-    #: and length; a wildcard keyword's literal runs' union mask and
-    #: their total length plus one per ``?``.  None under ``-i``, since
-    #: stamps record exact character classes.
+    #: reach, for the vector stamp gate and the block filter: a literal
+    #: keyword's own character-class mask and length; a wildcard
+    #: keyword's literal runs' union mask and their total length plus
+    #: one per ``?``.  None under ``-i``, since stamps record exact
+    #: character classes.
     gate: Optional[Tuple[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.is_wildcard = not _WILDCARDS.isdisjoint(self.text)
         self.needs_regex = self.is_wildcard or self.ignore_case
-        self.mask = type_mask(self.text)
         if self.ignore_case:
             self.gate = None
         elif self.is_wildcard:
@@ -77,7 +74,7 @@ class Keyword:
                 sum(map(len, runs)) + self.text.count("?"),
             )
         else:
-            self.gate = (self.mask, len(self.text))
+            self.gate = (type_mask(self.text), len(self.text))
 
     def literals(self) -> List[str]:
         """Literal runs between wildcards (all of them non-empty)."""

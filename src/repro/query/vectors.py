@@ -225,12 +225,10 @@ def _row_list(rows: Optional[RowSet]) -> Optional[List[int]]:
     return None if rows is None or rows.is_full() else rows.rows()
 
 
-def _literal_runs(keyword) -> List[str]:
+def literal_runs(keyword) -> List[str]:
     """The keyword's non-empty literal runs; none under ``-i``, where a
     case-sensitive byte search could miss a match."""
-    if keyword.ignore_case:
-        return []
-    return [run for run in keyword.literals() if run]
+    return [] if keyword.ignore_case else keyword.literals()
 
 
 class _VectorReader:
@@ -337,6 +335,24 @@ class RealVectorReader(_VectorReader):
         )
 
     # ------------------------------------------------------------------
+    def locate(
+        self, fragment: str, mode: MatchMode, settings: QuerySettings
+    ) -> Optional[List[Candidate]]:
+        """The Locator's candidates for *fragment* over the pattern and
+        sub-variable stamps (:data:`TOO_COMPLEX` past its budget): none
+        proves that no pattern-matched value holds it."""
+        pattern = self.encoded.pattern
+        key = self._locate_key
+        return _locate(settings, key, pattern, self._stamps, fragment, mode)
+
+    def outlier_admits(self, fragment: str, settings: QuerySettings) -> bool:
+        """Whether a search for *fragment* scans the outlier Capsule: the
+        vector has one, and its stamp admits the fragment."""
+        outlier = self.encoded.outlier_capsule
+        return outlier is not None and (
+            not settings.use_stamps or outlier.stamp.admits(fragment)
+        )
+
     def search(
         self,
         fragment: str,
@@ -366,14 +382,7 @@ class RealVectorReader(_VectorReader):
         if num_matched == 0 or (start is not None and not start):
             return  # no pattern-matched row to check: inflate nothing
         encoded = self.encoded
-        candidates = _locate(
-            settings,
-            self._locate_key,
-            encoded.pattern,
-            self._stamps,
-            fragment,
-            mode,
-        )
+        candidates = self.locate(fragment, mode, settings)
         if candidates is TOO_COMPLEX:
             ledger_channel.charge_locate(0, True)
             self._scan_matched(fragment, mode, result, start)
@@ -438,15 +447,13 @@ class RealVectorReader(_VectorReader):
         result: RowSet,
         candidates: Optional[RowSet],
     ) -> None:
+        # Outliers escaped the pattern, so they are scanned whenever the
+        # outlier Capsule's stamp admits the fragment and a candidate is
+        # one.
         outlier = self.encoded.outlier_capsule
-        if outlier is None:
+        if outlier is None or not self.outlier_admits(fragment, settings):
             return
-        # Outliers escaped the pattern, so they are scanned whenever a
-        # candidate is one and the outlier Capsule's stamp admits the
-        # fragment.
         if candidates is not None and not candidates & self._outliers():
-            return
-        if settings.use_stamps and not outlier.stamp.admits(fragment):
             return
         touch_capsule(outlier)
         rows = search_capsule(outlier, fragment, mode)
@@ -485,7 +492,7 @@ class RealVectorReader(_VectorReader):
         """Pattern-matched rows (among the capsule rows *start* when
         given) that contain every (case-sensitive) literal run of the
         keyword; None when no run is checkable."""
-        literals = _literal_runs(keyword)
+        literals = literal_runs(keyword)
         if not literals:
             return None
         if start is not None and not start:
@@ -590,6 +597,19 @@ class NominalVectorReader(_VectorReader):
         return dictionary
 
     # ------------------------------------------------------------------
+    def live_patterns(
+        self, fragment: str, mode: MatchMode, settings: QuerySettings
+    ) -> List[int]:
+        """The dictionary patterns the Locator keeps for *fragment*; one
+        it rejects produces no value holding the fragment."""
+        live = []
+        for pattern_idx, (stamps, key) in enumerate(self._pattern_keys()):
+            pattern = self.encoded.dict_patterns[pattern_idx].pattern
+            found = _locate(settings, key, pattern, stamps, fragment, mode)
+            if found is TOO_COMPLEX or found:
+                live.append(pattern_idx)
+        return live
+
     def matching_slots(
         self,
         fragment: str,
@@ -606,12 +626,8 @@ class NominalVectorReader(_VectorReader):
         in_place = encoded.dict_capsule.layout == LAYOUT_REGION
         needle = fragment.encode("utf-8") if in_place else b""
         slots: List[int] = []
-        keys = self._pattern_keys()
-        for pattern_idx, dp in enumerate(encoded.dict_patterns):
-            stamps, key = keys[pattern_idx]
-            candidates = _locate(settings, key, dp.pattern, stamps, fragment, mode)
-            if candidates is not TOO_COMPLEX and not candidates:
-                continue  # the pattern cannot produce the fragment
+        for pattern_idx in self.live_patterns(fragment, mode, settings):
+            dp = encoded.dict_patterns[pattern_idx]
             base = self._region_slots[pattern_idx]
             if in_place:
                 touch_capsule(encoded.dict_capsule)
@@ -776,6 +792,12 @@ class PlainVectorReader(_VectorReader):
 
     encoded: PlainEncodedVector
 
+    def admits(self, fragment: str, settings: QuerySettings) -> bool:
+        """Whether a search for *fragment* reads the Capsule: its stamp
+        admits the fragment."""
+        stamp = self.encoded.capsule.stamp
+        return not settings.use_stamps or stamp.admits(fragment)
+
     def search(
         self,
         fragment: str,
@@ -783,9 +805,9 @@ class PlainVectorReader(_VectorReader):
         settings: QuerySettings,
         candidates: Optional[RowSet] = None,
     ) -> RowSet:
-        capsule = self.encoded.capsule
-        if settings.use_stamps and not capsule.stamp.admits(fragment):
+        if not self.admits(fragment, settings):
             return RowSet.empty(self.num_rows)
+        capsule = self.encoded.capsule
         touch_capsule(capsule)
         return search_capsule(
             capsule, fragment, mode, rows_hint=_direct_rows(capsule, candidates)
@@ -799,10 +821,9 @@ class PlainVectorReader(_VectorReader):
         candidates: Optional[RowSet] = None,
     ) -> RowSet:
         capsule = self.encoded.capsule
-        literals = _literal_runs(keyword)
-        if literals and settings.use_stamps:
-            if any(not capsule.stamp.admits(run) for run in literals):
-                return RowSet.empty(self.num_rows)
+        literals = literal_runs(keyword)
+        if not all(self.admits(run, settings) for run in literals):
+            return RowSet.empty(self.num_rows)
         if literals:
             # Narrow with the literal runs, verify only candidate rows.
             touch_capsule(capsule)

@@ -6,7 +6,6 @@ from .fields import (
     Compose,
     Counter,
     Enum,
-    EnumCode,
     Field,
     HexId,
     IPv4,
@@ -55,7 +54,6 @@ __all__ = [
     "IPv4",
     "Path",
     "Enum",
-    "EnumCode",
     "Number",
     "PrefixedId",
     "Literal",

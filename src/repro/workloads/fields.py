@@ -143,28 +143,6 @@ class Enum(Field):
         return rng.choice(self.choices)
 
 
-class EnumCode(Field):
-    """Enum + numeric code joined by a separator (``ERR#1623``-style)."""
-
-    def __init__(
-        self,
-        choices: Sequence[str] = ("SUC", "ERR"),
-        weights: Sequence[int] = (9, 1),
-        sep: str = "#",
-        lo: int = 1600,
-        hi: int = 1700,
-    ):
-        self.choices = list(choices)
-        self.weights = list(weights)
-        self.sep = sep
-        self.lo = lo
-        self.hi = hi
-
-    def __call__(self, rng: random.Random, i: int) -> str:
-        word = rng.choices(self.choices, weights=self.weights, k=1)[0]
-        return f"{word}{self.sep}{rng.randrange(self.lo, self.hi)}"
-
-
 class Number(Field):
     """Uniform number in a closed per-block range.
 

@@ -1,27 +1,40 @@
 """Additional coverage for the EXPLAIN facility's per-encoding branches."""
 
-import pytest
-
 from repro.capsule.assembler import EncodingOptions, encode_plain, encode_vector
-from repro.query.explain import _plan_vector, explain_block
-from repro.query.language import Keyword, parse_query
+from repro.capsule.box import CapsuleBox, GroupBox
+from repro.query.explain import DryRunEngine, explain_block
+from repro.query.language import Keyword, SearchString, parse_query
+from repro.query.vectors import QuerySettings
+from repro.staticparse.template import Template
+
+
+def _plan_vector(encoded, keyword: Keyword):
+    """The dry run's plan of *keyword* over one vector, the only
+    variable of a one-group box: the engine's gate, then the reader's
+    pre-read verdict."""
+    rows = encoded.num_rows
+    group = GroupBox(Template(0, [None]), list(range(rows)), [encoded])
+    engine = DryRunEngine(CapsuleBox(0, 0, rows, True, [group]), QuerySettings())
+    engine.search_string_rows(SearchString(keyword.text, keywords=[keyword]))
+    (plan,) = engine.plans
+    return plan
 
 
 class TestPlanVector:
     def test_real_filtered(self):
         encoded = encode_vector([f"req_{i}" for i in range(100)], EncodingOptions())
-        plan = _plan_vector(0, 0, encoded, Keyword("ZZZ"))
+        plan = _plan_vector(encoded, Keyword("ZZZ"))
         assert plan.decision == "filtered"
         assert plan.kind == "real"
 
     def test_real_candidates(self):
         encoded = encode_vector([f"req_{i}" for i in range(100)], EncodingOptions())
-        plan = _plan_vector(0, 0, encoded, Keyword("req_7"))
+        plan = _plan_vector(encoded, Keyword("req_7"))
         assert plan.decision == "candidates"
 
     def test_real_constant_hit(self):
         encoded = encode_vector([f"req_{i}" for i in range(100)], EncodingOptions())
-        plan = _plan_vector(0, 0, encoded, Keyword("eq"))
+        plan = _plan_vector(encoded, Keyword("eq"))
         assert plan.decision == "candidates"
         assert "constants" in plan.detail
 
@@ -30,25 +43,25 @@ class TestPlanVector:
             f"req_{i}" for i in range(190, 200)
         ]
         encoded = encode_vector(values, EncodingOptions(sample_rate=1.0))
-        plan = _plan_vector(0, 0, encoded, Keyword("%%"))
+        plan = _plan_vector(encoded, Keyword("%%"))
         assert "outlier" in plan.detail
 
     def test_nominal_filtered_and_candidates(self):
         values = ["ERR#404"] * 30 + ["SUCC"] * 60
         encoded = encode_vector(values, EncodingOptions())
-        assert _plan_vector(0, 0, encoded, Keyword("zzz")).decision == "filtered"
-        hit = _plan_vector(0, 0, encoded, Keyword("404"))
+        assert _plan_vector(encoded, Keyword("zzz")).decision == "filtered"
+        hit = _plan_vector(encoded, Keyword("404"))
         assert hit.decision == "candidates"
         assert hit.kind == "nominal"
 
     def test_plain_stamp_and_scan(self):
         encoded = encode_plain(["123", "456"] * 20)
-        assert _plan_vector(0, 0, encoded, Keyword("abc")).decision == "filtered"
-        assert _plan_vector(0, 0, encoded, Keyword("45")).decision == "scan"
+        assert _plan_vector(encoded, Keyword("abc")).decision == "filtered"
+        assert _plan_vector(encoded, Keyword("45")).decision == "scan"
 
     def test_wildcard_marked_regex(self):
         encoded = encode_plain(["123"] * 10)
-        plan = _plan_vector(0, 0, encoded, Keyword("1*3"))
+        plan = _plan_vector(encoded, Keyword("1*3"))
         assert plan.decision == "regex-scan"
 
 

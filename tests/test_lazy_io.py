@@ -350,21 +350,18 @@ class TestPruneIndex:
         assert store.aux_exists(INDEX_AUX_NAME), "rebuild must re-persist"
         assert lg.grep("ERROR").lines == grep_lines("ERROR", lines)
 
-    def test_rebuild_builds_no_vector(self, tmp_path):
-        """A rebuilt summary reads its mask off the skimmed boxes' stamps:
-        no vector record is built into its objects."""
+    def test_rebuild_keeps_masks_and_time_ranges(self, tmp_path):
+        """A rebuilt summary reads its mask off the skimmed boxes' stamps
+        and its time range off the block's reconstructed lines: it equals
+        the summary written at compress time."""
         store = _compress_to(tmp_path, spec_by_name("Log A").generate(600))
         sidecar = store.get_aux(INDEX_AUX_NAME)
         store.delete_aux(INDEX_AUX_NAME)
-        built = get_registry().counter("loggrep_box_vectors_built_total")
-        before = built.value()
         index = open_index(store)
-        assert built.value() == before
         assert sorted(index.blocks) == store.names()
-        stored = load_index(store)
-        assert [s.type_mask for s in stored.blocks.values()] == [
-            s.type_mask for s in ArchiveIndex.deserialize(sidecar).blocks.values()
-        ]
+        committed = ArchiveIndex.deserialize(sidecar).blocks
+        assert load_index(store).blocks == committed
+        assert all(s.min_ts is not None for s in committed.values())
 
     def test_corrupt_sidecar_tolerated(self, tmp_path):
         lines = make_mixed_lines(400)

@@ -16,7 +16,7 @@ import pytest
 from tests.conftest import make_mixed_lines
 from repro.baselines.evalutil import grep_lines
 from repro.blockstore.block import parse_block_name
-from repro.blockstore.index import load_index
+from repro.blockstore.index import INDEX_AUX_NAME, load_index
 from repro.blockstore.store import MemoryStore
 from repro.common.timeparse import parse_age_arg
 from repro.core.config import LogGrepConfig
@@ -318,6 +318,26 @@ class TestEligiblePrefix:
         hits = lg.grep("state: ERR")
         manager = LifecycleManager(lg.store, lg.config)
         now = EPOCH_JAN1 + 9 * DAY
+        manager.demote(Tier.COLD, older_than_seconds=5 * DAY, now=now)
+        status = manager.status()
+        assert status.blocks[Tier.COLD] > 0
+        assert status.blocks[Tier.HOT] > 0  # the young suffix stayed put
+        after = manager.open_reader().grep("state: ERR")
+        assert after.lines == hits.lines and after.line_ids == hits.line_ids
+
+    def test_rebuilt_sidecar_keeps_time_ranges(self):
+        lines = _ts_lines(150, day=1) + _ts_lines(150, day=8, seed=1)
+        lg = _build(lines)
+        committed = load_index(lg.store).blocks
+        lg.store.delete_aux(INDEX_AUX_NAME)
+        reopened = LogGrep(store=lg.store, config=lg.config)  # rebuilds it
+        assert load_index(lg.store).blocks == committed
+        assert all(s.max_ts is not None for s in committed.values())
+        hits = reopened.grep("state: ERR")
+        manager = LifecycleManager(lg.store, lg.config)
+        now = EPOCH_JAN1 + 9 * DAY
+        eligible = manager.eligible_prefix(5 * DAY, now=now)
+        assert 0 < len(eligible) < len(committed)
         manager.demote(Tier.COLD, older_than_seconds=5 * DAY, now=now)
         status = manager.status()
         assert status.blocks[Tier.COLD] > 0
