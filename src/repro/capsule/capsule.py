@@ -101,26 +101,39 @@ class CodecRequest(Enum):
     SPEED = "speed"  # the same rule with zlib's ZLIB_MARGIN (codec_speed_tier)
 
 
-#: Size bands of the codec rule.  Measured on the Capsule buffers of the
-#: perfbench ``ingest-encode`` corpora at 128 KiB blocks (847 buffers: 123
-#: under 32 B, median 694 B, p90 4.7 KB, max 36 KB) and on 179 more taken
-#: at the default 64 MB block size (30 000 lines of six datasets); the
-#: table is in docs/ARCHITECTURE.md:
+#: Size bands of the codec rule, keyed on the stored length: a digit or
+#: hex column is measured packed two characters per byte.  Measured on the
+#: Capsule buffers of the 37 specs at 8 000 lines and 128 KiB blocks (4 362
+#: buffers) and of the perfbench ``ingest-encode`` corpora at seed 11 (847);
+#: the table is in docs/ARCHITECTURE.md §Packer:
 #:
 #: * under 32 B nothing pays for its own header — raw;
-#: * under 2 KiB zlib-6 is the smaller codec at preset 1 (526 of 554
-#:   buffers, 14 % fewer bytes) *and* at preset 6 (465 of 554, 5 % fewer),
-#:   inflates about 4x faster and needs no match-finder tables, so no
-#:   LZMA encoder is constructed;
-#: * from 2 KiB up to deflate's 32 KiB window the winner depends on the
-#:   preset (crossover near 8-16 KiB at preset 1, 2-4 KiB at preset 6),
-#:   so both run and the smaller is kept;
-#: * from 32 KiB LZMA wins (3 % at preset 1, 13 % at preset 6: it can
-#:   still reference what deflate's window has dropped), so paper-scale
-#:   Capsules keep the paper's codec and zlib is not tried.
+#: * under 2 KiB zlib-6 is the smaller codec on 2 950 of the specs' 3 290
+#:   buffers at preset 1 and 2 856 at preset 9, inflates about 4x faster
+#:   and needs no match-finder tables, so no LZMA encoder is constructed;
+#: * from 2 KiB up to deflate's 32 KiB window LZMA is smaller on 68 of 423
+#:   buffers at preset 1 and 137 at preset 9 (on ``ingest-encode`` none
+#:   of 87 at preset 1, 18 at preset 9), so both may run and the smaller
+#:   is kept — at the fast presets only where zlib's ratio admits a trial
+#:   (:data:`LZMA_TRIAL_ZLIB_RATIO`);
+#: * from 32 KiB LZMA is kept without a zlib probe, so paper-scale Capsules
+#:   keep the paper's codec: it can still reference what deflate's window
+#:   has dropped (smaller on 18 of 22 such buffers at 16 000 lines and
+#:   256 KiB blocks at preset 1, 19 at preset 9).
 RAW_BELOW = 32
 ZLIB_ONLY_BELOW = 2 * 1024
 LZMA_ONLY_FROM = 32 * 1024
+
+#: LZMA trial gate: at liblzma's fast presets (0-3) a buffer zlib has
+#: already run on is tried with LZMA only when zlib shrank it to at most
+#: this share of its length.  Over the 37 specs at preset 1 (8 000 lines,
+#: 128 KiB blocks, spec seeds shifted by 0, 1 and 2) every band buffer LZMA
+#: wins has a zlib ratio of at most 0.729, so the gate skips 284 of 423
+#: trials and stores the same bytes; at 16 000 lines and 256 KiB blocks it
+#: grows five specs' archives by 231-685 B (0.27-0.97 %).  At preset 9
+#: LZMA wins band buffers up to a ratio of 0.849, so the slower presets
+#: keep the full trial.
+LZMA_TRIAL_ZLIB_RATIO = 0.75
 
 #: Speed-tier margin: with ``CodecRequest.SPEED`` zlib is kept when
 #: ``len(lzma) >= ZLIB_MARGIN * len(zlib)`` — i.e. LZMA shrinks the payload
@@ -153,6 +166,12 @@ _CODEC_BYTES_IN = get_registry().counter(
 _CODEC_BYTES_OUT = get_registry().counter(
     "loggrep_capsule_codec_bytes_out_total",
     "Capsule payload bytes stored, by chosen codec and form",
+)
+_LZMA_TRIALS = get_registry().counter(
+    "loggrep_capsule_lzma_trials_total",
+    "Codec decisions where zlib ran on a buffer of 2 KiB or more, by whether"
+    " LZMA was tried and kept (won), tried and not kept (lost) or not tried"
+    " because zlib's ratio ruled it out (skipped)",
 )
 
 
@@ -676,13 +695,23 @@ def _choose_codec(
     beats it by more than :data:`ZLIB_MARGIN` — zlib inflates several
     times faster, which the query path pays on every Capsule the Locator
     could not filter — and zlib is still tried above its window.
+
+    Wherever zlib ran on a buffer of :data:`ZLIB_ONLY_BELOW` or more, at
+    presets 0-3 (liblzma's fast mode) LZMA is tried only if zlib's payload
+    is at most :data:`LZMA_TRIAL_ZLIB_RATIO` of the buffer; otherwise no
+    LZMA encoder is constructed.  Each such decision is counted in
+    ``loggrep_capsule_lzma_trials_total`` by outcome.
     """
     size = len(buf)
     codec, payload = CODEC_RAW, buf
     if size >= RAW_BELOW:
+        trial: Optional[str] = None  # where zlib ran first: the LZMA trial's outcome
         if speed_tier or size < LZMA_ONLY_FROM:
             codec, payload = CODEC_ZLIB, zlib.compress(buf, 6)
-        if size >= ZLIB_ONLY_BELOW:
+            if size >= ZLIB_ONLY_BELOW:
+                gated = preset <= 3 and len(payload) > LZMA_TRIAL_ZLIB_RATIO * size
+                trial = "skipped" if gated else "lost"
+        if size >= ZLIB_ONLY_BELOW and trial != "skipped":
             # The incumbent is zlib's payload, or the buffer itself where
             # zlib was not tried (then the margin is 1.0).
             lzma_payload = _lzma_compress(buf, preset)
@@ -691,4 +720,6 @@ def _choose_codec(
                 codec, payload = CODEC_LZMA, lzma_payload
         if len(payload) >= size:
             codec, payload = CODEC_RAW, buf
+        if trial is not None:
+            _LZMA_TRIALS.inc(outcome="won" if codec == CODEC_LZMA else trial)
     return codec, payload

@@ -22,6 +22,7 @@ from repro.capsule.capsule import (
     FORM_ODD,
     FORMS,
     LZMA_ONLY_FROM,
+    LZMA_TRIAL_ZLIB_RATIO,
     RAW_BELOW,
     ZLIB_MARGIN,
     ZLIB_ONLY_BELOW,
@@ -263,6 +264,35 @@ def _low_redundancy(count, length=12, seed=7):
     ]
 
 
+def _dense_values(count, length=12, seed=5):
+    """Letters and digits at about six bits a character: zlib shrinks them
+    by less than a quarter, so they stay one character per byte and the
+    fast presets try no LZMA on them."""
+    rng = random.Random(seed)
+    alphabet = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789+/"
+    return ["".join(rng.choices(alphabet, k=length)) for _ in range(count)]
+
+
+def _no_lzma_encoder(monkeypatch, why):
+    def no_lzma(*args, **kwargs):
+        raise AssertionError(why)
+
+    monkeypatch.setattr(lzma, "compress", no_lzma)
+    monkeypatch.setattr(lzma, "LZMACompressor", no_lzma)
+
+
+def _lzma_calls(monkeypatch):
+    calls = []
+    original = capsule_module._lzma_compress
+
+    def counting(data, preset):
+        calls.append(len(data))
+        return original(data, preset)
+
+    monkeypatch.setattr(capsule_module, "_lzma_compress", counting)
+    return calls
+
+
 def _long_period_values():
     # Redundancy with a period beyond zlib's 32 KB window: only LZMA can
     # reference the earlier repetitions, so its margin is large.
@@ -279,16 +309,59 @@ class TestCodecRule:
         assert _choose_codec(b"a" * 31, 1) == (CODEC_RAW, b"a" * 31)
 
     def test_small_buffer_is_zlib_without_an_lzma_encoder(self, monkeypatch):
-        def no_lzma(*args, **kwargs):
-            raise AssertionError("LZMA encoder constructed under 2 KiB")
-
-        monkeypatch.setattr(lzma, "compress", no_lzma)
-        monkeypatch.setattr(lzma, "LZMACompressor", no_lzma)
+        _no_lzma_encoder(monkeypatch, "LZMA encoder constructed under 2 KiB")
         for codec in (CodecRequest.SMALLEST, CodecRequest.SPEED):
             capsule = Capsule.pack_fixed(["abcabcabc"] * 100, codec=codec)
             assert capsule.codec == CODEC_ZLIB
             assert capsule.compressed_bytes < 9 * 100
             assert capsule.values() == ["abcabcabc"] * 100
+
+    def test_band_skips_lzma_where_zlib_shrinks_under_a_quarter(self, monkeypatch):
+        values = _dense_values(1000)  # 12 000 B of ASCII
+        buf = "".join(values).encode()
+        assert ZLIB_ONLY_BELOW <= len(buf) < LZMA_ONLY_FROM
+        zlib_size = len(zlib.compress(buf, 6))
+        assert LZMA_TRIAL_ZLIB_RATIO * len(buf) < zlib_size < len(buf)
+        _no_lzma_encoder(monkeypatch, "LZMA trial zlib's ratio rules out")
+        for codec in (CodecRequest.SMALLEST, CodecRequest.SPEED):
+            for preset in (0, 1, 3):
+                capsule = Capsule.pack_fixed(values, preset=preset, codec=codec)
+                assert capsule.form == FORM_ASCII
+                assert (capsule.codec, capsule.compressed_bytes) == (
+                    CODEC_ZLIB, zlib_size,
+                )
+                assert capsule.values() == values
+
+    def test_slow_presets_keep_the_full_trial(self, monkeypatch):
+        buf = "".join(_dense_values(1000)).encode()
+        zlib_payload = zlib.compress(buf, 6)
+        lzma_payload = _lzma_compress(buf, 9)
+        calls = _lzma_calls(monkeypatch)
+        for speed_tier, margin in ((False, 1.0), (True, ZLIB_MARGIN)):
+            codec, payload = _choose_codec(buf, 9, speed_tier)
+            assert calls == [len(buf)]
+            calls.clear()
+            if len(lzma_payload) < margin * len(zlib_payload):
+                assert (codec, payload) == (CODEC_LZMA, lzma_payload)
+            else:
+                assert (codec, payload) == (CODEC_ZLIB, zlib_payload)
+
+    def test_from_32k_tries_lzma_whatever_zlib_would_do(self, monkeypatch):
+        # No zlib probe at or above the window, so no ratio to gate on:
+        # LZMA runs at every preset, and is kept only where it shrinks.
+        buf = "".join(_dense_values(3000)).encode()  # 36 000 B
+        assert len(buf) >= LZMA_ONLY_FROM
+        calls = _lzma_calls(monkeypatch)
+        for preset in (1, 9):
+            codec, payload = _choose_codec(buf, preset)
+            assert calls == [len(buf)]
+            calls.clear()
+            assert codec == CODEC_LZMA and len(payload) < len(buf)
+        # The speed tier probes zlib up there too, and so is gated.
+        assert _choose_codec(buf, 1, speed_tier=True) == (
+            CODEC_ZLIB, zlib.compress(buf, 6),
+        )
+        assert calls == []
 
     def test_band_keeps_the_smaller_codec(self):
         counters = [f"{i:08d}" for i in range(3000)]  # 24 000 B, LZMA wins
@@ -366,6 +439,31 @@ class TestCodecRule:
                 capsule.compressed_bytes
             )
         assert len(medium.plain()) == 900 and medium.form == FORM_HEX
+
+    def test_trials_are_counted_by_outcome(self):
+        trials = get_registry().get("loggrep_capsule_lzma_trials_total")
+
+        def snapshot():
+            return {
+                outcome: trials.value(outcome=outcome)
+                for outcome in ("won", "lost", "skipped")
+            }
+
+        dense = "".join(_dense_values(1000)).encode()
+        cases = (
+            ("".join(f"{i:08d}" for i in range(3000)).encode(), False, "won"),
+            ("".join(_low_redundancy(1000)).encode(), False, "lost"),
+            (dense, False, "skipped"),
+            (dense, True, "skipped"),
+            (b"abcabcabc" * 100, False, None),  # under 2 KiB: no trial
+            (dense * 3, False, None),  # 36 000 B: no zlib probe
+        )
+        for buf, speed_tier, outcome in cases:
+            before = snapshot()
+            _choose_codec(buf, 1, speed_tier)
+            delta = {k: v - before[k] for k, v in snapshot().items()}
+            expected = {k: int(k == outcome) for k in delta}
+            assert delta == expected, (len(buf), outcome)
 
     def test_speed_tier_differs_only_by_margin(self):
         # At preset 6 LZMA beats zlib on this buffer, but by under 10 %:

@@ -12,7 +12,6 @@ from repro.runtime.classify import (
     duplication_rate,
 )
 from repro.runtime.merge import extract_nominal, sketch_of
-from repro.runtime.pattern import Const, SubVar
 from repro.runtime.treeexpand import TreeExpandConfig, extract_real_pattern
 
 

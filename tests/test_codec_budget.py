@@ -2,17 +2,24 @@
 
 Ingest cost must follow the bytes handled, not the number of Capsules or
 values.  Compressing one fixed 128 KiB block may construct an LZMA encoder
-only for buffers of 2 KiB or more (each one allocates and zeroes
-dictionary-sized match-finder tables), and may classify characters a
+(each one allocates and zeroes dictionary-sized match-finder tables) only
+for the buffers the codec rule admits to a trial: 2 KiB or more and, at
+the default preset, either 32 KiB or more or shrunk by zlib to at most
+``LZMA_TRIAL_ZLIB_RATIO`` of their length.  It may classify characters a
 handful of times per Capsule, not once per value.
 """
 
 import dataclasses
 import lzma
+import zlib
 
 from repro.blockstore.block import LogBlock
 from repro.capsule import capsule as capsule_module
-from repro.capsule.capsule import ZLIB_ONLY_BELOW
+from repro.capsule.capsule import (
+    LZMA_ONLY_FROM,
+    LZMA_TRIAL_ZLIB_RATIO,
+    ZLIB_ONLY_BELOW,
+)
 from repro.common import chartypes
 from repro.core.compressor import compress_block
 from repro.core.config import LogGrepConfig
@@ -59,6 +66,13 @@ def test_encoders_and_class_scans_follow_capsules_not_values(monkeypatch):
 
     large = sum(1 for buf, *_ in codec_calls if len(buf) >= ZLIB_ONLY_BELOW)
     assert 0 < large < capsules, "the block must have buffers on both sides"
-    assert len(encoders) <= large
+    admitted = sum(
+        1
+        for buf, *_ in codec_calls
+        if len(buf) >= LZMA_ONLY_FROM
+        or ZLIB_ONLY_BELOW <= len(buf)
+        and len(zlib.compress(buf, 6)) <= LZMA_TRIAL_ZLIB_RATIO * len(buf)
+    )
+    assert len(encoders) == admitted < large, "the gate must skip a trial here"
 
     assert len(class_scans) <= 2 * capsules

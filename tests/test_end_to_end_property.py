@@ -1,7 +1,6 @@
 """End-to-end property tests: random corpora, random-ish queries, every
 system must agree with the reference evaluator and round-trip exactly."""
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

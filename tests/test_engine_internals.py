@@ -1,8 +1,6 @@
 """Focused tests for query-engine internals: evaluation order, stats
 merging, and anchored locator corner cases."""
 
-import pytest
-
 from repro.capsule.stamp import CapsuleStamp
 from repro.query.language import parse_query
 from repro.query.locator import locate
