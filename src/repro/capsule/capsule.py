@@ -124,16 +124,26 @@ RAW_BELOW = 32
 ZLIB_ONLY_BELOW = 2 * 1024
 LZMA_ONLY_FROM = 32 * 1024
 
-#: LZMA trial gate: at liblzma's fast presets (0-3) a buffer zlib has
-#: already run on is tried with LZMA only when zlib shrank it to at most
-#: this share of its length.  Over the 37 specs at preset 1 (8 000 lines,
-#: 128 KiB blocks, spec seeds shifted by 0, 1 and 2) every band buffer LZMA
-#: wins has a zlib ratio of at most 0.729, so the gate skips 284 of 423
-#: trials and stores the same bytes; at 16 000 lines and 256 KiB blocks it
-#: grows five specs' archives by 231-685 B (0.27-0.97 %).  At preset 9
-#: LZMA wins band buffers up to a ratio of 0.849, so the slower presets
-#: keep the full trial.
-LZMA_TRIAL_ZLIB_RATIO = 0.75
+#: liblzma's fast presets (0-3: "fast" mode with hash-chain match
+#: finders; the default preset is 1).  Only these gate their LZMA trials.
+LZMA_FAST_PRESET_MAX = 3
+
+#: LZMA trial gate: at the fast presets a buffer zlib has already run on is
+#: tried with LZMA only when zlib shrank it to at most this share of its
+#: length.  The zlib ratio at which LZMA still wins a band buffer rises
+#: with the block size: over the 37 specs at preset 1 it is at most 0.729
+#: at 8 000 lines and 128 KiB blocks (spec seeds shifted by 0, 1 and 2),
+#: 0.845 at 16 000 lines and 256 KiB, 0.856 at 512 KiB and 0.859 at 2 MiB,
+#: the same at presets 0, 2 and 3.  So archives are byte-identical up to
+#: 256 KiB blocks, under either codec request, and only Log T grows beyond:
+#: 38 B (0.003 %) at 512 KiB, 1 611 B (0.036 %) at 2 MiB.  (A gate at 0.75,
+#: fitted to 128 KiB, cost up to 0.98 % at 256 KiB and 9.8 % at 512 KiB.)
+#: On the perfbench ``ingest-encode`` corpora (seed 11) it skips 44 of 87
+#: band trials, none of which LZMA wins: packed digit columns at ratios of
+#: 0.851-0.866 and packed hex that zlib cannot shrink.  At preset 9 LZMA
+#: wins band buffers up to a ratio of 0.849 at 128 KiB, so the slower
+#: presets keep the full trial.
+LZMA_TRIAL_ZLIB_RATIO = 0.85
 
 #: Speed-tier margin: with ``CodecRequest.SPEED`` zlib is kept when
 #: ``len(lzma) >= ZLIB_MARGIN * len(zlib)`` — i.e. LZMA shrinks the payload
@@ -680,6 +690,18 @@ def _pack_form(buf: bytes) -> Tuple[int, bytes]:
     return alphabet, binascii.unhexlify(text)
 
 
+def _lzma_trial_skipped(size: int, zlib_len: int, preset: int) -> bool:
+    """Whether the codec rule skips the LZMA trial on a buffer of *size*
+    bytes that zlib shrank to *zlib_len*: from :data:`ZLIB_ONLY_BELOW` up,
+    at the fast presets, where zlib left more than
+    :data:`LZMA_TRIAL_ZLIB_RATIO` of it."""
+    return (
+        size >= ZLIB_ONLY_BELOW
+        and preset <= LZMA_FAST_PRESET_MAX
+        and zlib_len > LZMA_TRIAL_ZLIB_RATIO * size
+    )
+
+
 def _choose_codec(
     buf: bytes, preset: int, speed_tier: bool = False
 ) -> Tuple[int, bytes]:
@@ -697,21 +719,21 @@ def _choose_codec(
     could not filter — and zlib is still tried above its window.
 
     Wherever zlib ran on a buffer of :data:`ZLIB_ONLY_BELOW` or more, at
-    presets 0-3 (liblzma's fast mode) LZMA is tried only if zlib's payload
-    is at most :data:`LZMA_TRIAL_ZLIB_RATIO` of the buffer; otherwise no
-    LZMA encoder is constructed.  Each such decision is counted in
+    the fast presets LZMA is tried only if zlib's payload is at most
+    :data:`LZMA_TRIAL_ZLIB_RATIO` of the buffer
+    (:func:`_lzma_trial_skipped`); otherwise no LZMA encoder is
+    constructed.  Each such decision is counted in
     ``loggrep_capsule_lzma_trials_total`` by outcome.
     """
     size = len(buf)
     codec, payload = CODEC_RAW, buf
     if size >= RAW_BELOW:
-        trial: Optional[str] = None  # where zlib ran first: the LZMA trial's outcome
-        if speed_tier or size < LZMA_ONLY_FROM:
+        zlib_first = speed_tier or size < LZMA_ONLY_FROM
+        gated = False
+        if zlib_first:
             codec, payload = CODEC_ZLIB, zlib.compress(buf, 6)
-            if size >= ZLIB_ONLY_BELOW:
-                gated = preset <= 3 and len(payload) > LZMA_TRIAL_ZLIB_RATIO * size
-                trial = "skipped" if gated else "lost"
-        if size >= ZLIB_ONLY_BELOW and trial != "skipped":
+            gated = _lzma_trial_skipped(size, len(payload), preset)
+        if size >= ZLIB_ONLY_BELOW and not gated:
             # The incumbent is zlib's payload, or the buffer itself where
             # zlib was not tried (then the margin is 1.0).
             lzma_payload = _lzma_compress(buf, preset)
@@ -720,6 +742,10 @@ def _choose_codec(
                 codec, payload = CODEC_LZMA, lzma_payload
         if len(payload) >= size:
             codec, payload = CODEC_RAW, buf
-        if trial is not None:
-            _LZMA_TRIALS.inc(outcome="won" if codec == CODEC_LZMA else trial)
+        if zlib_first and size >= ZLIB_ONLY_BELOW:
+            if gated:
+                outcome = "skipped"
+            else:
+                outcome = "won" if codec == CODEC_LZMA else "lost"
+            _LZMA_TRIALS.inc(outcome=outcome)
     return codec, payload

@@ -21,6 +21,7 @@ from repro.capsule.capsule import (
     FORM_HEX_UPPER,
     FORM_ODD,
     FORMS,
+    LZMA_FAST_PRESET_MAX,
     LZMA_ONLY_FROM,
     LZMA_TRIAL_ZLIB_RATIO,
     RAW_BELOW,
@@ -33,6 +34,7 @@ from repro.capsule.capsule import (
     _SPLIT_CHUNK,
     _choose_codec,
     _lzma_compress,
+    _lzma_trial_skipped,
     _pack_form,
 )
 from repro.capsule.assembler import PlainEncodedVector
@@ -264,13 +266,19 @@ def _low_redundancy(count, length=12, seed=7):
     ]
 
 
-def _dense_values(count, length=12, seed=5):
-    """Letters and digits at about six bits a character: zlib shrinks them
-    by less than a quarter, so they stay one character per byte and the
-    fast presets try no LZMA on them."""
+def _dense_hex(count, seed=5):
+    """Hex values of 14 random digits and a constant ``00``: packed two per
+    byte they are seven random bytes and a zero byte each, which zlib
+    shrinks by only about a twentieth, so the fast presets try no LZMA."""
     rng = random.Random(seed)
-    alphabet = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789+/"
-    return ["".join(rng.choices(alphabet, k=length)) for _ in range(count)]
+    return [
+        "".join(rng.choices("0123456789abcdef", k=14)) + "00" for _ in range(count)
+    ]
+
+
+def _dense_buffer(count):
+    """The stored (packed) bytes of ``_dense_hex(count)``: 8 B a value."""
+    return bytes.fromhex("".join(_dense_hex(count)))
 
 
 def _no_lzma_encoder(monkeypatch, why):
@@ -316,25 +324,27 @@ class TestCodecRule:
             assert capsule.compressed_bytes < 9 * 100
             assert capsule.values() == ["abcabcabc"] * 100
 
-    def test_band_skips_lzma_where_zlib_shrinks_under_a_quarter(self, monkeypatch):
-        values = _dense_values(1000)  # 12 000 B of ASCII
-        buf = "".join(values).encode()
+    def test_band_skips_lzma_where_zlib_ratio_rules_it_out(self, monkeypatch):
+        values = _dense_hex(1500)  # 24 000 hex digits, 12 000 B packed
+        buf = _dense_buffer(1500)
         assert ZLIB_ONLY_BELOW <= len(buf) < LZMA_ONLY_FROM
         zlib_size = len(zlib.compress(buf, 6))
         assert LZMA_TRIAL_ZLIB_RATIO * len(buf) < zlib_size < len(buf)
         _no_lzma_encoder(monkeypatch, "LZMA trial zlib's ratio rules out")
         for codec in (CodecRequest.SMALLEST, CodecRequest.SPEED):
-            for preset in (0, 1, 3):
+            for preset in range(LZMA_FAST_PRESET_MAX + 1):
+                assert _lzma_trial_skipped(len(buf), zlib_size, preset)
                 capsule = Capsule.pack_fixed(values, preset=preset, codec=codec)
-                assert capsule.form == FORM_ASCII
+                assert capsule.form == FORM_HEX
                 assert (capsule.codec, capsule.compressed_bytes) == (
                     CODEC_ZLIB, zlib_size,
                 )
                 assert capsule.values() == values
 
     def test_slow_presets_keep_the_full_trial(self, monkeypatch):
-        buf = "".join(_dense_values(1000)).encode()
+        buf = _dense_buffer(1500)
         zlib_payload = zlib.compress(buf, 6)
+        assert not _lzma_trial_skipped(len(buf), len(zlib_payload), 9)
         lzma_payload = _lzma_compress(buf, 9)
         calls = _lzma_calls(monkeypatch)
         for speed_tier, margin in ((False, 1.0), (True, ZLIB_MARGIN)):
@@ -349,7 +359,7 @@ class TestCodecRule:
     def test_from_32k_tries_lzma_whatever_zlib_would_do(self, monkeypatch):
         # No zlib probe at or above the window, so no ratio to gate on:
         # LZMA runs at every preset, and is kept only where it shrinks.
-        buf = "".join(_dense_values(3000)).encode()  # 36 000 B
+        buf = _dense_buffer(4500)  # 36 000 B
         assert len(buf) >= LZMA_ONLY_FROM
         calls = _lzma_calls(monkeypatch)
         for preset in (1, 9):
@@ -449,7 +459,7 @@ class TestCodecRule:
                 for outcome in ("won", "lost", "skipped")
             }
 
-        dense = "".join(_dense_values(1000)).encode()
+        dense = _dense_buffer(1500)
         cases = (
             ("".join(f"{i:08d}" for i in range(3000)).encode(), False, "won"),
             ("".join(_low_redundancy(1000)).encode(), False, "lost"),

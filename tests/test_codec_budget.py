@@ -5,8 +5,9 @@ values.  Compressing one fixed 128 KiB block may construct an LZMA encoder
 (each one allocates and zeroes dictionary-sized match-finder tables) only
 for the buffers the codec rule admits to a trial: 2 KiB or more and, at
 the default preset, either 32 KiB or more or shrunk by zlib to at most
-``LZMA_TRIAL_ZLIB_RATIO`` of their length.  It may classify characters a
-handful of times per Capsule, not once per value.
+``LZMA_TRIAL_ZLIB_RATIO`` of their length (``_lzma_trial_skipped``).  It
+may classify characters a handful of times per Capsule, not once per
+value.
 """
 
 import dataclasses
@@ -17,8 +18,8 @@ from repro.blockstore.block import LogBlock
 from repro.capsule import capsule as capsule_module
 from repro.capsule.capsule import (
     LZMA_ONLY_FROM,
-    LZMA_TRIAL_ZLIB_RATIO,
     ZLIB_ONLY_BELOW,
+    _lzma_trial_skipped,
 )
 from repro.common import chartypes
 from repro.core.compressor import compress_block
@@ -68,10 +69,10 @@ def test_encoders_and_class_scans_follow_capsules_not_values(monkeypatch):
     assert 0 < large < capsules, "the block must have buffers on both sides"
     admitted = sum(
         1
-        for buf, *_ in codec_calls
+        for buf, preset, *_ in codec_calls
         if len(buf) >= LZMA_ONLY_FROM
-        or ZLIB_ONLY_BELOW <= len(buf)
-        and len(zlib.compress(buf, 6)) <= LZMA_TRIAL_ZLIB_RATIO * len(buf)
+        or len(buf) >= ZLIB_ONLY_BELOW
+        and not _lzma_trial_skipped(len(buf), len(zlib.compress(buf, 6)), preset)
     )
     assert len(encoders) == admitted < large, "the gate must skip a trial here"
 
