@@ -19,14 +19,19 @@ Per block the index records:
   in any line of the block — the §5.1 stamp check hoisted to block
   granularity,
 * the block's line count and first line id,
-* the block's **wall-clock range** (min/max leading timestamp of its raw
-  lines): blocks are written in arrival order, so a
-  ``from_time``/``to_time`` query window prunes whole blocks before any
-  stamp check — zero store reads for out-of-window blocks.
+* the block's **wall-clock range** (min/max leading timestamp of its
+  lines), read off the parse's columns rather than the raw lines: a
+  constant date token 0 is checked once per group and its clock column
+  by C-speed ``min``/``max``
+  (:func:`~repro.common.timeparse.time_range`).  Blocks are written in
+  arrival order, so a ``from_time``/``to_time`` query window prunes
+  whole blocks before any stamp check — zero store reads for
+  out-of-window blocks.
 
 The sidecar lives outside the block namespace (an auxiliary blob, see
 :meth:`ArchiveStore.put_aux`), does not count toward stored bytes, and
-is rebuilt on the fly for archives that predate it.  Its summaries are
+is rebuilt on the fly, equal to the one a commit writes, for archives
+without a readable one.  Its summaries are
 derived data: a summary that disagrees with its block can only ever
 cause a missed prune or a rebuild — never a wrong query result, because
 pruning is validated against the same masks the engine enforces exactly.
@@ -43,29 +48,29 @@ answer without it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from operator import itemgetter
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..common import chartypes
 from ..common.binio import BinaryReader, BinaryWriter
 from ..common.errors import FormatError
+from ..common.timeparse import time_range
 from .block import parse_block_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a hard cycle)
     from ..capsule.box import CapsuleBox
+    from ..staticparse.parser import ParsedBlock
 
 #: Auxiliary-blob name of the serialized index within an archive.
 INDEX_AUX_NAME = "index.lgix"
 
 MAGIC = b"LGIX"
-#: The version written.  Version 2 is still read (see
-#: :meth:`BlockSummary.read`) and written back as 3 on the next save: a
-#: rebuild lists every stored name, a crashed rewrite's leftovers too,
-#: and a rewrite publishes through the sidecar.  A sidecar of any other
-#: version fails to parse and, being derived data, is rebuilt from the
-#: blocks.
+#: The one version read and written.  A sidecar of any other version
+#: fails to parse and, being derived data, is rebuilt from the blocks
+#: (:meth:`ArchiveIndex.build`), time ranges and live set included.
 VERSION = 3
-_READ_VERSIONS = (2, VERSION)
 
 #: Timestamps travel as non-negative varint milliseconds; a sentinel u8
 #: flag marks blocks with no parseable timestamps.
@@ -82,7 +87,7 @@ class BlockSummary:
     #: Union of the template-constant and vector-stamp masks: the
     #: character classes that can occur anywhere in the block.
     type_mask: int
-    #: Wall-clock range of the block's raw lines (epoch seconds); None
+    #: Wall-clock range of the block's lines (epoch seconds); None
     #: when no line had a parseable timestamp (the block is then never
     #: time-pruned).
     min_ts: Optional[float] = None
@@ -106,8 +111,11 @@ class BlockSummary:
 
     @classmethod
     def from_box(
-        cls, box: "CapsuleBox", lines: Optional[List[str]] = None
+        cls, box: "CapsuleBox", parsed: Optional["ParsedBlock"] = None
     ) -> "BlockSummary":
+        """The summary of *box*.  Its time range comes from *parsed*,
+        the parse it was encoded from, or else from the box's vectors
+        (those of template positions 0 and 1 at most are decoded)."""
         mask = 0
         for group in box.groups:
             for token in group.template.tokens:
@@ -115,12 +123,19 @@ class BlockSummary:
                     mask |= chartypes.type_mask(token)
             for stamp in group.stamps:
                 mask |= stamp[0]
-        min_ts: Optional[float] = None
-        max_ts: Optional[float] = None
-        if lines is not None:
-            from ..common.timeparse import time_range_of
+        if parsed is None:
+            from ..query.vectors import make_reader
 
-            min_ts, max_ts = time_range_of(lines)
+            min_ts, max_ts = time_range(
+                (g.template.tokens, g.num_entries,
+                 lambda k, g=g: make_reader(g.vectors[k]).values(None))
+                for g in box.groups
+            )
+        else:
+            min_ts, max_ts = time_range(
+                (g.template.tokens, g.num_entries, g.variable_vectors.__getitem__)
+                for g in parsed.groups
+            )
         return cls(
             box.block_id, box.first_line_id, box.num_lines, mask, min_ts, max_ts
         )
@@ -144,23 +159,11 @@ class BlockSummary:
             writer.write_u8(0)
 
     @classmethod
-    def read(
-        cls, reader: BinaryReader, version: int = VERSION
-    ) -> "BlockSummary":
+    def read(cls, reader: BinaryReader) -> "BlockSummary":
         block_id = reader.read_varint()
         first_line_id = reader.read_varint()
         num_lines = reader.read_varint()
         type_mask = reader.read_u8()
-        if version == 2:
-            # Skip v2's retired Bloom flag byte and its per-vector
-            # summaries (group, mask, longest value, rows).
-            if reader.read_u8():
-                raise FormatError("archive index: retired block Bloom filter")
-            for _ in range(reader.read_varint()):
-                reader.read_varint()  # group
-                reader.read_u8()  # mask
-                reader.read_varint()  # longest value
-                reader.read_varint()  # rows
         min_ts: Optional[float] = None
         max_ts: Optional[float] = None
         if reader.read_u8():
@@ -215,46 +218,82 @@ class ArchiveIndex:
         if len(data) < 5:
             raise FormatError("truncated archive index")
         version = data[4]
-        if version not in _READ_VERSIONS:
+        if version != VERSION:
             raise FormatError(
                 f"unsupported archive index version {version} "
-                f"(only versions 2 and {VERSION} are supported)"
+                f"(only version {VERSION} is supported)"
             )
         reader = BinaryReader(data[5:])
         index = cls()
         for _ in range(reader.read_varint()):
             name = reader.read_str()
-            index.add(name, BlockSummary.read(reader, version))
+            index.add(name, BlockSummary.read(reader))
         return index
 
     @classmethod
     def build(cls, store: object) -> "ArchiveIndex":
-        """Rebuild the index from the blocks of *store* (legacy archives).
+        """Rebuild the index from the blocks of *store*.
 
-        Pays one full read and decompression per block; every later
-        query then prunes for free.
+        Pays one read and one clock-vector decode per block; every later
+        query then prunes for free.  The index lists only the blocks
+        :func:`once_each` keeps, so a crashed rewrite's output, or a
+        block a rewrite replaced but did not delete, is never served
+        beside the block holding the same lines.
         """
         index = cls()
         index.summarize(store, store.names())  # type: ignore[attr-defined]
+        kept = once_each(index.blocks)
+        for name in list(index.blocks):
+            if name not in kept:
+                index.discard(name)
         return index
 
     def summarize(self, store: object, names: List[str]) -> bool:
-        """Add a summary, read from its block and the block's
-        reconstructed lines, for each of *names* the index lacks; True
-        when it added one.  A writer runs this over the live names
-        before it writes, so its ids continue after blocks another
-        writer committed without saving the sidecar."""
+        """Add a summary, read from its block, for each of *names* the
+        index lacks; True when it added one.  A writer runs this over
+        the live names before it writes, so its ids continue after
+        blocks another writer committed without saving the sidecar."""
         from ..capsule.box import CapsuleBox
-        from ..core.reconstructor import BlockReconstructor
 
         added = False
         for name in names:
             if name not in self.blocks:
                 box = CapsuleBox.deserialize(store.get(name))  # type: ignore[attr-defined]
-                lines = BlockReconstructor(box).all_lines()
-                self.add(name, BlockSummary.from_box(box, lines))
+                self.add(name, BlockSummary.from_box(box))
                 added = True
         return added
+
+
+#: A cover of blocks: ``((lines, -epochs), names)``, the names a linked
+#: list of ``(name, rest)`` pairs.
+_Cover = Tuple[Tuple[int, int], Optional[tuple]]
+
+
+def once_each(summaries: Dict[str, BlockSummary]) -> Set[str]:
+    """The names of the blocks a rebuilt index serves: of the sets of
+    blocks holding each line id at most once (by each block's
+    ``(first_line_id, num_lines)``), one covering the most lines, and
+    among those the one of the lowest epochs (the blocks a crashed
+    rewrite had not replaced yet).  A weighted interval schedule over
+    the blocks in order of their last line."""
+    spans = sorted(
+        (s.first_line_id + s.num_lines, s.first_line_id, s.num_lines, name)
+        for name, s in summaries.items()
+    )
+    ends = [span[0] for span in spans]
+    # best[j]: the best cover of spans[:j].
+    best: List[_Cover] = [((0, 0), None)]
+    for j, (_, first, lines, name) in enumerate(spans):
+        (covered, epochs), names = best[bisect_right(ends, first, 0, j)]
+        epoch = (parse_block_name(name) or (0, 0))[1]
+        take: _Cover = ((covered + lines, epochs - epoch), (name, names))
+        best.append(max(best[j], take, key=itemgetter(0)))
+    kept: Set[str] = set()
+    names = best[-1][1]
+    while names is not None:
+        kept.add(names[0])
+        names = names[1]
+    return kept
 
 
 def live_names(
@@ -297,8 +336,12 @@ def missing_names(
 
 
 def stored_live_names(store: object) -> List[str]:
-    """The live names of *store* under its stored sidecar."""
-    return live_names(store.names(), load_index(store))  # type: ignore[attr-defined]
+    """The live names of *store* under its stored sidecar or, without a
+    readable one, under the index a rebuild makes (not saved)."""
+    sidecar = load_index(store)
+    if sidecar is None:
+        sidecar = ArchiveIndex.build(store)
+    return live_names(store.names(), sidecar)  # type: ignore[attr-defined]
 
 
 def sync_index(

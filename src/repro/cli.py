@@ -562,6 +562,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "verify":
+        from .blockstore.index import stored_live_names
         from .capsule.box import CapsuleBox
         from .common.errors import ReproError
 
@@ -572,8 +573,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         missing = _lost_blocks(store)
         for name in missing:
             print(f"{name}: missing (listed by the prune index, not in the store)")
-        bad = len(missing)
-        for name in names:
+        # A block whose lines other blocks hold (a crashed rewrite's
+        # output, or a block a rewrite replaced) is not served.
+        try:
+            live = stored_live_names(store)
+        except ReproError:
+            live = names  # the unreadable block is reported below
+        left_out = [name for name in names if name not in live]
+        for name in left_out:
+            print(f"{name}: left out (other blocks hold its lines)")
+        bad = len(missing) + len(left_out)
+        for name in live:
             try:
                 problems = CapsuleBox.deserialize(store.get(name)).verify()
             except ReproError as exc:

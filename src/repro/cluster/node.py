@@ -31,7 +31,7 @@ from ..blockstore.block import LogBlock, block_name
 from ..blockstore.index import ArchiveIndex, BlockSummary
 from ..blockstore.store import ArchiveStore, MemoryStore
 from ..common.errors import ReproError
-from ..core.compressor import compress_block
+from ..core.compressor import encode_parsed, parse_block
 from ..core.config import LogGrepConfig
 from ..obs.metrics import get_registry
 from ..query.engine import GroupRows
@@ -120,9 +120,10 @@ class WorkerNode:
         and their summaries — out."""
         with self._serve():
             name = block_name(block.block_id)
-            box = compress_block(block, self.config)
+            parsed, _ = parse_block(block, self.config)
+            box = encode_parsed(block, parsed, self.config)
             data = box.serialize()
-            summary = BlockSummary.from_box(box, lines=block.lines)
+            summary = BlockSummary.from_box(box, parsed)
             self.store.put(name, data)
             self.index.add(name, summary)
             self.blocks_compressed += 1

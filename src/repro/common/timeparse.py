@@ -1,11 +1,11 @@
-"""Cheap wall-clock timestamp extraction from raw log lines.
+"""Cheap wall-clock timestamp extraction from log lines.
 
 LogGrep's logical clock is the line id, but real queries start with a
 wall-clock window ("errors between 09:00 and 09:05").  Blocks are written
 in arrival order, so a per-block [min, max] timestamp range is enough to
 prune whole blocks before any stamp check runs — the range is
-computed once at compress time from the raw lines (ROADMAP item 1
-groundwork) and travels in the prune-index sidecar.
+computed once per block from its parsed groups (:func:`time_range`) and
+travels in the prune-index sidecar.
 
 Extraction is deliberately conservative: only an anchored
 ``YYYY-MM-DD[ T]HH:MM:SS[.ffffff]`` prefix (the overwhelmingly common
@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import calendar
 import re
+from functools import partial
+from itertools import repeat
 from operator import methodcaller
-from typing import Iterable, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 #: Leap years 0004–9996: divisible by 4 and not a century, or by 400.
 _LEAP_YEAR = (
@@ -39,11 +41,18 @@ _DATE = (
     r"|02-(?:0[1-9]|1\d|2[0-8])"
     rf")|{_LEAP_YEAR}-02-29"
 )
+_CLOCK = r"((?:[01]\d|2[0-3]):[0-5]\d:[0-5]\d)"
+_FRACTION = r"(?:[.,](\d{1,6}))?"
 #: Groups: date ``YYYY-MM-DD``, clock ``HH:MM:SS``, fraction digits.
-_TS_RE = re.compile(
-    rf"({_DATE})[ T]((?:[01]\d|2[0-3]):[0-5]\d:[0-5]\d)(?:[.,](\d{{1,6}}))?"
-)
+_TS_RE = re.compile(rf"({_DATE})[ T]{_CLOCK}{_FRACTION}")
+_BARE_DATE_RE = re.compile(rf"(?:{_DATE})\Z")
+_CLOCK_RE = re.compile(_CLOCK + _FRACTION)
+_FRACTION_RE = re.compile(_FRACTION)
 _groups = methodcaller("groups", "")
+
+#: One group of a block: template tokens (None at a variable slot), row
+#: count, and its variable vectors by ordinal.
+GroupColumns = Tuple[Sequence[Optional[str]], int, Callable[[int], Sequence[str]]]
 
 
 def _epoch(date: str, clock: str, fraction: str) -> float:
@@ -65,16 +74,87 @@ def extract_timestamp(line: str) -> Optional[float]:
     return None if match is None else _epoch(*match.groups(""))
 
 
-def time_range_of(
-    lines: Iterable[str],
+def time_range(
+    groups: Iterable[GroupColumns],
 ) -> Tuple[Optional[float], Optional[float]]:
-    """(min, max) timestamp over *lines*; (None, None) when none parse."""
-    heads = list(map(_groups, filter(None, map(_TS_RE.match, lines))))
+    """(min, max) timestamp over the lines of a block's parsed *groups*,
+    read off their columns; (None, None) when none parse.
+
+    Tokens split on single spaces, so a head lies in token 0 or, after a
+    bare date, spans tokens 0 and 1.  A constant token 0 is checked
+    once; a column of heads takes C-speed ``min``/``max``
+    (:func:`_column_ends`); a per-row regex runs only where an extreme
+    is no valid head.
+    """
+    heads = [
+        head
+        for tokens, rows, column in groups
+        if rows
+        for head in _group_heads(tokens, column)
+    ]
     if not heads:
         return None, None
     # A missing fraction is "" and sorts first, as .0 should; digit
     # strings of unequal length order as the fractions they spell.
     return _epoch(*min(heads)), _epoch(*max(heads))
+
+
+def _group_heads(tokens, column) -> List[Tuple[str, ...]]:
+    """Heads of one group's lines, its least and greatest among them."""
+    first = tokens[0]
+    if first is None:
+        firsts = column(0)
+        heads = _column_ends(firsts, _TS_RE, 19)
+        if heads is None:
+            low, high = min(firsts), max(firsts)
+            # Every value shares a fifth character, and a head's is "-".
+            fifth = low[4:5] if low[:5] == high[:5] else "-"
+            heads = _heads(firsts) if fifth in ("", "-") else []
+        if len(tokens) > 1 and 10 in map(len, firsts):  # may be bare dates
+            seconds = column(1) if tokens[1] is None else repeat(tokens[1])
+            heads += _heads(f"{a} {b}" for a, b in zip(firsts, seconds) if len(a) == 10)
+        return heads
+    if not _BARE_DATE_RE.match(first):
+        return _heads([first])  # any head lies inside token 0
+    if len(tokens) < 2:
+        return []
+    if tokens[1] is not None:
+        return _heads([f"{first} {tokens[1]}"])
+    clocks = column(0)
+    ends = _column_ends(clocks, _CLOCK_RE, 8)
+    if ends is None:
+        ends = [m.groups("") for m in filter(None, map(_CLOCK_RE.match, clocks))]
+    return [(first, *end) for end in ends]
+
+
+def _column_ends(values, regex, width) -> Optional[List[Tuple[str, ...]]]:
+    """The least and greatest match groups of *regex*, whose matches
+    are *width* fixed characters and a fraction, over *values*; None
+    when the least or the greatest value does not match.
+
+    Past the fixed width, string order is not the heads' order (``,5``
+    sorts before ``.009``, and ``.x`` has fraction ``""``), so each
+    fraction is taken over the run of values sharing that extreme's
+    fixed-width prefix.
+    """
+    low, high = regex.match(min(values)), regex.match(max(values))
+    if low is None or high is None:
+        return None
+    least, most = low[0][:width], high[0][:width]
+    bound = least[:-1] + chr(ord(least[-1]) + 1)  # [least, bound): its run
+    fraction = partial(_fraction, width)
+    return [
+        low.groups()[:-1] + (min(map(fraction, filter(bound.__gt__, values))),),
+        high.groups()[:-1] + (max(map(fraction, filter(most.__le__, values))),),
+    ]
+
+
+def _heads(texts: Iterable[str]) -> List[Tuple[str, ...]]:
+    return list(map(_groups, filter(None, map(_TS_RE.match, texts))))
+
+
+def _fraction(width: int, value: str) -> str:
+    return _FRACTION_RE.match(value, width)[1] or ""
 
 
 def parse_time_arg(text: str) -> float:

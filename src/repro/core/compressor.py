@@ -10,9 +10,10 @@ The pipeline is split at the parse/encode boundary so the compression
 scheduler (:mod:`repro.core.schedule`) can keep :func:`parse_block`
 ordered — it mutates the cross-block template warm-start cache — while
 fanning the pure, CPU-bound :func:`encode_parsed` stage out to worker
-threads.  :func:`compress_block` composes the two stages
-serially and is the single-block entry point everything else (profiler,
-cluster nodes, tests) keeps using.
+threads.  :func:`compress_block` composes the two stages serially for
+callers that need no parse; a caller that writes the block's prune
+summary keeps the parse (``BlockSummary.from_box`` reads its time
+range off the parse's columns).
 """
 
 from __future__ import annotations

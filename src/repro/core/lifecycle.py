@@ -50,7 +50,7 @@ from ..capsule.box import CapsuleBox
 from ..cost.model import CostParameters
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
-from .compressor import compress_block
+from .compressor import encode_parsed, parse_block
 from .config import LogGrepConfig
 from .loggrep import LogGrep
 from .reconstructor import BlockReconstructor
@@ -386,10 +386,11 @@ class LifecycleManager:
         self, block: LogBlock, config: LogGrepConfig, epoch: int
     ) -> Tuple[str, BlockSummary]:
         """Compress *block* and write it under its new name."""
-        box = compress_block(block, config)
+        parsed, _ = parse_block(block, config)
+        box = encode_parsed(block, parsed, config)
         name = block_name(block.block_id, epoch)
         self.store.put(name, box.serialize())
-        return name, BlockSummary.from_box(box, lines=block.lines)
+        return name, BlockSummary.from_box(box, parsed)
 
     def _rewrite_warm(
         self, names: List[str], epoch: int

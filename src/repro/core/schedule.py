@@ -168,7 +168,7 @@ class CompressionScheduler:
         return self._pool
 
     def _encode_traced(
-        self, block: LogBlock, parsed: object, parent: Optional[Span]
+        self, block: LogBlock, parsed: ParsedBlock, parent: Optional[Span]
     ) -> EncodeResult:
         """The encode stage, inline (serial) or on a pool thread.
 
@@ -177,10 +177,10 @@ class CompressionScheduler:
         """
         tracer = get_tracer()
         start = time.perf_counter()
-        box = encode_parsed(block, parsed, self.config, parent=parent)  # type: ignore[arg-type]
+        box = encode_parsed(block, parsed, self.config, parent=parent)
         with tracer.span("serialize", parent=parent):
             data = box.serialize()
-        summary = BlockSummary.from_box(box, lines=block.lines)
+        summary = BlockSummary.from_box(box, parsed)
         return box, data, summary, time.perf_counter() - start
 
     # ------------------------------------------------------------------

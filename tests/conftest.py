@@ -6,7 +6,19 @@ import random
 
 import pytest
 
+from repro.common.timeparse import time_range
 from repro.core.config import LogGrepConfig
+from repro.staticparse import BlockParser
+
+
+def parsed_time_range(lines, seed: int = 0):
+    """The time range of a block of *lines* as a commit takes it: from
+    the groups of their parse."""
+    parsed = BlockParser(seed=seed).parse(lines)
+    return time_range(
+        (g.template.tokens, g.num_entries, g.variable_vectors.__getitem__)
+        for g in parsed.groups
+    )
 
 
 def make_mixed_lines(n: int = 600, seed: int = 42) -> list:

@@ -352,8 +352,8 @@ class TestPruneIndex:
 
     def test_rebuild_keeps_masks_and_time_ranges(self, tmp_path):
         """A rebuilt summary reads its mask off the skimmed boxes' stamps
-        and its time range off the block's reconstructed lines: it equals
-        the summary written at compress time."""
+        and its time range off each group's clock column: it equals the
+        summary written at compress time."""
         store = _compress_to(tmp_path, spec_by_name("Log A").generate(600))
         sidecar = store.get_aux(INDEX_AUX_NAME)
         store.delete_aux(INDEX_AUX_NAME)
@@ -451,10 +451,9 @@ def _as_lgix_v2(index, has_bloom=0):
 
 
 class TestOldFormatsRejected:
-    """LGCB v1 and v2 are typed errors.  An LGIX v2 sidecar is read as
-    is (a rebuild would lose its time ranges and live set) and written
-    back as v3; a v1 one, or a v2 entry with ``has_bloom`` set, is
-    rebuilt as v3."""
+    """LGCB v1 and v2 are typed errors.  An LGIX v1 or v2 sidecar is
+    unreadable and rebuilt as the committed v3: a rebuild keeps the
+    time ranges and the live set."""
 
     #: 13 bytes: magic, version 1, bloom_len u32 = 0, meta_len u32 = 0.
     V1_HEADER = b"LGCB\x01" + bytes(8)
@@ -519,36 +518,39 @@ class TestOldFormatsRejected:
         assert sorted(load_index(store).blocks) == store.names()
 
     def test_bloom_sidecar_rebuilt(self, tmp_path):
-        """A v2 entry with ``has_bloom`` set is unreadable, so the archive
-        rebuilds the sidecar from the blocks, as v3."""
+        """A v2 sidecar (here with ``has_bloom`` set) is unreadable, so
+        the archive rebuilds it from the blocks, as the committed v3."""
         lines = make_mixed_lines(400)
         store = _compress_to(tmp_path, lines)
         sidecar = store.get_aux(INDEX_AUX_NAME)
         store.put_aux(INDEX_AUX_NAME, _as_lgix_v2(load_index(store), has_bloom=1))
-        with pytest.raises(FormatError, match="Bloom"):
+        with pytest.raises(FormatError, match="version 2"):
             ArchiveIndex.deserialize(store.get_aux(INDEX_AUX_NAME))
         lg = _reopen(store)
         assert lg.grep("ERROR").lines == grep_lines("ERROR", lines)
         assert store.get_aux(INDEX_AUX_NAME) == sidecar
 
     def test_v2_sidecar_keeps_time_ranges_and_live_set(self, tmp_path):
-        """A v2 sidecar is read, not rebuilt: its time ranges survive, and
-        a rewrite's unpublished output it does not list stays hidden.
-        The next save writes it as v3."""
+        """A v2 sidecar is rebuilt from the blocks as ``LGIX\x03``, equal
+        to the committed one: its time ranges come back from the boxes'
+        clock columns, and a rewrite's unpublished output it did not
+        list stays hidden, because a rebuild keeps each line id once."""
         spec = spec_by_name("Log A")
         lines = spec.generate(600)
         store = _compress_to(tmp_path, lines)
+        sidecar = store.get_aux(INDEX_AUX_NAME)
         index = load_index(store)
         assert all(s.min_ts is not None for s in index.blocks.values())
         names = store.names()
         store.put(block_name(0, epoch=1), store.get(names[0]))
         v2 = _as_lgix_v2(index)
         store.put_aux(INDEX_AUX_NAME, v2)
-        assert ArchiveIndex.deserialize(v2).blocks == index.blocks
-        assert stored_live_names(store) == names
+        with pytest.raises(FormatError, match="version 2"):
+            ArchiveIndex.deserialize(v2)
         lg = _reopen(store)
         assert lg.grep(spec.query).lines == grep_lines(spec.query, lines)
-        assert store.get_aux(INDEX_AUX_NAME) == v2
+        assert store.get_aux(INDEX_AUX_NAME) == sidecar
+        assert stored_live_names(store) == names
         more = spec.generate(100)
         lg.compress(more)
         stored = store.get_aux(INDEX_AUX_NAME)

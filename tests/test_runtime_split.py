@@ -2,10 +2,11 @@
 
 ``RuntimePattern.split`` compiles the split rule into one regex and runs
 it once over a vector; the rule used to be a Python loop per value
-(``match``) whose results ``_encode_real`` transposed.  ``time_range_of``
-orders validated timestamp heads as strings and converts two of them; it
-used to convert every line.  Both loops are kept *here* as the
-references the compiled forms must equal.
+(``match``) whose results ``_encode_real`` transposed.  ``time_range``
+takes a block's range from its parsed columns, ordering validated
+timestamp heads as strings and converting two of them; it used to
+convert every raw line.  Both loops are kept *here* as the references
+the compiled forms must equal.
 """
 
 from __future__ import annotations
@@ -28,11 +29,7 @@ from repro.capsule import assembler
 from repro.capsule.assembler import EncodingOptions, encode_vector
 from repro.capsule.capsule import Capsule
 from repro.common.errors import CompressionError
-from repro.common.timeparse import (
-    extract_timestamp,
-    parse_time_arg,
-    time_range_of,
-)
+from repro.common.timeparse import extract_timestamp, parse_time_arg
 from repro.core.loggrep import LogGrep
 from repro.runtime.classify import VectorKind, classify
 from repro.runtime.pattern import (
@@ -43,6 +40,7 @@ from repro.runtime.pattern import (
 from repro.runtime.treeexpand import TreeExpandConfig, extract_real_pattern
 from repro.staticparse import BlockParser
 from repro.workloads import spec_by_name
+from tests.conftest import parsed_time_range
 
 
 # ----------------------------------------------------------------------
@@ -411,7 +409,7 @@ class TestTimeRange:
         ranged = 0
         for _ in range(3000):
             lines = [fuzzed_line(rng) for _ in range(rng.randrange(1, 25))]
-            got = time_range_of(lines)
+            got = parsed_time_range(lines)
             assert got == ref_time_range(lines), lines
             ranged += got != (None, None)
             for line in lines[:3]:
@@ -422,21 +420,21 @@ class TestTimeRange:
         for name in ("Log A", "Hdfs", "Healthapp"):
             spec = dataclasses.replace(spec_by_name(name), size_factor=1.0, seed=5)
             for block in split_lines(spec.generate(1500), 16 * 1024):
-                assert time_range_of(block.lines) == ref_time_range(block.lines)
+                assert parsed_time_range(block.lines) == ref_time_range(block.lines)
 
     def test_no_line_parses(self):
-        assert time_range_of([]) == (None, None)
-        assert time_range_of(["a", "", "2024-13-01 00:00:00 x"]) == (None, None)
+        assert parsed_time_range([]) == (None, None)
+        assert parsed_time_range(["a", "", "2024-13-01 00:00:00 x"]) == (None, None)
 
     def test_accepts_any_iterable(self):
         lines = ["2024-03-01 10:00:05.5 b", "2024-03-01 10:00:05,25 a"]
-        low, high = time_range_of(iter(lines))
+        low, high = parsed_time_range(lines)
         assert (low, high) == (ref_timestamp(lines[1]), ref_timestamp(lines[0]))
 
     def test_fraction_digit_strings_order_as_fractions(self):
         head = "2024-03-01 10:00:05"
         lines = [head + ".5", head + ".25", head, head + ".1234567", head + ".50"]
-        assert time_range_of(lines) == (ref_timestamp(head), ref_timestamp(head + ".5"))
+        assert parsed_time_range(lines) == (ref_timestamp(head), ref_timestamp(head + ".5"))
 
     def test_a_moment_the_calendar_lacks_is_no_timestamp(self):
         for head in (
@@ -448,7 +446,7 @@ class TestTimeRange:
             "2024-01-01 00:00:60",
         ):
             assert extract_timestamp(head) is None
-            assert time_range_of([head]) == (None, None)
+            assert parsed_time_range([head]) == (None, None)
         for head in ("2024-02-29 23:59:59", "2000-02-29 00:00:00", "0001-01-01 00:00:00"):
             assert extract_timestamp(head) == ref_timestamp(head) is not None
 

@@ -11,13 +11,10 @@ from repro.blockstore.remote import RemoteStore
 from repro.blockstore.store import MemoryStore
 from repro.capsule.box import CapsuleBox
 from repro.cluster import ClusterLogGrep
-from repro.common.timeparse import (
-    extract_timestamp,
-    parse_time_arg,
-    time_range_of,
-)
+from repro.common.timeparse import extract_timestamp, parse_time_arg
 from repro.core.config import LogGrepConfig
 from repro.core.loggrep import LogGrep
+from tests.conftest import parsed_time_range
 
 CONFIG = LogGrepConfig(block_bytes=4 * 1024)
 
@@ -60,10 +57,10 @@ class TestTimestampExtraction:
             "2024-03-01 09:00:00 early",
             "2024-03-01 11:30:00 late",
         ]
-        low, high = time_range_of(lines)
+        low, high = parsed_time_range(lines)
         assert low == extract_timestamp(lines[2])
         assert high == extract_timestamp(lines[3])
-        assert time_range_of(["a", "b"]) == (None, None)
+        assert parsed_time_range(["a", "b"]) == (None, None)
 
     def test_parse_time_arg(self):
         assert parse_time_arg("1700000000") == 1700000000.0
