@@ -1,22 +1,26 @@
-"""Where a CapsuleBox's bytes go: the metadata share of LGCB v3 boxes.
+"""Where a CapsuleBox's bytes go: the metadata share of LGCB v4 boxes.
 
-LGCB v3 stores the group of every line as one group-id column (a u8
-cell per line, u16 above 255 groups) and every Capsule record in one
-columnar Capsule table (24 bytes per Capsule), both inside the zlib'd
-metadata.  This check compresses the 37 specs at 128 KiB blocks and reads
-each stored box's layout (``CapsuleBox.layout``):
+LGCB v4 stores the group of every line as one group-id column (a u8
+cell per line, u16 above 255 groups), every Capsule record in one
+columnar Capsule table (24 bytes per Capsule) and one directory entry
+per vector record (its length, kind and Capsules, and a real vector's
+constant stamp), all inside the zlib'd metadata.  This check compresses
+the 37 specs at 128 KiB blocks and reads each stored box's layout
+(``CapsuleBox.layout``):
 
 * every archive decompresses to its input lines, and no box's group-id
   column is more than 2 bytes per line before zlib;
 * the geomean over the corpora of stored metadata ÷ box bytes is at most
   :data:`MAX_META_SHARE`, the value measured when v3 was introduced (the
-  same specs in LGCB v2 boxes measured 0.111; EXPERIMENTS.md §LGCB v3).
+  same specs in LGCB v2 boxes measured 0.111; EXPERIMENTS.md §LGCB v3);
+  the directory bytes and the in-process open cost per box (minimum of
+  :data:`OPEN_ROUNDS` rounds) are printed, not asserted.
 
-The same boxes check the two-phase open (``CapsuleBox.open`` skims the
-metadata and builds each vector record on first use): a skimmed box whose
-vectors are built in a shuffled order serializes to the stored bytes, and
-every stamp the skim reads off a record equals ``vector_stamp`` of the
-vector built from it.
+The same boxes check the two-phase open (``CapsuleBox.open`` reads the
+directory, not the records, and builds each vector record on first
+use): a box whose vectors are built in a shuffled order serializes to
+the stored bytes, and every stamp the open takes from the directory
+equals ``vector_stamp`` of the vector built from it.
 
 The prune-index sidecar (``.index.lgix``) is one more case: for every
 spec its bytes stay at most :data:`MAX_SIDECAR_SHARE` of the block bytes
@@ -26,7 +30,8 @@ range).  A sidecar rebuilt from the stored blocks, at 128 KiB and at
 rebuild reads each block's time range off its clock vector, and its
 seconds per block are printed.
 
-Sizes only, no timing is asserted: the result is deterministic.
+Sizes only, no timing is asserted: the asserted results are
+deterministic.
 """
 
 import random
@@ -47,6 +52,7 @@ BLOCK_BYTES = 128 * 1024
 MAX_COLUMN_BYTES_PER_LINE = 2
 MAX_META_SHARE = 0.080
 MAX_SIDECAR_SHARE = 0.010
+OPEN_ROUNDS = 40
 
 
 @pytest.fixture(scope="module")
@@ -71,11 +77,11 @@ def archives():
 
 @pytest.fixture(scope="module")
 def per_corpus(archives):
-    """``(name, boxes, lines, column B, table B, metadata B, box B)`` per
-    spec."""
+    """``(name, boxes, lines, column B, table B, directory B, open µs per
+    box, metadata B, box B)`` per spec."""
     rows = []
     for spec_name, lines, blobs, _ in archives:
-        column = table = meta = total = 0
+        column = table = directory = meta = total = 0
         for blob in blobs:
             layout = CapsuleBox.layout(blob)
             num_lines = CapsuleBox.deserialize(blob).num_lines
@@ -85,27 +91,49 @@ def per_corpus(archives):
             )
             column += layout.column_bytes
             table += layout.capsule_table_bytes
+            directory += layout.directory_bytes
             meta += layout.meta_bytes
             total += len(blob)
-        rows.append((spec_name, len(blobs), len(lines), column, table, meta, total))
+        rows.append((
+            spec_name, len(blobs), len(lines), column, table, directory,
+            _open_seconds(blobs) / len(blobs) * 1e6, meta, total,
+        ))
     return rows
+
+
+def _open_seconds(blobs):
+    """Seconds to open every box of *blobs*, the least of
+    :data:`OPEN_ROUNDS` rounds."""
+    best = float("inf")
+    for _ in range(OPEN_ROUNDS):
+        start = time.perf_counter()
+        for blob in blobs:
+            CapsuleBox.deserialize(blob)
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def test_metadata_share_of_the_box(per_corpus):
     print_banner(
         f"CapsuleBox bytes by section ({base_lines()} lines per spec, "
-        f"{BLOCK_BYTES // 1024} KiB blocks; column and table before zlib)"
+        f"{BLOCK_BYTES // 1024} KiB blocks; column, table and directory "
+        "before zlib; open µs per box, least of "
+        f"{OPEN_ROUNDS} rounds)"
     )
     print(
         format_table(
-            ["dataset", "boxes", "lines", "column B", "table B", "meta B", "box B",
-             "meta/box"],
+            ["dataset", "boxes", "lines", "column B", "table B", "dir B",
+             "open µs", "meta B", "box B", "meta/box"],
             [
-                [name, b, n, f"{c:,}", f"{t:,}", f"{m:,}", f"{s:,}", f"{m / s:.3f}"]
-                for name, b, n, c, t, m, s in per_corpus
+                [name, b, n, f"{c:,}", f"{t:,}", f"{d:,}", f"{o:.1f}", f"{m:,}",
+                 f"{s:,}", f"{m / s:.3f}"]
+                for name, b, n, c, t, d, o, m, s in per_corpus
             ],
         )
     )
+    boxes = sum(row[1] for row in per_corpus)
+    opened = sum(row[1] * row[6] for row in per_corpus) / boxes
+    print(f"open: {opened:.1f} µs per box over {boxes} boxes")
     share = geomean([m / s for *_, m, s in per_corpus])
     print(f"geomean metadata/box: {share:.4f} (bar {MAX_META_SHARE})")
     assert share <= MAX_META_SHARE
@@ -147,13 +175,13 @@ def test_vectors_built_in_any_order_reserialize_byte_for_byte(archives):
             assert box.serialize() == blob, spec_name
 
 
-def test_skim_stamps_are_the_built_vectors_stamps(archives):
+def test_directory_stamps_are_the_built_vectors_stamps(archives):
     for spec_name, _, blobs, _ in archives:
         for blob in blobs:
             box = CapsuleBox.deserialize(blob)
             for group in box.groups:
-                skimmed = list(group.stamps)
-                assert skimmed == [vector_stamp(v) for v in group.vectors], spec_name
+                stamps = list(group.stamps)
+                assert stamps == [vector_stamp(v) for v in group.vectors], spec_name
 
 
 @pytest.mark.parametrize("block_bytes", [BLOCK_BYTES, 4 * BLOCK_BYTES])

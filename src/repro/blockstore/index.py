@@ -57,6 +57,7 @@ from ..common import chartypes
 from ..common.binio import BinaryReader, BinaryWriter
 from ..common.errors import FormatError
 from ..common.timeparse import time_range
+from .blobsource import StoreBlobSource
 from .block import parse_block_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a hard cycle)
@@ -252,13 +253,15 @@ class ArchiveIndex:
         """Add a summary, read from its block, for each of *names* the
         index lacks; True when it added one.  A writer runs this over
         the live names before it writes, so its ids continue after
-        blocks another writer committed without saving the sidecar."""
+        blocks another writer committed without saving the sidecar.
+        Each block is opened with ranged reads: its metadata, and the
+        payloads of the vectors its time range reads."""
         from ..capsule.box import CapsuleBox
 
         added = False
         for name in names:
             if name not in self.blocks:
-                box = CapsuleBox.deserialize(store.get(name))  # type: ignore[attr-defined]
+                box = CapsuleBox.open(StoreBlobSource(store, name))
                 self.add(name, BlockSummary.from_box(box))
                 added = True
         return added

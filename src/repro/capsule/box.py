@@ -4,9 +4,9 @@ A CapsuleBox contains every Capsule of a block plus the metadata needed to
 query and reconstruct it: static patterns (templates), the group of every
 line, runtime patterns and Capsule stamps.
 
-Layout (LGCB v3)::
+Layout (LGCB v4)::
 
-    MAGIC "LGCB" | version u8 (=3) | flags u8 (=0) | header_len u16 (=16)
+    MAGIC "LGCB" | version u8 (=4) | flags u8 (=0) | header_len u16 (=16)
     | meta_len u32 | payload_len u32
     | zlib(meta) | payload blobs
 
@@ -19,30 +19,27 @@ detected before bytes are trusted.
 
 The metadata holds the block's **group-id column** — one u8 cell per line
 (u16 above 255 groups, u32 above 65 535) naming the group the line
-belongs to — in place of per-group line-id arrays: a group's entry count
-is the count of its id in the column, and its line ids are the positions
-of its id, found with one C-level pass over the column the first time
-that group's are read.  Every Capsule record sits in one columnar
-**Capsule table** at the end of the metadata, decoded with one
-``struct`` call; payload offsets are the prefix sums of the stored
-lengths.
+belongs to: a group's entry count is the count of its id, and its line
+ids are the positions of its id, found with one C-level pass the first
+time they are read.  Every template's tokens are one **template text**.
+A **directory** holds one entry per vector record — its length, a code
+naming its kind and the Capsules it owns, and a real vector's pattern
+constants' ``(mask, total length)`` — and the records follow it.  Every
+Capsule record sits in one columnar **Capsule table** at the end of the
+metadata; payload offsets are the prefix sums of its lengths.
 
-Opening a box *skims* its metadata (:func:`_skim_meta`): it decodes the
-header, the group-id column, each group's template and the Capsule table
-(kept as the raw fields of one ``struct`` call), and walks every vector
-record once to validate it against the table and the column and to note
-its offset, its Capsules and its vector stamp (:func:`vector_stamp`).
-A vector's objects — pattern, outlier rows, dictionary patterns and
-Capsules — are built on first use (:class:`_Skim`), so a query pays for
-the records it reads, and the stamp gate of Match needs none built.
-Nearly every varint and span length in the metadata is below 0x80, so
-those are read inline as one byte, and the varint and span helpers run
-only for multi-byte values; every span end is still checked against the
-buffer.
+Opening a box (:func:`_open_meta`) reads no record: the prefix, the
+column, the templates, the directory (one ``bytes`` slice per column
+when every varint is one byte, as nearly all are) and the table (one
+``struct`` call) are checked against each other, and each vector's
+stamp (:func:`vector_stamp`) is its directory pair combined with its
+Capsules' table stamps.  A vector's objects are built from its record on
+first use (:class:`_Skim`), which checks the record against its
+directory entry, so a query pays for the records it reads.
 
-Version 3 is the only version read or written; any other version byte
-(the retired 13-byte-header v1 and 32-byte-header v2 included) is a
-:class:`FormatError` naming the version found.
+Version 4 is the only version read or written; any other version byte
+(the retired v1, v2 and v3 included) is a :class:`FormatError` naming
+the version found.
 
 Capsule payloads live *outside* the zlib'd metadata, at the offsets the
 Capsule table implies.  Deserialized capsules are **lazy**: they hold
@@ -61,7 +58,8 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, compress
+from itertools import accumulate, compress, repeat
+from operator import and_, rshift
 from typing import (
     Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union,
     overload,
@@ -89,7 +87,7 @@ from .capsule import CODEC_NAMES, FORM_ASCII, FORMS, Capsule
 from .stamp import CapsuleStamp
 
 MAGIC = b"LGCB"
-VERSION = 3
+VERSION = 4
 
 #: ``MAGIC | version | flags | header_len | meta_len | payload_len``.
 _HEADER = struct.Struct("<4sBBHII")
@@ -107,6 +105,14 @@ _TABLE_CODES = "BIIBIBBII"
 
 #: Every codec byte a reader accepts: any codec nibble under a known form.
 _CODEC_BYTES = frozenset(codec | form << 4 for form in FORMS for codec in range(16))
+
+#: A directory code is ``owned << 2 | kind``: the Capsules the vector
+#: owns, and its kind — the ``ENC_*`` tag, or :data:`_OUTLIERS` for a
+#: real vector whose last Capsule holds its outliers.
+_OUTLIERS = 3
+#: The encoding tag of each kind, and the kind of each one-byte code.
+_TAGS = (ENC_REAL, ENC_NOMINAL, ENC_PLAIN, ENC_REAL)
+_KINDS = bytes(code & 3 for code in range(256))
 
 #: A group-id cell: the narrowest unsigned type whose all-ones value is
 #: not a group id (it marks an unassigned line while the column is built).
@@ -178,7 +184,7 @@ class GroupBox:
     box's group-id column (:func:`_positions`), found once, since a
     query needs them only for the groups it reconstructs.  Its
     ``vectors`` are built record by record on first use (see
-    :class:`_Skim`), and its ``stamps`` come from the skim.
+    :class:`_Skim`), and its ``stamps`` come from the box's directory.
     """
 
     __slots__ = (
@@ -230,8 +236,8 @@ class GroupBox:
 
     @property
     def stamps(self) -> Sequence[VectorStamp]:
-        """The :func:`vector_stamp` of each vector: read off the skim for
-        a decoded group, so no vector is built for it."""
+        """The :func:`vector_stamp` of each vector: read off the
+        directory for a decoded group, so no vector is built for it."""
         stamps = self._stamps
         if stamps is None:
             stamps = self._stamps = [vector_stamp(v) for v in self.vectors]
@@ -239,11 +245,24 @@ class GroupBox:
 
     def vector_tag(self, var_idx: int) -> int:
         """The encoding tag (``ENC_*``) of a vector, read off a decoded
-        group's skimmed record without building the vector."""
+        group's directory without building the vector."""
         vectors = self.vectors
         if isinstance(vectors, _Vectors):
             return vectors.tag(var_idx)
         return vectors[var_idx].tag
+
+    def patterns(self, var_idx: int) -> List[RuntimePattern]:
+        """The runtime patterns of a vector: a real vector's own, a
+        nominal vector's dictionary patterns, none for a plain one.  A
+        decoded group's are read off the vector's record, which builds
+        no vector."""
+        vectors = self.vectors
+        if isinstance(vectors, _Vectors):
+            return vectors.patterns(var_idx)
+        vector = vectors[var_idx]
+        if isinstance(vector, NominalEncodedVector):
+            return [dp.pattern for dp in vector.dict_patterns]
+        return [vector.pattern] if isinstance(vector, RealEncodedVector) else []
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupBox):
@@ -263,15 +282,16 @@ class GroupBox:
 class BoxLayout:
     """Where the bytes of one stored box go (``loggrep stats``).
 
-    ``meta_bytes`` is the stored (zlib'd) metadata section; the column
-    and the Capsule table are measured inside it before zlib, where each
-    has an exact size.
+    ``meta_bytes`` is the stored (zlib'd) metadata section; the column,
+    the Capsule table and the directory are measured inside it before
+    zlib, where each has an exact size.
     """
 
     meta_bytes: int
     meta_inflated_bytes: int
     column_bytes: int
     capsule_table_bytes: int
+    directory_bytes: int
     payload_bytes: int
 
 
@@ -323,6 +343,12 @@ class CapsuleBox:
                     f"group {group_idx}: a vector's row count is not the "
                     f"group's {len(line_ids)} entries"
                 )
+            slots = group.template.num_variables
+            if len(group.vectors) != slots:
+                raise FormatError(
+                    f"group {group_idx}: {len(group.vectors)} vectors for "
+                    f"{slots} variable slots"
+                )
             if line_ids and (
                 line_ids[0] < 0
                 or line_ids[-1] >= self.num_lines
@@ -343,7 +369,7 @@ class CapsuleBox:
         return bytes(column) if isinstance(column, bytearray) else column
 
     def serialize(self) -> bytes:
-        """Serialize the box (LGCB v3)."""
+        """Serialize the box (LGCB v4)."""
         capsules = list(self.capsules())
         writer = BinaryWriter()
         writer.write_varint(self.block_id)
@@ -353,11 +379,8 @@ class CapsuleBox:
         writer.write_varint(len(self.groups))
         writer.write_varint(len(capsules))
         writer.write_bytes(_little_endian(self._group_column()))
-        for group in self.groups:
-            _write_template(writer, group.template)
-            writer.write_varint(len(group.vectors))
-            for vector in group.vectors:
-                _write_vector(writer, vector)
+        _write_templates(writer, [group.template for group in self.groups])
+        _write_vectors(writer, [v for group in self.groups for v in group.vectors])
         payloads = [capsule.payload for capsule in capsules]
         _write_capsule_table(writer, capsules, payloads)
         meta = zlib.compress(writer.getvalue(), 6)
@@ -376,15 +399,16 @@ class CapsuleBox:
     def open(cls, source: BlobSource) -> "CapsuleBox":
         """Load a box through ranged reads: header + metadata only.
 
-        The metadata is skimmed (:func:`_skim_meta`): every vector record
-        is validated, but its objects are built on first use.  Capsule
-        payloads stay unfetched until first access; use :meth:`prefetch`
-        to batch the ones a plan will need.
+        The open reads the directory, not the records
+        (:func:`_open_meta`); each vector is built from its record, and
+        the record checked, on first use.  Capsule payloads stay
+        unfetched until first access; use :meth:`prefetch` to batch the
+        ones a plan will need.
         """
         toc = BoxTOC.read(source)
         meta = _inflate(source.read(toc.meta_off, toc.meta_len))
         try:
-            box = _skim_meta(meta, source, toc)
+            box = _open_meta(meta, source, toc)
         except _DECODER_FAULTS as exc:
             raise _format_error(exc) from exc
         box._source = source
@@ -396,14 +420,17 @@ class CapsuleBox:
         toc = BoxTOC.read(BytesBlobSource(data, "<box>"))
         meta = _inflate(data[toc.meta_off : toc.meta_off + toc.meta_len])
         try:
-            prefix = _MetaPrefix.read(meta)
-        except (IndexError, struct.error) as exc:
-            raise FormatError(_TRUNCATED) from exc
+            head = _MetaPrefix.read(meta)
+            templates, start = _templates_at(meta, head)
+            directory = _directory_at(meta, start, templates)
+        except _DECODER_FAULTS as exc:
+            raise _format_error(exc) from exc
         return BoxLayout(
             meta_bytes=toc.meta_len,
             meta_inflated_bytes=len(meta),
-            column_bytes=prefix.column_end - prefix.column_start,
-            capsule_table_bytes=_table_struct(prefix.num_capsules).size,
+            column_bytes=head.column_end - head.column_start,
+            capsule_table_bytes=_table_struct(head.num_capsules).size,
+            directory_bytes=directory.end - start,
             payload_bytes=toc.payload_len,
         )
 
@@ -544,8 +571,8 @@ def vector_stamp(vector: EncodedVector) -> VectorStamp:
     nominal vector is a dictionary entry, so the dictionary Capsule's
     stamp covers it, and a plain vector's Capsule is its stamp.  A
     literal fragment whose classes or length fall outside this stamp
-    occurs in no value: the Locator would reject every Capsule.
-    :func:`_skim_meta` computes the same triple from the stored record.
+    occurs in no value: the Locator would reject every Capsule.  A box
+    open computes the same triple from its directory.
     """
     if isinstance(vector, RealEncodedVector):
         mask = length = 0
@@ -623,34 +650,56 @@ def _write_capsule_table(
 # ----------------------------------------------------------------------
 # templates and encoded vectors
 # ----------------------------------------------------------------------
-def _write_template(writer: BinaryWriter, template: Template) -> None:
-    writer.write_varint(template.template_id)
-    writer.write_varint(len(template.tokens))
-    for token in template.tokens:
-        if token is None:
-            writer.write_u8(1)
-        else:
-            writer.write_u8(0)
-            writer.write_str(token)
+def _markers(first: int) -> Tuple[str, str, str]:
+    """The template text's token separator, template separator and
+    variable-slot token: the code points *first* to ``first + 2``."""
+    return chr(first), chr(first + 1), chr(first + 2)
 
 
-def _write_vector(writer: BinaryWriter, vector: EncodedVector) -> None:
-    """A vector record; its Capsules are rows of the Capsule table."""
-    writer.write_u8(vector.tag)
+def _write_templates(writer: BinaryWriter, templates: Sequence[Template]) -> None:
+    """The templates: the first marker code point (:func:`_markers`), the
+    template ids, then every template's tokens as one text.  The writer
+    takes the lowest markers that no constant token holds, so the text
+    splits back exactly."""
+    chars = set("".join(token for t in templates for token in t.tokens if token))
+    first = 0
+    while not chars.isdisjoint(_markers(first)):
+        first += 1
+    separator, group_separator, slot = _markers(first)
+    texts = []
+    for template in templates:
+        if not template.tokens:
+            raise FormatError(f"template {template.template_id} has no tokens")
+        texts.append(separator.join(
+            slot if token is None else token for token in template.tokens
+        ))
+    writer.write_varint(first)
+    for template in templates:
+        writer.write_varint(template.template_id)
+    writer.write_str(group_separator.join(texts))
+
+
+def _vector_entry(vector: EncodedVector) -> Tuple[bytes, int, Optional[Tuple[int, int]]]:
+    """The record of *vector*, its directory code and, for a real
+    vector, its pattern constants' ``(mask, total length)``.  A record
+    holds only what the directory, the Capsule table and the group-id
+    column do not: no tag, no row count, no Capsule count."""
+    writer = BinaryWriter()
     if isinstance(vector, RealEncodedVector):
         vector.pattern.write(writer)
-        writer.write_varint(len(vector.subvar_capsules))
+        owned, kind = len(vector.subvar_capsules), ENC_REAL
         if vector.outlier_capsule is not None:
-            writer.write_u8(1)
-            # Strictly increasing, so deltas are tiny and the u32 array's
-            # zero-heavy bytes vanish under the metadata zlib pass.
-            writer.write_u32_array(
-                [b - a for a, b in zip([0, *vector.outlier_rows], vector.outlier_rows)]
+            # The record ends with the outlier rows: strictly increasing,
+            # so deltas are tiny and the u32 array's zero-heavy bytes
+            # vanish under the metadata zlib pass.
+            rows = vector.outlier_rows
+            writer.write_raw(
+                array("I", [b - a for a, b in zip([0, *rows], rows)]).tobytes()
             )
-        else:
-            writer.write_u8(0)
-        writer.write_varint(vector.num_rows)
-    elif isinstance(vector, NominalEncodedVector):
+            owned, kind = owned + 1, _OUTLIERS
+        text = vector.pattern.constant_text()
+        return writer.getvalue(), owned << 2 | kind, (fragment_mask(text), len(text))
+    if isinstance(vector, NominalEncodedVector):
         writer.write_varint(len(vector.dict_patterns))
         for dp in vector.dict_patterns:
             dp.pattern.write(writer)
@@ -659,12 +708,25 @@ def _write_vector(writer: BinaryWriter, vector: EncodedVector) -> None:
             writer.write_u32_list(dp.subvar_masks)
             writer.write_u32_list(dp.subvar_maxlens)
         writer.write_varint(vector.index_width)
-        writer.write_varint(vector.num_rows)
         writer.write_varint(vector.dict_size)
-    elif isinstance(vector, PlainEncodedVector):
-        writer.write_varint(vector.num_rows)
-    else:  # pragma: no cover - exhaustive over EncodedVector
-        raise FormatError(f"unknown vector type {type(vector)!r}")
+        return writer.getvalue(), 2 << 2 | ENC_NOMINAL, None
+    if isinstance(vector, PlainEncodedVector):
+        return b"", 1 << 2 | ENC_PLAIN, None
+    raise FormatError(f"unknown vector type {type(vector)!r}")  # pragma: no cover
+
+
+def _write_vectors(writer: BinaryWriter, vectors: Sequence[EncodedVector]) -> None:
+    """The directory — four columns: each vector's code and record
+    length, then each real vector's constant mask (one byte) and
+    constant length — and then the records."""
+    records, codes, consts = zip(*map(_vector_entry, vectors)) if vectors else ((),) * 3
+    real = [const for const in consts if const is not None]
+    for value in (*codes, *map(len, records)):
+        writer.write_varint(value)
+    writer.write_raw(bytes(mask for mask, _ in real))
+    for _, length in real:
+        writer.write_varint(length)
+    writer.write_raw(b"".join(records))
 
 
 # ----------------------------------------------------------------------
@@ -699,16 +761,8 @@ class _MetaPrefix(NamedTuple):
         first_line_id, pos = _varint(data, pos)
         num_lines, pos = _varint(data, pos)
         padded = data[pos] == 1
-        num_groups = data[pos + 1]
-        if num_groups < 0x80:
-            pos += 2
-        else:
-            num_groups, pos = _varint(data, pos + 1)
-        num_capsules = data[pos]
-        if num_capsules < 0x80:
-            pos += 1
-        else:
-            num_capsules, pos = _varint(data, pos)
+        num_groups, pos = _varint(data, pos + 1)
+        num_capsules, pos = _varint(data, pos)
         start, end = _span(data, pos)
         return cls(
             block_id, first_line_id, num_lines, padded, num_groups,
@@ -716,33 +770,95 @@ class _MetaPrefix(NamedTuple):
         )
 
 
-def _skim_meta(data: bytes, source: BlobSource, toc: BoxTOC) -> CapsuleBox:
-    """Open a box from its inflated LGCB v3 metadata, building no vector.
+def _templates_at(data: bytes, head: _MetaPrefix) -> Tuple[List[Template], int]:
+    """The templates after the group-id column, and where they end: one
+    ``decode``, then per template one ``split`` and one ``list.index``
+    per variable slot, so no Python step runs per token.  A marker past
+    the last code point, or inside a token, raises ``ValueError``."""
+    first, pos = _varint(data, head.column_end)
+    ids, pos = _varints(data, pos, head.num_groups)
+    start, pos = _span(data, pos)
+    separator, group_separator, slot = _markers(first)
+    text = data[start:pos].decode()
+    texts = text.split(group_separator) if text or head.num_groups else []
+    if len(texts) != head.num_groups:
+        raise FormatError(f"{len(texts)} templates for {head.num_groups} groups")
+    templates = []
+    for template_id, part in zip(ids, texts):
+        tokens = part.split(separator)
+        positions = []
+        index = -1
+        for _ in range(part.count(slot)):
+            index = tokens.index(slot, index + 1)
+            tokens[index] = None
+            positions.append(index)
+        templates.append(Template(template_id, tokens, positions))
+    return templates, pos
 
-    The skim decodes the prefix, the group-id column, each group's
-    template and the Capsule table (one ``struct`` call, kept as raw
-    rows), then walks every vector record once: it checks the record
-    against the table and the column exactly as a full decode would, and
-    keeps the record's offset, its first Capsule and its
-    :func:`vector_stamp`, all read off the record and the table.  The
-    vector's objects are built by :class:`_Skim` on first use.
 
-    The read state is a local ``(data, pos)``: a u8 is one index, and so
-    is a varint or a span length below 0x80 — nearly every one in a box —
-    read inline, with :func:`_varint` / :func:`_span` called only for a
-    multi-byte value.  Every span end is checked against the buffer,
-    inline or not.  Nothing here bounds-checks a single-byte read: past
-    the end it raises ``IndexError`` (``struct.error`` for a fixed-width
-    field), which :meth:`CapsuleBox.open` reports as a
-    :class:`FormatError`.
+class _Directory(NamedTuple):
+    """The directory's columns (:func:`_write_vectors`), each vector's
+    kind, and where the directory ends."""
+
+    codes: Sequence[int]
+    kinds: bytes
+    lengths: Sequence[int]
+    const_masks: bytes
+    const_lengths: Sequence[int]
+    end: int
+
+
+def _directory_at(data: bytes, pos: int, templates: Sequence[Template]) -> _Directory:
+    """The directory at *pos*: one entry per variable slot of
+    *templates*, each of a known code."""
+    num_vectors = sum(template.num_variables for template in templates)
+    codes, pos = _varints(data, pos, num_vectors)
+    lengths, pos = _varints(data, pos, num_vectors)
+    if isinstance(codes, bytes):
+        kinds = codes.translate(_KINDS)
+    else:  # a code of two or more bytes
+        kinds = bytes(map(and_, codes, repeat(3)))
+    # A nominal vector owns 2 Capsules, a plain one 1, and a real one
+    # with outliers at least its outlier Capsule.
+    if (
+        codes.count(2 << 2 | ENC_NOMINAL) != kinds.count(ENC_NOMINAL)
+        or codes.count(1 << 2 | ENC_PLAIN) != kinds.count(ENC_PLAIN)
+        or _OUTLIERS in codes
+    ):
+        raise FormatError("unknown encoded-vector code in the directory")
+    num_real = kinds.count(ENC_REAL) + kinds.count(_OUTLIERS)
+    const_masks = data[pos : pos + num_real]
+    if len(const_masks) != num_real:
+        raise FormatError(_TRUNCATED)
+    const_lengths, pos = _varints(data, pos + num_real, num_real)
+    return _Directory(codes, kinds, lengths, const_masks, const_lengths, pos)
+
+
+def _open_meta(data: bytes, source: BlobSource, toc: BoxTOC) -> CapsuleBox:
+    """Open a box from its inflated LGCB v4 metadata, reading no record.
+
+    The directory is checked against the table (its Capsules), the
+    templates (a vector per variable slot) and the record section (the
+    lengths), and each vector's :func:`vector_stamp` is its directory
+    pair combined with its Capsules' table stamps.  Nothing here
+    bounds-checks a single-byte read: past the end it raises
+    ``IndexError`` (``struct.error`` for a fixed-width field), which
+    :meth:`CapsuleBox.open` reports as a :class:`FormatError`.
     """
     head = _MetaPrefix.read(data)
     column, counts = _column_at(data, head)
+    templates, pos = _templates_at(data, head)
+    directory = _directory_at(data, pos, templates)
     n = head.num_capsules
     table = _table_struct(n)
     table_off = len(data) - table.size
-    if table_off < head.column_end:
-        raise FormatError(_TRUNCATED)
+    records = list(accumulate(directory.lengths, initial=directory.end))
+    if records[-1] != table_off:
+        raise FormatError(
+            f"CapsuleBox directory: record lengths sum to "
+            f"{records[-1] - directory.end}, the record section holds "
+            f"{table_off - directory.end}"
+        )
     fields = table.unpack_from(data, table_off)
     columns = [fields[i * n : (i + 1) * n] for i in range(len(_TABLE_CODES))]
     _, _, _, masks, max_lens, codecs, _, lengths, _ = columns
@@ -758,165 +874,47 @@ def _skim_meta(data: bytes, source: BlobSource, toc: BoxTOC) -> CapsuleBox:
     if not _CODEC_BYTES.issuperset(codecs):
         form = next(c >> 4 for c in codecs if c not in _CODEC_BYTES)
         raise FormatError(f"unknown capsule form {form}")
-    records: List[int] = []
-    firsts: List[int] = []
+    firsts = list(accumulate(map(rshift, directory.codes, repeat(2)), initial=0))
+    if firsts[-1] != n:
+        raise FormatError(
+            f"CapsuleBox directory: the vectors own {firsts[-1]} Capsules, "
+            f"the Capsule table holds {n}"
+        )
     stamps: List[VectorStamp] = []
-    consts: Dict[bytes, Tuple[int, int]] = {}
-    skim = _Skim(data, list(zip(*columns, offsets)), source, records, firsts)
-    end = len(data)
-    pos = head.column_end
-    taken = 0
+    consts = zip(directory.const_masks, directory.const_lengths)
+    first = 0
+    for kind, stop in zip(directory.kinds, firsts[1:]):
+        if kind == ENC_NOMINAL or kind == ENC_PLAIN:
+            stamps.append((masks[first], max_lens[first], stop - first))
+        else:
+            mask, length = next(consts)
+            end = stop - (kind == _OUTLIERS)
+            for capsule in range(first, end):
+                mask |= masks[capsule]
+                length += max_lens[capsule]
+            if end < stop:
+                mask |= masks[end]
+                length = max(length, max_lens[end])
+            stamps.append((mask, length, stop - first))
+        first = stop
+    rows: List[int] = []
+    skim = _Skim(
+        data, list(zip(*columns, offsets)), source, records, firsts,
+        directory.kinds, rows,
+    )
     groups: List[GroupBox] = []
-    for group_idx in range(head.num_groups):
-        template_id = data[pos]
-        if template_id < 0x80:
-            pos += 1
-        else:
-            template_id, pos = _varint(data, pos)
-        num_tokens = data[pos]
-        if num_tokens < 0x80:
-            pos += 1
-        else:
-            num_tokens, pos = _varint(data, pos)
-        tokens: List[Optional[str]] = []
-        for _ in range(num_tokens):
-            if data[pos] == 1:
-                pos += 1
-                tokens.append(None)
-                continue
-            length = data[pos + 1]
-            if length < 0x80:
-                start = pos + 2
-                pos = start + length
-                if pos > end:
-                    raise FormatError(_TRUNCATED)
-            else:
-                start, pos = _span(data, pos + 1)
-            tokens.append(data[start:pos].decode())
-        num_vectors = data[pos]
-        if num_vectors < 0x80:
-            pos += 1
-        else:
-            num_vectors, pos = _varint(data, pos)
-        count_here = counts[group_idx]
-        low = len(records)
-        for _ in range(num_vectors):
-            records.append(pos)
-            firsts.append(taken)
-            tag = data[pos]
-            pos += 1
-            stamp: VectorStamp
-            if tag == ENC_REAL:
-                # The pattern, read for its stamp: its constants' classes
-                # and lengths here, its sub-variables' below, once their
-                # count is known.
-                mask = length = 0
-                subvars = []
-                num_elements = data[pos]
-                if num_elements < 0x80:
-                    pos += 1
-                else:
-                    num_elements, pos = _varint(data, pos)
-                for _ in range(num_elements):
-                    value = data[pos + 1]
-                    if value < 0x80:
-                        kind = data[pos]
-                        pos += 2
-                    else:
-                        kind = data[pos]
-                        value, pos = _varint(data, pos + 1)
-                    if kind:
-                        subvars.append(value)
-                        continue
-                    start = pos
-                    pos += value
-                    if pos > end:
-                        raise FormatError(_TRUNCATED)
-                    raw = data[start:pos]
-                    const = consts.get(raw)
-                    if const is None:
-                        text = raw.decode()
-                        const = consts[raw] = (fragment_mask(text), len(text))
-                    mask |= const[0]
-                    length += const[1]
-                num_subvars = data[pos]
-                if num_subvars < 0x80:
-                    pos += 1
-                else:
-                    num_subvars, pos = _varint(data, pos)
-                first = taken
-                taken += num_subvars
-                pos += 1
-                outlier = data[pos - 1] == 1
-                if outlier:
-                    start, pos = _span(data, pos)
-                    if (pos - start) % 4:
-                        raise FormatError(
-                            "outlier-row array is not a whole number of u32s"
-                        )
-                    taken += 1
-                num_rows = data[pos]
-                if num_rows < 0x80:
-                    pos += 1
-                else:
-                    num_rows, pos = _varint(data, pos)
-                for index in subvars:
-                    if index < num_subvars:
-                        mask |= masks[first + index]
-                        length += max_lens[first + index]
-                    elif num_rows:  # an empty vector stores no sub-variable
-                        raise FormatError(
-                            f"a runtime pattern names sub-variable {index} "
-                            f"of a vector of {num_subvars}"
-                        )
-                if outlier:
-                    mask |= masks[taken - 1]
-                    length = max(length, max_lens[taken - 1])
-                stamp = (mask, length, taken - first)
-            elif tag == ENC_NOMINAL:
-                # Dictionary patterns, counts, widths and sub-variable
-                # stamps are passed over: the vector's stamp is its
-                # dictionary Capsule's.
-                num_patterns, pos = _varint(data, pos)
-                for _ in range(num_patterns):
-                    pos = _skip_pattern(data, pos)
-                    pos = _skip_varints(data, pos, 2)  # count, width
-                    pos = _skip_list(data, pos)  # sub-variable masks
-                    pos = _skip_list(data, pos)  # sub-variable max lengths
-                pos = _skip_varints(data, pos, 1)  # index width
-                num_rows, pos = _varint(data, pos)
-                pos = _skip_varints(data, pos, 1)  # dictionary size
-                stamp = (masks[taken], max_lens[taken], 2)
-                taken += 2
-            elif tag == ENC_PLAIN:
-                num_rows = data[pos]
-                if num_rows < 0x80:
-                    pos += 1
-                else:
-                    num_rows, pos = _varint(data, pos)
-                stamp = (masks[taken], max_lens[taken], 1)
-                taken += 1
-            else:
-                raise FormatError(f"unknown encoded-vector tag {tag}")
-            if num_rows != count_here:
-                raise FormatError(
-                    f"group {group_idx}: a vector holds {num_rows} rows, "
-                    f"the group-id column {count_here}"
-                )
-            stamps.append(stamp)
+    start = 0
+    for group_idx, template in enumerate(templates):
+        stop = start + template.num_variables
+        count = counts[group_idx]
+        rows += [count] * (stop - start)
         groups.append(
             GroupBox._decoded(
-                Template(template_id, tokens),
-                _Vectors(skim, low, len(records)),
-                column, group_idx, count_here, stamps[low:],
+                template, _Vectors(skim, start, stop), column, group_idx, count,
+                stamps[start:stop],
             )
         )
-    if pos != table_off or taken != n:
-        raise FormatError(
-            "CapsuleBox metadata: the vector records and the Capsule "
-            "table disagree"
-        )
-    firsts.append(taken)
+        start = stop
     box = CapsuleBox(
         head.block_id, head.first_line_id, head.num_lines, head.padded, groups
     )
@@ -925,10 +923,10 @@ def _skim_meta(data: bytes, source: BlobSource, toc: BoxTOC) -> CapsuleBox:
 
 
 class _Skim:
-    """What a box open keeps of the metadata to build vectors later: the
-    inflated bytes, the Capsule table's rows (each with its payload
-    offset), and per vector record its offset and first Capsule (the
-    Capsules of record *k* are ``firsts[k]`` up to ``firsts[k + 1]``).
+    """What a box open keeps to build vectors later: the inflated
+    metadata, the Capsule table's rows (each with its payload offset),
+    and per record its offset, first Capsule (record *k* owns
+    ``firsts[k]`` up to ``firsts[k + 1]``), kind and row count.
 
     A record is built — its pattern objects, outlier rows, dictionary
     patterns and Capsules — by :meth:`build` or :meth:`vectors` and
@@ -937,8 +935,8 @@ class _Skim:
     its publisher counts it.
     """
 
-    __slots__ = ("data", "table", "source", "records", "firsts", "built",
-                 "consts")
+    __slots__ = ("data", "table", "source", "records", "firsts", "kinds",
+                 "rows", "built", "consts")
 
     def __init__(
         self,
@@ -947,12 +945,16 @@ class _Skim:
         source: BlobSource,
         records: List[int],
         firsts: List[int],
+        kinds: bytes,
+        rows: List[int],
     ):
         self.data = data
         self.table = table
         self.source = source
         self.records = records
         self.firsts = firsts
+        self.kinds = kinds
+        self.rows = rows
         self.built: Dict[int, EncodedVector] = {}
         # The box's pattern constants by stored bytes: one object serves
         # every repeat, as in _pattern_at.
@@ -992,10 +994,11 @@ class _Skim:
         return vector, vector is made
 
     def _build(self, k: int) -> EncodedVector:
-        """The vector of record *k*, whose structure the skim checked: a
-        count it also has (Capsules, rows) is skipped, not decoded."""
+        """The vector of record *k*.  Its fields must end where the
+        directory says the record does, and a real one may name no
+        sub-variable it does not store."""
         data = self.data
-        pos = self.records[k] + 1
+        start, end = self.records[k], self.records[k + 1]
         source = self.source
         stored = Capsule.stored
         capsules = [
@@ -1006,44 +1009,58 @@ class _Skim:
             for layout, width, count, mask, max_len, codec, preset, length, crc, offset
             in self.table[self.firsts[k] : self.firsts[k + 1]]
         ]
-        tag = data[pos - 1]
-        if tag == ENC_REAL:
-            pattern, pos = _pattern_at(data, pos, self.consts)
-            while data[pos] >= 0x80:  # the sub-variable count
-                pos += 1
-            if data[pos + 1] == 1:
-                deltas, pos = _deltas_at(data, pos + 2)
-                outlier: Optional[Capsule] = capsules.pop()
-                outlier_rows = list(accumulate(deltas))
-            else:
-                pos += 2
-                outlier = None
-                outlier_rows = []
-            num_rows = data[pos]
-            return RealEncodedVector(
-                pattern, capsules, outlier, outlier_rows,
-                num_rows if num_rows < 0x80 else _varint(data, pos)[0],
-            )
-        if tag == ENC_NOMINAL:
-            num_patterns, pos = _varint(data, pos)
-            dict_patterns: List[DictPattern] = []
-            for _ in range(num_patterns):
-                pattern, pos = _pattern_at(data, pos, self.consts)
-                count, pos = _varint(data, pos)
-                width, pos = _varint(data, pos)
-                masks, pos = _varints_at(data, pos)
-                maxlens, pos = _varints_at(data, pos)
-                dict_patterns.append(
-                    DictPattern(pattern, count, width, masks, maxlens)
-                )
+        kind = self.kinds[k]
+        rows = self.rows[k]
+        vector: EncodedVector
+        pos = start
+        if kind == ENC_PLAIN:
+            vector = PlainEncodedVector(capsules[0], rows)
+        elif kind == ENC_NOMINAL:
+            dict_patterns, pos = self._dict_patterns(pos)
             index_width, pos = _varint(data, pos)
-            num_rows, pos = _varint(data, pos)
             dict_size, pos = _varint(data, pos)
-            return NominalEncodedVector(
-                dict_patterns, capsules[0], capsules[1], index_width,
-                num_rows, dict_size,
+            vector = NominalEncodedVector(
+                dict_patterns, capsules[0], capsules[1], index_width, rows, dict_size
             )
-        return PlainEncodedVector(capsules[0], _varint(data, pos)[0])
+        else:
+            pattern, pos, named = _pattern_at(data, pos, self.consts)
+            outlier: Optional[Capsule] = None
+            outlier_rows: List[int] = []
+            if kind == _OUTLIERS:
+                # The outlier rows' u32 deltas fill the rest of the record.
+                if pos > end or (end - pos) % 4:
+                    raise FormatError("outlier-row array is not a whole number of u32s")
+                deltas = array("I")
+                deltas.frombytes(memoryview(data)[pos:end])
+                outlier_rows = list(accumulate(deltas))
+                outlier = capsules.pop()
+                pos = end
+            if rows and named > len(capsules):  # an empty vector stores none
+                raise FormatError(
+                    f"a runtime pattern names sub-variable {named - 1} "
+                    f"of a vector of {len(capsules)}"
+                )
+            vector = RealEncodedVector(pattern, capsules, outlier, outlier_rows, rows)
+        if pos != end:
+            raise FormatError(
+                f"vector record {k} is {end - start} bytes, its fields take {pos - start}"
+            )
+        return vector
+
+    def _dict_patterns(self, pos: int) -> Tuple[List[DictPattern], int]:
+        """The dictionary patterns of the nominal record at *pos*, and
+        where they end."""
+        data = self.data
+        num_patterns, pos = _varint(data, pos)
+        dict_patterns: List[DictPattern] = []
+        for _ in range(num_patterns):
+            pattern, pos, _ = _pattern_at(data, pos, self.consts)
+            count, pos = _varint(data, pos)
+            width, pos = _varint(data, pos)
+            masks, pos = _varints_at(data, pos)
+            maxlens, pos = _varints_at(data, pos)
+            dict_patterns.append(DictPattern(pattern, count, width, masks, maxlens))
+        return dict_patterns, pos
 
 
 class _Vectors(Sequence[EncodedVector]):
@@ -1069,6 +1086,7 @@ class _Vectors(Sequence[EncodedVector]):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
+        # _record inlined: a query indexes built vectors on its hot path.
         size = self._stop - self._start
         if index < 0:
             index += size
@@ -1077,12 +1095,27 @@ class _Vectors(Sequence[EncodedVector]):
         k = self._start + index
         return self._skim.built.get(k) or self._skim.build(k)
 
+    def _record(self, index: int) -> int:
+        return self._start + range(self._stop - self._start)[index]
+
     def __iter__(self) -> Iterator[EncodedVector]:
         return iter(self._skim.vectors(self._start, self._stop))
 
     def tag(self, index: int) -> int:
-        """The encoding tag of vector *index*: its record's first byte."""
-        return self._skim.data[self._skim.records[self._start + index]]
+        """The encoding tag of vector *index*, read off its directory."""
+        return _TAGS[self._skim.kinds[self._record(index)]]
+
+    def patterns(self, index: int) -> List[RuntimePattern]:
+        """The runtime patterns of vector *index*, decoded from its
+        record (:meth:`GroupBox.patterns`)."""
+        skim, k = self._skim, self._record(index)
+        kind, start = skim.kinds[k], skim.records[k]
+        try:
+            if kind == ENC_NOMINAL:
+                return [dp.pattern for dp in skim._dict_patterns(start)[0]]
+            return [] if kind == ENC_PLAIN else [_pattern_at(skim.data, start, skim.consts)[0]]
+        except _DECODER_FAULTS as exc:
+            raise _format_error(exc) from exc
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Sequence):
@@ -1095,8 +1128,8 @@ class _Vectors(Sequence[EncodedVector]):
 #: What the decoder raises on malformed metadata: it indexes its buffer
 #: without bounds checks, so a read past the end of truncated metadata
 #: raises ``IndexError`` (``struct.error`` for a fixed-width field), and
-#: invalid UTF-8 raises ``UnicodeDecodeError``.
-_DECODER_FAULTS = (IndexError, struct.error, UnicodeDecodeError)
+#: invalid UTF-8 or a bad template marker raises ``ValueError``.
+_DECODER_FAULTS = (IndexError, struct.error, ValueError)
 
 
 def _count_built(count: int) -> None:
@@ -1107,7 +1140,7 @@ def _count_built(count: int) -> None:
 def _format_error(exc: Exception) -> FormatError:
     """The :class:`FormatError` reporting a decoder fault (the caller
     chains *exc* as its cause)."""
-    if isinstance(exc, UnicodeDecodeError):
+    if isinstance(exc, ValueError):
         return FormatError(f"corrupt CapsuleBox metadata: {exc}")
     return FormatError(_TRUNCATED)
 
@@ -1198,56 +1231,33 @@ def _span(data: bytes, pos: int) -> Tuple[int, int]:
     return start, end
 
 
+def _varints(data: bytes, pos: int, count: int) -> Tuple[Sequence[int], int]:
+    """*count* varints at *pos*, and where they end.  When all are one
+    byte, as nearly always, they are the ``bytes`` slice itself, checked
+    with one ``isascii``; otherwise they are read one by one."""
+    end = pos + count
+    cells = data[pos:end]
+    if len(cells) == count and cells.isascii():
+        return cells, end
+    values = []
+    for _ in range(count):
+        value, pos = _varint(data, pos)
+        values.append(value)
+    return values, pos
+
+
 def _varints_at(data: bytes, pos: int) -> Tuple[List[int], int]:
-    """A count-prefixed list of varints (``BinaryWriter.write_u32_list``);
-    one-byte values are read inline."""
+    """A count-prefixed list of varints (``BinaryWriter.write_u32_list``)."""
     count, pos = _varint(data, pos)
-    out: List[int] = []
-    for _ in range(count):
-        value = data[pos]
-        if value < 0x80:
-            pos += 1
-        else:
-            value, pos = _varint(data, pos)
-        out.append(value)
-    return out, pos
-
-
-def _skip_varints(data: bytes, pos: int, count: int) -> int:
-    """The end of *count* varints at *pos*."""
-    for _ in range(count):
-        if data[pos] < 0x80:
-            pos += 1
-        else:
-            pos = _varint(data, pos)[1]
-    return pos
-
-
-def _skip_list(data: bytes, pos: int) -> int:
-    """The end of a count-prefixed list of varints
-    (``BinaryWriter.write_u32_list``)."""
-    count = data[pos]
-    if count < 0x80:
-        pos += 1
-    else:
-        count, pos = _varint(data, pos)
-    return _skip_varints(data, pos, count)
-
-
-def _deltas_at(data: bytes, pos: int) -> Tuple["array[int]", int]:
-    """The u32 deltas of an outlier row list."""
-    start, end = _span(data, pos)
-    if (end - start) % 4:
-        raise FormatError("outlier-row array is not a whole number of u32s")
-    deltas = array("I")
-    deltas.frombytes(memoryview(data)[start:end])
-    return deltas, end
+    values, pos = _varints(data, pos, count)
+    return list(values), pos
 
 
 def _pattern_at(
     data: bytes, pos: int, consts: Dict[bytes, Const]
-) -> Tuple[RuntimePattern, int]:
-    """A runtime-pattern record: ``(pattern, end)``.
+) -> Tuple[RuntimePattern, int, int]:
+    """A runtime-pattern record: ``(pattern, end, named)``, *named* one
+    past the largest sub-variable index it names (0 for none).
 
     Elements are kept as stored, not re-normalized, so a re-serialized
     box is byte-identical to the one read.  Elements are immutable, so
@@ -1259,6 +1269,7 @@ def _pattern_at(
         pos += 1
     else:
         count, pos = _varint(data, pos)
+    named = 0
     elements: List[Element] = []
     for _ in range(count):
         kind = data[pos]
@@ -1281,31 +1292,11 @@ def _pattern_at(
         else:
             # value is the sub-variable's index
             elements.append(_SUBVARS[value] if value < len(_SUBVARS) else SubVar(value))
+            if value >= named:
+                named = value + 1
     pattern = RuntimePattern.__new__(RuntimePattern)
     pattern.elements = elements
-    return pattern, pos
-
-
-def _skip_pattern(data: bytes, pos: int) -> int:
-    """The end of the runtime-pattern record at *pos* (see
-    :func:`_pattern_at`)."""
-    count = data[pos]
-    if count < 0x80:
-        pos += 1
-    else:
-        count, pos = _varint(data, pos)
-    for _ in range(count):
-        kind = data[pos]
-        value = data[pos + 1]
-        if value < 0x80:
-            pos += 2
-        else:
-            value, pos = _varint(data, pos + 1)
-        if kind == 0:
-            pos += value
-            if pos > len(data):
-                raise FormatError(_TRUNCATED)
-    return pos
+    return pattern, pos, named
 
 
 _SUBVARS = tuple(SubVar(index) for index in range(32))

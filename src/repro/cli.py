@@ -495,6 +495,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "meta_inflated_bytes": layout.meta_inflated_bytes,
                     "column_bytes": layout.column_bytes,
                     "capsule_table_bytes": layout.capsule_table_bytes,
+                    "directory_bytes": layout.directory_bytes,
                     "payload_bytes": layout.payload_bytes,
                     "codecs": box.codec_usage(),
                 }
@@ -526,7 +527,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"({codecs}), {b['meta_bytes']} metadata bytes "
                 f"({b['meta_inflated_bytes']} B inflated: group-id column "
                 f"{b['column_bytes']} B, Capsule table "
-                f"{b['capsule_table_bytes']} B)"
+                f"{b['capsule_table_bytes']} B, directory "
+                f"{b['directory_bytes']} B)"
             )
         share = f"{100 * sidecar / stored:.2f} %" if stored else "n/a"
         print(

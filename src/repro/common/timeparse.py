@@ -8,8 +8,8 @@ computed once per block from its parsed groups (:func:`time_range`) and
 travels in the prune-index sidecar.
 
 Extraction is deliberately conservative: only an anchored
-``YYYY-MM-DD[ T]HH:MM:SS[.ffffff]`` prefix (the overwhelmingly common
-cloud-log shape) naming a moment the calendar has — year 0001–9999, a
+``YYYY-MM-DD[ T]HH:MM:SS[.ffffff]`` prefix of ASCII digits (the
+overwhelmingly common cloud-log shape) naming a moment the calendar has — year 0001–9999, a
 real day of that month, 00–23 : 00–59 : 00–59 — is recognized.  Lines
 without one contribute nothing to the block's range; a block with *no*
 timestamped lines has an unknown range and is never time-pruned.
@@ -44,10 +44,13 @@ _DATE = (
 _CLOCK = r"((?:[01]\d|2[0-3]):[0-5]\d:[0-5]\d)"
 _FRACTION = r"(?:[.,](\d{1,6}))?"
 #: Groups: date ``YYYY-MM-DD``, clock ``HH:MM:SS``, fraction digits.
-_TS_RE = re.compile(rf"({_DATE})[ T]{_CLOCK}{_FRACTION}")
-_BARE_DATE_RE = re.compile(rf"(?:{_DATE})\Z")
-_CLOCK_RE = re.compile(_CLOCK + _FRACTION)
-_FRACTION_RE = re.compile(_FRACTION)
+#: ``re.ASCII``: a head's digits are ``0``-``9``.  ``\d`` would also take
+#: any Unicode decimal digit (``1\u0669`` is no hour), and such a head
+#: sorts after every ASCII one of its prefix.
+_TS_RE = re.compile(rf"({_DATE})[ T]{_CLOCK}{_FRACTION}", re.ASCII)
+_BARE_DATE_RE = re.compile(rf"(?:{_DATE})\Z", re.ASCII)
+_CLOCK_RE = re.compile(_CLOCK + _FRACTION, re.ASCII)
+_FRACTION_RE = re.compile(_FRACTION, re.ASCII)
 _groups = methodcaller("groups", "")
 
 #: One group of a block: template tokens (None at a variable slot), row

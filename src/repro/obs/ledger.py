@@ -99,7 +99,7 @@ def charge_decoded_values(count: int) -> None:
 
 
 def charge_vectors_built(count: int) -> None:
-    """*count* vector records of a skimmed box built into their objects."""
+    """*count* vector records of an opened box built into their objects."""
     entry = _local.entry
     if entry is not None and entry[0] is not None:
         entry[0].charge_vectors_built(count)

@@ -234,7 +234,7 @@ class BlockEngine:
 
         A case-sensitive keyword is first checked against the vector's
         stamp (:func:`~repro.capsule.box.vector_stamp`, read off the
-        skimmed box) through its :attr:`~Keyword.gate`: one it cannot
+        box's directory) through its :attr:`~Keyword.gate`: one it cannot
         pass occurs in no value, and is answered before the vector or a
         reader is built or the Locator asked — with the same counts a
         Locator rejection gives (:meth:`_gate`)."""

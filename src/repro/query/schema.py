@@ -16,8 +16,9 @@ Field names are inferred from the recovered structure itself:
   (CLP-style ``state: <*>``) is named after that token;
 * anything else gets a positional name ``g<template>_v<slot>``.
 
-Discovery reads only group templates and vector metadata — under lazy
-I/O no capsule payload is fetched — and is memoized per CapsuleBox
+Discovery reads only group templates and the vectors' runtime patterns,
+read off their records (``GroupBox.patterns``) — no vector is built and
+no capsule payload is fetched — and is memoized per CapsuleBox
 (:func:`schema_of`) since the Aggregate operator re-discovers on every
 query while boxes live in the BoxCache.
 
@@ -31,11 +32,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..capsule.assembler import (
-    NominalEncodedVector,
-    RealEncodedVector,
-)
-from ..capsule.box import CapsuleBox
+from ..capsule.box import CapsuleBox, GroupBox
 from ..runtime.pattern import Const
 
 #: "key:" / "key=" at the *start* of a constant fragment.
@@ -86,30 +83,21 @@ class Schema:
         return list(seen)
 
 
-def _leading_const(encoded: object) -> Optional[str]:
-    """The first constant fragment of a vector's runtime pattern(s).
-
-    For nominal vectors every dictionary pattern must agree on the
-    key-bearing prefix.
-    """
-    if isinstance(encoded, RealEncodedVector):
-        elements = encoded.pattern.elements
-        if elements and isinstance(elements[0], Const):
-            return elements[0].text
-        return None
-    if isinstance(encoded, NominalEncodedVector):
-        prefixes = set()
-        for dp in encoded.dict_patterns:
-            elements = dp.pattern.elements
-            if not elements or not isinstance(elements[0], Const):
-                return None
-            match = _KEY_PREFIX_RE.match(elements[0].text)
-            if match is None:
-                return None
-            prefixes.add(match.group(0))
-        if len(prefixes) == 1:
-            return prefixes.pop()
-    return None
+def _leading_const(group: GroupBox, var_index: int) -> Optional[str]:
+    """The key-bearing prefix (``key:`` / ``key=``) that every runtime
+    pattern of a vector starts with: a real vector's one pattern, or
+    each dictionary pattern of a nominal one; None when they lack one
+    or disagree."""
+    prefixes = set()
+    for pattern in group.patterns(var_index):
+        elements = pattern.elements
+        if not elements or not isinstance(elements[0], Const):
+            return None
+        match = _KEY_PREFIX_RE.match(elements[0].text)
+        if match is None:
+            return None
+        prefixes.add(match.group(0))
+    return prefixes.pop() if len(prefixes) == 1 else None
 
 
 def discover_schema(box: CapsuleBox) -> Schema:
@@ -117,16 +105,9 @@ def discover_schema(box: CapsuleBox) -> Schema:
     schema = Schema()
     for group_index, group in enumerate(box.groups):
         template = group.template
-        for var_index, encoded in enumerate(group.vectors):
-            token_pos = template.var_positions[var_index]
-            name: Optional[str] = None
-            strip = ""
-            leading = _leading_const(encoded)
-            if leading is not None:
-                match = _KEY_PREFIX_RE.match(leading)
-                if match:
-                    name = match.group(1)
-                    strip = match.group(0)
+        for var_index, token_pos in enumerate(template.var_positions):
+            strip = _leading_const(group, var_index) or ""
+            name = strip[:-1] or None
             if name is None and token_pos > 0:
                 previous = template.tokens[token_pos - 1]
                 if previous is not None:

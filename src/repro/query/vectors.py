@@ -12,7 +12,7 @@ A reader answers two questions about one variable vector of one group:
 Ahead of any reader, Match checks a keyword against the vector's
 stamp (:func:`~repro.capsule.box.vector_stamp`) — every character class
 and the longest length any of its values can have, from the Capsule
-stamps and pattern constants alone, read off the skimmed box metadata —
+stamps and pattern constants alone, read off the box's directory —
 and answers a keyword outside it without building the vector or a
 reader, or asking the Locator (``BlockEngine._search_var``).
 
@@ -43,7 +43,7 @@ and lives exactly as long as its :class:`CapsuleBox`, which owns it
 readers' stamp lists, Locator keys, outlier maps and nominal cell tables
 across queries (and :class:`BoxReaders` the rows the Reconstructor has
 rendered, so a row is rendered once per box; the vector stamps come
-with the box's skimmed metadata), and
+with the box's directory), and
 a box the BoxCache drops (unpinned, or its name replaced by a rewrite)
 takes them with it.  This is no cache of its
 own: the cache count stays at four (the Query Cache, the BoxCache, the
@@ -911,7 +911,7 @@ class BoxReaders:
             return known
 
     def stamp(self, group_idx: int, var_idx: int) -> VectorStamp:
-        """The vector's :func:`vector_stamp`; a skimmed box has it
+        """The vector's :func:`vector_stamp`; an opened box has it
         without building the vector."""
         return self._groups[group_idx].stamps[var_idx]
 

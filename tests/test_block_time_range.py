@@ -24,6 +24,7 @@ from repro.blockstore.index import (
 )
 from repro.blockstore.store import ArchiveStore, MemoryStore
 from repro.capsule.box import CapsuleBox
+from repro.common.timeparse import extract_timestamp
 from repro.common.tokenizer import tokenize
 from repro.core.compressor import encode_parsed, parse_block
 from repro.core.config import LogGrepConfig
@@ -86,6 +87,9 @@ class TestAdversarialColumns:
             ["24:00:00", "10:00:00", "09:59:59.5"],  # greatest is no clock
             ["", "10:00:00", "zz"],  # neither extreme is a clock
             ["24:00:00", "1:00:00", "ab", "10:60:00"],  # no valid clock
+            # An Arabic-Indic nine is no digit of a head, though it
+            # sorts after every ASCII one.
+            ["1\u0669:00:00", "19:30:00", "10:00:00"],
         ],
     )
     def test_clock_column_after_a_constant_date(self, clocks):
@@ -125,6 +129,13 @@ class TestAdversarialColumns:
         # The extremes differ before the fifth character: read per row.
         rows = [["20171223-22:15", "1"], ["2024-03-01T10:00:00", "2"], ["zz", "3"]]
         assert assert_exact(([None, None], rows)) != (None, None)
+
+    def test_heads_take_ascii_digits_only(self):
+        assert extract_timestamp("2024-03-01 1\u0669:00:00 x") is None
+        assert extract_timestamp("2024-03-01 19:00:00 x") is not None
+        assert assert_exact(
+            (["2024-03-0\u0661", None], [["2024-03-0\u0661", "10:00:00"]]),
+        ) == (None, None)
 
     def test_blocks_with_no_timestamps(self):
         assert assert_exact((["ERROR", None], [["ERROR", "a"], ["ERROR", "b"]])) == (None, None)

@@ -3,10 +3,11 @@
 Every kind of stored vector must survive ``serialize`` → ``open`` →
 ``serialize`` byte for byte, and malformed metadata — truncated at any
 byte, or holding an impossible field, such as a group-id column that
-disagrees with the block or a Capsule table that disagrees with the
-payload section — must surface as a :class:`FormatError`, never as
-``IndexError``, ``struct.error`` or ``UnicodeDecodeError`` from inside
-the decoder.
+disagrees with the block, a Capsule table that disagrees with the
+payload section or a directory that disagrees with the table or a
+record — must surface as a :class:`FormatError`, at open or at the
+record's first build, never as ``IndexError``, ``struct.error`` or
+``UnicodeDecodeError`` from inside the decoder.
 """
 
 import struct
@@ -24,7 +25,10 @@ from repro.capsule.assembler import (
     encode_plain,
     encode_vector,
 )
-from repro.capsule.box import BoxTOC, CapsuleBox, GroupBox, _MetaPrefix
+from repro.capsule import box as box_module
+from repro.capsule.box import (
+    BoxTOC, CapsuleBox, GroupBox, _capsules_of, _MetaPrefix, _templates_at,
+)
 from repro.common.binio import BinaryWriter
 from repro.common.errors import FormatError
 from repro.core.compressor import compress_block
@@ -71,7 +75,22 @@ def _with_meta(blob: bytes, meta: bytes) -> bytes:
 def _meta_only(meta: bytes) -> bytes:
     """A box of the inflated metadata *meta* and an empty payload."""
     packed = zlib.compress(meta, 6)
-    return struct.pack("<4sBBHII", b"LGCB", 3, 0, 16, len(packed), 0) + packed
+    return struct.pack(
+        "<4sBBHII", b"LGCB", box_module.VERSION, 0, 16, len(packed), 0
+    ) + packed
+
+
+def _empty_block(capsules: int) -> bytes:
+    """The metadata prefix of an empty block of one group: block 0, first
+    line 0, 0 lines, padded, 1 group, *capsules* Capsules and an empty
+    group-id column."""
+    return bytes([0, 0, 0, 1, 1, capsules, 0])
+
+
+def _build_all(box: CapsuleBox) -> None:
+    for group in box.groups:
+        for vector in group.vectors:
+            _capsules_of(vector)
 
 
 def _meta_of(blob: bytes) -> bytes:
@@ -106,6 +125,20 @@ class TestRoundTrip:
 
 
 class TestMalformedMetadata:
+    def test_every_byte_flip(self):
+        # A FormatError at open or at a record's first build, or
+        # harmless; never another exception.
+        blob = _box().serialize()
+        meta = _meta_of(blob)
+        for pos in range(len(meta)):
+            for bits in (0x01, 0x80, 0xFF):
+                damaged = bytearray(meta)
+                damaged[pos] ^= bits
+                try:
+                    _build_all(CapsuleBox.deserialize(_with_meta(blob, bytes(damaged))))
+                except FormatError:
+                    pass
+
     @pytest.mark.parametrize("use_padding", [False, True])
     def test_every_strict_prefix_is_a_format_error(self, use_padding):
         blob = _box(use_padding=use_padding).serialize()
@@ -130,25 +163,33 @@ class TestMalformedMetadata:
             CapsuleBox.deserialize(_with_meta(blob, b"\xff" * 11))
 
     def test_unknown_vector_tag(self):
-        # block 0, first line 0, 0 lines, padded, 1 group, 0 Capsules, an
-        # empty group-id column; the group: template 0 of no tokens, one
-        # vector of tag 9.
-        meta = bytes([0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 9])
-        with pytest.raises(FormatError, match="unknown encoded-vector tag 9"):
+        # An empty block of one group, no Capsules; its template: marker
+        # 0, id 0, one slot token (U+0002).  The directory's one vector
+        # has code 1: kind nominal, owning no Capsule.
+        meta = _empty_block(0) + bytes([0, 0, 1, 2, 1, 0])
+        with pytest.raises(FormatError, match="unknown encoded-vector code"):
             CapsuleBox.deserialize(_meta_only(meta))
 
     def test_invalid_utf8_token(self):
-        meta = bytes([0, 0, 0, 1, 1, 0, 0, 0, 1, 0, 1, 0xFF, 0])
+        meta = _empty_block(0) + bytes([0, 0, 1, 0xFF])
         with pytest.raises(FormatError):
             CapsuleBox.deserialize(_meta_only(meta))
 
     def test_ragged_line_id_array(self):
         # Outlier rows are the one u32 array left in the metadata: one
-        # real vector of no elements and no sub-variables, with outliers
-        # whose array is 3 bytes long.
-        meta = bytes([0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0, 0, 1, 3, 0, 0, 0])
+        # real vector of no elements and no sub-variables (code 7: kind
+        # 3, owning its outlier Capsule), whose 4-byte record holds a
+        # pattern of no elements and a 3-byte row array.  The open
+        # reads no record; the first build rejects it.
+        meta = (
+            _empty_block(1) + bytes([0, 0, 1, 2])
+            + bytes([7, 4, 0, 0])  # code, length, constant mask and length
+            + bytes([0, 0, 0, 0])  # the record
+            + bytes(24)  # one Capsule-table row
+        )
+        box = CapsuleBox.deserialize(_meta_only(meta))
         with pytest.raises(FormatError, match="u32"):
-            CapsuleBox.deserialize(_meta_only(meta))
+            box.groups[0].vectors[0]
 
     def test_payload_extent_past_the_toc(self):
         blob = _box().serialize()
@@ -226,6 +267,14 @@ class TestV3Layout:
         assert _round_trip_lines(box) == lines
 
 
+def _directory_of(meta: bytes):
+    """``(codes, lengths)``: the offsets of the directory's first two
+    columns in *meta*, whose entries are all one byte."""
+    head = _MetaPrefix.read(meta)
+    templates, codes = _templates_at(meta, head)
+    return codes, codes + sum(template.num_variables for template in templates)
+
+
 class TestV3Malformed:
     def test_column_shorter_than_the_block(self):
         blob = _box().serialize()
@@ -244,17 +293,45 @@ class TestV3Malformed:
         with pytest.raises(FormatError, match="group id >= the group count 3"):
             CapsuleBox.deserialize(_with_meta(blob, _with_column(meta, bytes(cells))))
 
-    def test_vector_rows_differ_from_the_column_count(self):
-        # Line 0 moves from group 0 to group 1: both now disagree with
-        # their vectors' 200 rows.
+    def test_a_record_that_disagrees_with_its_directory_entry(self):
         blob = _box().serialize()
         meta = _meta_of(blob)
-        head = _MetaPrefix.read(meta)
-        cells = bytearray(meta[head.column_start : head.column_end])
-        assert cells[0] == 0
-        cells[0] = 1
-        with pytest.raises(FormatError, match="holds 200 rows, the group-id column 199"):
-            CapsuleBox.deserialize(_with_meta(blob, _with_column(meta, bytes(cells))))
+        _, lengths = _directory_of(meta)
+        # One byte moves from the nominal record (group 1) to the empty
+        # plain one (group 2): the lengths still sum to the section, so
+        # the box opens, and each record fails its first build.
+        moved = bytearray(meta)
+        assert moved[lengths + 2] == 0
+        moved[lengths + 1] -= 1
+        moved[lengths + 2] += 1
+        box = CapsuleBox.deserialize(_with_meta(blob, bytes(moved)))
+        with pytest.raises(FormatError, match="its fields take 0"):
+            box.groups[2].vectors[0]
+        with pytest.raises(FormatError):
+            box.groups[1].vectors[0]
+
+    def test_a_directory_that_disagrees_with_the_table_or_the_records(self):
+        blob = _box().serialize()
+        meta = _meta_of(blob)
+        codes, lengths = _directory_of(meta)
+        for pos, delta, message in (
+            (lengths, 1, "record lengths sum to"),
+            (codes + 1, 8, "unknown encoded-vector code"),  # nominal owning 4
+            (codes, 4, "the vectors own"),  # the real vector owns one more
+        ):
+            damaged = bytearray(meta)
+            damaged[pos] += delta
+            with pytest.raises(FormatError, match=message):
+                CapsuleBox.deserialize(_with_meta(blob, bytes(damaged)))
+
+    def test_serialize_rejects_vectors_that_do_not_fill_the_slots(self):
+        options = EncodingOptions(sample_rate=1.0)
+        vector = encode_plain(["x", "y"], options)
+        box = CapsuleBox(0, 0, 2, True, [
+            GroupBox(Template(0, [None, None]), [0, 1], [vector]),
+        ])
+        with pytest.raises(FormatError, match="1 vectors for 2 variable slots"):
+            box.serialize()
 
     def test_capsule_lengths_short_of_the_payload_section(self):
         blob = bytearray(_box().serialize())

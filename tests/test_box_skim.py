@@ -1,9 +1,10 @@
 """Tests for the two-phase box open (``capsule/box.py``).
 
-``CapsuleBox.open`` skims the metadata — header, group-id column,
-templates, the Capsule table's raw fields, and one validating pass over
-every vector record that notes its vector stamp — and builds a vector's
-objects only on first use.  A skimmed box must answer exactly as a fully
+``CapsuleBox.open`` reads the metadata's header, group-id column,
+templates, the Capsule table's raw fields and the directory — one entry
+per vector record, from which it takes each record's extent and vector
+stamp — and reads no record: a vector's objects are built from its
+record on first use.  An opened box must answer exactly as a fully
 decoded one; a corrupt record must be a :class:`FormatError` at open or
 at its first build; a build is published once, however many threads
 race for it; and the build count is observable (a registry counter and
@@ -24,7 +25,7 @@ from repro.baselines.evalutil import grep_lines
 from repro.blockstore.blobsource import BytesBlobSource
 from repro.blockstore.block import LogBlock
 from repro.capsule import box as box_module
-from repro.capsule.box import BoxTOC, CapsuleBox, vector_stamp
+from repro.capsule.box import BoxTOC, CapsuleBox, GroupBox, vector_stamp
 from repro.common.errors import FormatError
 from repro.core.compressor import compress_block
 from repro.core.reconstructor import BlockReconstructor
@@ -33,8 +34,9 @@ from repro.query.language import Keyword
 from repro.workloads.queries import MISS_KEYWORD
 from tests.conftest import make_mixed_lines
 from tests.test_box_decoder import _box as every_kind_box
+from tests.test_box_decoder import _build_all
 
-GOLDEN = pathlib.Path(__file__).parent / "golden" / "box_v3.lgcb"
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "box_v4.lgcb"
 BUILT = get_registry().counter("loggrep_box_vectors_built_total")
 
 
@@ -56,12 +58,6 @@ def _with_meta(blob: bytes, meta: bytes) -> bytes:
 def _built(box: CapsuleBox) -> int:
     """Vectors of *box* built so far (its groups share one skim)."""
     return len(box.groups[0].vectors._skim.built)
-
-
-def _build_all(box: CapsuleBox) -> None:
-    for group in box.groups:
-        for vector in group.vectors:
-            box_module._capsules_of(vector)
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +89,36 @@ class TestSkim:
             [vector_stamp(vector) for vector in group.vectors]
             for group in box.groups
         ]
+
+    def test_open_decodes_no_pattern(self, mixed_blob, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a pattern was decoded")
+
+        monkeypatch.setattr(box_module, "_pattern_at", refuse)
+        box = CapsuleBox.deserialize(mixed_blob[0])
+        for group in box.groups:
+            assert len(group.stamps) == len(group.vectors)
+            for var_idx in range(len(group.vectors)):
+                group.vector_tag(var_idx)
+        with pytest.raises(AssertionError, match="a pattern was decoded"):
+            _build_all(box)
+
+    @pytest.mark.parametrize("which", ["mixed", "outliers"])
+    def test_patterns_are_read_without_a_build(self, mixed_blob, which):
+        blob = mixed_blob[0] if which == "mixed" else every_kind_box().serialize()
+        box = CapsuleBox.deserialize(blob)
+        read = [
+            [group.patterns(k) for k in range(len(group.vectors))]
+            for group in box.groups
+        ]
+        assert _built(box) == 0
+        built = CapsuleBox.deserialize(blob)
+        want = [
+            [GroupBox(g.template, g.line_ids, list(g.vectors)).patterns(k)
+             for k in range(len(g.vectors))]
+            for g in built.groups
+        ]
+        assert read == want and any(p for group in read for p in group)
 
     def test_stamps_never_build(self, mixed_blob):
         box = CapsuleBox.deserialize(mixed_blob[0])
@@ -236,12 +262,14 @@ class TestCorruptRecords:
         assert vector.tag == 0 and vector.pattern.elements
         blob = box.serialize()
         meta = bytearray(_meta_of(blob))
-        # The real vector's record follows its template; its pattern's
-        # first element is a sub-variable (kind 1, index 0).
-        record = meta.index(bytes([0, len(vector.pattern.elements), 1, 0]))
-        meta[record + 3] = 9
+        # The real vector's record is its pattern: the element count,
+        # then a first element that is a sub-variable (kind 1, index 0).
+        record = CapsuleBox.deserialize(blob).groups[0].vectors._skim.records[0]
+        assert meta[record + 1 : record + 3] == bytes([1, 0])
+        meta[record + 2] = 9
+        box = CapsuleBox.deserialize(_with_meta(blob, bytes(meta)))
         with pytest.raises(FormatError, match="sub-variable 9"):
-            CapsuleBox.deserialize(_with_meta(blob, bytes(meta)))
+            box.groups[0].vectors[0]
 
 
 class TestObservability:

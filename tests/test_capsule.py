@@ -825,8 +825,13 @@ class TestForms:
 GOLDEN_BOX = Path(__file__).parent / "golden" / "box_v2_before_forms.lgcb"
 
 #: The same lines as an LGCB v3 box: a group-id column and a Capsule
-#: table, with packed digit and hex Capsules.
+#: table, with packed digit and hex Capsules, but no directory, so no
+#: reader accepts it any more.
 GOLDEN_V3_BOX = Path(__file__).parent / "golden" / "box_v3.lgcb"
+
+#: The same lines as an LGCB v4 box: the v3 sections plus one template
+#: text and a directory of the vector records.
+GOLDEN_V4_BOX = Path(__file__).parent / "golden" / "box_v4.lgcb"
 
 
 def _before_forms_lines():
@@ -853,8 +858,15 @@ class TestBoxWrittenBeforeForms:
 
 
 class TestGoldenV3Box:
+    def test_v3_box_raises_naming_version_3(self):
+        with pytest.raises(FormatError) as info:
+            CapsuleBox.deserialize(GOLDEN_V3_BOX.read_bytes())
+        assert "version 3" in str(info.value)
+
+
+class TestGoldenV4Box:
     def test_decodes_to_its_lines(self):
-        box = CapsuleBox.deserialize(GOLDEN_V3_BOX.read_bytes())
+        box = CapsuleBox.deserialize(GOLDEN_V4_BOX.read_bytes())
         assert len(list(box.capsules())) > 5
         assert box.verify() == []
         reconstructor = BlockReconstructor(box, LogGrepConfig().query_settings())
@@ -864,5 +876,5 @@ class TestGoldenV3Box:
         assert [text for _, text in entries] == _before_forms_lines()
 
     def test_reserializes_byte_for_byte(self):
-        data = GOLDEN_V3_BOX.read_bytes()
+        data = GOLDEN_V4_BOX.read_bytes()
         assert CapsuleBox.deserialize(data).serialize() == data

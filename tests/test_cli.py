@@ -270,12 +270,14 @@ class TestStats:
         assert len(doc["blocks"]) > 1
         header = 16
         for block in doc["blocks"]:
-            # One u8 group-id cell per line, and 24 Capsule-table bytes
-            # per Capsule, inside the inflated metadata.
+            # One u8 group-id cell per line, 24 Capsule-table bytes per
+            # Capsule and a directory, inside the inflated metadata.
             assert block["column_bytes"] == block["lines"]
             assert block["capsule_table_bytes"] == 24 * block["capsules"]
+            assert block["directory_bytes"] > 0
             assert (
                 block["column_bytes"] + block["capsule_table_bytes"]
+                + block["directory_bytes"]
                 < block["meta_inflated_bytes"]
             )
         assert doc["stored_bytes"] == sum(
@@ -289,7 +291,8 @@ class TestStats:
             f"{first['meta_bytes']} metadata bytes "
             f"({first['meta_inflated_bytes']} B inflated: group-id column "
             f"{first['column_bytes']} B, Capsule table "
-            f"{first['capsule_table_bytes']} B)" in out
+            f"{first['capsule_table_bytes']} B, directory "
+            f"{first['directory_bytes']} B)" in out
         )
 
 
@@ -460,6 +463,36 @@ class TestAgg:
         capsys.readouterr()
         assert main(["agg", "count-by", "-a", str(archive)]) == 2
         assert "requires a FIELD" in capsys.readouterr().err
+
+
+class TestAggBuildsNoVectorForTheSchema:
+    def test_agg_builds_no_more_vectors_than_the_same_grep(self, tmp_path, capsys):
+        # Field discovery reads each vector's patterns off its record, so
+        # an aggregate builds only the vectors its filter and its field
+        # read: at most what a grep of the same filter builds.
+        path = tmp_path / "app.log"
+        lines = make_mixed_lines(3000, seed=9)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        archive = str(tmp_path / "arch")
+        main(["compress", str(path), "-a", archive, "--block-bytes", "16384"])
+        assert len(list((tmp_path / "arch").glob("*.lgcb"))) > 3
+        capsys.readouterr()
+
+        def vectors_built(argv):
+            assert main(argv) == 0
+            out, err = capsys.readouterr()
+            row = next(
+                line.split() for line in err.splitlines()
+                if line.split()[:1] == ["load_box"]
+            )
+            return int(row[-1]), out
+
+        agg, out = vectors_built(
+            ["agg", "count-by", "file", "-a", archive, "-w", "ERROR", "--analyze"]
+        )
+        assert ".log" in out  # the ERROR lines' file field
+        grep, _ = vectors_built(["grep", "ERROR", "-a", archive, "--analyze"])
+        assert 0 < agg <= grep
 
 
 class TestClusterCommand:

@@ -215,7 +215,7 @@ class TestBoxTOC:
     def test_v3_header_layout(self):
         blob = _one_box(self.LINES)
         toc = BoxTOC.read(BytesBlobSource(blob))
-        assert blob[:5] == b"LGCB\x03"
+        assert blob[:5] == b"LGCB\x04"
         # A 16-byte header; the metadata follows it directly.
         assert int.from_bytes(blob[6:8], "little") == toc.meta_off == 16
         assert int.from_bytes(blob[8:12], "little") == toc.meta_len
@@ -451,7 +451,7 @@ def _as_lgix_v2(index, has_bloom=0):
 
 
 class TestOldFormatsRejected:
-    """LGCB v1 and v2 are typed errors.  An LGIX v1 or v2 sidecar is
+    """LGCB v1, v2 and v3 are typed errors.  An LGIX v1 or v2 sidecar is
     unreadable and rebuilt as the committed v3: a rebuild keeps the
     time ranges and the live set."""
 
@@ -468,14 +468,23 @@ class TestOldFormatsRejected:
             with pytest.raises(FormatError) as info:
                 read()
             assert "version 1" in str(info.value)
-            assert "version 3" in str(info.value)
+            assert "version 4" in str(info.value)
+
+    def test_v3_box_raises_naming_both_versions(self):
+        # v3 had v4's 16-byte header; its metadata had no directory.
+        v3 = bytearray(_one_box(make_mixed_lines(120)))
+        v3[4] = 3
+        with pytest.raises(FormatError) as info:
+            CapsuleBox.deserialize(bytes(v3))
+        assert "version 3" in str(info.value)
+        assert "version 4" in str(info.value)
 
     def test_v2_box_raises_naming_both_versions(self):
         v2 = _as_v2(_one_box(make_mixed_lines(120)))
         with pytest.raises(FormatError) as info:
             CapsuleBox.deserialize(v2)
         assert "version 2" in str(info.value)
-        assert "version 3" in str(info.value)
+        assert "version 4" in str(info.value)
 
     def test_verify_reports_v1_box(self, tmp_path, capsys):
         from repro.cli import main
@@ -486,7 +495,7 @@ class TestOldFormatsRejected:
         assert main(["verify", "-a", store.root]) == 1
         out = capsys.readouterr().out
         (line,) = [ln for ln in out.splitlines() if ln.startswith(victim)]
-        assert "version 1" in line and "version 3" in line
+        assert "version 1" in line and "version 4" in line
         assert f"{len(store.names()) - 1}/{len(store.names())}" in out
 
     @pytest.mark.parametrize("flags", [0x01, 0x40])

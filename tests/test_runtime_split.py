@@ -359,7 +359,8 @@ class TestCoverageDegrade:
 # a block's time range
 # ----------------------------------------------------------------------
 _LOOSE_HEAD = re.compile(
-    r"(\d{4})-(\d{2})-(\d{2})[ T](\d{2}):(\d{2}):(\d{2})(?:[.,](\d{1,6}))?"
+    r"(\d{4})-(\d{2})-(\d{2})[ T](\d{2}):(\d{2}):(\d{2})(?:[.,](\d{1,6}))?",
+    re.ASCII,
 )
 
 
