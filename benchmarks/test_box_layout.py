@@ -24,8 +24,7 @@ equals ``vector_stamp`` of the vector built from it.
 
 The prune-index sidecar (``.index.lgix``) is one more case: for every
 spec its bytes stay at most :data:`MAX_SIDECAR_SHARE` of the block bytes
-(LGIX v3 keeps per block only a charset mask, line ids and a time
-range).  A sidecar rebuilt from the stored blocks, at 128 KiB and at
+(LGIX v4 keeps per block only its line ids and a time range).  A sidecar rebuilt from the stored blocks, at 128 KiB and at
 512 KiB blocks, is byte-identical to the one the commit wrote: the
 rebuild reads each block's time range off its clock vector, and its
 seconds per block are printed.

@@ -1,23 +1,11 @@
 """Per-archive prune index: the always-resident synopsis sidecar.
 
-The paper's stamps prove most Capsules irrelevant without decompressing
-them (§3.4) — but checking a stamp still required reading the block's
-metadata section.  This module lifts the same synopses out of the blocks
-into one tiny per-archive sidecar, written at compress/commit time and
-loaded once when the archive is opened, so block-level pruning (time
-window and charset mask) runs with **zero** store reads for pruned
-blocks.
+Block-level pruning runs on one tiny per-archive sidecar, written at
+compress/commit time and loaded once when the archive is opened, so a
+time-window query skips out-of-window blocks with **zero** store reads.
 
 Per block the index records:
 
-* the **block charset mask**: the union of the template constant-token
-  masks and the box's vector stamp masks (``GroupBox.stamps``, the
-  same stamps that gate Match).  The engine matches keyword fragments
-  *within* rendered tokens (template constants, or variable values
-  rendered from capsule values and pattern constants), so a fragment
-  whose character classes are not subsumed by this union cannot occur
-  in any line of the block — the §5.1 stamp check hoisted to block
-  granularity,
 * the block's line count and first line id,
 * the block's **wall-clock range** (min/max leading timestamp of its
   lines), read off the parse's columns rather than the raw lines: a
@@ -25,8 +13,7 @@ Per block the index records:
   by C-speed ``min``/``max``
   (:func:`~repro.common.timeparse.time_range`).  Blocks are written in
   arrival order, so a ``from_time``/``to_time`` query window prunes
-  whole blocks before any stamp check — zero store reads for
-  out-of-window blocks.
+  whole blocks before any box is opened.
 
 The sidecar lives outside the block namespace (an auxiliary blob, see
 :meth:`ArchiveStore.put_aux`), does not count toward stored bytes, and
@@ -34,7 +21,7 @@ is rebuilt on the fly, equal to the one a commit writes, for archives
 without a readable one.  Its summaries are
 derived data: a summary that disagrees with its block can only ever
 cause a missed prune or a rebuild — never a wrong query result, because
-pruning is validated against the same masks the engine enforces exactly.
+a block of unknown range is never pruned.
 
 Its name set is the commit point of a lifecycle rewrite, which writes
 new names, saves the sidecar and only then deletes what it replaced:
@@ -53,7 +40,6 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
-from ..common import chartypes
 from ..common.binio import BinaryReader, BinaryWriter
 from ..common.errors import FormatError
 from ..common.timeparse import time_range
@@ -71,7 +57,7 @@ MAGIC = b"LGIX"
 #: The one version read and written.  A sidecar of any other version
 #: fails to parse and, being derived data, is rebuilt from the blocks
 #: (:meth:`ArchiveIndex.build`), time ranges and live set included.
-VERSION = 3
+VERSION = 4
 
 #: Timestamps travel as non-negative varint milliseconds; a sentinel u8
 #: flag marks blocks with no parseable timestamps.
@@ -85,30 +71,11 @@ class BlockSummary:
     block_id: int
     first_line_id: int
     num_lines: int
-    #: Union of the template-constant and vector-stamp masks: the
-    #: character classes that can occur anywhere in the block.
-    type_mask: int
     #: Wall-clock range of the block's lines (epoch seconds); None
     #: when no line had a parseable timestamp (the block is then never
-    #: time-pruned).
+    #: pruned).
     min_ts: Optional[float] = None
     max_ts: Optional[float] = None
-
-    def in_time_range(
-        self, from_time: Optional[float], to_time: Optional[float]
-    ) -> bool:
-        """Could any line of this block fall inside [from_time, to_time]?
-
-        Unknown ranges conservatively overlap everything — pruning may
-        only ever skip blocks *proven* disjoint from the window.
-        """
-        if self.min_ts is None or self.max_ts is None:
-            return True
-        if from_time is not None and self.max_ts < from_time:
-            return False
-        if to_time is not None and self.min_ts > to_time:
-            return False
-        return True
 
     @classmethod
     def from_box(
@@ -117,13 +84,6 @@ class BlockSummary:
         """The summary of *box*.  Its time range comes from *parsed*,
         the parse it was encoded from, or else from the box's vectors
         (those of template positions 0 and 1 at most are decoded)."""
-        mask = 0
-        for group in box.groups:
-            for token in group.template.tokens:
-                if token is not None:
-                    mask |= chartypes.type_mask(token)
-            for stamp in group.stamps:
-                mask |= stamp[0]
         if parsed is None:
             from ..query.vectors import make_reader
 
@@ -137,15 +97,12 @@ class BlockSummary:
                 (g.template.tokens, g.num_entries, g.variable_vectors.__getitem__)
                 for g in parsed.groups
             )
-        return cls(
-            box.block_id, box.first_line_id, box.num_lines, mask, min_ts, max_ts
-        )
+        return cls(box.block_id, box.first_line_id, box.num_lines, min_ts, max_ts)
 
     def write(self, writer: BinaryWriter) -> None:
         writer.write_varint(self.block_id)
         writer.write_varint(self.first_line_id)
         writer.write_varint(self.num_lines)
-        writer.write_u8(self.type_mask)
         # Pre-epoch timestamps cannot ride a varint; treat them as
         # unknown (they only cost a missed prune, never correctness).
         if (
@@ -164,13 +121,12 @@ class BlockSummary:
         block_id = reader.read_varint()
         first_line_id = reader.read_varint()
         num_lines = reader.read_varint()
-        type_mask = reader.read_u8()
         min_ts: Optional[float] = None
         max_ts: Optional[float] = None
         if reader.read_u8():
             min_ts = reader.read_varint() / _TS_SCALE
             max_ts = reader.read_varint() / _TS_SCALE
-        return cls(block_id, first_line_id, num_lines, type_mask, min_ts, max_ts)
+        return cls(block_id, first_line_id, num_lines, min_ts, max_ts)
 
 
 class ArchiveIndex:

@@ -167,10 +167,10 @@ class WorkerNode:
     def query_block(self, name: str, plans: Sequence[QueryPlan]) -> BlockPass:
         """Execute pre-built *plans* over one local block in one RPC.
 
-        This is the executor's own block pass (TimePrune → BlockFilter →
-        LoadBox → Locate → Match → …) over the replica, returned as is:
-        one box open, one prune decision and one Match per distinct term
-        however many plans ride the RPC.  ``ROWS`` plans ship row sets
+        This is the executor's own block pass (BlockFilter → LoadBox →
+        Locate → Match → …) over the replica, returned as is: one box
+        open, one prune decision and one Match per distinct term however
+        many plans ride the RPC.  ``ROWS`` plans ship row sets
         and aggregates ship partials, so gathers stay small.
         """
         with self._serve():

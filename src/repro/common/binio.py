@@ -1,9 +1,10 @@
 """Length-prefixed binary record I/O for on-disk archive formats.
 
-CapsuleBoxes, CLP archives and the mini-ES index are all serialized through
-this small reader/writer pair so that every on-disk format in the repo uses
-one framing convention: little-endian fixed-width integers and
-varint-length-prefixed byte strings.
+The prune-index sidecar, the CapsuleBox metadata writer and the
+baselines' archives are serialized through this small reader/writer pair,
+so that they share one framing convention: single bytes, varint integers
+and varint-length-prefixed byte strings.  Boxes are read by their own
+offset decoders in :mod:`repro.capsule.box`, not through it.
 """
 
 from __future__ import annotations
@@ -24,12 +25,6 @@ class BinaryWriter:
 
     def write_u8(self, value: int) -> None:
         self._buf.write(struct.pack("<B", value))
-
-    def write_u32(self, value: int) -> None:
-        self._buf.write(struct.pack("<I", value))
-
-    def write_u64(self, value: int) -> None:
-        self._buf.write(struct.pack("<Q", value))
 
     def write_varint(self, value: int) -> None:
         if value < 0:
@@ -98,12 +93,6 @@ class BinaryReader:
     def read_u8(self) -> int:
         return struct.unpack("<B", self._take(1))[0]
 
-    def read_u32(self) -> int:
-        return struct.unpack("<I", self._take(4))[0]
-
-    def read_u64(self) -> int:
-        return struct.unpack("<Q", self._take(8))[0]
-
     def read_varint(self) -> int:
         value = 0
         shift = 0
@@ -125,16 +114,10 @@ class BinaryReader:
     def read_str_list(self) -> List[str]:
         return [self.read_str() for _ in range(self.read_varint())]
 
-    def read_u32_list(self) -> List[int]:
-        return [self.read_varint() for _ in range(self.read_varint())]
-
     def read_u32_array(self) -> List[int]:
         blob = array("I")
         blob.frombytes(self.read_bytes())
         return blob.tolist()
-
-    def at_end(self) -> bool:
-        return self._pos == len(self._data)
 
     def remaining(self) -> int:
         return len(self._data) - self._pos

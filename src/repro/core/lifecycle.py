@@ -16,7 +16,7 @@ matters.  This module implements the transitions:
   eligible) and rewrite it at the target tier's config.  A block name
   is written once: a rewrite writes new names
   (:func:`~repro.blockstore.block.block_name`), publishes them by saving
-  the ``.index.lgix`` sidecar with fresh v3 summaries, saves
+  the ``.index.lgix`` sidecar with fresh v4 summaries, saves
   ``tiers.json`` and only then deletes the blocks it replaced, so a
   crash leaves the archive as before or after it.  A pruned query
   against the demoted archive still costs zero store reads.  To keep
@@ -316,7 +316,7 @@ class LifecycleManager:
         WARM rewrites block-for-block (same ids, a new epoch); COLD
         merges the prefix into 4×-sized blocks within the merged id
         range.  Both write new names, publish them through the sidecar —
-        fresh v3 summaries, min/max timestamps included — then save the
+        fresh v4 summaries, min/max timestamps included — then save the
         tier map and delete the replaced blocks, together with any block
         an earlier crashed rewrite left behind.
         """

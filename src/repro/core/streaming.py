@@ -397,8 +397,8 @@ class _StreamBoxSource(StoreBoxSource):
     ``tail-*`` name per pending block and one for a non-empty buffer,
     each carrying its block.  ``tail_block()`` hands the executor a tail
     block's lines to scan; ``cached()`` builds its box for the plans that
-    need one, which makes the plan's TimePrune/BlockFilter/LoadBox
-    operators skip it.  The held box of the newest committed block is
+    need one, which makes the plan's BlockFilter/LoadBox operators
+    skip it.  The held box of the newest committed block is
     served under its name.
     """
 

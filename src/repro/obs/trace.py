@@ -1,7 +1,7 @@
 """Hierarchical spans: where the time of one operation went.
 
 The whole value proposition of LogGrep is *work avoided* — Capsules proven
-irrelevant by stamps, blocks pruned by their charset mask, bytes never
+irrelevant by stamps, blocks pruned by their time range, bytes never
 decompressed.  Spans make that evidence visible per operation: a traced
 ``grep`` produces a tree ``query → plan / block → block_filter / locate →
 match → decompress / reconstruct`` whose stage times sum to the total and

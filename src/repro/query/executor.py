@@ -6,14 +6,12 @@ interactive sessions and the cluster's per-node block queries.  One
 **block pass** serves every plan of a run — a single query is a list of
 one.  Per block the pipeline is::
 
-    TimePrune → BlockFilter → LoadBox → Locate → Match* → Reconstruct
+    BlockFilter → LoadBox → Locate → Match* → Reconstruct
 
-* **TimePrune / BlockFilter** — drop the block for a plan whose window
-  or charset mask cannot match.  Both run on the block's in-memory
+* **BlockFilter** — drop the block for a plan whose wall-clock window
+  the block's time range misses.  It runs on the block's in-memory
   :class:`BlockSummary` from the persistent prune index — zero store
-  reads; a block without an index entry is not pruned.  The charset
-  check reads each keyword's :attr:`~repro.query.language.Keyword.gate`,
-  the mask the Match gate uses.
+  reads; a block without an index entry is not pruned.
 * **LoadBox** — one open per block for every surviving plan, or a
   box a refining session pinned in the :class:`BoxCache`.
   Opening fetches only the header and metadata sections through
@@ -656,7 +654,7 @@ class QueryExecutor:
         shared: QueryLedger = NULL_LEDGER,
         settings: Optional[QuerySettings] = None,
     ) -> BlockPass:
-        """TimePrune → BlockFilter → LoadBox → Locate/Match →
+        """BlockFilter → LoadBox → Locate/Match →
         Reconstruct/Aggregate over one block, for every plan at once.
 
         *ledgers* aligns with *plans*; *shared* pays for pruning and
@@ -692,7 +690,7 @@ class QueryExecutor:
         if settings is None:
             settings = self._settings()
         if box is None:
-            live = self._prune(name, plans, outcomes, shared, settings)
+            live = self._prune(name, plans, outcomes, shared)
             if not live:
                 return done
 
@@ -849,12 +847,11 @@ class QueryExecutor:
         plans: Sequence[QueryPlan],
         outcomes: List[BlockOutcome],
         shared: QueryLedger,
-        settings: QuerySettings,
     ) -> List[int]:
-        """TimePrune + BlockFilter of one uncached block for every plan,
-        both decided on the block's prune-index summary — zero store
-        reads.  A block without a summary (an index turned off) is never
-        pruned.
+        """BlockFilter of one uncached block for every plan: a block
+        whose prune-index time range is disjoint from a plan's wall-clock
+        window is skipped — zero store reads.  A block without a summary
+        (an index turned off) is never pruned.
 
         Returns the indices of the surviving plans.
         """
@@ -864,44 +861,22 @@ class QueryExecutor:
         tracer = get_tracer()
         live: List[int] = []
         for i, plan in enumerate(plans):
-            outcome = outcomes[i]
-            explain = plan.mode is OutputMode.EXPLAIN
-            # -- TimePrune: a block whose sidecar timestamp range is
-            # disjoint from the plan's wall-clock window is skipped
-            # before any stamp check.  Runs even for match-all
-            # aggregates; blocks without a known range conservatively
-            # survive.
-            if (
-                plan.from_time is not None or plan.to_time is not None
-            ) and not summary.in_time_range(plan.from_time, plan.to_time):
-                outcome.stats.blocks_pruned += 1
-                outcome.stats.blocks_time_pruned += 1
-                if explain:
-                    outcome.rendering = (
-                        f"block {name}: pruned by time window "
-                        f"(block range [{summary.min_ts}, {summary.max_ts}] "
-                        f"outside [{plan.from_time}, {plan.to_time}])"
-                    )
+            with tracer.span("block_filter") as fspan, shared.operator(
+                "block_filter"
+            ):
+                pruned = not summary_might_match(summary, plan)
+                fspan.set("pruned", pruned)
+            if not pruned:
+                live.append(i)
                 continue
-            # -- BlockFilter: the charset-mask check on the summary.  A
-            # match-all aggregate (no disjuncts) can never be pruned.
-            if plan.disjuncts:
-                with tracer.span("block_filter") as fspan, shared.operator(
-                    "block_filter"
-                ):
-                    pruned = not summary_might_match(
-                        summary, plan.command, settings.use_stamps
-                    )
-                    fspan.set("pruned", pruned)
-                if pruned:
-                    outcome.stats.blocks_pruned += 1
-                    if explain:
-                        outcome.rendering = (
-                            f"block {name}: pruned by prune index "
-                            "(no disjunct survives the charset-mask check)"
-                        )
-                    continue
-            live.append(i)
+            outcome = outcomes[i]
+            outcome.stats.blocks_pruned += 1
+            if plan.mode is OutputMode.EXPLAIN:
+                outcome.rendering = (
+                    f"block {name}: pruned by time window "
+                    f"(block range [{summary.min_ts}, {summary.max_ts}] "
+                    f"outside [{plan.from_time}, {plan.to_time}])"
+                )
         return live
 
     def _finish(
@@ -1167,7 +1142,7 @@ class QueryExecutor:
         )
         lines = [
             f"physical plan for {plan.raw!r} (mode={plan.mode.value})",
-            "  pipeline: TimePrune -> BlockFilter -> LoadBox -> Locate -> "
+            "  pipeline: BlockFilter -> LoadBox -> Locate -> "
             f"Match(query_cache={cache}) -> {tail}",
             f"  io: lazy (ranged reads); prune index: {index}",
             f"  scheduler: {scheduler} over {len(self.source.names())} block(s)",

@@ -55,10 +55,9 @@ class Keyword:
     #: flags are fixed at construction: the engine asks per token.
     needs_regex: bool = field(init=False, repr=False, compare=False)
     #: ``(mask, length)`` that a value holding a match must cover and
-    #: reach, for the vector stamp gate and the block filter: a literal
-    #: keyword's own character-class mask and length; a wildcard
-    #: keyword's literal runs' union mask and their total length plus
-    #: one per ``?``.  None under ``-i``, since stamps record exact
+    #: reach, for the vector stamp gate: a literal keyword's own
+    #: character-class mask and length; a wildcard keyword's literal
+    #: runs' union mask and their total length plus one per ``?``.  None under ``-i``, since stamps record exact
     #: character classes.
     gate: Optional[Tuple[int, int]] = field(init=False, repr=False, compare=False)
 

@@ -42,8 +42,7 @@ class QueryStats:
     fallback_scans: int = 0  # TOO_COMPLEX locator fallbacks
     cache_hits: int = 0
     blocks_visited: int = 0
-    blocks_pruned: int = 0  # skipped by TimePrune or the BlockFilter mask
-    blocks_time_pruned: int = 0  # subset of blocks_pruned: time window
+    blocks_pruned: int = 0  # skipped by the BlockFilter's time window
     entries_matched: int = 0
 
     def merge(self, other: "QueryStats") -> None:

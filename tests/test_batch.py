@@ -437,35 +437,46 @@ class TestInvalidation:
             reader.close()
 
     def test_held_handle_rereads_prune_index_after_cold_merge(self, corpus):
-        """The first original block has no upper-case G-Z, so its charset
-        mask prunes the upper-case needle.  A cold merge moves the
-        needle's line into a block under a new name, which the held
-        handle must serve with the summary the merge published."""
+        """The first original block's time range ends before the
+        needle's, so a window from the needle's time prunes it.  A cold
+        merge moves the needle's line into a block under a new name,
+        which the held handle must serve with the summary the merge
+        published."""
         from repro.blockstore.index import load_index
+        from repro.common.timeparse import extract_timestamp
         from repro.core.lifecycle import LifecycleManager, Tier
         from repro.query.executor import summary_might_match
-        from repro.query.language import parse_query
 
-        lines = [f"t{1000 + i} bk.{i % 256:02x}.{i % 20} read" for i in range(300)]
+        lines = [
+            f"2024-03-01 00:{i // 60:02d}:{i % 60:02d} bk.{i % 256:02x}"
+            for i in range(300)
+        ]
         lines += corpus[300:]
-        needle = "ERROR write to file: /root/usr/admin/QQneedleQQ.log failed code=3"
+        needle = (
+            "2024-03-01 10:00:00 ERROR write to file: "
+            "/root/usr/admin/QQneedleQQ.log failed code=3"
+        )
         lines[600] = needle
+        window = {"from_time": extract_timestamp(needle)}
         lg = make_lg(lines)
         first = lg.store.names()[0]
         stale = lg.executor.source.summary(first)
         assert stale.first_line_id + stale.num_lines <= 600
-        assert not summary_might_match(stale, parse_query("QQneedleQQ"))
-        assert lg.grep("QQneedleQQ").lines == [needle]
+        assert not summary_might_match(stale, build_plan("QQneedleQQ", **window))
+        assert lg.grep("QQneedleQQ", **window).lines == [needle]
         LifecycleManager(lg.store, lg.config).demote(Tier.COLD)
         merged_name = lg.store.names()[0]
         assert merged_name != first
         merged = load_index(lg.store).get(merged_name)
         assert merged.first_line_id + merged.num_lines > 600
-        assert lg.grep("QQneedleQQ").lines == [needle]
+        assert lg.grep("QQneedleQQ", **window).lines == [needle]
         lg.compress(["appended after the merge QQneedleQQ"])
-        assert len(lg.grep("QQneedleQQ").lines) == 2
+        assert len(lg.grep("QQneedleQQ", **window).lines) == 2
         fresh = LogGrep(store=lg.store, config=lg.config)
-        assert fresh.grep("QQneedleQQ").lines == lg.grep("QQneedleQQ").lines
+        assert (
+            fresh.grep("QQneedleQQ", **window).lines
+            == lg.grep("QQneedleQQ", **window).lines
+        )
 
     def test_leftover_generation_blob_is_ignored(self, corpus):
         """Archives written before block names were immutable may hold a

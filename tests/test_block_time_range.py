@@ -6,24 +6,28 @@ reference (``tests/test_runtime_split.py:ref_time_range``) on every
 block: real spec blocks, hand-made adversarial columns and fuzzed
 groups, both on the parse a commit holds and on the vectors a rebuild
 decodes.  A rebuilt sidecar never reconstructs a line, equals the
-committed one, and serves each line id once.
+committed one (under the full configuration, LogGrep-SP and each Fig 9
+ablation), and serves each line id once.
 """
 
 import random
 
 import pytest
 
+from repro import ABLATIONS, ablated, sp_config
 from repro.baselines.evalutil import grep_lines
 from repro.blockstore.block import LogBlock, block_name, split_lines
 from repro.blockstore.index import (
     INDEX_AUX_NAME,
     ArchiveIndex,
     BlockSummary,
+    load_index,
     once_each,
     stored_live_names,
 )
 from repro.blockstore.store import ArchiveStore, MemoryStore
 from repro.capsule.box import CapsuleBox
+from repro.common.binio import BinaryReader, BinaryWriter
 from repro.common.timeparse import extract_timestamp
 from repro.common.tokenizer import tokenize
 from repro.core.compressor import encode_parsed, parse_block
@@ -233,8 +237,33 @@ def test_a_rebuild_serves_a_leftover_block_never(tmp_path, capsys):
     assert f"{leftover}: left out" in capsys.readouterr().out
 
 
+BASE = LogGrepConfig(block_bytes=8 * 1024)
+CONFIGS = {"full": BASE, "sp": sp_config(BASE)}
+CONFIGS.update({name: ablated(name, BASE) for name in ABLATIONS})
+
+
+def as_stored(summary):
+    """*summary* as the sidecar stores it: times in whole milliseconds."""
+    writer = BinaryWriter()
+    summary.write(writer)
+    return BlockSummary.read(BinaryReader(writer.getvalue()))
+
+
+@pytest.mark.parametrize("config", CONFIGS.values(), ids=list(CONFIGS))
+@pytest.mark.parametrize("spec", ["Log A", "Log F", "Log J", "Hdfs", "Healthapp"])
+def test_rebuilt_summaries_equal_the_committed(spec, config):
+    store = MemoryStore()
+    LogGrep(store=store, config=config).compress(spec_by_name(spec).generate(600))
+    index = load_index(store)
+    names = store.names()
+    assert len(names) > 1 and sorted(index.blocks) == names
+    for name in names:
+        rebuilt = BlockSummary.from_box(CapsuleBox.deserialize(store.get(name)))
+        assert as_stored(rebuilt) == index.get(name)
+
+
 def summary(first, lines):
-    return BlockSummary(0, first, lines, 0)
+    return BlockSummary(0, first, lines)
 
 
 class TestOnceEach:

@@ -1,16 +1,15 @@
-"""The block filter decides each keyword from its ``Keyword.gate`` mask.
+"""A keyword's ``Keyword.gate`` mask decides it as its fragments do.
 
-The verdict must equal the per-fragment check it replaced — every
-literal run of every keyword subsumed by the summary mask — on literal,
-wildcard, ``-i`` and negated terms.
+The Match gate rejects a vector for a keyword whose gate mask its stamp
+does not subsume.  That verdict must equal the per-fragment check the
+gate replaced — every literal run of the keyword subsumed by the mask —
+on literal, wildcard and ``-i`` keywords.
 """
 
 import pytest
 
 from repro import LogGrep, LogGrepConfig
-from repro.blockstore.index import BlockSummary
 from repro.common.chartypes import ALL_CLASSES, mask_subsumes, type_mask
-from repro.query.executor import summary_might_match
 from repro.query.language import parse_query
 from repro.workloads import spec_by_name
 from tests.conftest import make_mixed_lines
@@ -35,47 +34,41 @@ COMMANDS = [
 ]
 
 
-def fragment_verdict(summary, command, use_stamps=True):
-    """The per-fragment block-filter verdict the gate replaced."""
-    if not use_stamps:
+def fragment_verdict(mask, keyword):
+    """The per-fragment verdict the gate replaced."""
+    if keyword.ignore_case:
         return True
-
-    def alive(term):
-        if term.negated or term.search.ignore_case:
-            return True
-        return all(
-            mask_subsumes(summary.type_mask, type_mask(fragment))
-            for keyword in term.search.keywords
-            for fragment in (
-                keyword.literals() if keyword.is_wildcard else [keyword.text]
-            )
-        )
-
-    return any(all(alive(term) for term in disjunct) for disjunct in command.disjuncts)
+    return all(
+        mask_subsumes(mask, type_mask(fragment))
+        for fragment in (keyword.literals() if keyword.is_wildcard else [keyword.text])
+    )
 
 
-def _commands():
+def gate_verdict(mask, keyword):
+    return keyword.gate is None or not keyword.gate[0] & ~mask
+
+
+def _keywords(ignore_case):
     for text in COMMANDS:
-        for ignore_case in (False, True):
-            yield parse_query(text, ignore_case)
+        for disjunct in parse_query(text, ignore_case).disjuncts:
+            for term in disjunct:
+                yield from term.search.keywords
 
 
-@pytest.mark.parametrize("use_stamps", [True, False])
-def test_gate_verdict_equals_fragment_verdict_on_every_mask(use_stamps):
-    pruned = 0
+@pytest.mark.parametrize("ignore_case", [False, True])
+def test_gate_verdict_equals_fragment_verdict_on_every_mask(ignore_case):
+    rejected = 0
     for mask in range(ALL_CLASSES + 1):
-        summary = BlockSummary(0, 0, 1, mask)
-        for command in _commands():
-            verdict = summary_might_match(summary, command, use_stamps)
-            assert verdict == fragment_verdict(summary, command, use_stamps), (
-                mask, command.raw, command.ignore_case,
-            )
-            pruned += not verdict
-    assert pruned > 0 if use_stamps else pruned == 0
+        for keyword in _keywords(ignore_case):
+            verdict = gate_verdict(mask, keyword)
+            assert verdict == fragment_verdict(mask, keyword), (mask, keyword.text)
+            rejected += not verdict
+    assert rejected == 0 if ignore_case else rejected > 0
 
 
 def test_gate_verdict_equals_fragment_verdict_on_real_blocks():
-    pruned = checks = 0
+    """The masks of real vector stamps, which the Match gate reads."""
+    rejected = checks = 0
     for lines in (
         ["a", "ab", "x", "yz", "q", "no"] * 40,
         make_mixed_lines(2000, seed=95),
@@ -85,10 +78,11 @@ def test_gate_verdict_equals_fragment_verdict_on_real_blocks():
         lg = LogGrep(config=LogGrepConfig(block_bytes=16 * 1024))
         lg.compress(lines)
         for name in lg.store.names():
-            summary = lg.executor.source.summary(name)
-            for command in _commands():
-                verdict = summary_might_match(summary, command)
-                assert verdict == fragment_verdict(summary, command)
-                checks += 1
-                pruned += not verdict
-    assert checks and pruned
+            for group in lg.executor.load_box(name).groups:
+                for mask, _, _ in group.stamps:
+                    for keyword in _keywords(False):
+                        verdict = gate_verdict(mask, keyword)
+                        assert verdict == fragment_verdict(mask, keyword)
+                        checks += 1
+                        rejected += not verdict
+    assert checks and rejected

@@ -43,8 +43,12 @@ from tests.test_end_to_end_property import QUERIES, corpora
 _READ_BYTES = get_registry().counter("loggrep_store_read_bytes_total")
 _RANGE_READS = get_registry().counter("loggrep_store_range_reads_total")
 
-#: Digit-only lines: an alphabetic keyword prunes every block by stamp mask.
-PRUNABLE_LINES = [f"1234 5678 {i:06d}" for i in range(400)]
+#: One line a second from 2024-03-01 00:00:00 (epoch 1709251200).
+PRUNABLE_LINES = [
+    f"2024-03-01 00:{i // 60:02d}:{i % 60:02d} 5678 {i:06d}" for i in range(400)
+]
+#: A window that starts after the last of them.
+LATER = {"from_time": 1709251200.0 + 400}
 
 SMALL = 4 * 1024
 
@@ -285,7 +289,7 @@ class TestZeroReadPruning:
         lg = _reopen(store)
         assert len(store.names()) > 1
         before = _READ_BYTES.value()
-        result = lg.grep("ERRORWORD")
+        result = lg.grep("5678", **LATER)
         assert result.count == 0
         assert result.stats.blocks_pruned == len(store.names())
         assert _READ_BYTES.value() == before, (
@@ -422,10 +426,15 @@ def _as_v2(blob):
     )
 
 
-def _as_lgix_v2(index, has_bloom=0):
-    """*index* in the LGIX v2 layout: each entry also carries the retired
+#: A full charset mask, as the retired LGIX v2 and v3 entries carried.
+_FULL_MASK = 0x3F
+
+
+def _as_old_lgix(index, version, has_bloom=0):
+    """*index* in the LGIX v2 or v3 layout.  Each v3 entry carries a
+    charset-mask byte after its line ids; a v2 entry also carries the
     ``has_bloom`` byte and a per-vector summary list (group, mask,
-    longest value, rows) between its mask and its time range."""
+    longest value, rows) between that mask and its time range."""
     writer = BinaryWriter()
     writer.write_varint(len(index.blocks))
     for name in sorted(index.blocks):
@@ -433,26 +442,27 @@ def _as_lgix_v2(index, has_bloom=0):
         writer.write_str(name)
         for value in (summary.block_id, summary.first_line_id, summary.num_lines):
             writer.write_varint(value)
-        writer.write_u8(summary.type_mask)
-        writer.write_u8(has_bloom)
-        writer.write_varint(2)
-        for group in range(2):
-            writer.write_varint(group)
-            writer.write_u8(summary.type_mask)
-            writer.write_varint(300)
-            writer.write_varint(summary.num_lines)
+        writer.write_u8(_FULL_MASK)
+        if version == 2:
+            writer.write_u8(has_bloom)
+            writer.write_varint(2)
+            for group in range(2):
+                writer.write_varint(group)
+                writer.write_u8(_FULL_MASK)
+                writer.write_varint(300)
+                writer.write_varint(summary.num_lines)
         if summary.min_ts is None:
             writer.write_u8(0)
         else:
             writer.write_u8(1)
             writer.write_varint(round(summary.min_ts * 1000))
             writer.write_varint(round(summary.max_ts * 1000))
-    return b"LGIX\x02" + writer.getvalue()
+    return b"LGIX" + bytes([version]) + writer.getvalue()
 
 
 class TestOldFormatsRejected:
-    """LGCB v1, v2 and v3 are typed errors.  An LGIX v1 or v2 sidecar is
-    unreadable and rebuilt as the committed v3: a rebuild keeps the
+    """LGCB v1, v2 and v3 are typed errors.  An LGIX v1, v2 or v3 sidecar
+    is unreadable and rebuilt as the committed v4: a rebuild keeps the
     time ranges and the live set."""
 
     #: 13 bytes: magic, version 1, bloom_len u32 = 0, meta_len u32 = 0.
@@ -513,7 +523,7 @@ class TestOldFormatsRejected:
         assert f"unknown CapsuleBox flags 0x{flags:02x}" in line
         assert f"{len(store.names()) - 1}/{len(store.names())}" in out
 
-    def test_v1_sidecar_rebuilt_as_v3(self, tmp_path):
+    def test_v1_sidecar_rebuilt_as_v4(self, tmp_path):
         spec = spec_by_name("Log A")
         lines = spec.generate(600)
         store = _compress_to(tmp_path, lines)
@@ -523,16 +533,16 @@ class TestOldFormatsRejected:
             ArchiveIndex.deserialize(store.get_aux(INDEX_AUX_NAME))
         lg = _reopen(store)
         assert lg.grep(spec.query).lines == grep_lines(spec.query, lines)
-        assert sidecar[:5] == store.get_aux(INDEX_AUX_NAME)[:5] == b"LGIX\x03"
+        assert sidecar[:5] == store.get_aux(INDEX_AUX_NAME)[:5] == b"LGIX\x04"
         assert sorted(load_index(store).blocks) == store.names()
 
     def test_bloom_sidecar_rebuilt(self, tmp_path):
         """A v2 sidecar (here with ``has_bloom`` set) is unreadable, so
-        the archive rebuilds it from the blocks, as the committed v3."""
+        the archive rebuilds it from the blocks, as the committed v4."""
         lines = make_mixed_lines(400)
         store = _compress_to(tmp_path, lines)
         sidecar = store.get_aux(INDEX_AUX_NAME)
-        store.put_aux(INDEX_AUX_NAME, _as_lgix_v2(load_index(store), has_bloom=1))
+        store.put_aux(INDEX_AUX_NAME, _as_old_lgix(load_index(store), 2, has_bloom=1))
         with pytest.raises(FormatError, match="version 2"):
             ArchiveIndex.deserialize(store.get_aux(INDEX_AUX_NAME))
         lg = _reopen(store)
@@ -540,10 +550,18 @@ class TestOldFormatsRejected:
         assert store.get_aux(INDEX_AUX_NAME) == sidecar
 
     def test_v2_sidecar_keeps_time_ranges_and_live_set(self, tmp_path):
-        """A v2 sidecar is rebuilt from the blocks as ``LGIX\x03``, equal
-        to the committed one: its time ranges come back from the boxes'
-        clock columns, and a rewrite's unpublished output it did not
-        list stays hidden, because a rebuild keeps each line id once."""
+        self._check_rebuild_keeps_time_ranges_and_live_set(tmp_path, 2)
+
+    def test_v3_sidecar_keeps_time_ranges_and_live_set(self, tmp_path):
+        self._check_rebuild_keeps_time_ranges_and_live_set(tmp_path, 3)
+
+    @staticmethod
+    def _check_rebuild_keeps_time_ranges_and_live_set(tmp_path, version):
+        """An old sidecar is rebuilt from the blocks as ``LGIX\x04``,
+        equal to the committed one: its time ranges come back from the
+        boxes' clock columns, and a rewrite's unpublished output it did
+        not list stays hidden, because a rebuild keeps each line id
+        once."""
         spec = spec_by_name("Log A")
         lines = spec.generate(600)
         store = _compress_to(tmp_path, lines)
@@ -552,10 +570,10 @@ class TestOldFormatsRejected:
         assert all(s.min_ts is not None for s in index.blocks.values())
         names = store.names()
         store.put(block_name(0, epoch=1), store.get(names[0]))
-        v2 = _as_lgix_v2(index)
-        store.put_aux(INDEX_AUX_NAME, v2)
-        with pytest.raises(FormatError, match="version 2"):
-            ArchiveIndex.deserialize(v2)
+        old = _as_old_lgix(index, version)
+        store.put_aux(INDEX_AUX_NAME, old)
+        with pytest.raises(FormatError, match=f"version {version}"):
+            ArchiveIndex.deserialize(old)
         lg = _reopen(store)
         assert lg.grep(spec.query).lines == grep_lines(spec.query, lines)
         assert store.get_aux(INDEX_AUX_NAME) == sidecar
@@ -563,7 +581,7 @@ class TestOldFormatsRejected:
         more = spec.generate(100)
         lg.compress(more)
         stored = store.get_aux(INDEX_AUX_NAME)
-        assert stored[:5] == b"LGIX\x03"
+        assert stored[:5] == b"LGIX\x04"
         again = ArchiveIndex.deserialize(stored)
         assert {name: again.blocks[name] for name in names} == index.blocks
         assert block_name(0, epoch=1) not in again

@@ -145,7 +145,7 @@ class TestExecutor:
         text = store._executor.describe(plan)
         assert "physical plan for 'ERROR AND read' (mode=count)" in text
         assert (
-            "TimePrune -> BlockFilter -> LoadBox -> Locate -> "
+            "BlockFilter -> LoadBox -> Locate -> "
             "Match(query_cache=on) -> Reconstruct(elided)" in text
         )
         assert "scheduler: serial over" in text

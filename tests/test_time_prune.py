@@ -1,5 +1,5 @@
-"""Tests for timestamp extraction, the v2 prune sidecar and time-window
-block pruning."""
+"""Tests for timestamp extraction, the prune sidecar's time ranges and
+time-window block pruning."""
 
 import calendar
 
@@ -14,6 +14,8 @@ from repro.cluster import ClusterLogGrep
 from repro.common.timeparse import extract_timestamp, parse_time_arg
 from repro.core.config import LogGrepConfig
 from repro.core.loggrep import LogGrep
+from repro.query.executor import summary_might_match
+from repro.query.plan import build_plan
 from tests.conftest import parsed_time_range
 
 CONFIG = LogGrepConfig(block_bytes=4 * 1024)
@@ -94,19 +96,23 @@ class TestSidecarTimestamps:
             assert copy.max_ts >= copy.min_ts
 
     def test_in_time_range_semantics(self):
+        def might_match(summary, from_time, to_time):
+            plan = build_plan("x", from_time=from_time, to_time=to_time)
+            return summary_might_match(summary, plan)
+
         summary = BlockSummary(
-            block_id=0, first_line_id=0, num_lines=1, type_mask=0,
-            min_ts=100.0, max_ts=200.0,
+            block_id=0, first_line_id=0, num_lines=1, min_ts=100.0, max_ts=200.0
         )
-        assert summary.in_time_range(150.0, None)
-        assert summary.in_time_range(None, 150.0)
-        assert summary.in_time_range(200.0, 300.0)  # touching edges overlap
-        assert summary.in_time_range(None, None)
-        assert not summary.in_time_range(200.5, None)
-        assert not summary.in_time_range(None, 99.5)
+        assert might_match(summary, 150.0, None)
+        assert might_match(summary, None, 150.0)
+        assert might_match(summary, 200.0, 300.0)  # touching edges overlap
+        assert might_match(summary, 0.0, 100.0)
+        assert might_match(summary, None, None)
+        assert not might_match(summary, 200.5, None)
+        assert not might_match(summary, None, 99.5)
         # Unknown range can never be pruned.
-        unknown = BlockSummary(block_id=0, first_line_id=0, num_lines=1, type_mask=0)
-        assert unknown.in_time_range(0.0, 1.0)
+        unknown = BlockSummary(block_id=0, first_line_id=0, num_lines=1)
+        assert might_match(unknown, 0.0, 1.0)
 
 
 class TestTimeWindowPruning:
@@ -123,7 +129,6 @@ class TestTimeWindowPruning:
         result = fresh.grep("ERROR", from_time=epoch("12:00:00"))
         assert result.count == 0
         blocks = len(archive.names())
-        assert result.stats.blocks_time_pruned == blocks
         assert result.stats.blocks_pruned == blocks
         # Only the sidecar load hit the store — no block data was read.
         assert archive.requests - before <= 2
@@ -134,7 +139,7 @@ class TestTimeWindowPruning:
         windowed = fresh.grep(
             "ERROR", from_time=epoch("00:05:00"), to_time=epoch("00:07:00")
         )
-        assert windowed.stats.blocks_time_pruned > 0
+        assert windowed.stats.blocks_pruned > 0
         assert 0 < windowed.count < full.count
         # Block-granular pruning: every match inside the window survives.
         kept = set(windowed.lines)
@@ -193,7 +198,7 @@ class TestAppendFromTwoHandles:
             for command in ("ERROR", "state: SUC#1642"):
                 assert handle.grep(command).lines == grep_lines(command, corpus)
         result = second.grep("ERROR", from_time=window)
-        assert result.stats.blocks_time_pruned >= first_blocks
+        assert result.stats.blocks_pruned >= first_blocks
         assert result.lines == [
             line for line in grep_lines("ERROR", corpus)
             if extract_timestamp(line) >= window
