@@ -3,7 +3,8 @@
 * the distributed cluster — scatter/gather queries return the single-node
   result, survive a node failure, and speed up ≥ 2x from 1 to 4 shards
   on an I/O-bound scatter;
-* streaming ingestion — pipelined block compression keeps up with batch.
+* streaming ingestion — sealing blocks on the appending thread keeps up
+  with batch.
 """
 
 import time
@@ -80,14 +81,14 @@ def test_streaming_vs_batch_ingest(benchmark, corpus):
     config = LogGrepConfig(block_bytes=BENCH_BLOCK_BYTES)
 
     def stream_all():
-        with StreamingCompressor(config=config, pipeline_depth=2) as stream:
+        with StreamingCompressor(config=config) as stream:
             stream.extend(corpus)
             return stream.flush()
 
     report = benchmark.pedantic(stream_all, rounds=3)
     batch = LogGrep(config=config)
     batch_report = batch.compress(corpus)
-    print_banner("Extension: streaming (pipelined) vs batch ingest")
+    print_banner("Extension: streaming vs batch ingest")
     print(
         format_table(
             ["mode", "MB/s", "ratio"],
@@ -98,5 +99,5 @@ def test_streaming_vs_batch_ingest(benchmark, corpus):
         )
     )
     assert report.blocks == batch_report.blocks
-    # The pipeline must not be slower than batch by more than noise.
+    # The stream must not be slower than batch by more than noise.
     assert report.speed_mb_s > 0.5 * batch_report.speed_mb_s

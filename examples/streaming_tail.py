@@ -21,11 +21,9 @@ checked against grep over the raw lines appended so far.
 Run with::
 
     python examples/streaming_tail.py
-    LOGGREP_COMPRESS_PARALLELISM=4 python examples/streaming_tail.py
 
-By default the stream seals each block on the appending thread; with a
-parallelism of 2 or more it encodes on a worker pool, so the tail also
-spans pending blocks.
+The stream seals each block on the appending thread, so the tail is the
+append buffer alone.
 
 It exits non-zero if any answer differs from the raw-line grep.
 """

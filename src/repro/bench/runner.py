@@ -40,8 +40,6 @@ def base_lines() -> int:
 
 def system_factories() -> Dict[str, Callable[[], LogStoreSystem]]:
     def _lg_config() -> LogGrepConfig:
-        # compress_parallelism stays LogGrepConfig's own default
-        # (LOGGREP_COMPRESS_PARALLELISM, serial when unset).
         return LogGrepConfig(block_bytes=BENCH_BLOCK_BYTES)
 
     return {

@@ -46,11 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="LZMA preset for Capsule payloads",
     )
     compress.add_argument(
-        "-j", "--parallelism", type=int, default=None, metavar="N",
-        help="encode blocks on an N-thread pool (default: serial; archives "
-        "are byte-identical for any N)",
-    )
-    compress.add_argument(
         "--tier", choices=("hot", "warm", "cold"), default=None,
         help="compress at a lifecycle tier's config: hot = speed-tier "
         "codec, warm = archive default, cold = preset 9 with 4x blocks",
@@ -344,10 +339,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     if args.command == "compress":
-        overrides = {"block_bytes": args.block_bytes, "preset": args.preset}
-        if args.parallelism is not None:
-            overrides["compress_parallelism"] = args.parallelism
-        config = LogGrepConfig(**overrides)
+        config = LogGrepConfig(block_bytes=args.block_bytes, preset=args.preset)
         if args.tier is not None:
             from .core.lifecycle import Tier, tier_config
 

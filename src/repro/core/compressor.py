@@ -6,14 +6,14 @@ each vector is classified and encapsulated (runtime-pattern extraction
 happens inside the Assembler per vector kind); the resulting Capsules and
 all metadata are packed into a CapsuleBox.
 
-The pipeline is split at the parse/encode boundary so the compression
-scheduler (:mod:`repro.core.schedule`) can keep :func:`parse_block`
-ordered — it mutates the cross-block template warm-start cache — while
-fanning the pure, CPU-bound :func:`encode_parsed` stage out to worker
-threads.  :func:`compress_block` composes the two stages serially for
-callers that need no parse; a caller that writes the block's prune
-summary keeps the parse (``BlockSummary.from_box`` reads its time
-range off the parse's columns).
+The pipeline is split at the parse/encode boundary: :func:`parse_block`
+may mutate the cross-block template warm-start cache, so the compression
+scheduler (:mod:`repro.core.schedule`) calls it in block order, while
+:func:`encode_parsed` is a pure function of its inputs.
+:func:`compress_block` composes the two stages for callers that need no
+parse; a caller that writes the block's prune summary keeps the parse
+(``BlockSummary.from_box`` reads its time range off the parse's
+columns).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 from ..blockstore.block import LogBlock
 from ..capsule.assembler import encode_vector
 from ..capsule.box import CapsuleBox, GroupBox
-from ..obs.trace import Span, get_tracer
+from ..obs.trace import get_tracer
 from ..runtime.classify import VectorKind, classify
 from ..staticparse.cache import TemplateCache
 from ..staticparse.parser import BlockParser, ParsedBlock, ParseOutcome
@@ -62,17 +62,14 @@ def encode_parsed(
     block: LogBlock,
     parsed: ParsedBlock,
     config: LogGrepConfig,
-    parent: Optional[Span] = None,
 ) -> CapsuleBox:
     """Classify, encapsulate and pack a parsed block (the pure stage).
 
     A pure function of ``(block, parsed, config)`` — no shared state —
-    so the scheduler may run it on any worker thread and the output
-    bytes stay independent of scheduling.  ``parent`` attaches the stage
-    spans to the right node when running off the main thread.
+    so the bytes depend only on the parse.
     """
     tracer = get_tracer()
-    with tracer.span("classify", parent=parent):
+    with tracer.span("classify"):
         kinds = [
             [
                 classify(vector, config.duplication_threshold)
@@ -95,7 +92,6 @@ def encode_parsed(
             ) or (kind is VectorKind.NOMINAL and options.use_nominal_patterns)
             with tracer.span(
                 "encode",
-                parent=parent,
                 kind=kind.value,
                 bucket=kind.value if uses_patterns else "plain",
                 values=len(vector),

@@ -10,11 +10,6 @@ from ..capsule.assembler import EncodingOptions
 from ..query.vectors import QuerySettings
 
 
-def _default_compress_parallelism() -> int:
-    """CI exercises the parallel ingest path by exporting this variable."""
-    return int(os.environ.get("LOGGREP_COMPRESS_PARALLELISM", "1"))
-
-
 def _default_slow_query_ms() -> Optional[float]:
     raw = os.environ.get("LOGGREP_SLOW_QUERY_MS")
     return float(raw) if raw else None
@@ -62,11 +57,11 @@ class LogGrepConfig:
     use_query_cache: bool = True  # refining-mode cache (§3)
 
     # -- compression scheduler (§8 "compression speed") --------------------
-    # Blocks are independent once parsed, so the scheduler fans the
-    # CPU-bound encode/serialize stage out to N worker threads while
-    # parsing stays ordered on the submitting thread (archives are
-    # byte-identical for any worker count).
-    compress_parallelism: int = field(default_factory=_default_compress_parallelism)
+    # Ingest encodes on the calling thread: an encode pool measured
+    # slower than serial (EXPERIMENTS.md §The encode pool on trial).  The
+    # field only accepts 1; it stays for the benchmark harness, which
+    # passes it (ROADMAP item 7(a) deletes it).
+    compress_parallelism: int = 1
 
     # -- codec tiering ----------------------------------------------------
     # Opt-in: where the size-keyed codec rule compares zlib with LZMA,
@@ -76,9 +71,6 @@ class LogGrepConfig:
     codec_speed_tier: bool = False
 
     # -- query-side --------------------------------------------------------
-    # Bound on Query Cache entries: per-(block, search string)
-    # row sets plus one shape entry per block; see repro/query/cache.py.
-    cache_capacity: int = 4096
     # Blocks are independent, so queries parallelize trivially (§6's
     # "both compression and query execution can easily be parallelized";
     # the paper normalizes to one CPU, hence default 1).
@@ -97,6 +89,13 @@ class LogGrepConfig:
     # count crosses the limit — degrade one query, not the host.
     max_read_bytes: Optional[int] = field(default_factory=_default_max_read_bytes)
     max_decoded_values: Optional[int] = field(default_factory=_default_max_decoded_values)
+
+    def __post_init__(self) -> None:
+        if self.compress_parallelism != 1:
+            raise ValueError(
+                "compress_parallelism must be 1: ingest encodes on the "
+                "calling thread"
+            )
 
     def encoding_options(self, seed: Optional[int] = None) -> EncodingOptions:
         return EncodingOptions(

@@ -199,7 +199,7 @@ class LogGrep(AggregateShortcuts):
 
     def __post_init__(self) -> None:
         if self.fragments is None:
-            self.fragments = QueryCache(self.config.cache_capacity)
+            self.fragments = QueryCache()
         self.compress_seconds = 0.0
         self.raw_bytes = 0
         self._template_cache = TemplateCache()
@@ -225,10 +225,9 @@ class LogGrep(AggregateShortcuts):
     def compress(self, lines: Iterable[str]) -> CompressionReport:
         """Split *lines* into blocks, compress each, persist CapsuleBoxes.
 
-        Compression runs on the :class:`CompressionScheduler`: blocks are
-        parsed in order against the instance's template warm-start cache,
-        encoded on ``config.compress_parallelism`` workers, and committed
-        in order — output bytes are identical for any worker count.
+        Compression runs on the :class:`CompressionScheduler`: each block
+        is parsed against the instance's template warm-start cache,
+        encoded and committed, in order, on the calling thread.
         """
         tracer = get_tracer()
         start = time.perf_counter()

@@ -1,24 +1,16 @@
 """Streaming ingestion with block compression and a hot tail.
 
 The paper's §8 calls compression speed "important to ingest raw logs at a
-high speed".  In production, Alibaba's applications append raw text to the
-current 64 MB block while *previous* blocks compress in the background
-(§2).  :class:`StreamingCompressor` runs on the
-:class:`~repro.core.schedule.CompressionScheduler` and follows the rule
-batch compression uses: with ``pipeline_depth`` ≥ 2 a full block is
-parsed in order (template warm-start) and its CPU-bound encode stage is
-handed to the scheduler's worker pool, so appends keep flowing; at depth
-1 (the default unless ``config.compress_parallelism`` says otherwise)
-there is no thread, and the ``append`` that fills a block parses,
-encodes and commits it before it returns.  That is the one trade-off:
-the sealing append blocks for one block's encode, and a caller who
-wants appends to keep flowing passes ``pipeline_depth=2``.  Under the
-GIL a lone encode worker adds no throughput, since the encode is Python
-except for the codec, while every blocking call of a concurrent tail
-count waits for the worker to hand back the GIL.  ``flush``/``close``
-drain the pipeline.  Because the scheduler is deterministic, streaming
-produces byte-identical archives to batch compression for the same
-config, at any depth.
+high speed".  :class:`StreamingCompressor` runs on the
+:class:`~repro.core.schedule.CompressionScheduler`, as batch compression
+does: the ``append`` that fills a block parses it in order (template
+warm-start), encodes it and commits it before it returns.  The sealing
+append waits for one block's encode; there is no background encode,
+because under the GIL a worker thread measured slower than the appending
+thread doing the work itself (EXPERIMENTS.md §The encode pool on trial).
+``flush``/``close`` seal the partial block and save the prune sidecar.
+Because the scheduler is deterministic, streaming produces byte-identical
+archives to batch compression for the same config.
 
     with StreamingCompressor(store=ArchiveStore(path)) as stream:
         for line in tail_f(...):
@@ -28,24 +20,20 @@ config, at any depth.
 **The hot tail.**  A line is queryable the moment ``append`` returns —
 not when its block seals.  ``open_reader(tail=True)`` yields a LogGrep
 whose box source presents ``sealed ∪ tail``: the committed store blocks,
-then one ``tail-*`` block per *pending* block (sealed and handed to the
-scheduler's pool, not yet committed — only at depth ≥ 2) and one for the
-append buffer.  At any instant a line lives in exactly one of those
-three places, and the snapshot that decides block membership is taken
-atomically under the ingest lock, so no line is double-counted or
-dropped across the seal race.  Each tail name carries its block's lines,
-so a run keeps its own view for as long as it runs.
+then one ``tail-*`` block for the append buffer.  At any instant a line
+lives in exactly one of those two places, and the snapshot that decides
+block membership is taken atomically under the ingest lock, so no line
+is double-counted or dropped across a seal.  The tail name carries the
+buffer's lines, so a run keeps its own view for as long as it runs.
 
 The tail is raw text, as in the paper.  ``append`` only buffers the
-line: counts and greps scan a tail block's lines
+line: counts and greps scan the buffer's lines
 (:func:`~repro.query.engine.text_rows`), and an aggregate, EXPLAIN or
 ROWS plan, ``fields()`` or ``load_box`` gets a box built on demand by
-the ordinary pipeline (:meth:`StreamingCompressor._tail_box`) — a
-pending block's from the parse the scheduler made at submit, which is
-the box its commit writes, and the buffer's with ``compress_block``.
-Neither is kept.  Line ids start at each block's own ``first_line_id``
-— what sealing assigns — so a tail-inclusive grep is byte-for-byte
-equal to the same grep after ``flush()``.
+the ordinary pipeline (:meth:`StreamingCompressor._tail_box`,
+``compress_block``), which is not kept.  Line ids start at the buffer's
+``first_line_id`` — what sealing assigns — so a tail-inclusive grep is
+byte-for-byte equal to the same grep after ``flush()``.
 
 Every reader of the stream shares one Query Cache, keyed like any
 other by ``(box name, term)``; tail rows never enter it.  A block name
@@ -82,10 +70,9 @@ from ..obs.trace import get_tracer
 from ..query.executor import StoreBoxSource
 from ..query.cache import QueryCache
 from ..staticparse.cache import TemplateCache
-from ..staticparse.parser import ParsedBlock
 # parse_block is unused here but stays bound: perfbench/tracing.py wraps
 # it by name in this module.
-from .compressor import compress_block, encode_parsed, parse_block  # noqa: F401
+from .compressor import compress_block, parse_block  # noqa: F401
 from .config import LogGrepConfig
 from .loggrep import CompressionReport, LogGrep
 from .schedule import CompressionScheduler
@@ -97,31 +84,25 @@ _VISIBLE_SECONDS = get_registry().gauge(
 )
 _TAIL_LINES = get_registry().counter(
     "loggrep_tail_lines_encoded_total",
-    "Lines encoded into on-demand hot-tail boxes, by kind (pending block "
-    "or buffer)",
+    "Lines encoded into on-demand hot-tail boxes",
 )
 
 
 class _TailName(str):
-    """The name of one unstored tail block, carrying the block: its lines
-    and, for a pending block, the parse the scheduler made at submit.
+    """The name of the unstored tail block, carrying the block (the
+    append buffer's lines).
 
     A run holds the names it listed, so it holds its tail view until it
     ends, however many snapshots later runs take.  ``"tail-"`` sorts
-    after ``"block-"`` and the padded ids sort in line order, so tail
-    blocks are the last of the query plan's name order and line ids stay
-    monotonic.
+    after ``"block-"``, so the tail block is the last of the query
+    plan's name order and line ids stay monotonic.
     """
 
     block: LogBlock
-    parsed: Optional[ParsedBlock]
 
-    def __new__(
-        cls, block: LogBlock, parsed: Optional[ParsedBlock] = None
-    ) -> "_TailName":
+    def __new__(cls, block: LogBlock) -> "_TailName":
         name = super().__new__(cls, f"tail-{block.block_id:012d}.lgcb")
         name.block = block
-        name.parsed = parsed
         return name
 
 
@@ -130,22 +111,19 @@ class TailSnapshot:
     """One atomic observation of the not-yet-committed ingest state."""
 
     sealed_names: List[str]
-    #: Blocks sealed but not committed, oldest first, each with the
-    #: parse the scheduler made at submit.
-    pending: List[Tuple[LogBlock, ParsedBlock]]
     #: The append buffer, and the block id and first line id it will
     #: seal with.
     lines: List[str]
     block_id: int
     first_line_id: int
-    #: Tail name -> block id, in line order: one per pending block, then
-    #: the buffer's when it holds lines.
+    #: Tail name -> block id: the buffer's when it holds lines, else
+    #: empty.
     tail_names: Dict[str, int]
 
 
 class StreamingCompressor:
-    """Append-oriented ingestion: blocks seal on the appending thread at
-    ``pipeline_depth`` 1 and encode on a worker pool at depth ≥ 2."""
+    """Append-oriented ingestion: a full block seals, encodes and
+    commits on the appending thread."""
 
     def __init__(
         self,
@@ -153,32 +131,30 @@ class StreamingCompressor:
         config: Optional[LogGrepConfig] = None,
         pipeline_depth: Optional[int] = None,
     ):
+        # The depth is kept for callers that pass it: only 1 (seal on the
+        # appending thread) exists.
+        if pipeline_depth not in (None, 1):
+            raise ValueError("pipeline_depth must be 1")
         self.config = config or LogGrepConfig()
-        if pipeline_depth is None:
-            pipeline_depth = self.config.compress_parallelism
-        if pipeline_depth <= 0:
-            raise ValueError("pipeline depth must be positive")
-        self.pipeline_depth = pipeline_depth
         self.store = store if store is not None else MemoryStore()
         self._index = open_index(self.store)
         # Append after commits a writer died before saving the sidecar for.
         self._index.summarize(self.store, live_names(self.store.names(), self._index))
         # One reentrant lock serializes everything the tail snapshot
-        # depends on: the append buffer, the scheduler's pending deque
-        # and the store commits it performs.  Snapshots taken under it
-        # are atomic across the seal race.
+        # depends on: the append buffer and the store commits the
+        # scheduler performs.  Snapshots taken under it are atomic across
+        # a seal.
         self._lock = threading.RLock()
         # The newest committed block: (name, its box).  Replaced at every
         # commit.
         self._held: Optional[Tuple[str, CapsuleBox]] = None
         # The Query Cache every reader shares (see the module docstring).
-        self._fragments = QueryCache(self.config.cache_capacity)
+        self._fragments = QueryCache()
         self._template_cache = TemplateCache()
         self._scheduler = CompressionScheduler(
             self.store,
             self.config,
             template_cache=self._template_cache,
-            parallelism=pipeline_depth,
             index=self._index,
             on_commit=self._on_commit,
         )
@@ -191,7 +167,7 @@ class StreamingCompressor:
 
     # ------------------------------------------------------------------
     def append(self, line: str) -> None:
-        """Buffer one log line; hands full blocks to the pipeline.
+        """Buffer one log line; seals the block it fills.
 
         Block boundaries follow :func:`~repro.blockstore.block.split_lines`
         exactly (a block never exceeds the budget unless a single line
@@ -223,10 +199,8 @@ class StreamingCompressor:
             self._next_line_id += block.num_lines
             self._lines = []
             self._buffered_bytes = 0
-            # The scheduler parses in order (warm-start cache), then
-            # encodes and commits inline at depth 1, or on its pool with
-            # back-pressure at twice its worker depth — the producer
-            # cannot outrun compression forever.
+            # The scheduler parses in order (warm-start cache), encodes
+            # and commits before it returns.
             with get_tracer().span(
                 "ingest.seal", block=block.block_id, lines=block.num_lines
             ):
@@ -248,24 +222,19 @@ class StreamingCompressor:
     def tail_snapshot(self) -> TailSnapshot:
         """Atomically observe every line not yet committed to the store.
 
-        The tail is the scheduler's in-flight blocks (submitted, not yet
-        committed) followed by the append buffer; ``sealed_names`` is the
-        store listing *at the same instant*, so the union
-        ``sealed ∪ tail`` is exactly the appended stream.
+        The tail is the append buffer; ``sealed_names`` is the store
+        listing *at the same instant*, so the union ``sealed ∪ tail`` is
+        exactly the appended stream.
         """
         with self._lock:
-            pending = self._scheduler.pending_blocks()
-            tail = [_TailName(block, parsed) for block, parsed in pending]
             lines = list(self._lines)
-            if lines:
-                tail.append(
-                    _TailName(
-                        LogBlock(self._next_block_id, self._next_line_id, lines)
-                    )
-                )
+            tail = (
+                [_TailName(LogBlock(self._next_block_id, self._next_line_id, lines))]
+                if lines
+                else []
+            )
             return TailSnapshot(
                 sealed_names=list(self.store.names()),
-                pending=pending,
                 lines=lines,
                 block_id=self._next_block_id,
                 first_line_id=self._next_line_id,
@@ -282,21 +251,15 @@ class StreamingCompressor:
         that need one (aggregates, EXPLAIN, ROWS) and for ``fields()`` /
         ``load_box``; counts and greps scan the block's lines instead.
 
-        A pending block's box is ``encode_parsed`` over the parse the
-        scheduler made at submit — the box its commit writes; the
-        buffer's is ``compress_block``.  Neither is kept.  Line ids start
+        The box is ``compress_block``'s and is not kept.  Line ids start
         at the block's own ``first_line_id``, as sealing assigns them.
         """
         block = name.block
-        kind = "buffer" if name.parsed is None else "pending"
         start = time.perf_counter()
-        with get_tracer().span("ingest.tail_build", kind=kind, lines=block.num_lines):
-            if name.parsed is None:
-                box = compress_block(block, self.config)
-            else:
-                box = encode_parsed(block, name.parsed, self.config)
+        with get_tracer().span("ingest.tail_build", lines=block.num_lines):
+            box = compress_block(block, self.config)
         _VISIBLE_SECONDS.set(time.perf_counter() - start)
-        _TAIL_LINES.inc(block.num_lines, kind=kind)
+        _TAIL_LINES.inc(block.num_lines)
         return box
 
     # ------------------------------------------------------------------
@@ -314,14 +277,9 @@ class StreamingCompressor:
     def blocks(self) -> int:
         return self._scheduler.blocks
 
-    @property
-    def backlog(self) -> int:
-        """Blocks submitted but not yet committed to the store."""
-        return self._scheduler.backlog
-
     # ------------------------------------------------------------------
     def flush(self) -> CompressionReport:
-        """Drain the pipeline (including the partial tail block).
+        """Seal the partial tail block and save the prune sidecar.
 
         Reports are **cumulative**: every flush covers the whole stream
         so far — ``blocks``/``raw_bytes``/``compressed_bytes`` are totals
@@ -344,10 +302,10 @@ class StreamingCompressor:
         )
 
     def close(self) -> CompressionReport:
-        """Flush, release the worker pool, and reject further appends.
+        """Flush and reject further appends.
 
-        The stream is closed and its pool released even when the flush
-        raises (a failing store, say); the error still propagates.
+        The stream is closed even when the flush raises (a failing store,
+        say); the error still propagates.
         """
         try:
             return self.flush()
@@ -393,12 +351,11 @@ class _StreamBoxSource(StoreBoxSource):
     stream's newest committed box and, with ``tail``, ``sealed ∪ tail``.
 
     ``names()`` — the executor's once-per-query consistency point —
-    takes one atomic tail snapshot: the sealed store listing plus one
-    ``tail-*`` name per pending block and one for a non-empty buffer,
-    each carrying its block.  ``tail_block()`` hands the executor a tail
-    block's lines to scan; ``cached()`` builds its box for the plans that
-    need one, which makes the plan's BlockFilter/LoadBox operators
-    skip it.  The held box of the newest committed block is
+    takes one atomic tail snapshot: the sealed store listing plus a
+    ``tail-*`` name for a non-empty buffer, carrying its block.
+    ``tail_block()`` hands the executor the tail block's lines to scan;
+    ``cached()`` builds its box for the plans that need one, which makes
+    the plan's BlockFilter/LoadBox operators skip it.  The held box of the newest committed block is
     served under its name.
     """
 

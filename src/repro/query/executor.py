@@ -414,9 +414,7 @@ class QueryExecutor:
     ):
         self.source = source
         self.config = config
-        self.cache = (
-            cache if cache is not None else QueryCache(config.cache_capacity)
-        )
+        self.cache = cache if cache is not None else QueryCache()
 
     # ------------------------------------------------------------------
     # plan-level driver

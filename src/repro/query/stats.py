@@ -75,7 +75,9 @@ _QUERIES = get_registry().counter("loggrep_queries_total", "Queries executed")
 _QUERY_SECONDS = get_registry().histogram(
     "loggrep_query_seconds", "End-to-end query latency"
 )
-#: One counter per QueryStats field, registered once at import.
+#: One counter per QueryStats field, registered once at import — except
+#: ``cache_hits``: its name is the Query Cache's own hit counter, which
+#: every lookup that hits already increments.
 _FIELD_COUNTERS = tuple(
     (
         name,
@@ -85,6 +87,7 @@ _FIELD_COUNTERS = tuple(
         ),
     )
     for name in _QUERYSTAT_FIELDS
+    if name != "cache_hits"
 )
 _FILTER_RATIO = get_registry().gauge(
     "loggrep_capsule_filter_ratio",

@@ -18,6 +18,7 @@ from repro.blockstore.store import MemoryStore
 from repro.obs import tracing
 from repro.obs.metrics import get_registry
 from repro.query.aggregate import AggregateSpec
+from repro.query.cache import QueryCache
 from repro.query.modes import AggregateKind
 from repro.query.plan import OutputMode, build_plan
 from repro.workloads import spec_by_name
@@ -317,7 +318,10 @@ class TestQueryCacheWarmPath:
 
     def test_tiny_capacity_evicts_and_stays_correct(self, corpus):
         evictions_before = counter_value("loggrep_query_cache_evictions_total")
-        lg = make_lg(corpus, cache_capacity=4)
+        lg = LogGrep(
+            config=LogGrepConfig(block_bytes=4 * 1024), fragments=QueryCache(4)
+        )
+        lg.compress(corpus)
         want = [len(grep_lines(q, corpus)) for q in QUERIES]
         for _ in range(3):
             assert lg.count_many(QUERIES) == want

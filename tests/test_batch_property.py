@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro import LogGrep, LogGrepConfig
 from repro.baselines.evalutil import grep_lines
 from repro.query.aggregate import AggregateSpec
+from repro.query.cache import QueryCache
 from repro.query.modes import AggregateKind
 from repro.query.plan import (
     OutputMode,
@@ -108,10 +109,8 @@ class TestBatchProperty:
     @given(mix=plan_mixes(), seed=st.integers(min_value=0, max_value=10_000))
     def test_together_equals_alone(self, cache_capacity, mix, seed):
         lines = make_mixed_lines(250, seed=seed % 7)
-        config = LogGrepConfig(
-            block_bytes=2 * 1024, cache_capacity=cache_capacity
-        )
-        lg = LogGrep(config=config)
+        config = LogGrepConfig(block_bytes=2 * 1024)
+        lg = LogGrep(config=config, fragments=QueryCache(cache_capacity))
         lg.compress(lines)
         plans = [build(*entry) for entry in mix]
         want = reference(lg.store, config, plans, lines)

@@ -60,14 +60,6 @@ class TestRunner:
     def test_system_factories_complete(self):
         assert set(system_factories()) == {"ggrep", "CLP", "ES", "LG-SP", "LG"}
 
-    def test_lg_factory_takes_ingest_workers_from_config_env(self, monkeypatch):
-        # The harness sets no worker count of its own, so the env var the
-        # parallel-ingest CI leg exports reaches the figure benchmarks.
-        monkeypatch.setenv("LOGGREP_COMPRESS_PARALLELISM", "3")
-        for name in ("LG", "LG-SP"):
-            system = system_factories()[name]()
-            assert system.loggrep.config.compress_parallelism == 3
-
     def test_measure_single_system(self):
         spec = spec_by_name("Log C")
         lines = spec.generate(300)

@@ -1,11 +1,11 @@
-"""Property test: one input stream, every compression schedule, one archive.
+"""Property test: one input stream, batch or streamed, one archive.
 
 The compression scheduler's determinism contract (the compress-side
 mirror of tests/test_plan_equivalence.py): for the same input and config,
-batch compression with any ``compress_parallelism`` and the streaming
-pipeline must produce **byte-identical** archives — the warm-start
-template cache evolves in block submission order regardless of worker
-count, and the encode stage is a pure function of the parse result.
+batch compression and the streaming pipeline must produce
+**byte-identical** archives — the warm-start template cache evolves in
+block order either way, and the encode stage is a pure function of the
+parse result.
 """
 
 import pytest
@@ -16,13 +16,11 @@ try:
 except ImportError:  # pragma: no cover - hypothesis is in the dev env
     pytest.skip("hypothesis not installed", allow_module_level=True)
 
-from dataclasses import replace
-
 from repro import LogGrep, LogGrepConfig, StreamingCompressor
 from repro.blockstore.store import MemoryStore
 from tests.conftest import make_mixed_lines
 
-BASE_CONFIG = LogGrepConfig(block_bytes=2 * 1024, compress_parallelism=1)
+BASE_CONFIG = LogGrepConfig(block_bytes=2 * 1024)
 
 
 def archive_bytes(store):
@@ -43,30 +41,19 @@ def compress_batch(lines, config):
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     n=st.integers(min_value=40, max_value=250),
-    parallelism=st.sampled_from([2, 4]),
 )
-def test_parallel_and_streaming_archives_identical(seed, n, parallelism):
+def test_streaming_archives_identical(seed, n):
     lines = make_mixed_lines(n, seed=seed)
-    config = BASE_CONFIG
-
-    serial = compress_batch(lines, config)
+    serial = compress_batch(lines, BASE_CONFIG)
     reference = archive_bytes(serial.store)
     assert serial.decompress_all() == lines  # the archive is also correct
 
-    parallel = compress_batch(
-        lines, replace(config, compress_parallelism=parallelism)
-    )
-    assert archive_bytes(parallel.store) == reference
-
-    # Inline sealing (depth 1) and a pooled stream both write the batch
-    # bytes.
-    for depth in (1, parallelism):
-        streamed = MemoryStore()
-        with StreamingCompressor(
-            store=streamed, config=config, pipeline_depth=depth
-        ) as stream:
-            stream.extend(lines)
-        assert archive_bytes(streamed) == reference
+    # The stream seals each block on the appending thread and writes the
+    # batch bytes.
+    streamed = MemoryStore()
+    with StreamingCompressor(store=streamed, config=BASE_CONFIG) as stream:
+        stream.extend(lines)
+    assert archive_bytes(streamed) == reference
 
 
 def test_multiple_compress_calls_keep_equivalence():

@@ -161,3 +161,19 @@ class TestQueryCache:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             QueryCache(capacity=0)
+
+    def test_hit_counter_counts_each_hit_once(self):
+        """``loggrep_query_cache_hits_total`` counts lookups that hit: over
+        one grep it rises exactly as much as the cache's own ``hits``."""
+        from repro.core.loggrep import LogGrep
+        from repro.obs.metrics import get_registry
+
+        lg = LogGrep(config=LogGrepConfig(block_bytes=16 * 1024))
+        lg.compress(make_mixed_lines(3000, seed=31))
+        lg.grep("ERROR")
+        counter = get_registry().counter("loggrep_query_cache_hits_total")
+        before, hits = counter.value(), lg.fragments.hits
+        result = lg.grep("ERROR AND state")
+        assert result.stats.cache_hits > 0
+        assert counter.value() - before == lg.fragments.hits - hits
+        assert lg.fragments.hits - hits == result.stats.cache_hits

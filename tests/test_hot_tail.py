@@ -65,17 +65,15 @@ def _event_lines(n, seed=0):
 
 
 def _tiny_config(**overrides):
-    # Small blocks force many seals, so the tail straddles pending
-    # scheduler blocks and the append buffer constantly.
+    # Small blocks force many seals, so the tail is often a buffer that
+    # has just reopened.
     return LogGrepConfig(block_bytes=512, **overrides)
 
 
-#: Pipeline depths the tail must be exact under: inline sealing (no
-#: pending block, the benchmark's depth), two encode workers (up to four
-#: blocks pending) and the streaming default.
+#: The two accepted ``pipeline_depth`` arguments: 1, as the benchmark
+#: passes it, and the default.  Both seal on the appending thread.
 _PIPELINES = [
     pytest.param(1, id="depth1"),
-    pytest.param(2, id="depth2"),
     pytest.param(None, id="default"),
 ]
 
@@ -97,10 +95,9 @@ class TestImmediateVisibility:
     def test_a_tail_count_reads_no_aux_blob(self, monkeypatch):
         # Only a listing that shows a rewrite's publish reads the sidecar:
         # opening a tail reader and counting after seals reads no aux blob.
-        # Depth 1 commits each block inside the append that seals it, so
-        # blocks are in the store when ``extend`` returns; at a deeper
-        # pipeline they may all still be pending.
-        with StreamingCompressor(config=_tiny_config(), pipeline_depth=1) as stream:
+        # Each block commits inside the append that seals it, so blocks
+        # are in the store when ``extend`` returns.
+        with StreamingCompressor(config=_tiny_config()) as stream:
             stream.extend(_event_lines(120, seed=2))
             assert stream.blocks > 1
             reads = []
@@ -180,10 +177,10 @@ class TestSealBoundaryEquivalence:
 
     def test_aggregates_cover_tail(self):
         lines = make_mixed_lines(300, seed=11)
-        stream = StreamingCompressor(config=_tiny_config(), pipeline_depth=2)
+        stream = StreamingCompressor(config=_tiny_config())
         reader = stream.open_reader(tail=True)
         stream.extend(lines)
-        assert len(stream.tail_snapshot().tail_names) >= 3  # several tail boxes
+        assert stream.blocks > 3 and stream.tail_snapshot().tail_names
         tail_counts = reader.count_by("state")
         tail_total = reader.total_lines()
         stream.flush()
@@ -299,49 +296,50 @@ class TestConcurrentAppend:
 
 class TestTailInternals:
     def test_snapshot_partition_is_exact(self):
-        # Two encode workers keep at most four blocks pending, so 200
-        # lines leave some sealed, some pending and some in the buffer.
-        stream = StreamingCompressor(config=_tiny_config(), pipeline_depth=2)
-        lines = _event_lines(200, seed=2)
-        stream.extend(lines)
-        snap = stream.tail_snapshot()
-        assert snap.sealed_names and snap.pending and snap.lines
-        sealed_lines = sum(
-            stream.open_reader().executor.load_box(name).num_lines
-            for name in snap.sealed_names
-        )
-        # Sealed, pending and buffer lines partition the appended stream,
-        # in order and with contiguous line ids.
-        tail = []
-        for block, parsed in snap.pending:
-            assert block.first_line_id == sealed_lines + len(tail)
-            assert parsed.num_lines == block.num_lines
-            tail.extend(block.lines)
-        assert snap.first_line_id == sealed_lines + len(tail)
-        assert tail + snap.lines == lines[sealed_lines:]
-        assert list(snap.tail_names.values()) == [
-            block.block_id for block, _ in snap.pending
-        ] + [snap.block_id]
-        stream.close()
+        """Across many seals the tail is the append buffer alone: at most
+        one tail name, whose lines with the sealed blocks' partition the
+        appended stream, and every tail count and grep equals grep over
+        the raw lines."""
+        stream = StreamingCompressor(config=_tiny_config())
+        lines = _event_lines(300, seed=2)
+        try:
+            for appended, line in enumerate(lines, 1):
+                stream.append(line)
+                snap = stream.tail_snapshot()
+                assert len(snap.tail_names) <= 1
+                assert list(snap.tail_names.values()) == (
+                    [snap.block_id] if snap.lines else []
+                )
+                if appended % 9:
+                    continue
+                sealed_lines = sum(
+                    stream.open_reader().executor.load_box(name).num_lines
+                    for name in snap.sealed_names
+                )
+                assert snap.first_line_id == sealed_lines
+                assert snap.lines == lines[sealed_lines:appended]
+                reader = stream.open_reader(tail=True)
+                for command in ("EV", "ERR", "gc NOT read"):
+                    want = grep_lines(command, lines[:appended])
+                    assert reader.count(command) == len(want), command
+                    assert reader.grep(command).lines == want, command
+            assert stream.blocks > 10
+        finally:
+            stream.close()
 
     def test_tail_box_built_on_demand(self):
-        """A pending block's box is the box its commit writes; the
-        buffer's is ``compress_block``'s; the stream keeps neither."""
-        stream = StreamingCompressor(config=_tiny_config(), pipeline_depth=2)
+        """The buffer's box is ``compress_block``'s, and the stream does
+        not keep it."""
+        stream = StreamingCompressor(config=_tiny_config())
         stream.extend(_event_lines(40, seed=4))
         snap = stream.tail_snapshot()
-        assert snap.pending and snap.lines
-        pending_name, *_, buffer_name = snap.tail_names
-        pending_box = stream._tail_box(pending_name)
-        pending_block = snap.pending[0][0]
-        assert pending_box.first_line_id == pending_block.first_line_id
+        assert stream.blocks and snap.lines
+        (buffer_name,) = snap.tail_names
         buffer_box = stream._tail_box(buffer_name)
         buffer = LogBlock(snap.block_id, snap.first_line_id, snap.lines)
+        assert buffer_box.first_line_id == snap.first_line_id
         assert buffer_box.serialize() == compress_block(buffer, stream.config).serialize()
         assert stream._tail_box(buffer_name) is not buffer_box
-        stream.flush()
-        committed = stream.store.get(block_name(pending_block.block_id))
-        assert pending_box.serialize() == committed
         stream.close()
 
     def test_closed_stream_rejects_append(self):
@@ -425,7 +423,7 @@ class TestTextKernel:
             i for i, line in enumerate(lines) if line_matches(parsed, line)
         ]
 
-    @pytest.mark.parametrize("depth", [1, 2], ids=["depth1", "depth2"])
+    @pytest.mark.parametrize("depth", _PIPELINES)
     @settings(
         max_examples=25,
         deadline=None,
@@ -463,9 +461,8 @@ class TestTextKernel:
 
 class TestTailCountCost:
     def test_counts_build_no_box(self, monkeypatch):
-        """With an encode pool, pending blocks pile up behind the buffer.
-        A tail count scans their text: it encodes and parses nothing, and
-        still equals the count over the raw lines."""
+        """A tail count scans the buffer's text: it encodes and parses
+        nothing, and still equals the count over the raw lines."""
         def forbid(name):
             def spy(*args, **kwargs):
                 raise AssertionError(f"a tail count called {name}")
@@ -474,29 +471,22 @@ class TestTailCountCost:
 
         lines = _event_lines(300, seed=9)
         command = parse_query("ERR")
-        pending_seen = set()
         counter = get_registry().get("loggrep_tail_lines_encoded_total")
-        before = counter.value(kind="pending"), counter.value(kind="buffer")
-        with StreamingCompressor(config=_tiny_config(), pipeline_depth=2) as stream:
+        before = counter.value()
+        with StreamingCompressor(config=_tiny_config()) as stream:
             for appended, line in enumerate(lines, 1):
                 stream.append(line)
                 if appended % 7:
                     continue
-                pending_seen.update(
-                    block.block_id for block, _ in stream._scheduler.pending_blocks()
-                )
                 with monkeypatch.context() as patch:
-                    patch.setattr(streaming_module, "encode_parsed", forbid("encode_parsed"))
                     patch.setattr(streaming_module, "compress_block", forbid("compress_block"))
                     patch.setattr(BlockParser, "parse", forbid("BlockParser.parse"))
                     count = stream.open_reader(tail=True).count("ERR")
                 assert count == sum(
                     line_matches(command, raw) for raw in lines[:appended]
                 )
-
-        assert len(pending_seen) >= 5
-        after = counter.value(kind="pending"), counter.value(kind="buffer")
-        assert after == before
+            assert stream.blocks >= 5
+        assert counter.value() == before
 
 
 def _oracle(command, lines):
@@ -530,11 +520,11 @@ class TestSharedQueryCache:
     def test_tail_blocks_are_scanned_not_matched(self, monkeypatch):
         matched = self._spy_matches(monkeypatch)
         lines = _event_lines(200, seed=12)
-        stream = StreamingCompressor(config=_tiny_config(), pipeline_depth=2)
+        stream = StreamingCompressor(config=_tiny_config())
         try:
             stream.extend(lines[:150])
             snap = stream.tail_snapshot()
-            assert snap.pending and snap.lines and stream.blocks
+            assert snap.lines and stream.blocks
             committed = set(range(stream.blocks))
             expected = _oracle(self.COMMAND, lines[:150])
             cache = stream._fragments
@@ -570,7 +560,7 @@ class TestSharedQueryCache:
     def test_counts_stay_exact_across_commits_and_bumps(self, monkeypatch):
         matched = self._spy_matches(monkeypatch)
         lines = _event_lines(400, seed=13)
-        stream = StreamingCompressor(config=_tiny_config(), pipeline_depth=2)
+        stream = StreamingCompressor(config=_tiny_config())
         fed = 0
 
         def feed(n):
@@ -596,10 +586,9 @@ class TestSharedQueryCache:
             feed(40)
             check()
             # A foreign warm demote rewrites every committed block under a
-            # new name: those blocks are matched again, the pending ones
-            # are scanned as text, and the counts stay exact.
-            pending = {b.block_id for b, _ in stream.tail_snapshot().pending}
-            assert pending
+            # new name: those blocks are matched again, the buffer is
+            # scanned as text, and the counts stay exact.
+            assert stream.tail_snapshot().lines
             committed = set(range(stream.blocks))
             matched.clear()
             LifecycleManager(stream.store, stream.config).demote(Tier.WARM)
@@ -612,9 +601,9 @@ class TestSharedQueryCache:
 
     def test_clearing_one_reader_clears_them_all(self):
         # Only committed blocks' rows enter the Query Cache (tail rows
-        # never do), so the count must see committed blocks: depth 1
-        # commits each one inside the append that seals it.
-        with StreamingCompressor(config=_tiny_config(), pipeline_depth=1) as stream:
+        # never do), so the count must see committed blocks: each one
+        # commits inside the append that seals it.
+        with StreamingCompressor(config=_tiny_config()) as stream:
             stream.extend(_event_lines(30, seed=14))
             first, second = stream.open_reader(tail=True), stream.open_reader()
             assert first.fragments is second.fragments
@@ -627,42 +616,40 @@ class TestSharedQueryCache:
 class TestTailBuildDoesNotClassify:
     def test_count_and_grep_without_classify(self, monkeypatch):
         """A tail count or grep scans the tail's text, so it encodes
-        nothing and never classifies.  The scheduler's background encode
-        (a worker thread) still does."""
-        querying = threading.get_ident()
+        nothing and never classifies.  Sealing (inside ``append``) still
+        does."""
+        classified = []
         classify = compressor_module.classify
 
-        def guarded(*args, **kwargs):
-            if threading.get_ident() == querying:
-                raise AssertionError("a tail query classified a vector")
+        def spy(*args, **kwargs):
+            classified.append(1)
             return classify(*args, **kwargs)
 
-        monkeypatch.setattr(compressor_module, "classify", guarded)
+        monkeypatch.setattr(compressor_module, "classify", spy)
         lines = _event_lines(120, seed=15)
-        with StreamingCompressor(config=_tiny_config(), pipeline_depth=2) as stream:
+        with StreamingCompressor(config=_tiny_config()) as stream:
             stream.extend(lines)
             snap = stream.tail_snapshot()
-            assert snap.pending and snap.lines
+            assert classified and snap.lines
+            classified.clear()
             reader = stream.open_reader(tail=True)
             with tracing() as tracer:
                 assert reader.count("ERR") == _oracle("ERR", lines)
             assert reader.grep("EV").lines == lines
+            assert classified == []
             query = next(root for root in tracer.roots if root.name == "query")
             assert query.find("classify") == query.find("encode") == []
             assert query.find("ingest.tail_build") == []
             scans = query.find("scan_text")
-            assert sum(span.attrs["lines"] for span in scans) == len(lines) - sum(
-                stream.open_reader().executor.load_box(name).num_lines
-                for name in snap.sealed_names
-            )
+            assert sum(span.attrs["lines"] for span in scans) == len(snap.lines)
 
 
 class TestPendingBoxAfterCommit:
     def test_box_built_after_its_commit_is_not_kept(self):
-        """On an appended archive the stream's first block id is not 0:
-        a pending box built from a snapshot taken before its block
-        committed is still that block's committed box, and the stream
-        does not keep it."""
+        """On an appended archive the stream's first block id is not 0: a
+        tail box built from a snapshot taken before the buffer sealed
+        still carries the buffer's line ids, and the stream does not keep
+        it."""
         store = MemoryStore()
         config = LogGrepConfig(block_bytes=4096)
         # 64 bytes a line with its newline: 64 lines a block.
@@ -672,16 +659,16 @@ class TestPendingBoxAfterCommit:
             first.extend(lines[: 64 * 13])
         assert first.blocks == 13
 
-        stream = StreamingCompressor(store=store, config=config, pipeline_depth=2)
+        stream = StreamingCompressor(store=store, config=config)
         try:
-            stream.extend(lines[64 * 13 :])
+            stream.extend(lines[64 * 13 : 64 * 14])
             snap = stream.tail_snapshot()
-            name = next(n for n in snap.tail_names if n == "tail-000000000013.lgcb")
-            assert [block.block_id for block, _ in snap.pending] == [13]
-            stream.flush()
+            (name,) = snap.tail_names
+            assert name == "tail-000000000013.lgcb"
+            stream.extend(lines[64 * 14 :])
+            assert block_name(13) in store.names()
             box = stream._tail_box(name)
-            assert box.first_line_id == 64 * 13
-            assert box.serialize() == store.get(block_name(13))
+            assert (box.first_line_id, box.num_lines) == (64 * 13, 64)
             built = weakref.ref(box)
             del box
             gc.collect()
@@ -711,7 +698,7 @@ def _seal_one(stream, lines, fed):
     while stream.blocks == committed:
         stream.append(lines[fed])
         fed += 1
-    assert stream.blocks == committed + 1 and stream.backlog == 0
+    assert stream.blocks == committed + 1
     return fed
 
 
@@ -752,9 +739,9 @@ class TestCommitAddsOnlyABlock:
         finally:
             stream.close()
 
-    def test_first_count_after_a_flush_at_depth2(self, monkeypatch):
+    def test_first_count_after_a_flush(self, monkeypatch):
         lines = _event_lines(300, seed=22)
-        stream = _stream(2)
+        stream = _stream(1)
         try:
             fed = 150
             stream.extend(lines[:fed])
@@ -918,7 +905,7 @@ class TestStreamRefusesForeignBlocks:
     """A stream opened before another writer appended must not write over
     that writer's blocks: the commit raises and the store keeps them."""
 
-    @pytest.mark.parametrize("depth", [1, 2], ids=["depth1", "depth2"])
+    @pytest.mark.parametrize("depth", _PIPELINES)
     def test_commit_over_a_foreign_block_raises(self, tmp_path, depth):
         config = LogGrepConfig(block_bytes=4096)
         store = ArchiveStore(str(tmp_path))

@@ -11,6 +11,7 @@ import pathlib
 import re
 from collections import Counter
 
+from repro.query import stats as stats_module
 from repro.query.stats import QueryStats
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -84,9 +85,17 @@ def test_metric_names_found():
 
 def test_every_metric_has_one_registration_site():
     """Get-or-create keeps whichever registration imports first, so a
-    second site with other help text would silently lose."""
+    second site with other help text would silently lose — and a second
+    site that increments it too counts every event twice.  The
+    ``loggrep_query_{field}_total`` family is expanded over the
+    QueryStats fields it registers."""
     sites = Counter(
         name for text in SOURCES for name in re.findall(METRIC_SITE, text)
+    )
+    family = "loggrep_query_{name}_total"
+    assert sites.pop(family) == 1
+    sites.update(
+        family.format(name=name) for name, _ in stats_module._FIELD_COUNTERS
     )
     assert {name for name, n in sites.items() if n > 1} == set()
 

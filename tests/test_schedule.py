@@ -15,7 +15,7 @@ from repro.staticparse.parser import BlockParser
 from repro.staticparse.template import Template
 from tests.conftest import make_mixed_lines
 
-CONFIG = LogGrepConfig(block_bytes=4 * 1024, compress_parallelism=1)
+CONFIG = LogGrepConfig(block_bytes=4 * 1024)
 
 
 def make_blocks(lines, config=CONFIG):
@@ -149,22 +149,6 @@ class TestWarmStartParse:
 
 
 class TestCompressionScheduler:
-    def test_serial_and_parallel_commit_identically(self):
-        lines = make_mixed_lines(500, seed=21)
-        stores = {}
-        for workers in (1, 3):
-            store = MemoryStore()
-            scheduler = CompressionScheduler(
-                store, CONFIG, template_cache=TemplateCache(), parallelism=workers
-            )
-            with scheduler:
-                for block in make_blocks(lines):
-                    scheduler.submit(block)
-            stores[workers] = {n: store.get(n) for n in store.names()}
-            assert scheduler.blocks == len(stores[workers])
-            assert scheduler.backlog == 0
-        assert stores[1] == stores[3]
-
     def test_commit_hook_runs_in_block_order(self):
         lines = make_mixed_lines(500, seed=22)
         committed = []
@@ -173,7 +157,6 @@ class TestCompressionScheduler:
             CONFIG,
             template_cache=TemplateCache(),
             on_commit=lambda name, block, data: committed.append(name),
-            parallelism=4,
         )
         with scheduler:
             blocks = make_blocks(lines)
@@ -181,23 +164,11 @@ class TestCompressionScheduler:
                 scheduler.submit(block)
         assert committed == [block_name(b.block_id) for b in blocks]
 
-    def test_backpressure_bounds_backlog(self):
-        lines = make_mixed_lines(800, seed=23)
-        scheduler = CompressionScheduler(
-            MemoryStore(),
-            CONFIG,
-            template_cache=TemplateCache(),
-            parallelism=2,
-        )
-        with scheduler:
-            for block in make_blocks(lines):
-                scheduler.submit(block)
-                assert scheduler.backlog <= scheduler.max_inflight + 1
-        assert scheduler.backlog == 0
-
     def test_rejects_bad_configuration(self):
-        with pytest.raises(ValueError):
-            CompressionScheduler(MemoryStore(), CONFIG, parallelism=0)
+        # Ingest encodes on the calling thread: no other width exists.
+        for width in (0, 2):
+            with pytest.raises(ValueError):
+                LogGrepConfig(compress_parallelism=width)
 
     def test_submit_after_close_rejected(self):
         scheduler = CompressionScheduler(MemoryStore(), CONFIG)
@@ -211,7 +182,7 @@ class TestCompressionScheduler:
         encode_hist = registry.histogram("loggrep_compress_encode_seconds")
         before = parse_hist.count()
         scheduler = CompressionScheduler(
-            MemoryStore(), CONFIG, template_cache=TemplateCache(), parallelism=2
+            MemoryStore(), CONFIG, template_cache=TemplateCache()
         )
         with scheduler:
             for block in make_blocks(make_mixed_lines(300, seed=24)):

@@ -89,17 +89,9 @@ class TestStreamingCompressor:
         with pytest.raises(RuntimeError):
             stream.append("x")
 
-    def test_backlog_observable(self):
-        stream = StreamingCompressor(config=CONFIG, pipeline_depth=1)
-        assert stream.backlog == 0
-        stream.extend(make_mixed_lines(300))
-        stream.close()
-        assert stream.backlog == 0
-
     def test_depth_one_seals_on_the_appending_thread(self, monkeypatch):
-        """At depth 1 the append that fills a block parses, encodes and
-        commits it before it returns: nothing is pending and no thread
-        is ever started."""
+        """The append that fills a block parses, encodes and commits it
+        before it returns, and no thread is ever started."""
         started = []
         real_start = threading.Thread.start
 
@@ -115,17 +107,14 @@ class TestStreamingCompressor:
             if stream.blocks:
                 break
         assert stream.blocks == 1
-        assert stream.backlog == 0
         assert store.names() == [block_name(0)]
-        assert stream._scheduler._pool is None
         assert started == []
         stream.close()
         assert started == []
 
-    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("depth", [None, 1])
     def test_failed_close_still_closes(self, depth):
-        """A close whose flush fails re-raises, yet the stream is closed
-        and its worker pool released."""
+        """A close whose flush fails re-raises, yet the stream is closed."""
 
         class FailingStore(MemoryStore):
             def put(self, name, data):
@@ -135,22 +124,20 @@ class TestStreamingCompressor:
         stream = StreamingCompressor(
             store=FailingStore(), config=CONFIG, pipeline_depth=depth
         )
-        # Less than one block at depth 1 (a seal would commit, and fail,
-        # in append); a few pending blocks at depth 2.
-        lines = make_mixed_lines(40 if depth == 1 else 1000, seed=5)
-        stream.extend(lines)
+        # Less than one block: a seal would commit, and fail, in append.
+        stream.extend(make_mixed_lines(40, seed=5))
         assert stream.blocks == 0
-        assert (stream.backlog > 0) == (depth == 2)
         with pytest.raises(OSError):
             stream.close()
-        assert stream._scheduler._pool is None
         assert threading.active_count() == threads
         with pytest.raises(RuntimeError):
             stream.append("x")
 
     def test_pipeline_depth_validation(self):
-        with pytest.raises(ValueError):
-            StreamingCompressor(pipeline_depth=0)
+        # Blocks seal on the appending thread: 1 is the only depth.
+        for depth in (0, 2):
+            with pytest.raises(ValueError):
+                StreamingCompressor(pipeline_depth=depth)
 
     def test_empty_stream(self):
         with StreamingCompressor(config=CONFIG) as stream:
