@@ -11,6 +11,9 @@ archive, so no switch is needed:
 * every archive decompresses to its input lines, and every Capsule
   re-packs from ``plain()`` to exactly its stored form, codec and
   payload;
+* every Capsule's stored stamp is the one its decoded values give: the
+  type mask over them and the longest in characters (the packer reads
+  both off its UTF-8 buffer);
 * the geomean over the corpora of ASCII ÷ stored payload bytes is at
   least :data:`MIN_GEOMEAN`.
 
@@ -22,18 +25,38 @@ import pytest
 from repro.bench.report import format_table, print_banner
 from repro.bench.runner import base_lines, geomean
 from repro.blockstore.store import MemoryStore
+from repro.capsule.assembler import NominalEncodedVector
 from repro.capsule.capsule import (
     FORM_ASCII,
+    LAYOUT_REGION,
     CodecRequest,
     _choose_codec,
     _encode,
 )
+from repro.capsule.stamp import CapsuleStamp
+from repro.common import chartypes
 from repro.core.config import LogGrepConfig
 from repro.core.loggrep import LogGrep
 from repro.workloads import production_specs, public_specs
 
 BLOCK_BYTES = 128 * 1024
 MIN_GEOMEAN = 1.08
+
+
+def _decoded_values(box):
+    """``(capsule, its decoded values)`` for every Capsule of *box*."""
+    shapes = {
+        id(vector.dict_capsule): [(dp.count, dp.width) for dp in vector.dict_patterns]
+        for group in box.groups
+        for vector in group.vectors
+        if isinstance(vector, NominalEncodedVector)
+    }
+    for capsule in box.capsules():
+        if capsule.layout == LAYOUT_REGION:
+            cells = capsule.region_cells(shapes[id(capsule)])
+        else:
+            cells = capsule.cells()
+        yield capsule, [cell.rstrip(b"\x00").decode() for cell in cells]
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +70,11 @@ def per_corpus():
         assert lg.decompress_all() == lines, spec.name
         capsules = packed = ascii_bytes = stored_bytes = 0
         for name in lg.store.names():
-            for capsule in lg.executor.load_box(name).capsules():
+            for capsule, values in _decoded_values(lg.executor.load_box(name)):
+                assert capsule.stamp == CapsuleStamp(
+                    chartypes.type_mask("".join(values)),
+                    max(map(len, values), default=0),
+                ), f"{spec.name} {name}: stamp is not its values' stamp"
                 plain = capsule.plain()
                 assert _encode(plain, capsule.preset, CodecRequest.SMALLEST) == (
                     capsule.codec, capsule.form, capsule.payload,

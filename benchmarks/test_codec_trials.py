@@ -32,6 +32,7 @@ from repro.capsule.capsule import (
     _lzma_trial_skipped,
     _pack_form,
 )
+from repro.common.chartypes import type_mask_of_buffer
 from repro.core.config import LogGrepConfig
 from repro.core.loggrep import LogGrep
 from repro.obs.metrics import get_registry
@@ -50,7 +51,8 @@ def _trials():
 def _saved_by_trial(capsule, speed_tier: bool):
     """Bytes the LZMA trial would have saved on *capsule*, or None where
     the codec rule tried LZMA (or never would)."""
-    _, packed = _pack_form(capsule.plain())
+    plain = capsule.plain()
+    _, packed = _pack_form(plain, type_mask_of_buffer(plain))
     size = len(packed)
     if not speed_tier and size >= LZMA_ONLY_FROM:
         return None

@@ -142,7 +142,9 @@ def section23_stats(
                 columns, _, _ = pattern.split(vector)
                 for column in columns:
                     if len(column) >= MIN_VECTOR_VALUES:
-                        types, variance = _classes_and_variance(column)
+                        types, variance = _classes_and_variance(
+                            [cell.decode() for cell in column]
+                        )
                         sub_types.append(types)
                         sub_vars.append(variance)
         if block_values:

@@ -27,7 +27,7 @@ from ..runtime.classify import DEFAULT_DUPLICATION_THRESHOLD, VectorKind, classi
 from ..runtime.merge import DictPattern, NominalEncoding, extract_nominal
 from ..runtime.pattern import RuntimePattern, SubVar
 from ..runtime.treeexpand import TreeExpandConfig, extract_real_pattern
-from .capsule import Capsule, CodecRequest
+from .capsule import Capsule, Cell, CodecRequest
 from .stamp import CapsuleStamp
 
 #: Encoding tags (serialized into CapsuleBoxes).
@@ -177,25 +177,21 @@ def _encode_nominal(
             encoding.dict_values, options.preset, codec=codec
         )
 
-    # Every index is rendered from one table entry per dictionary slot, and
-    # the stamp is known by construction: zero-padded decimals, all of
+    # Every index cell is the UTF-8 of one table entry per dictionary slot,
+    # and the stamp is known by construction: zero-padded decimals, all of
     # index_width characters (no value at all when the vector is empty).
-    slots = [
-        str(slot).zfill(encoding.index_width)
-        for slot in range(len(encoding.dict_values))
-    ]
-    index_values = [slots[i] for i in encoding.index]
+    width = encoding.index_width
+    slots = [b"%0*d" % (width, slot) for slot in range(len(encoding.dict_values))]
+    index_values = list(map(slots.__getitem__, encoding.index))
     index_stamp = (
-        CapsuleStamp(chartypes.DIGIT, encoding.index_width)
-        if index_values
-        else CapsuleStamp(0, 0)
+        CapsuleStamp(chartypes.DIGIT, width) if index_values else CapsuleStamp(0, 0)
     )
     if options.use_padding:
         index_capsule = Capsule.pack_fixed(
             index_values,
             options.preset,
             index_stamp,
-            width=encoding.index_width,
+            width=width,
             codec=codec,
         )
     else:
@@ -217,6 +213,6 @@ def _codec(options: EncodingOptions) -> CodecRequest:
     return CodecRequest.SPEED if options.codec_speed_tier else CodecRequest.SMALLEST
 
 
-def _pack(values: Sequence[str], options: EncodingOptions) -> Capsule:
+def _pack(values: Sequence[Cell], options: EncodingOptions) -> Capsule:
     pack = Capsule.pack_fixed if options.use_padding else Capsule.pack_variable
     return pack(values, options.preset, codec=_codec(options))

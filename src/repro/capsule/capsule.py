@@ -22,7 +22,9 @@ Two payload layouts exist:
   ``w/o fixed`` ablation (§6.3) and for LogGrep-SP; recovering a hit's row
   means counting separators, which is what the paper's padding avoids.
 
-Values must not contain NUL; log lines are text, so the packer enforces it.
+The packers lay UTF-8 cells out in one buffer and read the stamp's class
+mask and the form off one class pass over it.  Values must not contain
+NUL; log lines are text, so the packer enforces it.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ import lzma
 import struct
 import zlib
 from enum import Enum
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
+from ..common import chartypes
 from ..common.errors import NUL_IN_VALUE, CompressionError, FormatError
 from ..obs import ledger as ledger_channel
 from ..obs.metrics import get_registry
@@ -79,7 +82,10 @@ FORMS = frozenset([FORM_ASCII]) | frozenset(
     for odd in (0, FORM_ODD)
 )
 
-_DIGITS = b"0123456789"
+#: The alphabet of a buffer by the classes it holds besides digits.
+_ALPHABET_OF_LETTERS = {
+    0: FORM_DIGITS, chartypes.HEX_LOWER: FORM_HEX, chartypes.HEX_UPPER: FORM_HEX_UPPER
+}
 #: Per alphabet: the translation into hex digits before ``unhexlify`` and
 #: back after ``hexlify`` (None: already lowercase hex).
 _TO_HEX = {
@@ -92,6 +98,10 @@ _FROM_HEX = {
     FORM_HEX: None,
     FORM_HEX_UPPER: bytes.maketrans(b"abcdef", b"ABCDEF"),
 }
+
+
+#: What the packers take: a UTF-8 cell, or a str they encode once.
+Cell = Union[str, bytes]
 
 
 class CodecRequest(Enum):
@@ -373,44 +383,37 @@ class Capsule:
     @classmethod
     def pack_fixed(
         cls,
-        values: Sequence[str],
+        values: Sequence[Cell],
         preset: int = 1,
         stamp: Optional[CapsuleStamp] = None,
         width: Optional[int] = None,
         codec: CodecRequest = CodecRequest.SMALLEST,
     ) -> "Capsule":
         """Pack *values* NUL-padded to a common width (§5.2)."""
-        buf, width, value_bytes = _pad_fixed(list(map(str.encode, values)), width)
+        cells = _utf8(values)
+        buf, width, value_bytes, longest = _pad_fixed(cells, width)
         _reject_nul(buf, len(buf) - value_bytes)
-        stamp = stamp or CapsuleStamp.of_values(values)
-        stored, form, payload = _encode(buf, preset, codec)
-        return cls(
-            LAYOUT_FIXED, width, len(values), stamp, stored, preset, payload,
-            form=form,
-        )
+        return cls._pack(LAYOUT_FIXED, width, cells, buf, longest, preset, stamp, codec)
 
     @classmethod
     def pack_variable(
         cls,
-        values: Sequence[str],
+        values: Sequence[Cell],
         preset: int = 1,
         stamp: Optional[CapsuleStamp] = None,
         codec: CodecRequest = CodecRequest.SMALLEST,
     ) -> "Capsule":
         """Pack *values* NUL-separated (the w/o-fixed ablation layout)."""
-        buf = PAD.join(map(str.encode, values))
-        _reject_nul(buf, max(len(values) - 1, 0))
-        stamp = stamp or CapsuleStamp.of_values(values)
-        stored, form, payload = _encode(buf, preset, codec)
-        return cls(
-            LAYOUT_VARIABLE, 0, len(values), stamp, stored, preset, payload,
-            form=form,
-        )
+        cells = _utf8(values)
+        buf = PAD.join(cells)
+        _reject_nul(buf, max(len(cells) - 1, 0))
+        longest = max(map(len, cells), default=0)
+        return cls._pack(LAYOUT_VARIABLE, 0, cells, buf, longest, preset, stamp, codec)
 
     @classmethod
     def pack_regions(
         cls,
-        regions: Sequence[Sequence[str]],
+        regions: Sequence[Sequence[Cell]],
         widths: Sequence[int],
         preset: int = 1,
         stamp: Optional[CapsuleStamp] = None,
@@ -423,21 +426,41 @@ class Capsule:
         the direct-locating formula of §5.2.
         """
         parts: List[bytes] = []
-        all_values: List[str] = []
-        value_bytes = 0
+        cells: List[bytes] = []
+        value_bytes = longest = 0
         for region, width in zip(regions, widths):
-            part, _, region_bytes = _pad_fixed(list(map(str.encode, region)), width)
+            region_cells = _utf8(region)
+            part, _, region_bytes, region_longest = _pad_fixed(region_cells, width)
             parts.append(part)
             value_bytes += region_bytes
-            all_values.extend(region)
+            longest = max(longest, region_longest)
+            cells.extend(region_cells)
         buf = b"".join(parts)
         _reject_nul(buf, len(buf) - value_bytes)
-        stamp = stamp or CapsuleStamp.of_values(all_values)
-        stored, form, payload = _encode(buf, preset, codec)
-        return cls(
-            LAYOUT_REGION, 0, len(all_values), stamp, stored, preset, payload,
-            form=form,
-        )
+        return cls._pack(LAYOUT_REGION, 0, cells, buf, longest, preset, stamp, codec)
+
+    @classmethod
+    def _pack(
+        cls,
+        layout: int,
+        width: int,
+        cells: Sequence[bytes],
+        buf: bytes,
+        longest: int,
+        preset: int,
+        stamp: Optional[CapsuleStamp],
+        codec: CodecRequest,
+    ) -> "Capsule":
+        """The Capsule of *cells* laid out in *buf*: one class pass gives
+        the stamp's mask and the form.  *longest* (in bytes) is the stamp's
+        length when *buf* is ASCII; otherwise the cells decode to count."""
+        mask = chartypes.type_mask_of_buffer(buf)
+        if stamp is None:
+            if not buf.isascii():
+                longest = max(map(len, map(bytes.decode, cells)))
+            stamp = CapsuleStamp(mask, longest)
+        stored, form, payload = _encode(buf, preset, codec, mask)
+        return cls(layout, width, len(cells), stamp, stored, preset, payload, form=form)
 
     # ------------------------------------------------------------------
     # access
@@ -608,11 +631,19 @@ def _split_fixed(plain: bytes, start: int, count: int, width: int) -> List[bytes
     return cells
 
 
+def _utf8(values: Sequence[Cell]) -> Sequence[bytes]:
+    """*values* as UTF-8 cells: str values encoded, cells as they are."""
+    if values and isinstance(values[0], str):
+        return list(map(str.encode, values))  # type: ignore[arg-type]
+    return values  # type: ignore[return-value]
+
+
 def _pad_fixed(
     encoded: Sequence[bytes], width: Optional[int] = None
-) -> Tuple[bytes, int, int]:
+) -> Tuple[bytes, int, int, int]:
     """*encoded* NUL-padded to *width* bytes each (the longest value's
-    length when None) and concatenated: ``(column, width, value bytes)``.
+    length when None) and concatenated: ``(column, width, value bytes,
+    longest value's bytes)``.
 
     The mirror of :func:`_split_fixed`: a column whose values all have
     the width is one join, any other one ``struct`` pack per
@@ -631,12 +662,12 @@ def _pad_fixed(
         )
     value_bytes = sum(lengths)
     if value_bytes == width * len(encoded):  # every value has the width
-        return b"".join(encoded), width, value_bytes
+        return b"".join(encoded), width, value_bytes, longest
     parts = []
     for done in range(0, len(encoded), _SPLIT_CHUNK):
         chunk = encoded[done : done + _SPLIT_CHUNK]
         parts.append(struct.pack(b"%ds" % width * len(chunk), *chunk))
-    return b"".join(parts), width, value_bytes
+    return b"".join(parts), width, value_bytes, longest
 
 
 def _reject_nul(buf: bytes, layout_nuls: int) -> None:
@@ -647,13 +678,17 @@ def _reject_nul(buf: bytes, layout_nuls: int) -> None:
 
 
 def _encode(
-    buf: bytes, preset: int, codec: CodecRequest
+    buf: bytes, preset: int, codec: CodecRequest, mask: Optional[int] = None
 ) -> Tuple[int, int, bytes]:
     """The stored codec, form and payload of *buf* under the request
     *codec*: the buffer is packed into its form (:func:`_pack_form`) and
-    the codec rule runs once, on the packed bytes.
+    the codec rule runs once, on the packed bytes.  *mask* is the
+    buffer's class mask where the packer has it already; a ``plain()``
+    buffer re-packs without it.
     """
-    form, packed = _pack_form(buf)
+    if mask is None:
+        mask = chartypes.type_mask_of_buffer(buf)
+    form, packed = _pack_form(buf, mask)
     stored, payload = _choose_codec(packed, preset, codec is CodecRequest.SPEED)
     labels = {"codec": CODEC_NAMES[stored], "form": FORM_NAMES[form & ~FORM_ODD]}
     _CODEC_CAPSULES.inc(**labels)
@@ -662,26 +697,17 @@ def _encode(
     return stored, form, payload
 
 
-def _pack_form(buf: bytes) -> Tuple[int, bytes]:
+def _pack_form(buf: bytes, mask: int) -> Tuple[int, bytes]:
     """``(form, packed)``: *buf* two characters per byte when it is at
-    least :data:`RAW_BELOW` bytes and every byte is in one alphabet
+    least :data:`RAW_BELOW` bytes and its class *mask* names one alphabet
     (digits and NUL; lowercase hex; uppercase hex), else *buf* as it is.
 
     Mixed-case hex and hex with a NUL stay one character per byte: nibble
     ``f`` stands for the pad only where ``f`` is not itself a character.
     """
-    if len(buf) < RAW_BELOW:
-        return FORM_ASCII, buf
-    rest = buf.translate(None, _DIGITS)
-    if rest.translate(None, b"\x00abcdefABCDEF"):
-        return FORM_ASCII, buf
-    if not rest.translate(None, b"\x00"):
-        alphabet = FORM_DIGITS
-    elif not rest.translate(None, b"abcdef"):
-        alphabet = FORM_HEX
-    elif not rest.translate(None, b"ABCDEF"):
-        alphabet = FORM_HEX_UPPER
-    else:
+    letters = mask & ~chartypes.DIGIT
+    alphabet = _ALPHABET_OF_LETTERS.get(letters)
+    if alphabet is None or len(buf) < RAW_BELOW or (letters and PAD in buf):
         return FORM_ASCII, buf
     table = _TO_HEX[alphabet]
     text = buf if table is None else buf.translate(table)

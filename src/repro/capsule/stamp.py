@@ -6,12 +6,14 @@ keyword fragment against the stamp *before* decompressing the Capsule: if
 the fragment uses a character class the Capsule never contains
 (``K & C != K``) or is longer than any value could be, the Capsule is
 skipped entirely — the central cheap-filtering trick of the paper.
+
+The packer takes the mask from one class pass over its padded UTF-8
+buffer (``chartypes.type_mask_of_buffer``) and the length from its cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from ..common import chartypes
 
@@ -22,12 +24,6 @@ class CapsuleStamp:
 
     type_mask: int
     max_len: int
-
-    @classmethod
-    def of_values(cls, values: Sequence[str]) -> "CapsuleStamp":
-        mask = chartypes.type_mask_of_values(values)
-        max_len = max(map(len, values), default=0)
-        return cls(mask, max_len)
 
     @classmethod
     def permissive(cls) -> "CapsuleStamp":

@@ -57,6 +57,13 @@ for _c in range(ord("G"), ord("Z") + 1):
     _CHAR_CLASS[_c] = ALPHA_UPPER
 
 
+#: The class bit of each byte of a NUL-padded UTF-8 buffer, as a
+#: ``bytes.translate`` table.  It is exact: every non-ASCII character is
+#: ``OTHER``, and UTF-8 spells those with bytes >= 0x80 alone, which map to
+#: ``OTHER``; the NUL pad (or separator) maps to no class at all.
+_CLASS_OF_BYTE = bytes([0, *_CHAR_CLASS[1:128], *[OTHER] * 128])
+
+
 def char_class(ch: str) -> int:
     """Return the class bit of a single character."""
     code = ord(ch)
@@ -91,6 +98,14 @@ def fragment_mask(fragment: str) -> int:
 def type_mask_of_values(values: Iterable[str]) -> int:
     """Return the combined type number of every value in *values*."""
     return type_mask("".join(values))
+
+
+def type_mask_of_buffer(buf: bytes) -> int:
+    """:func:`type_mask_of_values` of the UTF-8 values NUL-padded or
+    NUL-separated in *buf*: one C pass classes every byte, and one
+    ``in`` (a memchr) per class reads the mask off the result."""
+    classes = buf.translate(_CLASS_OF_BYTE)
+    return sum(bit for bit in CLASS_NAMES if bit in classes)
 
 
 def mask_subsumes(capsule_mask: int, keyword_mask: int) -> bool:

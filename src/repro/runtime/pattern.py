@@ -97,35 +97,37 @@ class RuntimePattern:
     # ------------------------------------------------------------------
     def split(
         self, values: Sequence[str]
-    ) -> Tuple[List[Sequence[str]], List[int], List[str]]:
+    ) -> Tuple[List[Sequence[bytes]], List[int], List[str]]:
         """Split a whole vector: ``(columns, outlier_rows, outlier_values)``.
 
         ``columns[k]`` holds sub-variable *k* of every row that fits the
-        pattern, in row order; rows that do not fit are listed (sorted)
-        in ``outlier_rows`` with their values alongside.
+        pattern, in row order, as UTF-8 cells (what the packers store);
+        rows that do not fit are listed (sorted) in ``outlier_rows`` with
+        their values, as given, alongside.
 
         Constants anchor greedily: a leading constant must be a prefix, a
         trailing constant a suffix, and interior constants bind to their
         first occurrence after the previous element.  The rule is compiled
-        into a regex (:meth:`_splitter`) and run once over the
-        NUL-joined column, so the cost per value is the regex engine's,
-        not a Python call's.
+        into a regex (:meth:`_splitter`) and run once over the UTF-8 of
+        the NUL-joined column, so the cost per value is the regex
+        engine's, not a Python call's.  UTF-8 is self-synchronising: a
+        constant's first occurrence in bytes is its first in characters.
         """
         if self.is_trivial:
-            return [values], [], []
+            return [list(map(str.encode, values))], [], []
         num_subvars = self.num_subvars
         if not num_subvars:
             # Nothing to capture: a row fits iff it *is* the constant.
             text = self.constant_text()
             rows = [row for row, value in enumerate(values) if value != text]
             return [], rows, [values[row] for row in rows]
-        joined = "\0".join([*values, ""])
-        if joined.count("\0") != len(values):
+        joined = "\0".join([*values, ""]).encode()
+        if joined.count(0) != len(values):
             # A NUL inside a value would shift every later row; Capsules
             # cannot hold one either (``capsule._reject_nul``).
             raise CompressionError(NUL_IN_VALUE)
         found = self._splitter().findall(joined)  # one tuple per row
-        columns: List[Sequence[str]] = list(zip(*found)) or [
+        columns: List[Sequence[bytes]] = list(zip(*found)) or [
             () for _ in range(num_subvars + 1)
         ]
         # The last group is the whole row where the pattern did not fit —
@@ -144,9 +146,9 @@ class RuntimePattern:
         """Split one *value* into sub-values, or None when it doesn't fit
         (:meth:`split` on a vector of one)."""
         columns, outlier_rows, _ = self.split([value])
-        return None if outlier_rows else [column[0] for column in columns]
+        return None if outlier_rows else [column[0].decode() for column in columns]
 
-    def _splitter(self) -> "re.Pattern[str]":
+    def _splitter(self) -> "re.Pattern[bytes]":
         """The split rule as one regex matching exactly one row per hit.
 
         Every class is ``[^\\x00]`` and every hit ends at the row's NUL, so
@@ -159,7 +161,7 @@ class RuntimePattern:
         so without ``(?>`` a row that does not fit costs a search of every
         combination of occurrences to reach the same answer.
         """
-        parts: List[str] = []
+        parts: List[bytes] = []
         pending = False  # a SubVar is waiting for its right boundary
         last = len(self.elements) - 1
         for i, el in enumerate(self.elements):
@@ -167,22 +169,22 @@ class RuntimePattern:
                 if pending:
                     # Two adjacent sub-variables cannot be disambiguated;
                     # the first gets the empty value.
-                    parts.append("()")
+                    parts.append(b"()")
                 pending = True
                 continue
-            text = re.escape(el.text)
+            text = re.escape(el.text.encode())
             if not pending:
                 parts.append(text)
             elif i == last:
-                parts.append(rf"([^\x00]*){text}")
+                parts.append(rb"([^\x00]*)" + text)
             else:
-                parts.append(rf"(?>([^\x00]*?){text})")
+                parts.append(rb"(?>([^\x00]*?)" + text + b")")
             pending = False
         if pending:
-            parts.append(r"([^\x00]*)")
+            parts.append(rb"([^\x00]*)")
         # Blocks of one log repeat their patterns: re's own cache holds
         # the compiled form from one vector to the next.
-        return re.compile(rf"(?:{''.join(parts)}|([^\x00]*))\x00")
+        return re.compile(b"(?:" + b"".join(parts) + rb"|([^\x00]*))\x00")
 
     def render(self, subvalues: Sequence[str]) -> str:
         """Inverse of :meth:`match`."""

@@ -15,6 +15,7 @@ from repro.capsule.assembler import (
 )
 from repro.capsule.box import CapsuleBox
 from repro.capsule.stamp import CapsuleStamp
+from repro.common import chartypes
 from repro.core.compressor import compress_block
 from repro.core.config import LogGrepConfig
 from repro.core.reconstructor import BlockReconstructor
@@ -90,8 +91,9 @@ class TestEncodeNominal:
         encoded = encode_vector(
             values, EncodingOptions(use_padding=padded), kind=VectorKind.NOMINAL
         )
-        assert encoded.index_capsule.stamp == CapsuleStamp.of_values(
-            encoded.index_capsule.values()
+        index = encoded.index_capsule.values()
+        assert encoded.index_capsule.stamp == CapsuleStamp(
+            chartypes.type_mask_of_values(index), max(map(len, index), default=0)
         )
 
 

@@ -66,37 +66,42 @@ nul_free = st.text(
 )
 
 
+def _stamp_of(values):
+    """The stamp the packer computes for *values*."""
+    return Capsule.pack_fixed(values).stamp
+
+
 class TestStamp:
     def test_of_values(self):
-        stamp = CapsuleStamp.of_values(["1F", "8"])
+        stamp = _stamp_of(["1F", "8"])
         assert stamp.type_mask == 0b000101
         assert stamp.max_len == 2
 
     def test_admits_type(self):
-        stamp = CapsuleStamp.of_values(["1234", "5678"])
+        stamp = _stamp_of(["1234", "5678"])
         assert stamp.admits("12")
         assert not stamp.admits("1a")
 
     def test_admits_length(self):
         # Fig 6 case ②: "8F8" violates <sv1>'s len=1.
-        stamp = CapsuleStamp.of_values(["8", "1"])
+        stamp = _stamp_of(["8", "1"])
         assert not stamp.admits("8F8")
         assert stamp.admits("8")
 
     def test_empty_fragment_always_admitted(self):
-        assert CapsuleStamp.of_values(["xyz"]).admits("")
+        assert _stamp_of(["xyz"]).admits("")
 
     def test_permissive(self):
         stamp = CapsuleStamp.permissive()
         assert stamp.admits("anything at all ~ 123")
 
     def test_of_empty_vector_and_empty_strings(self):
-        assert CapsuleStamp.of_values([]) == CapsuleStamp(0, 0)
-        assert CapsuleStamp.of_values(["", ""]) == CapsuleStamp(0, 0)
+        assert _stamp_of([]) == CapsuleStamp(0, 0)
+        assert _stamp_of(["", ""]) == CapsuleStamp(0, 0)
 
     def test_max_len_counts_characters_width_counts_bytes(self):
         values = ["\U0001F600\U0001F600", "é"]  # 8 and 2 bytes
-        assert CapsuleStamp.of_values(values).max_len == 2
+        assert _stamp_of(values).max_len == 2
         assert Capsule.pack_fixed(values).width == 8
 
     @given(st.lists(nul_free, max_size=40))
@@ -108,7 +113,7 @@ class TestStamp:
         longest = 0
         for value in values:
             longest = max(longest, len(value))
-        assert CapsuleStamp.of_values(values) == CapsuleStamp(mask, longest)
+        assert _stamp_of(values) == CapsuleStamp(mask, longest)
 
     def test_serialization(self):
         stamp = CapsuleStamp(0b101, 42)
@@ -388,7 +393,7 @@ class TestCodecRule:
             assert (codec, len(payload)) == (expected, by_codec[expected])
             # The Capsule runs the same rule once, on its packed buffer:
             # the digit column two per byte, the lettered one as it is.
-            form, packed = _pack_form(buf)
+            form, packed = _pack_form(buf, chartypes.type_mask_of_buffer(buf))
             assert form == (FORM_DIGITS if values is counters else FORM_ASCII)
             capsule = Capsule.pack_fixed(values)
             assert capsule.form == form
@@ -788,7 +793,7 @@ class TestForms:
     def test_form_takes_part_in_equality(self):
         buf = b"12" * 20
         ascii_capsule = Capsule(
-            LAYOUT_FIXED, 2, 20, CapsuleStamp.of_values(["12"]), CODEC_RAW, 1, buf
+            LAYOUT_FIXED, 2, 20, CapsuleStamp(chartypes.DIGIT, 2), CODEC_RAW, 1, buf
         )
         packed = Capsule.pack_fixed(["12"] * 20)
         assert packed.form == FORM_DIGITS and packed.plain() == buf

@@ -5,13 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.capsule.stamp import CapsuleStamp
+from repro.common import chartypes
 from repro.query.locator import TOO_COMPLEX, locate
 from repro.query.modes import MatchMode, value_matches
 from repro.runtime.pattern import pattern_from_fragments
 
 
 def stamps_for(columns):
-    return [CapsuleStamp.of_values(column) for column in columns]
+    return [
+        CapsuleStamp(
+            chartypes.type_mask_of_values(column), max(map(len, column), default=0)
+        )
+        for column in columns
+    ]
 
 
 def evaluate(pattern, columns, candidates):

@@ -105,8 +105,13 @@ def ref_split(pattern: RuntimePattern, values: Sequence[str]) -> Split:
 
 
 def split_of(pattern: RuntimePattern, values: Sequence[str]) -> Split:
+    """:meth:`RuntimePattern.split`, its UTF-8 cells decoded."""
     columns, outlier_rows, outlier_values = pattern.split(values)
-    return [tuple(column) for column in columns], outlier_rows, outlier_values
+    return (
+        [tuple(cell.decode() for cell in column) for column in columns],
+        outlier_rows,
+        outlier_values,
+    )
 
 
 def P(*fragments: Optional[str]) -> RuntimePattern:
